@@ -61,7 +61,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"hatrpc/internal/atb"
 	"hatrpc/internal/engine"
@@ -72,7 +71,7 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "latency-hints", "benchmark: latency-protocols, throughput-protocols, latency-hints, throughput-hints, mix, overload, crash, cluster, hotpath, fanin")
+	bench := flag.String("bench", "latency-hints", "benchmark: latency-protocols, throughput-protocols, latency-hints, throughput-hints, mix, overload, crash, cluster, fanin")
 	size := flag.Int("size", 512, "payload size for the mix benchmark")
 	vclients := flag.String("vclients", "", "fanin bench: comma-separated connected virtual-client counts (default 10000,100000,1000000)")
 	pools := flag.String("pools", "", "fanin bench: comma-separated physical shared-QP pool sizes (default 4,16)")
@@ -204,26 +203,6 @@ func main() {
 				p.RnrNaks, p.RnrFailures, p.CreditStalls)
 		}
 		fmt.Print(tb)
-	case "hotpath":
-		cfg := atb.DefaultHotpathConfig()
-		t0 := hostNow()
-		base := atb.RunHotpath(cfg, false)
-		baseWall := hostNow().Sub(t0)
-		t1 := hostNow()
-		hot := atb.RunHotpath(cfg, true)
-		hotWall := hostNow().Sub(t1)
-		tb := stats.NewTable("workload", "size", "base avg", "hot avg", "base p99", "hot p99", "sim speedup")
-		for i, bp := range base {
-			hp := hot[i]
-			tb.Row(bp.Workload, stats.FormatBytes(bp.Size),
-				stats.FormatNs(bp.AvgNs), stats.FormatNs(hp.AvgNs),
-				stats.FormatNs(bp.P99Ns), stats.FormatNs(hp.P99Ns),
-				fmt.Sprintf("%.3fx", bp.AvgNs/hp.AvgNs))
-		}
-		fmt.Print(tb)
-		fmt.Printf("\nwall-clock: baseline %.3fs, hotpath %.3fs (%.2fx)\n",
-			baseWall.Seconds(), hotWall.Seconds(), baseWall.Seconds()/hotWall.Seconds())
-		fmt.Println("(simulated columns are virtual time and deterministic; the wall-clock line is host time and varies run to run)")
 	case "fanin":
 		cfg := atb.DefaultFaninConfig()
 		if *vclients != "" {
@@ -356,14 +335,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "atb: wrote %d trace events to %s\n", tracer.Len(), *traceFile)
 	}
-}
-
-// hostNow reads the host wall clock for the hotpath smoke report: that
-// mode intentionally prints real elapsed time (the allocation sweep's
-// observable effect) alongside the simulated improvement. The reading
-// never feeds the simulation — every fabric is seeded and virtual-timed.
-func hostNow() time.Time {
-	return time.Now() //hatlint:allow simdet -- the hotpath bench reports host wall-clock alongside virtual time by design; the value never enters the simulation
 }
 
 // parseSync maps the -sync flag to a store durability mode, exiting on

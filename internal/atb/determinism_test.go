@@ -101,41 +101,6 @@ func TestByteIdenticalReplay(t *testing.T) {
 	}
 }
 
-// TestHotpathByteIdenticalReplay extends the determinism guarantee to
-// the hotpath sweep: each side (legacy and all-knobs-on) reproduces its
-// points exactly across runs, and — the knob-neutrality contract — the
-// single-client call workload's virtual timings are IDENTICAL between
-// the two sides. PollBudget, DoorbellBatch and ArenaPayloads are
-// host-memory/doorbell optimisations; only the burst workload, whose
-// doorbells actually coalesce, may differ.
-func TestHotpathByteIdenticalReplay(t *testing.T) {
-	cfg := HotpathConfig{
-		Protos:    []engine.Protocol{engine.EagerSendRecv, engine.RFP},
-		Sizes:     []int{512, 131072},
-		Burst:     8,
-		BurstSize: 64,
-		Iters:     20,
-		Seed:      42,
-	}
-	var sides [][]HotpathPoint
-	for _, hot := range []bool{false, true} {
-		a := RunHotpath(cfg, hot)
-		b := RunHotpath(cfg, hot)
-		sa, sb := fmt.Sprintf("%+v", a), fmt.Sprintf("%+v", b)
-		if sa != sb {
-			t.Fatalf("hot=%v replay diverged:\n%s", hot, firstDiff(sa, sb))
-		}
-		sides = append(sides, a)
-	}
-	for i, bp := range sides[0] {
-		hp := sides[1][i]
-		if strings.HasPrefix(bp.Workload, "call/") && (bp.AvgNs != hp.AvgNs || bp.P99Ns != hp.P99Ns) {
-			t.Errorf("%s size=%d: hot knobs changed single-client call timing: base avg=%v hot avg=%v",
-				bp.Workload, bp.Size, bp.AvgNs, hp.AvgNs)
-		}
-	}
-}
-
 // firstDiff renders the first line where two outputs diverge.
 func firstDiff(a, b string) string {
 	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")

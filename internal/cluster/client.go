@@ -30,14 +30,10 @@ type ClientStats struct {
 // full map refresh plus backoff. One Client serves one simulated
 // process's traffic (no internal locking beyond the session cache).
 type Client struct {
-	cfg    Config
-	eng    *engine.Engine
-	roster []*simnet.Node // cluster server nodes, by index
+	peerSessions
+	cfg Config
 
-	view *ShardMap
-
-	smu   *sim.Mutex
-	sess  map[int]*engine.Session
+	view  *ShardMap
 	stats ClientStats
 }
 
@@ -46,12 +42,9 @@ type Client struct {
 func NewClient(eng *engine.Engine, roster []*simnet.Node, cfg Config) *Client {
 	cfg = cfg.withDefaults()
 	return &Client{
-		cfg:    cfg,
-		eng:    eng,
-		roster: roster,
-		view:   NewShardMap(cfg.Seed, cfg.NodeIDs, cfg.NShards, cfg.RF),
-		smu:    sim.NewMutex(eng.Node().Cluster().Env()),
-		sess:   make(map[int]*engine.Session),
+		peerSessions: newPeerSessions(eng, roster),
+		cfg:          cfg,
+		view:         NewShardMap(cfg.Seed, cfg.NodeIDs, cfg.NShards, cfg.RF),
 	}
 }
 
@@ -61,29 +54,10 @@ func (c *Client) Stats() ClientStats { return c.stats }
 // View returns the client's current routing view (read-only use).
 func (c *Client) View() *ShardMap { return c.view }
 
-// call performs one idempotent RPC to a cluster node over a cached
-// session.
+// call performs one idempotent RPC to a cluster node under the client's
+// per-attempt deadline.
 func (c *Client) call(p *sim.Proc, peer int, fn uint32, req []byte) ([]byte, error) {
-	c.smu.Lock(p)
-	s := c.sess[peer]
-	if s == nil {
-		var err error
-		s, err = c.eng.NewSession(p, c.roster[peer], Port, engine.SessionConfig{
-			MaxRedials:    2,
-			RedialBackoff: 50_000,
-		})
-		if err != nil {
-			c.smu.Unlock()
-			return nil, err
-		}
-		c.sess[peer] = s
-	}
-	c.smu.Unlock()
-	return s.Call(p, fn, req, engine.CallOpts{
-		Proto:      engine.EagerSendRecv,
-		Idempotent: true,
-		Deadline:   sim.Duration(c.cfg.ClientDeadlineNs),
-	})
+	return c.callPeerDL(p, peer, fn, req, c.cfg.ClientDeadlineNs)
 }
 
 // adopt folds a stale-reply's fresher routing into the cached view.

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"hatrpc/internal/engine"
 	"hatrpc/internal/hatkv"
@@ -110,20 +109,18 @@ type NodeStats struct {
 // Build one per boot with NewNode — it dies with the simnet node's
 // crash, while the store underneath survives into the next boot.
 type Node struct {
-	cfg    Config
-	self   int // index into cfg.NodeIDs == position in roster
-	env    *sim.Env
-	eng    *engine.Engine
-	store  *hatkv.Store
-	roster []*simnet.Node // cluster nodes by index
+	peerSessions // replication and failover calls to the other nodes
+
+	cfg   Config
+	self  int // index into cfg.NodeIDs == position in roster
+	env   *sim.Env
+	store *hatkv.Store
 
 	shards   map[int]*shardState // shards where self is a configured replica
 	shardIDs []int               // sorted keys of shards
 	initial  *ShardMap           // static epoch-1 map for non-owned entries
 
-	smu  *sim.Mutex              // guards sess creation
-	sess map[int]*engine.Session // peer index → replication session
-	srv  *engine.Server          // nil for NewUnservedNode (caller serves Handle)
+	srv *engine.Server // nil for NewUnservedNode (caller serves Handle)
 
 	stats NodeStats
 
@@ -145,16 +142,13 @@ func newNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.Node, self
 	cfg = cfg.withDefaults()
 	env := eng.Node().Cluster().Env()
 	n := &Node{
-		cfg:     cfg,
-		self:    self,
-		env:     env,
-		eng:     eng,
-		store:   store,
-		roster:  roster,
-		shards:  make(map[int]*shardState),
-		initial: NewShardMap(cfg.Seed, cfg.NodeIDs, cfg.NShards, cfg.RF),
-		smu:     sim.NewMutex(env),
-		sess:    make(map[int]*engine.Session),
+		peerSessions: newPeerSessions(eng, roster),
+		cfg:          cfg,
+		self:         self,
+		env:          env,
+		store:        store,
+		shards:       make(map[int]*shardState),
+		initial:      NewShardMap(cfg.Seed, cfg.NodeIDs, cfg.NShards, cfg.RF),
 	}
 	for s := 0; s < cfg.NShards; s++ {
 		reps32 := n.initial.Shards[s].Replicas
@@ -386,37 +380,11 @@ func (n *Node) snapshotLocked(st *shardState) ([]snapPair, error) {
 	return out, nil
 }
 
-// callPeer performs one idempotent RPC to another cluster node over a
-// cached session (created on first use; the session itself survives
-// peer restarts by re-dialing).
+// callPeer is callPeerDL under the replication deadline; liveness probes
+// call callPeerDL directly with a tighter one, so a dead primary is
+// detected within a few monitor ticks.
 func (n *Node) callPeer(p *sim.Proc, peer int, fn uint32, req []byte) ([]byte, error) {
 	return n.callPeerDL(p, peer, fn, req, n.cfg.CallDeadlineNs)
-}
-
-// callPeerDL is callPeer with an explicit deadline: liveness probes run
-// tighter than replication so a dead primary is detected within a few
-// monitor ticks.
-func (n *Node) callPeerDL(p *sim.Proc, peer int, fn uint32, req []byte, deadlineNs int64) ([]byte, error) {
-	n.smu.Lock(p)
-	s := n.sess[peer]
-	if s == nil {
-		var err error
-		s, err = n.eng.NewSession(p, n.roster[peer], Port, engine.SessionConfig{
-			MaxRedials:    2,
-			RedialBackoff: 50_000,
-		})
-		if err != nil {
-			n.smu.Unlock()
-			return nil, err
-		}
-		n.sess[peer] = s
-	}
-	n.smu.Unlock()
-	return s.Call(p, fn, req, engine.CallOpts{
-		Proto:      engine.EagerSendRecv,
-		Idempotent: true,
-		Deadline:   sim.Duration(deadlineNs),
-	})
 }
 
 // Handle exposes the cluster wire dispatcher for callers that serve the
@@ -434,17 +402,7 @@ func (n *Node) Server() *engine.Server { return n.srv }
 // deterministic (sorted-peer) order — part of graceful shutdown, so the
 // peers' keepalive state and this node's QPs are released before the
 // engine closes.
-func (n *Node) CloseSessions() {
-	peers := make([]int, 0, len(n.sess))
-	for peer := range n.sess {
-		peers = append(peers, peer)
-	}
-	sort.Ints(peers)
-	for _, peer := range peers {
-		n.sess[peer].Close()
-	}
-	n.sess = make(map[int]*engine.Session)
-}
+func (n *Node) CloseSessions() { n.closeSessions() }
 
 // handle dispatches the cluster wire protocol.
 func (n *Node) handle(p *sim.Proc, fn uint32, req []byte) []byte {

@@ -27,9 +27,8 @@ type CallOpts struct {
 	Oneway bool
 	// Deadline bounds the whole call — including retransmissions — in
 	// virtual time from its start. Zero falls back to
-	// Config.CallDeadline; if both are zero the call may block forever
-	// on a lossy fabric (the lossless-fabric fast path, byte-identical
-	// to builds without the reliability layer).
+	// Config.CallDeadline; if both are zero the call is one unbounded
+	// attempt and may block forever on a lossy fabric.
 	Deadline sim.Duration
 	// NoWait fails the call immediately with ErrNoCredits instead of
 	// blocking when flow control (Config.FlowCredits) has no send
@@ -110,6 +109,19 @@ func (c *Conn) Call(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte, 
 	return out, err
 }
 
+// deadlineFor resolves a call's absolute deadline: CallOpts.Deadline,
+// else Config.CallDeadline, from now. Zero means unbounded.
+func (c *Conn) deadlineFor(p *sim.Proc, opts CallOpts) sim.Time {
+	dl := opts.Deadline
+	if dl == 0 {
+		dl = c.eng.cfg.CallDeadline
+	}
+	if dl == 0 {
+		return 0
+	}
+	return p.Now() + sim.Time(dl)
+}
+
 func (c *Conn) doCall(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte, error) {
 	eng := c.eng
 	poll := resolvePoll(opts.Poll, opts.Busy)
@@ -126,71 +138,29 @@ func (c *Conn) doCall(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte
 		kind: kReq, proto: reqProto, respProto: respProto,
 		fn: fn, length: uint32(len(req)), seq: c.seq, sid: opts.SID,
 	}
-	dl := opts.Deadline
-	if dl == 0 {
-		dl = eng.cfg.CallDeadline
-	}
+	until := c.deadlineFor(p, opts)
 	if opts.Oneway {
 		c.stats.Oneways++
 		if m := eng.em; m != nil {
 			m.oneways.Inc()
 		}
 		h.respProto = ProtoAuto // marks "no response expected"
-		if dl > 0 {
-			if err := c.sendOnewayReliable(p, h, req, poll, p.Now()+sim.Time(dl)); err != nil {
-				return nil, err
-			}
-		} else {
-			c.sendMessage(p, h, req, poll)
+		if err := c.sendOnewayReliable(p, h, req, poll, until); err != nil {
+			return nil, err
 		}
 		eng.trc.Complete("rpc", "oneway."+reqProto.String(), eng.node.ID(), c.id,
 			start, int64(p.Now()),
 			obs.Arg{K: "fn", V: fn}, obs.Arg{K: "size", V: len(req)})
 		return nil, nil
 	}
-	var out []byte
-	if dl > 0 {
-		// Deadline-bounded path: seq-tagged retransmission with capped
-		// exponential backoff; see reliability.go.
-		var err error
-		out, err = c.callReliable(p, h, req, respProto, poll, p.Now()+sim.Time(dl))
-		if err != nil {
-			eng.trc.Instant("rpc", "call_failed."+reqProto.String(), eng.node.ID(), c.id,
-				int64(p.Now()), obs.Arg{K: "fn", V: fn}, obs.Arg{K: "seq", V: h.seq})
-			return nil, err
-		}
-	} else {
-		c.sendMessage(p, h, req, poll)
-
-		// Fetch-style responses are client-driven: the fetch loops poll
-		// their READ completions, pacing the polls per the call's polling
-		// discipline (fetchPace) — busy calls keep the tight one-sided
-		// spin these designs are known for, event calls back off to the
-		// interrupt-wake granularity.
-		var err error
-		switch respProto {
-		case RFP:
-			out, _, err = c.fetchRFPUntil(p, poll, 0)
-		case Pilaf:
-			out, _, err = c.fetchKVUntil(p, 2, poll, 0)
-		case FaRM:
-			out, _, err = c.fetchKVUntil(p, 1, poll, 0)
-		default:
-			a := c.nextArrival(p, poll)
-			switch a.Kind {
-			case kResp:
-				out = a.Payload
-			case kErr, kDrain:
-				err = rejectErr(a.Kind)
-			default:
-				return nil, fmt.Errorf("engine: expected response, got kind %d", a.Kind)
-			}
-		}
-		if err != nil {
-			eng.trc.Instant("rpc", "call_failed."+reqProto.String(), eng.node.ID(), c.id,
-				int64(p.Now()), obs.Arg{K: "fn", V: fn}, obs.Arg{K: "seq", V: h.seq})
-			return nil, err
-		}
+	// One state machine for every call (reliability.go): seq-tagged
+	// retransmission with capped exponential backoff under a deadline, a
+	// single unbounded attempt without one.
+	out, err := c.callReliable(p, h, req, respProto, poll, until)
+	if err != nil {
+		eng.trc.Instant("rpc", "call_failed."+reqProto.String(), eng.node.ID(), c.id,
+			int64(p.Now()), obs.Arg{K: "fn", V: fn}, obs.Arg{K: "seq", V: h.seq})
+		return nil, err
 	}
 	if m := eng.em; m != nil {
 		m.callLat[reqProto].Observe(float64(int64(p.Now()) - start))
@@ -328,8 +298,7 @@ func (c *Conn) sendDirectWrite(p *sim.Proc, h hdr, payload []byte, chained bool,
 
 // stageNotifyOff is the staging offset reserved for notify headers — the
 // last hdrSize bytes of the staging region. It doubles as the limit of
-// the fragment-staging area used by the doorbell-batched paths; with the
-// legacy staging size it evaluates to exactly MaxMsgSize+hdrSize.
+// the area OnewayBurst stages a chained train into.
 func (c *Conn) stageNotifyOff() int { return c.stageMR.Len() - hdrSize }
 
 // sendWriteImm WRITEs [hdr|payload] into the peer's direct buffer with an
@@ -473,7 +442,7 @@ func (c *Conn) fetchRFPUntil(p *sim.Proc, poll PollMode, until sim.Time) ([]byte
 		p.Sleep(d)
 	}
 	for {
-		if until > 0 && p.Now() >= until {
+		if expired(p.Now(), until) {
 			return nil, false, nil
 		}
 		b, ok := c.readRemote(p, c.peerRfpOut, 0, chunk, poll)
@@ -500,7 +469,7 @@ func (c *Conn) fetchRFPUntil(p *sim.Proc, poll PollMode, until sim.Time) ([]byte
 			return c.copyPayload(b[hdrSize : hdrSize+n]), true, nil
 		}
 		// Tail fetch for large responses.
-		out := c.allocPayload(n)
+		out := c.eng.payloadGet(n)
 		copy(out, b[hdrSize:])
 		rest, ok := c.readRemote(p, c.peerRfpOut, chunk, n-got, poll)
 		if !ok {
@@ -551,7 +520,7 @@ func (c *Conn) fetchKVUntil(p *sim.Proc, metaReads int, poll PollMode, until sim
 		p.Sleep(d)
 	}
 	for {
-		if until > 0 && p.Now() >= until {
+		if expired(p.Now(), until) {
 			return nil, false, nil
 		}
 		meta, ok := c.readRemote(p, c.peerKvMeta, 0, 16, poll)
@@ -591,12 +560,16 @@ func (c *Conn) fetchKVUntil(p *sim.Proc, metaReads int, poll PollMode, until sim
 // OnewayBurst ships a burst of oneway eager requests as chained WR
 // trains: each message is staged at its own offset and linked into a WR
 // chain, and the chain is flushed with a single PostSend — one doorbell
-// for the whole burst (Config.DoorbellBatch). It exists for the
-// multi-call burst shape doorbell batching targets: N small notifications
-// from one client in one scheduling quantum. Without DoorbellBatch (or
-// for non-eager protocols, or when a deadline/reliability bound is set)
-// it degrades to a loop of ordinary oneway Calls, so callers can use it
-// unconditionally.
+// for the whole burst. It exists for the multi-call burst shape doorbell
+// batching targets: N small notifications from one client in one
+// scheduling quantum. A burst the chain shape cannot carry — a non-eager
+// protocol, a deadline (retransmission is per message), or a payload
+// larger than one ring slot — degrades to a loop of ordinary oneway
+// Calls, so callers can use it unconditionally. Segmented single
+// messages deliberately stay on sendEager's per-fragment path: chaining
+// a whole fragment train would defer every fragment's NIC work until the
+// last one is staged, losing the staging/transmit overlap that dominates
+// large-message latency.
 func (c *Conn) OnewayBurst(p *sim.Proc, fn uint32, payloads [][]byte, opts CallOpts) error {
 	if c.server {
 		return fmt.Errorf("engine: OnewayBurst on server-side connection")
@@ -606,12 +579,8 @@ func (c *Conn) OnewayBurst(p *sim.Proc, fn uint32, payloads [][]byte, opts CallO
 	if proto == ProtoAuto {
 		proto = EagerSendRecv
 	}
-	dl := opts.Deadline
-	if dl == 0 {
-		dl = eng.cfg.CallDeadline
-	}
 	slotCap := c.slotSize - hdrSize
-	batchable := eng.cfg.DoorbellBatch && proto == EagerSendRecv && dl == 0
+	batchable := proto == EagerSendRecv && c.deadlineFor(p, opts) == 0
 	if batchable {
 		for _, pl := range payloads {
 			if len(pl) > slotCap {

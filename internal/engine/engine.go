@@ -29,16 +29,10 @@ type Config struct {
 	// request slot, Pilaf/FaRM meta+payload). Benchmarks that pin a
 	// two-sided protocol set this to keep per-connection memory small.
 	NoFetchBufs bool
-	// RndvPoolCap bounds the free list of each rendezvous size class.
-	// Buffers released beyond the cap are deregistered (unpinned) so a
-	// mixed-size workload's pinned memory plateaus instead of growing
-	// with every size class it ever touched. Zero means
-	// DefaultRndvPoolCap.
-	RndvPoolCap int
 	// CallDeadline is the default per-call deadline applied when
 	// CallOpts.Deadline is zero. Zero (the default) disables deadlines:
-	// a call on a lossy fabric may block forever, and the call path is
-	// byte-identical to builds without the reliability layer.
+	// a call is one unbounded attempt and may block forever on a lossy
+	// fabric.
 	CallDeadline sim.Duration
 
 	// FlowCredits enables receiver-driven credit flow control when
@@ -69,33 +63,6 @@ type Config struct {
 	// Zero means DefaultBreakerCooldown.
 	BreakerCooldown sim.Duration
 
-	// PollBudget batches CQ draining in the pump loops: one wakeup polls
-	// up to this many completions (CQ.PollN) and pays one detection
-	// charge for the whole batch. Zero or one keeps the legacy
-	// one-completion-per-poll behaviour, byte-identical to earlier
-	// builds.
-	PollBudget int
-	// DoorbellBatch coalesces multi-call oneway bursts (OnewayBurst)
-	// into a single chained PostSend — one doorbell per chain instead of
-	// one per message. Segmented single messages deliberately stay on
-	// the per-fragment path: chaining a whole fragment train would defer
-	// every fragment's NIC work until the last one is staged, losing the
-	// staging/transmit overlap that dominates large-message latency (a
-	// measured regression, not a saving). False keeps one doorbell per
-	// work request everywhere, byte-identical to earlier builds.
-	DoorbellBatch bool
-	// ArenaPayloads recycles delivered-payload buffers through a
-	// size-classed arena instead of allocating per message. It is pure
-	// host-memory reuse: no simulated cost changes, so virtual-time
-	// behaviour is identical with it on or off. Payload ownership
-	// tightens: a handler's request bytes are recycled after its
-	// response is sent, and callers may hand responses back via
-	// Conn.Recycle.
-	ArenaPayloads bool
-	// AdaptiveSpin is the PollAdaptiveMode spin window per wait entry.
-	// Zero means DefaultAdaptiveSpinNs.
-	AdaptiveSpin sim.Duration
-
 	// SRQSlots moves server-side connections onto one engine-wide shared
 	// receive queue: accepted connections' QPs drain a single ring of
 	// this many slots instead of each pre-posting EagerSlots private
@@ -107,13 +74,6 @@ type Config struct {
 	// default) keeps private per-connection rings, byte-identical to
 	// earlier builds. Client-side (dialed) connections are unaffected.
 	SRQSlots int
-	// DedupSessions bounds the server-side dedup table: the number of
-	// distinct virtual-connection session ids whose last response a
-	// connection retains for retransmission absorption. Insertion-order
-	// eviction keeps the bound deterministic. Zero means
-	// DefaultDedupSessions. Legacy (sid-0) traffic uses exactly one
-	// entry regardless of the bound.
-	DedupSessions int
 }
 
 // DefaultRnrRetry is the RNR retransmission budget applied when
@@ -125,15 +85,19 @@ const DefaultRnrRetry = 6
 // Config.BreakerCooldown is zero: 1 ms of virtual time.
 const DefaultBreakerCooldown = sim.Duration(1_000_000)
 
-// DefaultRndvPoolCap is the per-size-class free-list bound applied when
-// Config.RndvPoolCap is zero.
+// DefaultRndvPoolCap bounds the free list of each rendezvous size
+// class. Buffers released beyond the cap are deregistered (unpinned) so
+// a mixed-size workload's pinned memory plateaus instead of growing with
+// every size class it ever touched.
 const DefaultRndvPoolCap = 8
 
-// DefaultDedupSessions is the dedup-table bound applied when
-// Config.DedupSessions is zero: enough for every virtual connection
-// that can plausibly have a retransmission in flight on one physical
-// connection, small enough that a server with thousands of connections
-// stays bounded.
+// DefaultDedupSessions bounds the server-side dedup table: the number of
+// distinct virtual-connection session ids whose last response a
+// connection retains for retransmission absorption — enough for every
+// virtual connection that can plausibly have a retransmission in flight
+// on one physical connection, small enough that a server with thousands
+// of connections stays bounded. Insertion-order eviction keeps the bound
+// deterministic; sid-0 traffic uses exactly one entry.
 const DefaultDedupSessions = 64
 
 // DefaultConfig returns the sizing used throughout the evaluation.
@@ -168,7 +132,7 @@ type Engine struct {
 	env  *sim.Env
 
 	rndvFree    map[int][]*verbs.MR // size-class → free registered buffers
-	payloadFree map[int][][]byte    // size-class → recycled payload buffers (ArenaPayloads)
+	payloadFree map[int][][]byte    // size-class → recycled payload buffers
 
 	// Always-on resource accounting.
 	pinnedBytes int64
@@ -200,9 +164,6 @@ type Engine struct {
 func New(node *simnet.Node, cfg Config) *Engine {
 	if cfg.MaxMsgSize <= 0 {
 		cfg = DefaultConfig()
-	}
-	if cfg.RndvPoolCap <= 0 {
-		cfg.RndvPoolCap = DefaultRndvPoolCap
 	}
 	dev := verbs.OpenDevice(node, nil)
 	return &Engine{
@@ -405,7 +366,7 @@ func (m *engineMetrics) poolHitInc() {
 }
 
 // releaseRndv returns a pool buffer. Each size class keeps at most
-// Config.RndvPoolCap free buffers; overflow is dropped and its pinned
+// DefaultRndvPoolCap free buffers; overflow is dropped and its pinned
 // bytes returned, bounding pool growth under mixed-size workloads.
 func (e *Engine) releaseRndv(mr *verbs.MR) {
 	// Withdraw remote access first: an in-flight one-sided transfer still
@@ -414,7 +375,7 @@ func (e *Engine) releaseRndv(mr *verbs.MR) {
 	mr.SetRevoked(true)
 	cls := sizeClass(mr.Len())
 	free := e.rndvFree[cls]
-	if len(free) >= e.cfg.RndvPoolCap {
+	if len(free) >= DefaultRndvPoolCap {
 		e.pinnedBytes -= int64(cls)
 		if m := e.em; m != nil {
 			m.poolDrop.Inc()
@@ -548,9 +509,10 @@ type Conn struct {
 	server bool
 	id     int // engine-local index; trace tid
 
-	qp  *verbs.QP
-	cq  *verbs.CQ
-	sig *sim.Signal
+	qp   *verbs.QP
+	cq   *verbs.CQ
+	sig  *sim.Signal
+	wake func() // sig.Fire, bound once: every armed wake reuses it
 
 	// Shared-ring backing (server side, Config.SRQSlots > 0): the QP
 	// drains the engine's SRQ and slot WRIDs index srqMR instead of a
@@ -610,9 +572,8 @@ type Conn struct {
 	// request (same sid, same seq) resends the cached response without
 	// re-running the handler. One entry per sid suffices because each
 	// virtual connection carries one outstanding call; the table is
-	// bounded (Config.DedupSessions) with deterministic insertion-order
-	// eviction. Legacy traffic only ever populates sid 0, reproducing
-	// the historical single-slot behaviour exactly.
+	// bounded (DefaultDedupSessions) with deterministic insertion-order
+	// eviction. Unvirtualized traffic only ever populates sid 0.
 	dedup      map[uint32]*dedupEntry
 	dedupOrder []uint32 // sid insertion order, oldest first
 
@@ -634,9 +595,6 @@ type Conn struct {
 	// Adaptive-poller state: the virtual time until which the current
 	// wait may keep spinning before demoting to the event path.
 	spinUntil sim.Time
-	// Batched-poll scratch (Config.PollBudget > 1); nil keeps the legacy
-	// one-completion-per-poll pumps.
-	wcBuf []verbs.WC
 }
 
 // dedupEntry caches the outcome of the last request a virtual
@@ -668,11 +626,7 @@ func (c *Conn) dedupRecord(a Arrival, resp []byte) {
 		e.seq, e.resp, e.arr = a.Seq, resp, a
 		return
 	}
-	limit := c.eng.cfg.DedupSessions
-	if limit <= 0 {
-		limit = DefaultDedupSessions
-	}
-	if len(c.dedupOrder) >= limit {
+	if len(c.dedupOrder) >= DefaultDedupSessions {
 		oldest := c.dedupOrder[0]
 		c.dedupOrder = c.dedupOrder[1:]
 		delete(c.dedup, oldest)
@@ -718,7 +672,6 @@ func (e *Engine) newConn(server bool, shared *connShared) *Conn {
 		ctsReady:     make(map[uint32]bool),
 		frags:        make(map[uint32]*fragState),
 		dedup:        make(map[uint32]*dedupEntry),
-		wcBuf:        wcBufFor(e.cfg),
 	}
 	e.nextConnID++
 	if server && e.cfg.SRQSlots > 0 {
@@ -728,7 +681,8 @@ func (e *Engine) newConn(server bool, shared *connShared) *Conn {
 	} else {
 		c.qp = e.dev.CreateQP(c.cq, c.cq)
 	}
-	c.cq.SetNotify(c.sig.Fire)
+	c.wake = c.sig.Fire
+	c.cq.SetNotify(c.wake)
 	if e.cfg.ModelRNR && c.srq == nil {
 		// SRQ-backed QPs inherit the RNR discipline armed on the shared
 		// ring itself (serverSRQ).
@@ -748,20 +702,8 @@ func (e *Engine) newConn(server bool, shared *connShared) *Conn {
 		c.eagerMR = e.pd.RegisterMRNoCost(c.slots * c.slotSize)
 	}
 	// Staging holds [hdr|payload] plus a dedicated tail region for notify
-	// headers so Direct-Write-Send chains never overlap the payload. With
-	// doorbell batching every fragment of a chained eager train needs its
-	// own staged header, so the region grows by one header per possible
-	// fragment; without batching the sizing is exactly the legacy one.
-	stageLen := e.cfg.MaxMsgSize + 2*hdrSize
-	if e.cfg.DoorbellBatch {
-		slotCap := c.slotSize - hdrSize
-		maxFrags := (e.cfg.MaxMsgSize + slotCap - 1) / slotCap
-		if maxFrags < 1 {
-			maxFrags = 1
-		}
-		stageLen = e.cfg.MaxMsgSize + (maxFrags+1)*hdrSize
-	}
-	c.stageMR = e.pd.RegisterMRNoCost(stageLen)
+	// headers so Direct-Write-Send chains never overlap the payload.
+	c.stageMR = e.pd.RegisterMRNoCost(e.cfg.MaxMsgSize + 2*hdrSize)
 	c.directMR = e.pd.RegisterMRNoCost(e.cfg.MaxMsgSize + hdrSize)
 	if server && !e.cfg.NoFetchBufs {
 		c.rfpInMR = e.pd.RegisterMRNoCost(e.cfg.MaxMsgSize + hdrSize)
@@ -1047,12 +989,12 @@ func (c *Conn) enterWait(poll PollMode) {
 			c.busyLoaded = true
 		}
 	case PollAdaptiveMode:
-		c.spinUntil = c.eng.env.Now() + sim.Time(c.spinWindow())
+		c.spinUntil = c.eng.env.Now() + sim.Time(DefaultAdaptiveSpinNs)
 		if !c.busyLoaded {
 			c.eng.node.CPU.AddLoad(1)
 			c.busyLoaded = true
 		}
-		c.eng.env.At(c.spinUntil, c.sig.Fire)
+		c.eng.env.At(c.spinUntil, c.wake)
 	}
 }
 
@@ -1074,37 +1016,17 @@ func (c *Conn) nextArrival(p *sim.Proc, poll PollMode) Arrival {
 	c.enterWait(poll)
 	defer c.exitWait()
 	for {
-		if n := len(c.respQueue); n > 0 {
-			a := c.respQueue[0]
-			c.respQueue = c.respQueue[1:]
+		if len(c.respQueue) > 0 {
+			// Queued by an earlier wait, which paid the detection charge.
+			a := c.popArrival()
 			c.stats.BytesRecvd += int64(len(a.Payload))
 			return a
 		}
-		if len(c.wcBuf) > 0 {
-			// Batched drain: handle up to the poll budget in one pass,
-			// return the first finished arrival and queue the rest. One
-			// detection charge covers the whole batch.
-			if n := c.cq.PollN(c.wcBuf); n > 0 {
-				var first Arrival
-				have := false
-				for i := 0; i < n; i++ {
-					if a, done := c.handleWC(p, c.wcBuf[i]); done {
-						if !have {
-							first, have = a, true
-						} else {
-							c.respQueue = append(c.respQueue, a)
-						}
-					}
-				}
-				if have {
-					c.chargeDetect(p, poll)
-					c.stats.BytesRecvd += int64(len(first.Payload))
-					return first
-				}
-				continue
-			}
-		} else if wc, ok := c.cq.TryPoll(); ok {
-			if a, done := c.handleWC(p, wc); done {
+		if c.pumpCompletions(p) > 0 {
+			// One detection charge covers the whole drained batch: the
+			// first finished arrival is returned, the rest stay queued.
+			if len(c.respQueue) > 0 {
+				a := c.popArrival()
 				c.chargeDetect(p, poll)
 				c.stats.BytesRecvd += int64(len(a.Payload))
 				return a
@@ -1124,6 +1046,17 @@ func (c *Conn) nextArrival(p *sim.Proc, poll PollMode) Arrival {
 	}
 }
 
+// popArrival removes and returns the oldest queued arrival. The rest (a
+// handful at most) shift down so the queue keeps its capacity instead of
+// reallocating on the next append.
+func (c *Conn) popArrival() Arrival {
+	a := c.respQueue[0]
+	n := copy(c.respQueue, c.respQueue[1:])
+	c.respQueue[n] = Arrival{}
+	c.respQueue = c.respQueue[:n]
+	return a
+}
+
 // waitCTSUntil pumps until the CTS for seq arrives, queueing any
 // unrelated arrivals. A non-zero until bounds the wait (virtual time);
 // it returns false on timeout with the seq's CTS flag left unset so a
@@ -1131,11 +1064,9 @@ func (c *Conn) nextArrival(p *sim.Proc, poll PollMode) Arrival {
 func (c *Conn) waitCTSUntil(p *sim.Proc, seq uint32, poll PollMode, until sim.Time) bool {
 	c.enterWait(poll)
 	defer c.exitWait()
-	if until > 0 {
-		c.armWake(until)
-	}
+	c.armWake(until)
 	for !c.ctsReady[seq] {
-		if until > 0 && p.Now() >= until {
+		if expired(p.Now(), until) {
 			return false
 		}
 		if c.pumpCompletions(p) > 0 {
@@ -1151,8 +1082,8 @@ func (c *Conn) waitCTSUntil(p *sim.Proc, seq uint32, poll PollMode, until sim.Ti
 // waitRead pumps until the READ with the given wrid completes, returning
 // whether it succeeded. (A READ always completes: success, retry
 // exhaustion after a drop, or a flush on an errored QP — so this wait
-// needs no deadline of its own.) The wait inspects completions one at a
-// time even under a poll budget: it returns on its own READ, so batching
+// needs no deadline of its own.) Unlike the other pumps it inspects
+// completions one at a time: it returns on its own READ, so batching
 // ahead of it would only reorder the charge.
 func (c *Conn) waitRead(p *sim.Proc, wrid uint64, poll PollMode) bool {
 	c.enterWait(poll)
@@ -1317,7 +1248,7 @@ func (c *Conn) handleRecvSlot(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 		// Segmented message: accumulate until complete.
 		st, ok := c.frags[h.seq]
 		if !ok {
-			st = &fragState{h: h, buf: c.allocPayload(int(h.length)), seen: make(map[uint32]bool)}
+			st = &fragState{h: h, buf: c.eng.payloadGet(int(h.length)), seen: make(map[uint32]bool)}
 			c.frags[h.seq] = st
 		}
 		if st.seen[h.off] {

@@ -144,11 +144,9 @@ func (c *Conn) waitCredit(p *sim.Proc, proto Protocol, poll PollMode, until sim.
 		int64(p.Now()), obs.Arg{K: "avail", V: int64(fc.avail)})
 	c.enterWait(poll)
 	defer c.exitWait()
-	if until > 0 {
-		c.armWake(until)
-	}
+	c.armWake(until)
 	for fc.avail <= 0 {
-		if until > 0 && p.Now() >= until {
+		if expired(p.Now(), until) {
 			return false
 		}
 		if c.pumpCompletions(p) > 0 {

@@ -340,6 +340,10 @@ func TestShedTypedOnEveryResponseProtocol(t *testing.T) {
 				if err != nil || string(resp) != "ECHOagain" {
 					t.Errorf("post-shed call: %q, %v", resp, err)
 				}
+				// Quiesce: the 2 ms handler outlasted several retransmission
+				// timers, and the dispatcher is still answering that batch of
+				// duplicates from its dedup cache.
+				p.Sleep(100_000)
 				env.Stop()
 			})
 			env.Run()

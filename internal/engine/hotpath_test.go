@@ -6,30 +6,7 @@ import (
 	"testing"
 
 	"hatrpc/internal/sim"
-	"hatrpc/internal/simnet"
 )
-
-// hotConfig is DefaultConfig with every hot-path knob on: batched CQ
-// polling, doorbell-batched eager sends, and the payload arena.
-func hotConfig() Config {
-	cfg := DefaultConfig()
-	cfg.PollBudget = 16
-	cfg.DoorbellBatch = true
-	cfg.ArenaPayloads = true
-	return cfg
-}
-
-// testClusterCfg is testCluster with an explicit engine config on both
-// endpoints.
-func testClusterCfg(seed int64, cfg Config) (*sim.Env, *Engine, *Engine) {
-	env := sim.NewEnv(seed)
-	cl := simnet.NewCluster(env, simnet.Config{
-		Nodes: 2, Cores: 28, Sockets: 2, LinkGbps: 100, PropDelayNs: 600, NUMAPenalty: 1.25,
-	})
-	srv := New(cl.Node(0), cfg)
-	cli := New(cl.Node(1), cfg)
-	return env, srv, cli
-}
 
 // TestAdaptivePollingRoundTrips runs the full protocol matrix with the
 // adaptive spin-then-sleep discipline on both endpoints (the
@@ -71,14 +48,13 @@ func TestAdaptivePollingRoundTrips(t *testing.T) {
 	}
 }
 
-// TestHotpathConfigRoundTrips runs the protocol matrix with every
-// hot-path knob enabled at once (PollBudget, DoorbellBatch,
-// ArenaPayloads) and sequential calls per connection, so arena buffers
-// are recycled and reused across ops.
+// TestHotpathConfigRoundTrips runs the protocol matrix with sequential
+// calls per connection whose responses are handed back to the arena, so
+// delivered buffers are recycled and reused across ops on every protocol.
 func TestHotpathConfigRoundTrips(t *testing.T) {
 	for _, proto := range dataProtocols {
 		t.Run(proto.String(), func(t *testing.T) {
-			env, srvEng, cliEng := testClusterCfg(12, hotConfig())
+			env, srvEng, cliEng := testCluster(12)
 			srvEng.Serve("svc", echoHandler)
 			calls := 0
 			env.Spawn("client", func(p *sim.Proc) {
@@ -107,14 +83,12 @@ func TestHotpathConfigRoundTrips(t *testing.T) {
 	}
 }
 
-// TestPollBudgetDrainsConcurrentBurst pushes a fan-in burst through a
-// PollBudget-enabled server: many clients issue calls in the same
+// TestPollBudgetDrainsConcurrentBurst pushes a fan-in burst through the
+// server's batched pumps: many clients issue calls in the same
 // scheduling quantum, so the server pump sees several completions per
 // wakeup and must drain them all through PollN.
 func TestPollBudgetDrainsConcurrentBurst(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PollBudget = 16
-	env, srvEng, cliEng := testClusterCfg(13, cfg)
+	env, srvEng, cliEng := testCluster(13)
 	srv := srvEng.Serve("svc", echoHandler)
 	const N = 12
 	done := 0
@@ -145,44 +119,36 @@ func TestPollBudgetDrainsConcurrentBurst(t *testing.T) {
 	}
 }
 
-// TestDoorbellBatchSegmentedNoOp pins the DoorbellBatch scope contract:
-// a segmented single message (payload larger than one slot) takes the
-// per-fragment path with the flag on or off — chaining a whole fragment
-// train would trade the staging/transmit overlap for doorbell savings
-// and lose. Responses AND virtual timings must be identical.
+// TestDoorbellBatchSegmentedNoOp pins the doorbell-batching scope: a
+// segmented single message (payload larger than one slot) posts one
+// doorbell per fragment — chaining a whole fragment train would trade the
+// staging/transmit overlap for doorbell savings and lose.
 func TestDoorbellBatchSegmentedNoOp(t *testing.T) {
-	req := make([]byte, 3*4096+123) // several fragments + a tail
+	req := make([]byte, 3*4096+123) // three full fragments + a tail
 	for i := range req {
 		req[i] = byte(i * 13)
 	}
-	run := func(batch bool) ([]byte, sim.Time) {
-		cfg := DefaultConfig()
-		cfg.DoorbellBatch = batch
-		env, srvEng, cliEng := testClusterCfg(14, cfg)
-		srvEng.Serve("svc", echoHandler)
-		var resp []byte
-		var err error
-		env.Spawn("client", func(p *sim.Proc) {
-			c := cliEng.Dial(p, srvEng.Node(), "svc")
-			resp, err = c.Call(p, 9, req, CallOpts{Proto: EagerSendRecv, Busy: true})
-			env.Stop()
-		})
-		env.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp, env.Now()
+	env, srvEng, cliEng := testCluster(14)
+	srvEng.Serve("svc", echoHandler)
+	var resp []byte
+	var err error
+	var doorbells int64
+	env.Spawn("client", func(p *sim.Proc) {
+		c := cliEng.Dial(p, srvEng.Node(), "svc")
+		before := cliEng.dev.Doorbells()
+		resp, err = c.Call(p, 9, req, CallOpts{Proto: EagerSendRecv, Busy: true})
+		doorbells = cliEng.dev.Doorbells() - before
+		env.Stop()
+	})
+	env.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	legacy, legacyEnd := run(false)
-	batched, batchedEnd := run(true)
-	if !bytes.Equal(legacy, batched) {
-		t.Fatalf("batched response differs from legacy: %d vs %d bytes", len(batched), len(legacy))
+	if want := echoHandler(nil, 9, req); !bytes.Equal(resp, want) {
+		t.Fatalf("segmented response corrupt: got %d bytes, want %d", len(resp), len(want))
 	}
-	if batchedEnd != legacyEnd {
-		t.Fatalf("DoorbellBatch changed segmented-message timing: %d vs %d", batchedEnd, legacyEnd)
-	}
-	if want := echoHandler(nil, 9, req); !bytes.Equal(batched, want) {
-		t.Fatalf("batched response corrupt: got %d bytes, want %d", len(batched), len(want))
+	if doorbells != 4 {
+		t.Fatalf("4-fragment request rang %d doorbells, want one per fragment", doorbells)
 	}
 }
 
@@ -190,7 +156,7 @@ func TestDoorbellBatchSegmentedNoOp(t *testing.T) {
 // cycles buffers: after a Recycle the class has stock, and a subsequent
 // same-shape call draws from it without corrupting the delivered bytes.
 func TestArenaPayloadsRecycleReuse(t *testing.T) {
-	env, srvEng, cliEng := testClusterCfg(15, hotConfig())
+	env, srvEng, cliEng := testCluster(15)
 	srvEng.Serve("svc", echoHandler)
 	env.Spawn("client", func(p *sim.Proc) {
 		c := cliEng.Dial(p, srvEng.Node(), "svc")
@@ -218,23 +184,27 @@ func TestArenaPayloadsRecycleReuse(t *testing.T) {
 	env.Run()
 }
 
-// TestOnewayBurstBatched drives the chained-WR burst path end to end:
-// all messages must be served, counted as oneways, and a trailing
-// regular call must still round-trip on the same connection.
+// TestOnewayBurstBatched drives the chained-WR burst path end to end: a
+// batchable 16×64 B burst rings ONE doorbell, every message is served and
+// counted as a oneway, and a trailing regular call still round-trips on
+// the same connection.
 func TestOnewayBurstBatched(t *testing.T) {
-	env, srvEng, cliEng := testClusterCfg(16, hotConfig())
+	env, srvEng, cliEng := testCluster(16)
 	srv := srvEng.Serve("svc", echoHandler)
-	const B = 8
+	const B = 16
 	payloads := make([][]byte, B)
 	for i := range payloads {
-		payloads[i] = []byte(fmt.Sprintf("burst-%02d", i))
+		payloads[i] = bytes.Repeat([]byte{byte(i)}, 64)
 	}
 	var conn *Conn
+	var doorbells int64
 	env.Spawn("client", func(p *sim.Proc) {
 		conn = cliEng.Dial(p, srvEng.Node(), "svc")
+		before := cliEng.dev.Doorbells()
 		if err := conn.OnewayBurst(p, 7, payloads, CallOpts{Proto: EagerSendRecv, Busy: true}); err != nil {
 			t.Error(err)
 		}
+		doorbells = cliEng.dev.Doorbells() - before
 		// The sync call flushes behind the burst: by the time its response
 		// arrives, every burst message has been dispatched in order.
 		resp, err := conn.Call(p, 8, []byte("sync"), CallOpts{Proto: EagerSendRecv, Busy: true})
@@ -244,6 +214,9 @@ func TestOnewayBurstBatched(t *testing.T) {
 		env.Stop()
 	})
 	env.Run()
+	if doorbells != 1 {
+		t.Fatalf("batchable burst rang %d doorbells, want 1", doorbells)
+	}
 	if srv.Served != B+1 {
 		t.Fatalf("served %d, want %d", srv.Served, B+1)
 	}
@@ -256,30 +229,34 @@ func TestOnewayBurstBatched(t *testing.T) {
 	}
 }
 
-// TestOnewayBurstFallback checks the degradation contract: without
-// DoorbellBatch (and with an oversize fragment) the burst becomes a loop
-// of ordinary oneway Calls with identical observable results.
+// TestOnewayBurstFallback checks the degradation contract: a burst the
+// chain shape cannot carry — a non-eager protocol, a deadline, a payload
+// larger than one slot — becomes a loop of ordinary oneway Calls (at
+// least one doorbell per message) with identical observable results.
 func TestOnewayBurstFallback(t *testing.T) {
+	small := func() [][]byte { return [][]byte{[]byte("a"), []byte("bb"), []byte("ccc")} }
+	oversize := small()
+	oversize[1] = make([]byte, 8192) // > slot capacity: multi-fragment
 	for _, tc := range []struct {
-		name string
-		cfg  Config
-		big  bool
+		name     string
+		opts     CallOpts
+		payloads [][]byte
 	}{
-		{"no-doorbell-batch", DefaultConfig(), false},
-		{"oversize-fragment", hotConfig(), true},
+		{"non-eager-protocol", CallOpts{Proto: WriteRNDV, Busy: true}, small()},
+		{"deadline", CallOpts{Proto: EagerSendRecv, Busy: true, Deadline: 1_000_000}, small()},
+		{"oversize-fragment", CallOpts{Proto: EagerSendRecv, Busy: true}, oversize},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			env, srvEng, cliEng := testClusterCfg(17, tc.cfg)
+			env, srvEng, cliEng := testCluster(17)
 			srv := srvEng.Serve("svc", echoHandler)
-			payloads := [][]byte{[]byte("a"), []byte("bb"), []byte("ccc")}
-			if tc.big {
-				payloads[1] = make([]byte, 8192) // > slot capacity: multi-fragment
-			}
+			var doorbells int64
 			env.Spawn("client", func(p *sim.Proc) {
 				c := cliEng.Dial(p, srvEng.Node(), "svc")
-				if err := c.OnewayBurst(p, 7, payloads, CallOpts{Proto: EagerSendRecv, Busy: true}); err != nil {
+				before := cliEng.dev.Doorbells()
+				if err := c.OnewayBurst(p, 7, tc.payloads, tc.opts); err != nil {
 					t.Error(err)
 				}
+				doorbells = cliEng.dev.Doorbells() - before
 				resp, err := c.Call(p, 8, []byte("sync"), CallOpts{Proto: EagerSendRecv, Busy: true})
 				if err != nil || string(resp) != "ECHOsync" {
 					t.Errorf("sync call: %q %v", resp, err)
@@ -287,17 +264,65 @@ func TestOnewayBurstFallback(t *testing.T) {
 				env.Stop()
 			})
 			env.Run()
-			if srv.Served != int64(len(payloads))+1 {
-				t.Fatalf("served %d, want %d", srv.Served, len(payloads)+1)
+			if doorbells < int64(len(tc.payloads)) {
+				t.Fatalf("fallback burst rang %d doorbells for %d messages: it was chained", doorbells, len(tc.payloads))
+			}
+			if srv.Served != int64(len(tc.payloads))+1 {
+				t.Fatalf("served %d, want %d", srv.Served, len(tc.payloads)+1)
 			}
 		})
 	}
 }
 
+// TestOffsetSubsliceResponseSurvivesRecycle: a handler may answer with an
+// offset subslice of its request (req[4:]). The dedup cache retains that
+// response, so the dispatcher must not recycle the request buffer under
+// it: after a second same-class request has been delivered, a
+// retransmission of the first must still be answered with the original
+// bytes.
+func TestOffsetSubsliceResponseSurvivesRecycle(t *testing.T) {
+	env, srvEng, cliEng := testCluster(20)
+	runs := 0
+	srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte {
+		runs++
+		return req[4:]
+	})
+	env.Spawn("client", func(p *sim.Proc) {
+		c := cliEng.Dial(p, srvEng.Node(), "svc")
+		opts := CallOpts{Proto: EagerSendRecv, RespProto: EagerSendRecv, Busy: true, SID: 1}
+		first := bytes.Repeat([]byte("A"), 100)
+		resp, err := c.Call(p, 1, first, opts)
+		if err != nil || !bytes.Equal(resp, first[4:]) {
+			t.Errorf("first call: %q %v", resp, err)
+		}
+		firstSeq := c.seq
+		// A second virtual connection's request of the same size class
+		// would land in the first request's buffer had it been recycled.
+		opts.SID = 2
+		if _, err := c.Call(p, 1, bytes.Repeat([]byte("B"), 100), opts); err != nil {
+			t.Error(err)
+		}
+		// Retransmit the first request: the dedup path resends the cached
+		// response without re-running the handler.
+		h := hdr{kind: kReq, proto: EagerSendRecv, respProto: EagerSendRecv,
+			fn: 1, length: uint32(len(first)), seq: firstSeq, sid: 1}
+		c.sendMessage(p, h, first, PollBusyMode)
+		a := c.nextArrival(p, PollBusyMode)
+		if runs != 2 {
+			t.Errorf("retransmission re-executed the handler (runs %d, want 2)", runs)
+		}
+		if !bytes.Equal(a.Payload, first[4:]) {
+			t.Errorf("dedup resend returned %q, want the original %q", a.Payload, first[4:])
+		}
+		env.Stop()
+	})
+	env.Run()
+}
+
 // TestFetchPaceDisciplines pins the one-sided result-poll pacing table:
 // busy spins at the legacy 600 ns pace until the RC retry budget, event
 // paces at the interrupt-wake granularity from the first retry, and
-// adaptive spins only for the connection's spin window.
+// adaptive spins only for the adaptive spin window.
 func TestFetchPaceDisciplines(t *testing.T) {
 	env, srvEng, cliEng := testCluster(18)
 	srvEng.Serve("svc", echoHandler)
@@ -316,8 +341,8 @@ func TestFetchPaceDisciplines(t *testing.T) {
 			{PollBusyMode, sim.Duration(cm.RetryTimeoutNs), slow},
 			{PollEventMode, 0, slow},
 			{PollAdaptiveMode, 0, spin},
-			{PollAdaptiveMode, c.spinWindow() - 1, spin},
-			{PollAdaptiveMode, c.spinWindow(), slow},
+			{PollAdaptiveMode, DefaultAdaptiveSpinNs - 1, spin},
+			{PollAdaptiveMode, DefaultAdaptiveSpinNs, slow},
 		} {
 			if got := c.fetchPace(tc.poll, tc.spun); got != tc.want {
 				t.Errorf("fetchPace(%v, spun=%d) = %d, want %d", tc.poll, tc.spun, got, tc.want)
@@ -328,13 +353,13 @@ func TestFetchPaceDisciplines(t *testing.T) {
 	env.Run()
 }
 
-// TestHotpathKnobsDeterministic runs the same mixed workload twice under
-// the full hot-path config and requires identical virtual end times —
-// the new knobs are host-memory optimisations plus modelled disciplines,
-// both deterministic.
-func TestHotpathKnobsDeterministic(t *testing.T) {
+// TestHotpathDeterministic runs the same mixed workload (a chained burst,
+// then every protocol with recycled responses under adaptive polling)
+// twice on one seed and requires identical virtual end times: arena reuse
+// and batched draining must not let host state leak into the simulation.
+func TestHotpathDeterministic(t *testing.T) {
 	run := func() sim.Time {
-		env, srvEng, cliEng := testClusterCfg(19, hotConfig())
+		env, srvEng, cliEng := testCluster(19)
 		srv := srvEng.Serve("svc", echoHandler)
 		srv.Poll = PollAdaptiveMode
 		env.Spawn("client", func(p *sim.Proc) {
@@ -371,10 +396,9 @@ func TestHotpathKnobsDeterministic(t *testing.T) {
 
 // benchCall measures b.N round-trip Calls on one connection inside one
 // simulation run, with allocation accounting.
-func benchCall(b *testing.B, cfg Config, size int, opts CallOpts, srvPoll PollMode) {
-	env, srvEng, cliEng := testClusterCfg(21, cfg)
-	srv := srvEng.Serve("svc", benchEchoHandler)
-	srv.Poll = srvPoll
+func benchCall(b *testing.B, size int, opts CallOpts) {
+	env, srvEng, cliEng := testCluster(21)
+	srvEng.Serve("svc", benchEchoHandler)
 	req := make([]byte, size)
 	for i := range req {
 		req[i] = byte(i)
@@ -416,21 +440,11 @@ func benchCall(b *testing.B, cfg Config, size int, opts CallOpts, srvPoll PollMo
 func benchEchoHandler(p *sim.Proc, fn uint32, req []byte) []byte { return req }
 
 // BenchmarkEagerPathCall reports ns/op (host) and allocs/op for a small
-// round-trip Call on every protocol under the default config.
+// round-trip Call on every protocol.
 func BenchmarkEagerPathCall(b *testing.B) {
 	for _, proto := range dataProtocols {
 		b.Run(proto.String(), func(b *testing.B) {
-			benchCall(b, DefaultConfig(), 64, CallOpts{Proto: proto, Busy: true}, PollFromBusy)
-		})
-	}
-}
-
-// BenchmarkEagerPathCallHotpath is the same workload with every hot-path
-// knob on — the before/after pair for the allocation sweep.
-func BenchmarkEagerPathCallHotpath(b *testing.B) {
-	for _, proto := range dataProtocols {
-		b.Run(proto.String(), func(b *testing.B) {
-			benchCall(b, hotConfig(), 64, CallOpts{Proto: proto, Poll: PollAdaptiveMode}, PollAdaptiveMode)
+			benchCall(b, 64, CallOpts{Proto: proto, Busy: true})
 		})
 	}
 }
@@ -442,30 +456,37 @@ func BenchmarkOnewayBurst(b *testing.B) {
 	for i := range payloads {
 		payloads[i] = bytes.Repeat([]byte{byte(i)}, 64)
 	}
+	opts := CallOpts{Proto: EagerSendRecv, Busy: true}
+	loop := opts
+	loop.Oneway = true
 	for _, tc := range []struct {
 		name string
-		cfg  Config
+		send func(p *sim.Proc, c *Conn) error
 	}{
-		{"batched", hotConfig()},
-		{"loop", DefaultConfig()},
+		{"batched", func(p *sim.Proc, c *Conn) error { return c.OnewayBurst(p, 1, payloads, opts) }},
+		{"loop", func(p *sim.Proc, c *Conn) error {
+			for _, pl := range payloads {
+				if _, err := c.Call(p, 1, pl, loop); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			env, srvEng, cliEng := testClusterCfg(22, tc.cfg)
+			env, srvEng, cliEng := testCluster(22)
 			srvEng.Serve("svc", benchEchoHandler)
 			b.ReportAllocs()
 			var failed error
 			env.Spawn("client", func(p *sim.Proc) {
 				c := cliEng.Dial(p, srvEng.Node(), "svc")
-				opts := CallOpts{Proto: EagerSendRecv, Busy: true}
-				if err := c.OnewayBurst(p, 1, payloads, opts); err != nil {
-					failed = err
+				if failed = tc.send(p, c); failed != nil {
 					env.Stop()
 					return
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := c.OnewayBurst(p, 1, payloads, opts); err != nil {
-						failed = err
+					if failed = tc.send(p, c); failed != nil {
 						break
 					}
 				}

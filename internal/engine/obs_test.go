@@ -12,7 +12,7 @@ import (
 )
 
 // TestReleaseRndvCapsFreeList exercises the pool cap directly: releasing
-// more buffers than RndvPoolCap must keep the free list at the cap and
+// more buffers than DefaultRndvPoolCap must keep the free list at the cap and
 // hand back the pinned bytes of the dropped overflow.
 func TestReleaseRndvCapsFreeList(t *testing.T) {
 	env, srvEng, _ := testCluster(40)

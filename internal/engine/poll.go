@@ -52,19 +52,15 @@ func resolvePoll(mode PollMode, busy bool) PollMode {
 // boolMode is resolvePoll for call sites that only carry the legacy flag.
 func boolMode(busy bool) PollMode { return resolvePoll(PollFromBusy, busy) }
 
-// DefaultAdaptiveSpinNs is the adaptive poller's spin window applied when
-// Config.AdaptiveSpin is zero: comfortably above BusyDetectNs at low load
-// (so an imminent completion is caught spinning) and close to the
-// InterruptWakeNs it avoids paying.
-const DefaultAdaptiveSpinNs = 5000
+// DefaultAdaptiveSpinNs is the adaptive poller's spin window per wait
+// entry: comfortably above BusyDetectNs at low load (so an imminent
+// completion is caught spinning) and close to the InterruptWakeNs it
+// avoids paying.
+const DefaultAdaptiveSpinNs sim.Duration = 5000
 
-// spinWindow is the connection's adaptive spin budget per wait entry.
-func (c *Conn) spinWindow() sim.Duration {
-	if d := c.eng.cfg.AdaptiveSpin; d > 0 {
-		return d
-	}
-	return DefaultAdaptiveSpinNs
-}
+// pollBudget is how many completions one pump wakeup drains from the CQ
+// (CQ.PollN) under a single detection charge.
+const pollBudget = 16
 
 // pumpWait parks a pump loop until the connection signal fires. In
 // adaptive mode a waiter whose spin window has expired first demotes
@@ -77,25 +73,15 @@ func (c *Conn) pumpWait(p *sim.Proc, poll PollMode) {
 	c.sig.Wait(p)
 }
 
-// pumpCompletions drains immediately-available completions into the pump,
-// queueing any finished arrivals on respQueue, and returns how many
-// completions were consumed. With Config.PollBudget ≤ 1 (wcBuf nil) it is
-// exactly the legacy one-completion TryPoll step; with a budget it drains
-// up to budget completions per call so one wakeup (and one detection
-// charge, paid by the caller) covers a whole burst.
+// pumpCompletions drains immediately-available completions into the pump
+// — up to pollBudget per call, so one wakeup (and one detection charge,
+// paid by the caller) covers a whole burst — queueing any finished
+// arrivals on respQueue, and returns how many completions were consumed.
 func (c *Conn) pumpCompletions(p *sim.Proc) int {
-	if len(c.wcBuf) == 0 {
-		if wc, ok := c.cq.TryPoll(); ok {
-			if a, done := c.handleWC(p, wc); done {
-				c.respQueue = append(c.respQueue, a)
-			}
-			return 1
-		}
-		return 0
-	}
-	n := c.cq.PollN(c.wcBuf)
+	var wcs [pollBudget]verbs.WC
+	n := c.cq.PollN(wcs[:])
 	for i := 0; i < n; i++ {
-		if a, done := c.handleWC(p, c.wcBuf[i]); done {
+		if a, done := c.handleWC(p, wcs[i]); done {
 			c.respQueue = append(c.respQueue, a)
 		}
 	}
@@ -122,7 +108,7 @@ func (c *Conn) fetchPace(poll PollMode, spun sim.Duration) sim.Duration {
 	case PollBusyMode:
 		budget = sim.Duration(cm.RetryTimeoutNs)
 	case PollAdaptiveMode:
-		budget = c.spinWindow()
+		budget = DefaultAdaptiveSpinNs
 	default:
 		return slow
 	}
@@ -133,12 +119,11 @@ func (c *Conn) fetchPace(poll PollMode, spun sim.Duration) sim.Duration {
 }
 
 // ---------------------------------------------------------------------------
-// Payload arena (Config.ArenaPayloads)
+// Payload arena
 
 // Size-classed free lists for delivered-payload buffers. Classes are
 // powers of two; oversize payloads bypass the arena. The arena is pure
-// memory reuse — no simulated cost attaches to it — so enabling it never
-// changes virtual-time behaviour, only host allocation rates.
+// host-memory reuse — no simulated cost attaches to it.
 const (
 	payloadMinClass = 64
 	payloadMaxClass = 1 << 20
@@ -188,46 +173,19 @@ func (e *Engine) payloadPut(b []byte) {
 	e.payloadFree[cls] = append(e.payloadFree[cls], b[:cls])
 }
 
-// copyPayload copies delivered bytes out of a registered region into a
-// caller-owned buffer — pooled when the arena is enabled, a fresh
-// allocation otherwise (the legacy behaviour, byte-for-byte).
+// copyPayload copies delivered bytes out of a registered region into an
+// arena buffer the receiver owns.
 func (c *Conn) copyPayload(src []byte) []byte {
-	if !c.eng.cfg.ArenaPayloads {
-		return append([]byte(nil), src...)
-	}
-	if len(src) == 0 {
-		return nil
-	}
 	b := c.eng.payloadGet(len(src))
 	copy(b, src)
 	return b
 }
 
-// allocPayload returns an uninitialized length-n payload buffer (pooled
-// when the arena is enabled). Callers fully overwrite it before it can
-// surface to the application.
-func (c *Conn) allocPayload(n int) []byte {
-	if c.eng.cfg.ArenaPayloads {
-		return c.eng.payloadGet(n)
-	}
-	return make([]byte, n)
-}
-
 // Recycle returns a payload buffer previously delivered by this
-// connection (a Call result or a handler's request) to the engine's
-// arena. With Config.ArenaPayloads off it is a no-op, so callers can
-// recycle unconditionally. After Recycle the buffer must not be touched:
-// a later delivery may reuse it.
-func (c *Conn) Recycle(b []byte) {
-	if c.eng.cfg.ArenaPayloads {
-		c.eng.payloadPut(b)
-	}
-}
-
-// wcBufFor sizes a connection's batched-poll buffer from the config.
-func wcBufFor(cfg Config) []verbs.WC {
-	if cfg.PollBudget > 1 {
-		return make([]verbs.WC, cfg.PollBudget)
-	}
-	return nil
-}
+// connection (a Call result, or a request a hand-rolled NextArrival loop
+// is done with) to the engine's arena. It is optional — an unrecycled
+// buffer is ordinary garbage — but after Recycle the buffer must not be
+// touched: a later delivery reuses it. Server handlers never call it for
+// their request: the dispatcher recycles the request bytes once the
+// response is sent (see Handler).
+func (c *Conn) Recycle(b []byte) { c.eng.payloadPut(b) }

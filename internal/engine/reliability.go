@@ -109,20 +109,37 @@ func (c *Conn) recoverQP(p *sim.Proc) {
 }
 
 // armWake schedules a signal fire at the given virtual time so a bounded
-// wait loop gets a chance to observe its timeout. Spurious fires (the
-// wait already returned) are absorbed by the signal's condition loops.
+// wait loop gets a chance to observe its timeout. A zero bound (an
+// unbounded wait) arms nothing. Spurious fires (the wait already
+// returned) are absorbed by the signal's condition loops.
 func (c *Conn) armWake(until sim.Time) {
 	if until > c.eng.env.Now() {
-		c.eng.env.At(until, c.sig.Fire)
+		c.eng.env.At(until, c.wake)
 	}
 }
+
+// attemptBound is the end of one retransmission attempt: backoff from
+// now, capped at the call's deadline. An unbounded call (until zero) gets
+// one unbounded attempt.
+func attemptBound(now sim.Time, backoff sim.Duration, until sim.Time) sim.Time {
+	if until == 0 {
+		return 0
+	}
+	return min(now+sim.Time(backoff), until)
+}
+
+// expired reports whether a bound has passed; zero never expires.
+func expired(now, until sim.Time) bool { return until > 0 && now >= until }
 
 // callReliable runs the deadline/retransmit state machine around one
 // request/response call: send the request (seq-tagged), wait up to the
 // current backoff for the response, and retransmit with doubled backoff
 // until the response arrives or the deadline expires. The server
 // deduplicates by seq, so a retransmitted request is executed at most
-// once; stale duplicate responses are discarded by seq filtering.
+// once; stale duplicate responses are discarded by seq filtering. until
+// zero means no deadline, like every *Until helper below it: the first
+// attempt waits forever and no wake is armed — on a lossless fabric that
+// is exactly send, then wait for the response.
 func (c *Conn) callReliable(p *sim.Proc, h hdr, req []byte, respProto Protocol, poll PollMode, until sim.Time) ([]byte, error) {
 	eng := c.eng
 	backoff := sim.Duration(retryBackoffBaseNs)
@@ -135,10 +152,7 @@ func (c *Conn) callReliable(p *sim.Proc, h hdr, req []byte, respProto Protocol, 
 				obs.Arg{K: "seq", V: h.seq}, obs.Arg{K: "attempt", V: attempt})
 		}
 		c.recoverQP(p)
-		attemptUntil := p.Now() + sim.Time(backoff)
-		if attemptUntil > until {
-			attemptUntil = until
-		}
+		attemptUntil := attemptBound(p.Now(), backoff, until)
 		if c.sendMessageUntil(p, h, req, poll, attemptUntil) {
 			var out []byte
 			var ok bool
@@ -175,7 +189,7 @@ func (c *Conn) callReliable(p *sim.Proc, h hdr, req []byte, respProto Protocol, 
 			}
 			return out, nil
 		}
-		if p.Now() >= until {
+		if expired(p.Now(), until) {
 			return nil, c.failCall(h.seq)
 		}
 		backoff *= 2
@@ -199,14 +213,11 @@ func (c *Conn) sendOnewayReliable(p *sim.Proc, h hdr, req []byte, poll PollMode,
 			}
 		}
 		c.recoverQP(p)
-		attemptUntil := p.Now() + sim.Time(backoff)
-		if attemptUntil > until {
-			attemptUntil = until
-		}
+		attemptUntil := attemptBound(p.Now(), backoff, until)
 		if c.sendMessageUntil(p, h, req, poll, attemptUntil) {
 			return nil
 		}
-		if p.Now() >= until {
+		if expired(p.Now(), until) {
 			return c.failCall(h.seq)
 		}
 		backoff *= 2
@@ -255,10 +266,10 @@ func (c *Conn) abortCall(seq uint32) {
 }
 
 // awaitResponse pumps completions until the response for seq arrives or
-// the bound expires. Responses for other seqs are stale duplicates from
-// earlier attempts (or earlier calls) and are discarded — the dedup
-// guarantee means their payloads equal what the original call already
-// returned. A kErr/kDrain arrival for seq is the server's typed
+// the bound expires (zero = never). Responses for other seqs are stale
+// duplicates from earlier attempts (or earlier calls) and are discarded
+// — the dedup guarantee means their payloads equal what the original
+// call already returned. A kErr/kDrain arrival for seq is the server's typed
 // rejection and returns ErrOverloaded / ErrDraining.
 func (c *Conn) awaitResponse(p *sim.Proc, seq uint32, poll PollMode, until sim.Time) ([]byte, bool, error) {
 	c.enterWait(poll)
@@ -266,8 +277,7 @@ func (c *Conn) awaitResponse(p *sim.Proc, seq uint32, poll PollMode, until sim.T
 	c.armWake(until)
 	for {
 		for len(c.respQueue) > 0 {
-			a := c.respQueue[0]
-			c.respQueue = c.respQueue[1:]
+			a := c.popArrival()
 			if a.Seq != seq {
 				continue
 			}
@@ -281,7 +291,7 @@ func (c *Conn) awaitResponse(p *sim.Proc, seq uint32, poll PollMode, until sim.T
 				return nil, false, rejectErr(a.Kind)
 			}
 		}
-		if p.Now() >= until {
+		if expired(p.Now(), until) {
 			return nil, false, nil
 		}
 		if c.pumpCompletions(p) > 0 {

@@ -11,6 +11,14 @@ import (
 // Handler processes one request payload and returns the response payload.
 // It runs on the per-connection dispatcher process; CPU work must be
 // charged explicitly via the process (e.g. node.CPU.Compute).
+//
+// Payload ownership: req is an engine arena buffer lent for the duration
+// of the call. Once the response is sent the dispatcher recycles it and a
+// later delivery overwrites it, so a handler that keeps any part of req
+// past its return must copy. Returning req (or a subslice of it) as the
+// response is fine — the dispatcher sees the shared backing array and
+// leaves the buffer alone, because the dedup cache retains the response
+// for retransmissions.
 type Handler func(p *sim.Proc, fn uint32, req []byte) []byte
 
 // FnKeepalive is the reserved function id session keepalive probes use.
@@ -347,14 +355,11 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 			s.tenantRun[tenant]--
 		}
 		c.dedupRecord(a, resp)
-		if eng.cfg.ArenaPayloads && len(a.Payload) > 0 && (len(resp) == 0 || &resp[0] != &a.Payload[0]) {
-			// The request body has been copied onto the wire (or dropped);
-			// recycle it into the payload arena. The alias check covers
-			// echo handlers that return the request slice itself — only a
-			// response sharing the payload's backing array (same first
-			// element) keeps the buffer alive. Handlers returning an
-			// *offset* subslice of the request must copy; the dispatcher
-			// cannot see that aliasing.
+		if !sameBacking(resp, a.Payload) {
+			// The request body has been consumed; recycle it into the
+			// payload arena — unless the response is cut from it (an echo
+			// handler returning req, req[:8] or req[4:]), in which case the
+			// dedup entry just recorded still needs the bytes.
 			c.Recycle(a.Payload)
 		}
 		s.Served++
@@ -365,6 +370,18 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 			start, int64(p.Now()),
 			obs.Arg{K: "fn", V: a.Fn}, obs.Arg{K: "size", V: len(a.Payload)})
 	}
+}
+
+// sameBacking reports whether a and b are windows onto one backing array.
+// Reslicing moves a slice's start and length but never the end of its
+// capacity, so two slices cut from one allocation share their last
+// capacity element. (A three-index reslice that lowers the capacity is
+// the one cut this cannot see.)
+func sameBacking(a, b []byte) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	return &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1]
 }
 
 // Conns returns the accepted server-side connections (for inspection).

@@ -62,8 +62,8 @@ func TestDedupPerSessionInterleave(t *testing.T) {
 	env.Run()
 }
 
-// TestDedupEvictionBounded: the dedup table holds DedupSessions entries
-// with FIFO insertion-order eviction, so an evicted session's
+// TestDedupEvictionBounded: the dedup table holds DefaultDedupSessions
+// entries with FIFO insertion-order eviction, so an evicted session's
 // retransmission re-executes (at-most-once degrades gracefully to
 // at-least-once past the bound) while retained sessions still hit.
 func TestDedupEvictionBounded(t *testing.T) {
@@ -71,10 +71,8 @@ func TestDedupEvictionBounded(t *testing.T) {
 	cl := simnet.NewCluster(env, simnet.Config{
 		Nodes: 2, Cores: 28, Sockets: 2, LinkGbps: 100, PropDelayNs: 600, NUMAPenalty: 1.25,
 	})
-	cfg := DefaultConfig()
-	cfg.DedupSessions = 2
-	srvEng := New(cl.Node(0), cfg)
-	cliEng := New(cl.Node(1), cfg)
+	srvEng := New(cl.Node(0), DefaultConfig())
+	cliEng := New(cl.Node(1), DefaultConfig())
 	runs := 0
 	srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte {
 		runs++
@@ -84,7 +82,8 @@ func TestDedupEvictionBounded(t *testing.T) {
 		c := cliEng.Dial(p, srvEng.Node(), "svc")
 		opts := CallOpts{Proto: EagerSendRecv, RespProto: EagerSendRecv, Busy: true}
 		seqs := map[uint32]uint32{}
-		for _, sid := range []uint32{1, 2, 3} { // sid 1 evicted at sid 3
+		const last = DefaultDedupSessions + 1 // inserting it evicts sid 1
+		for sid := uint32(1); sid <= last; sid++ {
 			o := opts
 			o.SID = sid
 			if _, err := c.Call(p, 1, []byte("x"), o); err != nil {
@@ -98,13 +97,13 @@ func TestDedupEvictionBounded(t *testing.T) {
 			c.sendMessage(p, h, []byte("x"), PollBusyMode)
 			c.nextArrival(p, PollBusyMode)
 		}
-		replay(3) // retained: cache hit
-		if runs != 3 {
-			t.Errorf("retained session replay re-executed (runs %d, want 3)", runs)
+		replay(last) // retained: cache hit
+		if runs != last {
+			t.Errorf("retained session replay re-executed (runs %d, want %d)", runs, last)
 		}
 		replay(1) // evicted: re-executes
-		if runs != 4 {
-			t.Errorf("evicted session replay answered from a stale cache (runs %d, want 4)", runs)
+		if runs != last+1 {
+			t.Errorf("evicted session replay answered from a stale cache (runs %d, want %d)", runs, last+1)
 		}
 		env.Stop()
 	})
@@ -280,7 +279,7 @@ func TestServerTenantLimitSheds(t *testing.T) {
 
 // TestSRQCreditOvercommitRNR is the shared-ring exhaustion interaction:
 // each server conn grants FlowCredits against its own nominal ring, so
-// two conns' credit budgets overcommit a shared ring half their sum.
+// three conns' credit budgets overcommit a shared ring a third their sum.
 // While the dispatchers are wedged in a slow handler the flood draws
 // RNR NAKs on the shared ring, yet — with a generous retry budget —
 // every oneway eventually lands and the engine stays live. At quiesce
@@ -289,14 +288,18 @@ func TestServerTenantLimitSheds(t *testing.T) {
 func TestSRQCreditOvercommitRNR(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EagerSlots = 4
-	cfg.SRQSlots = 4 // two conns × 4 credits each overcommit this
+	cfg.SRQSlots = 4 // three conns × 4 credits each overcommit this
 	cfg.FlowCredits = 4
 	cfg.ModelRNR = true
 	cfg.RnrRetry = 100
 	env, srvEng, cliEng := flowCluster(57, cfg)
 	srvEng.Serve("svc", slowEchoHandler(srvEng.Node(), 100_000))
+	// Each dispatcher drains its own completions a batch at a time and
+	// reposts their slots before running the handlers, so it takes three
+	// conns' budgets to overrun the ring.
+	const conns = 3
 	done := 0
-	for i := 0; i < 2; i++ {
+	for i := 0; i < conns; i++ {
 		i := i
 		env.Spawn(fmt.Sprintf("cl%d", i), func(p *sim.Proc) {
 			c := cliEng.Dial(p, srvEng.Node(), "svc")
@@ -310,7 +313,7 @@ func TestSRQCreditOvercommitRNR(t *testing.T) {
 			if err != nil || string(resp) != "ECHOafter" {
 				t.Errorf("cl%d post-flood: %q, %v", i, resp, err)
 			}
-			if done++; done == 2 {
+			if done++; done == conns {
 				env.Stop()
 			}
 		})
@@ -339,21 +342,17 @@ func TestSRQCreditOvercommitRNR(t *testing.T) {
 }
 
 // virtTrace runs a fixed multi-protocol workload and serializes its
-// trace + metrics. armed=true configures every virtualization knob that
-// is supposed to be pay-for-use (dedup bound, tenant partition) without
-// sending a single sid — the traffic itself stays legacy.
+// trace + metrics. armed=true configures the virtualization knob that is
+// supposed to be pay-for-use (the tenant partition) without sending a
+// single sid — the traffic itself stays legacy.
 func virtTrace(t *testing.T, seed int64, armed bool) []byte {
 	t.Helper()
 	env := sim.NewEnv(seed)
 	cl := simnet.NewCluster(env, simnet.Config{
 		Nodes: 2, Cores: 28, Sockets: 2, LinkGbps: 100, PropDelayNs: 600, NUMAPenalty: 1.25,
 	})
-	cfg := DefaultConfig()
-	if armed {
-		cfg.DedupSessions = 8
-	}
-	srvEng := New(cl.Node(0), cfg)
-	cliEng := New(cl.Node(1), cfg)
+	srvEng := New(cl.Node(0), DefaultConfig())
+	cliEng := New(cl.Node(1), DefaultConfig())
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer()
 	reg.SetTracer(tr)

@@ -57,7 +57,8 @@ type plan struct {
 
 // Transport is the message-level RPC channel generated clients call.
 type Transport interface {
-	// Invoke performs one RPC for the named function.
+	// Invoke performs one RPC for the named function. The response bytes
+	// stay valid until the next Invoke on the same transport.
 	Invoke(p *sim.Proc, fn string, request []byte, oneway bool) ([]byte, error)
 	// Close releases the channel.
 	Close() error
@@ -73,6 +74,7 @@ type TRdma struct {
 	cores  int
 	thresh int
 	plans  map[string]plan
+	last   []byte // previous engine response, recycled by the next Invoke
 	closed bool
 }
 
@@ -175,7 +177,13 @@ func (t *TRdma) Invoke(p *sim.Proc, fn string, request []byte, oneway bool) ([]b
 	}
 	opts := pl.opts
 	opts.Oneway = oneway
-	return t.conn.Call(p, id, request, opts)
+	// The caller has decoded the previous response by now (generated
+	// clients copy every field out before returning), so its buffer goes
+	// back to the engine's payload arena.
+	t.conn.Recycle(t.last)
+	resp, err := t.conn.Call(p, id, request, opts)
+	t.last = resp
+	return resp, err
 }
 
 // Plan exposes the resolved client plan for a function (for tests and
