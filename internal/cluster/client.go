@@ -28,7 +28,7 @@ type ClientStats struct {
 // stStale hands back the fresher (epoch, primary), the client adopts it
 // and replays immediately; transport-level unavailability triggers a
 // full map refresh plus backoff. One Client serves one simulated
-// process's traffic (no internal locking beyond the session cache).
+// process's traffic (no internal locking).
 type Client struct {
 	peerSessions
 	cfg Config

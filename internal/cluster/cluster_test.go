@@ -122,7 +122,8 @@ type testCluster struct {
 	cfg    Config
 	roster []*simnet.Node
 	stores []*hatkv.Store
-	nodes  []*Node // current boot's service per server
+	nodes  []*Node          // current boot's service per server
+	engs   []*engine.Engine // current boot's engine per server
 	cliEng *engine.Engine
 }
 
@@ -138,7 +139,7 @@ func newTestCluster(t *testing.T, seed int64, nservers int, cfg Config) *testClu
 		cfg.NodeIDs[i] = i
 	}
 	cfg = cfg.withDefaults()
-	tc := &testCluster{env: env, cl: cl, cfg: cfg, nodes: make([]*Node, nservers)}
+	tc := &testCluster{env: env, cl: cl, cfg: cfg, nodes: make([]*Node, nservers), engs: make([]*engine.Engine, nservers)}
 	for i := 0; i < nservers; i++ {
 		tc.roster = append(tc.roster, cl.Node(i))
 	}
@@ -154,7 +155,10 @@ func newTestCluster(t *testing.T, seed int64, nservers int, cfg Config) *testClu
 			t.Fatalf("sync %d: %v", i, err)
 		}
 		tc.stores = append(tc.stores, store)
-		boot := func() { tc.nodes[i] = NewNode(engine.New(node, ecfg), store, tc.roster, i, cfg) }
+		boot := func() {
+			tc.engs[i] = engine.New(node, ecfg)
+			tc.nodes[i] = NewNode(tc.engs[i], store, tc.roster, i, cfg)
+		}
 		boot()
 		node.SetRestart(func(p *sim.Proc) { boot() })
 	}
@@ -216,6 +220,25 @@ func TestClusterFailover(t *testing.T) {
 	shard := ShardOf(key, tc.cfg.NShards)
 	prim := int(NewShardMap(tc.cfg.Seed, tc.cfg.NodeIDs, tc.cfg.NShards, tc.cfg.RF).Shards[shard].Primary)
 
+	// Every shard the crashed node led must fail over (not only the test
+	// key's): led counts them, survivorStats sums the other nodes' current
+	// boots.
+	led := int64(0)
+	for _, s := range NewShardMap(tc.cfg.Seed, tc.cfg.NodeIDs, tc.cfg.NShards, tc.cfg.RF).Shards {
+		if int(s.Primary) == prim {
+			led++
+		}
+	}
+	survivorStats := func() (promotions, candidacies int64) {
+		for i, n := range tc.nodes {
+			if i != prim { // the old primary's current boot has fresh zero stats
+				promotions += n.stats.Promotions
+				candidacies += n.stats.Candidacies
+			}
+		}
+		return
+	}
+
 	var cli *Client
 	tc.env.Spawn("client", func(p *sim.Proc) {
 		cli = NewClient(tc.cliEng, tc.roster, tc.cfg)
@@ -237,6 +260,19 @@ func TestClusterFailover(t *testing.T) {
 		if got := cli.View().Shards[shard]; got.Epoch < 2 || int(got.Primary) == prim {
 			t.Errorf("client view after failover: %+v (old primary %d)", got, prim)
 		}
+		// The writes above need only the key's own shard to fail over, and
+		// ten acked puts now take fewer monitor ticks than the survivors
+		// need to work through every shard the dead node led (one candidacy
+		// at a time). The property below is "one promotion per led shard
+		// while the primary stays down", so keep it down until the monitors
+		// have had their turn at each shard — bounded, so a shard that never
+		// fails over still fails the assertion instead of hanging.
+		for tick := 0; tick < 40; tick++ {
+			if promotions, _ := survivorStats(); promotions >= led {
+				break
+			}
+			p.Sleep(sim.Duration(tc.cfg.ProbeIntervalNs))
+		}
 		// Old primary comes back: it must be fenced out of acking (its
 		// content is one epoch behind) and the data must stay readable.
 		tc.roster[prim].Restart()
@@ -249,22 +285,7 @@ func TestClusterFailover(t *testing.T) {
 	})
 	tc.env.Run()
 
-	// Every shard the crashed node led fails over (not only the test
-	// key's): expect exactly one promotion per led shard.
-	led := int64(0)
-	for _, s := range NewShardMap(tc.cfg.Seed, tc.cfg.NodeIDs, tc.cfg.NShards, tc.cfg.RF).Shards {
-		if int(s.Primary) == prim {
-			led++
-		}
-	}
-	var promotions, candidacies int64
-	for i, n := range tc.nodes {
-		if i == prim {
-			continue // current boot of the old primary: fresh zero stats
-		}
-		promotions += n.stats.Promotions
-		candidacies += n.stats.Candidacies
-	}
+	promotions, candidacies := survivorStats()
 	// At least one promotion per led shard. Occasionally a shard is
 	// promoted twice: a later successor's liveness probe times out
 	// against a candidate busy holding the shard mutex for its own

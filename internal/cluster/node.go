@@ -90,6 +90,8 @@ type shardState struct {
 
 	// Primary-side replication bookkeeping.
 	suspect    map[int]bool // backup → needs a resync install (direct index only)
+	repl       []replJob    // fan-out slots, one per backup, reused by every put (under mu)
+	replDone   *sim.Signal  // fired by a lane per finished slot
 	probeFails int          // backup-side: consecutive failed primary probes
 }
 
@@ -116,9 +118,10 @@ type Node struct {
 	env   *sim.Env
 	store *hatkv.Store
 
-	shards   map[int]*shardState // shards where self is a configured replica
-	shardIDs []int               // sorted keys of shards
-	initial  *ShardMap           // static epoch-1 map for non-owned entries
+	shards   map[int]*shardState          // shards where self is a configured replica
+	lanes    map[int]*sim.Queue[*replJob] // backup peer → replication lane (replicate.go)
+	shardIDs []int                        // sorted keys of shards
+	initial  *ShardMap                    // static epoch-1 map for non-owned entries
 
 	srv *engine.Server // nil for NewUnservedNode (caller serves Handle)
 
@@ -148,6 +151,7 @@ func newNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.Node, self
 		env:          env,
 		store:        store,
 		shards:       make(map[int]*shardState),
+		lanes:        make(map[int]*sim.Queue[*replJob]),
 		initial:      NewShardMap(cfg.Seed, cfg.NodeIDs, cfg.NShards, cfg.RF),
 	}
 	for s := 0; s < cfg.NShards; s++ {
@@ -172,6 +176,8 @@ func newNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.Node, self
 			learnedPrimary: reps[0],
 			mu:             sim.NewMutex(env),
 			suspect:        make(map[int]bool),
+			repl:           make([]replJob, 0, len(reps)),
+			replDone:       sim.NewSignal(env),
 		}
 		n.recoverMeta(st)
 		n.shards[s] = st
@@ -442,10 +448,12 @@ func (n *Node) handleShardMap() []byte {
 }
 
 // handlePut executes a client write as the shard primary: fence and
-// epoch checks, local durable apply, then sequential replication to the
-// backups; the ack requires a majority of the replica set (self
-// included). Split-brain safety lives here: a deposed or minority-side
-// primary cannot assemble a quorum, so it can never acknowledge.
+// epoch checks, local durable apply — first, so a failed commit was never
+// shipped under a seq the primary will reuse — then concurrent
+// replication to the backups (replicate.go); the ack requires a majority
+// of the replica set (self included). Split-brain safety lives here: a
+// deposed or minority-side primary cannot assemble a quorum, so it can
+// never acknowledge.
 func (n *Node) handlePut(p *sim.Proc, req []byte) []byte {
 	q, err := decodePut(req)
 	if err != nil {
@@ -473,33 +481,14 @@ func (n *Node) handlePut(p *sim.Proc, req []byte) []byte {
 	if err := n.applyWrite(p, st, q.Key, q.Value, seq); err != nil {
 		return []byte{stErr}
 	}
-	acks := 1
-	rr := encodeRepl(replReq{
+	backs, stale := n.replicate(p, st, encodeRepl(replReq{
 		Shard: q.Shard, Epoch: st.epoch, Primary: int32(n.self),
 		Seq: seq, Key: q.Key, Value: q.Value,
-	})
-	for _, b := range st.replicas {
-		if b == n.self || st.suspect[b] {
-			continue // suspects catch up through resync installs
-		}
-		resp, err := n.callPeer(p, b, FnReplicate, rr)
-		if err != nil || len(resp) == 0 {
-			st.suspect[b] = true
-			continue
-		}
-		switch resp[0] {
-		case stOK:
-			acks++
-		case stStale:
-			if e, pr, ok := decodeStale(resp); ok {
-				st.adoptLearned(e, int(pr))
-			}
-			return n.staleReply(st) // deposed mid-write; never ack
-		default: // stNeedSync, stFenced, stErr
-			st.suspect[b] = true
-		}
+	}))
+	if stale {
+		return n.staleReply(st) // deposed mid-write; never ack
 	}
-	if acks < quorum(len(st.replicas)) {
+	if 1+backs < quorum(len(st.replicas)) {
 		return []byte{stNotQuorum}
 	}
 	return []byte{stOK}
@@ -524,8 +513,13 @@ func (n *Node) handleGet(p *sim.Proc, req []byte) []byte {
 		return n.staleReply(st)
 	}
 	v, err := n.store.Get(p, dataKey(st.id, q.Key))
+	if errors.Is(err, hatkv.ErrNotFound) {
+		return []byte{stOK, 0}
+	}
 	if err != nil {
-		return []byte{stOK, 0} // not found (or store error): absent
+		// A failing store is not an absent key: the client must retry, not
+		// report acknowledged data as deleted.
+		return []byte{stErr}
 	}
 	out := []byte{stOK, 1}
 	return append(out, v...)

@@ -1,0 +1,316 @@
+package cluster
+
+import (
+	"errors"
+	"fmt"
+	"sort"
+	"testing"
+
+	"hatrpc/internal/engine"
+	"hatrpc/internal/lmdb"
+	"hatrpc/internal/obs"
+	"hatrpc/internal/sim"
+)
+
+// quietProbeNs parks the failover monitors past the end of a test, so a
+// timing assertion measures the write path alone.
+const quietProbeNs = 1_000_000_000
+
+// medianPutNs is the median unloaded small-put latency at replication
+// factor rf: one client, one shard, three servers, monitors parked.
+func medianPutNs(t *testing.T, rf int) int64 {
+	t.Helper()
+	tc := newTestCluster(t, 23, 3, Config{NShards: 1, RF: rf, ProbeIntervalNs: quietProbeNs})
+	var lats []int64
+	tc.env.Spawn("client", func(p *sim.Proc) {
+		defer tc.env.Stop()
+		c := NewClient(tc.cliEng, tc.roster, tc.cfg)
+		val := make([]byte, 128)
+		for i := 0; i < 29; i++ {
+			start := p.Now()
+			if err := c.Put(p, "k", val); err != nil {
+				t.Errorf("rf %d put %d: %v", rf, i, err)
+				return
+			}
+			if i >= 8 { // the first puts dial sessions and start lanes
+				lats = append(lats, int64(p.Now()-start))
+			}
+		}
+	})
+	tc.env.Run()
+	if len(lats) == 0 {
+		t.Fatalf("rf %d: no put completed", rf)
+	}
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	return lats[len(lats)/2]
+}
+
+// TestReplicationFanOutIsParallel pins the write path's shape without
+// pinning a number: what RF 3 adds to an unloaded put over RF 1 is about
+// one replicate hop (RF 2 − RF 1), not two. Serial replication makes the
+// ratio ≈ 2.
+func TestReplicationFanOutIsParallel(t *testing.T) {
+	rf1, rf2, rf3 := medianPutNs(t, 1), medianPutNs(t, 2), medianPutNs(t, 3)
+	hop := rf2 - rf1
+	if hop <= 0 {
+		t.Fatalf("RF-2 put (%d ns) not slower than RF-1 (%d ns): no replicate hop to compare against", rf2, rf1)
+	}
+	if extra := rf3 - rf1; 4*extra > 5*hop {
+		t.Errorf("RF-3 put costs %d ns over RF-1, %.2f × one replicate hop (%d ns); want ≤ 1.25 × — "+
+			"are the backups being replicated to one after the other again? (put p50: rf1 %d, rf2 %d, rf3 %d ns)",
+			extra, float64(extra)/float64(hop), hop, rf1, rf2, rf3)
+	}
+}
+
+// putAt runs one client-style put straight through node n's handler.
+func putAt(p *sim.Proc, n *Node, key string, val []byte) []byte {
+	return n.Handle(p, FnClusterPut, encodePut(putReq{Shard: 0, Epoch: 1, Key: key, Value: val}))
+}
+
+// TestPutWithCrashedBackup: the ring-first backup is dead. The put still
+// acks at quorum after one call deadline (plus the failed re-dial), the
+// healthy backup got its append at once instead of queueing behind the
+// dead one, the dead backup is marked suspect, and the next put skips it.
+func TestPutWithCrashedBackup(t *testing.T) {
+	tc := newTestCluster(t, 29, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})
+	reps := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)
+	prim, dead, healthy := reps[0], reps[1], reps[2]
+	tc.env.Spawn("driver", func(p *sim.Proc) {
+		defer tc.env.Stop()
+		n := tc.nodes[prim]
+		if resp := putAt(p, n, "k", []byte("v1")); len(resp) != 1 || resp[0] != stOK {
+			t.Errorf("warm-up put: %v", resp)
+			return
+		}
+		tc.roster[dead].Crash()
+
+		start := p.Now()
+		var healthySeqEarly uint64
+		tc.env.Spawn("sampler", func(sp *sim.Proc) {
+			sp.Sleep(100_000)
+			healthySeqEarly = tc.nodes[healthy].shards[0].seq
+		})
+		resp := putAt(p, n, "k", []byte("v2"))
+		took := int64(p.Now() - start)
+		if len(resp) != 1 || resp[0] != stOK {
+			t.Errorf("put with one dead backup of three: %v, want stOK at quorum", resp)
+		}
+		// One deadline, then the session's two failed re-dials (2 × 90 µs
+		// connect timeout + 50 µs backoff).
+		if limit := tc.cfg.CallDeadlineNs + 250_000; took > limit {
+			t.Errorf("put took %d ns with one dead backup, want ≤ one CallDeadlineNs + re-dial = %d", took, limit)
+		}
+		if healthySeqEarly != 2 {
+			t.Errorf("healthy backup at seq %d 100 µs into the put, want 2: its append waited behind the dead backup's", healthySeqEarly)
+		}
+		if !n.shards[0].suspect[dead] || n.shards[0].suspect[healthy] {
+			t.Errorf("suspects after the put: %v, want only node %d", n.shards[0].suspect, dead)
+		}
+
+		start = p.Now()
+		resp = putAt(p, n, "k", []byte("v3"))
+		if took := int64(p.Now() - start); len(resp) != 1 || resp[0] != stOK || took > 100_000 {
+			t.Errorf("next put: %v in %d ns, want stOK without waiting on the suspect backup", resp, took)
+		}
+		if got := tc.nodes[healthy].shards[0].seq; got != 3 {
+			t.Errorf("healthy backup at seq %d after three puts, want 3", got)
+		}
+	})
+	tc.env.Run()
+}
+
+// TestPutNeverAcksPastStaleBackup: one backup has learned of a fresher
+// view and answers stStale, the other answers stOK. Whichever reply lands
+// first (the slower backup is held on its shard lock for 40 µs), the put
+// is answered stStale, never stOK, and the primary adopts the view.
+func TestPutNeverAcksPastStaleBackup(t *testing.T) {
+	for _, tcase := range []struct{ stalePos, slowPos int }{{1, 1}, {1, 2}, {2, 1}, {2, 2}} {
+		t.Run(fmt.Sprintf("stale=ring%d/slow=ring%d", tcase.stalePos, tcase.slowPos), func(t *testing.T) {
+			tc := newTestCluster(t, 31, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})
+			reps := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)
+			prim, stale, slow := tc.nodes[reps[0]], tc.nodes[reps[tcase.stalePos]], tc.nodes[reps[tcase.slowPos]]
+			tc.env.Spawn("driver", func(p *sim.Proc) {
+				defer tc.env.Stop()
+				if resp := putAt(p, prim, "k", []byte("v1")); len(resp) != 1 || resp[0] != stOK {
+					t.Errorf("warm-up put: %v", resp)
+					return
+				}
+				stale.shards[0].adoptLearned(2, stale.self)
+				tc.env.Spawn("holder", func(hp *sim.Proc) {
+					st := slow.shards[0]
+					st.mu.Lock(hp)
+					hp.Sleep(40_000)
+					st.mu.Unlock()
+				})
+				p.Sleep(1_000) // the holder has the lock
+				resp := putAt(p, prim, "k", []byte("v2"))
+				if len(resp) == 0 || resp[0] != stStale {
+					t.Errorf("put answered %v, want stStale: a backup on a fresher view must veto the ack", resp)
+				}
+				if got := prim.shards[0].learnedEpoch; got != 2 {
+					t.Errorf("primary learned epoch %d, want 2 (adopted from the stale reply)", got)
+				}
+			})
+			tc.env.Run()
+		})
+	}
+}
+
+// TestClusterHintPlanTable pins what the hint table resolves to, verb by
+// verb, and that no wire function is missing from it. A revert to one
+// pinned protocol for the whole tier fails here by name.
+func TestClusterHintPlanTable(t *testing.T) {
+	want := map[uint32]struct {
+		name  string
+		proto engine.Protocol
+		busy  bool
+	}{
+		FnShardMap:    {"FnShardMap", engine.EagerSendRecv, false},
+		FnClusterPut:  {"FnClusterPut", engine.DirectWriteIMM, true},
+		FnClusterGet:  {"FnClusterGet", engine.DirectWriteIMM, true},
+		FnReplicate:   {"FnReplicate", engine.DirectWriteIMM, true},
+		FnShardStatus: {"FnShardStatus", engine.EagerSendRecv, false},
+		FnShardPull:   {"FnShardPull", engine.HybridEagerRNDV, false},
+		FnInstall:     {"FnInstall", engine.HybridEagerRNDV, false},
+	}
+	tc := newTestCluster(t, 37, 1, Config{NShards: 1, RF: 1})
+	ps := newPeerSessions(tc.cliEng, tc.roster)
+	for fn := uint32(fnBase); fn < fnEnd; fn++ {
+		w, ok := want[fn]
+		if !ok {
+			t.Errorf("wire function %#x has no row here: give it a hint set in sessions.go and pin its plan in this table", fn)
+			continue
+		}
+		if fnHints[fn-fnBase] == nil {
+			t.Errorf("%s has no function-level hint set in the cluster hint table", w.name)
+		}
+		got := ps.plans[fn-fnBase]
+		if got.Proto != w.proto || got.Busy != w.busy || got.Poll != engine.PollFromBusy {
+			t.Errorf("%s plans %v busy=%v poll=%v, want %v busy=%v — cluster hint table (sessions.go) changed or bypassed",
+				w.name, got.Proto, got.Busy, got.Poll, w.proto, w.busy)
+		}
+		if !got.Idempotent {
+			t.Errorf("%s is not marked idempotent: a session reconnect would fail it instead of replaying", w.name)
+		}
+	}
+}
+
+// TestHealthyClusterNeverRetransmits: 200 small RF-3 puts on a warmed-up
+// fault-free 5-node cluster, monitors probing as usual, and the engines'
+// retry counter does not move — a put finishes inside the 50 µs
+// first-retransmission timer instead of tripping it every time. (The
+// warm-up puts do retransmit: their handlers dial the backups' sessions.)
+func TestHealthyClusterNeverRetransmits(t *testing.T) {
+	tc := newTestCluster(t, 41, 5, Config{NShards: 8, RF: 3})
+	reg := obs.NewRegistry()
+	for _, e := range tc.engs {
+		e.SetObs(reg)
+	}
+	tc.cliEng.SetObs(reg)
+	tc.env.Spawn("client", func(p *sim.Proc) {
+		defer tc.env.Stop()
+		c := NewClient(tc.cliEng, tc.roster, tc.cfg)
+		val := make([]byte, 128)
+		retries := reg.Counter("engine.retries")
+		var warm int64
+		for i := 0; i < 250; i++ {
+			if i == 50 { // every shard's sessions and lanes are up
+				warm = retries.Value()
+			}
+			if err := c.Put(p, fmt.Sprintf("key-%03d", i%50), val); err != nil {
+				t.Errorf("put %d: %v", i, err)
+				return
+			}
+		}
+		if got := retries.Value() - warm; got != 0 {
+			t.Errorf("engine.retries moved by %d over 200 fault-free puts, want 0", got)
+		}
+	})
+	tc.env.Run()
+}
+
+// TestDeadPeerDialDoesNotBlockHealthyPeer: while one process is stuck
+// dialing a crashed peer, a call to a healthy peer on the same session
+// cache completes in one round trip.
+func TestDeadPeerDialDoesNotBlockHealthyPeer(t *testing.T) {
+	tc := newTestCluster(t, 43, 2, Config{NShards: 1, RF: 1, ProbeIntervalNs: quietProbeNs})
+	const dead, healthy = 0, 1
+	tc.env.Spawn("driver", func(p *sim.Proc) {
+		defer tc.env.Stop()
+		ps := newPeerSessions(tc.cliEng, tc.roster)
+		call := func(cp *sim.Proc, peer int) (int64, error) {
+			start := cp.Now()
+			_, err := ps.callPeerDL(cp, peer, FnShardMap, nil, tc.cfg.ClientDeadlineNs)
+			return int64(cp.Now() - start), err
+		}
+		warm, err := call(p, healthy) // dials
+		if err != nil {
+			t.Errorf("warm-up call: %v", err)
+			return
+		}
+		rtt, err := call(p, healthy)
+		if err != nil || rtt >= warm {
+			t.Errorf("second call %d ns (%v), first %d ns: no established round trip to compare against", rtt, err, warm)
+			return
+		}
+		tc.roster[dead].Crash()
+		var deadTook int64
+		var deadErr error
+		tc.env.Spawn("dialer", func(dp *sim.Proc) { deadTook, deadErr = call(dp, dead) })
+		p.Sleep(10_000) // the dialer is inside its first connect attempt
+		got, err := call(p, healthy)
+		if err != nil || got != rtt {
+			t.Errorf("call to the healthy peer took %d ns (%v) while a dead peer was being dialed, want the idle round trip %d ns", got, err, rtt)
+		}
+		p.Sleep(1_000_000)
+		if !errors.Is(deadErr, engine.ErrPeerDown) || deadTook < got {
+			t.Errorf("call to the crashed peer: %v after %d ns, want ErrPeerDown after its re-dials", deadErr, deadTook)
+		}
+	})
+	tc.env.Run()
+}
+
+// TestGetStoreErrorIsNotAbsence: a read that fails in the store (here:
+// every lmdb reader slot is taken) must not come back as "key absent".
+// Once the store recovers the value is there; a key that really is absent
+// is still the typed ErrNotFound.
+func TestGetStoreErrorIsNotAbsence(t *testing.T) {
+	cfg := Config{NShards: 1, RF: 1, ProbeIntervalNs: quietProbeNs, ClientAttempts: 2}
+	tc := newTestCluster(t, 47, 1, cfg)
+	tc.env.Spawn("client", func(p *sim.Proc) {
+		defer tc.env.Stop()
+		c := NewClient(tc.cliEng, tc.roster, tc.cfg)
+		if err := c.Put(p, "k", []byte("v")); err != nil {
+			t.Errorf("put: %v", err)
+			return
+		}
+		var pinned []*lmdb.Txn
+		for {
+			txn, err := tc.stores[0].Env().BeginRead()
+			if err != nil {
+				if !errors.Is(err, lmdb.ErrReadersFull) {
+					t.Errorf("pinning readers: %v", err)
+				}
+				break
+			}
+			pinned = append(pinned, txn)
+		}
+		resp := tc.nodes[0].Handle(p, FnClusterGet, encodeGet(getReq{Shard: 0, Epoch: 1, Key: "k"}))
+		if len(resp) != 1 || resp[0] != stErr {
+			t.Errorf("handler reply with a failing store: %v, want [stErr]", resp)
+		}
+		if v, err := c.Get(p, "k"); err == nil || errors.Is(err, ErrNotFound) {
+			t.Errorf("get with a failing store: %q, %v — an acked key must not read as absent", v, err)
+		}
+		for _, txn := range pinned {
+			txn.Abort()
+		}
+		if v, err := c.Get(p, "k"); err != nil || string(v) != "v" {
+			t.Errorf("get after the store recovered: %q, %v", v, err)
+		}
+		if _, err := c.Get(p, "absent"); !errors.Is(err, ErrNotFound) {
+			t.Errorf("get of an absent key: %v, want ErrNotFound", err)
+		}
+	})
+	tc.env.Run()
+}

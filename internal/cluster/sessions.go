@@ -4,55 +4,89 @@ import (
 	"sort"
 
 	"hatrpc/internal/engine"
+	"hatrpc/internal/hints"
 	"hatrpc/internal/sim"
 	"hatrpc/internal/simnet"
 )
 
+// The cluster service's hint table (DESIGN.md §3), the hand-written twin
+// of a generated ServiceHints: one service-level set every verb inherits
+// and one function-level set per wire function, resolved client-side into
+// a per-function engine plan when a peerSessions is built.
+//
+//   - the service default is resource-frugal: a verb nobody tuned must not
+//     spin a core;
+//   - the data verbs sit on every put's and get's blocking path, so they
+//     buy latency (Direct-WriteIMM, busy client-side wait — no 4 µs
+//     interrupt wake per hop, and a 16 KB value is one WRITE instead of
+//     four eager fragments);
+//   - the liveness/routing verbs are small and mostly wait out deadlines
+//     on dead peers: eager, event-polled, so an idle monitor never spins;
+//   - the snapshot verbs move whole shards: throughput goal with no size
+//     promise, i.e. the hybrid eager/rendezvous switch on the actual size.
+var (
+	serviceHints = hints.MakeSet(map[hints.Key]string{hints.KeyPerfGoal: "res_util"}, nil, nil)
+
+	latencyVerb  = hints.MakeSet(map[hints.Key]string{hints.KeyPerfGoal: "latency"}, nil, nil)
+	controlVerb  = hints.MakeSet(map[hints.Key]string{hints.KeyPayloadSize: "256"}, nil, nil)
+	snapshotVerb = hints.MakeSet(map[hints.Key]string{hints.KeyPerfGoal: "throughput"}, nil, nil)
+
+	fnHints = [nFns]*hints.Set{
+		FnShardMap - fnBase:    controlVerb,
+		FnClusterPut - fnBase:  latencyVerb,
+		FnClusterGet - fnBase:  latencyVerb,
+		FnReplicate - fnBase:   latencyVerb,
+		FnShardStatus - fnBase: controlVerb,
+		FnShardPull - fnBase:   snapshotVerb,
+		FnInstall - fnBase:     snapshotVerb,
+	}
+)
+
 // peerSessions is the cluster tier's one way of calling a cluster node:
-// a cache of one engine.Session per peer (created on first use; the
-// session itself survives peer restarts by re-dialing) and the call
-// options every cluster RPC shares. Client and Node both embed it, so
-// this is the single place the tier pins its protocol.
+// a cache of one engine.Session per peer (opened on first use; the
+// session dials lazily and survives peer restarts by re-dialing) and the
+// per-function call plans resolved once from the hint table above. Client
+// and Node both embed it.
 type peerSessions struct {
 	eng    *engine.Engine
 	roster []*simnet.Node // cluster server nodes, by index
 
-	smu  *sim.Mutex              // guards sess creation
-	sess map[int]*engine.Session // peer index → session
+	sess  map[int]*engine.Session // peer index → session
+	plans [nFns]engine.CallOpts   // fn - fnBase → resolved client-side plan
 }
 
 func newPeerSessions(eng *engine.Engine, roster []*simnet.Node) peerSessions {
-	return peerSessions{
+	ps := peerSessions{
 		eng:    eng,
 		roster: roster,
-		smu:    sim.NewMutex(eng.Node().Cluster().Env()),
 		sess:   make(map[int]*engine.Session),
 	}
+	for i, fn := range fnHints {
+		r := hints.TypeCheck(hints.Resolve(serviceHints, fn, hints.SideClient))
+		pl := engine.SelectPlan(r, eng.Cores(), r.PayloadSize, eng.Config().RndvThreshold)
+		// Every cluster verb is safe to replay on a fresh connection:
+		// appends are seq-checked, installs and promises epoch-fenced.
+		ps.plans[i] = engine.CallOpts{Proto: pl.Proto, Busy: pl.Busy, Poll: pl.Poll, Idempotent: true}
+	}
+	return ps
 }
 
-// callPeerDL performs one idempotent RPC to a cluster node over its
-// cached session, bounded by deadlineNs.
+// callPeerDL performs one RPC to a cluster node over its cached session
+// under fn's plan, bounded by deadlineNs. The cache is never locked: a
+// session opens without blocking, and dialing a dead peer happens inside
+// that peer's own session, where only calls to the same peer queue.
 func (ps *peerSessions) callPeerDL(p *sim.Proc, peer int, fn uint32, req []byte, deadlineNs int64) ([]byte, error) {
-	ps.smu.Lock(p)
 	s := ps.sess[peer]
 	if s == nil {
-		var err error
-		s, err = ps.eng.NewSession(p, ps.roster[peer], Port, engine.SessionConfig{
+		s = ps.eng.OpenSession(ps.roster[peer], Port, engine.SessionConfig{
 			MaxRedials:    2,
 			RedialBackoff: 50_000,
 		})
-		if err != nil {
-			ps.smu.Unlock()
-			return nil, err
-		}
 		ps.sess[peer] = s
 	}
-	ps.smu.Unlock()
-	return s.Call(p, fn, req, engine.CallOpts{
-		Proto:      engine.EagerSendRecv,
-		Idempotent: true,
-		Deadline:   sim.Duration(deadlineNs),
-	})
+	opts := ps.plans[fn-fnBase]
+	opts.Deadline = sim.Duration(deadlineNs)
+	return s.Call(p, fn, req, opts)
 }
 
 // closeSessions closes the cached sessions in deterministic

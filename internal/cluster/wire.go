@@ -14,13 +14,17 @@ import (
 // candidacy), FnInstall (epoch install / resync: wholesale snapshot +
 // meta in one durable commit).
 const (
-	FnShardMap uint32 = 0x20 + iota
+	FnShardMap uint32 = fnBase + iota
 	FnClusterPut
 	FnClusterGet
 	FnReplicate
 	FnShardStatus
 	FnShardPull
 	FnInstall
+	fnEnd // one past the last wire function; new verbs go above it
+
+	fnBase = 0x20
+	nFns   = fnEnd - fnBase // sizes the per-function hint and plan tables
 )
 
 // Port is the cluster service's engine port.

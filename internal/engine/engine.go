@@ -487,6 +487,12 @@ type Arrival struct {
 // fabric.
 type connShared struct {
 	rndv map[uint64]verbs.RKey // rndvKey → exposed buffer for WRITE/READ
+	// closed is the orderly-disconnect notice (RDMA-CM's DREQ): set when
+	// either endpoint runs Conn.Close. A crashed endpoint never closes, so
+	// only a planned shutdown tells the peer its connection is gone — a
+	// Session re-dials at its next use instead of waiting out a deadline
+	// on a dead boot.
+	closed bool
 }
 
 // hello is the out-of-band connection handshake payload (QPN/LID/rkey
@@ -798,6 +804,7 @@ func (c *Conn) Close() {
 		return
 	}
 	c.closed = true
+	c.shared.closed = true
 	for _, seq := range sortedSeqs(c.rndvIn) {
 		c.eng.releaseRndv(c.rndvIn[seq])
 		delete(c.shared.rndv, rndvKey(seq, !c.server))
@@ -911,15 +918,29 @@ func (e *Engine) Listen(port string) *Listener {
 	return &Listener{eng: e, l: e.node.Listen(port)}
 }
 
+// acceptHelloTimeoutNs bounds the accept side's wait for a connected
+// dialer's hello — one out-of-band message behind the connect, so a
+// fraction of the dial side's sessionHandshakeTimeoutNs is ample.
+const acceptHelloTimeoutNs = sim.Duration(200_000)
+
 // Accept blocks until a client dials, completing the QP/buffer handshake
-// and returning the server-side connection.
+// and returning the server-side connection. A dialer that connected and
+// then died (or was cut off) before its hello arrived is dropped after
+// acceptHelloTimeoutNs: waiting for it forever would leave the listener
+// deaf to every later dial for the rest of this boot.
 func (ln *Listener) Accept(p *sim.Proc) *Conn {
-	ep := ln.l.Accept(p)
-	ch := ep.Recv(p).(*hello)
-	c := ln.eng.newConn(true, ch.shared)
-	c.applyHello(ch)
-	ep.Send(p, c.helloFor(), 256)
-	return c
+	for {
+		ep := ln.l.Accept(p)
+		raw, ok := ep.RecvUntil(p, p.Now()+sim.Time(acceptHelloTimeoutNs))
+		if !ok {
+			continue
+		}
+		ch := raw.(*hello)
+		c := ln.eng.newConn(true, ch.shared)
+		c.applyHello(ch)
+		ep.Send(p, c.helloFor(), 256)
+		return c
+	}
 }
 
 // Dial connects to a service port on a remote node, performing the

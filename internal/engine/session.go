@@ -117,6 +117,18 @@ func (e *Engine) NewSession(p *sim.Proc, target *simnet.Node, port string, cfg S
 	return s, nil
 }
 
+// OpenSession returns a Session to target:port without dialing: the first
+// Call (or keepalive tick) establishes the connection through the same
+// bounded redial loop every reconnect uses, under the session's own
+// mutex. It never blocks, so a cache of sessions can be filled without
+// holding a lock across a dial — a down peer then delays only its own
+// callers, who get the typed ErrPeerDown a failed NewSession returns.
+func (e *Engine) OpenSession(target *simnet.Node, port string, cfg SessionConfig) *Session {
+	s := &Session{eng: e, target: target, port: port, cfg: cfg, mu: sim.NewMutex(e.env), down: true}
+	s.startKeepalive()
+	return s
+}
+
 // Epoch returns the session epoch: how many times the session has
 // (re)connected. The first successful dial is epoch 1.
 func (s *Session) Epoch() int64 { return s.epoch }
@@ -185,6 +197,12 @@ func (s *Session) Call(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byt
 // ensureConn re-establishes the connection if it is down, pacing
 // attempts with doubling backoff. Called with s.mu held.
 func (s *Session) ensureConn(p *sim.Proc) error {
+	if s.conn != nil && !s.down && s.conn.shared.closed {
+		// The peer closed this connection in an orderly shutdown (a
+		// graceful stop releases its engine before the machine goes down):
+		// re-dial now rather than discover it by a call deadline.
+		s.teardown(p)
+	}
 	if s.conn != nil && !s.down {
 		return nil
 	}

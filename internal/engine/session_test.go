@@ -247,3 +247,77 @@ func TestBreakerHalfOpenProbeTimeout(t *testing.T) {
 		t.Errorf("BreakerOpens = %d, want 2 (trip + failed probe)", got)
 	}
 }
+
+// TestSessionOrderlyDisconnectSkipsDeadline: a server that releases its
+// engine before going down (a graceful stop) has told its peers their
+// connections are gone, so the first call after the restart re-dials at
+// once. After a crash nothing was said: the same call waits out its whole
+// deadline on the dead boot's connection before it re-dials.
+func TestSessionOrderlyDisconnectSkipsDeadline(t *testing.T) {
+	const deadline = 300_000
+	firstCallAfterRestart := func(graceful bool) (took int64, st SessionStats) {
+		env, cl, cliEng, srv := sessionCluster(113)
+		env.At(500_000, func() {
+			if graceful {
+				srv().Close()
+			}
+			cl.Node(0).Crash()
+		})
+		env.At(700_000, cl.Node(0).Restart)
+		env.Spawn("client", func(p *sim.Proc) {
+			defer env.Stop()
+			s := cliEng.OpenSession(cl.Node(0), "svc", SessionConfig{})
+			opts := CallOpts{Proto: EagerSendRecv, Idempotent: true, Deadline: deadline}
+			if _, err := s.Call(p, 1, []byte("before"), opts); err != nil {
+				t.Errorf("first call on a lazily opened session: %v", err)
+				return
+			}
+			p.Sleep(800_000) // past the stop and the restart
+			start := p.Now()
+			resp, err := s.Call(p, 2, []byte("after"), opts)
+			if err != nil || string(resp) != "ECHOafter" {
+				t.Errorf("post-restart call (graceful=%v): %q, %v", graceful, resp, err)
+			}
+			took, st = int64(p.Now()-start), s.Stats()
+		})
+		env.Run()
+		return took, st
+	}
+	grace, gst := firstCallAfterRestart(true)
+	crash, cst := firstCallAfterRestart(false)
+	if grace >= deadline || gst.Connects != 2 || gst.Replays != 0 {
+		t.Errorf("after an orderly disconnect the call took %d ns (%+v), want a plain re-dial: under the %d ns deadline, no replay", grace, gst, deadline)
+	}
+	if crash < deadline || cst.Replays != 1 {
+		t.Errorf("after a crash the call took %d ns (%+v), want the deadline wait and one replay", crash, cst)
+	}
+}
+
+// TestAcceptSurvivesHalfOpenDial: a dialer that connects and never sends
+// its hello (it crashed in between) must not leave the listener deaf —
+// the next dial still completes.
+func TestAcceptSurvivesHalfOpenDial(t *testing.T) {
+	env := sim.NewEnv(127)
+	cl := simnet.NewCluster(env, simnet.Config{
+		Nodes: 3, Cores: 28, Sockets: 2, LinkGbps: 100, PropDelayNs: 600, NUMAPenalty: 1.25,
+	})
+	New(cl.Node(0), DefaultConfig()).Serve("svc", echoHandler)
+	cliEng := New(cl.Node(2), DefaultConfig())
+	env.Spawn("client", func(p *sim.Proc) {
+		defer env.Stop()
+		if _, err := cl.Node(1).TryConnect(p, cl.Node(0), "svc"); err != nil {
+			t.Errorf("half-open connect: %v", err)
+			return
+		}
+		c, err := cliEng.TryDial(p, cl.Node(0), "svc", p.Now()+sim.Time(sessionHandshakeTimeoutNs))
+		if err != nil {
+			t.Errorf("dial behind a half-open connection: %v", err)
+			return
+		}
+		resp, err := c.Call(p, 1, []byte("x"), CallOpts{Proto: EagerSendRecv, Deadline: 300_000})
+		if err != nil || string(resp) != "ECHOx" {
+			t.Errorf("call on the new connection: %q, %v", resp, err)
+		}
+	})
+	env.Run()
+}

@@ -8,7 +8,6 @@ package hatkv
 
 import (
 	"errors"
-	"fmt"
 
 	"hatrpc/internal/engine"
 	kvgen "hatrpc/internal/hatkv/gen"
@@ -145,7 +144,14 @@ func (s *Store) commitCharge(p *sim.Proc) {
 	}
 }
 
-// Get implements HatKV.Get.
+// ErrNotFound is what Get returns for an absent key: the declared KVError
+// exception (so the generated processor ships it as one), shared so
+// in-process callers can tell "no such key" from a failing backend with
+// errors.Is.
+var ErrNotFound error = &kvgen.KVError{Message: "hatkv: key not found"}
+
+// Get implements HatKV.Get. A missing key is ErrNotFound; any other error
+// means the backend failed and says nothing about the key.
 func (s *Store) Get(p *sim.Proc, key string) ([]byte, error) {
 	s.charge(p, float64(s.costs.BeginTxnNs))
 	txn, err := s.env.BeginRead()
@@ -156,7 +162,7 @@ func (s *Store) Get(p *sim.Proc, key string) ([]byte, error) {
 	v, err := txn.Get([]byte(key))
 	s.charge(p, float64(s.costs.LookupNs)+float64(len(v))*s.costs.CopyPerByte)
 	if errors.Is(err, lmdb.ErrNotFound) {
-		return nil, &kvgen.KVError{Message: fmt.Sprintf("key %q not found", key)}
+		return nil, ErrNotFound
 	}
 	if err != nil {
 		return nil, &kvgen.KVError{Message: err.Error()}
