@@ -90,6 +90,32 @@ func TestSoakSyncFullNoAckedWriteLost(t *testing.T) {
 		len(res.Crashes), res.Acked, res.SessionReplays, res.SessionConnects, res.FailedCalls)
 }
 
+// TestSoakSyncFullGroupedAcksShareTxn: twelve unpaced workers keep the
+// store's write queue populated, so acks come out of shared commit groups
+// — several writes carrying one txn id. The loss rule is per txn id, so a
+// group is kept or rolled back whole; under SyncFull none is rolled back.
+func TestSoakSyncFullGroupedAcksShareTxn(t *testing.T) {
+	cfg := soakConfig(331, lmdb.SyncFull, 12)
+	cfg.Workers, cfg.WritesPerWorker, cfg.WritePaceNs = 12, 400, 0
+	res := Soak(cfg)
+	assertSoakInvariants(t, res, 8)
+	if res.Lost != 0 || res.StoreLostTxns != 0 {
+		t.Errorf("SyncFull lost %d acked writes and rolled back %d txns, want 0 and 0", res.Lost, res.StoreLostTxns)
+	}
+	perTxn := map[uint64]int{}
+	shared := 0
+	for _, w := range res.Writes {
+		perTxn[w.Txn]++
+		if perTxn[w.Txn] == 2 {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Errorf("%d acked writes in %d txns: no commit group formed, the soak exercised nothing", res.Acked, len(perTxn))
+	}
+	t.Logf("crashes=%d acked=%d txns=%d shared_txns=%d", len(res.Crashes), res.Acked, len(perTxn), shared)
+}
+
 // TestSoakNoSyncLossBounded: with commits trusted to the page cache,
 // acked writes may be lost — but every loss must be explained by a
 // recorded crash rollback and the total is bounded by the rolled-back

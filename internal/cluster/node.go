@@ -204,8 +204,10 @@ func NewUnservedNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.No
 func (n *Node) Stats() NodeStats { return n.stats }
 
 // SetObs attaches cluster counters (cluster.promotions, cluster.resyncs,
-// cluster.stale_writes, cluster.fenced_writes) to the node.
+// cluster.stale_writes, cluster.fenced_writes) to the node, and the
+// write-queue histograms to its store.
 func (n *Node) SetObs(r *obs.Registry) {
+	n.store.SetObs(r)
 	if r == nil {
 		n.promotions, n.resyncs, n.staleRej, n.fencedRej = nil, nil, nil, nil
 		return

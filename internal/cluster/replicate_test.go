@@ -314,3 +314,68 @@ func TestGetStoreErrorIsNotAbsence(t *testing.T) {
 	})
 	tc.env.Run()
 }
+
+// TestShardsOfOneNodeShareStoreCommits: the shard lock serializes one
+// shard's puts, but puts of different shards — and the backup appends of
+// other nodes' shards — meet in the one SyncFull store of a node and
+// share its write txns (hatkv's write queue). Grouping must not disturb
+// the per-shard order: every replica ends at seq = puts and holds the
+// shard's last value. Twelve shards, not two: a group forms only behind
+// a commit in flight, so it takes three writers in one store at the same
+// moment to make one, and at four shards the appends are too spread out.
+func TestShardsOfOneNodeShareStoreCommits(t *testing.T) {
+	const shards, puts = 12, 10
+	tc := newTestCluster(t, 37, 3, Config{NShards: shards, RF: 3, ProbeIntervalNs: quietProbeNs})
+	before := make([]lmdb.Stats, len(tc.stores))
+	for i, s := range tc.stores {
+		before[i] = s.Env().Stats
+	}
+	done := 0
+	for s := 0; s < shards; s++ {
+		s := s
+		prim := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, s, 3)[0]
+		tc.roster[prim].Spawn(fmt.Sprintf("shard-%d", s), func(p *sim.Proc) {
+			for i := 1; i <= puts; i++ {
+				req := encodePut(putReq{Shard: uint16(s), Epoch: 1, Key: "k", Value: []byte(fmt.Sprintf("v%d-%d", s, i))})
+				if resp := tc.nodes[prim].Handle(p, FnClusterPut, req); len(resp) != 1 || resp[0] != stOK {
+					t.Errorf("shard %d put %d: %v", s, i, resp)
+					return
+				}
+			}
+			done++
+			if done == shards {
+				tc.env.Stop()
+			}
+		})
+	}
+	tc.env.Run()
+	if done != shards {
+		t.Fatalf("%d of %d shard writers finished", done, shards)
+	}
+	for i, store := range tc.stores {
+		st := store.Env().Stats
+		writes, commits := (st.Puts-before[i].Puts)/2, st.Commits-before[i].Commits // data + meta record per write
+		if writes != shards*puts {
+			t.Errorf("node %d applied %d writes, want %d (RF 3 on 3 nodes)", i, writes, shards*puts)
+		}
+		t.Logf("node %d: %d writes in %d store commits", i, writes, commits)
+		if commits >= writes || st.SyncedCommits != st.Commits {
+			t.Errorf("node %d: %d store commits (%d synced of %d) for %d writes, want fewer commits than writes, all synced",
+				i, commits, st.SyncedCommits, st.Commits, writes)
+		}
+		txn, err := store.Env().BeginRead()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer txn.Abort()
+		for s := 0; s < shards; s++ {
+			if got := tc.nodes[i].shards[s].seq; got != puts {
+				t.Errorf("node %d shard %d at seq %d, want %d", i, s, got, puts)
+			}
+			v, err := txn.Get([]byte(dataKey(s, "k")))
+			if want := fmt.Sprintf("v%d-%d", s, puts); err != nil || string(v) != want {
+				t.Errorf("node %d shard %d holds %q (%v), want %q", i, s, v, err, want)
+			}
+		}
+	}
+}

@@ -221,8 +221,14 @@ func (t *Txn) Get(key []byte) ([]byte, error) {
 	return nil, ErrNotFound
 }
 
-// Put inserts or replaces key → value (the value is copied).
+// Put inserts or replaces key → value (both are copied).
 func (t *Txn) Put(key, value []byte) error {
+	return t.PutOwned(append([]byte(nil), key...), append([]byte(nil), value...))
+}
+
+// PutOwned is Put for a key and value the caller hands over: the tree
+// keeps k and v themselves, so they must never be modified afterwards.
+func (t *Txn) PutOwned(k, v []byte) error {
 	if t.done {
 		return ErrTxnDone
 	}
@@ -230,8 +236,6 @@ func (t *Txn) Put(key, value []byte) error {
 		return ErrReadOnly
 	}
 	t.env.Stats.Puts++
-	k := append([]byte(nil), key...)
-	v := append([]byte(nil), value...)
 	if t.root == nil {
 		t.root = &node{leaf: true, keys: [][]byte{k}, vals: [][]byte{v}}
 		t.size++

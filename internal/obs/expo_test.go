@@ -21,6 +21,10 @@ func expoFixture() *Registry {
 	for _, v := range []float64{1000, 2000, 3000, 4000, 5000} {
 		h.Observe(v)
 	}
+	groups := r.Histogram("hatkv.commit_group_ops")
+	for _, v := range []float64{1, 1, 3} {
+		groups.Observe(v)
+	}
 	r.Gauge("engine.pinned_bytes", func() float64 { return 1 << 20 })
 	r.Gauge("node.health", func() float64 { return 1.5 })
 	return r
