@@ -1,13 +1,13 @@
 // Package nogoroutine forbids real concurrency inside sim-process code.
 // The DES kernel's contract is one-process-at-a-time: sim processes are
-// goroutines only as an implementation detail of the kernel's
-// park/resume handshake, and they never actually run concurrently.
-// Spawning raw goroutines, communicating over channels or guarding
-// state with sync primitives inside DES-scheduled packages reintroduces
-// OS-scheduler nondeterminism that the kernel exists to exclude — use
-// sim.Env.Spawn, sim.Queue, sim.Signal and sim.Mutex instead. The sim
-// kernel package itself is exempt (it is the one place allowed to touch
-// the real scheduler).
+// coroutines of the goroutine that drives the Env, and they never run
+// concurrently. Spawning raw goroutines, communicating over channels or
+// guarding state with sync primitives inside DES-scheduled packages
+// reintroduces OS-scheduler nondeterminism that the kernel exists to
+// exclude — use sim.Env.Spawn, sim.Queue, sim.Signal and sim.Mutex
+// instead. The sim kernel package is checked like every other: its
+// process switch is iter.Pull, so it has no go statement, channel or
+// select of its own.
 package nogoroutine
 
 import (
@@ -22,12 +22,12 @@ import (
 var Analyzer = &framework.Analyzer{
 	Name: "nogoroutine",
 	Doc: "forbid go statements, channel operations and sync primitives in " +
-		"DES-scheduled packages outside the sim kernel",
+		"DES-scheduled packages, the sim kernel included",
 	Run: run,
 }
 
 func run(pass *framework.Pass) (any, error) {
-	if !lintutil.IsDESPackage(pass.Pkg.Path()) || lintutil.PkgTail(pass.Pkg.Path()) == "sim" {
+	if !lintutil.IsDESPackage(pass.Pkg.Path()) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {

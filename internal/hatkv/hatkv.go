@@ -276,7 +276,7 @@ func (s *Store) park(p *sim.Proc, req *writeReq) (uint64, error) {
 // solo (a writer that never queued) or, when solo is nil, the queue head;
 // under SyncFull the group is that plus every op queued right now. Ops
 // stay queued until their group is settled and the hand-off is deferred,
-// so a leader killed mid-group (Node.Crash unwinds it under Goexit)
+// so a leader killed mid-group (Node.Crash unwinds it through its defers)
 // strands nobody: only its own op dies with it, and the next head leads
 // the rest again.
 func (s *Store) lead(p *sim.Proc, solo *writeReq) (txn uint64, err error) {

@@ -1,0 +1,69 @@
+package sim
+
+import "testing"
+
+// The four benchmarks mirror the benchmark ledger's sim.switch_host_ns,
+// sim.timer_host_ns, sim.compute_host_ns and sim.spawn_host_ns rows
+// (bench/layers.go), so a kernel change can be sized without a suite run.
+
+func BenchmarkSwitch(b *testing.B) { // one op = one process switch, two per round trip
+	env := NewEnv(1)
+	ping, pong := NewSignal(env), NewSignal(env)
+	env.Spawn("ping", func(p *Proc) {
+		for i := 0; i < (b.N+1)/2; i++ {
+			pong.Fire()
+			ping.Wait(p)
+		}
+		env.Stop()
+	})
+	env.Spawn("pong", func(p *Proc) {
+		for {
+			pong.Wait(p)
+			ping.Fire()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Run()
+	b.StopTimer()
+	env.Shutdown()
+}
+
+func BenchmarkTimer(b *testing.B) { // one op = one After callback
+	env := NewEnv(1)
+	left := b.N
+	var tick func()
+	tick = func() {
+		if left--; left > 0 {
+			env.After(10, tick)
+		}
+	}
+	env.After(10, tick)
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Run()
+}
+
+func BenchmarkCompute(b *testing.B) { // one op = one Compute, 8 runnable on 4 cores
+	env := NewEnv(1)
+	cpu := NewCPU(env, 4)
+	for i := 0; i < 8; i++ {
+		env.Spawn("w", func(p *Proc) {
+			for j := 0; j < (b.N+7)/8; j++ {
+				cpu.Compute(p, 1000)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Run()
+}
+
+func BenchmarkSpawn(b *testing.B) { // one op = spawn, first dispatch and exit
+	env := NewEnv(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		env.Spawn("p", func(p *Proc) {})
+	}
+	env.Run()
+}

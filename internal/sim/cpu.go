@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // CPU models a node's processor complex as a processor-sharing (PS)
 // server with a fixed number of cores. Compute tasks carry a work amount
@@ -22,15 +19,14 @@ type CPU struct {
 	cores int
 	load  int // persistent runnable load (busy pollers)
 
-	tasks      map[*cpuTask]struct{}
-	nextID     uint64 // admission order, for deterministic completion ties
+	tasks      []cpuTask // running tasks, in admission order
 	lastUpdate Time
 	rate       float64 // current per-task progress rate in (0,1]
-	completion *event  // pending earliest-completion callback
+	completion timer   // pending earliest-completion callback
+	complete   func()  // c.onCompletion, bound once
 }
 
 type cpuTask struct {
-	id        uint64  // admission order
 	remaining float64 // ns of dedicated-core work left
 	proc      *Proc
 }
@@ -40,12 +36,9 @@ func NewCPU(env *Env, cores int) *CPU {
 	if cores < 1 {
 		panic("sim: CPU needs at least one core")
 	}
-	return &CPU{
-		env:   env,
-		cores: cores,
-		tasks: make(map[*cpuTask]struct{}),
-		rate:  1,
-	}
+	c := &CPU{env: env, cores: cores, rate: 1}
+	c.complete = c.onCompletion
+	return c
 }
 
 // Cores returns the core count.
@@ -89,9 +82,7 @@ func (c *CPU) Compute(p *Proc, work Duration) {
 		return
 	}
 	c.advance()
-	t := &cpuTask{id: c.nextID, remaining: float64(work), proc: p}
-	c.nextID++
-	c.tasks[t] = struct{}{}
+	c.tasks = append(c.tasks, cpuTask{remaining: float64(work), proc: p})
 	c.reschedule()
 	p.park()
 }
@@ -106,22 +97,19 @@ func (c *CPU) advance() {
 		return
 	}
 	progress := elapsed * c.rate
-	// Tasks completing at the same instant must wake in a deterministic
-	// order: collect them out of the (randomly iterated) map and schedule
-	// in admission order, so the event sequence numbers they receive do
-	// not depend on map layout.
-	var done []*cpuTask
-	for t := range c.tasks {
+	// Tasks completing at the same instant wake in admission order, which
+	// is the slice's order: survivors are moved down in place.
+	live := c.tasks[:0]
+	for _, t := range c.tasks {
 		t.remaining -= progress
 		if t.remaining <= 1e-6 {
-			delete(c.tasks, t)
-			done = append(done, t)
+			c.env.schedule(now, t.proc, nil)
+		} else {
+			live = append(live, t)
 		}
 	}
-	sort.Slice(done, func(i, j int) bool { return done[i].id < done[j].id })
-	for _, t := range done {
-		c.env.schedule(now, t.proc, nil)
-	}
+	clear(c.tasks[len(live):])
+	c.tasks = live
 }
 
 // reschedule recomputes the PS rate and re-arms the earliest-completion
@@ -134,12 +122,12 @@ func (c *CPU) reschedule() {
 		c.rate = float64(c.cores) / float64(r)
 	}
 	c.env.cancel(c.completion)
-	c.completion = nil
+	c.completion = timer{}
 	if len(c.tasks) == 0 {
 		return
 	}
 	minRem := math.Inf(1)
-	for t := range c.tasks {
+	for _, t := range c.tasks {
 		if t.remaining < minRem {
 			minRem = t.remaining
 		}
@@ -148,9 +136,11 @@ func (c *CPU) reschedule() {
 	if eta < 1 {
 		eta = 1
 	}
-	c.completion = c.env.schedule(c.env.now+eta, nil, func() {
-		c.completion = nil
-		c.advance()
-		c.reschedule()
-	})
+	c.completion = c.env.schedule(c.env.now+eta, nil, c.complete)
+}
+
+func (c *CPU) onCompletion() {
+	c.completion = timer{}
+	c.advance()
+	c.reschedule()
 }

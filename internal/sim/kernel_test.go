@@ -1,0 +1,301 @@
+package sim
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// ---------------------------------------------------------------------------
+// Process lifecycle: Kill and Shutdown.
+
+func TestKillInSleepCancelsTimer(t *testing.T) {
+	env := NewEnv(1)
+	woke, cleaned := false, false
+	victim := env.Spawn("victim", func(p *Proc) {
+		defer func() { cleaned = true }()
+		p.Sleep(100)
+		woke = true
+	})
+	env.After(10, func() { env.Kill(victim) })
+	end := env.Run()
+	if woke || !cleaned {
+		t.Fatalf("woke=%v cleaned=%v, want killed in Sleep with its defer run", woke, cleaned)
+	}
+	if end != 10 {
+		t.Fatalf("clock ran to %d: the killed sleeper's timer still advanced it past 10", end)
+	}
+}
+
+func TestKillInWaitThenFireReachesLiveWaiter(t *testing.T) {
+	env := NewEnv(1)
+	sig := NewSignal(env)
+	var got []string
+	waiter := func(name string) *Proc {
+		return env.Spawn(name, func(p *Proc) {
+			sig.Wait(p)
+			got = append(got, name)
+		})
+	}
+	first := waiter("first")
+	waiter("second")
+	env.After(5, func() {
+		env.Kill(first)
+		sig.Fire()
+	})
+	env.Run()
+	if len(got) != 1 || got[0] != "second" {
+		t.Fatalf("woken %v, want [second]: the fire must skip the killed waiter", got)
+	}
+	if sig.TryConsume() {
+		t.Fatal("a fire was left pending: it was delivered twice or to nobody")
+	}
+}
+
+func TestKillBeforeFirstDispatch(t *testing.T) {
+	env := NewEnv(1)
+	ran := false
+	p := env.Spawn("unborn", func(p *Proc) { ran = true })
+	env.Kill(p)
+	env.Run()
+	if ran {
+		t.Fatal("a process killed before its first dispatch ran anyway")
+	}
+}
+
+func TestKillRunsDefersEvenWhenTheyPark(t *testing.T) {
+	env := NewEnv(1)
+	sig := NewSignal(env)
+	var steps []string
+	victim := env.Spawn("victim", func(p *Proc) {
+		defer func() { steps = append(steps, "outer") }()
+		defer func() {
+			steps = append(steps, "inner")
+			p.Sleep(5) // cleanup that blocks: must keep unwinding, not hang
+			steps = append(steps, "unreachable")
+		}()
+		sig.Wait(p)
+		steps = append(steps, "unreachable")
+	})
+	joined := false
+	env.Spawn("killer", func(p *Proc) {
+		p.Sleep(10)
+		env.Kill(victim)
+		joined = len(steps) == 2 // Kill returns only after the victim has unwound
+	})
+	env.Run()
+	if want := "inner,outer"; strings.Join(steps, ",") != want {
+		t.Fatalf("defers ran %v, want %s", steps, want)
+	}
+	if !joined {
+		t.Fatal("Kill returned before the victim finished unwinding")
+	}
+}
+
+func TestKillSelfPanics(t *testing.T) {
+	env := NewEnv(1)
+	env.Spawn("suicidal", func(p *Proc) { env.Kill(p) })
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "cannot Kill itself") {
+			t.Fatalf("recovered %v, want the self-kill panic", r)
+		}
+	}()
+	env.Run()
+}
+
+func TestKillFinishedIsNoop(t *testing.T) {
+	env := NewEnv(1)
+	p := env.Spawn("short", func(p *Proc) {})
+	env.Run()
+	env.Kill(p)
+	env.Kill(p)
+	env.Kill(nil)
+}
+
+func TestShutdownJoinsInSpawnOrder(t *testing.T) {
+	before := runtime.NumGoroutine()
+	env := NewEnv(1)
+	var order []int
+	for i := 0; i < 5; i++ {
+		env.Spawn("parked", func(p *Proc) {
+			defer func() { order = append(order, i) }()
+			p.Sleep(1000)
+		})
+	}
+	env.Spawn("finished", func(p *Proc) {})
+	env.RunUntil(10)
+	env.Spawn("never-dispatched", func(p *Proc) { t.Error("Shutdown ran a process that had not started") })
+	if n := runtime.NumGoroutine(); n <= before {
+		t.Fatalf("%d goroutines with 5 parked processes, %d before NewEnv", n, before)
+	}
+	env.Shutdown()
+	env.Shutdown() // idempotent
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("teardown order %v, want spawn order", order)
+		}
+	}
+	if len(order) != 5 {
+		t.Fatalf("%d of 5 parked processes ran their defers", len(order))
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("%d goroutines after Shutdown, %d before NewEnv", n, before)
+	}
+}
+
+// A holder may keep its timer past the firing (Proc.wake does until the
+// process next runs; CPU.completion would if its callback did not clear
+// it first). By then the pooled event may carry somebody else's wakeup.
+func TestStaleTimerCannotCancelRecycledEvent(t *testing.T) {
+	env := NewEnv(1)
+	stale := env.schedule(5, nil, func() {})
+	env.RunUntil(5) // fires; the event goes back to the pool
+	fired := false
+	fresh := env.schedule(10, nil, func() { fired = true })
+	if fresh.ev != stale.ev {
+		t.Fatal("the pool did not reuse the event: the test no longer tests anything")
+	}
+	env.cancel(stale)
+	env.Run()
+	if !fired {
+		t.Fatal("cancelling a fired timer killed the event that reused its struct")
+	}
+}
+
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	env := NewEnv(1)
+	env.Spawn("bystander", func(p *Proc) { p.Sleep(1000) })
+	env.Spawn("faulty", func(p *Proc) {
+		p.Sleep(42)
+		var m map[string]int
+		m["x"] = 1
+	})
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, want := range []string{`"faulty"`, "t=42", "assignment to entry in nil map", "kernel_test.go"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic out of Run lacks %q:\n%s", want, msg)
+			}
+		}
+		env.Shutdown() // the environment still tears down cleanly
+	}()
+	env.Run()
+	t.Fatal("Run returned")
+}
+
+// ---------------------------------------------------------------------------
+// fifo: backing-array reuse.
+
+func TestFifoReusesBackingArray(t *testing.T) {
+	var f fifo[*int]
+	x := new(int)
+	for round := 0; round < 1000; round++ { // drains every round
+		f.push(x)
+		f.push(x)
+		f.pop()
+		f.pop()
+	}
+	if cap(f.buf) > 4 {
+		t.Fatalf("draining queue grew to cap %d", cap(f.buf))
+	}
+	f.push(x)
+	for round := 0; round < 1000; round++ { // never drains
+		f.push(x)
+		f.pop()
+	}
+	if cap(f.buf) > 8 || f.len() != 1 {
+		t.Fatalf("steady queue of 1: cap %d len %d", cap(f.buf), f.len())
+	}
+	for _, p := range f.buf[:f.head] {
+		if p != nil {
+			t.Fatal("popped slot still holds its pointer")
+		}
+	}
+	var order fifo[int]
+	next := 0
+	for i := 0; i < 200; i++ {
+		order.push(i)
+		if i%3 != 0 {
+			if got := order.pop(); got != next {
+				t.Fatalf("pop %d, want %d", got, next)
+			}
+			next++
+		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Steady-state cost: the shapes of the benchmark ledger's sim.*_host_ns rows
+// (bench/layers.go) must not allocate once the event pool, wait queues and
+// task slice are warm. bench_test.go times the same shapes.
+
+// pingPong returns an environment in which each RunUntil(now+1) performs one
+// round trip between two processes parked on Signals.
+func pingPong() *Env {
+	env := NewEnv(1)
+	a, b := NewSignal(env), NewSignal(env)
+	env.Spawn("ping", func(p *Proc) {
+		for {
+			p.Sleep(1)
+			b.Fire()
+			a.Wait(p)
+		}
+	})
+	env.Spawn("pong", func(p *Proc) {
+		for {
+			b.Wait(p)
+			a.Fire()
+		}
+	})
+	return env
+}
+
+func computeLoop() *Env {
+	env := NewEnv(1)
+	cpu := NewCPU(env, 4)
+	for i := 0; i < 8; i++ {
+		env.Spawn("w", func(p *Proc) {
+			for {
+				cpu.Compute(p, 1000)
+			}
+		})
+	}
+	return env
+}
+
+func TestKernelSteadyStateAllocs(t *testing.T) {
+	step := func(env *Env, d Time) func() {
+		return func() { env.RunUntil(env.Now() + d) }
+	}
+	sleeper := NewEnv(1)
+	sleeper.Spawn("s", func(p *Proc) {
+		for {
+			p.Sleep(1)
+		}
+	})
+	timers := NewEnv(1)
+	var tick func()
+	tick = func() { timers.After(1, tick) }
+	timers.After(1, tick)
+
+	for _, c := range []struct {
+		name string
+		env  *Env
+		d    Time
+	}{
+		{"Sleep", sleeper, 1},
+		{"Signal ping-pong", pingPong(), 1},
+		{"After", timers, 1},
+		{"Compute", computeLoop(), 2000},
+	} {
+		run := step(c.env, c.d)
+		for i := 0; i < 10; i++ {
+			run() // warm up: event pool, wait queues, task slice
+		}
+		if n := testing.AllocsPerRun(100, run); n != 0 {
+			t.Errorf("%s: %v allocs per step in steady state, want 0", c.name, n)
+		}
+		c.env.Shutdown()
+	}
+}

@@ -1,5 +1,5 @@
 // Package sim implements a deterministic discrete-event simulation (DES)
-// kernel in the style of SimPy: simulation processes are goroutines that
+// kernel in the style of SimPy: simulation processes are coroutines that
 // execute strictly one at a time under a cooperative scheduler driven by a
 // virtual clock. All blocking operations (Sleep, Wait, resource
 // acquisition) park the calling process and hand control back to the
@@ -12,10 +12,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 )
 
@@ -26,41 +24,34 @@ type Time int64
 type Duration = time.Duration
 
 // event is a scheduled wakeup for a parked process or a deferred callback.
+// Events are pooled: the scheduler recycles one as soon as it has fired or
+// been found cancelled, so nothing outside the queue may hold a bare
+// *event — holders keep a timer, which remembers the sequence number too.
 type event struct {
 	at   Time
-	seq  uint64
+	seq  uint64 // unique per scheduling; 0 while in the free list
 	proc *Proc  // non-nil: resume this process
 	fn   func() // non-nil: run this callback inside the scheduler
-	idx  int    // heap index
 	dead bool   // cancelled
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
+
+// timer is a cancellable handle to one scheduling of a pooled event. It
+// stays safe to keep after the event has fired: the struct is recycled
+// under a new sequence number, which a stale timer no longer matches. The
+// zero timer is disarmed.
+type timer struct {
+	ev  *event
+	seq uint64
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
+
+func (t timer) armed() bool { return t.ev != nil }
 
 // Env is a simulation environment: a virtual clock plus the scheduler
 // state. An Env must be driven from a single OS goroutine via Run or
@@ -68,14 +59,11 @@ func (h *eventHeap) Pop() any {
 type Env struct {
 	now    Time
 	seq    uint64
-	events eventHeap
+	events []*event // binary min-heap on (at, seq)
+	free   []*event // recycled events
 	rng    *rand.Rand
 
-	// resume/yield handshake with the currently running process.
-	sched   chan struct{} // signals the scheduler that the process parked
-	current *Proc
-
-	nprocs  int // live (not yet finished) processes
+	current *Proc // the process being dispatched, if any
 	stopped bool
 	procs   []*Proc // every spawned process, in spawn order (for Shutdown)
 	shut    bool    // Shutdown has run
@@ -83,10 +71,7 @@ type Env struct {
 
 // NewEnv returns a fresh environment whose RNG is seeded with seed.
 func NewEnv(seed int64) *Env {
-	return &Env{
-		rng:   rand.New(rand.NewSource(seed)),
-		sched: make(chan struct{}),
-	}
+	return &Env{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -104,70 +89,76 @@ func NewRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // from simulation processes (never concurrently).
 func (e *Env) Rand() *rand.Rand { return e.rng }
 
-// Proc is a simulation process. A Proc's body runs on its own goroutine
-// but is mutually exclusive with every other process in the Env.
-type Proc struct {
-	env    *Env
-	resume chan struct{}
-	kill   chan struct{} // closed by Shutdown to terminate this process
-	exited chan struct{} // closed once the goroutine has fully unwound
-	name   string
-	done   bool
-	wake   *event // pending timer if parked in Sleep; nil otherwise
-}
-
-// Env returns the environment this process belongs to.
-func (p *Proc) Env() *Env { return p.env }
-
-// Name returns the debug name given at spawn time.
-func (p *Proc) Name() string { return p.name }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.env.now }
-
-func (e *Env) schedule(at Time, proc *Proc, fn func()) *event {
+func (e *Env) schedule(at Time, proc *Proc, fn func()) timer {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past: %d < %d", at, e.now))
 	}
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		ev = new(event)
+	}
 	e.seq++
-	ev := &event{at: at, seq: e.seq, proc: proc, fn: fn}
-	heap.Push(&e.events, ev)
-	return ev
-}
+	*ev = event{at: at, seq: e.seq, proc: proc, fn: fn}
 
-func (e *Env) cancel(ev *event) {
-	if ev != nil && !ev.dead {
-		ev.dead = true
-	}
-}
-
-// Spawn starts fn as a new simulation process. It may be called from
-// outside the simulation (before Run) or from inside another process.
-func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		env:    e,
-		resume: make(chan struct{}),
-		kill:   make(chan struct{}),
-		exited: make(chan struct{}),
-		name:   name,
-	}
-	e.nprocs++
-	e.procs = append(e.procs, p)
-	// The process first runs when the scheduler reaches its start event.
-	e.schedule(e.now, p, nil)
-	go func() {
-		defer close(p.exited)
-		select {
-		case <-p.resume: // wait for first dispatch
-		case <-p.kill:
-			return
+	// Sift up. (at, seq) is a strict total order, so the pop order does
+	// not depend on how the heap arranges equal-looking entries.
+	h := append(e.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(h[parent]) {
+			break
 		}
-		fn(p)
-		p.done = true
-		e.nprocs--
-		e.sched <- struct{}{} // return control to scheduler
-	}()
-	return p
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	e.events = h
+	return timer{ev, ev.seq}
+}
+
+// cancel disarms t's event if it has not fired yet. The event stays in the
+// queue and is discarded when it reaches the top.
+func (e *Env) cancel(t timer) {
+	if t.ev != nil && t.ev.seq == t.seq {
+		t.ev.dead = true
+	}
+}
+
+// pop removes the earliest event from the queue, returns it to the free
+// list and returns its contents.
+func (e *Env) pop() event {
+	h := e.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	if n > 0 { // sift last down from the root
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && h[c+1].before(h[c]) {
+				c++
+			}
+			if !h[c].before(last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	e.events = h
+	ev := *top
+	*top = event{}
+	e.free = append(e.free, top)
+	return ev
 }
 
 // At schedules fn to run inside the scheduler loop at absolute time at.
@@ -177,71 +168,23 @@ func (e *Env) At(at Time, fn func()) { e.schedule(at, nil, fn) }
 // After schedules fn to run d from now.
 func (e *Env) After(d Duration, fn func()) { e.At(e.now+Time(d), fn) }
 
-// park hands control from the running process back to the scheduler and
-// blocks until the scheduler resumes this process. If the environment is
-// shut down while parked, the goroutine exits (running its defers) so
-// finished simulations release their memory.
-func (p *Proc) park() {
-	e := p.env
-	select {
-	case <-p.kill:
-		// Tearing down: a defer running under Goexit re-parked (nobody is
-		// receiving on sched anymore). Keep unwinding.
-		runtime.Goexit()
-	default:
-	}
-	e.sched <- struct{}{}
-	select {
-	case <-p.resume:
-	case <-p.kill:
-		runtime.Goexit()
-	}
-}
-
-// Sleep suspends the process for d of virtual time.
-func (p *Proc) Sleep(d Duration) {
-	if d < 0 {
-		d = 0
-	}
-	e := p.env
-	p.wake = e.schedule(e.now+Time(d), p, nil)
-	p.park()
-	p.wake = nil
-}
-
-// Yield reschedules the process at the current time behind already-queued
-// events, letting same-timestamp work interleave deterministically.
-func (p *Proc) Yield() {
-	e := p.env
-	e.schedule(e.now, p, nil)
-	p.park()
-}
-
-// dispatch resumes process pr and waits until it parks or finishes.
-func (e *Env) dispatch(pr *Proc) {
-	e.current = pr
-	pr.resume <- struct{}{}
-	<-e.sched
-	e.current = nil
-}
-
 // Run executes events until the event queue is exhausted or the
 // environment is stopped. It returns the final virtual time.
 func (e *Env) Run() Time { return e.RunUntil(Time(1<<62 - 1)) }
 
 // RunUntil executes events with timestamps <= limit. It returns the
 // virtual time of the last executed event (or limit if the queue emptied
-// beyond it).
+// beyond it). A panic in a process body surfaces here, on the caller's
+// goroutine, with the process name and virtual time attached.
 func (e *Env) RunUntil(limit Time) Time {
 	for len(e.events) > 0 && !e.stopped {
-		ev := heap.Pop(&e.events).(*event)
-		if ev.dead {
-			continue
-		}
-		if ev.at > limit {
-			heap.Push(&e.events, ev)
+		if top := e.events[0]; !top.dead && top.at > limit {
 			e.now = limit
 			return e.now
+		}
+		ev := e.pop()
+		if ev.dead {
+			continue
 		}
 		e.now = ev.at
 		switch {
@@ -257,52 +200,56 @@ func (e *Env) RunUntil(limit Time) Time {
 // Stop halts the scheduler after the current event completes.
 func (e *Env) Stop() { e.stopped = true }
 
-// Kill terminates process p immediately: its goroutine unwinds under
-// Goexit (running its defers) and any pending timer wakeup is
-// cancelled. The caller — a scheduler callback or another process —
-// blocks until p has fully unwound, so the one-process-at-a-time
-// invariant holds through the teardown (this is the same join Shutdown
-// performs, for a single process mid-run). Killing an already-finished
-// process is a no-op; a process cannot kill itself.
-func (e *Env) Kill(p *Proc) {
-	if p == nil || p.done || e.shut {
-		return
-	}
-	if p == e.current {
-		panic("sim: process cannot Kill itself")
-	}
-	p.done = true
-	e.nprocs--
-	e.cancel(p.wake)
-	p.wake = nil
-	close(p.kill)
-	<-p.exited
-}
-
-// Shutdown terminates every goroutine still parked in the environment so
-// the simulation's memory can be reclaimed. Processes are torn down one
-// at a time: each goroutine is released, runs its deferred cleanup under
-// Goexit, and is joined before the next wakes — preserving the kernel's
-// one-process-at-a-time invariant through teardown (deferred cleanup
-// touches shared scheduler state such as CPU load tracking). Call it
-// after the final Run; the environment must not be used afterwards.
-func (e *Env) Shutdown() {
-	if e.shut {
-		return
-	}
-	e.shut = true
-	for _, p := range e.procs {
-		if p.done {
-			continue
-		}
-		close(p.kill)
-		<-p.exited
-	}
-	e.procs = nil
-}
-
 // Stopped reports whether Stop has been called.
 func (e *Env) Stopped() bool { return e.stopped }
+
+// ---------------------------------------------------------------------------
+// fifo: the slice-backed queue under Signal and Queue.
+
+// fifo pops by advancing a head index, not by reslicing, so the backing
+// array is reused: the index resets whenever the queue drains, and a queue
+// that never drains is moved down once its dead prefix is at least as long
+// as its live part. Popped slots are zeroed so they pin nothing.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.buf) == cap(f.buf) && f.head > 0 && f.head >= f.len() {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	f.buf = append(f.buf, v)
+}
+
+func (f *fifo[T]) pop() T {
+	var zero T
+	v := f.buf[f.head]
+	f.buf[f.head] = zero
+	f.head++
+	f.drained()
+	return v
+}
+
+// removeAt deletes the element at buf[i], i >= head, keeping the order.
+func (f *fifo[T]) removeAt(i int) {
+	var zero T
+	n := len(f.buf) - 1
+	copy(f.buf[i:], f.buf[i+1:])
+	f.buf[n] = zero
+	f.buf = f.buf[:n]
+	f.drained()
+}
+
+func (f *fifo[T]) drained() {
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+}
 
 // ---------------------------------------------------------------------------
 // Signals: single-wakeup condition variables for process synchronization.
@@ -312,7 +259,7 @@ func (e *Env) Stopped() bool { return e.stopped }
 // or Broadcast to wake all current waiters.
 type Signal struct {
 	env     *Env
-	waiters []*Proc
+	waiters fifo[*Proc]
 	pending int // fires delivered with no waiter present
 }
 
@@ -328,7 +275,7 @@ func (s *Signal) Wait(p *Proc) {
 		p.Yield()
 		return
 	}
-	s.waiters = append(s.waiters, p)
+	s.waiters.push(p)
 	p.park()
 }
 
@@ -356,20 +303,29 @@ func (s *Signal) WaitUntil(p *Proc, until Time) bool {
 	if s.env.now >= until {
 		return false
 	}
-	s.waiters = append(s.waiters, p)
+	s.waiters.push(p)
 	p.wake = s.env.schedule(until, p, nil)
 	p.park()
-	if p.wake == nil {
+	if !p.wake.armed() {
 		return true // Fire consumed the timer and woke us
 	}
-	p.wake = nil
-	for i, w := range s.waiters {
-		if w == p {
-			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
+	p.wake = timer{}
+	w := &s.waiters
+	for i := w.head; i < len(w.buf); i++ {
+		if w.buf[i] == p {
+			w.removeAt(i)
 			break
 		}
 	}
 	return false
+}
+
+// wake makes w runnable at the current time, disarming its deadline timer
+// if it is a timed waiter.
+func (s *Signal) wake(w *Proc) {
+	s.env.cancel(w.wake)
+	w.wake = timer{}
+	s.env.schedule(s.env.now, w, nil)
 }
 
 // Fire wakes the oldest live waiter, or records a pending fire if none
@@ -377,18 +333,11 @@ func (s *Signal) WaitUntil(p *Proc, until Time) bool {
 // Waiters killed while parked are skipped so a fire is never lost to a
 // dead process.
 func (s *Signal) Fire() {
-	for len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		if w.done {
-			continue
+	for s.waiters.len() > 0 {
+		if w := s.waiters.pop(); !w.done {
+			s.wake(w)
+			return
 		}
-		if w.wake != nil { // timed waiter: disarm its deadline
-			s.env.cancel(w.wake)
-			w.wake = nil
-		}
-		s.env.schedule(s.env.now, w, nil)
-		return
 	}
 	s.pending++
 }
@@ -396,29 +345,22 @@ func (s *Signal) Fire() {
 // Broadcast wakes every currently-waiting live process (it does not add
 // pending fires).
 func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
-		if w.done {
-			continue
+	for s.waiters.len() > 0 {
+		if w := s.waiters.pop(); !w.done {
+			s.wake(w)
 		}
-		if w.wake != nil {
-			s.env.cancel(w.wake)
-			w.wake = nil
-		}
-		s.env.schedule(s.env.now, w, nil)
 	}
 }
 
 // Waiting returns the number of parked waiters.
-func (s *Signal) Waiting() int { return len(s.waiters) }
+func (s *Signal) Waiting() int { return s.waiters.len() }
 
 // ---------------------------------------------------------------------------
 // Queue: an unbounded deterministic FIFO channel between processes.
 
 // Queue is a FIFO of arbitrary items with blocking Pop.
 type Queue[T any] struct {
-	items []T
+	items fifo[T]
 	sig   *Signal
 }
 
@@ -429,49 +371,43 @@ func NewQueue[T any](env *Env) *Queue[T] {
 
 // Push appends an item and wakes one waiting consumer.
 func (q *Queue[T]) Push(v T) {
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.sig.Fire()
 }
 
 // Pop removes and returns the oldest item, blocking the process while the
 // queue is empty.
 func (q *Queue[T]) Pop(p *Proc) T {
-	for len(q.items) == 0 {
+	for q.items.len() == 0 {
 		q.sig.Wait(p)
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v
+	return q.items.pop()
 }
 
 // PopUntil is Pop with a virtual-time bound: it removes and returns the
 // oldest item, or reports ok=false if the queue is still empty when the
 // clock reaches the absolute deadline until.
 func (q *Queue[T]) PopUntil(p *Proc, until Time) (T, bool) {
-	var zero T
-	for len(q.items) == 0 {
+	for q.items.len() == 0 {
 		if !q.sig.WaitUntil(p, until) {
+			var zero T
 			return zero, false
 		}
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.items.pop(), true
 }
 
 // TryPop removes the oldest item without blocking.
 func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.items.pop(), true
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // ---------------------------------------------------------------------------
 // Mutex: a FIFO mutual-exclusion lock for simulation processes.
