@@ -195,7 +195,7 @@ func (g *gen) genClient(svc *idl.Service) {
 			msgType = "thrift.ONEWAY"
 		}
 		g.pf("\tc.seq++\n")
-		g.pf("\tbuf := thrift.NewTMemoryBuffer()\n")
+		g.pf("\tbuf := thrift.NewTMemoryBufferWith(c.T.Stage())\n")
 		g.pf("\tw := thrift.NewTBinaryProtocol(buf)\n")
 		g.pf("\tif err := w.WriteMessageBegin(%q, %s, c.seq); err != nil {\n\t\t%s\n\t}\n", fn.Name, msgType, retErr("err"))
 		g.pf("\targs := %s{", argsStructName(svc, fn))
@@ -245,7 +245,7 @@ func (g *gen) genProcessor(svc *idl.Service) {
 	g.pf("// ProcessBytes decodes one request, invokes the handler, and returns\n")
 	g.pf("// the framed response (nil for oneway).\n")
 	g.pf("func (pr *%s) ProcessBytes(p *sim.Proc, fnID uint32, req []byte) []byte {\n", pn)
-	g.pf("\tr := thrift.NewTBinaryProtocol(thrift.NewTMemoryBufferWith(req))\n")
+	g.pf("\tr := thrift.NewTBinaryProtocol(thrift.NewTMemoryBufferView(req))\n")
 	g.pf("\tname, _, seq, err := r.ReadMessageBegin()\n")
 	g.pf("\tif err != nil {\n\t\treturn %sEncodeException(name, seq, thrift.ExcProtocolError, err.Error())\n\t}\n", lowerFirst(svc.Name))
 	g.pf("\tswitch name {\n")
@@ -307,7 +307,7 @@ func (g *gen) genHandlerStub(svc *idl.Service, fn *idl.Function) {
 	} else {
 		g.pf("\t}\n")
 	}
-	g.pf("\tbuf := thrift.NewTMemoryBuffer()\n")
+	g.pf("\tbuf := thrift.NewTMemoryBufferWith(trdma.ResponseStage(p))\n")
 	g.pf("\tw := thrift.NewTBinaryProtocol(buf)\n")
 	g.pf("\tw.WriteMessageBegin(%q, thrift.REPLY, seq)\n", fn.Name)
 	g.pf("\tresult.Write(w)\n")

@@ -1,0 +1,428 @@
+package engine
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"testing"
+
+	"hatrpc/internal/obs"
+	"hatrpc/internal/sim"
+	"hatrpc/internal/simnet"
+)
+
+// pattern is the payload every bulk test ships: a pure function of its
+// length, so either end can check bytes it never saw being made.
+func pattern(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*131 + n)
+	}
+	return b
+}
+
+// bulkFns: fnSink checks the request against pattern and answers one
+// byte; fnSource answers pattern of the size the request names.
+const (
+	fnSink   uint32 = 1
+	fnSource uint32 = 2
+)
+
+// bulkHandler serves fnSink and fnSource, counting executions and
+// reporting any request that is not the pattern of its own length — which
+// is what a message delivered with a hole in it looks like.
+func bulkHandler(t *testing.T, runs *int) Handler {
+	return func(p *sim.Proc, fn uint32, req []byte) []byte {
+		*runs++
+		if fn == fnSource {
+			return pattern(int(binary.LittleEndian.Uint32(req)))
+		}
+		if !bytes.Equal(req, pattern(len(req))) {
+			t.Errorf("handler got a %d-byte request that is not the pattern it was sent as", len(req))
+		}
+		return []byte{1}
+	}
+}
+
+// sourceReq is the fnSource request for an n-byte response.
+func sourceReq(n int) []byte {
+	return binary.LittleEndian.AppendUint32(nil, uint32(n))
+}
+
+// writeCarried reports whether proto moves a large payload in the given
+// direction with WRITE work requests (the ones postWrite cuts into
+// trains); the rest move it as eager fragments or READs.
+func writeCarried(proto Protocol, response bool) bool {
+	switch proto {
+	case DirectWriteSend, ChainedWriteSend, DirectWriteIMM, WriteRNDV, HybridEagerRNDV:
+		return true
+	case RFP, HERD:
+		return !response
+	}
+	return false
+}
+
+// chunksOf is how many WRITE work requests a staged message of n payload
+// bytes is posted as.
+func chunksOf(n int) int {
+	if total := n + hdrSize; total > 2*writeChunk {
+		return (total + writeChunk - 1) / writeChunk
+	}
+	return 1
+}
+
+// TestBulkBoundaries walks every protocol across the sizes where the
+// posting shape changes — one chunk, two chunks, the first train, a
+// whole-chunk train, the largest message — in both directions, with
+// finite RECV depth and credits on: the bytes arrive intact, a message
+// spends one peer RECV however many chunks carry it, a message of at most
+// two chunks posts the single WRITE it always did, and a train is that
+// WRITE's chunks behind one doorbell.
+func TestBulkBoundaries(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ModelRNR = true
+	cfg.FlowCredits = 16
+	sizes := []int{
+		writeChunk - hdrSize - 1, writeChunk - hdrSize, writeChunk,
+		2*writeChunk - hdrSize, 2*writeChunk - hdrSize + 1, 3 * writeChunk,
+		cfg.MaxMsgSize,
+	}
+	// The reference message: past the rendezvous threshold (so the hybrid
+	// has resolved to Write-RNDV) and far inside two chunks.
+	const ref = DefaultRndvThreshold + 1
+	for _, proto := range dataProtocols {
+		for _, response := range []bool{false, true} {
+			dir := "request"
+			if response {
+				dir = "response"
+			}
+			t.Run(fmt.Sprintf("%s/%s", proto, dir), func(t *testing.T) {
+				env, srvEng, cliEng := flowCluster(5, cfg)
+				srvReg, cliReg := obs.NewRegistry(), obs.NewRegistry()
+				srvEng.SetObs(srvReg)
+				cliEng.SetObs(cliReg)
+				runs := 0
+				srvEng.Serve("svc", bulkHandler(t, &runs))
+				// sender ships the bulk payload, receiver spends the RECVs.
+				sender, senderReg, receiverReg := cliEng, cliReg, srvReg
+				if response {
+					sender, senderReg, receiverReg = srvEng, srvReg, cliReg
+				}
+				type cost struct{ writes, recvs, doorbells int64 }
+				measure := func(p *sim.Proc, c *Conn, n int) cost {
+					snap := func() cost {
+						// Asynchronous credit updates come and go with the
+						// repost backlog, not with the message: leave them out.
+						credit := senderReg.Counter("engine.credit_updates").Value()
+						return cost{
+							writes:    senderReg.Counter("verbs.tx.WRITE").Value() + senderReg.Counter("verbs.tx.WRITE_WITH_IMM").Value(),
+							recvs:     receiverReg.Counter("verbs.cqe.RECV").Value() - credit,
+							doorbells: sender.dev.Doorbells() - credit,
+						}
+					}
+					before := snap()
+					opts := CallOpts{Proto: proto, Busy: true}
+					if response {
+						got, err := c.Call(p, fnSource, sourceReq(n), opts)
+						if err != nil || !bytes.Equal(got, pattern(n)) {
+							t.Fatalf("size %d: %d-byte response is not the pattern (err %v)", n, len(got), err)
+						}
+					} else if got, err := c.Call(p, fnSink, pattern(n), opts); err != nil || len(got) != 1 {
+						t.Fatalf("size %d: %q, %v", n, got, err)
+					}
+					p.Sleep(20_000) // trailing control traffic (FIN, credit updates)
+					after := snap()
+					return cost{after.writes - before.writes, after.recvs - before.recvs, after.doorbells - before.doorbells}
+				}
+				env.Spawn("client", func(p *sim.Proc) {
+					c := cliEng.Dial(p, srvEng.Node(), "svc")
+					measure(p, c, ref) // warm pools and credits
+					base := measure(p, c, ref)
+					for _, n := range sizes {
+						got := measure(p, c, n)
+						if !writeCarried(proto, response) {
+							continue
+						}
+						if want := base.writes + int64(chunksOf(n)-1); got.writes != want {
+							t.Errorf("size %d: %d WRITE work requests, want %d (%d for the reference message, %d chunks)",
+								n, got.writes, want, base.writes, chunksOf(n))
+						}
+						if got.recvs != base.recvs {
+							t.Errorf("size %d: message spent %d peer RECVs, the reference message %d", n, got.recvs, base.recvs)
+						}
+						// RFP polls for its response with READs, as many as the
+						// server takes time; every other sender rings as often
+						// for a train as for one WRITE.
+						if proto != RFP && got.doorbells != base.doorbells {
+							t.Errorf("size %d: %d doorbells, the reference message %d", n, got.doorbells, base.doorbells)
+						}
+					}
+					env.Stop()
+				})
+				env.Run()
+				if want := 2 + len(sizes); runs != want {
+					t.Errorf("handler ran %d times for %d calls", runs, want)
+				}
+				if n := srvEng.RnrNaks() + cliEng.RnrNaks(); n != 0 {
+					t.Errorf("%d RNR NAKs: a train spent RECVs it had no credit for", n)
+				}
+				assertNoLeaks(t, srvEng, cliEng)
+			})
+		}
+	}
+}
+
+// tornCluster is a two-node fabric whose calls carry a deadline, so a
+// lost packet is recovered by retransmission.
+func tornCluster() (*sim.Env, *simnet.Cluster, *Engine, *Engine) {
+	env := sim.NewEnv(9)
+	cl := simnet.NewCluster(env, simnet.Config{
+		Nodes: 2, Cores: 28, Sockets: 2, LinkGbps: 100, PropDelayNs: 600, NUMAPenalty: 1.25,
+	})
+	cfg := DefaultConfig()
+	cfg.CallDeadline = 5_000_000
+	return env, cl, New(cl.Node(0), cfg), New(cl.Node(1), cfg)
+}
+
+// TestTornTrainNeverDelivered drops, in turn, every single packet of a
+// five-chunk message — request and response, Direct-WriteIMM and the
+// rendezvous WRITE behind its RTS — and checks RC ordering's promise: the
+// receiver never sees the message with a hole in it (the WRITEs behind
+// the lost one are discarded, the IMM with them), the call completes by
+// retransmission with the right bytes after exactly one execution, and no
+// rendezvous buffer stays behind.
+func TestTornTrainNeverDelivered(t *testing.T) {
+	const size = 5*writeChunk - hdrSize
+	for _, proto := range []Protocol{DirectWriteIMM, WriteRNDV} {
+		for _, response := range []bool{false, true} {
+			// Packets on the bulk direction's link, counted from the call:
+			// the rendezvous sends its RTS first, and a server answering
+			// by rendezvous has granted the request's before that.
+			packets := chunksOf(size)
+			if proto == WriteRNDV {
+				packets++
+				if response {
+					packets++
+				}
+			}
+			for k := 1; k <= packets; k++ {
+				t.Run(fmt.Sprintf("%s/response=%v/drop=%d", proto, response, k), func(t *testing.T) {
+					env, cl, srvEng, cliEng := tornCluster()
+					reg := obs.NewRegistry()
+					cliEng.SetObs(reg)
+					runs := 0
+					srvEng.Serve("svc", bulkHandler(t, &runs))
+					env.Spawn("client", func(p *sim.Proc) {
+						c := cliEng.Dial(p, srvEng.Node(), "svc")
+						opts := CallOpts{Proto: proto, Busy: true}
+						if _, err := c.Call(p, fnSink, pattern(64), opts); err != nil {
+							t.Fatal(err)
+						}
+						from, to := cliEng.Node().ID(), srvEng.Node().ID()
+						if response {
+							from, to = to, from
+						}
+						cl.InstallFaults(simnet.FaultConfig{DropNth: []simnet.NthDrop{{From: from, To: to, N: k}}})
+						if response {
+							got, err := c.Call(p, fnSource, sourceReq(size), opts)
+							if err != nil || !bytes.Equal(got, pattern(size)) {
+								t.Errorf("%d-byte response is not the pattern (err %v)", len(got), err)
+							}
+						} else if got, err := c.Call(p, fnSink, pattern(size), opts); err != nil || len(got) != 1 {
+							t.Errorf("%q, %v", got, err)
+						}
+						p.Sleep(500_000)
+						env.Stop()
+					})
+					env.Run()
+					if runs != 2 {
+						t.Errorf("handler ran %d times for 2 calls", runs)
+					}
+					if reg.Counter("engine.retries").Value() == 0 {
+						t.Error("the call completed without a retransmission: the scripted loss hit nothing")
+					}
+					for _, e := range []*Engine{srvEng, cliEng} {
+						for _, c := range e.Conns() {
+							if n := len(c.rndvIn) + len(c.rndvOut) + len(c.orphanIn) + len(c.orphanOut); n != 0 {
+								t.Errorf("node %d: %d rendezvous buffers still held", e.Node().ID(), n)
+							}
+						}
+					}
+					assertNoLeaks(t, srvEng, cliEng)
+				})
+			}
+		}
+	}
+}
+
+// TestOrphanNotifyNotDelivered: when the WRITE of a Direct-Write-Send is
+// lost, the notify SEND behind it is discarded with it. Delivered, it
+// would announce whatever the direct buffer held before — the previous
+// request, which the server would take for a retransmission and answer
+// from its dedup cache.
+func TestOrphanNotifyNotDelivered(t *testing.T) {
+	for _, proto := range []Protocol{DirectWriteSend, ChainedWriteSend} {
+		t.Run(proto.String(), func(t *testing.T) {
+			env, cl, srvEng, cliEng := tornCluster()
+			reg := obs.NewRegistry()
+			srvEng.SetObs(reg)
+			runs := 0
+			srvEng.Serve("svc", bulkHandler(t, &runs))
+			env.Spawn("client", func(p *sim.Proc) {
+				c := cliEng.Dial(p, srvEng.Node(), "svc")
+				opts := CallOpts{Proto: proto, Busy: true}
+				if _, err := c.Call(p, fnSink, pattern(64), opts); err != nil {
+					t.Fatal(err)
+				}
+				cl.InstallFaults(simnet.FaultConfig{DropNth: []simnet.NthDrop{{From: cliEng.Node().ID(), To: srvEng.Node().ID(), N: 1}}})
+				if got, err := c.Call(p, fnSink, pattern(2048), opts); err != nil || len(got) != 1 {
+					t.Errorf("%q, %v", got, err)
+				}
+				p.Sleep(500_000)
+				env.Stop()
+			})
+			env.Run()
+			if runs != 2 {
+				t.Errorf("handler ran %d times for 2 calls", runs)
+			}
+			if n := reg.Counter("engine.dup_requests").Value(); n != 0 {
+				t.Errorf("%d duplicate requests at the server: the orphan notify delivered the stale direct buffer", n)
+			}
+			assertNoLeaks(t, srvEng, cliEng)
+		})
+	}
+}
+
+// TestStagedPayloads: a request serialized into Conn.Stage and a response
+// serialized into ResponseStage travel like any other on every protocol —
+// including the eager ones, whose fragments are staged over the very area
+// the payload lies in, and across a retransmission.
+func TestStagedPayloads(t *testing.T) {
+	const size = 40_000 // ten eager fragments, a four-chunk train
+	for _, proto := range dataProtocols {
+		for _, lossy := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/lossy=%v", proto, lossy), func(t *testing.T) {
+				env, cl, srvEng, cliEng := tornCluster()
+				srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte {
+					if !bytes.Equal(req, pattern(len(req))) {
+						t.Errorf("server got a %d-byte request that is not the pattern", len(req))
+					}
+					out := ResponseStage(p)
+					if out == nil {
+						t.Fatal("no response stage on a dispatcher process")
+					}
+					return append(out, pattern(len(req)+1)...)
+				})
+				env.Spawn("client", func(p *sim.Proc) {
+					c := cliEng.Dial(p, srvEng.Node(), "svc")
+					if lossy {
+						// Lose the second packet each way: a data packet of the
+						// request, then one of the response.
+						cl.InstallFaults(simnet.FaultConfig{DropNth: []simnet.NthDrop{
+							{From: cliEng.Node().ID(), To: srvEng.Node().ID(), N: 2},
+							{From: srvEng.Node().ID(), To: cliEng.Node().ID(), N: 2},
+						}})
+					}
+					for i := 0; i < 3; i++ {
+						req := append(c.Stage(), pattern(size)...)
+						got, err := c.Call(p, 1, req, CallOpts{Proto: proto, Busy: true})
+						if err != nil || !bytes.Equal(got, pattern(size+1)) {
+							t.Fatalf("call %d: %d-byte response is not the pattern (err %v)", i, len(got), err)
+						}
+					}
+					p.Sleep(500_000)
+					env.Stop()
+				})
+				env.Run()
+				assertNoLeaks(t, srvEng, cliEng)
+			})
+		}
+	}
+}
+
+// TestStagedResponseDedupPerSession: the dedup cache must answer a
+// virtual connection's retransmission with that connection's response
+// even though another session's response has been staged since.
+func TestStagedResponseDedupPerSession(t *testing.T) {
+	env, _, srvEng, cliEng := tornCluster()
+	srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte {
+		return append(ResponseStage(p), bytes.Repeat(req[:1], 3*writeChunk)...)
+	})
+	env.Spawn("client", func(p *sim.Proc) {
+		c := cliEng.Dial(p, srvEng.Node(), "svc")
+		call := func(sid uint32, tag byte) []byte {
+			got, err := c.Call(p, 1, []byte{tag}, CallOpts{Proto: DirectWriteIMM, Busy: true, SID: sid})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got
+		}
+		call(7, 'a')
+		call(8, 'b')
+		// Retransmit session 7's request: same sid, same seq.
+		srv := srvEng.Conns()[0]
+		e, ok := srv.dedupLookup(7, c.seq-1)
+		if !ok {
+			t.Fatal("session 7's response is not cached")
+		}
+		if !bytes.Equal(e.resp, bytes.Repeat([]byte{'a'}, 3*writeChunk)) {
+			t.Error("session 7's cached response was overwritten by session 8's")
+		}
+		env.Stop()
+	})
+	env.Run()
+}
+
+// bulkCallAllocs measures the allocations of one warmed size-byte echo
+// call (the handler returns its request, the caller recycles the reply).
+func bulkCallAllocs(t testing.TB, size int) float64 {
+	env, srvEng, cliEng := testCluster(21)
+	srvEng.Serve("svc", benchEchoHandler)
+	req := pattern(size)
+	var allocs float64
+	env.Spawn("client", func(p *sim.Proc) {
+		c := cliEng.Dial(p, srvEng.Node(), "svc")
+		call := func() {
+			resp, err := c.Call(p, 1, req, CallOpts{Proto: DirectWriteIMM, Busy: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Recycle(resp)
+		}
+		for i := 0; i < 4; i++ {
+			call()
+		}
+		allocs = testing.AllocsPerRun(50, call)
+		env.Stop()
+	})
+	env.Run()
+	return allocs
+}
+
+// TestBulkCallSteadyStateAllocs is the cost gate of the chunk train: a
+// warmed 128 KB Direct-WriteIMM call (a train each way) allocates no more
+// than the largest call that still goes out as a single work request each
+// way, and so does a 1 MB one: nothing is allocated per chunk.
+func TestBulkCallSteadyStateAllocs(t *testing.T) {
+	const bulk, huge = 128 << 10, 1 << 20
+	one := bulkCallAllocs(t, 2*writeChunk-hdrSize)
+	train := bulkCallAllocs(t, bulk)
+	long := bulkCallAllocs(t, huge)
+	t.Logf("allocs per call: %v as one WR, %v as a %d-chunk train, %v as a %d-chunk train",
+		one, train, chunksOf(bulk), long, chunksOf(huge))
+	if train > one || long > one {
+		t.Errorf("allocations grow with the chunk count: %v (1 WR), %v (%d chunks), %v (%d chunks)",
+			one, train, chunksOf(bulk), long, chunksOf(huge))
+	}
+}
+
+// BenchmarkBulkCall reports host ns/op, B/op and allocs/op of a 128 KB
+// echo on the WRITE-carrying protocols.
+func BenchmarkBulkCall(b *testing.B) {
+	for _, proto := range []Protocol{DirectWriteIMM, ChainedWriteSend, WriteRNDV, RFP} {
+		b.Run(proto.String(), func(b *testing.B) {
+			b.SetBytes(2 * 128 << 10)
+			benchCall(b, 128<<10, CallOpts{Proto: proto, Busy: true})
+		})
+	}
+}

@@ -235,6 +235,7 @@ type engineMetrics struct {
 
 	// Overload-protection instruments (only move when flow control,
 	// admission control, RNR modelling or the breaker is enabled).
+	chunkWRs      [nProtocols]*obs.Counter // WRs posted as bulk-WRITE chunk trains
 	shed          [nProtocols]*obs.Counter // requests rejected by admission
 	creditStalls  [nProtocols]*obs.Counter // sends blocked on zero credits
 	rnrNaks       *obs.Counter             // WCRNRRetryExceeded completions
@@ -271,16 +272,24 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		sessionFailovers: r.Counter("engine.session_failovers"),
 		sessionReplays:   r.Counter("engine.replays"),
 	}
-	for i := 0; i < nProtocols; i++ {
-		name := Protocol(i).String()
-		m.calls[i] = r.Counter("engine.calls." + name)                //hatlint:allow obsnames -- suffix bounded by the Protocol enum
-		m.served[i] = r.Counter("engine.served." + name)              //hatlint:allow obsnames -- suffix bounded by the Protocol enum
-		m.bytesSent[i] = r.Counter("engine.bytes_sent." + name)       //hatlint:allow obsnames -- suffix bounded by the Protocol enum
-		m.callLat[i] = r.Histogram("engine.call_lat_ns." + name)      //hatlint:allow obsnames -- suffix bounded by the Protocol enum
-		m.shed[i] = r.Counter("engine.shed." + name)                  //hatlint:allow obsnames -- suffix bounded by the Protocol enum
-		m.creditStalls[i] = r.Counter("engine.credit_stalls." + name) //hatlint:allow obsnames -- suffix bounded by the Protocol enum
+	m.calls = protoCounters(r, "engine.calls.")
+	m.served = protoCounters(r, "engine.served.")
+	m.bytesSent = protoCounters(r, "engine.bytes_sent.")
+	m.chunkWRs = protoCounters(r, "engine.chunk_wrs.")
+	m.shed = protoCounters(r, "engine.shed.")
+	m.creditStalls = protoCounters(r, "engine.credit_stalls.")
+	for i := range m.callLat {
+		m.callLat[i] = r.Histogram("engine.call_lat_ns." + Protocol(i).String()) //hatlint:allow obsnames -- suffix bounded by the Protocol enum
 	}
 	return m
+}
+
+// protoCounters registers one counter per protocol under prefix.
+func protoCounters(r *obs.Registry, prefix string) (out [nProtocols]*obs.Counter) {
+	for i := range out {
+		out[i] = r.Counter(prefix + Protocol(i).String()) //hatlint:allow obsnames -- suffix bounded by the Protocol enum
+	}
+	return out
 }
 
 // SetObs attaches an observability registry to the engine and its NIC:
@@ -554,6 +563,7 @@ type Conn struct {
 	// seq is issued — an old entry can never alias a wrapped value.
 	seq      uint32
 	nextWRID uint64
+	train    []verbs.SendWR // postWrite's chunk chain, reused (PostSend copies what it posts)
 
 	// Per-seq control state. Every normal completion path deletes its
 	// entry (handleWriteImm, handleRecvSlot kFin, handleWC OpRead,
@@ -716,9 +726,14 @@ func (e *Engine) newConn(server bool, shared *connShared) *Conn {
 		c.rfpOutMR = e.pd.RegisterMRNoCost(e.cfg.MaxMsgSize + hdrSize)
 		c.kvMetaMR = e.pd.RegisterMRNoCost(32)
 		c.kvPayMR = e.pd.RegisterMRNoCost(e.cfg.MaxMsgSize + hdrSize)
-		c.rfpInMR.SetWriteNotify(func() {
-			c.rfpPending = true
-			c.sig.Fire()
+		c.rfpInMR.SetWriteNotify(func(off, n int) {
+			// The poller watches the message's last byte: a request that
+			// arrives as a chunk train is complete only when the WRITE
+			// covering it has landed (chunks land in order, header first).
+			if off+n >= hdrSize+int(getHdr(c.rfpInMR.Buf).length) {
+				c.rfpPending = true
+				c.sig.Fire()
+			}
 		})
 	}
 	// Pin accounting from the actual MR lengths so Close can return the

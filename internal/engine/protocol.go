@@ -179,9 +179,12 @@ func SelectPlan(r hints.Resolved, cores int, size int, threshold int) Plan {
 		case sub == hints.UnderSubscribed:
 			plan = Plan{Proto: DirectWriteIMM, Busy: true}
 		case sub == hints.OverSubscribed && size >= RFPMinSize:
-			// RFP's server-bypass only beats Direct-WriteIMM once messages
-			// are big enough that relieving the server's send path matters
-			// (our Fig. 5 reproduction puts the crossover near 128 KB).
+			// The paper's Figure 6 cell: RFP's server bypass pays off once
+			// messages are big enough that relieving the server's send
+			// path matters. RFPMinSize confines the choice to that regime;
+			// it is not a crossover measured here — in this NIC model RFP
+			// trails Direct-WriteIMM at every size (EXPERIMENTS.md,
+			// deviation 2).
 			plan = Plan{Proto: RFP, Busy: false}
 		default:
 			plan = Plan{Proto: DirectWriteIMM, Busy: false}

@@ -18,7 +18,9 @@ import (
 // past its return must copy. Returning req (or a subslice of it) as the
 // response is fine — the dispatcher sees the shared backing array and
 // leaves the buffer alone, because the dedup cache retains the response
-// for retransmissions.
+// for retransmissions. A handler that serializes its response may do so
+// straight into the connection's staging region (ResponseStage) and
+// return that; the engine then sends it from where it lies.
 type Handler func(p *sim.Proc, fn uint32, req []byte) []byte
 
 // FnKeepalive is the reserved function id session keepalive probes use.
@@ -237,6 +239,7 @@ func (s *Server) acceptLoop(p *sim.Proc) {
 
 func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 	eng := s.eng
+	p.Value = c // ResponseStage finds the connection here
 	for {
 		// Resolved per iteration (not hoisted) so a hint hot-reload that
 		// flips Poll/Busy takes effect on the next request without
@@ -343,7 +346,7 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 		}
 		s.active++
 		start := int64(p.Now())
-		resp := s.handler(p, a.Fn, a.Payload)
+		resp := c.settle(a, s.handler(p, a.Fn, a.Payload))
 		if a.RespProto != ProtoAuto { // ProtoAuto marks a oneway request
 			c.sendResponse(p, a, resp, poll)
 		}
@@ -370,6 +373,27 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 			start, int64(p.Now()),
 			obs.Arg{K: "fn", V: a.Fn}, obs.Arg{K: "size", V: len(a.Payload)})
 	}
+}
+
+// settle decides where a handler's response lives from here on. The dedup
+// cache keeps it until the next request of the same session id replaces
+// it, and a retransmission sends it again — so a response serialized into
+// the staging region (ResponseStage) may stay there only if nothing
+// overwrites the region before then. That holds for unvirtualized traffic
+// (sid 0: the connection's next response is the one that replaces the
+// entry) on every protocol that sends a staged payload in place; a virtual
+// connection's response, which other sessions' responses would overwrite,
+// and an eager response that restages its own fragments move to an arena
+// buffer.
+func (c *Conn) settle(a Arrival, resp []byte) []byte {
+	if !c.staged(resp) {
+		return resp
+	}
+	proto := hybridSwitch(a.RespProto, len(resp), c.eng.cfg.RndvThreshold)
+	if a.SID != 0 || c.restages(proto, len(resp)) {
+		return c.copyPayload(resp)
+	}
+	return resp
 }
 
 // sameBacking reports whether a and b are windows onto one backing array.

@@ -15,6 +15,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 func expoFixture() *Registry {
 	r := NewRegistry()
 	r.Counter("engine.session_redials").Add(3)
+	r.Counter("engine.chunk_wrs.Direct-WriteIMM").Add(34)
 	r.Counter("cluster.promotions").Inc()
 	r.Counter("node.drained").Add(17)
 	h := r.Histogram("engine.call_lat.eager")

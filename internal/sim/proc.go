@@ -20,6 +20,12 @@ type Proc struct {
 	yield func(struct{}) bool     // body side: park; false means the process was stopped
 	done  bool
 	wake  timer // pending timer if parked in Sleep or WaitUntil
+
+	// Value is the body's to set: one datum that code running on the
+	// process, however deep below the body, may need to find again (the
+	// engine's dispatcher stores its connection here). The kernel never
+	// reads it.
+	Value any
 }
 
 // Env returns the environment this process belongs to.

@@ -65,6 +65,12 @@ type FaultConfig struct {
 	// under asymmetric partitions — e.g. a keepalive prober whose probes
 	// vanish while the peer's responses would still flow.
 	OneWayCuts []LinkCut
+	// DropNth scripts single losses: the N-th message (1-based, counted
+	// from the plan's installation) that crosses the directed link from→to
+	// is dropped. Like OneWayCuts these are explicit test scripts (no RNG
+	// draws); they pin down what a transport does when one particular
+	// packet of a multi-packet transfer is lost.
+	DropNth []NthDrop
 }
 
 // LinkCut is one scripted directed-link outage (see
@@ -73,6 +79,12 @@ type LinkCut struct {
 	From, To int
 	StartNs  int64
 	EndNs    int64
+}
+
+// NthDrop is one scripted single-message loss (see FaultConfig.DropNth).
+type NthDrop struct {
+	From, To int
+	N        int
 }
 
 // FaultPlan is an installed fault model. Obtain one with
@@ -86,6 +98,7 @@ type FaultPlan struct {
 	pausePhase map[int]int64    // node → pause window phase
 	partPhase  int64            // partition window phase (one global clock)
 	partSide   map[int]uint64   // node → per-node side-draw value
+	crossed    map[[2]int]int   // directed link → messages seen (DropNth only)
 
 	// Counters are nil-safe; SetObs attaches them.
 	drops          *obs.Counter // messages lost (random + flap + partition)
@@ -143,7 +156,7 @@ func (cfg FaultConfig) enabled() bool {
 	return cfg.DropProb > 0 || cfg.JitterNs > 0 ||
 		(cfg.FlapPeriodNs > 0 && cfg.FlapDownNs > 0) ||
 		(cfg.PausePeriodNs > 0 && cfg.PauseForNs > 0 && len(cfg.PausedNodes) > 0) ||
-		cfg.partitionOn() || len(cfg.OneWayCuts) > 0
+		cfg.partitionOn() || len(cfg.OneWayCuts) > 0 || len(cfg.DropNth) > 0
 }
 
 // partitionOn reports whether the periodic partition fault is configured.
@@ -243,6 +256,25 @@ func (fp *FaultPlan) pauseRemaining(node int, t sim.Time) sim.Duration {
 	return 0
 }
 
+// nthDrop counts one message on the directed link from→to and reports
+// whether a DropNth script names it.
+func (fp *FaultPlan) nthDrop(from, to int) bool {
+	if len(fp.cfg.DropNth) == 0 {
+		return false
+	}
+	if fp.crossed == nil {
+		fp.crossed = make(map[[2]int]int)
+	}
+	link := [2]int{from, to}
+	fp.crossed[link]++
+	for _, d := range fp.cfg.DropNth {
+		if d.From == from && d.To == to && d.N == fp.crossed[link] {
+			return true
+		}
+	}
+	return false
+}
+
 // Outcome draws the fate of one message on the directed link from→to at
 // the current virtual time: dropped (lost forever at this hop), or
 // delivered with extra one-way delay (jitter plus any destination pause
@@ -261,6 +293,10 @@ func (fp *FaultPlan) Outcome(from, to int) (drop bool, extra sim.Duration) {
 		return true, 0
 	}
 	if fp.cfg.DropProb > 0 && fp.env.Rand().Float64() < fp.cfg.DropProb {
+		fp.drops.Inc()
+		return true, 0
+	}
+	if fp.nthDrop(from, to) {
 		fp.drops.Inc()
 		return true, 0
 	}

@@ -298,3 +298,34 @@ func TestPartitionSeedDeterministic(t *testing.T) {
 		t.Error("different seeds drew identical partition phases")
 	}
 }
+
+// TestFaultDropNthScriptedSingleLoss: a DropNth script loses exactly the
+// named message of the named directed link, counted from installation,
+// and draws no randomness.
+func TestFaultDropNthScriptedSingleLoss(t *testing.T) {
+	env, cl := faultCluster(7)
+	before := env.Rand().Int63()
+	env2, _ := faultCluster(7)
+	if env2.Rand().Int63() != before {
+		t.Fatal("seeded RNG not reproducible")
+	}
+	fp := cl.InstallFaults(FaultConfig{DropNth: []NthDrop{{From: 0, To: 1, N: 3}, {From: 0, To: 1, N: 5}}})
+	if fp == nil || cl.Faults() == nil {
+		t.Fatal("a DropNth script did not install a plan")
+	}
+	var lost []int
+	for i := 1; i <= 8; i++ {
+		if drop, _ := fp.Outcome(0, 1); drop {
+			lost = append(lost, i)
+		}
+		if drop, _ := fp.Outcome(1, 0); drop {
+			t.Fatalf("reverse link dropped message %d", i)
+		}
+	}
+	if len(lost) != 2 || lost[0] != 3 || lost[1] != 5 {
+		t.Fatalf("lost messages %v, want [3 5]", lost)
+	}
+	if env.Rand().Int63() != env2.Rand().Int63() {
+		t.Fatal("DropNth drew from the seeded RNG")
+	}
+}

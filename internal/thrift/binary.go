@@ -166,8 +166,19 @@ func (p *TBinaryProtocol) WriteString(v string) error {
 	return p.writeAll(p.sbuf)
 }
 
-// WriteBinary emits a length-prefixed byte slice.
+// binaryTail is the room WriteBinary asks a memory buffer for beyond the
+// field itself: the bytes that typically follow a message's last binary
+// field (field stops, a few scalar fields). Without it a buffer sized by
+// the field's own append to exactly fit would be reallocated, and the
+// whole field moved again, by the one-byte write behind it.
+const binaryTail = 64
+
+// WriteBinary emits a length-prefixed byte slice. A memory buffer is
+// grown once, from the length known here, instead of by appending.
 func (p *TBinaryProtocol) WriteBinary(v []byte) error {
+	if m, ok := p.trans.(*TMemoryBuffer); ok {
+		m.Grow(4 + len(v) + binaryTail)
+	}
 	if err := p.WriteI32(int32(len(v))); err != nil {
 		return err
 	}
@@ -306,20 +317,36 @@ func (p *TBinaryProtocol) ReadDouble() (float64, error) {
 // ReadString parses a length-prefixed string. The intermediate byte
 // buffer goes back to the arena — the string conversion copies.
 func (p *TBinaryProtocol) ReadString() (string, error) {
-	b, err := p.ReadBinary()
+	n, err := p.readLen()
+	if err != nil {
+		return "", err
+	}
+	b, err := readLenPrefixed(p.trans, n)
 	s := string(b)
 	PutBuffer(b)
 	return s, err
 }
 
-// ReadBinary parses a length-prefixed byte slice.
+// ReadBinary parses a length-prefixed byte slice: a copy the caller owns,
+// or — over a NewTMemoryBufferView transport — a window onto the buffer.
 func (p *TBinaryProtocol) ReadBinary() ([]byte, error) {
-	n, err := p.ReadI32()
+	n, err := p.readLen()
 	if err != nil {
 		return nil, err
 	}
-	if n < 0 {
-		return nil, fmt.Errorf("thrift: negative binary length %d", n)
+	if m, ok := p.trans.(*TMemoryBuffer); ok && m.lend {
+		return m.next(n)
 	}
-	return readLenPrefixed(p.trans, int(n))
+	return readLenPrefixed(p.trans, n)
+}
+
+func (p *TBinaryProtocol) readLen() (int, error) {
+	n, err := p.ReadI32()
+	if err != nil {
+		return 0, err
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("thrift: negative binary length %d", n)
+	}
+	return int(n), nil
 }

@@ -1,6 +1,7 @@
 package thrift
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -452,5 +453,90 @@ func check(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMemoryBufferOverCallerBuffer: a memory buffer handed an empty slice
+// of a caller's buffer serializes into that buffer — Bytes aliases it —
+// and quietly moves to its own storage when the message outgrows it.
+func TestMemoryBufferOverCallerBuffer(t *testing.T) {
+	backing := make([]byte, 256)
+	mem := NewTMemoryBufferWith(backing[:0])
+	w := NewTBinaryProtocol(mem)
+	blob := bytes.Repeat([]byte{0xAB}, 100)
+	w.WriteMessageBegin("f", CALL, 1)
+	w.WriteBinary(blob)
+	out := mem.Bytes()
+	if &out[0] != &backing[0] {
+		t.Fatal("message that fits was not serialized into the caller's buffer")
+	}
+	w.WriteBinary(bytes.Repeat([]byte{0xCD}, 400))
+	if grown := mem.Bytes(); &grown[0] == &backing[0] || !bytes.Equal(grown[:len(out)], out) {
+		t.Fatal("message that outgrew the caller's buffer was not moved intact")
+	}
+}
+
+// TestViewReadsBinaryInPlace: over a view transport a binary field is a
+// window onto the message (no copy, capacity clipped to the field), a
+// string is still an independent copy, and a length running past the
+// message fails instead of reading beyond it.
+func TestViewReadsBinaryInPlace(t *testing.T) {
+	mem := NewTMemoryBuffer()
+	w := NewTBinaryProtocol(mem)
+	w.WriteString("name")
+	w.WriteBinary([]byte("payload"))
+	w.WriteI32(1 << 20) // a binary length with nothing behind it
+	msg := mem.Bytes()
+
+	r := NewTBinaryProtocol(NewTMemoryBufferView(msg))
+	if s, err := r.ReadString(); err != nil || s != "name" {
+		t.Fatalf("ReadString = %q, %v", s, err)
+	}
+	b, err := r.ReadBinary()
+	if err != nil || string(b) != "payload" {
+		t.Fatalf("ReadBinary = %q, %v", b, err)
+	}
+	if off := 4 + 4 + 4; &b[0] != &msg[off] || cap(b) != len(b) {
+		t.Fatalf("binary field is not a clipped window onto the message (cap %d, len %d)", cap(b), len(b))
+	}
+	if _, err := r.ReadBinary(); err == nil {
+		t.Fatal("binary length past the end of the message was accepted")
+	}
+
+	// The plain reader still hands out copies.
+	r = NewTBinaryProtocol(NewTMemoryBufferWith(msg))
+	r.ReadString()
+	if b, _ := r.ReadBinary(); &b[0] == &msg[12] {
+		t.Fatal("non-view transport returned a window")
+	}
+}
+
+// TestWriteBinaryGrowsOnce: a large binary field and the few bytes behind
+// it cost one buffer allocation, not a reallocation per append.
+func TestWriteBinaryGrowsOnce(t *testing.T) {
+	blob := make([]byte, 128<<10)
+	mem := NewTMemoryBuffer()
+	w := NewTBinaryProtocol(mem)
+	w.WriteMessageBegin("Echo", CALL, 1)
+	w.WriteBinary(blob)
+	before := &mem.Bytes()[0]
+	w.WriteFieldStop()
+	w.WriteI64(7)
+	if &mem.Bytes()[0] != before {
+		t.Fatal("the bytes behind a large binary field moved it again")
+	}
+	// Many small fields stay amortized: the buffer never grows by less
+	// than doubling.
+	mem = NewTMemoryBuffer()
+	w = NewTBinaryProtocol(mem)
+	grows, last := 0, 0
+	for i := 0; i < 1000; i++ {
+		w.WriteBinary(blob[:100])
+		if c := cap(mem.Bytes()); c != last {
+			grows, last = grows+1, c
+		}
+	}
+	if grows > 16 {
+		t.Fatalf("1000 small binary fields grew the buffer %d times", grows)
 	}
 }

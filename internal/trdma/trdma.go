@@ -60,6 +60,11 @@ type Transport interface {
 	// Invoke performs one RPC for the named function. The response bytes
 	// stay valid until the next Invoke on the same transport.
 	Invoke(p *sim.Proc, fn string, request []byte, oneway bool) ([]byte, error)
+	// Stage lends the buffer the channel sends from, empty, for the next
+	// request to be serialized into: an Invoke handed a request that lies
+	// there sends it without copying it. Nil when the channel has no such
+	// buffer; a request serialized anywhere else is always accepted.
+	Stage() []byte
 	// Close releases the channel.
 	Close() error
 }
@@ -186,6 +191,15 @@ func (t *TRdma) Invoke(p *sim.Proc, fn string, request []byte, oneway bool) ([]b
 	return resp, err
 }
 
+// Stage lends the engine connection's registered staging region (see
+// engine.Conn.Stage).
+func (t *TRdma) Stage() []byte {
+	if t.conn == nil {
+		return nil
+	}
+	return t.conn.Stage()
+}
+
 // Plan exposes the resolved client plan for a function (for tests and
 // introspection).
 func (t *TRdma) Plan(fn string) engine.CallOpts { return t.planFor(fn).opts }
@@ -199,9 +213,15 @@ func (t *TRdma) Close() error {
 // ---------------------------------------------------------------------------
 // Server side
 
+// ResponseStage lends a generated processor the buffer its response is
+// sent from: the staging region of the engine connection whose dispatcher
+// p is (engine.ResponseStage), nil when the request came over IPoIB.
+func ResponseStage(p *sim.Proc) []byte { return engine.ResponseStage(p) }
+
 // Processor is the generated server-side dispatcher: it consumes a framed
 // Thrift request and produces the framed response bytes (empty for
-// oneway).
+// oneway). The request is lent for the call, and with it every binary
+// argument decoded from it.
 type Processor interface {
 	ProcessBytes(p *sim.Proc, fnID uint32, request []byte) []byte
 }
@@ -315,6 +335,9 @@ func (t *TCPTransport) Invoke(p *sim.Proc, fn string, request []byte, oneway boo
 	}
 	return t.conn.Call(p, request), nil
 }
+
+// Stage lends nothing: the kernel socket path copies what it is given.
+func (t *TCPTransport) Stage() []byte { return nil }
 
 // Close is a no-op.
 func (t *TCPTransport) Close() error { return nil }

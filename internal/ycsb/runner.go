@@ -62,6 +62,8 @@ func (t *policyTransport) Invoke(p *sim.Proc, fn string, request []byte, oneway 
 	return t.conn.Call(p, t.fnIDs[fn], request, opts)
 }
 
+func (t *policyTransport) Stage() []byte { return t.conn.Stage() }
+
 func (t *policyTransport) Close() error { return nil }
 
 // diagPolicy, when set, overrides comparator policies (test hook).
