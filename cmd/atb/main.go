@@ -86,7 +86,7 @@ func main() {
 	faults := flag.Bool("faults", false, "inject faults: 1% per-hop packet loss unless -loss/-jitter override")
 	loss := flag.Float64("loss", 0, "per-hop drop probability, e.g. 0.05 (implies -faults)")
 	jitter := flag.Int64("jitter", 0, "max per-hop latency jitter in ns (implies -faults)")
-	deadline := flag.Int64("deadline", 2_000_000, "per-call deadline in ns for fault runs (0 disables retries)")
+	deadline := flag.Int64("deadline", 2_000_000, "per-call deadline in ns for fault runs (0 = no deadline: one unbounded attempt, never re-sent)")
 	syncMode := flag.String("sync", "full", "crash/cluster bench: store durability mode: full, meta, none")
 	uptimes := flag.String("uptimes", "", "crash/cluster bench: comma-separated mean uptimes in ns")
 	crashHorizon := flag.Int64("crash-horizon", 0, "crash/cluster bench: schedule horizon in ns")

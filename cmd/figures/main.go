@@ -44,7 +44,7 @@ func main() {
 	faults := flag.Bool("faults", false, "inject faults: 1% per-hop packet loss unless -loss/-jitter override")
 	loss := flag.Float64("loss", 0, "per-hop drop probability, e.g. 0.05 (implies -faults)")
 	jitter := flag.Int64("jitter", 0, "max per-hop latency jitter in ns (implies -faults)")
-	deadline := flag.Int64("deadline", 2_000_000, "per-call deadline in ns for fault runs (0 disables retries)")
+	deadline := flag.Int64("deadline", 2_000_000, "per-call deadline in ns for fault runs (0 = no deadline: one unbounded attempt, never re-sent)")
 	flag.Parse()
 
 	if *faults || *loss > 0 || *jitter > 0 {

@@ -195,11 +195,13 @@ func TestClusterHintPlanTable(t *testing.T) {
 	}
 }
 
-// TestHealthyClusterNeverRetransmits: 200 small RF-3 puts on a warmed-up
-// fault-free 5-node cluster, monitors probing as usual, and the engines'
-// retry counter does not move — a put finishes inside the 50 µs
-// first-retransmission timer instead of tripping it every time. (The
-// warm-up puts do retransmit: their handlers dial the backups' sessions.)
+// TestHealthyClusterNeverRetransmits: 200 RF-3 puts, one in eight of them
+// 16 KB, on a warmed-up fault-free 5-node cluster, monitors probing as
+// usual, and the engines' retry counter does not move — a small put
+// finishes inside the 50 µs base timer, and the large ones, whose tail
+// reaches past it, have by then taught their connections a longer one.
+// (The warm-up puts do retransmit: their handlers dial the backups'
+// sessions.)
 func TestHealthyClusterNeverRetransmits(t *testing.T) {
 	tc := newTestCluster(t, 41, 5, Config{NShards: 8, RF: 3})
 	reg := obs.NewRegistry()
@@ -210,12 +212,16 @@ func TestHealthyClusterNeverRetransmits(t *testing.T) {
 	tc.env.Spawn("client", func(p *sim.Proc) {
 		defer tc.env.Stop()
 		c := NewClient(tc.cliEng, tc.roster, tc.cfg)
-		val := make([]byte, 128)
+		small, large := make([]byte, 128), make([]byte, 16<<10)
 		retries := reg.Counter("engine.retries")
 		var warm int64
 		for i := 0; i < 250; i++ {
 			if i == 50 { // every shard's sessions and lanes are up
 				warm = retries.Value()
+			}
+			val := small
+			if i%8 == 7 {
+				val = large
 			}
 			if err := c.Put(p, fmt.Sprintf("key-%03d", i%50), val); err != nil {
 				t.Errorf("put %d: %v", i, err)
@@ -224,6 +230,53 @@ func TestHealthyClusterNeverRetransmits(t *testing.T) {
 		}
 		if got := retries.Value() - warm; got != 0 {
 			t.Errorf("engine.retries moved by %d over 200 fault-free puts, want 0", got)
+		}
+	})
+	tc.env.Run()
+}
+
+// TestResyncInstallShipsSnapshotOnce: a backup of a shard holding 640 KB
+// is marked suspect, and the primary's monitor resynchronises it with a
+// whole-shard install — a rendezvous to a node whose pool has never held a
+// buffer that large, so the grant alone (registering one) takes twice the
+// base retransmission timer, and the snapshot longer than that to cross.
+// The pushing node sends the install once: the timer does not run over the
+// silence the message's own size explains.
+func TestResyncInstallShipsSnapshotOnce(t *testing.T) {
+	tc := newTestCluster(t, 47, 3, Config{NShards: 1, RF: 3})
+	reps := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)
+	prim, lagging := reps[0], reps[1]
+	reg := obs.NewRegistry()
+	tc.engs[prim].SetObs(reg)
+	tc.env.Spawn("client", func(p *sim.Proc) {
+		defer tc.env.Stop()
+		c := NewClient(tc.cliEng, tc.roster, tc.cfg)
+		val := make([]byte, 16<<10)
+		for i := 0; i < 40; i++ {
+			if err := c.Put(p, fmt.Sprintf("key-%02d", i), val); err != nil {
+				t.Errorf("put %d: %v", i, err)
+				return
+			}
+		}
+		n := tc.nodes[prim]
+		retries, shipped := reg.Counter("engine.retries"), reg.Counter("engine.bytes_sent.Write-RNDV")
+		r0, b0 := retries.Value(), shipped.Value()
+		n.shards[0].suspect[lagging] = true
+		for i := 0; n.Stats().Resyncs == 0; i++ {
+			if i == 40 {
+				t.Errorf("no resync within 40 probe intervals (%d retransmissions so far)", retries.Value()-r0)
+				return
+			}
+			p.Sleep(sim.Duration(tc.cfg.ProbeIntervalNs))
+		}
+		if n.shards[0].suspect[lagging] {
+			t.Error("backup still suspect after the install was acknowledged")
+		}
+		if got := shipped.Value() - b0; got < 512<<10 || got > 700<<10 {
+			t.Errorf("the install shipped %d bytes by rendezvous, want the one 640 KB snapshot", got)
+		}
+		if got := retries.Value() - r0; got != 0 {
+			t.Errorf("engine.retries moved by %d on the pushing node, want 0: a healthy install was re-sent", got)
 		}
 	})
 	tc.env.Run()

@@ -337,7 +337,7 @@ func (c *Conn) sendWriteRNDV(p *sim.Proc, h hdr, payload []byte, poll PollMode, 
 	rts := hdr{kind: kRTS, proto: WriteRNDV, respProto: h.respProto, fn: h.fn, length: h.length, seq: h.seq, sid: h.sid}
 	c.postSmall(p, rts)
 	ctsStart := int64(p.Now())
-	if !c.waitCTSUntil(p, h.seq, poll, until) {
+	if !c.waitCTSUntil(p, h.seq, len(payload), poll, until) {
 		return false
 	}
 	if m := c.eng.em; m != nil {
@@ -443,7 +443,7 @@ func (c *Conn) fetchRFPUntil(p *sim.Proc, poll PollMode, until sim.Time) ([]byte
 		p.Sleep(d)
 	}
 	for {
-		if expired(p.Now(), until) {
+		if c.waitOver(p.Now(), until) {
 			return nil, false, nil
 		}
 		b, ok := c.readRemote(p, c.peerRfpOut, 0, chunk, poll)
@@ -521,7 +521,7 @@ func (c *Conn) fetchKVUntil(p *sim.Proc, metaReads int, poll PollMode, until sim
 		p.Sleep(d)
 	}
 	for {
-		if expired(p.Now(), until) {
+		if c.waitOver(p.Now(), until) {
 			return nil, false, nil
 		}
 		meta, ok := c.readRemote(p, c.peerKvMeta, 0, 16, poll)

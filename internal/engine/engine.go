@@ -232,6 +232,7 @@ type engineMetrics struct {
 	deadlineExceeded *obs.Counter
 	dupRequests      *obs.Counter
 	qpRecoveries     *obs.Counter
+	rto              *obs.Histogram // the timer armed per attempt of a deadline-bounded call
 
 	// Overload-protection instruments (only move when flow control,
 	// admission control, RNR modelling or the breaker is enabled).
@@ -240,7 +241,7 @@ type engineMetrics struct {
 	creditStalls  [nProtocols]*obs.Counter // sends blocked on zero credits
 	rnrNaks       *obs.Counter             // WCRNRRetryExceeded completions
 	breakerOpen   *obs.Counter             // breaker open transitions
-	creditUpdates *obs.Counter             // async kCredit messages sent
+	creditUpdates *obs.Counter             // grant updates sent on their own (postGrant)
 
 	// Session-lifecycle instruments (only move when Sessions are used).
 	sessionRedials   *obs.Counter // dial attempts while re-establishing
@@ -263,6 +264,7 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		deadlineExceeded: r.Counter("engine.deadline_exceeded"),
 		dupRequests:      r.Counter("engine.dup_requests"),
 		qpRecoveries:     r.Counter("engine.qp_recoveries"),
+		rto:              r.Histogram("engine.rto_ns"),
 
 		rnrNaks:       r.Counter("engine.rnr_naks"),
 		breakerOpen:   r.Counter("engine.breaker_open"),
@@ -407,7 +409,7 @@ const (
 	kCTS    byte = 4
 	kNotify byte = 5
 	kFin    byte = 6
-	kCredit byte = 7 // async credit-grant update (header-only)
+	_       byte = 7 // retired: credit-grant updates are WRITEs now (flow.go)
 	kErr    byte = 8 // typed overload rejection (header-only)
 	kDrain  byte = 9 // typed draining rejection (header-only)
 )
@@ -487,6 +489,11 @@ type Arrival struct {
 	Seq       uint32
 	SID       uint32 // originating virtual connection (0 = none)
 	Payload   []byte
+
+	// dup marks a request the pump recognised as a retransmission of the
+	// one its session was last served: it carries no payload, only the
+	// cue for the dispatcher to resend the cached response.
+	dup bool
 }
 
 // connShared is the per-connection control blackboard both endpoints
@@ -513,6 +520,7 @@ type hello struct {
 	rfpOut verbs.RKey
 	kvMeta verbs.RKey
 	kvPay  verbs.RKey
+	credit verbs.RKey
 	shared *connShared
 }
 
@@ -540,6 +548,7 @@ type Conn struct {
 	slots    int
 	stageMR  *verbs.MR // outbound staging
 	directMR *verbs.MR // inbound direct-write target
+	creditMR *verbs.MR // credit words: the peer WRITEs its grant updates here (flow.go)
 
 	// Server-side published regions (client reads them one-sided).
 	rfpInMR  *verbs.MR
@@ -553,6 +562,7 @@ type Conn struct {
 	peerRfpOut verbs.RKey
 	peerKvMeta verbs.RKey
 	peerKvPay  verbs.RKey
+	peerCredit verbs.RKey
 
 	shared *connShared
 
@@ -609,8 +619,15 @@ type Conn struct {
 	numaBound  bool
 
 	// Adaptive-poller state: the virtual time until which the current
-	// wait may keep spinning before demoting to the event path.
+	// wait may keep spinning before demoting to the event path, and the
+	// wake armed for that moment (stopped when the wait ends first).
 	spinUntil sim.Time
+	spinWake  sim.Timer
+
+	// Retransmission state (reliability.go): the measured attempt timer
+	// and the call in flight's current attempt.
+	rto rtoEstimator
+	att attempt
 }
 
 // dedupEntry caches the outcome of the last request a virtual
@@ -721,6 +738,12 @@ func (e *Engine) newConn(server bool, shared *connShared) *Conn {
 	// headers so Direct-Write-Send chains never overlap the payload.
 	c.stageMR = e.pd.RegisterMRNoCost(e.cfg.MaxMsgSize + 2*hdrSize)
 	c.directMR = e.pd.RegisterMRNoCost(e.cfg.MaxMsgSize + hdrSize)
+	// Registered with or without flow control, so that arming it changes
+	// nothing — not even the pinned-bytes gauge — until it acts.
+	c.creditMR = e.pd.RegisterMRNoCost(creditWords)
+	if c.fc != nil {
+		c.creditMR.SetWriteNotify(c.onCreditWrite)
+	}
 	if server && !e.cfg.NoFetchBufs {
 		c.rfpInMR = e.pd.RegisterMRNoCost(e.cfg.MaxMsgSize + hdrSize)
 		c.rfpOutMR = e.pd.RegisterMRNoCost(e.cfg.MaxMsgSize + hdrSize)
@@ -738,7 +761,7 @@ func (e *Engine) newConn(server bool, shared *connShared) *Conn {
 	}
 	// Pin accounting from the actual MR lengths so Close can return the
 	// exact amount.
-	for _, mr := range []*verbs.MR{c.eagerMR, c.stageMR, c.directMR, c.rfpInMR, c.rfpOutMR, c.kvMetaMR, c.kvPayMR} {
+	for _, mr := range []*verbs.MR{c.eagerMR, c.stageMR, c.directMR, c.rfpInMR, c.rfpOutMR, c.kvMetaMR, c.kvPayMR, c.creditMR} {
 		if mr != nil {
 			c.pinned += int64(mr.Len())
 		}
@@ -845,6 +868,7 @@ func (c *Conn) Close() {
 	c.pinned = 0
 	c.eagerMR, c.stageMR, c.directMR = nil, nil, nil
 	c.rfpInMR, c.rfpOutMR, c.kvMetaMR, c.kvPayMR = nil, nil, nil, nil
+	c.creditMR = nil
 }
 
 // Close tears down the engine: every connection it created is closed and
@@ -876,7 +900,7 @@ func (e *Engine) Close() {
 }
 
 func (c *Conn) helloFor() *hello {
-	h := &hello{qp: c.qp, direct: c.directMR.RKey(), shared: c.shared}
+	h := &hello{qp: c.qp, direct: c.directMR.RKey(), credit: c.creditMR.RKey(), shared: c.shared}
 	if c.server {
 		h.rfpIn = c.rfpInMR.RKey()
 		h.rfpOut = c.rfpOutMR.RKey()
@@ -897,6 +921,7 @@ func (c *Conn) applyHello(h *hello) {
 	c.peerRfpOut = h.rfpOut
 	c.peerKvMeta = h.kvMeta
 	c.peerKvPay = h.kvPay
+	c.peerCredit = h.credit
 	c.shared = h.shared
 }
 
@@ -1030,11 +1055,12 @@ func (c *Conn) enterWait(poll PollMode) {
 			c.eng.node.CPU.AddLoad(1)
 			c.busyLoaded = true
 		}
-		c.eng.env.At(c.spinUntil, c.wake)
+		c.spinWake = c.eng.env.AtTimer(c.spinUntil, c.wake)
 	}
 }
 
 func (c *Conn) exitWait() {
+	c.spinWake.Stop()
 	if c.busyLoaded {
 		c.eng.node.CPU.RemoveLoad(1)
 		c.busyLoaded = false
@@ -1093,16 +1119,21 @@ func (c *Conn) popArrival() Arrival {
 	return a
 }
 
-// waitCTSUntil pumps until the CTS for seq arrives, queueing any
-// unrelated arrivals. A non-zero until bounds the wait (virtual time);
-// it returns false on timeout with the seq's CTS flag left unset so a
-// late CTS can still be consumed by a retry.
-func (c *Conn) waitCTSUntil(p *sim.Proc, seq uint32, poll PollMode, until sim.Time) bool {
+// waitCTSUntil pumps until the CTS for seq, the grant for an n-byte
+// payload, arrives, queueing any unrelated arrivals. A non-zero until
+// bounds the wait (virtual time; inside an attempt, waitUntil);
+// it returns false on timeout (or on evidence that the attempt is lost,
+// waitOver) with the seq's CTS flag left unset so a late CTS can still
+// be consumed by a retry.
+func (c *Conn) waitCTSUntil(p *sim.Proc, seq uint32, n int, poll PollMode, until sim.Time) bool {
 	c.enterWait(poll)
 	defer c.exitWait()
-	c.armWake(until)
+	if until != 0 {
+		until = c.waitUntil(p.Now()+sim.Time(c.grantTime(n)), until)
+	}
+	defer c.armWake(until).Stop()
 	for !c.ctsReady[seq] {
-		if expired(p.Now(), until) {
+		if c.waitOver(p.Now(), until) {
 			return false
 		}
 		if c.pumpCompletions(p) > 0 {
@@ -1127,6 +1158,10 @@ func (c *Conn) waitRead(p *sim.Proc, wrid uint64, poll PollMode) bool {
 	for {
 		if wc, ok := c.cq.TryPoll(); ok {
 			if wc.Op == verbs.OpRead && wc.WRID == wrid {
+				// A poll that failed says nothing about the request it polls
+				// for: the fetch loop recovers and polls again, and only a
+				// failed completion of the request itself (handleWC) is
+				// evidence that it must be sent again.
 				c.chargeDetect(p, poll)
 				return wc.Status == verbs.WCSuccess
 			}
@@ -1143,6 +1178,7 @@ func (c *Conn) waitRead(p *sim.Proc, wrid uint64, poll PollMode) bool {
 // completion finishes an application-level message.
 func (c *Conn) handleWC(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 	if wc.Status != verbs.WCSuccess {
+		c.noteFault(wc)
 		if wc.Status == verbs.WCRNRRetryExceeded {
 			// The peer's RECV ring stayed exhausted through the whole RNR
 			// retry budget. A credit-respecting sender never sees this.
@@ -1274,7 +1310,7 @@ func (c *Conn) handleRecvSlot(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 			delete(c.frags, h.seq)
 			c.Recycle(frag)
 			if h.off == 0 {
-				return Arrival{Kind: kReq, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, SID: h.sid}, true
+				return Arrival{Kind: kReq, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, SID: h.sid, dup: true}, true
 			}
 			return Arrival{}, false
 		}
@@ -1311,10 +1347,6 @@ func (c *Conn) handleRecvSlot(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 	case kCTS:
 		c.ctsReady[h.seq] = true
 		return Arrival{}, false
-	case kCredit:
-		// Async credit grant: the piggybacked total was consumed by
-		// noteCredits above; nothing else to do.
-		return Arrival{}, false
 	case kErr, kDrain:
 		// Typed rejection (header-only): surface it so the caller's
 		// response wait maps it to ErrOverloaded / ErrDraining.
@@ -1348,7 +1380,7 @@ func (c *Conn) handleRTS(p *sim.Proc, h hdr) (Arrival, bool) {
 	// progress. No-op on a healthy QP.
 	c.recoverQP(p)
 	if _, dup := c.dedupLookup(h.sid, h.seq); dup && c.server {
-		return Arrival{Kind: kReq, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, SID: h.sid}, true
+		return Arrival{Kind: kReq, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, SID: h.sid, dup: true}, true
 	}
 	switch h.proto {
 	case WriteRNDV, HybridEagerRNDV:

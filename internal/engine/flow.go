@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"hatrpc/internal/obs"
 	"hatrpc/internal/sim"
+	"hatrpc/internal/verbs"
 )
 
 // ErrNoCredits is returned by Call when CallOpts.NoWait is set and the
@@ -26,15 +28,22 @@ var ErrNoCredits = errors.New("engine: no send credits (peer receive ring full)"
 // (peerGrant). Duplicated or reordered grants are therefore idempotent,
 // and a grant lost with its carrier message is recovered by the next
 // header that makes it through — which matters because responses (and
-// kCredit updates) can be dropped by fault injection.
+// grant updates) can be dropped by fault injection.
 //
 // A small reserve is carved out of the configured credit budget for
-// header-only control messages (CTS, FIN, kCredit, kErr): those are
-// issued from pump context where blocking would deadlock, so they spend
-// without waiting and may drive avail negative into the reserve. The
-// overdraft is bounded — the engine runs one outstanding call per
-// connection, and each call issues at most a couple of control messages
-// before the data path next blocks on waitCredit.
+// header-only control messages (CTS, FIN, kErr): those are issued from
+// pump context where blocking would deadlock, so they spend without
+// waiting and may drive avail negative into the reserve. The overdraft is
+// bounded — the engine runs one outstanding call per connection, and each
+// call issues at most a couple of control messages before the data path
+// next blocks on waitCredit.
+//
+// A grant backlog that no outbound header has carried is announced by a
+// one-sided WRITE of the cumulative total into the peer's credit word
+// (postGrant). The update consumes no RECV and spends no credit, so
+// receiving one creates no grant of its own to announce: an update sent as
+// a message did, and two endpoints that had once exchanged updates kept
+// answering each other's with one per call for the life of the connection.
 type flowState struct {
 	avail      int    // spendable credits; may dip below 0 into the reserve
 	grantTotal uint32 // cumulative RECV reposts performed locally
@@ -47,9 +56,8 @@ type flowState struct {
 // `slots` RECVs. The budget is clamped to the ring depth (more credits
 // than slots would defeat the point), a quarter (max 4) is reserved for
 // control traffic, and the async-update low-water mark is half the
-// spendable budget but never below 2 — at 1, every kCredit would itself
-// trigger the peer's next kCredit and the connection would ping-pong
-// credit updates forever.
+// spendable budget but never below 2, so a lone repost waits for the next
+// header instead of costing a work request of its own.
 func newFlowState(flowCredits, slots int) *flowState {
 	credits := flowCredits
 	if credits > slots {
@@ -84,24 +92,64 @@ func (c *Conn) putHdrC(b []byte, h hdr) {
 
 // noteCredits consumes the piggybacked grant of an inbound header.
 func (c *Conn) noteCredits(h hdr) {
-	fc := c.fc
-	if fc == nil {
-		return
+	if fc := c.fc; fc != nil {
+		fc.noteGrant(h.credits)
+		// No wakeup needed: headers are only read inside this conn's own
+		// pump loops (waitCredit included), which re-check avail on the
+		// next iteration.
 	}
-	if d := int32(h.credits - fc.peerGrant); d > 0 {
-		fc.peerGrant = h.credits
+}
+
+// noteGrant advances avail to the peer's cumulative grant total.
+func (fc *flowState) noteGrant(total uint32) {
+	if d := int32(total - fc.peerGrant); d > 0 {
+		fc.peerGrant = total
 		fc.avail += int(d)
-		// No wakeup needed: grants are only discovered inside this conn's
-		// own pump loops (waitCredit included), which re-check avail on
-		// the next iteration.
 	}
+}
+
+// The credit word region: the peer WRITEs its cumulative grant total into
+// the first word; the second is the source of this endpoint's own updates.
+const (
+	creditWordIn  = 0
+	creditWordOut = 4
+	creditWords   = 8
+)
+
+// onCreditWrite runs when the peer's grant update lands in the credit
+// word. It runs in scheduler context, outside any pump loop, so a sender
+// parked in waitCredit has to be woken — and only such a sender: avail was
+// not positive before the update.
+func (c *Conn) onCreditWrite(off, n int) {
+	fc := c.fc
+	starved := fc.avail <= 0
+	fc.noteGrant(binary.LittleEndian.Uint32(c.creditMR.Buf[creditWordIn:]))
+	if starved && fc.avail > 0 {
+		c.sig.Fire()
+	}
+}
+
+// postGrant announces the cumulative grant total on its own, by a WRITE
+// into the peer's credit word.
+func (c *Conn) postGrant(p *sim.Proc) {
+	fc := c.fc
+	fc.sentGrant = fc.grantTotal
+	binary.LittleEndian.PutUint32(c.creditMR.Buf[creditWordOut:], fc.grantTotal)
+	c.qp.PostSend(p, &verbs.SendWR{
+		WRID: c.wrid(), Op: verbs.OpWrite,
+		SGE:        verbs.SGE{MR: c.creditMR, Off: creditWordOut, Len: 4},
+		Remote:     c.peerCredit,
+		Inline:     true,
+		Unsignaled: true,
+	})
 }
 
 // noteRepost records that one RECV was reposted to the ring (one more
 // message the peer may now send). If the grant backlog that has not yet
-// ridden an outbound header reaches the low-water mark, an async kCredit
-// update carries it — this keeps one-directional flows (oneway floods,
-// long request bursts with no response traffic) from starving the peer.
+// ridden an outbound header reaches the low-water mark, an update of its
+// own carries it (postGrant) — this keeps one-directional flows (oneway
+// floods, long request bursts with no response traffic) from starving the
+// peer.
 func (c *Conn) noteRepost(p *sim.Proc) {
 	fc := c.fc
 	if fc == nil {
@@ -112,7 +160,7 @@ func (c *Conn) noteRepost(p *sim.Proc) {
 		if m := c.eng.em; m != nil {
 			m.creditUpdates.Inc()
 		}
-		c.postSmall(p, hdr{kind: kCredit})
+		c.postGrant(p)
 	}
 }
 
@@ -125,8 +173,9 @@ func (c *Conn) spend() {
 
 // waitCredit blocks until at least one credit is spendable, pumping the
 // CQ so inbound grants (and unrelated arrivals, which are queued) can
-// land. A non-zero until bounds the wait; false means the deadline
-// passed with the peer's ring still full. The caller spends separately —
+// land. A non-zero until bounds the wait; false means the bound passed
+// with the peer's ring still full (or the attempt ended on evidence,
+// waitOver). The caller spends separately —
 // keeping acquisition and spending distinct lets fragmented sends
 // acquire per fragment instead of needing the whole burst upfront
 // (which could exceed the ring and deadlock).
@@ -144,9 +193,10 @@ func (c *Conn) waitCredit(p *sim.Proc, proto Protocol, poll PollMode, until sim.
 		int64(p.Now()), obs.Arg{K: "avail", V: int64(fc.avail)})
 	c.enterWait(poll)
 	defer c.exitWait()
-	c.armWake(until)
+	until = c.waitUntil(p.Now(), until)
+	defer c.armWake(until).Stop()
 	for fc.avail <= 0 {
-		if expired(p.Now(), until) {
+		if c.waitOver(p.Now(), until) {
 			return false
 		}
 		if c.pumpCompletions(p) > 0 {

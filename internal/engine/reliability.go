@@ -75,18 +75,91 @@ func rejectErr(kind byte) error {
 	return ErrOverloaded
 }
 
-// Retry pacing. The backoff starts comfortably above the RC retry
-// timeout (so a dropped message has erred its QP before the first
-// retransmission probes it) and doubles up to the cap.
+// Retry pacing. An attempt's timer is measured, not fixed (rtoEstimator);
+// retryBackoffBaseNs is its floor — comfortably above the RC retry timeout,
+// so a lost message has erred its QP before a timer-driven retransmission
+// probes it — and it doubles per retransmission up to retryBackoffCapNs, or
+// up to the measured timer where that is longer.
 const (
-	retryBackoffBaseNs = 50_000  // first retransmission wait
-	retryBackoffCapNs  = 400_000 // backoff ceiling
+	retryBackoffBaseNs = 50_000  // shortest attempt timer
+	retryBackoffCapNs  = 400_000 // doubling ceiling
 	// serverCTSTimeoutNs bounds a server dispatcher's rendezvous-CTS
 	// wait when fault injection is active, so a client that aborted
 	// mid-handshake cannot wedge the dispatcher. The client's
 	// retransmission (dedup) restarts the response from scratch.
 	serverCTSTimeoutNs = 200_000
 )
+
+// rtoEstimator is a connection's measure of how long a request that has
+// been delivered waits for its response, in the shape of RFC 6298: a
+// smoothed response time and a smoothed mean deviation, the timer their
+// sum with the deviation taken four times — floored at retryBackoffBaseNs,
+// so a connection whose responses come back well inside the base timer
+// keeps exactly that, while one whose handler takes 200 µs waits for about
+// that long plus four deviations before it concludes anything was lost.
+type rtoEstimator struct {
+	srtt, rttvar sim.Duration
+	sampled      bool
+	// retained is a guess kept until the next sample: the timer the last
+	// call that was re-sent would have needed to be sent once (retain). A
+	// connection whose every call is re-sent never yields a sample, and
+	// would otherwise start each call from the same too-short timer for
+	// good (the second half of Karn's algorithm).
+	retained sim.Duration
+	doubted  bool // the last call was re-sent blind; no sample since
+}
+
+// observe feeds one response time. Only calls answered on their first
+// transmission are observed (Karn's rule: a response that follows a
+// retransmission cannot be attributed to either copy of the request), and
+// only genuine responses: a typed rejection is minted before admission and
+// says nothing about how long an admitted request is served for.
+func (e *rtoEstimator) observe(rtt sim.Duration) {
+	rtt = max(rtt, 0)
+	e.retained, e.doubted = 0, false
+	if !e.sampled {
+		e.srtt, e.rttvar, e.sampled = rtt, rtt/2, true
+		return
+	}
+	e.rttvar += ((e.srtt - rtt).Abs() - e.rttvar) / 4
+	e.srtt += (rtt - e.srtt) / 8
+}
+
+// retain is observe for a call that was re-sent and took elapsed from its
+// first copy that may have arrived to its response. That is only an upper
+// bound of the response time, so it is no sample; but a timer below it is
+// known to fire on the next call like this one, so until a sample arrives
+// calls get the first of the doublings from timer — the one in force when
+// the response came — that is no shorter: it may be one doubling short of
+// a 200 µs handler, or capped at a fraction of a 1 ms one. Under loss
+// elapsed is inflated by the recovery itself, so a guess is made with
+// reserve: not from one slow call among answered ones (a loss, more likely
+// than a change of pace: the second in a row is believed), two doublings at
+// most, and never built upon — a call that started from a guess leaves it
+// as it is.
+func (e *rtoEstimator) retain(timer, elapsed sim.Duration) {
+	if e.retained != 0 {
+		return
+	}
+	if e.sampled && !e.doubted {
+		e.doubted = true
+		return
+	}
+	for limit := 4 * timer; timer < elapsed && timer < limit; {
+		timer *= 2
+	}
+	e.retained = timer
+}
+
+// timer is the timer of the first attempt of a call with budget to spend:
+// the measured one, or the guess that stands in for it — which may claim
+// no more than a quarter of the budget, so that being wrong about a slow
+// server costs a call that loses its response one long wait, not its
+// deadline.
+func (e *rtoEstimator) timer(budget sim.Duration) sim.Duration {
+	measured := max(retryBackoffBaseNs, e.srtt+4*e.rttvar)
+	return max(measured, min(e.retained, budget/4))
+}
 
 // faultsActive reports whether the cluster has a fault plan installed.
 // All reliability-only costs (bounded server waits, QP recovery) hide
@@ -109,63 +182,218 @@ func (c *Conn) recoverQP(p *sim.Proc) {
 }
 
 // armWake schedules a signal fire at the given virtual time so a bounded
-// wait loop gets a chance to observe its timeout. A zero bound (an
-// unbounded wait) arms nothing. Spurious fires (the wait already
-// returned) are absorbed by the signal's condition loops.
-func (c *Conn) armWake(until sim.Time) {
+// wait loop gets a chance to observe its timeout; the wait stops the
+// returned timer when it ends, so a wait that was answered leaves nothing
+// behind to wake a later one. A zero bound (an unbounded wait) arms
+// nothing.
+func (c *Conn) armWake(until sim.Time) sim.Timer {
 	if until > c.eng.env.Now() {
-		c.eng.env.At(until, c.wake)
+		return c.eng.env.AtTimer(until, c.wake)
 	}
-}
-
-// attemptBound is the end of one retransmission attempt: backoff from
-// now, capped at the call's deadline. An unbounded call (until zero) gets
-// one unbounded attempt.
-func attemptBound(now sim.Time, backoff sim.Duration, until sim.Time) sim.Time {
-	if until == 0 {
-		return 0
-	}
-	return min(now+sim.Time(backoff), until)
+	return sim.Timer{}
 }
 
 // expired reports whether a bound has passed; zero never expires.
 func expired(now, until sim.Time) bool { return until > 0 && now >= until }
 
-// callReliable runs the deadline/retransmit state machine around one
-// request/response call: send the request (seq-tagged), wait up to the
-// current backoff for the response, and retransmit with doubled backoff
-// until the response arrives or the deadline expires. The server
-// deduplicates by seq, so a retransmitted request is executed at most
-// once; stale duplicate responses are discarded by seq filtering. until
-// zero means no deadline, like every *Until helper below it: the first
-// attempt waits forever and no wake is armed — on a lossless fabric that
-// is exactly send, then wait for the response.
-func (c *Conn) callReliable(p *sim.Proc, h hdr, req []byte, respProto Protocol, poll PollMode, until sim.Time) ([]byte, error) {
-	eng := c.eng
-	backoff := sim.Duration(retryBackoffBaseNs)
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if m := eng.em; m != nil {
-				m.retries.Inc()
-			}
-			eng.trc.Instant("rpc", "retry", eng.node.ID(), c.id, int64(p.Now()),
-				obs.Arg{K: "seq", V: h.seq}, obs.Arg{K: "attempt", V: attempt})
+// attempt is the retransmission state of the deadline-bounded call a
+// connection has in flight.
+//
+// The timer of a call's first attempt is the connection's measured one
+// (rtoEstimator); each retransmission doubles it. It bounds every wait of
+// the attempt separately, from the moment that wait starts: the wait for
+// a credit or for the rendezvous grant inside the send, and the wait for
+// the response — each behind the silence the message's own length explains
+// (grantTime, delivery). A sender that is making progress is therefore
+// never timed out, and a message that takes longer to deliver than the
+// timer runs is sent once.
+//
+// A wait also ends on evidence: a failed completion of a work request the
+// attempt posted (a fetch loop's own poll READs aside, which it simply
+// repeats) means the request, or a handshake message the response depends
+// on, never arrived, and sleeping on towards the timer would learn nothing
+// more. The first retransmission of a call then leaves at once — at the RC
+// retry timeout instead of at the timer. Later ones are paced by the fixed
+// schedule every call used to follow (sched: 50 µs, doubling to 400 µs):
+// evidence or timer, retransmission m never leaves before that schedule
+// would have sent it, so a dead link is probed no more often than it was.
+type attempt struct {
+	timer sim.Duration // longest wait for the peer; zero outside a deadline-bounded call
+	ceil  sim.Duration // doubling stops here
+	n     int          // attempts begun
+	since sim.Time     // when the first copy of the request that may have arrived was sent
+	blind bool         // a copy since then was sent because the timer ran out, not on evidence
+
+	sched sim.Time     // when the fixed schedule would end the current attempt
+	step  sim.Duration // that schedule's next interval
+
+	faultFrom uint64 // failed work requests numbered so or higher are evidence; zero: none is
+	faulted   bool   // evidence seen
+}
+
+// beginAttempt opens the call's next attempt: it paces and accounts for a
+// retransmission, backs the timer off and cycles the QP out of the error
+// state. It reports false when the deadline passed before the
+// retransmission was due.
+func (c *Conn) beginAttempt(p *sim.Proc, seq uint32, until sim.Time) bool {
+	a, eng := &c.att, c.eng
+	if a.n == 0 {
+		a.timer, a.since, a.blind = 0, p.Now(), false
+		a.sched, a.step = p.Now(), retryBackoffBaseNs
+		if until != 0 {
+			a.timer = c.rto.timer(sim.Duration(until - p.Now()))
+			a.ceil = max(retryBackoffCapNs, a.timer)
 		}
-		c.recoverQP(p)
-		attemptUntil := attemptBound(p.Now(), backoff, until)
-		if c.sendMessageUntil(p, h, req, poll, attemptUntil) {
+	} else {
+		cause := "timer"
+		if a.faulted {
+			cause = "qp_error"
+			if now := p.Now(); a.n > 1 && now < a.sched {
+				p.Sleep(sim.Duration(min(a.sched, until) - now))
+				if expired(p.Now(), until) {
+					return false
+				}
+			}
+			// Every earlier copy is known lost: whatever answers, answers
+			// this one or a later.
+			a.since, a.blind = p.Now(), false
+		} else {
+			a.blind = true
+		}
+		if m := eng.em; m != nil {
+			m.retries.Inc()
+		}
+		eng.trc.Instant("rpc", "retry", eng.node.ID(), c.id, int64(p.Now()),
+			obs.Arg{K: "seq", V: seq}, obs.Arg{K: "attempt", V: a.n}, obs.Arg{K: "cause", V: cause})
+		a.timer = min(2*a.timer, a.ceil)
+	}
+	a.n++
+	a.sched += sim.Time(a.step)
+	a.step = min(2*a.step, retryBackoffCapNs)
+	c.recoverQP(p)
+	a.faulted, a.faultFrom = false, 0
+	if until != 0 {
+		a.faultFrom = c.nextWRID + 1
+		if m := eng.em; m != nil {
+			m.rto.Observe(float64(a.timer))
+		}
+	}
+	return true
+}
+
+// answered feeds the estimator from the call that has just been answered,
+// arrived being when its request was in the peer's memory. A call that was
+// never re-sent yields a sample; one that was re-sent blind, a guess; one
+// that was re-sent only on evidence, nothing — its timer was never at
+// fault.
+func (c *Conn) answered(now, arrived sim.Time) {
+	switch a := &c.att; {
+	case a.timer == 0: // no deadline: nothing is measured
+	case a.n == 1:
+		c.rto.observe(sim.Duration(now - arrived))
+	case a.blind:
+		c.rto.retain(a.timer, sim.Duration(now-a.since))
+	}
+}
+
+// waitUntil bounds a wait for the peer that starts at from and must end by
+// until: inside an attempt by the attempt's timer (but not before the fixed
+// schedule would have ended the attempt, which matters after a first
+// retransmission that left early), otherwise — a server's wait, bounded
+// only under fault injection — by until alone.
+func (c *Conn) waitUntil(from, until sim.Time) sim.Time {
+	a := &c.att
+	if until == 0 || a.timer == 0 {
+		return until
+	}
+	return min(max(from+sim.Time(a.timer), a.sched), until)
+}
+
+// waitOver reports whether a bounded wait should give up: its bound has
+// passed, or the attempt it belongs to is lost (attempt.faulted).
+func (c *Conn) waitOver(now, until sim.Time) bool {
+	return until > 0 && (now >= until || c.att.faulted)
+}
+
+// noteFault records a failed send-side completion. It counts as evidence
+// against the attempt in flight only if that attempt posted the work
+// request: failures of earlier attempts' requests (the rest of a chunk
+// train behind the lost chunk, say) arrive late and prove nothing new.
+func (c *Conn) noteFault(wc verbs.WC) {
+	if a := &c.att; a.faultFrom != 0 && wc.Op != verbs.OpRecv && wc.WRID >= a.faultFrom {
+		a.faulted = true
+	}
+}
+
+// The size terms: how long a healthy peer may stay silent because of the
+// message's length alone. A wait's timer starts only behind them, so a
+// long message is never taken for a lost one.
+
+// departure is how long the NIC takes to put n posted payload bytes on the
+// wire: the DMA fetch, then the serialisation. A chunk train or a run of
+// eager fragments overlaps the two with each other and with the peer's
+// receive side, so the last byte is in the peer's memory about when this
+// says it has left.
+func (c *Conn) departure(n int) sim.Duration {
+	return sim.Duration(c.eng.dev.CostModel().DMATime(n)) + c.eng.node.TX.SerializationTime(n)
+}
+
+// grantTime is how long the peer may take to have a buffer ready for an
+// n-byte rendezvous: registering one of that size class, if its pool has
+// none (a restarted node's never has). It registers once: a retransmitted
+// RTS finds the grant standing.
+func (c *Conn) grantTime(n int) sim.Duration {
+	if c.att.n > 1 {
+		return 0
+	}
+	return sim.Duration(c.eng.dev.CostModel().RegisterTime(sizeClass(n + hdrSize)))
+}
+
+// delivery is how long an n-byte request may take to be in the peer's
+// memory once this end has posted it. Write-RNDV has waited for its grant
+// by then (waitCTSUntil); Read-RNDV's peer finds its buffer only now, and
+// pulls the payload with one READ, which nothing overlaps: it is fetched,
+// serialised, received and placed strictly in turn.
+func (c *Conn) delivery(proto Protocol, n int) sim.Duration {
+	if proto == ReadRNDV {
+		return c.grantTime(n) + 2*c.departure(n)
+	}
+	return c.departure(n)
+}
+
+// callReliable runs the deadline/retransmit state machine around one
+// request/response call: send the request (seq-tagged), wait for the
+// response as long as the attempt's timer allows (attempt), and
+// retransmit until the response arrives or the deadline expires. The
+// server deduplicates by seq, so a retransmitted request is executed at
+// most once; stale duplicate responses are discarded by seq filtering.
+// until zero means no deadline, like every *Until helper below it: the
+// first attempt waits forever, no wake is armed and nothing is measured —
+// on a lossless fabric that is exactly send, then wait for the response.
+func (c *Conn) callReliable(p *sim.Proc, h hdr, req []byte, respProto Protocol, poll PollMode, until sim.Time) ([]byte, error) {
+	c.att.n = 0
+	for {
+		if !c.beginAttempt(p, h.seq, until) {
+			return nil, c.failCall(h.seq)
+		}
+		if c.sendMessageUntil(p, h, req, poll, until) {
+			var arrived, respUntil sim.Time
+			if until != 0 {
+				arrived = p.Now() + sim.Time(c.delivery(h.proto, len(req)))
+				respUntil = c.waitUntil(arrived, until)
+			}
 			var out []byte
 			var ok bool
 			var err error
 			switch respProto {
 			case RFP:
-				out, ok, err = c.fetchRFPUntil(p, poll, attemptUntil)
+				out, ok, err = c.fetchRFPUntil(p, poll, respUntil)
 			case Pilaf:
-				out, ok, err = c.fetchKVUntil(p, 2, poll, attemptUntil)
+				out, ok, err = c.fetchKVUntil(p, 2, poll, respUntil)
 			case FaRM:
-				out, ok, err = c.fetchKVUntil(p, 1, poll, attemptUntil)
+				out, ok, err = c.fetchKVUntil(p, 1, poll, respUntil)
 			default:
-				out, ok, err = c.awaitResponse(p, h.seq, poll, attemptUntil)
+				out, ok, err = c.awaitResponse(p, h.seq, poll, respUntil)
 			}
 			if err != nil {
 				// Typed server rejection (shed): terminal — retrying into
@@ -174,6 +402,7 @@ func (c *Conn) callReliable(p *sim.Proc, h hdr, req []byte, respProto Protocol, 
 				return nil, err
 			}
 			if ok {
+				c.answered(p.Now(), arrived)
 				return out, nil
 			}
 		} else if out, ok, err := c.pollResponse(p, h.seq, poll); ok || err != nil {
@@ -187,14 +416,11 @@ func (c *Conn) callReliable(p *sim.Proc, h hdr, req []byte, respProto Protocol, 
 				c.abortCall(h.seq)
 				return nil, err
 			}
+			c.answered(p.Now(), 0)
 			return out, nil
 		}
 		if expired(p.Now(), until) {
 			return nil, c.failCall(h.seq)
-		}
-		backoff *= 2
-		if backoff > retryBackoffCapNs {
-			backoff = retryBackoffCapNs
 		}
 	}
 }
@@ -204,25 +430,16 @@ func (c *Conn) callReliable(p *sim.Proc, h hdr, req []byte, respProto Protocol, 
 // RTS/CTS) still need bounded waits and retransmission to get the
 // payload off the node.
 func (c *Conn) sendOnewayReliable(p *sim.Proc, h hdr, req []byte, poll PollMode, until sim.Time) error {
-	eng := c.eng
-	backoff := sim.Duration(retryBackoffBaseNs)
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if m := eng.em; m != nil {
-				m.retries.Inc()
-			}
+	c.att.n = 0
+	for {
+		if !c.beginAttempt(p, h.seq, until) {
+			return c.failCall(h.seq)
 		}
-		c.recoverQP(p)
-		attemptUntil := attemptBound(p.Now(), backoff, until)
-		if c.sendMessageUntil(p, h, req, poll, attemptUntil) {
+		if c.sendMessageUntil(p, h, req, poll, until) {
 			return nil
 		}
 		if expired(p.Now(), until) {
 			return c.failCall(h.seq)
-		}
-		backoff *= 2
-		if backoff > retryBackoffCapNs {
-			backoff = retryBackoffCapNs
 		}
 	}
 }
@@ -265,8 +482,8 @@ func (c *Conn) abortCall(seq uint32) {
 	}
 }
 
-// awaitResponse pumps completions until the response for seq arrives or
-// the bound expires (zero = never). Responses for other seqs are stale
+// awaitResponse pumps completions until the response for seq arrives, the
+// bound expires (zero = never) or the attempt is lost (waitOver). Responses for other seqs are stale
 // duplicates from earlier attempts (or earlier calls) and are discarded
 // — the dedup guarantee means their payloads equal what the original
 // call already returned. A kErr/kDrain arrival for seq is the server's typed
@@ -274,7 +491,7 @@ func (c *Conn) abortCall(seq uint32) {
 func (c *Conn) awaitResponse(p *sim.Proc, seq uint32, poll PollMode, until sim.Time) ([]byte, bool, error) {
 	c.enterWait(poll)
 	defer c.exitWait()
-	c.armWake(until)
+	defer c.armWake(until).Stop()
 	for {
 		for len(c.respQueue) > 0 {
 			a := c.popArrival()
@@ -291,7 +508,7 @@ func (c *Conn) awaitResponse(p *sim.Proc, seq uint32, poll PollMode, until sim.T
 				return nil, false, rejectErr(a.Kind)
 			}
 		}
-		if expired(p.Now(), until) {
+		if c.waitOver(p.Now(), until) {
 			return nil, false, nil
 		}
 		if c.pumpCompletions(p) > 0 {

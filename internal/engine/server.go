@@ -280,6 +280,15 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 			}
 			continue
 		}
+		if a.dup {
+			// A retransmission that a later request of its session has
+			// overtaken (an RNR-NAKed SEND is re-delivered behind the SENDs
+			// that followed it): by the time it is dispatched the cache
+			// holds that later request's response. Its caller has given up
+			// on it — a session has one call outstanding — and it has no
+			// payload to execute.
+			continue
+		}
 		if s.draining && !s.exempt[a.Fn] {
 			// Graceful-drain fence: new work is rejected typed and
 			// immediately (after dedup, so retransmissions of already

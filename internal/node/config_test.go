@@ -111,6 +111,7 @@ func TestParseConfigRejects(t *testing.T) {
 		{"zero servers", "protocol:\n  servers: 0\n", ErrBadValue, "protocol.servers"},
 		{"huge rf", "protocol:\n  rf: 99\n", ErrBadValue, "protocol.rf"},
 		{"rf over servers", "protocol:\n  servers: 2\n  rf: 3\n", ErrBadValue, "protocol.rf"},
+		{"rf 2 never promotes", "protocol:\n  rf: 2\n", ErrBadValue, "protocol.rf"},
 		{"bad sync mode", "protocol:\n  sync_mode: psync\n", ErrBadValue, "protocol.sync_mode"},
 		{"bad sink", "application:\n  metrics_sink: statsd\n", ErrBadValue, "application.metrics_sink"},
 		{"bad duration", "application:\n  drain_deadline: soon\n", ErrBadValue, "application.drain_deadline"},
@@ -139,6 +140,34 @@ func TestParseConfigRejects(t *testing.T) {
 				t.Errorf("error names key %q, want %q", ce.Key, tc.key)
 			}
 		})
+	}
+}
+
+// TestValidateRejectsRF2: a two-replica shard needs both replicas to form
+// the majority a promotion takes, so it can never fail over; the config is
+// refused with the reason rather than booted into a cluster that goes
+// silently unavailable at its first replica loss. RF 1 (no failover
+// promised) and RF 3 stay valid.
+func TestValidateRejectsRF2(t *testing.T) {
+	for rf, ok := range map[int]bool{1: true, 2: false, 3: true} {
+		c := DefaultConfig()
+		c.Protocol.RF = rf
+		err := c.Validate()
+		if ok {
+			if err != nil {
+				t.Errorf("rf %d: %v", rf, err)
+			}
+			continue
+		}
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Key != "protocol.rf" || !errors.Is(err, ErrBadValue) {
+			t.Fatalf("rf %d: error %v, want a bad-value *ConfigError on protocol.rf", rf, err)
+		}
+		for _, want := range []string{"quorum", "fail over"} {
+			if !strings.Contains(ce.Detail, want) {
+				t.Errorf("rf %d: detail %q does not say why (no %q)", rf, ce.Detail, want)
+			}
+		}
 	}
 }
 

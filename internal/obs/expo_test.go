@@ -26,6 +26,10 @@ func expoFixture() *Registry {
 	for _, v := range []float64{1, 1, 3} {
 		groups.Observe(v)
 	}
+	rto := r.Histogram("engine.rto_ns")
+	for _, v := range []float64{50_000, 50_000, 100_000, 441_045} {
+		rto.Observe(v)
+	}
 	r.Gauge("engine.pinned_bytes", func() float64 { return 1 << 20 })
 	r.Gauge("node.health", func() float64 { return 1.5 })
 	return r

@@ -22,7 +22,7 @@ type CPU struct {
 	tasks      []cpuTask // running tasks, in admission order
 	lastUpdate Time
 	rate       float64 // current per-task progress rate in (0,1]
-	completion timer   // pending earliest-completion callback
+	completion Timer   // pending earliest-completion callback
 	complete   func()  // c.onCompletion, bound once
 }
 
@@ -121,8 +121,8 @@ func (c *CPU) reschedule() {
 	} else {
 		c.rate = float64(c.cores) / float64(r)
 	}
-	c.env.cancel(c.completion)
-	c.completion = timer{}
+	c.completion.Stop()
+	c.completion = Timer{}
 	if len(c.tasks) == 0 {
 		return
 	}
@@ -140,7 +140,7 @@ func (c *CPU) reschedule() {
 }
 
 func (c *CPU) onCompletion() {
-	c.completion = timer{}
+	c.completion = Timer{}
 	c.advance()
 	c.reschedule()
 }

@@ -156,10 +156,36 @@ func TestStaleTimerCannotCancelRecycledEvent(t *testing.T) {
 	if fresh.ev != stale.ev {
 		t.Fatal("the pool did not reuse the event: the test no longer tests anything")
 	}
-	env.cancel(stale)
+	stale.Stop()
 	env.Run()
 	if !fired {
 		t.Fatal("cancelling a fired timer killed the event that reused its struct")
+	}
+}
+
+// A stopped AtTimer callback never runs and never moves the clock; stopping
+// it again, stopping one that has fired and stopping the zero Timer are
+// no-ops — also once the pool has handed the event to somebody else.
+func TestAtTimerStop(t *testing.T) {
+	env := NewEnv(1)
+	ran := 0
+	count := func() { ran++ }
+	kept := env.AtTimer(5, count)
+	stopped := env.AtTimer(1000, count)
+	stopped.Stop()
+	stopped.Stop()
+	Timer{}.Stop()
+	if end := env.Run(); end != 5 || ran != 1 {
+		t.Fatalf("clock at %d after %d callbacks, want 5 after 1: the stopped timer still counted", end, ran)
+	}
+	fresh := env.AtTimer(10, count)
+	kept.Stop()    // fired long ago
+	stopped.Stop() // discarded long ago
+	if fresh.ev != kept.ev && fresh.ev != stopped.ev {
+		t.Fatal("the pool did not reuse an event: the test no longer tests anything")
+	}
+	if env.Run(); ran != 2 {
+		t.Fatal("a stale Stop killed the event that reused its struct")
 	}
 }
 
@@ -278,6 +304,15 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 	var tick func()
 	tick = func() { timers.After(1, tick) }
 	timers.After(1, tick)
+	stopped := NewEnv(1)
+	var guard Timer
+	var rearm func()
+	rearm = func() { // a timeout that never fires: stopped and re-armed each step
+		guard.Stop()
+		guard = stopped.AtTimer(stopped.Now()+3, func() { panic("stopped timer fired") })
+		stopped.After(1, rearm)
+	}
+	stopped.After(1, rearm)
 
 	for _, c := range []struct {
 		name string
@@ -287,6 +322,7 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 		{"Sleep", sleeper, 1},
 		{"Signal ping-pong", pingPong(), 1},
 		{"After", timers, 1},
+		{"AtTimer+Stop", stopped, 1},
 		{"Compute", computeLoop(), 2000},
 	} {
 		run := step(c.env, c.d)

@@ -19,7 +19,7 @@ type Proc struct {
 	stop  func()                  // scheduler side: make the parked body unwind, and join it
 	yield func(struct{}) bool     // body side: park; false means the process was stopped
 	done  bool
-	wake  timer // pending timer if parked in Sleep or WaitUntil
+	wake  Timer // pending timer if parked in Sleep or WaitUntil
 
 	// Value is the body's to set: one datum that code running on the
 	// process, however deep below the body, may need to find again (the
@@ -91,7 +91,7 @@ func (p *Proc) Sleep(d Duration) {
 	e := p.env
 	p.wake = e.schedule(e.now+Time(d), p, nil)
 	p.park()
-	p.wake = timer{}
+	p.wake = Timer{}
 }
 
 // Yield reschedules the process at the current time behind already-queued
@@ -125,8 +125,8 @@ func (e *Env) Kill(p *Proc) {
 		panic("sim: process cannot Kill itself")
 	}
 	p.done = true
-	e.cancel(p.wake)
-	p.wake = timer{}
+	p.wake.Stop()
+	p.wake = Timer{}
 	p.stop()
 }
 

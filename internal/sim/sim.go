@@ -26,7 +26,7 @@ type Duration = time.Duration
 // event is a scheduled wakeup for a parked process or a deferred callback.
 // Events are pooled: the scheduler recycles one as soon as it has fired or
 // been found cancelled, so nothing outside the queue may hold a bare
-// *event — holders keep a timer, which remembers the sequence number too.
+// *event — holders keep a Timer, which remembers the sequence number too.
 type event struct {
 	at   Time
 	seq  uint64 // unique per scheduling; 0 while in the free list
@@ -42,16 +42,25 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
-// timer is a cancellable handle to one scheduling of a pooled event. It
+// Timer is a cancellable handle to one scheduling of a pooled event. It
 // stays safe to keep after the event has fired: the struct is recycled
-// under a new sequence number, which a stale timer no longer matches. The
-// zero timer is disarmed.
-type timer struct {
+// under a new sequence number, which a stale Timer no longer matches. The
+// zero Timer is disarmed.
+type Timer struct {
 	ev  *event
 	seq uint64
 }
 
-func (t timer) armed() bool { return t.ev != nil }
+func (t Timer) armed() bool { return t.ev != nil }
+
+// Stop disarms the timer's event if it has not fired yet; stopping a fired,
+// stopped or zero Timer does nothing. The event stays in the queue and is
+// discarded, without moving the clock, when it reaches the top.
+func (t Timer) Stop() {
+	if t.ev != nil && t.ev.seq == t.seq {
+		t.ev.dead = true
+	}
+}
 
 // Env is a simulation environment: a virtual clock plus the scheduler
 // state. An Env must be driven from a single OS goroutine via Run or
@@ -89,7 +98,7 @@ func NewRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // from simulation processes (never concurrently).
 func (e *Env) Rand() *rand.Rand { return e.rng }
 
-func (e *Env) schedule(at Time, proc *Proc, fn func()) timer {
+func (e *Env) schedule(at Time, proc *Proc, fn func()) Timer {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past: %d < %d", at, e.now))
 	}
@@ -116,15 +125,7 @@ func (e *Env) schedule(at Time, proc *Proc, fn func()) timer {
 	}
 	h[i] = ev
 	e.events = h
-	return timer{ev, ev.seq}
-}
-
-// cancel disarms t's event if it has not fired yet. The event stays in the
-// queue and is discarded when it reaches the top.
-func (e *Env) cancel(t timer) {
-	if t.ev != nil && t.ev.seq == t.seq {
-		t.ev.dead = true
-	}
+	return Timer{ev, ev.seq}
 }
 
 // pop removes the earliest event from the queue, returns it to the free
@@ -164,6 +165,10 @@ func (e *Env) pop() event {
 // At schedules fn to run inside the scheduler loop at absolute time at.
 // fn must not block; it is intended for timer-style callbacks.
 func (e *Env) At(at Time, fn func()) { e.schedule(at, nil, fn) }
+
+// AtTimer is At for a callback its scheduler may no longer want by then: the
+// returned Timer stops it.
+func (e *Env) AtTimer(at Time, fn func()) Timer { return e.schedule(at, nil, fn) }
 
 // After schedules fn to run d from now.
 func (e *Env) After(d Duration, fn func()) { e.At(e.now+Time(d), fn) }
@@ -309,7 +314,7 @@ func (s *Signal) WaitUntil(p *Proc, until Time) bool {
 	if !p.wake.armed() {
 		return true // Fire consumed the timer and woke us
 	}
-	p.wake = timer{}
+	p.wake = Timer{}
 	w := &s.waiters
 	for i := w.head; i < len(w.buf); i++ {
 		if w.buf[i] == p {
@@ -323,8 +328,8 @@ func (s *Signal) WaitUntil(p *Proc, until Time) bool {
 // wake makes w runnable at the current time, disarming its deadline timer
 // if it is a timed waiter.
 func (s *Signal) wake(w *Proc) {
-	s.env.cancel(w.wake)
-	w.wake = timer{}
+	w.wake.Stop()
+	w.wake = Timer{}
 	s.env.schedule(s.env.now, w, nil)
 }
 

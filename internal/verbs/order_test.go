@@ -18,8 +18,8 @@ func writeStamp(p *sim.Proc, a side, src *MR, dst RKey, off int, v byte) {
 // of a QP, nothing that QP sends afterwards is delivered — not the WRITEs
 // already queued behind the lost one, not WRITEs posted during the retry
 // window, not a WRITE_WITH_IMM — until the QP has errored and been
-// recovered. A signaled request behind the gap completes in error, and a
-// request still queued when the QP recovers is flushed, not sent.
+// recovered. Every request behind the gap completes in error, signaled or
+// not, and a request still queued when the QP recovers is flushed, not sent.
 func TestPSNGapDiscardsEverythingBehindALoss(t *testing.T) {
 	env := sim.NewEnv(1)
 	a, b := testPair(env)
@@ -50,9 +50,14 @@ func TestPSNGapDiscardsEverythingBehindALoss(t *testing.T) {
 		// must complete — in error.
 		writeStamp(p, a, src, dst.RKey(), 8, 1)
 		a.qp.PostSend(p, &SendWR{WRID: 42, Op: OpWrite, SGE: SGE{MR: src, Len: 1}, Remote: dst.RKey(), RemoteOff: 9})
-		wc := a.cq.PollBusy(p)
-		if wc.WRID != 42 || wc.Status != WCRetryExceeded {
-			t.Errorf("signaled WRITE behind the gap completed %+v, want RETRY_EXC", wc)
+		// Errors are never silent: the lost WRITE, the three of its chain
+		// behind it and the stamp complete in error although unsignaled,
+		// in posting order, ahead of the signaled one.
+		for i := 0; i < 6; i++ {
+			wc := a.cq.PollBusy(p)
+			if want := uint64(42 * (i / 5)); wc.WRID != want || wc.Status != WCRetryExceeded {
+				t.Errorf("completion %d behind the gap is %+v, want WRID %d RETRY_EXC", i, wc, want)
+			}
 		}
 		if !a.qp.Errored() {
 			t.Fatal("QP not errored after the retry window")
