@@ -1,15 +1,12 @@
-// Package main_test hosts the figure-regeneration benchmarks: one
-// testing.B benchmark per table/figure of the paper's evaluation, plus
-// ablation benchmarks for the design choices DESIGN.md calls out. Each
-// benchmark drives the full simulated cluster and reports the paper's
-// metric (virtual latency or virtual throughput) as custom units, so
-// `go test -bench` regenerates the evaluation in miniature; cmd/figures
-// produces the full-resolution tables.
+// Package main_test hosts the ablation benchmarks for the design choices
+// DESIGN.md §7 calls out, plus two real-time benchmarks of the simulator
+// itself. An ablation drives the full simulated cluster once and reports
+// the paper's metric (virtual latency or virtual throughput) as custom
+// units; the paper's figures come from cmd/figures.
 package main_test
 
 import (
 	"fmt"
-	"strconv"
 	"testing"
 
 	"hatrpc/internal/atb"
@@ -19,158 +16,9 @@ import (
 	"hatrpc/internal/obs"
 	"hatrpc/internal/sim"
 	"hatrpc/internal/simnet"
-	"hatrpc/internal/tpch"
 	"hatrpc/internal/trdma"
 	"hatrpc/internal/ycsb"
 )
-
-// BenchmarkFig04ProtocolLatency reproduces Figure 4 in miniature: the
-// latency of representative protocols under both polling modes.
-func BenchmarkFig04ProtocolLatency(b *testing.B) {
-	protos := []engine.Protocol{
-		engine.EagerSendRecv, engine.DirectWriteSend, engine.ChainedWriteSend,
-		engine.WriteRNDV, engine.ReadRNDV, engine.DirectWriteIMM,
-		engine.Pilaf, engine.FaRM, engine.RFP,
-	}
-	for _, proto := range protos {
-		for _, busy := range []bool{true, false} {
-			for _, size := range []int{512, 131072} {
-				name := fmt.Sprintf("%s/%s/%s", proto, poll(busy), fmtSize(size))
-				b.Run(name, func(b *testing.B) {
-					cfg := atb.ProtoLatencyConfig{
-						Protos: []engine.Protocol{proto}, Busy: []bool{busy},
-						Sizes: []int{size}, Iters: 30, Seed: 42,
-					}
-					pts := atb.RunProtoLatency(cfg)
-					spin(b)
-					b.ReportMetric(pts[0].AvgNs, "vlat-ns/op")
-					b.ReportMetric(pts[0].P99Ns, "vp99-ns")
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig05ProtocolThroughput reproduces Figure 5 in miniature.
-func BenchmarkFig05ProtocolThroughput(b *testing.B) {
-	for _, proto := range []engine.Protocol{engine.DirectWriteIMM, engine.RFP, engine.EagerSendRecv} {
-		for _, busy := range []bool{true, false} {
-			for _, clients := range []int{4, 28, 128} {
-				name := fmt.Sprintf("%s/%s/clients=%d", proto, poll(busy), clients)
-				b.Run(name, func(b *testing.B) {
-					cfg := atb.ProtoThroughputConfig{
-						Protos: []engine.Protocol{proto}, Busy: []bool{busy},
-						Sizes: []int{512}, Clients: []int{clients},
-						DurationNs: 200_000, Seed: 7,
-					}
-					pts := atb.RunProtoThroughput(cfg)
-					spin(b)
-					b.ReportMetric(pts[0].OpsPerS, "vops/s")
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig11HintLatency reproduces Figure 11: HatRPC's hint-selected
-// plan versus fixed-protocol baselines.
-func BenchmarkFig11HintLatency(b *testing.B) {
-	for _, sys := range atb.DefaultSystems() {
-		for _, size := range []int{512, 131072} {
-			b.Run(fmt.Sprintf("%s/%s", sys.Name, fmtSize(size)), func(b *testing.B) {
-				cfg := atb.HintLatencyConfig{
-					Systems: []atb.System{sys}, Sizes: []int{size},
-					Iters: 30, Seed: 11,
-				}
-				pts := atb.RunHintLatency(cfg)
-				spin(b)
-				b.ReportMetric(pts[0].AvgNs, "vlat-ns/op")
-			})
-		}
-	}
-}
-
-// BenchmarkFig12HintThroughput reproduces Figure 12.
-func BenchmarkFig12HintThroughput(b *testing.B) {
-	for _, sys := range atb.DefaultSystems() {
-		for _, clients := range []int{16, 256} {
-			b.Run(fmt.Sprintf("%s/clients=%d", sys.Name, clients), func(b *testing.B) {
-				cfg := atb.HintThroughputConfig{
-					Systems: []atb.System{sys}, Sizes: []int{512},
-					Clients: []int{clients}, DurationNs: 200_000, Seed: 12,
-				}
-				pts := atb.RunHintThroughput(cfg)
-				spin(b)
-				b.ReportMetric(pts[0].OpsPerS, "vops/s")
-			})
-		}
-	}
-}
-
-// BenchmarkFig13Mix512 reproduces Figure 13 (512 B mixed workload).
-func BenchmarkFig13Mix512(b *testing.B) { benchMix(b, 512, 13) }
-
-// BenchmarkFig14Mix128K reproduces Figure 14 (128 KB mixed workload).
-func BenchmarkFig14Mix128K(b *testing.B) { benchMix(b, 131072, 14) }
-
-func benchMix(b *testing.B, size, seed int) {
-	for _, sys := range atb.DefaultSystems() {
-		b.Run(sys.Name, func(b *testing.B) {
-			cfg := atb.MixConfig{
-				Systems: []atb.System{sys}, Size: size,
-				Clients: []int{28}, DurationNs: 200_000, Seed: int64(seed),
-			}
-			pts := atb.RunMix(cfg)
-			spin(b)
-			b.ReportMetric(pts[0].LatAvgNs, "vlat-ns/latcall")
-			b.ReportMetric(pts[0].TputOpsS, "vops/s-tputcall")
-		})
-	}
-}
-
-// BenchmarkFig15YCSBA reproduces Figure 15 (YCSB-A).
-func BenchmarkFig15YCSBA(b *testing.B) { benchYCSB(b, ycsb.WorkloadA(1000)) }
-
-// BenchmarkFig16YCSBB reproduces Figure 16 (YCSB-B).
-func BenchmarkFig16YCSBB(b *testing.B) { benchYCSB(b, ycsb.WorkloadB(1000)) }
-
-func benchYCSB(b *testing.B, w ycsb.Workload) {
-	for _, sys := range ycsb.AllSystems {
-		b.Run(sys.String(), func(b *testing.B) {
-			cfg := ycsb.RunConfig{
-				Workload: w, Systems: []ycsb.SystemKind{sys},
-				Clients: 32, Nodes: 5, DurationNs: 200_000, Seed: 99,
-			}
-			res := ycsb.Run(cfg)[0]
-			spin(b)
-			b.ReportMetric(res.TotalOps, "vops/s")
-			b.ReportMetric(res.PerOp[ycsb.OpGet].AvgLatNs, "vget-ns")
-		})
-	}
-}
-
-// BenchmarkFig17TPCH reproduces Figure 17 on a representative query
-// subset (the full 22 run via cmd/tpchbench).
-func BenchmarkFig17TPCH(b *testing.B) {
-	for _, stack := range tpch.AllStacks {
-		b.Run(stack.String(), func(b *testing.B) {
-			cfg := tpch.BenchConfig{
-				SF: 0.005, Workers: 4, Stacks: []tpch.Stack{stack},
-				Queries: []int{1, 6, 13, 19}, Seed: 2021,
-			}
-			res := tpch.RunBench(cfg)
-			spin(b)
-			var total int64
-			for _, r := range res {
-				total += r.TimeNs
-			}
-			b.ReportMetric(float64(total), "vtotal-ns")
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §7)
 
 // BenchmarkAblationChaining quantifies the chained-WR doorbell saving
 // (Fig. 3b vs 3c).
@@ -341,13 +189,6 @@ func poll(busy bool) string {
 		return "busy"
 	}
 	return "event"
-}
-
-func fmtSize(n int) string {
-	if n >= 1024 && n%1024 == 0 {
-		return strconv.Itoa(n/1024) + "KB"
-	}
-	return strconv.Itoa(n) + "B"
 }
 
 // spin satisfies the b.N contract for benchmarks whose heavy work is a

@@ -14,8 +14,10 @@
 //
 // -faults enables fault injection on the ATB fabrics (1% per-hop loss
 // unless -loss/-jitter override; either implies -faults) and arms the
-// engine deadline/retry layer (-deadline, default 2 ms) so sweeps
-// complete under loss via retransmission.
+// engine deadline/retry layer so sweeps complete under loss via
+// retransmission. -deadline (default 2 ms) is the floor: a sweep point
+// whose message size needs more attempts at the loss rate gets a longer
+// one (engine.LossDeadline).
 package main
 
 import (
@@ -44,7 +46,7 @@ func main() {
 	faults := flag.Bool("faults", false, "inject faults: 1% per-hop packet loss unless -loss/-jitter override")
 	loss := flag.Float64("loss", 0, "per-hop drop probability, e.g. 0.05 (implies -faults)")
 	jitter := flag.Int64("jitter", 0, "max per-hop latency jitter in ns (implies -faults)")
-	deadline := flag.Int64("deadline", 2_000_000, "per-call deadline in ns for fault runs (0 = no deadline: one unbounded attempt, never re-sent)")
+	deadline := flag.Int64("deadline", 2_000_000, "per-call deadline floor in ns for fault runs (0 = no deadline: one unbounded attempt, never re-sent)")
 	flag.Parse()
 
 	if *faults || *loss > 0 || *jitter > 0 {
@@ -167,8 +169,8 @@ func fig04() string {
 
 func fig05() string {
 	cfg := atb.DefaultProtoThroughputConfig()
-	// Restrict to the five headline protocols to keep runtime sane; the
-	// full nine are available via cmd/atb.
+	// Restrict to the five headline protocols to keep runtime sane;
+	// atb.DefaultProtoThroughputConfig lists all nine.
 	cfg.Protos = []engine.Protocol{
 		engine.EagerSendRecv, engine.DirectWriteSend, engine.DirectWriteIMM,
 		engine.WriteRNDV, engine.RFP,

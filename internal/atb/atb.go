@@ -23,30 +23,28 @@ type Fabric struct {
 	Clients []*engine.Engine // nodes 1..n-1
 }
 
-// NewFabric builds the paper's 10-node testbed (or nodes if >0).
-func NewFabric(seed int64, nodes int) *Fabric {
-	return NewFabricWith(seed, nodes, engine.DefaultConfig())
-}
-
 // FabricHook, when non-nil, runs on every freshly built Fabric before
-// any benchmark traffic. cmd/atb uses it to attach an obs.Registry (and
-// tracer) to all engines of every run in a sweep.
+// any benchmark traffic. cmd/figures uses it to attach an obs.Registry
+// (and tracer) to all engines of every run in a sweep.
 var FabricHook func(*Fabric)
 
 // FaultSpec, when non-nil, is installed on every freshly built Cluster
-// (cmd/atb and cmd/figures set it from the -faults/-loss/-jitter flags).
-// Nil keeps the fabric fault-free and byte-identical to earlier builds.
+// (cmd/figures sets it from the -faults/-loss/-jitter flags). Nil keeps
+// the fabric fault-free and byte-identical to earlier builds.
 var FaultSpec *simnet.FaultConfig
 
-// CallDeadlineNs, when >0, becomes engine.Config.CallDeadline on every
+// CallDeadlineNs, when >0, arms engine.Config.CallDeadline on every
 // fabric — enabling the retry/backoff layer so benchmarks complete under
-// injected loss instead of hanging on a dropped packet.
+// injected loss instead of hanging on a dropped packet. It is the floor:
+// a sweep point whose messages need more attempts than it affords at
+// FaultSpec's loss rate gets the longer engine.LossDeadline.
 var CallDeadlineNs int64
 
-// NewFabricWith builds the testbed with an explicit engine sizing —
+// NewFabricWith builds the testbed (the paper's 10 nodes, or nodes if
+// >0) for a run of size-byte payloads with an explicit engine sizing —
 // benchmarks shrink MaxMsgSize to the run's payload regime so hundreds
 // of connections fit in host memory.
-func NewFabricWith(seed int64, nodes int, ecfg engine.Config) *Fabric {
+func NewFabricWith(seed int64, nodes, size int, ecfg engine.Config) *Fabric {
 	cfg := simnet.DefaultConfig()
 	if nodes > 0 {
 		cfg.Nodes = nodes
@@ -58,6 +56,9 @@ func NewFabricWith(seed int64, nodes int, ecfg engine.Config) *Fabric {
 	}
 	if CallDeadlineNs > 0 {
 		ecfg.CallDeadline = sim.Duration(CallDeadlineNs)
+		if FaultSpec != nil {
+			ecfg.CallDeadline = max(ecfg.CallDeadline, engine.LossDeadline(size, FaultSpec.DropProb))
+		}
 	}
 	f := &Fabric{Env: env, Cluster: cl}
 	f.Server = engine.New(cl.Node(0), ecfg)
@@ -182,7 +183,7 @@ func RunProtoLatency(cfg ProtoLatencyConfig) []LatencyPoint {
 }
 
 func runOneLatency(seed int64, proto engine.Protocol, busy bool, size, iters int) LatencyPoint {
-	f := NewFabricWith(seed, 2, engineConfigFor(size, needsFetch(proto)))
+	f := NewFabricWith(seed, 2, size, engineConfigFor(size, needsFetch(proto)))
 	srv := f.Server.Serve("atb", func(p *sim.Proc, fn uint32, req []byte) []byte {
 		return req
 	})
@@ -270,7 +271,7 @@ func RunProtoThroughput(cfg ProtoThroughputConfig) []ThroughputPoint {
 }
 
 func runOneThroughput(seed int64, proto engine.Protocol, busy bool, size, nClients int, durNs int64) ThroughputPoint {
-	f := NewFabricWith(seed, 10, engineConfigFor(size, needsFetch(proto)))
+	f := NewFabricWith(seed, 10, size, engineConfigFor(size, needsFetch(proto)))
 	srv := f.Server.Serve("atb", func(p *sim.Proc, fn uint32, req []byte) []byte {
 		return req
 	})

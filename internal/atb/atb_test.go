@@ -160,25 +160,3 @@ func TestDeterministicBenchRuns(t *testing.T) {
 		t.Fatalf("nondeterministic: %v vs %v", a[0].AvgNs, b[0].AvgNs)
 	}
 }
-
-// TestOverloadControlArmCompletes runs the README's RNR control arm
-// (blocking admission, no credits, 2-deep finite rings) over the two
-// overloaded points. Calls queue past their deadlines there, clients move
-// on to their next request, and an RNR-NAKed retransmission of the
-// abandoned one is re-delivered behind it: the dispatcher must drop that
-// stale duplicate, not run the handler on its empty payload.
-func TestOverloadControlArmCompletes(t *testing.T) {
-	cfg := DefaultOverloadConfig()
-	cfg.ShedPolicy = engine.AdmitBlock
-	cfg.Credits = false
-	cfg.OfferedOps = []int64{210_000, 280_000}
-	cfg.DurationNs = 4_000_000
-	for _, pt := range RunOverload(cfg) {
-		if pt.GoodputOps < 100_000 {
-			t.Errorf("offered %d ops/s: goodput %.0f ops/s, want the server's ~137 K capacity", pt.Offered, pt.GoodputOps)
-		}
-		if pt.RnrFailures != 0 {
-			t.Errorf("offered %d ops/s: %d work requests ran out of RNR retries", pt.Offered, pt.RnrFailures)
-		}
-	}
-}

@@ -101,6 +101,33 @@ func TestByteIdenticalReplay(t *testing.T) {
 	}
 }
 
+// TestFaultRunBulkPointCompletes is the documented fault run at its worst
+// sweep point: a 512 KB echo sent eagerly is 129 packets each way, so at 1 %
+// loss about one attempt in thirteen arrives whole and the slowest call needs
+// several times the 2 ms -deadline default. The harness stretches the deadline
+// to what the size and loss rate call for (engine.LossDeadline), so the point
+// completes — RunProtoLatency panics on a failed call — and replays.
+func TestFaultRunBulkPointCompletes(t *testing.T) {
+	savedFaults, savedDeadline := FaultSpec, CallDeadlineNs
+	defer func() { FaultSpec, CallDeadlineNs = savedFaults, savedDeadline }()
+	FaultSpec = &simnet.FaultConfig{DropProb: 0.01}
+	CallDeadlineNs = 2_000_000
+	cfg := ProtoLatencyConfig{
+		Protos: []engine.Protocol{engine.EagerSendRecv},
+		Busy:   []bool{true},
+		Sizes:  []int{524288},
+		Iters:  30,
+		Seed:   42,
+	}
+	a, b := RunProtoLatency(cfg), RunProtoLatency(cfg)
+	if a[0] != b[0] {
+		t.Fatalf("replay diverged:\n%+v\n%+v", a[0], b[0])
+	}
+	if a[0].P99Ns <= 2_000_000 {
+		t.Errorf("slowest call took %.0f ns: the point no longer needs more than the 2 ms floor", a[0].P99Ns)
+	}
+}
+
 // firstDiff renders the first line where two outputs diverge.
 func firstDiff(a, b string) string {
 	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")

@@ -114,7 +114,7 @@ func RunHintLatency(cfg HintLatencyConfig) []HintLatencyPoint {
 }
 
 func runOneHintLatency(seed int64, sys System, size, iters int) HintLatencyPoint {
-	f := NewFabricWith(seed, 2, engineConfigFor(size, needsFetch(sys.Force)))
+	f := NewFabricWith(seed, 2, size, engineConfigFor(size, needsFetch(sys.Force)))
 	sh := hintTable(hints.GoalLatency, 1, size, true)
 	var dialOpt *trdma.DialOptions
 	if sys.Force != engine.ProtoAuto {
@@ -193,7 +193,7 @@ func RunHintThroughput(cfg HintThroughputConfig) []HintThroughputPoint {
 }
 
 func runOneHintThroughput(seed int64, sys System, size, nClients int, durNs int64) HintThroughputPoint {
-	f := NewFabricWith(seed, 10, engineConfigFor(size, needsFetch(sys.Force)))
+	f := NewFabricWith(seed, 10, size, engineConfigFor(size, needsFetch(sys.Force)))
 	cores := f.Server.Cores()
 	numaBind := nClients <= f.Server.Node().LocalCores()
 	sh := hintTable(hints.GoalThroughput, nClients, size, numaBind)
@@ -289,7 +289,7 @@ func RunMix(cfg MixConfig) []MixPoint {
 }
 
 func runOneMix(seed int64, sys System, size, nClients int, durNs int64) MixPoint {
-	f := NewFabricWith(seed, 10, engineConfigFor(size, needsFetch(sys.Force)))
+	f := NewFabricWith(seed, 10, size, engineConfigFor(size, needsFetch(sys.Force)))
 	cores := f.Server.Cores()
 	numaBind := nClients <= f.Server.Node().LocalCores()
 	sh := hintTable(hints.GoalThroughput, nClients, size, numaBind)

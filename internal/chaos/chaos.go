@@ -25,6 +25,7 @@ import (
 	"hatrpc/internal/engine"
 	"hatrpc/internal/hatkv"
 	"hatrpc/internal/lmdb"
+	"hatrpc/internal/node"
 	"hatrpc/internal/sim"
 	"hatrpc/internal/simnet"
 )
@@ -141,9 +142,7 @@ func Soak(cfg Config) *Result {
 	}
 	server.OnCrash(logCrash)
 
-	ecfg := engine.DefaultConfig()
-	ecfg.BreakerThreshold = 4
-	ecfg.BreakerCooldown = 500_000
+	ecfg := node.EngineConfig()
 	handler := func(p *sim.Proc, fn uint32, req []byte) []byte {
 		switch fn {
 		case FnPut:
@@ -278,22 +277,6 @@ func audit(res *Result, store *hatkv.Store) {
 	}
 	// Every lost acked write consumed one distinct rolled-back commit.
 	res.BoundViolated = uint64(res.Lost) > res.StoreLostTxns
-}
-
-// Outages returns, per crash, the time from the crash to the first
-// subsequent acked write — the client-visible recovery time. Crashes
-// with no ack after them (end of run) are omitted.
-func (r *Result) Outages() []int64 {
-	var out []int64
-	for _, c := range r.Crashes {
-		for _, w := range r.Writes {
-			if w.AckAt > c.At {
-				out = append(out, int64(w.AckAt-c.At))
-				break
-			}
-		}
-	}
-	return out
 }
 
 // Report renders the full audited outcome deterministically — two

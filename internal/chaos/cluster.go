@@ -10,6 +10,7 @@ import (
 	"hatrpc/internal/engine"
 	"hatrpc/internal/hatkv"
 	"hatrpc/internal/lmdb"
+	"hatrpc/internal/node"
 	"hatrpc/internal/sim"
 	"hatrpc/internal/simnet"
 )
@@ -39,12 +40,14 @@ type NodeCrash struct {
 	At   sim.Time
 }
 
-// ClusterWrite is one acknowledged cluster write. Lost is filled by the
+// ClusterWrite is one acknowledged cluster write: when it was first
+// attempted and when its ack reached the worker. Lost is filled by the
 // audit against the shard's authority replica.
 type ClusterWrite struct {
-	Key   string
-	AckAt sim.Time
-	Lost  bool
+	Key     string
+	StartAt sim.Time
+	AckAt   sim.Time
+	Lost    bool
 }
 
 // ClusterResult is the audited outcome of a cluster soak.
@@ -61,11 +64,7 @@ type ClusterResult struct {
 	Incomplete    int
 
 	// Cluster lifecycle, summed over every boot of every server.
-	Promotions   int64
-	Candidacies  int64
-	Resyncs      int64
-	StaleWrites  int64
-	FencedWrites int64
+	cluster.NodeStats
 
 	// Client routing, summed over the workers.
 	Refreshes    int64
@@ -74,6 +73,123 @@ type ClusterResult struct {
 	// Per-shard final durable position at the authority replica.
 	ShardEpochs []uint64
 	ShardSeqs   []uint64
+}
+
+// soakSpec is what one cluster soak varies; soak is the body they all
+// run: servers+1 simnet nodes, a crash log per server,
+// retry-until-acked workers on the last node that read every fifth key
+// back, lifecycle and routing counters summed, and every acked write
+// audited against its shard's authority replica.
+type soakSpec struct {
+	seed    int64
+	servers int
+	ccfg    cluster.Config
+	crash   simnet.CrashConfig
+	faults  simnet.FaultConfig
+
+	workers, writes int
+	paceNs          int64
+	watchdogNs      int64 // the soak stops here even if a worker wedges; 0 = never
+
+	// boot builds server i: its durable store, its first boot and its
+	// restart hook. stats reads the lifecycle counters of all its boots.
+	boot func(i int, sn *simnet.Node, roster []*simnet.Node) (store *hatkv.Store, stats func() cluster.NodeStats, err error)
+	// operate, when set, runs beside the workers as the operator process;
+	// the soak ends when it and every worker have returned.
+	operate func(p *sim.Proc, cl *simnet.Cluster)
+}
+
+func (cs soakSpec) soak(res *ClusterResult) error {
+	env := sim.NewEnv(cs.seed)
+	cl := simnet.NewCluster(env, simnet.Config{
+		Nodes: cs.servers + 1, Cores: 28, Sockets: 2, LinkGbps: 100, PropDelayNs: 600, NUMAPenalty: 1.25,
+	})
+	roster := make([]*simnet.Node, cs.servers)
+	for i := range roster {
+		roster[i] = cl.Node(i)
+	}
+	stores := make([]*hatkv.Store, cs.servers)
+	stats := make([]func() cluster.NodeStats, cs.servers)
+	for i, sn := range roster {
+		var err error
+		if stores[i], stats[i], err = cs.boot(i, sn, roster); err != nil {
+			return err
+		}
+		// Crash log, registered after the server so its rollback and
+		// lifecycle hooks run first; re-arms itself across boots.
+		var logCrash func()
+		logCrash = func() {
+			res.Crashes = append(res.Crashes, NodeCrash{Node: i, At: env.Now()})
+			sn.OnCrash(logCrash)
+		}
+		sn.OnCrash(logCrash)
+	}
+	cl.InstallCrashes(cs.crash)
+	cl.InstallFaults(cs.faults)
+
+	cliEng := engine.New(cl.Node(cs.servers), node.EngineConfig())
+	var clients []*cluster.Client
+	workersDone, opsDone := 0, cs.operate == nil
+	maybeStop := func() {
+		if opsDone && workersDone == cs.workers {
+			env.Stop()
+		}
+	}
+	for w := 0; w < cs.workers; w++ {
+		env.Spawn(fmt.Sprintf("soak-worker-%d", w), func(p *sim.Proc) {
+			c := cluster.NewClient(cliEng, roster, cs.ccfg)
+			clients = append(clients, c)
+			for i := 0; i < cs.writes; i++ {
+				key := fmt.Sprintf("w%02d-%05d", w, i)
+				start := p.Now()
+				for {
+					if err := c.Put(p, key, []byte(key)); err == nil {
+						res.Writes = append(res.Writes, ClusterWrite{Key: key, StartAt: start, AckAt: p.Now()})
+						break
+					}
+					res.FailedPuts++
+					p.Sleep(250_000) // outage in progress; back off and re-ack
+				}
+				if i%5 == 4 {
+					// Read-back: an answer must be the exact bytes written
+					// (acked writes never roll back under quorum replication).
+					res.GetChecks++
+					v, err := c.Get(p, key)
+					if err == nil && !bytes.Equal(v, []byte(key)) {
+						res.GetMismatches++
+					}
+				}
+				if cs.paceNs > 0 {
+					p.Sleep(sim.Duration(cs.paceNs))
+				}
+			}
+			workersDone++
+			maybeStop()
+		})
+	}
+	if cs.operate != nil {
+		env.Spawn("soak-ops", func(p *sim.Proc) {
+			cs.operate(p, cl)
+			opsDone = true
+			maybeStop()
+		})
+	}
+	if cs.watchdogNs > 0 {
+		env.At(sim.Time(cs.watchdogNs), env.Stop)
+	}
+	env.Run()
+
+	res.Incomplete = cs.workers - workersDone
+	for _, st := range stats {
+		res.NodeStats.Add(st())
+	}
+	for _, c := range clients {
+		st := c.Stats()
+		res.Refreshes += st.Refreshes
+		res.StaleRetries += st.StaleRetries
+	}
+	auditCluster(res, cs.ccfg, stores)
+	return nil
 }
 
 // ClusterSoak runs one cluster soak to completion and audits it: every
@@ -98,114 +214,44 @@ func ClusterSoak(cfg ClusterConfig) *ClusterResult {
 	if cfg.WritesPerWorker <= 0 {
 		cfg.WritesPerWorker = 40
 	}
-	env := sim.NewEnv(cfg.Seed)
-	cl := simnet.NewCluster(env, simnet.Config{
-		Nodes: cfg.Servers + 1, Cores: 28, Sockets: 2, LinkGbps: 100, PropDelayNs: 600, NUMAPenalty: 1.25,
-	})
-
 	ccfg := cluster.Config{Seed: cfg.Seed, NShards: cfg.NShards, RF: cfg.RF}
 	ccfg.NodeIDs = make([]int, cfg.Servers)
 	for i := range ccfg.NodeIDs {
 		ccfg.NodeIDs[i] = i
 	}
-	roster := make([]*simnet.Node, cfg.Servers)
-	for i := range roster {
-		roster[i] = cl.Node(i)
-	}
-
 	res := &ClusterResult{}
-	ecfg := engine.DefaultConfig()
-	ecfg.BreakerThreshold = 4
-	ecfg.BreakerCooldown = 500_000
-
-	stores := make([]*hatkv.Store, cfg.Servers)
-	var allNodes []*cluster.Node // every boot's service, for stat summing
-	for i := 0; i < cfg.Servers; i++ {
-		i := i
-		node := cl.Node(i)
-		store, err := hatkv.NewStore(node, nil, nil)
-		if err != nil {
-			panic("chaos: " + err.Error()) // nil hints cannot fail
-		}
-		if err := store.Env().SetSync(cfg.Sync); err != nil {
-			panic("chaos: " + err.Error())
-		}
-		stores[i] = store
-		// Crash log, registered after the store so the backend has rolled
-		// back by the time it runs; re-arms itself across boots.
-		var logCrash func()
-		logCrash = func() {
-			res.Crashes = append(res.Crashes, NodeCrash{Node: i, At: env.Now()})
-			node.OnCrash(logCrash)
-		}
-		node.OnCrash(logCrash)
-		boot := func() {
-			allNodes = append(allNodes, cluster.NewNode(engine.New(node, ecfg), store, roster, i, ccfg))
-		}
-		boot()
-		node.SetRestart(func(p *sim.Proc) { boot() })
-	}
-	cl.InstallCrashes(cfg.Crash)
-	cl.InstallFaults(cfg.Faults)
-
-	cliEng := engine.New(cl.Node(cfg.Servers), ecfg)
-	var clients []*cluster.Client
-	done := 0
-	for w := 0; w < cfg.Workers; w++ {
-		w := w
-		env.Spawn(fmt.Sprintf("cluster-worker-%d", w), func(p *sim.Proc) {
-			c := cluster.NewClient(cliEng, roster, ccfg)
-			clients = append(clients, c)
-			for i := 0; i < cfg.WritesPerWorker; i++ {
-				key := fmt.Sprintf("w%02d-%05d", w, i)
-				for {
-					if err := c.Put(p, key, []byte(key)); err == nil {
-						res.Writes = append(res.Writes, ClusterWrite{Key: key, AckAt: p.Now()})
-						break
-					}
-					res.FailedPuts++
-					p.Sleep(250_000) // outage in progress; back off and re-ack
-				}
-				if i%5 == 4 {
-					// Read-back: an answer must be the exact bytes written
-					// (acked writes never roll back under quorum replication).
-					res.GetChecks++
-					v, err := c.Get(p, key)
-					if err == nil && !bytes.Equal(v, []byte(key)) {
-						res.GetMismatches++
-					}
-				}
-				if cfg.WritePaceNs > 0 {
-					p.Sleep(sim.Duration(cfg.WritePaceNs))
-				}
+	err := soakSpec{
+		seed: cfg.Seed, servers: cfg.Servers, ccfg: ccfg, crash: cfg.Crash, faults: cfg.Faults,
+		workers: cfg.Workers, writes: cfg.WritesPerWorker, paceNs: cfg.WritePaceNs,
+		watchdogNs: 4 * cfg.Crash.HorizonNs,
+		// A bare cluster node per boot over the server's one durable store;
+		// the crashed boot's engine dies with its device and processes.
+		boot: func(i int, sn *simnet.Node, roster []*simnet.Node) (*hatkv.Store, func() cluster.NodeStats, error) {
+			store, err := hatkv.NewStore(sn, nil, nil)
+			if err != nil {
+				return nil, nil, err
 			}
-			done++
-			if done == cfg.Workers {
-				env.Stop()
+			if err := store.Env().SetSync(cfg.Sync); err != nil {
+				return nil, nil, err
 			}
-		})
+			var boots []*cluster.Node
+			boot := func() {
+				boots = append(boots, cluster.NewNode(engine.New(sn, node.EngineConfig()), store, roster, i, ccfg))
+			}
+			boot()
+			sn.SetRestart(func(p *sim.Proc) { boot() })
+			return store, func() cluster.NodeStats {
+				var st cluster.NodeStats
+				for _, n := range boots {
+					st.Add(n.Stats())
+				}
+				return st
+			}, nil
+		},
+	}.soak(res)
+	if err != nil {
+		panic("chaos: " + err.Error()) // nil hints and a valid sync mode cannot fail
 	}
-	if cfg.Crash.HorizonNs > 0 {
-		// Watchdog: the soak must terminate even if a worker wedges.
-		env.At(sim.Time(4*cfg.Crash.HorizonNs), env.Stop)
-	}
-	env.Run()
-
-	res.Incomplete = cfg.Workers - done
-	for _, n := range allNodes {
-		st := n.Stats()
-		res.Promotions += st.Promotions
-		res.Candidacies += st.Candidacies
-		res.Resyncs += st.Resyncs
-		res.StaleWrites += st.StaleWrites
-		res.FencedWrites += st.FencedWrites
-	}
-	for _, c := range clients {
-		st := c.Stats()
-		res.Refreshes += st.Refreshes
-		res.StaleRetries += st.StaleRetries
-	}
-	auditCluster(res, ccfg, stores)
 	return res
 }
 
@@ -231,23 +277,6 @@ func auditCluster(res *ClusterResult, ccfg cluster.Config, stores []*hatkv.Store
 	}
 }
 
-// Outages returns, per crash, the virtual time from the crash to the
-// first subsequent acked write anywhere in the cluster — the
-// client-visible recovery time. Crashes with no ack after them are
-// omitted.
-func (r *ClusterResult) Outages() []int64 {
-	var out []int64
-	for _, c := range r.Crashes {
-		for _, w := range r.Writes {
-			if w.AckAt > c.At {
-				out = append(out, int64(w.AckAt-c.At))
-				break
-			}
-		}
-	}
-	return out
-}
-
 // Report renders the audited outcome deterministically — two same-seed
 // soaks must produce byte-identical reports. The write log is folded
 // into an FNV-1a digest.
@@ -262,15 +291,21 @@ func (r *ClusterResult) Report() string {
 	for _, c := range r.Crashes {
 		fmt.Fprintf(&b, "  node=%d at=%d\n", c.Node, c.At)
 	}
-	fmt.Fprintf(&b, "shards:")
+	r.reportTail(&b)
+	return b.String()
+}
+
+// reportTail renders what every cluster soak's report ends with: the
+// final shard positions and the digest of the write log.
+func (r *ClusterResult) reportTail(b *strings.Builder) {
+	fmt.Fprintf(b, "shards:")
 	for s := range r.ShardEpochs {
-		fmt.Fprintf(&b, " e%d/s%d", r.ShardEpochs[s], r.ShardSeqs[s])
+		fmt.Fprintf(b, " e%d/s%d", r.ShardEpochs[s], r.ShardSeqs[s])
 	}
-	fmt.Fprintf(&b, "\n")
+	fmt.Fprintf(b, "\n")
 	h := fnv.New64a()
 	for _, w := range r.Writes {
 		fmt.Fprintf(h, "%s|%d|%v\n", w.Key, w.AckAt, w.Lost)
 	}
-	fmt.Fprintf(&b, "writes_digest=%016x\n", h.Sum64())
-	return b.String()
+	fmt.Fprintf(b, "writes_digest=%016x\n", h.Sum64())
 }

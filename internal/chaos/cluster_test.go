@@ -41,7 +41,8 @@ func clusterSoakConfig(seed int64, sync lmdb.SyncMode, horizonNs int64) ClusterC
 // 5-node RF-3 cluster under seeded primary kills and link partitions
 // loses zero acknowledged SyncFull writes, cluster-wide. The audit
 // checks every acked key against its shard's authority replica — the
-// durable store with the maximum (epoch, seq).
+// durable store with the maximum (epoch, seq). The same seed at RF 1 is
+// the contrast: the same kills, and no replica to promote.
 func TestClusterSoakSyncFullZeroLoss(t *testing.T) {
 	horizon := int64(40_000_000)
 	minCrashes := 20
@@ -49,7 +50,12 @@ func TestClusterSoakSyncFullZeroLoss(t *testing.T) {
 		horizon = 15_000_000
 		minCrashes = 6
 	}
-	res := ClusterSoak(clusterSoakConfig(211, lmdb.SyncFull, horizon))
+	cfg := clusterSoakConfig(211, lmdb.SyncFull, horizon)
+	res := ClusterSoak(cfg)
+	cfg.RF = 1
+	if rf1 := ClusterSoak(cfg); rf1.Promotions != 0 || len(rf1.Crashes) == 0 {
+		t.Errorf("RF 1 promoted %d times across %d crashes, want none: a lone replica has no successor", rf1.Promotions, len(rf1.Crashes))
+	}
 	if res.Incomplete != 0 {
 		t.Fatalf("%d workers never finished (watchdog fired)\n%s", res.Incomplete, res.Report())
 	}

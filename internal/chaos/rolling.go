@@ -1,13 +1,10 @@
 package chaos
 
 import (
-	"bytes"
 	"fmt"
-	"hash/fnv"
 	"strings"
 
 	"hatrpc/internal/cluster"
-	"hatrpc/internal/engine"
 	"hatrpc/internal/hatkv"
 	"hatrpc/internal/node"
 	"hatrpc/internal/obs"
@@ -58,9 +55,6 @@ const rollingStallNs = 100_000
 type RollingResult struct {
 	ClusterResult
 	Cycles []RestartCycle
-	// PutStarts is parallel to Writes: when each acked put was first
-	// attempted, for stall accounting.
-	PutStarts []sim.Time
 
 	Graceful    bool
 	StalledPuts int   // acked puts that exceeded rollingStallNs
@@ -111,96 +105,32 @@ func RollingSoak(rc RollingConfig) (*RollingResult, error) {
 		reg = obs.NewRegistry()
 	}
 
-	env := sim.NewEnv(nc.Protocol.Seed)
-	cl := simnet.NewCluster(env, simnet.Config{
-		Nodes: servers + 1, Cores: 28, Sockets: 2, LinkGbps: 100, PropDelayNs: 600, NUMAPenalty: 1.25,
-	})
-	roster := make([]*simnet.Node, servers)
-	for i := range roster {
-		roster[i] = cl.Node(i)
-	}
-
 	res := &RollingResult{Graceful: rc.Graceful}
 	hats := make([]*node.HatNode, servers)
-	for i := 0; i < servers; i++ {
-		i := i
-		sn := cl.Node(i)
-		h, err := node.New(sn, roster, i, nc, reg)
-		if err != nil {
-			return nil, err
-		}
-		hats[i] = h
-		// Crash log, registered after the node so its rollback/lifecycle
-		// hooks run first; re-arms itself across boots.
-		var logCrash func()
-		logCrash = func() {
-			res.Crashes = append(res.Crashes, NodeCrash{Node: i, At: env.Now()})
-			sn.OnCrash(logCrash)
-		}
-		sn.OnCrash(logCrash)
-	}
-	if cs := nc.Protocol.Crash; cs.MeanUptimeNs > 0 {
-		ids := make([]int, servers)
-		for i := range ids {
-			ids[i] = i
-		}
-		cl.InstallCrashes(simnet.CrashConfig{
-			Nodes: ids, MeanUptimeNs: cs.MeanUptimeNs, MinUptimeNs: cs.MinUptimeNs,
-			RestartDelayNs: cs.RestartDelayNs, RestartJitterNs: cs.RestartJitterNs,
-			HorizonNs: cs.HorizonNs,
-		})
-	}
-
-	ecfg := engine.DefaultConfig()
-	ecfg.BreakerThreshold = 4
-	ecfg.BreakerCooldown = 500_000
-	cliEng := engine.New(cl.Node(servers), ecfg)
-	ccfg := nc.ClusterConfig()
-	wl := nc.Application.Workload
-
-	var clients []*cluster.Client
-	workersDone := 0
-	opsDone := rc.Rounds == 0
-	maybeStop := func() {
-		if opsDone && workersDone == wl.Workers {
-			env.Stop()
-		}
-	}
-	for w := 0; w < wl.Workers; w++ {
-		w := w
-		env.Spawn(fmt.Sprintf("rolling-worker-%d", w), func(p *sim.Proc) {
-			c := cluster.NewClient(cliEng, roster, ccfg)
-			clients = append(clients, c)
-			for i := 0; i < wl.Writes; i++ {
-				key := fmt.Sprintf("w%02d-%05d", w, i)
-				start := p.Now()
-				for {
-					if err := c.Put(p, key, []byte(key)); err == nil {
-						res.Writes = append(res.Writes, ClusterWrite{Key: key, AckAt: p.Now()})
-						res.PutStarts = append(res.PutStarts, start)
-						break
-					}
-					res.FailedPuts++
-					p.Sleep(250_000) // outage in progress; back off and re-ack
-				}
-				if i%5 == 4 {
-					res.GetChecks++
-					v, err := c.Get(p, key)
-					if err == nil && !bytes.Equal(v, []byte(key)) {
-						res.GetMismatches++
-					}
-				}
-				if wl.PaceNs > 0 {
-					p.Sleep(sim.Duration(wl.PaceNs))
-				}
+	ccfg, wl, crash := nc.ClusterConfig(), nc.Application.Workload, nc.Protocol.Crash
+	cs := soakSpec{
+		seed: nc.Protocol.Seed, servers: servers, ccfg: ccfg,
+		crash: simnet.CrashConfig{
+			Nodes: ccfg.NodeIDs, MeanUptimeNs: crash.MeanUptimeNs, MinUptimeNs: crash.MinUptimeNs,
+			RestartDelayNs: crash.RestartDelayNs, RestartJitterNs: crash.RestartJitterNs,
+			HorizonNs: crash.HorizonNs,
+		},
+		workers: wl.Workers, writes: wl.Writes, paceNs: wl.PaceNs,
+		// Sized from the workload so legitimate long runs are never cut short.
+		watchdogNs: 4 * (rc.WarmupNs +
+			int64(rc.Rounds)*int64(servers)*(drainDL+rc.RestartDelayNs+rc.StaggerNs) +
+			int64(wl.Writes)*(wl.PaceNs+1_000_000)),
+		boot: func(i int, sn *simnet.Node, roster []*simnet.Node) (*hatkv.Store, func() cluster.NodeStats, error) {
+			h, err := node.New(sn, roster, i, nc, reg)
+			if err != nil {
+				return nil, nil, err
 			}
-			workersDone++
-			maybeStop()
-		})
+			hats[i] = h
+			return h.Store(), h.Stats, nil
+		},
 	}
-
 	if rc.Rounds > 0 {
-		env.Spawn("rolling-ops", func(p *sim.Proc) {
+		cs.operate = func(p *sim.Proc, cl *simnet.Cluster) {
 			p.Sleep(sim.Duration(rc.WarmupNs))
 			for round := 0; round < rc.Rounds; round++ {
 				for i := 0; i < servers; i++ {
@@ -220,43 +150,18 @@ func RollingSoak(rc RollingConfig) (*RollingResult, error) {
 					p.Sleep(sim.Duration(rc.StaggerNs))
 				}
 			}
-			opsDone = true
-			maybeStop()
-		})
+		}
+	}
+	if err := cs.soak(&res.ClusterResult); err != nil {
+		return nil, err
 	}
 
-	// Watchdog: the soak must terminate even if a worker wedges. Sized
-	// from the workload so legitimate long runs are never cut short.
-	horizon := 4 * (rc.WarmupNs +
-		int64(rc.Rounds)*int64(servers)*(drainDL+rc.RestartDelayNs+rc.StaggerNs) +
-		int64(wl.Writes)*(wl.PaceNs+1_000_000))
-	env.At(sim.Time(horizon), env.Stop)
-	env.Run()
-
-	res.Incomplete = wl.Workers - workersDone
 	for _, h := range hats {
-		st := h.Stats() // summed across every boot, not just the last
-		res.Promotions += st.Promotions
-		res.Candidacies += st.Candidacies
-		res.Resyncs += st.Resyncs
-		res.StaleWrites += st.StaleWrites
-		res.FencedWrites += st.FencedWrites
 		res.DrainedRequests += h.Drained()
-	}
-	for _, c := range clients {
-		st := c.Stats()
-		res.Refreshes += st.Refreshes
-		res.StaleRetries += st.StaleRetries
 	}
 	res.Drains = reg.Counter("node.drains").Value()
 	res.Escalations = reg.Counter("node.drain_escalations").Value()
 	res.Reloads = reg.Counter("node.reloads").Value()
-
-	stores := make([]*hatkv.Store, len(hats))
-	for i, h := range hats {
-		stores[i] = h.Store()
-	}
-	auditCluster(&res.ClusterResult, ccfg, stores)
 	fillCycleEconomics(res, hats)
 	return res, nil
 }
@@ -282,18 +187,18 @@ func fillCycleEconomics(res *RollingResult, hats []*node.HatNode) {
 		if ci+1 < len(res.Cycles) {
 			end = res.Cycles[ci+1].StopAt
 		}
-		for i, start := range res.PutStarts {
-			if start < cyc.StopAt || start >= end {
+		for _, w := range res.Writes {
+			if w.StartAt < cyc.StopAt || w.StartAt >= end {
 				continue
 			}
-			if lat := int64(res.Writes[i].AckAt - start); lat > rollingStallNs {
+			if lat := int64(w.AckAt - w.StartAt); lat > rollingStallNs {
 				cyc.ErrWindowNs += lat - rollingStallNs
 			}
 		}
 		res.ErrWindowNs += cyc.ErrWindowNs
 	}
-	for i, start := range res.PutStarts {
-		if int64(res.Writes[i].AckAt-start) > rollingStallNs {
+	for _, w := range res.Writes {
+		if int64(w.AckAt-w.StartAt) > rollingStallNs {
 			res.StalledPuts++
 		}
 	}
@@ -321,15 +226,6 @@ func (r *RollingResult) Report() string {
 		fmt.Fprintf(&b, "  node=%d round=%d stop=%d down=%d ready=%d esc=%v crash=%v errw=%d recov=%d\n",
 			c.Node, c.Round, c.StopAt, c.DownAt, c.ReadyAt, c.Escalated, c.Crashed, c.ErrWindowNs, c.RecoveryNs)
 	}
-	fmt.Fprintf(&b, "shards:")
-	for s := range r.ShardEpochs {
-		fmt.Fprintf(&b, " e%d/s%d", r.ShardEpochs[s], r.ShardSeqs[s])
-	}
-	fmt.Fprintf(&b, "\n")
-	h := fnv.New64a()
-	for _, w := range r.Writes {
-		fmt.Fprintf(h, "%s|%d|%v\n", w.Key, w.AckAt, w.Lost)
-	}
-	fmt.Fprintf(&b, "writes_digest=%016x\n", h.Sum64())
+	r.reportTail(&b)
 	return b.String()
 }

@@ -57,7 +57,7 @@ func (c *Client) View() *ShardMap { return c.view }
 // call performs one idempotent RPC to a cluster node under the client's
 // per-attempt deadline.
 func (c *Client) call(p *sim.Proc, peer int, fn uint32, req []byte) ([]byte, error) {
-	return c.callPeerDL(p, peer, fn, req, c.cfg.ClientDeadlineNs)
+	return c.callPeerDL(p, peer, fn, req, clientDeadlineNs)
 }
 
 // adopt folds a stale-reply's fresher routing into the cached view.
@@ -152,11 +152,11 @@ func (c *Client) step(p *sim.Proc, shard int, resp []byte, err error, lastErr *e
 		// fresher view may exist anywhere in the roster — sweep for it.
 		*lastErr = err
 		c.Refresh(p)
-		p.Sleep(sim.Duration(c.cfg.ClientBackoffNs))
+		p.Sleep(sim.Duration(clientBackoffNs))
 		return 0, true
 	case len(resp) < 1:
 		*lastErr = engine.ErrDeadline
-		p.Sleep(sim.Duration(c.cfg.ClientBackoffNs))
+		p.Sleep(sim.Duration(clientBackoffNs))
 		return 0, true
 	case resp[0] == stOK:
 		return stOK, false
@@ -172,12 +172,12 @@ func (c *Client) step(p *sim.Proc, shard int, resp []byte, err error, lastErr *e
 		// Failover in progress (fenced) or the replica set can't reach
 		// majority: wait for the view change, refreshing as we go.
 		*lastErr = engine.ErrStaleShardEpoch
-		p.Sleep(sim.Duration(c.cfg.ClientBackoffNs))
+		p.Sleep(sim.Duration(clientBackoffNs))
 		c.Refresh(p)
 		return resp[0], true
 	default:
 		*lastErr = fmt.Errorf("cluster: status %d", resp[0])
-		p.Sleep(sim.Duration(c.cfg.ClientBackoffNs))
+		p.Sleep(sim.Duration(clientBackoffNs))
 		return resp[0], true
 	}
 }

@@ -12,7 +12,7 @@ import (
 //   - as primary: push same-epoch snapshot installs to suspect backups
 //     (replicas that missed appends or were unreachable), restoring the
 //     full replica set after partitions heal;
-//   - as backup: probe the believed primary; after FailThreshold
+//   - as backup: probe the believed primary; after failThreshold
 //     consecutive failures, and only if every ring-earlier live replica
 //     has also vanished (deterministic successor order), run a
 //     candidacy.
@@ -77,7 +77,7 @@ func (n *Node) tickShard(p *sim.Proc, st *shardState) {
 // fresher routing it reports.
 func (n *Node) probePrimary(p *sim.Proc, st *shardState, target int) {
 	resp, err := n.callPeerDL(p, target, FnShardStatus,
-		encodeStatus(statusReq{Shard: uint16(st.id)}), n.cfg.ProbeDeadlineNs)
+		encodeStatus(statusReq{Shard: uint16(st.id)}), probeDeadlineNs)
 	if err == nil && len(resp) >= 1 {
 		if sr, derr := decodeStatusResp(resp[1:]); derr == nil {
 			st.mu.Lock(p)
@@ -91,7 +91,7 @@ func (n *Node) probePrimary(p *sim.Proc, st *shardState, target int) {
 	st.probeFails++
 	fails := st.probeFails
 	st.mu.Unlock()
-	if fails < n.cfg.FailThreshold {
+	if fails < failThreshold {
 		return
 	}
 	if !n.firstEligible(p, st) {
@@ -118,7 +118,7 @@ func (n *Node) firstEligible(p *sim.Proc, st *shardState) bool {
 			return true
 		}
 		resp, err := n.callPeerDL(p, r, FnShardStatus,
-			encodeStatus(statusReq{Shard: uint16(st.id)}), n.cfg.ProbeDeadlineNs)
+			encodeStatus(statusReq{Shard: uint16(st.id)}), probeDeadlineNs)
 		if err == nil && len(resp) >= 1 {
 			return false // an earlier successor lives; it will run
 		}
@@ -154,7 +154,7 @@ func (n *Node) resyncSuspects(p *sim.Proc, st *shardState) {
 		Seq: st.seq, Pairs: pairs,
 	})
 	for _, r := range targets {
-		resp, err := n.callPeerDL(p, r, FnInstall, ir, n.cfg.CallDeadlineNs)
+		resp, err := n.callPeerDL(p, r, FnInstall, ir, callDeadlineNs)
 		if err != nil || len(resp) < 1 {
 			continue // still unreachable; retry next tick
 		}
@@ -205,7 +205,7 @@ func (n *Node) runCandidacy(p *sim.Proc, st *shardState) {
 			continue
 		}
 		resp, err := n.callPeerDL(p, r, FnShardStatus,
-			encodeStatus(statusReq{Shard: shard}), n.cfg.ProbeDeadlineNs)
+			encodeStatus(statusReq{Shard: shard}), probeDeadlineNs)
 		if err != nil || len(resp) < 1 {
 			continue
 		}
@@ -246,7 +246,7 @@ func (n *Node) runCandidacy(p *sim.Proc, st *shardState) {
 	acc := []prepped{{n.self, st.epoch, st.seq}}
 	prep := encodeStatus(statusReq{Shard: shard, Prepare: true, NewEpoch: newEpoch, Candidate: int32(n.self)})
 	for _, ps := range census {
-		resp, err := n.callPeerDL(p, ps.id, FnShardStatus, prep, n.cfg.CallDeadlineNs)
+		resp, err := n.callPeerDL(p, ps.id, FnShardStatus, prep, callDeadlineNs)
 		if err != nil || len(resp) < 1 {
 			continue
 		}
@@ -279,7 +279,7 @@ func (n *Node) runCandidacy(p *sim.Proc, st *shardState) {
 	var pairs []snapPair
 	seq := st.seq
 	if best.id != n.self {
-		resp, err := n.callPeerDL(p, best.id, FnShardPull, putU16(nil, shard), n.cfg.CallDeadlineNs)
+		resp, err := n.callPeerDL(p, best.id, FnShardPull, putU16(nil, shard), callDeadlineNs)
 		if err != nil || len(resp) < 1 || resp[0] != stOK {
 			return // freshest vanished mid-candidacy; retry next tick
 		}
@@ -305,7 +305,7 @@ func (n *Node) runCandidacy(p *sim.Proc, st *shardState) {
 		if a.id == n.self {
 			continue
 		}
-		resp, err := n.callPeerDL(p, a.id, FnInstall, ir, n.cfg.CallDeadlineNs)
+		resp, err := n.callPeerDL(p, a.id, FnInstall, ir, callDeadlineNs)
 		if err == nil && len(resp) >= 1 && resp[0] == stOK {
 			acks++
 			okPeer[a.id] = true

@@ -14,25 +14,27 @@ import (
 
 // Config is the shared cluster configuration. Every node and every
 // client must be built from the same (Seed, NodeIDs, NShards, RF) —
-// ring placement is a pure function of them. The zero value of each
-// timing knob gets a default.
+// ring placement is a pure function of them. A zero ProbeIntervalNs or
+// ClientAttempts gets a default.
 type Config struct {
 	Seed    int64
 	NodeIDs []int // simnet node ids hosting cluster nodes, ascending
 	NShards int
 	RF      int // replicas per shard (primary included)
 
-	// Monitor/failover pacing, virtual ns.
-	ProbeIntervalNs int64 // monitor tick spacing
-	ProbeDeadlineNs int64 // one liveness/status probe
-	CallDeadlineNs  int64 // replication, prepare, pull and install calls
-	FailThreshold   int   // consecutive failed primary probes before candidacy
-
-	// Client knobs.
-	ClientDeadlineNs int64 // one client-facing call
-	ClientAttempts   int   // retry budget per Put/Get
-	ClientBackoffNs  int64 // pacing between client retries
+	ProbeIntervalNs int64 // monitor tick spacing, virtual ns
+	ClientAttempts  int   // retry budget per client Put/Get
 }
+
+// Failover and client pacing, virtual ns.
+const (
+	probeDeadlineNs  int64 = 120_000 // one liveness/status probe
+	callDeadlineNs   int64 = 300_000 // replication, prepare, pull and install calls
+	clientDeadlineNs int64 = 300_000 // one client-facing call
+	clientBackoffNs  int64 = 150_000 // pacing between client retries
+
+	failThreshold = 2 // consecutive failed primary probes before candidacy
+)
 
 func (c Config) withDefaults() Config {
 	if c.NShards <= 0 {
@@ -44,23 +46,8 @@ func (c Config) withDefaults() Config {
 	if c.ProbeIntervalNs <= 0 {
 		c.ProbeIntervalNs = 150_000
 	}
-	if c.ProbeDeadlineNs <= 0 {
-		c.ProbeDeadlineNs = 120_000
-	}
-	if c.CallDeadlineNs <= 0 {
-		c.CallDeadlineNs = 300_000
-	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 2
-	}
-	if c.ClientDeadlineNs <= 0 {
-		c.ClientDeadlineNs = 300_000
-	}
 	if c.ClientAttempts <= 0 {
 		c.ClientAttempts = 12
-	}
-	if c.ClientBackoffNs <= 0 {
-		c.ClientBackoffNs = 150_000
 	}
 	return c
 }
@@ -103,6 +90,15 @@ type NodeStats struct {
 	Resyncs      int64 // same-epoch snapshot installs pushed to lagging backups
 	StaleWrites  int64 // stStale replies sent
 	FencedWrites int64 // writes refused under an outstanding promise
+}
+
+// Add folds another boot's (or node's) counters into s.
+func (s *NodeStats) Add(o NodeStats) {
+	s.Promotions += o.Promotions
+	s.Candidacies += o.Candidacies
+	s.Resyncs += o.Resyncs
+	s.StaleWrites += o.StaleWrites
+	s.FencedWrites += o.FencedWrites
 }
 
 // Node is one cluster server: a shard-aware KV service over the node's
@@ -392,7 +388,7 @@ func (n *Node) snapshotLocked(st *shardState) ([]snapPair, error) {
 // call callPeerDL directly with a tighter one, so a dead primary is
 // detected within a few monitor ticks.
 func (n *Node) callPeer(p *sim.Proc, peer int, fn uint32, req []byte) ([]byte, error) {
-	return n.callPeerDL(p, peer, fn, req, n.cfg.CallDeadlineNs)
+	return n.callPeerDL(p, peer, fn, req, callDeadlineNs)
 }
 
 // Handle exposes the cluster wire dispatcher for callers that serve the

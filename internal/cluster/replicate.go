@@ -53,7 +53,7 @@ func (n *Node) lane(peer int) *sim.Queue[*replJob] {
 // ack). Caller holds st.mu — and keeps holding it until every lane has
 // answered, so the next append of this shard cannot overtake this one on
 // any lane and each backup still sees contiguous seqs. Each call is
-// bounded by CallDeadlineNs. Results are folded in ring order, not in
+// bounded by callDeadlineNs. Results are folded in ring order, not in
 // completion order, so suspicion and adopted routing never depend on
 // which reply happened to land first.
 func (n *Node) replicate(p *sim.Proc, st *shardState, rr []byte) (acks int, stale bool) {

@@ -97,8 +97,8 @@ func TestPutWithCrashedBackup(t *testing.T) {
 		}
 		// One deadline, then the session's two failed re-dials (2 × 90 µs
 		// connect timeout + 50 µs backoff).
-		if limit := tc.cfg.CallDeadlineNs + 250_000; took > limit {
-			t.Errorf("put took %d ns with one dead backup, want ≤ one CallDeadlineNs + re-dial = %d", took, limit)
+		if limit := callDeadlineNs + 250_000; took > limit {
+			t.Errorf("put took %d ns with one dead backup, want ≤ one callDeadlineNs + re-dial = %d", took, limit)
 		}
 		if healthySeqEarly != 2 {
 			t.Errorf("healthy backup at seq %d 100 µs into the put, want 2: its append waited behind the dead backup's", healthySeqEarly)
@@ -293,7 +293,7 @@ func TestDeadPeerDialDoesNotBlockHealthyPeer(t *testing.T) {
 		ps := newPeerSessions(tc.cliEng, tc.roster)
 		call := func(cp *sim.Proc, peer int) (int64, error) {
 			start := cp.Now()
-			_, err := ps.callPeerDL(cp, peer, FnShardMap, nil, tc.cfg.ClientDeadlineNs)
+			_, err := ps.callPeerDL(cp, peer, FnShardMap, nil, clientDeadlineNs)
 			return int64(cp.Now() - start), err
 		}
 		warm, err := call(p, healthy) // dials

@@ -297,8 +297,7 @@ func (c *Conn) sendDirectWrite(p *sim.Proc, h hdr, payload []byte, chained bool,
 }
 
 // stageNotifyOff is the staging offset reserved for notify headers — the
-// last hdrSize bytes of the staging region. It doubles as the limit of
-// the area OnewayBurst stages a chained train into.
+// last hdrSize bytes of the staging region.
 func (c *Conn) stageNotifyOff() int { return c.stageMR.Len() - hdrSize }
 
 // sendWriteImm WRITEs [hdr|payload] into the peer's direct buffer with an
@@ -435,7 +434,6 @@ func (c *Conn) readRemote(p *sim.Proc, rk verbs.RKey, off, n int, poll PollMode)
 // back off to the interrupt-wake granularity, adaptive calls spin for
 // the connection's window and then back off.
 func (c *Conn) fetchRFPUntil(p *sim.Proc, poll PollMode, until sim.Time) ([]byte, bool, error) {
-	chunk := c.eng.cfg.RFPChunk
 	var spun sim.Duration
 	pace := func() {
 		d := c.fetchPace(poll, spun)
@@ -446,7 +444,7 @@ func (c *Conn) fetchRFPUntil(p *sim.Proc, poll PollMode, until sim.Time) ([]byte
 		if c.waitOver(p.Now(), until) {
 			return nil, false, nil
 		}
-		b, ok := c.readRemote(p, c.peerRfpOut, 0, chunk, poll)
+		b, ok := c.readRemote(p, c.peerRfpOut, 0, rfpChunk, poll)
 		if !ok {
 			c.recoverQP(p)
 			pace()
@@ -464,7 +462,7 @@ func (c *Conn) fetchRFPUntil(p *sim.Proc, poll PollMode, until sim.Time) ([]byte
 		}
 		c.noteCredits(h)
 		n := int(h.length)
-		got := chunk - hdrSize
+		got := rfpChunk - hdrSize
 		if n <= got {
 			c.stats.BytesRecvd += int64(n)
 			return c.copyPayload(b[hdrSize : hdrSize+n]), true, nil
@@ -472,7 +470,7 @@ func (c *Conn) fetchRFPUntil(p *sim.Proc, poll PollMode, until sim.Time) ([]byte
 		// Tail fetch for large responses.
 		out := c.eng.payloadGet(n)
 		copy(out, b[hdrSize:])
-		rest, ok := c.readRemote(p, c.peerRfpOut, chunk, n-got, poll)
+		rest, ok := c.readRemote(p, c.peerRfpOut, rfpChunk, n-got, poll)
 		if !ok {
 			c.recoverQP(p)
 			pace()
@@ -556,116 +554,6 @@ func (c *Conn) fetchKVUntil(p *sim.Proc, metaReads int, poll PollMode, until sim
 		c.stats.BytesRecvd += int64(n)
 		return c.copyPayload(b[:n]), true, nil
 	}
-}
-
-// OnewayBurst ships a burst of oneway eager requests as chained WR
-// trains: each message is staged at its own offset and linked into a WR
-// chain, and the chain is flushed with a single PostSend — one doorbell
-// for the whole burst. It exists for the multi-call burst shape doorbell
-// batching targets: N small notifications from one client in one
-// scheduling quantum. A burst the chain shape cannot carry — a non-eager
-// protocol, a deadline (retransmission is per message), or a payload
-// larger than one ring slot — degrades to a loop of ordinary oneway
-// Calls, so callers can use it unconditionally. Segmented single
-// messages deliberately stay on sendEager's per-fragment path: chaining
-// a whole fragment train would defer every fragment's NIC work until the
-// last one is staged, losing the staging/transmit overlap that dominates
-// large-message latency.
-func (c *Conn) OnewayBurst(p *sim.Proc, fn uint32, payloads [][]byte, opts CallOpts) error {
-	if c.server {
-		return fmt.Errorf("engine: OnewayBurst on server-side connection")
-	}
-	eng := c.eng
-	proto := opts.Proto
-	if proto == ProtoAuto {
-		proto = EagerSendRecv
-	}
-	slotCap := c.slotSize - hdrSize
-	batchable := proto == EagerSendRecv && c.deadlineFor(p, opts) == 0
-	if batchable {
-		for _, pl := range payloads {
-			if len(pl) > slotCap {
-				// A multi-fragment message breaks the one-WR-per-message
-				// chain shape; sendEager handles it on the ordinary path.
-				batchable = false
-				break
-			}
-		}
-	}
-	if !batchable {
-		o := opts
-		o.Oneway = true
-		for _, pl := range payloads {
-			if _, err := c.Call(p, fn, pl, o); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := c.breakerGate(p); err != nil {
-		return err
-	}
-	poll := resolvePoll(opts.Poll, opts.Busy)
-	cm := eng.dev.CostModel()
-	var head, tail *verbs.SendWR
-	stageOff := 0
-	flush := func() {
-		if head == nil {
-			return
-		}
-		//hatlint:allow wrsigned -- oneway eager SENDs are unsignaled by design; the cost model emits no CQE for unsignaled WRs, so there is nothing to drain
-		c.qp.PostSend(p, head)
-		head, tail = nil, nil
-		stageOff = 0
-	}
-	for _, pl := range payloads {
-		c.stats.Calls++
-		c.stats.Oneways++
-		c.stats.BytesSent += int64(len(pl))
-		c.seq++
-		if m := eng.em; m != nil {
-			m.calls[EagerSendRecv].Inc()
-			m.oneways.Inc()
-			m.bytesSent[EagerSendRecv].Add(int64(len(pl)))
-		}
-		if fc := c.fc; fc != nil && fc.avail <= 0 {
-			// Post what is staged first: delivering it is what lets the
-			// peer repost RECVs and grant the credits we are about to wait
-			// for.
-			flush()
-			if !c.waitCredit(p, EagerSendRecv, poll, 0) {
-				return ErrNoCredits
-			}
-		}
-		c.spend()
-		h := hdr{
-			kind: kReq, proto: EagerSendRecv, respProto: ProtoAuto,
-			fn: fn, length: uint32(len(pl)), seq: c.seq, sid: opts.SID,
-		}
-		eng.node.CPU.Compute(p, eng.node.NUMAWork(sim.Duration(cm.EagerSlotMgmtNs), c.numaBound))
-		c.memcpyCharge(p, len(pl))
-		if stageOff+hdrSize+len(pl) > c.stageNotifyOff() {
-			flush()
-		}
-		base := stageOff
-		c.putHdrC(c.stageMR.Buf[base:], h)
-		copy(c.stageMR.Buf[base+hdrSize:], pl)
-		wr := &verbs.SendWR{
-			WRID: c.wrid(), Op: verbs.OpSend,
-			SGE:        verbs.SGE{MR: c.stageMR, Off: base, Len: hdrSize + len(pl)},
-			Inline:     hdrSize+len(pl) <= 256,
-			Unsignaled: true,
-		}
-		if tail == nil {
-			head = wr
-		} else {
-			tail.Next = wr
-		}
-		tail = wr
-		stageOff = base + hdrSize + len(pl)
-	}
-	flush()
-	return nil
 }
 
 // ---------------------------------------------------------------------------

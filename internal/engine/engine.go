@@ -16,15 +16,10 @@ type Config struct {
 	// MaxMsgSize bounds a single RPC payload; direct buffers are sized to
 	// hold it.
 	MaxMsgSize int
-	// EagerSlotSize is the payload capacity of one circular-buffer slot.
-	EagerSlotSize int
 	// EagerSlots is the ring depth (pre-posted receives per connection).
 	EagerSlots int
 	// RndvThreshold is the Hybrid-EagerRNDV switchover point.
 	RndvThreshold int
-	// RFPChunk is the default first-READ size when fetching an RFP
-	// response of unknown length.
-	RFPChunk int
 	// NoFetchBufs skips the server-side published regions (RFP/HERD
 	// request slot, Pilaf/FaRM meta+payload). Benchmarks that pin a
 	// two-sided protocol set this to keep per-connection memory small.
@@ -41,7 +36,7 @@ type Config struct {
 	// out for control messages). Grants piggyback on every outbound
 	// header and a low-water async credit update keeps one-directional
 	// flows live. Both endpoints of a connection must agree on the value
-	// (they already must agree on EagerSlotSize/EagerSlots). Zero — the
+	// (they already must agree on EagerSlots). Zero — the
 	// default — disables flow control entirely: senders post unboundedly,
 	// exactly the pre-credit behaviour.
 	FlowCredits int
@@ -76,6 +71,14 @@ type Config struct {
 	SRQSlots int
 }
 
+// eagerSlotSize is the payload capacity of one circular-buffer slot: a
+// message up to the default rendezvous threshold fits one. rfpChunk is the
+// first-READ size when fetching an RFP response of unknown length.
+const (
+	eagerSlotSize = DefaultRndvThreshold
+	rfpChunk      = 4096
+)
+
 // DefaultRnrRetry is the RNR retransmission budget applied when
 // Config.RnrRetry is zero (matches the common 7-retry RNIC default,
 // minus the initial attempt).
@@ -104,10 +107,8 @@ const DefaultDedupSessions = 64
 func DefaultConfig() Config {
 	return Config{
 		MaxMsgSize:    1 << 20,
-		EagerSlotSize: DefaultRndvThreshold,
 		EagerSlots:    64,
 		RndvThreshold: DefaultRndvThreshold,
-		RFPChunk:      4096,
 	}
 }
 
@@ -694,7 +695,7 @@ func (e *Engine) newConn(server bool, shared *connShared) *Conn {
 		id:           e.nextConnID,
 		cq:           e.dev.CreateCQ(),
 		sig:          sim.NewSignal(e.env),
-		slotSize:     e.cfg.EagerSlotSize + hdrSize,
+		slotSize:     eagerSlotSize + hdrSize,
 		slots:        e.cfg.EagerSlots,
 		shared:       shared,
 		rndvIn:       make(map[uint32]*verbs.MR),
@@ -788,7 +789,7 @@ func (e *Engine) serverSRQ() *verbs.SRQ {
 	if e.srq != nil {
 		return e.srq
 	}
-	slotSize := e.cfg.EagerSlotSize + hdrSize
+	slotSize := eagerSlotSize + hdrSize
 	e.srq = e.dev.CreateSRQ()
 	e.srqMR = e.pd.RegisterMRNoCost(e.cfg.SRQSlots * slotSize)
 	e.pinnedBytes += int64(e.srqMR.Len())

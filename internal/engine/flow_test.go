@@ -217,15 +217,28 @@ func slowEchoHandler(node *simnet.Node, busyNs int64) Handler {
 	}
 }
 
-// overloadDuel runs nConns clients hammering a 1-slot server with the
-// given admission policy and returns (successes, overloaded, other
-// errors).
-func overloadDuel(t *testing.T, policy AdmitPolicy, nConns, callsPer int) (succ, shed, other int, srvShed int64) {
-	t.Helper()
+// duelConfig is the overloadDuel default: a deadline no queued call
+// reaches.
+func duelConfig() Config {
 	cfg := DefaultConfig()
 	cfg.CallDeadline = 50_000_000
+	return cfg
+}
+
+// overloadDuel runs nConns clients hammering a 1-slot server with the
+// given admission policy and returns (successes, overloaded, other
+// errors). Whatever the policy, the handler must only ever see a
+// request's own bytes.
+func overloadDuel(t *testing.T, cfg Config, policy AdmitPolicy, nConns, callsPer int) (succ, shed, other int, srvShed int64) {
+	t.Helper()
 	env, srvEng, cliEng := flowCluster(23, cfg)
-	srv := srvEng.Serve("svc", slowEchoHandler(srvEng.Node(), 100_000))
+	slow := slowEchoHandler(srvEng.Node(), 100_000)
+	srv := srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte {
+		if string(req) != "duel" {
+			t.Errorf("handler ran on payload %q", req)
+		}
+		return slow(p, fn, req)
+	})
 	srv.AdmitLimit = 1
 	srv.Admit = policy
 	results := make(chan error, nConns*callsPer)
@@ -256,13 +269,41 @@ func overloadDuel(t *testing.T, policy AdmitPolicy, nConns, callsPer int) (succ,
 			other++
 		}
 	}
+	if n := cliEng.RnrFailures(); n != 0 {
+		t.Errorf("%d work requests ran out of RNR retries", n)
+	}
 	return succ, shed, other, srv.Shed
+}
+
+// TestOverloadControlArmCompletes runs the duel as the RNR control arm:
+// blocking admission, no credits, 2-deep finite rings, and a deadline the
+// queue outlasts. Calls expire in the queue, clients move on to their
+// next request, and an RNR-NAKed retransmission of the abandoned one is
+// re-delivered behind it: the dispatcher must drop that stale duplicate,
+// not run the handler on its empty payload (overloadDuel checks both that
+// and the RNR budget), and the server keeps serving meanwhile.
+func TestOverloadControlArmCompletes(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CallDeadline = 600_000 // 4 clients × 100 µs a call, plus retransmissions, queue longer
+	cfg.EagerSlots = 2
+	cfg.ModelRNR = true
+	cfg.RnrRetry = 40
+	succ, shed, other, _ := overloadDuel(t, cfg, AdmitBlock, 4, 12)
+	if shed != 0 {
+		t.Errorf("block policy shed %d calls", shed)
+	}
+	if other == 0 {
+		t.Error("no call outlived its deadline in the queue — the control arm is not overloaded")
+	}
+	if succ <= other {
+		t.Errorf("%d calls served, %d expired: the server stopped making progress", succ, other)
+	}
 }
 
 // TestAdmitBlockServesEverything: the block policy sheds nothing; every
 // call queues and completes.
 func TestAdmitBlockServesEverything(t *testing.T) {
-	succ, shed, other, srvShed := overloadDuel(t, AdmitBlock, 6, 4)
+	succ, shed, other, srvShed := overloadDuel(t, duelConfig(), AdmitBlock, 6, 4)
 	if shed != 0 || other != 0 || srvShed != 0 {
 		t.Errorf("block policy shed %d / errored %d (server shed %d), want 0", shed, other, srvShed)
 	}
@@ -275,7 +316,7 @@ func TestAdmitBlockServesEverything(t *testing.T) {
 // arrivals with ErrOverloaded, serves the rest, and every rejection is
 // typed (no untyped failures).
 func TestAdmitShedNewestRejectsTyped(t *testing.T) {
-	succ, shed, other, srvShed := overloadDuel(t, AdmitShedNewest, 6, 4)
+	succ, shed, other, srvShed := overloadDuel(t, duelConfig(), AdmitShedNewest, 6, 4)
 	if other != 0 {
 		t.Errorf("%d untyped failures under shed-newest", other)
 	}
@@ -293,7 +334,7 @@ func TestAdmitShedNewestRejectsTyped(t *testing.T) {
 // TestAdmitShedOldestBoundsQueue: shed-oldest keeps a bounded queue and
 // shed calls are typed.
 func TestAdmitShedOldestBoundsQueue(t *testing.T) {
-	succ, shed, other, srvShed := overloadDuel(t, AdmitShedOldest, 6, 4)
+	succ, shed, other, srvShed := overloadDuel(t, duelConfig(), AdmitShedOldest, 6, 4)
 	if other != 0 {
 		t.Errorf("%d untyped failures under shed-oldest", other)
 	}

@@ -184,96 +184,6 @@ func TestArenaPayloadsRecycleReuse(t *testing.T) {
 	env.Run()
 }
 
-// TestOnewayBurstBatched drives the chained-WR burst path end to end: a
-// batchable 16×64 B burst rings ONE doorbell, every message is served and
-// counted as a oneway, and a trailing regular call still round-trips on
-// the same connection.
-func TestOnewayBurstBatched(t *testing.T) {
-	env, srvEng, cliEng := testCluster(16)
-	srv := srvEng.Serve("svc", echoHandler)
-	const B = 16
-	payloads := make([][]byte, B)
-	for i := range payloads {
-		payloads[i] = bytes.Repeat([]byte{byte(i)}, 64)
-	}
-	var conn *Conn
-	var doorbells int64
-	env.Spawn("client", func(p *sim.Proc) {
-		conn = cliEng.Dial(p, srvEng.Node(), "svc")
-		before := cliEng.dev.Doorbells()
-		if err := conn.OnewayBurst(p, 7, payloads, CallOpts{Proto: EagerSendRecv, Busy: true}); err != nil {
-			t.Error(err)
-		}
-		doorbells = cliEng.dev.Doorbells() - before
-		// The sync call flushes behind the burst: by the time its response
-		// arrives, every burst message has been dispatched in order.
-		resp, err := conn.Call(p, 8, []byte("sync"), CallOpts{Proto: EagerSendRecv, Busy: true})
-		if err != nil || string(resp) != "ECHOsync" {
-			t.Errorf("sync call: %q %v", resp, err)
-		}
-		env.Stop()
-	})
-	env.Run()
-	if doorbells != 1 {
-		t.Fatalf("batchable burst rang %d doorbells, want 1", doorbells)
-	}
-	if srv.Served != B+1 {
-		t.Fatalf("served %d, want %d", srv.Served, B+1)
-	}
-	st := conn.Stats()
-	if st.Oneways != B {
-		t.Fatalf("oneways %d, want %d", st.Oneways, B)
-	}
-	if st.Calls != B+1 {
-		t.Fatalf("calls %d, want %d", st.Calls, B+1)
-	}
-}
-
-// TestOnewayBurstFallback checks the degradation contract: a burst the
-// chain shape cannot carry — a non-eager protocol, a deadline, a payload
-// larger than one slot — becomes a loop of ordinary oneway Calls (at
-// least one doorbell per message) with identical observable results.
-func TestOnewayBurstFallback(t *testing.T) {
-	small := func() [][]byte { return [][]byte{[]byte("a"), []byte("bb"), []byte("ccc")} }
-	oversize := small()
-	oversize[1] = make([]byte, 8192) // > slot capacity: multi-fragment
-	for _, tc := range []struct {
-		name     string
-		opts     CallOpts
-		payloads [][]byte
-	}{
-		{"non-eager-protocol", CallOpts{Proto: WriteRNDV, Busy: true}, small()},
-		{"deadline", CallOpts{Proto: EagerSendRecv, Busy: true, Deadline: 1_000_000}, small()},
-		{"oversize-fragment", CallOpts{Proto: EagerSendRecv, Busy: true}, oversize},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			env, srvEng, cliEng := testCluster(17)
-			srv := srvEng.Serve("svc", echoHandler)
-			var doorbells int64
-			env.Spawn("client", func(p *sim.Proc) {
-				c := cliEng.Dial(p, srvEng.Node(), "svc")
-				before := cliEng.dev.Doorbells()
-				if err := c.OnewayBurst(p, 7, tc.payloads, tc.opts); err != nil {
-					t.Error(err)
-				}
-				doorbells = cliEng.dev.Doorbells() - before
-				resp, err := c.Call(p, 8, []byte("sync"), CallOpts{Proto: EagerSendRecv, Busy: true})
-				if err != nil || string(resp) != "ECHOsync" {
-					t.Errorf("sync call: %q %v", resp, err)
-				}
-				env.Stop()
-			})
-			env.Run()
-			if doorbells < int64(len(tc.payloads)) {
-				t.Fatalf("fallback burst rang %d doorbells for %d messages: it was chained", doorbells, len(tc.payloads))
-			}
-			if srv.Served != int64(len(tc.payloads))+1 {
-				t.Fatalf("served %d, want %d", srv.Served, len(tc.payloads)+1)
-			}
-		})
-	}
-}
-
 // TestOffsetSubsliceResponseSurvivesRecycle: a handler may answer with an
 // offset subslice of its request (req[4:]). The dedup cache retains that
 // response, so the dispatcher must not recycle the request buffer under
@@ -353,7 +263,7 @@ func TestFetchPaceDisciplines(t *testing.T) {
 	env.Run()
 }
 
-// TestHotpathDeterministic runs the same mixed workload (a chained burst,
+// TestHotpathDeterministic runs the same mixed workload (a run of oneways,
 // then every protocol with recycled responses under adaptive polling)
 // twice on one seed and requires identical virtual end times: arena reuse
 // and batched draining must not let host state leak into the simulation.
@@ -364,12 +274,11 @@ func TestHotpathDeterministic(t *testing.T) {
 		srv.Poll = PollAdaptiveMode
 		env.Spawn("client", func(p *sim.Proc) {
 			c := cliEng.Dial(p, srvEng.Node(), "svc")
-			var bl [][]byte
 			for i := 0; i < 6; i++ {
-				bl = append(bl, []byte(fmt.Sprintf("b%d", i)))
-			}
-			if err := c.OnewayBurst(p, 2, bl, CallOpts{Proto: EagerSendRecv}); err != nil {
-				t.Error(err)
+				req := []byte(fmt.Sprintf("b%d", i))
+				if _, err := c.Call(p, 2, req, CallOpts{Proto: EagerSendRecv, Oneway: true}); err != nil {
+					t.Error(err)
+				}
 			}
 			for i, proto := range dataProtocols {
 				req := []byte(fmt.Sprintf("det-%02d", i))
@@ -445,58 +354,6 @@ func BenchmarkEagerPathCall(b *testing.B) {
 	for _, proto := range dataProtocols {
 		b.Run(proto.String(), func(b *testing.B) {
 			benchCall(b, 64, CallOpts{Proto: proto, Busy: true})
-		})
-	}
-}
-
-// BenchmarkOnewayBurst compares the chained-doorbell burst against the
-// equivalent loop of oneway Calls.
-func BenchmarkOnewayBurst(b *testing.B) {
-	payloads := make([][]byte, 8)
-	for i := range payloads {
-		payloads[i] = bytes.Repeat([]byte{byte(i)}, 64)
-	}
-	opts := CallOpts{Proto: EagerSendRecv, Busy: true}
-	loop := opts
-	loop.Oneway = true
-	for _, tc := range []struct {
-		name string
-		send func(p *sim.Proc, c *Conn) error
-	}{
-		{"batched", func(p *sim.Proc, c *Conn) error { return c.OnewayBurst(p, 1, payloads, opts) }},
-		{"loop", func(p *sim.Proc, c *Conn) error {
-			for _, pl := range payloads {
-				if _, err := c.Call(p, 1, pl, loop); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			env, srvEng, cliEng := testCluster(22)
-			srvEng.Serve("svc", benchEchoHandler)
-			b.ReportAllocs()
-			var failed error
-			env.Spawn("client", func(p *sim.Proc) {
-				c := cliEng.Dial(p, srvEng.Node(), "svc")
-				if failed = tc.send(p, c); failed != nil {
-					env.Stop()
-					return
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if failed = tc.send(p, c); failed != nil {
-						break
-					}
-				}
-				b.StopTimer()
-				env.Stop()
-			})
-			env.Run()
-			if failed != nil {
-				b.Fatal(failed)
-			}
 		})
 	}
 }

@@ -75,9 +75,9 @@ type AppConfig struct {
 	// DrainLingerNs keeps the node alive (fenced) after it has quiesced,
 	// so peer monitors observe the typed draining rejections and promote
 	// this node's shards away while it can still serve resyncs. Sized to
-	// cover FailThreshold probe intervals plus a candidacy; zero stops
-	// immediately after quiesce (failover then happens post-mortem, as
-	// with a hard kill).
+	// cover the probe intervals a monitor needs to suspect a primary plus
+	// a candidacy; zero stops immediately after quiesce (failover then
+	// happens post-mortem, as with a hard kill).
 	DrainLingerNs int64
 	// Workload sizes the built-in soak workload (cmd/hatnode -rolling).
 	Workload WorkloadConfig

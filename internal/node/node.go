@@ -101,6 +101,17 @@ type HatNode struct {
 	reloads     *obs.Counter
 }
 
+// EngineConfig is the engine sizing of a HatKV fleet, servers and the
+// clients that talk to them alike: the defaults with the circuit breaker
+// armed, so four failures in a row steer a caller off a dead or draining
+// peer for 500 µs instead of spending a deadline on every call to it.
+func EngineConfig() engine.Config {
+	ecfg := engine.DefaultConfig()
+	ecfg.BreakerThreshold = 4
+	ecfg.BreakerCooldown = 500_000
+	return ecfg
+}
+
 // New builds the lifecycle wrapper for one simnet node and boots it.
 // The durable store is created once here and carried across boots; the
 // crash hook (self-re-arming) marks the node down, and the restart hook
@@ -146,9 +157,7 @@ func New(sn *simnet.Node, roster []*simnet.Node, self int, cfg *Config, reg *obs
 // same DES events as a bare cluster node until an ops call arrives.
 func (h *HatNode) Boot() {
 	h.setState(StateStarting)
-	ecfg := engine.DefaultConfig()
-	ecfg.BreakerThreshold = 4
-	ecfg.BreakerCooldown = 500_000
+	ecfg := EngineConfig()
 	if c := h.cfg.Protocol.Credits; c > 0 {
 		ecfg.FlowCredits = c
 	}
@@ -241,12 +250,7 @@ func (h *HatNode) Drain(p *sim.Proc, deadline sim.Duration) DrainReport {
 func (h *HatNode) Stats() cluster.NodeStats {
 	var s cluster.NodeStats
 	for _, n := range h.boots {
-		st := n.Stats()
-		s.Promotions += st.Promotions
-		s.Candidacies += st.Candidacies
-		s.Resyncs += st.Resyncs
-		s.StaleWrites += st.StaleWrites
-		s.FencedWrites += st.FencedWrites
+		s.Add(n.Stats())
 	}
 	return s
 }
