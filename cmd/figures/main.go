@@ -28,7 +28,6 @@ import (
 	"strings"
 
 	"hatrpc/internal/atb"
-	"hatrpc/internal/engine"
 	"hatrpc/internal/obs"
 	"hatrpc/internal/simnet"
 	"hatrpc/internal/stats"
@@ -168,15 +167,7 @@ func fig04() string {
 }
 
 func fig05() string {
-	cfg := atb.DefaultProtoThroughputConfig()
-	// Restrict to the five headline protocols to keep runtime sane;
-	// atb.DefaultProtoThroughputConfig lists all nine.
-	cfg.Protos = []engine.Protocol{
-		engine.EagerSendRecv, engine.DirectWriteSend, engine.DirectWriteIMM,
-		engine.WriteRNDV, engine.RFP,
-	}
-	cfg.Clients = []int{1, 4, 16, 28, 64, 128, 256, 512}
-	pts := atb.RunProtoThroughput(cfg)
+	pts := atb.RunProtoThroughput(atb.DefaultProtoThroughputConfig())
 	tb := stats.NewTable("protocol", "polling", "size", "clients", "Kops/s", "MB/s")
 	for _, p := range pts {
 		tb.Row(p.Proto.String(), poll(p.Busy), stats.FormatBytes(p.Size), p.Clients,

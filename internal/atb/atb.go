@@ -237,15 +237,14 @@ type ProtoThroughputConfig struct {
 	Seed       int64
 }
 
-// DefaultProtoThroughputConfig mirrors Fig. 5: 512 B and 128 KB messages,
-// client counts spanning under/full/over subscription of the 28-core
-// server.
+// DefaultProtoThroughputConfig mirrors Fig. 5: its five headline
+// protocols, 512 B and 128 KB messages, client counts spanning
+// under/full/over subscription of the 28-core server.
 func DefaultProtoThroughputConfig() ProtoThroughputConfig {
 	return ProtoThroughputConfig{
 		Protos: []engine.Protocol{
-			engine.EagerSendRecv, engine.DirectWriteSend, engine.ChainedWriteSend,
-			engine.WriteRNDV, engine.ReadRNDV, engine.DirectWriteIMM,
-			engine.Pilaf, engine.FaRM, engine.RFP,
+			engine.EagerSendRecv, engine.DirectWriteSend, engine.DirectWriteIMM,
+			engine.WriteRNDV, engine.RFP,
 		},
 		Busy:       []bool{true, false},
 		Sizes:      []int{512, 131072},

@@ -23,6 +23,7 @@ import (
 
 	"hatrpc/internal/engine"
 	"hatrpc/internal/hints"
+	"hatrpc/internal/obs"
 	"hatrpc/internal/sim"
 	"hatrpc/internal/stats"
 )
@@ -111,6 +112,8 @@ func runOneFanin(cfg faninConfig, hinted bool) faninPoint {
 	ecfg.ModelRNR = true
 	ecfg.RnrRetry = 40
 	f := NewFabricWith(cfg.Seed, 2, cfg.BigSize, ecfg)
+	reg := obs.NewRegistry()
+	f.Server.SetObs(reg)
 	f.Server.Serve("atb", func(p *sim.Proc, fn uint32, req []byte) []byte {
 		cost := cfg.ServiceNs
 		if fn == 2 {
@@ -203,7 +206,7 @@ func runOneFanin(cfg faninConfig, hinted bool) faninPoint {
 		Waits:      pl.Waits,
 		Sessions:   pl.Sessions,
 		PinnedKB:   f.Server.PinnedBytes() / 1024,
-		RnrNaks:    f.Server.RnrNaks(),
+		RnrNaks:    reg.Counter("verbs.rnr_naks").Value(),
 	}
 }
 

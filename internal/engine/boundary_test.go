@@ -41,6 +41,7 @@ func TestResolveBoundaryMatchesBehavior(t *testing.T) {
 	const th = DefaultRndvThreshold
 	allocs := func(reqSize, respSize int) (srvAllocs, cliAllocs int64) {
 		env, srvEng, cliEng := testCluster(21)
+		observe(srvEng, cliEng)
 		srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte {
 			return make([]byte, respSize)
 		})
@@ -55,7 +56,7 @@ func TestResolveBoundaryMatchesBehavior(t *testing.T) {
 		env.Run()
 		// Request rendezvous allocates at the server (grant), response
 		// rendezvous at the client.
-		return srvEng.RndvAllocs(), cliEng.RndvAllocs()
+		return ctr(srvEng, "engine.rndv_pool.miss"), ctr(cliEng, "engine.rndv_pool.miss")
 	}
 	if s, c := allocs(th, th); s != 0 || c != 0 {
 		t.Errorf("threshold-sized req/resp used rendezvous (srv=%d cli=%d allocs), want eager", s, c)

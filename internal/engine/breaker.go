@@ -65,7 +65,9 @@ func (c *Conn) breakerGate(p *sim.Proc) error {
 			return ErrCircuitOpen
 		}
 		b.state = brkHalf
-		c.eng.trc.Instant("engine", "breaker_half_open", c.eng.node.ID(), c.id, int64(p.Now()))
+		if trc := c.eng.trc; trc != nil {
+			trc.Instant("engine", "breaker_half_open", c.eng.node.ID(), c.id, int64(p.Now()))
+		}
 		c.recoverQP(p)
 	}
 	// brkHalf: admit the probe. (One outstanding call per connection, so
@@ -84,8 +86,8 @@ func (c *Conn) breakerObserve(p *sim.Proc, err error) {
 	}
 	if err == nil {
 		if b.state != brkClosed || b.fails > 0 {
-			if b.state != brkClosed {
-				c.eng.trc.Instant("engine", "breaker_close", c.eng.node.ID(), c.id, int64(p.Now()))
+			if trc := c.eng.trc; trc != nil && b.state != brkClosed {
+				trc.Instant("engine", "breaker_close", c.eng.node.ID(), c.id, int64(p.Now()))
 			}
 			b.state = brkClosed
 			b.fails = 0
@@ -109,10 +111,9 @@ func (c *Conn) breakerObserve(p *sim.Proc, err error) {
 	b.state = brkOpen
 	b.openUntil = p.Now() + sim.Time(b.cooldown)
 	b.fails = 0
-	c.eng.breakerOpens++
-	if m := c.eng.em; m != nil {
-		m.breakerOpen.Inc()
+	c.eng.em.breakerOpen.Inc()
+	if trc := c.eng.trc; trc != nil {
+		trc.Instant("engine", "breaker_open", c.eng.node.ID(), c.id, int64(p.Now()),
+			obs.Arg{K: "cooldown_ns", V: int64(b.cooldown)})
 	}
-	c.eng.trc.Instant("engine", "breaker_open", c.eng.node.ID(), c.id, int64(p.Now()),
-		obs.Arg{K: "cooldown_ns", V: int64(b.cooldown)})
 }

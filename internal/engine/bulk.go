@@ -55,10 +55,8 @@ func (c *Conn) postWrite(p *sim.Proc, h hdr, last *verbs.SendWR) {
 	tail.SGE.Off = (chunks - 1) * writeChunk
 	tail.SGE.Len = n - tail.SGE.Off
 	tail.RemoteOff = tail.SGE.Off
-	if m := c.eng.em; m != nil {
-		m.chunkWRs[h.proto].Add(int64(chunks))
-	}
-	if trc := c.eng.trc; trc != nil { // the arguments are boxed before Instant could decline them
+	c.eng.em.chunkWRs[h.proto].Add(int64(chunks))
+	if trc := c.eng.trc; trc != nil {
 		trc.Instant("rndv", "train", c.eng.node.ID(), c.id, int64(p.Now()),
 			obs.Arg{K: "seq", V: h.seq}, obs.Arg{K: "chunks", V: chunks}, obs.Arg{K: "bytes", V: n})
 	}

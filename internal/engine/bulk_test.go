@@ -98,9 +98,7 @@ func TestBulkBoundaries(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s/%s", proto, dir), func(t *testing.T) {
 				env, srvEng, cliEng := flowCluster(5, cfg)
-				srvReg, cliReg := obs.NewRegistry(), obs.NewRegistry()
-				srvEng.SetObs(srvReg)
-				cliEng.SetObs(cliReg)
+				srvReg, cliReg := srvEng.obs, cliEng.obs
 				runs := 0
 				srvEng.Serve("svc", bulkHandler(t, &runs))
 				// sender ships the bulk payload, receiver spends the RECVs.
@@ -118,7 +116,7 @@ func TestBulkBoundaries(t *testing.T) {
 						return cost{
 							writes:    senderReg.Counter("verbs.tx.WRITE").Value() + senderReg.Counter("verbs.tx.WRITE_WITH_IMM").Value() - credit,
 							recvs:     receiverReg.Counter("verbs.cqe.RECV").Value(),
-							doorbells: sender.dev.Doorbells() - credit,
+							doorbells: ctr(sender, "verbs.doorbells") - credit,
 						}
 					}
 					before := snap()
@@ -164,7 +162,7 @@ func TestBulkBoundaries(t *testing.T) {
 				if want := 2 + len(sizes); runs != want {
 					t.Errorf("handler ran %d times for %d calls", runs, want)
 				}
-				if n := srvEng.RnrNaks() + cliEng.RnrNaks(); n != 0 {
+				if n := ctr(srvEng, "verbs.rnr_naks") + ctr(cliEng, "verbs.rnr_naks"); n != 0 {
 					t.Errorf("%d RNR NAKs: a train spent RECVs it had no credit for", n)
 				}
 				assertNoLeaks(t, srvEng, cliEng)
@@ -374,9 +372,10 @@ func TestStagedResponseDedupPerSession(t *testing.T) {
 	env.Run()
 }
 
-// bulkCallAllocs measures the allocations of one warmed size-byte echo
-// call (the handler returns its request, the caller recycles the reply).
-func bulkCallAllocs(t testing.TB, size int) float64 {
+// callAllocs measures the allocations of one warmed size-byte busy echo
+// call by proto (the handler returns its request, the caller recycles the
+// reply), with no registry attached.
+func callAllocs(t testing.TB, proto Protocol, size int) float64 {
 	env, srvEng, cliEng := testCluster(21)
 	srvEng.Serve("svc", benchEchoHandler)
 	req := pattern(size)
@@ -384,7 +383,7 @@ func bulkCallAllocs(t testing.TB, size int) float64 {
 	env.Spawn("client", func(p *sim.Proc) {
 		c := cliEng.Dial(p, srvEng.Node(), "svc")
 		call := func() {
-			resp, err := c.Call(p, 1, req, CallOpts{Proto: DirectWriteIMM, Busy: true})
+			resp, err := c.Call(p, 1, req, CallOpts{Proto: proto, Busy: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -406,9 +405,9 @@ func bulkCallAllocs(t testing.TB, size int) float64 {
 // way, and so does a 1 MB one: nothing is allocated per chunk.
 func TestBulkCallSteadyStateAllocs(t *testing.T) {
 	const bulk, huge = 128 << 10, 1 << 20
-	one := bulkCallAllocs(t, 2*writeChunk-hdrSize)
-	train := bulkCallAllocs(t, bulk)
-	long := bulkCallAllocs(t, huge)
+	one := callAllocs(t, DirectWriteIMM, 2*writeChunk-hdrSize)
+	train := callAllocs(t, DirectWriteIMM, bulk)
+	long := callAllocs(t, DirectWriteIMM, huge)
 	t.Logf("allocs per call: %v as one WR, %v as a %d-chunk train, %v as a %d-chunk train",
 		one, train, chunksOf(bulk), long, chunksOf(huge))
 	if train > one || long > one {

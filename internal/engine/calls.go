@@ -125,18 +125,14 @@ func (c *Conn) deadlineFor(p *sim.Proc, opts CallOpts) sim.Time {
 func (c *Conn) doCall(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte, error) {
 	eng := c.eng
 	poll := resolvePoll(opts.Poll, opts.Busy)
-	c.stats.Calls++
-	c.stats.BytesSent += int64(len(req))
 	c.seq++
 	reqProto, respProto := opts.resolve(len(req), eng.cfg.RndvThreshold)
 	if c.staged(req) && c.restages(reqProto, len(req)) {
 		req = c.copyPayload(req)
 		defer c.Recycle(req)
 	}
-	if m := eng.em; m != nil {
-		m.calls[reqProto].Inc()
-		m.bytesSent[reqProto].Add(int64(len(req)))
-	}
+	eng.em.calls[reqProto].Inc()
+	eng.em.bytesSent[reqProto].Add(int64(len(req)))
 	start := int64(p.Now())
 	h := hdr{
 		kind: kReq, proto: reqProto, respProto: respProto,
@@ -144,17 +140,16 @@ func (c *Conn) doCall(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte
 	}
 	until := c.deadlineFor(p, opts)
 	if opts.Oneway {
-		c.stats.Oneways++
-		if m := eng.em; m != nil {
-			m.oneways.Inc()
-		}
+		eng.em.oneways.Inc()
 		h.respProto = ProtoAuto // marks "no response expected"
 		if err := c.sendOnewayReliable(p, h, req, poll, until); err != nil {
 			return nil, err
 		}
-		eng.trc.Complete("rpc", "oneway."+reqProto.String(), eng.node.ID(), c.id,
-			start, int64(p.Now()),
-			obs.Arg{K: "fn", V: fn}, obs.Arg{K: "size", V: len(req)})
+		if trc := eng.trc; trc != nil {
+			trc.Complete("rpc", "oneway."+reqProto.String(), eng.node.ID(), c.id,
+				start, int64(p.Now()),
+				obs.Arg{K: "fn", V: fn}, obs.Arg{K: "size", V: len(req)})
+		}
 		return nil, nil
 	}
 	// One state machine for every call (reliability.go): seq-tagged
@@ -162,17 +157,19 @@ func (c *Conn) doCall(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte
 	// single unbounded attempt without one.
 	out, err := c.callReliable(p, h, req, respProto, poll, until)
 	if err != nil {
-		eng.trc.Instant("rpc", "call_failed."+reqProto.String(), eng.node.ID(), c.id,
-			int64(p.Now()), obs.Arg{K: "fn", V: fn}, obs.Arg{K: "seq", V: h.seq})
+		if trc := eng.trc; trc != nil {
+			trc.Instant("rpc", "call_failed."+reqProto.String(), eng.node.ID(), c.id,
+				int64(p.Now()), obs.Arg{K: "fn", V: fn}, obs.Arg{K: "seq", V: h.seq})
+		}
 		return nil, err
 	}
-	if m := eng.em; m != nil {
-		m.callLat[reqProto].Observe(float64(int64(p.Now()) - start))
+	eng.em.callLat[reqProto].Observe(float64(int64(p.Now()) - start))
+	if trc := eng.trc; trc != nil {
+		trc.Complete("rpc", "call."+reqProto.String(), eng.node.ID(), c.id,
+			start, int64(p.Now()),
+			obs.Arg{K: "fn", V: fn}, obs.Arg{K: "size", V: len(req)},
+			obs.Arg{K: "resp", V: respProto.String()})
 	}
-	eng.trc.Complete("rpc", "call."+reqProto.String(), eng.node.ID(), c.id,
-		start, int64(p.Now()),
-		obs.Arg{K: "fn", V: fn}, obs.Arg{K: "size", V: len(req)},
-		obs.Arg{K: "resp", V: respProto.String()})
 	return out, nil
 }
 
@@ -248,11 +245,11 @@ func (c *Conn) sendEager(p *sim.Proc, h hdr, payload []byte, poll PollMode, unti
 			Unsignaled: true,
 		})
 		if segmented {
-			if m := c.eng.em; m != nil {
-				m.eagerFrags.Inc()
+			c.eng.em.eagerFrags.Inc()
+			if trc := c.eng.trc; trc != nil {
+				trc.Instant("eager", "frag", c.eng.node.ID(), c.id, int64(p.Now()),
+					obs.Arg{K: "seq", V: fh.seq}, obs.Arg{K: "off", V: fh.off})
 			}
-			c.eng.trc.Instant("eager", "frag", c.eng.node.ID(), c.id, int64(p.Now()),
-				obs.Arg{K: "seq", V: fh.seq}, obs.Arg{K: "off", V: fh.off})
 		}
 		off += n
 		if off >= len(payload) {
@@ -339,11 +336,11 @@ func (c *Conn) sendWriteRNDV(p *sim.Proc, h hdr, payload []byte, poll PollMode, 
 	if !c.waitCTSUntil(p, h.seq, len(payload), poll, until) {
 		return false
 	}
-	if m := c.eng.em; m != nil {
-		m.ctsWait.Observe(float64(int64(p.Now()) - ctsStart))
+	c.eng.em.ctsWait.Observe(float64(int64(p.Now()) - ctsStart))
+	if trc := c.eng.trc; trc != nil {
+		trc.Complete("rndv", "cts_wait", c.eng.node.ID(), c.id,
+			ctsStart, int64(p.Now()), obs.Arg{K: "seq", V: h.seq})
 	}
-	c.eng.trc.Complete("rndv", "cts_wait", c.eng.node.ID(), c.id,
-		ctsStart, int64(p.Now()), obs.Arg{K: "seq", V: h.seq})
 	rk, ok := c.shared.rndv[rndvKey(h.seq, c.server)]
 	if !ok {
 		// The granter aborted after sending CTS and withdrew the buffer.
@@ -464,7 +461,7 @@ func (c *Conn) fetchRFPUntil(p *sim.Proc, poll PollMode, until sim.Time) ([]byte
 		n := int(h.length)
 		got := rfpChunk - hdrSize
 		if n <= got {
-			c.stats.BytesRecvd += int64(n)
+			c.eng.em.bytesRecvd.Add(int64(n))
 			return c.copyPayload(b[hdrSize : hdrSize+n]), true, nil
 		}
 		// Tail fetch for large responses.
@@ -477,22 +474,18 @@ func (c *Conn) fetchRFPUntil(p *sim.Proc, poll PollMode, until sim.Time) ([]byte
 			continue
 		}
 		copy(out[got:], rest)
-		c.stats.BytesRecvd += int64(n)
+		c.eng.em.bytesRecvd.Add(int64(n))
 		return out, true, nil
 	}
 }
 
-// noteReadRetry records one stale one-sided poll on every accounting
-// surface: the per-conn counter, the engine total, and (when attached)
-// the obs counter and trace timeline.
+// noteReadRetry records one stale one-sided poll.
 func (c *Conn) noteReadRetry(p *sim.Proc) {
-	c.stats.ReadRetries++
-	c.eng.readRetries++
-	if m := c.eng.em; m != nil {
-		m.readRetries.Inc()
+	c.eng.em.readRetries.Inc()
+	if trc := c.eng.trc; trc != nil {
+		trc.Instant("fetch", "retry", c.eng.node.ID(), c.id, int64(p.Now()),
+			obs.Arg{K: "seq", V: c.seq})
 	}
-	c.eng.trc.Instant("fetch", "retry", c.eng.node.ID(), c.id, int64(p.Now()),
-		obs.Arg{K: "seq", V: c.seq})
 }
 
 // kvShedLen / kvDrainLen are the length markers a rejected Pilaf/FaRM
@@ -551,7 +544,7 @@ func (c *Conn) fetchKVUntil(p *sim.Proc, metaReads int, poll PollMode, until sim
 			pace()
 			continue
 		}
-		c.stats.BytesRecvd += int64(n)
+		c.eng.em.bytesRecvd.Add(int64(n))
 		return c.copyPayload(b[:n]), true, nil
 	}
 }
@@ -574,7 +567,6 @@ func (c *Conn) sendResponse(p *sim.Proc, a Arrival, resp []byte, poll PollMode) 
 	// A prior loss may have erred the QP; cycle it back before posting
 	// (no-op on a healthy QP, so free on a lossless fabric).
 	c.recoverQP(p)
-	c.stats.BytesSent += int64(len(resp))
 	// Same switch as the request path (hybridSwitch), applied to the
 	// *response* size.
 	respProto := hybridSwitch(a.RespProto, len(resp), c.eng.cfg.RndvThreshold)

@@ -11,8 +11,9 @@ import (
 	"hatrpc/internal/simnet"
 )
 
-// chaosCluster builds a 2-node cluster with a fault plan installed and
-// the reliability layer armed via Config.CallDeadline.
+// chaosCluster builds a 2-node cluster with a fault plan installed, the
+// reliability layer armed via Config.CallDeadline, and each engine
+// observed by a registry of its own.
 func chaosCluster(seed int64, fc simnet.FaultConfig, deadline sim.Duration) (*sim.Env, *Engine, *Engine) {
 	env := sim.NewEnv(seed)
 	cl := simnet.NewCluster(env, simnet.Config{
@@ -23,6 +24,7 @@ func chaosCluster(seed int64, fc simnet.FaultConfig, deadline sim.Duration) (*si
 	cfg.CallDeadline = deadline
 	srv := New(cl.Node(0), cfg)
 	cli := New(cl.Node(1), cfg)
+	observe(srv, cli)
 	return env, srv, cli
 }
 
@@ -268,11 +270,11 @@ func TestChaosLossPlusOverload(t *testing.T) {
 	if shed == 0 {
 		t.Error("3x oversubscription shed nothing — admission control unexercised")
 	}
-	if srv.Shed == 0 {
+	if ctr(srvEng, "engine.shed.") == 0 {
 		t.Error("server-side shed counter is zero")
 	}
-	t.Logf("succ=%d shed=%d breaker=%d deadline=%d srv.Shed=%d rnrNaks=%d",
-		succ, shed, brk, dead, srv.Shed, srvEng.RnrNaks())
+	t.Logf("succ=%d shed=%d breaker=%d deadline=%d engine.shed=%d rnrNaks=%d",
+		succ, shed, brk, dead, ctr(srvEng, "engine.shed."), ctr(srvEng, "verbs.rnr_naks"))
 	assertNoLeaks(t, srvEng, cliEng)
 }
 

@@ -156,17 +156,14 @@ func TestDrainDeadlineEscalates(t *testing.T) {
 
 // TestKeepaliveDrainHold pins the prober fix: a probe answered with the
 // typed draining announcement silences probing AND eager redialing for
-// DrainHold — no session_redials storm against a restarting peer.
+// the hold — no session_redials storm against a restarting peer.
 func TestKeepaliveDrainHold(t *testing.T) {
 	env, srvEng, cliEng := testCluster(5)
 	srv := srvEng.Serve("svc", echoHandler)
 	var s *Session
 	env.Spawn("client", func(p *sim.Proc) {
 		var err error
-		s, err = cliEng.NewSession(p, srvEng.Node(), "svc", SessionConfig{
-			KeepaliveInterval: 100_000,
-			DrainHold:         1_000_000,
-		})
+		s, err = cliEng.NewSession(p, srvEng.Node(), "svc", SessionConfig{KeepaliveInterval: 100_000})
 		if err != nil {
 			t.Fatalf("NewSession: %v", err)
 		}
@@ -183,15 +180,16 @@ func TestKeepaliveDrainHold(t *testing.T) {
 		t.Errorf("connects = %d, want 1 — the prober redialed a draining peer", st.Connects)
 	}
 	// Timeline: probes at 100k and 200k succeed; the 300k probe is fenced
-	// and starts a 1ms hold; probes resume at 1.4m, are fenced again, and
-	// hold once more. Without the hold the prober would have issued ~20.
+	// and starts an 8-interval (800k) hold; probes resume at 1.1m, are
+	// fenced again, and hold once more. Without the hold the prober would
+	// have issued ~20.
 	if st.Probes > 6 {
 		t.Errorf("probes = %d, want ≤6 — probing continued through the hold", st.Probes)
 	}
 }
 
-// TestDrainHoldDefaultsFromInterval: with DrainHold unset the hold
-// spans DefaultDrainHoldProbes intervals.
+// TestDrainHoldDefaultsFromInterval: the hold spans drainHoldProbes
+// intervals.
 func TestDrainHoldDefaultsFromInterval(t *testing.T) {
 	env, srvEng, cliEng := testCluster(6)
 	srv := srvEng.Serve("svc", echoHandler)

@@ -112,18 +112,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// ConnStats is the always-on per-connection accounting (cheap scalar
-// adds on the hot path). Engine-wide per-protocol counters, phase
-// histograms and trace spans live in the optional obs layer; attach a
-// registry with Engine.SetObs to enable them.
-type ConnStats struct {
-	Calls       int64 // RPCs issued on this connection (client side)
-	Oneways     int64 // of which fire-and-forget
-	BytesSent   int64 // request/response payload bytes shipped
-	BytesRecvd  int64 // payload bytes delivered to the application
-	ReadRetries int64 // one-sided fetch polls that found stale data
-}
-
 // Engine is the per-node RDMA communication engine.
 type Engine struct {
 	node *simnet.Node
@@ -135,16 +123,7 @@ type Engine struct {
 	rndvFree    map[int][]*verbs.MR // size-class → free registered buffers
 	payloadFree map[int][][]byte    // size-class → recycled payload buffers
 
-	// Always-on resource accounting.
-	pinnedBytes int64
-	rndvAllocs  int64
-	readRetries int64
-
-	// Always-on overload-protection accounting (only move when the
-	// corresponding knob is enabled).
-	creditStalls int64 // sends that blocked on zero credits
-	rnrFailures  int64 // work requests failed with WCRNRRetryExceeded
-	breakerOpens int64 // closed/half-open → open breaker transitions
+	pinnedBytes int64 // registered (pinned) memory held by conns and the rndv pool
 
 	conns      []*Conn
 	nextConnID int
@@ -156,9 +135,11 @@ type Engine struct {
 	srq   *verbs.SRQ
 	srqMR *verbs.MR
 
-	obs *obs.Registry  // nil unless SetObs attached one
-	trc *obs.Tracer    // cached from obs; nil = tracing off
-	em  *engineMetrics // cached instruments; nil when obs is nil
+	// Observability (obs package doc, constraint 1): an event is counted by
+	// one instrument of em and nowhere else.
+	obs *obs.Registry // the attached registry; nil = off
+	trc *obs.Tracer   // cached from obs; nil = tracing off
+	em  engineMetrics // cached instruments; all nil (no-ops) when obs is nil
 }
 
 // New creates an engine on the node (opening a simulated RNIC).
@@ -182,36 +163,12 @@ func New(node *simnet.Node, cfg Config) *Engine {
 // currently holds across connections and the rendezvous pool.
 func (e *Engine) PinnedBytes() int64 { return e.pinnedBytes }
 
-// RndvAllocs returns how many rendezvous buffers were registered because
-// the pool was dry (pool misses).
-func (e *Engine) RndvAllocs() int64 { return e.rndvAllocs }
-
-// ReadRetries returns the total one-sided fetch retries across all
-// connections.
-func (e *Engine) ReadRetries() int64 { return e.readRetries }
-
-// CreditStalls returns how many sends blocked on exhausted flow-control
-// credits across all connections.
-func (e *Engine) CreditStalls() int64 { return e.creditStalls }
-
-// RnrNaks returns the RNR NAKs this node's NIC generated as a receiver
-// (non-zero only with Config.ModelRNR and an overdriven RECV ring).
-func (e *Engine) RnrNaks() int64 { return e.dev.RnrNaks() }
-
-// RnrFailures returns work requests on this engine's connections that
-// failed with WCRNRRetryExceeded (RNR retry budget exhausted).
-func (e *Engine) RnrFailures() int64 { return e.rnrFailures }
-
-// BreakerOpens returns circuit-breaker open transitions across this
-// engine's connections.
-func (e *Engine) BreakerOpens() int64 { return e.breakerOpens }
-
 // nProtocols sizes per-protocol instrument arrays (ProtoAuto included so
 // Protocol values index directly).
 const nProtocols = int(HybridEagerRead) + 1
 
-// engineMetrics caches the engine's obs instruments so the hot path is a
-// single nil check plus an array index, never a map lookup.
+// engineMetrics caches the engine's obs instruments so the hot path is an
+// array index and a nil-safe call, never a map lookup.
 type engineMetrics struct {
 	calls     [nProtocols]*obs.Counter
 	served    [nProtocols]*obs.Counter
@@ -219,7 +176,8 @@ type engineMetrics struct {
 	callLat   [nProtocols]*obs.Histogram
 
 	oneways     *obs.Counter
-	readRetries *obs.Counter
+	bytesRecvd  *obs.Counter // payload bytes delivered to the application
+	readRetries *obs.Counter // one-sided fetch polls that found stale data
 	eagerFrags  *obs.Counter
 	poolHit     *obs.Counter
 	poolMiss    *obs.Counter
@@ -240,7 +198,8 @@ type engineMetrics struct {
 	chunkWRs      [nProtocols]*obs.Counter // WRs posted as bulk-WRITE chunk trains
 	shed          [nProtocols]*obs.Counter // requests rejected by admission
 	creditStalls  [nProtocols]*obs.Counter // sends blocked on zero credits
-	rnrNaks       *obs.Counter             // WCRNRRetryExceeded completions
+	tenantShed    *obs.Counter             // requests rejected by the per-tenant partition
+	rnrFailures   *obs.Counter             // WCRNRRetryExceeded completions
 	breakerOpen   *obs.Counter             // breaker open transitions
 	creditUpdates *obs.Counter             // grant updates sent on their own (postGrant)
 
@@ -250,9 +209,12 @@ type engineMetrics struct {
 	sessionReplays   *obs.Counter // idempotent calls replayed across a reconnect
 }
 
-func newEngineMetrics(r *obs.Registry) *engineMetrics {
-	m := &engineMetrics{
+// newEngineMetrics resolves the instrument set; the nil registry yields
+// the all-nil set that counts nothing.
+func newEngineMetrics(r *obs.Registry) engineMetrics {
+	m := engineMetrics{
 		oneways:     r.Counter("engine.oneways"),
+		bytesRecvd:  r.Counter("engine.bytes_recvd"),
 		readRetries: r.Counter("engine.read_retries"),
 		eagerFrags:  r.Counter("engine.eager_frags"),
 		poolHit:     r.Counter("engine.rndv_pool.hit"),
@@ -267,7 +229,8 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		qpRecoveries:     r.Counter("engine.qp_recoveries"),
 		rto:              r.Histogram("engine.rto_ns"),
 
-		rnrNaks:       r.Counter("engine.rnr_naks"),
+		tenantShed:    r.Counter("engine.tenant_shed"),
+		rnrFailures:   r.Counter("engine.rnr_failures"),
 		breakerOpen:   r.Counter("engine.breaker_open"),
 		creditUpdates: r.Counter("engine.credit_updates"),
 
@@ -300,17 +263,14 @@ func protoCounters(r *obs.Registry, prefix string) (out [nProtocols]*obs.Counter
 // pool and control-phase instruments, plus gauges sampling CPU load and
 // NIC gate utilization. When the registry carries a tracer, the engine
 // also emits deterministic sim-time event spans. Pass nil to detach.
-// With no registry attached the hot-path instrumentation reduces to a
-// nil test.
 func (e *Engine) SetObs(r *obs.Registry) {
 	e.obs = r
 	e.trc = r.Tracer()
+	e.em = newEngineMetrics(r)
 	e.dev.SetObs(r)
 	if r == nil {
-		e.em = nil
 		return
 	}
-	e.em = newEngineMetrics(r)
 	node, env := e.node, e.env
 	pfx := fmt.Sprintf("node%d.", node.ID())
 	r.Gauge(pfx+"cpu.load_factor", func() float64 { return node.CPU.LoadFactor() })      //hatlint:allow obsnames -- node prefix bounded by cluster size
@@ -353,28 +313,20 @@ func (e *Engine) acquireRndv(p *sim.Proc, size int) *verbs.MR {
 		free[n-1] = nil
 		e.rndvFree[cls] = free[:n-1]
 		mr.SetRevoked(false) // remote access restored for the new transfer
-		e.em.poolHitInc()
+		e.em.poolHit.Inc()
 		p.Sleep(200) // pool pop + bookkeeping
 		return mr
 	}
-	e.rndvAllocs++
 	e.pinnedBytes += int64(cls)
 	start := int64(p.Now())
 	mr := e.pd.RegisterMR(p, cls)
-	if m := e.em; m != nil {
-		m.poolMiss.Inc()
-		m.rndvReg.Observe(float64(int64(p.Now()) - start))
+	e.em.poolMiss.Inc()
+	e.em.rndvReg.Observe(float64(int64(p.Now()) - start))
+	if trc := e.trc; trc != nil {
+		trc.Complete("rndv", "register", e.node.ID(), 0, start, int64(p.Now()),
+			obs.Arg{K: "bytes", V: cls})
 	}
-	e.trc.Complete("rndv", "register", e.node.ID(), 0, start, int64(p.Now()),
-		obs.Arg{K: "bytes", V: cls})
 	return mr
-}
-
-// poolHitInc is split out so acquireRndv's fast path stays branch-cheap.
-func (m *engineMetrics) poolHitInc() {
-	if m != nil {
-		m.poolHit.Inc()
-	}
 }
 
 // releaseRndv returns a pool buffer. Each size class keeps at most
@@ -389,9 +341,7 @@ func (e *Engine) releaseRndv(mr *verbs.MR) {
 	free := e.rndvFree[cls]
 	if len(free) >= DefaultRndvPoolCap {
 		e.pinnedBytes -= int64(cls)
-		if m := e.em; m != nil {
-			m.poolDrop.Inc()
-		}
+		e.em.poolDrop.Inc()
 		return
 	}
 	e.rndvFree[cls] = append(free, mr)
@@ -612,7 +562,6 @@ type Conn struct {
 	fc  *flowState // receiver-driven credit flow control
 	brk *breaker   // client-side circuit breaker
 
-	stats  ConnStats
 	pinned int64 // registered bytes attributed to this conn
 	closed bool
 
@@ -668,9 +617,6 @@ func (c *Conn) dedupRecord(a Arrival, resp []byte) {
 	c.dedup[a.SID] = &dedupEntry{seq: a.Seq, resp: resp, arr: a}
 	c.dedupOrder = append(c.dedupOrder, a.SID)
 }
-
-// Stats returns the connection's always-on counters.
-func (c *Conn) Stats() ConnStats { return c.stats }
 
 // ID returns the engine-local connection index (used as the trace tid).
 func (c *Conn) ID() int { return c.id }
@@ -1082,7 +1028,7 @@ func (c *Conn) nextArrival(p *sim.Proc, poll PollMode) Arrival {
 		if len(c.respQueue) > 0 {
 			// Queued by an earlier wait, which paid the detection charge.
 			a := c.popArrival()
-			c.stats.BytesRecvd += int64(len(a.Payload))
+			c.eng.em.bytesRecvd.Add(int64(len(a.Payload)))
 			return a
 		}
 		if c.pumpCompletions(p) > 0 {
@@ -1091,7 +1037,7 @@ func (c *Conn) nextArrival(p *sim.Proc, poll PollMode) Arrival {
 			if len(c.respQueue) > 0 {
 				a := c.popArrival()
 				c.chargeDetect(p, poll)
-				c.stats.BytesRecvd += int64(len(a.Payload))
+				c.eng.em.bytesRecvd.Add(int64(len(a.Payload)))
 				return a
 			}
 			continue
@@ -1102,7 +1048,7 @@ func (c *Conn) nextArrival(p *sim.Proc, poll PollMode) Arrival {
 			c.noteCredits(h)
 			payload := c.copyPayload(c.rfpInMR.Buf[hdrSize : hdrSize+int(h.length)])
 			c.chargeDetect(p, poll)
-			c.stats.BytesRecvd += int64(len(payload))
+			c.eng.em.bytesRecvd.Add(int64(len(payload)))
 			return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, SID: h.sid, Payload: payload}
 		}
 		c.pumpWait(p, poll)
@@ -1183,12 +1129,11 @@ func (c *Conn) handleWC(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 		if wc.Status == verbs.WCRNRRetryExceeded {
 			// The peer's RECV ring stayed exhausted through the whole RNR
 			// retry budget. A credit-respecting sender never sees this.
-			c.eng.rnrFailures++
-			if m := c.eng.em; m != nil {
-				m.rnrNaks.Inc()
+			c.eng.em.rnrFailures.Inc()
+			if trc := c.eng.trc; trc != nil {
+				trc.Instant("engine", "rnr_retry_exceeded", c.eng.node.ID(), c.id,
+					int64(p.Now()), obs.Arg{K: "wrid", V: wc.WRID})
 			}
-			c.eng.trc.Instant("engine", "rnr_retry_exceeded", c.eng.node.ID(), c.id,
-				int64(p.Now()), obs.Arg{K: "wrid", V: wc.WRID})
 		}
 		// Failed work request (retry-exceeded or flushed on an errored
 		// QP). If it was a Read-RNDV pull, reclaim its control state: no

@@ -3,9 +3,11 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"hatrpc/internal/hints"
+	"hatrpc/internal/obs"
 	"hatrpc/internal/sim"
 	"hatrpc/internal/simnet"
 )
@@ -21,6 +23,28 @@ func testCluster(seed int64) (*sim.Env, *Engine, *Engine) {
 	srv := New(cl.Node(0), DefaultConfig())
 	cli := New(cl.Node(1), DefaultConfig())
 	return env, srv, cli
+}
+
+// observe attaches a registry of its own to each engine — the engine
+// counts nothing a test could read without one — and ctr reads it: one
+// counter, or for a name ending in "." the sum of a per-protocol family.
+func observe(engs ...*Engine) {
+	for _, e := range engs {
+		e.SetObs(obs.NewRegistry())
+	}
+}
+
+func ctr(e *Engine, name string) (n int64) {
+	if e.obs == nil {
+		panic("ctr: no registry attached (observe)")
+	}
+	if !strings.HasSuffix(name, ".") {
+		return e.obs.Counter(name).Value()
+	}
+	for i := 0; i < nProtocols; i++ {
+		n += e.obs.Counter(name + Protocol(i).String()).Value()
+	}
+	return n
 }
 
 // echoHandler returns the request payload with a 4-byte prefix.
@@ -235,6 +259,7 @@ func TestRndvCheaperThanEagerForLargeMessages(t *testing.T) {
 
 func TestRndvPoolReuse(t *testing.T) {
 	env, srvEng, cliEng := testCluster(8)
+	observe(srvEng)
 	srvEng.Serve("svc", echoHandler)
 	env.Spawn("client", func(p *sim.Proc) {
 		c := cliEng.Dial(p, srvEng.Node(), "svc")
@@ -246,13 +271,14 @@ func TestRndvPoolReuse(t *testing.T) {
 	env.Run()
 	// All ten transfers are the same size class: the pool must allocate
 	// once and reuse afterwards.
-	if srvEng.RndvAllocs() > 2 {
-		t.Fatalf("rendezvous pool allocated %d buffers for 10 same-size calls", srvEng.RndvAllocs())
+	if ctr(srvEng, "engine.rndv_pool.miss") > 2 {
+		t.Fatalf("rendezvous pool allocated %d buffers for 10 same-size calls", ctr(srvEng, "engine.rndv_pool.miss"))
 	}
 }
 
 func TestRFPRetriesWhenServerSlow(t *testing.T) {
 	env, srvEng, cliEng := testCluster(9)
+	observe(cliEng)
 	srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte {
 		p.Sleep(50_000) // 50µs server-side work
 		return []byte("slow")
@@ -266,7 +292,7 @@ func TestRFPRetriesWhenServerSlow(t *testing.T) {
 		env.Stop()
 	})
 	env.Run()
-	if cliEng.ReadRetries() == 0 {
+	if ctr(cliEng, "engine.read_retries") == 0 {
 		t.Fatal("RFP fetch never retried despite slow server")
 	}
 }

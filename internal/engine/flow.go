@@ -157,9 +157,7 @@ func (c *Conn) noteRepost(p *sim.Proc) {
 	}
 	fc.grantTotal++
 	if int32(fc.grantTotal-fc.sentGrant) >= int32(fc.lowWater) {
-		if m := c.eng.em; m != nil {
-			m.creditUpdates.Inc()
-		}
+		c.eng.em.creditUpdates.Inc()
 		c.postGrant(p)
 	}
 }
@@ -185,12 +183,11 @@ func (c *Conn) waitCredit(p *sim.Proc, proto Protocol, poll PollMode, until sim.
 		return true
 	}
 	eng := c.eng
-	eng.creditStalls++
-	if m := eng.em; m != nil {
-		m.creditStalls[proto].Inc()
+	eng.em.creditStalls[proto].Inc()
+	if trc := eng.trc; trc != nil {
+		trc.Instant("engine", "credit_stall."+proto.String(), eng.node.ID(), c.id,
+			int64(p.Now()), obs.Arg{K: "avail", V: int64(fc.avail)})
 	}
-	eng.trc.Instant("engine", "credit_stall."+proto.String(), eng.node.ID(), c.id,
-		int64(p.Now()), obs.Arg{K: "avail", V: int64(fc.avail)})
 	c.enterWait(poll)
 	defer c.exitWait()
 	until = c.waitUntil(p.Now(), until)

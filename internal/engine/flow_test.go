@@ -12,7 +12,7 @@ import (
 )
 
 // flowCluster builds a 2-node cluster with the given engine config on
-// both ends.
+// both ends, each observed by a registry of its own.
 func flowCluster(seed int64, cfg Config) (*sim.Env, *Engine, *Engine) {
 	env := sim.NewEnv(seed)
 	cl := simnet.NewCluster(env, simnet.Config{
@@ -20,6 +20,7 @@ func flowCluster(seed int64, cfg Config) (*sim.Env, *Engine, *Engine) {
 	})
 	srv := New(cl.Node(0), cfg)
 	cli := New(cl.Node(1), cfg)
+	observe(srv, cli)
 	return env, srv, cli
 }
 
@@ -80,13 +81,13 @@ func TestCreditsPreventRNR(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FlowCredits = 4
 	srvEng, cliEng := overrunWorkload(t, cfg)
-	if naks := srvEng.RnrNaks() + cliEng.RnrNaks(); naks != 0 {
+	if naks := ctr(srvEng, "verbs.rnr_naks") + ctr(cliEng, "verbs.rnr_naks"); naks != 0 {
 		t.Errorf("credit-respecting client drew %d RNR NAKs, want 0", naks)
 	}
-	if cliEng.RnrFailures() != 0 {
-		t.Errorf("RnrFailures = %d, want 0", cliEng.RnrFailures())
+	if ctr(cliEng, "engine.rnr_failures") != 0 {
+		t.Errorf("engine.rnr_failures = %d, want 0", ctr(cliEng, "engine.rnr_failures"))
 	}
-	if cliEng.CreditStalls() == 0 {
+	if ctr(cliEng, "engine.credit_stalls.") == 0 {
 		t.Error("no credit stalls recorded — the flood never waited, so the test exercised nothing")
 	}
 	assertNoLeaks(t, srvEng, cliEng)
@@ -100,11 +101,11 @@ func TestNoCreditsDrawsRNR(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RnrRetry = 100 // generous: NAKs delay, never kill
 	srvEng, cliEng := overrunWorkload(t, cfg)
-	if srvEng.RnrNaks() == 0 {
+	if ctr(srvEng, "verbs.rnr_naks") == 0 {
 		t.Error("ring overrun without credits drew no RNR NAKs — the control proves nothing")
 	}
-	if cliEng.RnrFailures() != 0 {
-		t.Errorf("RnrFailures = %d with a generous retry budget, want 0", cliEng.RnrFailures())
+	if ctr(cliEng, "engine.rnr_failures") != 0 {
+		t.Errorf("engine.rnr_failures = %d with a generous retry budget, want 0", ctr(cliEng, "engine.rnr_failures"))
 	}
 }
 
@@ -137,7 +138,7 @@ func TestCreditsFragmentedEagerCompletes(t *testing.T) {
 		env.Stop()
 	})
 	env.Run()
-	if naks := srvEng.RnrNaks() + cliEng.RnrNaks(); naks != 0 {
+	if naks := ctr(srvEng, "verbs.rnr_naks") + ctr(cliEng, "verbs.rnr_naks"); naks != 0 {
 		t.Errorf("fragmented eager with credits drew %d RNR NAKs, want 0", naks)
 	}
 	assertNoLeaks(t, srvEng, cliEng)
@@ -269,10 +270,10 @@ func overloadDuel(t *testing.T, cfg Config, policy AdmitPolicy, nConns, callsPer
 			other++
 		}
 	}
-	if n := cliEng.RnrFailures(); n != 0 {
+	if n := ctr(cliEng, "engine.rnr_failures"); n != 0 {
 		t.Errorf("%d work requests ran out of RNR retries", n)
 	}
-	return succ, shed, other, srv.Shed
+	return succ, shed, other, ctr(srvEng, "engine.shed.")
 }
 
 // TestOverloadControlArmCompletes runs the duel as the RNR control arm:
@@ -388,7 +389,7 @@ func TestShedTypedOnEveryResponseProtocol(t *testing.T) {
 				env.Stop()
 			})
 			env.Run()
-			if srv.Shed == 0 {
+			if ctr(srvEng, "engine.shed.") == 0 {
 				t.Error("server shed nothing")
 			}
 			assertNoLeaks(t, srvEng, cliEng)
@@ -445,8 +446,8 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 		env.Stop()
 	})
 	env.Run()
-	if got := cliEng.BreakerOpens(); got != 1 {
-		t.Errorf("BreakerOpens = %d, want 1", got)
+	if got := ctr(cliEng, "engine.breaker_open"); got != 1 {
+		t.Errorf("engine.breaker_open = %d, want 1", got)
 	}
 }
 

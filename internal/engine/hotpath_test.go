@@ -89,7 +89,8 @@ func TestHotpathConfigRoundTrips(t *testing.T) {
 // wakeup and must drain them all through PollN.
 func TestPollBudgetDrainsConcurrentBurst(t *testing.T) {
 	env, srvEng, cliEng := testCluster(13)
-	srv := srvEng.Serve("svc", echoHandler)
+	observe(srvEng)
+	srvEng.Serve("svc", echoHandler)
 	const N = 12
 	done := 0
 	for i := 0; i < N; i++ {
@@ -114,8 +115,8 @@ func TestPollBudgetDrainsConcurrentBurst(t *testing.T) {
 	if done != N {
 		t.Fatalf("%d/%d clients finished", done, N)
 	}
-	if srv.Served != N*4 {
-		t.Fatalf("server served %d, want %d", srv.Served, N*4)
+	if served := ctr(srvEng, "engine.served."); served != N*4 {
+		t.Fatalf("server served %d, want %d", served, N*4)
 	}
 }
 
@@ -129,15 +130,16 @@ func TestDoorbellBatchSegmentedNoOp(t *testing.T) {
 		req[i] = byte(i * 13)
 	}
 	env, srvEng, cliEng := testCluster(14)
+	observe(cliEng)
 	srvEng.Serve("svc", echoHandler)
 	var resp []byte
 	var err error
 	var doorbells int64
 	env.Spawn("client", func(p *sim.Proc) {
 		c := cliEng.Dial(p, srvEng.Node(), "svc")
-		before := cliEng.dev.Doorbells()
+		before := ctr(cliEng, "verbs.doorbells")
 		resp, err = c.Call(p, 9, req, CallOpts{Proto: EagerSendRecv, Busy: true})
-		doorbells = cliEng.dev.Doorbells() - before
+		doorbells = ctr(cliEng, "verbs.doorbells") - before
 		env.Stop()
 	})
 	env.Run()

@@ -130,6 +130,7 @@ func TestOnewayEveryProtocol(t *testing.T) {
 			name := fmt.Sprintf("%s/size=%d", proto, size)
 			t.Run(name, func(t *testing.T) {
 				env, srvEng, cliEng := testCluster(43)
+				observe(srvEng, cliEng)
 				var handled int
 				srv := srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte {
 					handled++
@@ -161,11 +162,11 @@ func TestOnewayEveryProtocol(t *testing.T) {
 				if handled != 2 {
 					t.Fatalf("handler ran %d times, want 2", handled)
 				}
-				if srv.Served != 2 {
-					t.Fatalf("Served = %d, want 2 (oneway must count exactly once)", srv.Served)
+				if served := ctr(srvEng, "engine.served."); served != 2 {
+					t.Fatalf("served = %d, want 2 (oneway must count exactly once)", served)
 				}
-				if st := conn.Stats(); st.Calls != 2 || st.Oneways != 1 {
-					t.Fatalf("conn stats = %+v, want Calls=2 Oneways=1", st)
+				if calls, oneways := ctr(cliEng, "engine.calls."), ctr(cliEng, "engine.oneways"); calls != 2 || oneways != 1 {
+					t.Fatalf("client counted calls=%d oneways=%d, want 2 and 1", calls, oneways)
 				}
 				// No per-seq residue on either endpoint.
 				conns := append([]*Conn{conn}, srv.Conns()...)
@@ -190,6 +191,61 @@ func TestOnewayEveryProtocol(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestObsOffAllocs is the cost gate of "off is free" (obs package doc,
+// constraint 1): with no registry attached a warmed 64 B busy call
+// allocates what the engine's own bookkeeping does and nothing for
+// observability. The bars are the measured values; one span built for a
+// nil tracer adds at least two.
+func TestObsOffAllocs(t *testing.T) {
+	bars := [...]float64{3, 5, 5, 7, 9, 3, 12, 10, 5, 2, 3} // by dataProtocols
+	for i, proto := range dataProtocols {
+		if got := callAllocs(t, proto, 64); got > bars[i] {
+			t.Errorf("%s: %v allocs per call with obs off, want ≤ %v", proto, got, bars[i])
+		}
+	}
+}
+
+// TestObsDoesNotMoveTheClock runs one scenario over every protocol, small
+// and fragmented/chunked, with no registry, with a registry, and with a
+// registry and a tracer: observing must change neither a response nor the
+// virtual time the run ends at.
+func TestObsDoesNotMoveTheClock(t *testing.T) {
+	run := func(reg *obs.Registry) (end sim.Time, out []byte) {
+		env, srvEng, cliEng := testCluster(46)
+		srvEng.SetObs(reg)
+		cliEng.SetObs(reg)
+		srvEng.Serve("svc", echoHandler)
+		env.Spawn("client", func(p *sim.Proc) {
+			c := cliEng.Dial(p, srvEng.Node(), "svc")
+			for i, proto := range dataProtocols {
+				for _, size := range []int{64, 40_000} {
+					resp, err := c.Call(p, uint32(i), pattern(size), CallOpts{Proto: proto, Busy: i%2 == 0})
+					if err != nil {
+						t.Fatalf("%s, %d bytes: %v", proto, size, err)
+					}
+					out = append(out, resp...)
+				}
+			}
+			end = p.Now()
+			env.Stop()
+		})
+		env.Run()
+		return end, out
+	}
+	traced := obs.NewRegistry()
+	traced.SetTracer(obs.NewTracer())
+	offEnd, offOut := run(nil)
+	for _, reg := range []*obs.Registry{obs.NewRegistry(), traced} {
+		if end, out := run(reg); end != offEnd || !bytes.Equal(out, offOut) {
+			t.Errorf("tracer %v: run ended at %d with %d response bytes, unobserved at %d with %d",
+				reg.Tracer() != nil, end, len(out), offEnd, len(offOut))
+		}
+	}
+	if traced.Tracer().Len() == 0 || traced.Counter("engine.calls."+RFP.String()).Value() != 2 {
+		t.Error("the traced arm did not record the run")
 	}
 }
 

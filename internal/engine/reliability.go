@@ -201,9 +201,7 @@ func (c *Conn) recoverQP(p *sim.Proc) {
 		return
 	}
 	c.qp.Recover(p)
-	if m := c.eng.em; m != nil {
-		m.qpRecoveries.Inc()
-	}
+	c.eng.em.qpRecoveries.Inc()
 }
 
 // armWake schedules a signal fire at the given virtual time so a bounded
@@ -285,11 +283,11 @@ func (c *Conn) beginAttempt(p *sim.Proc, seq uint32, until sim.Time) bool {
 		} else {
 			a.blind = true
 		}
-		if m := eng.em; m != nil {
-			m.retries.Inc()
+		eng.em.retries.Inc()
+		if trc := eng.trc; trc != nil {
+			trc.Instant("rpc", "retry", eng.node.ID(), c.id, int64(p.Now()),
+				obs.Arg{K: "seq", V: seq}, obs.Arg{K: "attempt", V: a.n}, obs.Arg{K: "cause", V: cause})
 		}
-		eng.trc.Instant("rpc", "retry", eng.node.ID(), c.id, int64(p.Now()),
-			obs.Arg{K: "seq", V: seq}, obs.Arg{K: "attempt", V: a.n}, obs.Arg{K: "cause", V: cause})
 		a.timer = min(2*a.timer, a.ceil)
 	}
 	a.n++
@@ -299,9 +297,7 @@ func (c *Conn) beginAttempt(p *sim.Proc, seq uint32, until sim.Time) bool {
 	a.faulted, a.faultFrom = false, 0
 	if until != 0 {
 		a.faultFrom = c.nextWRID + 1
-		if m := eng.em; m != nil {
-			m.rto.Observe(float64(a.timer))
-		}
+		eng.em.rto.Observe(float64(a.timer))
 	}
 	return true
 }
@@ -473,9 +469,7 @@ func (c *Conn) sendOnewayReliable(p *sim.Proc, h hdr, req []byte, poll PollMode,
 // control state, and maps the failure to its typed error.
 func (c *Conn) failCall(seq uint32) error {
 	c.abortCall(seq)
-	if m := c.eng.em; m != nil {
-		m.deadlineExceeded.Inc()
-	}
+	c.eng.em.deadlineExceeded.Inc()
 	if c.qp.Errored() {
 		return fmt.Errorf("engine: seq %d: %w", seq, ErrPeerDown)
 	}
@@ -525,7 +519,7 @@ func (c *Conn) awaitResponse(p *sim.Proc, seq uint32, poll PollMode, until sim.T
 			}
 			if a.Kind == kResp {
 				c.chargeDetect(p, poll)
-				c.stats.BytesRecvd += int64(len(a.Payload))
+				c.eng.em.bytesRecvd.Add(int64(len(a.Payload)))
 				return a.Payload, true, nil
 			}
 			if a.Kind == kErr || a.Kind == kDrain {
@@ -556,7 +550,7 @@ func (c *Conn) pollResponse(p *sim.Proc, seq uint32, poll PollMode) ([]byte, boo
 		if a.Kind == kErr || a.Kind == kDrain {
 			return nil, false, rejectErr(a.Kind)
 		}
-		c.stats.BytesRecvd += int64(len(a.Payload))
+		c.eng.em.bytesRecvd.Add(int64(len(a.Payload)))
 		return a.Payload, true, nil
 	}
 	return nil, false, nil

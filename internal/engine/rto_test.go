@@ -62,7 +62,7 @@ func (f *rtoFabric) dups() int64    { return f.srvReg.Counter("engine.dup_reques
 
 // callCost is what one call cost end to end: its latency, the
 // retransmissions and duplicate deliveries it caused, the payload bytes
-// the connection accounted and the time the client's NIC spent
+// the client engine accounted and the time the client's NIC spent
 // serialising — every byte the call put on the wire, control traffic and
 // any second copy of the request included.
 type callCost struct {
@@ -76,7 +76,7 @@ type callCost struct {
 // responses) drain before it reads the counters again.
 func (f *rtoFabric) measure(t *testing.T, p *sim.Proc, c *Conn, proto Protocol, size int) callCost {
 	t.Helper()
-	before := callCost{retries: f.retries(), dups: f.dups(), bytesSent: c.Stats().BytesSent, txBusy: f.cliEng.Node().TX.BusyNs()}
+	before := callCost{retries: f.retries(), dups: f.dups(), bytesSent: ctr(f.cliEng, "engine.bytes_sent."), txBusy: f.cliEng.Node().TX.BusyNs()}
 	start := p.Now()
 	got, err := c.Call(p, 1, pattern(size), CallOpts{Proto: proto, Busy: true})
 	lat := sim.Duration(p.Now() - start)
@@ -88,7 +88,7 @@ func (f *rtoFabric) measure(t *testing.T, p *sim.Proc, c *Conn, proto Protocol, 
 		lat:       lat,
 		retries:   f.retries() - before.retries,
 		dups:      f.dups() - before.dups,
-		bytesSent: c.Stats().BytesSent - before.bytesSent,
+		bytesSent: ctr(f.cliEng, "engine.bytes_sent.") - before.bytesSent,
 		txBusy:    f.cliEng.Node().TX.BusyNs() - before.txBusy,
 	}
 }

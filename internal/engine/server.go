@@ -192,13 +192,9 @@ type Server struct {
 	// subject to it.
 	TenantLimit int
 
-	// Served counts completed requests.
-	Served int64
-	// Shed counts requests rejected by admission control.
-	Shed int64
-	// TenantShed counts requests rejected by the per-tenant partition.
-	TenantShed int64
-	// Drained counts requests fenced by the graceful-drain gate.
+	// Drained counts requests fenced by the graceful-drain gate (the
+	// node's drain report reads it; served and shed requests are obs
+	// counters: engine.served.*, engine.shed.*, engine.tenant_shed).
 	Drained int64
 
 	conns     []*Conn
@@ -272,9 +268,7 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 			// idempotent from the application's point of view. The cache
 			// is keyed by session id, so interleaved virtual connections
 			// on this physical conn cannot evict each other's entry.
-			if m := eng.em; m != nil {
-				m.dupRequests.Inc()
-			}
+			eng.em.dupRequests.Inc()
 			if e.arr.RespProto != ProtoAuto {
 				c.sendResponse(p, e.arr, e.resp, poll)
 			}
@@ -297,8 +291,10 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 			// re-routes and later retries here post-restart deserves a
 			// fresh execution.
 			s.Drained++
-			eng.trc.Instant("rpc", "drained", eng.node.ID(), c.id,
-				int64(p.Now()), obs.Arg{K: "fn", V: a.Fn}, obs.Arg{K: "seq", V: a.Seq})
+			if trc := eng.trc; trc != nil {
+				trc.Instant("rpc", "drained", eng.node.ID(), c.id,
+					int64(p.Now()), obs.Arg{K: "fn", V: a.Fn}, obs.Arg{K: "seq", V: a.Seq})
+			}
 			if a.RespProto != ProtoAuto {
 				c.sendReject(p, a, kDrain)
 			}
@@ -315,9 +311,11 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 				// This tenant's partition is full: shed typed, leaving the
 				// global admission slots for other tenants. No dedup entry
 				// is recorded (the handler never ran).
-				s.TenantShed++
-				eng.trc.Instant("rpc", "tenant_shed", eng.node.ID(), c.id,
-					int64(p.Now()), obs.Arg{K: "tenant", V: tenant}, obs.Arg{K: "seq", V: a.Seq})
+				eng.em.tenantShed.Inc()
+				if trc := eng.trc; trc != nil {
+					trc.Instant("rpc", "tenant_shed", eng.node.ID(), c.id,
+						int64(p.Now()), obs.Arg{K: "tenant", V: tenant}, obs.Arg{K: "seq", V: a.Seq})
+				}
 				if a.RespProto != ProtoAuto {
 					c.sendReject(p, a, kErr)
 				}
@@ -340,12 +338,13 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 				if tenantHeld {
 					s.tenantRun[tenant]--
 				}
-				s.Shed++
-				if m := eng.em; m != nil && int(a.Proto) < nProtocols {
-					m.shed[a.Proto].Inc()
+				if int(a.Proto) < nProtocols {
+					eng.em.shed[a.Proto].Inc()
 				}
-				eng.trc.Instant("rpc", "shed."+a.Proto.String(), eng.node.ID(), c.id,
-					int64(p.Now()), obs.Arg{K: "seq", V: a.Seq})
+				if trc := eng.trc; trc != nil {
+					trc.Instant("rpc", "shed."+a.Proto.String(), eng.node.ID(), c.id,
+						int64(p.Now()), obs.Arg{K: "seq", V: a.Seq})
+				}
 				if a.RespProto != ProtoAuto {
 					c.sendReject(p, a, kErr)
 				}
@@ -374,13 +373,14 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 			// dedup entry just recorded still needs the bytes.
 			c.Recycle(a.Payload)
 		}
-		s.Served++
-		if m := eng.em; m != nil && int(a.Proto) < nProtocols {
-			m.served[a.Proto].Inc()
+		if int(a.Proto) < nProtocols {
+			eng.em.served[a.Proto].Inc()
 		}
-		eng.trc.Complete("rpc", "serve."+a.Proto.String(), eng.node.ID(), c.id,
-			start, int64(p.Now()),
-			obs.Arg{K: "fn", V: a.Fn}, obs.Arg{K: "size", V: len(a.Payload)})
+		if trc := eng.trc; trc != nil {
+			trc.Complete("rpc", "serve."+a.Proto.String(), eng.node.ID(), c.id,
+				start, int64(p.Now()),
+				obs.Arg{K: "fn", V: a.Fn}, obs.Arg{K: "size", V: len(a.Payload)})
+		}
 	}
 }
 

@@ -24,8 +24,8 @@ const (
 	// call must always fail typed, never block forever — the session's
 	// whole reason to exist is reacting to those typed failures.
 	DefaultSessionCallDeadline = sim.Duration(2_000_000)
-	// DefaultKeepaliveDeadline bounds one keepalive probe.
-	DefaultKeepaliveDeadline = sim.Duration(500_000)
+	// keepaliveDeadline bounds one keepalive probe.
+	keepaliveDeadline = sim.Duration(500_000)
 	// DefaultRedialBackoff paces reconnect attempts (doubling, capped).
 	DefaultRedialBackoff = sim.Duration(100_000)
 	redialBackoffCapNs   = sim.Duration(5_000_000)
@@ -45,23 +45,12 @@ type SessionConfig struct {
 	// function FnKeepalive). Zero disables the prober; calls still
 	// detect peer death through their own typed failures.
 	KeepaliveInterval sim.Duration
-	// KeepaliveDeadline bounds one probe (default DefaultKeepaliveDeadline).
-	KeepaliveDeadline sim.Duration
 	// RedialBackoff is the initial wait between reconnect attempts,
 	// doubling up to an internal cap (default DefaultRedialBackoff).
 	RedialBackoff sim.Duration
 	// MaxRedials bounds reconnect attempts per outage (default
 	// DefaultMaxRedials).
 	MaxRedials int
-	// CallDeadline overrides DefaultSessionCallDeadline as the fallback
-	// per-call deadline.
-	CallDeadline sim.Duration
-	// DrainHold is how long the prober stays quiet after a probe is
-	// answered with the typed ErrDraining announcement: no probes and no
-	// eager redials until the hold expires, so a rolling restart does not
-	// trigger session_redials storms against a node that said it is going
-	// away on purpose. Zero defaults to DefaultDrainHoldProbes intervals.
-	DrainHold sim.Duration
 }
 
 // SessionStats counts a session's lifecycle events.
@@ -165,9 +154,7 @@ func (s *Session) Call(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byt
 	if opts.Deadline == 0 && s.eng.cfg.CallDeadline == 0 {
 		// A session call must always fail typed rather than block
 		// forever on a dead peer.
-		if opts.Deadline = s.cfg.CallDeadline; opts.Deadline <= 0 {
-			opts.Deadline = DefaultSessionCallDeadline
-		}
+		opts.Deadline = DefaultSessionCallDeadline
 	}
 	s.mu.Lock(p)
 	defer s.mu.Unlock()
@@ -186,11 +173,11 @@ func (s *Session) Call(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byt
 				s.target.ID(), s.epoch, err, ErrSessionReset)
 		}
 		s.stats.Replays++
-		if m := s.eng.em; m != nil {
-			m.sessionReplays.Inc()
+		s.eng.em.sessionReplays.Inc()
+		if trc := s.eng.trc; trc != nil {
+			trc.Instant("session", "replay", s.eng.node.ID(), s.target.ID(),
+				int64(p.Now()), obs.Arg{K: "fn", V: fn}, obs.Arg{K: "epoch", V: s.epoch})
 		}
-		s.eng.trc.Instant("session", "replay", s.eng.node.ID(), s.target.ID(),
-			int64(p.Now()), obs.Arg{K: "fn", V: fn}, obs.Arg{K: "epoch", V: s.epoch})
 	}
 }
 
@@ -226,9 +213,7 @@ func (s *Session) ensureConn(p *sim.Proc) error {
 		if s.epoch > 0 {
 			// Re-establishment attempt after an outage (the first dial of
 			// the session's life is a connect, not a redial).
-			if m := s.eng.em; m != nil {
-				m.sessionRedials.Inc()
-			}
+			s.eng.em.sessionRedials.Inc()
 		}
 		c, err := s.eng.TryDial(p, s.target, s.port, p.Now()+sim.Time(sessionHandshakeTimeoutNs))
 		if err != nil {
@@ -236,16 +221,16 @@ func (s *Session) ensureConn(p *sim.Proc) error {
 			continue
 		}
 		if s.epoch > 0 {
-			if m := s.eng.em; m != nil {
-				m.sessionFailovers.Inc()
-			}
+			s.eng.em.sessionFailovers.Inc()
 		}
 		s.conn = c
 		s.down = false
 		s.epoch++
 		s.stats.Connects++
-		s.eng.trc.Instant("session", "connect", s.eng.node.ID(), s.target.ID(),
-			int64(p.Now()), obs.Arg{K: "epoch", V: s.epoch})
+		if trc := s.eng.trc; trc != nil {
+			trc.Instant("session", "connect", s.eng.node.ID(), s.target.ID(),
+				int64(p.Now()), obs.Arg{K: "epoch", V: s.epoch})
+		}
 		return nil
 	}
 	return fmt.Errorf("engine: session to node %d: %d redials failed (%v): %w",
@@ -260,15 +245,20 @@ func (s *Session) teardown(p *sim.Proc) {
 		s.conn = nil
 	}
 	s.down = true
-	s.eng.trc.Instant("session", "teardown", s.eng.node.ID(), s.target.ID(),
-		int64(p.Now()), obs.Arg{K: "epoch", V: s.epoch})
+	if trc := s.eng.trc; trc != nil {
+		trc.Instant("session", "teardown", s.eng.node.ID(), s.target.ID(),
+			int64(p.Now()), obs.Arg{K: "epoch", V: s.epoch})
+	}
 }
 
-// DefaultDrainHoldProbes sizes the default SessionConfig.DrainHold: a
-// drain announcement silences this many probe intervals. Long enough to
-// cover a typical drain-stop-restart cycle, short enough that the
-// prober re-verifies liveness soon after the peer should be back.
-const DefaultDrainHoldProbes = 8
+// drainHoldProbes is how many probe intervals the prober stays quiet
+// after a probe is answered with the typed ErrDraining announcement: no
+// probes and no eager redials until the hold expires, so a rolling
+// restart does not trigger session_redials storms against a node that
+// said it is going away on purpose. Long enough to cover a typical
+// drain-stop-restart cycle, short enough that the prober re-verifies
+// liveness soon after the peer should be back.
+const drainHoldProbes = 8
 
 // keepaliveFailThreshold is how many consecutive deadline-expired
 // probes count as a dead path. One expiry can be a transient drop; a
@@ -287,22 +277,13 @@ const keepaliveFailThreshold = 2
 // the prober immediately attempts to re-establish, so an idle session
 // is usually live again before its next real call. A probe answered
 // with the typed ErrDraining announcement instead silences the prober
-// for cfg.DrainHold: the peer is leaving on purpose, and probing or
-// redialing it during the restart would only manufacture
-// session_redials storms.
+// for drainHoldProbes intervals.
 func (s *Session) startKeepalive() {
 	ivl := s.cfg.KeepaliveInterval
 	if ivl <= 0 {
 		return
 	}
-	dl := s.cfg.KeepaliveDeadline
-	if dl <= 0 {
-		dl = DefaultKeepaliveDeadline
-	}
-	hold := s.cfg.DrainHold
-	if hold <= 0 {
-		hold = ivl * DefaultDrainHoldProbes
-	}
+	hold := ivl * drainHoldProbes
 	s.eng.node.Spawn(fmt.Sprintf("session-ka-%d-%s", s.target.ID(), s.port), func(p *sim.Proc) {
 		expired := 0 // consecutive probes that died by deadline
 		var holdUntil sim.Time
@@ -319,7 +300,7 @@ func (s *Session) startKeepalive() {
 			}
 			if s.conn != nil && !s.down {
 				s.stats.Probes++
-				_, err := s.conn.Call(p, FnKeepalive, nil, CallOpts{Proto: EagerSendRecv, Deadline: dl})
+				_, err := s.conn.Call(p, FnKeepalive, nil, CallOpts{Proto: EagerSendRecv, Deadline: keepaliveDeadline})
 				switch {
 				case err == nil:
 					expired = 0
@@ -334,8 +315,10 @@ func (s *Session) startKeepalive() {
 					expired = 0
 					holdUntil = p.Now() + sim.Time(hold)
 					s.stats.DrainHolds++
-					s.eng.trc.Instant("session", "drain_hold", s.eng.node.ID(), s.target.ID(),
-						int64(p.Now()), obs.Arg{K: "epoch", V: s.epoch})
+					if trc := s.eng.trc; trc != nil {
+						trc.Instant("session", "drain_hold", s.eng.node.ID(), s.target.ID(),
+							int64(p.Now()), obs.Arg{K: "epoch", V: s.epoch})
+					}
 				case errors.Is(err, ErrDeadline):
 					if expired++; expired >= keepaliveFailThreshold {
 						expired = 0

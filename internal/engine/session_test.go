@@ -243,8 +243,8 @@ func TestBreakerHalfOpenProbeTimeout(t *testing.T) {
 		env.Stop()
 	})
 	env.Run()
-	if got := cliEng.BreakerOpens(); got != 2 {
-		t.Errorf("BreakerOpens = %d, want 2 (trip + failed probe)", got)
+	if got := ctr(cliEng, "engine.breaker_open"); got != 2 {
+		t.Errorf("engine.breaker_open = %d, want 2 (trip + failed probe)", got)
 	}
 }
 

@@ -119,6 +119,7 @@ func TestBreakerHalfOpenRespectsHeal(t *testing.T) {
 	cfg.BreakerCooldown = 1_000_000
 	srvEng := New(cl.Node(0), cfg)
 	cliEng := New(cl.Node(1), cfg)
+	observe(cliEng)
 	srvEng.Serve("svc", echoHandler)
 	env.Spawn("client", func(p *sim.Proc) {
 		c := cliEng.Dial(p, srvEng.Node(), "svc") // dialed before the cut
@@ -148,7 +149,7 @@ func TestBreakerHalfOpenRespectsHeal(t *testing.T) {
 		env.Stop()
 	})
 	env.Run()
-	if got := cliEng.BreakerOpens(); got != 1 {
-		t.Errorf("BreakerOpens = %d, want 1 (trip, then close on healed probe)", got)
+	if got := ctr(cliEng, "engine.breaker_open"); got != 1 {
+		t.Errorf("engine.breaker_open = %d, want 1 (trip, then close on healed probe)", got)
 	}
 }

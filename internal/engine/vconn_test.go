@@ -266,11 +266,12 @@ func TestServerTenantLimitSheds(t *testing.T) {
 		}
 	})
 	env.Run()
-	if t0Shed == 0 || srv.TenantShed == 0 {
-		t.Errorf("tenant 0 never shed (client %d, server %d), want >0", t0Shed, srv.TenantShed)
+	tenantShed := ctr(srvEng, "engine.tenant_shed")
+	if t0Shed == 0 || tenantShed == 0 {
+		t.Errorf("tenant 0 never shed (client %d, server %d), want >0", t0Shed, tenantShed)
 	}
-	if int64(t0Shed) != srv.TenantShed {
-		t.Errorf("client saw %d sheds, server counted %d", t0Shed, srv.TenantShed)
+	if int64(t0Shed) != tenantShed {
+		t.Errorf("client saw %d sheds, server counted %d", t0Shed, tenantShed)
 	}
 	if legacyShed != 0 {
 		t.Errorf("sid-0 traffic hit the tenant partition %d times", legacyShed)
@@ -319,7 +320,7 @@ func TestSRQCreditOvercommitRNR(t *testing.T) {
 		})
 	}
 	env.Run()
-	if srvEng.RnrNaks() == 0 {
+	if ctr(srvEng, "verbs.rnr_naks") == 0 {
 		t.Error("credit overcommit on the shared ring drew no RNR NAKs")
 	}
 	// Shared-ring leak accounting: posted depth + unpolled completions

@@ -5,10 +5,16 @@
 //
 // Design constraints, in order:
 //
-//  1. Off-by-default-cheap. Every instrument is nil-safe: a nil *Counter,
-//     *Histogram or *Tracer is a no-op, so uninstrumented hot paths pay a
-//     single pointer test. Packages hold instrument pointers that are nil
-//     until a Registry is attached.
+//  1. Off is free, and there is one way to say it. Every event is counted
+//     by exactly one instrument. A nil *Counter or *Histogram is a no-op
+//     and a nil Registry hands out nil instruments, so a package holds its
+//     instrument set by value and calls it bare — no "is obs attached"
+//     test around an Inc, Add or Observe. A span is different: Go
+//     evaluates a call's arguments before the callee can decline them, so
+//     a bare Complete/Instant on a nil *Tracer still concatenates the span
+//     name and boxes every Arg. A span site therefore tests the tracer
+//     first — `if trc := e.trc; trc != nil { trc.Complete(...) }` — and
+//     builds nothing when tracing is off.
 //  2. Deterministic. The DES runs one process at a time, so no locking is
 //     needed; all rendering iterates instruments in sorted-name order and
 //     trace events in insertion order, so two identical simulation runs
@@ -24,11 +30,8 @@ import (
 	"hatrpc/internal/stats"
 )
 
-// Counter is a monotonically increasing named count.
-type Counter struct {
-	name string
-	v    int64
-}
+// Counter is a monotonically increasing count, named by its registry.
+type Counter struct{ v int64 }
 
 // Inc adds one. Safe on a nil counter.
 func (c *Counter) Inc() {
@@ -52,15 +55,9 @@ func (c *Counter) Value() int64 {
 	return c.v
 }
 
-// Name returns the counter's registered name.
-func (c *Counter) Name() string { return c.name }
-
-// Histogram collects a named distribution (typically phase latencies in
-// nanoseconds) on top of stats.Sample.
-type Histogram struct {
-	name string
-	s    stats.Sample
-}
+// Histogram collects a distribution (typically phase latencies in
+// nanoseconds) on top of stats.Sample, named by its registry.
+type Histogram struct{ s stats.Sample }
 
 // Observe records one value. Safe on a nil histogram.
 func (h *Histogram) Observe(v float64) {
@@ -72,15 +69,9 @@ func (h *Histogram) Observe(v float64) {
 // Sample exposes the underlying sample for percentile queries.
 func (h *Histogram) Sample() *stats.Sample { return &h.s }
 
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string { return h.name }
-
-// Gauge is a named sampled value: the callback is invoked at render (or
+// Gauge is a sampled value: the callback is invoked at render (or
 // GaugeValue) time, not continuously.
-type Gauge struct {
-	name string
-	fn   func() float64
-}
+type Gauge struct{ fn func() float64 }
 
 // Registry holds every instrument of one observation domain (typically
 // one benchmark run, possibly spanning several engines). It is not safe
@@ -109,7 +100,7 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	c, ok := r.counters[name]
 	if !ok {
-		c = &Counter{name: name}
+		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c
@@ -123,7 +114,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	h, ok := r.hists[name]
 	if !ok {
-		h = &Histogram{name: name}
+		h = &Histogram{}
 		r.hists[name] = h
 	}
 	return h
@@ -136,7 +127,7 @@ func (r *Registry) Gauge(name string, fn func() float64) {
 	if r == nil {
 		return
 	}
-	r.gauges[name] = &Gauge{name: name, fn: fn}
+	r.gauges[name] = &Gauge{fn: fn}
 }
 
 // GaugeValue samples the named gauge.

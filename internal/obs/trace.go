@@ -17,9 +17,8 @@ import (
 // processes one at a time in a deterministic order, so two identical runs
 // emit byte-identical trace files.
 //
-// The nil *Tracer is a valid no-op: every method tests the receiver, so
-// instrumented code can call through an untraced path at the cost of one
-// branch.
+// The nil *Tracer is a valid no-op, but a caller with a name or arguments
+// to build tests it first (package doc, constraint 1).
 type Tracer struct {
 	events []traceEvent
 	pidOff int
@@ -84,32 +83,6 @@ func (t *Tracer) Instant(cat, name string, pid, tid int, ts int64, args ...Arg) 
 		name: name, cat: cat, ph: 'i', ts: ts,
 		pid: pid + t.pidOff, tid: tid, args: args,
 	})
-}
-
-// Span is an in-progress Complete event; End records it.
-type Span struct {
-	t         *Tracer
-	cat, name string
-	pid, tid  int
-	start     int64
-	args      []Arg
-}
-
-// Begin opens a span at start virtual ns. On a nil tracer it returns a
-// zero Span whose End is a no-op.
-func (t *Tracer) Begin(cat, name string, pid, tid int, start int64, args ...Arg) Span {
-	if t == nil {
-		return Span{}
-	}
-	return Span{t: t, cat: cat, name: name, pid: pid, tid: tid, start: start, args: args}
-}
-
-// End closes the span at end virtual ns.
-func (s Span) End(end int64) {
-	if s.t == nil {
-		return
-	}
-	s.t.Complete(s.cat, s.name, s.pid, s.tid, s.start, end, s.args...)
 }
 
 // WriteJSON emits the chrome://tracing "JSON object format": a

@@ -6,11 +6,11 @@ import (
 )
 
 // codecRoundTrip writes a representative eager-path message body (every
-// fixed-width primitive plus a binary field) through prot/framed/mem and
-// reads it back, returning an error message on mismatch. It allocates
-// nothing once the transports and the arena are warm — the property
-// TestEagerPathZeroAllocs gates.
-func codecRoundTrip(mem *TMemoryBuffer, framed *TFramedTransport, w, r TProtocol, blob []byte) string {
+// fixed-width primitive plus a binary field) into the memory buffer the
+// generated code and trdma serialize through and reads it back, returning
+// an error message on mismatch. It allocates nothing once the buffer and
+// the arena are warm — the property TestEagerPathZeroAllocs gates.
+func codecRoundTrip(mem *TMemoryBuffer, w, r TProtocol, blob []byte) string {
 	mem.Reset()
 	w.WriteStructBegin("S")
 	w.WriteFieldBegin("b", BOOL, 1)
@@ -29,7 +29,7 @@ func codecRoundTrip(mem *TMemoryBuffer, framed *TFramedTransport, w, r TProtocol
 	w.WriteBinary(blob)
 	w.WriteFieldStop()
 	w.WriteStructEnd()
-	if err := framed.Flush(); err != nil {
+	if err := w.Flush(); err != nil {
 		return "flush: " + err.Error()
 	}
 
@@ -83,21 +83,19 @@ func codecRoundTrip(mem *TMemoryBuffer, framed *TFramedTransport, w, r TProtocol
 	return ""
 }
 
-// codecPair builds a framed binary or compact codec over one memory
-// buffer: distinct writer/reader protocol instances (as on a real
-// connection) sharing one framed transport.
-func codecPair(compact bool) (*TMemoryBuffer, *TFramedTransport, TProtocol, TProtocol) {
+// codecPair builds a binary or compact codec over one memory buffer:
+// distinct writer/reader protocol instances, as on a real connection.
+func codecPair(compact bool) (*TMemoryBuffer, TProtocol, TProtocol) {
 	mem := NewTMemoryBuffer()
-	framed := NewTFramedTransport(mem)
 	if compact {
-		return mem, framed, NewTCompactProtocol(framed), NewTCompactProtocol(framed)
+		return mem, NewTCompactProtocol(mem), NewTCompactProtocol(mem)
 	}
-	return mem, framed, NewTBinaryProtocol(framed), NewTBinaryProtocol(framed)
+	return mem, NewTBinaryProtocol(mem), NewTBinaryProtocol(mem)
 }
 
 // TestEagerPathZeroAllocs is the allocs/op regression gate for the
-// serialization hot path (CI runs it by name): once the transports and
-// the buffer arena are warm, a full write+read round trip of every
+// serialization hot path (CI runs it by name): once the buffer and the
+// arena are warm, a full write+read round trip of every
 // fixed-width primitive plus a binary field performs ZERO heap
 // allocations per op, for both wire protocols. String reads are excluded
 // by design — Go string conversion inherently allocates; generated code
@@ -109,15 +107,15 @@ func TestEagerPathZeroAllocs(t *testing.T) {
 		compact bool
 	}{{"binary", false}, {"compact", true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			mem, framed, w, r := codecPair(tc.compact)
-			// Warm: grows wbuf/rbuf/sbuf once and stocks the arena class.
+			mem, w, r := codecPair(tc.compact)
+			// Warm: grows the buffer once and stocks the arena class.
 			for i := 0; i < 3; i++ {
-				if msg := codecRoundTrip(mem, framed, w, r, blob); msg != "" {
+				if msg := codecRoundTrip(mem, w, r, blob); msg != "" {
 					t.Fatal(msg)
 				}
 			}
 			allocs := testing.AllocsPerRun(200, func() {
-				if msg := codecRoundTrip(mem, framed, w, r, blob); msg != "" {
+				if msg := codecRoundTrip(mem, w, r, blob); msg != "" {
 					t.Fatal(msg)
 				}
 			})
@@ -128,7 +126,7 @@ func TestEagerPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkCodecRoundTrip reports allocs/op for the framed codec round
+// BenchmarkCodecRoundTrip reports allocs/op for the codec round
 // trip (the number the zero-alloc gate pins at 0).
 func BenchmarkCodecRoundTrip(b *testing.B) {
 	blob := []byte("0123456789abcdef0123456789abcdef")
@@ -137,14 +135,14 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 		compact bool
 	}{{"binary", false}, {"compact", true}} {
 		b.Run(tc.name, func(b *testing.B) {
-			mem, framed, w, r := codecPair(tc.compact)
+			mem, w, r := codecPair(tc.compact)
 			for i := 0; i < 3; i++ {
-				codecRoundTrip(mem, framed, w, r, blob)
+				codecRoundTrip(mem, w, r, blob)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if msg := codecRoundTrip(mem, framed, w, r, blob); msg != "" {
+				if msg := codecRoundTrip(mem, w, r, blob); msg != "" {
 					b.Fatal(msg)
 				}
 			}

@@ -1,8 +1,9 @@
 // Package thrift is a compact re-implementation of the Apache Thrift
 // runtime library for Go, providing the pieces HatRPC's generated code
 // needs: the TTransport and TProtocol abstractions, Binary and Compact
-// wire protocols, framed/buffered/memory transports, application
-// exceptions, and a processor-based server loop.
+// wire protocols, the memory transport messages are serialized through
+// (generated code and trdma are message-level: the engine frames), and
+// application exceptions.
 //
 // The wire formats follow the upstream Thrift specifications, so the
 // serialization behaviour (and its costs, which the simulation charges by
@@ -267,25 +268,16 @@ func readLenPrefixed(r io.Reader, n int) ([]byte, error) {
 	return b, nil
 }
 
-// TStruct is implemented by every generated struct.
-type TStruct interface {
-	Write(p TProtocol) error
-	Read(p TProtocol) error
-}
-
 // ApplicationExceptionType classifies TApplicationException.
 type ApplicationExceptionType int32
 
-// Standard application exception codes.
+// The application exception codes generated code raises, numbered as in
+// upstream Thrift.
 const (
-	ExcUnknown            ApplicationExceptionType = 0
-	ExcUnknownMethod      ApplicationExceptionType = 1
-	ExcInvalidMessageType ApplicationExceptionType = 2
-	ExcWrongMethodName    ApplicationExceptionType = 3
-	ExcBadSequenceID      ApplicationExceptionType = 4
-	ExcMissingResult      ApplicationExceptionType = 5
-	ExcInternalError      ApplicationExceptionType = 6
-	ExcProtocolError      ApplicationExceptionType = 7
+	ExcUnknownMethod ApplicationExceptionType = 1
+	ExcMissingResult ApplicationExceptionType = 5
+	ExcInternalError ApplicationExceptionType = 6
+	ExcProtocolError ApplicationExceptionType = 7
 )
 
 // TApplicationException is the standard Thrift RPC-level error.
@@ -368,10 +360,4 @@ func (e *TApplicationException) Read(p TProtocol) error {
 		}
 	}
 	return p.ReadStructEnd()
-}
-
-// TProcessor dispatches one incoming call read from in, writing the
-// response to out. It returns false when the transport is exhausted.
-type TProcessor interface {
-	Process(in, out TProtocol) (bool, error)
 }

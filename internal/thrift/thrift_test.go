@@ -271,47 +271,6 @@ func TestCompactSmallerThanBinary(t *testing.T) {
 	}
 }
 
-func TestFramedTransportRoundTrip(t *testing.T) {
-	inner := NewTMemoryBuffer()
-	f := NewTFramedTransport(inner)
-	f.Write([]byte("frame-one"))
-	check(t, f.Flush())
-	f.Write([]byte("frame-two!"))
-	check(t, f.Flush())
-
-	r := NewTFramedTransport(inner)
-	buf := make([]byte, 9)
-	if _, err := r.Read(buf); err != nil || string(buf) != "frame-one" {
-		t.Fatalf("frame 1 = %q err %v", buf, err)
-	}
-	buf = make([]byte, 10)
-	if _, err := r.Read(buf); err != nil || string(buf) != "frame-two!" {
-		t.Fatalf("frame 2 = %q err %v", buf, err)
-	}
-}
-
-func TestBufferedTransport(t *testing.T) {
-	inner := NewTMemoryBuffer()
-	b := NewTBufferedTransport(inner, 8)
-	b.Write([]byte("abc"))
-	if inner.Len() != 0 {
-		t.Fatal("small write leaked through before flush")
-	}
-	b.Write([]byte("defghijkl")) // exceeds buffer, spills
-	check(t, b.Flush())
-	r := NewTBufferedTransport(inner, 8)
-	out := make([]byte, 12)
-	n := 0
-	for n < 12 {
-		m, err := r.Read(out[n:])
-		check(t, err)
-		n += m
-	}
-	if string(out) != "abcdefghijkl" {
-		t.Fatalf("buffered read = %q", out)
-	}
-}
-
 func TestBinaryRejectsBadVersion(t *testing.T) {
 	buf := NewTMemoryBufferWith([]byte{0x00, 0x01, 0x02, 0x03, 0, 0, 0, 0})
 	r := NewTBinaryProtocol(buf)

@@ -30,7 +30,7 @@ func TestRNRNakDelaysUntilRecvPosted(t *testing.T) {
 		deliveredAt = p.Now()
 	})
 	env.Run()
-	if b.dev.RnrNaks() == 0 {
+	if b.dev.vm.rnrNaks.Value() == 0 {
 		t.Error("no RNR NAKs counted for a SEND into an empty armed ring")
 	}
 	if deliveredAt == 0 {
@@ -64,7 +64,7 @@ func TestRNRRetryExceededFailsSender(t *testing.T) {
 	})
 	env.Run()
 	// Initial attempt + `retries` retransmissions all drew NAKs.
-	if got := b.dev.RnrNaks(); got != retries+1 {
+	if got := b.dev.vm.rnrNaks.Value(); got != retries+1 {
 		t.Errorf("RnrNaks = %d, want %d", got, retries+1)
 	}
 }
@@ -89,7 +89,7 @@ func TestRNRDisabledKeepsLegacyBuffering(t *testing.T) {
 		}
 	})
 	env.Run()
-	if got := b.dev.RnrNaks(); got != 0 {
+	if got := b.dev.vm.rnrNaks.Value(); got != 0 {
 		t.Errorf("RnrNaks = %d on an unarmed QP, want 0", got)
 	}
 	if a.qp.Errored() {
@@ -157,7 +157,7 @@ func TestRNRWriteImmAlsoNaks(t *testing.T) {
 		}
 	})
 	env.Run()
-	if b.dev.RnrNaks() == 0 {
+	if b.dev.vm.rnrNaks.Value() == 0 {
 		t.Error("no RNR NAKs for WRITE_IMM into an empty armed ring")
 	}
 }

@@ -31,8 +31,8 @@ func newSRQFixture(env *sim.Env, n int) *srqFixture {
 		Nodes: 2, Cores: 28, Sockets: 2, LinkGbps: 100, PropDelayNs: 600, NUMAPenalty: 1.25,
 	})
 	cm := DefaultCostModel()
-	f.da = OpenDevice(f.cl.Node(0), cm)
-	f.db = OpenDevice(f.cl.Node(1), cm)
+	f.da = openObserved(f.cl.Node(0), cm)
+	f.db = openObserved(f.cl.Node(1), cm)
 	f.pda, f.pdb = f.da.AllocPD(), f.db.AllocPD()
 	f.srq = f.db.CreateSRQ()
 	f.recvMR = f.pdb.RegisterMRNoCost(n * 8 * f.slotLen)
@@ -167,7 +167,7 @@ func TestSRQRNRNakRecovers(t *testing.T) {
 	if wc.Op != OpRecv || wc.Status != WCSuccess {
 		t.Fatalf("wc = %+v, want delivered RECV after RNR backoff", wc)
 	}
-	if f.db.RnrNaks() == 0 {
+	if f.db.vm.rnrNaks.Value() == 0 {
 		t.Fatal("no RNR NAKs counted on the shared ring")
 	}
 }

@@ -80,29 +80,19 @@ type Device struct {
 	cqs   []*CQ
 	srqs  []*SRQ
 
-	rnrNaks   int64 // RNR NAKs generated by this device's QPs (always on)
-	doorbells int64 // PostSend doorbells rung by this device's QPs (always on)
-
-	vm  *verbsMetrics // nil until SetObs
-	trc *obs.Tracer   // nil unless the registry carries a tracer
+	vm  verbsMetrics // all nil (no-ops) until SetObs
+	trc *obs.Tracer  // nil unless the registry carries a tracer
 }
-
-// RnrNaks returns the number of RNR NAKs this device has generated as a
-// receiver (always counted, independent of SetObs).
-func (d *Device) RnrNaks() int64 { return d.rnrNaks }
-
-// Doorbells returns how many PostSend doorbells this device's QPs have
-// rung — one per posted chain, however many work requests it links.
-func (d *Device) Doorbells() int64 { return d.doorbells }
 
 // verbsMetrics caches the device's instrument pointers so hot paths pay
 // an array index instead of a registry lookup.
 type verbsMetrics struct {
-	tx      [opRecvBound]*obs.Counter // WQEs processed, by opcode
-	cqe     [opRecvBound]*obs.Counter // completions delivered, by opcode
-	inline  *obs.Counter              // inline sends (payload captured at post)
-	dma     *obs.Counter              // sends paying the host-DMA fetch
-	rnrNaks *obs.Counter              // RNR NAKs generated as a receiver
+	tx        [opRecvBound]*obs.Counter // WQEs processed, by opcode
+	cqe       [opRecvBound]*obs.Counter // completions delivered, by opcode
+	inline    *obs.Counter              // inline sends (payload captured at post)
+	dma       *obs.Counter              // sends paying the host-DMA fetch
+	rnrNaks   *obs.Counter              // RNR NAKs generated as a receiver
+	doorbells *obs.Counter              // PostSend doorbells: one per chain, however many WRs it links
 }
 
 const opRecvBound = int(OpRecv) + 1
@@ -111,16 +101,13 @@ const opRecvBound = int(OpRecv) + 1
 // WQE and completion counters, inline-vs-DMA accounting, and — when the
 // registry carries a tracer — doorbell→completion spans for signaled
 // work requests. Counters are shared by name across devices attached to
-// the same registry.
+// the same registry. Pass nil to detach.
 func (d *Device) SetObs(r *obs.Registry) {
-	if r == nil {
-		d.vm, d.trc = nil, nil
-		return
-	}
-	m := &verbsMetrics{
-		inline:  r.Counter("verbs.tx.inline"),
-		dma:     r.Counter("verbs.tx.dma"),
-		rnrNaks: r.Counter("verbs.rnr_naks"),
+	m := verbsMetrics{
+		inline:    r.Counter("verbs.tx.inline"),
+		dma:       r.Counter("verbs.tx.dma"),
+		rnrNaks:   r.Counter("verbs.rnr_naks"),
+		doorbells: r.Counter("verbs.doorbells"),
 	}
 	for op := 0; op < opRecvBound; op++ {
 		m.tx[op] = r.Counter("verbs.tx." + Opcode(op).String())   //hatlint:allow obsnames -- suffix bounded by the Opcode enum
@@ -355,8 +342,8 @@ func (d *Device) CreateCQ() *CQ {
 }
 
 func (cq *CQ) push(wc WC) {
-	if m := cq.dev.vm; m != nil && int(wc.Op) < opRecvBound {
-		m.cqe[wc.Op].Inc()
+	if int(wc.Op) < opRecvBound {
+		cq.dev.vm.cqe[wc.Op].Inc()
 	}
 	cq.done = append(cq.done, wc)
 	cq.sig.Fire()
@@ -716,10 +703,7 @@ func (qp *QP) noRecv(pkt *packet) {
 // WCRNRRetryExceeded. Error completions are raised even for unsignaled
 // work requests — as on real RNICs, where errors are never silent.
 func (d *Device) rnrNak(pkt *packet, attempt int) {
-	d.rnrNaks++
-	if m := d.vm; m != nil {
-		m.rnrNaks.Inc()
-	}
+	d.vm.rnrNaks.Inc()
 	qp := pkt.dstQP
 	wait := sim.Duration(d.cm.RnrTimerNs) + 2*d.node.Cluster().PropDelay()
 	if attempt >= qp.rnrBudget() {
@@ -771,7 +755,7 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) {
 	}
 	d := qp.dev
 	// One doorbell posts the entire chain (the Chained-Write-Send saving).
-	d.doorbells++
+	d.vm.doorbells.Inc()
 	d.node.CPU.Compute(p, sim.Duration(d.cm.DoorbellNs))
 	if qp.errored {
 		for w := wr; w != nil; w = w.Next {
@@ -961,17 +945,15 @@ func (d *Device) txEngine(p *sim.Proc) {
 			continue
 		}
 		p.Sleep(sim.Duration(cm.WQEProcessNs))
-		if m := d.vm; m != nil && int(pkt.kind) < opRecvBound {
-			m.tx[pkt.kind].Inc()
+		if int(pkt.kind) < opRecvBound {
+			d.vm.tx[pkt.kind].Inc()
 		}
 		switch pkt.kind {
 		case OpSend, OpSendImm, OpWrite, OpWriteImm:
-			if m := d.vm; m != nil {
-				if pkt.inline {
-					m.inline.Inc()
-				} else {
-					m.dma.Inc()
-				}
+			if pkt.inline {
+				d.vm.inline.Inc()
+			} else {
+				d.vm.dma.Inc()
 			}
 			n := len(pkt.payload)
 			if !pkt.inline {
@@ -985,8 +967,10 @@ func (d *Device) txEngine(p *sim.Proc) {
 			if signaled && delivered {
 				// Local send completion once the message is on the wire.
 				cqeAt := txDone + sim.Time(cm.CQEDmaNs)
-				d.trc.Complete("verbs", "wr."+op.String(), d.node.ID(), int(qp.id),
-					postTs, int64(cqeAt), obs.Arg{K: "wrid", V: id}, obs.Arg{K: "bytes", V: n})
+				if trc := d.trc; trc != nil {
+					trc.Complete("verbs", "wr."+op.String(), d.node.ID(), int(qp.id),
+						postTs, int64(cqeAt), obs.Arg{K: "wrid", V: id}, obs.Arg{K: "bytes", V: n})
+				}
 				d.env.At(cqeAt, func() {
 					qp.sendCQ.push(WC{WRID: id, Op: op, ByteLen: n, QP: qp})
 				})
@@ -1146,9 +1130,11 @@ func (d *Device) receive(pkt *packet) {
 		}
 		qp := pkt.dstQP
 		dly := sim.Duration(cm.DMATime(n) + cm.CQEDmaNs)
-		d.trc.Complete("verbs", "wr.READ", d.node.ID(), int(qp.id),
-			pkt.postTs, int64(env.Now())+int64(dly),
-			obs.Arg{K: "wrid", V: pkt.wrid}, obs.Arg{K: "bytes", V: n})
+		if trc := d.trc; trc != nil {
+			trc.Complete("verbs", "wr.READ", d.node.ID(), int(qp.id),
+				pkt.postTs, int64(env.Now())+int64(dly),
+				obs.Arg{K: "wrid", V: pkt.wrid}, obs.Arg{K: "bytes", V: n})
+		}
 		pkt.cq = qp.sendCQ
 		pkt.wc = WC{WRID: pkt.wrid, Op: OpRead, ByteLen: n, QP: qp}
 		env.After(dly, pkt.cqeFn)

@@ -4,9 +4,18 @@ import (
 	"bytes"
 	"testing"
 
+	"hatrpc/internal/obs"
 	"hatrpc/internal/sim"
 	"hatrpc/internal/simnet"
 )
+
+// openObserved opens a device with a registry of its own attached: a
+// device counts nothing a test could read without one.
+func openObserved(node *simnet.Node, cm *CostModel) *Device {
+	d := OpenDevice(node, cm)
+	d.SetObs(obs.NewRegistry())
+	return d
+}
 
 // testPair builds a two-node cluster with connected QPs and returns both
 // sides' resources.
@@ -22,8 +31,8 @@ func testPair(env *sim.Env) (a, b side) {
 		Nodes: 2, Cores: 28, Sockets: 2, LinkGbps: 100, PropDelayNs: 600, NUMAPenalty: 1.25,
 	})
 	cm := DefaultCostModel()
-	da := OpenDevice(cl.Node(0), cm)
-	db := OpenDevice(cl.Node(1), cm)
+	da := openObserved(cl.Node(0), cm)
+	db := openObserved(cl.Node(1), cm)
 	a = side{dev: da, pd: da.AllocPD()}
 	b = side{dev: db, pd: db.AllocPD()}
 	a.cq = da.CreateCQ()
