@@ -25,11 +25,10 @@ import (
 func BenchmarkAblationChaining(b *testing.B) {
 	for _, proto := range []engine.Protocol{engine.DirectWriteSend, engine.ChainedWriteSend} {
 		b.Run(proto.String(), func(b *testing.B) {
-			cfg := atb.ProtoLatencyConfig{
-				Protos: []engine.Protocol{proto}, Busy: []bool{true},
-				Sizes: []int{512}, Iters: 30, Seed: 1,
-			}
-			pts := atb.RunProtoLatency(cfg)
+			pts := atb.Sweep{
+				Subjects: []atb.Subject{atb.Raw(proto, true)},
+				Sizes:    []int{512}, Iters: 30, Seed: 1,
+			}.Run()
 			spin(b)
 			b.ReportMetric(pts[0].AvgNs, "vlat-ns/op")
 		})
@@ -42,12 +41,11 @@ func BenchmarkAblationPolling(b *testing.B) {
 	for _, clients := range []int{4, 28, 256} {
 		for _, busy := range []bool{true, false} {
 			b.Run(fmt.Sprintf("clients=%d/%s", clients, poll(busy)), func(b *testing.B) {
-				cfg := atb.ProtoThroughputConfig{
-					Protos: []engine.Protocol{engine.DirectWriteIMM}, Busy: []bool{busy},
-					Sizes: []int{512}, Clients: []int{clients},
+				pts := atb.Sweep{
+					Subjects: []atb.Subject{atb.Raw(engine.DirectWriteIMM, busy)},
+					Sizes:    []int{512}, Clients: []int{clients},
 					DurationNs: 200_000, Seed: 3,
-				}
-				pts := atb.RunProtoThroughput(cfg)
+				}.Run()
 				spin(b)
 				b.ReportMetric(pts[0].OpsPerS, "vops/s")
 			})

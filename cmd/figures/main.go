@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"hatrpc/internal/atb"
@@ -35,41 +36,167 @@ import (
 	"hatrpc/internal/ycsb"
 )
 
-var outDir string
-
 func main() {
-	flag.StringVar(&outDir, "out", "results", "output directory")
-	only := flag.String("only", "", "comma-separated subset (fig04..fig17,derived)")
-	metrics := flag.Bool("metrics", false, "write obs tables to results/metrics.txt")
-	traceFile := flag.String("trace", "", "write a chrome://tracing JSON event trace to FILE")
-	faults := flag.Bool("faults", false, "inject faults: 1% per-hop packet loss unless -loss/-jitter override")
-	loss := flag.Float64("loss", 0, "per-hop drop probability, e.g. 0.05 (implies -faults)")
-	jitter := flag.Int64("jitter", 0, "max per-hop latency jitter in ns (implies -faults)")
-	deadline := flag.Int64("deadline", 2_000_000, "per-call deadline floor in ns for fault runs (0 = no deadline: one unbounded attempt, never re-sent)")
-	flag.Parse()
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		os.Exit(1)
+	}
+}
 
+// atbFigure renders one ATB figure: a sweep, its table columns and how a
+// point becomes a row.
+type atbFigure struct {
+	name, title, caption string
+	sweep                atb.Sweep
+	cols                 []string
+	row                  func(atb.Point) []any
+}
+
+func latRow(p atb.Point) []any {
+	return []any{p.Name, stats.FormatBytes(p.Size), stats.FormatNs(p.AvgNs), stats.FormatNs(p.P99Ns)}
+}
+
+func tputRow(p atb.Point) []any {
+	return []any{p.Name, stats.FormatBytes(p.Size), p.Clients, fmt.Sprintf("%.1f", p.OpsPerS/1000), fmt.Sprintf("%.1f", p.MBps)}
+}
+
+func mixRow(p atb.Point) []any {
+	return []any{p.Name, p.Clients, stats.FormatNs(p.AvgNs), fmt.Sprintf("%.1f", p.OpsPerS/1000)}
+}
+
+// withPolling inserts the raw figures' polling column after the protocol.
+func withPolling(row func(atb.Point) []any) func(atb.Point) []any {
+	return func(p atb.Point) []any {
+		poll := "event"
+		if p.Busy {
+			poll = "busy"
+		}
+		r := row(p)
+		return append([]any{r[0], poll}, r[1:]...)
+	}
+}
+
+var mixCols = []string{"system", "clients", "lat-call avg", "tput-call Kops/s"}
+
+// fig11 is named because the derived claims reuse its points.
+var fig11 = atbFigure{"fig11", "Figure 11", "service-level hints: latency vs fixed-protocol baselines",
+	atb.Fig11(), []string{"system", "size", "avg", "p99"}, latRow}
+
+var atbFigures = []atbFigure{
+	{"fig04", "Figure 4", "RPC-like latency of nine RDMA protocols × polling mechanism",
+		atb.Fig04(), []string{"protocol", "polling", "size", "avg", "p99"}, withPolling(latRow)},
+	{"fig05", "Figure 5", "multi-client throughput of RDMA protocols × polling (under/full/over subscription)",
+		atb.Fig05(), []string{"protocol", "polling", "size", "clients", "Kops/s", "MB/s"}, withPolling(tputRow)},
+	fig11,
+	{"fig12", "Figure 12", "service-level hints: aggregated throughput, 1–512 clients",
+		atb.Fig12(), []string{"system", "size", "clients", "Kops/s", "MB/s"}, tputRow},
+	{"fig13", "Figure 13", "function-level hints: 50/50 mixed workload, 512B payloads", atb.Fig13(), mixCols, mixRow},
+	{"fig14", "Figure 14", "function-level hints: 50/50 mixed workload, 128KB payloads", atb.Fig14(), mixCols, mixRow},
+}
+
+// render runs the figure's sweep on tb and returns the file content and
+// the points behind it.
+func (fig atbFigure) render(tb atb.Testbed) (string, []atb.Point) {
+	fig.sweep.Testbed = tb
+	pts := fig.sweep.Run()
+	t := stats.NewTable(fig.cols...)
+	for _, p := range pts {
+		t.Row(fig.row(p)...)
+	}
+	return header(fig.title, fig.caption) + t.String(), pts
+}
+
+func run(args []string) error {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	outDir := fs.String("out", "results", "output directory")
+	only := fs.String("only", "", "comma-separated subset (fig04..fig17,derived)")
+	metrics := fs.Bool("metrics", false, "write obs tables to results/metrics.txt")
+	traceFile := fs.String("trace", "", "write a chrome://tracing JSON event trace to FILE")
+	faults := fs.Bool("faults", false, "inject faults: 1% per-hop packet loss unless -loss/-jitter override")
+	loss := fs.Float64("loss", 0, "per-hop drop probability, e.g. 0.05 (implies -faults)")
+	jitter := fs.Int64("jitter", 0, "max per-hop latency jitter in ns (implies -faults)")
+	deadline := fs.Int64("deadline", 2_000_000, "per-call deadline floor in ns for fault runs (0 = no deadline: one unbounded attempt, never re-sent)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	var fig11Pts []atb.Point
+	var fig17Res []tpch.QueryResult
+	type figure struct {
+		name string
+		gen  func(atb.Testbed) string
+	}
+	var figs []figure
+	for _, fig := range atbFigures {
+		figs = append(figs, figure{fig.name, func(tb atb.Testbed) string {
+			s, pts := fig.render(tb)
+			if fig.name == fig11.name {
+				fig11Pts = pts
+			}
+			return s
+		}})
+	}
+	figs = append(figs,
+		figure{"fig15", func(atb.Testbed) string { return figYCSB(ycsb.WorkloadA(3000), 15) }},
+		figure{"fig16", func(atb.Testbed) string { return figYCSB(ycsb.WorkloadB(3000), 16) }},
+		figure{"fig17", func(atb.Testbed) string {
+			s, res := fig17()
+			fig17Res = res
+			return s
+		}},
+		figure{"derived", func(tb atb.Testbed) string {
+			if fig11Pts == nil {
+				_, fig11Pts = fig11.render(tb)
+			}
+			return derived(fig11Pts, fig17Res)
+		}})
+
+	want := map[string]bool{}
+	if *only != "" {
+		var valid []string
+		for _, f := range figs {
+			valid = append(valid, f.name)
+		}
+		for _, s := range strings.Split(*only, ",") {
+			s = strings.TrimSpace(s)
+			if !slices.Contains(valid, s) {
+				return fmt.Errorf("-only: unknown figure %q (valid: %s)", s, strings.Join(valid, ","))
+			}
+			want[s] = true
+		}
+	}
+
+	var tb atb.Testbed
 	if *faults || *loss > 0 || *jitter > 0 {
 		p := *loss
 		if p == 0 && *jitter == 0 {
 			p = 0.01
 		}
-		atb.FaultSpec = &simnet.FaultConfig{DropProb: p, JitterNs: *jitter}
-		atb.CallDeadlineNs = *deadline
+		tb.Faults = &simnet.FaultConfig{DropProb: p, JitterNs: *jitter}
+		tb.DeadlineNs = *deadline
 	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		fatal(err)
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		return err
 	}
-
 	var reg *obs.Registry
 	var tracer *obs.Tracer
+	var traceOut *os.File
 	if *metrics || *traceFile != "" {
 		reg = obs.NewRegistry()
 		if *traceFile != "" {
+			// Created before the first sweep: an unwritable path fails
+			// now, not after every figure has run.
+			f, err := os.Create(*traceFile)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			traceOut = f
 			tracer = obs.NewTracer()
 			reg.SetTracer(tracer)
 		}
 		runIdx := 0
-		atb.FabricHook = func(f *atb.Fabric) {
+		tb.Hook = func(f *atb.Fabric) {
 			tracer.SetPIDOffset(runIdx * 16)
 			runIdx++
 			for _, e := range f.Engines() {
@@ -80,130 +207,40 @@ func main() {
 			}
 		}
 	}
-	defer func() {
-		if *metrics {
-			path := filepath.Join(outDir, "metrics.txt")
-			if err := os.WriteFile(path, []byte(reg.Render()), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("  wrote %s\n", path)
+
+	for _, f := range figs {
+		if len(want) > 0 && !want[f.name] {
+			continue
 		}
-		if *traceFile != "" {
-			f, err := os.Create(*traceFile)
-			if err != nil {
-				fatal(err)
-			}
-			if err := tracer.WriteJSON(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("  wrote %d trace events to %s\n", tracer.Len(), *traceFile)
-		}
-	}()
-	want := map[string]bool{}
-	if *only != "" {
-		for _, s := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(s)] = true
-		}
-	}
-	run := func(name string, fn func() string) {
-		if len(want) > 0 && !want[name] {
-			return
-		}
-		fmt.Printf("generating %s...\n", name)
-		content := fn()
-		path := filepath.Join(outDir, name+".txt")
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			fatal(err)
+		fmt.Printf("generating %s...\n", f.name)
+		path := filepath.Join(*outDir, f.name+".txt")
+		if err := os.WriteFile(path, []byte(f.gen(tb)), 0o644); err != nil {
+			return err
 		}
 		fmt.Printf("  wrote %s\n", path)
 	}
 
-	var fig11Pts []atb.HintLatencyPoint
-	var fig17Res []tpch.QueryResult
-
-	run("fig04", fig04)
-	run("fig05", fig05)
-	run("fig11", func() string {
-		s, pts := fig11()
-		fig11Pts = pts
-		return s
-	})
-	run("fig12", fig12)
-	run("fig13", func() string { return figMix(atb.DefaultMixConfig512(), 13) })
-	run("fig14", func() string { return figMix(atb.DefaultMixConfig128K(), 14) })
-	run("fig15", func() string { return figYCSB(ycsb.WorkloadA(3000), 15) })
-	run("fig16", func() string { return figYCSB(ycsb.WorkloadB(3000), 16) })
-	run("fig17", func() string {
-		s, res := fig17()
-		fig17Res = res
-		return s
-	})
-	run("derived", func() string { return derived(fig11Pts, fig17Res) })
+	if *metrics {
+		path := filepath.Join(*outDir, "metrics.txt")
+		if err := os.WriteFile(path, []byte(reg.Render()), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("  wrote %s\n", path)
+	}
+	if traceOut != nil {
+		if err := tracer.WriteJSON(traceOut); err != nil {
+			return err
+		}
+		if err := traceOut.Close(); err != nil {
+			return err
+		}
+		fmt.Printf("  wrote %d trace events to %s\n", tracer.Len(), *traceFile)
+	}
+	return nil
 }
 
 func header(fig, caption string) string {
 	return fmt.Sprintf("%s — %s\n(simulated reproduction; shapes comparable, absolute values are the simulator's)\n\n", fig, caption)
-}
-
-func poll(b bool) string {
-	if b {
-		return "busy"
-	}
-	return "event"
-}
-
-func fig04() string {
-	cfg := atb.DefaultProtoLatencyConfig()
-	pts := atb.RunProtoLatency(cfg)
-	tb := stats.NewTable("protocol", "polling", "size", "avg", "p99")
-	for _, p := range pts {
-		tb.Row(p.Proto.String(), poll(p.Busy), stats.FormatBytes(p.Size),
-			stats.FormatNs(p.AvgNs), stats.FormatNs(p.P99Ns))
-	}
-	return header("Figure 4", "RPC-like latency of nine RDMA protocols × polling mechanism") + tb.String()
-}
-
-func fig05() string {
-	pts := atb.RunProtoThroughput(atb.DefaultProtoThroughputConfig())
-	tb := stats.NewTable("protocol", "polling", "size", "clients", "Kops/s", "MB/s")
-	for _, p := range pts {
-		tb.Row(p.Proto.String(), poll(p.Busy), stats.FormatBytes(p.Size), p.Clients,
-			fmt.Sprintf("%.1f", p.OpsPerS/1000), fmt.Sprintf("%.1f", p.MBps))
-	}
-	return header("Figure 5", "multi-client throughput of RDMA protocols × polling (under/full/over subscription)") + tb.String()
-}
-
-func fig11() (string, []atb.HintLatencyPoint) {
-	pts := atb.RunHintLatency(atb.DefaultHintLatencyConfig())
-	tb := stats.NewTable("system", "size", "avg", "p99")
-	for _, p := range pts {
-		tb.Row(p.System, stats.FormatBytes(p.Size), stats.FormatNs(p.AvgNs), stats.FormatNs(p.P99Ns))
-	}
-	return header("Figure 11", "service-level hints: latency vs fixed-protocol baselines") + tb.String(), pts
-}
-
-func fig12() string {
-	cfg := atb.DefaultHintThroughputConfig()
-	pts := atb.RunHintThroughput(cfg)
-	tb := stats.NewTable("system", "size", "clients", "Kops/s", "MB/s")
-	for _, p := range pts {
-		tb.Row(p.System, stats.FormatBytes(p.Size), p.Clients,
-			fmt.Sprintf("%.1f", p.OpsPerS/1000), fmt.Sprintf("%.1f", p.MBps))
-	}
-	return header("Figure 12", "service-level hints: aggregated throughput, 1–512 clients") + tb.String()
-}
-
-func figMix(cfg atb.MixConfig, fig int) string {
-	pts := atb.RunMix(cfg)
-	tb := stats.NewTable("system", "clients", "lat-call avg", "tput-call Kops/s")
-	for _, p := range pts {
-		tb.Row(p.System, p.Clients, stats.FormatNs(p.LatAvgNs), fmt.Sprintf("%.1f", p.TputOpsS/1000))
-	}
-	return header(fmt.Sprintf("Figure %d", fig),
-		fmt.Sprintf("function-level hints: 50/50 mixed workload, %s payloads", stats.FormatBytes(cfg.Size))) + tb.String()
 }
 
 func figYCSB(w ycsb.Workload, fig int) string {
@@ -265,18 +302,15 @@ func fig17() (string, []tpch.QueryResult) {
 }
 
 // derived reproduces the §5.2/§5.5 textual claims from the measured data.
-func derived(fig11Pts []atb.HintLatencyPoint, fig17Res []tpch.QueryResult) string {
+func derived(fig11Pts []atb.Point, fig17Res []tpch.QueryResult) string {
 	var b strings.Builder
 	b.WriteString("Derived claims (paper §5.2 / §5.5 text)\n\n")
-	if len(fig11Pts) == 0 {
-		fig11Pts = atb.RunHintLatency(atb.DefaultHintLatencyConfig())
-	}
 	bySys := map[string]map[int]float64{}
 	for _, p := range fig11Pts {
-		if bySys[p.System] == nil {
-			bySys[p.System] = map[int]float64{}
+		if bySys[p.Name] == nil {
+			bySys[p.Name] = map[int]float64{}
 		}
-		bySys[p.System][p.Size] = p.AvgNs
+		bySys[p.Name][p.Size] = p.AvgNs
 	}
 	imp := func(base string, small bool) (lo, hi float64) {
 		lo, hi = 1e18, -1e18
@@ -347,9 +381,4 @@ func ratio(base, v int64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.2fx", float64(base)/float64(v))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "figures:", err)
-	os.Exit(1)
 }

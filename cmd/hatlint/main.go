@@ -1,6 +1,6 @@
 // Command hatlint runs the repository's custom static-analysis suite
 // (DESIGN.md §11, §16): the AST/type-based checks (simdet, maporder,
-// nogoroutine, obsnames, wrsigned) and the flow-sensitive checks
+// nogoroutine, obsnames) and the flow-sensitive checks
 // (arenaalias, epochfence, wirebounds, errtaxonomy). It loads packages
 // from source with the standard library's type checker, so it needs no
 // module proxy and no generated export data.

@@ -14,12 +14,11 @@ import (
 	"hatrpc/internal/analyzers/obsnames"
 	"hatrpc/internal/analyzers/simdet"
 	"hatrpc/internal/analyzers/wirebounds"
-	"hatrpc/internal/analyzers/wrsigned"
 )
 
 // All returns every analyzer in the hatlint suite, in stable order.
-// The first five are AST/type-based (PR 4); the last four ride the
-// flow-sensitive engine (DESIGN.md §16).
+// simdet, maporder, nogoroutine and obsnames are AST/type-based (PR 4);
+// the other four ride the flow-sensitive engine (DESIGN.md §16).
 func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		arenaalias.Analyzer,
@@ -30,6 +29,5 @@ func All() []*framework.Analyzer {
 		obsnames.Analyzer,
 		simdet.Analyzer,
 		wirebounds.Analyzer,
-		wrsigned.Analyzer,
 	}
 }

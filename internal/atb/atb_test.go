@@ -6,27 +6,21 @@ import (
 	"hatrpc/internal/engine"
 )
 
-// fastLatencyCfg keeps unit-test runtime small.
-func fastLatencyCfg() ProtoLatencyConfig {
-	return ProtoLatencyConfig{
-		Protos: []engine.Protocol{engine.EagerSendRecv, engine.DirectWriteIMM, engine.RFP, engine.WriteRNDV},
-		Busy:   []bool{true, false},
-		Sizes:  []int{64, 131072},
-		Iters:  8,
-		Seed:   1,
-	}
+// fastLatency keeps unit-test runtime small.
+func fastLatency(protos ...engine.Protocol) Sweep {
+	return Sweep{Subjects: rawBothPollings(protos...), Sizes: []int{64, 131072}, Iters: 8, Seed: 1}
 }
 
 func TestProtoLatencyShapes(t *testing.T) {
-	pts := RunProtoLatency(fastLatencyCfg())
-	get := func(proto engine.Protocol, busy bool, size int) LatencyPoint {
+	pts := fastLatency(engine.EagerSendRecv, engine.DirectWriteIMM, engine.RFP, engine.WriteRNDV).Run()
+	get := func(proto engine.Protocol, busy bool, size int) Point {
 		for _, p := range pts {
 			if p.Proto == proto && p.Busy == busy && p.Size == size {
 				return p
 			}
 		}
 		t.Fatalf("missing point %v busy=%v size=%d", proto, busy, size)
-		return LatencyPoint{}
+		return Point{}
 	}
 	// Busy polling beats event polling for every protocol/size (Fig. 4).
 	for _, proto := range []engine.Protocol{engine.EagerSendRecv, engine.DirectWriteIMM, engine.RFP} {
@@ -51,23 +45,21 @@ func TestProtoLatencyShapes(t *testing.T) {
 }
 
 func TestProtoThroughputOverSubscription(t *testing.T) {
-	cfg := ProtoThroughputConfig{
-		Protos:     []engine.Protocol{engine.DirectWriteIMM},
-		Busy:       []bool{true, false},
+	pts := Sweep{
+		Subjects:   rawBothPollings(engine.DirectWriteIMM),
 		Sizes:      []int{512},
 		Clients:    []int{4, 128},
 		DurationNs: 150_000,
 		Seed:       2,
-	}
-	pts := RunProtoThroughput(cfg)
-	get := func(busy bool, clients int) ThroughputPoint {
+	}.Run()
+	get := func(busy bool, clients int) Point {
 		for _, p := range pts {
 			if p.Busy == busy && p.Clients == clients {
 				return p
 			}
 		}
 		t.Fatal("missing point")
-		return ThroughputPoint{}
+		return Point{}
 	}
 	// Fig. 5: under-subscription busy wins; over-subscription busy
 	// polling degrades below event polling.
@@ -84,19 +76,13 @@ func TestProtoThroughputOverSubscription(t *testing.T) {
 }
 
 func TestHintLatencyHatRPCWins(t *testing.T) {
-	cfg := HintLatencyConfig{
-		Systems: DefaultSystems(),
-		Sizes:   []int{512, 131072},
-		Iters:   10,
-		Seed:    3,
-	}
-	pts := RunHintLatency(cfg)
+	pts := Sweep{Subjects: systems(), Sizes: []int{512, 131072}, Iters: 10, Seed: 3}.Run()
 	bySystem := map[string]map[int]float64{}
 	for _, p := range pts {
-		if bySystem[p.System] == nil {
-			bySystem[p.System] = map[int]float64{}
+		if bySystem[p.Name] == nil {
+			bySystem[p.Name] = map[int]float64{}
 		}
-		bySystem[p.System][p.Size] = p.AvgNs
+		bySystem[p.Name][p.Size] = p.AvgNs
 	}
 	for _, size := range []int{512, 131072} {
 		hat := bySystem["HatRPC"][size]
@@ -120,42 +106,33 @@ func TestHintLatencyHatRPCWins(t *testing.T) {
 }
 
 func TestMixBenchmarkRuns(t *testing.T) {
-	cfg := MixConfig{
-		Systems:    []System{{Name: "HatRPC", Force: engine.ProtoAuto}, {Name: "Hybrid-EagerRNDV", Force: engine.HybridEagerRNDV}},
-		Size:       512,
+	pts := Sweep{
+		Subjects:   systems()[:2], // HatRPC, Hybrid-EagerRNDV
+		Sizes:      []int{512},
 		Clients:    []int{8},
 		DurationNs: 150_000,
+		Mix:        true,
 		Seed:       4,
-	}
-	pts := RunMix(cfg)
+	}.Run()
 	if len(pts) != 2 {
 		t.Fatalf("%d points", len(pts))
 	}
-	var hat, hyb MixPoint
-	for _, p := range pts {
-		if p.System == "HatRPC" {
-			hat = p
-		} else {
-			hyb = p
-		}
-	}
-	if hat.LatAvgNs == 0 || hat.TputOpsS == 0 {
+	hat, hyb := pts[0], pts[1]
+	if hat.AvgNs == 0 || hat.OpsPerS == 0 {
 		t.Fatalf("empty mix measurement: %+v", hat)
 	}
-	if hat.LatAvgNs >= hyb.LatAvgNs {
-		t.Errorf("mix: HatRPC latency %.0f >= Hybrid %.0f", hat.LatAvgNs, hyb.LatAvgNs)
+	if hat.AvgNs >= hyb.AvgNs {
+		t.Errorf("mix: HatRPC latency %.0f >= Hybrid %.0f", hat.AvgNs, hyb.AvgNs)
 	}
-	if hat.TputOpsS <= hyb.TputOpsS {
-		t.Errorf("mix: HatRPC throughput %.0f <= Hybrid %.0f", hat.TputOpsS, hyb.TputOpsS)
+	if hat.OpsPerS <= hyb.OpsPerS {
+		t.Errorf("mix: HatRPC throughput %.0f <= Hybrid %.0f", hat.OpsPerS, hyb.OpsPerS)
 	}
 }
 
 func TestDeterministicBenchRuns(t *testing.T) {
-	cfg := fastLatencyCfg()
-	cfg.Protos = []engine.Protocol{engine.DirectWriteIMM}
-	cfg.Sizes = []int{512}
-	a := RunProtoLatency(cfg)
-	b := RunProtoLatency(cfg)
+	sw := fastLatency(engine.DirectWriteIMM)
+	sw.Sizes = []int{512}
+	a, b := sw.Run(), sw.Run()
 	if a[0].AvgNs != b[0].AvgNs {
 		t.Fatalf("nondeterministic: %v vs %v", a[0].AvgNs, b[0].AvgNs)
 	}

@@ -21,12 +21,8 @@ func sweepOutput(chaos bool) string {
 	tracer := obs.NewTracer()
 	reg.SetTracer(tracer)
 
-	savedHook, savedFaults, savedDeadline := FabricHook, FaultSpec, CallDeadlineNs
-	defer func() {
-		FabricHook, FaultSpec, CallDeadlineNs = savedHook, savedFaults, savedDeadline
-	}()
 	runIdx := 0
-	FabricHook = func(f *Fabric) {
+	tb := Testbed{Hook: func(f *Fabric) {
 		tracer.SetPIDOffset(runIdx * 16)
 		runIdx++
 		for _, e := range f.Engines() {
@@ -35,32 +31,27 @@ func sweepOutput(chaos bool) string {
 		if fp := f.Cluster.Faults(); fp != nil {
 			fp.SetObs(reg)
 		}
-	}
-	FaultSpec = nil
-	CallDeadlineNs = 0
+	}}
 	if chaos {
-		FaultSpec = &simnet.FaultConfig{DropProb: 0.02, JitterNs: 300}
-		CallDeadlineNs = 2_000_000
+		tb.Faults = &simnet.FaultConfig{DropProb: 0.02, JitterNs: 300}
+		tb.DeadlineNs = 2_000_000
 	}
 
-	lcfg := ProtoLatencyConfig{
-		Protos: []engine.Protocol{engine.EagerSendRecv, engine.DirectWriteIMM},
-		Busy:   []bool{true},
-		Sizes:  []int{512},
-		Iters:  6,
-		Seed:   42,
-	}
-	lat := RunProtoLatency(lcfg)
-
-	tcfg := ProtoThroughputConfig{
-		Protos:     []engine.Protocol{engine.EagerSendRecv},
-		Busy:       []bool{false},
+	lat := Sweep{
+		Testbed:  tb,
+		Subjects: []Subject{Raw(engine.EagerSendRecv, true), Raw(engine.DirectWriteIMM, true)},
+		Sizes:    []int{512},
+		Iters:    6,
+		Seed:     42,
+	}.Run()
+	tput := Sweep{
+		Testbed:    tb,
+		Subjects:   []Subject{Raw(engine.EagerSendRecv, false)},
 		Sizes:      []int{512},
 		Clients:    []int{4},
 		DurationNs: 2_000_000,
 		Seed:       42,
-	}
-	tput := RunProtoThroughput(tcfg)
+	}.Run()
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "latency: %+v\n", lat)
@@ -106,20 +97,16 @@ func TestByteIdenticalReplay(t *testing.T) {
 // loss about one attempt in thirteen arrives whole and the slowest call needs
 // several times the 2 ms -deadline default. The harness stretches the deadline
 // to what the size and loss rate call for (engine.LossDeadline), so the point
-// completes — RunProtoLatency panics on a failed call — and replays.
+// completes — the sweep panics on a failed call — and replays.
 func TestFaultRunBulkPointCompletes(t *testing.T) {
-	savedFaults, savedDeadline := FaultSpec, CallDeadlineNs
-	defer func() { FaultSpec, CallDeadlineNs = savedFaults, savedDeadline }()
-	FaultSpec = &simnet.FaultConfig{DropProb: 0.01}
-	CallDeadlineNs = 2_000_000
-	cfg := ProtoLatencyConfig{
-		Protos: []engine.Protocol{engine.EagerSendRecv},
-		Busy:   []bool{true},
-		Sizes:  []int{524288},
-		Iters:  30,
-		Seed:   42,
+	sw := Sweep{
+		Testbed:  Testbed{Faults: &simnet.FaultConfig{DropProb: 0.01}, DeadlineNs: 2_000_000},
+		Subjects: []Subject{Raw(engine.EagerSendRecv, true)},
+		Sizes:    []int{524288},
+		Iters:    30,
+		Seed:     42,
 	}
-	a, b := RunProtoLatency(cfg), RunProtoLatency(cfg)
+	a, b := sw.Run(), sw.Run()
 	if a[0] != b[0] {
 		t.Fatalf("replay diverged:\n%+v\n%+v", a[0], b[0])
 	}

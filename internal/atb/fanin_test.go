@@ -111,7 +111,7 @@ func runOneFanin(cfg faninConfig, hinted bool) faninPoint {
 	ecfg.SRQSlots = cfg.SRQSlots
 	ecfg.ModelRNR = true
 	ecfg.RnrRetry = 40
-	f := NewFabricWith(cfg.Seed, 2, cfg.BigSize, ecfg)
+	f := Testbed{}.newFabric(cfg.Seed, 2, cfg.BigSize, ecfg)
 	reg := obs.NewRegistry()
 	f.Server.SetObs(reg)
 	f.Server.Serve("atb", func(p *sim.Proc, fn uint32, req []byte) []byte {

@@ -66,8 +66,8 @@ func (c *Conn) postWrite(p *sim.Proc, h hdr, last *verbs.SendWR) {
 // Stage lends the payload area of the connection's staging region, empty
 // and with room for MaxMsgSize bytes. A caller that serializes a message
 // straight into it (appending; never past the capacity) and hands the
-// result to the next Call or SendResponse on this connection saves that
-// call its staging copy. The loan ends with that call: the region is the
+// result to the next Call on this connection, or returns it as the
+// handler's response, saves that send its staging copy. The loan ends with that call: the region is the
 // connection's one outbound buffer, and whatever it sends next overwrites
 // it. A closed connection lends nothing.
 func (c *Conn) Stage() []byte {

@@ -57,7 +57,7 @@ type CallOpts struct {
 // regime vs the 4 KB rendezvous threshold"): payloads up to AND
 // INCLUDING the threshold travel eagerly; strictly larger ones go
 // rendezvous. Both hybrids and both directions (request resolution and
-// SendResponse) share this single definition so they can never diverge.
+// sendResponse) share this single definition so they can never diverge.
 func hybridSwitch(proto Protocol, size, threshold int) Protocol {
 	switch proto {
 	case HybridEagerRNDV:
@@ -552,17 +552,12 @@ func (c *Conn) fetchKVUntil(p *sim.Proc, metaReads int, poll PollMode, until sim
 // ---------------------------------------------------------------------------
 // Server response paths
 
-// SendResponse delivers resp for the request described by a, honouring
-// the client's requested response protocol.
-func (c *Conn) SendResponse(p *sim.Proc, a Arrival, resp []byte, busy bool) {
-	c.sendResponse(p, a, resp, boolMode(busy))
-}
-
-// sendResponse is SendResponse with an explicit polling discipline (the
-// Server dispatcher resolves Server.Poll/Busy once and passes it down).
+// sendResponse delivers resp for the request described by a, honouring
+// the client's requested response protocol, under the polling discipline
+// the Server dispatcher resolved once from Server.Poll/Busy.
 func (c *Conn) sendResponse(p *sim.Proc, a Arrival, resp []byte, poll PollMode) {
 	if !c.server {
-		panic("engine: SendResponse on client connection")
+		panic("engine: sendResponse on client connection")
 	}
 	// A prior loss may have erred the QP; cycle it back before posting
 	// (no-op on a healthy QP, so free on a lossless fabric).

@@ -1014,13 +1014,9 @@ func (c *Conn) exitWait() {
 	}
 }
 
-// NextArrival blocks until a request (server) or response (client)
+// nextArrival blocks until a request (server) or response (client)
 // arrives, processing protocol-internal control traffic (RTS/CTS/FIN)
 // along the way.
-func (c *Conn) NextArrival(p *sim.Proc, busy bool) Arrival {
-	return c.nextArrival(p, boolMode(busy))
-}
-
 func (c *Conn) nextArrival(p *sim.Proc, poll PollMode) Arrival {
 	c.enterWait(poll)
 	defer c.exitWait()

@@ -49,9 +49,6 @@ func resolvePoll(mode PollMode, busy bool) PollMode {
 	return PollEventMode
 }
 
-// boolMode is resolvePoll for call sites that only carry the legacy flag.
-func boolMode(busy bool) PollMode { return resolvePoll(PollFromBusy, busy) }
-
 // DefaultAdaptiveSpinNs is the adaptive poller's spin window per wait
 // entry: comfortably above BusyDetectNs at low load (so an imminent
 // completion is caught spinning) and close to the InterruptWakeNs it
@@ -182,8 +179,7 @@ func (c *Conn) copyPayload(src []byte) []byte {
 }
 
 // Recycle returns a payload buffer previously delivered by this
-// connection (a Call result, or a request a hand-rolled NextArrival loop
-// is done with) to the engine's arena. It is optional — an unrecycled
+// connection (a Call result) to the engine's arena. It is optional — an unrecycled
 // buffer is ordinary garbage — but after Recycle the buffer must not be
 // touched: a later delivery reuses it. Server handlers never call it for
 // their request: the dispatcher recycles the request bytes once the

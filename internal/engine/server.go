@@ -434,9 +434,6 @@ const drainPollNs = 10_000
 // keys its probe suppression on. In-flight handlers are unaffected.
 func (s *Server) SetDraining(v bool) { s.draining = v }
 
-// Draining reports whether the drain fence is up.
-func (s *Server) Draining() bool { return s.draining }
-
 // Exempt marks function ids the drain fence lets through — the node ops
 // surface (health, metrics) must keep answering while draining.
 func (s *Server) Exempt(fns ...uint32) {

@@ -231,9 +231,6 @@ type VConn struct {
 // SID returns the wire session id this virtual connection stamps.
 func (vc *VConn) SID() uint32 { return vc.sid }
 
-// Tenant returns the admission-partition key.
-func (vc *VConn) Tenant() uint32 { return vc.tenant }
-
 // Call borrows a physical connection, issues the RPC with this virtual
 // connection's session id stamped in the header, and returns the conn
 // to the pool. Errors release too: the physical conn's own recovery

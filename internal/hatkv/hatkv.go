@@ -419,18 +419,7 @@ func Serve(eng *engine.Engine, sh *trdma.ServiceHints, store *Store) *trdma.TSer
 // ServiceOnlyHints strips the function-level hints from the generated
 // table, yielding the paper's "HatRPC-Service" variant.
 func ServiceOnlyHints() *trdma.ServiceHints {
-	full := kvgen.HatKVHints
-	fns := make(map[string]*hints.Set, len(full.Functions))
-	for name := range full.Functions {
-		fns[name] = hints.NewSet()
-	}
-	return &trdma.ServiceHints{
-		ServiceName: full.ServiceName,
-		Service:     full.Service,
-		Functions:   fns,
-		FnIDs:       full.FnIDs,
-		Oneway:      full.Oneway,
-	}
+	return kvgen.HatKVHints.ServiceOnly(kvgen.HatKVHints.Service)
 }
 
 // FunctionHints returns the full generated table ("HatRPC-Function").

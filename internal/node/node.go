@@ -402,9 +402,6 @@ func (h *HatNode) Engine() *engine.Engine { return h.eng }
 // Server returns the current boot's port server.
 func (h *HatNode) Server() *engine.Server { return h.srv }
 
-// ClusterNode returns the current boot's cluster service.
-func (h *HatNode) ClusterNode() *cluster.Node { return h.cn }
-
 // Store returns the durable store (survives boots).
 func (h *HatNode) Store() *hatkv.Store { return h.store }
 

@@ -205,9 +205,6 @@ func (e *Env) RunUntil(limit Time) Time {
 // Stop halts the scheduler after the current event completes.
 func (e *Env) Stop() { e.stopped = true }
 
-// Stopped reports whether Stop has been called.
-func (e *Env) Stopped() bool { return e.stopped }
-
 // ---------------------------------------------------------------------------
 // fifo: the slice-backed queue under Signal and Queue.
 

@@ -319,10 +319,10 @@ const (
 // RDMA connection handshakes (QP/buffer exchange) and by the IPoIB
 // transport.
 type Endpoint struct {
-	local, remote *Node
-	in            *sim.Queue[oobMsg]
-	peer          *Endpoint
-	closed        bool
+	local  *Node
+	in     *sim.Queue[oobMsg]
+	peer   *Endpoint
+	closed bool
 }
 
 type oobMsg struct {
@@ -390,18 +390,12 @@ func (n *Node) TryConnect(p *sim.Proc, target *Node, port string) (*Endpoint, er
 	if !ok {
 		return nil, ErrNoListener
 	}
-	client := &Endpoint{local: n, remote: target, in: sim.NewQueue[oobMsg](n.cluster.env)}
-	server := &Endpoint{local: target, remote: n, in: sim.NewQueue[oobMsg](n.cluster.env)}
+	client := &Endpoint{local: n, in: sim.NewQueue[oobMsg](n.cluster.env)}
+	server := &Endpoint{local: target, in: sim.NewQueue[oobMsg](n.cluster.env)}
 	client.peer, server.peer = server, client
 	q.Push(server)
 	return client, nil
 }
-
-// LocalNode returns the node this endpoint lives on.
-func (ep *Endpoint) LocalNode() *Node { return ep.local }
-
-// RemoteNode returns the node on the other side.
-func (ep *Endpoint) RemoteNode() *Node { return ep.remote }
 
 // Send ships payload (accounted as size bytes) to the peer, blocking the
 // sender for the local kernel-path cost; delivery is asynchronous after
@@ -445,15 +439,6 @@ func (ep *Endpoint) Recv(p *sim.Proc) any {
 // would park forever on a connection whose other end died.
 func (ep *Endpoint) RecvUntil(p *sim.Proc, until sim.Time) (any, bool) {
 	m, ok := ep.in.PopUntil(p, until)
-	if !ok {
-		return nil, false
-	}
-	return m.payload, true
-}
-
-// TryRecv returns a payload if one is queued.
-func (ep *Endpoint) TryRecv() (any, bool) {
-	m, ok := ep.in.TryPop()
 	if !ok {
 		return nil, false
 	}

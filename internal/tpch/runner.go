@@ -73,18 +73,8 @@ func (w *workerHandler) Ping(p *sim.Proc) (string, error) { return "ok", nil }
 // variant: one balanced service-level profile (no concurrency, payload,
 // NUMA or transport hints).
 func serviceOnlyWorkerHints() *trdma.ServiceHints {
-	full := tpchgen.TPCHWorkerHints
-	fns := make(map[string]*hints.Set, len(full.Functions))
-	for name := range full.Functions {
-		fns[name] = hints.NewSet()
-	}
-	return &trdma.ServiceHints{
-		ServiceName: full.ServiceName,
-		Service:     hints.MakeSet(map[hints.Key]string{hints.KeyPerfGoal: "throughput"}, nil, nil),
-		Functions:   fns,
-		FnIDs:       full.FnIDs,
-		Oneway:      full.Oneway,
-	}
+	return tpchgen.TPCHWorkerHints.ServiceOnly(
+		hints.MakeSet(map[hints.Key]string{hints.KeyPerfGoal: "throughput"}, nil, nil))
 }
 
 // QueryResult is one (query, stack) execution.
@@ -110,8 +100,7 @@ func DefaultBenchConfig() BenchConfig {
 }
 
 // RunBench executes the configured queries on each stack, returning
-// per-query times. Results rows are also returned for the first stack so
-// callers can sanity-check plans (all stacks produce identical rows).
+// per-query times; the result rows (identical on all stacks) are dropped.
 func RunBench(cfg BenchConfig) []QueryResult {
 	if cfg.Workers < 1 {
 		cfg.Workers = 9
@@ -125,7 +114,8 @@ func RunBench(cfg BenchConfig) []QueryResult {
 	dbs := Generate(cfg.SF, cfg.Workers, sim.NewRand(cfg.Seed))
 	var out []QueryResult
 	for _, stack := range cfg.Stacks {
-		out = append(out, runStack(cfg, stack, qs, dbs)...)
+		res, _ := ExecuteQueries(cfg, stack, qs, dbs)
+		out = append(out, res...)
 	}
 	return out
 }
@@ -133,15 +123,6 @@ func RunBench(cfg BenchConfig) []QueryResult {
 // ExecuteQueries runs the given queries on one stack and returns both
 // timings and result rows (for correctness checks).
 func ExecuteQueries(cfg BenchConfig, stack Stack, qs []int, dbs []*DB) ([]QueryResult, map[int][][]string) {
-	return runStackFull(cfg, stack, qs, dbs)
-}
-
-func runStack(cfg BenchConfig, stack Stack, qs []int, dbs []*DB) []QueryResult {
-	res, _ := runStackFull(cfg, stack, qs, dbs)
-	return res
-}
-
-func runStackFull(cfg BenchConfig, stack Stack, qs []int, dbs []*DB) ([]QueryResult, map[int][][]string) {
 	env := sim.NewEnv(cfg.Seed)
 	ncfg := simnet.DefaultConfig()
 	ncfg.Nodes = cfg.Workers + 1

@@ -35,13 +35,20 @@ type ServiceHints struct {
 	Oneway map[string]bool
 }
 
-// FnNames returns a name lookup by id.
-func (sh *ServiceHints) FnNames() map[uint32]string {
-	out := make(map[uint32]string, len(sh.FnIDs))
-	for n, id := range sh.FnIDs {
-		out[id] = n
+// ServiceOnly returns the table with every function-level set emptied and
+// service as the service-level set: the paper's "HatRPC-Service" variants.
+func (sh *ServiceHints) ServiceOnly(service *hints.Set) *ServiceHints {
+	fns := make(map[string]*hints.Set, len(sh.Functions))
+	for name := range sh.Functions {
+		fns[name] = hints.NewSet()
 	}
-	return out
+	return &ServiceHints{
+		ServiceName: sh.ServiceName,
+		Service:     service,
+		Functions:   fns,
+		FnIDs:       sh.FnIDs,
+		Oneway:      sh.Oneway,
+	}
 }
 
 // Resolve flattens the hierarchy for one function and side.
@@ -79,6 +86,8 @@ type TRdma struct {
 	cores  int
 	thresh int
 	plans  map[string]plan
+	// policy is DialOptions.Policy: non-nil overrides plans on every call.
+	policy func(fn string, reqSize int) engine.CallOpts
 	last   []byte // previous engine response, recycled by the next Invoke
 	closed bool
 }
@@ -87,11 +96,11 @@ var _ Transport = (*TRdma)(nil)
 
 // DialOptions configures connection establishment.
 type DialOptions struct {
-	// ForceProto pins every function to one protocol (used by the ATB
-	// baseline runs); nil means hint-driven selection.
-	ForceProto *engine.Protocol
-	// ForceBusy pins the polling mode when ForceProto is set.
-	ForceBusy bool
+	// Policy, when non-nil, replaces the hint-derived plans: each call's
+	// options are what it returns for that function and request size (the
+	// ATB fixed-protocol baselines, the YCSB comparator emulations). It is
+	// consulted on every call, never cached.
+	Policy func(fn string, reqSize int) engine.CallOpts
 }
 
 // Dial establishes a hint-accelerated connection to the service listening
@@ -119,12 +128,8 @@ func Dial(p *sim.Proc, eng *engine.Engine, target *simnet.Node, sh *ServiceHints
 	if needTCP || allTCP {
 		t.tcp = ipoib.Dial(p, eng.Node(), target, "hat:"+sh.ServiceName, nil)
 	}
-	if opt != nil && opt.ForceProto != nil {
-		for fn := range sh.FnIDs {
-			t.plans[fn] = plan{opts: engine.CallOpts{
-				Proto: *opt.ForceProto, Busy: opt.ForceBusy,
-			}}
-		}
+	if opt != nil {
+		t.policy = opt.Policy
 	}
 	return t
 }
@@ -163,7 +168,8 @@ func (t *TRdma) planFor(fn string) plan {
 	return pl
 }
 
-// Invoke performs one RPC using the function's cached plan.
+// Invoke performs one RPC using the function's cached plan, or what the
+// dial-time policy says for this call.
 func (t *TRdma) Invoke(p *sim.Proc, fn string, request []byte, oneway bool) ([]byte, error) {
 	if t.closed {
 		return nil, fmt.Errorf("trdma: transport closed")
@@ -172,15 +178,20 @@ func (t *TRdma) Invoke(p *sim.Proc, fn string, request []byte, oneway bool) ([]b
 	if !ok {
 		return nil, fmt.Errorf("trdma: unknown function %q", fn)
 	}
-	pl := t.planFor(fn)
-	if pl.useTCP {
-		if oneway {
-			t.tcp.Send(p, request)
-			return nil, nil
+	var opts engine.CallOpts
+	if t.policy != nil {
+		opts = t.policy(fn, len(request))
+	} else {
+		pl := t.planFor(fn)
+		if pl.useTCP {
+			if oneway {
+				t.tcp.Send(p, request)
+				return nil, nil
+			}
+			return t.tcp.Call(p, request), nil
 		}
-		return t.tcp.Call(p, request), nil
+		opts = pl.opts
 	}
-	opts := pl.opts
 	opts.Oneway = oneway
 	// The caller has decoded the previous response by now (generated
 	// clients copy every field out before returning), so its buffer goes
@@ -200,7 +211,7 @@ func (t *TRdma) Stage() []byte {
 	return t.conn.Stage()
 }
 
-// Plan exposes the resolved client plan for a function (for tests and
+// Plan exposes the hint-resolved client plan for a function (for tests and
 // introspection).
 func (t *TRdma) Plan(fn string) engine.CallOpts { return t.planFor(fn).opts }
 
@@ -229,10 +240,7 @@ type Processor interface {
 // TServerRdma serves a processor over the RDMA engine, with an IPoIB
 // listener alongside when any function hints transport=tcp.
 type TServerRdma struct {
-	eng  *engine.Engine
-	sh   *ServiceHints
-	proc Processor
-	srv  *engine.Server
+	srv *engine.Server
 }
 
 // NewServer builds and starts the hint-configured server: the dispatcher
@@ -240,7 +248,6 @@ type TServerRdma struct {
 // function's server plan wants busy polling), NUMA binding from the
 // service-level hint.
 func NewServer(eng *engine.Engine, sh *ServiceHints, proc Processor) *TServerRdma {
-	s := &TServerRdma{eng: eng, sh: sh, proc: proc}
 	busy := false
 	adaptive := false
 	tcpToo := false
@@ -272,33 +279,34 @@ func NewServer(eng *engine.Engine, sh *ServiceHints, proc Processor) *TServerRdm
 		busy = false
 	}
 	svcServer := hints.TypeCheck(sh.Service.ForSide(hints.SideServer))
-	s.srv = eng.Serve("hat:"+sh.ServiceName, func(p *sim.Proc, fnID uint32, req []byte) []byte {
+	srv := eng.Serve("hat:"+sh.ServiceName, func(p *sim.Proc, fnID uint32, req []byte) []byte {
 		return proc.ProcessBytes(p, fnID, req)
 	})
-	s.srv.Busy = busy
+	srv.Busy = busy
 	if adaptive {
-		s.srv.Poll = engine.PollAdaptiveMode
+		srv.Poll = engine.PollAdaptiveMode
 	}
-	s.srv.NUMABind = svcServer.NUMABind
+	srv.NUMABind = svcServer.NUMABind
 	if tcpToo || svcServer.UseTCP {
-		s.serveTCP()
+		// The IPoIB side of a hybrid-transport service.
+		acceptTCP(eng.Node(), "hat:"+sh.ServiceName, "hat-tcp-"+sh.ServiceName, proc)
 	}
-	return s
+	return &TServerRdma{srv: srv}
 }
 
-// serveTCP starts the IPoIB side for hybrid-transport services. The fn id
-// rides inside the Thrift message name, so the processor receives id 0
-// and dispatches by name.
-func (s *TServerRdma) serveTCP() {
-	node := s.eng.Node()
-	ln := ipoib.Listen(node, "hat:"+s.sh.ServiceName, nil)
-	node.Spawn(fmt.Sprintf("hat-tcp-%s", s.sh.ServiceName), func(p *sim.Proc) {
+// acceptTCP serves proc to IPoIB connections on port, one process per
+// connection (a threaded server), all named after procName. The fn id rides
+// inside the Thrift message name, so the processor receives id 0 and
+// dispatches by name.
+func acceptTCP(node *simnet.Node, port, procName string, proc Processor) {
+	ln := ipoib.Listen(node, port, nil)
+	node.Spawn(procName, func(p *sim.Proc) {
 		for i := 0; ; i++ {
 			conn := ln.Accept(p)
-			node.Spawn(fmt.Sprintf("hat-tcp-%s-%d", s.sh.ServiceName, i), func(cp *sim.Proc) {
+			node.Spawn(fmt.Sprintf("%s-%d", procName, i), func(cp *sim.Proc) {
 				for {
 					req := conn.Recv(cp)
-					resp := s.proc.ProcessBytes(cp, 0, req)
+					resp := proc.ProcessBytes(cp, 0, req)
 					if len(resp) > 0 {
 						conn.Send(cp, resp)
 					}
@@ -342,22 +350,7 @@ func (t *TCPTransport) Stage() []byte { return nil }
 // Close is a no-op.
 func (t *TCPTransport) Close() error { return nil }
 
-// ServeTCP runs a processor as a vanilla Thrift-over-IPoIB server
-// (goroutine-per-connection threaded server).
+// ServeTCP runs a processor as a vanilla Thrift-over-IPoIB server.
 func ServeTCP(node *simnet.Node, serviceName string, proc Processor) {
-	ln := ipoib.Listen(node, "thrift:"+serviceName, nil)
-	node.Spawn(fmt.Sprintf("thrift-tcp-%s", serviceName), func(p *sim.Proc) {
-		for i := 0; ; i++ {
-			conn := ln.Accept(p)
-			node.Spawn(fmt.Sprintf("thrift-tcp-%s-%d", serviceName, i), func(cp *sim.Proc) {
-				for {
-					req := conn.Recv(cp)
-					resp := proc.ProcessBytes(cp, 0, req)
-					if len(resp) > 0 {
-						conn.Send(cp, resp)
-					}
-				}
-			})
-		}
-	})
+	acceptTCP(node, "thrift:"+serviceName, "thrift-tcp-"+serviceName, proc)
 }

@@ -12,6 +12,7 @@ import (
 	atbgen "hatrpc/internal/atb/gen"
 	"hatrpc/internal/engine"
 	"hatrpc/internal/hints"
+	"hatrpc/internal/obs"
 	"hatrpc/internal/sim"
 	"hatrpc/internal/simnet"
 	"hatrpc/internal/trdma"
@@ -224,24 +225,43 @@ func TestHintPlansMatchFig6(t *testing.T) {
 	env.Run()
 }
 
-func TestForceProtoOverride(t *testing.T) {
+// TestDialPolicy: a dial-time policy replaces the hint plans and is asked on
+// every call, not once per function — AR-gRPC's size switch sends the same
+// function eagerly below the threshold and by Read-RNDV above it.
+func TestDialPolicy(t *testing.T) {
 	env, cl := newCluster(7)
 	srvEng := engine.New(cl.Node(0), engine.DefaultConfig())
 	cliEng := engine.New(cl.Node(1), engine.DefaultConfig())
+	reg := obs.NewRegistry()
+	cliEng.SetObs(reg)
 	trdma.NewServer(srvEng, echogen.EchoHints, echogen.NewEchoProcessor(&echoImpl{}))
-	forced := engine.RFP
-	env.Spawn("client", func(p *sim.Proc) {
-		tr := trdma.Dial(p, cliEng, cl.Node(0), echogen.EchoHints, &trdma.DialOptions{ForceProto: &forced, ForceBusy: true})
-		if pl := tr.Plan("Ping"); pl.Proto != engine.RFP {
-			t.Errorf("forced plan = %+v", pl)
+	var asked []string
+	policy := func(fn string, reqSize int) engine.CallOpts {
+		asked = append(asked, fn)
+		if reqSize > 4096 {
+			return engine.CallOpts{Proto: engine.ReadRNDV}
 		}
+		return engine.CallOpts{Proto: engine.EagerSendRecv, Busy: true}
+	}
+	env.Spawn("client", func(p *sim.Proc) {
+		tr := trdma.Dial(p, cliEng, cl.Node(0), echogen.EchoHints, &trdma.DialOptions{Policy: policy})
 		c := echogen.NewEchoClient(tr)
-		if pong, err := c.Ping(p, "via-rfp"); err != nil || pong != "pong:via-rfp" {
-			t.Errorf("forced-RFP ping = %q %v", pong, err)
+		for _, msg := range []string{"small", strings.Repeat("x", 8192), "small-again"} {
+			if pong, err := c.Ping(p, msg); err != nil || pong != "pong:"+msg {
+				t.Errorf("policy-planned ping(%d B) = %d B, %v", len(msg), len(pong), err)
+			}
 		}
 		env.Stop()
 	})
 	env.Run()
+	if fmt.Sprint(asked) != "[Ping Ping Ping]" {
+		t.Errorf("policy consulted for %v, want once per call", asked)
+	}
+	eager := reg.Counter("engine.calls." + engine.EagerSendRecv.String()).Value()
+	rndv := reg.Counter("engine.calls." + engine.ReadRNDV.String()).Value()
+	if eager != 2 || rndv != 1 {
+		t.Errorf("calls went eager %d / Read-RNDV %d, want 2 / 1 (the hinted plan is Direct-WriteIMM)", eager, rndv)
+	}
 }
 
 func TestManyClientsGeneratedService(t *testing.T) {

@@ -196,9 +196,6 @@ type MR struct {
 // corrupt a recycled buffer.
 func (mr *MR) SetRevoked(b bool) { mr.revoked = b }
 
-// Revoked reports whether remote access to the region is withdrawn.
-func (mr *MR) Revoked() bool { return mr.revoked }
-
 // SetWriteNotify registers a callback invoked whenever an inbound
 // one-sided WRITE lands in this region, with the offset and length of the
 // bytes it placed. Memory-polling protocols (HERD, RFP) use it as the
@@ -591,12 +588,6 @@ func (qp *QP) Peer() *QP { return qp.peer }
 
 // Device returns the owning device.
 func (qp *QP) Device() *Device { return qp.dev }
-
-// SendCQ returns the send completion queue.
-func (qp *QP) SendCQ() *CQ { return qp.sendCQ }
-
-// RecvCQ returns the receive completion queue.
-func (qp *QP) RecvCQ() *CQ { return qp.recvCQ }
 
 // PostRecv posts a receive WQE. If a two-sided packet is already pending
 // (arrived before the buffer), it is matched immediately. Invalid on a

@@ -46,36 +46,14 @@ func (s SystemKind) String() string {
 // AllSystems lists the comparison set in reporting order.
 var AllSystems = []SystemKind{SysHatService, SysHatFunction, SysARgRPC, SysHERD, SysPilaf, SysRFP}
 
-// policyTransport drives the generated HatKV client through a fixed
-// per-system protocol policy — the paper's comparator emulation ("we only
-// study their communication protocols and emulate them", all six sharing
-// the same backend).
-type policyTransport struct {
-	conn   *engine.Conn
-	fnIDs  map[string]uint32
-	policy func(fn string, reqSize int) engine.CallOpts
-}
-
-func (t *policyTransport) Invoke(p *sim.Proc, fn string, request []byte, oneway bool) ([]byte, error) {
-	opts := t.policy(fn, len(request))
-	opts.Oneway = oneway
-	return t.conn.Call(p, t.fnIDs[fn], request, opts)
-}
-
-func (t *policyTransport) Stage() []byte { return t.conn.Stage() }
-
-func (t *policyTransport) Close() error { return nil }
-
-// diagPolicy, when set, overrides comparator policies (test hook).
-var diagPolicy func(fn string, reqSize int) engine.CallOpts
-
 // comparatorPolicy returns the per-call protocol choice each emulated
-// system makes.
+// system makes — the paper's comparator emulation ("we only study their
+// communication protocols and emulate them", all six sharing the same
+// backend); nil for the HatRPC variants, which plan from hints.
 func comparatorPolicy(kind SystemKind, thresh int) func(fn string, reqSize int) engine.CallOpts {
-	if diagPolicy != nil {
-		return diagPolicy
-	}
 	switch kind {
+	case SysHatService, SysHatFunction:
+		return nil
 	case SysARgRPC:
 		// AR-gRPC: eager below the switch point, Read-RNDV above, on both
 		// legs; event-driven (gRPC completion queues).
@@ -173,7 +151,7 @@ func runSystem(cfg RunConfig, kind SystemKind) Result {
 	case SysHatFunction:
 		sh = hatkv.FunctionHints()
 	default:
-		sh = hatkv.ServiceOnlyHints() // server config; clients bypass hints
+		sh = hatkv.ServiceOnlyHints() // server config; clients follow comparatorPolicy
 	}
 	var store *hatkv.Store
 	var err error
@@ -208,19 +186,8 @@ func runSystem(cfg RunConfig, kind SystemKind) Result {
 		i := i
 		env.Spawn(fmt.Sprintf("ycsb%d", i), func(p *sim.Proc) {
 			eng := clientEngs[i%len(clientEngs)]
-			var tr trdma.Transport
-			switch kind {
-			case SysHatService, SysHatFunction:
-				tr = trdma.Dial(p, eng, cl.Node(0), sh, nil)
-			default:
-				conn := eng.Dial(p, cl.Node(0), "hat:"+sh.ServiceName)
-				tr = &policyTransport{
-					conn:   conn,
-					fnIDs:  kvgen.HatKVHints.FnIDs,
-					policy: comparatorPolicy(kind, eng.Config().RndvThreshold),
-				}
-			}
-			c := kvgen.NewHatKVClient(tr)
+			c := kvgen.NewHatKVClient(trdma.Dial(p, eng, cl.Node(0), sh,
+				&trdma.DialOptions{Policy: comparatorPolicy(kind, eng.Config().RndvThreshold)}))
 			rng := env.Rand()
 			for p.Now() < deadline {
 				op := cfg.Workload.ChooseOp(rng)
