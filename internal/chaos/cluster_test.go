@@ -1,8 +1,10 @@
 package chaos
 
 import (
+	"strings"
 	"testing"
 
+	"hatrpc/internal/cluster"
 	"hatrpc/internal/lmdb"
 	"hatrpc/internal/simnet"
 )
@@ -42,7 +44,8 @@ func clusterSoakConfig(seed int64, sync lmdb.SyncMode, horizonNs int64) ClusterC
 // loses zero acknowledged SyncFull writes, cluster-wide. The audit
 // checks every acked key against its shard's authority replica — the
 // durable store with the maximum (epoch, seq). The same seed at RF 1 is
-// the contrast: the same kills, and no replica to promote.
+// the contrast: the same kills, and no replica to promote. RF 2 could
+// not promote either (a quorum of two is both), so no soak is built.
 func TestClusterSoakSyncFullZeroLoss(t *testing.T) {
 	horizon := int64(40_000_000)
 	minCrashes := 20
@@ -56,6 +59,15 @@ func TestClusterSoakSyncFullZeroLoss(t *testing.T) {
 	if rf1 := ClusterSoak(cfg); rf1.Promotions != 0 || len(rf1.Crashes) == 0 {
 		t.Errorf("RF 1 promoted %d times across %d crashes, want none: a lone replica has no successor", rf1.Promotions, len(rf1.Crashes))
 	}
+	cfg.RF = 2
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, cluster.RF2Refusal) {
+				t.Errorf("RF 2 soak: recovered %q, want it refused with %q", msg, cluster.RF2Refusal)
+			}
+		}()
+		ClusterSoak(cfg)
+	}()
 	if res.Incomplete != 0 {
 		t.Fatalf("%d workers never finished (watchdog fired)\n%s", res.Incomplete, res.Report())
 	}

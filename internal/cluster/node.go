@@ -36,12 +36,24 @@ const (
 	failThreshold = 2 // consecutive failed primary probes before candidacy
 )
 
+// RF2Refusal is why no cluster is built at replication factor 2.
+// Promotion needs a majority of the replica set, and of two that is both:
+// the shard would replicate while healthy and then stay without a primary
+// for good after its first replica loss.
+const RF2Refusal = "replication factor 2 can never fail over (a quorum of 2 replicas is 2, so one loss leaves no majority to promote): use 1, or 3 and more"
+
+// withDefaults is the one gate every node, client and soak builds its
+// Config through. RF 2 is a programming error here: a configuration file
+// is refused earlier, with an error (node.Config.Validate).
 func (c Config) withDefaults() Config {
 	if c.NShards <= 0 {
 		c.NShards = 8
 	}
 	if c.RF <= 0 {
 		c.RF = 3
+	}
+	if c.RF == 2 {
+		panic("cluster: " + RF2Refusal)
 	}
 	if c.ProbeIntervalNs <= 0 {
 		c.ProbeIntervalNs = 150_000

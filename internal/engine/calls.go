@@ -30,11 +30,6 @@ type CallOpts struct {
 	// Config.CallDeadline; if both are zero the call is one unbounded
 	// attempt and may block forever on a lossy fabric.
 	Deadline sim.Duration
-	// NoWait fails the call immediately with ErrNoCredits instead of
-	// blocking when flow control (Config.FlowCredits) has no send
-	// credits — the peer's RECV ring is full as far as this endpoint
-	// knows. No-op when flow control is off.
-	NoWait bool
 	// Idempotent marks the call safe to replay on a fresh connection
 	// after a session reconnect (Session.Call). The engine already
 	// executes at-most-once per connection via seq dedup; replaying
@@ -42,14 +37,6 @@ type CallOpts struct {
 	// whether that is safe. Non-idempotent calls interrupted by a
 	// reconnect fail with ErrSessionReset instead.
 	Idempotent bool
-	// SID stamps the call with a virtual-connection session id (the wire
-	// header's sid field). The server keys retransmission dedup and
-	// per-tenant partitions on it, so interleaved virtual connections
-	// multiplexed onto one physical connection cannot evict each other's
-	// dedup state. Zero — the default — means no virtualization, and
-	// every header byte is identical to pre-virtualization builds.
-	// VConn.Call sets it; hand-rolled callers normally leave it zero.
-	SID uint32
 }
 
 // hybridSwitch resolves a hybrid protocol against the rendezvous
@@ -97,13 +84,6 @@ func (c *Conn) Call(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte, 
 	if err := c.breakerGate(p); err != nil {
 		return nil, err
 	}
-	if opts.NoWait {
-		if fc := c.fc; fc != nil && fc.avail <= 0 {
-			// Local fast-fail; says nothing about server health, so it is
-			// not a breaker observation.
-			return nil, ErrNoCredits
-		}
-	}
 	out, err := c.doCall(p, fn, req, opts)
 	c.breakerObserve(p, err)
 	return out, err
@@ -136,7 +116,7 @@ func (c *Conn) doCall(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte
 	start := int64(p.Now())
 	h := hdr{
 		kind: kReq, proto: reqProto, respProto: respProto,
-		fn: fn, length: uint32(len(req)), seq: c.seq, sid: opts.SID,
+		fn: fn, length: uint32(len(req)), seq: c.seq,
 	}
 	until := c.deadlineFor(p, opts)
 	if opts.Oneway {
@@ -330,7 +310,7 @@ func (c *Conn) sendWriteRNDV(p *sim.Proc, h hdr, payload []byte, poll PollMode, 
 	if !c.waitCredit(p, h.proto, poll, until) {
 		return false
 	}
-	rts := hdr{kind: kRTS, proto: WriteRNDV, respProto: h.respProto, fn: h.fn, length: h.length, seq: h.seq, sid: h.sid}
+	rts := hdr{kind: kRTS, proto: WriteRNDV, respProto: h.respProto, fn: h.fn, length: h.length, seq: h.seq}
 	c.postSmall(p, rts)
 	ctsStart := int64(p.Now())
 	if !c.waitCTSUntil(p, h.seq, len(payload), poll, until) {
@@ -374,7 +354,7 @@ func (c *Conn) sendReadRNDV(p *sim.Proc, h hdr, payload []byte, poll PollMode, u
 	if !c.waitCredit(p, h.proto, poll, until) {
 		return false
 	}
-	rts := hdr{kind: kRTS, proto: ReadRNDV, respProto: h.respProto, fn: h.fn, length: h.length, seq: h.seq, sid: h.sid}
+	rts := hdr{kind: kRTS, proto: ReadRNDV, respProto: h.respProto, fn: h.fn, length: h.length, seq: h.seq}
 	if _, ok := c.rndvOut[h.seq]; ok {
 		c.postSmall(p, rts)
 		return true
@@ -565,7 +545,7 @@ func (c *Conn) sendResponse(p *sim.Proc, a Arrival, resp []byte, poll PollMode) 
 	// Same switch as the request path (hybridSwitch), applied to the
 	// *response* size.
 	respProto := hybridSwitch(a.RespProto, len(resp), c.eng.cfg.RndvThreshold)
-	h := hdr{kind: kResp, proto: respProto, respProto: respProto, fn: a.Fn, length: uint32(len(resp)), seq: a.Seq, sid: a.SID}
+	h := hdr{kind: kResp, proto: respProto, respProto: respProto, fn: a.Fn, length: uint32(len(resp)), seq: a.Seq}
 	// Under fault injection the protocol-internal waits (rendezvous CTS,
 	// credit stalls) are bounded so an aborted client cannot wedge this
 	// dispatcher; an abandoned response is recovered by the client's
@@ -605,7 +585,7 @@ func (c *Conn) publish(p *sim.Proc, mr *verbs.MR, h hdr, payload []byte) {
 func (c *Conn) sendReject(p *sim.Proc, a Arrival, kind byte) {
 	c.recoverQP(p)
 	respProto := hybridSwitch(a.RespProto, 0, c.eng.cfg.RndvThreshold)
-	h := hdr{kind: kind, proto: respProto, respProto: respProto, fn: a.Fn, seq: a.Seq, sid: a.SID}
+	h := hdr{kind: kind, proto: respProto, respProto: respProto, fn: a.Fn, seq: a.Seq}
 	switch respProto {
 	case RFP:
 		c.putHdrC(c.rfpOutMR.Buf, h) // client's poll sees the marker at its seq

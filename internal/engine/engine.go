@@ -57,18 +57,6 @@ type Config struct {
 	// half-open probing (doubling after each failed probe, capped at 16×).
 	// Zero means DefaultBreakerCooldown.
 	BreakerCooldown sim.Duration
-
-	// SRQSlots moves server-side connections onto one engine-wide shared
-	// receive queue: accepted connections' QPs drain a single ring of
-	// this many slots instead of each pre-posting EagerSlots private
-	// receives, so server receive memory scales with the aggregate
-	// arrival rate rather than the connection count. Per-connection flow
-	// credits still grant against EagerSlots, so many busy connections
-	// can overcommit the shared ring — arm ModelRNR to surface that as
-	// RNR NAK backoff instead of silent infinite buffering. Zero (the
-	// default) keeps private per-connection rings, byte-identical to
-	// earlier builds. Client-side (dialed) connections are unaffected.
-	SRQSlots int
 }
 
 // eagerSlotSize is the payload capacity of one circular-buffer slot: a
@@ -93,15 +81,6 @@ const DefaultBreakerCooldown = sim.Duration(1_000_000)
 // a mixed-size workload's pinned memory plateaus instead of growing with
 // every size class it ever touched.
 const DefaultRndvPoolCap = 8
-
-// DefaultDedupSessions bounds the server-side dedup table: the number of
-// distinct virtual-connection session ids whose last response a
-// connection retains for retransmission absorption — enough for every
-// virtual connection that can plausibly have a retransmission in flight
-// on one physical connection, small enough that a server with thousands
-// of connections stays bounded. Insertion-order eviction keeps the bound
-// deterministic; sid-0 traffic uses exactly one entry.
-const DefaultDedupSessions = 64
 
 // DefaultConfig returns the sizing used throughout the evaluation.
 func DefaultConfig() Config {
@@ -128,12 +107,6 @@ type Engine struct {
 	conns      []*Conn
 	nextConnID int
 	closed     bool
-
-	// Shared server receive ring (Config.SRQSlots > 0): one SRQ + slot
-	// region drained by every accepted connection's QP, created lazily
-	// on the first accept.
-	srq   *verbs.SRQ
-	srqMR *verbs.MR
 
 	// Observability (obs package doc, constraint 1): an event is counted by
 	// one instrument of em and nowhere else.
@@ -198,7 +171,6 @@ type engineMetrics struct {
 	chunkWRs      [nProtocols]*obs.Counter // WRs posted as bulk-WRITE chunk trains
 	shed          [nProtocols]*obs.Counter // requests rejected by admission
 	creditStalls  [nProtocols]*obs.Counter // sends blocked on zero credits
-	tenantShed    *obs.Counter             // requests rejected by the per-tenant partition
 	rnrFailures   *obs.Counter             // WCRNRRetryExceeded completions
 	breakerOpen   *obs.Counter             // breaker open transitions
 	creditUpdates *obs.Counter             // grant updates sent on their own (postGrant)
@@ -229,7 +201,6 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		qpRecoveries:     r.Counter("engine.qp_recoveries"),
 		rto:              r.Histogram("engine.rto_ns"),
 
-		tenantShed:    r.Counter("engine.tenant_shed"),
 		rnrFailures:   r.Counter("engine.rnr_failures"),
 		breakerOpen:   r.Counter("engine.breaker_open"),
 		creditUpdates: r.Counter("engine.credit_updates"),
@@ -350,6 +321,9 @@ func (e *Engine) releaseRndv(mr *verbs.MR) {
 // ---------------------------------------------------------------------------
 // Wire header
 
+// hdrSize is the modelled header: 24 bytes of fields and a reserved
+// trailing word, written zero. The size is part of the timing model (wire
+// bytes, the inline cut, chunk boundaries), so it moves only with results/.
 const hdrSize = 28
 
 // Message kinds.
@@ -376,7 +350,6 @@ type hdr struct {
 	seq       uint32
 	off       uint32 // fragment offset (eager segmentation)
 	credits   uint32 // cumulative RECV-repost grant (flow control; 0 when off)
-	sid       uint32 // virtual-connection session id (0 = no virtualization)
 }
 
 func putHdr(b []byte, h hdr) {
@@ -390,16 +363,17 @@ func putHdr(b []byte, h hdr) {
 	binary.LittleEndian.PutUint32(b[12:], h.seq)
 	binary.LittleEndian.PutUint32(b[16:], h.off)
 	binary.LittleEndian.PutUint32(b[20:], h.credits)
-	binary.LittleEndian.PutUint32(b[24:], h.sid)
+	binary.LittleEndian.PutUint32(b[24:], 0) // reserved word
 }
 
 // decodeHdr is the bounds-checked variant of getHdr for buffers whose
 // length is not structurally guaranteed (getHdr's callers all read from
 // fixed-size registered MRs, which are always >= hdrSize). The reserved
-// byte b[3] must be zero — a nonzero value means the bytes are not a
-// header this engine version produced.
+// byte b[3] and the reserved trailing word b[24:28] must be zero — a
+// nonzero value means the bytes are not a header this engine version
+// produced.
 func decodeHdr(b []byte) (hdr, bool) {
-	if len(b) < hdrSize || b[3] != 0 {
+	if len(b) < hdrSize || b[3] != 0 || binary.LittleEndian.Uint32(b[24:]) != 0 {
 		return hdr{}, false
 	}
 	return getHdr(b), true
@@ -416,7 +390,6 @@ func getHdr(b []byte) hdr {
 		seq:       binary.LittleEndian.Uint32(b[12:]),
 		off:       binary.LittleEndian.Uint32(b[16:]),
 		credits:   binary.LittleEndian.Uint32(b[20:]),
-		sid:       binary.LittleEndian.Uint32(b[24:]),
 	}
 }
 
@@ -438,11 +411,10 @@ type Arrival struct {
 	RespProto Protocol
 	Fn        uint32
 	Seq       uint32
-	SID       uint32 // originating virtual connection (0 = none)
 	Payload   []byte
 
 	// dup marks a request the pump recognised as a retransmission of the
-	// one its session was last served: it carries no payload, only the
+	// one the connection last served: it carries no payload, only the
 	// cue for the dispatcher to resend the cached response.
 	dup bool
 }
@@ -488,13 +460,7 @@ type Conn struct {
 	sig  *sim.Signal
 	wake func() // sig.Fire, bound once: every armed wake reuses it
 
-	// Shared-ring backing (server side, Config.SRQSlots > 0): the QP
-	// drains the engine's SRQ and slot WRIDs index srqMR instead of a
-	// private eager ring. Both nil on legacy connections.
-	srq   *verbs.SRQ
-	srqMR *verbs.MR
-
-	eagerMR  *verbs.MR // receive ring (nil when the shared ring is used)
+	eagerMR  *verbs.MR // receive ring
 	slotSize int
 	slots    int
 	stageMR  *verbs.MR // outbound staging
@@ -543,16 +509,11 @@ type Conn struct {
 	orphanIn  map[uint32]*verbs.MR
 	orphanOut map[uint32]*verbs.MR
 
-	// Server-side idempotent dedup, keyed by virtual-connection session
-	// id: for each sid (0 when virtualization is off) the seq of the
-	// last executed request and its cached response. A retransmitted
-	// request (same sid, same seq) resends the cached response without
-	// re-running the handler. One entry per sid suffices because each
-	// virtual connection carries one outstanding call; the table is
-	// bounded (DefaultDedupSessions) with deterministic insertion-order
-	// eviction. Unvirtualized traffic only ever populates sid 0.
-	dedup      map[uint32]*dedupEntry
-	dedupOrder []uint32 // sid insertion order, oldest first
+	// Server-side idempotent dedup: the seq of the last executed request
+	// and its cached response. A retransmitted request (same seq) resends
+	// the cached response without re-running the handler. One entry
+	// suffices because a connection carries one outstanding call.
+	dedup dedupEntry
 
 	ctsReady  map[uint32]bool       // CTS seen for seq
 	frags     map[uint32]*fragState // eager reassembly by seq
@@ -580,42 +541,25 @@ type Conn struct {
 	att attempt
 }
 
-// dedupEntry caches the outcome of the last request a virtual
-// connection executed on this physical connection.
+// dedupEntry caches the outcome of the last request the connection
+// executed. served is false until the first request has been.
 type dedupEntry struct {
-	seq  uint32
-	resp []byte
-	arr  Arrival // response context, Payload stripped
+	served bool
+	resp   []byte
+	arr    Arrival // response context (Seq is the dedup key), Payload stripped
 }
 
-// dedupLookup returns the cached entry for sid when it matches seq — a
-// retransmission of the request just served on that virtual connection.
-func (c *Conn) dedupLookup(sid, seq uint32) (*dedupEntry, bool) {
-	e, ok := c.dedup[sid]
-	if !ok || e.seq != seq {
-		return nil, false
-	}
-	return e, true
+// isDup reports whether seq is that of the request just served — a
+// retransmission of it.
+func (c *Conn) isDup(seq uint32) bool {
+	return c.dedup.served && c.dedup.arr.Seq == seq
 }
 
-// dedupRecord caches a served request's response for its sid,
-// overwriting the sid's previous entry in place. A new sid beyond the
-// table bound evicts the oldest-inserted sid — deterministic, and safe
-// because an evicted virtual connection's retransmission merely
-// re-executes (the pre-virtualization behaviour for every conn).
+// dedupRecord caches a served request's response, replacing the
+// previous request's.
 func (c *Conn) dedupRecord(a Arrival, resp []byte) {
 	a.Payload = nil
-	if e, ok := c.dedup[a.SID]; ok {
-		e.seq, e.resp, e.arr = a.Seq, resp, a
-		return
-	}
-	if len(c.dedupOrder) >= DefaultDedupSessions {
-		oldest := c.dedupOrder[0]
-		c.dedupOrder = c.dedupOrder[1:]
-		delete(c.dedup, oldest)
-	}
-	c.dedup[a.SID] = &dedupEntry{seq: a.Seq, resp: resp, arr: a}
-	c.dedupOrder = append(c.dedupOrder, a.SID)
+	c.dedup = dedupEntry{served: true, resp: resp, arr: a}
 }
 
 // ID returns the engine-local connection index (used as the trace tid).
@@ -651,21 +595,12 @@ func (e *Engine) newConn(server bool, shared *connShared) *Conn {
 		orphanOut:    make(map[uint32]*verbs.MR),
 		ctsReady:     make(map[uint32]bool),
 		frags:        make(map[uint32]*fragState),
-		dedup:        make(map[uint32]*dedupEntry),
 	}
 	e.nextConnID++
-	if server && e.cfg.SRQSlots > 0 {
-		c.srq = e.serverSRQ()
-		c.srqMR = e.srqMR
-		c.qp = e.dev.CreateQPSRQ(c.cq, c.cq, c.srq)
-	} else {
-		c.qp = e.dev.CreateQP(c.cq, c.cq)
-	}
+	c.qp = e.dev.CreateQP(c.cq, c.cq)
 	c.wake = c.sig.Fire
 	c.cq.SetNotify(c.wake)
-	if e.cfg.ModelRNR && c.srq == nil {
-		// SRQ-backed QPs inherit the RNR discipline armed on the shared
-		// ring itself (serverSRQ).
+	if e.cfg.ModelRNR {
 		retry := e.cfg.RnrRetry
 		if retry <= 0 {
 			retry = DefaultRnrRetry
@@ -678,9 +613,7 @@ func (e *Engine) newConn(server bool, shared *connShared) *Conn {
 	if !server && e.cfg.BreakerThreshold > 0 {
 		c.brk = newBreaker(e.cfg.BreakerThreshold, e.cfg.BreakerCooldown)
 	}
-	if c.srq == nil {
-		c.eagerMR = e.pd.RegisterMRNoCost(c.slots * c.slotSize)
-	}
+	c.eagerMR = e.pd.RegisterMRNoCost(c.slots * c.slotSize)
 	// Staging holds [hdr|payload] plus a dedicated tail region for notify
 	// headers so Direct-Write-Send chains never overlap the payload.
 	c.stageMR = e.pd.RegisterMRNoCost(e.cfg.MaxMsgSize + 2*hdrSize)
@@ -715,55 +648,13 @@ func (e *Engine) newConn(server bool, shared *connShared) *Conn {
 	}
 	e.pinnedBytes += c.pinned
 	e.conns = append(e.conns, c)
-	if c.srq == nil {
-		for i := 0; i < c.slots; i++ {
-			c.qp.PostRecv(verbs.RecvWR{
-				WRID: uint64(i),
-				SGE:  verbs.SGE{MR: c.eagerMR, Off: i * c.slotSize, Len: c.slotSize},
-			})
-		}
-	}
-	return c
-}
-
-// serverSRQ lazily creates the engine's shared server receive ring: one
-// SRQ whose Config.SRQSlots slots (sized like eager ring slots) are
-// posted once and thereafter recycled by whichever connection consumes
-// them. ModelRNR arms finite depth on the shared ring itself, so
-// overcommit by per-connection credit grants surfaces as RNR NAKs.
-func (e *Engine) serverSRQ() *verbs.SRQ {
-	if e.srq != nil {
-		return e.srq
-	}
-	slotSize := eagerSlotSize + hdrSize
-	e.srq = e.dev.CreateSRQ()
-	e.srqMR = e.pd.RegisterMRNoCost(e.cfg.SRQSlots * slotSize)
-	e.pinnedBytes += int64(e.srqMR.Len())
-	if e.cfg.ModelRNR {
-		retry := e.cfg.RnrRetry
-		if retry <= 0 {
-			retry = DefaultRnrRetry
-		}
-		e.srq.SetRNR(retry)
-	}
-	for i := 0; i < e.cfg.SRQSlots; i++ {
-		e.srq.PostRecv(verbs.RecvWR{
+	for i := 0; i < c.slots; i++ {
+		c.qp.PostRecv(verbs.RecvWR{
 			WRID: uint64(i),
-			SGE:  verbs.SGE{MR: e.srqMR, Off: i * slotSize, Len: slotSize},
+			SGE:  verbs.SGE{MR: c.eagerMR, Off: i * c.slotSize, Len: c.slotSize},
 		})
 	}
-	return e.srq
-}
-
-// SRQDepth returns the posted-but-unconsumed slots in the shared server
-// receive ring, or -1 when no shared ring exists. Leak accounting over
-// SRQ-backed connections sums this with every accepted connection's
-// UnpolledRecvs and compares against Config.SRQSlots.
-func (e *Engine) SRQDepth() int {
-	if e.srq == nil {
-		return -1
-	}
-	return e.srq.Depth()
+	return c
 }
 
 // sortedSeqs returns m's keys ascending, so map drains never depend on
@@ -809,7 +700,7 @@ func (c *Conn) Close() {
 	c.orphanIn, c.orphanOut = nil, nil
 	c.pendingReads, c.ctsReady, c.frags = nil, nil, nil
 	c.respQueue = nil
-	c.dedup, c.dedupOrder = nil, nil
+	c.dedup = dedupEntry{}
 	c.exitWait()
 	c.eng.pinnedBytes -= c.pinned
 	c.pinned = 0
@@ -840,10 +731,6 @@ func (e *Engine) Close() {
 		e.pinnedBytes -= int64(cls) * int64(len(e.rndvFree[cls]))
 	}
 	e.rndvFree = make(map[int][]*verbs.MR)
-	if e.srqMR != nil {
-		e.pinnedBytes -= int64(e.srqMR.Len())
-		e.srqMR, e.srq = nil, nil
-	}
 }
 
 func (c *Conn) helloFor() *hello {
@@ -1045,7 +932,7 @@ func (c *Conn) nextArrival(p *sim.Proc, poll PollMode) Arrival {
 			payload := c.copyPayload(c.rfpInMR.Buf[hdrSize : hdrSize+int(h.length)])
 			c.chargeDetect(p, poll)
 			c.eng.em.bytesRecvd.Add(int64(len(payload)))
-			return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, SID: h.sid, Payload: payload}
+			return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, Payload: payload}
 		}
 		c.pumpWait(p, poll)
 	}
@@ -1176,7 +1063,7 @@ func (c *Conn) handleWC(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 			payload := c.copyPayload(buf.Buf[hdrSize : hdrSize+int(h.length)])
 			c.eng.releaseRndv(buf)
 			c.postSmall(p, hdr{kind: kFin, proto: h.proto, seq: h.seq})
-			return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, SID: h.sid, Payload: payload}, true
+			return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, Payload: payload}, true
 		}
 		return Arrival{}, false
 	default:
@@ -1195,38 +1082,19 @@ type fragState struct {
 	seen map[uint32]bool
 }
 
-// ringSlot returns the receive-ring buffer for a slot WRID: a window of
-// the engine's shared SRQ region when this connection drains the shared
-// ring, the private eager ring otherwise.
-func (c *Conn) ringSlot(slot int) []byte {
-	base := slot * c.slotSize
-	if c.srqMR != nil {
-		return c.srqMR.Buf[base : base+c.slotSize]
-	}
-	return c.eagerMR.Buf[base : base+c.slotSize]
-}
-
-// repostSlot recycles a consumed ring slot: back to the shared SRQ for
-// SRQ-backed connections, to the private QP ring otherwise.
+// repostSlot recycles a consumed ring slot.
 func (c *Conn) repostSlot(p *sim.Proc, wrid uint64) {
-	base := int(wrid) * c.slotSize
-	if c.srq != nil {
-		c.srq.PostRecv(verbs.RecvWR{
-			WRID: wrid,
-			SGE:  verbs.SGE{MR: c.srqMR, Off: base, Len: c.slotSize},
-		})
-	} else {
-		c.qp.PostRecv(verbs.RecvWR{
-			WRID: wrid,
-			SGE:  verbs.SGE{MR: c.eagerMR, Off: base, Len: c.slotSize},
-		})
-	}
+	c.qp.PostRecv(verbs.RecvWR{
+		WRID: wrid,
+		SGE:  verbs.SGE{MR: c.eagerMR, Off: int(wrid) * c.slotSize, Len: c.slotSize},
+	})
 	c.noteRepost(p)
 }
 
 // handleRecvSlot processes a two-sided SEND landing in an eager ring slot.
 func (c *Conn) handleRecvSlot(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
-	buf := c.ringSlot(int(wc.WRID))
+	base := int(wc.WRID) * c.slotSize
+	buf := c.eagerMR.Buf[base : base+c.slotSize]
 	h := getHdr(buf)
 	c.noteCredits(h)
 	// Recycle the ring slot after extracting the fragment. This is the
@@ -1243,21 +1111,21 @@ func (c *Conn) handleRecvSlot(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 		cm := c.eng.dev.CostModel()
 		c.eng.node.CPU.Compute(p, c.eng.node.NUMAWork(sim.Duration(cm.EagerSlotMgmtNs), c.numaBound))
 		c.memcpyCharge(p, len(frag))
-		if _, dup := c.dedupLookup(h.sid, h.seq); dup && h.kind == kReq {
-			// Retransmission of the request this virtual connection just
-			// had served (its response was lost). Drop any partial
+		if h.kind == kReq && c.isDup(h.seq) {
+			// Retransmission of the request this connection just had
+			// served (its response was lost). Drop any partial
 			// re-assembly and surface one dup arrival (on the first
 			// fragment only) so the dispatcher's dedup path resends the
 			// cached response.
 			delete(c.frags, h.seq)
 			c.Recycle(frag)
 			if h.off == 0 {
-				return Arrival{Kind: kReq, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, SID: h.sid, dup: true}, true
+				return Arrival{Kind: kReq, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, dup: true}, true
 			}
 			return Arrival{}, false
 		}
 		if int(h.length) == len(frag) && h.off == 0 {
-			return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, SID: h.sid, Payload: frag}, true
+			return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, Payload: frag}, true
 		}
 		// Segmented message: accumulate until complete.
 		st, ok := c.frags[h.seq]
@@ -1277,13 +1145,13 @@ func (c *Conn) handleRecvSlot(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 			return Arrival{}, false
 		}
 		delete(c.frags, h.seq)
-		return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, SID: h.sid, Payload: st.buf}, true
+		return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, Payload: st.buf}, true
 	case kNotify:
 		// Direct-Write-Send: payload already written into directMR.
 		dh := getHdr(c.directMR.Buf)
 		c.noteCredits(dh)
 		payload := c.copyPayload(c.directMR.Buf[hdrSize : hdrSize+int(dh.length)])
-		return Arrival{Kind: dh.kind, Proto: dh.proto, RespProto: dh.respProto, Fn: dh.fn, Seq: dh.seq, SID: dh.sid, Payload: payload}, true
+		return Arrival{Kind: dh.kind, Proto: dh.proto, RespProto: dh.respProto, Fn: dh.fn, Seq: dh.seq, Payload: payload}, true
 	case kRTS:
 		return c.handleRTS(p, h)
 	case kCTS:
@@ -1292,7 +1160,7 @@ func (c *Conn) handleRecvSlot(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 	case kErr, kDrain:
 		// Typed rejection (header-only): surface it so the caller's
 		// response wait maps it to ErrOverloaded / ErrDraining.
-		return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, SID: h.sid}, true
+		return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq}, true
 	case kFin:
 		if buf, ok := c.rndvOut[h.seq]; ok {
 			delete(c.rndvOut, h.seq)
@@ -1321,8 +1189,8 @@ func (c *Conn) handleRTS(p *sim.Proc, h hdr) (Arrival, bool) {
 	// every response below would flush and the handshake could never make
 	// progress. No-op on a healthy QP.
 	c.recoverQP(p)
-	if _, dup := c.dedupLookup(h.sid, h.seq); dup && c.server {
-		return Arrival{Kind: kReq, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, SID: h.sid, dup: true}, true
+	if c.server && c.isDup(h.seq) {
+		return Arrival{Kind: kReq, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, dup: true}, true
 	}
 	switch h.proto {
 	case WriteRNDV, HybridEagerRNDV:
@@ -1373,7 +1241,7 @@ func (c *Conn) handleWriteImm(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 		h := getHdr(c.directMR.Buf)
 		c.noteCredits(h)
 		payload := c.copyPayload(c.directMR.Buf[hdrSize : hdrSize+int(h.length)])
-		return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, SID: h.sid, Payload: payload}, true
+		return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, Payload: payload}, true
 	}
 	seq := wc.Imm
 	buf, ok := c.rndvIn[seq]
@@ -1390,7 +1258,7 @@ func (c *Conn) handleWriteImm(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 	payload := c.copyPayload(buf.Buf[hdrSize : hdrSize+int(h.length)])
 	delete(c.shared.rndv, rndvKey(seq, !c.server))
 	c.eng.releaseRndv(buf)
-	return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, SID: h.sid, Payload: payload}, true
+	return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, Payload: payload}, true
 }
 
 // postSmall sends a header-only control message through the eager ring.

@@ -2,18 +2,11 @@ package engine
 
 import (
 	"encoding/binary"
-	"errors"
 
 	"hatrpc/internal/obs"
 	"hatrpc/internal/sim"
 	"hatrpc/internal/verbs"
 )
-
-// ErrNoCredits is returned by Call when CallOpts.NoWait is set and the
-// connection has no send credits available: the peer's RECV ring is (as
-// far as this endpoint knows) full, and the caller asked to fail fast
-// rather than queue behind it.
-var ErrNoCredits = errors.New("engine: no send credits (peer receive ring full)")
 
 // flowState is the per-connection credit accounting for receiver-driven
 // flow control (Config.FlowCredits > 0). The invariant it maintains is

@@ -144,38 +144,6 @@ func TestCreditsFragmentedEagerCompletes(t *testing.T) {
 	assertNoLeaks(t, srvEng, cliEng)
 }
 
-// TestNoWaitFailsFast: CallOpts.NoWait converts a credit stall into an
-// immediate ErrNoCredits instead of blocking.
-func TestNoWaitFailsFast(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.EagerSlots = 4
-	cfg.FlowCredits = 4
-	env, srvEng, cliEng := flowCluster(13, cfg)
-	srvEng.Serve("svc", echoHandler)
-	env.Spawn("client", func(p *sim.Proc) {
-		c := cliEng.Dial(p, srvEng.Node(), "svc")
-		// Oneway floods never wait for responses, so spent credits are
-		// only replenished by the server's async kCredit updates — spam
-		// faster than they return and NoWait must trip.
-		sawNoCredits := false
-		for i := 0; i < 50; i++ {
-			_, err := c.Call(p, 1, []byte("x"), CallOpts{Proto: EagerSendRecv, Oneway: true, NoWait: true, Busy: true})
-			if errors.Is(err, ErrNoCredits) {
-				sawNoCredits = true
-				break
-			}
-			if err != nil {
-				t.Fatalf("oneway %d: unexpected error %v", i, err)
-			}
-		}
-		if !sawNoCredits {
-			t.Error("50 back-to-back oneways through a 4-credit budget never returned ErrNoCredits")
-		}
-		env.Stop()
-	})
-	env.Run()
-}
-
 // TestCreditUpdateKeepsOnewayFlowAlive: a one-directional flow (oneways
 // only — no responses to piggyback grants on) must be kept live by the
 // async kCredit updates. Blocking sends through a tiny budget would

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -13,14 +14,20 @@ import (
 func FuzzHdrCodec(f *testing.F) {
 	valid := make([]byte, hdrSize)
 	putHdr(valid, hdr{kind: kReq, proto: DirectWriteIMM, respProto: EagerSendRecv,
-		fn: 3, length: 512, seq: 99, off: 0, credits: 16, sid: 0x00100007})
+		fn: 3, length: 512, seq: 99, off: 0, credits: 16})
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add(make([]byte, hdrSize-1))
+	reserved := append([]byte(nil), valid...)
+	reserved[hdrSize-4] = 7 // the trailing word is reserved: written zero, rejected otherwise
+	if _, ok := decodeHdr(reserved); ok {
+		f.Fatal("accepted a header with a non-zero reserved word")
+	}
+	f.Add(reserved)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, ok := decodeHdr(data)
 		if !ok {
-			if len(data) >= hdrSize && data[3] == 0 {
+			if len(data) >= hdrSize && data[3] == 0 && binary.LittleEndian.Uint32(data[hdrSize-4:]) == 0 {
 				t.Fatalf("rejected a well-formed %d-byte header", len(data))
 			}
 			return

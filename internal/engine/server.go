@@ -181,25 +181,13 @@ type Server struct {
 	AdmitLimit int
 	// Admit selects the over-limit policy (default AdmitBlock).
 	Admit AdmitPolicy
-	// TenantLimit partitions handler capacity between tenants of the
-	// virtualization tier: at most this many handlers run concurrently
-	// for any one tenant (derived from the arrival's session id via
-	// SIDTenant). Over-limit requests are shed with the typed
-	// ErrOverloaded rejection, so one tenant's fan-in burst cannot
-	// monopolize slots the global AdmitLimit would otherwise hand out
-	// first-come-first-served. Zero disables the partition; requests
-	// without a session id (sid 0 — virtualization off) are never
-	// subject to it.
-	TenantLimit int
-
 	// Drained counts requests fenced by the graceful-drain gate (the
 	// node's drain report reads it; served and shed requests are obs
-	// counters: engine.served.*, engine.shed.*, engine.tenant_shed).
+	// counters: engine.served.*, engine.shed.*).
 	Drained int64
 
-	conns     []*Conn
-	adm       *admitQueue
-	tenantRun map[uint32]int // tenant → concurrently executing handlers
+	conns []*Conn
+	adm   *admitQueue
 
 	// draining fences new requests with the typed kDrain rejection while
 	// in-flight handlers run to completion (graceful drain, DESIGN.md §17).
@@ -261,26 +249,24 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 			}
 			continue
 		}
-		if e, ok := c.dedupLookup(a.SID, a.Seq); ok {
+		if c.isDup(a.Seq) {
 			// Retransmitted request: the response (or the tail of the
 			// original delivery) was lost. Resend the cached response
 			// without re-executing the handler — at-most-once execution,
-			// idempotent from the application's point of view. The cache
-			// is keyed by session id, so interleaved virtual connections
-			// on this physical conn cannot evict each other's entry.
+			// idempotent from the application's point of view.
 			eng.em.dupRequests.Inc()
-			if e.arr.RespProto != ProtoAuto {
-				c.sendResponse(p, e.arr, e.resp, poll)
+			if c.dedup.arr.RespProto != ProtoAuto {
+				c.sendResponse(p, c.dedup.arr, c.dedup.resp, poll)
 			}
 			continue
 		}
 		if a.dup {
-			// A retransmission that a later request of its session has
-			// overtaken (an RNR-NAKed SEND is re-delivered behind the SENDs
-			// that followed it): by the time it is dispatched the cache
-			// holds that later request's response. Its caller has given up
-			// on it — a session has one call outstanding — and it has no
-			// payload to execute.
+			// A retransmission that a later request has overtaken (an
+			// RNR-NAKed SEND is re-delivered behind the SENDs that followed
+			// it): by the time it is dispatched the cache holds that later
+			// request's response. Its caller has given up on it — a
+			// connection has one call outstanding — and it has no payload
+			// to execute.
 			continue
 		}
 		if s.draining && !s.exempt[a.Fn] {
@@ -300,30 +286,6 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 			}
 			continue
 		}
-		var tenant uint32
-		tenantHeld := false
-		if s.TenantLimit > 0 && a.SID != 0 {
-			tenant = SIDTenant(a.SID)
-			if s.tenantRun == nil {
-				s.tenantRun = make(map[uint32]int)
-			}
-			if s.tenantRun[tenant] >= s.TenantLimit {
-				// This tenant's partition is full: shed typed, leaving the
-				// global admission slots for other tenants. No dedup entry
-				// is recorded (the handler never ran).
-				eng.em.tenantShed.Inc()
-				if trc := eng.trc; trc != nil {
-					trc.Instant("rpc", "tenant_shed", eng.node.ID(), c.id,
-						int64(p.Now()), obs.Arg{K: "tenant", V: tenant}, obs.Arg{K: "seq", V: a.Seq})
-				}
-				if a.RespProto != ProtoAuto {
-					c.sendReject(p, a, kErr)
-				}
-				continue
-			}
-			s.tenantRun[tenant]++
-			tenantHeld = true
-		}
 		acquired := false
 		if s.AdmitLimit > 0 {
 			if s.adm == nil {
@@ -335,9 +297,6 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 				// repost bookkeeping happens here — and no dedup entry is
 				// recorded: the handler never ran, and a retransmission of
 				// this seq deserves a fresh admission attempt.
-				if tenantHeld {
-					s.tenantRun[tenant]--
-				}
 				if int(a.Proto) < nProtocols {
 					eng.em.shed[a.Proto].Inc()
 				}
@@ -362,9 +321,6 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 		if acquired {
 			s.adm.release()
 		}
-		if tenantHeld {
-			s.tenantRun[tenant]--
-		}
 		c.dedupRecord(a, resp)
 		if !sameBacking(resp, a.Payload) {
 			// The request body has been consumed; recycle it into the
@@ -385,21 +341,19 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 }
 
 // settle decides where a handler's response lives from here on. The dedup
-// cache keeps it until the next request of the same session id replaces
-// it, and a retransmission sends it again — so a response serialized into
-// the staging region (ResponseStage) may stay there only if nothing
-// overwrites the region before then. That holds for unvirtualized traffic
-// (sid 0: the connection's next response is the one that replaces the
-// entry) on every protocol that sends a staged payload in place; a virtual
-// connection's response, which other sessions' responses would overwrite,
-// and an eager response that restages its own fragments move to an arena
-// buffer.
+// cache keeps it until the connection's next request replaces it, and a
+// retransmission sends it again — so a response serialized into the
+// staging region (ResponseStage) may stay there only if nothing overwrites
+// the region before then. That holds (the connection's next response is
+// the one that replaces the entry) on every protocol that sends a staged
+// payload in place; an eager response that restages its own fragments
+// moves to an arena buffer.
 func (c *Conn) settle(a Arrival, resp []byte) []byte {
 	if !c.staged(resp) {
 		return resp
 	}
 	proto := hybridSwitch(a.RespProto, len(resp), c.eng.cfg.RndvThreshold)
-	if a.SID != 0 || c.restages(proto, len(resp)) {
+	if c.restages(proto, len(resp)) {
 		return c.copyPayload(resp)
 	}
 	return resp

@@ -25,7 +25,6 @@ func TestIsUnavailableCoversTypedUnavailability(t *testing.T) {
 		{ErrCircuitOpen, true},
 		{ErrStaleShardEpoch, true},
 		{ErrDraining, true},
-		{ErrNoCredits, false},
 		{errors.New("engine: some validation failure"), false},
 	}
 	for _, tc := range cases {

@@ -30,7 +30,7 @@ const (
 	KeyPolling     Key = "polling"      // auto | busy | event | adaptive
 	KeyNUMA        Key = "numa"         // bind | none
 	KeyTransport   Key = "transport"    // rdma | tcp
-	KeyPriority    Key = "priority"     // high | low
+	KeyPriority    Key = "priority"     // high | low; validated, read by no layer
 )
 
 // PerfGoal is the value domain of KeyPerfGoal.
@@ -283,7 +283,6 @@ type Resolved struct {
 	Polling     Polling
 	NUMABind    bool
 	UseTCP      bool
-	LowPriority bool
 }
 
 // DefaultResolved returns the engine defaults used when no hints are
@@ -315,7 +314,6 @@ func TypeCheck(g Group) Resolved {
 	}
 	r.NUMABind = g[KeyNUMA] == "bind"
 	r.UseTCP = g[KeyTransport] == "tcp"
-	r.LowPriority = g[KeyPriority] == "low"
 	return r
 }
 

@@ -136,7 +136,7 @@ func TestTypeCheckDefaults(t *testing.T) {
 	if r.Goal != GoalThroughput || r.Polling != PollAuto {
 		t.Fatalf("defaults = %+v", r)
 	}
-	if r.Concurrency != 0 || r.PayloadSize != 0 || r.NUMABind || r.UseTCP || r.LowPriority {
+	if r.Concurrency != 0 || r.PayloadSize != 0 || r.NUMABind || r.UseTCP {
 		t.Fatalf("defaults = %+v", r)
 	}
 }
@@ -152,7 +152,7 @@ func TestTypeCheckParsesAll(t *testing.T) {
 		KeyPriority:    "low",
 	})
 	if r.Goal != GoalLatency || r.Concurrency != 64 || r.PayloadSize != 512 ||
-		r.Polling != PollBusy || !r.NUMABind || !r.UseTCP || !r.LowPriority {
+		r.Polling != PollBusy || !r.NUMABind || !r.UseTCP {
 		t.Fatalf("parsed = %+v", r)
 	}
 }

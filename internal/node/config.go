@@ -382,11 +382,7 @@ func (c *Config) Validate() error {
 			Detail: fmt.Sprintf("replication factor %d exceeds servers %d", p.RF, p.Servers)}
 	}
 	if p.RF == 2 {
-		// Promotion needs a majority of the replica set, and of two that is
-		// both: the shard would replicate while healthy and then stay without
-		// a primary for good after its first replica loss.
-		return &ConfigError{Key: "protocol.rf", Err: ErrBadValue,
-			Detail: "replication factor 2 can never fail over (a quorum of 2 replicas is 2, so one loss leaves no majority to promote): use 1, or 3 and more"}
+		return &ConfigError{Key: "protocol.rf", Err: ErrBadValue, Detail: cluster.RF2Refusal}
 	}
 	if len(p.Listeners) == 0 {
 		return &ConfigError{Key: "protocol.listeners", Err: ErrBadValue, Detail: "must name at least one port"}

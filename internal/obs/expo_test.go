@@ -20,7 +20,7 @@ func expoFixture() *Registry {
 	r.Counter("node.drained").Add(17)
 	r.Counter("engine.bytes_recvd").Add(4096)
 	r.Counter("engine.rnr_failures").Inc()
-	r.Counter("engine.tenant_shed").Add(2)
+	r.Counter("engine.shed.Eager-SendRecv").Add(2)
 	r.Counter("verbs.doorbells").Add(21)
 	h := r.Histogram("engine.call_lat.eager")
 	for _, v := range []float64{1000, 2000, 3000, 4000, 5000} {

@@ -78,7 +78,6 @@ type Device struct {
 	dead  bool
 	qps   []*QP
 	cqs   []*CQ
-	srqs  []*SRQ
 
 	vm  verbsMetrics // all nil (no-ops) until SetObs
 	trc *obs.Tracer  // nil unless the registry carries a tracer
@@ -144,9 +143,6 @@ func (d *Device) crash() {
 		qp.errored = true
 		qp.recvq = nil
 		qp.pending = nil
-	}
-	for _, srq := range d.srqs {
-		srq.recvq = nil
 	}
 	for _, cq := range d.cqs {
 		cq.done = nil
@@ -458,8 +454,7 @@ type QP struct {
 	sendCQ   *CQ
 	recvCQ   *CQ
 	peer     *QP
-	srq      *SRQ      // non-nil: receive side drains the shared queue
-	recvq    []RecvWR  // own ring; unused (always empty) when srq != nil
+	recvq    []RecvWR  // posted RECV WQEs, oldest first
 	pending  []*packet // arrived SEND/WRITE_IMM packets awaiting a RECV WQE
 	errored  bool      // retry-exceeded; posts flush until Recover
 	rnrOn    bool      // finite RECV depth: NAK instead of buffering
@@ -484,79 +479,6 @@ func (d *Device) CreateQP(sendCQ, recvCQ *CQ) *QP {
 	d.qps = append(d.qps, qp)
 	return qp
 }
-
-// SRQ is a shared receive queue: one pool of RECV WQEs drained by every
-// QP attached to it. Completions still land in each QP's own receive
-// CQ — only the buffer ring is shared. This is the verbs construct that
-// lets N connections ride a ring sized for the aggregate arrival rate
-// instead of N private rings sized for each connection's worst case.
-type SRQ struct {
-	dev      *Device
-	recvq    []RecvWR
-	qps      []*QP // attach order; pending-packet rescans walk this deterministically
-	rnrOn    bool  // finite shared depth: NAK instead of buffering
-	rnrRetry int   // retransmissions before WCRNRRetryExceeded
-}
-
-// CreateSRQ allocates a shared receive queue. Attach QPs with
-// CreateQPSRQ; post buffers with SRQ.PostRecv.
-func (d *Device) CreateSRQ() *SRQ {
-	srq := &SRQ{dev: d}
-	d.srqs = append(d.srqs, srq)
-	return srq
-}
-
-// CreateQPSRQ allocates a queue pair whose receive side consumes WQEs
-// from the shared receive queue instead of a private ring. PostRecv on
-// the QP itself is invalid — buffers are replenished through the SRQ.
-func (d *Device) CreateQPSRQ(sendCQ, recvCQ *CQ, srq *SRQ) *QP {
-	if srq == nil {
-		panic("verbs: CreateQPSRQ with nil SRQ")
-	}
-	if srq.dev != d {
-		panic("verbs: SRQ belongs to a different device")
-	}
-	qp := d.CreateQP(sendCQ, recvCQ)
-	qp.srq = srq
-	srq.qps = append(srq.qps, qp)
-	return qp
-}
-
-// SetRNR arms finite depth on the shared ring: a two-sided message
-// arriving on any attached QP with the ring empty draws an RNR NAK
-// (charged to the target QP's device) instead of being buffered, and
-// exhausting the retry budget fails the requester's WR with
-// WCRNRRetryExceeded — identical semantics to QP.SetRNR, applied to the
-// shared pool.
-func (srq *SRQ) SetRNR(retries int) {
-	srq.rnrOn = true
-	srq.rnrRetry = retries
-}
-
-// PostRecv replenishes the shared ring with one WQE. If an attached QP
-// holds a pending two-sided packet (arrived before a buffer was
-// available, RNR disabled), the oldest packet of the first such QP in
-// attach order is matched immediately — the fixed scan order keeps
-// replenish-time matching deterministic.
-func (srq *SRQ) PostRecv(wr RecvWR) {
-	for _, qp := range srq.qps {
-		if len(qp.pending) > 0 {
-			pkt := qp.pending[0]
-			qp.pending = qp.pending[1:]
-			qp.deliver(pkt, wr)
-			return
-		}
-	}
-	srq.recvq = append(srq.recvq, wr)
-}
-
-// Depth returns the number of posted-but-unconsumed WQEs in the shared
-// ring. Leak checks sum it with every attached QP's unpolled RECV
-// completions to account for each slot at quiescence.
-func (srq *SRQ) Depth() int { return len(srq.recvq) }
-
-// QPs returns the number of attached queue pairs.
-func (srq *SRQ) QPs() int { return len(srq.qps) }
 
 // ErrQPConnected is returned by Connect when the target QP is already
 // paired with a different live peer. Tearing down an RC connection is
@@ -590,12 +512,8 @@ func (qp *QP) Peer() *QP { return qp.peer }
 func (qp *QP) Device() *Device { return qp.dev }
 
 // PostRecv posts a receive WQE. If a two-sided packet is already pending
-// (arrived before the buffer), it is matched immediately. Invalid on a
-// QP attached to an SRQ — use SRQ.PostRecv.
+// (arrived before the buffer), it is matched immediately.
 func (qp *QP) PostRecv(wr RecvWR) {
-	if qp.srq != nil {
-		panic("verbs: PostRecv on SRQ-attached QP")
-	}
 	if len(qp.pending) > 0 {
 		pkt := qp.pending[0]
 		qp.pending = qp.pending[1:]
@@ -605,40 +523,15 @@ func (qp *QP) PostRecv(wr RecvWR) {
 	qp.recvq = append(qp.recvq, wr)
 }
 
-// takeRecv pops the next RECV WQE available to this QP: the shared ring
-// when attached to an SRQ, the private ring otherwise. ok is false when
-// no buffer is posted.
+// takeRecv pops the oldest posted RECV WQE. ok is false when no buffer is
+// posted.
 func (qp *QP) takeRecv() (wr RecvWR, ok bool) {
-	if srq := qp.srq; srq != nil {
-		if len(srq.recvq) == 0 {
-			return RecvWR{}, false
-		}
-		wr = srq.recvq[0]
-		srq.recvq = srq.recvq[1:]
-		return wr, true
-	}
 	if len(qp.recvq) == 0 {
 		return RecvWR{}, false
 	}
 	wr = qp.recvq[0]
 	qp.recvq = qp.recvq[1:]
 	return wr, true
-}
-
-// rnrArmed / rnrBudget resolve the RNR discipline governing this QP's
-// receive side — the SRQ's when one is attached, the QP's own otherwise.
-func (qp *QP) rnrArmed() bool {
-	if qp.srq != nil {
-		return qp.srq.rnrOn
-	}
-	return qp.rnrOn
-}
-
-func (qp *QP) rnrBudget() int {
-	if qp.srq != nil {
-		return qp.srq.rnrRetry
-	}
-	return qp.rnrRetry
 }
 
 // SetRNR enables finite RECV depth on the QP: a two-sided message
@@ -653,13 +546,8 @@ func (qp *QP) SetRNR(retries int) {
 }
 
 // RecvDepth returns the number of posted-but-unconsumed RECV WQEs on
-// the QP's private ring. Leak checks compare it against the ring size
-// at quiesce. Always zero for an SRQ-attached QP — the shared depth
-// lives in SRQ.Depth.
+// the QP. Leak checks compare it against the ring size at quiesce.
 func (qp *QP) RecvDepth() int { return len(qp.recvq) }
-
-// SRQ returns the shared receive queue the QP is attached to, or nil.
-func (qp *QP) SRQ() *SRQ { return qp.srq }
 
 // deliver completes a matched two-sided packet against the given RECV
 // WQE. WRITE_WITH_IMM already placed its data in the WRITE target at
@@ -677,10 +565,9 @@ func (qp *QP) deliver(pkt *packet, wr RecvWR) {
 }
 
 // noRecv handles a two-sided arrival that found no posted RECV: an RNR
-// NAK when finite depth is armed (on the QP or its SRQ), otherwise the
-// legacy infinite buffer.
+// NAK when finite depth is armed, otherwise the legacy infinite buffer.
 func (qp *QP) noRecv(pkt *packet) {
-	if qp.rnrArmed() {
+	if qp.rnrOn {
 		qp.dev.rnrNak(pkt, 0)
 		return
 	}
@@ -697,7 +584,7 @@ func (d *Device) rnrNak(pkt *packet, attempt int) {
 	d.vm.rnrNaks.Inc()
 	qp := pkt.dstQP
 	wait := sim.Duration(d.cm.RnrTimerNs) + 2*d.node.Cluster().PropDelay()
-	if attempt >= qp.rnrBudget() {
+	if attempt >= qp.rnrRetry {
 		src := pkt.srcQP
 		id, op := pkt.wrid, pkt.kind
 		d.env.After(wait, func() {

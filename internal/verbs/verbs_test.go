@@ -2,6 +2,7 @@ package verbs
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"hatrpc/internal/obs"
@@ -370,5 +371,30 @@ func TestOpcodeString(t *testing.T) {
 	}
 	if Opcode(99).String() != "Opcode(99)" {
 		t.Errorf("unknown opcode string = %q", Opcode(99).String())
+	}
+}
+
+// TestConnectLiveQPRefused: re-targeting a connected, healthy QP is a
+// typed error; re-connecting to the same peer is an idempotent no-op;
+// an errored QP (or one whose peer died) may be re-pointed.
+func TestConnectLiveQPRefused(t *testing.T) {
+	env := sim.NewEnv(37)
+	cl, a, b := crashPair(env)
+	intruder := a.dev.CreateQP(a.cq, a.cq)
+	if err := b.qp.Connect(intruder); !errors.Is(err, ErrQPConnected) {
+		t.Fatalf("re-target of live QP: err = %v, want ErrQPConnected", err)
+	}
+	if b.qp.Peer() != a.qp {
+		t.Fatal("refused Connect must leave the old pairing intact")
+	}
+	if err := b.qp.Connect(a.qp); err != nil {
+		t.Fatalf("idempotent re-connect to same peer: %v", err)
+	}
+	// After the peer's node crashes, re-pointing is legitimate.
+	env.At(100, cl.Node(0).Crash)
+	env.Spawn("watch", func(p *sim.Proc) { p.Sleep(1000) })
+	env.Run()
+	if err := b.qp.Connect(intruder); err != nil {
+		t.Fatalf("re-connect after peer crash: %v", err)
 	}
 }
