@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"strings"
 
 	"hatrpc/internal/idl"
 )
@@ -48,64 +49,22 @@ func (g *gen) genArgsStruct(svc *idl.Service, fn *idl.Function) {
 }
 
 // genResultStruct emits the internal result carrier: field 0 success (if
-// non-void) plus the declared throws fields.
+// non-void) plus the declared throws fields, each written only when set.
 func (g *gen) genResultStruct(svc *idl.Service, fn *idl.Function) {
-	name := resultStructName(svc, fn)
-	g.pf("type %s struct {\n", name)
+	s := &idl.Struct{Name: resultStructName(svc, fn)}
+	g.pf("type %s struct {\n", s.Name)
 	if fn.Returns != nil {
+		s.Fields = append(s.Fields, &idl.Field{ID: 0, Name: "success", Type: fn.Returns})
 		g.pf("\tSuccess %s\n", g.goType(fn.Returns))
 		g.pf("\tSuccessSet bool\n")
 	}
 	for _, th := range fn.Throws {
+		s.Fields = append(s.Fields, th)
 		g.pf("\t%s %s\n", goName(th.Name), g.goType(th.Type))
 	}
 	g.pf("}\n\n")
-
-	// Write
-	g.pf("func (x *%s) Write(p thrift.TProtocol) error {\n", name)
-	g.pf("\tif err := p.WriteStructBegin(%q); err != nil {\n\t\treturn err\n\t}\n", name)
-	if fn.Returns != nil {
-		g.pf("\tif x.SuccessSet {\n")
-		g.pf("\t\tif err := p.WriteFieldBegin(\"success\", %s, 0); err != nil {\n\t\t\treturn err\n\t\t}\n", g.ttype(fn.Returns))
-		g.genWriteValue("x.Success", fn.Returns, 2)
-		g.pf("\t\tif err := p.WriteFieldEnd(); err != nil {\n\t\t\treturn err\n\t\t}\n")
-		g.pf("\t}\n")
-	}
-	for _, th := range fn.Throws {
-		g.pf("\tif x.%s != nil {\n", goName(th.Name))
-		g.pf("\t\tif err := p.WriteFieldBegin(%q, %s, %d); err != nil {\n\t\t\treturn err\n\t\t}\n", th.Name, g.ttype(th.Type), th.ID)
-		g.genWriteValue("x."+goName(th.Name), th.Type, 2)
-		g.pf("\t\tif err := p.WriteFieldEnd(); err != nil {\n\t\t\treturn err\n\t\t}\n")
-		g.pf("\t}\n")
-	}
-	g.pf("\tif err := p.WriteFieldStop(); err != nil {\n\t\treturn err\n\t}\n")
-	g.pf("\treturn p.WriteStructEnd()\n}\n\n")
-
-	// Read
-	g.pf("func (x *%s) Read(p thrift.TProtocol) error {\n", name)
-	g.pf("\tif _, err := p.ReadStructBegin(); err != nil {\n\t\treturn err\n\t}\n")
-	g.pf("\tfor {\n")
-	g.pf("\t\t_, ft, id, err := p.ReadFieldBegin()\n")
-	g.pf("\t\tif err != nil {\n\t\t\treturn err\n\t\t}\n")
-	g.pf("\t\tif ft == thrift.STOP {\n\t\t\tbreak\n\t\t}\n")
-	if fn.Returns == nil && len(fn.Throws) == 0 {
-		g.pf("\t\t_ = id\n")
-	}
-	g.pf("\t\tswitch {\n")
-	if fn.Returns != nil {
-		g.pf("\t\tcase id == 0 && ft == %s:\n", g.ttype(fn.Returns))
-		g.genReadValue("x.Success", fn.Returns, 3)
-		g.pf("\t\t\tx.SuccessSet = true\n")
-	}
-	for _, th := range fn.Throws {
-		g.pf("\t\tcase id == %d && ft == %s:\n", th.ID, g.ttype(th.Type))
-		g.genReadValue("x."+goName(th.Name), th.Type, 3)
-	}
-	g.pf("\t\tdefault:\n\t\t\tif err := thrift.Skip(p, ft); err != nil {\n\t\t\t\treturn err\n\t\t\t}\n")
-	g.pf("\t\t}\n")
-	g.pf("\t\tif err := p.ReadFieldEnd(); err != nil {\n\t\t\treturn err\n\t\t}\n")
-	g.pf("\t}\n")
-	g.pf("\treturn p.ReadStructEnd()\n}\n\n")
+	g.genStructWrite(s, true)
+	g.genStructRead(s, true)
 }
 
 // genPlainStruct emits a non-exported struct with Write/Read (args
@@ -116,17 +75,18 @@ func (g *gen) genPlainStruct(s *idl.Struct) {
 		g.pf("\t%s %s\n", goName(f.Name), g.goType(f.Type))
 	}
 	g.pf("}\n\n")
-	g.genStructWrite(s)
-	g.genStructRead(s)
+	g.genStructWrite(s, false)
+	g.genStructRead(s, false)
 }
 
-// fnSignature renders the Go signature pieces for a function.
+// fnParams renders a function's Go parameter list, the calling process
+// first.
 func (g *gen) fnParams(fn *idl.Function) string {
-	var parts []string
+	parts := []string{"p *sim.Proc"}
 	for _, a := range fn.Args {
 		parts = append(parts, fmt.Sprintf("%s %s", lowerFirst(a.Name)+"_", g.goType(a.Type)))
 	}
-	return joinComma(parts)
+	return strings.Join(parts, ", ")
 }
 
 func (g *gen) fnReturns(fn *idl.Function) string {
@@ -139,45 +99,31 @@ func (g *gen) fnReturns(fn *idl.Function) string {
 	return fmt.Sprintf("(%s, error)", g.goType(fn.Returns))
 }
 
-func joinComma(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += ", "
-		}
-		out += p
-	}
-	return out
-}
-
 func (g *gen) genHandlerInterface(svc *idl.Service) {
 	g.pf("// %sHandler is the application-side interface for service %s.\n", svc.Name, svc.Name)
 	g.pf("type %sHandler interface {\n", svc.Name)
 	for _, fn := range svc.Functions {
-		params := "p *sim.Proc"
-		if ps := g.fnParams(fn); ps != "" {
-			params += ", " + ps
-		}
-		g.pf("\t%s(%s) %s\n", goName(fn.Name), params, g.fnReturns(fn))
+		g.pf("\t%s(%s) %s\n", goName(fn.Name), g.fnParams(fn), g.fnReturns(fn))
 	}
 	g.pf("}\n\n")
 }
 
 func (g *gen) genClient(svc *idl.Service) {
 	cn := svc.Name + "Client"
-	g.pf("// %s is the generated typed client for service %s.\n", cn, svc.Name)
-	g.pf("type %s struct {\n\tT trdma.Transport\n\tseq int32\n}\n\n", cn)
+	g.pf("// %s is the generated typed client for service %s. It carries one\n", cn, svc.Name)
+	g.pf("// call at a time: a request is serialized into the transport's one staging\n")
+	g.pf("// buffer and every call re-arms the same codec state, so calls on one\n")
+	g.pf("// client must not overlap — give each calling process its own client.\n")
+	g.pf("// Arguments are lent for the call; binary results are the caller's, the\n")
+	g.pf("// values of one reply sharing one allocation.\n")
+	g.pf("type %s struct {\n\tT trdma.Transport\n\tseq int32\n\tcd *thrift.Codec\n}\n\n", cn)
 	g.pf("// New%s wraps a transport in the typed client.\n", cn)
-	g.pf("func New%s(t trdma.Transport) *%s {\n\treturn &%s{T: t}\n}\n\n", cn, cn, cn)
+	g.pf("func New%s(t trdma.Transport) *%s {\n\treturn &%s{T: t, cd: thrift.NewCodec()}\n}\n\n", cn, cn, cn)
 
 	for _, fn := range svc.Functions {
 		gn := goName(fn.Name)
-		params := "p *sim.Proc"
-		if ps := g.fnParams(fn); ps != "" {
-			params += ", " + ps
-		}
 		g.pf("// %s invokes %s.%s.\n", gn, svc.Name, fn.Name)
-		g.pf("func (c *%s) %s(%s) %s {\n", cn, gn, params, g.fnReturns(fn))
+		g.pf("func (c *%s) %s(%s) %s {\n", cn, gn, g.fnParams(fn), g.fnReturns(fn))
 
 		zero := ""
 		retErr := func(errExpr string) string {
@@ -195,8 +141,7 @@ func (g *gen) genClient(svc *idl.Service) {
 			msgType = "thrift.ONEWAY"
 		}
 		g.pf("\tc.seq++\n")
-		g.pf("\tbuf := thrift.NewTMemoryBufferWith(c.T.Stage())\n")
-		g.pf("\tw := thrift.NewTBinaryProtocol(buf)\n")
+		g.pf("\tw := c.cd.Encode(c.T.Stage())\n")
 		g.pf("\tif err := w.WriteMessageBegin(%q, %s, c.seq); err != nil {\n\t\t%s\n\t}\n", fn.Name, msgType, retErr("err"))
 		g.pf("\targs := %s{", argsStructName(svc, fn))
 		for i, a := range fn.Args {
@@ -209,19 +154,21 @@ func (g *gen) genClient(svc *idl.Service) {
 		g.pf("\tif err := args.Write(w); err != nil {\n\t\t%s\n\t}\n", retErr("err"))
 		g.pf("\tif err := w.WriteMessageEnd(); err != nil {\n\t\t%s\n\t}\n", retErr("err"))
 		if fn.Oneway {
-			g.pf("\t_, err := c.T.Invoke(p, %q, buf.Bytes(), true)\n", fn.Name)
+			g.pf("\t_, err := c.T.Invoke(p, %q, c.cd.Encoded(), true)\n", fn.Name)
 			g.pf("\treturn err\n}\n\n")
 			continue
 		}
-		g.pf("\trespBytes, err := c.T.Invoke(p, %q, buf.Bytes(), false)\n", fn.Name)
+		g.pf("\trespBytes, err := c.T.Invoke(p, %q, c.cd.Encoded(), false)\n", fn.Name)
 		g.pf("\tif err != nil {\n\t\t%s\n\t}\n", retErr("err"))
-		g.pf("\tr := thrift.NewTBinaryProtocol(thrift.NewTMemoryBufferWith(respBytes))\n")
-		g.pf("\t_, mt, _, err := r.ReadMessageBegin()\n")
+		g.pf("\tr := c.cd.DecodeReply(respBytes)\n")
+		g.pf("\t_, mt, seq, err := r.ReadMessageHeader()\n")
 		g.pf("\tif err != nil {\n\t\t%s\n\t}\n", retErr("err"))
 		g.pf("\tif mt == thrift.EXCEPTION {\n")
 		g.pf("\t\tvar ex thrift.TApplicationException\n")
 		g.pf("\t\tif err := ex.Read(r); err != nil {\n\t\t\t%s\n\t\t}\n", retErr("err"))
 		g.pf("\t\t%s\n\t}\n", retErr("&ex"))
+		g.pf("\tif seq != c.seq {\n\t\t%s\n\t}\n",
+			retErr(fmt.Sprintf("thrift.NewApplicationException(thrift.ExcBadSequenceID, %q)", fn.Name+" reply out of sequence")))
 		g.pf("\tvar result %s\n", resultStructName(svc, fn))
 		g.pf("\tif err := result.Read(r); err != nil {\n\t\t%s\n\t}\n", retErr("err"))
 		for _, th := range fn.Throws {
@@ -238,27 +185,40 @@ func (g *gen) genClient(svc *idl.Service) {
 
 func (g *gen) genProcessor(svc *idl.Service) {
 	pn := svc.Name + "Processor"
-	g.pf("// %s dispatches framed requests to a handler.\n", pn)
-	g.pf("type %s struct {\n\th %sHandler\n}\n\n", pn, svc.Name)
+	exc := lowerFirst(svc.Name) + "EncodeException"
+	g.pf("// %s dispatches framed requests to a handler. Handlers yield, so\n", pn)
+	g.pf("// several requests may be in flight: each takes its codec state from a\n")
+	g.pf("// free list for as long as it runs.\n")
+	g.pf("type %s struct {\n\th %sHandler\n\tcodecs thrift.CodecPool\n}\n\n", pn, svc.Name)
 	g.pf("// New%s wraps a handler.\nfunc New%s(h %sHandler) *%s {\n\treturn &%s{h: h}\n}\n\n", pn, pn, svc.Name, pn, pn)
 
 	g.pf("// ProcessBytes decodes one request, invokes the handler, and returns\n")
-	g.pf("// the framed response (nil for oneway).\n")
+	g.pf("// the framed response (nil for oneway). It dispatches on fnID; a request\n")
+	g.pf("// that came without one (id 0: IPoIB) is matched by the name it carries,\n")
+	g.pf("// compared where it lies in the request.\n")
 	g.pf("func (pr *%s) ProcessBytes(p *sim.Proc, fnID uint32, req []byte) []byte {\n", pn)
-	g.pf("\tr := thrift.NewTBinaryProtocol(thrift.NewTMemoryBufferView(req))\n")
-	g.pf("\tname, _, seq, err := r.ReadMessageBegin()\n")
-	g.pf("\tif err != nil {\n\t\treturn %sEncodeException(name, seq, thrift.ExcProtocolError, err.Error())\n\t}\n", lowerFirst(svc.Name))
-	g.pf("\tswitch name {\n")
-	for _, fn := range svc.Functions {
-		g.pf("\tcase %q:\n", fn.Name)
-		g.pf("\t\treturn pr.handle%s(p, r, seq)\n", goName(fn.Name))
+	g.pf("\tcd := pr.codecs.Get()\n")
+	g.pf("\tdefer pr.codecs.Put(cd)\n")
+	g.pf("\tr := cd.DecodeRequest(req)\n")
+	g.pf("\tname, _, seq, err := r.ReadMessageHeader()\n")
+	g.pf("\tif err != nil {\n\t\treturn %s(string(name), seq, thrift.ExcProtocolError, err.Error())\n\t}\n", exc)
+	g.pf("\tif fnID == 0 {\n")
+	g.pf("\t\tswitch string(name) {\n")
+	for i, fn := range svc.Functions {
+		g.pf("\t\tcase %q:\n\t\t\tfnID = %d\n", fn.Name, i+1)
+	}
+	g.pf("\t\t}\n\t}\n")
+	g.pf("\tswitch fnID {\n")
+	for i, fn := range svc.Functions {
+		g.pf("\tcase %d:\n", i+1)
+		g.pf("\t\treturn pr.handle%s(p, cd, r, seq)\n", goName(fn.Name))
 	}
 	g.pf("\t}\n")
-	g.pf("\treturn %sEncodeException(name, seq, thrift.ExcUnknownMethod, \"unknown method \"+name)\n", lowerFirst(svc.Name))
+	g.pf("\treturn %s(string(name), seq, thrift.ExcUnknownMethod, \"unknown method \"+string(name))\n", exc)
 	g.pf("}\n\n")
 
 	// Shared exception encoder.
-	g.pf("func %sEncodeException(name string, seq int32, code thrift.ApplicationExceptionType, msg string) []byte {\n", lowerFirst(svc.Name))
+	g.pf("func %s(name string, seq int32, code thrift.ApplicationExceptionType, msg string) []byte {\n", exc)
 	g.pf("\tbuf := thrift.NewTMemoryBuffer()\n")
 	g.pf("\tw := thrift.NewTBinaryProtocol(buf)\n")
 	g.pf("\tw.WriteMessageBegin(name, thrift.EXCEPTION, seq)\n")
@@ -273,7 +233,7 @@ func (g *gen) genProcessor(svc *idl.Service) {
 
 func (g *gen) genHandlerStub(svc *idl.Service, fn *idl.Function) {
 	pn := svc.Name + "Processor"
-	g.pf("func (pr *%s) handle%s(p *sim.Proc, r thrift.TProtocol, seq int32) []byte {\n", pn, goName(fn.Name))
+	g.pf("func (pr *%s) handle%s(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {\n", pn, goName(fn.Name))
 	g.pf("\tvar args %s\n", argsStructName(svc, fn))
 	g.pf("\tif err := args.Read(r); err != nil {\n\t\treturn %sEncodeException(%q, seq, thrift.ExcProtocolError, err.Error())\n\t}\n", lowerFirst(svc.Name), fn.Name)
 	callArgs := "p"
@@ -307,12 +267,11 @@ func (g *gen) genHandlerStub(svc *idl.Service, fn *idl.Function) {
 	} else {
 		g.pf("\t}\n")
 	}
-	g.pf("\tbuf := thrift.NewTMemoryBufferWith(trdma.ResponseStage(p))\n")
-	g.pf("\tw := thrift.NewTBinaryProtocol(buf)\n")
+	g.pf("\tw := cd.Encode(trdma.ResponseStage(p))\n")
 	g.pf("\tw.WriteMessageBegin(%q, thrift.REPLY, seq)\n", fn.Name)
 	g.pf("\tresult.Write(w)\n")
 	g.pf("\tw.WriteMessageEnd()\n")
-	g.pf("\treturn buf.Bytes()\n}\n\n")
+	g.pf("\treturn cd.Encoded()\n}\n\n")
 }
 
 func (g *gen) genHintTable(svc *idl.Service) {

@@ -168,7 +168,10 @@ func (s *Store) commitCharge(p *sim.Proc) {
 var ErrNotFound error = &kvgen.KVError{Message: "hatkv: key not found"}
 
 // Get implements HatKV.Get. A missing key is ErrNotFound; any other error
-// means the backend failed and says nothing about the key.
+// means the backend failed and says nothing about the key. The value is
+// the stored slice itself — immutable by lmdb.PutOwned's contract, shared
+// with every other reader, and so read-only to the caller; the copy a real
+// backend would make is still charged to the simulated clock.
 func (s *Store) Get(p *sim.Proc, key string) ([]byte, error) {
 	s.charge(p, float64(s.costs.BeginTxnNs))
 	txn, err := s.env.BeginRead()
@@ -184,7 +187,7 @@ func (s *Store) Get(p *sim.Proc, key string) ([]byte, error) {
 	if err != nil {
 		return nil, kvError(err)
 	}
-	return append([]byte(nil), v...), nil
+	return v, nil
 }
 
 // Put implements HatKV.Put.
@@ -369,6 +372,7 @@ func applyBorrowed(txn *lmdb.Txn, req *writeReq) (pairs, bytesIn int, err error)
 func kvError(err error) error { return &kvgen.KVError{Message: err.Error()} }
 
 // MultiGet implements HatKV.MultiGet: one snapshot for the whole batch.
+// The values are read-only, as Get's is.
 func (s *Store) MultiGet(p *sim.Proc, keys []string) ([][]byte, error) {
 	s.charge(p, float64(s.costs.BeginTxnNs))
 	txn, err := s.env.BeginRead()
@@ -387,7 +391,7 @@ func (s *Store) MultiGet(p *sim.Proc, keys []string) ([][]byte, error) {
 		if err != nil {
 			return nil, kvError(err)
 		}
-		out = append(out, append([]byte(nil), v...))
+		out = append(out, v)
 		bytesOut += len(v)
 	}
 	s.charge(p, float64(len(keys))*float64(s.costs.LookupNs)+float64(bytesOut)*s.costs.CopyPerByte)

@@ -495,3 +495,81 @@ func TestPreload(t *testing.T) {
 		t.Fatalf("entries = %d", store.Env().Entries())
 	}
 }
+
+// TestStoreReadsAreStable: Get and MultiGet hand out the stored slices
+// themselves, which is sound only while nothing ever writes to a stored
+// value in place. What a reader holds must read the same after the key is
+// overwritten — by a solo writer (whose value lmdb copies) and by a commit
+// group (whose parked copies lmdb keeps) — and after the node crashes and
+// the store recovers.
+func TestStoreReadsAreStable(t *testing.T) {
+	env, cl := setup(12)
+	store, err := hatkv.NewStore(cl.Node(0), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"a", "b", "c"}
+	old := func(k string) []byte { return bytes.Repeat([]byte(k), 100) }
+	env.Spawn("reader", func(p *sim.Proc) {
+		for _, k := range keys {
+			if err := store.Put(p, k, old(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		one, err := store.Get(p, "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		many, err := store.MultiGet(p, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(after string) {
+			t.Helper()
+			if !bytes.Equal(one, old("a")) {
+				t.Errorf("a Get result changed after %s", after)
+			}
+			for i, k := range keys {
+				if !bytes.Equal(many[i], old(k)) {
+					t.Errorf("MultiGet result %d changed after %s", i, after)
+				}
+			}
+		}
+
+		if err := store.Put(p, "a", bytes.Repeat([]byte("X"), 100)); err != nil {
+			t.Fatal(err)
+		}
+		check("a solo overwrite")
+
+		// Four writers at once: the first leads alone, the rest park and
+		// share the next commit.
+		done := 0
+		for w := 0; w < 4; w++ {
+			cl.Node(0).Spawn(fmt.Sprintf("w%d", w), func(wp *sim.Proc) {
+				pairs := []*kvgen.KVPair{}
+				for _, k := range keys {
+					pairs = append(pairs, &kvgen.KVPair{Key: k, Value: bytes.Repeat([]byte{byte('0' + w)}, 100)})
+				}
+				if err := store.MultiPut(wp, pairs); err != nil {
+					t.Error(err)
+				}
+				done++
+			})
+		}
+		for done < 4 {
+			p.Sleep(1_000)
+		}
+		if g := store.Env().Stats.Commits; g >= 3+1+4 {
+			t.Errorf("%d commits: the four writers did not share one", g)
+		}
+		check("a commit group overwrote every key")
+
+		cl.Node(0).Crash()
+		if store.Recoveries != 1 {
+			t.Errorf("recoveries = %d after the crash", store.Recoveries)
+		}
+		check("crash recovery")
+	})
+	env.Run()
+	env.Shutdown()
+}

@@ -2,19 +2,17 @@ package thrift
 
 import "sync"
 
-// Size-classed buffer arena for the serialization hot path. Frame
-// bodies, binary-field reads and transport read buffers cycle through
-// here instead of the garbage collector, so a steady-state RPC loop
-// serializes with zero per-op heap allocations once the classes are
-// warm.
+// Size-classed buffer arena: a binary field read over a plain memory
+// buffer (NewTMemoryBufferWith) is a copy taken from here, and a reader
+// that hands it back when done (PutBuffer) decodes with zero per-op heap
+// allocations once the classes are warm. Generated stubs do not come
+// through here (see Codec).
 //
-// Classes are powers of two from arenaMinClass to arenaMaxClass;
-// requests outside that range fall back to plain make (a request that
-// large is not hot-path). The arena is process-global and
+// Classes are powers of two from arenaMinClass to arenaMaxClass; larger
+// requests fall back to plain make. The arena is process-global and
 // mutex-guarded: package thrift is plain library code driven from many
-// simulation harnesses (it is not a DES package), so goroutine-safety
-// is on it, not its callers. Returning a buffer is always optional —
-// a dropped buffer is collected normally.
+// simulation harnesses, not a DES package. Returning a buffer is always
+// optional — a dropped buffer is collected normally.
 const (
 	arenaMinClass = 64
 	arenaMaxClass = 1 << 20

@@ -3,7 +3,6 @@ package thrift
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -15,50 +14,33 @@ const (
 )
 
 // TBinaryProtocol is the default Thrift wire protocol: fixed-width
-// big-endian integers, length-prefixed strings.
-//
-// The scratch fields make the fixed-width codec allocation-free: a
-// stack array passed through the TTransport interface escapes to the
-// heap on every call, so the per-protocol fields absorb that cost once
-// at protocol construction. Protocols are per-connection and not
-// goroutine-safe, as in upstream Thrift.
+// big-endian integers, length-prefixed strings. It reads and writes the
+// memory buffer it is built over in place, so it carries no state of its
+// own and a message costs no allocation beyond the buffer's growth.
+// Protocols are per-connection and not goroutine-safe, as in upstream
+// Thrift.
 type TBinaryProtocol struct {
-	trans   TTransport
-	scratch [8]byte // fixed-width integer staging
-	sbuf    []byte  // grow-once string-write staging
+	m *TMemoryBuffer
 }
 
 var _ TProtocol = (*TBinaryProtocol)(nil)
 
-// NewTBinaryProtocol returns a strict binary protocol over trans.
+// NewTBinaryProtocol returns a strict binary protocol over trans, which
+// must be a *TMemoryBuffer (the only transport there is).
 func NewTBinaryProtocol(trans TTransport) *TBinaryProtocol {
-	return &TBinaryProtocol{trans: trans}
+	return &TBinaryProtocol{m: trans.(*TMemoryBuffer)}
 }
 
 // Transport returns the underlying transport.
-func (p *TBinaryProtocol) Transport() TTransport { return p.trans }
+func (p *TBinaryProtocol) Transport() TTransport { return p.m }
 
 // Flush flushes the underlying transport.
-func (p *TBinaryProtocol) Flush() error { return p.trans.Flush() }
-
-func (p *TBinaryProtocol) writeAll(b []byte) error {
-	_, err := p.trans.Write(b)
-	return err
-}
-
-func (p *TBinaryProtocol) readFull(b []byte) error {
-	_, err := io.ReadFull(p.trans, b)
-	return err
-}
+func (p *TBinaryProtocol) Flush() error { return p.m.Flush() }
 
 // WriteMessageBegin emits the strict-mode message header.
 func (p *TBinaryProtocol) WriteMessageBegin(name string, typeID TMessageType, seqid int32) error {
-	if err := p.WriteI32(int32(binaryVersion1 | uint32(typeID))); err != nil {
-		return err
-	}
-	if err := p.WriteString(name); err != nil {
-		return err
-	}
+	p.WriteI32(int32(binaryVersion1 | uint32(typeID)))
+	p.WriteString(name)
 	return p.WriteI32(seqid)
 }
 
@@ -73,10 +55,10 @@ func (p *TBinaryProtocol) WriteStructEnd() error { return nil }
 
 // WriteFieldBegin emits the field type and id.
 func (p *TBinaryProtocol) WriteFieldBegin(_ string, typeID TType, id int16) error {
-	if err := p.WriteI8(int8(typeID)); err != nil {
-		return err
-	}
-	return p.WriteI16(id)
+	b := p.m.extend(3)
+	b[0] = byte(typeID)
+	binary.BigEndian.PutUint16(b[1:], uint16(id))
+	return nil
 }
 
 // WriteFieldEnd is a no-op.
@@ -87,13 +69,10 @@ func (p *TBinaryProtocol) WriteFieldStop() error { return p.WriteI8(int8(STOP)) 
 
 // WriteMapBegin emits key type, value type and size.
 func (p *TBinaryProtocol) WriteMapBegin(kt, vt TType, size int) error {
-	if err := p.WriteI8(int8(kt)); err != nil {
-		return err
-	}
-	if err := p.WriteI8(int8(vt)); err != nil {
-		return err
-	}
-	return p.WriteI32(int32(size))
+	b := p.m.extend(6)
+	b[0], b[1] = byte(kt), byte(vt)
+	binary.BigEndian.PutUint32(b[2:], uint32(size))
+	return nil
 }
 
 // WriteMapEnd is a no-op.
@@ -101,10 +80,10 @@ func (p *TBinaryProtocol) WriteMapEnd() error { return nil }
 
 // WriteListBegin emits element type and size.
 func (p *TBinaryProtocol) WriteListBegin(et TType, size int) error {
-	if err := p.WriteI8(int8(et)); err != nil {
-		return err
-	}
-	return p.WriteI32(int32(size))
+	b := p.m.extend(5)
+	b[0] = byte(et)
+	binary.BigEndian.PutUint32(b[1:], uint32(size))
+	return nil
 }
 
 // WriteListEnd is a no-op.
@@ -128,26 +107,26 @@ func (p *TBinaryProtocol) WriteBool(v bool) error {
 
 // WriteI8 emits one byte.
 func (p *TBinaryProtocol) WriteI8(v int8) error {
-	p.scratch[0] = byte(v)
-	return p.writeAll(p.scratch[:1])
+	p.m.extend(1)[0] = byte(v)
+	return nil
 }
 
 // WriteI16 emits a big-endian int16.
 func (p *TBinaryProtocol) WriteI16(v int16) error {
-	binary.BigEndian.PutUint16(p.scratch[:2], uint16(v))
-	return p.writeAll(p.scratch[:2])
+	binary.BigEndian.PutUint16(p.m.extend(2), uint16(v))
+	return nil
 }
 
 // WriteI32 emits a big-endian int32.
 func (p *TBinaryProtocol) WriteI32(v int32) error {
-	binary.BigEndian.PutUint32(p.scratch[:4], uint32(v))
-	return p.writeAll(p.scratch[:4])
+	binary.BigEndian.PutUint32(p.m.extend(4), uint32(v))
+	return nil
 }
 
 // WriteI64 emits a big-endian int64.
 func (p *TBinaryProtocol) WriteI64(v int64) error {
-	binary.BigEndian.PutUint64(p.scratch[:8], uint64(v))
-	return p.writeAll(p.scratch[:8])
+	binary.BigEndian.PutUint64(p.m.extend(8), uint64(v))
+	return nil
 }
 
 // WriteDouble emits an IEEE-754 double, big-endian.
@@ -155,51 +134,44 @@ func (p *TBinaryProtocol) WriteDouble(v float64) error {
 	return p.WriteI64(int64(math.Float64bits(v)))
 }
 
-// WriteString emits a length-prefixed string. The string bytes are
-// staged in the protocol's grow-once buffer instead of a per-call
-// []byte(v) conversion.
+// WriteString emits a length-prefixed string.
 func (p *TBinaryProtocol) WriteString(v string) error {
-	if err := p.WriteI32(int32(len(v))); err != nil {
-		return err
-	}
-	p.sbuf = append(p.sbuf[:0], v...)
-	return p.writeAll(p.sbuf)
+	b := p.m.extend(4 + len(v))
+	binary.BigEndian.PutUint32(b, uint32(len(v)))
+	copy(b[4:], v)
+	return nil
 }
 
-// binaryTail is the room WriteBinary asks a memory buffer for beyond the
-// field itself: the bytes that typically follow a message's last binary
-// field (field stops, a few scalar fields). Without it a buffer sized by
-// the field's own append to exactly fit would be reallocated, and the
-// whole field moved again, by the one-byte write behind it.
-const binaryTail = 64
-
-// WriteBinary emits a length-prefixed byte slice. A memory buffer is
-// grown once, from the length known here, instead of by appending.
+// WriteBinary emits a length-prefixed byte slice.
 func (p *TBinaryProtocol) WriteBinary(v []byte) error {
-	if m, ok := p.trans.(*TMemoryBuffer); ok {
-		m.Grow(4 + len(v) + binaryTail)
-	}
-	if err := p.WriteI32(int32(len(v))); err != nil {
-		return err
-	}
-	return p.writeAll(v)
+	b := p.m.extend(4 + len(v))
+	binary.BigEndian.PutUint32(b, uint32(len(v)))
+	copy(b[4:], v)
+	return nil
 }
 
 // ReadMessageBegin parses the strict-mode header.
 func (p *TBinaryProtocol) ReadMessageBegin() (string, TMessageType, int32, error) {
+	name, typeID, seqid, err := p.ReadMessageHeader()
+	return string(name), typeID, seqid, err
+}
+
+// ReadMessageHeader is ReadMessageBegin with the name left as a window
+// onto the buffer, for a reader that dispatches on something else or
+// compares the name where it lies.
+func (p *TBinaryProtocol) ReadMessageHeader() (name []byte, typeID TMessageType, seqid int32, err error) {
 	first, err := p.ReadI32()
 	if err != nil {
-		return "", 0, 0, err
+		return nil, 0, 0, err
 	}
 	if uint32(first)&binaryVersionMask != binaryVersion1 {
-		return "", 0, 0, fmt.Errorf("thrift: bad binary protocol version 0x%08x", uint32(first))
+		return nil, 0, 0, fmt.Errorf("thrift: bad binary protocol version 0x%08x", uint32(first))
 	}
-	typeID := TMessageType(uint32(first) & 0xff)
-	name, err := p.ReadString()
-	if err != nil {
-		return "", 0, 0, err
+	typeID = TMessageType(uint32(first) & 0xff)
+	if name, err = p.readLenPrefixed(); err != nil {
+		return nil, 0, 0, err
 	}
-	seqid, err := p.ReadI32()
+	seqid, err = p.ReadI32()
 	return name, typeID, seqid, err
 }
 
@@ -238,11 +210,8 @@ func (p *TBinaryProtocol) ReadMapBegin() (TType, TType, int, error) {
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	size, err := p.ReadI32()
-	if size < 0 {
-		return 0, 0, 0, fmt.Errorf("thrift: negative map size %d", size)
-	}
-	return TType(kt), TType(vt), int(size), err
+	size, err := p.readCount()
+	return TType(kt), TType(vt), size, err
 }
 
 // ReadMapEnd is a no-op.
@@ -254,11 +223,17 @@ func (p *TBinaryProtocol) ReadListBegin() (TType, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	size, err := p.ReadI32()
-	if size < 0 {
-		return 0, 0, fmt.Errorf("thrift: negative list size %d", size)
+	size, err := p.readCount()
+	return TType(et), size, err
+}
+
+// readCount parses a container's element count.
+func (p *TBinaryProtocol) readCount() (int, error) {
+	n, err := p.ReadI32()
+	if err != nil {
+		return 0, err
 	}
-	return TType(et), int(size), err
+	return p.m.count(uint64(uint32(n))) // a negative count is a huge one
 }
 
 // ReadListEnd is a no-op.
@@ -278,34 +253,38 @@ func (p *TBinaryProtocol) ReadBool() (bool, error) {
 
 // ReadI8 parses one byte.
 func (p *TBinaryProtocol) ReadI8() (int8, error) {
-	if err := p.readFull(p.scratch[:1]); err != nil {
+	b, err := p.m.next(1)
+	if err != nil {
 		return 0, err
 	}
-	return int8(p.scratch[0]), nil
+	return int8(b[0]), nil
 }
 
 // ReadI16 parses a big-endian int16.
 func (p *TBinaryProtocol) ReadI16() (int16, error) {
-	if err := p.readFull(p.scratch[:2]); err != nil {
+	b, err := p.m.next(2)
+	if err != nil {
 		return 0, err
 	}
-	return int16(binary.BigEndian.Uint16(p.scratch[:2])), nil
+	return int16(binary.BigEndian.Uint16(b)), nil
 }
 
 // ReadI32 parses a big-endian int32.
 func (p *TBinaryProtocol) ReadI32() (int32, error) {
-	if err := p.readFull(p.scratch[:4]); err != nil {
+	b, err := p.m.next(4)
+	if err != nil {
 		return 0, err
 	}
-	return int32(binary.BigEndian.Uint32(p.scratch[:4])), nil
+	return int32(binary.BigEndian.Uint32(b)), nil
 }
 
 // ReadI64 parses a big-endian int64.
 func (p *TBinaryProtocol) ReadI64() (int64, error) {
-	if err := p.readFull(p.scratch[:8]); err != nil {
+	b, err := p.m.next(8)
+	if err != nil {
 		return 0, err
 	}
-	return int64(binary.BigEndian.Uint64(p.scratch[:8])), nil
+	return int64(binary.BigEndian.Uint64(b)), nil
 }
 
 // ReadDouble parses an IEEE-754 double.
@@ -314,39 +293,30 @@ func (p *TBinaryProtocol) ReadDouble() (float64, error) {
 	return math.Float64frombits(uint64(v)), err
 }
 
-// ReadString parses a length-prefixed string. The intermediate byte
-// buffer goes back to the arena — the string conversion copies.
+// ReadString parses a length-prefixed string.
 func (p *TBinaryProtocol) ReadString() (string, error) {
-	n, err := p.readLen()
-	if err != nil {
-		return "", err
-	}
-	b, err := readLenPrefixed(p.trans, n)
-	s := string(b)
-	PutBuffer(b)
-	return s, err
+	b, err := p.readLenPrefixed()
+	return string(b), err
 }
 
-// ReadBinary parses a length-prefixed byte slice: a copy the caller owns,
-// or — over a NewTMemoryBufferView transport — a window onto the buffer.
+// ReadBinary parses a length-prefixed byte slice, owned as the buffer
+// says: a copy (NewTMemoryBufferWith), a window onto the buffer
+// (Codec.DecodeRequest), or a share of the message's one allocation
+// (Codec.DecodeReply).
 func (p *TBinaryProtocol) ReadBinary() ([]byte, error) {
-	n, err := p.readLen()
+	n, err := p.ReadI32()
 	if err != nil {
 		return nil, err
 	}
-	if m, ok := p.trans.(*TMemoryBuffer); ok && m.lend {
-		return m.next(n)
-	}
-	return readLenPrefixed(p.trans, n)
+	return p.m.binaryField(int(n))
 }
 
-func (p *TBinaryProtocol) readLen() (int, error) {
+// readLenPrefixed returns the bytes behind a length prefix as a window
+// onto the buffer.
+func (p *TBinaryProtocol) readLenPrefixed() ([]byte, error) {
 	n, err := p.ReadI32()
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	if n < 0 {
-		return 0, fmt.Errorf("thrift: negative binary length %d", n)
-	}
-	return int(n), nil
+	return p.m.next(int(n))
 }

@@ -2,6 +2,7 @@ package thrift
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -32,76 +33,40 @@ const (
 	ctStruct    byte = 0x0C
 )
 
-func toCompactType(t TType) byte {
-	switch t {
-	case STOP:
-		return ctStop
-	case BOOL:
-		return ctBoolTrue
-	case BYTE:
-		return ctByte
-	case I16:
-		return ctI16
-	case I32:
-		return ctI32
-	case I64:
-		return ctI64
-	case DOUBLE:
-		return ctDouble
-	case STRING:
-		return ctBinary
-	case LIST:
-		return ctList
-	case SET:
-		return ctSet
-	case MAP:
-		return ctMap
-	case STRUCT:
-		return ctStruct
+// compactTypes maps a TType to its compact wire code, typesOfCompact a
+// compact code back; STOP and ctStop are both zero, which the gaps in
+// either table also read as.
+var (
+	compactTypes = [16]byte{
+		BOOL: ctBoolTrue, BYTE: ctByte, I16: ctI16, I32: ctI32, I64: ctI64, DOUBLE: ctDouble,
+		STRING: ctBinary, LIST: ctList, SET: ctSet, MAP: ctMap, STRUCT: ctStruct,
 	}
-	panic(fmt.Sprintf("thrift: no compact encoding for %v", t))
+	typesOfCompact = [16]TType{
+		ctBoolTrue: BOOL, ctBoolFalse: BOOL, ctByte: BYTE, ctI16: I16, ctI32: I32, ctI64: I64, ctDouble: DOUBLE,
+		ctBinary: STRING, ctList: LIST, ctSet: SET, ctMap: MAP, ctStruct: STRUCT,
+	}
+)
+
+func toCompactType(t TType) byte {
+	if t != STOP && (int(t) >= len(compactTypes) || compactTypes[t] == ctStop) {
+		panic(fmt.Sprintf("thrift: no compact encoding for %v", t))
+	}
+	return compactTypes[t]
 }
 
 func fromCompactType(c byte) (TType, error) {
-	switch c {
-	case ctStop:
-		return STOP, nil
-	case ctBoolTrue, ctBoolFalse:
-		return BOOL, nil
-	case ctByte:
-		return BYTE, nil
-	case ctI16:
-		return I16, nil
-	case ctI32:
-		return I32, nil
-	case ctI64:
-		return I64, nil
-	case ctDouble:
-		return DOUBLE, nil
-	case ctBinary:
-		return STRING, nil
-	case ctList:
-		return LIST, nil
-	case ctSet:
-		return SET, nil
-	case ctMap:
-		return MAP, nil
-	case ctStruct:
-		return STRUCT, nil
+	if c != ctStop && (int(c) >= len(typesOfCompact) || typesOfCompact[c] == STOP) {
+		return 0, fmt.Errorf("thrift: unknown compact type 0x%02x", c)
 	}
-	return 0, fmt.Errorf("thrift: unknown compact type 0x%02x", c)
+	return typesOfCompact[c], nil
 }
 
 // TCompactProtocol is the Thrift compact protocol: varint/zigzag integers
 // and delta-encoded field ids. It produces substantially smaller payloads
-// than the binary protocol for structured data.
+// than the binary protocol for structured data. Like the binary protocol
+// it reads and writes its memory buffer in place.
 type TCompactProtocol struct {
-	trans TTransport
-
-	// scratch/sbuf make the codec allocation-free: stack arrays escape
-	// through the TTransport interface (see TBinaryProtocol).
-	scratch [10]byte // varint staging (max 10 bytes) and fixed-width ints
-	sbuf    []byte   // grow-once string-write staging
+	m *TMemoryBuffer
 
 	lastFieldID int16
 	fieldStack  []int16
@@ -115,40 +80,42 @@ type TCompactProtocol struct {
 
 var _ TProtocol = (*TCompactProtocol)(nil)
 
-// NewTCompactProtocol returns a compact protocol over trans.
+// NewTCompactProtocol returns a compact protocol over trans, which must
+// be a *TMemoryBuffer (the only transport there is).
 func NewTCompactProtocol(trans TTransport) *TCompactProtocol {
-	return &TCompactProtocol{trans: trans}
+	return &TCompactProtocol{m: trans.(*TMemoryBuffer)}
 }
 
 // Transport returns the underlying transport.
-func (p *TCompactProtocol) Transport() TTransport { return p.trans }
+func (p *TCompactProtocol) Transport() TTransport { return p.m }
 
 // Flush flushes the underlying transport.
-func (p *TCompactProtocol) Flush() error { return p.trans.Flush() }
+func (p *TCompactProtocol) Flush() error { return p.m.Flush() }
 
+// writeByteRaw and writeVarint cannot fail — the buffer grows — and
+// return nil so that the Write methods can end in them.
 func (p *TCompactProtocol) writeByteRaw(b byte) error {
-	p.scratch[0] = b
-	_, err := p.trans.Write(p.scratch[:1])
-	return err
+	p.m.extend(1)[0] = b
+	return nil
 }
 
 func (p *TCompactProtocol) writeVarint(v uint64) error {
-	n := binary.PutUvarint(p.scratch[:], v)
-	_, err := p.trans.Write(p.scratch[:n])
-	return err
+	var tmp [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(tmp[:], v)
+	copy(p.m.extend(n), tmp[:n])
+	return nil
 }
 
 func (p *TCompactProtocol) readVarint() (uint64, error) {
-	return binary.ReadUvarint(byteReaderOf{p})
-}
-
-type byteReaderOf struct{ p *TCompactProtocol }
-
-func (r byteReaderOf) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(r.p.trans, r.p.scratch[:1]); err != nil {
-		return 0, err
+	v, n := binary.Uvarint(p.m.Bytes())
+	switch {
+	case n < 0:
+		return 0, errors.New("thrift: varint overflows a 64-bit integer")
+	case n == 0:
+		return 0, io.ErrUnexpectedEOF
 	}
-	return r.p.scratch[0], nil
+	_, err := p.m.next(n)
+	return v, err
 }
 
 func zigzag32(v int32) uint64 { return uint64(uint32((v << 1) ^ (v >> 31))) }
@@ -158,15 +125,9 @@ func unzig64(v uint64) int64  { return int64(v>>1) ^ -int64(v&1) }
 
 // WriteMessageBegin emits the compact message header.
 func (p *TCompactProtocol) WriteMessageBegin(name string, typeID TMessageType, seqid int32) error {
-	if err := p.writeByteRaw(compactProtocolID); err != nil {
-		return err
-	}
-	if err := p.writeByteRaw((compactVersion & compactVersionMask) | byte(typeID)<<compactTypeShift); err != nil {
-		return err
-	}
-	if err := p.writeVarint(uint64(uint32(seqid))); err != nil {
-		return err
-	}
+	p.writeByteRaw(compactProtocolID)
+	p.writeByteRaw((compactVersion & compactVersionMask) | byte(typeID)<<compactTypeShift)
+	p.writeVarint(uint64(uint32(seqid)))
 	return p.WriteString(name)
 }
 
@@ -192,18 +153,11 @@ func (p *TCompactProtocol) WriteStructEnd() error {
 }
 
 func (p *TCompactProtocol) writeFieldHeader(ctype byte, id int16) error {
-	delta := id - p.lastFieldID
-	if delta > 0 && delta <= 15 {
-		if err := p.writeByteRaw(byte(delta)<<4 | ctype); err != nil {
-			return err
-		}
+	if delta := id - p.lastFieldID; delta > 0 && delta <= 15 {
+		p.writeByteRaw(byte(delta)<<4 | ctype)
 	} else {
-		if err := p.writeByteRaw(ctype); err != nil {
-			return err
-		}
-		if err := p.writeVarint(zigzag32(int32(id))); err != nil {
-			return err
-		}
+		p.writeByteRaw(ctype)
+		p.writeVarint(zigzag32(int32(id)))
 	}
 	p.lastFieldID = id
 	return nil
@@ -231,9 +185,7 @@ func (p *TCompactProtocol) WriteMapBegin(kt, vt TType, size int) error {
 	if size == 0 {
 		return p.writeByteRaw(0)
 	}
-	if err := p.writeVarint(uint64(size)); err != nil {
-		return err
-	}
+	p.writeVarint(uint64(size))
 	return p.writeByteRaw(toCompactType(kt)<<4 | toCompactType(vt))
 }
 
@@ -245,9 +197,7 @@ func (p *TCompactProtocol) WriteListBegin(et TType, size int) error {
 	if size < 15 {
 		return p.writeByteRaw(byte(size)<<4 | toCompactType(et))
 	}
-	if err := p.writeByteRaw(0xf0 | toCompactType(et)); err != nil {
-		return err
-	}
+	p.writeByteRaw(0xf0 | toCompactType(et))
 	return p.writeVarint(uint64(size))
 }
 
@@ -290,28 +240,22 @@ func (p *TCompactProtocol) WriteI64(v int64) error { return p.writeVarint(zigzag
 
 // WriteDouble emits a little-endian IEEE-754 double.
 func (p *TCompactProtocol) WriteDouble(v float64) error {
-	binary.LittleEndian.PutUint64(p.scratch[:8], math.Float64bits(v))
-	_, err := p.trans.Write(p.scratch[:8])
-	return err
+	binary.LittleEndian.PutUint64(p.m.extend(8), math.Float64bits(v))
+	return nil
 }
 
 // WriteString emits a varint-length-prefixed string.
 func (p *TCompactProtocol) WriteString(v string) error {
-	if err := p.writeVarint(uint64(len(v))); err != nil {
-		return err
-	}
-	p.sbuf = append(p.sbuf[:0], v...)
-	_, err := p.trans.Write(p.sbuf)
-	return err
+	p.writeVarint(uint64(len(v)))
+	copy(p.m.extend(len(v)), v)
+	return nil
 }
 
 // WriteBinary emits a varint-length-prefixed byte slice.
 func (p *TCompactProtocol) WriteBinary(v []byte) error {
-	if err := p.writeVarint(uint64(len(v))); err != nil {
-		return err
-	}
-	_, err := p.trans.Write(v)
-	return err
+	p.writeVarint(uint64(len(v)))
+	copy(p.m.extend(len(v)), v)
+	return nil
 }
 
 // ReadMessageBegin parses the compact message header.
@@ -343,10 +287,11 @@ func (p *TCompactProtocol) ReadMessageBegin() (string, TMessageType, int32, erro
 func (p *TCompactProtocol) ReadMessageEnd() error { return nil }
 
 func (p *TCompactProtocol) readByteRaw() (byte, error) {
-	if _, err := io.ReadFull(p.trans, p.scratch[:1]); err != nil {
+	b, err := p.m.next(1)
+	if err != nil {
 		return 0, err
 	}
-	return p.scratch[0], nil
+	return b[0], nil
 }
 
 // ReadStructBegin pushes the field-id delta context.
@@ -406,15 +351,13 @@ func (p *TCompactProtocol) ReadFieldEnd() error { return nil }
 
 // ReadMapBegin parses the compact map header.
 func (p *TCompactProtocol) ReadMapBegin() (TType, TType, int, error) {
-	size, err := p.readVarint()
+	v, err := p.readVarint()
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if size > 1<<30 {
-		return 0, 0, 0, fmt.Errorf("thrift: map too large: %d", size)
-	}
+	size, err := p.m.count(v)
 	if size == 0 {
-		return 0, 0, 0, nil
+		return 0, 0, 0, err
 	}
 	kv, err := p.readByteRaw()
 	if err != nil {
@@ -428,7 +371,7 @@ func (p *TCompactProtocol) ReadMapBegin() (TType, TType, int, error) {
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	return kt, vt, int(size), nil
+	return kt, vt, size, nil
 }
 
 // ReadMapEnd is a no-op.
@@ -444,18 +387,14 @@ func (p *TCompactProtocol) ReadListBegin() (TType, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	size := int(b >> 4)
+	size := uint64(b >> 4)
 	if size == 15 {
-		v, err := p.readVarint()
-		if err != nil {
+		if size, err = p.readVarint(); err != nil {
 			return 0, 0, err
 		}
-		if v > 1<<30 {
-			return 0, 0, fmt.Errorf("thrift: list too large: %d", v)
-		}
-		size = int(v)
 	}
-	return et, size, nil
+	n, err := p.m.count(size)
+	return et, n, err
 }
 
 // ReadListEnd is a no-op.
@@ -503,29 +442,36 @@ func (p *TCompactProtocol) ReadI64() (int64, error) {
 
 // ReadDouble reads a little-endian IEEE-754 double.
 func (p *TCompactProtocol) ReadDouble() (float64, error) {
-	if _, err := io.ReadFull(p.trans, p.scratch[:8]); err != nil {
+	b, err := p.m.next(8)
+	if err != nil {
 		return 0, err
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(p.scratch[:8])), nil
+	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
 }
 
-// ReadString reads a varint-length-prefixed string. The intermediate
-// byte buffer goes back to the arena — the string conversion copies.
+// ReadString reads a varint-length-prefixed string.
 func (p *TCompactProtocol) ReadString() (string, error) {
-	b, err := p.ReadBinary()
-	s := string(b)
-	PutBuffer(b)
-	return s, err
+	n, err := p.readLen()
+	if err != nil {
+		return "", err
+	}
+	b, err := p.m.next(n)
+	return string(b), err
 }
 
-// ReadBinary reads a varint-length-prefixed byte slice.
+// ReadBinary reads a varint-length-prefixed byte slice, owned as the
+// buffer says (see TBinaryProtocol.ReadBinary).
 func (p *TCompactProtocol) ReadBinary() ([]byte, error) {
-	n, err := p.readVarint()
+	n, err := p.readLen()
 	if err != nil {
 		return nil, err
 	}
-	if n > 1<<30 {
-		return nil, fmt.Errorf("thrift: binary too large: %d", n)
-	}
-	return readLenPrefixed(p.trans, int(n))
+	return p.m.binaryField(n)
+}
+
+// readLen parses a varint length; one no buffer could back becomes one
+// the buffer's own check refuses.
+func (p *TCompactProtocol) readLen() (int, error) {
+	v, err := p.readVarint()
+	return int(min(v, math.MaxInt32)), err
 }

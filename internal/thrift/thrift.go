@@ -14,7 +14,6 @@ package thrift
 import (
 	"errors"
 	"fmt"
-	"io"
 )
 
 // TType is a Thrift wire type identifier.
@@ -37,34 +36,14 @@ const (
 	LIST   TType = 15
 )
 
+var ttypeNames = [...]string{
+	STOP: "STOP", VOID: "VOID", BOOL: "BOOL", BYTE: "BYTE", DOUBLE: "DOUBLE", I16: "I16", I32: "I32",
+	I64: "I64", STRING: "STRING", STRUCT: "STRUCT", MAP: "MAP", SET: "SET", LIST: "LIST",
+}
+
 func (t TType) String() string {
-	switch t {
-	case STOP:
-		return "STOP"
-	case VOID:
-		return "VOID"
-	case BOOL:
-		return "BOOL"
-	case BYTE:
-		return "BYTE"
-	case DOUBLE:
-		return "DOUBLE"
-	case I16:
-		return "I16"
-	case I32:
-		return "I32"
-	case I64:
-		return "I64"
-	case STRING:
-		return "STRING"
-	case STRUCT:
-		return "STRUCT"
-	case MAP:
-		return "MAP"
-	case SET:
-		return "SET"
-	case LIST:
-		return "LIST"
+	if int(t) < len(ttypeNames) && ttypeNames[t] != "" {
+		return ttypeNames[t]
 	}
 	return fmt.Sprintf("TType(%d)", byte(t))
 }
@@ -239,35 +218,6 @@ func skip(p TProtocol, t TType, depth int) error {
 	}
 }
 
-// readLenPrefixed reads exactly n bytes from r without trusting n for
-// the upfront allocation: the buffer grows chunk by chunk as bytes
-// actually arrive, so a corrupt multi-gigabyte length prefix fails with
-// an EOF after at most one chunk instead of attempting a huge make.
-func readLenPrefixed(r io.Reader, n int) ([]byte, error) {
-	const chunk = 1 << 20
-	if n <= chunk {
-		// Arena-backed: callers that are done with the bytes may recycle
-		// them with PutBuffer, making repeated binary-field reads
-		// allocation-free.
-		b := GetBuffer(n)
-		if _, err := io.ReadFull(r, b); err != nil {
-			PutBuffer(b)
-			return nil, err
-		}
-		return b, nil
-	}
-	b := make([]byte, 0, chunk)
-	for len(b) < n {
-		c := min(n-len(b), chunk)
-		off := len(b)
-		b = append(b, make([]byte, c)...)
-		if _, err := io.ReadFull(r, b[off:]); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
 // ApplicationExceptionType classifies TApplicationException.
 type ApplicationExceptionType int32
 
@@ -275,6 +225,7 @@ type ApplicationExceptionType int32
 // upstream Thrift.
 const (
 	ExcUnknownMethod ApplicationExceptionType = 1
+	ExcBadSequenceID ApplicationExceptionType = 4
 	ExcMissingResult ApplicationExceptionType = 5
 	ExcInternalError ApplicationExceptionType = 6
 	ExcProtocolError ApplicationExceptionType = 7

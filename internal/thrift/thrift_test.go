@@ -435,7 +435,7 @@ func TestMemoryBufferOverCallerBuffer(t *testing.T) {
 	}
 }
 
-// TestViewReadsBinaryInPlace: over a view transport a binary field is a
+// TestViewReadsBinaryInPlace: decoded as a request a binary field is a
 // window onto the message (no copy, capacity clipped to the field), a
 // string is still an independent copy, and a length running past the
 // message fails instead of reading beyond it.
@@ -447,7 +447,7 @@ func TestViewReadsBinaryInPlace(t *testing.T) {
 	w.WriteI32(1 << 20) // a binary length with nothing behind it
 	msg := mem.Bytes()
 
-	r := NewTBinaryProtocol(NewTMemoryBufferView(msg))
+	r := NewCodec().DecodeRequest(msg)
 	if s, err := r.ReadString(); err != nil || s != "name" {
 		t.Fatalf("ReadString = %q, %v", s, err)
 	}
@@ -497,5 +497,38 @@ func TestWriteBinaryGrowsOnce(t *testing.T) {
 	}
 	if grows > 16 {
 		t.Fatalf("1000 small binary fields grew the buffer %d times", grows)
+	}
+}
+
+// TestReplyFieldsShareOneAllocation: decoded as a reply, the binary fields
+// of a message are copies cut from one allocation, each with its capacity
+// capped at its length, and none a window onto the message.
+func TestReplyFieldsShareOneAllocation(t *testing.T) {
+	mem := NewTMemoryBuffer()
+	w := NewTBinaryProtocol(mem)
+	fields := [][]byte{[]byte("first"), {}, []byte("third and last")}
+	for _, f := range fields {
+		w.WriteBinary(f)
+	}
+	msg := mem.Bytes()
+	c := NewCodec()
+	var got [3][]byte
+	allocs := testing.AllocsPerRun(20, func() {
+		r := c.DecodeReply(msg)
+		for i := range got {
+			got[i], _ = r.ReadBinary()
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("%v allocations for a reply's three binary fields, want 1", allocs)
+	}
+	for i, f := range fields {
+		if !bytes.Equal(got[i], f) || got[i] == nil || cap(got[i]) != len(f) {
+			t.Errorf("field %d = %q (cap %d), want %q with capped capacity", i, got[i], cap(got[i]), f)
+		}
+	}
+	clear(msg)
+	if string(got[0]) != "first" || string(got[2]) != "third and last" {
+		t.Error("a reply's binary field aliases the message it was decoded from")
 	}
 }

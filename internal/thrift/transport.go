@@ -1,13 +1,36 @@
 package thrift
 
-import "io"
+import (
+	"fmt"
+	"io"
+	"slices"
+)
+
+// ownership says who holds the bytes of a binary field once it is decoded.
+type ownership uint8
+
+const (
+	// ownEach: every field is a copy in an arena buffer of its own
+	// (GetBuffer), which a caller that is done with it may PutBuffer.
+	ownEach ownership = iota
+	// ownLent: every field is a window onto the buffer, valid for as long
+	// as the buffer's bytes are.
+	ownLent
+	// ownShared: the fields of one message are copies cut, with capped
+	// capacity, from one allocation the caller owns.
+	ownShared
+)
 
 // TMemoryBuffer is an in-memory transport: writes append, reads consume.
+// It is the only transport in the tree — generated code and trdma are
+// message-level, the engine frames — so the protocols read and write its
+// buffer directly (next, extend) instead of through TTransport.
 type TMemoryBuffer struct {
 	buf    []byte
 	rpos   int
 	closed bool
-	lend   bool // binary fields are read as windows onto buf, not copies
+	own    ownership
+	shared []byte // ownShared: the current message's allocation
 }
 
 // NewTMemoryBuffer returns an empty memory transport.
@@ -22,22 +45,11 @@ func NewTMemoryBufferWith(data []byte) *TMemoryBuffer {
 	return &TMemoryBuffer{buf: data}
 }
 
-// NewTMemoryBufferView is NewTMemoryBufferWith for a reader that finishes
-// with every decoded value before data is reused: the binary protocol
-// returns each binary field as a window onto data instead of a copy. A
-// request handler's arguments are such values — they are lent for the
-// call, like the request buffer they point into.
-func NewTMemoryBufferView(data []byte) *TMemoryBuffer {
-	return &TMemoryBuffer{buf: data, lend: true}
-}
-
 // next consumes n buffered bytes and returns them as a window onto the
-// buffer.
+// buffer. A length the buffer cannot back — every length and count on the
+// wire is checked here before anything is sized by it — is an error.
 func (m *TMemoryBuffer) next(n int) ([]byte, error) {
-	if m.closed {
-		return nil, ErrTransportClosed
-	}
-	if n > len(m.buf)-m.rpos {
+	if n < 0 || n > len(m.buf)-m.rpos {
 		m.rpos = len(m.buf)
 		return nil, io.ErrUnexpectedEOF
 	}
@@ -46,13 +58,50 @@ func (m *TMemoryBuffer) next(n int) ([]byte, error) {
 	return w, nil
 }
 
-// Grow makes room for n more bytes, so that the writes which add them
-// share one allocation (and one move of what is buffered already). The
-// capacity at least doubles, so a run of small Grows stays amortized.
-func (m *TMemoryBuffer) Grow(n int) {
-	if need := len(m.buf) + n; need > cap(m.buf) {
-		m.buf = append(make([]byte, 0, max(need, 2*cap(m.buf))), m.buf...)
+// count checks the element count a container header claims against the
+// bytes left to decode it from: an element costs at least one byte on the
+// wire, so a larger count is a lie, and nothing may be sized by it.
+func (m *TMemoryBuffer) count(n uint64) (int, error) {
+	if n > uint64(m.Len()) {
+		return 0, fmt.Errorf("thrift: container of %d elements in %d bytes", n, m.Len())
 	}
+	return int(n), nil
+}
+
+// binaryField consumes an n-byte binary field and returns it as the
+// buffer's ownership mode says.
+func (m *TMemoryBuffer) binaryField(n int) ([]byte, error) {
+	w, err := m.next(n)
+	if err != nil || m.own == ownLent {
+		return w, err
+	}
+	if m.own == ownEach {
+		b := GetBuffer(n)
+		copy(b, w)
+		return b, nil
+	}
+	if m.shared == nil || n > cap(m.shared)-len(m.shared) {
+		// The message's first binary field. Every later one lies in the
+		// bytes still unread, so this one allocation holds them all.
+		m.shared = make([]byte, 0, n+m.Len())
+	}
+	off := len(m.shared)
+	m.shared = append(m.shared, w...)
+	return m.shared[off:len(m.shared):len(m.shared)], nil
+}
+
+// extend lengthens the buffer by n bytes and returns them for the caller
+// to fill. When it has to grow, the capacity at least doubles, so a run of
+// small fields stays amortized, and is rounded up to the allocator's size
+// class (slices.Grow appends), which is the room the few bytes behind a
+// large field land in without moving it again.
+func (m *TMemoryBuffer) extend(n int) []byte {
+	end := len(m.buf) + n
+	if end > cap(m.buf) {
+		m.buf = slices.Grow(m.buf, max(n, 2*cap(m.buf)-len(m.buf)))
+	}
+	m.buf = m.buf[:end]
+	return m.buf[end-n:]
 }
 
 // Read consumes buffered bytes.
@@ -73,14 +122,14 @@ func (m *TMemoryBuffer) Write(p []byte) (int, error) {
 	if m.closed {
 		return 0, ErrTransportClosed
 	}
-	m.buf = append(m.buf, p...)
-	return len(p), nil
+	return copy(m.extend(len(p)), p), nil
 }
 
 // Flush is a no-op for memory buffers.
 func (m *TMemoryBuffer) Flush() error { return nil }
 
-// Close marks the buffer closed.
+// Close marks the buffer closed to Read and Write. The protocols, which
+// bypass both, have nothing to close.
 func (m *TMemoryBuffer) Close() error { m.closed = true; return nil }
 
 // Bytes returns the unread portion of the buffer.

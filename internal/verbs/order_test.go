@@ -135,29 +135,43 @@ func TestJitterKeepsQPOrder(t *testing.T) {
 }
 
 // TestWriteRoundAllocatesNothing is the per-WR cost gate: once the packet
-// and snapshot free lists are warm, posting an unsignaled WRITE and
-// landing it at the responder allocates nothing.
+// and snapshot free lists are warm, posting a WRITE and landing it at the
+// responder allocates nothing — and neither does a signaled WRITE's
+// completion, pushed onto the CQ and polled off it again.
 func TestWriteRoundAllocatesNothing(t *testing.T) {
-	env := sim.NewEnv(1)
-	a, b := testPair(env)
-	dst := b.pd.RegisterMRNoCost(1 << 16)
-	src := a.pd.RegisterMRNoCost(1 << 16)
-	wr := &SendWR{Op: OpWrite, SGE: SGE{MR: src, Len: 8 << 10}, Remote: dst.RKey(), Unsignaled: true}
-	var allocs float64
-	env.Spawn("client", func(p *sim.Proc) {
-		round := func() {
-			a.qp.PostSend(p, wr)
-			p.Sleep(10_000) // fetched, sent, landed, recycled
+	for _, signaled := range []bool{false, true} {
+		name := "unsignaled"
+		if signaled {
+			name = "signaled"
 		}
-		for i := 0; i < 4; i++ {
-			round()
-		}
-		allocs = testing.AllocsPerRun(100, round)
-		env.Stop()
-	})
-	env.Run()
-	if allocs != 0 {
-		t.Fatalf("%v allocations per warmed PostSend→receive round of an unsignaled WRITE, want 0", allocs)
+		t.Run(name, func(t *testing.T) {
+			env := sim.NewEnv(1)
+			a, b := testPair(env)
+			dst := b.pd.RegisterMRNoCost(1 << 16)
+			src := a.pd.RegisterMRNoCost(1 << 16)
+			wr := &SendWR{Op: OpWrite, SGE: SGE{MR: src, Len: 8 << 10}, Remote: dst.RKey(), Unsignaled: !signaled}
+			var allocs float64
+			env.Spawn("client", func(p *sim.Proc) {
+				round := func() {
+					a.qp.PostSend(p, wr)
+					if signaled {
+						if wc := a.cq.PollBusy(p); wc.Status != WCSuccess {
+							t.Errorf("completion %+v", wc)
+						}
+					}
+					p.Sleep(10_000) // fetched, sent, landed, recycled
+				}
+				for i := 0; i < 4; i++ {
+					round()
+				}
+				allocs = testing.AllocsPerRun(100, round)
+				env.Stop()
+			})
+			env.Run()
+			if allocs != 0 {
+				t.Fatalf("%v allocations per warmed PostSend→receive round of a WRITE, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -145,7 +145,7 @@ func (d *Device) crash() {
 		qp.pending = nil
 	}
 	for _, cq := range d.cqs {
-		cq.done = nil
+		cq.done, cq.head = nil, 0
 	}
 }
 
@@ -302,10 +302,24 @@ type WC struct {
 
 // CQ is a completion queue supporting both polling disciplines.
 type CQ struct {
-	dev    *Device
+	dev *Device
+	// done[head:] are the undelivered completions. Popping advances head
+	// and a drained queue rewinds to the start of its backing array, so a
+	// steady push/poll cycle allocates nothing.
 	done   []WC
+	head   int
 	sig    *sim.Signal
 	notify func()
+}
+
+// popN removes the n oldest completions (the queue holds as many) and
+// returns them as a window onto the queue, valid until the next push.
+func (cq *CQ) popN(n int) []WC {
+	out := cq.done[cq.head : cq.head+n]
+	if cq.head += n; cq.head == len(cq.done) {
+		cq.done, cq.head = cq.done[:0], 0
+	}
+	return out
 }
 
 // SetNotify registers a callback invoked on every completion push, in
@@ -319,7 +333,7 @@ func (cq *CQ) SetNotify(fn func()) { cq.notify = fn }
 // ring slot at quiescence.
 func (cq *CQ) QueuedRecvs() int {
 	n := 0
-	for _, wc := range cq.done {
+	for _, wc := range cq.done[cq.head:] {
 		if wc.Op == OpRecv && wc.Status == WCSuccess {
 			n++
 		}
@@ -347,12 +361,10 @@ func (cq *CQ) push(wc WC) {
 
 // TryPoll returns one completion if immediately available.
 func (cq *CQ) TryPoll() (WC, bool) {
-	if len(cq.done) == 0 {
+	if cq.Depth() == 0 {
 		return WC{}, false
 	}
-	wc := cq.done[0]
-	cq.done = cq.done[1:]
-	return wc, true
+	return cq.popN(1)[0], true
 }
 
 // PollBusy spin-polls for the next completion. While waiting the caller
@@ -372,14 +384,12 @@ func (cq *CQ) PollBusy(p *sim.Proc) WC {
 	}
 	cpu := cq.dev.node.CPU
 	cpu.AddLoad(1)
-	for len(cq.done) == 0 {
+	for cq.Depth() == 0 {
 		cq.sig.Wait(p)
 	}
 	p.Sleep(sim.Duration(cq.dev.cm.BusyDetectNs(cpu.LoadFactor())))
 	cpu.RemoveLoad(1)
-	wc := cq.done[0]
-	cq.done = cq.done[1:]
-	return wc
+	return cq.popN(1)[0]
 }
 
 // PollN drains up to len(out) immediately-available completions into out
@@ -388,23 +398,20 @@ func (cq *CQ) PollBusy(p *sim.Proc) WC {
 // per wakeup rather than once per completion. A nil or empty out drains
 // nothing.
 func (cq *CQ) PollN(out []WC) int {
-	n := copy(out, cq.done)
-	cq.done = cq.done[n:]
-	return n
+	n := min(len(out), cq.Depth())
+	return copy(out, cq.popN(n))
 }
 
 // WaitEvent blocks for the next completion using the interrupt-driven
 // path: no CPU is burned while waiting, but the wakeup pays the interrupt
 // cost (scaled by load when the node is saturated).
 func (cq *CQ) WaitEvent(p *sim.Proc) WC {
-	for len(cq.done) == 0 {
+	for cq.Depth() == 0 {
 		cq.sig.Wait(p)
 	}
 	cpu := cq.dev.node.CPU
 	p.Sleep(sim.Duration(float64(cq.dev.cm.InterruptWakeNs) * cpu.LoadFactor()))
-	wc := cq.done[0]
-	cq.done = cq.done[1:]
-	return wc
+	return cq.popN(1)[0]
 }
 
 // Poll retrieves one completion with the given discipline.
@@ -416,7 +423,7 @@ func (cq *CQ) Poll(p *sim.Proc, busy bool) WC {
 }
 
 // Depth returns the number of undelivered completions.
-func (cq *CQ) Depth() int { return len(cq.done) }
+func (cq *CQ) Depth() int { return len(cq.done) - cq.head }
 
 // SGE is a scatter/gather element naming a slice of a registered region.
 type SGE struct {
@@ -849,9 +856,11 @@ func (d *Device) txEngine(p *sim.Proc) {
 					trc.Complete("verbs", "wr."+op.String(), d.node.ID(), int(qp.id),
 						postTs, int64(cqeAt), obs.Arg{K: "wrid", V: id}, obs.Arg{K: "bytes", V: n})
 				}
-				d.env.At(cqeAt, func() {
-					qp.sendCQ.push(WC{WRID: id, Op: op, ByteLen: n, QP: qp})
-				})
+				// pkt belongs to the fabric now; a spare packet carries the
+				// completion, so raising it allocates nothing either.
+				c := d.getPacket()
+				c.cq, c.wc = qp.sendCQ, WC{WRID: id, Op: op, ByteLen: n, QP: qp}
+				d.env.At(cqeAt, c.cqeFn)
 			}
 		case OpRead:
 			p.Sleep(sim.Duration(cm.OutboundOneSidedExtraNs))

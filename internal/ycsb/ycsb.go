@@ -78,8 +78,15 @@ func WorkloadB(records int) Workload {
 	}
 }
 
-// Key renders record i as the fixed-24-byte YCSB key.
-func Key(i int) string { return fmt.Sprintf("user%020d", i) }
+// Key renders record i (≥ 0) as the fixed-24-byte YCSB key: "user" and
+// the index zero-padded to twenty digits.
+func Key(i int) string {
+	b := [24]byte{'u', 's', 'e', 'r'}
+	for j, v := len(b)-1, uint64(i); j >= 4; j, v = j-1, v/10 {
+		b[j] = byte('0' + v%10)
+	}
+	return string(b[:])
+}
 
 // ChooseOp samples an operation from the mix.
 func (w Workload) ChooseOp(rng *rand.Rand) Op {

@@ -1,6 +1,8 @@
 package ycsb
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -82,6 +84,11 @@ func TestKeyFormat(t *testing.T) {
 	}
 	if k[:4] != "user" {
 		t.Fatalf("key prefix %q", k[:4])
+	}
+	for _, i := range []int{0, 1, 42, 10_000 - 1, math.MaxInt64} {
+		if got, want := Key(i), fmt.Sprintf("user%020d", i); got != want {
+			t.Errorf("Key(%d) = %q, want %q", i, got, want)
+		}
 	}
 }
 
