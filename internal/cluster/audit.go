@@ -56,7 +56,7 @@ func StoreHas(store *hatkv.Store, shard int, key string) bool {
 		return false
 	}
 	defer txn.Abort()
-	_, err = txn.Get([]byte(dataKey(shard, key)))
+	_, err = txn.Get([]byte(dataPrefix(shard) + key))
 	return err == nil
 }
 

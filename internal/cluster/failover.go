@@ -41,10 +41,17 @@ import (
 // startMonitor spawns the failover monitor as a node-owned process (it
 // dies with the node's crash; the next boot's NewNode starts a fresh
 // one). Ticks are staggered per node so symmetric candidacies on a
-// freshly partitioned cluster do not collide deterministically forever.
+// freshly partitioned cluster do not collide deterministically forever;
+// the first one waits a probe interval out unless the boot fenced a shard.
 func (n *Node) startMonitor() {
 	n.eng.Node().Spawn(fmt.Sprintf("cluster-monitor-%d", n.self), func(p *sim.Proc) {
-		p.Sleep(sim.Duration(n.cfg.ProbeIntervalNs + int64(n.self)*7_001))
+		first := n.cfg.ProbeIntervalNs
+		for _, id := range n.shardIDs {
+			if n.shards[id].lost() {
+				first = 0 // a fenced shard serves nobody until it has re-elected
+			}
+		}
+		p.Sleep(sim.Duration(first + int64(n.self)*7_001))
 		for {
 			for _, id := range n.shardIDs {
 				n.tickShard(p, n.shards[id])
@@ -57,7 +64,7 @@ func (n *Node) startMonitor() {
 // tickShard runs one monitor step for one shard.
 func (n *Node) tickShard(p *sim.Proc, st *shardState) {
 	st.mu.Lock(p)
-	amPrimary := st.primary == n.self && st.learnedEpoch == st.epoch && st.promised <= st.epoch
+	amPrimary := st.leads(n.self)
 	ghost := st.learnedPrimary == n.self && !amPrimary
 	target := st.learnedPrimary
 	st.mu.Unlock()
@@ -66,7 +73,8 @@ func (n *Node) tickShard(p *sim.Proc, st *shardState) {
 		n.resyncSuspects(p, st)
 	case ghost:
 		// Hearsay names us primary of a view we never finished installing
-		// (an interrupted candidacy). Re-run it at a higher epoch.
+		// (an interrupted candidacy) or lost track of (the boot fence).
+		// Run for it at a higher epoch.
 		n.runCandidacy(p, st)
 	case target != n.self:
 		n.probePrimary(p, st, target)
@@ -133,7 +141,7 @@ func (n *Node) firstEligible(p *sim.Proc, st *shardState) bool {
 func (n *Node) resyncSuspects(p *sim.Proc, st *shardState) {
 	st.mu.Lock(p)
 	defer st.mu.Unlock()
-	if st.primary != n.self || st.promised > st.epoch {
+	if !st.leads(n.self) {
 		return
 	}
 	var targets []int
@@ -179,7 +187,7 @@ func (n *Node) resyncSuspects(p *sim.Proc, st *shardState) {
 func (n *Node) runCandidacy(p *sim.Proc, st *shardState) {
 	st.mu.Lock(p)
 	defer st.mu.Unlock()
-	if st.primary == n.self && st.learnedEpoch == st.epoch && st.promised <= st.epoch {
+	if st.leads(n.self) {
 		return // already promoted (a competing path won for us)
 	}
 	n.stats.Candidacies++

@@ -1,0 +1,327 @@
+package cluster
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"hatrpc/internal/hatkv"
+	"hatrpc/internal/lmdb"
+	"hatrpc/internal/sim"
+)
+
+// shardDump renders what store durably holds of shard 0 — what
+// "byte-identical replicas" compares: pos is the content position of the
+// meta record ("" before the first commit), rest its primary, a colon and
+// every record.
+func shardDump(t *testing.T, store *hatkv.Store) (pos, rest string) {
+	t.Helper()
+	txn, err := store.Env().BeginRead()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer txn.Abort()
+	raw, err := txn.Get([]byte(metaKey(0)))
+	if err != nil {
+		return "", ""
+	}
+	m, err := decodeShardMeta(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos = fmt.Sprintf("e%d/s%d", m.Epoch, m.Seq)
+	var b strings.Builder
+	fmt.Fprintf(&b, "p%d:", m.Primary)
+	prefix := dataPrefix(0)
+	for c := txn.Seek([]byte(prefix)); c.Valid() && strings.HasPrefix(string(c.Key()), prefix); c.Next() {
+		fmt.Fprintf(&b, " %s=%s", c.Key()[len(prefix):], c.Value())
+	}
+	return pos, b.String()
+}
+
+// totalPromotions sums the current boots' won candidacies.
+func (tc *testCluster) totalPromotions() (n int64) {
+	for _, nd := range tc.nodes {
+		n += nd.stats.Promotions
+	}
+	return n
+}
+
+// TestRestartedPrimaryReelects: a primary of a replicated shard that
+// reboots before anyone noticed it was gone does not resume. It answers
+// stFenced, wins a candidacy at its monitor's first tick (one promotion,
+// its own), and serves at epoch 2 from then on.
+func TestRestartedPrimaryReelects(t *testing.T) {
+	tc := newTestCluster(t, 61, 3, Config{NShards: 1, RF: 3})
+	prim := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)[0]
+	tc.env.Spawn("client", func(p *sim.Proc) {
+		defer tc.env.Stop()
+		c := NewClient(tc.cliEng, tc.roster, tc.cfg)
+		if err := c.Put(p, "k", []byte("v1")); err != nil {
+			t.Errorf("put before the restart: %v", err)
+			return
+		}
+		tc.roster[prim].Crash()
+		tc.roster[prim].Restart()
+		p.Sleep(1_000) // booted
+		n := tc.nodes[prim]
+		for _, fn := range []uint32{FnClusterPut, FnClusterGet} {
+			if resp := n.Handle(p, fn, encodeGet(getReq{Epoch: 1, Key: "k"})); len(resp) != 1 || resp[0] != stFenced {
+				t.Errorf("fn %#x at the rebooted primary answered %v, want [stFenced]", fn, resp)
+			}
+		}
+		if err := c.Put(p, "k", []byte("v2")); err != nil {
+			t.Errorf("put after the restart: %v", err)
+		}
+		if got := n.stats.Promotions; got != 1 || tc.totalPromotions() != 1 {
+			t.Errorf("promotions: %d at the restarted primary, %d in all, want 1 and 1", got, tc.totalPromotions())
+		}
+		for i, nd := range tc.nodes {
+			if st := nd.shards[0]; st.epoch != 2 || st.primary != prim {
+				t.Errorf("node %d at epoch %d under primary %d, want epoch 2 under %d", i, st.epoch, st.primary, prim)
+			}
+		}
+		if v, err := c.Get(p, "k"); err != nil || string(v) != "v2" {
+			t.Errorf("get: %q, %v", v, err)
+		}
+	})
+	tc.env.Run()
+}
+
+// TestRF1RestartResumesAtOnce: a shard without backups has nobody to be
+// behind. Its restarted primary serves the first request after boot, at
+// epoch 1, and never runs a candidacy.
+func TestRF1RestartResumesAtOnce(t *testing.T) {
+	tc := newTestCluster(t, 67, 1, Config{NShards: 1, RF: 1})
+	tc.env.Spawn("driver", func(p *sim.Proc) {
+		defer tc.env.Stop()
+		if resp := putAt(p, tc.nodes[0], "k", []byte("v1")); len(resp) != 1 || resp[0] != stOK {
+			t.Errorf("put before the restart: %v", resp)
+		}
+		tc.roster[0].Crash()
+		tc.roster[0].Restart()
+		p.Sleep(1_000)
+		if resp := putAt(p, tc.nodes[0], "k", []byte("v2")); len(resp) != 1 || resp[0] != stOK {
+			t.Errorf("first put after the restart: %v, want stOK at once", resp)
+		}
+		// Nor does a failed commit fence it: nothing was shipped, so the seq
+		// was seen by nobody and is named again.
+		held, err := tc.stores[0].Env().BeginWrite()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		failed := putAt(p, tc.nodes[0], "k", []byte("v3"))
+		held.Abort()
+		if resp := putAt(p, tc.nodes[0], "k", []byte("v3")); len(failed) != 1 || failed[0] != stErr || len(resp) != 1 || resp[0] != stOK {
+			t.Errorf("put with a failing commit, then the next: %v, %v — want [stErr], [stOK]", failed, resp)
+		}
+		p.Sleep(sim.Duration(4 * tc.cfg.ProbeIntervalNs))
+		if st, s := tc.nodes[0].shards[0], tc.nodes[0].stats; st.epoch != 1 || st.seq != 3 || s.Candidacies != 0 || s.FencedWrites != 0 {
+			t.Errorf("after the restart: epoch %d seq %d, %+v — want epoch 1, seq 3 and no candidacy", st.epoch, st.seq, s)
+		}
+	})
+	tc.env.Run()
+}
+
+// TestLocalApplyFailureAfterShipFences: the primary's store refuses the
+// write txn (the test holds lmdb's one writer slot) after the append went
+// out. The put answers an error and the shard is fenced — the seq is on
+// the backups, so it is burnt; the monitor's next tick re-elects, the
+// candidacy adopts a backup's copy, and the value the client was never
+// acked for is then what all three replicas hold and serve.
+func TestLocalApplyFailureAfterShipFences(t *testing.T) {
+	tc := newTestCluster(t, 71, 3, Config{NShards: 1, RF: 3})
+	prim := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)[0]
+	tc.roster[prim].Spawn("driver", func(p *sim.Proc) {
+		defer tc.env.Stop()
+		n := tc.nodes[prim]
+		if resp := putAt(p, n, "k", []byte("v1")); len(resp) != 1 || resp[0] != stOK {
+			t.Errorf("warm-up put: %v", resp)
+			return
+		}
+		held, err := tc.stores[prim].Env().BeginWrite()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp := putAt(p, n, "k", []byte("v2"))
+		held.Abort()
+		st := n.shards[0]
+		if len(resp) != 1 || resp[0] != stErr || st.seq != 1 || st.leads(prim) {
+			t.Errorf("put with a failing local commit: %v, primary at seq %d, leads %v — want [stErr], seq 1, fenced", resp, st.seq, st.leads(prim))
+		}
+		if resp := putAt(p, n, "k", []byte("v3")); len(resp) != 1 || resp[0] != stFenced {
+			t.Errorf("next put: %v, want [stFenced]: seq 2 is on the backups and must not be named again", resp)
+		}
+		p.Sleep(sim.Duration(3 * tc.cfg.ProbeIntervalNs))
+		if n.stats.Promotions != 1 || !st.leads(prim) || st.epoch != 2 {
+			t.Errorf("after the monitor ran: %d promotions, epoch %d, leads %v — want a won candidacy at epoch 2", n.stats.Promotions, st.epoch, st.leads(prim))
+		}
+		resp = n.Handle(p, FnClusterGet, encodeGet(getReq{Epoch: 2, Key: "k"}))
+		if string(resp) != string([]byte{stOK, 1})+"v2" {
+			t.Errorf("get at the re-elected primary: %q, want v2 (the shipped append, adopted from a backup)", resp)
+		}
+		for i, store := range tc.stores {
+			if pos, rest := shardDump(t, store); pos != "e2/s2" || rest != fmt.Sprintf("p%d: k=v2", prim) {
+				t.Errorf("store %d holds %s %s", i, pos, rest)
+			}
+		}
+	})
+	tc.env.Run()
+}
+
+var syncName = map[lmdb.SyncMode]string{lmdb.SyncFull: "SyncFull", lmdb.SyncMeta: "SyncMeta"}
+
+// crashRun is one schedule of TestPutCrashPointsConverge.
+type crashRun struct {
+	sync   lmdb.SyncMode
+	first  bool  // the interrupted put is the shard's first append: no meta record yet
+	offset int64 // crash the primary this long after its handler entered; < 0: never
+	late   bool  // restart it after a survivor promoted, not inside the detector window
+}
+
+// run plays the schedule on a 3-node, 1-shard RF-3 cluster: a writer on
+// the primary's own node (it dies with it, so nothing replays its bytes)
+// puts k=v2 straight through the handler, the primary is crashed offset ns
+// in and restarted, a client then writes k=v3 until acked, and the cluster
+// is left to settle. Throughout, a sampler reads every store's durable
+// position and k every 2 µs — less than a commit, so it sees every state
+// a replica stays in. It returns how long the uninterrupted put takes.
+func (r crashRun) run(t *testing.T) (putNs int64) {
+	tc := newTestCluster(t, 73, 3, Config{NShards: 1, RF: 3})
+	for _, s := range tc.stores {
+		if err := s.Env().SetSync(r.sync); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reps := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)
+	prim := reps[0]
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Errorf("%s first=%v crash at +%d ns late=%v: %s", syncName[r.sync], r.first, r.offset, r.late, fmt.Sprintf(format, args...))
+	}
+
+	// No replica ever holds two different contents under one (epoch, seq).
+	content := map[string]string{}
+	observe := func() {
+		for i, s := range tc.stores {
+			pos, rest := shardDump(t, s)
+			if pos == "" {
+				continue
+			}
+			_, recs, _ := strings.Cut(rest, ":")
+			if was, seen := content[pos]; !seen {
+				content[pos] = recs
+			} else if was != recs && was != "reported" {
+				fail("store %d holds%s at %s, where a replica held%s", i, recs, pos, was)
+				content[pos] = "reported"
+			}
+		}
+	}
+	tc.env.Spawn("sampler", func(p *sim.Proc) {
+		for {
+			observe()
+			p.Sleep(2_000)
+		}
+	})
+
+	started := sim.NewSignal(tc.env)
+	tc.roster[prim].Spawn("writer", func(p *sim.Proc) {
+		n := tc.nodes[prim]
+		for _, b := range reps[1:] { // dial the sessions the lanes will use
+			if _, err := n.callPeer(p, b, FnShardStatus, encodeStatus(statusReq{})); err != nil {
+				fail("dialing backup %d: %v", b, err)
+			}
+		}
+		for i := 0; !r.first && i < 3; i++ {
+			if resp := putAt(p, n, "k", []byte("v1")); len(resp) != 1 || resp[0] != stOK {
+				fail("warm-up put: %v", resp)
+			}
+		}
+		start := p.Now()
+		started.Fire()
+		putAt(p, n, "k", []byte("v2"))
+		putNs = int64(p.Now() - start)
+	})
+	tc.env.Spawn("driver", func(p *sim.Proc) {
+		defer tc.env.Stop()
+		started.Wait(p)
+		if r.offset < 0 {
+			p.Sleep(100_000)
+			return
+		}
+		p.Sleep(sim.Duration(r.offset))
+		tc.roster[prim].Crash()
+		if r.late {
+			for tick := 0; tc.totalPromotions() == 0; tick++ {
+				if tick == 40 {
+					fail("no survivor promoted within 40 probe intervals")
+					return
+				}
+				p.Sleep(sim.Duration(tc.cfg.ProbeIntervalNs))
+			}
+		} else {
+			p.Sleep(50_000)
+		}
+		tc.roster[prim].Restart()
+		c := NewClient(tc.cliEng, tc.roster, tc.cfg)
+		acked := false
+		for try := 0; try < 8 && !acked; try++ {
+			acked = c.Put(p, "k", []byte("v3")) == nil
+		}
+		if !acked {
+			fail("the put after the restart was never acked")
+			return
+		}
+		image := func(i int) string {
+			pos, rest := shardDump(t, tc.stores[i])
+			return pos + " " + rest
+		}
+		for tick := 0; tick < 40 && (image(0) != image(1) || image(1) != image(2)); tick++ {
+			p.Sleep(sim.Duration(tc.cfg.ProbeIntervalNs))
+		}
+		observe()
+		if !strings.HasSuffix(image(0), ": k=v3") {
+			fail("store 0 holds %q: the acked k=v3 is not there", image(0))
+		}
+		for i := 1; i < 3; i++ {
+			if image(i) != image(0) {
+				fail("store %d holds %q, store 0 %q", i, image(i), image(0))
+			}
+		}
+	})
+	tc.env.Run()
+	return putNs
+}
+
+// TestPutCrashPointsConverge enumerates the first window of ROADMAP item
+// 2(c): the primary of a put dies at every 250 ns between its handler's
+// entry and its reply — before the append left, after it left and before
+// the primary's own commit, between the commit and the last backup's
+// answer, after the reply — and comes back either before the failure
+// detector fired or after a survivor took over. A different value is then
+// written to the same key. Whatever the point: the acked write is on all
+// three replicas, their stores are byte-identical for the shard, and no
+// (epoch, seq) ever named two contents. SyncMeta may lose what was acked
+// before the crash (its contract), never what was acked after the restart.
+// Without the boot fence the early restarts in the window between the
+// append's departure and the primary's own commit end [v3 v2 v2].
+func TestPutCrashPointsConverge(t *testing.T) {
+	schedules := 0
+	for _, sync := range []lmdb.SyncMode{lmdb.SyncFull, lmdb.SyncMeta} {
+		for _, first := range []bool{false, true} {
+			whole := crashRun{sync: sync, first: first, offset: -1}.run(t)
+			if whole < 10_000 || whole > 60_000 {
+				t.Fatalf("%s first=%v: the uninterrupted put took %d ns: nothing to enumerate", syncName[sync], first, whole)
+			}
+			for off := int64(0); off <= whole+250; off += 250 {
+				for _, late := range []bool{false, true} {
+					crashRun{sync: sync, first: first, offset: off, late: late}.run(t)
+					schedules++
+				}
+			}
+		}
+	}
+	t.Logf("%d crash schedules", schedules)
+}

@@ -71,11 +71,21 @@ func (c Config) withDefaults() Config {
 // primaries.
 type shardState struct {
 	id       int
-	replicas []int // configured replica set, ring order
+	replicas []int  // configured replica set, ring order
+	prefix   string // store key prefix of the shard's records (dataPrefix)
+	metaKey  string // store key of the shard's durable meta record
 
 	epoch   uint64 // content epoch
 	primary int    // content primary
 	seq     uint64 // last applied replication seq in the content epoch
+
+	// lostEpoch is the boot fence (DESIGN.md §15 rule 1): the content
+	// epoch whose primacy this replica gave up — it rebooted as that
+	// epoch's primary, or shipped an append it then failed to commit — and
+	// with it the right to name a seq. While it equals epoch the shard
+	// answers stFenced and the monitor runs a candidacy; any install of a
+	// higher epoch moves epoch past it, so there is nothing to clear.
+	lostEpoch uint64
 
 	learnedEpoch   uint64
 	learnedPrimary int
@@ -90,6 +100,7 @@ type shardState struct {
 	// Primary-side replication bookkeeping.
 	suspect    map[int]bool // backup → needs a resync install (direct index only)
 	repl       []replJob    // fan-out slots, one per backup, reused by every put (under mu)
+	app        []byte       // the encoded append in flight, reused like repl
 	replDone   *sim.Signal  // fired by a lane per finished slot
 	probeFails int          // backup-side: consecutive failed primary probes
 }
@@ -135,10 +146,11 @@ type Node struct {
 
 	stats NodeStats
 
-	promotions *obs.Counter
-	resyncs    *obs.Counter
-	staleRej   *obs.Counter
-	fencedRej  *obs.Counter
+	promotions  *obs.Counter
+	resyncs     *obs.Counter
+	staleRej    *obs.Counter
+	fencedRej   *obs.Counter
+	backupAhead *obs.Counter
 }
 
 // NewNode builds the cluster service for one boot of a simnet node:
@@ -178,6 +190,8 @@ func newNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.Node, self
 		st := &shardState{
 			id:             s,
 			replicas:       reps,
+			prefix:         dataPrefix(s),
+			metaKey:        metaKey(s),
 			epoch:          1,
 			primary:        reps[0],
 			learnedEpoch:   1,
@@ -188,6 +202,11 @@ func newNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.Node, self
 			replDone:       sim.NewSignal(env),
 		}
 		n.recoverMeta(st)
+		if st.primary == self && len(reps) > 1 && eng.Node().Epoch() > 0 {
+			// A rebooted primary: the append in flight when the last boot died,
+			// or a tail the sync mode let go, may be durable on a backup only.
+			st.fence()
+		}
 		n.shards[s] = st
 		n.shardIDs = append(n.shardIDs, s)
 	}
@@ -212,18 +231,16 @@ func NewUnservedNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.No
 func (n *Node) Stats() NodeStats { return n.stats }
 
 // SetObs attaches cluster counters (cluster.promotions, cluster.resyncs,
-// cluster.stale_writes, cluster.fenced_writes) to the node, and the
-// write-queue histograms to its store.
+// cluster.stale_writes, cluster.fenced_writes, cluster.backup_ahead) to
+// the node, and the write-queue histograms to its store. A nil registry
+// detaches.
 func (n *Node) SetObs(r *obs.Registry) {
 	n.store.SetObs(r)
-	if r == nil {
-		n.promotions, n.resyncs, n.staleRej, n.fencedRej = nil, nil, nil, nil
-		return
-	}
 	n.promotions = r.Counter("cluster.promotions")
 	n.resyncs = r.Counter("cluster.resyncs")
 	n.staleRej = r.Counter("cluster.stale_writes")
 	n.fencedRej = r.Counter("cluster.fenced_writes")
+	n.backupAhead = r.Counter("cluster.backup_ahead")
 }
 
 // recoverMeta loads the shard's durable meta record, if any: a restart
@@ -236,7 +253,7 @@ func (n *Node) recoverMeta(st *shardState) {
 		return
 	}
 	defer txn.Abort()
-	raw, err := txn.Get([]byte(metaKey(st.id)))
+	raw, err := txn.Get([]byte(st.metaKey))
 	if err != nil {
 		return
 	}
@@ -279,11 +296,36 @@ func (st *shardState) adoptLearned(epoch uint64, primary int) {
 	}
 }
 
+// fence gives up this replica's primacy of its content epoch (lostEpoch).
+func (st *shardState) fence() {
+	if st.lostEpoch < st.epoch {
+		st.lostEpoch = st.epoch
+	}
+}
+
+// lost reports whether the fence is up (no install moved epoch past it).
+func (st *shardState) lost() bool { return st.lostEpoch >= st.epoch }
+
+// leads reports whether this replica may act as the shard's primary: its
+// content names it, it knows of no fresher view, no candidacy holds its
+// promise, and it has not lost track of the epoch.
+func (st *shardState) leads(self int) bool {
+	return st.primary == self && st.learnedEpoch == st.epoch && st.promised <= st.epoch && !st.lost()
+}
+
 // staleReply answers with the freshest routing this replica knows.
 func (n *Node) staleReply(st *shardState) []byte {
 	n.stats.StaleWrites++
 	n.staleRej.Inc()
 	return encodeStale(st.learnedEpoch, int32(st.learnedPrimary))
+}
+
+// fencedReply refuses a request under a candidacy's promise or the boot
+// fence.
+func (n *Node) fencedReply() []byte {
+	n.stats.FencedWrites++
+	n.fencedRej.Inc()
+	return []byte{stFenced}
 }
 
 // applyWrite commits one replicated record and the covering meta in a
@@ -298,7 +340,7 @@ var (
 	errStalePromise = errors.New("cluster: promise not past the prepare fence")
 )
 
-func (n *Node) applyWrite(p *sim.Proc, st *shardState, key string, val []byte, seq uint64) error {
+func (n *Node) applyWrite(p *sim.Proc, st *shardState, key, val []byte, seq uint64) error {
 	// Content position only advances. Both callers already hand the
 	// next contiguous seq (handlePut computes st.seq+1, handleReplicate
 	// rejects gaps and duplicates), so the fence never trips today.
@@ -308,8 +350,8 @@ func (n *Node) applyWrite(p *sim.Proc, st *shardState, key string, val []byte, s
 	m := st.meta()
 	m.Seq = seq
 	err := n.store.MultiPut(p, []*kvgen.KVPair{
-		{Key: dataKey(st.id, key), Value: val},
-		{Key: metaKey(st.id), Value: m.encode()},
+		{Key: dataKey(st.prefix, key), Value: val},
+		{Key: st.metaKey, Value: m.encode()},
 	})
 	if err == nil {
 		// Commit the in-memory position only once the store did: no
@@ -345,7 +387,7 @@ func (n *Node) applyInstall(p *sim.Proc, st *shardState, q installReq) error {
 	for i := range q.Pairs {
 		pairs = append(pairs, &kvgen.KVPair{Key: q.Pairs[i].Key, Value: q.Pairs[i].Value})
 	}
-	pairs = append(pairs, &kvgen.KVPair{Key: metaKey(st.id), Value: st.meta().encode()})
+	pairs = append(pairs, &kvgen.KVPair{Key: st.metaKey, Value: st.meta().encode()})
 	if err := n.store.MultiPut(p, pairs); err != nil {
 		*st = prev
 		return err
@@ -366,7 +408,7 @@ func (n *Node) promise(p *sim.Proc, st *shardState, epoch uint64, candidate int)
 	prevE, prevBy := st.promised, st.promisedBy
 	st.promised = epoch
 	st.promisedBy = candidate
-	if err := n.store.Put(p, metaKey(st.id), st.meta().encode()); err != nil {
+	if err := n.store.Put(p, st.metaKey, st.meta().encode()); err != nil {
 		st.promised, st.promisedBy = prevE, prevBy
 		return err
 	}
@@ -381,7 +423,7 @@ func (n *Node) snapshotLocked(st *shardState) ([]snapPair, error) {
 		return nil, err
 	}
 	defer txn.Abort()
-	prefix := dataPrefix(st.id)
+	prefix := st.prefix
 	var out []snapPair
 	for c := txn.Seek([]byte(prefix)); c.Valid(); c.Next() {
 		k := c.Key()
@@ -458,14 +500,18 @@ func (n *Node) handleShardMap() []byte {
 }
 
 // handlePut executes a client write as the shard primary: fence and
-// epoch checks, local durable apply — first, so a failed commit was never
-// shipped under a seq the primary will reuse — then concurrent
-// replication to the backups (replicate.go); the ack requires a majority
-// of the replica set (self included). Split-brain safety lives here: a
-// deposed or minority-side primary cannot assemble a quorum, so it can
-// never acknowledge.
+// epoch checks, then the append — the request's own key and value bytes
+// under the next seq — goes onto the backups' lanes (replicate.go) and
+// the primary commits locally on this process while they run: the put
+// costs max(commit, hop + commit), not their sum. The ack requires the
+// local commit and a majority of the replica set (self included).
+// Split-brain safety lives here: a deposed or minority-side primary
+// cannot assemble a quorum, so it can never acknowledge. A local commit
+// that fails was already shipped: its seq may be durable on a backup, so
+// the shard is fenced until a candidacy has adopted the freshest replica
+// — a seq is never named twice.
 func (n *Node) handlePut(p *sim.Proc, req []byte) []byte {
-	q, err := decodePut(req)
+	q, err := decodeKV(req, false)
 	if err != nil {
 		return []byte{stErr}
 	}
@@ -479,26 +525,28 @@ func (n *Node) handlePut(p *sim.Proc, req []byte) []byte {
 	st.mu.Lock(p)
 	defer st.mu.Unlock()
 	if st.promised > st.epoch {
-		// A candidacy holds our durable promise: the old view is fenced.
-		n.stats.FencedWrites++
-		n.fencedRej.Inc()
-		return []byte{stFenced}
+		return n.fencedReply() // a candidacy holds our durable promise
 	}
 	if st.primary != n.self || q.Epoch != st.epoch || st.learnedEpoch != st.epoch {
 		return n.staleReply(st)
 	}
+	if st.lost() {
+		return n.fencedReply() // primary by content, but it lost track of the epoch
+	}
 	seq := st.seq + 1
-	if err := n.applyWrite(p, st, q.Key, q.Value, seq); err != nil {
+	st.app = appendRepl(st.app[:0], q.Shard, st.epoch, int32(n.self), seq, q.Tail)
+	n.ship(st, st.app)
+	err = n.applyWrite(p, st, q.Key, q.Value, seq)
+	backs, stale := n.gather(p, st)
+	switch {
+	case err != nil:
+		if len(st.repl) > 0 { // it was shipped: the seq is burnt
+			st.fence()
+		}
 		return []byte{stErr}
-	}
-	backs, stale := n.replicate(p, st, encodeRepl(replReq{
-		Shard: q.Shard, Epoch: st.epoch, Primary: int32(n.self),
-		Seq: seq, Key: q.Key, Value: q.Value,
-	}))
-	if stale {
+	case stale:
 		return n.staleReply(st) // deposed mid-write; never ack
-	}
-	if 1+backs < quorum(len(st.replicas)) {
+	case 1+backs < quorum(len(st.replicas)):
 		return []byte{stNotQuorum}
 	}
 	return []byte{stOK}
@@ -508,8 +556,8 @@ func (n *Node) handlePut(p *sim.Proc, req []byte) []byte {
 // the same epoch check as writes, so a client routing at a stale epoch
 // refreshes instead of reading from a deposed primary.
 func (n *Node) handleGet(p *sim.Proc, req []byte) []byte {
-	q, err := decodeGet(req)
-	if err != nil {
+	q, err := decodeKV(req, false)
+	if err != nil || len(q.Value) != 0 {
 		return []byte{stErr}
 	}
 	st := n.shards[int(q.Shard)]
@@ -522,7 +570,10 @@ func (n *Node) handleGet(p *sim.Proc, req []byte) []byte {
 	if st.primary != n.self || q.Epoch != st.epoch || st.learnedEpoch != st.epoch {
 		return n.staleReply(st)
 	}
-	v, err := n.store.Get(p, dataKey(st.id, q.Key))
+	if st.lost() {
+		return n.fencedReply()
+	}
+	v, err := n.store.Get(p, dataKey(st.prefix, q.Key))
 	if errors.Is(err, hatkv.ErrNotFound) {
 		return []byte{stOK, 0}
 	}
@@ -538,12 +589,20 @@ func (n *Node) handleGet(p *sim.Proc, req []byte) []byte {
 // handleReplicate accepts one ordered log append from the shard
 // primary. Acceptance demands the exact content view (epoch AND
 // primary), no fresher hearsay, no outstanding higher promise, and a
-// contiguous seq. Duplicates (session replays after a reconnect) ack
-// idempotently; gaps demand a snapshot install — a replica's content is
-// therefore always a prefix of its primary's write sequence, which is
-// what lets candidacy pick "freshest replica" by (epoch, seq) alone.
+// contiguous seq. A replay of the last append (a session re-sending it
+// after a reconnect) acks idempotently; gaps demand a snapshot install —
+// a replica's content is therefore always a prefix of its primary's write
+// sequence, which is what lets candidacy pick "freshest replica" by
+// (epoch, seq) alone. The replay is recognised by its seq, not its
+// content: the backup keeps no copy of what it applied under a seq, so
+// seq == st.seq with other bytes would be acked unapplied. What rules
+// that out is the primary's side — a primary that may have lost track of
+// a shipped seq is fenced and re-elects (shardState.lostEpoch) — not this
+// check. A seq below the backup's position is no replay (the lanes send
+// one append at a time): the primary is behind its backup, which the
+// fence makes impossible, so it is counted and refused, never acked.
 func (n *Node) handleReplicate(p *sim.Proc, req []byte) []byte {
-	q, err := decodeRepl(req)
+	q, err := decodeKV(req, true)
 	if err != nil {
 		return []byte{stErr}
 	}
@@ -558,15 +617,17 @@ func (n *Node) handleReplicate(p *sim.Proc, req []byte) []byte {
 		return n.staleReply(st)
 	}
 	if q.Epoch < st.promised {
-		n.stats.FencedWrites++
-		n.fencedRej.Inc()
-		return []byte{stFenced}
+		return n.fencedReply()
 	}
 	if q.Epoch > st.epoch {
 		return []byte{stNeedSync} // only installs advance content epochs
 	}
-	if q.Seq <= st.seq {
-		return []byte{stOK} // duplicate of an already-applied append
+	if q.Seq < st.seq {
+		n.backupAhead.Inc()
+		return []byte{stErr}
+	}
+	if q.Seq == st.seq {
+		return []byte{stOK} // replay of the append applied last
 	}
 	if q.Seq != st.seq+1 {
 		return []byte{stNeedSync}
@@ -664,9 +725,7 @@ func (n *Node) handleInstall(p *sim.Proc, req []byte) []byte {
 		// we missed, and crashed-through-failover replicas can rejoin via
 		// plain resync instead of waiting for the next view change.
 		if q.Epoch < st.promised {
-			n.stats.FencedWrites++
-			n.fencedRej.Inc()
-			return []byte{stFenced}
+			return n.fencedReply()
 		}
 		if err := n.applyInstall(p, st, q); err != nil {
 			return []byte{stErr}
@@ -677,12 +736,14 @@ func (n *Node) handleInstall(p *sim.Proc, req []byte) []byte {
 		// Resync from the current primary. Refuse while a candidacy holds
 		// a higher promise — prepare froze this replica's reported state.
 		if st.promised > st.epoch {
-			n.stats.FencedWrites++
-			n.fencedRej.Inc()
-			return []byte{stFenced}
+			return n.fencedReply()
 		}
-		if q.Seq <= st.seq {
-			return []byte{stOK} // duplicate or no-op catch-up
+		if q.Seq < st.seq {
+			n.backupAhead.Inc() // as in handleReplicate: never OK
+			return []byte{stErr}
+		}
+		if q.Seq == st.seq {
+			return []byte{stOK} // no-op catch-up
 		}
 		if err := n.applyInstall(p, st, q); err != nil {
 			return []byte{stErr}

@@ -1,0 +1,188 @@
+package cluster
+
+import (
+	"bytes"
+	"fmt"
+	"sort"
+	"testing"
+
+	"hatrpc/internal/obs"
+	"hatrpc/internal/sim"
+)
+
+// TestStoreKeyForms: the per-shard prefix and meta key a shardState keeps,
+// and the data key the hot path concatenates from them, are byte-equal to
+// the Sprintf forms every durable store already holds.
+func TestStoreKeyForms(t *testing.T) {
+	for _, shard := range []int{0, 7, 0x0fff, 0xffff} {
+		if got, want := metaKey(shard), fmt.Sprintf("m:%04x", shard); got != want {
+			t.Errorf("metaKey(%#x) = %q, want %q", shard, got, want)
+		}
+		for _, key := range [][]byte{nil, []byte("k"), bytes.Repeat([]byte{0xfe}, 255)} {
+			got := dataKey(dataPrefix(shard), key)
+			if want := fmt.Sprintf("u:%04x:%s", shard, key); got != want {
+				t.Errorf("dataKey(shard %#x, %d-byte key) = %q, want %q", shard, len(key), got, want)
+			}
+		}
+	}
+}
+
+// TestAppendReusesPutTail: the append a primary ships is the replicate
+// header in front of the put's own key and value bytes, it decodes to the
+// same key and value, and a buffer that has carried a longer append is
+// reused for a shorter one without allocating.
+func TestAppendReusesPutTail(t *testing.T) {
+	put := encodePut(putReq{Shard: 3, Epoch: 9, Key: "some-key", Value: []byte("a value")})
+	q, err := decodeKV(put, false)
+	if err != nil || string(q.Key) != "some-key" || string(q.Value) != "a value" || !bytes.Equal(q.Tail, put[putHdrLen:]) {
+		t.Fatalf("decoded put %+v, %v", q, err)
+	}
+	buf := make([]byte, 0, 64)
+	app := appendRepl(buf, q.Shard, q.Epoch, 2, 41, q.Tail)
+	if len(app) != replHdrLen+len(q.Tail) || &app[0] != &buf[:1][0] {
+		t.Errorf("append is %d bytes (want %d) or left the 64-byte buffer it was given", len(app), replHdrLen+len(q.Tail))
+	}
+	r, err := decodeKV(app, true)
+	if err != nil || r.Shard != 3 || r.Epoch != 9 || r.Primary != 2 || r.Seq != 41 ||
+		!bytes.Equal(r.Key, q.Key) || !bytes.Equal(r.Value, q.Value) {
+		t.Errorf("append decoded to %+v, %v", r, err)
+	}
+	for cut := 0; cut < replHdrLen+2+len(q.Key); cut++ {
+		if _, err := decodeKV(app[:cut], true); err == nil {
+			t.Errorf("append truncated to %d bytes decoded", cut)
+		}
+	}
+}
+
+// putPathAllocs is what the whole simulation — the primary's handler, its
+// two lanes, both backups' dispatchers and three stores — allocates for
+// one warmed RF-3 128 B put handed to the primary's Handle. The parent of
+// the overlap change measured 54 by the same count.
+const putPathAllocs = 38
+
+func TestPutPathAllocs(t *testing.T) {
+	tc := newTestCluster(t, 53, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})
+	prim := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)[0]
+	var got float64
+	tc.roster[prim].Spawn("driver", func(p *sim.Proc) {
+		defer tc.env.Stop()
+		req := encodePut(putReq{Shard: 0, Epoch: 1, Key: "key-007", Value: make([]byte, 128)})
+		put := func() {
+			if resp := tc.nodes[prim].Handle(p, FnClusterPut, req); len(resp) != 1 || resp[0] != stOK {
+				t.Fatalf("put: %v", resp)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			put()
+		}
+		got = testing.AllocsPerRun(50, put)
+	})
+	tc.env.Run()
+	if got > putPathAllocs {
+		t.Errorf("a warmed RF-3 put allocates %.0f objects across the cluster, want ≤ %d", got, putPathAllocs)
+	}
+	t.Logf("warmed RF-3 put: %.0f allocations", got)
+}
+
+// TestBackupAheadIsNeverOK: an append or a resync install that names a
+// seq below the backup's own position is not a replay — the primary is
+// behind its backup. It is counted and refused; the replay of the last
+// append stays the idempotent stOK it was, and neither moves the backup.
+func TestBackupAheadIsNeverOK(t *testing.T) {
+	tc := newTestCluster(t, 59, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})
+	reps := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)
+	prim, backup := reps[0], tc.nodes[reps[1]]
+	reg := obs.NewRegistry()
+	backup.SetObs(reg)
+	ahead := reg.Counter("cluster.backup_ahead")
+	tc.roster[prim].Spawn("driver", func(p *sim.Proc) {
+		defer tc.env.Stop()
+		for i := 1; i <= 3; i++ {
+			if resp := putAt(p, tc.nodes[prim], "k", []byte{byte(i)}); len(resp) != 1 || resp[0] != stOK {
+				t.Errorf("put %d: %v", i, resp)
+				return
+			}
+		}
+		tail := encodePut(putReq{Key: "k", Value: []byte("other bytes")})[putHdrLen:]
+		for _, c := range []struct {
+			what string
+			fn   uint32
+			req  []byte
+			want uint8
+			cnt  int64
+		}{
+			{"replay of the last append", FnReplicate, appendRepl(nil, 0, 1, int32(prim), 3, tail), stOK, 0},
+			{"append below the backup's seq", FnReplicate, appendRepl(nil, 0, 1, int32(prim), 2, tail), stErr, 1},
+			{"resync install at the backup's seq", FnInstall, encodeInstall(installReq{Epoch: 1, Primary: int32(prim), Seq: 3}), stOK, 1},
+			{"resync install below the backup's seq", FnInstall, encodeInstall(installReq{Epoch: 1, Primary: int32(prim), Seq: 1}), stErr, 2},
+		} {
+			resp := backup.Handle(p, c.fn, c.req)
+			if len(resp) != 1 || resp[0] != c.want || ahead.Value() != c.cnt {
+				t.Errorf("%s answered %v with cluster.backup_ahead at %d, want [%d] and %d", c.what, resp, ahead.Value(), c.want, c.cnt)
+			}
+			if got := backup.shards[0].seq; got != 3 {
+				t.Errorf("%s moved the backup to seq %d", c.what, got)
+			}
+		}
+	})
+	tc.env.Run()
+}
+
+// fanOutNs is the median duration of the replication fan-out on its own —
+// one append shipped to both backups and both answers gathered: the hop,
+// the backup's commit and the reply of the slower of two concurrent
+// FnReplicate calls — on the cluster medianPutSizeNs measures.
+func fanOutNs(t *testing.T, size int) int64 {
+	t.Helper()
+	tc := newTestCluster(t, 23, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})
+	prim := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)[0]
+	var durs []int64
+	tc.roster[prim].Spawn("driver", func(p *sim.Proc) {
+		defer tc.env.Stop()
+		n, val := tc.nodes[prim], make([]byte, size)
+		for i := 0; i < 8; i++ {
+			putAt(p, n, "k", val) // dials the sessions, starts the lanes
+		}
+		st := n.shards[0]
+		st.mu.Lock(p)
+		defer st.mu.Unlock()
+		tail := encodePut(putReq{Key: "k", Value: val})[putHdrLen:]
+		for i := 0; i < 9; i++ {
+			start := p.Now()
+			n.ship(st, appendRepl(nil, 0, st.epoch, int32(n.self), st.seq+1, tail))
+			if acks, stale := n.gather(p, st); acks != 2 || stale {
+				t.Errorf("fan-out %d: %d acks, stale %v", i, acks, stale)
+				return
+			}
+			durs = append(durs, int64(p.Now()-start))
+			if err := n.applyWrite(p, st, []byte("k"), val, st.seq+1); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	tc.env.Run()
+	if len(durs) == 0 {
+		t.Fatal("no fan-out completed")
+	}
+	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
+	return durs[len(durs)/2]
+}
+
+// TestPutOverlapsCommitWithReplication pins the write path's cost line:
+// the primary commits while its backups do, so what RF 3 adds to an
+// unloaded put over RF 1 is what is left of the fan-out once the
+// primary's own commit has run beside it — under 0.6 × the fan-out (a
+// backup's hop is about as long as its commit). A primary that commits
+// first and ships afterwards pays the whole fan-out on top (1.0 ×).
+func TestPutOverlapsCommitWithReplication(t *testing.T) {
+	for _, size := range []int{128, 16 << 10} {
+		rf1, rf3, fan := medianPutSizeNs(t, 1, 0, size), medianPutSizeNs(t, 3, 0, size), fanOutNs(t, size)
+		extra := rf3 - rf1
+		t.Logf("%d B put: rf1 %d ns, rf3 %d ns, fan-out alone %d ns: RF 3 adds %.2f × the fan-out", size, rf1, rf3, fan, float64(extra)/float64(fan))
+		if 10*extra > 6*fan {
+			t.Errorf("%d B: RF-3 put costs %d ns over RF-1, %.2f × the replication fan-out (%d ns); want ≤ 0.6 × — "+
+				"does the primary commit before it ships again?", size, extra, float64(extra)/float64(fan), fan)
+		}
+	}
+}

@@ -9,12 +9,14 @@ import (
 // Replication fan-out (DESIGN.md §15). A primary ships one append to all
 // of a shard's live backups at once: each backup peer has a long-lived
 // lane — a node-owned process fed by a queue, started on the first append
-// to that peer — and the put's handler waits for every lane it used
-// before it reads any result. An RF-N put therefore costs
-// commit + max(hop), and a dead backup costs the put one call deadline
-// without delaying the append to a healthy one. Lanes are per peer, not
-// per put: spawning per write would grow the env's and the node's process
-// tables by one entry per write, neither of which is ever trimmed.
+// to that peer. The put's handler ships the append onto the lanes, commits
+// locally on its own process while they run, and then gathers: it waits
+// for every lane it used before it reads any result. An RF-N put therefore
+// costs max(commit, hop + commit) — the backup's commit is inside its
+// hop — and a dead backup costs the put one call deadline without
+// delaying the append to a healthy one. Lanes are per peer, not per put:
+// spawning per write would grow the env's and the node's process tables
+// by one entry per write, neither of which is ever trimmed.
 
 // replJob is one append in flight to one backup. The slots live in the
 // shard (shardState.repl) and are reused by every put: the shard mutex is
@@ -47,31 +49,36 @@ func (n *Node) lane(peer int) *sim.Queue[*replJob] {
 	return q
 }
 
-// replicate ships one encoded append to every non-suspect backup of st
-// concurrently and returns the number of backup acks, or stale=true if
-// any backup answered from a fresher view (the caller must then never
-// ack). Caller holds st.mu — and keeps holding it until every lane has
-// answered, so the next append of this shard cannot overtake this one on
-// any lane and each backup still sees contiguous seqs. Each call is
-// bounded by callDeadlineNs. Results are folded in ring order, not in
-// completion order, so suspicion and adopted routing never depend on
-// which reply happened to land first.
-func (n *Node) replicate(p *sim.Proc, st *shardState, rr []byte) (acks int, stale bool) {
-	jobs := st.repl[:0]
+// ship pushes one encoded append onto the lane of every non-suspect
+// backup of st and returns at once. Caller holds st.mu — and keeps
+// holding it until gather has returned, so the next append of this shard
+// cannot overtake this one on any lane and each backup still sees
+// contiguous seqs; rr (the shard's st.app) and the job slots are the
+// lanes' until then.
+func (n *Node) ship(st *shardState, rr []byte) {
+	st.repl = st.repl[:0]
 	for _, b := range st.replicas {
 		if b == n.self || st.suspect[b] {
 			continue // suspects catch up through resync installs
 		}
-		jobs = append(jobs, replJob{peer: b, req: rr, done: st.replDone})
+		st.repl = append(st.repl, replJob{peer: b, req: rr, done: st.replDone})
 	}
-	for i := range jobs {
-		n.lane(jobs[i].peer).Push(&jobs[i])
+	for i := range st.repl {
+		n.lane(st.repl[i].peer).Push(&st.repl[i])
 	}
-	for range jobs {
+}
+
+// gather waits for every lane ship used and returns the number of backup
+// acks, or stale=true if any backup answered from a fresher view (the
+// caller must then never ack). Each call is bounded by callDeadlineNs.
+// Results are folded in ring order, not in completion order, so suspicion
+// and adopted routing never depend on which reply happened to land first.
+func (n *Node) gather(p *sim.Proc, st *shardState) (acks int, stale bool) {
+	for range st.repl {
 		st.replDone.Wait(p)
 	}
-	for i := range jobs {
-		j := &jobs[i]
+	for i := range st.repl {
+		j := &st.repl[i]
 		if j.err != nil || len(j.resp) == 0 {
 			st.suspect[j.peer] = true
 			continue

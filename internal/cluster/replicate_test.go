@@ -16,11 +16,15 @@ import (
 // timing assertion measures the write path alone.
 const quietProbeNs = 1_000_000_000
 
-// medianPutNs is the median unloaded small-put latency at replication
-// factor rf with the last down backups of the shard crashed: one client,
-// one shard, three servers, monitors parked. The first put waits a dead
-// backup out and marks it suspect; the measured ones skip it.
-func medianPutNs(t *testing.T, rf, down int) int64 {
+// medianPutNs is medianPutSizeNs for a small (128 B) value.
+func medianPutNs(t *testing.T, rf, down int) int64 { return medianPutSizeNs(t, rf, down, 128) }
+
+// medianPutSizeNs is the median unloaded put latency of a size-byte value
+// at replication factor rf with the last down backups of the shard
+// crashed: one client, one shard, three servers, monitors parked. The
+// first put waits a dead backup out and marks it suspect; the measured
+// ones skip it.
+func medianPutSizeNs(t *testing.T, rf, down, size int) int64 {
 	t.Helper()
 	tc := newTestCluster(t, 23, 3, Config{NShards: 1, RF: rf, ProbeIntervalNs: quietProbeNs})
 	for _, id := range Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, rf)[rf-down:] {
@@ -30,7 +34,7 @@ func medianPutNs(t *testing.T, rf, down int) int64 {
 	tc.env.Spawn("client", func(p *sim.Proc) {
 		defer tc.env.Stop()
 		c := NewClient(tc.cliEng, tc.roster, tc.cfg)
-		val := make([]byte, 128)
+		val := make([]byte, size)
 		for i := 0; i < 29; i++ {
 			start := p.Now()
 			if err := c.Put(p, "k", val); err != nil {
@@ -430,7 +434,7 @@ func TestShardsOfOneNodeShareStoreCommits(t *testing.T) {
 			if got := tc.nodes[i].shards[s].seq; got != puts {
 				t.Errorf("node %d shard %d at seq %d, want %d", i, s, got, puts)
 			}
-			v, err := txn.Get([]byte(dataKey(s, "k")))
+			v, err := txn.Get([]byte(dataPrefix(s) + "k"))
 			if want := fmt.Sprintf("v%d-%d", s, puts); err != nil || string(v) != want {
 				t.Errorf("node %d shard %d holds %q (%v), want %q", i, s, v, err, want)
 			}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Wire functions of the cluster service, served on Port by every
@@ -258,14 +259,14 @@ func decodeShardMeta(b []byte) (shardMeta, error) {
 
 // Store key layout. User keys are namespaced per shard so a snapshot
 // cursor can walk one shard's records; meta records live under a
-// distinct prefix.
-func dataKey(shard int, key string) string {
-	return fmt.Sprintf("u:%04x:%s", shard, key)
-}
-
+// distinct prefix. The prefix and the meta key are formatted once per
+// shard per boot (shardState); dataKey is the per-operation form, one
+// allocation sized for the result.
 func dataPrefix(shard int) string { return fmt.Sprintf("u:%04x:", shard) }
 
 func metaKey(shard int) string { return fmt.Sprintf("m:%04x", shard) }
+
+func dataKey(prefix string, key []byte) string { return prefix + string(key) }
 
 // ---------------------------------------------------------------------------
 // Request/response bodies.
@@ -280,33 +281,20 @@ type putReq struct {
 	Value []byte
 }
 
+// Header lengths in front of the [u16 key length | key | value] tail that
+// putReq and the replicate append share byte for byte.
+const (
+	putHdrLen  = 2 + 8         // shard, epoch
+	replHdrLen = 2 + 8 + 4 + 8 // shard, epoch, primary, seq
+)
+
 func encodePut(q putReq) []byte {
-	b := putU16(nil, q.Shard)
+	b := make([]byte, 0, putHdrLen+2+len(q.Key)+len(q.Value))
+	b = putU16(b, q.Shard)
 	b = putU64(b, q.Epoch)
 	b = putU16(b, uint16(len(q.Key)))
 	b = append(b, q.Key...)
 	return append(b, q.Value...)
-}
-
-func decodePut(b []byte) (putReq, error) {
-	r := &rbuf{b: b}
-	var q putReq
-	q.Shard = r.u16()
-	q.Epoch = r.u64()
-	kl := int(r.u16())
-	if kl > maxKeyLen {
-		return putReq{}, fmt.Errorf("%w: key length %d", errDecode, kl)
-	}
-	q.Key = string(r.bytes(kl))
-	rest := len(r.b) - r.off
-	if rest > maxValueLen {
-		return putReq{}, fmt.Errorf("%w: value length %d", errDecode, rest)
-	}
-	q.Value = r.bytes(rest)
-	if r.fail {
-		return putReq{}, fmt.Errorf("%w: put framing", errDecode)
-	}
-	return q, nil
 }
 
 // getReq reuses the put framing without a value.
@@ -317,62 +305,57 @@ type getReq struct {
 }
 
 func encodeGet(q getReq) []byte {
-	b := putU16(nil, q.Shard)
-	b = putU64(b, q.Epoch)
-	b = putU16(b, uint16(len(q.Key)))
-	return append(b, q.Key...)
+	return encodePut(putReq{Shard: q.Shard, Epoch: q.Epoch, Key: q.Key})
 }
 
-func decodeGet(b []byte) (getReq, error) {
-	p, err := decodePut(b)
-	if err != nil || len(p.Value) != 0 {
-		return getReq{}, fmt.Errorf("%w: get framing", errDecode)
-	}
-	return getReq{Shard: p.Shard, Epoch: p.Epoch, Key: p.Key}, nil
+// appendRepl renders a primary → backup ordered log append onto b: the
+// replicate header, then tail — a putReq's own key and value bytes, which
+// the primary forwards without decoding them. Seq is per-shard,
+// per-epoch, contiguous; the backup accepts seq == last+1, acks a replay
+// of its last append idempotently, and demands a snapshot install on any
+// gap.
+func appendRepl(b []byte, shard uint16, epoch uint64, primary int32, seq uint64, tail []byte) []byte {
+	b = slices.Grow(b, replHdrLen+len(tail))
+	b = putU16(b, shard)
+	b = putU64(b, epoch)
+	b = putU32(b, uint32(primary))
+	b = putU64(b, seq)
+	return append(b, tail...)
 }
 
-// replReq: primary → backup ordered log append. Seq is per-shard,
-// per-epoch, contiguous; the backup accepts seq == last+1, acks
-// duplicates (session replays) idempotently, and demands a snapshot
-// install on any gap.
-type replReq struct {
-	Shard   uint16
-	Epoch   uint64
-	Primary int32
-	Seq     uint64
-	Key     string
-	Value   []byte
+// kvReq is a put, a get or a replicate append as a handler decodes it.
+// Key, Value and Tail (the bytes behind the header: key length, key,
+// value) are windows onto the request, lent like the request itself;
+// Primary and Seq are set on appends only.
+type kvReq struct {
+	Shard            uint16
+	Epoch            uint64
+	Primary          int32
+	Seq              uint64
+	Key, Value, Tail []byte
 }
 
-func encodeRepl(q replReq) []byte {
-	b := putU16(nil, q.Shard)
-	b = putU64(b, q.Epoch)
-	b = putU32(b, uint32(q.Primary))
-	b = putU64(b, q.Seq)
-	b = putU16(b, uint16(len(q.Key)))
-	b = append(b, q.Key...)
-	return append(b, q.Value...)
-}
-
-func decodeRepl(b []byte) (replReq, error) {
+// decodeKV parses the put framing, or with repl the replicate framing.
+func decodeKV(b []byte, repl bool) (kvReq, error) {
 	r := &rbuf{b: b}
-	var q replReq
-	q.Shard = r.u16()
-	q.Epoch = r.u64()
-	q.Primary = int32(r.u32())
-	q.Seq = r.u64()
+	q := kvReq{Shard: r.u16(), Epoch: r.u64()}
+	if repl {
+		q.Primary = int32(r.u32())
+		q.Seq = r.u64()
+	}
+	q.Tail = r.b[r.off:]
 	kl := int(r.u16())
 	if kl > maxKeyLen {
-		return replReq{}, fmt.Errorf("%w: key length %d", errDecode, kl)
+		return kvReq{}, fmt.Errorf("%w: key length %d", errDecode, kl)
 	}
-	q.Key = string(r.bytes(kl))
+	q.Key = r.bytes(kl)
 	rest := len(r.b) - r.off
 	if rest > maxValueLen {
-		return replReq{}, fmt.Errorf("%w: value length %d", errDecode, rest)
+		return kvReq{}, fmt.Errorf("%w: value length %d", errDecode, rest)
 	}
 	q.Value = r.bytes(rest)
 	if r.fail {
-		return replReq{}, fmt.Errorf("%w: replicate framing", errDecode)
+		return kvReq{}, fmt.Errorf("%w: put framing", errDecode)
 	}
 	return q, nil
 }
