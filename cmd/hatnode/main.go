@@ -1,7 +1,7 @@
 // Command hatnode boots a YAML-configured HatKV cluster node fleet in
 // the deterministic simulation and soaks it (DESIGN.md §17). The config
-// splits neo-go-style into an application section (per-node: ops
-// surface, drain policy, workload sizing) and a protocol section
+// splits neo-go-style into an application section (per-node: metrics
+// sink, drain policy, workload sizing) and a protocol section
 // (cluster-wide: topology, durability, transport tuning, hints).
 //
 // Usage:

@@ -9,7 +9,6 @@ import (
 	"hatrpc/internal/analyzers/epochfence"
 	"hatrpc/internal/analyzers/errtaxonomy"
 	"hatrpc/internal/analyzers/framework"
-	"hatrpc/internal/analyzers/maporder"
 	"hatrpc/internal/analyzers/nogoroutine"
 	"hatrpc/internal/analyzers/obsnames"
 	"hatrpc/internal/analyzers/simdet"
@@ -17,14 +16,15 @@ import (
 )
 
 // All returns every analyzer in the hatlint suite, in stable order.
-// simdet, maporder, nogoroutine and obsnames are AST/type-based (PR 4);
-// the other four ride the flow-sensitive engine (DESIGN.md §16).
+// simdet, nogoroutine and obsnames are AST/type-based; the other four
+// ride the flow-sensitive engine. The bar for membership: a seeded
+// violation of the analyzer's invariant in product code is reported and
+// survives `go test ./...` (DESIGN.md §11 has the table of mutations).
 func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		arenaalias.Analyzer,
 		epochfence.Analyzer,
 		errtaxonomy.Analyzer,
-		maporder.Analyzer,
 		nogoroutine.Analyzer,
 		obsnames.Analyzer,
 		simdet.Analyzer,

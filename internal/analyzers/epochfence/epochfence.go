@@ -118,7 +118,7 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 		pass.Reportf(st.node.Pos(),
 			"store to %s is not dominated by an ordered comparison against %q: "+
 				"epoch/seq/promised adoption must be fenced (compare, reject stale, then adopt; "+
-				"DESIGN.md §16)",
+				"DESIGN.md §11)",
 			types.ExprString(st.sel), field)
 	}
 }

@@ -1,5 +1,5 @@
 // Control-flow graph construction for the flow-sensitive analyzers
-// (DESIGN.md §16). BuildCFG lowers one function body into basic blocks
+// (DESIGN.md §11). BuildCFG lowers one function body into basic blocks
 // of AST nodes in approximate evaluation order, with edges for every
 // structured-control construct the repo uses: if/else, for (all three
 // clauses and back edge), range, switch/type-switch (fallthrough

@@ -1,4 +1,4 @@
-// Dataflow queries over a function CFG (DESIGN.md §16). Two query
+// Dataflow queries over a function CFG (DESIGN.md §11). Two query
 // families cover the four flow-sensitive analyzers:
 //
 //   - must-follow (MustPrecede): "every path to this node passes

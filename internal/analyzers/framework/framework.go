@@ -15,9 +15,7 @@
 //
 // The justification is mandatory: an allow comment without a non-empty
 // "-- reason" suffix is itself reported as a diagnostic, so silencing a
-// finding always leaves a written trace of why. Analyzer-specific
-// markers (e.g. maporder's //hatlint:sorted) follow the same shape and
-// are handled by their analyzer.
+// finding always leaves a written trace of why.
 package framework
 
 import (

@@ -12,13 +12,13 @@ import (
 // The suite being clean is a standing invariant: any finding here is
 // either a real determinism/protocol bug or a site that needs a
 // justified //hatlint:allow.
-// TestSuiteComposition pins the analyzer roster: all eight checks, in
+// TestSuiteComposition pins the analyzer roster: all seven checks, in
 // stable order, each with a name (the //hatlint:allow key) and a doc
 // string. A dropped registration would silently shrink CI coverage.
 func TestSuiteComposition(t *testing.T) {
 	want := []string{
-		"arenaalias", "epochfence", "errtaxonomy", "maporder",
-		"nogoroutine", "obsnames", "simdet", "wirebounds",
+		"arenaalias", "epochfence", "errtaxonomy", "nogoroutine",
+		"obsnames", "simdet", "wirebounds",
 	}
 	all := analyzers.All()
 	if len(all) != len(want) {

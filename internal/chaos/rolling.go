@@ -63,7 +63,6 @@ type RollingResult struct {
 	// Lifecycle totals from the node layer.
 	Drains          int64
 	Escalations     int64
-	Reloads         int64
 	DrainedRequests int64 // requests fenced with the typed draining reply
 }
 
@@ -161,7 +160,6 @@ func RollingSoak(rc RollingConfig) (*RollingResult, error) {
 	}
 	res.Drains = reg.Counter("node.drains").Value()
 	res.Escalations = reg.Counter("node.drain_escalations").Value()
-	res.Reloads = reg.Counter("node.reloads").Value()
 	fillCycleEconomics(res, hats)
 	return res, nil
 }
@@ -217,8 +215,8 @@ func (r *RollingResult) Report() string {
 		mode, r.Acked, r.Lost, r.Incomplete, r.Availability())
 	fmt.Fprintf(&b, "gets=%d mismatches=%d failed_puts=%d stalled_puts=%d err_window=%dns\n",
 		r.GetChecks, r.GetMismatches, r.FailedPuts, r.StalledPuts, r.ErrWindowNs)
-	fmt.Fprintf(&b, "lifecycle: drains=%d escalations=%d reloads=%d drained_reqs=%d\n",
-		r.Drains, r.Escalations, r.Reloads, r.DrainedRequests)
+	fmt.Fprintf(&b, "lifecycle: drains=%d escalations=%d drained_reqs=%d\n",
+		r.Drains, r.Escalations, r.DrainedRequests)
 	fmt.Fprintf(&b, "cluster: promotions=%d candidacies=%d resyncs=%d stale=%d fenced=%d refreshes=%d\n",
 		r.Promotions, r.Candidacies, r.Resyncs, r.StaleWrites, r.FencedWrites, r.Refreshes)
 	fmt.Fprintf(&b, "cycles: %d (crashes seen: %d)\n", len(r.Cycles), len(r.Crashes))

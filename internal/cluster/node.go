@@ -219,10 +219,9 @@ func newNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.Node, self
 }
 
 // NewUnservedNode is NewNode without registering the wire handler: the
-// caller serves Handle on cluster.Port itself — the node lifecycle layer
-// (internal/node) does this to multiplex its ops surface onto the same
-// port and dispatcher processes, keeping the DES process set (and hence
-// the event schedule) identical to an ops-free NewNode build.
+// caller serves Handle on cluster.Port itself and so owns the
+// engine.Server — the node lifecycle layer (internal/node) drains and
+// sizes admission on it.
 func NewUnservedNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.Node, self int, cfg Config) *Node {
 	return newNode(eng, store, roster, self, cfg, false)
 }
@@ -446,8 +445,7 @@ func (n *Node) callPeer(p *sim.Proc, peer int, fn uint32, req []byte) ([]byte, e
 }
 
 // Handle exposes the cluster wire dispatcher for callers that serve the
-// port themselves (NewUnservedNode): the node lifecycle layer wraps it
-// to multiplex ops functions onto cluster.Port.
+// port themselves (NewUnservedNode), as the node lifecycle layer does.
 func (n *Node) Handle(p *sim.Proc, fn uint32, req []byte) []byte {
 	return n.handle(p, fn, req)
 }

@@ -441,3 +441,52 @@ func TestShardsOfOneNodeShareStoreCommits(t *testing.T) {
 		}
 	}
 }
+
+// TestLowerEpochHearsayLeavesRoutingAlone: a shard's two backups have been
+// installed into different later views, one at epoch 5 and one at epoch 3,
+// and its epoch-1 primary, which has heard of neither, takes a put. Both
+// backups veto the append with their views and gather folds the answers in
+// ring order — so in the first case the epoch-3 hearsay arrives after the
+// epoch-5 one and must leave it alone. Everything goes through Handle:
+// the installs in, the put in, the routing view out (the stale reply and
+// FnShardMap), so an adoptLearned that assigns unconditionally shows here
+// as a primary serving epoch 3.
+func TestLowerEpochHearsayLeavesRoutingAlone(t *testing.T) {
+	for _, epochs := range [][2]uint64{{5, 3}, {3, 5}} { // ring-first backup's view, ring-second's
+		t.Run(fmt.Sprintf("ring1=e%d/ring2=e%d", epochs[0], epochs[1]), func(t *testing.T) {
+			tc := newTestCluster(t, 37, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})
+			reps := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)
+			prim := tc.nodes[reps[0]]
+			wantPrimary := int32(reps[1])
+			if epochs[1] > epochs[0] {
+				wantPrimary = int32(reps[2])
+			}
+			tc.env.Spawn("driver", func(p *sim.Proc) {
+				defer tc.env.Stop()
+				for i, e := range epochs {
+					b := reps[i+1]
+					resp := tc.nodes[b].Handle(p, FnInstall, encodeInstall(installReq{Epoch: e, Primary: int32(b)}))
+					if len(resp) != 1 || resp[0] != stOK {
+						t.Fatalf("install of epoch %d on node %d: %v", e, b, resp)
+					}
+				}
+				e, pr, ok := decodeStale(putAt(p, prim, "k", []byte("v")))
+				if !ok || e != 5 || pr != wantPrimary {
+					t.Errorf("put answered stale=%v (epoch %d, primary %d), want the epoch-5 view of node %d", ok, e, pr, wantPrimary)
+				}
+				resp := prim.Handle(p, FnShardMap, nil)
+				if len(resp) < 1 || resp[0] != stOK {
+					t.Fatalf("shard map: %v", resp)
+				}
+				m, err := DecodeShardMap(resp[1:])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := m.Shards[0]; got.Epoch != 5 || got.Primary != wantPrimary {
+					t.Errorf("primary now routes to (epoch %d, node %d), want (5, %d): lower-epoch hearsay overwrote a higher one", got.Epoch, got.Primary, wantPrimary)
+				}
+			})
+			tc.env.Run()
+		})
+	}
+}

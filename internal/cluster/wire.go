@@ -439,6 +439,11 @@ type snapPair struct {
 	Value []byte
 }
 
+// snapPairMinLen is an empty pair on the wire (u16 key length, u32 value
+// length): a pair count the rest of the message cannot back is refused
+// before the slice is sized by it.
+const snapPairMinLen = 6
+
 // installReq: wholesale shard state push. A view-change install (epoch
 // > receiver's content epoch, matching the receiver's durable promise)
 // replaces the shard's records and meta in one commit; a same-epoch
@@ -474,7 +479,7 @@ func decodeInstall(b []byte) (installReq, error) {
 	q.Primary = int32(r.u32())
 	q.Seq = r.u64()
 	n := int(r.u32())
-	if n > maxSnapPairs {
+	if n > maxSnapPairs || n > (len(b)-r.off)/snapPairMinLen {
 		return installReq{}, fmt.Errorf("%w: %d snapshot pairs", errDecode, n)
 	}
 	q.Pairs = make([]snapPair, 0, n)

@@ -40,3 +40,114 @@ func FuzzShardMapDecode(f *testing.F) {
 		}
 	})
 }
+
+// replyDecoders are the six decoders a node or client runs over bytes a
+// peer sent: each is handed a message, reports whether it decoded, and
+// checks what it decoded against the caps in wire.go.
+var replyDecoders = []struct {
+	name  string
+	valid []byte
+	// fixed: the framing has no variable tail, so any other length fails.
+	fixed  bool
+	decode func(t *testing.T, b []byte) bool
+}{
+	{"decodeStale", encodeStale(9, 2), true, func(t *testing.T, b []byte) bool {
+		_, _, ok := decodeStale(b)
+		return ok
+	}},
+	{"decodeStatusResp", encodeStatusResp(statusResp{Epoch: 3, Seq: 7, LearnedEpoch: 4, LearnedPrimary: 1, Promised: 5, PromisedBy: 2}), true,
+		func(t *testing.T, b []byte) bool {
+			_, err := decodeStatusResp(b)
+			return err == nil
+		}},
+	{"decodeStatus", encodeStatus(statusReq{Shard: 3, Prepare: true, NewEpoch: 8, Candidate: 1}), true, func(t *testing.T, b []byte) bool {
+		_, err := decodeStatus(b)
+		return err == nil
+	}},
+	{"decodeInstall", encodeInstall(installReq{Shard: 1, Epoch: 2, Primary: 1, Seq: 9, Pairs: []snapPair{{"u:0001:a", []byte("va")}, {"u:0001:b", nil}}}), true,
+		func(t *testing.T, b []byte) bool {
+			q, err := decodeInstall(b)
+			checkPairs(t, b, q.Pairs)
+			return err == nil
+		}},
+	{"decodePullResp", encodePullResp(4, 11, []snapPair{{"u:0000:k", []byte("v")}}), true, func(t *testing.T, b []byte) bool {
+		_, _, pairs, err := decodePullResp(b)
+		checkPairs(t, b, pairs)
+		return err == nil
+	}},
+	// The put framing ends in the value, which is whatever is left: only
+	// the header and key can be cut short.
+	{"decodeKV/put", encodePut(putReq{Shard: 2, Epoch: 6, Key: "some-key"}), false, func(t *testing.T, b []byte) bool {
+		q, err := decodeKV(b, false)
+		checkKV(t, q)
+		return err == nil
+	}},
+	{"decodeKV/replicate", appendRepl(nil, 2, 6, 1, 40, encodePut(putReq{Key: "some-key"})[putHdrLen:]), false, func(t *testing.T, b []byte) bool {
+		q, err := decodeKV(b, true)
+		checkKV(t, q)
+		return err == nil
+	}},
+}
+
+func checkKV(t *testing.T, q kvReq) {
+	if len(q.Key) > maxKeyLen || len(q.Value) > maxValueLen {
+		t.Fatalf("decoded a %d-byte key and a %d-byte value past the caps", len(q.Key), len(q.Value))
+	}
+}
+
+// checkPairs: a snapshot's pairs respect the caps, and the slice holding
+// them was sized by what the message could carry, not by its count field.
+func checkPairs(t *testing.T, msg []byte, pairs []snapPair) {
+	if len(pairs) > maxSnapPairs || cap(pairs) > len(msg)/snapPairMinLen {
+		t.Fatalf("a %d-byte message decoded to %d pairs in a slice of %d", len(msg), len(pairs), cap(pairs))
+	}
+	for _, kv := range pairs {
+		if len(kv.Key) > maxKeyLen || len(kv.Value) > maxValueLen {
+			t.Fatalf("decoded a %d-byte key and a %d-byte value past the caps", len(kv.Key), len(kv.Value))
+		}
+	}
+}
+
+// TestReplyDecodersRejectCutAndOverlong: every decoder accepts its own
+// encoder's output, refuses every proper prefix of it (the empty message
+// included) without panicking, and — where the framing is fixed — refuses
+// it with a byte appended.
+func TestReplyDecodersRejectCutAndOverlong(t *testing.T) {
+	for _, d := range replyDecoders {
+		t.Run(d.name, func(t *testing.T) {
+			if !d.decode(t, d.valid) {
+				t.Fatalf("the encoder's own %d bytes do not decode", len(d.valid))
+			}
+			for cut := 0; cut < len(d.valid); cut++ {
+				if d.decode(t, d.valid[:cut:cut]) {
+					t.Errorf("decoded when cut to %d of %d bytes", cut, len(d.valid))
+				}
+			}
+			if d.fixed && d.decode(t, append(d.valid[:len(d.valid):len(d.valid)], 0)) {
+				t.Error("decoded with a trailing byte")
+			}
+		})
+	}
+	// A count the message cannot back is refused, not allocated for.
+	huge := encodeInstall(installReq{})
+	huge[len(huge)-3] = 0x0f // 0x000f0000 pairs, under maxSnapPairs
+	if _, err := decodeInstall(huge); err == nil {
+		t.Error("an install naming 983040 pairs in 22 bytes decoded")
+	}
+}
+
+// FuzzClusterDecoders hands arbitrary bytes to the six decoders: none may
+// panic, and whatever one accepts stays inside the caps of wire.go.
+func FuzzClusterDecoders(f *testing.F) {
+	for _, d := range replyDecoders {
+		f.Add(d.valid)
+		f.Add(d.valid[:len(d.valid)/2])
+	}
+	f.Add([]byte{})
+	f.Add([]byte{stStale})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, d := range replyDecoders {
+			d.decode(t, data)
+		}
+	})
+}

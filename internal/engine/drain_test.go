@@ -50,27 +50,6 @@ func TestDrainFenceTypedAcrossProtocols(t *testing.T) {
 	}
 }
 
-// TestDrainExemptFnStillServed: exempt function ids (the node ops
-// surface) keep answering through the fence.
-func TestDrainExemptFnStillServed(t *testing.T) {
-	env, srvEng, cliEng := testCluster(2)
-	srv := srvEng.Serve("svc", echoHandler)
-	srv.Exempt(9)
-	srv.SetDraining(true)
-	env.Spawn("client", func(p *sim.Proc) {
-		c := cliEng.Dial(p, srvEng.Node(), "svc")
-		resp, err := c.Call(p, 9, []byte("health"), CallOpts{Proto: EagerSendRecv, Busy: true})
-		if err != nil || string(resp) != "ECHOhealth" {
-			t.Errorf("exempt fn: %q, %v", resp, err)
-		}
-		if _, err := c.Call(p, 3, nil, CallOpts{Proto: EagerSendRecv, Busy: true}); !errors.Is(err, ErrDraining) {
-			t.Errorf("non-exempt fn err = %v, want ErrDraining", err)
-		}
-		env.Stop()
-	})
-	env.Run()
-}
-
 // TestDrainWaitsForInFlight: Drain lets a handler that started before
 // the fence run to completion, returns true once in-flight work is
 // gone, and requests arriving during the drain are fenced.
@@ -243,7 +222,7 @@ func TestDrainActiveCountsQueuedWork(t *testing.T) {
 		p.Sleep(100_000)
 		return nil
 	})
-	srv.SetAdmission(1, AdmitBlock)
+	srv.AdmitLimit = 1
 	results := make([]error, 4)
 	for i := 0; i < 4; i++ {
 		i := i

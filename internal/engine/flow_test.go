@@ -300,24 +300,6 @@ func TestAdmitShedNewestRejectsTyped(t *testing.T) {
 	}
 }
 
-// TestAdmitShedOldestBoundsQueue: shed-oldest keeps a bounded queue and
-// shed calls are typed.
-func TestAdmitShedOldestBoundsQueue(t *testing.T) {
-	succ, shed, other, srvShed := overloadDuel(t, duelConfig(), AdmitShedOldest, 6, 4)
-	if other != 0 {
-		t.Errorf("%d untyped failures under shed-oldest", other)
-	}
-	if shed == 0 {
-		t.Error("6 clients into a 1-slot server (queue bound 1) shed nothing")
-	}
-	if int64(shed) != srvShed {
-		t.Errorf("client-observed sheds %d != server Shed %d", shed, srvShed)
-	}
-	if succ == 0 {
-		t.Error("no successes at all")
-	}
-}
-
 // TestShedTypedOnEveryResponseProtocol: the kErr/shed marker must reach
 // the client on every response channel — two-sided ring, HERD, RFP
 // polling, and the Pilaf/FaRM metadata record.

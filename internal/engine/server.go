@@ -47,12 +47,6 @@ const (
 	// slots are busy. Requests already queued keep their accumulated
 	// waiting investment — the classic tail-drop policy.
 	AdmitShedNewest
-	// AdmitShedOldest queues the arriving request and, when the queue
-	// exceeds AdmitLimit waiters, sheds the longest-waiting one instead.
-	// Under uniform per-call deadlines the oldest waiter is the one with
-	// the least remaining deadline budget — shedding it first spends
-	// server capacity on requests that still have time to be useful.
-	AdmitShedOldest
 )
 
 func (ap AdmitPolicy) String() string {
@@ -61,8 +55,6 @@ func (ap AdmitPolicy) String() string {
 		return "block"
 	case AdmitShedNewest:
 		return "shed-newest"
-	case AdmitShedOldest:
-		return "shed-oldest"
 	}
 	return "unknown"
 }
@@ -74,28 +66,20 @@ func ParseAdmitPolicy(s string) (AdmitPolicy, error) {
 		return AdmitBlock, nil
 	case "newest", "shed-newest":
 		return AdmitShedNewest, nil
-	case "oldest", "shed-oldest":
-		return AdmitShedOldest, nil
 	}
-	return 0, fmt.Errorf("unknown admission policy %q (want block|newest|oldest)", s)
+	return 0, fmt.Errorf("unknown admission policy %q (want block|newest)", s)
 }
 
 // admitQueue bounds the number of concurrently executing handlers
 // server-wide. Dispatchers call acquire before running the handler and
-// release after the response is sent; waiters park on per-ticket signals
+// release after the response is sent; each waiter parks on its own signal
 // so a release wakes exactly one of them, FIFO.
 type admitQueue struct {
 	env     *sim.Env
 	limit   int
 	policy  AdmitPolicy
 	running int
-	waiting []*admitTicket
-}
-
-type admitTicket struct {
-	sig     *sim.Signal
-	arrival sim.Time
-	state   int8 // 0 waiting, 1 admitted, -1 shed
+	waiting []*sim.Signal
 }
 
 func newAdmitQueue(env *sim.Env, limit int, policy AdmitPolicy) *admitQueue {
@@ -112,46 +96,21 @@ func (q *admitQueue) acquire(p *sim.Proc) bool {
 	if q.policy == AdmitShedNewest {
 		return false
 	}
-	t := &admitTicket{sig: sim.NewSignal(q.env), arrival: p.Now()}
-	q.waiting = append(q.waiting, t)
-	if q.policy == AdmitShedOldest && len(q.waiting) > q.limit {
-		old := q.waiting[0]
-		q.waiting = q.waiting[1:]
-		old.state = -1
-		old.sig.Fire()
-	}
-	for t.state == 0 {
-		t.sig.Wait(p)
-	}
-	return t.state == 1
+	sig := sim.NewSignal(q.env)
+	q.waiting = append(q.waiting, sig)
+	sig.Wait(p) // fired once, by the release that hands this waiter its slot
+	return true
 }
 
-// release frees a handler slot and promotes the longest-waiting ticket.
+// release frees a handler slot, or hands it to the longest waiter.
 func (q *admitQueue) release() {
-	q.running--
-	q.promote()
-}
-
-// promote admits waiting tickets while slots are free, FIFO.
-func (q *admitQueue) promote() {
-	for q.running < q.limit && len(q.waiting) > 0 {
-		t := q.waiting[0]
-		q.waiting = q.waiting[1:]
-		q.running++
-		t.state = 1
-		t.sig.Fire()
+	if len(q.waiting) == 0 {
+		q.running--
+		return
 	}
-}
-
-// setLimit rewires the concurrency bound live (hint hot-reload). Raising
-// it promotes queued waiters immediately; limit <= 0 means unbounded —
-// every waiter is promoted and future requests bypass the queue.
-func (q *admitQueue) setLimit(limit int) {
-	if limit <= 0 {
-		limit = int(^uint(0) >> 1)
-	}
-	q.limit = limit
-	q.promote()
+	sig := q.waiting[0]
+	q.waiting = q.waiting[1:]
+	sig.Fire()
 }
 
 // Server accepts engine connections on a port and runs one dispatcher
@@ -192,9 +151,6 @@ type Server struct {
 	// draining fences new requests with the typed kDrain rejection while
 	// in-flight handlers run to completion (graceful drain, DESIGN.md §17).
 	draining bool
-	// exempt lists function ids the drain fence lets through (the node
-	// ops surface: health and metrics must answer while draining).
-	exempt map[uint32]bool
 	// active counts dispatchers currently executing a handler (admitted,
 	// not merely queued — queued waiters are counted via adm.waiting).
 	active int
@@ -225,9 +181,9 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 	eng := s.eng
 	p.Value = c // ResponseStage finds the connection here
 	for {
-		// Resolved per iteration (not hoisted) so a hint hot-reload that
-		// flips Poll/Busy takes effect on the next request without
-		// restarting dispatchers.
+		// Resolved per iteration (not hoisted): Poll and Busy are plain
+		// fields a caller sets after Serve has returned, which may be after
+		// this dispatcher started.
 		poll := resolvePoll(s.Poll, s.Busy)
 		a := c.nextArrival(p, poll)
 		if a.Kind != kReq {
@@ -269,7 +225,7 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 			// to execute.
 			continue
 		}
-		if s.draining && !s.exempt[a.Fn] {
+		if s.draining {
 			// Graceful-drain fence: new work is rejected typed and
 			// immediately (after dedup, so retransmissions of already
 			// served requests still get their cached responses). No dedup
@@ -375,29 +331,18 @@ func sameBacking(a, b []byte) bool {
 func (s *Server) Conns() []*Conn { return s.conns }
 
 // ---------------------------------------------------------------------------
-// Graceful drain + live reconfiguration (DESIGN.md §17)
+// Graceful drain (DESIGN.md §17)
 
 // drainPollNs paces the Drain quiesce wait. Coarse enough to stay off
 // the hot path, fine enough that quiescence is observed well inside any
 // realistic drain deadline.
 const drainPollNs = 10_000
 
-// SetDraining flips the drain fence. While set, new requests (except
-// Exempt function ids) are rejected with the typed kDrain marker and
-// keepalive probes answer kDrain — the announcement the session prober
-// keys its probe suppression on. In-flight handlers are unaffected.
+// SetDraining flips the drain fence. While set, new requests are
+// rejected with the typed kDrain marker and keepalive probes answer
+// kDrain — the announcement the session prober keys its probe
+// suppression on. In-flight handlers are unaffected.
 func (s *Server) SetDraining(v bool) { s.draining = v }
-
-// Exempt marks function ids the drain fence lets through — the node ops
-// surface (health, metrics) must keep answering while draining.
-func (s *Server) Exempt(fns ...uint32) {
-	if s.exempt == nil {
-		s.exempt = make(map[uint32]bool)
-	}
-	for _, fn := range fns {
-		s.exempt[fn] = true
-	}
-}
 
 // Active returns the number of requests currently in flight: handlers
 // executing plus requests queued in admission control.
@@ -428,18 +373,5 @@ func (s *Server) Drain(p *sim.Proc, deadline sim.Time) bool {
 			return false
 		}
 		p.Sleep(drainPollNs)
-	}
-}
-
-// SetAdmission rewires the admission bound and policy live (hint
-// hot-reload): queued waiters are promoted immediately when the limit
-// rises, and limit 0 disables admission for future requests while
-// promoting everything still queued.
-func (s *Server) SetAdmission(limit int, policy AdmitPolicy) {
-	s.AdmitLimit = limit
-	s.Admit = policy
-	if s.adm != nil {
-		s.adm.policy = policy
-		s.adm.setLimit(limit)
 	}
 }

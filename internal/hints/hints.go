@@ -136,15 +136,6 @@ func KnownKeys() []Key {
 // single hint:/s_hint:/c_hint: clause (or the merge of several).
 type Group map[Key]string
 
-// Clone returns a copy of the group.
-func (g Group) Clone() Group {
-	out := make(Group, len(g))
-	for k, v := range g {
-		out[k] = v
-	}
-	return out
-}
-
 // Merge overlays other on top of g (other wins) and returns g.
 func (g Group) Merge(other Group) Group {
 	for k, v := range other {

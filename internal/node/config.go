@@ -22,9 +22,6 @@ var (
 	ErrUnknownKey = errors.New("node: unknown config key")
 	// ErrBadValue: a known key carries a malformed or out-of-range value.
 	ErrBadValue = errors.New("node: bad config value")
-	// ErrImmutableKey: a hot-reload changed a key that can only be set at
-	// boot (seed, topology, durability mode).
-	ErrImmutableKey = errors.New("node: immutable config key changed at reload")
 )
 
 // ConfigError is one rejected config key: the dotted key path, the
@@ -50,7 +47,7 @@ func (e *ConfigError) Error() string {
 func (e *ConfigError) Unwrap() error { return e.Err }
 
 // Config is the full node configuration, split neo-go-style into an
-// application section (what this node runs: ops surface, workload,
+// application section (what this node runs: metrics sink, workload,
 // drain policy) and a protocol section (what every node must agree on:
 // topology, durability, transport tuning, hints).
 type Config struct {
@@ -62,10 +59,6 @@ type Config struct {
 type AppConfig struct {
 	// Name labels the node in logs and reports.
 	Name string
-	// Ops enables the live-ops surface (health/metrics/drain functions
-	// multiplexed onto the cluster port). Disabled, the node is
-	// byte-identical to a bare cluster node.
-	Ops bool
 	// MetricsSink selects where the Prometheus-style exposition goes at
 	// shutdown: "none" or "stdout".
 	MetricsSink string
@@ -97,16 +90,13 @@ type ProtoConfig struct {
 	Shards   int
 	RF       int
 	SyncMode lmdb.SyncMode
-	// Listeners names the ports the node serves. The cluster port is
-	// always first; extra entries are reserved for future services.
-	Listeners []string
 	// Credits overrides engine.Config.FlowCredits (0 = engine default).
 	Credits int
 	// AdmitLimit/AdmitPolicy configure server admission control
-	// (0 = unlimited). Hot-reloadable.
+	// (0 = unlimited).
 	AdmitLimit  int
 	AdmitPolicy engine.AdmitPolicy
-	// Hints is the node-level hint override group (hot-reloadable).
+	// Hints is the node-level hint override group.
 	Hints hints.Group
 	// Crash is the seeded crash-plan policy for chaos runs (all zero =
 	// no crash plan).
@@ -123,26 +113,24 @@ type CrashSpec struct {
 }
 
 // DefaultConfig returns the runnable defaults: a 5-node RF-3 SyncFull
-// cluster with the ops surface on and a small soak workload.
+// cluster and a small soak workload.
 func DefaultConfig() *Config {
 	return &Config{
 		Application: AppConfig{
 			Name:            "hatnode",
-			Ops:             true,
 			MetricsSink:     "none",
 			DrainDeadlineNs: 300_000,
 			DrainLingerNs:   600_000,
 			Workload:        WorkloadConfig{Workers: 3, Writes: 40, PaceNs: 250_000},
 		},
 		Protocol: ProtoConfig{
-			Seed:      1,
-			Servers:   5,
-			Shards:    8,
-			RF:        3,
-			SyncMode:  lmdb.SyncFull,
-			Listeners: []string{cluster.Port},
-			Hints:     hints.Group{},
-			Crash:     CrashSpec{RestartDelayNs: 400_000, RestartJitterNs: 200_000},
+			Seed:     1,
+			Servers:  5,
+			Shards:   8,
+			RF:       3,
+			SyncMode: lmdb.SyncFull,
+			Hints:    hints.Group{},
+			Crash:    CrashSpec{RestartDelayNs: 400_000, RestartJitterNs: 200_000},
 		},
 	}
 }
@@ -155,15 +143,6 @@ func (c *Config) ClusterConfig() cluster.Config {
 		cc.NodeIDs[i] = i
 	}
 	return cc
-}
-
-// Clone deep-copies the config (hint groups and listener sets are
-// mutable).
-func (c *Config) Clone() *Config {
-	out := *c
-	out.Protocol.Hints = c.Protocol.Hints.Clone()
-	out.Protocol.Listeners = append([]string(nil), c.Protocol.Listeners...)
-	return &out
 }
 
 // ParseConfig strictly decodes a YAML node config: unknown keys,
@@ -208,8 +187,6 @@ func decodeApplication(a *AppConfig, sec *yamlNode) error {
 		switch k {
 		case "name":
 			a.Name, err = scalarString(key, n)
-		case "ops":
-			a.Ops, err = scalarBool(key, n)
 		case "metrics_sink":
 			a.MetricsSink, err = scalarEnum(key, n, "none", "stdout")
 		case "drain_deadline":
@@ -284,8 +261,6 @@ func decodeProtocol(pr *ProtoConfig, sec *yamlNode) error {
 					pr.SyncMode = lmdb.NoSync
 				}
 			}
-		case "listeners":
-			pr.Listeners, err = scalarList(key, n)
 		case "credits":
 			pr.Credits, err = scalarInt(key, n, 0, 1<<20)
 		case "admit_limit":
@@ -384,13 +359,6 @@ func (c *Config) Validate() error {
 	if p.RF == 2 {
 		return &ConfigError{Key: "protocol.rf", Err: ErrBadValue, Detail: cluster.RF2Refusal}
 	}
-	if len(p.Listeners) == 0 {
-		return &ConfigError{Key: "protocol.listeners", Err: ErrBadValue, Detail: "must name at least one port"}
-	}
-	if p.Listeners[0] != cluster.Port {
-		return &ConfigError{Key: "protocol.listeners", Err: ErrBadValue,
-			Detail: fmt.Sprintf("first listener must be %q (got %q)", cluster.Port, p.Listeners[0])}
-	}
 	if p.Crash.MeanUptimeNs > 0 && p.Crash.HorizonNs <= 0 {
 		return &ConfigError{Key: "protocol.crash.horizon", Err: ErrBadValue,
 			Detail: "a crash plan needs a positive horizon"}
@@ -415,21 +383,6 @@ func scalarString(key string, n *yamlNode) (string, error) {
 			Detail: fmt.Sprintf("expected a scalar, got a %s", n.kindName())}
 	}
 	return n.scalar, nil
-}
-
-func scalarBool(key string, n *yamlNode) (bool, error) {
-	s, err := scalarString(key, n)
-	if err != nil {
-		return false, err
-	}
-	switch s {
-	case "true":
-		return true, nil
-	case "false":
-		return false, nil
-	}
-	return false, &ConfigError{Key: key, Line: n.line, Err: ErrBadValue,
-		Detail: fmt.Sprintf("want true|false, got %q", s)}
 }
 
 func scalarInt(key string, n *yamlNode, min, max int) (int, error) {
@@ -461,18 +414,6 @@ func scalarEnum(key string, n *yamlNode, allowed ...string) (string, error) {
 	}
 	return "", &ConfigError{Key: key, Line: n.line, Err: ErrBadValue,
 		Detail: fmt.Sprintf("want %s, got %q", strings.Join(allowed, "|"), s)}
-}
-
-func scalarList(key string, n *yamlNode) ([]string, error) {
-	if n.kind != yList {
-		return nil, &ConfigError{Key: key, Line: n.line, Err: ErrBadValue,
-			Detail: fmt.Sprintf("expected a list, got a %s", n.kindName())}
-	}
-	out := make([]string, len(n.items))
-	for i, it := range n.items {
-		out[i] = it.scalar
-	}
-	return out, nil
 }
 
 // scalarDuration parses a duration into virtual nanoseconds: a bare

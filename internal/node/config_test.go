@@ -12,7 +12,6 @@ const goodConfig = `
 # A full node config exercising every section.
 application:
   name: test-node
-  ops: true
   metrics_sink: stdout
   drain_deadline: 300us
   drain_linger: 450us
@@ -27,7 +26,6 @@ protocol:
   shards: 8
   rf: 3
   sync_mode: full
-  listeners: [hatkv-cluster]
   credits: 16
   admit_limit: 8
   admit_policy: shed-newest
@@ -49,7 +47,7 @@ func TestParseConfigGood(t *testing.T) {
 		t.Fatalf("ParseConfig: %v", err)
 	}
 	a, p := cfg.Application, cfg.Protocol
-	if a.Name != "test-node" || !a.Ops || a.MetricsSink != "stdout" {
+	if a.Name != "test-node" || a.MetricsSink != "stdout" {
 		t.Errorf("application = %+v", a)
 	}
 	if a.DrainDeadlineNs != 300_000 {
@@ -106,7 +104,6 @@ func TestParseConfigRejects(t *testing.T) {
 		{"unknown crash key", "protocol:\n  crash:\n    uptime: 4ms\n", ErrUnknownKey, "protocol.crash.uptime"},
 		{"unknown hint", "protocol:\n  hints:\n    pollling: busy\n", ErrUnknownKey, "protocol.hints.pollling"},
 		{"bad hint value", "protocol:\n  hints:\n    polling: sometimes\n", ErrBadValue, "protocol.hints.polling"},
-		{"bad bool", "application:\n  ops: yes\n", ErrBadValue, "application.ops"},
 		{"bad int", "protocol:\n  servers: many\n", ErrBadValue, "protocol.servers"},
 		{"zero servers", "protocol:\n  servers: 0\n", ErrBadValue, "protocol.servers"},
 		{"huge rf", "protocol:\n  rf: 99\n", ErrBadValue, "protocol.rf"},
@@ -120,8 +117,12 @@ func TestParseConfigRejects(t *testing.T) {
 		{"scalar for section", "protocol: full\n", ErrBadValue, "protocol"},
 		{"list for scalar", "protocol:\n  servers: [1, 2]\n", ErrBadValue, "protocol.servers"},
 		{"crash without horizon", "protocol:\n  crash:\n    mean_uptime: 2ms\n", ErrBadValue, "protocol.crash.horizon"},
-		{"empty listeners", "protocol:\n  listeners: []\n", ErrBadValue, "protocol.listeners"},
-		{"wrong first listener", "protocol:\n  listeners: [other]\n", ErrBadValue, "protocol.listeners"},
+		// Keys that existed until PR 24: strict decoding refuses a config
+		// written for the operator tier that was removed.
+		{"removed ops key", "application:\n  ops: true\n", ErrUnknownKey, "application.ops"},
+		{"empty listeners", "protocol:\n  listeners: []\n", ErrUnknownKey, "protocol.listeners"},
+		{"wrong first listener", "protocol:\n  listeners: [other]\n", ErrUnknownKey, "protocol.listeners"},
+		{"removed shed-oldest", "protocol:\n  admit_policy: oldest\n", ErrBadValue, "protocol.admit_policy"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -204,16 +205,5 @@ func TestParseDurations(t *testing.T) {
 		if err != nil || got != tc.want {
 			t.Errorf("parseDurationNs(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
 		}
-	}
-}
-
-func TestConfigClone(t *testing.T) {
-	a := DefaultConfig()
-	a.Protocol.Hints["polling"] = "busy"
-	b := a.Clone()
-	b.Protocol.Hints["polling"] = "event"
-	b.Protocol.Listeners[0] = "other"
-	if a.Protocol.Hints["polling"] != "busy" || a.Protocol.Listeners[0] == "other" {
-		t.Errorf("Clone shares mutable state: %+v", a.Protocol)
 	}
 }

@@ -37,15 +37,6 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// Ops surface function ids, multiplexed onto cluster.Port above the
-// cluster protocol's 0x20 range. Exempt from the drain fence: health
-// and metrics must answer while draining (that is when operators look).
-const (
-	FnOpsHealth  uint32 = 0x30 // → health state string
-	FnOpsMetrics uint32 = 0x31 // → Prometheus text exposition
-	FnOpsDrain   uint32 = 0x32 // starts an async graceful drain
-)
-
 // Transition is one recorded lifecycle edge.
 type Transition struct {
 	To State
@@ -64,16 +55,11 @@ type DrainReport struct {
 	AlreadyDrained bool // drain requested outside StateReady (idempotent no-op)
 }
 
-// ReloadReport lists what a hot-reload changed, in deterministic order.
-type ReloadReport struct {
-	Changed []string
-}
-
 // HatNode is one long-running production node: a simnet machine hosting
 // the hatkv/cluster service behind an engine server, plus the lifecycle
-// layer — boot, graceful drain, hot-reload, ops surface. The HatNode
-// (and its durable store) survive crashes and restarts; the engine,
-// cluster service, and server are rebuilt per boot.
+// layer — boot, graceful drain, stop. The HatNode (and its durable
+// store) survive crashes and restarts; the engine, cluster service, and
+// server are rebuilt per boot.
 type HatNode struct {
 	cfg    *Config
 	sn     *simnet.Node
@@ -98,7 +84,6 @@ type HatNode struct {
 
 	drains      *obs.Counter
 	escalations *obs.Counter
-	reloads     *obs.Counter
 }
 
 // EngineConfig is the engine sizing of a HatKV fleet, servers and the
@@ -136,7 +121,6 @@ func New(sn *simnet.Node, roster []*simnet.Node, self int, cfg *Config, reg *obs
 	}
 	h.drains = reg.Counter("node.drains")
 	h.escalations = reg.Counter("node.drain_escalations")
-	h.reloads = reg.Counter("node.reloads")
 	// Registered after the store's own rollback hook, so the durable
 	// state has rolled back by the time the lifecycle observes the crash.
 	var onCrash func()
@@ -151,10 +135,8 @@ func New(sn *simnet.Node, roster []*simnet.Node, self int, cfg *Config, reg *obs
 }
 
 // Boot builds one boot's service stack: engine (protocol section's
-// transport tuning), cluster service, and the port server hosting both
-// the cluster wire protocol and (when enabled) the ops surface on the
-// same dispatcher processes — an ops-enabled node schedules exactly the
-// same DES events as a bare cluster node until an ops call arrives.
+// transport tuning), cluster service, and the port server, configured
+// from the protocol section before any request can arrive.
 func (h *HatNode) Boot() {
 	h.setState(StateStarting)
 	ecfg := EngineConfig()
@@ -165,38 +147,13 @@ func (h *HatNode) Boot() {
 	h.eng.SetObs(h.reg)
 	h.cn = cluster.NewUnservedNode(h.eng, h.store, h.roster, h.self, h.cfg.ClusterConfig())
 	h.cn.SetObs(h.reg)
-	h.srv = h.eng.Serve(cluster.Port, h.handle)
-	h.srv.Exempt(FnOpsHealth, FnOpsMetrics)
+	h.srv = h.eng.Serve(cluster.Port, h.cn.Handle)
 	h.boots = append(h.boots, h.cn)
 	h.srvs = append(h.srvs, h.srv)
 	h.applyHints(h.cfg.Protocol.Hints)
-	h.srv.SetAdmission(h.cfg.Protocol.AdmitLimit, h.cfg.Protocol.AdmitPolicy)
+	h.srv.AdmitLimit = h.cfg.Protocol.AdmitLimit
+	h.srv.Admit = h.cfg.Protocol.AdmitPolicy
 	h.setState(StateReady)
-}
-
-// handle multiplexes the ops surface onto the cluster port. With Ops
-// disabled the switch is skipped entirely and the node serves the bare
-// cluster protocol.
-func (h *HatNode) handle(p *sim.Proc, fn uint32, req []byte) []byte {
-	if h.cfg.Application.Ops {
-		switch fn {
-		case FnOpsHealth:
-			return []byte(h.state.String())
-		case FnOpsMetrics:
-			return []byte(h.reg.Exposition())
-		case FnOpsDrain:
-			// The drain must not run on this dispatcher (it would wait for
-			// itself to finish) nor on any node-owned process (the
-			// escalation crash would kill its own caller): spawn an
-			// env-owned ops process and acknowledge immediately.
-			dl := sim.Duration(h.cfg.Application.DrainDeadlineNs)
-			h.env.Spawn(fmt.Sprintf("hatnode-drain-%d", h.self), func(dp *sim.Proc) {
-				h.Drain(dp, dl)
-			})
-			return []byte("draining")
-		}
-	}
-	return h.cn.Handle(p, fn, req)
 }
 
 // Drain performs a graceful drain: fence new requests with the typed
@@ -281,86 +238,9 @@ func (h *HatNode) Stop() {
 	h.sn.Crash()
 }
 
-// Reload applies a changed config without restarting: hints re-resolve
-// onto the live server (polling discipline, NUMA binding, admission
-// caps) with no in-flight call perturbed, and the drain deadline is
-// re-read on the next drain. Topology/durability keys are immutable —
-// changing one fails typed with ErrImmutableKey and applies nothing.
-// A no-op reload changes nothing at all (byte-identical replay).
-func (h *HatNode) Reload(next *Config) (ReloadReport, error) {
-	if err := checkImmutable(h.cfg, next); err != nil {
-		return ReloadReport{}, err
-	}
-	var rep ReloadReport
-	hintsChanged := false
-	for _, k := range hints.KnownKeys() {
-		if h.cfg.Protocol.Hints[k] != next.Protocol.Hints[k] {
-			hintsChanged = true
-			rep.Changed = append(rep.Changed, "protocol.hints."+string(k))
-		}
-	}
-	if h.cfg.Protocol.AdmitLimit != next.Protocol.AdmitLimit || h.cfg.Protocol.AdmitPolicy != next.Protocol.AdmitPolicy {
-		rep.Changed = append(rep.Changed, "protocol.admit_limit")
-	}
-	if h.cfg.Application.DrainDeadlineNs != next.Application.DrainDeadlineNs {
-		rep.Changed = append(rep.Changed, "application.drain_deadline")
-	}
-	if h.cfg.Application.DrainLingerNs != next.Application.DrainLingerNs {
-		rep.Changed = append(rep.Changed, "application.drain_linger")
-	}
-	if h.cfg.Application.Ops != next.Application.Ops {
-		rep.Changed = append(rep.Changed, "application.ops")
-	}
-	if h.cfg.Application.MetricsSink != next.Application.MetricsSink {
-		rep.Changed = append(rep.Changed, "application.metrics_sink")
-	}
-	if len(rep.Changed) == 0 {
-		return rep, nil // true no-op: no state touched
-	}
-	if hintsChanged {
-		h.applyHints(next.Protocol.Hints)
-	}
-	if h.cfg.Protocol.AdmitLimit != next.Protocol.AdmitLimit || h.cfg.Protocol.AdmitPolicy != next.Protocol.AdmitPolicy {
-		h.srv.SetAdmission(next.Protocol.AdmitLimit, next.Protocol.AdmitPolicy)
-	}
-	h.cfg = next
-	h.reloads.Inc()
-	return rep, nil
-}
-
-// immutableKeys are the reload-rejected keys: everything nodes must
-// agree on cluster-wide or that only takes effect at store/engine
-// creation.
-func checkImmutable(cur, next *Config) error {
-	p, q := &cur.Protocol, &next.Protocol
-	switch {
-	case p.Seed != q.Seed:
-		return &ConfigError{Key: "protocol.seed", Err: ErrImmutableKey}
-	case p.Servers != q.Servers:
-		return &ConfigError{Key: "protocol.servers", Err: ErrImmutableKey}
-	case p.Shards != q.Shards:
-		return &ConfigError{Key: "protocol.shards", Err: ErrImmutableKey}
-	case p.RF != q.RF:
-		return &ConfigError{Key: "protocol.rf", Err: ErrImmutableKey}
-	case p.SyncMode != q.SyncMode:
-		return &ConfigError{Key: "protocol.sync_mode", Err: ErrImmutableKey}
-	case p.Credits != q.Credits:
-		return &ConfigError{Key: "protocol.credits", Err: ErrImmutableKey}
-	case len(p.Listeners) != len(q.Listeners):
-		return &ConfigError{Key: "protocol.listeners", Err: ErrImmutableKey}
-	}
-	for i := range cur.Protocol.Listeners {
-		if cur.Protocol.Listeners[i] != next.Protocol.Listeners[i] {
-			return &ConfigError{Key: "protocol.listeners", Err: ErrImmutableKey}
-		}
-	}
-	return nil
-}
-
-// applyHints re-resolves the node hint group onto the live server:
-// polling discipline, NUMA binding (existing dispatchers re-bound), and
-// expected-concurrency admission sizing are all picked up by the next
-// dispatch iteration without touching any connection.
+// applyHints resolves the node hint group onto the boot's fresh server:
+// polling discipline (unhinted keeps the server's default) and NUMA
+// binding of the dispatchers it will spawn.
 func (h *HatNode) applyHints(g hints.Group) {
 	r := hints.TypeCheck(g)
 	switch r.Polling {
@@ -370,13 +250,8 @@ func (h *HatNode) applyHints(g hints.Group) {
 		h.srv.Poll = engine.PollEventMode
 	case hints.PollAdaptive:
 		h.srv.Poll = engine.PollAdaptiveMode
-	default:
-		h.srv.Poll = engine.PollFromBusy
 	}
 	h.srv.NUMABind = r.NUMABind
-	for _, c := range h.srv.Conns() {
-		c.SetNUMABound(r.NUMABind)
-	}
 }
 
 func (h *HatNode) setState(s State) {

@@ -1,14 +1,12 @@
 package node_test
 
 import (
-	"errors"
 	"fmt"
-	"hash/fnv"
-	"strings"
 	"testing"
 
 	"hatrpc/internal/cluster"
 	"hatrpc/internal/engine"
+	"hatrpc/internal/hints"
 	"hatrpc/internal/node"
 	"hatrpc/internal/obs"
 	"hatrpc/internal/sim"
@@ -57,15 +55,36 @@ func smallConfig() *node.Config {
 	return cfg
 }
 
+// TestBootTransitions: New boots through starting → ready, and the
+// server that boot builds carries the config's hinted polling discipline
+// and NUMA binding (unhinted: the server's defaults).
 func TestBootTransitions(t *testing.T) {
-	r := newRig(t, smallConfig())
-	h := r.hats[0]
-	if h.State() != node.StateReady {
-		t.Fatalf("state after New = %v, want ready", h.State())
+	cases := []struct {
+		name  string
+		hints hints.Group
+		poll  engine.PollMode
+		bind  bool
+	}{
+		{"unhinted", nil, engine.PollFromBusy, false},
+		{"adaptive bound", hints.Group{"polling": "adaptive", "numa": "bind"}, engine.PollAdaptiveMode, true},
+		{"busy", hints.Group{"polling": "busy"}, engine.PollBusyMode, false},
 	}
-	tr := h.Transitions()
-	if len(tr) != 2 || tr[0].To != node.StateStarting || tr[1].To != node.StateReady {
-		t.Errorf("transitions = %+v, want [starting ready]", tr)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.Protocol.Hints.Merge(tc.hints)
+			h := newRig(t, cfg).hats[0]
+			if h.State() != node.StateReady {
+				t.Fatalf("state after New = %v, want ready", h.State())
+			}
+			tr := h.Transitions()
+			if len(tr) != 2 || tr[0].To != node.StateStarting || tr[1].To != node.StateReady {
+				t.Errorf("transitions = %+v, want [starting ready]", tr)
+			}
+			if srv := h.Server(); srv.Poll != tc.poll || srv.NUMABind != tc.bind {
+				t.Errorf("server poll=%v numa_bind=%v, want %v / %v", srv.Poll, srv.NUMABind, tc.poll, tc.bind)
+			}
+		})
 	}
 }
 
@@ -197,200 +216,5 @@ func TestDrainCrashRace(t *testing.T) {
 	}
 	if got := r.reg.Counter("node.drains").Value(); got != 0 {
 		t.Errorf("node.drains = %d, want 0", got)
-	}
-}
-
-// TestOpsSurface drives the three ops functions over the wire: health
-// reflects the state machine (and keeps answering through the fence),
-// metrics returns the exposition, drain starts an async drain.
-func TestOpsSurface(t *testing.T) {
-	cfg := smallConfig()
-	r := newRig(t, cfg)
-	r.env.Spawn("operator", func(p *sim.Proc) {
-		c := r.cli.Dial(p, r.cl.Node(0), cluster.Port)
-		opts := engine.CallOpts{Proto: engine.EagerSendRecv, Busy: true}
-		if resp, err := c.Call(p, node.FnOpsHealth, nil, opts); err != nil || string(resp) != "ready" {
-			t.Errorf("health = %q, %v; want ready", resp, err)
-		}
-		if resp, err := c.Call(p, node.FnOpsMetrics, nil, opts); err != nil || !strings.Contains(string(resp), "hatrpc_") {
-			t.Errorf("metrics = %.60q..., %v; want exposition text", resp, err)
-		}
-		if resp, err := c.Call(p, node.FnOpsDrain, nil, opts); err != nil || string(resp) != "draining" {
-			t.Errorf("drain = %q, %v; want draining", resp, err)
-		}
-		p.Sleep(50_000) // let the spawned drain put the fence up
-		if resp, err := c.Call(p, node.FnOpsHealth, nil, opts); err != nil || string(resp) != "draining" {
-			t.Errorf("health while draining = %q, %v (exempt fns must answer)", resp, err)
-		}
-		r.env.Stop()
-	})
-	r.env.Run()
-	if r.hats[0].State() != node.StateDraining {
-		t.Errorf("state = %v, want draining", r.hats[0].State())
-	}
-}
-
-func TestReloadNoop(t *testing.T) {
-	r := newRig(t, smallConfig())
-	h := r.hats[0]
-	before := h.Config()
-	rep, err := h.Reload(before.Clone())
-	if err != nil || len(rep.Changed) != 0 {
-		t.Fatalf("no-op reload: %+v, %v", rep, err)
-	}
-	if h.Config() != before {
-		t.Error("no-op reload swapped the config pointer")
-	}
-	if got := r.reg.Counter("node.reloads").Value(); got != 0 {
-		t.Errorf("node.reloads = %d, want 0", got)
-	}
-}
-
-// TestReloadPollingTakesEffect: a hint change lands on the live server
-// — same boot, same server object, no lifecycle transition.
-func TestReloadPollingTakesEffect(t *testing.T) {
-	r := newRig(t, smallConfig())
-	h := r.hats[0]
-	srvBefore, transBefore := h.Server(), len(h.Transitions())
-	next := h.Config().Clone()
-	next.Protocol.Hints["polling"] = "busy"
-	rep, err := h.Reload(next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Changed) != 1 || rep.Changed[0] != "protocol.hints.polling" {
-		t.Errorf("Changed = %v, want [protocol.hints.polling]", rep.Changed)
-	}
-	if h.Server() != srvBefore {
-		t.Error("reload rebuilt the server — that is a restart, not a hot reload")
-	}
-	if h.Server().Poll != engine.PollBusyMode {
-		t.Errorf("server poll mode = %v, want busy", h.Server().Poll)
-	}
-	if len(h.Transitions()) != transBefore {
-		t.Error("reload moved the lifecycle state machine")
-	}
-	if got := r.reg.Counter("node.reloads").Value(); got != 1 {
-		t.Errorf("node.reloads = %d, want 1", got)
-	}
-}
-
-func TestReloadImmutableRejected(t *testing.T) {
-	r := newRig(t, smallConfig())
-	h := r.hats[0]
-	before := h.Config()
-	next := before.Clone()
-	next.Protocol.Shards++
-	next.Protocol.Hints["polling"] = "busy" // must NOT be applied either
-	_, err := h.Reload(next)
-	if !errors.Is(err, node.ErrImmutableKey) {
-		t.Fatalf("err = %v, want ErrImmutableKey", err)
-	}
-	var ce *node.ConfigError
-	if !errors.As(err, &ce) || ce.Key != "protocol.shards" {
-		t.Errorf("error names %q, want protocol.shards", ce.Key)
-	}
-	if h.Config() != before {
-		t.Error("rejected reload still swapped the config")
-	}
-	if h.Server().Poll == engine.PollBusyMode {
-		t.Error("rejected reload partially applied the hint change")
-	}
-}
-
-// soakDigest runs a short client workload against a rig and folds every
-// ack (key, virtual time) plus the final clock into a digest — the
-// byte-identity probe for schedule perturbation.
-func soakDigest(t *testing.T, cfg *node.Config, hook func(*rig)) string {
-	t.Helper()
-	r := newRig(t, cfg)
-	if hook != nil {
-		hook(r)
-	}
-	h := fnv.New64a()
-	done := 0
-	const workers, writes = 2, 15
-	for w := 0; w < workers; w++ {
-		w := w
-		r.env.Spawn(fmt.Sprintf("worker-%d", w), func(p *sim.Proc) {
-			c := cluster.NewClient(r.cli, r.roster, cfg.ClusterConfig())
-			for i := 0; i < writes; i++ {
-				key := fmt.Sprintf("w%d-%03d", w, i)
-				for c.Put(p, key, []byte(key)) != nil {
-					p.Sleep(250_000)
-				}
-				fmt.Fprintf(h, "%s|%d\n", key, p.Now())
-				p.Sleep(200_000)
-			}
-			if done++; done == workers {
-				r.env.Stop()
-			}
-		})
-	}
-	r.env.Run()
-	return fmt.Sprintf("%016x@%d", h.Sum64(), r.env.Now())
-}
-
-// TestOpsDisabledByteIdentical: enabling the ops surface without using
-// it must not move a single event — the ops functions multiplex onto
-// the existing dispatchers (NewUnservedNode), adding zero processes.
-func TestOpsDisabledByteIdentical(t *testing.T) {
-	on := smallConfig()
-	on.Application.Ops = true
-	off := smallConfig()
-	off.Application.Ops = false
-	if a, b := soakDigest(t, on, nil), soakDigest(t, off, nil); a != b {
-		t.Errorf("ops-enabled-unused run diverged from ops-disabled: %s vs %s", a, b)
-	}
-}
-
-// TestNoopReloadByteIdentical: a reload that changes nothing must not
-// perturb the schedule — compared against an identically-shaped idle
-// process, the only difference is the Reload call itself.
-func TestNoopReloadByteIdentical(t *testing.T) {
-	cfg := smallConfig()
-	withReload := soakDigest(t, cfg, func(r *rig) {
-		r.env.Spawn("reloader", func(p *sim.Proc) {
-			p.Sleep(2_000_000)
-			rep, err := r.hats[0].Reload(r.hats[0].Config().Clone())
-			if err != nil || len(rep.Changed) != 0 {
-				t.Errorf("no-op reload: %+v, %v", rep, err)
-			}
-		})
-	})
-	baseline := soakDigest(t, cfg, func(r *rig) {
-		r.env.Spawn("reloader", func(p *sim.Proc) {
-			p.Sleep(2_000_000)
-		})
-	})
-	if withReload != baseline {
-		t.Errorf("no-op reload perturbed the schedule: %s vs %s", withReload, baseline)
-	}
-}
-
-// TestLiveReloadUnderTraffic: a real hint reload mid-soak takes effect
-// without failing a single in-flight or subsequent write.
-func TestLiveReloadUnderTraffic(t *testing.T) {
-	cfg := smallConfig()
-	var reloaded *rig
-	digest := soakDigest(t, cfg, func(r *rig) {
-		reloaded = r
-		r.env.Spawn("reloader", func(p *sim.Proc) {
-			p.Sleep(2_000_000)
-			next := r.hats[0].Config().Clone()
-			next.Protocol.Hints["polling"] = "busy"
-			if _, err := r.hats[0].Reload(next); err != nil {
-				t.Errorf("live reload: %v", err)
-			}
-		})
-	})
-	if digest == "" {
-		t.Fatal("soak produced no digest")
-	}
-	if reloaded.hats[0].Server().Poll != engine.PollBusyMode {
-		t.Error("hint reload never reached the live server")
-	}
-	if got := reloaded.reg.Counter("node.reloads").Value(); got != 1 {
-		t.Errorf("node.reloads = %d, want 1", got)
 	}
 }

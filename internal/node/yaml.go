@@ -1,8 +1,7 @@
 // Package node is the production lifecycle layer (DESIGN.md §17): a
-// long-running multi-service node assembled from a YAML config split
-// into application and protocol sections, hosting the hatkv/cluster
-// tier inside the DES with graceful drain, hint hot-reload, and a
-// health/metrics ops surface.
+// long-running node assembled from a YAML config split into application
+// and protocol sections, hosting the hatkv/cluster tier inside the DES
+// with boot, graceful drain and stop.
 package node
 
 import (
@@ -12,40 +11,35 @@ import (
 
 // The repo has a zero-dependency constraint, so the config loader
 // hand-rolls the YAML subset the node config actually needs — nested
-// maps by indentation, scalar values, flow ([a, b]) and block (- a)
-// lists of scalars, comments — instead of pulling in a YAML module.
-// Anything outside the subset is rejected with a line number: a config
-// file that parses is fully understood.
+// maps by indentation, scalar values, comments — instead of pulling in
+// a YAML module. No key takes a list, so a block list is rejected here
+// and a flow list ([a, b]) reaches its key's decoder as a scalar that
+// decoder refuses. Anything outside the subset is rejected with a line
+// number: a config file that parses is fully understood.
 
 type yamlKind uint8
 
 const (
 	yScalar yamlKind = iota
 	yMap
-	yList
 )
 
 // yamlNode is one parsed config node. Maps remember key insertion order
 // (keys) so strict decoding can walk them deterministically — ranging
-// over child would trip maporder and make error ordering seed-shaped.
+// over child would make which error a bad config reports vary by run.
 type yamlNode struct {
 	kind   yamlKind
 	line   int
 	scalar string
-	items  []*yamlNode // yList: scalar items
-	keys   []string    // yMap: insertion order
+	keys   []string // yMap: insertion order
 	child  map[string]*yamlNode
 }
 
 func (n *yamlNode) kindName() string {
-	switch n.kind {
-	case yScalar:
+	if n.kind == yScalar {
 		return "scalar"
-	case yList:
-		return "list"
-	default:
-		return "map"
 	}
+	return "map"
 }
 
 // parseYAML parses src into a map tree. Errors carry 1-based line
@@ -89,27 +83,7 @@ func parseYAML(src string) (*yamlNode, error) {
 		}
 
 		if strings.HasPrefix(content, "- ") || content == "-" {
-			// Block-list item under the pending key.
-			if top.node.kind == yMap && len(top.node.keys) == 0 && top.node.child != nil && len(stack) > 1 {
-				top.node.kind = yList
-				top.node.child = nil
-			}
-			if top.node.kind != yList {
-				return nil, fmt.Errorf("node: yaml line %d: list item in a mapping block", ln)
-			}
-			item := strings.TrimSpace(strings.TrimPrefix(content, "-"))
-			if item == "" {
-				return nil, fmt.Errorf("node: yaml line %d: empty list item", ln)
-			}
-			if strings.Contains(item, ": ") || strings.HasSuffix(item, ":") {
-				return nil, fmt.Errorf("node: yaml line %d: list items must be scalars", ln)
-			}
-			top.node.items = append(top.node.items, &yamlNode{kind: yScalar, line: ln, scalar: unquote(item)})
-			continue
-		}
-
-		if top.node.kind != yMap {
-			return nil, fmt.Errorf("node: yaml line %d: mapping entry in a list block", ln)
+			return nil, fmt.Errorf("node: yaml line %d: list item (no config key takes a list)", ln)
 		}
 		key, val, ok := splitKeyValue(content)
 		if !ok {
@@ -118,32 +92,15 @@ func parseYAML(src string) (*yamlNode, error) {
 		if _, dup := top.node.child[key]; dup {
 			return nil, fmt.Errorf("node: yaml line %d: duplicate key %q", ln, key)
 		}
-		switch {
-		case val == "":
-			// `key:` opens a nested container (map or block list — decided
-			// by its first entry).
-			n := &yamlNode{kind: yMap, line: ln, child: make(map[string]*yamlNode)}
-			top.node.child[key] = n
-			top.node.keys = append(top.node.keys, key)
-			stack = append(stack, frame{node: n, childIndent: -1})
-		case strings.HasPrefix(val, "[") && strings.HasSuffix(val, "]"):
-			n := &yamlNode{kind: yList, line: ln}
-			inner := strings.TrimSpace(val[1 : len(val)-1])
-			if inner != "" {
-				for _, it := range strings.Split(inner, ",") {
-					it = strings.TrimSpace(it)
-					if it == "" {
-						return nil, fmt.Errorf("node: yaml line %d: empty element in flow list", ln)
-					}
-					n.items = append(n.items, &yamlNode{kind: yScalar, line: ln, scalar: unquote(it)})
-				}
-			}
-			top.node.child[key] = n
-			top.node.keys = append(top.node.keys, key)
-		default:
+		top.node.keys = append(top.node.keys, key)
+		if val != "" {
 			top.node.child[key] = &yamlNode{kind: yScalar, line: ln, scalar: unquote(val)}
-			top.node.keys = append(top.node.keys, key)
+			continue
 		}
+		// `key:` opens a nested map.
+		n := &yamlNode{kind: yMap, line: ln, child: make(map[string]*yamlNode)}
+		top.node.child[key] = n
+		stack = append(stack, frame{node: n, childIndent: -1})
 	}
 
 	// A trailing `key:` with no block is an empty map — legal (treated as

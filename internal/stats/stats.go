@@ -94,20 +94,6 @@ func (s *Sample) Percentile(p float64) float64 {
 	return s.xs[lo]*(1-frac) + s.xs[lo+1]*frac
 }
 
-// Stddev returns the population standard deviation.
-func (s *Sample) Stddev() float64 {
-	if len(s.xs) < 2 {
-		return 0
-	}
-	m := s.Mean()
-	sum := 0.0
-	for _, v := range s.xs {
-		d := v - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(s.xs)))
-}
-
 // ---------------------------------------------------------------------------
 
 // FormatBytes renders a size label (512B, 4KB, 128KB, 1GB ...).

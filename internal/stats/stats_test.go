@@ -32,20 +32,6 @@ func TestSampleBasics(t *testing.T) {
 	}
 }
 
-func TestStddev(t *testing.T) {
-	var s Sample
-	s.Add(2)
-	s.Add(4)
-	if d := s.Stddev(); math.Abs(d-1) > 1e-9 {
-		t.Fatalf("stddev = %v", d)
-	}
-	var one Sample
-	one.Add(7)
-	if one.Stddev() != 0 {
-		t.Fatal("single sample stddev should be 0")
-	}
-}
-
 func TestPercentileMonotonic(t *testing.T) {
 	f := func(raw []float64) bool {
 		var s Sample

@@ -330,3 +330,40 @@ func TestReplyValuesAreCallerOwned(t *testing.T) {
 		return 0
 	})
 }
+
+// rawEcho is a Processor that answers every request with its own bytes.
+type rawEcho struct{}
+
+func (rawEcho) ProcessBytes(p *sim.Proc, fnID uint32, req []byte) []byte { return req }
+
+// TestReplyOutlivesOtherTransportsCalls: the bytes Invoke returns are the
+// caller's until that transport's next Invoke — not until the engine's next
+// delivery. Two transports of one client engine share its payload arena, so
+// a reply recycled as soon as it is returned is the buffer the other
+// transport's reply lands in: A's reply must still read as A's bytes after
+// B's call, of the same size and other content, has been delivered.
+func TestReplyOutlivesOtherTransportsCalls(t *testing.T) {
+	for _, size := range []int{96, 2048, 40 << 10} { // inline eager, eager, rendezvous-sized
+		allocsIn(t, func(srv *engine.Engine) {
+			trdma.NewServer(srv, atbgen.ATBenchHints, rawEcho{})
+		}, func(p *sim.Proc, cli *engine.Engine, server *simnet.Node) float64 {
+			a := trdma.Dial(p, cli, server, atbgen.ATBenchHints, nil)
+			b := trdma.Dial(p, cli, server, atbgen.ATBenchHints, nil)
+			for round := 0; round < 4; round++ {
+				reqA := bytes.Repeat([]byte{byte(0xA0 + round)}, size)
+				reqB := bytes.Repeat([]byte{byte(0xB0 + round)}, size)
+				replyA, err := a.Invoke(p, "Echo", reqA, false)
+				if err != nil || !bytes.Equal(replyA, reqA) {
+					t.Fatalf("%d B round %d: A's echo returned %d bytes, err %v", size, round, len(replyA), err)
+				}
+				if replyB, err := b.Invoke(p, "Echo", reqB, false); err != nil || !bytes.Equal(replyB, reqB) {
+					t.Fatalf("%d B round %d: B's echo returned %d bytes, err %v", size, round, len(replyB), err)
+				}
+				if !bytes.Equal(replyA, reqA) {
+					t.Errorf("%d B round %d: A's reply changed when B's next reply was delivered: it was recycled while A still held it", size, round)
+				}
+			}
+			return 0
+		})
+	}
+}
