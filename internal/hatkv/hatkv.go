@@ -228,7 +228,8 @@ type writeReq struct {
 // parkedOp is a queued writer: its request and, once done, its result.
 type parkedOp struct {
 	// key, value, key, value, …: copies handed to whoever leads the op
-	// (the ones lmdb would have made at Put anyway).
+	// (the ones lmdb would have made at Put anyway), one allocation per
+	// pair (lmdb.CopyPair).
 	owned [][]byte
 	txn   uint64 // id of the write txn that committed the op
 	err   error
@@ -262,10 +263,12 @@ func (s *Store) park(p *sim.Proc, req *writeReq) (uint64, error) {
 	if req.multi {
 		q.owned = make([][]byte, 0, 2*len(req.pairs))
 		for _, kv := range req.pairs {
-			q.owned = append(q.owned, []byte(kv.Key), append([]byte(nil), kv.Value...))
+			k, v := lmdb.CopyPair(kv.Key, kv.Value)
+			q.owned = append(q.owned, k, v)
 		}
 	} else {
-		q.owned = [][]byte{[]byte(req.key), append([]byte(nil), req.value...)}
+		k, v := lmdb.CopyPair(req.key, req.value)
+		q.owned = [][]byte{k, v}
 	}
 	s.queue = append(s.queue, q)
 	q.wake.Wait(p)

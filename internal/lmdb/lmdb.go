@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // order is the B+tree fan-out.
@@ -59,7 +60,7 @@ type Stats struct {
 	Commits       int64
 	Aborts        int64
 	SyncedCommits int64
-	PagesCopied   int64 // COW node copies (a proxy for write amplification)
+	PagesCopied   int64 // nodes copied, at most once per node per write txn (write amplification)
 	Entries       int64
 	Flushes       int64 // explicit Flush calls
 	Recoveries    int64 // CrashRecover reopenings
@@ -128,16 +129,29 @@ func (e *Env) Close() { e.closed = true }
 
 // node is a B+tree node. Leaves hold keys+values; internal nodes hold
 // separator keys and children. Nodes are immutable once part of a
-// committed root — writers copy on write.
+// committed root — writers copy on write, once per node per txn (LMDB's
+// dirty-page rule): txn is the id of the write txn that created the
+// node, the only txn that may still edit it in place.
 type node struct {
 	leaf     bool
+	txn      uint64
 	keys     [][]byte
 	vals     [][]byte // leaf only
 	children []*node  // internal only
 }
 
-func (n *node) clone() *node {
-	c := &node{leaf: n.leaf}
+// own returns n if this txn created it, otherwise a copy stamped as this
+// txn's. A writer starts at the committed root, which reaches only nodes
+// of ids ≤ Env.txnID, and its own id is Env.txnID+1: a node it finds with
+// its id it made itself. Nodes that an Abort or a rewinding CrashRecover
+// leaves carrying a reused id are unreachable from that root, so any
+// snapshot still holding them stays intact.
+func (t *Txn) own(n *node) *node {
+	if n.txn == t.id {
+		return n
+	}
+	t.env.Stats.PagesCopied++
+	c := &node{leaf: n.leaf, txn: t.id}
 	c.keys = append([][]byte(nil), n.keys...)
 	if n.leaf {
 		c.vals = append([][]byte(nil), n.vals...)
@@ -221,13 +235,25 @@ func (t *Txn) Get(key []byte) ([]byte, error) {
 	return nil, ErrNotFound
 }
 
-// Put inserts or replaces key → value (both are copied).
+// Put inserts or replaces key → value (copied together into one
+// allocation).
 func (t *Txn) Put(key, value []byte) error {
-	return t.PutOwned(append([]byte(nil), key...), append([]byte(nil), value...))
+	k, v := CopyPair(key, value)
+	return t.PutOwned(k, v)
+}
+
+// CopyPair copies a key and value into one allocation: the key is its
+// capacity-capped head, the value its tail.
+func CopyPair[K ~string | ~[]byte](key K, value []byte) (k, v []byte) {
+	b := append(append(make([]byte, 0, len(key)+len(value)), key...), value...)
+	return b[:len(key):len(key)], b[len(key):]
 }
 
 // PutOwned is Put for a key and value the caller hands over: the tree
 // keeps k and v themselves, so they must never be modified afterwards.
+// They may share one allocation (CopyPair's): an overwrite replaces the
+// stored key as well as the value, so a live key never pins a superseded
+// value.
 func (t *Txn) PutOwned(k, v []byte) error {
 	if t.done {
 		return ErrTxnDone
@@ -237,7 +263,7 @@ func (t *Txn) PutOwned(k, v []byte) error {
 	}
 	t.env.Stats.Puts++
 	if t.root == nil {
-		t.root = &node{leaf: true, keys: [][]byte{k}, vals: [][]byte{v}}
+		t.root = &node{leaf: true, txn: t.id, keys: [][]byte{k}, vals: [][]byte{v}}
 		t.size++
 		return nil
 	}
@@ -248,6 +274,7 @@ func (t *Txn) PutOwned(k, v []byte) error {
 	if split != nil {
 		t.root = &node{
 			leaf:     false,
+			txn:      t.id,
 			keys:     [][]byte{sepKey},
 			children: []*node{root, split},
 		}
@@ -257,17 +284,16 @@ func (t *Txn) PutOwned(k, v []byte) error {
 	return nil
 }
 
-// insert performs COW insertion, returning the (copied) node, an optional
-// split sibling with its separator key, and whether a new entry was
-// added.
+// insert performs COW insertion, returning the node (owned by this txn),
+// an optional split sibling with its separator key, and whether a new
+// entry was added.
 func (t *Txn) insert(n *node, key, val []byte) (*node, *node, []byte, bool) {
-	t.env.Stats.PagesCopied++
-	c := n.clone()
+	c := t.own(n)
 	i := searchKeys(c.keys, key)
 	if c.leaf {
 		added := true
 		if i < len(c.keys) && bytes.Equal(c.keys[i], key) {
-			c.vals[i] = val
+			c.keys[i], c.vals[i] = key, val
 			added = false
 		} else {
 			c.keys = append(c.keys, nil)
@@ -283,12 +309,15 @@ func (t *Txn) insert(n *node, key, val []byte) (*node, *node, []byte, bool) {
 		mid := len(c.keys) / 2
 		right := &node{
 			leaf: true,
+			txn:  t.id,
 			keys: append([][]byte(nil), c.keys[mid:]...),
 			vals: append([][]byte(nil), c.vals[mid:]...),
 		}
 		c.keys = c.keys[:mid]
 		c.vals = c.vals[:mid]
-		return c, right, right.keys[0], added
+		// The separator gets its own bytes: the leaf key may share an
+		// allocation with a value that a later overwrite supersedes.
+		return c, right, append([]byte(nil), right.keys[0]...), added
 	}
 	if i < len(c.keys) && bytes.Compare(key, c.keys[i]) >= 0 {
 		i++
@@ -310,6 +339,7 @@ func (t *Txn) insert(n *node, key, val []byte) (*node, *node, []byte, bool) {
 	sep := c.keys[mid]
 	right := &node{
 		leaf:     false,
+		txn:      t.id,
 		keys:     append([][]byte(nil), c.keys[mid+1:]...),
 		children: append([]*node(nil), c.children[mid+1:]...),
 	}
@@ -338,28 +368,30 @@ func (t *Txn) Delete(key []byte) error {
 	return nil
 }
 
+// remove takes key out of n's subtree, owning the path only once the key
+// is found: a miss copies nothing.
 func (t *Txn) remove(n *node, key []byte) (*node, bool) {
 	if n == nil {
 		return nil, false
 	}
-	t.env.Stats.PagesCopied++
-	c := n.clone()
-	i := searchKeys(c.keys, key)
-	if c.leaf {
-		if i >= len(c.keys) || !bytes.Equal(c.keys[i], key) {
+	i := searchKeys(n.keys, key)
+	if n.leaf {
+		if i >= len(n.keys) || !bytes.Equal(n.keys[i], key) {
 			return n, false
 		}
-		c.keys = append(c.keys[:i], c.keys[i+1:]...)
-		c.vals = append(c.vals[:i], c.vals[i+1:]...)
+		c := t.own(n)
+		c.keys = slices.Delete(c.keys, i, i+1)
+		c.vals = slices.Delete(c.vals, i, i+1)
 		return c, true
 	}
-	if i < len(c.keys) && bytes.Compare(key, c.keys[i]) >= 0 {
+	if i < len(n.keys) && bytes.Compare(key, n.keys[i]) >= 0 {
 		i++
 	}
-	child, found := t.remove(c.children[i], key)
+	child, found := t.remove(n.children[i], key)
 	if !found {
 		return n, false
 	}
+	c := t.own(n)
 	c.children[i] = child
 	return c, true
 }
@@ -465,7 +497,9 @@ type cursorFrame struct {
 	idx int
 }
 
-// Seek positions the cursor at the first key >= key.
+// Seek positions the cursor at the first key >= key. A cursor on a write
+// txn is invalidated by that txn's next Put or Delete, which may edit the
+// nodes it walks in place.
 func (t *Txn) Seek(key []byte) *Cursor {
 	c := &Cursor{}
 	n := t.root

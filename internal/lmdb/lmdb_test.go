@@ -3,8 +3,10 @@ package lmdb
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -380,33 +382,265 @@ func TestPropertyAgainstMapModel(t *testing.T) {
 	}
 }
 
-// Property: snapshot reads never observe writes from later transactions.
+// scan renders every pair a transaction sees, in order.
+func scan(txn *Txn) string {
+	var b strings.Builder
+	for c := txn.Seek(nil); c.Valid(); c.Next() {
+		b.Write(c.Key())
+		b.WriteByte('=')
+		b.Write(c.Value())
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// render is scan's form of a model state.
+func render(m map[string]string) string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	for _, k := range keys {
+		b.WriteString(k + "=" + m[k] + "\n")
+	}
+	return b.String()
+}
+
+// pathNodes returns the nodes a lookup of key visits, root first.
+func pathNodes(n *node, key []byte) []*node {
+	var path []*node
+	for n != nil {
+		path = append(path, n)
+		if n.leaf {
+			break
+		}
+		i := searchKeys(n.keys, key)
+		if i < len(n.keys) && bytes.Compare(key, n.keys[i]) >= 0 {
+			i++
+		}
+		n = n.children[i]
+	}
+	return path
+}
+
+// Property: a snapshot scans exactly what it scanned when it was opened,
+// whatever the write txns after it do — on a tree three or more levels
+// deep, under multi-put/delete txns that edit the same leaf (and key)
+// more than once, aborted txns whose id the next writer reuses, and
+// crash recoveries under each sync mode followed by more txns. The
+// committed state matches a map model throughout, and a recovery lands
+// exactly on the state some earlier commit published under that id.
 func TestPropertySnapshotStability(t *testing.T) {
-	f := func(n uint8) bool {
-		e, _ := Open(Options{MaxReaders: 8, Sync: NoSync})
-		w, _ := e.BeginWrite()
-		for i := 0; i < int(n%50)+1; i++ {
-			w.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v0"))
-		}
-		w.Commit()
-		r, _ := e.BeginRead()
-		defer r.Abort()
-		before := e.Stats.Gets
-		w2, _ := e.BeginWrite()
-		for i := 0; i < int(n%50)+1; i++ {
-			w2.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v1"))
-		}
-		w2.Commit()
-		_ = before
-		for i := 0; i < int(n%50)+1; i++ {
-			v, err := r.Get([]byte(fmt.Sprintf("k%d", i)))
-			if err != nil || string(v) != "v0" {
-				return false
+	const space = 4000
+	key := func(i int) string { return fmt.Sprintf("k%05d", i) }
+	for _, mode := range []SyncMode{SyncFull, SyncMeta, NoSync} {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			e, _ := Open(Options{MaxReaders: 1000, Sync: mode})
+			model := map[string]string{}
+			states := map[uint64]map[string]string{0: {}} // committed state by txn id
+			type snapshot struct {
+				txn  *Txn
+				want string
+			}
+			var snaps []snapshot
+			checkSnaps := func(when string) {
+				t.Helper()
+				for i, s := range snaps {
+					if got := scan(s.txn); got != s.want {
+						t.Fatalf("mode %d seed %d: snapshot %d (txn %d) changed %s", mode, seed, i, s.txn.ID(), when)
+					}
+				}
+			}
+
+			w, _ := e.BeginWrite()
+			for _, i := range rng.Perm(space)[:2400] {
+				model[key(i)] = "v0"
+				w.Put([]byte(key(i)), []byte("v0"))
+			}
+			w.Commit()
+			e.Flush() // so that no mode's crash rewinds past the deep tree
+			states[e.TxnID()] = maps.Clone(model)
+			if d := len(pathNodes(e.root, nil)); d < 3 {
+				t.Fatalf("preloaded tree is %d levels deep, want ≥ 3", d)
+			}
+
+			abortedID := uint64(0)
+			reuses, rewinds := 0, 0
+			for step := 0; step < 80; step++ {
+				switch r := rng.Intn(10); {
+				case r < 3:
+					s, _ := e.BeginRead()
+					snaps = append(snaps, snapshot{s, scan(s)})
+				case r < 4:
+					if mode == NoSync && rng.Intn(2) == 0 {
+						e.Flush()
+					}
+					if e.CrashRecover() > 0 {
+						rewinds++
+					}
+					checkSnaps("across a crash")
+					abortedID = 0 // a rewind moves the next writer's id
+					model = maps.Clone(states[e.TxnID()])
+					if got := committed(t, e); got != render(model) {
+						t.Fatalf("mode %d seed %d: recovered to txn %d with a state no commit published", mode, seed, e.TxnID())
+					}
+				default:
+					w, _ := e.BeginWrite()
+					if abortedID != 0 {
+						if w.ID() != abortedID {
+							t.Fatalf("writer after an abort has id %d, want the aborted %d", w.ID(), abortedID)
+						}
+						reuses++
+					}
+					pending := maps.Clone(model)
+					base, ops := rng.Intn(space-4), 2+rng.Intn(10)
+					for j := 0; j < ops; j++ {
+						k := key(base + rng.Intn(4))
+						if rng.Intn(3) == 0 {
+							_, had := pending[k]
+							if err := w.Delete([]byte(k)); (err == nil) != had {
+								t.Fatalf("Delete(%s) = %v, model has it: %v", k, err, had)
+							}
+							delete(pending, k)
+						} else {
+							v := fmt.Sprintf("v%d.%d", w.ID(), j)
+							w.Put([]byte(k), []byte(v))
+							pending[k] = v
+						}
+						if got, _ := w.Get([]byte(k)); string(got) != pending[k] {
+							t.Fatalf("writer reads %s = %q after its own op, want %q", k, got, pending[k])
+						}
+					}
+					abortedID = 0
+					if rng.Intn(4) == 0 {
+						abortedID = w.ID()
+						w.Abort()
+						break
+					}
+					w.Commit()
+					model = pending
+					states[e.TxnID()] = maps.Clone(model)
+					if got := committed(t, e); got != render(model) {
+						t.Fatalf("mode %d seed %d: txn %d committed a state the model does not have", mode, seed, e.TxnID())
+					}
+				}
+			}
+			checkSnaps("by the end")
+			if len(snaps) == 0 || reuses == 0 || (mode != SyncFull && rewinds == 0) {
+				t.Errorf("mode %d seed %d covered %d snapshots, %d reused ids, %d rewinding crashes",
+					mode, seed, len(snaps), reuses, rewinds)
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+}
+
+// committed scans the env's committed state through a fresh reader.
+func committed(t *testing.T, e *Env) string {
+	t.Helper()
+	r, err := e.BeginRead()
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer r.Abort()
+	return scan(r)
+}
+
+// loaded returns an env holding n records committed in random order, and
+// their keys in that order.
+func loaded(t *testing.T, n int) (*Env, [][]byte) {
+	t.Helper()
+	e := open(t)
+	w, _ := e.BeginWrite()
+	keys := make([][]byte, n)
+	for i, j := range rand.New(rand.NewSource(1)).Perm(n) {
+		keys[i] = []byte(fmt.Sprintf("key-%06d", j))
+		if err := w.Put(keys[i], []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return e, keys
+}
+
+// TestWriteTxnCopiesEachNodeOnce: a write txn copies a node the first time
+// it edits it and edits that copy in place afterwards (LMDB's dirty-page
+// rule), so a txn's copies are bounded by the distinct nodes it touches,
+// not by its puts.
+func TestWriteTxnCopiesEachNodeOnce(t *testing.T) {
+	e, keys := loaded(t, 10000)
+	depth := len(pathNodes(e.root, keys[0]))
+	if depth < 3 {
+		t.Fatalf("10 000 records make a %d-level tree, want ≥ 3", depth)
+	}
+	w, _ := e.BeginWrite()
+	before := e.Stats.PagesCopied
+	for i := 0; i < 100; i++ {
+		w.Put(keys[0], []byte{byte(i)})
+	}
+	if got := e.Stats.PagesCopied - before; got != int64(depth) {
+		t.Errorf("100 puts to one key copied %d nodes, want the path depth %d", got, depth)
+	}
+	w.Abort()
+
+	rng := rand.New(rand.NewSource(2))
+	batch := make([][]byte, 40)
+	distinct := map[*node]bool{}
+	for i := range batch {
+		batch[i] = keys[rng.Intn(len(keys))]
+		for _, n := range pathNodes(e.root, batch[i]) {
+			distinct[n] = true
+		}
+	}
+	val := make([]byte, 64)
+	txn := func() {
+		w, _ := e.BeginWrite()
+		for _, k := range batch {
+			w.Put(k, val)
+		}
+		w.Abort()
+	}
+	before = e.Stats.PagesCopied
+	txn()
+	if got := e.Stats.PagesCopied - before; got > int64(len(distinct)) {
+		t.Errorf("40 random puts copied %d nodes, more than the %d distinct nodes on their paths", got, len(distinct))
+	}
+	allocs := testing.AllocsPerRun(20, txn)
+	if allocs > 250 {
+		t.Errorf("a 40-random-put txn over 10 000 records allocates %.0f objects, want ≤ 250", allocs)
+	}
+	t.Logf("40 random puts: %d distinct path nodes, %.0f allocations", len(distinct), allocs)
+}
+
+// TestDeleteOfAbsentKeyCopiesNothing: a Delete that misses leaves the
+// txn's tree alone — no node copied or counted, nothing allocated — and a
+// Delete that hits copies exactly its path.
+func TestDeleteOfAbsentKeyCopiesNothing(t *testing.T) {
+	e, keys := loaded(t, 2000)
+	w, _ := e.BeginWrite()
+	defer w.Abort()
+	before := e.Stats.PagesCopied
+	for _, k := range []string{"a", "key-0001005", "zzz"} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := w.Delete([]byte(k)); err != ErrNotFound {
+				t.Errorf("Delete(%s) = %v, want ErrNotFound", k, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Delete of absent %q allocates %.0f objects", k, allocs)
+		}
+	}
+	if got := e.Stats.PagesCopied - before; got != 0 || w.root != e.root {
+		t.Errorf("missed deletes copied %d nodes (root replaced: %v)", got, w.root != e.root)
+	}
+	if err := w.Delete(keys[5]); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.Stats.PagesCopied-before, int64(len(pathNodes(e.root, keys[5]))); got != want {
+		t.Errorf("a hit copied %d nodes, want the path depth %d", got, want)
 	}
 }
