@@ -236,7 +236,10 @@ func ClusterSoak(cfg ClusterConfig) *ClusterResult {
 			}
 			var boots []*cluster.Node
 			boot := func() {
-				boots = append(boots, cluster.NewNode(engine.New(sn, node.EngineConfig()), store, roster, i, ccfg))
+				eng := engine.New(sn, node.EngineConfig())
+				n := cluster.NewUnservedNode(eng, store, roster, i, ccfg)
+				eng.Serve(cluster.Port, n.Handle)
+				boots = append(boots, n)
 			}
 			boot()
 			sn.SetRestart(func(p *sim.Proc) { boot() })

@@ -123,17 +123,21 @@ func (c *Client) Get(p *sim.Proc, key string) ([]byte, error) {
 		info := c.view.Shards[shard]
 		resp, err := c.call(p, int(info.Primary), FnClusterGet,
 			encodeGet(getReq{Shard: uint16(shard), Epoch: info.Epoch, Key: key}))
-		st, cont := c.step(p, shard, resp, err, &lastErr)
-		if !cont {
-			if st == stOK {
-				c.stats.Gets++
-				if len(resp) < 2 || resp[1] == 0 {
-					return nil, fmt.Errorf("cluster: get %q: %w", key, ErrNotFound)
-				}
-				return resp[2:], nil
-			}
-			break
+		if _, cont := c.step(p, shard, resp, err, &lastErr); cont {
+			continue
 		}
+		v, found, derr := decodeGetResp(resp)
+		if derr != nil {
+			// A malformed reply says nothing about the key: retry, as stErr does.
+			lastErr = derr
+			p.Sleep(sim.Duration(clientBackoffNs))
+			continue
+		}
+		c.stats.Gets++
+		if !found {
+			return nil, fmt.Errorf("cluster: get %q: %w", key, ErrNotFound)
+		}
+		return v, nil
 	}
 	c.stats.Failures++
 	if lastErr == nil {

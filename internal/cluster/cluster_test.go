@@ -157,13 +157,42 @@ func newTestCluster(t *testing.T, seed int64, nservers int, cfg Config) *testClu
 		tc.stores = append(tc.stores, store)
 		boot := func() {
 			tc.engs[i] = engine.New(node, ecfg)
-			tc.nodes[i] = NewNode(tc.engs[i], store, tc.roster, i, cfg)
+			tc.nodes[i] = NewUnservedNode(tc.engs[i], store, tc.roster, i, cfg)
+			tc.engs[i].Serve(Port, tc.nodes[i].Handle)
 		}
 		boot()
 		node.SetRestart(func(p *sim.Proc) { boot() })
 	}
 	tc.cliEng = engine.New(cl.Node(nservers), ecfg)
 	return tc
+}
+
+// TestGetRetriesMalformedReply: an OK read reply whose found flag is
+// missing or out of range says nothing about the key — the client retries
+// instead of reporting the key missing (or present).
+func TestGetRetriesMalformedReply(t *testing.T) {
+	env := sim.NewEnv(43)
+	cl := simnet.NewCluster(env, simnet.Config{
+		Nodes: 2, Cores: 28, Sockets: 2, LinkGbps: 100, PropDelayNs: 600, NUMAPenalty: 1.25,
+	})
+	replies := [][]byte{{stOK}, {stOK, 2}, encodeGetResp([]byte("v"), true)}
+	engine.New(cl.Node(0), engine.DefaultConfig()).Serve(Port, func(p *sim.Proc, fn uint32, req []byte) []byte {
+		r := replies[0]
+		replies = replies[1:]
+		return r
+	})
+	env.Spawn("client", func(p *sim.Proc) {
+		defer env.Stop()
+		c := NewClient(engine.New(cl.Node(1), engine.DefaultConfig()), []*simnet.Node{cl.Node(0)},
+			Config{Seed: 43, NodeIDs: []int{0}, NShards: 1, RF: 1})
+		if v, err := c.Get(p, "k"); err != nil || string(v) != "v" {
+			t.Errorf("get behind two malformed replies: %q, %v; want the third reply's value", v, err)
+		}
+		if st := c.Stats(); st.Gets != 1 || st.Failures != 0 {
+			t.Errorf("client stats: %+v, want one read and no failure", st)
+		}
+	})
+	env.Run()
 }
 
 func TestClusterPutGet(t *testing.T) {

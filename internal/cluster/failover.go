@@ -39,8 +39,8 @@ import (
 // same-epoch twin primaries cannot exist.
 
 // startMonitor spawns the failover monitor as a node-owned process (it
-// dies with the node's crash; the next boot's NewNode starts a fresh
-// one). Ticks are staggered per node so symmetric candidacies on a
+// dies with the node's crash; the next boot's NewUnservedNode starts a
+// fresh one). Ticks are staggered per node so symmetric candidacies on a
 // freshly partitioned cluster do not collide deterministically forever;
 // the first one waits a probe interval out unless the boot fenced a shard.
 func (n *Node) startMonitor() {

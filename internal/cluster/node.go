@@ -127,8 +127,8 @@ func (s *NodeStats) Add(o NodeStats) {
 // Node is one cluster server: a shard-aware KV service over the node's
 // durable hatkv store, plus the failover monitor that probes primaries,
 // runs epoch-fenced candidacies, and resynchronizes lagging backups.
-// Build one per boot with NewNode — it dies with the simnet node's
-// crash, while the store underneath survives into the next boot.
+// Build one per boot with NewUnservedNode — it dies with the simnet
+// node's crash, while the store underneath survives into the next boot.
 type Node struct {
 	peerSessions // replication and failover calls to the other nodes
 
@@ -142,8 +142,6 @@ type Node struct {
 	shardIDs []int                        // sorted keys of shards
 	initial  *ShardMap                    // static epoch-1 map for non-owned entries
 
-	srv *engine.Server // nil for NewUnservedNode (caller serves Handle)
-
 	stats NodeStats
 
 	promotions  *obs.Counter
@@ -153,15 +151,13 @@ type Node struct {
 	backupAhead *obs.Counter
 }
 
-// NewNode builds the cluster service for one boot of a simnet node:
-// recovers per-shard meta from the durable store, registers the wire
-// handler, and spawns the failover monitor as a node-owned process.
-// self is the node's index into cfg.NodeIDs.
-func NewNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.Node, self int, cfg Config) *Node {
-	return newNode(eng, store, roster, self, cfg, true)
-}
-
-func newNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.Node, self int, cfg Config, serve bool) *Node {
+// NewUnservedNode builds the cluster service for one boot of a simnet
+// node: recovers per-shard meta from the durable store and spawns the
+// failover monitor as a node-owned process. self is the node's index into
+// cfg.NodeIDs. It registers no wire handler: the caller serves Handle on
+// cluster.Port and so owns the engine.Server — the node lifecycle layer
+// (internal/node) drains and sizes admission on it.
+func NewUnservedNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.Node, self int, cfg Config) *Node {
 	cfg = cfg.withDefaults()
 	env := eng.Node().Cluster().Env()
 	n := &Node{
@@ -211,19 +207,8 @@ func newNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.Node, self
 		n.shardIDs = append(n.shardIDs, s)
 	}
 	// shardIDs is built in ascending shard order already (the loop above).
-	if serve {
-		n.srv = eng.Serve(Port, n.handle)
-	}
 	n.startMonitor()
 	return n
-}
-
-// NewUnservedNode is NewNode without registering the wire handler: the
-// caller serves Handle on cluster.Port itself and so owns the
-// engine.Server — the node lifecycle layer (internal/node) drains and
-// sizes admission on it.
-func NewUnservedNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.Node, self int, cfg Config) *Node {
-	return newNode(eng, store, roster, self, cfg, false)
 }
 
 // Stats returns the node's lifecycle counters.
@@ -444,24 +429,14 @@ func (n *Node) callPeer(p *sim.Proc, peer int, fn uint32, req []byte) ([]byte, e
 	return n.callPeerDL(p, peer, fn, req, callDeadlineNs)
 }
 
-// Handle exposes the cluster wire dispatcher for callers that serve the
-// port themselves (NewUnservedNode), as the node lifecycle layer does.
-func (n *Node) Handle(p *sim.Proc, fn uint32, req []byte) []byte {
-	return n.handle(p, fn, req)
-}
-
-// Server returns the engine server created by NewNode (nil for
-// NewUnservedNode, where the caller owns the server).
-func (n *Node) Server() *engine.Server { return n.srv }
-
 // CloseSessions closes the node's cached replication sessions in
-// deterministic (sorted-peer) order — part of graceful shutdown, so the
-// peers' keepalive state and this node's QPs are released before the
-// engine closes.
+// deterministic (sorted-peer) order — part of graceful shutdown, so this
+// node's QPs are released before the engine closes.
 func (n *Node) CloseSessions() { n.closeSessions() }
 
-// handle dispatches the cluster wire protocol.
-func (n *Node) handle(p *sim.Proc, fn uint32, req []byte) []byte {
+// Handle dispatches the cluster wire protocol: the handler the caller of
+// NewUnservedNode serves on cluster.Port.
+func (n *Node) Handle(p *sim.Proc, fn uint32, req []byte) []byte {
 	switch fn {
 	case FnShardMap:
 		return n.handleShardMap()
@@ -573,15 +548,14 @@ func (n *Node) handleGet(p *sim.Proc, req []byte) []byte {
 	}
 	v, err := n.store.Get(p, dataKey(st.prefix, q.Key))
 	if errors.Is(err, hatkv.ErrNotFound) {
-		return []byte{stOK, 0}
+		return encodeGetResp(nil, false)
 	}
 	if err != nil {
 		// A failing store is not an absent key: the client must retry, not
 		// report acknowledged data as deleted.
 		return []byte{stErr}
 	}
-	out := []byte{stOK, 1}
-	return append(out, v...)
+	return encodeGetResp(v, true)
 }
 
 // handleReplicate accepts one ordered log append from the shard

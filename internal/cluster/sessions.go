@@ -44,9 +44,11 @@ var (
 
 // peerSessions is the cluster tier's one way of calling a cluster node:
 // a cache of one engine.Session per peer (opened on first use; the
-// session dials lazily and survives peer restarts by re-dialing) and the
-// per-function call plans resolved once from the hint table above. Client
-// and Node both embed it.
+// session dials lazily and survives peer restarts by re-dialing and
+// replaying) and the per-function call plans resolved once from the hint
+// table above. Every cluster verb is safe to replay on a fresh
+// connection, as a Session requires: appends are seq-checked, installs
+// and promises epoch-fenced. Client and Node both embed it.
 type peerSessions struct {
 	eng    *engine.Engine
 	roster []*simnet.Node // cluster server nodes, by index
@@ -64,9 +66,7 @@ func newPeerSessions(eng *engine.Engine, roster []*simnet.Node) peerSessions {
 	for i, fn := range fnHints {
 		r := hints.TypeCheck(hints.Resolve(serviceHints, fn, hints.SideClient))
 		pl := engine.SelectPlan(r, eng.Cores(), r.PayloadSize, eng.Config().RndvThreshold)
-		// Every cluster verb is safe to replay on a fresh connection:
-		// appends are seq-checked, installs and promises epoch-fenced.
-		ps.plans[i] = engine.CallOpts{Proto: pl.Proto, Busy: pl.Busy, Poll: pl.Poll, Idempotent: true}
+		ps.plans[i] = engine.CallOpts{Proto: pl.Proto, Busy: pl.Busy, Poll: pl.Poll}
 	}
 	return ps
 }
@@ -78,10 +78,7 @@ func newPeerSessions(eng *engine.Engine, roster []*simnet.Node) peerSessions {
 func (ps *peerSessions) callPeerDL(p *sim.Proc, peer int, fn uint32, req []byte, deadlineNs int64) ([]byte, error) {
 	s := ps.sess[peer]
 	if s == nil {
-		s = ps.eng.OpenSession(ps.roster[peer], Port, engine.SessionConfig{
-			MaxRedials:    2,
-			RedialBackoff: 50_000,
-		})
+		s = ps.eng.OpenSession(ps.roster[peer], Port)
 		ps.sess[peer] = s
 	}
 	opts := ps.plans[fn-fnBase]

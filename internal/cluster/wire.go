@@ -533,3 +533,22 @@ func decodeStale(b []byte) (epoch uint64, primary int32, ok bool) {
 	}
 	return binary.BigEndian.Uint64(b[1:]), int32(binary.BigEndian.Uint32(b[9:])), true
 }
+
+// Read replies: stOK, then a found flag — 0 and nothing after it for a
+// missing key, 1 and the value for a present one.
+func encodeGetResp(v []byte, found bool) []byte {
+	if !found {
+		return []byte{stOK, 0}
+	}
+	return append([]byte{stOK, 1}, v...)
+}
+
+// decodeGetResp reads an stOK read reply. A flag that is missing or out
+// of range, or bytes after a missing key's flag, make the reply
+// malformed — never a missing key.
+func decodeGetResp(b []byte) (v []byte, found bool, err error) {
+	if len(b) < 2 || b[0] != stOK || b[1] > 1 || (b[1] == 0 && len(b) > 2) {
+		return nil, false, fmt.Errorf("%w: get reply framing", errDecode)
+	}
+	return b[2:], b[1] == 1, nil
+}

@@ -41,7 +41,7 @@ func FuzzShardMapDecode(f *testing.F) {
 	})
 }
 
-// replyDecoders are the six decoders a node or client runs over bytes a
+// replyDecoders are the seven decoders a node or client runs over bytes a
 // peer sent: each is handed a message, reports whether it decoded, and
 // checks what it decoded against the caps in wire.go.
 var replyDecoders = []struct {
@@ -55,6 +55,10 @@ var replyDecoders = []struct {
 		_, _, ok := decodeStale(b)
 		return ok
 	}},
+	// A found read ends in the value, which is whatever is left: only the
+	// status and the flag can be cut short. A missing key is two bytes.
+	{"decodeGetResp/found", encodeGetResp(nil, true), false, checkGetResp},
+	{"decodeGetResp/missing", encodeGetResp(nil, false), true, checkGetResp},
 	{"decodeStatusResp", encodeStatusResp(statusResp{Epoch: 3, Seq: 7, LearnedEpoch: 4, LearnedPrimary: 1, Promised: 5, PromisedBy: 2}), true,
 		func(t *testing.T, b []byte) bool {
 			_, err := decodeStatusResp(b)
@@ -87,6 +91,15 @@ var replyDecoders = []struct {
 		checkKV(t, q)
 		return err == nil
 	}},
+}
+
+// checkGetResp: a read reply decodes to a value only when it says found.
+func checkGetResp(t *testing.T, b []byte) bool {
+	v, found, err := decodeGetResp(b)
+	if err == nil && !found && len(v) != 0 {
+		t.Fatalf("a missing key decoded with a %d-byte value", len(v))
+	}
+	return err == nil
 }
 
 func checkKV(t *testing.T, q kvReq) {
@@ -136,7 +149,7 @@ func TestReplyDecodersRejectCutAndOverlong(t *testing.T) {
 	}
 }
 
-// FuzzClusterDecoders hands arbitrary bytes to the six decoders: none may
+// FuzzClusterDecoders hands arbitrary bytes to the seven decoders: none may
 // panic, and whatever one accepts stays inside the caps of wire.go.
 func FuzzClusterDecoders(f *testing.F) {
 	for _, d := range replyDecoders {

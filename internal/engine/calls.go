@@ -30,13 +30,6 @@ type CallOpts struct {
 	// Config.CallDeadline; if both are zero the call is one unbounded
 	// attempt and may block forever on a lossy fabric.
 	Deadline sim.Duration
-	// Idempotent marks the call safe to replay on a fresh connection
-	// after a session reconnect (Session.Call). The engine already
-	// executes at-most-once per connection via seq dedup; replaying
-	// across connections re-executes, and only the application knows
-	// whether that is safe. Non-idempotent calls interrupted by a
-	// reconnect fail with ErrSessionReset instead.
-	Idempotent bool
 }
 
 // hybridSwitch resolves a hybrid protocol against the rendezvous

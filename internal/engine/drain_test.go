@@ -133,65 +133,6 @@ func TestDrainDeadlineEscalates(t *testing.T) {
 	}
 }
 
-// TestKeepaliveDrainHold pins the prober fix: a probe answered with the
-// typed draining announcement silences probing AND eager redialing for
-// the hold — no session_redials storm against a restarting peer.
-func TestKeepaliveDrainHold(t *testing.T) {
-	env, srvEng, cliEng := testCluster(5)
-	srv := srvEng.Serve("svc", echoHandler)
-	var s *Session
-	env.Spawn("client", func(p *sim.Proc) {
-		var err error
-		s, err = cliEng.NewSession(p, srvEng.Node(), "svc", SessionConfig{KeepaliveInterval: 100_000})
-		if err != nil {
-			t.Fatalf("NewSession: %v", err)
-		}
-	})
-	env.At(250_000, func() { srv.SetDraining(true) })
-	env.At(2_050_000, env.Stop)
-	env.Run()
-
-	st := s.Stats()
-	if st.DrainHolds == 0 {
-		t.Fatalf("stats = %+v, want ≥1 drain hold", st)
-	}
-	if st.Connects != 1 {
-		t.Errorf("connects = %d, want 1 — the prober redialed a draining peer", st.Connects)
-	}
-	// Timeline: probes at 100k and 200k succeed; the 300k probe is fenced
-	// and starts an 8-interval (800k) hold; probes resume at 1.1m, are
-	// fenced again, and hold once more. Without the hold the prober would
-	// have issued ~20.
-	if st.Probes > 6 {
-		t.Errorf("probes = %d, want ≤6 — probing continued through the hold", st.Probes)
-	}
-}
-
-// TestDrainHoldDefaultsFromInterval: the hold spans drainHoldProbes
-// intervals.
-func TestDrainHoldDefaultsFromInterval(t *testing.T) {
-	env, srvEng, cliEng := testCluster(6)
-	srv := srvEng.Serve("svc", echoHandler)
-	var s *Session
-	env.Spawn("client", func(p *sim.Proc) {
-		var err error
-		s, err = cliEng.NewSession(p, srvEng.Node(), "svc", SessionConfig{KeepaliveInterval: 100_000})
-		if err != nil {
-			t.Fatalf("NewSession: %v", err)
-		}
-	})
-	env.At(150_000, func() { srv.SetDraining(true) })
-	// One fenced probe at 200k, hold until 1m; stop before it expires.
-	env.At(950_000, env.Stop)
-	env.Run()
-	st := s.Stats()
-	// One probe is fenced shortly after 150k and opens an 8-interval
-	// (800k) hold that outlasts the run — no probe fires after it.
-	if st.DrainHolds != 1 || st.Probes > 2 {
-		t.Errorf("stats = %+v, want exactly 1 hold and ≤2 probes", st)
-	}
-}
-
 // TestDrainFenceLiftsCleanly: dropping the fence restores normal
 // service on the same connections.
 func TestDrainFenceLiftsCleanly(t *testing.T) {

@@ -178,7 +178,7 @@ type engineMetrics struct {
 	// Session-lifecycle instruments (only move when Sessions are used).
 	sessionRedials   *obs.Counter // dial attempts while re-establishing
 	sessionFailovers *obs.Counter // successful reconnects (epoch ≥ 2)
-	sessionReplays   *obs.Counter // idempotent calls replayed across a reconnect
+	sessionReplays   *obs.Counter // session calls replayed across a reconnect
 }
 
 // newEngineMetrics resolves the instrument set; the nil registry yields

@@ -51,21 +51,19 @@ var (
 //	ErrPeerDown        — transport failing at expiry
 //	ErrOverloaded      — server shed the request under admission control
 //	ErrDraining        — server fenced the request during graceful drain
-//	ErrSessionReset    — reconnect interrupted a non-idempotent call
 //	ErrCircuitOpen     — breaker is open; peer recently unhealthy
 //	ErrStaleShardEpoch — shard failed over; routing state is stale
 //
 // Of these only the first four feed the circuit breaker: breakerObserve
-// runs on transport call outcomes, where the last three are never
+// runs on transport call outcomes, where the last two are never
 // produced (ErrCircuitOpen is minted by the breaker gate before the
-// call, ErrSessionReset and ErrStaleShardEpoch by layers above Conn).
+// call, ErrStaleShardEpoch by the cluster layer above Conn).
 // A draining peer tripping the breaker is intended: it steers new calls
 // away from the node faster than per-call rejections would.
 func IsUnavailable(err error) bool {
 	return errors.Is(err, ErrDeadline) || errors.Is(err, ErrPeerDown) ||
-		errors.Is(err, ErrOverloaded) || errors.Is(err, ErrSessionReset) ||
-		errors.Is(err, ErrCircuitOpen) || errors.Is(err, ErrStaleShardEpoch) ||
-		errors.Is(err, ErrDraining)
+		errors.Is(err, ErrOverloaded) || errors.Is(err, ErrCircuitOpen) ||
+		errors.Is(err, ErrStaleShardEpoch) || errors.Is(err, ErrDraining)
 }
 
 // rejectErr maps a typed header-only rejection kind to its sentinel.

@@ -23,11 +23,6 @@ import (
 // return that; the engine then sends it from where it lies.
 type Handler func(p *sim.Proc, fn uint32, req []byte) []byte
 
-// FnKeepalive is the reserved function id session keepalive probes use.
-// Servers answer it header-only, bypassing dedup, admission control and
-// the application handler; applications must not use it.
-const FnKeepalive uint32 = 0xFFFFFFFF
-
 // ErrOverloaded is the typed failure a client receives when the server's
 // admission control shed its request. The rejection is header-only and
 // costs the server ~no CPU — the point of load shedding is that saying
@@ -189,22 +184,6 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 		if a.Kind != kReq {
 			continue
 		}
-		if a.Fn == FnKeepalive {
-			// Session keepalive probe: answered header-only before dedup
-			// and admission — a probe must never be shed, and must not
-			// disturb the cached response of the last real request. The
-			// handler never sees it. While draining, the probe answer IS
-			// the drain announcement: the prober's typed ErrDraining
-			// suppresses further probes and redials (session.go).
-			if a.RespProto != ProtoAuto {
-				if s.draining {
-					c.sendReject(p, a, kDrain)
-				} else {
-					c.sendResponse(p, a, nil, poll)
-				}
-			}
-			continue
-		}
 		if c.isDup(a.Seq) {
 			// Retransmitted request: the response (or the tail of the
 			// original delivery) was lost. Resend the cached response
@@ -339,9 +318,8 @@ func (s *Server) Conns() []*Conn { return s.conns }
 const drainPollNs = 10_000
 
 // SetDraining flips the drain fence. While set, new requests are
-// rejected with the typed kDrain marker and keepalive probes answer
-// kDrain — the announcement the session prober keys its probe
-// suppression on. In-flight handlers are unaffected.
+// rejected with the typed kDrain marker. In-flight handlers are
+// unaffected.
 func (s *Server) SetDraining(v bool) { s.draining = v }
 
 // Active returns the number of requests currently in flight: handlers

@@ -11,8 +11,9 @@ import (
 
 // sessionCluster builds a 2-node cluster whose server node re-creates
 // its engine and service from a restart hook — the full crash–restart
-// lifecycle a Session is built to survive. The returned getter yields
-// the server engine of the current boot.
+// lifecycle a Session is built to survive. The client engine carries a
+// registry (observe); the returned getter yields the server engine of the
+// current boot.
 func sessionCluster(seed int64) (*sim.Env, *simnet.Cluster, *Engine, func() *Engine) {
 	env := sim.NewEnv(seed)
 	cl := simnet.NewCluster(env, simnet.Config{
@@ -26,164 +27,62 @@ func sessionCluster(seed int64) (*sim.Env, *simnet.Cluster, *Engine, func() *Eng
 		cur.Serve("svc", echoHandler)
 	})
 	cliEng := New(cl.Node(1), DefaultConfig())
+	observe(cliEng)
 	return env, cl, cliEng, func() *Engine { return cur }
 }
 
-// TestSessionIdempotentReplayAcrossRestart is the lifecycle tentpole
-// test: a call interrupted by the server crashing is replayed on a
-// fresh connection to the server's next boot, invisibly to the caller.
-func TestSessionIdempotentReplayAcrossRestart(t *testing.T) {
+// TestSessionReplaysAcrossRestart is the lifecycle tentpole test: a call
+// interrupted by the server crashing is replayed on a fresh connection to
+// the server's next boot, invisibly to the caller.
+func TestSessionReplaysAcrossRestart(t *testing.T) {
 	env, cl, cliEng, _ := sessionCluster(101)
 	env.At(500_000, cl.Node(0).Crash)
 	env.At(700_000, cl.Node(0).Restart)
-	var s *Session
 	env.Spawn("client", func(p *sim.Proc) {
-		var err error
-		s, err = cliEng.NewSession(p, cl.Node(0).Cluster().Node(0), "svc", SessionConfig{})
-		if err != nil {
-			t.Fatalf("NewSession: %v", err)
-		}
-		resp, err := s.Call(p, 1, []byte("before"), CallOpts{Proto: EagerSendRecv, Busy: true, Idempotent: true})
+		defer env.Stop()
+		s := cliEng.OpenSession(cl.Node(0), "svc")
+		resp, err := s.Call(p, 1, []byte("before"), CallOpts{Proto: EagerSendRecv, Busy: true})
 		if err != nil || string(resp) != "ECHObefore" {
-			t.Fatalf("pre-crash call: %q, %v", resp, err)
+			t.Errorf("pre-crash call: %q, %v", resp, err)
+			return
 		}
 		p.Sleep(800_000) // past the crash and the restart
-		resp, err = s.Call(p, 2, []byte("after"), CallOpts{Proto: EagerSendRecv, Busy: true, Idempotent: true})
+		resp, err = s.Call(p, 2, []byte("after"), CallOpts{Proto: EagerSendRecv, Busy: true})
 		if err != nil || string(resp) != "ECHOafter" {
-			t.Fatalf("post-restart call: %q, %v", resp, err)
+			t.Errorf("post-restart call: %q, %v", resp, err)
 		}
-		env.Stop()
 	})
 	env.Run()
-	if s.Epoch() != 2 {
-		t.Errorf("session epoch = %d, want 2 (one reconnect)", s.Epoch())
-	}
-	st := s.Stats()
-	if st.Connects != 2 || st.Replays == 0 || st.Resets != 0 {
-		t.Errorf("stats = %+v, want 2 connects, >0 replays, 0 resets", st)
+	if f, r := ctr(cliEng, "engine.session_failovers"), ctr(cliEng, "engine.replays"); f != 1 || r == 0 {
+		t.Errorf("session_failovers = %d, replays = %d; want one reconnect and > 0 replays", f, r)
 	}
 }
 
-// TestSessionNonIdempotentFailsReset: without the Idempotent opt-in a
-// reconnect-interrupted call must fail typed with ErrSessionReset — the
-// session does not know whether the old server executed it.
-func TestSessionNonIdempotentFailsReset(t *testing.T) {
-	env, cl, cliEng, _ := sessionCluster(103)
-	env.At(500_000, cl.Node(0).Crash)
-	env.At(700_000, cl.Node(0).Restart)
-	var s *Session
-	env.Spawn("client", func(p *sim.Proc) {
-		var err error
-		s, err = cliEng.NewSession(p, cl.Node(0), "svc", SessionConfig{})
-		if err != nil {
-			t.Fatalf("NewSession: %v", err)
-		}
-		p.Sleep(800_000)
-		_, err = s.Call(p, 1, []byte("transfer"), CallOpts{Proto: EagerSendRecv, Busy: true})
-		if !errors.Is(err, ErrSessionReset) {
-			t.Fatalf("err = %v, want ErrSessionReset", err)
-		}
-		// The session itself recovered: the next call runs on the fresh
-		// connection.
-		resp, err := s.Call(p, 2, []byte("again"), CallOpts{Proto: EagerSendRecv, Busy: true})
-		if err != nil || string(resp) != "ECHOagain" {
-			t.Fatalf("post-reset call: %q, %v", resp, err)
-		}
-		env.Stop()
-	})
-	env.Run()
-	if st := s.Stats(); st.Resets != 1 || st.Replays != 0 {
-		t.Errorf("stats = %+v, want 1 reset, 0 replays", st)
-	}
-}
-
-// TestSessionKeepaliveReestablishesIdle: with probing enabled an idle
-// session detects the peer's crash and reconnects on its own — the
-// first call after a long idle period finds a live connection and
-// needs no replay.
-func TestSessionKeepaliveReestablishesIdle(t *testing.T) {
-	env, cl, cliEng, _ := sessionCluster(107)
-	env.At(1_000_000, cl.Node(0).Crash)
-	env.At(1_100_000, cl.Node(0).Restart)
-	var s *Session
-	env.Spawn("client", func(p *sim.Proc) {
-		var err error
-		s, err = cliEng.NewSession(p, cl.Node(0), "svc", SessionConfig{KeepaliveInterval: 200_000})
-		if err != nil {
-			t.Fatalf("NewSession: %v", err)
-		}
-		p.Sleep(4_000_000) // idle across the crash; the prober does the work
-		if s.Epoch() != 2 {
-			t.Errorf("epoch after idle recovery = %d, want 2", s.Epoch())
-		}
-		resp, err := s.Call(p, 1, []byte("hello"), CallOpts{Proto: EagerSendRecv, Busy: true})
-		if err != nil || string(resp) != "ECHOhello" {
-			t.Fatalf("post-recovery call: %q, %v", resp, err)
-		}
-		s.Close()
-		env.Stop()
-	})
-	env.Run()
-	st := s.Stats()
-	if st.Probes == 0 {
-		t.Error("keepalive prober never probed")
-	}
-	if st.Replays != 0 || st.Resets != 0 {
-		t.Errorf("idle recovery replayed/reset calls: %+v", st)
-	}
-	if st.Connects != 2 {
-		t.Errorf("connects = %d, want 2", st.Connects)
-	}
-}
-
-// TestSessionDialDownNodeFailsTyped: dialing a down node burns the
-// bounded redial budget and fails with ErrPeerDown instead of blocking
-// forever.
+// TestSessionDialDownNodeFailsTyped pins the session's dial budget: a call
+// to a down node spends exactly two dials, 50 µs apart, and fails with
+// ErrPeerDown instead of blocking forever.
 func TestSessionDialDownNodeFailsTyped(t *testing.T) {
 	env, cl, cliEng, _ := sessionCluster(109)
 	env.At(100, cl.Node(0).Crash)
 	env.Spawn("client", func(p *sim.Proc) {
+		defer env.Stop()
 		p.Sleep(1000)
-		s, err := cliEng.NewSession(p, cl.Node(0), "svc", SessionConfig{MaxRedials: 3})
+		start := p.Now()
+		if _, err := cliEng.TryDial(p, cl.Node(0), "svc", p.Now()+sim.Time(sessionHandshakeTimeoutNs)); !errors.Is(err, ErrPeerDown) {
+			t.Errorf("one dial to a down node: %v, want ErrPeerDown", err)
+			return
+		}
+		dial := p.Now() - start
+		start = p.Now()
+		_, err := cliEng.OpenSession(cl.Node(0), "svc").Call(p, 1, []byte("x"), CallOpts{Proto: EagerSendRecv, Busy: true})
 		if !errors.Is(err, ErrPeerDown) {
-			t.Errorf("NewSession to down node: %v, want ErrPeerDown", err)
+			t.Errorf("call to a down node: %v, want ErrPeerDown", err)
 		}
-		if s != nil {
-			t.Error("NewSession returned a session despite failing")
+		if took, want := p.Now()-start, 2*dial+50_000; took != want {
+			t.Errorf("call failed after %d ns, want %d: two %d ns dials 50 µs apart", took, want, dial)
 		}
-		env.Stop()
 	})
 	env.Run()
-}
-
-// TestSessionKeepaliveProbeServed: the reserved-function probe is
-// answered by any engine server without touching its dedup state or the
-// application handler.
-func TestSessionKeepaliveProbeServed(t *testing.T) {
-	env, cl, cliEng, srv := sessionCluster(113)
-	var s *Session
-	env.Spawn("client", func(p *sim.Proc) {
-		var err error
-		s, err = cliEng.NewSession(p, cl.Node(0), "svc", SessionConfig{KeepaliveInterval: 150_000})
-		if err != nil {
-			t.Fatalf("NewSession: %v", err)
-		}
-		p.Sleep(1_000_000) // several probe ticks against a healthy server
-		resp, err := s.Call(p, 5, []byte("real"), CallOpts{Proto: EagerSendRecv, Busy: true})
-		if err != nil || string(resp) != "ECHOreal" {
-			t.Fatalf("call after probes: %q, %v", resp, err)
-		}
-		s.Close()
-		env.Stop()
-	})
-	env.Run()
-	if st := s.Stats(); st.Probes < 3 {
-		t.Errorf("probes = %d, want several over 1ms at 150µs interval", st.Probes)
-	}
-	if s.Epoch() != 1 {
-		t.Errorf("probing a healthy server changed the epoch to %d", s.Epoch())
-	}
-	_ = srv
 }
 
 // TestBreakerHalfOpenProbeTimeout is the regression test for the
@@ -255,7 +154,7 @@ func TestBreakerHalfOpenProbeTimeout(t *testing.T) {
 // deadline on the dead boot's connection before it re-dials.
 func TestSessionOrderlyDisconnectSkipsDeadline(t *testing.T) {
 	const deadline = 300_000
-	firstCallAfterRestart := func(graceful bool) (took int64, st SessionStats) {
+	firstCallAfterRestart := func(graceful bool) (took, failovers, replays int64) {
 		env, cl, cliEng, srv := sessionCluster(113)
 		env.At(500_000, func() {
 			if graceful {
@@ -266,8 +165,8 @@ func TestSessionOrderlyDisconnectSkipsDeadline(t *testing.T) {
 		env.At(700_000, cl.Node(0).Restart)
 		env.Spawn("client", func(p *sim.Proc) {
 			defer env.Stop()
-			s := cliEng.OpenSession(cl.Node(0), "svc", SessionConfig{})
-			opts := CallOpts{Proto: EagerSendRecv, Idempotent: true, Deadline: deadline}
+			s := cliEng.OpenSession(cl.Node(0), "svc")
+			opts := CallOpts{Proto: EagerSendRecv, Deadline: deadline}
 			if _, err := s.Call(p, 1, []byte("before"), opts); err != nil {
 				t.Errorf("first call on a lazily opened session: %v", err)
 				return
@@ -278,18 +177,18 @@ func TestSessionOrderlyDisconnectSkipsDeadline(t *testing.T) {
 			if err != nil || string(resp) != "ECHOafter" {
 				t.Errorf("post-restart call (graceful=%v): %q, %v", graceful, resp, err)
 			}
-			took, st = int64(p.Now()-start), s.Stats()
+			took = int64(p.Now() - start)
 		})
 		env.Run()
-		return took, st
+		return took, ctr(cliEng, "engine.session_failovers"), ctr(cliEng, "engine.replays")
 	}
-	grace, gst := firstCallAfterRestart(true)
-	crash, cst := firstCallAfterRestart(false)
-	if grace >= deadline || gst.Connects != 2 || gst.Replays != 0 {
-		t.Errorf("after an orderly disconnect the call took %d ns (%+v), want a plain re-dial: under the %d ns deadline, no replay", grace, gst, deadline)
+	grace, gf, gr := firstCallAfterRestart(true)
+	crash, cf, cr := firstCallAfterRestart(false)
+	if grace >= deadline || gf != 1 || gr != 0 {
+		t.Errorf("after an orderly disconnect the call took %d ns (%d failovers, %d replays), want a plain re-dial: under the %d ns deadline, no replay", grace, gf, gr, deadline)
 	}
-	if crash < deadline || cst.Replays != 1 {
-		t.Errorf("after a crash the call took %d ns (%+v), want the deadline wait and one replay", crash, cst)
+	if crash < deadline || cf != 1 || cr != 1 {
+		t.Errorf("after a crash the call took %d ns (%d failovers, %d replays), want the deadline wait and one replay", crash, cf, cr)
 	}
 }
 

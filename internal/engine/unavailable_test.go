@@ -21,7 +21,6 @@ func TestIsUnavailableCoversTypedUnavailability(t *testing.T) {
 		{ErrDeadline, true},
 		{ErrPeerDown, true},
 		{ErrOverloaded, true},
-		{ErrSessionReset, true},
 		{ErrCircuitOpen, true},
 		{ErrStaleShardEpoch, true},
 		{ErrDraining, true},
@@ -41,49 +40,47 @@ func TestIsUnavailableCoversTypedUnavailability(t *testing.T) {
 	}
 }
 
-// TestSessionKeepaliveAsymmetricPartition: only the server→client
-// direction of the link is cut, so the client's keepalive probes reach
-// the server but the replies vanish. The prober must time out, tear the
-// connection down and re-dial — blocked (typed, not hanging) while the
-// cut also blocks the dial handshake, succeeding as soon as it heals.
-func TestSessionKeepaliveAsymmetricPartition(t *testing.T) {
+// TestSessionOneWayCut: only the server→client direction of the link is
+// cut, so requests reach the server and the replies vanish — the QP never
+// errors and no ErrPeerDown is produced. A call on an established session
+// fails typed at its session deadline instead of hanging; a fresh
+// session's dial fails typed too (the handshake needs the severed
+// direction); and once the cut heals the original connection answers, with
+// no reconnect and no replay.
+func TestSessionOneWayCut(t *testing.T) {
 	env, cl, cliEng, _ := sessionCluster(131)
 	cl.InstallFaults(simnet.FaultConfig{
-		OneWayCuts: []simnet.LinkCut{{From: 0, To: 1, StartNs: 1_000_000, EndNs: 3_000_000}},
+		OneWayCuts: []simnet.LinkCut{{From: 0, To: 1, StartNs: 1_000_000, EndNs: 8_000_000}},
 	})
 	finished := false
-	var s *Session
 	env.Spawn("client", func(p *sim.Proc) {
-		var err error
-		s, err = cliEng.NewSession(p, cl.Node(0), "svc", SessionConfig{KeepaliveInterval: 200_000})
-		if err != nil {
-			t.Fatalf("NewSession: %v", err)
-		}
-		resp, err := s.Call(p, 1, []byte("pre"), CallOpts{Proto: EagerSendRecv, Busy: true, Idempotent: true})
+		s := cliEng.OpenSession(cl.Node(0), "svc")
+		opts := CallOpts{Proto: EagerSendRecv, Busy: true}
+		resp, err := s.Call(p, 1, []byte("pre"), opts)
 		if err != nil || string(resp) != "ECHOpre" {
-			t.Fatalf("pre-cut call: %q, %v", resp, err)
+			t.Errorf("pre-cut call: %q, %v", resp, err)
+			env.Stop()
+			return
 		}
-		for p.Now() < 1_200_000 {
-			p.Sleep(50_000) // into the cut window
+		p.Sleep(sim.Duration(1_200_000 - p.Now())) // into the cut
+		start := p.Now()
+		if _, err := s.Call(p, 2, []byte("cut"), opts); !errors.Is(err, ErrDeadline) {
+			t.Errorf("call during the cut: %v, want ErrDeadline", err)
 		}
-		// A fresh dial during the cut fails typed: the handshake needs the
-		// severed direction.
-		if _, err := cliEng.NewSession(p, cl.Node(0), "svc", SessionConfig{
-			MaxRedials: 2, RedialBackoff: 100_000,
-		}); !IsUnavailable(err) {
-			t.Errorf("dial during asymmetric cut: %v, want typed unavailability", err)
+		if took := p.Now() - start; took != sim.Time(DefaultSessionCallDeadline) {
+			t.Errorf("call during the cut failed after %d ns, want its %d ns session deadline", took, DefaultSessionCallDeadline)
 		}
-		// Idle across the heal: the established session's prober detects
-		// the silent link and re-dials on its own once the cut lifts.
-		for p.Now() < 3_600_000 {
-			p.Sleep(200_000)
+		start = p.Now()
+		if _, err := cliEng.OpenSession(cl.Node(0), "svc").Call(p, 3, []byte("dial"), opts); !errors.Is(err, ErrPeerDown) {
+			t.Errorf("fresh session during the cut: %v, want ErrPeerDown", err)
 		}
-		if s.Epoch() < 2 {
-			t.Errorf("session epoch = %d, want ≥ 2 (prober never re-dialed)", s.Epoch())
+		if took := p.Now() - start; took >= sim.Time(sessionHandshakeTimeoutNs) {
+			t.Errorf("fresh session during the cut failed after %d ns, want two refused dials (≈ 230 µs), not a handshake wait", took)
 		}
-		resp, err = s.Call(p, 2, []byte("post"), CallOpts{Proto: EagerSendRecv, Busy: true, Idempotent: true})
+		p.Sleep(sim.Duration(8_500_000 - p.Now())) // past the heal
+		resp, err = s.Call(p, 4, []byte("post"), opts)
 		if err != nil || string(resp) != "ECHOpost" {
-			t.Fatalf("post-heal call: %q, %v", resp, err)
+			t.Errorf("post-heal call: %q, %v", resp, err)
 		}
 		finished = true
 		env.Stop()
@@ -91,10 +88,10 @@ func TestSessionKeepaliveAsymmetricPartition(t *testing.T) {
 	env.At(30_000_000, env.Stop) // watchdog: a hang is a failure, not a deadlock
 	env.Run()
 	if !finished {
-		t.Fatal("client never finished — session hung under the asymmetric partition")
+		t.Fatal("client never finished — session hung under the one-way cut")
 	}
-	if st := s.Stats(); st.Connects < 2 {
-		t.Errorf("connects = %d, want ≥ 2", st.Connects)
+	if f, r := ctr(cliEng, "engine.session_failovers"), ctr(cliEng, "engine.replays"); f != 0 || r != 0 {
+		t.Errorf("session_failovers = %d, replays = %d; want 0 and 0 (the original connection survives the cut)", f, r)
 	}
 }
 

@@ -157,11 +157,10 @@ func (h *HatNode) Boot() {
 }
 
 // Drain performs a graceful drain: fence new requests with the typed
-// kDrain rejection (keepalive probes answer the same way — the
-// announcement session probers hold off on), let in-flight calls and
-// replication complete, and report how it ended. The caller escalates
-// to Stop (the crash path) on Escalated; a Completed drain makes Stop a
-// clean quiesce→release. Must run on an env-owned process.
+// kDrain rejection, let in-flight calls and replication complete, and
+// report how it ended. The caller escalates to Stop (the crash path) on
+// Escalated; a Completed drain makes Stop a clean quiesce→release. Must
+// run on an env-owned process.
 func (h *HatNode) Drain(p *sim.Proc, deadline sim.Duration) DrainReport {
 	rep := DrainReport{Started: p.Now()}
 	if h.state != StateReady {

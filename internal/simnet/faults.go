@@ -62,8 +62,8 @@ type FaultConfig struct {
 	// from→to inside [StartNs, EndNs) are dropped while the reverse
 	// direction stays healthy. Unlike the seeded periodic faults these are
 	// explicit test scripts (no RNG draws), used to pin down behavior
-	// under asymmetric partitions — e.g. a keepalive prober whose probes
-	// vanish while the peer's responses would still flow.
+	// under asymmetric partitions — e.g. a call whose request arrives
+	// while its reply vanishes.
 	OneWayCuts []LinkCut
 	// DropNth scripts single losses: the N-th message (1-based, counted
 	// from the plan's installation) that crosses the directed link from→to
