@@ -53,39 +53,6 @@ func BenchmarkAblationPolling(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationThreshold sweeps the Hybrid-EagerRNDV switch point.
-func BenchmarkAblationThreshold(b *testing.B) {
-	for _, thresh := range []int{1024, 4096, 16384, 65536} {
-		b.Run(fmt.Sprintf("threshold=%d", thresh), func(b *testing.B) {
-			env := sim.NewEnv(5)
-			cl := simnet.NewCluster(env, simnet.DefaultConfig())
-			ecfg := engine.DefaultConfig()
-			ecfg.RndvThreshold = thresh
-			srvEng := engine.New(cl.Node(0), ecfg)
-			cliEng := engine.New(cl.Node(1), ecfg)
-			srv := srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte { return req })
-			srv.Busy = true
-			var total sim.Time
-			env.Spawn("client", func(p *sim.Proc) {
-				c := cliEng.Dial(p, srvEng.Node(), "svc")
-				payload := make([]byte, 8192) // near the 4KB default switch
-				opts := engine.CallOpts{Proto: engine.HybridEagerRNDV, Busy: true}
-				c.Call(p, 1, payload, opts)
-				start := p.Now()
-				for i := 0; i < 20; i++ {
-					c.Call(p, 1, payload, opts)
-				}
-				total = p.Now() - start
-				env.Stop()
-			})
-			env.Run()
-			env.Shutdown()
-			spin(b)
-			b.ReportMetric(float64(total)/20, "vlat-ns/op")
-		})
-	}
-}
-
 // BenchmarkAblationHintOverhead measures the dynamic-hint path: plan
 // resolution cached (HatRPC's design) vs re-resolved per call.
 func BenchmarkAblationHintOverhead(b *testing.B) {

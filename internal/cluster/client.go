@@ -94,7 +94,7 @@ func (c *Client) Refresh(p *sim.Proc) {
 func (c *Client) Put(p *sim.Proc, key string, value []byte) error {
 	shard := ShardOf(key, c.cfg.NShards)
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.ClientAttempts; attempt++ {
+	for attempt := 0; attempt < clientAttempts; attempt++ {
 		info := c.view.Shards[shard]
 		resp, err := c.call(p, int(info.Primary), FnClusterPut,
 			encodePut(putReq{Shard: uint16(shard), Epoch: info.Epoch, Key: key, Value: value}))
@@ -119,7 +119,7 @@ func (c *Client) Put(p *sim.Proc, key string, value []byte) error {
 func (c *Client) Get(p *sim.Proc, key string) ([]byte, error) {
 	shard := ShardOf(key, c.cfg.NShards)
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.ClientAttempts; attempt++ {
+	for attempt := 0; attempt < clientAttempts; attempt++ {
 		info := c.view.Shards[shard]
 		resp, err := c.call(p, int(info.Primary), FnClusterGet,
 			encodeGet(getReq{Shard: uint16(shard), Epoch: info.Epoch, Key: key}))

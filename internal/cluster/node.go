@@ -14,8 +14,8 @@ import (
 
 // Config is the shared cluster configuration. Every node and every
 // client must be built from the same (Seed, NodeIDs, NShards, RF) —
-// ring placement is a pure function of them. A zero ProbeIntervalNs or
-// ClientAttempts gets a default.
+// ring placement is a pure function of them. A zero ProbeIntervalNs gets
+// a default.
 type Config struct {
 	Seed    int64
 	NodeIDs []int // simnet node ids hosting cluster nodes, ascending
@@ -23,7 +23,6 @@ type Config struct {
 	RF      int // replicas per shard (primary included)
 
 	ProbeIntervalNs int64 // monitor tick spacing, virtual ns
-	ClientAttempts  int   // retry budget per client Put/Get
 }
 
 // Failover and client pacing, virtual ns.
@@ -33,7 +32,8 @@ const (
 	clientDeadlineNs int64 = 300_000 // one client-facing call
 	clientBackoffNs  int64 = 150_000 // pacing between client retries
 
-	failThreshold = 2 // consecutive failed primary probes before candidacy
+	failThreshold  = 2  // consecutive failed primary probes before candidacy
+	clientAttempts = 12 // retry budget per client Put/Get
 )
 
 // RF2Refusal is why no cluster is built at replication factor 2.
@@ -57,9 +57,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeIntervalNs <= 0 {
 		c.ProbeIntervalNs = 150_000
-	}
-	if c.ClientAttempts <= 0 {
-		c.ClientAttempts = 12
 	}
 	return c
 }

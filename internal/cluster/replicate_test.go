@@ -194,9 +194,9 @@ func TestClusterHintPlanTable(t *testing.T) {
 			t.Errorf("%s has no function-level hint set in the cluster hint table", w.name)
 		}
 		got := ps.plans[fn-fnBase]
-		if got.Proto != w.proto || got.Busy != w.busy || got.Poll != engine.PollFromBusy {
-			t.Errorf("%s plans %v busy=%v poll=%v, want %v busy=%v — cluster hint table (sessions.go) changed or bypassed",
-				w.name, got.Proto, got.Busy, got.Poll, w.proto, w.busy)
+		if got.Proto != w.proto || got.Busy != w.busy {
+			t.Errorf("%s plans %v busy=%v, want %v busy=%v — cluster hint table (sessions.go) changed or bypassed",
+				w.name, got.Proto, got.Busy, w.proto, w.busy)
 		}
 	}
 }
@@ -334,7 +334,7 @@ func TestDeadPeerDialDoesNotBlockHealthyPeer(t *testing.T) {
 // Once the store recovers the value is there; a key that really is absent
 // is still the typed ErrNotFound.
 func TestGetStoreErrorIsNotAbsence(t *testing.T) {
-	cfg := Config{NShards: 1, RF: 1, ProbeIntervalNs: quietProbeNs, ClientAttempts: 2}
+	cfg := Config{NShards: 1, RF: 1, ProbeIntervalNs: quietProbeNs}
 	tc := newTestCluster(t, 47, 1, cfg)
 	tc.env.Spawn("client", func(p *sim.Proc) {
 		defer tc.env.Stop()

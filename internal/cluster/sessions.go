@@ -65,8 +65,8 @@ func newPeerSessions(eng *engine.Engine, roster []*simnet.Node) peerSessions {
 	}
 	for i, fn := range fnHints {
 		r := hints.TypeCheck(hints.Resolve(serviceHints, fn, hints.SideClient))
-		pl := engine.SelectPlan(r, eng.Cores(), r.PayloadSize, eng.Config().RndvThreshold)
-		ps.plans[i] = engine.CallOpts{Proto: pl.Proto, Busy: pl.Busy, Poll: pl.Poll}
+		pl := engine.SelectPlan(r, eng.Cores(), r.PayloadSize, engine.DefaultRndvThreshold)
+		ps.plans[i] = engine.CallOpts{Proto: pl.Proto, Busy: pl.Busy}
 	}
 	return ps
 }

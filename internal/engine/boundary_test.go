@@ -28,7 +28,7 @@ func TestHybridSwitchBoundary(t *testing.T) {
 		{EagerSendRecv, th + 1, EagerSendRecv},
 	}
 	for _, c := range cases {
-		if got := hybridSwitch(c.proto, c.size, th); got != c.want {
+		if got := hybridSwitch(c.proto, c.size); got != c.want {
 			t.Errorf("hybridSwitch(%s, %d) = %s, want %s", c.proto, c.size, got, c.want)
 		}
 	}

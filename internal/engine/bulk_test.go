@@ -359,8 +359,8 @@ func TestStagedResponseDedupPerSession(t *testing.T) {
 		}
 		h := hdr{kind: kReq, proto: DirectWriteIMM, respProto: DirectWriteIMM,
 			fn: 1, length: 1, seq: c.seq}
-		c.sendMessage(p, h, []byte{'a'}, PollBusyMode)
-		a := c.nextArrival(p, PollBusyMode)
+		c.sendMessage(p, h, []byte{'a'}, true)
+		a := c.nextArrival(p, true)
 		if runs != 1 {
 			t.Errorf("retransmission re-executed the handler (runs %d, want 1)", runs)
 		}

@@ -17,12 +17,9 @@ type CallOpts struct {
 	// delivered (client-side hints drive the fetch path). Zero value
 	// means "same as Proto".
 	RespProto Protocol
-	// Busy selects busy polling on the client side.
+	// Busy selects busy polling on the client side (event-driven
+	// otherwise).
 	Busy bool
-	// Poll selects the completion-detection discipline explicitly
-	// (event, busy, or the adaptive spin-then-sleep hybrid). The zero
-	// value defers to Busy, keeping existing configurations identical.
-	Poll PollMode
 	// Oneway sends the request without waiting for any response.
 	Oneway bool
 	// Deadline bounds the whole call — including retransmissions — in
@@ -35,18 +32,19 @@ type CallOpts struct {
 // hybridSwitch resolves a hybrid protocol against the rendezvous
 // threshold. The boundary follows DESIGN.md's hint table ("small/large
 // regime vs the 4 KB rendezvous threshold"): payloads up to AND
-// INCLUDING the threshold travel eagerly; strictly larger ones go
-// rendezvous. Both hybrids and both directions (request resolution and
-// sendResponse) share this single definition so they can never diverge.
-func hybridSwitch(proto Protocol, size, threshold int) Protocol {
+// INCLUDING DefaultRndvThreshold travel eagerly, in one ring slot;
+// strictly larger ones go rendezvous. Both hybrids and both directions
+// (request resolution and sendResponse) share this single definition so
+// they can never diverge.
+func hybridSwitch(proto Protocol, size int) Protocol {
 	switch proto {
 	case HybridEagerRNDV:
-		if size > threshold {
+		if size > DefaultRndvThreshold {
 			return WriteRNDV
 		}
 		return EagerSendRecv
 	case HybridEagerRead:
-		if size > threshold {
+		if size > DefaultRndvThreshold {
 			return ReadRNDV
 		}
 		return EagerSendRecv
@@ -56,12 +54,12 @@ func hybridSwitch(proto Protocol, size, threshold int) Protocol {
 
 // resolve applies the hybrid size switch and the RespProto default
 // (ProtoAuto → same as request).
-func (o CallOpts) resolve(size, threshold int) (req, resp Protocol) {
+func (o CallOpts) resolve(size int) (req, resp Protocol) {
 	resp = o.RespProto
 	if resp == ProtoAuto {
 		resp = o.Proto
 	}
-	return hybridSwitch(o.Proto, size, threshold), resp
+	return hybridSwitch(o.Proto, size), resp
 }
 
 // Call performs one RPC: ships req to the server with the requested
@@ -97,9 +95,8 @@ func (c *Conn) deadlineFor(p *sim.Proc, opts CallOpts) sim.Time {
 
 func (c *Conn) doCall(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte, error) {
 	eng := c.eng
-	poll := resolvePoll(opts.Poll, opts.Busy)
 	c.seq++
-	reqProto, respProto := opts.resolve(len(req), eng.cfg.RndvThreshold)
+	reqProto, respProto := opts.resolve(len(req))
 	if c.staged(req) && c.restages(reqProto, len(req)) {
 		req = c.copyPayload(req)
 		defer c.Recycle(req)
@@ -115,7 +112,7 @@ func (c *Conn) doCall(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte
 	if opts.Oneway {
 		eng.em.oneways.Inc()
 		h.respProto = ProtoAuto // marks "no response expected"
-		if err := c.sendOnewayReliable(p, h, req, poll, until); err != nil {
+		if err := c.sendOnewayReliable(p, h, req, opts.Busy, until); err != nil {
 			return nil, err
 		}
 		if trc := eng.trc; trc != nil {
@@ -128,7 +125,7 @@ func (c *Conn) doCall(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte
 	// One state machine for every call (reliability.go): seq-tagged
 	// retransmission with capped exponential backoff under a deadline, a
 	// single unbounded attempt without one.
-	out, err := c.callReliable(p, h, req, respProto, poll, until)
+	out, err := c.callReliable(p, h, req, respProto, opts.Busy, until)
 	if err != nil {
 		if trc := eng.trc; trc != nil {
 			trc.Instant("rpc", "call_failed."+reqProto.String(), eng.node.ID(), c.id,
@@ -148,8 +145,8 @@ func (c *Conn) doCall(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte
 
 // sendMessage ships [hdr|payload] using the wire protocol in h.proto.
 // It is used for requests (client) and two-sided responses (server).
-func (c *Conn) sendMessage(p *sim.Proc, h hdr, payload []byte, poll PollMode) {
-	c.sendMessageUntil(p, h, payload, poll, 0)
+func (c *Conn) sendMessage(p *sim.Proc, h hdr, payload []byte, busy bool) {
+	c.sendMessageUntil(p, h, payload, busy, 0)
 }
 
 // sendMessageUntil is sendMessage with a bound on protocol-internal
@@ -157,20 +154,20 @@ func (c *Conn) sendMessage(p *sim.Proc, h hdr, payload []byte, poll PollMode) {
 // whether the payload was handed to the fabric; false means a wait
 // timed out or the grant was withdrawn, and the caller's retry loop
 // should try again. until zero waits forever (the lossless fast path).
-func (c *Conn) sendMessageUntil(p *sim.Proc, h hdr, payload []byte, poll PollMode, until sim.Time) bool {
+func (c *Conn) sendMessageUntil(p *sim.Proc, h hdr, payload []byte, busy bool, until sim.Time) bool {
 	switch h.proto {
 	case EagerSendRecv:
-		return c.sendEager(p, h, payload, poll, until)
+		return c.sendEager(p, h, payload, busy, until)
 	case DirectWriteSend:
-		return c.sendDirectWrite(p, h, payload, false, poll, until)
+		return c.sendDirectWrite(p, h, payload, false, busy, until)
 	case ChainedWriteSend:
-		return c.sendDirectWrite(p, h, payload, true, poll, until)
+		return c.sendDirectWrite(p, h, payload, true, busy, until)
 	case DirectWriteIMM:
-		return c.sendWriteImm(p, h, payload, poll, until)
+		return c.sendWriteImm(p, h, payload, busy, until)
 	case WriteRNDV:
-		return c.sendWriteRNDV(p, h, payload, poll, until)
+		return c.sendWriteRNDV(p, h, payload, busy, until)
 	case ReadRNDV:
-		return c.sendReadRNDV(p, h, payload, poll, until)
+		return c.sendReadRNDV(p, h, payload, busy, until)
 	case RFP, HERD:
 		// Pure WRITE into the server's polled region: consumes no peer
 		// RECV, so no credit is needed.
@@ -179,7 +176,7 @@ func (c *Conn) sendMessageUntil(p *sim.Proc, h hdr, payload []byte, poll PollMod
 	case Pilaf, FaRM:
 		// Pilaf/FaRM requests travel eagerly (SEND); only the response
 		// path is server-bypass.
-		return c.sendEager(p, h, payload, poll, until)
+		return c.sendEager(p, h, payload, busy, until)
 	default:
 		panic("engine: sendMessage: unresolved protocol " + h.proto.String())
 	}
@@ -192,7 +189,7 @@ func (c *Conn) sendMessageUntil(p *sim.Proc, h hdr, payload []byte, poll PollMod
 // could exceed the peer's ring depth and deadlock. A credit timeout
 // mid-message abandons the remainder; the retry's full resend completes
 // reassembly (the receiver dedups fragments by offset).
-func (c *Conn) sendEager(p *sim.Proc, h hdr, payload []byte, poll PollMode, until sim.Time) bool {
+func (c *Conn) sendEager(p *sim.Proc, h hdr, payload []byte, busy bool, until sim.Time) bool {
 	slotCap := c.slotSize - hdrSize
 	cm := c.eng.dev.CostModel()
 	segmented := len(payload) > slotCap
@@ -202,7 +199,7 @@ func (c *Conn) sendEager(p *sim.Proc, h hdr, payload []byte, poll PollMode, unti
 		if n > slotCap {
 			n = slotCap
 		}
-		if !c.waitCredit(p, h.proto, poll, until) {
+		if !c.waitCredit(p, h.proto, busy, until) {
 			return false
 		}
 		c.spend()
@@ -235,9 +232,9 @@ func (c *Conn) sendEager(p *sim.Proc, h hdr, payload []byte, poll PollMode, unti
 // buffer, then SENDs a notification. chained=false rings one doorbell for
 // the WRITE and one for the SEND (Fig. 3b); chained=true posts them as one
 // chain (one doorbell, Fig. 3c).
-func (c *Conn) sendDirectWrite(p *sim.Proc, h hdr, payload []byte, chained bool, poll PollMode, until sim.Time) bool {
+func (c *Conn) sendDirectWrite(p *sim.Proc, h hdr, payload []byte, chained bool, busy bool, until sim.Time) bool {
 	// The WRITE is one-sided; only the notify SEND consumes a peer RECV.
-	if !c.waitCredit(p, h.proto, poll, until) {
+	if !c.waitCredit(p, h.proto, busy, until) {
 		return false
 	}
 	c.spend()
@@ -273,8 +270,8 @@ func (c *Conn) stageNotifyOff() int { return c.stageMR.Len() - hdrSize }
 // sendWriteImm WRITEs [hdr|payload] into the peer's direct buffer with an
 // immediate, completing delivery in a single work request (Fig. 3f).
 // The immediate consumes a zero-length peer RECV, so it costs a credit.
-func (c *Conn) sendWriteImm(p *sim.Proc, h hdr, payload []byte, poll PollMode, until sim.Time) bool {
-	if !c.waitCredit(p, h.proto, poll, until) {
+func (c *Conn) sendWriteImm(p *sim.Proc, h hdr, payload []byte, busy bool, until sim.Time) bool {
+	if !c.waitCredit(p, h.proto, busy, until) {
 		return false
 	}
 	c.spend()
@@ -296,17 +293,17 @@ func (c *Conn) sendWriteImm(p *sim.Proc, h hdr, payload []byte, poll PollMode, u
 // (bounded by until) or the peer withdrew the grant mid-handshake — the
 // caller's retry (or the client's retransmission + server dedup)
 // recovers.
-func (c *Conn) sendWriteRNDV(p *sim.Proc, h hdr, payload []byte, poll PollMode, until sim.Time) bool {
+func (c *Conn) sendWriteRNDV(p *sim.Proc, h hdr, payload []byte, busy bool, until sim.Time) bool {
 	// One credit for the RTS (spent inside postSmall) and one for the
 	// final WRITE_IMM's zero-length RECV, acquired separately — holding
 	// both across the CTS wait would starve the peer's control traffic.
-	if !c.waitCredit(p, h.proto, poll, until) {
+	if !c.waitCredit(p, h.proto, busy, until) {
 		return false
 	}
 	rts := hdr{kind: kRTS, proto: WriteRNDV, respProto: h.respProto, fn: h.fn, length: h.length, seq: h.seq}
 	c.postSmall(p, rts)
 	ctsStart := int64(p.Now())
-	if !c.waitCTSUntil(p, h.seq, len(payload), poll, until) {
+	if !c.waitCTSUntil(p, h.seq, len(payload), busy, until) {
 		return false
 	}
 	c.eng.em.ctsWait.Observe(float64(int64(p.Now()) - ctsStart))
@@ -319,7 +316,7 @@ func (c *Conn) sendWriteRNDV(p *sim.Proc, h hdr, payload []byte, poll PollMode, 
 		// The granter aborted after sending CTS and withdrew the buffer.
 		return false
 	}
-	if !c.waitCredit(p, h.proto, poll, until) {
+	if !c.waitCredit(p, h.proto, busy, until) {
 		return false
 	}
 	c.spend()
@@ -341,10 +338,10 @@ func (c *Conn) sendWriteRNDV(p *sim.Proc, h hdr, payload []byte, poll PollMode, 
 // peer READs it and FINs (Fig. 3e). A retransmission (same seq, buffer
 // still exposed because no FIN arrived) reuses the existing exposure and
 // just resends the RTS.
-func (c *Conn) sendReadRNDV(p *sim.Proc, h hdr, payload []byte, poll PollMode, until sim.Time) bool {
+func (c *Conn) sendReadRNDV(p *sim.Proc, h hdr, payload []byte, busy bool, until sim.Time) bool {
 	// Only the RTS consumes a peer RECV (the peer READs the payload
 	// one-sided and its FIN spends from the peer's own budget).
-	if !c.waitCredit(p, h.proto, poll, until) {
+	if !c.waitCredit(p, h.proto, busy, until) {
 		return false
 	}
 	rts := hdr{kind: kRTS, proto: ReadRNDV, respProto: h.respProto, fn: h.fn, length: h.length, seq: h.seq}
@@ -380,14 +377,14 @@ func (c *Conn) sendRfpWrite(p *sim.Proc, h hdr, payload []byte) {
 // readRemote issues one READ and blocks until it completes. ok=false
 // means the READ failed (lost in the fabric or flushed on an errored
 // QP); the returned bytes are then meaningless.
-func (c *Conn) readRemote(p *sim.Proc, rk verbs.RKey, off, n int, poll PollMode) ([]byte, bool) {
+func (c *Conn) readRemote(p *sim.Proc, rk verbs.RKey, off, n int, busy bool) ([]byte, bool) {
 	id := c.wrid()
 	c.qp.PostSend(p, &verbs.SendWR{
 		WRID: id, Op: verbs.OpRead,
 		SGE:    verbs.SGE{MR: c.directMR, Off: 0, Len: n},
 		Remote: rk, RemoteOff: off,
 	})
-	if !c.waitRead(p, id, poll) {
+	if !c.waitRead(p, id, busy) {
 		return nil, false
 	}
 	return c.directMR.Buf[:n], true
@@ -401,12 +398,11 @@ func (c *Conn) readRemote(p *sim.Proc, rk verbs.RKey, off, n int, poll PollMode)
 // kErr/kDrain stamp for the current seq is the server's typed rejection
 // and surfaces as a terminal error. Poll pacing follows the call's polling
 // discipline (fetchPace): busy calls keep the tight spin, event calls
-// back off to the interrupt-wake granularity, adaptive calls spin for
-// the connection's window and then back off.
-func (c *Conn) fetchRFPUntil(p *sim.Proc, poll PollMode, until sim.Time) ([]byte, bool, error) {
+// back off to the interrupt-wake granularity.
+func (c *Conn) fetchRFPUntil(p *sim.Proc, busy bool, until sim.Time) ([]byte, bool, error) {
 	var spun sim.Duration
 	pace := func() {
-		d := c.fetchPace(poll, spun)
+		d := c.fetchPace(busy, spun)
 		spun += d
 		p.Sleep(d)
 	}
@@ -414,7 +410,7 @@ func (c *Conn) fetchRFPUntil(p *sim.Proc, poll PollMode, until sim.Time) ([]byte
 		if c.waitOver(p.Now(), until) {
 			return nil, false, nil
 		}
-		b, ok := c.readRemote(p, c.peerRfpOut, 0, rfpChunk, poll)
+		b, ok := c.readRemote(p, c.peerRfpOut, 0, rfpChunk, busy)
 		if !ok {
 			c.recoverQP(p)
 			pace()
@@ -440,7 +436,7 @@ func (c *Conn) fetchRFPUntil(p *sim.Proc, poll PollMode, until sim.Time) ([]byte
 		// Tail fetch for large responses.
 		out := c.eng.payloadGet(n)
 		copy(out, b[hdrSize:])
-		rest, ok := c.readRemote(p, c.peerRfpOut, rfpChunk, n-got, poll)
+		rest, ok := c.readRemote(p, c.peerRfpOut, rfpChunk, n-got, busy)
 		if !ok {
 			c.recoverQP(p)
 			pace()
@@ -477,10 +473,10 @@ const (
 // forever); a failed READ (loss) recovers the QP and keeps polling
 // until the bound. The kvShedLen/kvDrainLen length markers are the
 // server's typed rejections and surface as terminal errors.
-func (c *Conn) fetchKVUntil(p *sim.Proc, metaReads int, poll PollMode, until sim.Time) ([]byte, bool, error) {
+func (c *Conn) fetchKVUntil(p *sim.Proc, metaReads int, busy bool, until sim.Time) ([]byte, bool, error) {
 	var spun sim.Duration
 	pace := func() {
-		d := c.fetchPace(poll, spun)
+		d := c.fetchPace(busy, spun)
 		spun += d
 		p.Sleep(d)
 	}
@@ -488,7 +484,7 @@ func (c *Conn) fetchKVUntil(p *sim.Proc, metaReads int, poll PollMode, until sim
 		if c.waitOver(p.Now(), until) {
 			return nil, false, nil
 		}
-		meta, ok := c.readRemote(p, c.peerKvMeta, 0, 16, poll)
+		meta, ok := c.readRemote(p, c.peerKvMeta, 0, 16, busy)
 		if !ok {
 			c.recoverQP(p)
 			pace()
@@ -509,9 +505,9 @@ func (c *Conn) fetchKVUntil(p *sim.Proc, metaReads int, poll PollMode, until sim
 		}
 		n := int(rawLen)
 		for i := 1; i < metaReads; i++ {
-			c.readRemote(p, c.peerKvMeta, 0, 16, poll)
+			c.readRemote(p, c.peerKvMeta, 0, 16, busy)
 		}
-		b, ok := c.readRemote(p, c.peerKvPay, 0, n, poll)
+		b, ok := c.readRemote(p, c.peerKvPay, 0, n, busy)
 		if !ok {
 			c.recoverQP(p)
 			pace()
@@ -527,8 +523,8 @@ func (c *Conn) fetchKVUntil(p *sim.Proc, metaReads int, poll PollMode, until sim
 
 // sendResponse delivers resp for the request described by a, honouring
 // the client's requested response protocol, under the polling discipline
-// the Server dispatcher resolved once from Server.Poll/Busy.
-func (c *Conn) sendResponse(p *sim.Proc, a Arrival, resp []byte, poll PollMode) {
+// of the Server dispatcher (Server.Busy).
+func (c *Conn) sendResponse(p *sim.Proc, a Arrival, resp []byte, busy bool) {
 	if !c.server {
 		panic("engine: sendResponse on client connection")
 	}
@@ -537,7 +533,7 @@ func (c *Conn) sendResponse(p *sim.Proc, a Arrival, resp []byte, poll PollMode) 
 	c.recoverQP(p)
 	// Same switch as the request path (hybridSwitch), applied to the
 	// *response* size.
-	respProto := hybridSwitch(a.RespProto, len(resp), c.eng.cfg.RndvThreshold)
+	respProto := hybridSwitch(a.RespProto, len(resp))
 	h := hdr{kind: kResp, proto: respProto, respProto: respProto, fn: a.Fn, length: uint32(len(resp)), seq: a.Seq}
 	// Under fault injection the protocol-internal waits (rendezvous CTS,
 	// credit stalls) are bounded so an aborted client cannot wedge this
@@ -556,9 +552,9 @@ func (c *Conn) sendResponse(p *sim.Proc, a Arrival, resp []byte, poll PollMode) 
 		// HERD responds two-sided.
 		eh := h
 		eh.proto = HERD
-		c.sendEager(p, eh, resp, poll, until)
+		c.sendEager(p, eh, resp, busy, until)
 	default:
-		c.sendMessageUntil(p, h, resp, poll, until)
+		c.sendMessageUntil(p, h, resp, busy, until)
 	}
 }
 
@@ -577,7 +573,7 @@ func (c *Conn) publish(p *sim.Proc, mr *verbs.MR, h hdr, payload []byte) {
 // ~nothing.
 func (c *Conn) sendReject(p *sim.Proc, a Arrival, kind byte) {
 	c.recoverQP(p)
-	respProto := hybridSwitch(a.RespProto, 0, c.eng.cfg.RndvThreshold)
+	respProto := hybridSwitch(a.RespProto, 0)
 	h := hdr{kind: kind, proto: respProto, respProto: respProto, fn: a.Fn, seq: a.Seq}
 	switch respProto {
 	case RFP:

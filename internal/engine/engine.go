@@ -18,8 +18,6 @@ type Config struct {
 	MaxMsgSize int
 	// EagerSlots is the ring depth (pre-posted receives per connection).
 	EagerSlots int
-	// RndvThreshold is the Hybrid-EagerRNDV switchover point.
-	RndvThreshold int
 	// NoFetchBufs skips the server-side published regions (RFP/HERD
 	// request slot, Pilaf/FaRM meta+payload). Benchmarks that pin a
 	// two-sided protocol set this to keep per-connection memory small.
@@ -60,7 +58,7 @@ type Config struct {
 }
 
 // eagerSlotSize is the payload capacity of one circular-buffer slot: a
-// message up to the default rendezvous threshold fits one. rfpChunk is the
+// message up to the rendezvous threshold fits one. rfpChunk is the
 // first-READ size when fetching an RFP response of unknown length.
 const (
 	eagerSlotSize = DefaultRndvThreshold
@@ -85,9 +83,8 @@ const DefaultRndvPoolCap = 8
 // DefaultConfig returns the sizing used throughout the evaluation.
 func DefaultConfig() Config {
 	return Config{
-		MaxMsgSize:    1 << 20,
-		EagerSlots:    64,
-		RndvThreshold: DefaultRndvThreshold,
+		MaxMsgSize: 1 << 20,
+		EagerSlots: 64,
 	}
 }
 
@@ -529,12 +526,6 @@ type Conn struct {
 	busyLoaded bool
 	numaBound  bool
 
-	// Adaptive-poller state: the virtual time until which the current
-	// wait may keep spinning before demoting to the event path, and the
-	// wake armed for that moment (stopped when the wait ends first).
-	spinUntil sim.Time
-	spinWake  sim.Timer
-
 	// Retransmission state (reliability.go): the measured attempt timer
 	// and the call in flight's current attempt.
 	rto rtoEstimator
@@ -858,13 +849,10 @@ func (e *Engine) TryDial(p *sim.Proc, target *simnet.Node, port string, until si
 // Event pump
 
 // chargeDetect applies the completion-detection cost for the polling
-// discipline. Adaptive waits still inside their spin window pay the
-// busy-poll detection cost; past the window (demoted to the event path)
-// they pay the interrupt wake.
-func (c *Conn) chargeDetect(p *sim.Proc, poll PollMode) {
+// discipline: the busy-poll detection delay, or the interrupt wake.
+func (c *Conn) chargeDetect(p *sim.Proc, busy bool) {
 	cm := c.eng.dev.CostModel()
 	cpu := c.eng.node.CPU
-	busy := poll == PollBusyMode || (poll == PollAdaptiveMode && p.Now() < c.spinUntil)
 	if busy {
 		p.Sleep(sim.Duration(cm.BusyDetectNs(cpu.LoadFactor())))
 	} else {
@@ -873,28 +861,14 @@ func (c *Conn) chargeDetect(p *sim.Proc, poll PollMode) {
 }
 
 // enterWait registers the busy-poll CPU load for the duration of a wait.
-// An adaptive wait spins like a busy poller for its spin window — the
-// load is registered and a demotion wake is armed at the window's end so
-// pumpWait can observe the expiry even with no completion traffic.
-func (c *Conn) enterWait(poll PollMode) {
-	switch poll {
-	case PollBusyMode:
-		if !c.busyLoaded {
-			c.eng.node.CPU.AddLoad(1)
-			c.busyLoaded = true
-		}
-	case PollAdaptiveMode:
-		c.spinUntil = c.eng.env.Now() + sim.Time(DefaultAdaptiveSpinNs)
-		if !c.busyLoaded {
-			c.eng.node.CPU.AddLoad(1)
-			c.busyLoaded = true
-		}
-		c.spinWake = c.eng.env.AtTimer(c.spinUntil, c.wake)
+func (c *Conn) enterWait(busy bool) {
+	if busy && !c.busyLoaded {
+		c.eng.node.CPU.AddLoad(1)
+		c.busyLoaded = true
 	}
 }
 
 func (c *Conn) exitWait() {
-	c.spinWake.Stop()
 	if c.busyLoaded {
 		c.eng.node.CPU.RemoveLoad(1)
 		c.busyLoaded = false
@@ -904,8 +878,8 @@ func (c *Conn) exitWait() {
 // nextArrival blocks until a request (server) or response (client)
 // arrives, processing protocol-internal control traffic (RTS/CTS/FIN)
 // along the way.
-func (c *Conn) nextArrival(p *sim.Proc, poll PollMode) Arrival {
-	c.enterWait(poll)
+func (c *Conn) nextArrival(p *sim.Proc, busy bool) Arrival {
+	c.enterWait(busy)
 	defer c.exitWait()
 	for {
 		if len(c.respQueue) > 0 {
@@ -919,7 +893,7 @@ func (c *Conn) nextArrival(p *sim.Proc, poll PollMode) Arrival {
 			// first finished arrival is returned, the rest stay queued.
 			if len(c.respQueue) > 0 {
 				a := c.popArrival()
-				c.chargeDetect(p, poll)
+				c.chargeDetect(p, busy)
 				c.eng.em.bytesRecvd.Add(int64(len(a.Payload)))
 				return a
 			}
@@ -930,11 +904,11 @@ func (c *Conn) nextArrival(p *sim.Proc, poll PollMode) Arrival {
 			h := getHdr(c.rfpInMR.Buf)
 			c.noteCredits(h)
 			payload := c.copyPayload(c.rfpInMR.Buf[hdrSize : hdrSize+int(h.length)])
-			c.chargeDetect(p, poll)
+			c.chargeDetect(p, busy)
 			c.eng.em.bytesRecvd.Add(int64(len(payload)))
 			return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, Payload: payload}
 		}
-		c.pumpWait(p, poll)
+		c.sig.Wait(p)
 	}
 }
 
@@ -955,8 +929,8 @@ func (c *Conn) popArrival() Arrival {
 // it returns false on timeout (or on evidence that the attempt is lost,
 // waitOver) with the seq's CTS flag left unset so a late CTS can still
 // be consumed by a retry.
-func (c *Conn) waitCTSUntil(p *sim.Proc, seq uint32, n int, poll PollMode, until sim.Time) bool {
-	c.enterWait(poll)
+func (c *Conn) waitCTSUntil(p *sim.Proc, seq uint32, n int, busy bool, until sim.Time) bool {
+	c.enterWait(busy)
 	defer c.exitWait()
 	if until != 0 {
 		until = c.waitUntil(p.Now()+sim.Time(c.grantTime(n)), until)
@@ -969,10 +943,10 @@ func (c *Conn) waitCTSUntil(p *sim.Proc, seq uint32, n int, poll PollMode, until
 		if c.pumpCompletions(p) > 0 {
 			continue
 		}
-		c.pumpWait(p, poll)
+		c.sig.Wait(p)
 	}
 	delete(c.ctsReady, seq)
-	c.chargeDetect(p, poll)
+	c.chargeDetect(p, busy)
 	return true
 }
 
@@ -982,8 +956,8 @@ func (c *Conn) waitCTSUntil(p *sim.Proc, seq uint32, n int, poll PollMode, until
 // needs no deadline of its own.) Unlike the other pumps it inspects
 // completions one at a time: it returns on its own READ, so batching
 // ahead of it would only reorder the charge.
-func (c *Conn) waitRead(p *sim.Proc, wrid uint64, poll PollMode) bool {
-	c.enterWait(poll)
+func (c *Conn) waitRead(p *sim.Proc, wrid uint64, busy bool) bool {
+	c.enterWait(busy)
 	defer c.exitWait()
 	for {
 		if wc, ok := c.cq.TryPoll(); ok {
@@ -992,7 +966,7 @@ func (c *Conn) waitRead(p *sim.Proc, wrid uint64, poll PollMode) bool {
 				// for: the fetch loop recovers and polls again, and only a
 				// failed completion of the request itself (handleWC) is
 				// evidence that it must be sent again.
-				c.chargeDetect(p, poll)
+				c.chargeDetect(p, busy)
 				return wc.Status == verbs.WCSuccess
 			}
 			if a, done := c.handleWC(p, wc); done {
@@ -1000,7 +974,7 @@ func (c *Conn) waitRead(p *sim.Proc, wrid uint64, poll PollMode) bool {
 			}
 			continue
 		}
-		c.pumpWait(p, poll)
+		c.sig.Wait(p)
 	}
 }
 

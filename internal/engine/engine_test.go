@@ -399,14 +399,36 @@ func TestFig06Mapping(t *testing.T) {
 	}
 }
 
+// TestSelectPlanPollingOverride: an explicit polling hint overrides the
+// derived discipline, and only the discipline, on both of SelectPlan's
+// branches — the unknown-payload hybrid fallback and a sized Figure 6
+// plan — while auto keeps what the plan derived.
 func TestSelectPlanPollingOverride(t *testing.T) {
-	r := hints.Resolved{Goal: hints.GoalLatency, Concurrency: 1, Polling: hints.PollEvent}
-	if plan := SelectPlan(r, 28, 64, 0); plan.Busy {
-		t.Fatal("explicit event polling hint not honoured")
+	cases := []struct {
+		goal  hints.PerfGoal
+		conc  int
+		size  int
+		poll  hints.Polling
+		proto Protocol
+		busy  bool
+	}{
+		// Unknown payload: Hybrid-EagerRNDV, busy iff under-subscribed.
+		{hints.GoalThroughput, 1, 0, hints.PollAuto, HybridEagerRNDV, true},
+		{hints.GoalThroughput, 1, 0, hints.PollEvent, HybridEagerRNDV, false},
+		{hints.GoalThroughput, 512, 0, hints.PollAuto, HybridEagerRNDV, false},
+		{hints.GoalThroughput, 512, 0, hints.PollBusy, HybridEagerRNDV, true},
+		// Sized plans.
+		{hints.GoalLatency, 1, 64, hints.PollAuto, DirectWriteIMM, true},
+		{hints.GoalLatency, 1, 64, hints.PollEvent, DirectWriteIMM, false},
+		{hints.GoalResUtil, 512, 64, hints.PollAuto, EagerSendRecv, false},
+		{hints.GoalResUtil, 512, 64, hints.PollBusy, EagerSendRecv, true},
 	}
-	r = hints.Resolved{Goal: hints.GoalResUtil, Concurrency: 512, Polling: hints.PollBusy}
-	if plan := SelectPlan(r, 28, 64, 0); !plan.Busy {
-		t.Fatal("explicit busy polling hint not honoured")
+	for _, c := range cases {
+		r := hints.Resolved{Goal: c.goal, Concurrency: c.conc, Polling: c.poll}
+		if plan := SelectPlan(r, 28, c.size, 0); plan.Proto != c.proto || plan.Busy != c.busy {
+			t.Errorf("goal=%s conc=%d size=%d polling=%s: plan %s busy=%v, want %s busy=%v",
+				c.goal, c.conc, c.size, c.poll, plan.Proto, plan.Busy, c.proto, c.busy)
+		}
 	}
 }
 

@@ -170,7 +170,7 @@ func (c *Conn) spend() {
 // keeping acquisition and spending distinct lets fragmented sends
 // acquire per fragment instead of needing the whole burst upfront
 // (which could exceed the ring and deadlock).
-func (c *Conn) waitCredit(p *sim.Proc, proto Protocol, poll PollMode, until sim.Time) bool {
+func (c *Conn) waitCredit(p *sim.Proc, proto Protocol, busy bool, until sim.Time) bool {
 	fc := c.fc
 	if fc == nil || fc.avail > 0 {
 		return true
@@ -181,7 +181,7 @@ func (c *Conn) waitCredit(p *sim.Proc, proto Protocol, poll PollMode, until sim.
 		trc.Instant("engine", "credit_stall."+proto.String(), eng.node.ID(), c.id,
 			int64(p.Now()), obs.Arg{K: "avail", V: int64(fc.avail)})
 	}
-	c.enterWait(poll)
+	c.enterWait(busy)
 	defer c.exitWait()
 	until = c.waitUntil(p.Now(), until)
 	defer c.armWake(until).Stop()
@@ -192,8 +192,8 @@ func (c *Conn) waitCredit(p *sim.Proc, proto Protocol, poll PollMode, until sim.
 		if c.pumpCompletions(p) > 0 {
 			continue
 		}
-		c.pumpWait(p, poll)
+		c.sig.Wait(p)
 	}
-	c.chargeDetect(p, poll)
+	c.chargeDetect(p, busy)
 	return true
 }

@@ -8,46 +8,6 @@ import (
 	"hatrpc/internal/sim"
 )
 
-// TestAdaptivePollingRoundTrips runs the full protocol matrix with the
-// adaptive spin-then-sleep discipline on both endpoints (the
-// polling=adaptive hint path).
-func TestAdaptivePollingRoundTrips(t *testing.T) {
-	sizes := []int{0, 64, 4096, 131072}
-	for _, proto := range dataProtocols {
-		for _, size := range sizes {
-			t.Run(fmt.Sprintf("%s/size=%d", proto, size), func(t *testing.T) {
-				env, srvEng, cliEng := testCluster(11)
-				srv := srvEng.Serve("svc", echoHandler)
-				srv.Poll = PollAdaptiveMode
-				req := make([]byte, size)
-				for i := range req {
-					req[i] = byte(i * 5)
-				}
-				var resp []byte
-				var err error
-				env.Spawn("client", func(p *sim.Proc) {
-					c := cliEng.Dial(p, srvEng.Node(), "svc")
-					// Two calls back to back: the second lands inside the
-					// spin window opened by the first wait, exercising the
-					// spin-hit path as well as the demotion path.
-					if _, err = c.Call(p, 3, req, CallOpts{Proto: proto, Poll: PollAdaptiveMode}); err == nil {
-						resp, err = c.Call(p, 3, req, CallOpts{Proto: proto, Poll: PollAdaptiveMode})
-					}
-					env.Stop()
-				})
-				env.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := echoHandler(nil, 3, req)
-				if !bytes.Equal(resp, want) {
-					t.Fatalf("response mismatch: got %d bytes, want %d", len(resp), len(want))
-				}
-			})
-		}
-	}
-}
-
 // TestHotpathConfigRoundTrips runs the protocol matrix with sequential
 // calls per connection whose responses are handed back to the arena, so
 // delivered buffers are recycled and reused across ops on every protocol.
@@ -210,8 +170,8 @@ func TestOffsetSubsliceResponseSurvivesRecycle(t *testing.T) {
 		}
 		h := hdr{kind: kReq, proto: EagerSendRecv, respProto: EagerSendRecv,
 			fn: 1, length: uint32(len(first)), seq: c.seq}
-		c.sendMessage(p, h, bytes.Repeat([]byte("B"), 100), PollBusyMode)
-		a := c.nextArrival(p, PollBusyMode)
+		c.sendMessage(p, h, bytes.Repeat([]byte("B"), 100), true)
+		a := c.nextArrival(p, true)
 		if runs != 1 {
 			t.Errorf("retransmission re-executed the handler (runs %d, want 1)", runs)
 		}
@@ -224,9 +184,9 @@ func TestOffsetSubsliceResponseSurvivesRecycle(t *testing.T) {
 }
 
 // TestFetchPaceDisciplines pins the one-sided result-poll pacing table:
-// busy spins at the legacy 600 ns pace until the RC retry budget, event
-// paces at the interrupt-wake granularity from the first retry, and
-// adaptive spins only for the adaptive spin window.
+// busy spins at the legacy 600 ns pace until the RC retry budget, and
+// event paces at the interrupt-wake granularity from the first retry,
+// however long it has waited.
 func TestFetchPaceDisciplines(t *testing.T) {
 	env, srvEng, cliEng := testCluster(18)
 	srvEng.Serve("svc", echoHandler)
@@ -236,20 +196,18 @@ func TestFetchPaceDisciplines(t *testing.T) {
 		spin := sim.Duration(fetchSpinPaceMult * cm.PollGranularityNs)
 		slow := sim.Duration(cm.InterruptWakeNs)
 		for _, tc := range []struct {
-			poll PollMode
+			busy bool
 			spun sim.Duration
 			want sim.Duration
 		}{
-			{PollBusyMode, 0, spin},
-			{PollBusyMode, sim.Duration(cm.RetryTimeoutNs) - 1, spin},
-			{PollBusyMode, sim.Duration(cm.RetryTimeoutNs), slow},
-			{PollEventMode, 0, slow},
-			{PollAdaptiveMode, 0, spin},
-			{PollAdaptiveMode, DefaultAdaptiveSpinNs - 1, spin},
-			{PollAdaptiveMode, DefaultAdaptiveSpinNs, slow},
+			{true, 0, spin},
+			{true, sim.Duration(cm.RetryTimeoutNs) - 1, spin},
+			{true, sim.Duration(cm.RetryTimeoutNs), slow},
+			{false, 0, slow},
+			{false, sim.Duration(cm.RetryTimeoutNs) - 1, slow},
 		} {
-			if got := c.fetchPace(tc.poll, tc.spun); got != tc.want {
-				t.Errorf("fetchPace(%v, spun=%d) = %d, want %d", tc.poll, tc.spun, got, tc.want)
+			if got := c.fetchPace(tc.busy, tc.spun); got != tc.want {
+				t.Errorf("fetchPace(busy=%v, spun=%d) = %d, want %d", tc.busy, tc.spun, got, tc.want)
 			}
 		}
 		env.Stop()
@@ -258,14 +216,14 @@ func TestFetchPaceDisciplines(t *testing.T) {
 }
 
 // TestHotpathDeterministic runs the same mixed workload (a run of oneways,
-// then every protocol with recycled responses under adaptive polling)
-// twice on one seed and requires identical virtual end times: arena reuse
-// and batched draining must not let host state leak into the simulation.
+// then every protocol with recycled responses, alternating busy and event
+// client waits against a busy server) twice on one seed and requires
+// identical virtual end times: arena reuse, batched draining and the busy
+// CPU load must not let host state leak into the simulation.
 func TestHotpathDeterministic(t *testing.T) {
 	run := func() sim.Time {
 		env, srvEng, cliEng := testCluster(19)
-		srv := srvEng.Serve("svc", echoHandler)
-		srv.Poll = PollAdaptiveMode
+		srvEng.Serve("svc", echoHandler).Busy = true
 		env.Spawn("client", func(p *sim.Proc) {
 			c := cliEng.Dial(p, srvEng.Node(), "svc")
 			for i := 0; i < 6; i++ {
@@ -276,7 +234,7 @@ func TestHotpathDeterministic(t *testing.T) {
 			}
 			for i, proto := range dataProtocols {
 				req := []byte(fmt.Sprintf("det-%02d", i))
-				resp, err := c.Call(p, uint32(i), req, CallOpts{Proto: proto, Poll: PollAdaptiveMode})
+				resp, err := c.Call(p, uint32(i), req, CallOpts{Proto: proto, Busy: i%2 == 0})
 				if err != nil || string(resp) != "ECHO"+string(req) {
 					t.Errorf("call %d (%s): %q %v", i, proto, resp, err)
 					return

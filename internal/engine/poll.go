@@ -5,70 +5,9 @@ import (
 	"hatrpc/internal/verbs"
 )
 
-// PollMode is the completion-detection discipline a wait loop uses. The
-// zero value defers to the legacy Busy bool, so existing CallOpts/Server
-// configurations behave exactly as before the adaptive poller existed.
-type PollMode uint8
-
-const (
-	// PollFromBusy (the zero value) derives the mode from the legacy
-	// Busy flag: busy → PollBusyMode, otherwise PollEventMode.
-	PollFromBusy PollMode = iota
-	// PollEventMode arms the CQ and sleeps until a completion interrupt.
-	PollEventMode
-	// PollBusyMode spins on the CQ for the whole wait.
-	PollBusyMode
-	// PollAdaptiveMode is the hybrid discipline (hint polling=adaptive):
-	// spin for a bounded window after entering a wait — catching
-	// back-to-back completions at busy-poll latency — then drop the CPU
-	// load and fall back to the interrupt path.
-	PollAdaptiveMode
-)
-
-func (m PollMode) String() string {
-	switch m {
-	case PollEventMode:
-		return "event"
-	case PollBusyMode:
-		return "busy"
-	case PollAdaptiveMode:
-		return "adaptive"
-	}
-	return "from-busy"
-}
-
-// resolvePoll collapses the (PollMode, legacy Busy bool) pair into a
-// concrete discipline.
-func resolvePoll(mode PollMode, busy bool) PollMode {
-	if mode != PollFromBusy {
-		return mode
-	}
-	if busy {
-		return PollBusyMode
-	}
-	return PollEventMode
-}
-
-// DefaultAdaptiveSpinNs is the adaptive poller's spin window per wait
-// entry: comfortably above BusyDetectNs at low load (so an imminent
-// completion is caught spinning) and close to the InterruptWakeNs it
-// avoids paying.
-const DefaultAdaptiveSpinNs sim.Duration = 5000
-
 // pollBudget is how many completions one pump wakeup drains from the CQ
 // (CQ.PollN) under a single detection charge.
 const pollBudget = 16
-
-// pumpWait parks a pump loop until the connection signal fires. In
-// adaptive mode a waiter whose spin window has expired first demotes
-// itself to the event path (dropping the busy CPU load it registered on
-// wait entry); busy and event modes park exactly as before.
-func (c *Conn) pumpWait(p *sim.Proc, poll PollMode) {
-	if poll == PollAdaptiveMode && c.busyLoaded && p.Now() >= c.spinUntil {
-		c.exitWait()
-	}
-	c.sig.Wait(p)
-}
 
 // pumpCompletions drains immediately-available completions into the pump
 // — up to pollBudget per call, so one wakeup (and one detection charge,
@@ -93,26 +32,14 @@ const fetchSpinPaceMult = 15
 // fetchPace derives the delay before the next one-sided result poll from
 // the call's polling discipline and how long the fetch has already spun.
 // Busy fetches keep the tight pace up to the RC retry timeout (a result
-// that late means loss, not latency); adaptive fetches spin only for the
-// connection's spin window; event fetches never spin — they pace at the
-// interrupt-wake granularity from the first retry.
-func (c *Conn) fetchPace(poll PollMode, spun sim.Duration) sim.Duration {
+// that late means loss, not latency); event fetches never spin — they
+// pace at the interrupt-wake granularity from the first retry.
+func (c *Conn) fetchPace(busy bool, spun sim.Duration) sim.Duration {
 	cm := c.eng.dev.CostModel()
-	spin := sim.Duration(fetchSpinPaceMult * cm.PollGranularityNs)
-	slow := sim.Duration(cm.InterruptWakeNs)
-	var budget sim.Duration
-	switch poll {
-	case PollBusyMode:
-		budget = sim.Duration(cm.RetryTimeoutNs)
-	case PollAdaptiveMode:
-		budget = DefaultAdaptiveSpinNs
-	default:
-		return slow
+	if busy && spun < sim.Duration(cm.RetryTimeoutNs) {
+		return sim.Duration(fetchSpinPaceMult * cm.PollGranularityNs)
 	}
-	if spun < budget {
-		return spin
-	}
-	return slow
+	return sim.Duration(cm.InterruptWakeNs)
 }
 
 // ---------------------------------------------------------------------------

@@ -103,8 +103,7 @@ var AllProtocols = []Protocol{
 // set: which protocol to use for a payload regime and how to poll.
 type Plan struct {
 	Proto Protocol
-	Busy  bool     // busy polling (vs event-driven)
-	Poll  PollMode // explicit discipline; zero defers to Busy
+	Busy  bool // busy polling (vs event-driven)
 }
 
 // DefaultRndvThreshold is the Hybrid-EagerRNDV switchover (§4.3): 4 KB.
@@ -138,32 +137,19 @@ func SelectPlan(r hints.Resolved, cores int, size int, threshold int) Plan {
 		size = r.PayloadSize
 	}
 	sub := r.Subscription(cores)
-	if size <= 0 && r.Goal != hints.GoalLatency {
+	small := size <= threshold
+
+	var plan Plan
+	switch {
+	case size <= 0 && r.Goal != hints.GoalLatency:
 		// Without payload knowledge the engine cannot size the pre-known
 		// direct buffers, so it stays on the adaptive hybrid. (The latency
 		// goal still pins Direct-WriteIMM: latency-hinted functions accept
 		// the max-size buffer reservation.)
-		plan := Plan{Proto: HybridEagerRNDV, Busy: sub == hints.UnderSubscribed}
-		switch r.Polling {
-		case hints.PollBusy:
-			plan.Busy = true
-		case hints.PollEvent:
-			plan.Busy = false
-		case hints.PollAdaptive:
-			// Hybrid spin-then-sleep: no standing busy load, but imminent
-			// completions are still caught at busy-poll latency.
-			plan.Busy = false
-			plan.Poll = PollAdaptiveMode
-		}
-		return plan
-	}
-	small := size <= threshold
-
-	var plan Plan
-	switch r.Goal {
-	case hints.GoalLatency:
+		plan = Plan{Proto: HybridEagerRNDV, Busy: sub == hints.UnderSubscribed}
+	case r.Goal == hints.GoalLatency:
 		plan = Plan{Proto: DirectWriteIMM, Busy: true}
-	case hints.GoalResUtil:
+	case r.Goal == hints.GoalResUtil:
 		switch {
 		case sub == hints.UnderSubscribed && small:
 			plan = Plan{Proto: DirectWriteIMM, Busy: false}
@@ -195,9 +181,6 @@ func SelectPlan(r hints.Resolved, cores int, size int, threshold int) Plan {
 		plan.Busy = true
 	case hints.PollEvent:
 		plan.Busy = false
-	case hints.PollAdaptive:
-		plan.Busy = false
-		plan.Poll = PollAdaptiveMode
 	}
 	return plan
 }

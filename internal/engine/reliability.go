@@ -389,13 +389,13 @@ func (c *Conn) delivery(proto Protocol, n int) sim.Duration {
 // until zero means no deadline, like every *Until helper below it: the
 // first attempt waits forever, no wake is armed and nothing is measured —
 // on a lossless fabric that is exactly send, then wait for the response.
-func (c *Conn) callReliable(p *sim.Proc, h hdr, req []byte, respProto Protocol, poll PollMode, until sim.Time) ([]byte, error) {
+func (c *Conn) callReliable(p *sim.Proc, h hdr, req []byte, respProto Protocol, busy bool, until sim.Time) ([]byte, error) {
 	c.att.n = 0
 	for {
 		if !c.beginAttempt(p, h.seq, until) {
 			return nil, c.failCall(h.seq)
 		}
-		if c.sendMessageUntil(p, h, req, poll, until) {
+		if c.sendMessageUntil(p, h, req, busy, until) {
 			var arrived, respUntil sim.Time
 			if until != 0 {
 				arrived = p.Now() + sim.Time(c.delivery(h.proto, len(req)))
@@ -406,13 +406,13 @@ func (c *Conn) callReliable(p *sim.Proc, h hdr, req []byte, respProto Protocol, 
 			var err error
 			switch respProto {
 			case RFP:
-				out, ok, err = c.fetchRFPUntil(p, poll, respUntil)
+				out, ok, err = c.fetchRFPUntil(p, busy, respUntil)
 			case Pilaf:
-				out, ok, err = c.fetchKVUntil(p, 2, poll, respUntil)
+				out, ok, err = c.fetchKVUntil(p, 2, busy, respUntil)
 			case FaRM:
-				out, ok, err = c.fetchKVUntil(p, 1, poll, respUntil)
+				out, ok, err = c.fetchKVUntil(p, 1, busy, respUntil)
 			default:
-				out, ok, err = c.awaitResponse(p, h.seq, poll, respUntil)
+				out, ok, err = c.awaitResponse(p, h.seq, busy, respUntil)
 			}
 			if err != nil {
 				// Typed server rejection (shed): terminal — retrying into
@@ -424,7 +424,7 @@ func (c *Conn) callReliable(p *sim.Proc, h hdr, req []byte, respProto Protocol, 
 				c.answered(p.Now(), arrived)
 				return out, nil
 			}
-		} else if out, ok, err := c.pollResponse(p, h.seq, poll); ok || err != nil {
+		} else if out, ok, err := c.pollResponse(p, h.seq, busy); ok || err != nil {
 			// The handshake timed out because the server already served
 			// this request (its dedup path answers a retransmitted RTS
 			// with the response, never a CTS) — and the response was
@@ -448,13 +448,13 @@ func (c *Conn) callReliable(p *sim.Proc, h hdr, req []byte, respProto Protocol, 
 // confirm delivery, but protocols with a handshake (Write-RNDV's
 // RTS/CTS) still need bounded waits and retransmission to get the
 // payload off the node.
-func (c *Conn) sendOnewayReliable(p *sim.Proc, h hdr, req []byte, poll PollMode, until sim.Time) error {
+func (c *Conn) sendOnewayReliable(p *sim.Proc, h hdr, req []byte, busy bool, until sim.Time) error {
 	c.att.n = 0
 	for {
 		if !c.beginAttempt(p, h.seq, until) {
 			return c.failCall(h.seq)
 		}
-		if c.sendMessageUntil(p, h, req, poll, until) {
+		if c.sendMessageUntil(p, h, req, busy, until) {
 			return nil
 		}
 		if expired(p.Now(), until) {
@@ -505,8 +505,8 @@ func (c *Conn) abortCall(seq uint32) {
 // — the dedup guarantee means their payloads equal what the original
 // call already returned. A kErr/kDrain arrival for seq is the server's typed
 // rejection and returns ErrOverloaded / ErrDraining.
-func (c *Conn) awaitResponse(p *sim.Proc, seq uint32, poll PollMode, until sim.Time) ([]byte, bool, error) {
-	c.enterWait(poll)
+func (c *Conn) awaitResponse(p *sim.Proc, seq uint32, busy bool, until sim.Time) ([]byte, bool, error) {
+	c.enterWait(busy)
 	defer c.exitWait()
 	defer c.armWake(until).Stop()
 	for {
@@ -516,12 +516,12 @@ func (c *Conn) awaitResponse(p *sim.Proc, seq uint32, poll PollMode, until sim.T
 				continue
 			}
 			if a.Kind == kResp {
-				c.chargeDetect(p, poll)
+				c.chargeDetect(p, busy)
 				c.eng.em.bytesRecvd.Add(int64(len(a.Payload)))
 				return a.Payload, true, nil
 			}
 			if a.Kind == kErr || a.Kind == kDrain {
-				c.chargeDetect(p, poll)
+				c.chargeDetect(p, busy)
 				return nil, false, rejectErr(a.Kind)
 			}
 		}
@@ -531,20 +531,20 @@ func (c *Conn) awaitResponse(p *sim.Proc, seq uint32, poll PollMode, until sim.T
 		if c.pumpCompletions(p) > 0 {
 			continue
 		}
-		c.pumpWait(p, poll)
+		c.sig.Wait(p)
 	}
 }
 
 // pollResponse scans the queued arrivals for the response (or shed
 // rejection) to seq without blocking, consuming it when present.
 // Non-matching entries are left for awaitResponse's drain to discard.
-func (c *Conn) pollResponse(p *sim.Proc, seq uint32, poll PollMode) ([]byte, bool, error) {
+func (c *Conn) pollResponse(p *sim.Proc, seq uint32, busy bool) ([]byte, bool, error) {
 	for i, a := range c.respQueue {
 		if a.Seq != seq || (a.Kind != kResp && a.Kind != kErr && a.Kind != kDrain) {
 			continue
 		}
 		c.respQueue = append(c.respQueue[:i], c.respQueue[i+1:]...)
-		c.chargeDetect(p, poll)
+		c.chargeDetect(p, busy)
 		if a.Kind == kErr || a.Kind == kDrain {
 			return nil, false, rejectErr(a.Kind)
 		}

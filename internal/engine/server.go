@@ -116,14 +116,10 @@ type Server struct {
 	ln      *Listener
 	handler Handler
 
-	// Busy selects busy polling for dispatcher waits. With many
-	// connections and busy polling, dispatchers oversubscribe the node's
-	// cores — the Figure 5 collapse.
+	// Busy selects busy polling for dispatcher waits (event-driven
+	// otherwise). With many connections and busy polling, dispatchers
+	// oversubscribe the node's cores — the Figure 5 collapse.
 	Busy bool
-	// Poll selects the dispatcher polling discipline explicitly (event,
-	// busy, or adaptive spin-then-sleep). The zero value defers to Busy,
-	// keeping existing configurations identical.
-	Poll PollMode
 	// NUMABind pins dispatchers NIC-locally (no remote-socket penalty on
 	// copies/compute).
 	NUMABind bool
@@ -176,11 +172,11 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 	eng := s.eng
 	p.Value = c // ResponseStage finds the connection here
 	for {
-		// Resolved per iteration (not hoisted): Poll and Busy are plain
-		// fields a caller sets after Serve has returned, which may be after
-		// this dispatcher started.
-		poll := resolvePoll(s.Poll, s.Busy)
-		a := c.nextArrival(p, poll)
+		// Read per iteration (not hoisted): Busy is a plain field a caller
+		// sets after Serve has returned, which may be after this
+		// dispatcher started.
+		busy := s.Busy
+		a := c.nextArrival(p, busy)
 		if a.Kind != kReq {
 			continue
 		}
@@ -191,7 +187,7 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 			// idempotent from the application's point of view.
 			eng.em.dupRequests.Inc()
 			if c.dedup.arr.RespProto != ProtoAuto {
-				c.sendResponse(p, c.dedup.arr, c.dedup.resp, poll)
+				c.sendResponse(p, c.dedup.arr, c.dedup.resp, busy)
 			}
 			continue
 		}
@@ -250,7 +246,7 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 		start := int64(p.Now())
 		resp := c.settle(a, s.handler(p, a.Fn, a.Payload))
 		if a.RespProto != ProtoAuto { // ProtoAuto marks a oneway request
-			c.sendResponse(p, a, resp, poll)
+			c.sendResponse(p, a, resp, busy)
 		}
 		s.active--
 		if acquired {
@@ -287,7 +283,7 @@ func (c *Conn) settle(a Arrival, resp []byte) []byte {
 	if !c.staged(resp) {
 		return resp
 	}
-	proto := hybridSwitch(a.RespProto, len(resp), c.eng.cfg.RndvThreshold)
+	proto := hybridSwitch(a.RespProto, len(resp))
 	if c.restages(proto, len(resp)) {
 		return c.copyPayload(resp)
 	}

@@ -27,7 +27,7 @@ const (
 	KeyPerfGoal    Key = "perf_goal"    // latency | throughput | res_util
 	KeyConcurrency Key = "concurrency"  // expected concurrent clients (int)
 	KeyPayloadSize Key = "payload_size" // typical payload bytes (int)
-	KeyPolling     Key = "polling"      // auto | busy | event | adaptive
+	KeyPolling     Key = "polling"      // auto | busy | event
 	KeyNUMA        Key = "numa"         // bind | none
 	KeyTransport   Key = "transport"    // rdma | tcp
 	KeyPriority    Key = "priority"     // high | low; validated, read by no layer
@@ -46,15 +46,11 @@ const (
 // Polling is the value domain of KeyPolling.
 type Polling string
 
-// Polling-mechanism hint values. PollAdaptive is the hybrid discipline:
-// spin briefly after each arm (catching back-to-back completions at
-// busy-poll latency) then fall back to the interrupt path — the tradeoff
-// RPCAcc and fabric-lib both land on for mixed-rate CQs.
+// Polling-mechanism hint values (Figs. 4–5): auto lets the planner pick.
 const (
-	PollAuto     Polling = "auto"
-	PollBusy     Polling = "busy"
-	PollEvent    Polling = "event"
-	PollAdaptive Polling = "adaptive"
+	PollAuto  Polling = "auto"
+	PollBusy  Polling = "busy"
+	PollEvent Polling = "event"
 )
 
 // Side distinguishes the lateral hint scopes.
@@ -83,7 +79,7 @@ var validators = map[Key]func(string) error{
 	KeyPerfGoal:    oneOf("latency", "throughput", "res_util"),
 	KeyConcurrency: positiveInt,
 	KeyPayloadSize: positiveInt,
-	KeyPolling:     oneOf("auto", "busy", "event", "adaptive"),
+	KeyPolling:     oneOf("auto", "busy", "event"),
 	KeyNUMA:        oneOf("bind", "none"),
 	KeyTransport:   oneOf("rdma", "tcp"),
 	KeyPriority:    oneOf("high", "low"),
@@ -120,16 +116,6 @@ func Validate(k Key, v string) error {
 		return fmt.Errorf("hints: %s=%s: %v", k, v, err)
 	}
 	return nil
-}
-
-// KnownKeys returns all supported keys, sorted.
-func KnownKeys() []Key {
-	ks := make([]Key, 0, len(validators))
-	for k := range validators {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
 }
 
 // Group is one lateral hint group: the key/value pairs declared in a

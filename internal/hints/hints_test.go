@@ -50,6 +50,10 @@ func TestValidateRejectsBadValues(t *testing.T) {
 			t.Errorf("Validate(%s,%s) = nil, want error", c.k, c.v)
 		}
 	}
+	// Polling has two disciplines (Figs. 4–5); a spin-then-sleep hybrid is not one.
+	if err := Validate(KeyPolling, "adaptive"); err == nil || !strings.Contains(err.Error(), "polling=adaptive") {
+		t.Errorf("Validate(polling,adaptive) = %v, want an error naming polling=adaptive", err)
+	}
 }
 
 func TestSetAddRejectsInvalid(t *testing.T) {
@@ -182,18 +186,6 @@ func TestGroupStringDeterministic(t *testing.T) {
 	want := "concurrency=4, perf_goal=latency, polling=busy"
 	if g.String() != want {
 		t.Fatalf("String() = %q, want %q", g.String(), want)
-	}
-}
-
-func TestKnownKeysSorted(t *testing.T) {
-	ks := KnownKeys()
-	if len(ks) != 7 {
-		t.Fatalf("KnownKeys() has %d entries, want 7", len(ks))
-	}
-	for i := 1; i < len(ks); i++ {
-		if ks[i-1] >= ks[i] {
-			t.Fatalf("KnownKeys not sorted: %v", ks)
-		}
 	}
 }
 

@@ -96,7 +96,8 @@ type ProtoConfig struct {
 	// (0 = unlimited).
 	AdmitLimit  int
 	AdmitPolicy engine.AdmitPolicy
-	// Hints is the node-level hint override group.
+	// Hints is the node-level hint group: polling and numa, the two keys
+	// Boot acts on.
 	Hints hints.Group
 	// Crash is the seeded crash-plan policy for chaos runs (all zero =
 	// no crash plan).
@@ -298,25 +299,16 @@ func decodeHints(path string, sec *yamlNode) (hints.Group, error) {
 		if err != nil {
 			return nil, err
 		}
+		if hints.Key(k) != hints.KeyPolling && hints.Key(k) != hints.KeyNUMA {
+			return nil, &ConfigError{Key: key, Line: n.line, Err: ErrUnknownKey,
+				Detail: "a node acts on polling|numa"}
+		}
 		if err := hints.Validate(hints.Key(k), v); err != nil {
-			cls := ErrBadValue
-			if !isKnownHint(k) {
-				cls = ErrUnknownKey
-			}
-			return nil, &ConfigError{Key: key, Line: n.line, Err: cls, Detail: err.Error()}
+			return nil, &ConfigError{Key: key, Line: n.line, Err: ErrBadValue, Detail: err.Error()}
 		}
 		g[hints.Key(k)] = v
 	}
 	return g, nil
-}
-
-func isKnownHint(k string) bool {
-	for _, known := range hints.KnownKeys() {
-		if string(known) == k {
-			return true
-		}
-	}
-	return false
 }
 
 func decodeCrash(cs *CrashSpec, sec *yamlNode) error {

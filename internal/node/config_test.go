@@ -30,9 +30,8 @@ protocol:
   admit_limit: 8
   admit_policy: shed-newest
   hints:
-    polling: adaptive
+    polling: busy
     numa: bind
-    concurrency: 24
   crash:
     mean_uptime: 2ms
     min_uptime: 200us
@@ -65,7 +64,7 @@ func TestParseConfigGood(t *testing.T) {
 	if p.SyncMode != lmdb.SyncFull || p.Credits != 16 || p.AdmitLimit != 8 {
 		t.Errorf("tuning = %+v", p)
 	}
-	if p.Hints["polling"] != "adaptive" || p.Hints["numa"] != "bind" || p.Hints["concurrency"] != "24" {
+	if p.Hints["polling"] != "busy" || p.Hints["numa"] != "bind" || len(p.Hints) != 2 {
 		t.Errorf("hints = %v", p.Hints)
 	}
 	if p.Crash.MeanUptimeNs != 2_000_000 || p.Crash.HorizonNs != 8_000_000 {
@@ -141,6 +140,38 @@ func TestParseConfigRejects(t *testing.T) {
 				t.Errorf("error names key %q, want %q", ce.Key, tc.key)
 			}
 		})
+	}
+}
+
+// TestParseConfigHintKeys: a node's hint group takes only the two keys
+// Boot acts on. Every other hint key (valid in a .hrpc file, ignored by a
+// node) and polling=adaptive (not a polling value) are refused with the
+// key and its line.
+func TestParseConfigHintKeys(t *testing.T) {
+	cases := []struct {
+		hint     string
+		sentinel error
+		key      string
+	}{
+		{"perf_goal: latency", ErrUnknownKey, "protocol.hints.perf_goal"},
+		{"concurrency: 24", ErrUnknownKey, "protocol.hints.concurrency"},
+		{"payload_size: 512", ErrUnknownKey, "protocol.hints.payload_size"},
+		{"transport: rdma", ErrUnknownKey, "protocol.hints.transport"},
+		{"priority: high", ErrUnknownKey, "protocol.hints.priority"},
+		{"polling: adaptive", ErrBadValue, "protocol.hints.polling"},
+	}
+	for _, tc := range cases {
+		src := "protocol:\n  seed: 3\n  hints:\n    numa: bind\n    " + tc.hint + "\n"
+		_, err := ParseConfig(src)
+		var ce *ConfigError
+		if !errors.Is(err, tc.sentinel) || !errors.As(err, &ce) || ce.Key != tc.key || ce.Line != 5 {
+			t.Errorf("hint %q: error %v, want %v naming %s at line 5", tc.hint, err, tc.sentinel, tc.key)
+		}
+	}
+	for _, v := range []string{"auto", "busy", "event"} {
+		if _, err := ParseConfig("protocol:\n  hints:\n    polling: " + v + "\n"); err != nil {
+			t.Errorf("polling: %s: %v", v, err)
+		}
 	}
 }
 

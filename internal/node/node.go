@@ -238,18 +238,11 @@ func (h *HatNode) Stop() {
 }
 
 // applyHints resolves the node hint group onto the boot's fresh server:
-// polling discipline (unhinted keeps the server's default) and NUMA
-// binding of the dispatchers it will spawn.
+// busy polling (event-driven unless hinted busy) and NUMA binding of the
+// dispatchers it will spawn.
 func (h *HatNode) applyHints(g hints.Group) {
 	r := hints.TypeCheck(g)
-	switch r.Polling {
-	case hints.PollBusy:
-		h.srv.Poll = engine.PollBusyMode
-	case hints.PollEvent:
-		h.srv.Poll = engine.PollEventMode
-	case hints.PollAdaptive:
-		h.srv.Poll = engine.PollAdaptiveMode
-	}
+	h.srv.Busy = r.Polling == hints.PollBusy
 	h.srv.NUMABind = r.NUMABind
 }
 

@@ -57,17 +57,17 @@ func smallConfig() *node.Config {
 
 // TestBootTransitions: New boots through starting → ready, and the
 // server that boot builds carries the config's hinted polling discipline
-// and NUMA binding (unhinted: the server's defaults).
+// and NUMA binding (unhinted: event-driven, unbound).
 func TestBootTransitions(t *testing.T) {
 	cases := []struct {
 		name  string
 		hints hints.Group
-		poll  engine.PollMode
+		busy  bool
 		bind  bool
 	}{
-		{"unhinted", nil, engine.PollFromBusy, false},
-		{"adaptive bound", hints.Group{"polling": "adaptive", "numa": "bind"}, engine.PollAdaptiveMode, true},
-		{"busy", hints.Group{"polling": "busy"}, engine.PollBusyMode, false},
+		{"unhinted", nil, false, false},
+		{"event bound", hints.Group{"polling": "event", "numa": "bind"}, false, true},
+		{"busy", hints.Group{"polling": "busy"}, true, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -81,8 +81,8 @@ func TestBootTransitions(t *testing.T) {
 			if len(tr) != 2 || tr[0].To != node.StateStarting || tr[1].To != node.StateReady {
 				t.Errorf("transitions = %+v, want [starting ready]", tr)
 			}
-			if srv := h.Server(); srv.Poll != tc.poll || srv.NUMABind != tc.bind {
-				t.Errorf("server poll=%v numa_bind=%v, want %v / %v", srv.Poll, srv.NUMABind, tc.poll, tc.bind)
+			if srv := h.Server(); srv.Busy != tc.busy || srv.NUMABind != tc.bind {
+				t.Errorf("server busy=%v numa_bind=%v, want %v / %v", srv.Busy, srv.NUMABind, tc.busy, tc.bind)
 			}
 		})
 	}

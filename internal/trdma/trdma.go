@@ -84,7 +84,6 @@ type TRdma struct {
 	tcp    *ipoib.Conn
 	hintsT *ServiceHints
 	cores  int
-	thresh int
 	plans  map[string]plan
 	// policy is DialOptions.Policy: non-nil overrides plans on every call.
 	policy func(fn string, reqSize int) engine.CallOpts
@@ -110,7 +109,6 @@ func Dial(p *sim.Proc, eng *engine.Engine, target *simnet.Node, sh *ServiceHints
 	t := &TRdma{
 		hintsT: sh,
 		cores:  eng.Cores(),
-		thresh: eng.Config().RndvThreshold,
 		plans:  make(map[string]plan),
 	}
 	needTCP := false
@@ -154,13 +152,13 @@ func (t *TRdma) planFor(fn string) plan {
 	if r.UseTCP {
 		pl.useTCP = true
 	} else {
-		ep := engine.SelectPlan(r, t.cores, r.PayloadSize, t.thresh)
-		pl.opts = engine.CallOpts{Proto: ep.Proto, Busy: ep.Busy, Poll: ep.Poll}
+		ep := engine.SelectPlan(r, t.cores, r.PayloadSize, engine.DefaultRndvThreshold)
+		pl.opts = engine.CallOpts{Proto: ep.Proto, Busy: ep.Busy}
 		// An asymmetric response regime (server payload hint differing
 		// from the client's) re-plans the response protocol.
 		rs := t.hintsT.Resolve(fn, hints.SideServer)
 		if rs.PayloadSize != 0 && rs.PayloadSize != r.PayloadSize {
-			rp := engine.SelectPlan(r, t.cores, rs.PayloadSize, t.thresh)
+			rp := engine.SelectPlan(r, t.cores, rs.PayloadSize, engine.DefaultRndvThreshold)
 			pl.opts.RespProto = rp.Proto
 		}
 	}
@@ -249,7 +247,6 @@ type TServerRdma struct {
 // service-level hint.
 func NewServer(eng *engine.Engine, sh *ServiceHints, proc Processor) *TServerRdma {
 	busy := false
-	adaptive := false
 	tcpToo := false
 	maxConc := 0
 	for fn := range sh.FnIDs {
@@ -261,20 +258,15 @@ func NewServer(eng *engine.Engine, sh *ServiceHints, proc Processor) *TServerRdm
 		if r.Concurrency > maxConc {
 			maxConc = r.Concurrency
 		}
-		pl := engine.SelectPlan(r, eng.Cores(), r.PayloadSize, eng.Config().RndvThreshold)
+		pl := engine.SelectPlan(r, eng.Cores(), r.PayloadSize, engine.DefaultRndvThreshold)
 		if pl.Busy {
 			busy = true
-		}
-		if pl.Poll == engine.PollAdaptiveMode {
-			adaptive = true
 		}
 	}
 	// One dispatcher process serves each connection; spinning with more
 	// connections than cores would starve the handlers (the Fig. 5
 	// busy-polling collapse), so busy dispatch is only kept while the
-	// expected concurrency fits the machine. Adaptive polling survives
-	// the demotion: its spin window is bounded, so oversubscription costs
-	// at most one window per wait, not a standing spin.
+	// expected concurrency fits the machine.
 	if maxConc > eng.Cores() {
 		busy = false
 	}
@@ -283,9 +275,6 @@ func NewServer(eng *engine.Engine, sh *ServiceHints, proc Processor) *TServerRdm
 		return proc.ProcessBytes(p, fnID, req)
 	})
 	srv.Busy = busy
-	if adaptive {
-		srv.Poll = engine.PollAdaptiveMode
-	}
 	srv.NUMABind = svcServer.NUMABind
 	if tcpToo || svcServer.UseTCP {
 		// The IPoIB side of a hybrid-transport service.

@@ -50,7 +50,7 @@ var AllSystems = []SystemKind{SysHatService, SysHatFunction, SysARgRPC, SysHERD,
 // system makes — the paper's comparator emulation ("we only study their
 // communication protocols and emulate them", all six sharing the same
 // backend); nil for the HatRPC variants, which plan from hints.
-func comparatorPolicy(kind SystemKind, thresh int) func(fn string, reqSize int) engine.CallOpts {
+func comparatorPolicy(kind SystemKind) func(fn string, reqSize int) engine.CallOpts {
 	switch kind {
 	case SysHatService, SysHatFunction:
 		return nil
@@ -58,11 +58,7 @@ func comparatorPolicy(kind SystemKind, thresh int) func(fn string, reqSize int) 
 		// AR-gRPC: eager below the switch point, Read-RNDV above, on both
 		// legs; event-driven (gRPC completion queues).
 		return func(fn string, reqSize int) engine.CallOpts {
-			req := engine.EagerSendRecv
-			if reqSize > thresh {
-				req = engine.ReadRNDV
-			}
-			return engine.CallOpts{Proto: req, RespProto: engine.HybridEagerRead, Busy: false}
+			return engine.CallOpts{Proto: engine.HybridEagerRead, RespProto: engine.HybridEagerRead}
 		}
 	case SysHERD:
 		// HERD: request WRITE into a polled slot, response via SEND;
@@ -187,7 +183,7 @@ func runSystem(cfg RunConfig, kind SystemKind) Result {
 		env.Spawn(fmt.Sprintf("ycsb%d", i), func(p *sim.Proc) {
 			eng := clientEngs[i%len(clientEngs)]
 			c := kvgen.NewHatKVClient(trdma.Dial(p, eng, cl.Node(0), sh,
-				&trdma.DialOptions{Policy: comparatorPolicy(kind, eng.Config().RndvThreshold)}))
+				&trdma.DialOptions{Policy: comparatorPolicy(kind)}))
 			rng := env.Rand()
 			for p.Now() < deadline {
 				op := cfg.Workload.ChooseOp(rng)
