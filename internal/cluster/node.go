@@ -89,6 +89,7 @@ type shardState struct {
 
 	promised   uint64 // durable candidacy promise (mirrors meta)
 	promisedBy int
+	meta       []byte // record's buffer: the encoded meta record of the write in flight
 
 	// mu serializes writes, installs and candidacy on this shard at
 	// this replica. Lock order: shard mu → session mu, never reversed.
@@ -192,6 +193,7 @@ func NewUnservedNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.No
 			mu:             sim.NewMutex(env),
 			suspect:        make(map[int]bool),
 			repl:           make([]replJob, 0, len(reps)),
+			meta:           make([]byte, 0, metaLen),
 			replDone:       sim.NewSignal(env),
 		}
 		n.recoverMeta(st)
@@ -257,15 +259,19 @@ func (n *Node) recoverMeta(st *shardState) {
 	st.adoptLearned(m.Epoch, int(m.Primary))
 }
 
-// meta renders the shard's current durable record.
-func (st *shardState) meta() shardMeta {
-	return shardMeta{
+// record renders the shard's durable meta record at seq into st.meta.
+// The buffer is reused by every write under mu, which each caller holds
+// until its store write returns: the store copies the bytes on Put, and a
+// writer that parks copies them before it waits.
+func (st *shardState) record(seq uint64) []byte {
+	st.meta = shardMeta{
 		Epoch:      st.epoch,
 		Primary:    int32(st.primary),
-		Seq:        st.seq,
+		Seq:        seq,
 		Promised:   st.promised,
 		PromisedBy: int32(st.promisedBy),
-	}
+	}.appendTo(st.meta[:0])
+	return st.meta
 }
 
 // adoptLearned folds fresher routing hearsay into the shard (monotone
@@ -328,11 +334,9 @@ func (n *Node) applyWrite(p *sim.Proc, st *shardState, key, val []byte, seq uint
 	if seq <= st.seq {
 		return errStaleSeq
 	}
-	m := st.meta()
-	m.Seq = seq
 	err := n.store.MultiPut(p, []*kvgen.KVPair{
 		{Key: dataKey(st.prefix, key), Value: val},
-		{Key: st.metaKey, Value: m.encode()},
+		{Key: st.metaKey, Value: st.record(seq)},
 	})
 	if err == nil {
 		// Commit the in-memory position only once the store did: no
@@ -368,7 +372,7 @@ func (n *Node) applyInstall(p *sim.Proc, st *shardState, q installReq) error {
 	for i := range q.Pairs {
 		pairs = append(pairs, &kvgen.KVPair{Key: q.Pairs[i].Key, Value: q.Pairs[i].Value})
 	}
-	pairs = append(pairs, &kvgen.KVPair{Key: st.metaKey, Value: st.meta().encode()})
+	pairs = append(pairs, &kvgen.KVPair{Key: st.metaKey, Value: st.record(st.seq)})
 	if err := n.store.MultiPut(p, pairs); err != nil {
 		*st = prev
 		return err
@@ -389,7 +393,7 @@ func (n *Node) promise(p *sim.Proc, st *shardState, epoch uint64, candidate int)
 	prevE, prevBy := st.promised, st.promisedBy
 	st.promised = epoch
 	st.promisedBy = candidate
-	if err := n.store.Put(p, st.metaKey, st.meta().encode()); err != nil {
+	if err := n.store.Put(p, st.metaKey, st.record(st.seq)); err != nil {
 		st.promised, st.promisedBy = prevE, prevBy
 		return err
 	}
@@ -633,15 +637,14 @@ func (n *Node) handleStatus(p *sim.Proc, req []byte) []byte {
 			status = stStale // candidate must re-propose above what we reply
 		}
 	}
-	out := []byte{status}
-	return append(out, encodeStatusResp(statusResp{
+	return appendStatusResp(append(make([]byte, 0, 1+statusRespLen), status), statusResp{
 		Epoch:          st.epoch,
 		Seq:            st.seq,
 		LearnedEpoch:   st.learnedEpoch,
 		LearnedPrimary: int32(st.learnedPrimary),
 		Promised:       st.promised,
 		PromisedBy:     int32(st.promisedBy),
-	})...)
+	})
 }
 
 // handlePull serves a consistent snapshot of the shard to a candidate.

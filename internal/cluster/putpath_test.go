@@ -57,9 +57,11 @@ func TestAppendReusesPutTail(t *testing.T) {
 // putPathAllocs is what the whole simulation — the primary's handler, its
 // two lanes, both backups' dispatchers and three stores — allocates for
 // one warmed RF-3 128 B put handed to the primary's Handle. The parent of
-// the overlap change measured 54 by the same count, and 38 before a write
-// txn copied each lmdb node once and each pair into one allocation.
-const putPathAllocs = 23
+// the overlap change measured 54 by the same count, 38 before a write txn
+// copied each lmdb node once and each pair into one allocation, and 23
+// before lmdb reused the nodes no snapshot reaches and each shard encoded
+// its meta record into one buffer.
+const putPathAllocs = 11
 
 func TestPutPathAllocs(t *testing.T) {
 	tc := newTestCluster(t, 53, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})
@@ -83,6 +85,40 @@ func TestPutPathAllocs(t *testing.T) {
 		t.Errorf("a warmed RF-3 put allocates %.0f objects across the cluster, want ≤ %d", got, putPathAllocs)
 	}
 	t.Logf("warmed RF-3 put: %.0f allocations", got)
+}
+
+// encodeStatusResp renders a status reply's body alone, as decodeStatusResp
+// reads it: a reply is the status byte, then this.
+func encodeStatusResp(s statusResp) []byte { return appendStatusResp(nil, s) }
+
+var statusSink []byte
+
+// TestStatusMessagesAllocateOnce: a liveness probe and its answer are one
+// allocation each, sized once, and the answer is the status byte followed
+// by the shard's state.
+func TestStatusMessagesAllocateOnce(t *testing.T) {
+	tc := newTestCluster(t, 61, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})
+	prim := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)[0]
+	n := tc.nodes[prim]
+	tc.roster[prim].Spawn("driver", func(p *sim.Proc) {
+		defer tc.env.Stop()
+		req := encodeStatus(statusReq{Shard: 0})
+		if a := testing.AllocsPerRun(20, func() { statusSink = encodeStatus(statusReq{Shard: 0}) }); a != 1 {
+			t.Errorf("encodeStatus allocates %.0f objects, want 1", a)
+		}
+		if a := testing.AllocsPerRun(20, func() { statusSink = n.Handle(p, FnShardStatus, req) }); a != 1 {
+			t.Errorf("answering a probe allocates %.0f objects, want 1", a)
+		}
+		st := n.shards[0]
+		want := append([]byte{stOK}, encodeStatusResp(statusResp{
+			Epoch: st.epoch, Seq: st.seq, LearnedEpoch: st.learnedEpoch, LearnedPrimary: int32(st.learnedPrimary),
+			Promised: st.promised, PromisedBy: int32(st.promisedBy),
+		})...)
+		if !bytes.Equal(statusSink, want) || len(want) != 1+statusRespLen {
+			t.Errorf("probe answered %x, want %x", statusSink, want)
+		}
+	})
+	tc.env.Run()
 }
 
 // TestBackupAheadIsNeverOK: an append or a resync install that names a

@@ -233,8 +233,9 @@ type shardMeta struct {
 	PromisedBy int32  // the candidate holding the promise
 }
 
-func (m shardMeta) encode() []byte {
-	b := putU64(make([]byte, 0, metaLen), m.Epoch)
+// appendTo renders the record onto b.
+func (m shardMeta) appendTo(b []byte) []byte {
+	b = putU64(b, m.Epoch)
 	b = putU32(b, uint32(m.Primary))
 	b = putU64(b, m.Seq)
 	b = putU64(b, m.Promised)
@@ -370,8 +371,13 @@ type statusReq struct {
 	Candidate int32
 }
 
+const (
+	statusLen     = 2 + 1 + 8 + 4
+	statusRespLen = 8 + 8 + 8 + 4 + 8 + 4
+)
+
 func encodeStatus(q statusReq) []byte {
-	b := putU16(nil, q.Shard)
+	b := putU16(make([]byte, 0, statusLen), q.Shard)
 	f := byte(0)
 	if q.Prepare {
 		f = 1
@@ -407,8 +413,10 @@ type statusResp struct {
 	PromisedBy     int32
 }
 
-func encodeStatusResp(s statusResp) []byte {
-	b := putU64(make([]byte, 0, 40), s.Epoch)
+// appendStatusResp renders s onto b, which a reply fills with its status
+// byte first.
+func appendStatusResp(b []byte, s statusResp) []byte {
+	b = putU64(b, s.Epoch)
 	b = putU64(b, s.Seq)
 	b = putU64(b, s.LearnedEpoch)
 	b = putU32(b, uint32(s.LearnedPrimary))

@@ -214,3 +214,59 @@ func TestSetSyncMidRunRetune(t *testing.T) {
 		}
 	}
 }
+
+// TestTxnFromBeforeCrashIsInert: a crash kills the write txn in flight —
+// whatever it does afterwards returns ErrTxnDone and touches nothing, so
+// it cannot publish its doomed write or free the next boot's writer slot —
+// while a read txn held across the crash keeps reading its snapshot and
+// gives back only its own slot, never one of the new boot's count.
+func TestTxnFromBeforeCrashIsInert(t *testing.T) {
+	e := openSync(t, SyncFull)
+	put(t, e, "a", "v")
+	r, _ := e.BeginRead()
+	w, _ := e.BeginWrite()
+	if err := w.Put([]byte("doomed"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	e.CrashRecover()
+
+	w2, err := e.BeginWrite()
+	if err != nil {
+		t.Fatalf("BeginWrite after recovery: %v", err)
+	}
+	if err := w.Commit(); err != ErrTxnDone {
+		t.Errorf("pre-crash writer's Commit = %v, want ErrTxnDone", err)
+	}
+	w.Abort()
+	if _, err := e.BeginWrite(); err != ErrWriterActive {
+		t.Errorf("BeginWrite beside the new boot's writer = %v, want ErrWriterActive", err)
+	}
+	if err := w.Put([]byte("k"), []byte("v")); err != ErrTxnDone {
+		t.Errorf("pre-crash writer's Put = %v, want ErrTxnDone", err)
+	}
+	if _, err := w.Get([]byte("a")); err != ErrTxnDone {
+		t.Errorf("pre-crash writer's Get = %v, want ErrTxnDone", err)
+	}
+	if err := w2.Put([]byte("b"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if has(t, e, "doomed") || !has(t, e, "b") {
+		t.Errorf("after the new boot's commit: doomed=%v b=%v, want false/true", has(t, e, "doomed"), has(t, e, "b"))
+	}
+
+	if v, err := r.Get([]byte("a")); err != nil || string(v) != "v" {
+		t.Errorf("pre-crash reader reads a = %q, %v", v, err)
+	}
+	r2, _ := e.BeginRead()
+	r.Abort()
+	if e.Readers() != 1 {
+		t.Errorf("readers = %d after the pre-crash reader ended, want the new boot's 1", e.Readers())
+	}
+	r2.Abort()
+	if e.Readers() != 0 {
+		t.Errorf("readers = %d, want 0", e.Readers())
+	}
+}

@@ -4,6 +4,15 @@
 // write transaction at a time — plus LMDB's operational knobs that HatKV
 // tunes through hints: the max-readers limit and the commit sync mode.
 //
+// As in LMDB, MaxReaders sizes a reader table, whose slots record the
+// snapshot id each live read transaction holds, and the table decides
+// which B+tree nodes a writer may reuse. A committed write transaction
+// retires the nodes it superseded; once neither the durable root nor any
+// reader slot can reach one, it goes to a spare list that later write
+// transactions take their copies from. Stored keys and values are never
+// reused, only the nodes that point at them, so a value returned by Get
+// stays valid; a cursor is valid only until its transaction ends.
+//
 // The store is a pure in-memory data structure: it charges no simulated
 // time itself. HatKV translates its operation counts and sync mode into
 // CPU/IO costs on the simulation's clock.
@@ -71,9 +80,10 @@ type Env struct {
 	opt     Options
 	root    *node
 	txnID   uint64
-	readers int
+	readers int // live read txns of this boot: what MaxReaders bounds
 	writer  bool
 	closed  bool
+	boot    uint64 // CrashRecover count; a txn begun in an earlier boot is stale
 	Stats   Stats
 
 	// The durable meta root: what a crash rolls back to. Under SyncFull
@@ -84,6 +94,32 @@ type Env struct {
 	durableRoot    *node
 	durableTxnID   uint64
 	durableEntries int64
+
+	// The reader table: slots[i] is the snapshot id the read txn in slot
+	// i holds, noReader when free, and free lists the free slots. A read
+	// txn of an earlier boot keeps its slot until it ends, so a snapshot
+	// held across CrashRecover stays protected.
+	slots []uint64
+	free  []int
+	pins  []uint64 // reclaim's scratch: the durable id and the held snapshot ids
+
+	// Node reuse. retired holds superseded nodes that some root a snapshot
+	// may read can still reach — committed ones, then those the live write
+	// txn has superseded so far — and spare the emptied nodes no root can
+	// reach, which write txns take before making new ones.
+	retired []retiree
+	spare   []*node
+}
+
+// noReader marks a free reader slot. It is above every txn id, so it
+// falls in no [made, end) range of a retiree.
+const noReader = ^uint64(0)
+
+// retiree is a node that txn end superseded. n.txn made it, so only the
+// roots of txns n.txn … end−1 can reach it.
+type retiree struct {
+	n   *node
+	end uint64
 }
 
 // Open creates an environment.
@@ -94,7 +130,9 @@ func Open(opt Options) (*Env, error) {
 	if opt.Sync < SyncFull || opt.Sync > NoSync {
 		return nil, ErrInvalidOption
 	}
-	return &Env{opt: opt}, nil
+	e := &Env{opt: opt}
+	e.sizeReaderTable()
+	return e, nil
 }
 
 // SetMaxReaders adjusts the reader limit (hint-driven retuning).
@@ -103,7 +141,18 @@ func (e *Env) SetMaxReaders(n int) error {
 		return ErrInvalidOption
 	}
 	e.opt.MaxReaders = n
+	e.sizeReaderTable()
 	return nil
+}
+
+// sizeReaderTable adds free reader slots until every reader MaxReaders
+// admits can have one, with the slots readers of earlier boots still hold
+// on top.
+func (e *Env) sizeReaderTable() {
+	for len(e.free) < e.opt.MaxReaders-e.readers {
+		e.free = append(e.free, len(e.slots))
+		e.slots = append(e.slots, noReader)
+	}
 }
 
 // SetSync adjusts the commit sync mode (hint-driven retuning).
@@ -131,7 +180,9 @@ func (e *Env) Close() { e.closed = true }
 // separator keys and children. Nodes are immutable once part of a
 // committed root — writers copy on write, once per node per txn (LMDB's
 // dirty-page rule): txn is the id of the write txn that created the
-// node, the only txn that may still edit it in place.
+// node, the only txn that may still edit it in place. Its slices are
+// made with room for a split's worth of entries and hold nil past their
+// length, so a reused node never regrows and never pins a stale pair.
 type node struct {
 	leaf     bool
 	txn      uint64
@@ -141,24 +192,47 @@ type node struct {
 }
 
 // own returns n if this txn created it, otherwise a copy stamped as this
-// txn's. A writer starts at the committed root, which reaches only nodes
-// of ids ≤ Env.txnID, and its own id is Env.txnID+1: a node it finds with
-// its id it made itself. Nodes that an Abort or a rewinding CrashRecover
-// leaves carrying a reused id are unreachable from that root, so any
-// snapshot still holding them stays intact.
+// txn's, retiring n. A writer starts at the committed root, which reaches
+// only nodes of ids ≤ Env.txnID, and its own id is Env.txnID+1: a node it
+// finds with its id it made itself. Nodes that an Abort or a rewinding
+// CrashRecover leaves carrying a reused id are unreachable from that root,
+// so any snapshot still holding them stays intact.
 func (t *Txn) own(n *node) *node {
 	if n.txn == t.id {
 		return n
 	}
-	t.env.Stats.PagesCopied++
-	c := &node{leaf: n.leaf, txn: t.id}
-	c.keys = append([][]byte(nil), n.keys...)
+	e := t.env
+	e.Stats.PagesCopied++
+	e.retired = append(e.retired, retiree{n, t.id})
+	c := t.fresh(n.leaf)
+	c.keys = append(c.keys, n.keys...)
 	if n.leaf {
-		c.vals = append([][]byte(nil), n.vals...)
+		c.vals = append(c.vals, n.vals...)
 	} else {
-		c.children = append([]*node(nil), n.children...)
+		c.children = append(c.children, n.children...)
 	}
 	return c
+}
+
+// fresh returns an empty node stamped as this txn's: a spare one when
+// there is one.
+func (t *Txn) fresh(leaf bool) *node {
+	e := t.env
+	var n *node
+	if k := len(e.spare); k > 0 {
+		n = e.spare[k-1]
+		e.spare = e.spare[:k-1]
+	} else {
+		n = &node{keys: make([][]byte, 0, order+1)}
+	}
+	n.leaf, n.txn = leaf, t.id
+	if leaf && n.vals == nil {
+		n.vals = make([][]byte, 0, order+1)
+	}
+	if !leaf && n.children == nil {
+		n.children = make([]*node, 0, order+2)
+	}
+	return n
 }
 
 // search returns the index of the first key >= k.
@@ -182,10 +256,14 @@ type Txn struct {
 	readOnly bool
 	done     bool
 	id       uint64
-	size     int64 // entry-count delta
+	size     int64  // entry-count delta
+	boot     uint64 // Env.boot when the txn began
+	slot     int    // a reader's slot in the reader table
+	retired  int    // a writer's first entry in Env.retired: what Abort hands back
 }
 
-// BeginRead opens a read transaction against the current snapshot.
+// BeginRead opens a read transaction against the current snapshot. It
+// stays small enough to inline, so the Txn can live on its caller's stack.
 func (e *Env) BeginRead() (*Txn, error) {
 	if e.closed {
 		return nil, ErrEnvClosed
@@ -194,7 +272,11 @@ func (e *Env) BeginRead() (*Txn, error) {
 		return nil, ErrReadersFull
 	}
 	e.readers++
-	return &Txn{env: e, root: e.root, readOnly: true, id: e.txnID}, nil
+	k := len(e.free) - 1
+	slot := e.free[k]
+	e.free = e.free[:k]
+	e.slots[slot] = e.txnID
+	return &Txn{env: e, root: e.root, readOnly: true, id: e.txnID, boot: e.boot, slot: slot}, nil
 }
 
 // BeginWrite opens the (single) write transaction.
@@ -206,15 +288,20 @@ func (e *Env) BeginWrite() (*Txn, error) {
 		return nil, ErrWriterActive
 	}
 	e.writer = true
-	return &Txn{env: e, root: e.root, id: e.txnID + 1}, nil
+	return &Txn{env: e, root: e.root, id: e.txnID + 1, boot: e.boot, retired: len(e.retired)}, nil
 }
 
 // ID returns the transaction id (snapshot version).
 func (t *Txn) ID() uint64 { return t.id }
 
+// ended reports whether t is finished: committed, aborted, or a write txn
+// that CrashRecover killed. A read txn outlives a crash — its snapshot
+// stays readable until it ends.
+func (t *Txn) ended() bool { return t.done || !t.readOnly && t.boot != t.env.boot }
+
 // Get returns the value for key, or ErrNotFound.
 func (t *Txn) Get(key []byte) ([]byte, error) {
-	if t.done {
+	if t.ended() {
 		return nil, ErrTxnDone
 	}
 	t.env.Stats.Gets++
@@ -255,7 +342,7 @@ func CopyPair[K ~string | ~[]byte](key K, value []byte) (k, v []byte) {
 // stored key as well as the value, so a live key never pins a superseded
 // value.
 func (t *Txn) PutOwned(k, v []byte) error {
-	if t.done {
+	if t.ended() {
 		return ErrTxnDone
 	}
 	if t.readOnly {
@@ -263,7 +350,10 @@ func (t *Txn) PutOwned(k, v []byte) error {
 	}
 	t.env.Stats.Puts++
 	if t.root == nil {
-		t.root = &node{leaf: true, txn: t.id, keys: [][]byte{k}, vals: [][]byte{v}}
+		r := t.fresh(true)
+		r.keys = append(r.keys, k)
+		r.vals = append(r.vals, v)
+		t.root = r
 		t.size++
 		return nil
 	}
@@ -271,15 +361,11 @@ func (t *Txn) PutOwned(k, v []byte) error {
 	if added {
 		t.size++
 	}
+	t.root = root
 	if split != nil {
-		t.root = &node{
-			leaf:     false,
-			txn:      t.id,
-			keys:     [][]byte{sepKey},
-			children: []*node{root, split},
-		}
-	} else {
-		t.root = root
+		t.root = t.fresh(false)
+		t.root.keys = append(t.root.keys, sepKey)
+		t.root.children = append(t.root.children, root, split)
 	}
 	return nil
 }
@@ -307,12 +393,11 @@ func (t *Txn) insert(n *node, key, val []byte) (*node, *node, []byte, bool) {
 			return c, nil, nil, added
 		}
 		mid := len(c.keys) / 2
-		right := &node{
-			leaf: true,
-			txn:  t.id,
-			keys: append([][]byte(nil), c.keys[mid:]...),
-			vals: append([][]byte(nil), c.vals[mid:]...),
-		}
+		right := t.fresh(true)
+		right.keys = append(right.keys, c.keys[mid:]...)
+		right.vals = append(right.vals, c.vals[mid:]...)
+		clear(c.keys[mid:])
+		clear(c.vals[mid:])
 		c.keys = c.keys[:mid]
 		c.vals = c.vals[:mid]
 		// The separator gets its own bytes: the leaf key may share an
@@ -337,12 +422,11 @@ func (t *Txn) insert(n *node, key, val []byte) (*node, *node, []byte, bool) {
 	}
 	mid := len(c.keys) / 2
 	sep := c.keys[mid]
-	right := &node{
-		leaf:     false,
-		txn:      t.id,
-		keys:     append([][]byte(nil), c.keys[mid+1:]...),
-		children: append([]*node(nil), c.children[mid+1:]...),
-	}
+	right := t.fresh(false)
+	right.keys = append(right.keys, c.keys[mid+1:]...)
+	right.children = append(right.children, c.children[mid+1:]...)
+	clear(c.keys[mid:])
+	clear(c.children[mid+1:])
 	c.keys = c.keys[:mid]
 	c.children = c.children[:mid+1]
 	return c, right, sep, added
@@ -352,7 +436,7 @@ func (t *Txn) insert(n *node, key, val []byte) (*node, *node, []byte, bool) {
 // not performed — deleted slots are compacted lazily, which matches the
 // append-mostly YCSB usage.)
 func (t *Txn) Delete(key []byte) error {
-	if t.done {
+	if t.ended() {
 		return ErrTxnDone
 	}
 	if t.readOnly {
@@ -397,15 +481,17 @@ func (t *Txn) remove(n *node, key []byte) (*node, bool) {
 }
 
 // Commit publishes the write transaction's root (no-op for readers,
-// which just release their slot).
+// which just release their slot), then reuses the superseded nodes no
+// snapshot can reach any more. A write txn that CrashRecover killed
+// returns ErrTxnDone and publishes nothing.
 func (t *Txn) Commit() error {
-	if t.done {
+	if t.ended() {
 		return ErrTxnDone
 	}
 	t.done = true
 	e := t.env
 	if t.readOnly {
-		e.readers--
+		t.release()
 		return nil
 	}
 	e.writer = false
@@ -426,21 +512,76 @@ func (t *Txn) Commit() error {
 			e.durableRoot, e.durableTxnID, e.durableEntries = prevRoot, prevTxnID, prevEntries
 		}
 	}
+	e.reclaim()
 	return nil
 }
 
-// Abort discards the transaction.
+// Abort discards the transaction. The nodes a write txn superseded are
+// still in the committed tree, so they leave the retired list again.
 func (t *Txn) Abort() {
-	if t.done {
+	if t.ended() {
 		return
 	}
 	t.done = true
+	e := t.env
 	if t.readOnly {
-		t.env.readers--
+		t.release()
 		return
 	}
-	t.env.writer = false
-	t.env.Stats.Aborts++
+	clear(e.retired[t.retired:])
+	e.retired = e.retired[:t.retired]
+	e.writer = false
+	e.Stats.Aborts++
+}
+
+// release frees a read txn's reader slot. A reader of an earlier boot
+// frees only its slot: the count it took died with its boot.
+func (t *Txn) release() {
+	e := t.env
+	e.slots[t.slot] = noReader
+	e.free = append(e.free, t.slot)
+	if t.boot == e.boot {
+		e.readers--
+	}
+}
+
+// reclaim moves every retired node that no snapshot can reach to the
+// spare list, emptied. A retiree is reachable only from the roots of ids
+// [n.txn, end): it is free once neither the durable root nor a reader
+// slot names one of them. The live root's id is at least every end.
+func (e *Env) reclaim() {
+	pins := append(e.pins[:0], e.durableTxnID)
+	for _, id := range e.slots {
+		if id != noReader && id != pins[len(pins)-1] {
+			pins = append(pins, id)
+		}
+	}
+	e.pins = pins
+	kept := e.retired[:0]
+	for _, r := range e.retired {
+		if pinned(pins, r.n.txn, r.end) {
+			kept = append(kept, r)
+			continue
+		}
+		n := r.n
+		clear(n.keys)
+		clear(n.vals)
+		clear(n.children)
+		n.keys, n.vals, n.children = n.keys[:0], n.vals[:0], n.children[:0]
+		e.spare = append(e.spare, n)
+	}
+	clear(e.retired[len(kept):])
+	e.retired = kept
+}
+
+// pinned reports whether one of pins is in [made, end).
+func pinned(pins []uint64, made, end uint64) bool {
+	for _, id := range pins {
+		if made <= id && id < end {
+			return true
+		}
+	}
+	return false
 }
 
 // Entries returns the committed entry count.
@@ -479,7 +620,20 @@ func (e *Env) CrashRecover() (lostTxns uint64) {
 	e.readers = 0
 	e.writer = false
 	e.closed = false
+	e.boot++
+	e.sizeReaderTable()
 	e.Stats.Recoveries++
+	// What a lost commit (or the dead writer) superseded is live again in
+	// the durable tree, or garbage: it must never be reused.
+	e.retired = slices.DeleteFunc(e.retired, func(r retiree) bool { return r.end > e.durableTxnID })
+	// A snapshot held across the crash may name a lost commit, an id the
+	// next writers reuse. Every node it shares with them is in the durable
+	// tree, so it pins what the durable root's id pins.
+	for i, id := range e.slots {
+		if id != noReader && id > e.durableTxnID {
+			e.slots[i] = e.durableTxnID
+		}
+	}
 	return lostTxns
 }
 
@@ -488,6 +642,7 @@ func (e *Env) CrashRecover() (lostTxns uint64) {
 
 // Cursor iterates keys in order within a transaction's snapshot.
 type Cursor struct {
+	txn   *Txn
 	stack []cursorFrame
 	valid bool
 }
@@ -497,11 +652,15 @@ type cursorFrame struct {
 	idx int
 }
 
-// Seek positions the cursor at the first key >= key. A cursor on a write
-// txn is invalidated by that txn's next Put or Delete, which may edit the
-// nodes it walks in place.
+// Seek positions the cursor at the first key >= key. A cursor is valid
+// only until its txn ends: after that the nodes it walks may be reused,
+// and it reports !Valid. A cursor on a write txn is also invalidated by
+// that txn's next Put or Delete, which may edit those nodes in place.
 func (t *Txn) Seek(key []byte) *Cursor {
-	c := &Cursor{}
+	c := &Cursor{txn: t}
+	if t.ended() {
+		return c
+	}
 	n := t.root
 	for n != nil {
 		i := searchKeys(n.keys, key)
@@ -522,8 +681,9 @@ func (t *Txn) Seek(key []byte) *Cursor {
 	return c
 }
 
-// Valid reports whether the cursor points at an entry.
-func (c *Cursor) Valid() bool { return c.valid }
+// Valid reports whether the cursor points at an entry. Key and Value may
+// be called only while it does.
+func (c *Cursor) Valid() bool { return c.valid && !c.txn.ended() }
 
 // Key returns the current key.
 func (c *Cursor) Key() []byte {
@@ -539,7 +699,7 @@ func (c *Cursor) Value() []byte {
 
 // Next advances to the following key.
 func (c *Cursor) Next() {
-	if !c.valid {
+	if !c.Valid() {
 		return
 	}
 	top := &c.stack[len(c.stack)-1]

@@ -253,6 +253,37 @@ func TestSeekPositioning(t *testing.T) {
 	}
 }
 
+// TestCursorDiesWithTxn: a cursor is valid only until its txn ends, after
+// which the nodes it walked may be reused. It reports !Valid and Next
+// leaves it so, and Seek on a finished txn walks nothing.
+func TestCursorDiesWithTxn(t *testing.T) {
+	e, keys := loaded(t, 2000)
+	r, _ := e.BeginRead()
+	c := r.Seek(nil)
+	if !c.Valid() {
+		t.Fatal("cursor on a live reader is not valid")
+	}
+	r.Abort()
+	c.Next()
+	if c.Valid() {
+		t.Error("cursor stays valid after its reader ended")
+	}
+	if r.Seek(nil).Valid() {
+		t.Error("Seek on an ended reader returns a valid cursor")
+	}
+
+	w, _ := e.BeginWrite()
+	w.Put(keys[0], []byte("x"))
+	wc := w.Seek(keys[0])
+	if !wc.Valid() || string(wc.Value()) != "x" {
+		t.Fatal("writer's cursor does not see its own put")
+	}
+	w.Commit()
+	if wc.Valid() {
+		t.Error("cursor stays valid after its writer committed")
+	}
+}
+
 func TestCursorRangeScan(t *testing.T) {
 	e := open(t)
 	w, _ := e.BeginWrite()
