@@ -35,6 +35,10 @@ type Client struct {
 
 	view  *ShardMap
 	stats ClientStats
+	// req is the put/get request buffer every call re-encodes into. A call
+	// is done with its request when it returns: the transport copies what
+	// it sends, retransmissions and session replays included.
+	req []byte
 }
 
 // NewClient builds a cluster client on the given (client-side) engine.
@@ -76,12 +80,12 @@ func (c *Client) Refresh(p *sim.Proc) {
 	c.stats.Refreshes++
 	for i := range c.roster {
 		resp, err := c.call(p, i, FnShardMap, nil)
-		if err != nil || len(resp) < 1 || resp[0] != stOK {
-			continue
+		if err == nil && len(resp) >= 1 && resp[0] == stOK {
+			if m, derr := DecodeShardMap(resp[1:]); derr == nil {
+				c.view.Merge(m)
+			}
 		}
-		if m, derr := DecodeShardMap(resp[1:]); derr == nil {
-			c.view.Merge(m)
-		}
+		c.recycle(i, resp)
 	}
 }
 
@@ -96,9 +100,10 @@ func (c *Client) Put(p *sim.Proc, key string, value []byte) error {
 	var lastErr error
 	for attempt := 0; attempt < clientAttempts; attempt++ {
 		info := c.view.Shards[shard]
-		resp, err := c.call(p, int(info.Primary), FnClusterPut,
-			encodePut(putReq{Shard: uint16(shard), Epoch: info.Epoch, Key: key, Value: value}))
+		c.req = appendPut(c.req[:0], putReq{Shard: uint16(shard), Epoch: info.Epoch, Key: key, Value: value})
+		resp, err := c.call(p, int(info.Primary), FnClusterPut, c.req)
 		st, cont := c.step(p, shard, resp, err, &lastErr)
+		c.recycle(int(info.Primary), resp)
 		if !cont {
 			if st == stOK {
 				c.stats.Puts++
@@ -115,18 +120,24 @@ func (c *Client) Put(p *sim.Proc, key string, value []byte) error {
 }
 
 // Get reads key from the shard's primary with the same retry protocol
-// as Put. A missing key is the typed ErrNotFound (a successful read).
+// as Put. A missing key is the typed ErrNotFound (a successful read). The
+// value is a window onto the reply buffer, which Get hands over to the
+// caller instead of recycling it: later calls never overwrite it.
 func (c *Client) Get(p *sim.Proc, key string) ([]byte, error) {
 	shard := ShardOf(key, c.cfg.NShards)
 	var lastErr error
 	for attempt := 0; attempt < clientAttempts; attempt++ {
 		info := c.view.Shards[shard]
-		resp, err := c.call(p, int(info.Primary), FnClusterGet,
-			encodeGet(getReq{Shard: uint16(shard), Epoch: info.Epoch, Key: key}))
+		c.req = appendGet(c.req[:0], getReq{Shard: uint16(shard), Epoch: info.Epoch, Key: key})
+		resp, err := c.call(p, int(info.Primary), FnClusterGet, c.req)
 		if _, cont := c.step(p, shard, resp, err, &lastErr); cont {
+			c.recycle(int(info.Primary), resp)
 			continue
 		}
 		v, found, derr := decodeGetResp(resp)
+		if derr != nil || !found {
+			c.recycle(int(info.Primary), resp)
+		}
 		if derr != nil {
 			// A malformed reply says nothing about the key: retry, as stErr does.
 			lastErr = derr

@@ -175,7 +175,7 @@ func TestGetRetriesMalformedReply(t *testing.T) {
 	cl := simnet.NewCluster(env, simnet.Config{
 		Nodes: 2, Cores: 28, Sockets: 2, LinkGbps: 100, PropDelayNs: 600, NUMAPenalty: 1.25,
 	})
-	replies := [][]byte{{stOK}, {stOK, 2}, encodeGetResp([]byte("v"), true)}
+	replies := [][]byte{{stOK}, {stOK, 2}, appendGetResp(nil, []byte("v"), true)}
 	engine.New(cl.Node(0), engine.DefaultConfig()).Serve(Port, func(p *sim.Proc, fn uint32, req []byte) []byte {
 		r := replies[0]
 		replies = replies[1:]

@@ -87,7 +87,9 @@ func (n *Node) probePrimary(p *sim.Proc, st *shardState, target int) {
 	resp, err := n.callPeerDL(p, target, FnShardStatus,
 		encodeStatus(statusReq{Shard: uint16(st.id)}), probeDeadlineNs)
 	if err == nil && len(resp) >= 1 {
-		if sr, derr := decodeStatusResp(resp[1:]); derr == nil {
+		sr, derr := decodeStatusResp(resp[1:])
+		n.recycle(target, resp)
+		if derr == nil {
 			st.mu.Lock(p)
 			st.probeFails = 0
 			st.adoptLearned(sr.LearnedEpoch, int(sr.LearnedPrimary))
@@ -127,7 +129,9 @@ func (n *Node) firstEligible(p *sim.Proc, st *shardState) bool {
 		}
 		resp, err := n.callPeerDL(p, r, FnShardStatus,
 			encodeStatus(statusReq{Shard: uint16(st.id)}), probeDeadlineNs)
-		if err == nil && len(resp) >= 1 {
+		answered := err == nil && len(resp) >= 1
+		n.recycle(r, resp)
+		if answered {
 			return false // an earlier successor lives; it will run
 		}
 	}
@@ -166,13 +170,16 @@ func (n *Node) resyncSuspects(p *sim.Proc, st *shardState) {
 		if err != nil || len(resp) < 1 {
 			continue // still unreachable; retry next tick
 		}
-		switch resp[0] {
+		code := resp[0]
+		e, pr, deposed := decodeStale(resp)
+		n.recycle(r, resp)
+		switch code {
 		case stOK:
 			delete(st.suspect, r)
 			n.stats.Resyncs++
 			n.resyncs.Inc()
 		case stStale:
-			if e, pr, ok := decodeStale(resp); ok {
+			if deposed {
 				st.adoptLearned(e, int(pr)) // we were deposed; stop resyncing
 			}
 			return
@@ -218,6 +225,7 @@ func (n *Node) runCandidacy(p *sim.Proc, st *shardState) {
 			continue
 		}
 		sr, derr := decodeStatusResp(resp[1:])
+		n.recycle(r, resp)
 		if derr != nil {
 			continue
 		}
@@ -258,11 +266,13 @@ func (n *Node) runCandidacy(p *sim.Proc, st *shardState) {
 		if err != nil || len(resp) < 1 {
 			continue
 		}
+		code := resp[0]
 		sr, derr := decodeStatusResp(resp[1:])
+		n.recycle(ps.id, resp)
 		if derr != nil {
 			continue
 		}
-		if resp[0] != stOK {
+		if code != stOK {
 			// Outbid: someone holds a higher promise or view. Abort; our
 			// own promise only inflates the next proposal.
 			st.adoptLearned(sr.LearnedEpoch, int(sr.LearnedPrimary))
@@ -289,9 +299,11 @@ func (n *Node) runCandidacy(p *sim.Proc, st *shardState) {
 	if best.id != n.self {
 		resp, err := n.callPeerDL(p, best.id, FnShardPull, putU16(nil, shard), callDeadlineNs)
 		if err != nil || len(resp) < 1 || resp[0] != stOK {
+			n.recycle(best.id, resp)
 			return // freshest vanished mid-candidacy; retry next tick
 		}
-		_, pseq, pp, derr := decodePullResp(resp[1:])
+		_, pseq, pp, derr := decodePullResp(resp[1:]) // copies every record out
+		n.recycle(best.id, resp)
 		if derr != nil {
 			return
 		}
@@ -314,7 +326,9 @@ func (n *Node) runCandidacy(p *sim.Proc, st *shardState) {
 			continue
 		}
 		resp, err := n.callPeerDL(p, a.id, FnInstall, ir, callDeadlineNs)
-		if err == nil && len(resp) >= 1 && resp[0] == stOK {
+		installed := err == nil && len(resp) >= 1 && resp[0] == stOK
+		n.recycle(a.id, resp)
+		if installed {
 			acks++
 			okPeer[a.id] = true
 		}

@@ -66,7 +66,7 @@ func TestRestartedPrimaryReelects(t *testing.T) {
 		p.Sleep(1_000) // booted
 		n := tc.nodes[prim]
 		for _, fn := range []uint32{FnClusterPut, FnClusterGet} {
-			if resp := n.Handle(p, fn, encodeGet(getReq{Epoch: 1, Key: "k"})); len(resp) != 1 || resp[0] != stFenced {
+			if resp := n.Handle(p, fn, appendGet(nil, getReq{Epoch: 1, Key: "k"})); len(resp) != 1 || resp[0] != stFenced {
 				t.Errorf("fn %#x at the rebooted primary answered %v, want [stFenced]", fn, resp)
 			}
 		}
@@ -158,7 +158,7 @@ func TestLocalApplyFailureAfterShipFences(t *testing.T) {
 		if n.stats.Promotions != 1 || !st.leads(prim) || st.epoch != 2 {
 			t.Errorf("after the monitor ran: %d promotions, epoch %d, leads %v — want a won candidacy at epoch 2", n.stats.Promotions, st.epoch, st.leads(prim))
 		}
-		resp = n.Handle(p, FnClusterGet, encodeGet(getReq{Epoch: 2, Key: "k"}))
+		resp = n.Handle(p, FnClusterGet, appendGet(nil, getReq{Epoch: 2, Key: "k"}))
 		if string(resp) != string([]byte{stOK, 1})+"v2" {
 			t.Errorf("get at the re-elected primary: %q, want v2 (the shipped append, adopted from a backup)", resp)
 		}

@@ -457,6 +457,17 @@ func (n *Node) Handle(p *sim.Proc, fn uint32, req []byte) []byte {
 	return []byte{stErr}
 }
 
+// replyBuf is where a handler serializes an n-byte reply: the staging
+// region of the connection whose dispatcher p is (engine.ResponseStage),
+// which the engine sends from where it lies, or one fresh buffer when p is
+// no dispatcher or the reply does not fit.
+func replyBuf(p *sim.Proc, n int) []byte {
+	if b := engine.ResponseStage(p); cap(b) >= n {
+		return b
+	}
+	return make([]byte, 0, n)
+}
+
 // handleShardMap serves this node's routing view: its own shards'
 // learned (epoch, primary), the static epoch-1 map for the rest.
 // Clients merge views across nodes, so each shard's replicas — which
@@ -549,14 +560,14 @@ func (n *Node) handleGet(p *sim.Proc, req []byte) []byte {
 	}
 	v, err := n.store.Get(p, dataKey(st.prefix, q.Key))
 	if errors.Is(err, hatkv.ErrNotFound) {
-		return encodeGetResp(nil, false)
+		return appendGetResp(replyBuf(p, 2), nil, false)
 	}
 	if err != nil {
 		// A failing store is not an absent key: the client must retry, not
 		// report acknowledged data as deleted.
 		return []byte{stErr}
 	}
-	return encodeGetResp(v, true)
+	return appendGetResp(replyBuf(p, 2+len(v)), v, true)
 }
 
 // handleReplicate accepts one ordered log append from the shard
@@ -637,7 +648,7 @@ func (n *Node) handleStatus(p *sim.Proc, req []byte) []byte {
 			status = stStale // candidate must re-propose above what we reply
 		}
 	}
-	return appendStatusResp(append(make([]byte, 0, 1+statusRespLen), status), statusResp{
+	return appendStatusResp(append(replyBuf(p, 1+statusRespLen), status), statusResp{
 		Epoch:          st.epoch,
 		Seq:            st.seq,
 		LearnedEpoch:   st.learnedEpoch,

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"hatrpc/internal/engine"
 	"hatrpc/internal/obs"
 	"hatrpc/internal/sim"
 )
@@ -32,7 +33,7 @@ func TestStoreKeyForms(t *testing.T) {
 // same key and value, and a buffer that has carried a longer append is
 // reused for a shorter one without allocating.
 func TestAppendReusesPutTail(t *testing.T) {
-	put := encodePut(putReq{Shard: 3, Epoch: 9, Key: "some-key", Value: []byte("a value")})
+	put := appendPut(nil, putReq{Shard: 3, Epoch: 9, Key: "some-key", Value: []byte("a value")})
 	q, err := decodeKV(put, false)
 	if err != nil || string(q.Key) != "some-key" || string(q.Value) != "a value" || !bytes.Equal(q.Tail, put[putHdrLen:]) {
 		t.Fatalf("decoded put %+v, %v", q, err)
@@ -58,10 +59,11 @@ func TestAppendReusesPutTail(t *testing.T) {
 // two lanes, both backups' dispatchers and three stores — allocates for
 // one warmed RF-3 128 B put handed to the primary's Handle. The parent of
 // the overlap change measured 54 by the same count, 38 before a write txn
-// copied each lmdb node once and each pair into one allocation, and 23
-// before lmdb reused the nodes no snapshot reaches and each shard encoded
-// its meta record into one buffer.
-const putPathAllocs = 11
+// copied each lmdb node once and each pair into one allocation, 23 before
+// lmdb reused the nodes no snapshot reaches and each shard encoded its
+// meta record into one buffer, and 11 before the dispatcher recycled
+// every request and the primary handed its backups' acks back.
+const putPathAllocs = 9
 
 func TestPutPathAllocs(t *testing.T) {
 	tc := newTestCluster(t, 53, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})
@@ -69,7 +71,7 @@ func TestPutPathAllocs(t *testing.T) {
 	var got float64
 	tc.roster[prim].Spawn("driver", func(p *sim.Proc) {
 		defer tc.env.Stop()
-		req := encodePut(putReq{Shard: 0, Epoch: 1, Key: "key-007", Value: make([]byte, 128)})
+		req := appendPut(nil, putReq{Shard: 0, Epoch: 1, Key: "key-007", Value: make([]byte, 128)})
 		put := func() {
 			if resp := tc.nodes[prim].Handle(p, FnClusterPut, req); len(resp) != 1 || resp[0] != stOK {
 				t.Fatalf("put: %v", resp)
@@ -93,29 +95,80 @@ func encodeStatusResp(s statusResp) []byte { return appendStatusResp(nil, s) }
 
 var statusSink []byte
 
-// TestStatusMessagesAllocateOnce: a liveness probe and its answer are one
-// allocation each, sized once, and the answer is the status byte followed
-// by the shard's state.
+// TestStatusMessagesAllocateOnce: a liveness probe is one allocation,
+// sized once. Its answer, the status byte followed by the shard's state,
+// is serialized into the connection's staging region on a dispatcher and
+// allocates nothing there; off a dispatcher it is one allocation.
 func TestStatusMessagesAllocateOnce(t *testing.T) {
 	tc := newTestCluster(t, 61, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})
 	prim := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)[0]
 	n := tc.nodes[prim]
-	tc.roster[prim].Spawn("driver", func(p *sim.Proc) {
+	req := encodeStatus(statusReq{Shard: 0})
+	st := n.shards[0]
+	want := append([]byte{stOK}, encodeStatusResp(statusResp{
+		Epoch: st.epoch, Seq: st.seq, LearnedEpoch: st.learnedEpoch, LearnedPrimary: int32(st.learnedPrimary),
+		Promised: st.promised, PromisedBy: int32(st.promisedBy),
+	})...)
+	// The dispatcher-side case runs inside a handler served next to the
+	// node's own, so the process it measures on is a real dispatcher.
+	staged := -1.0
+	tc.engs[prim].Serve("probe", func(p *sim.Proc, fn uint32, _ []byte) []byte {
+		staged = testing.AllocsPerRun(20, func() { statusSink = n.Handle(p, FnShardStatus, req) })
+		if !bytes.Equal(statusSink, want) || &statusSink[0] != &engine.ResponseStage(p)[:1][0] {
+			t.Errorf("staged probe answer %x, want %x in the staging region", statusSink, want)
+		}
+		return nil
+	})
+	tc.env.Spawn("driver", func(p *sim.Proc) {
 		defer tc.env.Stop()
-		req := encodeStatus(statusReq{Shard: 0})
 		if a := testing.AllocsPerRun(20, func() { statusSink = encodeStatus(statusReq{Shard: 0}) }); a != 1 {
 			t.Errorf("encodeStatus allocates %.0f objects, want 1", a)
 		}
 		if a := testing.AllocsPerRun(20, func() { statusSink = n.Handle(p, FnShardStatus, req) }); a != 1 {
-			t.Errorf("answering a probe allocates %.0f objects, want 1", a)
+			t.Errorf("answering a probe off a dispatcher allocates %.0f objects, want 1", a)
 		}
-		st := n.shards[0]
-		want := append([]byte{stOK}, encodeStatusResp(statusResp{
-			Epoch: st.epoch, Seq: st.seq, LearnedEpoch: st.learnedEpoch, LearnedPrimary: int32(st.learnedPrimary),
-			Promised: st.promised, PromisedBy: int32(st.promisedBy),
-		})...)
 		if !bytes.Equal(statusSink, want) || len(want) != 1+statusRespLen {
 			t.Errorf("probe answered %x, want %x", statusSink, want)
+		}
+		c := tc.cliEng.Dial(p, tc.roster[prim], "probe")
+		if _, err := c.Call(p, FnShardStatus, nil, engine.CallOpts{Proto: engine.EagerSendRecv}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	tc.env.Run()
+	if staged != 0 {
+		t.Errorf("answering a probe on a dispatcher allocates %.0f objects, want 0", staged)
+	}
+}
+
+// TestGetValueSurvivesLaterCalls: the value Client.Get returns lies in the
+// reply buffer, which Get hands to its caller instead of the arena — 100
+// more puts and gets on the same client, whose replies are the same size,
+// leave it as it was.
+func TestGetValueSurvivesLaterCalls(t *testing.T) {
+	tc := newTestCluster(t, 67, 3, Config{NShards: 4, RF: 3, ProbeIntervalNs: quietProbeNs})
+	tc.env.Spawn("client", func(p *sim.Proc) {
+		defer tc.env.Stop()
+		c := NewClient(tc.cliEng, tc.roster, tc.cfg)
+		val := func(i int) []byte { return []byte(fmt.Sprintf("value-%03d", i)) }
+		if err := c.Put(p, "key-000", val(0)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Get(p, "key-000")
+		if err != nil || !bytes.Equal(got, val(0)) {
+			t.Fatalf("get: %q, %v", got, err)
+		}
+		for i := 1; i <= 50; i++ {
+			key := fmt.Sprintf("key-%03d", i)
+			if err := c.Put(p, key, val(i)); err != nil {
+				t.Fatal(err)
+			}
+			if v, err := c.Get(p, key); err != nil || !bytes.Equal(v, val(i)) {
+				t.Fatalf("get %s: %q, %v", key, v, err)
+			}
+		}
+		if !bytes.Equal(got, val(0)) {
+			t.Errorf("the first value read %q after 100 more calls, want %q", got, val(0))
 		}
 	})
 	tc.env.Run()
@@ -140,7 +193,7 @@ func TestBackupAheadIsNeverOK(t *testing.T) {
 				return
 			}
 		}
-		tail := encodePut(putReq{Key: "k", Value: []byte("other bytes")})[putHdrLen:]
+		tail := appendPut(nil, putReq{Key: "k", Value: []byte("other bytes")})[putHdrLen:]
 		for _, c := range []struct {
 			what string
 			fn   uint32
@@ -183,7 +236,7 @@ func fanOutNs(t *testing.T, size int) int64 {
 		st := n.shards[0]
 		st.mu.Lock(p)
 		defer st.mu.Unlock()
-		tail := encodePut(putReq{Key: "k", Value: val})[putHdrLen:]
+		tail := appendPut(nil, putReq{Key: "k", Value: val})[putHdrLen:]
 		for i := 0; i < 9; i++ {
 			start := p.Now()
 			n.ship(st, appendRepl(nil, 0, st.epoch, int32(n.self), st.seq+1, tail))

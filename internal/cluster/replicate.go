@@ -94,6 +94,8 @@ func (n *Node) gather(p *sim.Proc, st *shardState) (acks int, stale bool) {
 		default: // stNeedSync, stFenced, stErr
 			st.suspect[j.peer] = true
 		}
+		n.recycle(j.peer, j.resp)
+		j.resp = nil
 	}
 	return acks, stale
 }

@@ -73,7 +73,7 @@ func TestReplicationFanOutIsParallel(t *testing.T) {
 
 // putAt runs one client-style put straight through node n's handler.
 func putAt(p *sim.Proc, n *Node, key string, val []byte) []byte {
-	return n.Handle(p, FnClusterPut, encodePut(putReq{Shard: 0, Epoch: 1, Key: key, Value: val}))
+	return n.Handle(p, FnClusterPut, appendPut(nil, putReq{Shard: 0, Epoch: 1, Key: key, Value: val}))
 }
 
 // TestPutWithCrashedBackup: the ring-first backup is dead. The put still
@@ -354,7 +354,7 @@ func TestGetStoreErrorIsNotAbsence(t *testing.T) {
 			}
 			pinned = append(pinned, txn)
 		}
-		resp := tc.nodes[0].Handle(p, FnClusterGet, encodeGet(getReq{Shard: 0, Epoch: 1, Key: "k"}))
+		resp := tc.nodes[0].Handle(p, FnClusterGet, appendGet(nil, getReq{Shard: 0, Epoch: 1, Key: "k"}))
 		if len(resp) != 1 || resp[0] != stErr {
 			t.Errorf("handler reply with a failing store: %v, want [stErr]", resp)
 		}
@@ -395,7 +395,7 @@ func TestShardsOfOneNodeShareStoreCommits(t *testing.T) {
 		prim := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, s, 3)[0]
 		tc.roster[prim].Spawn(fmt.Sprintf("shard-%d", s), func(p *sim.Proc) {
 			for i := 1; i <= puts; i++ {
-				req := encodePut(putReq{Shard: uint16(s), Epoch: 1, Key: "k", Value: []byte(fmt.Sprintf("v%d-%d", s, i))})
+				req := appendPut(nil, putReq{Shard: uint16(s), Epoch: 1, Key: "k", Value: []byte(fmt.Sprintf("v%d-%d", s, i))})
 				if resp := tc.nodes[prim].Handle(p, FnClusterPut, req); len(resp) != 1 || resp[0] != stOK {
 					t.Errorf("shard %d put %d: %v", s, i, resp)
 					return

@@ -86,6 +86,17 @@ func (ps *peerSessions) callPeerDL(p *sim.Proc, peer int, fn uint32, req []byte,
 	return s.Call(p, fn, req, opts)
 }
 
+// recycle hands a reply callPeerDL returned from peer back to the
+// engine's arena (engine.Session.Recycle), once the caller has decoded
+// what it needs from it. A reply whose bytes the caller keeps is never
+// recycled. A graceful stop may have closed the sessions while the call
+// ran; the reply is then left to the collector.
+func (ps *peerSessions) recycle(peer int, b []byte) {
+	if s := ps.sess[peer]; s != nil {
+		s.Recycle(b)
+	}
+}
+
 // closeSessions closes the cached sessions in deterministic
 // (sorted-peer) order.
 func (ps *peerSessions) closeSessions() {

@@ -289,8 +289,9 @@ const (
 	replHdrLen = 2 + 8 + 4 + 8 // shard, epoch, primary, seq
 )
 
-func encodePut(q putReq) []byte {
-	b := make([]byte, 0, putHdrLen+2+len(q.Key)+len(q.Value))
+// appendPut renders q onto b, growing it once.
+func appendPut(b []byte, q putReq) []byte {
+	b = slices.Grow(b, putHdrLen+2+len(q.Key)+len(q.Value))
 	b = putU16(b, q.Shard)
 	b = putU64(b, q.Epoch)
 	b = putU16(b, uint16(len(q.Key)))
@@ -305,8 +306,8 @@ type getReq struct {
 	Key   string
 }
 
-func encodeGet(q getReq) []byte {
-	return encodePut(putReq{Shard: q.Shard, Epoch: q.Epoch, Key: q.Key})
+func appendGet(b []byte, q getReq) []byte {
+	return appendPut(b, putReq{Shard: q.Shard, Epoch: q.Epoch, Key: q.Key})
 }
 
 // appendRepl renders a primary → backup ordered log append onto b: the
@@ -543,12 +544,13 @@ func decodeStale(b []byte) (epoch uint64, primary int32, ok bool) {
 }
 
 // Read replies: stOK, then a found flag — 0 and nothing after it for a
-// missing key, 1 and the value for a present one.
-func encodeGetResp(v []byte, found bool) []byte {
+// missing key, 1 and the value for a present one. appendGetResp renders
+// one onto b.
+func appendGetResp(b, v []byte, found bool) []byte {
 	if !found {
-		return []byte{stOK, 0}
+		return append(b, stOK, 0)
 	}
-	return append([]byte{stOK, 1}, v...)
+	return append(append(b, stOK, 1), v...)
 }
 
 // decodeGetResp reads an stOK read reply. A flag that is missing or out

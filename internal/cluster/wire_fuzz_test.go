@@ -57,8 +57,8 @@ var replyDecoders = []struct {
 	}},
 	// A found read ends in the value, which is whatever is left: only the
 	// status and the flag can be cut short. A missing key is two bytes.
-	{"decodeGetResp/found", encodeGetResp(nil, true), false, checkGetResp},
-	{"decodeGetResp/missing", encodeGetResp(nil, false), true, checkGetResp},
+	{"decodeGetResp/found", appendGetResp(nil, nil, true), false, checkGetResp},
+	{"decodeGetResp/missing", appendGetResp(nil, nil, false), true, checkGetResp},
 	{"decodeStatusResp", encodeStatusResp(statusResp{Epoch: 3, Seq: 7, LearnedEpoch: 4, LearnedPrimary: 1, Promised: 5, PromisedBy: 2}), true,
 		func(t *testing.T, b []byte) bool {
 			_, err := decodeStatusResp(b)
@@ -81,12 +81,12 @@ var replyDecoders = []struct {
 	}},
 	// The put framing ends in the value, which is whatever is left: only
 	// the header and key can be cut short.
-	{"decodeKV/put", encodePut(putReq{Shard: 2, Epoch: 6, Key: "some-key"}), false, func(t *testing.T, b []byte) bool {
+	{"decodeKV/put", appendPut(nil, putReq{Shard: 2, Epoch: 6, Key: "some-key"}), false, func(t *testing.T, b []byte) bool {
 		q, err := decodeKV(b, false)
 		checkKV(t, q)
 		return err == nil
 	}},
-	{"decodeKV/replicate", appendRepl(nil, 2, 6, 1, 40, encodePut(putReq{Key: "some-key"})[putHdrLen:]), false, func(t *testing.T, b []byte) bool {
+	{"decodeKV/replicate", appendRepl(nil, 2, 6, 1, 40, appendPut(nil, putReq{Key: "some-key"})[putHdrLen:]), false, func(t *testing.T, b []byte) bool {
 		q, err := decodeKV(b, true)
 		checkKV(t, q)
 		return err == nil

@@ -562,8 +562,9 @@ func (c *Conn) sendResponse(p *sim.Proc, a Arrival, resp []byte, busy bool) {
 // client fetches one-sided. Only local memory work; no network operation.
 func (c *Conn) publish(p *sim.Proc, mr *verbs.MR, h hdr, payload []byte) {
 	c.memcpyCharge(p, len(payload)+hdrSize)
-	copy(mr.Buf[hdrSize:], payload)
-	c.putHdrC(mr.Buf, h) // header (with seq stamp) written last
+	buf := mr.Bytes()
+	copy(buf[hdrSize:], payload)
+	c.putHdrC(buf, h) // header (with seq stamp) written last
 }
 
 // sendReject answers a rejected request with a typed header-only marker
@@ -577,15 +578,16 @@ func (c *Conn) sendReject(p *sim.Proc, a Arrival, kind byte) {
 	h := hdr{kind: kind, proto: respProto, respProto: respProto, fn: a.Fn, seq: a.Seq}
 	switch respProto {
 	case RFP:
-		c.putHdrC(c.rfpOutMR.Buf, h) // client's poll sees the marker at its seq
+		c.putHdrC(c.rfpOutMR.Bytes(), h) // client's poll sees the marker at its seq
 	case Pilaf, FaRM:
 		mark := kvShedLen
 		if kind == kDrain {
 			mark = kvDrainLen
 		}
-		binary.LittleEndian.PutUint32(c.kvMetaMR.Buf[4:], mark)
-		binary.LittleEndian.PutUint32(c.kvMetaMR.Buf[8:], 0xABCD)
-		binary.LittleEndian.PutUint32(c.kvMetaMR.Buf[0:], a.Seq) // seq last
+		meta := c.kvMetaMR.Bytes()
+		binary.LittleEndian.PutUint32(meta[4:], mark)
+		binary.LittleEndian.PutUint32(meta[8:], 0xABCD)
+		binary.LittleEndian.PutUint32(meta[0:], a.Seq) // seq last
 	default:
 		// Two-sided and HERD clients wait on the eager ring.
 		c.postSmall(p, h)
@@ -596,8 +598,9 @@ func (c *Conn) sendReject(p *sim.Proc, a Arrival, kind byte) {
 // value first, then the metadata record carrying (seq, length).
 func (c *Conn) publishKV(p *sim.Proc, h hdr, payload []byte) {
 	c.memcpyCharge(p, len(payload)+16)
-	copy(c.kvPayMR.Buf, payload)
-	binary.LittleEndian.PutUint32(c.kvMetaMR.Buf[4:], h.length)
-	binary.LittleEndian.PutUint32(c.kvMetaMR.Buf[8:], 0xABCD)
-	binary.LittleEndian.PutUint32(c.kvMetaMR.Buf[0:], h.seq) // seq last
+	copy(c.kvPayMR.Bytes(), payload)
+	meta := c.kvMetaMR.Bytes()
+	binary.LittleEndian.PutUint32(meta[4:], h.length)
+	binary.LittleEndian.PutUint32(meta[8:], 0xABCD)
+	binary.LittleEndian.PutUint32(meta[0:], h.seq) // seq last
 }

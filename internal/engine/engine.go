@@ -514,7 +514,7 @@ type Conn struct {
 
 	ctsReady  map[uint32]bool       // CTS seen for seq
 	frags     map[uint32]*fragState // eager reassembly by seq
-	respQueue []Arrival             // completed arrivals not yet consumed
+	respQueue sim.FIFO[Arrival]     // completed arrivals not yet consumed
 
 	// Overload-protection state (nil when the knob is disabled).
 	fc  *flowState // receiver-driven credit flow control
@@ -533,10 +533,13 @@ type Conn struct {
 }
 
 // dedupEntry caches the outcome of the last request the connection
-// executed. served is false until the first request has been.
+// executed. served is false until the first request has been. The entry
+// owns that request's buffer: the response may be any cut of it, so the
+// buffer goes back to the arena only when the entry is replaced.
 type dedupEntry struct {
 	served bool
 	resp   []byte
+	req    []byte  // the served request's arena buffer
 	arr    Arrival // response context (Seq is the dedup key), Payload stripped
 }
 
@@ -546,11 +549,14 @@ func (c *Conn) isDup(seq uint32) bool {
 	return c.dedup.served && c.dedup.arr.Seq == seq
 }
 
-// dedupRecord caches a served request's response, replacing the
-// previous request's.
+// dedupRecord caches a served request's response and takes its request
+// buffer over, replacing the previous request's entry and recycling that
+// request's buffer.
 func (c *Conn) dedupRecord(a Arrival, resp []byte) {
+	c.Recycle(c.dedup.req)
+	req := a.Payload
 	a.Payload = nil
-	c.dedup = dedupEntry{served: true, resp: resp, arr: a}
+	c.dedup = dedupEntry{served: true, resp: resp, req: req, arr: a}
 }
 
 // ID returns the engine-local connection index (used as the trace tid).
@@ -616,15 +622,17 @@ func (e *Engine) newConn(server bool, shared *connShared) *Conn {
 		c.creditMR.SetWriteNotify(c.onCreditWrite)
 	}
 	if server && !e.cfg.NoFetchBufs {
-		c.rfpInMR = e.pd.RegisterMRNoCost(e.cfg.MaxMsgSize + hdrSize)
-		c.rfpOutMR = e.pd.RegisterMRNoCost(e.cfg.MaxMsgSize + hdrSize)
-		c.kvMetaMR = e.pd.RegisterMRNoCost(32)
-		c.kvPayMR = e.pd.RegisterMRNoCost(e.cfg.MaxMsgSize + hdrSize)
+		// Only a client on RFP, HERD, Pilaf or FaRM ever touches these, so
+		// their memory is allocated when one first does.
+		c.rfpInMR = e.pd.RegisterMRLazy(e.cfg.MaxMsgSize + hdrSize)
+		c.rfpOutMR = e.pd.RegisterMRLazy(e.cfg.MaxMsgSize + hdrSize)
+		c.kvMetaMR = e.pd.RegisterMRLazy(32)
+		c.kvPayMR = e.pd.RegisterMRLazy(e.cfg.MaxMsgSize + hdrSize)
 		c.rfpInMR.SetWriteNotify(func(off, n int) {
 			// The poller watches the message's last byte: a request that
 			// arrives as a chunk train is complete only when the WRITE
 			// covering it has landed (chunks land in order, header first).
-			if off+n >= hdrSize+int(getHdr(c.rfpInMR.Buf).length) {
+			if off+n >= hdrSize+int(getHdr(c.rfpInMR.Bytes()).length) {
 				c.rfpPending = true
 				c.sig.Fire()
 			}
@@ -690,7 +698,7 @@ func (c *Conn) Close() {
 	c.rndvIn, c.rndvOut = nil, nil
 	c.orphanIn, c.orphanOut = nil, nil
 	c.pendingReads, c.ctsReady, c.frags = nil, nil, nil
-	c.respQueue = nil
+	c.respQueue.Clear()
 	c.dedup = dedupEntry{}
 	c.exitWait()
 	c.eng.pinnedBytes -= c.pinned
@@ -882,17 +890,17 @@ func (c *Conn) nextArrival(p *sim.Proc, busy bool) Arrival {
 	c.enterWait(busy)
 	defer c.exitWait()
 	for {
-		if len(c.respQueue) > 0 {
+		if c.respQueue.Len() > 0 {
 			// Queued by an earlier wait, which paid the detection charge.
-			a := c.popArrival()
+			a := c.respQueue.Pop()
 			c.eng.em.bytesRecvd.Add(int64(len(a.Payload)))
 			return a
 		}
 		if c.pumpCompletions(p) > 0 {
 			// One detection charge covers the whole drained batch: the
 			// first finished arrival is returned, the rest stay queued.
-			if len(c.respQueue) > 0 {
-				a := c.popArrival()
+			if c.respQueue.Len() > 0 {
+				a := c.respQueue.Pop()
 				c.chargeDetect(p, busy)
 				c.eng.em.bytesRecvd.Add(int64(len(a.Payload)))
 				return a
@@ -901,26 +909,16 @@ func (c *Conn) nextArrival(p *sim.Proc, busy bool) Arrival {
 		}
 		if c.rfpPending {
 			c.rfpPending = false
-			h := getHdr(c.rfpInMR.Buf)
+			in := c.rfpInMR.Bytes()
+			h := getHdr(in)
 			c.noteCredits(h)
-			payload := c.copyPayload(c.rfpInMR.Buf[hdrSize : hdrSize+int(h.length)])
+			payload := c.copyPayload(in[hdrSize : hdrSize+int(h.length)])
 			c.chargeDetect(p, busy)
 			c.eng.em.bytesRecvd.Add(int64(len(payload)))
 			return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, Payload: payload}
 		}
 		c.sig.Wait(p)
 	}
-}
-
-// popArrival removes and returns the oldest queued arrival. The rest (a
-// handful at most) shift down so the queue keeps its capacity instead of
-// reallocating on the next append.
-func (c *Conn) popArrival() Arrival {
-	a := c.respQueue[0]
-	n := copy(c.respQueue, c.respQueue[1:])
-	c.respQueue[n] = Arrival{}
-	c.respQueue = c.respQueue[:n]
-	return a
 }
 
 // waitCTSUntil pumps until the CTS for seq, the grant for an n-byte
@@ -970,7 +968,7 @@ func (c *Conn) waitRead(p *sim.Proc, wrid uint64, busy bool) bool {
 				return wc.Status == verbs.WCSuccess
 			}
 			if a, done := c.handleWC(p, wc); done {
-				c.respQueue = append(c.respQueue, a)
+				c.respQueue.Push(a)
 			}
 			continue
 		}

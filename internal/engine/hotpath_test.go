@@ -2,10 +2,12 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
 	"hatrpc/internal/sim"
+	"hatrpc/internal/verbs"
 )
 
 // TestHotpathConfigRoundTrips runs the protocol matrix with sequential
@@ -146,41 +148,194 @@ func TestArenaPayloadsRecycleReuse(t *testing.T) {
 	env.Run()
 }
 
-// TestOffsetSubsliceResponseSurvivesRecycle: a handler may answer with an
-// offset subslice of its request (req[4:]). The dedup cache retains that
-// response, so the dispatcher must not recycle the request buffer under
-// it: a retransmission of the request is answered with the original bytes
-// and without re-running the handler. The retransmission here carries a
-// different body under the same seq — the server never compares bodies,
-// and had the first request's buffer been recycled this same-class body
-// would land in it and show through the cached response.
+// TestOffsetSubsliceResponseSurvivesRecycle: a handler may answer with a
+// cut of its request — an offset subslice (req[4:]) or a prefix (req[:8]).
+// The dedup cache retains that response, so the request buffer must
+// outlive the call: a retransmission of the request is answered with the
+// original bytes and without re-running the handler. The retransmission
+// here carries a different body under the same seq — the server never
+// compares bodies, and had the first request's buffer been recycled this
+// same-class body would land in it and show through the cached response.
+// Once the connection's next request is served, the entry lets go and the
+// first request's buffer is back in the arena.
 func TestOffsetSubsliceResponseSurvivesRecycle(t *testing.T) {
-	env, srvEng, cliEng := testCluster(20)
+	for _, c := range []struct {
+		name string
+		cut  func([]byte) []byte
+	}{
+		{"req[4:]", func(b []byte) []byte { return b[4:] }},
+		{"req[:8]", func(b []byte) []byte { return b[:8] }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env, srvEng, cliEng := testCluster(20)
+			runs := 0
+			var served []byte // the first request's buffer, as the handler saw it
+			srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte {
+				if runs++; runs == 1 {
+					served = req
+				}
+				return c.cut(req)
+			})
+			opts := CallOpts{Proto: EagerSendRecv, RespProto: EagerSendRecv, Busy: true}
+			env.Spawn("client", func(p *sim.Proc) {
+				defer env.Stop()
+				conn := cliEng.Dial(p, srvEng.Node(), "svc")
+				first := bytes.Repeat([]byte("A"), 100)
+				resp, err := conn.Call(p, 1, first, opts)
+				if err != nil || !bytes.Equal(resp, c.cut(first)) {
+					t.Errorf("first call: %q %v", resp, err)
+				}
+				h := hdr{kind: kReq, proto: EagerSendRecv, respProto: EagerSendRecv,
+					fn: 1, length: uint32(len(first)), seq: conn.seq}
+				conn.sendMessage(p, h, bytes.Repeat([]byte("B"), 100), true)
+				a := conn.nextArrival(p, true)
+				if runs != 1 {
+					t.Errorf("retransmission re-executed the handler (runs %d, want 1)", runs)
+				}
+				if !bytes.Equal(a.Payload, c.cut(first)) {
+					t.Errorf("dedup resend returned %q, want the original %q", a.Payload, c.cut(first))
+				}
+				if _, err := conn.Call(p, 1, bytes.Repeat([]byte("C"), 100), opts); err != nil {
+					t.Fatal(err)
+				}
+				for _, b := range srvEng.payloadFree[payloadClass(len(first))] {
+					if &b[0] == &served[0] {
+						return
+					}
+				}
+				t.Error("the next served request did not return the first one's buffer to the arena")
+			})
+			env.Run()
+		})
+	}
+}
+
+// TestThreeIndexCutResponseSurvivesRecycle: a response cut from the
+// request with its capacity capped (req[0:8:8]) shares no capacity
+// element with the request, so no comparison of slices can tell it is cut
+// from it. It survives because the dedup entry owns the request buffer
+// whatever the response is: a delivery on another connection into the
+// same size class, and then a retransmission of the first connection's
+// request, find the cached response unchanged.
+func TestThreeIndexCutResponseSurvivesRecycle(t *testing.T) {
+	env, srvEng, cliEng := testCluster(22)
 	runs := 0
 	srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte {
 		runs++
-		return req[4:]
+		return req[0:8:8]
 	})
+	opts := CallOpts{Proto: EagerSendRecv, RespProto: EagerSendRecv, Busy: true}
 	env.Spawn("client", func(p *sim.Proc) {
-		c := cliEng.Dial(p, srvEng.Node(), "svc")
+		defer env.Stop()
+		c1 := cliEng.Dial(p, srvEng.Node(), "svc")
+		c2 := cliEng.Dial(p, srvEng.Node(), "svc")
 		first := bytes.Repeat([]byte("A"), 100)
-		resp, err := c.Call(p, 1, first, CallOpts{Proto: EagerSendRecv, RespProto: EagerSendRecv, Busy: true})
-		if err != nil || !bytes.Equal(resp, first[4:]) {
-			t.Errorf("first call: %q %v", resp, err)
+		if resp, err := c1.Call(p, 1, first, opts); err != nil || !bytes.Equal(resp, first[:8]) {
+			t.Fatalf("first call: %q %v", resp, err)
+		}
+		if _, err := c2.Call(p, 1, bytes.Repeat([]byte("C"), 100), opts); err != nil {
+			t.Fatal(err)
 		}
 		h := hdr{kind: kReq, proto: EagerSendRecv, respProto: EagerSendRecv,
-			fn: 1, length: uint32(len(first)), seq: c.seq}
-		c.sendMessage(p, h, bytes.Repeat([]byte("B"), 100), true)
-		a := c.nextArrival(p, true)
-		if runs != 1 {
-			t.Errorf("retransmission re-executed the handler (runs %d, want 1)", runs)
+			fn: 1, length: uint32(len(first)), seq: c1.seq}
+		c1.sendMessage(p, h, bytes.Repeat([]byte("B"), 100), true)
+		a := c1.nextArrival(p, true)
+		if runs != 2 {
+			t.Errorf("handler ran %d times for two requests and a retransmission, want 2", runs)
 		}
-		if !bytes.Equal(a.Payload, first[4:]) {
-			t.Errorf("dedup resend returned %q, want the original %q", a.Payload, first[4:])
+		if !bytes.Equal(a.Payload, first[:8]) {
+			t.Errorf("dedup resend returned %q, want the original %q", a.Payload, first[:8])
 		}
-		env.Stop()
 	})
 	env.Run()
+}
+
+// TestEveryDispatchExitRecycles: the dispatcher returns the request
+// buffer to the arena on every path, not only when it serves. With one
+// handler slot and shed-newest admission, a request arriving while the
+// slot is held is shed; with the drain fence up one is fenced; and a
+// retransmission of a request already served is answered from the dedup
+// entry. Once warm, none of the three rounds allocates anything — on the
+// server or, with each reply recycled, on the client.
+func TestEveryDispatchExitRecycles(t *testing.T) {
+	const hold, echo uint32 = 1, 2
+	env, srvEng, cliEng := testCluster(23)
+	srv := srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte {
+		if fn == hold {
+			p.Sleep(50_000)
+		}
+		return req[:8]
+	})
+	srv.AdmitLimit, srv.Admit = 1, AdmitShedNewest
+	// Direct-WriteIMM delivers each request, a retransmission included,
+	// as a payload the dispatcher receives.
+	opts := CallOpts{Proto: DirectWriteIMM, Busy: true}
+	req := pattern(100)
+	start, held := sim.NewSignal(env), sim.NewSignal(env)
+	env.Spawn("holder", func(p *sim.Proc) {
+		c := cliEng.Dial(p, srvEng.Node(), "svc")
+		for {
+			start.Wait(p)
+			resp, err := c.Call(p, hold, req, opts)
+			if err != nil {
+				t.Errorf("held call: %v", err)
+			}
+			c.Recycle(resp)
+			held.Fire()
+		}
+	})
+	env.Spawn("client", func(p *sim.Proc) {
+		defer env.Stop()
+		c := cliEng.Dial(p, srvEng.Node(), "svc")
+		expect := func(what string, err, want error) {
+			if !errors.Is(err, want) {
+				t.Fatalf("%s call: %v, want %v", what, err, want)
+			}
+		}
+		rounds := []struct {
+			name string
+			run  func()
+		}{
+			{"shed", func() {
+				start.Fire()
+				p.Sleep(10_000) // the holder's request is in the handler
+				_, err := c.Call(p, echo, req, opts)
+				expect("shed", err, ErrOverloaded)
+				held.Wait(p)
+			}},
+			{"drained", func() {
+				srv.SetDraining(true)
+				_, err := c.Call(p, echo, req, opts)
+				expect("fenced", err, ErrDraining)
+				srv.SetDraining(false)
+			}},
+			{"dup", func() {
+				resp, err := c.Call(p, echo, req, opts)
+				expect("served", err, nil)
+				c.Recycle(resp)
+				h := hdr{kind: kReq, proto: DirectWriteIMM, respProto: DirectWriteIMM,
+					fn: echo, length: uint32(len(req)), seq: c.seq}
+				c.sendMessage(p, h, req, true)
+				a := c.nextArrival(p, true)
+				if a.Kind != kResp || !bytes.Equal(a.Payload, req[:8]) {
+					t.Fatalf("dedup resend: kind %d, %q", a.Kind, a.Payload)
+				}
+				c.Recycle(a.Payload)
+			}},
+		}
+		for _, r := range rounds {
+			for i := 0; i < 4; i++ {
+				r.run()
+			}
+			if n := testing.AllocsPerRun(20, r.run); n != 0 {
+				t.Errorf("a warmed %s round allocates %v objects, want 0", r.name, n)
+			}
+		}
+	})
+	env.Run()
+	if srv.Drained == 0 {
+		t.Error("no request was drain-fenced")
+	}
 }
 
 // TestFetchPaceDisciplines pins the one-sided result-poll pacing table:
@@ -308,4 +463,40 @@ func BenchmarkEagerPathCall(b *testing.B) {
 			benchCall(b, 64, CallOpts{Proto: proto, Busy: true})
 		})
 	}
+}
+
+// TestFetchRegionsAllocatedOnFirstUse: a server connection's RFP/HERD and
+// Pilaf/FaRM regions are registered at the full size, and counted as
+// pinned at it, but hold no host memory until a fetch protocol uses them.
+func TestFetchRegionsAllocatedOnFirstUse(t *testing.T) {
+	env, srvEng, cliEng := testCluster(24)
+	srv := srvEng.Serve("svc", echoHandler)
+	env.Spawn("client", func(p *sim.Proc) {
+		defer env.Stop()
+		c := cliEng.Dial(p, srvEng.Node(), "svc")
+		if _, err := c.Call(p, 1, []byte("eager"), CallOpts{Proto: EagerSendRecv, Busy: true}); err != nil {
+			t.Fatal(err)
+		}
+		sc := srv.Conns()[0]
+		fetch := []*verbs.MR{sc.rfpInMR, sc.rfpOutMR, sc.kvMetaMR, sc.kvPayMR}
+		for i, mr := range fetch {
+			if mr.Buf != nil {
+				t.Errorf("fetch region %d holds %d bytes after an eager call, want none", i, len(mr.Buf))
+			}
+		}
+		if want := int64(sc.rfpInMR.Len() + sc.rfpOutMR.Len() + sc.kvMetaMR.Len() + sc.kvPayMR.Len()); sc.pinned < want {
+			t.Errorf("server connection pins %d bytes, less than its %d bytes of fetch regions", sc.pinned, want)
+		}
+		for _, proto := range []Protocol{RFP, Pilaf} {
+			if resp, err := c.Call(p, 1, []byte("fetch"), CallOpts{Proto: proto, Busy: true}); err != nil || string(resp) != "ECHOfetch" {
+				t.Fatalf("%s call: %q, %v", proto, resp, err)
+			}
+		}
+		for i, mr := range fetch {
+			if len(mr.Buf) != mr.Len() {
+				t.Errorf("fetch region %d holds %d bytes after RFP and Pilaf calls, want %d", i, len(mr.Buf), mr.Len())
+			}
+		}
+	})
+	env.Run()
 }

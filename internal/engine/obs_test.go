@@ -185,7 +185,7 @@ func TestOnewayEveryProtocol(t *testing.T) {
 						t.Errorf("%s conn leaks control state (cts=%d frags=%d reads=%d)",
 							side, len(c.ctsReady), len(c.frags), len(c.pendingReads))
 					}
-					if n := len(c.respQueue); n != 0 {
+					if n := c.respQueue.Len(); n != 0 {
 						t.Errorf("%s conn has %d stray queued arrivals", side, n)
 					}
 				}

@@ -18,7 +18,7 @@ func (c *Conn) pumpCompletions(p *sim.Proc) int {
 	n := c.cq.PollN(wcs[:])
 	for i := 0; i < n; i++ {
 		if a, done := c.handleWC(p, wcs[i]); done {
-			c.respQueue = append(c.respQueue, a)
+			c.respQueue.Push(a)
 		}
 	}
 	return n
@@ -106,9 +106,10 @@ func (c *Conn) copyPayload(src []byte) []byte {
 }
 
 // Recycle returns a payload buffer previously delivered by this
-// connection (a Call result) to the engine's arena. It is optional — an unrecycled
-// buffer is ordinary garbage — but after Recycle the buffer must not be
-// touched: a later delivery reuses it. Server handlers never call it for
-// their request: the dispatcher recycles the request bytes once the
-// response is sent (see Handler).
+// connection (a Call result) to the engine's arena. It is optional — an
+// unrecycled buffer is ordinary garbage — but after Recycle the buffer must
+// not be touched: a later delivery reuses it. Server handlers never call
+// it for their request: the dispatcher returns every request on every path,
+// and a served one only once the dedup entry that holds it is replaced by
+// the connection's next served request (see Handler).
 func (c *Conn) Recycle(b []byte) { c.eng.payloadPut(b) }

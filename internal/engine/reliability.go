@@ -510,9 +510,10 @@ func (c *Conn) awaitResponse(p *sim.Proc, seq uint32, busy bool, until sim.Time)
 	defer c.exitWait()
 	defer c.armWake(until).Stop()
 	for {
-		for len(c.respQueue) > 0 {
-			a := c.popArrival()
+		for c.respQueue.Len() > 0 {
+			a := c.respQueue.Pop()
 			if a.Seq != seq {
+				c.Recycle(a.Payload) // a stale duplicate: nobody will read it
 				continue
 			}
 			if a.Kind == kResp {
@@ -539,11 +540,12 @@ func (c *Conn) awaitResponse(p *sim.Proc, seq uint32, busy bool, until sim.Time)
 // rejection) to seq without blocking, consuming it when present.
 // Non-matching entries are left for awaitResponse's drain to discard.
 func (c *Conn) pollResponse(p *sim.Proc, seq uint32, busy bool) ([]byte, bool, error) {
-	for i, a := range c.respQueue {
+	for i := 0; i < c.respQueue.Len(); i++ {
+		a := c.respQueue.At(i)
 		if a.Seq != seq || (a.Kind != kResp && a.Kind != kErr && a.Kind != kDrain) {
 			continue
 		}
-		c.respQueue = append(c.respQueue[:i], c.respQueue[i+1:]...)
+		c.respQueue.RemoveAt(i)
 		c.chargeDetect(p, busy)
 		if a.Kind == kErr || a.Kind == kDrain {
 			return nil, false, rejectErr(a.Kind)

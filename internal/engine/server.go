@@ -13,14 +13,16 @@ import (
 // charged explicitly via the process (e.g. node.CPU.Compute).
 //
 // Payload ownership: req is an engine arena buffer lent for the duration
-// of the call. Once the response is sent the dispatcher recycles it and a
-// later delivery overwrites it, so a handler that keeps any part of req
-// past its return must copy. Returning req (or a subslice of it) as the
-// response is fine — the dispatcher sees the shared backing array and
-// leaves the buffer alone, because the dedup cache retains the response
-// for retransmissions. A handler that serializes its response may do so
-// straight into the connection's staging region (ResponseStage) and
-// return that; the engine then sends it from where it lies.
+// of the call. The dispatcher owns it and returns it to the arena on every
+// path — served, shed, drain-fenced or retransmitted — and a later delivery
+// overwrites it, so a handler that keeps any part of req past its return
+// must copy. Returning req, or any cut of it (req[4:], req[:8],
+// req[0:8:8]), as the response is fine: the connection's dedup entry holds
+// the request buffer for as long as it caches the response, and recycles
+// it only when the connection's next served request replaces the entry. A
+// handler that serializes its response may do so straight into the
+// connection's staging region (ResponseStage) and return that; the engine
+// then sends it from where it lies.
 type Handler func(p *sim.Proc, fn uint32, req []byte) []byte
 
 // ErrOverloaded is the typed failure a client receives when the server's
@@ -74,7 +76,7 @@ type admitQueue struct {
 	limit   int
 	policy  AdmitPolicy
 	running int
-	waiting []*sim.Signal
+	waiting sim.FIFO[*sim.Signal]
 }
 
 func newAdmitQueue(env *sim.Env, limit int, policy AdmitPolicy) *admitQueue {
@@ -92,20 +94,18 @@ func (q *admitQueue) acquire(p *sim.Proc) bool {
 		return false
 	}
 	sig := sim.NewSignal(q.env)
-	q.waiting = append(q.waiting, sig)
+	q.waiting.Push(sig)
 	sig.Wait(p) // fired once, by the release that hands this waiter its slot
 	return true
 }
 
 // release frees a handler slot, or hands it to the longest waiter.
 func (q *admitQueue) release() {
-	if len(q.waiting) == 0 {
+	if q.waiting.Len() == 0 {
 		q.running--
 		return
 	}
-	sig := q.waiting[0]
-	q.waiting = q.waiting[1:]
-	sig.Fire()
+	q.waiting.Pop().Fire()
 }
 
 // Server accepts engine connections on a port and runs one dispatcher
@@ -184,7 +184,9 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 			// Retransmitted request: the response (or the tail of the
 			// original delivery) was lost. Resend the cached response
 			// without re-executing the handler — at-most-once execution,
-			// idempotent from the application's point of view.
+			// idempotent from the application's point of view. The copy
+			// that just arrived is not needed: the entry holds the original.
+			c.Recycle(a.Payload)
 			eng.em.dupRequests.Inc()
 			if c.dedup.arr.RespProto != ProtoAuto {
 				c.sendResponse(p, c.dedup.arr, c.dedup.resp, busy)
@@ -208,6 +210,7 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 			// re-routes and later retries here post-restart deserves a
 			// fresh execution.
 			s.Drained++
+			c.Recycle(a.Payload)
 			if trc := eng.trc; trc != nil {
 				trc.Instant("rpc", "drained", eng.node.ID(), c.id,
 					int64(p.Now()), obs.Arg{K: "fn", V: a.Fn}, obs.Arg{K: "seq", V: a.Seq})
@@ -228,6 +231,7 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 				// repost bookkeeping happens here — and no dedup entry is
 				// recorded: the handler never ran, and a retransmission of
 				// this seq deserves a fresh admission attempt.
+				c.Recycle(a.Payload)
 				if int(a.Proto) < nProtocols {
 					eng.em.shed[a.Proto].Inc()
 				}
@@ -252,14 +256,6 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 		if acquired {
 			s.adm.release()
 		}
-		c.dedupRecord(a, resp)
-		if !sameBacking(resp, a.Payload) {
-			// The request body has been consumed; recycle it into the
-			// payload arena — unless the response is cut from it (an echo
-			// handler returning req, req[:8] or req[4:]), in which case the
-			// dedup entry just recorded still needs the bytes.
-			c.Recycle(a.Payload)
-		}
 		if int(a.Proto) < nProtocols {
 			eng.em.served[a.Proto].Inc()
 		}
@@ -268,6 +264,9 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 				start, int64(p.Now()),
 				obs.Arg{K: "fn", V: a.Fn}, obs.Arg{K: "size", V: len(a.Payload)})
 		}
+		// The entry takes the request buffer over (the response may be cut
+		// from it) and hands the previous request's back to the arena.
+		c.dedupRecord(a, resp)
 	}
 }
 
@@ -288,18 +287,6 @@ func (c *Conn) settle(a Arrival, resp []byte) []byte {
 		return c.copyPayload(resp)
 	}
 	return resp
-}
-
-// sameBacking reports whether a and b are windows onto one backing array.
-// Reslicing moves a slice's start and length but never the end of its
-// capacity, so two slices cut from one allocation share their last
-// capacity element. (A three-index reslice that lowers the capacity is
-// the one cut this cannot see.)
-func sameBacking(a, b []byte) bool {
-	if cap(a) == 0 || cap(b) == 0 {
-		return false
-	}
-	return &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1]
 }
 
 // Conns returns the accepted server-side connections (for inspection).
@@ -323,7 +310,7 @@ func (s *Server) SetDraining(v bool) { s.draining = v }
 func (s *Server) Active() int {
 	n := s.active
 	if s.adm != nil {
-		n += len(s.adm.waiting)
+		n += s.adm.waiting.Len()
 	}
 	return n
 }

@@ -8,6 +8,7 @@ package hatkv
 
 import (
 	"errors"
+	"slices"
 
 	"hatrpc/internal/engine"
 	kvgen "hatrpc/internal/hatkv/gen"
@@ -55,6 +56,7 @@ type Store struct {
 	// and queue holds the writers parked behind it in arrival order.
 	leading bool
 	queue   []*parkedOp
+	spare   []*parkedOp // records of writers that left park settled, for reuse
 	// Tuned records whether hint-driven backend tuning was applied.
 	Tuned bool
 
@@ -257,25 +259,40 @@ func (s *Store) write(p *sim.Proc, req *writeReq) (uint64, error) {
 }
 
 // park queues an owned copy of req, then waits to be committed by a
-// leader or to be woken, at the head of the queue, as the next one.
+// leader or to be woken, at the head of the queue, as the next one. The
+// record comes off the store's spare list when it has one, and goes back
+// on it once a leader has settled the op: the fire that woke the writer
+// was its signal's only one, and lmdb owns the pairs by then. A writer
+// killed while parked simply takes its record with it.
 func (s *Store) park(p *sim.Proc, req *writeReq) (uint64, error) {
-	q := &parkedOp{wake: sim.NewSignal(p.Env()), at: p.Now()}
+	var q *parkedOp
+	if n := len(s.spare); n > 0 {
+		q, s.spare[n-1] = s.spare[n-1], nil
+		s.spare = s.spare[:n-1]
+	} else {
+		q = &parkedOp{wake: sim.NewSignal(p.Env())}
+	}
+	q.at = p.Now()
 	if req.multi {
-		q.owned = make([][]byte, 0, 2*len(req.pairs))
+		q.owned = slices.Grow(q.owned, 2*len(req.pairs))
 		for _, kv := range req.pairs {
 			k, v := lmdb.CopyPair(kv.Key, kv.Value)
 			q.owned = append(q.owned, k, v)
 		}
 	} else {
 		k, v := lmdb.CopyPair(req.key, req.value)
-		q.owned = [][]byte{k, v}
+		q.owned = append(q.owned, k, v)
 	}
 	s.queue = append(s.queue, q)
 	q.wake.Wait(p)
-	if q.done {
-		return q.txn, q.err
+	if !q.done {
+		return s.lead(p, nil)
 	}
-	return s.lead(p, nil)
+	txn, err := q.txn, q.err
+	clear(q.owned)
+	*q = parkedOp{owned: q.owned[:0], wake: q.wake}
+	s.spare = append(s.spare, q)
+	return txn, err
 }
 
 // lead commits one group and hands leadership on. The leader's own op is

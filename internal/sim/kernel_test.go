@@ -211,42 +211,62 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// fifo: backing-array reuse.
+// FIFO: backing-array reuse.
 
 func TestFifoReusesBackingArray(t *testing.T) {
-	var f fifo[*int]
+	var f FIFO[*int]
 	x := new(int)
 	for round := 0; round < 1000; round++ { // drains every round
-		f.push(x)
-		f.push(x)
-		f.pop()
-		f.pop()
+		f.Push(x)
+		f.Push(x)
+		f.Pop()
+		f.Pop()
 	}
 	if cap(f.buf) > 4 {
 		t.Fatalf("draining queue grew to cap %d", cap(f.buf))
 	}
-	f.push(x)
+	f.Push(x)
 	for round := 0; round < 1000; round++ { // never drains
-		f.push(x)
-		f.pop()
+		f.Push(x)
+		f.Pop()
 	}
-	if cap(f.buf) > 8 || f.len() != 1 {
-		t.Fatalf("steady queue of 1: cap %d len %d", cap(f.buf), f.len())
+	if cap(f.buf) > 8 || f.Len() != 1 {
+		t.Fatalf("steady queue of 1: cap %d len %d", cap(f.buf), f.Len())
 	}
 	for _, p := range f.buf[:f.head] {
 		if p != nil {
 			t.Fatal("popped slot still holds its pointer")
 		}
 	}
-	var order fifo[int]
+	var order FIFO[int]
 	next := 0
 	for i := 0; i < 200; i++ {
-		order.push(i)
+		order.Push(i)
 		if i%3 != 0 {
-			if got := order.pop(); got != next {
+			if got := order.Pop(); got != next {
 				t.Fatalf("pop %d, want %d", got, next)
 			}
 			next++
+		}
+	}
+	// RemoveAt and At index from the head, wherever the head has moved to;
+	// Clear empties the queue and unpins every slot.
+	for order.Len() > 3 {
+		order.Pop()
+	}
+	a, b, c := order.At(0), order.At(1), order.At(2)
+	order.RemoveAt(1)
+	if order.Len() != 2 || order.At(0) != a || order.At(1) != c {
+		t.Fatalf("removing %d from [%d %d %d] left %d elements, head %d", b, a, b, c, order.Len(), order.At(0))
+	}
+	f.Push(x)
+	f.Clear()
+	if f.Len() != 0 || cap(f.buf) == 0 {
+		t.Fatalf("cleared queue: len %d cap %d", f.Len(), cap(f.buf))
+	}
+	for _, p := range f.buf[:cap(f.buf)] {
+		if p != nil {
+			t.Fatal("cleared slot still holds its pointer")
 		}
 	}
 }

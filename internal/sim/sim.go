@@ -206,21 +206,26 @@ func (e *Env) RunUntil(limit Time) Time {
 func (e *Env) Stop() { e.stopped = true }
 
 // ---------------------------------------------------------------------------
-// fifo: the slice-backed queue under Signal and Queue.
+// FIFO: the slice-backed queue under Signal and Queue, and every other
+// queue of the stack (verbs receive queues, engine arrivals and admission).
 
-// fifo pops by advancing a head index, not by reslicing, so the backing
-// array is reused: the index resets whenever the queue drains, and a queue
-// that never drains is moved down once its dead prefix is at least as long
-// as its live part. Popped slots are zeroed so they pin nothing.
-type fifo[T any] struct {
+// FIFO is a first-in first-out queue that reuses its storage. It pops by
+// advancing a head index, not by reslicing, so the backing array is
+// reused: the index resets whenever the queue drains, and a queue that
+// never drains is moved down once its dead prefix is at least as long as
+// its live part. Popped slots are zeroed so they pin nothing. The zero
+// FIFO is empty and ready to use.
+type FIFO[T any] struct {
 	buf  []T
 	head int
 }
 
-func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+// Len returns the number of queued elements.
+func (f *FIFO[T]) Len() int { return len(f.buf) - f.head }
 
-func (f *fifo[T]) push(v T) {
-	if len(f.buf) == cap(f.buf) && f.head > 0 && f.head >= f.len() {
+// Push appends v at the tail.
+func (f *FIFO[T]) Push(v T) {
+	if len(f.buf) == cap(f.buf) && f.head > 0 && f.head >= f.Len() {
 		n := copy(f.buf, f.buf[f.head:])
 		clear(f.buf[n:])
 		f.buf, f.head = f.buf[:n], 0
@@ -228,7 +233,8 @@ func (f *fifo[T]) push(v T) {
 	f.buf = append(f.buf, v)
 }
 
-func (f *fifo[T]) pop() T {
+// Pop removes and returns the oldest element. The queue must not be empty.
+func (f *FIFO[T]) Pop() T {
 	var zero T
 	v := f.buf[f.head]
 	f.buf[f.head] = zero
@@ -237,17 +243,26 @@ func (f *fifo[T]) pop() T {
 	return v
 }
 
-// removeAt deletes the element at buf[i], i >= head, keeping the order.
-func (f *fifo[T]) removeAt(i int) {
+// At returns the i-th oldest element (0 is the head), leaving it queued.
+func (f *FIFO[T]) At(i int) T { return f.buf[f.head+i] }
+
+// RemoveAt deletes the i-th oldest element, keeping the order of the rest.
+func (f *FIFO[T]) RemoveAt(i int) {
 	var zero T
 	n := len(f.buf) - 1
-	copy(f.buf[i:], f.buf[i+1:])
+	copy(f.buf[f.head+i:], f.buf[f.head+i+1:])
 	f.buf[n] = zero
 	f.buf = f.buf[:n]
 	f.drained()
 }
 
-func (f *fifo[T]) drained() {
+// Clear empties the queue, keeping its storage.
+func (f *FIFO[T]) Clear() {
+	clear(f.buf)
+	f.buf, f.head = f.buf[:0], 0
+}
+
+func (f *FIFO[T]) drained() {
 	if f.head == len(f.buf) {
 		f.buf, f.head = f.buf[:0], 0
 	}
@@ -261,7 +276,7 @@ func (f *fifo[T]) drained() {
 // or Broadcast to wake all current waiters.
 type Signal struct {
 	env     *Env
-	waiters fifo[*Proc]
+	waiters FIFO[*Proc]
 	pending int // fires delivered with no waiter present
 }
 
@@ -277,7 +292,7 @@ func (s *Signal) Wait(p *Proc) {
 		p.Yield()
 		return
 	}
-	s.waiters.push(p)
+	s.waiters.Push(p)
 	p.park()
 }
 
@@ -305,17 +320,16 @@ func (s *Signal) WaitUntil(p *Proc, until Time) bool {
 	if s.env.now >= until {
 		return false
 	}
-	s.waiters.push(p)
+	s.waiters.Push(p)
 	p.wake = s.env.schedule(until, p, nil)
 	p.park()
 	if !p.wake.armed() {
 		return true // Fire consumed the timer and woke us
 	}
 	p.wake = Timer{}
-	w := &s.waiters
-	for i := w.head; i < len(w.buf); i++ {
-		if w.buf[i] == p {
-			w.removeAt(i)
+	for i := 0; i < s.waiters.Len(); i++ {
+		if s.waiters.At(i) == p {
+			s.waiters.RemoveAt(i)
 			break
 		}
 	}
@@ -335,8 +349,8 @@ func (s *Signal) wake(w *Proc) {
 // Waiters killed while parked are skipped so a fire is never lost to a
 // dead process.
 func (s *Signal) Fire() {
-	for s.waiters.len() > 0 {
-		if w := s.waiters.pop(); !w.done {
+	for s.waiters.Len() > 0 {
+		if w := s.waiters.Pop(); !w.done {
 			s.wake(w)
 			return
 		}
@@ -347,22 +361,22 @@ func (s *Signal) Fire() {
 // Broadcast wakes every currently-waiting live process (it does not add
 // pending fires).
 func (s *Signal) Broadcast() {
-	for s.waiters.len() > 0 {
-		if w := s.waiters.pop(); !w.done {
+	for s.waiters.Len() > 0 {
+		if w := s.waiters.Pop(); !w.done {
 			s.wake(w)
 		}
 	}
 }
 
 // Waiting returns the number of parked waiters.
-func (s *Signal) Waiting() int { return s.waiters.len() }
+func (s *Signal) Waiting() int { return s.waiters.Len() }
 
 // ---------------------------------------------------------------------------
 // Queue: an unbounded deterministic FIFO channel between processes.
 
 // Queue is a FIFO of arbitrary items with blocking Pop.
 type Queue[T any] struct {
-	items fifo[T]
+	items FIFO[T]
 	sig   *Signal
 }
 
@@ -373,43 +387,43 @@ func NewQueue[T any](env *Env) *Queue[T] {
 
 // Push appends an item and wakes one waiting consumer.
 func (q *Queue[T]) Push(v T) {
-	q.items.push(v)
+	q.items.Push(v)
 	q.sig.Fire()
 }
 
 // Pop removes and returns the oldest item, blocking the process while the
 // queue is empty.
 func (q *Queue[T]) Pop(p *Proc) T {
-	for q.items.len() == 0 {
+	for q.items.Len() == 0 {
 		q.sig.Wait(p)
 	}
-	return q.items.pop()
+	return q.items.Pop()
 }
 
 // PopUntil is Pop with a virtual-time bound: it removes and returns the
 // oldest item, or reports ok=false if the queue is still empty when the
 // clock reaches the absolute deadline until.
 func (q *Queue[T]) PopUntil(p *Proc, until Time) (T, bool) {
-	for q.items.len() == 0 {
+	for q.items.Len() == 0 {
 		if !q.sig.WaitUntil(p, until) {
 			var zero T
 			return zero, false
 		}
 	}
-	return q.items.pop(), true
+	return q.items.Pop(), true
 }
 
 // TryPop removes the oldest item without blocking.
 func (q *Queue[T]) TryPop() (T, bool) {
-	if q.items.len() == 0 {
+	if q.items.Len() == 0 {
 		var zero T
 		return zero, false
 	}
-	return q.items.pop(), true
+	return q.items.Pop(), true
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return q.items.len() }
+func (q *Queue[T]) Len() int { return q.items.Len() }
 
 // ---------------------------------------------------------------------------
 // Mutex: a FIFO mutual-exclusion lock for simulation processes.

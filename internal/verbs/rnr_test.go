@@ -1,6 +1,7 @@
 package verbs
 
 import (
+	"fmt"
 	"testing"
 
 	"hatrpc/internal/sim"
@@ -159,5 +160,71 @@ func TestRNRWriteImmAlsoNaks(t *testing.T) {
 	env.Run()
 	if b.dev.vm.rnrNaks.Value() == 0 {
 		t.Error("no RNR NAKs for WRITE_IMM into an empty armed ring")
+	}
+}
+
+// TestRecvQueueSteadyStateAllocsNothing: both receive-side queues reuse
+// their storage. Once warm, a round of SENDs into a ring of posted RECVs,
+// each completion polled and its slot reposted as the engine's eager ring
+// does, allocates nothing — on a shallow and a deep ring, and on a QP with
+// finite RECV depth as well as one without. Without it the round sends two
+// rings' worth, so half of it arrives to an empty receive queue and waits
+// in the pending queue until the repost it is matched against.
+func TestRecvQueueSteadyStateAllocsNothing(t *testing.T) {
+	for _, depth := range []int{2, 16} {
+		for _, rnr := range []bool{false, true} {
+			t.Run(fmt.Sprintf("depth=%d/rnr=%v", depth, rnr), func(t *testing.T) {
+				env := sim.NewEnv(1)
+				a, b := testPair(env)
+				sends := 2 * depth
+				if rnr {
+					b.qp.SetRNR(6)
+					sends = depth
+				}
+				const slot = 64
+				ring := b.pd.RegisterMRNoCost(depth * slot)
+				repost := func(i uint64) {
+					b.qp.PostRecv(RecvWR{WRID: i, SGE: SGE{MR: ring, Off: int(i) * slot, Len: slot}})
+				}
+				for i := 0; i < depth; i++ {
+					repost(uint64(i))
+				}
+				wr := &SendWR{Op: OpSend, SGE: SGE{MR: a.pd.RegisterMRNoCost(slot), Len: slot / 2}, Unsignaled: true}
+				var allocs float64
+				env.Spawn("client", func(p *sim.Proc) {
+					round := func() {
+						for i := 0; i < sends; i++ {
+							a.qp.PostSend(p, wr)
+						}
+						p.Sleep(50_000) // all landed: a ring's worth completed, the rest pending
+						if got := b.qp.pending.Len(); got != sends-depth {
+							t.Fatalf("%d SENDs pending a RECV, want %d", got, sends-depth)
+						}
+						for i := 0; i < sends; i++ {
+							wc := b.cq.PollBusy(p)
+							if wc.Status != WCSuccess || wc.Op != OpRecv {
+								t.Fatalf("completion %+v", wc)
+							}
+							repost(wc.WRID)
+						}
+						if got := b.qp.RecvDepth(); got != depth {
+							t.Fatalf("%d RECVs posted after the round, want the ring's %d", got, depth)
+						}
+					}
+					for i := 0; i < 4; i++ {
+						round()
+					}
+					allocs = testing.AllocsPerRun(100, round)
+					env.Stop()
+				})
+				env.Run()
+				if allocs != 0 {
+					t.Fatalf("%v allocations per warmed round of %d SENDs into a %d-deep ring, want 0", allocs, sends, depth)
+				}
+				if naks := b.dev.vm.rnrNaks.Value(); naks != 0 {
+					t.Errorf("%d RNR NAKs: the round overran the ring", naks)
+				}
+			})
+		}
 	}
 }

@@ -141,8 +141,8 @@ func (d *Device) crash() {
 	d.dead = true
 	for _, qp := range d.qps {
 		qp.errored = true
-		qp.recvq = nil
-		qp.pending = nil
+		qp.recvq.Clear()
+		qp.pending.Clear()
 	}
 	for _, cq := range d.cqs {
 		cq.done, cq.head = nil, 0
@@ -175,13 +175,24 @@ type PD struct {
 func (pd *PD) Device() *Device { return pd.dev }
 
 // MR is a registered memory region. Buf is the actual backing store:
-// one-sided operations read and write it directly.
+// one-sided operations read and write it directly. A region registered
+// with RegisterMRLazy has none until it is first touched; use Bytes.
 type MR struct {
 	pd      *PD
 	Buf     []byte
+	size    int
 	lkey    uint32
 	onWrite func(off, n int)
 	revoked bool
+}
+
+// Bytes returns the region's backing store, allocating it the first time a
+// lazily registered region is touched.
+func (mr *MR) Bytes() []byte {
+	if mr.Buf == nil {
+		mr.Buf = make([]byte, mr.size)
+	}
+	return mr.Buf
 }
 
 // SetRevoked marks the region's remote access as withdrawn (or restores
@@ -204,16 +215,24 @@ func (mr *MR) SetWriteNotify(fn func(off, n int)) { mr.onWrite = fn }
 // RegisterMR pins and registers a fresh buffer of the given size,
 // charging the registration cost to the calling process.
 func (pd *PD) RegisterMR(p *sim.Proc, size int) *MR {
-	pd.dev.nextMR++
-	mr := &MR{pd: pd, Buf: make([]byte, size), lkey: pd.dev.nextMR}
+	mr := pd.RegisterMRNoCost(size)
 	p.Sleep(sim.Duration(pd.dev.cm.RegisterTime(size)))
 	return mr
 }
 
 // RegisterMRNoCost registers without charging time; for test fixtures.
 func (pd *PD) RegisterMRNoCost(size int) *MR {
+	mr := pd.RegisterMRLazy(size)
+	mr.Bytes()
+	return mr
+}
+
+// RegisterMRLazy is RegisterMRNoCost for a region that may never be used:
+// its host memory is allocated when it is first touched, by Bytes or by a
+// one-sided operation, so an idle region costs the simulator nothing.
+func (pd *PD) RegisterMRLazy(size int) *MR {
 	pd.dev.nextMR++
-	return &MR{pd: pd, Buf: make([]byte, size), lkey: pd.dev.nextMR}
+	return &MR{pd: pd, size: size, lkey: pd.dev.nextMR}
 }
 
 // RKey is the remote-access handle an application exchanges out-of-band
@@ -243,7 +262,7 @@ func (d *Device) rkeyValid(rk RKey) bool {
 }
 
 // Len returns the region size.
-func (mr *MR) Len() int { return len(mr.Buf) }
+func (mr *MR) Len() int { return mr.size }
 
 // WCStatus is the completion status of a work request.
 type WCStatus int
@@ -432,7 +451,7 @@ type SGE struct {
 	Len int
 }
 
-func (s SGE) bytes() []byte { return s.MR.Buf[s.Off : s.Off+s.Len] }
+func (s SGE) bytes() []byte { return s.MR.Bytes()[s.Off : s.Off+s.Len] }
 
 // SendWR is a send-queue work request. Chained requests (Next) are posted
 // with a single doorbell.
@@ -461,11 +480,11 @@ type QP struct {
 	sendCQ   *CQ
 	recvCQ   *CQ
 	peer     *QP
-	recvq    []RecvWR  // posted RECV WQEs, oldest first
-	pending  []*packet // arrived SEND/WRITE_IMM packets awaiting a RECV WQE
-	errored  bool      // retry-exceeded; posts flush until Recover
-	rnrOn    bool      // finite RECV depth: NAK instead of buffering
-	rnrRetry int       // retransmissions before WCRNRRetryExceeded
+	recvq    sim.FIFO[RecvWR]  // posted RECV WQEs, oldest first
+	pending  sim.FIFO[*packet] // arrived SEND/WRITE_IMM packets awaiting a RECV WQE
+	errored  bool              // retry-exceeded; posts flush until Recover
+	rnrOn    bool              // finite RECV depth: NAK instead of buffering
+	rnrRetry int               // retransmissions before WCRNRRetryExceeded
 
 	// RC ordering under loss. gap is set the moment the fabric loses one
 	// of this QP's packets: the responder sees a PSN gap and discards
@@ -521,24 +540,20 @@ func (qp *QP) Device() *Device { return qp.dev }
 // PostRecv posts a receive WQE. If a two-sided packet is already pending
 // (arrived before the buffer), it is matched immediately.
 func (qp *QP) PostRecv(wr RecvWR) {
-	if len(qp.pending) > 0 {
-		pkt := qp.pending[0]
-		qp.pending = qp.pending[1:]
-		qp.deliver(pkt, wr)
+	if qp.pending.Len() > 0 {
+		qp.deliver(qp.pending.Pop(), wr)
 		return
 	}
-	qp.recvq = append(qp.recvq, wr)
+	qp.recvq.Push(wr)
 }
 
 // takeRecv pops the oldest posted RECV WQE. ok is false when no buffer is
 // posted.
 func (qp *QP) takeRecv() (wr RecvWR, ok bool) {
-	if len(qp.recvq) == 0 {
+	if qp.recvq.Len() == 0 {
 		return RecvWR{}, false
 	}
-	wr = qp.recvq[0]
-	qp.recvq = qp.recvq[1:]
-	return wr, true
+	return qp.recvq.Pop(), true
 }
 
 // SetRNR enables finite RECV depth on the QP: a two-sided message
@@ -554,7 +569,7 @@ func (qp *QP) SetRNR(retries int) {
 
 // RecvDepth returns the number of posted-but-unconsumed RECV WQEs on
 // the QP. Leak checks compare it against the ring size at quiesce.
-func (qp *QP) RecvDepth() int { return len(qp.recvq) }
+func (qp *QP) RecvDepth() int { return qp.recvq.Len() }
 
 // deliver completes a matched two-sided packet against the given RECV
 // WQE. WRITE_WITH_IMM already placed its data in the WRITE target at
@@ -578,7 +593,7 @@ func (qp *QP) noRecv(pkt *packet) {
 		qp.dev.rnrNak(pkt, 0)
 		return
 	}
-	qp.pending = append(qp.pending, pkt)
+	qp.pending.Push(pkt)
 }
 
 // rnrNak models one receiver-not-ready NAK round: the responder NAKs,
@@ -1010,7 +1025,7 @@ func (d *Device) receive(pkt *packet) {
 		// READ response at the initiator: DMA into the destination SGE
 		// and complete.
 		n := len(pkt.payload)
-		copy(pkt.readDst.MR.Buf[pkt.readDst.Off:], pkt.payload)
+		copy(pkt.readDst.MR.Bytes()[pkt.readDst.Off:], pkt.payload)
 		if !pkt.signaled {
 			pkt.release()
 			return
@@ -1048,7 +1063,7 @@ func (d *Device) receive(pkt *packet) {
 			pkt.release() // stale rkey: access withdrawn, WRITE discarded
 			return
 		}
-		copy(dst.Buf[pkt.remoteOff:], pkt.payload)
+		copy(dst.Bytes()[pkt.remoteOff:], pkt.payload)
 		if pkt.kind == OpWrite {
 			// Inbound WRITE: NIC DMA only, no CPU, no target completion.
 			off, n := pkt.remoteOff, len(pkt.payload)
@@ -1089,7 +1104,7 @@ func (d *Device) receive(pkt *packet) {
 		resp := d.getPacket()
 		resp.kind, resp.isReadResp = OpRead, true
 		resp.srcQP, resp.dstQP = pkt.dstQP, pkt.srcQP
-		resp.payload = d.snapshot(src.Buf[pkt.remoteOff : pkt.remoteOff+n])
+		resp.payload = d.snapshot(src.Bytes()[pkt.remoteOff : pkt.remoteOff+n])
 		resp.wrid, resp.signaled = pkt.wrid, pkt.signaled
 		resp.readDst, resp.postTs = pkt.readDst, pkt.postTs
 		pkt.release()
@@ -1104,7 +1119,7 @@ func (d *Device) receive(pkt *packet) {
 // the receive completion.
 func (qp *QP) completeRecv(pkt *packet, wr RecvWR) {
 	cm := qp.dev.cm
-	n := copy(wr.SGE.MR.Buf[wr.SGE.Off:wr.SGE.Off+wr.SGE.Len], pkt.payload)
+	n := copy(wr.SGE.MR.Bytes()[wr.SGE.Off:wr.SGE.Off+wr.SGE.Len], pkt.payload)
 	pkt.cq = qp.recvCQ
 	pkt.wc = WC{WRID: wr.WRID, Op: OpRecv, ByteLen: n, QP: qp}
 	if pkt.kind == OpSendImm {
