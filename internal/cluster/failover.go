@@ -84,8 +84,7 @@ func (n *Node) tickShard(p *sim.Proc, st *shardState) {
 // probePrimary checks the believed primary's liveness and adopts any
 // fresher routing it reports.
 func (n *Node) probePrimary(p *sim.Proc, st *shardState, target int) {
-	resp, err := n.callPeerDL(p, target, FnShardStatus,
-		encodeStatus(statusReq{Shard: uint16(st.id)}), probeDeadlineNs)
+	resp, err := n.callPeerDL(p, target, FnShardStatus, st.probe, probeDeadlineNs)
 	if err == nil && len(resp) >= 1 {
 		sr, derr := decodeStatusResp(resp[1:])
 		n.recycle(target, resp)
@@ -127,8 +126,7 @@ func (n *Node) firstEligible(p *sim.Proc, st *shardState) bool {
 		if r == n.self {
 			return true
 		}
-		resp, err := n.callPeerDL(p, r, FnShardStatus,
-			encodeStatus(statusReq{Shard: uint16(st.id)}), probeDeadlineNs)
+		resp, err := n.callPeerDL(p, r, FnShardStatus, st.probe, probeDeadlineNs)
 		answered := err == nil && len(resp) >= 1
 		n.recycle(r, resp)
 		if answered {
@@ -219,8 +217,7 @@ func (n *Node) runCandidacy(p *sim.Proc, st *shardState) {
 		if r == n.self {
 			continue
 		}
-		resp, err := n.callPeerDL(p, r, FnShardStatus,
-			encodeStatus(statusReq{Shard: shard}), probeDeadlineNs)
+		resp, err := n.callPeerDL(p, r, FnShardStatus, st.probe, probeDeadlineNs)
 		if err != nil || len(resp) < 1 {
 			continue
 		}

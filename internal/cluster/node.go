@@ -71,6 +71,7 @@ type shardState struct {
 	replicas []int  // configured replica set, ring order
 	prefix   string // store key prefix of the shard's records (dataPrefix)
 	metaKey  string // store key of the shard's durable meta record
+	probe    []byte // the encoded liveness probe, sent as is by every status probe of the shard
 
 	epoch   uint64 // content epoch
 	primary int    // content primary
@@ -186,6 +187,7 @@ func NewUnservedNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.No
 			replicas:       reps,
 			prefix:         dataPrefix(s),
 			metaKey:        metaKey(s),
+			probe:          encodeStatus(statusReq{Shard: uint16(s)}),
 			epoch:          1,
 			primary:        reps[0],
 			learnedEpoch:   1,

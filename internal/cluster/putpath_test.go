@@ -141,6 +141,33 @@ func TestStatusMessagesAllocateOnce(t *testing.T) {
 	}
 }
 
+// TestWarmedProbeAllocatesNothing: a backup's probe of its primary sends
+// the shard's one encoded probe, the primary stages its answer on the
+// dispatcher, and the backup hands the reply back to the arena it came
+// from — so a warmed probePrimary allocates nothing across the cluster.
+func TestWarmedProbeAllocatesNothing(t *testing.T) {
+	tc := newTestCluster(t, 71, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})
+	reps := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)
+	backup := tc.nodes[reps[1]]
+	got := -1.0
+	tc.roster[reps[1]].Spawn("driver", func(p *sim.Proc) {
+		defer tc.env.Stop()
+		st := backup.shards[0]
+		probe := func() { backup.probePrimary(p, st, reps[0]) }
+		for i := 0; i < 8; i++ {
+			probe()
+		}
+		got = testing.AllocsPerRun(50, probe)
+		if st.probeFails != 0 {
+			t.Errorf("%d probes of a live primary failed", st.probeFails)
+		}
+	})
+	tc.env.Run()
+	if got != 0 {
+		t.Errorf("a warmed probe of the primary allocates %.0f objects across the cluster, want 0", got)
+	}
+}
+
 // TestGetValueSurvivesLaterCalls: the value Client.Get returns lies in the
 // reply buffer, which Get hands to its caller instead of the arena — 100
 // more puts and gets on the same client, whose replies are the same size,

@@ -151,8 +151,13 @@ func TestDefaultPackageName(t *testing.T) {
 
 func TestNestedContainersGenerate(t *testing.T) {
 	doc := idl.MustParse("n.hrpc", `
+struct Leaf {
+  1: string name,
+}
 struct Deep {
   1: map<string, list<map<i32, binary>>> layers,
+  2: list<list<string>> names,
+  3: list<list<Leaf>> leaves,
 }
 service S { Deep Roundtrip(1: Deep d) }
 `)

@@ -269,7 +269,7 @@ func (g *gen) genHandlerStub(svc *idl.Service, fn *idl.Function) {
 	}
 	g.pf("\tw := cd.Encode(trdma.ResponseStage(p))\n")
 	g.pf("\tw.WriteMessageBegin(%q, thrift.REPLY, seq)\n", fn.Name)
-	g.pf("\tresult.Write(w)\n")
+	g.pf("\tif err := result.Write(w); err != nil {\n\t\treturn %sEncodeException(%q, seq, thrift.ExcInternalError, err.Error())\n\t}\n", lowerFirst(svc.Name), fn.Name)
 	g.pf("\tw.WriteMessageEnd()\n")
 	g.pf("\treturn cd.Encoded()\n}\n\n")
 }

@@ -98,8 +98,10 @@ func codecPair(compact bool) (*TMemoryBuffer, TProtocol, TProtocol) {
 // arena are warm, a full write+read round trip of every
 // fixed-width primitive plus a binary field performs ZERO heap
 // allocations per op, for both wire protocols. String reads are excluded
-// by design — Go string conversion inherently allocates; generated code
-// that wants the zero-alloc path uses binary fields.
+// by design: a decoded string is a copy its reader keeps, one allocation
+// per ReadString and one per whole list for ReadStrings
+// (TestReadStringsAllocateOncePerList); generated code that wants the
+// zero-alloc path uses binary fields.
 func TestEagerPathZeroAllocs(t *testing.T) {
 	blob := []byte("0123456789abcdef0123456789abcdef")
 	for _, tc := range []struct {

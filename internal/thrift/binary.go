@@ -299,6 +299,12 @@ func (p *TBinaryProtocol) ReadString() (string, error) {
 	return string(b), err
 }
 
+// ReadStrings parses len(dst) length-prefixed strings into dst, all cut
+// from one allocation.
+func (p *TBinaryProtocol) ReadStrings(dst []string) error {
+	return p.m.readStrings(dst, p.readLenPrefixed)
+}
+
 // ReadBinary parses a length-prefixed byte slice, owned as the buffer
 // says: a copy (NewTMemoryBufferWith), a window onto the buffer
 // (Codec.DecodeRequest), or a share of the message's one allocation

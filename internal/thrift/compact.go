@@ -451,12 +451,14 @@ func (p *TCompactProtocol) ReadDouble() (float64, error) {
 
 // ReadString reads a varint-length-prefixed string.
 func (p *TCompactProtocol) ReadString() (string, error) {
-	n, err := p.readLen()
-	if err != nil {
-		return "", err
-	}
-	b, err := p.m.next(n)
+	b, err := p.readLenPrefixed()
 	return string(b), err
+}
+
+// ReadStrings reads len(dst) varint-length-prefixed strings into dst, all
+// cut from one allocation.
+func (p *TCompactProtocol) ReadStrings(dst []string) error {
+	return p.m.readStrings(dst, p.readLenPrefixed)
 }
 
 // ReadBinary reads a varint-length-prefixed byte slice, owned as the
@@ -474,4 +476,14 @@ func (p *TCompactProtocol) ReadBinary() ([]byte, error) {
 func (p *TCompactProtocol) readLen() (int, error) {
 	v, err := p.readVarint()
 	return int(min(v, math.MaxInt32)), err
+}
+
+// readLenPrefixed returns the bytes behind a varint length as a window
+// onto the buffer.
+func (p *TCompactProtocol) readLenPrefixed() ([]byte, error) {
+	n, err := p.readLen()
+	if err != nil {
+		return nil, err
+	}
+	return p.m.next(n)
 }

@@ -115,6 +115,10 @@ type TProtocol interface {
 	ReadDouble() (float64, error)
 	ReadString() (string, error)
 	ReadBinary() ([]byte, error)
+	// ReadStrings fills dst with the next len(dst) strings — the elements
+	// of a list<string> whose header counted len(dst) — and makes one
+	// allocation for all of them.
+	ReadStrings(dst []string) error
 
 	Flush() error
 	Transport() TTransport

@@ -2,7 +2,9 @@ package thrift
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -530,5 +532,157 @@ func TestReplyFieldsShareOneAllocation(t *testing.T) {
 	clear(msg)
 	if string(got[0]) != "first" || string(got[2]) != "third and last" {
 		t.Error("a reply's binary field aliases the message it was decoded from")
+	}
+}
+
+// stringList serializes a list<string> header that claims count elements,
+// then elems.
+func stringList(mk func(TTransport) TProtocol, count int, elems ...string) []byte {
+	mem := NewTMemoryBuffer()
+	w := mk(mem)
+	w.WriteListBegin(STRING, count)
+	for _, s := range elems {
+		w.WriteString(s)
+	}
+	return mem.Bytes()
+}
+
+// readList decodes a list<string> from msg with ReadStrings (whole) or
+// with the element-by-element loop ReadStrings replaces.
+func readList(mk func(TTransport) TProtocol, msg []byte, whole bool) ([]string, error) {
+	r := mk(NewTMemoryBufferWith(msg))
+	_, n, err := r.ReadListBegin()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]string, n)
+	if whole {
+		return out, r.ReadStrings(out)
+	}
+	for i := range out {
+		if out[i], err = r.ReadString(); err != nil {
+			return out, err
+		}
+	}
+	return out, nil
+}
+
+// manyStrings is a list long enough for compact's long-form header, with
+// an empty, a multi-byte and a 300-byte element among its keys.
+func manyStrings() []string {
+	elems := []string{"", "héllo wörld", strings.Repeat("k", 300)}
+	for i := 0; i < 20; i++ {
+		elems = append(elems, fmt.Sprintf("user%04d", i))
+	}
+	return elems
+}
+
+func TestReadStringsRoundTrip(t *testing.T) {
+	elems := manyStrings()
+	for name, mk := range protoFactories {
+		got, err := readList(mk, stringList(mk, len(elems), elems...), true)
+		if err != nil || fmt.Sprint(got) != fmt.Sprint(elems) {
+			t.Errorf("%s: ReadStrings = %q, %v; want %q", name, got, err, elems)
+		}
+	}
+}
+
+// TestReadStringsAllocateOncePerList: the strings of a list cost one
+// allocation between them, however many there are.
+func TestReadStringsAllocateOncePerList(t *testing.T) {
+	elems := manyStrings()
+	for name, mk := range protoFactories {
+		mem := NewTMemoryBufferWith(stringList(mk, len(elems), elems...))
+		r, dst := mk(mem), make([]string, len(elems))
+		allocs := testing.AllocsPerRun(20, func() {
+			mem.rpos = 0
+			if _, _, err := r.ReadListBegin(); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.ReadStrings(dst); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("%s: %v allocations for a list of %d strings, want 1", name, allocs, len(elems))
+		}
+	}
+}
+
+// TestReadStringsOutliveTheMessage: strings read from a request, where
+// binary fields are lent windows, are copies: a later message decoded by
+// the same reader, and the bytes of both messages being overwritten, leave
+// them as they were.
+func TestReadStringsOutliveTheMessage(t *testing.T) {
+	c := NewCodec()
+	compact := NewTCompactProtocol(&c.rbuf)
+	for name, decode := range map[string]func([]byte) TProtocol{
+		"binary": func(msg []byte) TProtocol { return c.DecodeRequest(msg) },
+		"compact": func(msg []byte) TProtocol {
+			c.rbuf = TMemoryBuffer{buf: msg, own: ownLent}
+			return compact
+		},
+	} {
+		mk := protoFactories[name]
+		first, second := stringList(mk, 3, "a1", "b22", "c333"), stringList(mk, 3, "x9", "y88", "z777")
+		kept, later := make([]string, 3), make([]string, 3)
+		for _, m := range []struct {
+			msg []byte
+			dst []string
+		}{{first, kept}, {second, later}} {
+			r := decode(m.msg)
+			if _, _, err := r.ReadListBegin(); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.ReadStrings(m.dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clear(first)
+		clear(second)
+		if fmt.Sprint(kept) != "[a1 b22 c333]" || fmt.Sprint(later) != "[x9 y88 z777]" {
+			t.Errorf("%s: strings read %q and %q once their messages were overwritten", name, kept, later)
+		}
+	}
+}
+
+// TestReadStringsFailAsTheLoopDoes: a list ReadStrings refuses fails with
+// the error the element-by-element loop it replaces fails with — for a
+// truncated middle element, a length no message can back and a count the
+// elements do not fill, and for arbitrary bytes behind a list header —
+// and a list both accept reads the same.
+func TestReadStringsFailAsTheLoopDoes(t *testing.T) {
+	for name, mk := range protoFactories {
+		unbacked := NewTMemoryBuffer() // "alpha", then a negative (binary) or ≥ 2⁶³ (compact) length
+		w := mk(unbacked)
+		w.WriteListBegin(STRING, 3)
+		w.WriteString("alpha")
+		if b, ok := w.(*TBinaryProtocol); ok {
+			b.WriteI32(-1)
+		} else {
+			w.(*TCompactProtocol).writeVarint(1 << 63)
+		}
+		w.WriteString("charlie")
+		two := stringList(mk, 3, "alpha", "bravo")
+		for what, msg := range map[string][]byte{
+			"a truncated middle element": two[:len(two)-3],
+			"a length no message backs":  unbacked.Bytes(),
+			"a count that lies":          stringList(mk, 4, "alpha", "bravo", "charlie"),
+		} {
+			_, err := readList(mk, msg, true)
+			_, want := readList(mk, msg, false)
+			if err == nil || fmt.Sprint(err) != fmt.Sprint(want) {
+				t.Errorf("%s, %s: ReadStrings fails with %v, the loop with %v", name, what, err, want)
+			}
+		}
+		same := func(count uint8, data []byte) bool {
+			msg := append(stringList(mk, int(count)%(len(data)+1)), data...)
+			got, err := readList(mk, msg, true)
+			want, wantErr := readList(mk, msg, false)
+			return fmt.Sprint(err) == fmt.Sprint(wantErr) && (err != nil || fmt.Sprint(got) == fmt.Sprint(want))
+		}
+		if err := quick.Check(same, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }

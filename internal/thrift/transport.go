@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 )
 
 // ownership says who holds the bytes of a binary field once it is decoded.
@@ -88,6 +89,34 @@ func (m *TMemoryBuffer) binaryField(n int) ([]byte, error) {
 	off := len(m.shared)
 	m.shared = append(m.shared, w...)
 	return m.shared[off:len(m.shared):len(m.shared)], nil
+}
+
+// readStrings fills dst with the next len(dst) fields, each parsed by field
+// as a window onto the buffer, and copies them all into one allocation. A
+// first pass walks every length and has field check it against the bytes
+// left, so a list fails with the error its element-by-element read would
+// have failed with, before anything is sized by the lengths' sum; the
+// second cuts each string from the one allocation, which a kept element
+// therefore pins whole.
+func (m *TMemoryBuffer) readStrings(dst []string, field func() ([]byte, error)) error {
+	start, total := m.rpos, 0
+	for range dst {
+		b, err := field()
+		if err != nil {
+			return err
+		}
+		total += len(b)
+	}
+	m.rpos = start
+	var all strings.Builder
+	all.Grow(total) // the one allocation: no later Write grows it
+	for i := range dst {
+		b, _ := field() // the first pass accepted every length
+		off := all.Len()
+		all.Write(b)
+		dst[i] = all.String()[off:]
+	}
+	return nil
 }
 
 // extend lengthens the buffer by n bytes and returns them for the caller

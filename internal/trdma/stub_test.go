@@ -191,7 +191,8 @@ func warmed(call func()) float64 {
 // processor allocates at most two objects more than the raw Conn.Call it
 // wraps — the caller's copy of the reply is one — and HatKV's read path
 // is pinned at what is left: the reply's one backing array and its slice
-// of values, the server's decoded key strings and its slice of results.
+// of values, the server's slice of keys with the one allocation their
+// strings share, and its slice of results — as many at 100 keys as at 10.
 func TestStubSteadyStateAllocs(t *testing.T) {
 	payload := make([]byte, 512)
 	framed := make([]byte, len(payload)+28) // an Echo message around the payload
@@ -233,8 +234,10 @@ func TestStubSteadyStateAllocs(t *testing.T) {
 		t.Errorf("dispatch by name allocates %.0f objects, by id %.0f", byName, byID)
 	}
 
-	const records, batch = 64, 10
-	var get, mget float64
+	const records = 128
+	batches := []int{10, 100}
+	var get float64
+	mget := make([]float64, len(batches))
 	allocsIn(t, func(srv *engine.Engine) {
 		store, err := hatkv.NewStore(srv.Node(), hatkv.FunctionHints(), nil)
 		if err != nil {
@@ -246,33 +249,43 @@ func TestStubSteadyStateAllocs(t *testing.T) {
 		hatkv.Serve(srv, hatkv.FunctionHints(), store)
 	}, func(p *sim.Proc, cli *engine.Engine, server *simnet.Node) float64 {
 		c := kvgen.NewHatKVClient(trdma.Dial(p, cli, server, hatkv.FunctionHints(), nil))
-		keys := make([]string, batch)
-		for i := range keys {
-			keys[i] = ycsb.Key(i)
-		}
+		key := ycsb.Key(3)
 		get = warmed(func() {
-			if v, err := c.Get(p, keys[3]); err != nil || len(v) != 1000 {
+			if v, err := c.Get(p, key); err != nil || len(v) != 1000 {
 				t.Fatalf("Get returned %d bytes, err %v", len(v), err)
 			}
 		})
-		mget = warmed(func() {
-			if vs, err := c.MultiGet(p, keys); err != nil || len(vs) != batch {
-				t.Fatalf("MultiGet returned %d values, err %v", len(vs), err)
+		for i, batch := range batches {
+			keys := make([]string, batch)
+			for j := range keys {
+				keys[j] = ycsb.Key(j)
 			}
-		})
+			mget[i] = warmed(func() {
+				if vs, err := c.MultiGet(p, keys); err != nil || len(vs) != batch {
+					t.Fatalf("MultiGet returned %d values, err %v", len(vs), err)
+				}
+			})
+		}
 		return 0
 	})
 	// Get: the server decodes one key string, the caller gets one copy of
-	// the value. MultiGet: the server decodes ten keys into one slice and
-	// gathers ten stored values into another; the caller gets one backing
+	// the value. MultiGet, at any batch size: the server decodes the keys
+	// into one slice and one allocation for all their strings, and gathers
+	// the stored values into another slice; the caller gets one backing
 	// array under one slice of values.
 	if max := raw + 2; get > max {
 		t.Errorf("HatKV Get allocates %.0f objects, want at most %.0f", get, max)
 	}
-	if max := raw + batch + 4; mget > max {
-		t.Errorf("HatKV %d-key MultiGet allocates %.0f objects, want at most %.0f", batch, mget, max)
+	for i, batch := range batches {
+		if max := raw + 5; mget[i] > max {
+			t.Errorf("HatKV %d-key MultiGet allocates %.0f objects, want at most %.0f", batch, mget[i], max)
+		}
 	}
-	t.Logf("allocs/op: raw Conn.Call %.0f, Echo %.0f, Get %.0f, MultiGet %.0f", raw, stub, get, mget)
+	if mget[0] != mget[1] {
+		t.Errorf("a %d-key MultiGet allocates %.0f objects, a %d-key one %.0f: the count grows with the batch",
+			batches[0], mget[0], batches[1], mget[1])
+	}
+	t.Logf("allocs/op: raw Conn.Call %.0f, Echo %.0f, Get %.0f, MultiGet %v (batches %v)", raw, stub, get, mget, batches)
 }
 
 // TestReplyValuesAreCallerOwned: what a generated client returns never
