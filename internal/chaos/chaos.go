@@ -176,7 +176,7 @@ func Soak(cfg Config) *Result {
 	for w := 0; w < cfg.Workers; w++ {
 		w := w
 		env.Spawn(fmt.Sprintf("chaos-worker-%d", w), func(p *sim.Proc) {
-			s := cliEng.OpenSession(server, Port)
+			s := cliEng.OpenSession(server, Port, false)
 			for i := 0; i < cfg.WritesPerWorker; i++ {
 				key := fmt.Sprintf("w%02d-%05d", w, i)
 				for {

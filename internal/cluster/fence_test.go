@@ -308,11 +308,15 @@ func (r crashRun) run(t *testing.T) (putNs int64) {
 // Without the boot fence the early restarts in the window between the
 // append's departure and the primary's own commit end [v3 v2 v2].
 func TestPutCrashPointsConverge(t *testing.T) {
+	// A put that returns sooner than the primary's own commit costs did not
+	// run the write path, and there would be nothing to enumerate.
+	costs := hatkv.DefaultBackendCosts()
+	commitNs := map[lmdb.SyncMode]int64{lmdb.SyncFull: costs.CommitSyncNs, lmdb.SyncMeta: costs.CommitMetaNs}
 	schedules := 0
 	for _, sync := range []lmdb.SyncMode{lmdb.SyncFull, lmdb.SyncMeta} {
 		for _, first := range []bool{false, true} {
 			whole := crashRun{sync: sync, first: first, offset: -1}.run(t)
-			if whole < 10_000 || whole > 60_000 {
+			if whole < commitNs[sync] || whole > 60_000 {
 				t.Fatalf("%s first=%v: the uninterrupted put took %d ns: nothing to enumerate", syncName[sync], first, whole)
 			}
 			for off := int64(0); off <= whole+250; off += 250 {

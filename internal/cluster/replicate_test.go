@@ -199,6 +199,24 @@ func TestClusterHintPlanTable(t *testing.T) {
 				w.name, got.Proto, got.Busy, w.proto, w.busy)
 		}
 	}
+	// The server side follows: the sessions declare busy polling, and a
+	// server that does not poll busily itself grants the connection a busy
+	// dispatcher.
+	if !ps.busy {
+		t.Error("peerSessions declares event polling, though its latency verbs plan busy waits")
+	}
+	reg := obs.NewRegistry()
+	tc.engs[0].SetObs(reg)
+	tc.env.Spawn("client", func(p *sim.Proc) {
+		defer tc.env.Stop()
+		if _, err := ps.callPeerDL(p, 0, FnShardStatus, encodeStatus(statusReq{}), 1_000_000); err != nil {
+			t.Errorf("status call: %v", err)
+		}
+	})
+	tc.env.Run()
+	if got := reg.Counter("engine.busy_dispatch").Value(); got != 1 {
+		t.Errorf("engine.busy_dispatch = %d at the server, want 1: the session's declaration did not reach it", got)
+	}
 }
 
 // TestHealthyClusterNeverRetransmits: 200 RF-3 puts, one in eight of them

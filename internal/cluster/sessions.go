@@ -12,12 +12,14 @@ import (
 // The cluster service's hint table (DESIGN.md §3), the hand-written twin
 // of a generated ServiceHints: one service-level set every verb inherits
 // and one function-level set per wire function, resolved client-side into
-// a per-function engine plan when a peerSessions is built.
+// a per-function engine plan when a peerSessions is built. The server
+// side follows through the handshake: a session whose plans poll busily
+// is busy-dispatched by its peer.
 //
 //   - the service default is resource-frugal: a verb nobody tuned must not
 //     spin a core;
 //   - the data verbs sit on every put's and get's blocking path, so they
-//     buy latency (Direct-WriteIMM, busy client-side wait — no 4 µs
+//     buy latency (Direct-WriteIMM, busy waits on both sides — no 4 µs
 //     interrupt wake per hop, and a 16 KB value is one WRITE instead of
 //     four eager fragments);
 //   - the liveness/routing verbs are small and mostly wait out deadlines
@@ -55,6 +57,10 @@ type peerSessions struct {
 
 	sess  map[int]*engine.Session // peer index → session
 	plans [nFns]engine.CallOpts   // fn - fnBase → resolved client-side plan
+	// busy is what every session declares to its peer's server: true when
+	// any verb's plan polls busily (trdma.NewServer's rule, from the
+	// dialer's side), so the peer busy-dispatches the connection too.
+	busy bool
 }
 
 func newPeerSessions(eng *engine.Engine, roster []*simnet.Node) peerSessions {
@@ -67,6 +73,7 @@ func newPeerSessions(eng *engine.Engine, roster []*simnet.Node) peerSessions {
 		r := hints.TypeCheck(hints.Resolve(serviceHints, fn, hints.SideClient))
 		pl := engine.SelectPlan(r, eng.Cores(), r.PayloadSize, engine.DefaultRndvThreshold)
 		ps.plans[i] = engine.CallOpts{Proto: pl.Proto, Busy: pl.Busy}
+		ps.busy = ps.busy || pl.Busy
 	}
 	return ps
 }
@@ -78,7 +85,7 @@ func newPeerSessions(eng *engine.Engine, roster []*simnet.Node) peerSessions {
 func (ps *peerSessions) callPeerDL(p *sim.Proc, peer int, fn uint32, req []byte, deadlineNs int64) ([]byte, error) {
 	s := ps.sess[peer]
 	if s == nil {
-		s = ps.eng.OpenSession(ps.roster[peer], Port)
+		s = ps.eng.OpenSession(ps.roster[peer], Port, ps.busy)
 		ps.sess[peer] = s
 	}
 	opts := ps.plans[fn-fnBase]

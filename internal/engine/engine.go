@@ -176,6 +176,11 @@ type engineMetrics struct {
 	sessionRedials   *obs.Counter // dial attempts while re-establishing
 	sessionFailovers *obs.Counter // successful reconnects (epoch ≥ 2)
 	sessionReplays   *obs.Counter // session calls replayed across a reconnect
+
+	// Busy-dispatch grants (Server.grantBusy): a dialer that declared busy
+	// polling was granted a busy dispatcher, or the core cap refused it.
+	busyDispatch        *obs.Counter
+	busyDispatchRefused *obs.Counter
 }
 
 // newEngineMetrics resolves the instrument set; the nil registry yields
@@ -205,6 +210,9 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		sessionRedials:   r.Counter("engine.session_redials"),
 		sessionFailovers: r.Counter("engine.session_failovers"),
 		sessionReplays:   r.Counter("engine.replays"),
+
+		busyDispatch:        r.Counter("engine.busy_dispatch"),
+		busyDispatchRefused: r.Counter("engine.busy_dispatch_refused"),
 	}
 	m.calls = protoCounters(r, "engine.calls.")
 	m.served = protoCounters(r, "engine.served.")
@@ -429,6 +437,9 @@ type connShared struct {
 	// Session re-dials at its next use instead of waiting out a deadline
 	// on a dead boot.
 	closed bool
+	// release hands the server's busy-dispatch grant back (Server.grantBusy);
+	// the first Close of either endpoint runs it. Nil when none was granted.
+	release func()
 }
 
 // hello is the out-of-band connection handshake payload (QPN/LID/rkey
@@ -442,6 +453,9 @@ type hello struct {
 	kvPay  verbs.RKey
 	credit verbs.RKey
 	shared *connShared
+	// busy is the dialer's polling decision, carried to the server so its
+	// dispatcher can poll the same way (Server.grantBusy).
+	busy bool
 }
 
 // Conn is one endpoint of an engine connection. A Conn carries one
@@ -525,6 +539,10 @@ type Conn struct {
 
 	busyLoaded bool
 	numaBound  bool
+	// peerBusy (server side): Accept sets it from the dialer's declared
+	// polling, and Server.grantBusy keeps it only while the connection
+	// holds a busy-dispatch grant.
+	peerBusy bool
 
 	// Retransmission state (reliability.go): the measured attempt timer
 	// and the call in flight's current attempt.
@@ -680,6 +698,10 @@ func (c *Conn) Close() {
 	}
 	c.closed = true
 	c.shared.closed = true
+	if release := c.shared.release; release != nil {
+		c.shared.release = nil
+		release()
+	}
 	for _, seq := range sortedSeqs(c.rndvIn) {
 		c.eng.releaseRndv(c.rndvIn[seq])
 		delete(c.shared.rndv, rndvKey(seq, !c.server))
@@ -811,6 +833,7 @@ func (ln *Listener) Accept(p *sim.Proc) *Conn {
 		ch := raw.(*hello)
 		c := ln.eng.newConn(true, ch.shared)
 		c.applyHello(ch)
+		c.peerBusy = ch.busy
 		ep.Send(p, c.helloFor(), 256)
 		return c
 	}
@@ -818,7 +841,8 @@ func (ln *Listener) Accept(p *sim.Proc) *Conn {
 
 // Dial connects to a service port on a remote node, performing the
 // out-of-band handshake (QP numbers, rkeys) and returning the client-side
-// connection.
+// connection. It declares no polling decision: the server dispatches the
+// connection as its own Busy says.
 func (e *Engine) Dial(p *sim.Proc, target *simnet.Node, port string) *Conn {
 	ep := e.node.Connect(p, target, port)
 	c := e.newConn(false, &connShared{rndv: make(map[uint64]verbs.RKey)})
@@ -834,14 +858,17 @@ func (e *Engine) Dial(p *sim.Proc, target *simnet.Node, port string) *Conn {
 // A fresh dial registers fresh MRs and exchanges fresh rkeys, so
 // re-dialing after a peer crash naturally re-registers everything the
 // old epoch invalidated. The half-built connection is closed on
-// failure so nothing leaks.
-func (e *Engine) TryDial(p *sim.Proc, target *simnet.Node, port string, until sim.Time) (*Conn, error) {
+// failure so nothing leaks. busy declares that the caller's calls poll
+// busily, asking the server for a busy dispatcher (Server.grantBusy).
+func (e *Engine) TryDial(p *sim.Proc, target *simnet.Node, port string, busy bool, until sim.Time) (*Conn, error) {
 	ep, err := e.node.TryConnect(p, target, port)
 	if err != nil {
 		return nil, fmt.Errorf("engine: dial node %d: %v: %w", target.ID(), err, ErrPeerDown)
 	}
 	c := e.newConn(false, &connShared{rndv: make(map[uint64]verbs.RKey)})
-	ep.Send(p, c.helloFor(), 256)
+	h := c.helloFor()
+	h.busy = busy
+	ep.Send(p, h, 256)
 	raw, ok := ep.RecvUntil(p, until)
 	if !ok {
 		// The server crashed (or the hello was addressed to a previous

@@ -116,9 +116,11 @@ type Server struct {
 	ln      *Listener
 	handler Handler
 
-	// Busy selects busy polling for dispatcher waits (event-driven
-	// otherwise). With many connections and busy polling, dispatchers
-	// oversubscribe the node's cores — the Figure 5 collapse.
+	// Busy selects busy polling for every dispatcher's waits. Without it a
+	// connection is dispatched as its dialer declared (grantBusy), and
+	// event-driven when nothing was declared. With many connections and
+	// busy polling, dispatchers oversubscribe the node's cores — the
+	// Figure 5 collapse.
 	Busy bool
 	// NUMABind pins dispatchers NIC-locally (no remote-socket penalty on
 	// copies/compute).
@@ -138,6 +140,8 @@ type Server struct {
 
 	conns []*Conn
 	adm   *admitQueue
+	// busyGrants counts the open connections granted a busy dispatcher.
+	busyGrants int
 
 	// draining fences new requests with the typed kDrain rejection while
 	// in-flight handlers run to completion (graceful drain, DESIGN.md §17).
@@ -161,10 +165,38 @@ func (s *Server) acceptLoop(p *sim.Proc) {
 	for i := 0; ; i++ {
 		c := s.ln.Accept(p)
 		c.SetNUMABound(s.NUMABind)
+		if c.peerBusy {
+			s.grantBusy(c)
+		}
 		s.conns = append(s.conns, c)
 		s.eng.node.Spawn(fmt.Sprintf("%s-disp%d", p.Name(), i), func(dp *sim.Proc) {
 			s.dispatch(dp, c)
 		})
+	}
+}
+
+// grantBusy answers a dialer that declared busy polling: its connection
+// gets a busy dispatcher unless Cores() connections already hold one —
+// the Figure 5 guard trdma.NewServer applies through the concurrency
+// hint, since one spinning dispatcher per connection past the core count
+// starves the handlers. A refused connection is event-dispatched. The
+// grant goes back when either endpoint closes the connection; a dialer
+// that crashes never closes, so its grant is held, as its spinning
+// poller would be, until the server's engine closes.
+func (s *Server) grantBusy(c *Conn) {
+	if s.busyGrants >= s.eng.Cores() {
+		c.peerBusy = false
+		s.eng.em.busyDispatchRefused.Inc()
+		return
+	}
+	s.busyGrants++
+	s.eng.em.busyDispatch.Inc()
+	c.shared.release = func() {
+		s.busyGrants--
+		c.peerBusy = false
+		if !s.Busy {
+			c.exitWait() // stop the parked dispatcher's spin now
+		}
 	}
 }
 
@@ -174,8 +206,8 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 	for {
 		// Read per iteration (not hoisted): Busy is a plain field a caller
 		// sets after Serve has returned, which may be after this
-		// dispatcher started.
-		busy := s.Busy
+		// dispatcher started, and a closing connection returns its grant.
+		busy := s.Busy || c.peerBusy
 		a := c.nextArrival(p, busy)
 		if a.Kind != kReq {
 			continue

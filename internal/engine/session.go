@@ -45,6 +45,7 @@ type Session struct {
 	eng    *Engine
 	target *simnet.Node
 	port   string
+	busy   bool // declared at every dial (TryDial)
 
 	mu    *sim.Mutex
 	conn  *Conn
@@ -58,9 +59,11 @@ type Session struct {
 // every reconnect uses, under the session's own mutex. It never blocks,
 // so a cache of sessions can be filled without holding a lock across a
 // dial — a down peer then delays only its own callers, who get a typed
-// ErrPeerDown.
-func (e *Engine) OpenSession(target *simnet.Node, port string) *Session {
-	return &Session{eng: e, target: target, port: port, mu: sim.NewMutex(e.env), down: true}
+// ErrPeerDown. busy is the polling decision every dial declares to the
+// server: true when the session's calls poll busily, so the server's
+// dispatcher does too (within its core cap).
+func (e *Engine) OpenSession(target *simnet.Node, port string, busy bool) *Session {
+	return &Session{eng: e, target: target, port: port, busy: busy, mu: sim.NewMutex(e.env), down: true}
 }
 
 // Close shuts the session down: the connection is released and later
@@ -136,7 +139,7 @@ func (s *Session) ensureConn(p *sim.Proc) error {
 			// the session's life is a connect, not a redial).
 			s.eng.em.sessionRedials.Inc()
 		}
-		c, err := s.eng.TryDial(p, s.target, s.port, p.Now()+sim.Time(sessionHandshakeTimeoutNs))
+		c, err := s.eng.TryDial(p, s.target, s.port, s.busy, p.Now()+sim.Time(sessionHandshakeTimeoutNs))
 		if err != nil {
 			lastErr = err
 			continue

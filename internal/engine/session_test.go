@@ -40,7 +40,7 @@ func TestSessionReplaysAcrossRestart(t *testing.T) {
 	env.At(700_000, cl.Node(0).Restart)
 	env.Spawn("client", func(p *sim.Proc) {
 		defer env.Stop()
-		s := cliEng.OpenSession(cl.Node(0), "svc")
+		s := cliEng.OpenSession(cl.Node(0), "svc", false)
 		resp, err := s.Call(p, 1, []byte("before"), CallOpts{Proto: EagerSendRecv, Busy: true})
 		if err != nil || string(resp) != "ECHObefore" {
 			t.Errorf("pre-crash call: %q, %v", resp, err)
@@ -68,13 +68,13 @@ func TestSessionDialDownNodeFailsTyped(t *testing.T) {
 		defer env.Stop()
 		p.Sleep(1000)
 		start := p.Now()
-		if _, err := cliEng.TryDial(p, cl.Node(0), "svc", p.Now()+sim.Time(sessionHandshakeTimeoutNs)); !errors.Is(err, ErrPeerDown) {
+		if _, err := cliEng.TryDial(p, cl.Node(0), "svc", false, p.Now()+sim.Time(sessionHandshakeTimeoutNs)); !errors.Is(err, ErrPeerDown) {
 			t.Errorf("one dial to a down node: %v, want ErrPeerDown", err)
 			return
 		}
 		dial := p.Now() - start
 		start = p.Now()
-		_, err := cliEng.OpenSession(cl.Node(0), "svc").Call(p, 1, []byte("x"), CallOpts{Proto: EagerSendRecv, Busy: true})
+		_, err := cliEng.OpenSession(cl.Node(0), "svc", false).Call(p, 1, []byte("x"), CallOpts{Proto: EagerSendRecv, Busy: true})
 		if !errors.Is(err, ErrPeerDown) {
 			t.Errorf("call to a down node: %v, want ErrPeerDown", err)
 		}
@@ -165,7 +165,7 @@ func TestSessionOrderlyDisconnectSkipsDeadline(t *testing.T) {
 		env.At(700_000, cl.Node(0).Restart)
 		env.Spawn("client", func(p *sim.Proc) {
 			defer env.Stop()
-			s := cliEng.OpenSession(cl.Node(0), "svc")
+			s := cliEng.OpenSession(cl.Node(0), "svc", false)
 			opts := CallOpts{Proto: EagerSendRecv, Deadline: deadline}
 			if _, err := s.Call(p, 1, []byte("before"), opts); err != nil {
 				t.Errorf("first call on a lazily opened session: %v", err)
@@ -208,7 +208,7 @@ func TestAcceptSurvivesHalfOpenDial(t *testing.T) {
 			t.Errorf("half-open connect: %v", err)
 			return
 		}
-		c, err := cliEng.TryDial(p, cl.Node(0), "svc", p.Now()+sim.Time(sessionHandshakeTimeoutNs))
+		c, err := cliEng.TryDial(p, cl.Node(0), "svc", false, p.Now()+sim.Time(sessionHandshakeTimeoutNs))
 		if err != nil {
 			t.Errorf("dial behind a half-open connection: %v", err)
 			return

@@ -54,7 +54,7 @@ func TestSessionOneWayCut(t *testing.T) {
 	})
 	finished := false
 	env.Spawn("client", func(p *sim.Proc) {
-		s := cliEng.OpenSession(cl.Node(0), "svc")
+		s := cliEng.OpenSession(cl.Node(0), "svc", false)
 		opts := CallOpts{Proto: EagerSendRecv, Busy: true}
 		resp, err := s.Call(p, 1, []byte("pre"), opts)
 		if err != nil || string(resp) != "ECHOpre" {
@@ -71,7 +71,7 @@ func TestSessionOneWayCut(t *testing.T) {
 			t.Errorf("call during the cut failed after %d ns, want its %d ns session deadline", took, DefaultSessionCallDeadline)
 		}
 		start = p.Now()
-		if _, err := cliEng.OpenSession(cl.Node(0), "svc").Call(p, 3, []byte("dial"), opts); !errors.Is(err, ErrPeerDown) {
+		if _, err := cliEng.OpenSession(cl.Node(0), "svc", false).Call(p, 3, []byte("dial"), opts); !errors.Is(err, ErrPeerDown) {
 			t.Errorf("fresh session during the cut: %v, want ErrPeerDown", err)
 		}
 		if took := p.Now() - start; took >= sim.Time(sessionHandshakeTimeoutNs) {
