@@ -43,8 +43,7 @@ func BenchmarkAblationPolling(b *testing.B) {
 			b.Run(fmt.Sprintf("clients=%d/%s", clients, poll(busy)), func(b *testing.B) {
 				pts := atb.Sweep{
 					Subjects: []atb.Subject{atb.Raw(engine.DirectWriteIMM, busy)},
-					Sizes:    []int{512}, Clients: []int{clients},
-					DurationNs: 200_000, Seed: 3,
+					Sizes:    []int{512}, Clients: []int{clients}, Seed: 3,
 				}.Run()
 				spin(b)
 				b.ReportMetric(pts[0].OpsPerS, "vops/s")

@@ -4,10 +4,12 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"hatrpc/internal/atb"
+	"hatrpc/internal/simnet"
 )
 
 // TestCellsMatchResults re-runs one cheap cell of every composition of the
@@ -55,6 +57,40 @@ func TestCellsMatchResults(t *testing.T) {
 		}
 		if !slices.Equal(got, want) {
 			t.Errorf("%s, %s (%s):\n  printed  %v\n  results/ %v", c.fig, c.dialer, c.branch, got, want)
+		}
+	}
+}
+
+// TestResultsWithinLineRate: no checked-in throughput row carries more
+// payload than the server's link (12 500 MB/s at 100 Gbps), with 1 % for
+// the bytes of calls that began crossing before their window opened. Fig. 14
+// tabulates only its TputCalls, so its check is Kops/s × 128 KB: half-tight,
+// because the LatCalls cross the link with 128 KB too. The sweep's own
+// guard counts both, so an over-count in a mix point fails the run.
+func TestResultsWithinLineRate(t *testing.T) {
+	line := simnet.DefaultConfig().LinkGbps * 1e3 / 8
+	for _, c := range []struct {
+		fig       string
+		mbPerCell float64 // MB/s per unit of the last column
+	}{{"fig05", 1}, {"fig12", 1}, {"fig14", 131072 / 1e3}} {
+		content, err := os.ReadFile(filepath.Join("..", "..", "results", c.fig+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, table, _ := strings.Cut(string(content), "\n-")
+		rows := strings.Split(strings.TrimSpace(table), "\n")[1:]
+		if len(rows) == 0 {
+			t.Fatalf("%s: no rows", c.fig)
+		}
+		for _, row := range rows {
+			f := strings.Fields(row)
+			v, err := strconv.ParseFloat(f[len(f)-1], 64)
+			if err != nil {
+				t.Fatalf("%s: %q: %v", c.fig, row, err)
+			}
+			if mb := v * c.mbPerCell; mb > 1.01*line {
+				t.Errorf("%s: %q carries %.0f MB/s through a %.0f MB/s link", c.fig, row, mb, line)
+			}
 		}
 	}
 }

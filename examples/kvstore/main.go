@@ -15,12 +15,11 @@ import (
 func main() {
 	w := ycsb.WorkloadA(2000)
 	cfg := ycsb.RunConfig{
-		Workload:   w,
-		Systems:    []ycsb.SystemKind{ycsb.SysHatFunction, ycsb.SysHatService, ycsb.SysRFP},
-		Clients:    32,
-		Nodes:      5,
-		DurationNs: 400_000,
-		Seed:       42,
+		Workload: w,
+		Systems:  []ycsb.SystemKind{ycsb.SysHatFunction, ycsb.SysHatService, ycsb.SysRFP},
+		Clients:  32,
+		Nodes:    5,
+		Seed:     42,
 	}
 	fmt.Printf("YCSB workload %s: %d records, %d clients, zipfian θ=%.2f\n\n",
 		w.Name, w.Records, cfg.Clients, w.Theta)

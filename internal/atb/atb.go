@@ -6,7 +6,8 @@
 // stack, hint-driven or pinned to one protocol (Figures 11–14) — so the
 // package is one Sweep made of two dialers (Subject.boot) and two loops
 // (countLoop, windowLoop): the harness is held fixed and the mechanism
-// alone varies.
+// alone varies. The window loop measures in stats.Window, the closed-loop
+// window YCSB shares.
 package atb
 
 import (
@@ -278,14 +279,13 @@ func (s Subject) bootStub(f *Fabric, goal hints.PerfGoal, size, clients int, num
 // Sweep is one figure's axes. Clients selects the loop: nil is the latency
 // benchmark (one client on a two-node fabric, 3 warm-up then Iters measured
 // calls), otherwise each count runs that many closed-loop clients on the
-// ten-node fabric for DurationNs after a 200 µs warm-up.
+// ten-node fabric through one stats.Window.
 type Sweep struct {
-	Testbed    Testbed
-	Subjects   []Subject
-	Sizes      []int
-	Clients    []int
-	Iters      int
-	DurationNs int64
+	Testbed  Testbed
+	Subjects []Subject
+	Sizes    []int
+	Clients  []int
+	Iters    int
 	// Mix makes every call of the window loop a fair coin between the
 	// latency-hinted LatCall (measured, not counted) and the
 	// throughput-hinted TputCall (counted, not measured); plain Echo is
@@ -302,7 +302,7 @@ type Point struct {
 	// AvgNs and P99Ns are over the measured calls (Echo, LatCall).
 	AvgNs, P99Ns float64
 	// OpsPerS and MBps are the counted calls (Echo, TputCall) of the
-	// window loop over its window.
+	// window loop per second of its window.
 	OpsPerS, MBps float64
 }
 
@@ -327,10 +327,9 @@ func Fig05() Sweep {
 		Subjects: rawBothPollings(
 			engine.EagerSendRecv, engine.DirectWriteSend, engine.DirectWriteIMM,
 			engine.WriteRNDV, engine.RFP),
-		Sizes:      []int{512, 131072},
-		Clients:    []int{1, 4, 16, 28, 64, 128, 256, 512},
-		DurationNs: 400_000,
-		Seed:       7,
+		Sizes:   []int{512, 131072},
+		Clients: []int{1, 4, 16, 28, 64, 128, 256, 512},
+		Seed:    7,
 	}
 }
 
@@ -343,24 +342,21 @@ func Fig11() Sweep {
 // Fig12 is service-level-hint throughput: 512 B and 128 KB, 1–512 clients.
 func Fig12() Sweep {
 	return Sweep{
-		Subjects: systems(), Sizes: Fig05().Sizes, Clients: Fig05().Clients,
-		DurationNs: 400_000, Seed: 12,
+		Subjects: systems(), Sizes: Fig05().Sizes, Clients: Fig05().Clients, Seed: 12,
 	}
 }
 
 // Fig13 is the function-level-hint mix at 512 B.
 func Fig13() Sweep {
 	return Sweep{
-		Subjects: systems(), Sizes: []int{512}, Clients: Fig05().Clients,
-		DurationNs: 400_000, Mix: true, Seed: 13,
+		Subjects: systems(), Sizes: []int{512}, Clients: Fig05().Clients, Mix: true, Seed: 13,
 	}
 }
 
 // Fig14 is the mix at 128 KB.
 func Fig14() Sweep {
 	return Sweep{
-		Subjects: systems(), Sizes: []int{131072}, Clients: Fig05().Clients,
-		DurationNs: 400_000, Mix: true, Seed: 14,
+		Subjects: systems(), Sizes: []int{131072}, Clients: Fig05().Clients, Mix: true, Seed: 14,
 	}
 }
 
@@ -381,12 +377,6 @@ func (s Sweep) Run() []Point {
 	return out
 }
 
-// tally is what the clients of one point accumulate.
-type tally struct {
-	lat     stats.Sample // measured calls
-	counted int
-}
-
 func (s Sweep) point(sub Subject, size, clients int) Point {
 	window := s.Clients != nil
 	nodes, goal := 2, hints.GoalLatency
@@ -395,9 +385,11 @@ func (s Sweep) point(sub Subject, size, clients int) Point {
 	}
 	f := s.Testbed.newFabric(s.Seed, nodes, size, engineConfigFor(size, needsFetch(sub.Proto)))
 	dial := sub.boot(f, goal, size, clients)
-	var t tally
+	var lat stats.Sample // measured calls
+	var done [3]int      // calls completed inside the window, by fn
+	w := stats.NewWindow(clients)
 	for i := 0; i < clients; i++ {
-		i, name := i, "client"
+		name := "client"
 		if window {
 			name = fmt.Sprintf("cl%d", i)
 		}
@@ -412,66 +404,55 @@ func (s Sweep) point(sub Subject, size, clients int) Point {
 				}
 			}
 			if window {
-				s.windowLoop(p, call, &t)
+				s.windowLoop(p, call, w, &lat, &done)
 			} else {
-				s.countLoop(p, call, &t)
+				s.countLoop(p, call, &lat)
 				f.Env.Stop()
 			}
 		})
 	}
 	f.Env.Run()
 	f.Env.Shutdown()
-	pt := Point{Subject: sub, Size: size, Clients: clients, AvgNs: t.lat.Mean(), P99Ns: t.lat.Percentile(99)}
+	pt := Point{Subject: sub, Size: size, Clients: clients, AvgNs: lat.Mean(), P99Ns: lat.Percentile(99)}
 	if window {
-		pt.OpsPerS = float64(t.counted) / (float64(s.DurationNs) / 1e9)
+		pt.OpsPerS = w.Rate(done[fnEcho] + done[fnTput])
 		pt.MBps = pt.OpsPerS * float64(size) / 1e6
+		// Payload past the server's link, LatCalls included, is a broken run, too.
+		all := w.Rate(done[fnEcho]+done[fnLat]+done[fnTput]) * float64(size) / 1e6
+		if line := f.Cluster.Config().LinkGbps * 1e3 / 8; all > 1.01*line {
+			panic(fmt.Sprintf("atb: %s %dB × %d carries %.0f MB/s through a %.0f MB/s link", sub.Name, size, clients, all, line))
+		}
 	}
 	return pt
 }
 
 // countLoop is the latency benchmark: 3 warm-up calls, then Iters measured.
-func (s Sweep) countLoop(p *sim.Proc, call func(fn int), t *tally) {
+func (s Sweep) countLoop(p *sim.Proc, call func(fn int), lat *stats.Sample) {
 	for i := -3; i < s.Iters; i++ {
 		start := p.Now()
 		call(fnEcho)
 		if i >= 0 {
-			t.lat.Add(float64(p.Now() - start))
+			lat.Add(float64(p.Now() - start))
 		}
 	}
 }
 
-// windowLoop is the throughput and mix benchmark: closed-loop calls until
-// the window closes, those inside it tallied.
-//
-// Which calls are "inside" differs between the figures and results/ pins
-// both rules: the throughput benchmark (Figs. 5, 12) attributes a call to
-// the window by its start, the mix (Figs. 13, 14) by its end — so a mix call
-// in flight when the warm-up ends is tallied and a throughput call is not.
-// Nobody chose the difference; EXPERIMENTS.md records it for the benchmark
-// truth-up (ROADMAP 4(e)) to settle.
-func (s Sweep) windowLoop(p *sim.Proc, call func(fn int), t *tally) {
-	warmup := sim.Time(200_000)
-	deadline := warmup + sim.Time(s.DurationNs)
+// windowLoop is the throughput and mix benchmark: closed-loop calls while
+// the window runs, those it counts tallied.
+func (s Sweep) windowLoop(p *sim.Proc, call func(fn int), w *stats.Window, lat *stats.Sample, done *[3]int) {
 	rng := p.Env().Rand() // shared by all clients; drawn by the mix only
-	for p.Now() < deadline {
+	for first := true; w.Running(p.Now()); first = false {
 		fn := fnEcho
 		if s.Mix {
 			fn = fnLat + rng.Intn(2)
 		}
 		start := p.Now()
 		call(fn)
-		at := start
-		if s.Mix {
-			at = p.Now()
-		}
-		if at < warmup {
-			continue
-		}
-		if fn != fnTput {
-			t.lat.Add(float64(p.Now() - start))
-		}
-		if fn != fnLat {
-			t.counted++
+		if w.Done(first, start, p.Now()) {
+			done[fn]++
+			if fn != fnTput {
+				lat.Add(float64(p.Now() - start))
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package atb
 
 import (
+	"math"
 	"testing"
 
 	"hatrpc/internal/engine"
@@ -46,11 +47,10 @@ func TestProtoLatencyShapes(t *testing.T) {
 
 func TestProtoThroughputOverSubscription(t *testing.T) {
 	pts := Sweep{
-		Subjects:   rawBothPollings(engine.DirectWriteIMM),
-		Sizes:      []int{512},
-		Clients:    []int{4, 128},
-		DurationNs: 150_000,
-		Seed:       2,
+		Subjects: rawBothPollings(engine.DirectWriteIMM),
+		Sizes:    []int{512},
+		Clients:  []int{4, 128},
+		Seed:     2,
 	}.Run()
 	get := func(busy bool, clients int) Point {
 		for _, p := range pts {
@@ -72,6 +72,28 @@ func TestProtoThroughputOverSubscription(t *testing.T) {
 	// More clients must raise aggregate throughput under event polling.
 	if get(false, 128).OpsPerS <= get(false, 4).OpsPerS {
 		t.Error("event polling did not scale with clients")
+	}
+}
+
+// TestWindowObeysLittlesLaw: every closed-loop client always has one call
+// outstanding, so a window that counts the calls completing inside it must
+// see clients = throughput × mean latency (Little's law), for raw and stub
+// subjects, small and bulk payloads, below and at the link's capacity.
+func TestWindowObeysLittlesLaw(t *testing.T) {
+	for _, c := range []struct {
+		sub           Subject
+		size, clients int
+	}{
+		{Raw(engine.DirectWriteIMM, false), 512, 4},
+		{Raw(engine.EagerSendRecv, true), 512, 64},
+		{Raw(engine.DirectWriteIMM, true), 131072, 16},
+		{systems()[0], 512, 16},
+		{systems()[0], 131072, 64},
+	} {
+		p := Sweep{Subjects: []Subject{c.sub}, Sizes: []int{c.size}, Clients: []int{c.clients}, Seed: 5}.Run()[0]
+		if n := p.OpsPerS * p.AvgNs / 1e9; math.Abs(n/float64(c.clients)-1) > 0.1 {
+			t.Errorf("%s %dB × %d: %.0f ops/s × %.0f ns = %.1f clients in flight", c.sub.Name, c.size, c.clients, p.OpsPerS, p.AvgNs, n)
+		}
 	}
 }
 
@@ -107,12 +129,11 @@ func TestHintLatencyHatRPCWins(t *testing.T) {
 
 func TestMixBenchmarkRuns(t *testing.T) {
 	pts := Sweep{
-		Subjects:   systems()[:2], // HatRPC, Hybrid-EagerRNDV
-		Sizes:      []int{512},
-		Clients:    []int{8},
-		DurationNs: 150_000,
-		Mix:        true,
-		Seed:       4,
+		Subjects: systems()[:2], // HatRPC, Hybrid-EagerRNDV
+		Sizes:    []int{512},
+		Clients:  []int{8},
+		Mix:      true,
+		Seed:     4,
 	}.Run()
 	if len(pts) != 2 {
 		t.Fatalf("%d points", len(pts))

@@ -15,7 +15,9 @@ import (
 // and returns every byte the run produces: the raw points, the rendered
 // metric tables, and the chrome trace JSON. chaos additionally installs
 // packet loss + jitter with the retry/deadline layer enabled — the
-// configuration with the most scheduler-visible branching.
+// configuration with the most scheduler-visible branching. The
+// throughput point runs 16 clients so that under chaos it makes about
+// 500 calls and draws about 30 drops and retries.
 func sweepOutput(chaos bool) string {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer()
@@ -45,12 +47,11 @@ func sweepOutput(chaos bool) string {
 		Seed:     42,
 	}.Run()
 	tput := Sweep{
-		Testbed:    tb,
-		Subjects:   []Subject{Raw(engine.EagerSendRecv, false)},
-		Sizes:      []int{512},
-		Clients:    []int{4},
-		DurationNs: 2_000_000,
-		Seed:       42,
+		Testbed:  tb,
+		Subjects: []Subject{Raw(engine.EagerSendRecv, false)},
+		Sizes:    []int{512},
+		Clients:  []int{16},
+		Seed:     42,
 	}.Run()
 
 	var b strings.Builder

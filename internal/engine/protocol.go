@@ -168,9 +168,10 @@ func SelectPlan(r hints.Resolved, cores int, size int, threshold int) Plan {
 			// The paper's Figure 6 cell: RFP's server bypass pays off once
 			// messages are big enough that relieving the server's send
 			// path matters. RFPMinSize confines the choice to that regime;
-			// it is not a crossover measured here — in this NIC model RFP
-			// trails Direct-WriteIMM at every size (EXPERIMENTS.md,
-			// deviation 2).
+			// it is not a crossover measured here — in this NIC model both
+			// pin the link at 128 KB from 16 clients up and RFP trails
+			// Direct-WriteIMM by ≈ 3 % there (Fig. 5, event: 92.4 against
+			// 95.1 Kops/s at 64–512 clients; EXPERIMENTS.md, deviation 2).
 			plan = Plan{Proto: RFP, Busy: false}
 		default:
 			plan = Plan{Proto: DirectWriteIMM, Busy: false}

@@ -57,8 +57,6 @@ type Store struct {
 	leading bool
 	queue   []*parkedOp
 	spare   []*parkedOp // records of writers that left park settled, for reuse
-	// Tuned records whether hint-driven backend tuning was applied.
-	Tuned bool
 
 	groupOps  *obs.Histogram // ops per commit; nil until SetObs
 	writeWait *obs.Histogram // enqueue → a leader picks the op up
@@ -78,20 +76,16 @@ var _ kvgen.HatKVHandler = (*Store)(nil)
 // NoSync batch-style commits; latency → meta-only sync).
 func NewStore(node *simnet.Node, sh *trdma.ServiceHints, costs *BackendCosts) (*Store, error) {
 	opt := lmdb.Options{Sync: lmdb.SyncFull}
-	tuned := false
 	if sh != nil {
 		r := hints.TypeCheck(sh.Service.ForSide(hints.SideServer))
 		if r.Concurrency > 0 {
 			opt.MaxReaders = r.Concurrency + 2
-			tuned = true
 		}
 		switch r.Goal {
 		case hints.GoalThroughput, hints.GoalResUtil:
 			opt.Sync = lmdb.NoSync
-			tuned = true
 		case hints.GoalLatency:
 			opt.Sync = lmdb.SyncMeta
-			tuned = true
 		}
 	}
 	env, err := lmdb.Open(opt)
@@ -102,12 +96,7 @@ func NewStore(node *simnet.Node, sh *trdma.ServiceHints, costs *BackendCosts) (*
 	if costs != nil {
 		c = *costs
 	}
-	s := &Store{
-		node:  node,
-		env:   env,
-		costs: c,
-		Tuned: tuned,
-	}
+	s := &Store{node: node, env: env, costs: c}
 	// Durable media survives power loss: arm the crash hook that rolls
 	// the backend to its durable root when the node dies.
 	s.arm()

@@ -32,9 +32,6 @@ func TestStoreHintTuning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tuned.Tuned {
-		t.Fatal("hinted store not tuned")
-	}
 	if tuned.Env().Sync() != lmdb.NoSync {
 		t.Fatalf("sync mode = %d, want NoSync for throughput goal", tuned.Env().Sync())
 	}
@@ -46,7 +43,7 @@ func TestStoreHintTuning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stock.Tuned || stock.Env().Sync() != lmdb.SyncFull {
+	if stock.Env().Sync() != lmdb.SyncFull {
 		t.Fatalf("stock store tuned unexpectedly: %+v", stock.Env())
 	}
 }

@@ -58,15 +58,6 @@ func (p *Parser) expect(k TokKind) (Token, error) {
 	return t, nil
 }
 
-func (p *Parser) expectKeyword(kw string) error {
-	t := p.cur()
-	if t.Kind != TokIdent || t.Text != kw {
-		return p.errf(t, "expected %q, got %s", kw, t)
-	}
-	p.pos++
-	return nil
-}
-
 func (p *Parser) atKeyword(kw string) bool {
 	t := p.cur()
 	return t.Kind == TokIdent && t.Text == kw

@@ -1,6 +1,7 @@
 // Package stats provides the small measurement toolkit the benchmark
-// harnesses share: sample collection with percentiles, throughput
-// accounting, and plain-text table rendering for the figure outputs.
+// harnesses share: sample collection with percentiles, the closed-loop
+// measurement window, and plain-text table rendering for the figure
+// outputs.
 package stats
 
 import (
@@ -8,6 +9,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"hatrpc/internal/sim"
 )
 
 // Sample collects latency observations (nanoseconds).
@@ -92,6 +95,52 @@ func (s *Sample) Percentile(p float64) float64 {
 		return s.xs[lo]
 	}
 	return s.xs[lo]*(1-frac) + s.xs[lo+1]*frac
+}
+
+// ---------------------------------------------------------------------------
+
+// A window lasts windowCalls mean first-call latencies, and at least minWindow.
+const minWindow, windowCalls = sim.Time(400_000), 20
+
+// Window is the measurement window of every closed-loop run (the ATB
+// throughput and mix benchmarks, YCSB). It opens when the last client
+// completes its first call, leaving the ramp-up outside, and lasts
+// max(400 µs, 20 × the mean first-call latency), so each client completes
+// many calls inside even when calls queue long. A call counts, toward
+// throughput and latency alike, iff it completes inside [open, close), as
+// recorded in event order. Each client loops while Running and reports
+// every call to Done.
+type Window struct {
+	clients, firsts int
+	firstSum        sim.Time // of the first-call latencies
+	open, close     sim.Time // set once every client's first call is in
+}
+
+// NewWindow returns the window of a run of clients closed-loop clients.
+func NewWindow(clients int) *Window { return &Window{clients: clients} }
+
+// Running reports whether a client should start another call at now.
+func (w *Window) Running(now sim.Time) bool {
+	return w.firsts < w.clients || now < w.close
+}
+
+// Done records a call that ran from start to end, first marking the
+// client's first call, and reports whether the call counts.
+func (w *Window) Done(first bool, start, end sim.Time) bool {
+	if first {
+		w.firsts++
+		w.firstSum += end - start
+		if w.firsts == w.clients {
+			w.open = end
+			w.close = end + max(minWindow, windowCalls*w.firstSum/sim.Time(w.clients))
+		}
+	}
+	return w.firsts == w.clients && end >= w.open && end < w.close
+}
+
+// Rate returns n counted events per second of the window.
+func (w *Window) Rate(n int) float64 {
+	return float64(n) / (float64(w.close-w.open) / 1e9)
 }
 
 // ---------------------------------------------------------------------------

@@ -171,3 +171,37 @@ func TestTableRendering(t *testing.T) {
 		t.Fatalf("no separator: %q", lines[1])
 	}
 }
+
+// TestWindowBounds: the window opens at the last first call's completion,
+// lasts max(400 µs, 20 × the mean first-call latency), and counts exactly
+// the calls that complete inside [open, close).
+func TestWindowBounds(t *testing.T) {
+	w := NewWindow(2)
+	if w.Done(true, 0, 100) || !w.Running(1_000_000) {
+		t.Fatal("window opened before the last client's first call")
+	}
+	if w.Done(false, 100, 250) {
+		t.Error("a call completing before the opening counts")
+	}
+	if !w.Done(true, 0, 300) {
+		t.Error("the opening call itself is inside [open, close)")
+	}
+	// Mean first call 200 ns: the 400 µs floor sets the length.
+	if !w.Done(false, 300, 400_299) || w.Done(false, 300, 400_300) {
+		t.Error("close is not open + 400 µs")
+	}
+	if !w.Running(400_299) || w.Running(400_300) {
+		t.Error("clients do not stop at the close")
+	}
+	if r := w.Rate(4); r != 10_000 {
+		t.Errorf("4 calls in 400 µs = %v/s, want 10000", r)
+	}
+
+	// Mean first call 50 µs: the window is twenty of them.
+	w = NewWindow(2)
+	w.Done(true, 0, 40_000)
+	w.Done(true, 0, 60_000)
+	if !w.Running(60_000+999_999) || w.Running(60_000+1_000_000) {
+		t.Error("close is not open + 20 × the mean first-call latency")
+	}
+}

@@ -87,7 +87,6 @@ func comparatorPolicy(kind SystemKind) func(fn string, reqSize int) engine.CallO
 
 // OpStats is the per-operation outcome for one system.
 type OpStats struct {
-	Ops      int
 	OpsPerS  float64
 	AvgLatNs float64
 	P99Ns    float64
@@ -103,19 +102,18 @@ type Result struct {
 
 // RunConfig parameterizes a YCSB comparison run.
 type RunConfig struct {
-	Workload   Workload
-	Systems    []SystemKind
-	Clients    int // total clients (paper: 128 over 4 nodes)
-	Nodes      int // cluster size incl. server (paper: 5)
-	DurationNs int64
-	Seed       int64
+	Workload Workload
+	Systems  []SystemKind
+	Clients  int // total clients (paper: 128 over 4 nodes)
+	Nodes    int // cluster size incl. server (paper: 5)
+	Seed     int64
 }
 
 // DefaultRunConfig mirrors §5.4: 128 clients on 4 nodes + 1 server.
 func DefaultRunConfig(w Workload) RunConfig {
 	return RunConfig{
 		Workload: w, Systems: AllSystems,
-		Clients: 128, Nodes: 5, DurationNs: 500_000, Seed: 99,
+		Clients: 128, Nodes: 5, Seed: 99,
 	}
 }
 
@@ -169,23 +167,16 @@ func runSystem(cfg RunConfig, kind SystemKind) Result {
 	hatkv.Serve(srvEng, sh, store)
 
 	zipf := NewZipfian(int64(cfg.Workload.Records), cfg.Workload.Theta)
-	warmup := sim.Time(150_000)
-	deadline := warmup + sim.Time(cfg.DurationNs)
-
-	samples := map[Op]*stats.Sample{}
-	counts := map[Op]int{}
-	for _, op := range AllOps {
-		samples[op] = &stats.Sample{}
-	}
+	w := stats.NewWindow(cfg.Clients)
+	samples := make([]stats.Sample, len(AllOps)) // by Op
 
 	for i := 0; i < cfg.Clients; i++ {
-		i := i
 		env.Spawn(fmt.Sprintf("ycsb%d", i), func(p *sim.Proc) {
 			eng := clientEngs[i%len(clientEngs)]
 			c := kvgen.NewHatKVClient(trdma.Dial(p, eng, cl.Node(0), sh,
 				&trdma.DialOptions{Policy: comparatorPolicy(kind)}))
 			rng := env.Rand()
-			for p.Now() < deadline {
+			for first := true; w.Running(p.Now()); first = false {
 				op := cfg.Workload.ChooseOp(rng)
 				start := p.Now()
 				switch op {
@@ -214,9 +205,8 @@ func runSystem(cfg RunConfig, kind SystemKind) Result {
 						panic(err)
 					}
 				}
-				if p.Now() >= warmup {
+				if w.Done(first, start, p.Now()) {
 					samples[op].Add(float64(p.Now() - start))
-					counts[op]++
 				}
 			}
 		})
@@ -225,16 +215,14 @@ func runSystem(cfg RunConfig, kind SystemKind) Result {
 	defer env.Shutdown()
 
 	res := Result{System: kind, Workload: cfg.Workload.Name, PerOp: map[Op]OpStats{}}
-	secs := float64(cfg.DurationNs) / 1e9
 	for _, op := range AllOps {
-		s := samples[op]
+		s := &samples[op]
 		res.PerOp[op] = OpStats{
-			Ops:      counts[op],
-			OpsPerS:  float64(counts[op]) / secs,
+			OpsPerS:  w.Rate(s.N()),
 			AvgLatNs: s.Mean(),
 			P99Ns:    s.Percentile(99),
 		}
-		res.TotalOps += float64(counts[op]) / secs
+		res.TotalOps += res.PerOp[op].OpsPerS
 	}
 	return res
 }
