@@ -8,9 +8,9 @@
 //	figures [-out results] [-only fig04,fig15,...] [-metrics] [-trace FILE]
 //	        [-faults] [-loss P] [-jitter NS] [-deadline NS]
 //
-// -metrics writes the obs counter/histogram/gauge tables accumulated
-// across the ATB sweeps to results/metrics.txt; -trace writes a
-// deterministic chrome://tracing JSON event trace to FILE.
+// -metrics writes the Prometheus text exposition of the obs instruments
+// accumulated across the ATB sweeps to results/metrics.txt; -trace
+// writes a deterministic chrome://tracing JSON event trace to FILE.
 //
 // -faults enables fault injection on the ATB fabrics (1% per-hop loss
 // unless -loss/-jitter override; either implies -faults) and arms the
@@ -110,7 +110,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	outDir := fs.String("out", "results", "output directory")
 	only := fs.String("only", "", "comma-separated subset (fig04..fig17,derived)")
-	metrics := fs.Bool("metrics", false, "write obs tables to results/metrics.txt")
+	metrics := fs.Bool("metrics", false, "write the obs exposition to results/metrics.txt")
 	traceFile := fs.String("trace", "", "write a chrome://tracing JSON event trace to FILE")
 	faults := fs.Bool("faults", false, "inject faults: 1% per-hop packet loss unless -loss/-jitter override")
 	loss := fs.Float64("loss", 0, "per-hop drop probability, e.g. 0.05 (implies -faults)")
@@ -222,7 +222,7 @@ func run(args []string) error {
 
 	if *metrics {
 		path := filepath.Join(*outDir, "metrics.txt")
-		if err := os.WriteFile(path, []byte(reg.Render()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(reg.Exposition()), 0o644); err != nil {
 			return err
 		}
 		fmt.Printf("  wrote %s\n", path)

@@ -12,8 +12,8 @@ import (
 
 // sweepOutput runs a small ATB sweep (latency points across two
 // protocols plus one throughput point) with full observability attached
-// and returns every byte the run produces: the raw points, the rendered
-// metric tables, and the chrome trace JSON. chaos additionally installs
+// and returns every byte the run produces: the raw points, the metrics
+// exposition, and the chrome trace JSON. chaos additionally installs
 // packet loss + jitter with the retry/deadline layer enabled — the
 // configuration with the most scheduler-visible branching. The
 // throughput point runs 16 clients so that under chaos it makes about
@@ -57,7 +57,7 @@ func sweepOutput(chaos bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "latency: %+v\n", lat)
 	fmt.Fprintf(&b, "throughput: %+v\n", tput)
-	b.WriteString(reg.Render())
+	b.WriteString(reg.Exposition())
 	if err := tracer.WriteJSON(&b); err != nil {
 		fmt.Fprintf(&b, "trace error: %v", err)
 	}
@@ -66,7 +66,7 @@ func sweepOutput(chaos bool) string {
 
 // TestByteIdenticalReplay is the repo-wide determinism regression test:
 // the same seed must reproduce the complete observable output of a
-// sweep — metrics tables and trace JSON byte for byte — both fault-free
+// sweep — metrics exposition and trace JSON byte for byte — both fault-free
 // and under chaos (loss + jitter + retries). Any map-order or
 // wall-clock leak anywhere in the stack shows up here as a diff.
 func TestByteIdenticalReplay(t *testing.T) {

@@ -110,9 +110,9 @@ func Soak(cfg Config) *Result {
 		cfg.WritesPerWorker = 50
 	}
 	env := sim.NewEnv(cfg.Seed)
-	cl := simnet.NewCluster(env, simnet.Config{
-		Nodes: 2, Cores: 28, Sockets: 2, LinkGbps: 100, PropDelayNs: 600, NUMAPenalty: 1.25,
-	})
+	fabric := simnet.DefaultConfig()
+	fabric.Nodes = 2
+	cl := simnet.NewCluster(env, fabric)
 	server := cl.Node(0)
 
 	store, err := hatkv.NewStore(server, nil, nil)

@@ -5,41 +5,47 @@ import (
 	"testing"
 
 	"hatrpc/internal/cluster"
-	"hatrpc/internal/lmdb"
+	"hatrpc/internal/node"
 	"hatrpc/internal/simnet"
 )
 
-// clusterSoakConfig sizes a cluster soak: 5 server nodes under a seeded
-// crash schedule (mean cycle a few ms — comfortably longer than a
-// failover, so promotions complete between kills) plus a periodic
-// split-brain partition over the servers.
-func clusterSoakConfig(seed int64, sync lmdb.SyncMode, horizonNs int64) ClusterConfig {
-	return ClusterConfig{
-		Seed:            seed,
-		Sync:            sync,
-		Servers:         5,
-		NShards:         8,
-		RF:              3,
-		Workers:         3,
-		WritesPerWorker: int(horizonNs / 400_000),
-		WritePaceNs:     300_000,
-		Crash: simnet.CrashConfig{
-			Nodes:           []int{0, 1, 2, 3, 4},
-			MeanUptimeNs:    4_000_000,
-			MinUptimeNs:     2_500_000,
-			RestartDelayNs:  400_000,
-			RestartJitterNs: 200_000,
-			HorizonNs:       horizonNs,
-		},
-		Faults: simnet.FaultConfig{
-			PartitionPeriodNs: 6_000_000,
-			PartitionForNs:    700_000,
-			PartitionNodes:    []int{0, 1, 2, 3, 4},
-		},
-	}
+// soakPartitions is the cluster soak's fault plan: a periodic
+// split-brain partition over the five servers.
+var soakPartitions = simnet.FaultConfig{
+	PartitionPeriodNs: 6_000_000,
+	PartitionForNs:    700_000,
+	PartitionNodes:    []int{0, 1, 2, 3, 4},
 }
 
-// TestClusterSoakSyncFullZeroLoss is the tentpole acceptance gate: a
+// clusterSoakConfig sizes a cluster soak on the default 5-node RF-3
+// SyncFull node config: a seeded crash schedule (mean cycle a few ms —
+// comfortably longer than a failover, so promotions complete between
+// kills) plus soakPartitions, and no restart operator.
+func clusterSoakConfig(seed int64, horizonNs int64) RollingConfig {
+	nc := node.DefaultConfig()
+	nc.Protocol.Seed = seed
+	nc.Protocol.Crash = node.CrashSpec{
+		MeanUptimeNs:    4_000_000,
+		MinUptimeNs:     2_500_000,
+		RestartDelayNs:  400_000,
+		RestartJitterNs: 200_000,
+		HorizonNs:       horizonNs,
+	}
+	nc.Application.Workload = node.WorkloadConfig{Workers: 3, Writes: int(horizonNs / 400_000), PaceNs: 300_000}
+	return RollingConfig{Node: nc, Faults: soakPartitions}
+}
+
+// mustSoak runs one cluster soak and fails the test on a boot error.
+func mustSoak(t *testing.T, rc RollingConfig) *RollingResult {
+	t.Helper()
+	res, err := RollingSoak(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestClusterSoakSyncFullZeroLoss is the crash-and-partition gate: a
 // 5-node RF-3 cluster under seeded primary kills and link partitions
 // loses zero acknowledged SyncFull writes, cluster-wide. The audit
 // checks every acked key against its shard's authority replica — the
@@ -53,20 +59,20 @@ func TestClusterSoakSyncFullZeroLoss(t *testing.T) {
 		horizon = 15_000_000
 		minCrashes = 6
 	}
-	cfg := clusterSoakConfig(211, lmdb.SyncFull, horizon)
-	res := ClusterSoak(cfg)
-	cfg.RF = 1
-	if rf1 := ClusterSoak(cfg); rf1.Promotions != 0 || len(rf1.Crashes) == 0 {
+	rc := clusterSoakConfig(211, horizon)
+	res := mustSoak(t, rc)
+	rc.Node.Protocol.RF = 1
+	if rf1 := mustSoak(t, rc); rf1.Promotions != 0 || len(rf1.Crashes) == 0 {
 		t.Errorf("RF 1 promoted %d times across %d crashes, want none: a lone replica has no successor", rf1.Promotions, len(rf1.Crashes))
 	}
-	cfg.RF = 2
+	rc.Node.Protocol.RF = 2
 	func() {
 		defer func() {
 			if msg, _ := recover().(string); !strings.Contains(msg, cluster.RF2Refusal) {
 				t.Errorf("RF 2 soak: recovered %q, want it refused with %q", msg, cluster.RF2Refusal)
 			}
 		}()
-		ClusterSoak(cfg)
+		RollingSoak(rc)
 	}()
 	if res.Incomplete != 0 {
 		t.Fatalf("%d workers never finished (watchdog fired)\n%s", res.Incomplete, res.Report())
@@ -96,9 +102,9 @@ func TestClusterSoakSyncFullZeroLoss(t *testing.T) {
 // its seed — two same-seed runs produce byte-identical reports, crash
 // log, partition schedule, failovers, write digest and all.
 func TestClusterSoakDeterministic(t *testing.T) {
-	cfg := clusterSoakConfig(227, lmdb.SyncFull, 12_000_000)
-	a := ClusterSoak(cfg).Report()
-	b := ClusterSoak(cfg).Report()
+	rc := clusterSoakConfig(227, 12_000_000)
+	a := mustSoak(t, rc).Report()
+	b := mustSoak(t, rc).Report()
 	if a != b {
 		t.Fatalf("same-seed cluster soaks diverged:\n--- run 1:\n%s\n--- run 2:\n%s", a, b)
 	}
@@ -106,9 +112,7 @@ func TestClusterSoakDeterministic(t *testing.T) {
 		return
 	}
 	// And a different seed genuinely reshuffles the run.
-	cfg2 := cfg
-	cfg2.Seed = 229
-	if c := ClusterSoak(cfg2).Report(); c == a {
+	if c := mustSoak(t, clusterSoakConfig(229, 12_000_000)).Report(); c == a {
 		t.Errorf("different seeds produced identical reports")
 	}
 }

@@ -1,10 +1,13 @@
 package chaos
 
 import (
+	"bytes"
 	"fmt"
+	"hash/fnv"
 	"strings"
 
 	"hatrpc/internal/cluster"
+	"hatrpc/internal/engine"
 	"hatrpc/internal/hatkv"
 	"hatrpc/internal/node"
 	"hatrpc/internal/obs"
@@ -12,22 +15,42 @@ import (
 	"hatrpc/internal/simnet"
 )
 
-// RollingConfig parameterizes a rolling-restart soak: an N-node HatNode
-// cluster (internal/node) restarts nodes one at a time — drain → stop →
-// reboot → rejoin → resync — while retry-until-acked workers run.
-// Rounds 0 degenerates to a plain soak with no restart operator — the
-// baseline for byte-identity checks and cmd/hatnode's non-rolling run.
+// RollingConfig parameterizes the cluster soak: an N-node HatNode
+// cluster (internal/node) under retry-until-acked workers, the node
+// config's seeded crash plan and an optional partition/fault plan, with
+// nodes restarted one at a time — drain → stop → reboot → rejoin →
+// resync — for Rounds passes. Rounds 0 runs no restart operator: the
+// crash-and-partition soak, and cmd/hatnode's non-rolling run.
 type RollingConfig struct {
 	Node   *node.Config // nil = node.DefaultConfig()
 	Rounds int          // full passes over all servers; 0 = no restarts
 	// Graceful selects drain-then-stop; false hard-kills each node (the
-	// PR 8 failover path) for the contrast benchmark.
+	// post-mortem failover path) for the contrast benchmark.
 	Graceful        bool
 	DrainDeadlineNs int64 // 0 = Node.Application.DrainDeadlineNs
 	RestartDelayNs  int64 // down time before reboot (default 400us)
 	StaggerNs       int64 // settle time after each reboot (default 1.6ms)
 	WarmupNs        int64 // before the first stop (default 1ms)
-	Reg             *obs.Registry
+	// Faults is the partition/fault plan over the fabric (node ids are
+	// server indexes 0..Servers-1; the client is node Servers).
+	Faults simnet.FaultConfig
+	Reg    *obs.Registry
+}
+
+// NodeCrash is one executed server crash.
+type NodeCrash struct {
+	Node int
+	At   sim.Time
+}
+
+// ClusterWrite is one acknowledged cluster write: when it was first
+// attempted and when its ack reached the worker. Lost is filled by the
+// audit against the shard's authority replica.
+type ClusterWrite struct {
+	Key     string
+	StartAt sim.Time
+	AckAt   sim.Time
+	Lost    bool
 }
 
 // RestartCycle is one node's stop/reboot cycle and its client-visible
@@ -50,20 +73,39 @@ type RestartCycle struct {
 // refreshes).
 const rollingStallNs = 100_000
 
-// RollingResult is the audited outcome: the ClusterResult loss audit
-// plus the per-cycle restart economics.
+// RollingResult is the audited outcome: every acked write checked
+// against its shard's authority replica, plus the per-cycle restart
+// economics.
 type RollingResult struct {
-	ClusterResult
-	Cycles []RestartCycle
+	Crashes []NodeCrash
+	Writes  []ClusterWrite
+	Cycles  []RestartCycle
+
+	Acked      int
+	Lost       int // acked writes absent from their shard's authority replica
+	Incomplete int // workers still unfinished when the watchdog fired
+
+	GetChecks     int
+	GetMismatches int // read-backs returning wrong bytes — always a bug
+	FailedPuts    int64
 
 	Graceful    bool
 	StalledPuts int   // acked puts that exceeded rollingStallNs
 	ErrWindowNs int64 // summed stall excess across all cycles
 
+	// Cluster lifecycle, summed over every boot of every server.
+	cluster.NodeStats
+	// Shard-map refreshes, summed over the workers' clients.
+	Refreshes int64
+
 	// Lifecycle totals from the node layer.
 	Drains          int64
 	Escalations     int64
 	DrainedRequests int64 // requests fenced with the typed draining reply
+
+	// Per-shard final durable position at the authority replica.
+	ShardEpochs []uint64
+	ShardSeqs   []uint64
 }
 
 // Availability is acked puts over all put outcomes (acked + failed).
@@ -77,9 +119,14 @@ func (r *RollingResult) Availability() float64 {
 	return float64(r.Acked) / total
 }
 
-// RollingSoak runs one rolling-restart soak to completion and audits
-// it: every acked write must survive at its shard's authority replica,
-// and the per-cycle error-visible windows quantify what clients saw.
+// RollingSoak runs one cluster soak to completion and audits it: every
+// server boots through node.New, every worker write is retried until
+// acked, and at the end every acked write must be present at its
+// shard's authority replica — the replica with the maximum durable
+// (epoch, seq). Under SyncFull and RF ≥ 2 the epoch-fencing argument
+// makes any loss a protocol bug, crashes, partitions and restarts
+// notwithstanding; the per-cycle error-visible windows quantify what
+// clients saw.
 func RollingSoak(rc RollingConfig) (*RollingResult, error) {
 	nc := rc.Node
 	if nc == nil {
@@ -103,33 +150,82 @@ func RollingSoak(rc RollingConfig) (*RollingResult, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
+	ccfg, wl, crash := nc.ClusterConfig(), nc.Application.Workload, nc.Protocol.Crash
 
+	env := sim.NewEnv(nc.Protocol.Seed)
+	fabric := simnet.DefaultConfig()
+	fabric.Nodes = servers + 1
+	cl := simnet.NewCluster(env, fabric)
+	roster := make([]*simnet.Node, servers)
+	for i := range roster {
+		roster[i] = cl.Node(i)
+	}
 	res := &RollingResult{Graceful: rc.Graceful}
 	hats := make([]*node.HatNode, servers)
-	ccfg, wl, crash := nc.ClusterConfig(), nc.Application.Workload, nc.Protocol.Crash
-	cs := soakSpec{
-		seed: nc.Protocol.Seed, servers: servers, ccfg: ccfg,
-		crash: simnet.CrashConfig{
-			Nodes: ccfg.NodeIDs, MeanUptimeNs: crash.MeanUptimeNs, MinUptimeNs: crash.MinUptimeNs,
-			RestartDelayNs: crash.RestartDelayNs, RestartJitterNs: crash.RestartJitterNs,
-			HorizonNs: crash.HorizonNs,
-		},
-		workers: wl.Workers, writes: wl.Writes, paceNs: wl.PaceNs,
-		// Sized from the workload so legitimate long runs are never cut short.
-		watchdogNs: 4 * (rc.WarmupNs +
-			int64(rc.Rounds)*int64(servers)*(drainDL+rc.RestartDelayNs+rc.StaggerNs) +
-			int64(wl.Writes)*(wl.PaceNs+1_000_000)),
-		boot: func(i int, sn *simnet.Node, roster []*simnet.Node) (*hatkv.Store, func() cluster.NodeStats, error) {
-			h, err := node.New(sn, roster, i, nc, reg)
-			if err != nil {
-				return nil, nil, err
+	for i, sn := range roster {
+		h, err := node.New(sn, roster, i, nc, reg)
+		if err != nil {
+			return nil, err
+		}
+		hats[i] = h
+		// Crash log, registered after the node so its rollback and
+		// lifecycle hooks run first; re-arms itself across boots.
+		var logCrash func()
+		logCrash = func() {
+			res.Crashes = append(res.Crashes, NodeCrash{Node: i, At: env.Now()})
+			sn.OnCrash(logCrash)
+		}
+		sn.OnCrash(logCrash)
+	}
+	cl.InstallCrashes(simnet.CrashConfig{
+		Nodes: ccfg.NodeIDs, MeanUptimeNs: crash.MeanUptimeNs, MinUptimeNs: crash.MinUptimeNs,
+		RestartDelayNs: crash.RestartDelayNs, RestartJitterNs: crash.RestartJitterNs,
+		HorizonNs: crash.HorizonNs,
+	})
+	cl.InstallFaults(rc.Faults)
+
+	cliEng := engine.New(cl.Node(servers), node.EngineConfig())
+	var clients []*cluster.Client
+	workersDone, opsDone := 0, rc.Rounds == 0
+	maybeStop := func() {
+		if opsDone && workersDone == wl.Workers {
+			env.Stop()
+		}
+	}
+	for w := 0; w < wl.Workers; w++ {
+		env.Spawn(fmt.Sprintf("soak-worker-%d", w), func(p *sim.Proc) {
+			c := cluster.NewClient(cliEng, roster, ccfg)
+			clients = append(clients, c)
+			for i := 0; i < wl.Writes; i++ {
+				key := fmt.Sprintf("w%02d-%05d", w, i)
+				start := p.Now()
+				for {
+					if err := c.Put(p, key, []byte(key)); err == nil {
+						res.Writes = append(res.Writes, ClusterWrite{Key: key, StartAt: start, AckAt: p.Now()})
+						break
+					}
+					res.FailedPuts++
+					p.Sleep(250_000) // outage in progress; back off and re-ack
+				}
+				if i%5 == 4 {
+					// Read-back: an answer must be the exact bytes written
+					// (acked writes never roll back under quorum replication).
+					res.GetChecks++
+					v, err := c.Get(p, key)
+					if err == nil && !bytes.Equal(v, []byte(key)) {
+						res.GetMismatches++
+					}
+				}
+				if wl.PaceNs > 0 {
+					p.Sleep(sim.Duration(wl.PaceNs))
+				}
 			}
-			hats[i] = h
-			return h.Store(), h.Stats, nil
-		},
+			workersDone++
+			maybeStop()
+		})
 	}
 	if rc.Rounds > 0 {
-		cs.operate = func(p *sim.Proc, cl *simnet.Cluster) {
+		env.Spawn("soak-ops", func(p *sim.Proc) {
 			p.Sleep(sim.Duration(rc.WarmupNs))
 			for round := 0; round < rc.Rounds; round++ {
 				for i := 0; i < servers; i++ {
@@ -149,19 +245,55 @@ func RollingSoak(rc RollingConfig) (*RollingResult, error) {
 					p.Sleep(sim.Duration(rc.StaggerNs))
 				}
 			}
-		}
+			opsDone = true
+			maybeStop()
+		})
 	}
-	if err := cs.soak(&res.ClusterResult); err != nil {
-		return nil, err
-	}
+	// Watchdog: the soak stops even if a worker wedges, and the audit
+	// reports the unfinished workers. Sized from the workload so
+	// legitimate long runs are never cut short.
+	env.At(sim.Time(4*(rc.WarmupNs+
+		int64(rc.Rounds)*int64(servers)*(drainDL+rc.RestartDelayNs+rc.StaggerNs)+
+		int64(wl.Writes)*(wl.PaceNs+1_000_000))), env.Stop)
+	env.Run()
 
-	for _, h := range hats {
+	res.Incomplete = wl.Workers - workersDone
+	stores := make([]*hatkv.Store, servers)
+	for i, h := range hats {
+		stores[i] = h.Store()
+		res.NodeStats.Add(h.Stats())
 		res.DrainedRequests += h.Drained()
+	}
+	for _, c := range clients {
+		res.Refreshes += c.Stats().Refreshes
 	}
 	res.Drains = reg.Counter("node.drains").Value()
 	res.Escalations = reg.Counter("node.drain_escalations").Value()
+	auditCluster(res, ccfg, stores)
 	fillCycleEconomics(res, hats)
 	return res, nil
+}
+
+// auditCluster checks every acked write against its shard's authority
+// replica and records the final durable shard positions.
+func auditCluster(res *RollingResult, ccfg cluster.Config, stores []*hatkv.Store) {
+	nshards := cluster.NumShards(ccfg)
+	auth := make([]int, nshards)
+	res.ShardEpochs = make([]uint64, nshards)
+	res.ShardSeqs = make([]uint64, nshards)
+	for s := 0; s < nshards; s++ {
+		auth[s] = cluster.ShardAuthority(ccfg, stores, s)
+		res.ShardEpochs[s], res.ShardSeqs[s] = cluster.ShardPosition(stores[auth[s]], s)
+	}
+	for i := range res.Writes {
+		w := &res.Writes[i]
+		res.Acked++
+		shard := cluster.ShardOf(w.Key, nshards)
+		if !cluster.StoreHas(stores[auth[shard]], shard, w.Key) {
+			w.Lost = true
+			res.Lost++
+		}
+	}
 }
 
 // fillCycleEconomics derives per-cycle ReadyAt, RecoveryNs, and
@@ -203,8 +335,9 @@ func fillCycleEconomics(res *RollingResult, hats []*node.HatNode) {
 }
 
 // Report renders the audited outcome deterministically — two same-seed
-// soaks must produce byte-identical reports, cycle timings and write
-// digest included.
+// soaks must produce byte-identical reports, cycle timings, final shard
+// positions and write digest included. The write log is folded into an
+// FNV-1a digest.
 func (r *RollingResult) Report() string {
 	var b strings.Builder
 	mode := "hard-kill"
@@ -224,6 +357,15 @@ func (r *RollingResult) Report() string {
 		fmt.Fprintf(&b, "  node=%d round=%d stop=%d down=%d ready=%d esc=%v crash=%v errw=%d recov=%d\n",
 			c.Node, c.Round, c.StopAt, c.DownAt, c.ReadyAt, c.Escalated, c.Crashed, c.ErrWindowNs, c.RecoveryNs)
 	}
-	r.reportTail(&b)
+	fmt.Fprintf(&b, "shards:")
+	for s := range r.ShardEpochs {
+		fmt.Fprintf(&b, " e%d/s%d", r.ShardEpochs[s], r.ShardSeqs[s])
+	}
+	fmt.Fprintf(&b, "\n")
+	h := fnv.New64a()
+	for _, w := range r.Writes {
+		fmt.Fprintf(h, "%s|%d|%v\n", w.Key, w.AckAt, w.Lost)
+	}
+	fmt.Fprintf(&b, "writes_digest=%016x\n", h.Sum64())
 	return b.String()
 }

@@ -126,3 +126,26 @@ func TestRollingSoakUnderCrashPlan(t *testing.T) {
 			len(res.Crashes), len(res.Cycles))
 	}
 }
+
+// TestRollingSoakUnderPartitions restarts every node once — drained or
+// hard-killed — while the cluster soak's split-brain partitions come and
+// go: no acked write may be lost, every put must be served, and every
+// node must come back to ready.
+func TestRollingSoakUnderPartitions(t *testing.T) {
+	for _, graceful := range []bool{true, false} {
+		res := mustSoak(t, RollingConfig{Rounds: 1, Graceful: graceful, Faults: soakPartitions})
+		if res.Incomplete != 0 || res.Lost != 0 || res.GetMismatches != 0 {
+			t.Errorf("incomplete=%d lost=%d mismatches=%d, want all 0:\n%s",
+				res.Incomplete, res.Lost, res.GetMismatches, res.Report())
+		}
+		if av := res.Availability(); av != 1 {
+			t.Errorf("availability %.4f (failed_puts=%d), want 1.0000:\n%s", av, res.FailedPuts, res.Report())
+		}
+		for _, c := range res.Cycles {
+			if c.ReadyAt <= c.DownAt {
+				t.Errorf("graceful=%v: node %d never returned to ready (down=%d ready=%d)",
+					graceful, c.Node, c.DownAt, c.ReadyAt)
+			}
+		}
+	}
+}

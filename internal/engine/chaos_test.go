@@ -316,7 +316,7 @@ func chaosTrace(t *testing.T, seed int64, plan *simnet.FaultConfig, deadline sim
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	buf.WriteString(reg.Render())
+	buf.WriteString(reg.Exposition())
 	return buf.Bytes()
 }
 

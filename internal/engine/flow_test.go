@@ -438,7 +438,7 @@ func flowTrace(t *testing.T, seed int64, arm bool) []byte {
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	buf.WriteString(reg.Render())
+	buf.WriteString(reg.Exposition())
 	return buf.Bytes()
 }
 

@@ -250,7 +250,7 @@ func TestObsDoesNotMoveTheClock(t *testing.T) {
 }
 
 // runObservedWorkload drives a small multi-protocol workload with a
-// registry+tracer attached and returns the rendered instrument tables
+// registry+tracer attached and returns the exposition
 // plus the trace JSON.
 func runObservedWorkload(t *testing.T, seed int64) (string, []byte, *obs.Registry) {
 	t.Helper()
@@ -275,7 +275,7 @@ func runObservedWorkload(t *testing.T, seed int64) (string, []byte, *obs.Registr
 	if err := r.Tracer().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return r.Render(), buf.Bytes(), r
+	return r.Exposition(), buf.Bytes(), r
 }
 
 // TestObsCountersPerProtocol checks the per-protocol counter matrix the
@@ -341,12 +341,12 @@ func TestObsCountersPerProtocol(t *testing.T) {
 }
 
 // TestObsOutputDeterministic runs the identical traced workload twice:
-// the rendered tables and the trace JSON must be byte-identical.
+// the exposition and the trace JSON must be byte-identical.
 func TestObsOutputDeterministic(t *testing.T) {
 	render1, trace1, _ := runObservedWorkload(t, 45)
 	render2, trace2, _ := runObservedWorkload(t, 45)
 	if render1 != render2 {
-		t.Fatalf("instrument tables differ across identical runs:\n--- run1\n%s\n--- run2\n%s", render1, render2)
+		t.Fatalf("expositions differ across identical runs:\n--- run1\n%s\n--- run2\n%s", render1, render2)
 	}
 	if !bytes.Equal(trace1, trace2) {
 		t.Fatal("trace JSON differs across identical runs")

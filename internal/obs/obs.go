@@ -23,9 +23,7 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"hatrpc/internal/stats"
 )
@@ -166,55 +164,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(ks)
 	return ks
-}
-
-// CountersTable renders all counters as an aligned table, sorted by name.
-func (r *Registry) CountersTable() string {
-	tb := stats.NewTable("counter", "value")
-	for _, k := range sortedKeys(r.counters) {
-		tb.Row(k, r.counters[k].v)
-	}
-	return tb.String()
-}
-
-// HistogramsTable renders all histograms (count, mean, p50, p99, max in
-// adaptive time units), sorted by name.
-func (r *Registry) HistogramsTable() string {
-	tb := stats.NewTable("histogram", "n", "avg", "p50", "p99", "max")
-	for _, k := range sortedKeys(r.hists) {
-		s := r.hists[k].Sample()
-		tb.Row(k, s.N(), stats.FormatNs(s.Mean()), stats.FormatNs(s.Percentile(50)),
-			stats.FormatNs(s.Percentile(99)), stats.FormatNs(s.Max()))
-	}
-	return tb.String()
-}
-
-// GaugesTable samples and renders all gauges, sorted by name.
-func (r *Registry) GaugesTable() string {
-	tb := stats.NewTable("gauge", "value")
-	for _, k := range sortedKeys(r.gauges) {
-		tb.Row(k, fmt.Sprintf("%.4f", r.gauges[k].fn()))
-	}
-	return tb.String()
-}
-
-// Render renders every non-empty instrument family.
-func (r *Registry) Render() string {
-	var b strings.Builder
-	if len(r.counters) > 0 {
-		b.WriteString(r.CountersTable())
-	}
-	if len(r.hists) > 0 {
-		if b.Len() > 0 {
-			b.WriteString("\n")
-		}
-		b.WriteString(r.HistogramsTable())
-	}
-	if len(r.gauges) > 0 {
-		if b.Len() > 0 {
-			b.WriteString("\n")
-		}
-		b.WriteString(r.GaugesTable())
-	}
-	return b.String()
 }

@@ -58,29 +58,6 @@ func TestCounterHistogramGaugeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRenderSortedAndStable(t *testing.T) {
-	build := func() string {
-		r := NewRegistry()
-		r.Counter("z.last").Add(2)
-		r.Counter("a.first").Add(1)
-		r.Histogram("h").Observe(1500)
-		r.Gauge("g", func() float64 { return 0.5 })
-		return r.Render()
-	}
-	out := build()
-	if out != build() {
-		t.Fatal("render not deterministic")
-	}
-	if strings.Index(out, "a.first") > strings.Index(out, "z.last") {
-		t.Fatalf("counters not sorted:\n%s", out)
-	}
-	for _, want := range []string{"a.first", "z.last", "1.50µs", "0.5000"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestTraceJSONValidAndDeterministic(t *testing.T) {
 	build := func() []byte {
 		tr := NewTracer()
