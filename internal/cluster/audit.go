@@ -10,21 +10,10 @@ import (
 // audit sees the cluster as the next boot would.
 
 // ShardPosition returns the durable (content epoch, seq) of one shard
-// at one store, or (0, 0) when the store never held the shard.
+// at one store: (1, 0), where every replica starts, when the store never
+// held the shard.
 func ShardPosition(store *hatkv.Store, shard int) (epoch, seq uint64) {
-	txn, err := store.Env().BeginRead()
-	if err != nil {
-		return 0, 0
-	}
-	defer txn.Abort()
-	raw, err := txn.Get([]byte(metaKey(shard)))
-	if err != nil {
-		return 0, 0
-	}
-	m, err := decodeShardMeta(raw)
-	if err != nil {
-		return 0, 0
-	}
+	m := durablePosition(store, shard, shardMeta{Epoch: 1})
 	return m.Epoch, m.Seq
 }
 

@@ -11,32 +11,137 @@ import (
 )
 
 // shardDump renders what store durably holds of shard 0 — what
-// "byte-identical replicas" compares: pos is the content position of the
-// meta record ("" before the first commit), rest its primary, a colon and
-// every record.
+// "byte-identical replicas" compares: pos is its durable position
+// (durablePosition), rest the meta record's primary (p-1 without one), a
+// colon and every record with its stamp.
 func shardDump(t *testing.T, store *hatkv.Store) (pos, rest string) {
+	t.Helper()
+	m := durablePosition(store, 0, shardMeta{Epoch: 1, Primary: -1})
+	txn, err := store.Env().BeginRead()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer txn.Abort()
+	var b strings.Builder
+	fmt.Fprintf(&b, "p%d:", m.Primary)
+	prefix := dataPrefix(0)
+	for c := txn.Seek([]byte(prefix)); c.Valid() && strings.HasPrefix(string(c.Key()), prefix); c.Next() {
+		e, s, v, ok := readStamp(c.Value())
+		if !ok {
+			t.Fatalf("record %q is %d bytes: no stamp", c.Key(), len(c.Value()))
+		}
+		fmt.Fprintf(&b, " %s=%s@e%d/s%d", c.Key()[len(prefix):], v, e, s)
+	}
+	return fmt.Sprintf("e%d/s%d", m.Epoch, m.Seq), b.String()
+}
+
+// hasMeta reports whether store holds shard 0's meta record.
+func hasMeta(t *testing.T, store *hatkv.Store) bool {
 	t.Helper()
 	txn, err := store.Env().BeginRead()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer txn.Abort()
-	raw, err := txn.Get([]byte(metaKey(0)))
-	if err != nil {
-		return "", ""
-	}
-	m, err := decodeShardMeta(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos = fmt.Sprintf("e%d/s%d", m.Epoch, m.Seq)
-	var b strings.Builder
-	fmt.Fprintf(&b, "p%d:", m.Primary)
-	prefix := dataPrefix(0)
-	for c := txn.Seek([]byte(prefix)); c.Valid() && strings.HasPrefix(string(c.Key()), prefix); c.Next() {
-		fmt.Fprintf(&b, " %s=%s", c.Key()[len(prefix):], c.Value())
-	}
-	return pos, b.String()
+	_, err = txn.Get([]byte(metaKey(0)))
+	return err == nil
+}
+
+// TestBackupRestartResumesFromStamps: a shard that never saw a promise or
+// an install has no meta record anywhere, so its position lives only in
+// the stamps of its records. A backup rebooted after N puts recovers seq
+// N from them and applies append N+1 as the next one: no resync.
+func TestBackupRestartResumesFromStamps(t *testing.T) {
+	const puts = 5
+	tc := newTestCluster(t, 79, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})
+	reps := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)
+	prim, backup := reps[0], reps[1]
+	tc.roster[prim].Spawn("driver", func(p *sim.Proc) {
+		defer tc.env.Stop()
+		n := tc.nodes[prim]
+		for i := 1; i <= puts+1; i++ {
+			if i == puts+1 {
+				tc.roster[backup].Crash()
+				tc.roster[backup].Restart()
+				p.Sleep(1_000) // booted
+				if st := tc.nodes[backup].shards[0]; st.epoch != 1 || st.seq != puts || hasMeta(t, tc.stores[backup]) {
+					t.Errorf("rebooted backup at e%d/s%d, meta record %v; want e1/s%d from the stamps alone",
+						st.epoch, st.seq, hasMeta(t, tc.stores[backup]), puts)
+				}
+			}
+			if resp := putAt(p, n, "k", []byte{byte('0' + i)}); len(resp) != 1 || resp[0] != stOK {
+				t.Errorf("put %d: %v", i, resp)
+				return
+			}
+		}
+		if st := tc.nodes[backup].shards[0]; st.seq != puts+1 || n.stats.Resyncs != 0 || n.shards[0].suspect[backup] {
+			t.Errorf("after the next put: backup at seq %d, %d resyncs, suspect %v; want seq %d, no resync",
+				st.seq, n.stats.Resyncs, n.shards[0].suspect[backup], puts+1)
+		}
+	})
+	tc.env.Run()
+}
+
+// TestOldEpochStampsDoNotAdvance: a deposed primary's orphan — a record it
+// committed at epoch 1 under a seq no backup ever saw — survives the
+// epoch-2 resync install, since installs only overwrite. Rebooted, the
+// node is at the install's position, not at the orphan's stamp, so the new
+// primary's next append is applied there instead of being taken for a
+// replay of the orphan.
+func TestOldEpochStampsDoNotAdvance(t *testing.T) {
+	tc := newTestCluster(t, 83, 3, Config{NShards: 1, RF: 3})
+	old := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)[0]
+	tc.env.Spawn("driver", func(p *sim.Proc) {
+		defer tc.env.Stop()
+		c := NewClient(tc.cliEng, tc.roster, tc.cfg)
+		if err := c.Put(p, "k", []byte("v1")); err != nil {
+			t.Errorf("put: %v", err)
+			return
+		}
+		n, st := tc.nodes[old], tc.nodes[old].shards[0]
+		st.mu.Lock(p)
+		err := n.applyWrite(p, st, []byte("orphan"), []byte("x"), st.seq+1)
+		st.mu.Unlock()
+		if err != nil {
+			t.Errorf("orphan write: %v", err)
+			return
+		}
+		tc.roster[old].Crash()
+		wait := func(what string, done func() bool) bool {
+			for tick := 0; !done(); tick++ {
+				if tick == 40 {
+					t.Errorf("%s: not within 40 probe intervals", what)
+					return false
+				}
+				p.Sleep(sim.Duration(tc.cfg.ProbeIntervalNs))
+			}
+			return true
+		}
+		if !wait("promotion", func() bool { return tc.totalPromotions() > 0 }) {
+			return
+		}
+		tc.roster[old].Restart()
+		if !wait("resync of the old primary", func() bool { return tc.nodes[old].shards[0].epoch == 2 }) {
+			return
+		}
+		tc.roster[old].Crash()
+		tc.roster[old].Restart()
+		p.Sleep(1_000) // booted
+		if pos, rest := shardDump(t, tc.stores[old]); pos != "e2/s1" || !strings.Contains(rest, " orphan=x@e1/s2") {
+			t.Errorf("rebooted old primary holds %s %s; want e2/s1 beside the orphan stamped e1/s2", pos, rest)
+		}
+		if err := c.Put(p, "k", []byte("v2")); err != nil {
+			t.Errorf("put through the new primary: %v", err)
+			return
+		}
+		// A put whose first attempt outlived the client's deadline (the lane
+		// to the rebooted node re-dials) is applied again under the next seq.
+		at := fmt.Sprintf("e2/s%d", tc.nodes[c.View().Shards[0].Primary].shards[0].seq)
+		if pos, rest := shardDump(t, tc.stores[old]); pos != at || !strings.Contains(rest, " k=v2@"+at) {
+			t.Errorf("old primary holds %s %s after the new primary's appends; want k=v2@%s applied", pos, rest, at)
+		}
+	})
+	tc.env.Run()
 }
 
 // totalPromotions sums the current boots' won candidacies.
@@ -163,7 +268,7 @@ func TestLocalApplyFailureAfterShipFences(t *testing.T) {
 			t.Errorf("get at the re-elected primary: %q, want v2 (the shipped append, adopted from a backup)", resp)
 		}
 		for i, store := range tc.stores {
-			if pos, rest := shardDump(t, store); pos != "e2/s2" || rest != fmt.Sprintf("p%d: k=v2", prim) {
+			if pos, rest := shardDump(t, store); pos != "e2/s2" || rest != fmt.Sprintf("p%d: k=v2@e1/s2", prim) {
 				t.Errorf("store %d holds %s %s", i, pos, rest)
 			}
 		}
@@ -176,7 +281,7 @@ var syncName = map[lmdb.SyncMode]string{lmdb.SyncFull: "SyncFull", lmdb.SyncMeta
 // crashRun is one schedule of TestPutCrashPointsConverge.
 type crashRun struct {
 	sync   lmdb.SyncMode
-	first  bool  // the interrupted put is the shard's first append: no meta record yet
+	first  bool  // the interrupted put is the shard's first append: no record yet
 	offset int64 // crash the primary this long after its handler entered; < 0: never
 	late   bool  // restart it after a survivor promoted, not inside the detector window
 }
@@ -207,9 +312,6 @@ func (r crashRun) run(t *testing.T) (putNs int64) {
 	observe := func() {
 		for i, s := range tc.stores {
 			pos, rest := shardDump(t, s)
-			if pos == "" {
-				continue
-			}
 			_, recs, _ := strings.Cut(rest, ":")
 			if was, seen := content[pos]; !seen {
 				content[pos] = recs
@@ -282,7 +384,7 @@ func (r crashRun) run(t *testing.T) (putNs int64) {
 			p.Sleep(sim.Duration(tc.cfg.ProbeIntervalNs))
 		}
 		observe()
-		if !strings.HasSuffix(image(0), ": k=v3") {
+		if !strings.Contains(image(0), ": k=v3@") {
 			fail("store 0 holds %q: the acked k=v3 is not there", image(0))
 		}
 		for i := 1; i < 3; i++ {

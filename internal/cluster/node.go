@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -62,7 +63,7 @@ func (c Config) withDefaults() Config {
 }
 
 // shardState is one shard's in-memory state at one replica, rebuilt
-// from the durable meta record on every boot. Content fields mirror
+// from its durable position (durablePosition) on every boot. Content fields mirror
 // what the local store holds; learned fields are routing hearsay
 // (always ≥ content) served to clients and used to demote deposed
 // primaries.
@@ -90,7 +91,7 @@ type shardState struct {
 
 	promised   uint64 // durable candidacy promise (mirrors meta)
 	promisedBy int
-	meta       []byte // record's buffer: the encoded meta record of the write in flight
+	rec        []byte // the store record in flight: a meta record (record) or a stamped data record (applyWrite)
 
 	// mu serializes writes, installs and candidacy on this shard at
 	// this replica. Lock order: shard mu → session mu, never reversed.
@@ -195,7 +196,7 @@ func NewUnservedNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.No
 			mu:             sim.NewMutex(env),
 			suspect:        make(map[int]bool),
 			repl:           make([]replJob, 0, len(reps)),
-			meta:           make([]byte, 0, metaLen),
+			rec:            make([]byte, 0, metaLen),
 			replDone:       sim.NewSignal(env),
 		}
 		n.recoverMeta(st)
@@ -228,24 +229,10 @@ func (n *Node) SetObs(r *obs.Registry) {
 	n.backupAhead = r.Counter("cluster.backup_ahead")
 }
 
-// recoverMeta loads the shard's durable meta record, if any: a restart
-// resumes at the exact (epoch, primary, seq, promise) its surviving
-// data belongs to. Reads the backing env directly — recovery happens at
-// boot, outside any simulated request.
+// recoverMeta loads the shard's durable position: a restart resumes at
+// the exact (epoch, primary, seq, promise) its surviving data belongs to.
 func (n *Node) recoverMeta(st *shardState) {
-	txn, err := n.store.Env().BeginRead()
-	if err != nil {
-		return
-	}
-	defer txn.Abort()
-	raw, err := txn.Get([]byte(st.metaKey))
-	if err != nil {
-		return
-	}
-	m, err := decodeShardMeta(raw)
-	if err != nil {
-		return
-	}
+	m := durablePosition(n.store, st.id, st.position())
 	// A durable record can only move the shard forward. At boot (the
 	// only call site) st holds the epoch-1 defaults, so the fence is a
 	// no-op there; it makes recoverMeta safe to call from any future
@@ -261,19 +248,42 @@ func (n *Node) recoverMeta(st *shardState) {
 	st.adoptLearned(m.Epoch, int(m.Primary))
 }
 
-// record renders the shard's durable meta record at seq into st.meta.
-// The buffer is reused by every write under mu, which each caller holds
-// until its store write returns: the store copies the bytes on Put, and a
-// writer that parks copies them before it waits.
-func (st *shardState) record(seq uint64) []byte {
-	st.meta = shardMeta{
-		Epoch:      st.epoch,
-		Primary:    int32(st.primary),
-		Seq:        seq,
-		Promised:   st.promised,
-		PromisedBy: int32(st.promisedBy),
-	}.appendTo(st.meta[:0])
-	return st.meta
+// durablePosition reads one shard's durable position from store: its
+// meta record, or def without one, with Seq advanced by every data
+// record's stamp (shardMeta.advance). It reads the backing env directly,
+// outside simulated time: boots and audits call it, never a request.
+func durablePosition(store *hatkv.Store, shard int, def shardMeta) shardMeta {
+	txn, err := store.Env().BeginRead()
+	if err != nil {
+		return def
+	}
+	defer txn.Abort()
+	m := def
+	if raw, err := txn.Get([]byte(metaKey(shard))); err == nil {
+		if d, err := decodeShardMeta(raw); err == nil {
+			m = d
+		}
+	}
+	prefix := []byte(dataPrefix(shard))
+	for c := txn.Seek(prefix); c.Valid() && bytes.HasPrefix(c.Key(), prefix); c.Next() {
+		m.advance(c.Value())
+	}
+	return m
+}
+
+// position is the shard's in-memory position as its meta record holds it.
+func (st *shardState) position() shardMeta {
+	return shardMeta{Epoch: st.epoch, Primary: int32(st.primary), Seq: st.seq,
+		Promised: st.promised, PromisedBy: int32(st.promisedBy)}
+}
+
+// record renders the shard's meta record into st.rec. The buffer is
+// reused by every write under mu, which each caller holds until its store
+// write returns: the store copies the bytes on Put, and a writer that
+// parks copies them before it waits.
+func (st *shardState) record() []byte {
+	st.rec = st.position().appendTo(st.rec[:0])
+	return st.rec
 }
 
 // adoptLearned folds fresher routing hearsay into the shard (monotone
@@ -317,9 +327,9 @@ func (n *Node) fencedReply() []byte {
 	return []byte{stFenced}
 }
 
-// applyWrite commits one replicated record and the covering meta in a
-// single store transaction, so durability of the data and of its
-// (epoch, seq) position are inseparable under every sync mode.
+// applyWrite commits one replicated record stamped with its (epoch, seq)
+// in one store write, so durability of the data and of its position are
+// inseparable under every sync mode.
 // Fence trips. These mark a caller trying to move a shard backwards —
 // impossible through the current handlers, which all pre-check — and
 // surface as stErr to the peer if a future path forgets to.
@@ -336,10 +346,8 @@ func (n *Node) applyWrite(p *sim.Proc, st *shardState, key, val []byte, seq uint
 	if seq <= st.seq {
 		return errStaleSeq
 	}
-	err := n.store.MultiPut(p, []*kvgen.KVPair{
-		{Key: dataKey(st.prefix, key), Value: val},
-		{Key: st.metaKey, Value: st.record(seq)},
-	})
+	st.rec = appendStamped(st.rec[:0], st.epoch, seq, val)
+	err := n.store.Put(p, dataKey(st.prefix, key), st.rec)
 	if err == nil {
 		// Commit the in-memory position only once the store did: no
 		// transient advance to roll back on failure.
@@ -374,7 +382,7 @@ func (n *Node) applyInstall(p *sim.Proc, st *shardState, q installReq) error {
 	for i := range q.Pairs {
 		pairs = append(pairs, &kvgen.KVPair{Key: q.Pairs[i].Key, Value: q.Pairs[i].Value})
 	}
-	pairs = append(pairs, &kvgen.KVPair{Key: st.metaKey, Value: st.record(st.seq)})
+	pairs = append(pairs, &kvgen.KVPair{Key: st.metaKey, Value: st.record()})
 	if err := n.store.MultiPut(p, pairs); err != nil {
 		*st = prev
 		return err
@@ -395,7 +403,7 @@ func (n *Node) promise(p *sim.Proc, st *shardState, epoch uint64, candidate int)
 	prevE, prevBy := st.promised, st.promisedBy
 	st.promised = epoch
 	st.promisedBy = candidate
-	if err := n.store.Put(p, st.metaKey, st.record(st.seq)); err != nil {
+	if err := n.store.Put(p, st.metaKey, st.record()); err != nil {
 		st.promised, st.promisedBy = prevE, prevBy
 		return err
 	}
@@ -560,13 +568,15 @@ func (n *Node) handleGet(p *sim.Proc, req []byte) []byte {
 	if st.lost() {
 		return n.fencedReply()
 	}
-	v, err := n.store.Get(p, dataKey(st.prefix, q.Key))
+	rec, err := n.store.Get(p, dataKey(st.prefix, q.Key))
 	if errors.Is(err, hatkv.ErrNotFound) {
 		return appendGetResp(replyBuf(p, 2), nil, false)
 	}
-	if err != nil {
-		// A failing store is not an absent key: the client must retry, not
-		// report acknowledged data as deleted.
+	_, _, v, ok := readStamp(rec)
+	if err != nil || !ok {
+		// A failing store, or a record too short for its stamp, is not an
+		// absent key: the client must retry, not report acknowledged data
+		// as deleted.
 		return []byte{stErr}
 	}
 	return appendGetResp(replyBuf(p, 2+len(v)), v, true)

@@ -61,9 +61,10 @@ func TestAppendReusesPutTail(t *testing.T) {
 // the overlap change measured 54 by the same count, 38 before a write txn
 // copied each lmdb node once and each pair into one allocation, 23 before
 // lmdb reused the nodes no snapshot reaches and each shard encoded its
-// meta record into one buffer, and 11 before the dispatcher recycled
-// every request and the primary handed its backups' acks back.
-const putPathAllocs = 9
+// meta record into one buffer, 11 before the dispatcher recycled every
+// request and the primary handed its backups' acks back, and 9 before an
+// append became one stamped store write instead of a data and a meta pair.
+const putPathAllocs = 6
 
 func TestPutPathAllocs(t *testing.T) {
 	tc := newTestCluster(t, 53, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})

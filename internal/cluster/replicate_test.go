@@ -431,7 +431,7 @@ func TestShardsOfOneNodeShareStoreCommits(t *testing.T) {
 	}
 	for i, store := range tc.stores {
 		st := store.Env().Stats
-		writes, commits := (st.Puts-before[i].Puts)/2, st.Commits-before[i].Commits // data + meta record per write
+		writes, commits := st.Puts-before[i].Puts, st.Commits-before[i].Commits
 		if writes != shards*puts {
 			t.Errorf("node %d applied %d writes, want %d (RF 3 on 3 nodes)", i, writes, shards*puts)
 		}
@@ -449,9 +449,10 @@ func TestShardsOfOneNodeShareStoreCommits(t *testing.T) {
 			if got := tc.nodes[i].shards[s].seq; got != puts {
 				t.Errorf("node %d shard %d at seq %d, want %d", i, s, got, puts)
 			}
-			v, err := txn.Get([]byte(dataPrefix(s) + "k"))
-			if want := fmt.Sprintf("v%d-%d", s, puts); err != nil || string(v) != want {
-				t.Errorf("node %d shard %d holds %q (%v), want %q", i, s, v, err, want)
+			rec, err := txn.Get([]byte(dataPrefix(s) + "k"))
+			e, seq, v, _ := readStamp(rec)
+			if want := fmt.Sprintf("v%d-%d", s, puts); err != nil || string(v) != want || e != 1 || seq != puts {
+				t.Errorf("node %d shard %d holds %q@e%d/s%d (%v), want %q@e1/s%d", i, s, v, e, seq, err, want, puts)
 			}
 		}
 	}

@@ -214,23 +214,56 @@ func (m *ShardMap) Merge(o *ShardMap) {
 }
 
 // ---------------------------------------------------------------------------
-// Durable per-shard meta record.
+// Durable per-shard position: stamped data records and the meta record.
 //
-// One record per shard per replica, committed in the SAME transaction
-// as the data it covers, so a restart recovers the exact (epoch,
-// primary, seq) its surviving data corresponds to. The promise pair is
-// the durable half of candidacy fencing: a replica that promised epoch
-// E refuses every write below E even across its own crash–restart —
-// volatile fences would forget the promise exactly when it matters.
+// Every data record is stamped with the (epoch, seq) of the append that
+// wrote it, in front of its user bytes, so an append is one store write.
+// The meta record — one per shard per replica — is written only by a
+// candidacy promise and by an install, each with the seq of that moment.
+// The durable position is the meta record's, or the epoch-1 defaults
+// without one, with Seq advanced to the highest stamp of that epoch among
+// the shard's records (durablePosition). A stamp of another epoch is a
+// record an install carried over, or an orphan of a deposed view: it says
+// nothing about this one. The promise pair is the durable half of
+// candidacy fencing: a replica that promised epoch E refuses every write
+// below E even across its own crash–restart — volatile fences would
+// forget the promise exactly when it matters.
 
-const metaLen = 8 + 4 + 8 + 8 + 4
+const (
+	metaLen  = 8 + 4 + 8 + 8 + 4
+	stampLen = 8 + 8 // epoch, seq in front of a data record's user bytes
+)
 
 type shardMeta struct {
 	Epoch      uint64 // content epoch: the view this replica's data belongs to
 	Primary    int32  // that view's primary
-	Seq        uint64 // last replication seq applied in that view
+	Seq        uint64 // seq when the record was written; later appends of the epoch are stamped on their data records
 	Promised   uint64 // highest epoch durably promised to a candidate
 	PromisedBy int32  // the candidate holding the promise
+}
+
+// appendStamped renders a data record onto b: the stamp, then val.
+func appendStamped(b []byte, epoch, seq uint64, val []byte) []byte {
+	b = slices.Grow(b, stampLen+len(val))
+	return append(putU64(putU64(b, epoch), seq), val...)
+}
+
+// readStamp splits a data record into its stamp and user bytes; ok is
+// false for a record too short to carry a stamp.
+func readStamp(rec []byte) (epoch, seq uint64, val []byte, ok bool) {
+	if len(rec) < stampLen {
+		return 0, 0, nil, false
+	}
+	return binary.BigEndian.Uint64(rec), binary.BigEndian.Uint64(rec[8:]), rec[stampLen:], true
+}
+
+// advance folds one data record into the position: a stamp of its epoch
+// past its seq moves the seq there. A short record or another epoch's
+// stamp leaves the position as it is.
+func (m *shardMeta) advance(rec []byte) {
+	if e, s, _, ok := readStamp(rec); ok && e == m.Epoch && s > m.Seq {
+		m.Seq = s
+	}
 }
 
 // appendTo renders the record onto b.

@@ -41,9 +41,9 @@ func FuzzShardMapDecode(f *testing.F) {
 	})
 }
 
-// replyDecoders are the seven decoders a node or client runs over bytes a
-// peer sent: each is handed a message, reports whether it decoded, and
-// checks what it decoded against the caps in wire.go.
+// replyDecoders are the decoders a node or client runs over bytes a peer
+// sent or a store holds: each is handed a message, reports whether it
+// decoded, and checks what it decoded against the caps in wire.go.
 var replyDecoders = []struct {
 	name  string
 	valid []byte
@@ -91,6 +91,26 @@ var replyDecoders = []struct {
 		checkKV(t, q)
 		return err == nil
 	}},
+	// A stored data record ends in the user bytes: only the stamp can be
+	// cut short.
+	{"readStamp", appendStamped(nil, 3, 9, nil), false, checkStamp},
+}
+
+// checkStamp: a data record folded into an epoch-3 position at seq 5 never
+// lowers it or changes its epoch, and raises it only to the record's own
+// stamp of epoch 3.
+func checkStamp(t *testing.T, b []byte) bool {
+	e, s, v, ok := readStamp(b)
+	m := shardMeta{Epoch: 3, Seq: 5}
+	m.advance(b)
+	want := uint64(5)
+	if ok && e == 3 && s > 5 {
+		want = s
+	}
+	if m.Epoch != 3 || m.Seq != want || (ok && len(v) != len(b)-stampLen) {
+		t.Fatalf("record %x moved e3/s5 to e%d/s%d (want s%d) with %d user bytes", b, m.Epoch, m.Seq, want, len(v))
+	}
+	return ok
 }
 
 // checkGetResp: a read reply decodes to a value only when it says found.
@@ -149,8 +169,9 @@ func TestReplyDecodersRejectCutAndOverlong(t *testing.T) {
 	}
 }
 
-// FuzzClusterDecoders hands arbitrary bytes to the seven decoders: none may
-// panic, and whatever one accepts stays inside the caps of wire.go.
+// FuzzClusterDecoders hands arbitrary bytes to the decoders: none may
+// panic, whatever one accepts stays inside the caps of wire.go, and no
+// data record moves a position backwards or to another epoch's stamp.
 func FuzzClusterDecoders(f *testing.F) {
 	for _, d := range replyDecoders {
 		f.Add(d.valid)

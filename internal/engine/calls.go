@@ -417,7 +417,7 @@ func (c *Conn) fetchRFPUntil(p *sim.Proc, busy bool, until sim.Time) ([]byte, bo
 			continue
 		}
 		h := getHdr(b)
-		if h.seq == c.seq && (h.kind == kErr || h.kind == kDrain) {
+		if h.seq == c.seq && rejection(h.kind) {
 			c.noteCredits(h)
 			return nil, false, rejectErr(h.kind)
 		}
@@ -457,22 +457,23 @@ func (c *Conn) noteReadRetry(p *sim.Proc) {
 	}
 }
 
-// kvShedLen / kvDrainLen are the length markers a rejected Pilaf/FaRM
-// request's metadata record carries in place of a real response length:
-// shed under admission control vs fenced during graceful drain. They
-// cannot collide with a genuine response: lengths are bounded by
-// MaxMsgSize.
+// kvShedLen / kvDrainLen / kvBigLen are the length markers a rejected
+// Pilaf/FaRM request's metadata record carries in place of a real response
+// length: shed under admission control, fenced during graceful drain, or
+// answered by a response too large to send. They cannot collide with a
+// genuine response: lengths are bounded by MaxMsgSize.
 const (
 	kvShedLen  = ^uint32(0)
 	kvDrainLen = ^uint32(0) - 1
+	kvBigLen   = ^uint32(0) - 2
 )
 
 // fetchKVUntil is the Pilaf/FaRM client fetch: metaReads metadata READs
 // (two for Pilaf, one for FaRM) followed by one payload READ of the
 // published length. A non-zero until bounds the polling (zero =
 // forever); a failed READ (loss) recovers the QP and keeps polling
-// until the bound. The kvShedLen/kvDrainLen length markers are the
-// server's typed rejections and surface as terminal errors.
+// until the bound. The kvShedLen/kvDrainLen/kvBigLen length markers are
+// the server's typed rejections and surface as terminal errors.
 func (c *Conn) fetchKVUntil(p *sim.Proc, metaReads int, busy bool, until sim.Time) ([]byte, bool, error) {
 	var spun sim.Duration
 	pace := func() {
@@ -497,11 +498,13 @@ func (c *Conn) fetchKVUntil(p *sim.Proc, metaReads int, busy bool, until sim.Tim
 			pace()
 			continue
 		}
-		if rawLen == kvShedLen {
+		switch rawLen {
+		case kvShedLen:
 			return nil, false, ErrOverloaded
-		}
-		if rawLen == kvDrainLen {
+		case kvDrainLen:
 			return nil, false, ErrDraining
+		case kvBigLen:
+			return nil, false, ErrResponseTooLarge
 		}
 		n := int(rawLen)
 		for i := 1; i < metaReads; i++ {
@@ -567,11 +570,22 @@ func (c *Conn) publish(p *sim.Proc, mr *verbs.MR, h hdr, payload []byte) {
 	c.putHdrC(buf, h) // header (with seq stamp) written last
 }
 
+// respond answers a served request on the response channel the client
+// watches: with its response, or with the kBig refusal Server.dispatch
+// put in the place of one too large to send.
+func (c *Conn) respond(p *sim.Proc, a Arrival, resp []byte, busy bool) {
+	if a.Kind == kBig {
+		c.sendReject(p, a, kBig)
+		return
+	}
+	c.sendResponse(p, a, resp, busy)
+}
+
 // sendReject answers a rejected request with a typed header-only marker
-// (kErr for admission sheds, kDrain for the graceful-drain fence) on
-// whatever response channel the client is watching. Header-only on
-// every path — the whole point of rejecting is that it costs the server
-// ~nothing.
+// (kErr for admission sheds, kDrain for the graceful-drain fence, kBig for
+// a response over MaxMsgSize) on whatever response channel the client is
+// watching. Header-only on every path — the whole point of rejecting is
+// that it costs the server ~nothing.
 func (c *Conn) sendReject(p *sim.Proc, a Arrival, kind byte) {
 	c.recoverQP(p)
 	respProto := hybridSwitch(a.RespProto, 0)
@@ -581,8 +595,11 @@ func (c *Conn) sendReject(p *sim.Proc, a Arrival, kind byte) {
 		c.putHdrC(c.rfpOutMR.Bytes(), h) // client's poll sees the marker at its seq
 	case Pilaf, FaRM:
 		mark := kvShedLen
-		if kind == kDrain {
+		switch kind {
+		case kDrain:
 			mark = kvDrainLen
+		case kBig:
+			mark = kvBigLen
 		}
 		meta := c.kvMetaMR.Bytes()
 		binary.LittleEndian.PutUint32(meta[4:], mark)

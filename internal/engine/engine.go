@@ -160,6 +160,7 @@ type engineMetrics struct {
 	retries          *obs.Counter
 	deadlineExceeded *obs.Counter
 	dupRequests      *obs.Counter
+	oversizeResps    *obs.Counter // handler responses over MaxMsgSize, refused typed
 	qpRecoveries     *obs.Counter
 	rto              *obs.Histogram // the timer armed per attempt of a deadline-bounded call
 
@@ -200,6 +201,7 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		retries:          r.Counter("engine.retries"),
 		deadlineExceeded: r.Counter("engine.deadline_exceeded"),
 		dupRequests:      r.Counter("engine.dup_requests"),
+		oversizeResps:    r.Counter("engine.oversize_responses"),
 		qpRecoveries:     r.Counter("engine.qp_recoveries"),
 		rto:              r.Histogram("engine.rto_ns"),
 
@@ -339,10 +341,15 @@ const (
 	kCTS    byte = 4
 	kNotify byte = 5
 	kFin    byte = 6
-	_       byte = 7 // retired: credit-grant updates are WRITEs now (flow.go)
-	kErr    byte = 8 // typed overload rejection (header-only)
-	kDrain  byte = 9 // typed draining rejection (header-only)
+	_       byte = 7  // retired: credit-grant updates are WRITEs now (flow.go)
+	kErr    byte = 8  // typed overload rejection (header-only)
+	kDrain  byte = 9  // typed draining rejection (header-only)
+	kBig    byte = 10 // typed refusal of a response over MaxMsgSize (header-only)
 )
+
+// rejection reports whether kind is one of the typed header-only answers
+// that take a response's place.
+func rejection(kind byte) bool { return kind == kErr || kind == kDrain || kind == kBig }
 
 const immDirect uint32 = 0xFFFFFFFF
 
@@ -1156,9 +1163,9 @@ func (c *Conn) handleRecvSlot(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 	case kCTS:
 		c.ctsReady[h.seq] = true
 		return Arrival{}, false
-	case kErr, kDrain:
+	case kErr, kDrain, kBig:
 		// Typed rejection (header-only): surface it so the caller's
-		// response wait maps it to ErrOverloaded / ErrDraining.
+		// response wait maps it to its error (rejectErr).
 		return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq}, true
 	case kFin:
 		if buf, ok := c.rndvOut[h.seq]; ok {

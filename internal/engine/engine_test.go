@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -328,6 +329,51 @@ func TestCallTooLargeRejected(t *testing.T) {
 		env.Stop()
 	})
 	env.Run()
+}
+
+// TestOversizeResponseIsTyped: a handler response over MaxMsgSize fits no
+// response channel. On every response protocol the caller gets the typed
+// ErrResponseTooLarge, a retransmission of the request gets the refusal
+// again without running the handler, and the next call on the connection
+// is served.
+func TestOversizeResponseIsTyped(t *testing.T) {
+	const big, echo uint32 = 1, 2
+	for _, proto := range dataProtocols {
+		t.Run(proto.String(), func(t *testing.T) {
+			env, srvEng, cliEng := testCluster(13)
+			observe(srvEng)
+			runs := 0
+			srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte {
+				runs++
+				if fn == big {
+					return make([]byte, srvEng.Config().MaxMsgSize+1)
+				}
+				return echoHandler(p, fn, req)
+			})
+			env.Spawn("client", func(p *sim.Proc) {
+				defer env.Stop()
+				c := cliEng.Dial(p, srvEng.Node(), "svc")
+				opts := CallOpts{Proto: proto, Busy: true}
+				if _, err := c.Call(p, big, []byte("q"), opts); !errors.Is(err, ErrResponseTooLarge) {
+					t.Errorf("oversize response: %v, want ErrResponseTooLarge", err)
+				}
+				if proto == EagerSendRecv {
+					h := hdr{kind: kReq, proto: proto, respProto: proto, fn: big, length: 1, seq: c.seq}
+					c.sendMessage(p, h, []byte("q"), true)
+					if a := c.nextArrival(p, true); a.Kind != kBig || a.Seq != c.seq {
+						t.Errorf("retransmission answered kind %d seq %d, want the kBig refusal at seq %d", a.Kind, a.Seq, c.seq)
+					}
+				}
+				if resp, err := c.Call(p, echo, []byte("again"), opts); err != nil || string(resp) != "ECHOagain" {
+					t.Errorf("next call: %q, %v", resp, err)
+				}
+			})
+			env.Run()
+			if n := ctr(srvEng, "engine.oversize_responses"); runs != 2 || n != 1 {
+				t.Errorf("handler ran %d times, %d oversize responses counted; want 2 and 1", runs, n)
+			}
+		})
+	}
 }
 
 func TestCallOnServerConnRejected(t *testing.T) {

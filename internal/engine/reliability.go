@@ -68,8 +68,11 @@ func IsUnavailable(err error) bool {
 
 // rejectErr maps a typed header-only rejection kind to its sentinel.
 func rejectErr(kind byte) error {
-	if kind == kDrain {
+	switch kind {
+	case kDrain:
 		return ErrDraining
+	case kBig:
+		return ErrResponseTooLarge
 	}
 	return ErrOverloaded
 }
@@ -503,8 +506,8 @@ func (c *Conn) abortCall(seq uint32) {
 // bound expires (zero = never) or the attempt is lost (waitOver). Responses for other seqs are stale
 // duplicates from earlier attempts (or earlier calls) and are discarded
 // — the dedup guarantee means their payloads equal what the original
-// call already returned. A kErr/kDrain arrival for seq is the server's typed
-// rejection and returns ErrOverloaded / ErrDraining.
+// call already returned. A rejection arrival for seq is the server's typed
+// answer and returns its error (rejectErr).
 func (c *Conn) awaitResponse(p *sim.Proc, seq uint32, busy bool, until sim.Time) ([]byte, bool, error) {
 	c.enterWait(busy)
 	defer c.exitWait()
@@ -521,7 +524,7 @@ func (c *Conn) awaitResponse(p *sim.Proc, seq uint32, busy bool, until sim.Time)
 				c.eng.em.bytesRecvd.Add(int64(len(a.Payload)))
 				return a.Payload, true, nil
 			}
-			if a.Kind == kErr || a.Kind == kDrain {
+			if rejection(a.Kind) {
 				c.chargeDetect(p, busy)
 				return nil, false, rejectErr(a.Kind)
 			}
@@ -542,12 +545,12 @@ func (c *Conn) awaitResponse(p *sim.Proc, seq uint32, busy bool, until sim.Time)
 func (c *Conn) pollResponse(p *sim.Proc, seq uint32, busy bool) ([]byte, bool, error) {
 	for i := 0; i < c.respQueue.Len(); i++ {
 		a := c.respQueue.At(i)
-		if a.Seq != seq || (a.Kind != kResp && a.Kind != kErr && a.Kind != kDrain) {
+		if a.Seq != seq || (a.Kind != kResp && !rejection(a.Kind)) {
 			continue
 		}
 		c.respQueue.RemoveAt(i)
 		c.chargeDetect(p, busy)
-		if a.Kind == kErr || a.Kind == kDrain {
+		if rejection(a.Kind) {
 			return nil, false, rejectErr(a.Kind)
 		}
 		c.eng.em.bytesRecvd.Add(int64(len(a.Payload)))

@@ -31,6 +31,11 @@ type Handler func(p *sim.Proc, fn uint32, req []byte) []byte
 // "no" must be far cheaper than saying "yes".
 var ErrOverloaded = errors.New("engine: server overloaded (request shed)")
 
+// ErrResponseTooLarge is the typed failure a client receives when the
+// handler's response exceeds MaxMsgSize, which no response channel can
+// carry. The handler ran once; a retransmission gets the same answer.
+var ErrResponseTooLarge = errors.New("engine: response exceeds MaxMsgSize")
+
 // AdmitPolicy selects what a server does with a request that arrives
 // while AdmitLimit handlers are already executing.
 type AdmitPolicy uint8
@@ -221,7 +226,7 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 			c.Recycle(a.Payload)
 			eng.em.dupRequests.Inc()
 			if c.dedup.arr.RespProto != ProtoAuto {
-				c.sendResponse(p, c.dedup.arr, c.dedup.resp, busy)
+				c.respond(p, c.dedup.arr, c.dedup.resp, busy)
 			}
 			continue
 		}
@@ -280,9 +285,16 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 		}
 		s.active++
 		start := int64(p.Now())
-		resp := c.settle(a, s.handler(p, a.Fn, a.Payload))
+		resp := s.handler(p, a.Fn, a.Payload)
+		if len(resp) > eng.cfg.MaxMsgSize {
+			// No response channel holds it: the typed refusal takes its
+			// place, and the dedup entry keeps the refusal (Kind kBig).
+			eng.em.oversizeResps.Inc()
+			a.Kind, resp = kBig, nil
+		}
+		resp = c.settle(a, resp)
 		if a.RespProto != ProtoAuto { // ProtoAuto marks a oneway request
-			c.sendResponse(p, a, resp, busy)
+			c.respond(p, a, resp, busy)
 		}
 		s.active--
 		if acquired {

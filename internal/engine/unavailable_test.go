@@ -24,6 +24,7 @@ func TestIsUnavailableCoversTypedUnavailability(t *testing.T) {
 		{ErrCircuitOpen, true},
 		{ErrStaleShardEpoch, true},
 		{ErrDraining, true},
+		{ErrResponseTooLarge, false}, // the same request gets the same answer
 		{errors.New("engine: some validation failure"), false},
 	}
 	for _, tc := range cases {
