@@ -12,8 +12,10 @@
 // through it, a `b := next()` rebinding clears the taint, range/for
 // back edges are followed, and `defer Recycle(b)` is modeled at
 // function exit (after every ordinary use). Only identifier arguments
-// are tracked; releases of subexpressions are out of scope here and
-// stay covered by the runtime arena guards.
+// are tracked. Releases of subexpressions, and a release in one function
+// followed by a use in another, are not checked: nothing catches them,
+// here or at run time, until the arena gets a buffer sanitizer (ROADMAP
+// item 6(a)).
 package arenaalias
 
 import (

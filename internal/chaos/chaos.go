@@ -9,8 +9,9 @@
 //
 //	(a) under SyncFull no acknowledged write is ever lost;
 //	(b) under NoSync every lost acked write is explained by a crash
-//	    that rolled back past its commit, and the total loss is
-//	    bounded by the rolled-back commit count (the un-synced window);
+//	    that rolled back past its commit, and the commits the lost
+//	    writes name are bounded by the rolled-back commit count (the
+//	    un-synced window);
 //	(c) a run is a pure function of its seed: two same-seed soaks
 //	    produce byte-identical reports.
 package chaos
@@ -84,8 +85,8 @@ type Result struct {
 	Acked       int // every write is retried until acked, so this is the write count
 	Lost        int // acked writes absent from the surviving store
 	Unexplained int // lost writes no crash accounts for — always a bug
-	// BoundViolated: more acked writes were lost than committed
-	// transactions were rolled back — always a bug.
+	// BoundViolated: the lost acked writes name more distinct commit txn
+	// ids than committed transactions were rolled back — always a bug.
 	BoundViolated bool
 	GetChecks     int
 	GetMismatches int // read-backs returning wrong bytes — always a bug
@@ -241,6 +242,7 @@ func audit(res *Result, store *hatkv.Store) {
 		return
 	}
 	defer r.Abort()
+	lostTxns := map[uint64]bool{}
 	for i := range res.Writes {
 		w := &res.Writes[i]
 		res.Acked++
@@ -249,6 +251,7 @@ func audit(res *Result, store *hatkv.Store) {
 		}
 		w.Lost = true
 		res.Lost++
+		lostTxns[w.Txn] = true
 		explained := false
 		for _, c := range res.Crashes {
 			if int64(c.At) >= int64(w.AckAt)-ackSlackNs && c.RolledBackTo < w.Txn {
@@ -260,8 +263,10 @@ func audit(res *Result, store *hatkv.Store) {
 			res.Unexplained++
 		}
 	}
-	// Every lost acked write consumed one distinct rolled-back commit.
-	res.BoundViolated = uint64(res.Lost) > res.StoreLostTxns
+	// Every lost acked write's commit was rolled back. Writes of one commit
+	// group share its txn id and are lost together, so the bound is on
+	// the distinct ids the lost writes name, not on the writes.
+	res.BoundViolated = uint64(len(lostTxns)) > res.StoreLostTxns
 }
 
 // Report renders the full audited outcome deterministically — two

@@ -125,6 +125,34 @@ func TestSoakNoSyncLossBounded(t *testing.T) {
 	t.Logf("crashes=%d acked=%d lost=%d rolled_back=%d", len(res.Crashes), res.Acked, res.Lost, res.StoreLostTxns)
 }
 
+// TestSoakNoSyncGroupedLossBounded: twelve unpaced NoSync workers, so
+// writers share commit groups, and a crash that rolls a group back loses
+// all of its acked writes under one txn id. There are more lost writes
+// than rolled-back commits, yet every loss is explained and the distinct
+// ids the lost writes name stay within the rolled-back count.
+func TestSoakNoSyncGroupedLossBounded(t *testing.T) {
+	cfg := soakConfig(337, lmdb.NoSync, 12)
+	cfg.Workers, cfg.WritesPerWorker, cfg.WritePaceNs = 12, 400, 0
+	res := Soak(cfg)
+	assertSoakInvariants(t, res, 8)
+	lostPerTxn := map[uint64]int{}
+	shared := 0
+	for _, w := range res.Writes {
+		if w.Lost {
+			lostPerTxn[w.Txn]++
+			if lostPerTxn[w.Txn] == 2 {
+				shared++
+			}
+		}
+	}
+	if shared == 0 || uint64(res.Lost) <= res.StoreLostTxns {
+		t.Errorf("lost %d acked writes in %d txns (%d shared) with %d rolled back: no rolled-back group lost more writes than there were lost commits",
+			res.Lost, len(lostPerTxn), shared, res.StoreLostTxns)
+	}
+	t.Logf("crashes=%d acked=%d lost=%d lost_txns=%d shared=%d rolled_back=%d",
+		len(res.Crashes), res.Acked, res.Lost, len(lostPerTxn), shared, res.StoreLostTxns)
+}
+
 // TestSoakSyncMetaLossBounded: the trailing-by-one durability of
 // SyncMeta under the same schedule — at most the newest commit per
 // crash is lost, which the generic bound and explanation checks verify.

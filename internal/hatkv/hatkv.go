@@ -57,6 +57,7 @@ type Store struct {
 	leading bool
 	queue   []*parkedOp
 	spare   []*parkedOp // records of writers that left park settled, for reuse
+	syncing []*parkedOp // a leader's group while it syncs; kept for the next one
 
 	groupOps  *obs.Histogram // ops per commit; nil until SetObs
 	writeWait *obs.Histogram // enqueue → a leader picks the op up
@@ -73,7 +74,8 @@ var _ kvgen.HatKVHandler = (*Store)(nil)
 // NewStore opens the backend on the given node. When sh is non-nil, the
 // backend is tuned from the hint table: max readers from the concurrency
 // hint, sync mode from the performance goal (throughput/res_util →
-// NoSync batch-style commits; latency → meta-only sync).
+// NoSync; latency → meta-only sync). Every mode group-commits the same
+// way; the mode sets only what a leader syncs after handing the writer on.
 func NewStore(node *simnet.Node, sh *trdma.ServiceHints, costs *BackendCosts) (*Store, error) {
 	opt := lmdb.Options{Sync: lmdb.SyncFull}
 	if sh != nil {
@@ -141,15 +143,16 @@ func (s *Store) charge(p *sim.Proc, ns float64) {
 	s.node.CPU.Compute(p, sim.Duration(ns))
 }
 
-func (s *Store) commitCharge(p *sim.Proc) {
+// syncNs is what the sync mode's commit costs beyond a NoSync one: the
+// sync a leader pays after it has handed the writer on.
+func (s *Store) syncNs() int64 {
 	switch s.env.Sync() {
 	case lmdb.SyncFull:
-		s.charge(p, float64(s.costs.CommitSyncNs))
+		return s.costs.CommitSyncNs - s.costs.CommitNoNs
 	case lmdb.SyncMeta:
-		s.charge(p, float64(s.costs.CommitMetaNs))
-	default:
-		s.charge(p, float64(s.costs.CommitNoNs))
+		return s.costs.CommitMetaNs - s.costs.CommitNoNs
 	}
+	return 0
 }
 
 // ErrNotFound is what Get returns for an absent key: the declared KVError
@@ -198,8 +201,8 @@ func (s *Store) PutTxn(p *sim.Proc, key string, value []byte) (uint64, error) {
 
 // MultiPut implements HatKV.MultiPut: one write transaction for the
 // batch — a single commit amortizes the sync cost (the hint-driven
-// "commit strategy" of §4.4). Under SyncFull the write queue extends the
-// same amortization across RPCs.
+// "commit strategy" of §4.4). The write queue extends the same
+// amortization across RPCs.
 func (s *Store) MultiPut(p *sim.Proc, pairs []*kvgen.KVPair) error {
 	_, err := s.write(p, &writeReq{pairs: pairs, multi: true})
 	return err
@@ -229,16 +232,13 @@ type parkedOp struct {
 	at    sim.Time    // enqueue time
 }
 
-// write is the one write path. A writer that finds the store idle leads a
-// group of one, exactly as a mutex holder would. A writer that finds a
-// commit in flight parks in the queue; the finishing leader wakes the
-// queue head as the next leader, and under SyncFull that leader applies
-// every op queued by then in one write txn with one synced commit, then
-// wakes them all with the shared txn id. In the other sync modes the
-// leader takes only its own op: there is no full sync to share (NoSync
-// grouping measured −4 % at 128 clients — a 64-op group releases 64
-// readers into the PS CPU at once), and under SyncMeta the one commit a
-// crash may lose would become a whole group of acked writes.
+// write is the one write path, the same in every sync mode. A writer
+// that finds the store idle leads a group of one, exactly as a mutex
+// holder would. A writer that finds a commit in flight parks in the
+// queue. A leader commits every op queued when it starts in one write txn,
+// wakes the queue head as the next leader at once, and only then syncs
+// and wakes its group with the shared txn id — so the next group's inserts
+// overlap this group's sync instead of waiting behind it.
 func (s *Store) write(p *sim.Proc, req *writeReq) (uint64, error) {
 	if s.leading {
 		return s.park(p, req)
@@ -284,52 +284,66 @@ func (s *Store) park(p *sim.Proc, req *writeReq) (uint64, error) {
 	return txn, err
 }
 
-// lead commits one group and hands leadership on. The leader's own op is
-// solo (a writer that never queued) or, when solo is nil, the queue head;
-// under SyncFull the group is that plus every op queued right now. Ops
-// stay queued until their group is settled and the hand-off is deferred,
-// so a leader killed mid-group (Node.Crash unwinds it through its defers)
-// strands nobody: only its own op dies with it, and the next head leads
-// the rest again.
+// lead commits one group, hands the writer on, then syncs and acks the
+// group. The leader's own op is solo (a writer that never queued) or, when
+// solo is nil, the queue head; the group is that plus every op queued right
+// now. Ops stay queued until their group has committed, so a leader
+// killed in the inserts (Node.Crash unwinds it through its defers)
+// strands nobody: its deferred hand-off drops only its own op, and the
+// next head leads the rest again. A leader killed in the sync has already
+// committed and handed on, so its deferred settle acks the group.
 func (s *Store) lead(p *sim.Proc, solo *writeReq) (txn uint64, err error) {
 	own := 0 // queue entries that are the leader's own op
 	if solo == nil {
 		own = 1
 	}
-	n := own // queue entries in the group
-	if s.env.Sync() == lmdb.SyncFull {
-		n = len(s.queue)
-	}
-	settled := false
+	n := len(s.queue) // queue entries in the group
+	var group []*parkedOp
+	committed := false
 	defer func() {
-		if !settled {
-			n = own
+		if !committed {
+			s.handOff(own)
+			return
 		}
-		for _, q := range s.queue[own:n] {
+		for _, q := range group {
 			q.txn, q.err, q.done = txn, err, true
 			q.wake.Fire()
 		}
-		if len(s.queue) > n {
-			s.queue[n].wake.Fire() // the next leader
-		} else {
-			s.leading = false
-		}
-		k := copy(s.queue, s.queue[n:])
-		clear(s.queue[k:])
-		s.queue = s.queue[:k]
+		clear(group)
+		s.syncing = group[:0]
 	}()
 
-	for _, q := range s.queue[:n] {
+	for _, q := range s.queue {
 		s.writeWait.Observe(float64(p.Now() - q.at))
 	}
 	s.groupOps.Observe(float64(1 - own + n))
 	txn, err = s.commit(p, solo, s.queue[:n])
-	settled = true
+	group = append(s.syncing, s.queue[own:n]...)
+	s.syncing = nil
+	committed = true
+	s.handOff(n)
+	if ns := s.syncNs(); err == nil && ns > 0 {
+		s.charge(p, float64(ns))
+	}
 	return txn, err
 }
 
+// handOff drops the first n queue entries and wakes the new head as the
+// next leader, or marks the store idle when nobody is queued.
+func (s *Store) handOff(n int) {
+	if len(s.queue) > n {
+		s.queue[n].wake.Fire()
+	} else {
+		s.leading = false
+	}
+	k := copy(s.queue, s.queue[n:])
+	clear(s.queue[k:])
+	s.queue = s.queue[:k]
+}
+
 // commit applies solo (if any) and then queued, in that (arrival) order,
-// in one write txn. Any backend error fails the whole group.
+// in one write txn, charging the begin, the inserts and a NoSync commit.
+// Any backend error fails the whole group.
 func (s *Store) commit(p *sim.Proc, solo *writeReq, queued []*parkedOp) (uint64, error) {
 	s.charge(p, float64(s.costs.BeginTxnNs))
 	txn, err := s.env.BeginWrite()
@@ -354,10 +368,10 @@ func (s *Store) commit(p *sim.Proc, solo *writeReq, queued []*parkedOp) (uint64,
 		return 0, kvError(err)
 	}
 	s.charge(p, float64(pairs)*float64(s.costs.InsertNs)+float64(bytesIn)*s.costs.CopyPerByte)
+	s.charge(p, float64(s.costs.CommitNoNs))
 	if err := txn.Commit(); err != nil {
 		return 0, kvError(err)
 	}
-	s.commitCharge(p)
 	return txn.ID(), nil
 }
 
