@@ -129,11 +129,20 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, seed int64, nservers int, cfg Config) *testCluster {
 	t.Helper()
+	return newTestClusterWith(t, seed, nservers, cfg, engine.DefaultConfig())
+}
+
+// newTestClusterWith is newTestCluster with every engine built from ecfg;
+// a cfg.Seed already set places the shards instead of the sim seed.
+func newTestClusterWith(t *testing.T, seed int64, nservers int, cfg Config, ecfg engine.Config) *testCluster {
+	t.Helper()
 	env := sim.NewEnv(seed)
 	cl := simnet.NewCluster(env, simnet.Config{
 		Nodes: nservers + 1, Cores: 28, Sockets: 2, LinkGbps: 100, PropDelayNs: 600, NUMAPenalty: 1.25,
 	})
-	cfg.Seed = seed
+	if cfg.Seed == 0 {
+		cfg.Seed = seed
+	}
 	cfg.NodeIDs = make([]int, nservers)
 	for i := range cfg.NodeIDs {
 		cfg.NodeIDs[i] = i
@@ -143,7 +152,6 @@ func newTestCluster(t *testing.T, seed int64, nservers int, cfg Config) *testClu
 	for i := 0; i < nservers; i++ {
 		tc.roster = append(tc.roster, cl.Node(i))
 	}
-	ecfg := engine.DefaultConfig()
 	for i := 0; i < nservers; i++ {
 		i := i
 		node := cl.Node(i)
@@ -316,10 +324,10 @@ func TestClusterFailover(t *testing.T) {
 
 	promotions, candidacies := survivorStats()
 	// At least one promotion per led shard. Occasionally a shard is
-	// promoted twice: a later successor's liveness probe times out
-	// against a candidate busy holding the shard mutex for its own
-	// candidacy, so it runs a sequential higher-epoch one — benign, the
-	// cluster converges on the highest epoch.
+	// promoted twice: a later successor's census times out against a
+	// candidate busy holding the shard mutex for its own candidacy, so it
+	// runs a sequential higher-epoch one — benign, the cluster converges
+	// on the highest epoch.
 	if promotions < led || promotions > 2*led {
 		t.Errorf("promotions = %d, want within [%d, %d] (node %d led %d shards)",
 			promotions, led, 2*led, prim, led)

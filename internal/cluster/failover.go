@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"hatrpc/internal/sim"
 )
@@ -12,10 +13,10 @@ import (
 //   - as primary: push same-epoch snapshot installs to suspect backups
 //     (replicas that missed appends or were unreachable), restoring the
 //     full replica set after partitions heal;
-//   - as backup: probe the believed primary; after failThreshold
-//     consecutive failures, and only if every ring-earlier live replica
-//     has also vanished (deterministic successor order), run a
-//     candidacy.
+//   - as backup: after silenceTicks ticks with no word of the primary
+//     (appends are words: a loaded shard sends no probe), or at once as a
+//     ghost, run a census; a candidacy follows if it passes preVote. A
+//     replica that hears its primary refuses other candidates' PREPARE.
 //
 // A candidacy is a two-phase, majority-fenced view change:
 //
@@ -35,8 +36,9 @@ import (
 //
 // A candidacy that cannot reach quorum at any step simply aborts: the
 // durable promises it left behind only inflate the next proposal's
-// epoch. Minority-side candidates can therefore never promote, and
-// same-epoch twin primaries cannot exist.
+// epoch; a replica under such a promise takes no word of the old
+// primary, so the next census can pass. Minority-side candidates can
+// therefore never promote, and same-epoch twin primaries cannot exist.
 
 // startMonitor spawns the failover monitor as a node-owned process (it
 // dies with the node's crash; the next boot's NewUnservedNode starts a
@@ -65,75 +67,82 @@ func (n *Node) startMonitor() {
 func (n *Node) tickShard(p *sim.Proc, st *shardState) {
 	st.mu.Lock(p)
 	amPrimary := st.leads(n.self)
+	// A ghost: hearsay names us primary of a view we never finished
+	// installing or lost track of (the boot fence); it runs again.
 	ghost := st.learnedPrimary == n.self && !amPrimary
-	target := st.learnedPrimary
+	due := p.Now()-st.lastHeard >= sim.Time(silenceTicks*n.cfg.ProbeIntervalNs)
 	st.mu.Unlock()
 	switch {
 	case amPrimary:
 		n.resyncSuspects(p, st)
-	case ghost:
-		// Hearsay names us primary of a view we never finished installing
-		// (an interrupted candidacy) or lost track of (the boot fence).
-		// Run for it at a higher epoch.
-		n.runCandidacy(p, st)
-	case target != n.self:
-		n.probePrimary(p, st, target)
+	case ghost || due:
+		n.runCandidacy(p, st, ghost)
 	}
 }
 
-// probePrimary checks the believed primary's liveness and adopts any
-// fresher routing it reports.
-func (n *Node) probePrimary(p *sim.Proc, st *shardState, target int) {
-	resp, err := n.callPeerDL(p, target, FnShardStatus, st.probe, probeDeadlineNs)
-	if err == nil && len(resp) >= 1 {
-		sr, derr := decodeStatusResp(resp[1:])
-		n.recycle(target, resp)
-		if derr == nil {
-			st.mu.Lock(p)
-			st.probeFails = 0
-			st.adoptLearned(sr.LearnedEpoch, int(sr.LearnedPrimary))
-			st.mu.Unlock()
-			return
-		}
-	}
-	st.mu.Lock(p)
-	st.probeFails++
-	fails := st.probeFails
-	st.mu.Unlock()
-	if fails < failThreshold {
-		return
-	}
-	if !n.firstEligible(p, st) {
-		return
-	}
-	n.runCandidacy(p, st)
+// hears reports whether no census of this replica's own has found the
+// primary silent since its last word (so a word outlasts the window until
+// then) and no promise makes it refuse the primary's writes.
+func (st *shardState) hears(self int) bool {
+	return st.learnedPrimary != self && st.promised <= st.epoch && !st.silent
 }
 
-// firstEligible reports whether this node is the deterministic
-// successor: the first replica, in ring order with the failed primary
-// skipped, that is still reachable. Later replicas defer to any
-// reachable earlier one, so at most one candidacy normally runs per
-// failure (races are harmless — prepares serialize them).
-func (n *Node) firstEligible(p *sim.Proc, st *shardState) bool {
-	st.mu.Lock(p)
-	prim := st.learnedPrimary
-	reps := st.replicas
-	st.mu.Unlock()
-	for _, r := range reps {
-		if r == prim {
+// census asks the believed primary prim for its status and, unless it
+// answers that it leads and trust is set (no promise holds this replica),
+// the replicas after it in ring order, into st.answers. It reports whether
+// it stopped at a leading primary. It holds no lock while it asks.
+func (n *Node) census(p *sim.Proc, st *shardState, prim int, trust bool) bool {
+	st.answers = st.answers[:0]
+	at := max(slices.Index(st.replicas, prim), 0) // hearsay from the wire may name a non-replica
+	for k := range st.replicas {
+		r := st.replicas[(at+k)%len(st.replicas)]
+		if r == n.self {
 			continue
 		}
-		if r == n.self {
+		resp, err := n.callPeerDL(p, r, FnShardStatus, st.probe, probeDeadlineNs)
+		if err != nil || len(resp) < 1 {
+			continue
+		}
+		sr, derr := decodeStatusResp(resp[1:])
+		n.recycle(r, resp)
+		if derr != nil {
+			continue
+		}
+		if r == prim && trust && sr.Flags&flagLeads != 0 {
+			st.mu.Lock(p)
+			st.adoptLearned(sr.LearnedEpoch, int(sr.LearnedPrimary))
+			st.lastHeard, st.silent = p.Now(), false
+			st.mu.Unlock()
 			return true
 		}
-		resp, err := n.callPeerDL(p, r, FnShardStatus, st.probe, probeDeadlineNs)
-		answered := err == nil && len(resp) >= 1
-		n.recycle(r, resp)
-		if answered {
-			return false // an earlier successor lives; it will run
-		}
+		st.answers = append(st.answers, peerStat{r, sr})
 	}
 	return false
+}
+
+// preVote decides from the census answers, before anything durable is
+// written, whether this replica may run: a quorum (self included) answered,
+// none names a fresher view (adopted instead), and unless this is the
+// primary re-electing itself, a quorum (self included) does not hear the
+// primary and no ring-earlier replica but the primary answered (that one
+// runs). Caller holds st.mu.
+func (n *Node) preVote(st *shardState, prim int, ghost bool) bool {
+	q := quorum(len(st.replicas))
+	unheard := 1
+	me := slices.Index(st.replicas, n.self)
+	for _, a := range st.answers {
+		if a.sr.LearnedEpoch > st.learnedEpoch {
+			st.adoptLearned(a.sr.LearnedEpoch, int(a.sr.LearnedPrimary))
+			return false
+		}
+		if !ghost && a.id != prim && slices.Index(st.replicas, a.id) < me {
+			return false
+		}
+		if a.sr.Flags == 0 {
+			unheard++
+		}
+	}
+	return 1+len(st.answers) >= q && (ghost || unheard >= q)
 }
 
 // resyncSuspects pushes a same-epoch snapshot install to every backup
@@ -185,80 +194,43 @@ func (n *Node) resyncSuspects(p *sim.Proc, st *shardState) {
 	}
 }
 
-// runCandidacy attempts an epoch-fenced promotion of this node for the
-// shard. Holds the shard mutex throughout: incoming appends and
-// competing prepares for this shard at this replica wait (bounded by
-// the callers' deadlines) until the outcome is durable.
-func (n *Node) runCandidacy(p *sim.Proc, st *shardState) {
+// runCandidacy runs a census and, if it passes the pre-vote, an
+// epoch-fenced promotion of this node for the shard, holding the shard
+// mutex from the pre-vote on: incoming appends and competing prepares wait
+// (bounded by the callers' deadlines) until the outcome is durable.
+func (n *Node) runCandidacy(p *sim.Proc, st *shardState, ghost bool) {
+	st.mu.Lock(p)
+	view, heard, prim, trust := st.learnedEpoch, st.lastHeard, st.learnedPrimary, st.promised <= st.epoch
+	st.mu.Unlock()
+	if n.census(p, st, prim, trust) {
+		return
+	}
 	st.mu.Lock(p)
 	defer st.mu.Unlock()
-	if st.leads(n.self) {
-		return // already promoted (a competing path won for us)
+	if st.leads(n.self) || st.learnedEpoch != view || st.lastHeard != heard {
+		return // promoted, moved on, or heard from the primary while asking
+	}
+	st.silent = true
+	if !n.preVote(st, prim, ghost) {
+		return
 	}
 	n.stats.Candidacies++
 	shard := uint16(st.id)
 
-	// Phase 0 — status census: a majority must be reachable, and the
-	// proposal must clear every epoch any of them has seen or promised.
-	type peerStat struct {
-		id int
-		sr statusResp
-	}
-	maxE := st.epoch
-	if st.learnedEpoch > maxE {
-		maxE = st.learnedEpoch
-	}
-	if st.promised > maxE {
-		maxE = st.promised
-	}
-	var census []peerStat
-	adoptE, adoptP := uint64(0), 0
-	for _, r := range st.replicas {
-		if r == n.self {
-			continue
-		}
-		resp, err := n.callPeerDL(p, r, FnShardStatus, st.probe, probeDeadlineNs)
-		if err != nil || len(resp) < 1 {
-			continue
-		}
-		sr, derr := decodeStatusResp(resp[1:])
-		n.recycle(r, resp)
-		if derr != nil {
-			continue
-		}
-		census = append(census, peerStat{r, sr})
-		for _, e := range []uint64{sr.Epoch, sr.LearnedEpoch, sr.Promised} {
-			if e > maxE {
-				maxE = e
-			}
-		}
-		if sr.LearnedEpoch > adoptE {
-			adoptE, adoptP = sr.LearnedEpoch, int(sr.LearnedPrimary)
-		}
-	}
-	if len(census)+1 < quorum(len(st.replicas)) {
-		return // cannot fence a majority (e.g. minority partition side)
-	}
-	if adoptE > st.learnedEpoch {
-		// A fresher view already exists: adopt it and defer — if its
-		// primary is dead too, the next tick candidacies above it.
-		st.adoptLearned(adoptE, adoptP)
-		return
+	// The proposal must clear every epoch any answer has seen or promised.
+	maxE := max(st.epoch, st.learnedEpoch, st.promised)
+	for _, a := range st.answers {
+		maxE = max(maxE, a.sr.Epoch, a.sr.LearnedEpoch, a.sr.Promised)
 	}
 	newEpoch := maxE + 1
 
 	// Phase 1 — prepare: durable promises, self first.
-	if err := n.promise(p, st, newEpoch, n.self); err != nil {
+	if err := n.promise(p, st, newEpoch); err != nil {
 		return
 	}
-	type prepped struct {
-		id    int
-		epoch uint64
-		seq   uint64
-	}
-	acc := []prepped{{n.self, st.epoch, st.seq}}
-	prep := encodeStatus(statusReq{Shard: shard, Prepare: true, NewEpoch: newEpoch, Candidate: int32(n.self)})
-	for _, ps := range census {
+	acc := []peerStat{{n.self, statusResp{Epoch: st.epoch, Seq: st.seq}}}
+	prep := encodeStatus(statusReq{Shard: shard, Prepare: true, Reelect: ghost, NewEpoch: newEpoch})
+	for _, ps := range st.answers {
 		resp, err := n.callPeerDL(p, ps.id, FnShardStatus, prep, callDeadlineNs)
 		if err != nil || len(resp) < 1 {
 			continue
@@ -270,12 +242,12 @@ func (n *Node) runCandidacy(p *sim.Proc, st *shardState) {
 			continue
 		}
 		if code != stOK {
-			// Outbid: someone holds a higher promise or view. Abort; our
-			// own promise only inflates the next proposal.
+			// Outbid, or refused by a replica that hears its primary.
+			// Abort; our own promise only inflates the next proposal.
 			st.adoptLearned(sr.LearnedEpoch, int(sr.LearnedPrimary))
 			return
 		}
-		acc = append(acc, prepped{ps.id, sr.Epoch, sr.Seq})
+		acc = append(acc, peerStat{ps.id, sr})
 	}
 	if len(acc) < quorum(len(st.replicas)) {
 		return
@@ -286,8 +258,8 @@ func (n *Node) runCandidacy(p *sim.Proc, st *shardState) {
 	// total freshness order; the promise freezes it until install.
 	best := acc[0]
 	for _, a := range acc[1:] {
-		if a.epoch > best.epoch ||
-			(a.epoch == best.epoch && (a.seq > best.seq || (a.seq == best.seq && a.id < best.id))) {
+		if a.sr.Epoch > best.sr.Epoch ||
+			(a.sr.Epoch == best.sr.Epoch && (a.sr.Seq > best.sr.Seq || (a.sr.Seq == best.sr.Seq && a.id < best.id))) {
 			best = a
 		}
 	}
@@ -342,7 +314,6 @@ func (n *Node) runCandidacy(p *sim.Proc, st *shardState) {
 			st.suspect[r] = true // catch up via resync once reachable
 		}
 	}
-	st.probeFails = 0
 	n.stats.Promotions++
 	n.promotions.Inc()
 }

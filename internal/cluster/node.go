@@ -28,12 +28,12 @@ type Config struct {
 
 // Failover and client pacing, virtual ns.
 const (
-	probeDeadlineNs  int64 = 120_000 // one liveness/status probe
+	probeDeadlineNs  int64 = 120_000 // one census call
 	callDeadlineNs   int64 = 300_000 // replication, prepare, pull and install calls
 	clientDeadlineNs int64 = 300_000 // one client-facing call
 	clientBackoffNs  int64 = 150_000 // pacing between client retries
 
-	failThreshold  = 2  // consecutive failed primary probes before candidacy
+	silenceTicks   = 2  // monitor ticks without word of the primary before a census (clocks assumed drift-free)
 	clientAttempts = 12 // retry budget per client Put/Get
 )
 
@@ -72,7 +72,7 @@ type shardState struct {
 	replicas []int  // configured replica set, ring order
 	prefix   string // store key prefix of the shard's records (dataPrefix)
 	metaKey  string // store key of the shard's durable meta record
-	probe    []byte // the encoded liveness probe, sent as is by every status probe of the shard
+	probe    []byte // the encoded status request, sent as is by every census call of the shard
 
 	epoch   uint64 // content epoch
 	primary int    // content primary
@@ -89,27 +89,38 @@ type shardState struct {
 	learnedEpoch   uint64
 	learnedPrimary int
 
-	promised   uint64 // durable candidacy promise (mirrors meta)
-	promisedBy int
-	rec        []byte // the store record in flight: a meta record (record) or a stamped data record (applyWrite)
+	promised uint64 // durable candidacy promise (mirrors meta)
+	rec      []byte // the store record in flight: a meta record (record) or a stamped data record (applyWrite)
+
+	// Failure detection (failover.go): the last word that the primary leads
+	// (or a granted prepare), whether a census has since found it silent,
+	// and that census's answers.
+	lastHeard sim.Time
+	silent    bool
+	answers   []peerStat
 
 	// mu serializes writes, installs and candidacy on this shard at
 	// this replica. Lock order: shard mu → session mu, never reversed.
 	mu *sim.Mutex
 
 	// Primary-side replication bookkeeping.
-	suspect    map[int]bool // backup → needs a resync install (direct index only)
-	repl       []replJob    // fan-out slots, one per backup, reused by every put (under mu)
-	app        []byte       // the encoded append in flight, reused like repl
-	replDone   *sim.Signal  // fired by a lane per finished slot
-	probeFails int          // backup-side: consecutive failed primary probes
+	suspect  map[int]bool // backup → needs a resync install (direct index only)
+	repl     []replJob    // fan-out slots, one per backup, reused by every put (under mu)
+	app      []byte       // the encoded append in flight, reused like repl
+	replDone *sim.Signal  // fired by a lane per finished slot
+}
+
+// peerStat is one census answer: a replica and the status it reported.
+type peerStat struct {
+	id int
+	sr statusResp
 }
 
 // NodeStats counts a cluster node's lifecycle events (deterministic
 // under one seed; the soak folds them into its report).
 type NodeStats struct {
 	Promotions   int64 // candidacies won (view installs reaching quorum)
-	Candidacies  int64 // candidacies started
+	Candidacies  int64 // candidacies that passed the pre-vote
 	Resyncs      int64 // same-epoch snapshot installs pushed to lagging backups
 	StaleWrites  int64 // stStale replies sent
 	FencedWrites int64 // writes refused under an outstanding promise
@@ -197,6 +208,7 @@ func NewUnservedNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.No
 			suspect:        make(map[int]bool),
 			repl:           make([]replJob, 0, len(reps)),
 			rec:            make([]byte, 0, metaLen),
+			lastHeard:      env.Now(),
 			replDone:       sim.NewSignal(env),
 		}
 		n.recoverMeta(st)
@@ -244,7 +256,6 @@ func (n *Node) recoverMeta(st *shardState) {
 	st.primary = int(m.Primary)
 	st.seq = m.Seq
 	st.promised = m.Promised
-	st.promisedBy = int(m.PromisedBy)
 	st.adoptLearned(m.Epoch, int(m.Primary))
 }
 
@@ -273,8 +284,7 @@ func durablePosition(store *hatkv.Store, shard int, def shardMeta) shardMeta {
 
 // position is the shard's in-memory position as its meta record holds it.
 func (st *shardState) position() shardMeta {
-	return shardMeta{Epoch: st.epoch, Primary: int32(st.primary), Seq: st.seq,
-		Promised: st.promised, PromisedBy: int32(st.promisedBy)}
+	return shardMeta{Epoch: st.epoch, Primary: int32(st.primary), Seq: st.seq, Promised: st.promised}
 }
 
 // record renders the shard's meta record into st.rec. The buffer is
@@ -375,7 +385,6 @@ func (n *Node) applyInstall(p *sim.Proc, st *shardState, q installReq) error {
 	st.seq = q.Seq //hatlint:allow epochfence -- seq is epoch-scoped; an install adopts the snapshot position wholesale
 	if q.Epoch > st.promised {
 		st.promised = q.Epoch
-		st.promisedBy = int(q.Primary)
 	}
 	st.adoptLearned(q.Epoch, int(q.Primary))
 	pairs := make([]*kvgen.KVPair, 0, len(q.Pairs)+1)
@@ -393,18 +402,17 @@ func (n *Node) applyInstall(p *sim.Proc, st *shardState, q installReq) error {
 // promise durably records an epoch promise (the prepare half of
 // candidacy): from this commit on — across crashes — the replica
 // refuses writes and view-change installs below the promised epoch.
-func (n *Node) promise(p *sim.Proc, st *shardState, epoch uint64, candidate int) error {
+func (n *Node) promise(p *sim.Proc, st *shardState, epoch uint64) error {
 	// The prepare fence only ratchets up. handleStatus and runCandidacy
 	// both check before calling; the local fence keeps promise() safe to
 	// call bare.
 	if epoch <= st.promised {
 		return errStalePromise
 	}
-	prevE, prevBy := st.promised, st.promisedBy
+	prev := st.promised
 	st.promised = epoch
-	st.promisedBy = candidate
 	if err := n.store.Put(p, st.metaKey, st.record()); err != nil {
-		st.promised, st.promisedBy = prevE, prevBy
+		st.promised = prev
 		return err
 	}
 	return nil
@@ -433,9 +441,8 @@ func (n *Node) snapshotLocked(st *shardState) ([]snapPair, error) {
 	return out, nil
 }
 
-// callPeer is callPeerDL under the replication deadline; liveness probes
-// call callPeerDL directly with a tighter one, so a dead primary is
-// detected within a few monitor ticks.
+// callPeer is callPeerDL under the replication deadline; a census uses
+// a tighter one, so a dead primary is detected within a few ticks.
 func (n *Node) callPeer(p *sim.Proc, peer int, fn uint32, req []byte) ([]byte, error) {
 	return n.callPeerDL(p, peer, fn, req, callDeadlineNs)
 }
@@ -615,6 +622,7 @@ func (n *Node) handleReplicate(p *sim.Proc, req []byte) []byte {
 	if q.Epoch < st.promised {
 		return n.fencedReply()
 	}
+	st.lastHeard, st.silent = p.Now(), false // word from a primary this replica follows
 	if q.Epoch > st.epoch {
 		return []byte{stNeedSync} // only installs advance content epochs
 	}
@@ -634,11 +642,15 @@ func (n *Node) handleReplicate(p *sim.Proc, req []byte) []byte {
 	return []byte{stOK}
 }
 
-// handleStatus answers a probe with the shard's full state; with the
-// prepare flag it first durably promises the candidate's epoch. The
-// promise is the fence: from its commit on — across this replica's own
-// crashes — every write below the promised epoch is refused, so an old
-// primary can never assemble an ack quorum behind a candidacy's back.
+// handleStatus answers a census with the shard's state, lock-free: a put
+// holding the shard mutex does not delay a primary's answer, and as each
+// writer runs until it blocks, the answer is the shard at one instant.
+// With the prepare flag it first durably promises the candidate's epoch,
+// under the mutex. The promise is the fence: from its commit on — across
+// this replica's own crashes — every write below the promised epoch is
+// refused, so an old primary can never assemble an ack quorum behind a
+// candidacy's back. A replica that hears its primary promises no one but
+// that primary re-electing itself (stickiness).
 func (n *Node) handleStatus(p *sim.Proc, req []byte) []byte {
 	q, err := decodeStatus(req)
 	if err != nil {
@@ -648,17 +660,28 @@ func (n *Node) handleStatus(p *sim.Proc, req []byte) []byte {
 	if st == nil {
 		return []byte{stErr}
 	}
-	st.mu.Lock(p)
-	defer st.mu.Unlock()
 	status := stOK
 	if q.Prepare {
-		if q.NewEpoch > st.promised && q.NewEpoch > st.epoch {
-			if err := n.promise(p, st, q.NewEpoch, int(q.Candidate)); err != nil {
+		st.mu.Lock(p)
+		defer st.mu.Unlock()
+		switch {
+		case q.NewEpoch <= st.promised || q.NewEpoch <= st.epoch:
+			status = stStale // candidate must re-propose above what we reply
+		case !q.Reelect && st.hears(n.self):
+			status = stStale
+		default:
+			if err := n.promise(p, st, q.NewEpoch); err != nil {
 				return []byte{stErr}
 			}
-		} else {
-			status = stStale // candidate must re-propose above what we reply
+			st.lastHeard = p.Now() // the candidate gets a window to finish
 		}
+	}
+	var flags uint8
+	if st.leads(n.self) {
+		flags |= flagLeads
+	}
+	if st.hears(n.self) {
+		flags |= flagHeard
 	}
 	return appendStatusResp(append(replyBuf(p, 1+statusRespLen), status), statusResp{
 		Epoch:          st.epoch,
@@ -666,7 +689,7 @@ func (n *Node) handleStatus(p *sim.Proc, req []byte) []byte {
 		LearnedEpoch:   st.learnedEpoch,
 		LearnedPrimary: int32(st.learnedPrimary),
 		Promised:       st.promised,
-		PromisedBy:     int32(st.promisedBy),
+		Flags:          flags,
 	})
 }
 
@@ -725,7 +748,7 @@ func (n *Node) handleInstall(p *sim.Proc, req []byte) []byte {
 		if err := n.applyInstall(p, st, q); err != nil {
 			return []byte{stErr}
 		}
-		st.probeFails = 0
+		st.lastHeard, st.silent = p.Now(), false
 		return []byte{stOK}
 	case q.Epoch == st.epoch && int(q.Primary) == st.primary:
 		// Resync from the current primary. Refuse while a candidacy holds
@@ -733,6 +756,7 @@ func (n *Node) handleInstall(p *sim.Proc, req []byte) []byte {
 		if st.promised > st.epoch {
 			return n.fencedReply()
 		}
+		st.lastHeard, st.silent = p.Now(), false
 		if q.Seq < st.seq {
 			n.backupAhead.Inc() // as in handleReplicate: never OK
 			return []byte{stErr}

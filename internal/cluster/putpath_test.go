@@ -96,7 +96,7 @@ func encodeStatusResp(s statusResp) []byte { return appendStatusResp(nil, s) }
 
 var statusSink []byte
 
-// TestStatusMessagesAllocateOnce: a liveness probe is one allocation,
+// TestStatusMessagesAllocateOnce: a census request is one allocation,
 // sized once. Its answer, the status byte followed by the shard's state,
 // is serialized into the connection's staging region on a dispatcher and
 // allocates nothing there; off a dispatcher it is one allocation.
@@ -108,7 +108,7 @@ func TestStatusMessagesAllocateOnce(t *testing.T) {
 	st := n.shards[0]
 	want := append([]byte{stOK}, encodeStatusResp(statusResp{
 		Epoch: st.epoch, Seq: st.seq, LearnedEpoch: st.learnedEpoch, LearnedPrimary: int32(st.learnedPrimary),
-		Promised: st.promised, PromisedBy: int32(st.promisedBy),
+		Promised: st.promised, Flags: flagLeads,
 	})...)
 	// The dispatcher-side case runs inside a handler served next to the
 	// node's own, so the process it measures on is a real dispatcher.
@@ -142,10 +142,11 @@ func TestStatusMessagesAllocateOnce(t *testing.T) {
 	}
 }
 
-// TestWarmedProbeAllocatesNothing: a backup's probe of its primary sends
-// the shard's one encoded probe, the primary stages its answer on the
-// dispatcher, and the backup hands the reply back to the arena it came
-// from — so a warmed probePrimary allocates nothing across the cluster.
+// TestWarmedProbeAllocatesNothing: a backup's census of a live primary is
+// one call — the shard's one encoded status request, answered "I lead" —
+// the primary stages its answer on the dispatcher, the backup hands the
+// reply back to the arena it came from, and the answer slice is the
+// shard's own: a warmed census allocates nothing across the cluster.
 func TestWarmedProbeAllocatesNothing(t *testing.T) {
 	tc := newTestCluster(t, 71, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})
 	reps := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)
@@ -154,18 +155,23 @@ func TestWarmedProbeAllocatesNothing(t *testing.T) {
 	tc.roster[reps[1]].Spawn("driver", func(p *sim.Proc) {
 		defer tc.env.Stop()
 		st := backup.shards[0]
-		probe := func() { backup.probePrimary(p, st, reps[0]) }
-		for i := 0; i < 8; i++ {
-			probe()
+		stops := 0
+		census := func() {
+			if backup.census(p, st, reps[0], true) {
+				stops++
+			}
 		}
-		got = testing.AllocsPerRun(50, probe)
-		if st.probeFails != 0 {
-			t.Errorf("%d probes of a live primary failed", st.probeFails)
+		for i := 0; i < 8; i++ {
+			census()
+		}
+		got = testing.AllocsPerRun(50, census)
+		if stops != 8+51 || st.lastHeard != p.Now() {
+			t.Errorf("%d of %d censuses stopped at the live primary (last word at %d ns, now %d ns)", stops, 8+51, st.lastHeard, p.Now())
 		}
 	})
 	tc.env.Run()
 	if got != 0 {
-		t.Errorf("a warmed probe of the primary allocates %.0f objects across the cluster, want 0", got)
+		t.Errorf("a warmed census of a live primary allocates %.0f objects across the cluster, want 0", got)
 	}
 }
 

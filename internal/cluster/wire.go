@@ -10,8 +10,8 @@ import (
 // Wire functions of the cluster service, served on Port by every
 // cluster node. Client-facing: FnShardMap (routing bootstrap/refresh),
 // FnClusterPut, FnClusterGet. Node-to-node: FnReplicate (primary →
-// backup log append), FnShardStatus (liveness probe; with the prepare
-// flag, a durable epoch promise), FnShardPull (snapshot fetch during
+// backup log append), FnShardStatus (census; with the prepare flag, a
+// durable epoch promise), FnShardPull (snapshot fetch during
 // candidacy), FnInstall (epoch install / resync: wholesale snapshot +
 // meta in one durable commit).
 const (
@@ -230,16 +230,15 @@ func (m *ShardMap) Merge(o *ShardMap) {
 // forget the promise exactly when it matters.
 
 const (
-	metaLen  = 8 + 4 + 8 + 8 + 4
+	metaLen  = 8 + 4 + 8 + 8
 	stampLen = 8 + 8 // epoch, seq in front of a data record's user bytes
 )
 
 type shardMeta struct {
-	Epoch      uint64 // content epoch: the view this replica's data belongs to
-	Primary    int32  // that view's primary
-	Seq        uint64 // seq when the record was written; later appends of the epoch are stamped on their data records
-	Promised   uint64 // highest epoch durably promised to a candidate
-	PromisedBy int32  // the candidate holding the promise
+	Epoch    uint64 // content epoch: the view this replica's data belongs to
+	Primary  int32  // that view's primary
+	Seq      uint64 // seq when the record was written; later appends of the epoch are stamped on their data records
+	Promised uint64 // highest epoch durably promised to a candidate
 }
 
 // appendStamped renders a data record onto b: the stamp, then val.
@@ -271,20 +270,17 @@ func (m shardMeta) appendTo(b []byte) []byte {
 	b = putU64(b, m.Epoch)
 	b = putU32(b, uint32(m.Primary))
 	b = putU64(b, m.Seq)
-	b = putU64(b, m.Promised)
-	b = putU32(b, uint32(m.PromisedBy))
-	return b
+	return putU64(b, m.Promised)
 }
 
 func decodeShardMeta(b []byte) (shardMeta, error) {
 	r := &rbuf{b: b}
 	m := shardMeta{
-		Epoch:   r.u64(),
-		Primary: int32(r.u32()),
-		Seq:     r.u64(),
+		Epoch:    r.u64(),
+		Primary:  int32(r.u32()),
+		Seq:      r.u64(),
+		Promised: r.u64(),
 	}
-	m.Promised = r.u64()
-	m.PromisedBy = int32(r.u32())
 	if !r.done() {
 		return shardMeta{}, fmt.Errorf("%w: shard meta", errDecode)
 	}
@@ -395,19 +391,21 @@ func decodeKV(b []byte, repl bool) (kvReq, error) {
 	return q, nil
 }
 
-// statusReq: probe (Prepare=false) or durable epoch promise
-// (Prepare=true, the Paxos-prepare half of candidacy). NewEpoch and
-// Candidate are meaningful only when preparing.
+// statusReq: census, or with Prepare a durable promise of NewEpoch (the
+// Paxos-prepare half of candidacy) — with Reelect, by the primary of the
+// receiver's view re-electing itself. Flags are bits 0 and 1 of one byte.
 type statusReq struct {
-	Shard     uint16
-	Prepare   bool
-	NewEpoch  uint64
-	Candidate int32
+	Shard            uint16
+	Prepare, Reelect bool
+	NewEpoch         uint64
 }
 
 const (
-	statusLen     = 2 + 1 + 8 + 4
-	statusRespLen = 8 + 8 + 8 + 4 + 8 + 4
+	statusLen     = 2 + 1 + 8
+	statusRespLen = 8 + 8 + 8 + 4 + 8 + 1
+
+	flagLeads = 1 << 0 // census flag: the responder leads the shard
+	flagHeard = 1 << 1 // census flag: the responder hears its primary (shardState.hears)
 )
 
 func encodeStatus(q statusReq) []byte {
@@ -416,18 +414,19 @@ func encodeStatus(q statusReq) []byte {
 	if q.Prepare {
 		f = 1
 	}
-	b = append(b, f)
-	b = putU64(b, q.NewEpoch)
-	return putU32(b, uint32(q.Candidate))
+	if q.Reelect {
+		f |= 2
+	}
+	return putU64(append(b, f), q.NewEpoch)
 }
 
 func decodeStatus(b []byte) (statusReq, error) {
 	r := &rbuf{b: b}
 	var q statusReq
 	q.Shard = r.u16()
-	q.Prepare = r.u8() == 1
+	f := r.u8()
+	q.Prepare, q.Reelect = f&1 != 0, f&2 != 0
 	q.NewEpoch = r.u64()
-	q.Candidate = int32(r.u32())
 	if !r.done() {
 		return statusReq{}, fmt.Errorf("%w: status framing", errDecode)
 	}
@@ -435,16 +434,16 @@ func decodeStatus(b []byte) (statusReq, error) {
 }
 
 // statusResp reports a replica's full shard state: its durable content
-// position (epoch, seq), the routing view it has learned, and its
-// outstanding promise. Candidates compute the next epoch from the max
-// over all three epochs of a quorum.
+// position (epoch, seq), the routing view it has learned, its outstanding
+// promise, and its census flags. Candidates compute the next epoch from
+// the max over all three epochs of a quorum.
 type statusResp struct {
 	Epoch          uint64
 	Seq            uint64
 	LearnedEpoch   uint64
 	LearnedPrimary int32
 	Promised       uint64
-	PromisedBy     int32
+	Flags          uint8 // flagLeads | flagHeard
 }
 
 // appendStatusResp renders s onto b, which a reply fills with its status
@@ -455,7 +454,7 @@ func appendStatusResp(b []byte, s statusResp) []byte {
 	b = putU64(b, s.LearnedEpoch)
 	b = putU32(b, uint32(s.LearnedPrimary))
 	b = putU64(b, s.Promised)
-	return putU32(b, uint32(s.PromisedBy))
+	return append(b, s.Flags)
 }
 
 func decodeStatusResp(b []byte) (statusResp, error) {
@@ -466,8 +465,8 @@ func decodeStatusResp(b []byte) (statusResp, error) {
 		LearnedEpoch:   r.u64(),
 		LearnedPrimary: int32(r.u32()),
 		Promised:       r.u64(),
+		Flags:          r.u8(),
 	}
-	s.PromisedBy = int32(r.u32())
 	if !r.done() {
 		return statusResp{}, fmt.Errorf("%w: status resp framing", errDecode)
 	}

@@ -59,12 +59,12 @@ var replyDecoders = []struct {
 	// status and the flag can be cut short. A missing key is two bytes.
 	{"decodeGetResp/found", appendGetResp(nil, nil, true), false, checkGetResp},
 	{"decodeGetResp/missing", appendGetResp(nil, nil, false), true, checkGetResp},
-	{"decodeStatusResp", encodeStatusResp(statusResp{Epoch: 3, Seq: 7, LearnedEpoch: 4, LearnedPrimary: 1, Promised: 5, PromisedBy: 2}), true,
+	{"decodeStatusResp", encodeStatusResp(statusResp{Epoch: 3, Seq: 7, LearnedEpoch: 4, LearnedPrimary: 1, Promised: 5, Flags: flagLeads | flagHeard}), true,
 		func(t *testing.T, b []byte) bool {
 			_, err := decodeStatusResp(b)
 			return err == nil
 		}},
-	{"decodeStatus", encodeStatus(statusReq{Shard: 3, Prepare: true, NewEpoch: 8, Candidate: 1}), true, func(t *testing.T, b []byte) bool {
+	{"decodeStatus", encodeStatus(statusReq{Shard: 3, Prepare: true, Reelect: true, NewEpoch: 8}), true, func(t *testing.T, b []byte) bool {
 		_, err := decodeStatus(b)
 		return err == nil
 	}},
