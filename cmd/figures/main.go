@@ -120,6 +120,9 @@ func run(args []string) error {
 		return err
 	}
 
+	// The registry behind -metrics and -trace, nil without them; the
+	// figure closures below read it when they run.
+	var reg *obs.Registry
 	var fig11Pts []atb.Point
 	var fig17Res []tpch.QueryResult
 	type figure struct {
@@ -137,8 +140,8 @@ func run(args []string) error {
 		}})
 	}
 	figs = append(figs,
-		figure{"fig15", func(atb.Testbed) string { return figYCSB(ycsb.WorkloadA(3000), 15) }},
-		figure{"fig16", func(atb.Testbed) string { return figYCSB(ycsb.WorkloadB(3000), 16) }},
+		figure{"fig15", func(atb.Testbed) string { return figYCSB(ycsb.WorkloadA(3000), 15, reg) }},
+		figure{"fig16", func(atb.Testbed) string { return figYCSB(ycsb.WorkloadB(3000), 16, reg) }},
 		figure{"fig17", func(atb.Testbed) string {
 			s, res := fig17()
 			fig17Res = res
@@ -178,7 +181,6 @@ func run(args []string) error {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		return err
 	}
-	var reg *obs.Registry
 	var tracer *obs.Tracer
 	var traceOut *os.File
 	if *metrics || *traceFile != "" {
@@ -243,8 +245,9 @@ func header(fig, caption string) string {
 	return fmt.Sprintf("%s — %s\n(simulated reproduction; shapes comparable, absolute values are the simulator's)\n\n", fig, caption)
 }
 
-func figYCSB(w ycsb.Workload, fig int) string {
+func figYCSB(w ycsb.Workload, fig int, reg *obs.Registry) string {
 	cfg := ycsb.DefaultRunConfig(w)
+	cfg.Obs = reg
 	results := ycsb.Run(cfg)
 	thr := stats.NewTable("system", "total Kops/s", "Get", "Put", "MGet", "MPut")
 	lat := stats.NewTable("system", "Get µs", "Put µs", "MGet µs", "MPut µs")

@@ -7,6 +7,7 @@
 package hatkv
 
 import (
+	"bytes"
 	"errors"
 	"slices"
 
@@ -58,9 +59,14 @@ type Store struct {
 	queue   []*parkedOp
 	spare   []*parkedOp // records of writers that left park settled, for reuse
 	syncing []*parkedOp // a leader's group while it syncs; kept for the next one
+	// A leader's pairs in arrival order, and their indices sorted by key
+	// (absorb); both kept for the next group.
+	pairs []groupPair
+	order []int
 
 	groupOps  *obs.Histogram // ops per commit; nil until SetObs
 	writeWait *obs.Histogram // enqueue → a leader picks the op up
+	absorbed  *obs.Counter   // pairs a later op of their group overwrote
 
 	// Crash-recovery accounting (DESIGN.md §12): a Store is durable
 	// media — it survives its node's crashes, rolling back to the last
@@ -127,13 +133,16 @@ func (s *Store) crash() {
 	s.arm()
 }
 
-// SetObs attaches the write-path histograms: hatkv.commit_group_ops (ops
-// sharing one write txn and one commit) and hatkv.write_wait_ns (sim time
-// a parked writer spent queued before a leader picked its op up; solo
-// writers never queue and are not observed). A nil registry detaches.
+// SetObs attaches the write-path instruments: hatkv.commit_group_ops (ops
+// sharing one write txn and one commit), hatkv.write_wait_ns (sim time a
+// parked writer spent queued before a leader picked its op up; solo
+// writers never queue and are not observed) and hatkv.absorbed_pairs
+// (pairs never applied because a later pair of their group wrote the same
+// key). A nil registry detaches.
 func (s *Store) SetObs(r *obs.Registry) {
 	s.groupOps = r.Histogram("hatkv.commit_group_ops")
 	s.writeWait = r.Histogram("hatkv.write_wait_ns")
+	s.absorbed = r.Counter("hatkv.absorbed_pairs")
 }
 
 // Env exposes the LMDB environment (for preloading and inspection).
@@ -250,9 +259,10 @@ func (s *Store) write(p *sim.Proc, req *writeReq) (uint64, error) {
 // park queues an owned copy of req, then waits to be committed by a
 // leader or to be woken, at the head of the queue, as the next one. The
 // record comes off the store's spare list when it has one, and goes back
-// on it once a leader has settled the op: the fire that woke the writer
-// was its signal's only one, and lmdb owns the pairs by then. A writer
-// killed while parked simply takes its record with it.
+// on it once the op is settled — by a leader, or by leading it: the fire
+// that woke the writer was its signal's only one, and lmdb owns the pairs
+// by then. A writer killed while parked or leading simply takes its
+// record with it.
 func (s *Store) park(p *sim.Proc, req *writeReq) (uint64, error) {
 	var q *parkedOp
 	if n := len(s.spare); n > 0 {
@@ -274,10 +284,10 @@ func (s *Store) park(p *sim.Proc, req *writeReq) (uint64, error) {
 	}
 	s.queue = append(s.queue, q)
 	q.wake.Wait(p)
-	if !q.done {
-		return s.lead(p, nil)
-	}
 	txn, err := q.txn, q.err
+	if !q.done {
+		txn, err = s.lead(p, nil)
+	}
 	clear(q.owned)
 	*q = parkedOp{owned: q.owned[:0], wake: q.wake}
 	s.spare = append(s.spare, q)
@@ -343,7 +353,9 @@ func (s *Store) handOff(n int) {
 
 // commit applies solo (if any) and then queued, in that (arrival) order,
 // in one write txn, charging the begin, the inserts and a NoSync commit.
-// Any backend error fails the whole group.
+// Only the last pair the group writes to a key is applied and charged; the
+// others would be overwritten inside this txn before anyone could read
+// them. Any backend error fails the whole group.
 func (s *Store) commit(p *sim.Proc, solo *writeReq, queued []*parkedOp) (uint64, error) {
 	s.charge(p, float64(s.costs.BeginTxnNs))
 	txn, err := s.env.BeginWrite()
@@ -353,16 +365,12 @@ func (s *Store) commit(p *sim.Proc, solo *writeReq, queued []*parkedOp) (uint64,
 	// A no-op once committed; releases lmdb's writer slot when an apply
 	// fails or the leader is killed in one of the charges below.
 	defer txn.Abort()
-	pairs, bytesIn := 0, 0
-	if solo != nil {
-		pairs, bytesIn, err = applyBorrowed(txn, solo)
-	}
-	for _, q := range queued {
-		for i := 0; err == nil && i < len(q.owned); i += 2 {
-			err = txn.PutOwned(q.owned[i], q.owned[i+1])
-			bytesIn += len(q.owned[i+1])
-		}
-		pairs += len(q.owned) / 2
+	var pairs, bytesIn int
+	if solo != nil && !solo.multi {
+		// A lone Put: nothing to absorb, and nothing of the caller's kept.
+		pairs, bytesIn, err = 1, len(solo.value), txn.Put([]byte(solo.key), solo.value)
+	} else {
+		pairs, bytesIn, err = s.applyGroup(txn, solo, queued)
 	}
 	if err != nil {
 		return 0, kvError(err)
@@ -375,19 +383,62 @@ func (s *Store) commit(p *sim.Proc, solo *writeReq, queued []*parkedOp) (uint64,
 	return txn.ID(), nil
 }
 
-// applyBorrowed puts req's pairs into txn (which copies them) and returns
-// how many pairs and value bytes that was.
-func applyBorrowed(txn *lmdb.Txn, req *writeReq) (pairs, bytesIn int, err error) {
-	if !req.multi {
-		return 1, len(req.value), txn.Put([]byte(req.key), req.value)
-	}
-	for _, kv := range req.pairs {
-		if err := txn.Put([]byte(kv.Key), kv.Value); err != nil {
-			return 0, 0, err
+// groupPair is one pair of a commit group, owned by the store (a parked
+// op's copy, or the copy Put would have made of a solo MultiPut's pair).
+type groupPair struct {
+	k, v       []byte
+	superseded bool // a later pair of the group writes k
+}
+
+// applyGroup puts the group's pairs into txn in arrival order, skipping
+// the superseded ones, and returns how many pairs and value bytes it
+// applied. A solo op is never grouped with queued ones (a writer leads
+// solo only when nobody is queued), so the pairs are one MultiPut's, or
+// the queued ops' copies.
+func (s *Store) applyGroup(txn *lmdb.Txn, solo *writeReq, queued []*parkedOp) (pairs, bytesIn int, err error) {
+	g := s.pairs[:0]
+	if solo != nil {
+		for _, kv := range solo.pairs {
+			k, v := lmdb.CopyPair(kv.Key, kv.Value)
+			g = append(g, groupPair{k: k, v: v})
 		}
-		bytesIn += len(kv.Value)
 	}
-	return len(req.pairs), bytesIn, nil
+	for _, q := range queued {
+		for i := 0; i < len(q.owned); i += 2 {
+			g = append(g, groupPair{k: q.owned[i], v: q.owned[i+1]})
+		}
+	}
+	if len(g) > 1 {
+		s.absorb(g)
+	}
+	for i := 0; err == nil && i < len(g); i++ {
+		if !g[i].superseded {
+			err = txn.PutOwned(g[i].k, g[i].v)
+			pairs++
+			bytesIn += len(g[i].v)
+		}
+	}
+	clear(g)
+	s.pairs = g[:0]
+	return pairs, bytesIn, err
+}
+
+// absorb marks every pair of g that a later pair of g overwrites: a stable
+// sort of g's indices by key keeps each key's pairs in arrival order, so
+// all but the last of each equal-key run are superseded.
+func (s *Store) absorb(g []groupPair) {
+	order := s.order[:0]
+	for i := range g {
+		order = append(order, i)
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return bytes.Compare(g[a].k, g[b].k) })
+	for j := 1; j < len(order); j++ {
+		if bytes.Equal(g[order[j-1]].k, g[order[j]].k) {
+			g[order[j-1]].superseded = true
+			s.absorbed.Inc()
+		}
+	}
+	s.order = order
 }
 
 // kvError wraps a backend error in the service's declared exception, so

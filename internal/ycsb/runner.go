@@ -6,6 +6,7 @@ import (
 	"hatrpc/internal/engine"
 	"hatrpc/internal/hatkv"
 	kvgen "hatrpc/internal/hatkv/gen"
+	"hatrpc/internal/obs"
 	"hatrpc/internal/sim"
 	"hatrpc/internal/simnet"
 	"hatrpc/internal/stats"
@@ -107,6 +108,7 @@ type RunConfig struct {
 	Clients  int // total clients (paper: 128 over 4 nodes)
 	Nodes    int // cluster size incl. server (paper: 5)
 	Seed     int64
+	Obs      *obs.Registry // when non-nil, attached to every run's store
 }
 
 // DefaultRunConfig mirrors §5.4: 128 clients on 4 nodes + 1 server.
@@ -157,6 +159,7 @@ func runSystem(cfg RunConfig, kind SystemKind) Result {
 	if err != nil {
 		panic(err)
 	}
+	store.SetObs(cfg.Obs)
 	value := make([]byte, cfg.Workload.ValueLen)
 	for i := range value {
 		value[i] = byte(i)

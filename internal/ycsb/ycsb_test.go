@@ -107,27 +107,34 @@ func TestSmallRunAllSystems(t *testing.T) {
 	if len(results) != len(AllSystems) {
 		t.Fatalf("%d results", len(results))
 	}
-	byName := map[SystemKind]Result{}
+	// Systems are compared on the rate Little's law gives from each op's
+	// mean latency — clients ÷ Σ(mix × mean latency), the law
+	// TestWindowObeysLittlesLaw pins — not on the window's raw op count:
+	// which ops finish inside a window this short swings that count by
+	// several percent between seeds.
+	rate := map[SystemKind]float64{}
 	for _, r := range results {
 		if r.TotalOps <= 0 {
 			t.Fatalf("%v made no progress", r.System)
 		}
-		byName[r.System] = r
+		perOp := 0.0 // ns
+		for _, op := range AllOps {
+			perOp += cfg.Workload.Mix[op] * r.PerOp[op].AvgLatNs
+		}
+		rate[r.System] = float64(cfg.Clients) * 1e9 / perOp
 	}
 	// HatRPC-Function ≥ HatRPC-Service (within sampling noise at this
 	// small scale). Workload A is bound by the store's write queue, not by
 	// the transport, so the paper's Fig. 15a lead shrinks to a few percent
-	// (EXPERIMENTS.md, Known deviation 5): HatRPC-Function leads every
-	// comparator in Fig. 15 (235.6 against at most 227.6 Kops/s, HERD),
-	// while here AR-gRPC comes 1.6 % ahead. No comparator may lead
+	// (EXPERIMENTS.md, Known deviation 5). No comparator may lead
 	// HatRPC-Function by more than 7 %.
-	hf, hs := byName[SysHatFunction].TotalOps, byName[SysHatService].TotalOps
+	hf, hs := rate[SysHatFunction], rate[SysHatService]
 	if hf < hs*0.95 {
-		t.Errorf("HatRPC-Function (%.0f) below HatRPC-Service (%.0f)", hf, hs)
+		t.Errorf("HatRPC-Function (%.0f ops/s) below HatRPC-Service (%.0f)", hf, hs)
 	}
 	for _, sys := range []SystemKind{SysARgRPC, SysHERD, SysPilaf, SysRFP} {
-		if c := byName[sys].TotalOps; c > hf*1.07 {
-			t.Errorf("%v (%.0f) more than 7%% above HatRPC-Function (%.0f)", sys, c, hf)
+		if c := rate[sys]; c > hf*1.07 {
+			t.Errorf("%v (%.0f ops/s) more than 7%% above HatRPC-Function (%.0f)", sys, c, hf)
 		}
 	}
 }
