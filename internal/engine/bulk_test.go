@@ -9,6 +9,7 @@ import (
 	"hatrpc/internal/obs"
 	"hatrpc/internal/sim"
 	"hatrpc/internal/simnet"
+	"hatrpc/internal/verbs"
 )
 
 // pattern is the payload every bulk test ships: a pure function of its
@@ -50,8 +51,8 @@ func sourceReq(n int) []byte {
 }
 
 // writeCarried reports whether proto moves a large payload in the given
-// direction with WRITE work requests (the ones postWrite cuts into
-// trains); the rest move it as eager fragments or READs.
+// direction with a WRITE work request; the rest move it as eager
+// fragments or READs.
 func writeCarried(proto Protocol, response bool) bool {
 	switch proto {
 	case DirectWriteSend, ChainedWriteSend, DirectWriteIMM, WriteRNDV, HybridEagerRNDV:
@@ -62,33 +63,25 @@ func writeCarried(proto Protocol, response bool) bool {
 	return false
 }
 
-// chunksOf is how many WRITE work requests a staged message of n payload
-// bytes is posted as.
-func chunksOf(n int) int {
-	if total := n + hdrSize; total > 2*writeChunk {
-		return (total + writeChunk - 1) / writeChunk
-	}
-	return 1
-}
-
 // TestBulkBoundaries walks every protocol across the sizes where the
-// posting shape changes — one chunk, two chunks, the first train, a
-// whole-chunk train, the largest message — in both directions, with
-// finite RECV depth and credits on: the bytes arrive intact, a message
-// spends one peer RECV however many chunks carry it, a message of at most
-// two chunks posts the single WRITE it always did, and a train is that
-// WRITE's chunks behind one doorbell.
+// packet count of a message changes — one full packet, the first two-
+// and three-packet messages, a long one, the largest message — in both
+// directions, with finite RECV depth and credits on: the bytes arrive
+// intact, a message spends one peer RECV however many packets carry it,
+// and a WRITE-carried message is one work request behind as many
+// doorbells as the reference message, whatever its length.
 func TestBulkBoundaries(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ModelRNR = true
 	cfg.FlowCredits = 16
+	// Sizes count the engine's header: n+hdrSize bytes go on the wire.
+	const mtu = verbs.PathMTU
 	sizes := []int{
-		writeChunk - hdrSize - 1, writeChunk - hdrSize, writeChunk,
-		2*writeChunk - hdrSize, 2*writeChunk - hdrSize + 1, 3 * writeChunk,
-		cfg.MaxMsgSize,
+		mtu - hdrSize, mtu - hdrSize + 1, 2*mtu - hdrSize, 2*mtu - hdrSize + 1,
+		32*mtu - hdrSize, cfg.MaxMsgSize,
 	}
 	// The reference message: past the rendezvous threshold (so the hybrid
-	// has resolved to Write-RNDV) and far inside two chunks.
+	// has resolved to Write-RNDV), two packets long.
 	const ref = DefaultRndvThreshold + 1
 	for _, proto := range dataProtocols {
 		for _, response := range []bool{false, true} {
@@ -139,19 +132,18 @@ func TestBulkBoundaries(t *testing.T) {
 					base := measure(p, c, ref)
 					for _, n := range sizes {
 						got := measure(p, c, n)
-						if !writeCarried(proto, response) {
+						if !writeCarried(proto, response) || proto == HybridEagerRNDV && n <= DefaultRndvThreshold {
 							continue
 						}
-						if want := base.writes + int64(chunksOf(n)-1); got.writes != want {
-							t.Errorf("size %d: %d WRITE work requests, want %d (%d for the reference message, %d chunks)",
-								n, got.writes, want, base.writes, chunksOf(n))
+						if got.writes != base.writes {
+							t.Errorf("size %d: %d WRITE work requests, the reference message %d", n, got.writes, base.writes)
 						}
 						if got.recvs != base.recvs {
 							t.Errorf("size %d: message spent %d peer RECVs, the reference message %d", n, got.recvs, base.recvs)
 						}
 						// RFP polls for its response with READs, as many as the
 						// server takes time; every other sender rings as often
-						// for a train as for one WRITE.
+						// for a long message as for a short one.
 						if proto != RFP && got.doorbells != base.doorbells {
 							t.Errorf("size %d: %d doorbells, the reference message %d", n, got.doorbells, base.doorbells)
 						}
@@ -163,7 +155,7 @@ func TestBulkBoundaries(t *testing.T) {
 					t.Errorf("handler ran %d times for %d calls", runs, want)
 				}
 				if n := ctr(srvEng, "verbs.rnr_naks") + ctr(cliEng, "verbs.rnr_naks"); n != 0 {
-					t.Errorf("%d RNR NAKs: a train spent RECVs it had no credit for", n)
+					t.Errorf("%d RNR NAKs: a message spent RECVs it had no credit for", n)
 				}
 				assertNoLeaks(t, srvEng, cliEng)
 			})
@@ -184,20 +176,20 @@ func tornCluster() (*sim.Env, *simnet.Cluster, *Engine, *Engine) {
 }
 
 // TestTornTrainNeverDelivered drops, in turn, every single packet of a
-// five-chunk message — request and response, Direct-WriteIMM and the
+// five-packet message — request and response, Direct-WriteIMM and the
 // rendezvous WRITE behind its RTS — and checks RC ordering's promise: the
-// receiver never sees the message with a hole in it (the WRITEs behind
+// receiver never sees the message with a hole in it (the packets behind
 // the lost one are discarded, the IMM with them), the call completes by
 // retransmission with the right bytes after exactly one execution, and no
 // rendezvous buffer stays behind.
 func TestTornTrainNeverDelivered(t *testing.T) {
-	const size = 5*writeChunk - hdrSize
+	const size = 5*verbs.PathMTU - hdrSize
 	for _, proto := range []Protocol{DirectWriteIMM, WriteRNDV} {
 		for _, response := range []bool{false, true} {
 			// Packets on the bulk direction's link, counted from the call:
 			// the rendezvous sends its RTS first, and a server answering
 			// by rendezvous has granted the request's before that.
-			packets := chunksOf(size)
+			packets := 5
 			if proto == WriteRNDV {
 				packets++
 				if response {
@@ -297,7 +289,7 @@ func TestOrphanNotifyNotDelivered(t *testing.T) {
 // including the eager ones, whose fragments are staged over the very area
 // the payload lies in, and across a retransmission.
 func TestStagedPayloads(t *testing.T) {
-	const size = 40_000 // ten eager fragments, a four-chunk train
+	const size = 40_000 // ten eager fragments, ten packets
 	for _, proto := range dataProtocols {
 		for _, lossy := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/lossy=%v", proto, lossy), func(t *testing.T) {
@@ -348,11 +340,11 @@ func TestStagedResponseDedupPerSession(t *testing.T) {
 	runs := 0
 	srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte {
 		runs++
-		return append(ResponseStage(p), bytes.Repeat(req[:1], 3*writeChunk)...)
+		return append(ResponseStage(p), bytes.Repeat(req[:1], 9*verbs.PathMTU)...)
 	})
 	env.Spawn("client", func(p *sim.Proc) {
 		c := cliEng.Dial(p, srvEng.Node(), "svc")
-		want := bytes.Repeat([]byte{'a'}, 3*writeChunk)
+		want := bytes.Repeat([]byte{'a'}, 9*verbs.PathMTU)
 		got, err := c.Call(p, 1, []byte{'a'}, CallOpts{Proto: DirectWriteIMM, Busy: true})
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("first call: %d bytes, err %v", len(got), err)
@@ -399,20 +391,14 @@ func callAllocs(t testing.TB, proto Protocol, size int) float64 {
 	return allocs
 }
 
-// TestBulkCallSteadyStateAllocs is the cost gate of the chunk train: a
-// warmed 128 KB Direct-WriteIMM call (a train each way) allocates no more
-// than the largest call that still goes out as a single work request each
-// way, and so does a 1 MB one: nothing is allocated per chunk.
+// TestBulkCallSteadyStateAllocs: a warmed 128 KB Direct-WriteIMM call
+// allocates only its result — nothing, once the caller recycles it — and
+// so does a 1 MB one: nothing is allocated per packet or per byte.
 func TestBulkCallSteadyStateAllocs(t *testing.T) {
-	const bulk, huge = 128 << 10, 1 << 20
-	one := callAllocs(t, DirectWriteIMM, 2*writeChunk-hdrSize)
-	train := callAllocs(t, DirectWriteIMM, bulk)
-	long := callAllocs(t, DirectWriteIMM, huge)
-	t.Logf("allocs per call: %v as one WR, %v as a %d-chunk train, %v as a %d-chunk train",
-		one, train, chunksOf(bulk), long, chunksOf(huge))
-	if train > one || long > one {
-		t.Errorf("allocations grow with the chunk count: %v (1 WR), %v (%d chunks), %v (%d chunks)",
-			one, train, chunksOf(bulk), long, chunksOf(huge))
+	bulk := callAllocs(t, DirectWriteIMM, 128<<10)
+	huge := callAllocs(t, DirectWriteIMM, 1<<20)
+	if bulk != 0 || huge != 0 {
+		t.Errorf("allocations per recycled call: %v at 128 KB, %v at 1 MB, want 0", bulk, huge)
 	}
 }
 

@@ -255,9 +255,9 @@ func (c *Conn) sendDirectWrite(p *sim.Proc, h hdr, payload []byte, chained bool,
 	}
 	if chained {
 		write.Next = &send
-		c.postWrite(p, h, &write)
+		c.qp.PostSend(p, &write)
 	} else {
-		c.postWrite(p, h, &write)
+		c.qp.PostSend(p, &write)
 		c.qp.PostSend(p, &send)
 	}
 	return true
@@ -276,7 +276,7 @@ func (c *Conn) sendWriteImm(p *sim.Proc, h hdr, payload []byte, busy bool, until
 	}
 	c.spend()
 	c.stage(h, payload)
-	c.postWrite(p, h, &verbs.SendWR{
+	c.qp.PostSend(p, &verbs.SendWR{
 		WRID: c.wrid(), Op: verbs.OpWriteImm,
 		SGE:        verbs.SGE{MR: c.stageMR, Off: 0, Len: hdrSize + len(payload)},
 		Remote:     c.peerDirect,
@@ -324,7 +324,7 @@ func (c *Conn) sendWriteRNDV(p *sim.Proc, h hdr, payload []byte, busy bool, unti
 	// the model takes the payload to have been serialized straight into
 	// registered staging (stage skips the host copy when it was).
 	c.stage(h, payload)
-	c.postWrite(p, h, &verbs.SendWR{
+	c.qp.PostSend(p, &verbs.SendWR{
 		WRID: c.wrid(), Op: verbs.OpWriteImm,
 		SGE:        verbs.SGE{MR: c.stageMR, Off: 0, Len: hdrSize + len(payload)},
 		Remote:     rk,
@@ -366,7 +366,7 @@ func (c *Conn) sendReadRNDV(p *sim.Proc, h hdr, payload []byte, busy bool, until
 func (c *Conn) sendRfpWrite(p *sim.Proc, h hdr, payload []byte) {
 	putHdr(c.stageMR.Buf, h)
 	c.stagePayload(payload)
-	c.postWrite(p, h, &verbs.SendWR{
+	c.qp.PostSend(p, &verbs.SendWR{
 		WRID: c.wrid(), Op: verbs.OpWrite,
 		SGE:        verbs.SGE{MR: c.stageMR, Off: 0, Len: hdrSize + len(payload)},
 		Remote:     c.peerRfpIn,

@@ -166,7 +166,6 @@ type engineMetrics struct {
 
 	// Overload-protection instruments (only move when flow control,
 	// admission control, RNR modelling or the breaker is enabled).
-	chunkWRs      [nProtocols]*obs.Counter // WRs posted as bulk-WRITE chunk trains
 	shed          [nProtocols]*obs.Counter // requests rejected by admission
 	creditStalls  [nProtocols]*obs.Counter // sends blocked on zero credits
 	rnrFailures   *obs.Counter             // WCRNRRetryExceeded completions
@@ -219,7 +218,6 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 	m.calls = protoCounters(r, "engine.calls.")
 	m.served = protoCounters(r, "engine.served.")
 	m.bytesSent = protoCounters(r, "engine.bytes_sent.")
-	m.chunkWRs = protoCounters(r, "engine.chunk_wrs.")
 	m.shed = protoCounters(r, "engine.shed.")
 	m.creditStalls = protoCounters(r, "engine.credit_stalls.")
 	for i := range m.callLat {
@@ -330,7 +328,7 @@ func (e *Engine) releaseRndv(mr *verbs.MR) {
 
 // hdrSize is the modelled header: 24 bytes of fields and a reserved
 // trailing word, written zero. The size is part of the timing model (wire
-// bytes, the inline cut, chunk boundaries), so it moves only with results/.
+// bytes, the inline cut), so it moves only with results/.
 const hdrSize = 28
 
 // Message kinds.
@@ -508,7 +506,6 @@ type Conn struct {
 	// seq is issued — an old entry can never alias a wrapped value.
 	seq      uint32
 	nextWRID uint64
-	train    []verbs.SendWR // postWrite's chunk chain, reused (PostSend copies what it posts)
 
 	// Per-seq control state. Every normal completion path deletes its
 	// entry (handleWriteImm, handleRecvSlot kFin, handleWC OpRead,
@@ -654,13 +651,9 @@ func (e *Engine) newConn(server bool, shared *connShared) *Conn {
 		c.kvMetaMR = e.pd.RegisterMRLazy(32)
 		c.kvPayMR = e.pd.RegisterMRLazy(e.cfg.MaxMsgSize + hdrSize)
 		c.rfpInMR.SetWriteNotify(func(off, n int) {
-			// The poller watches the message's last byte: a request that
-			// arrives as a chunk train is complete only when the WRITE
-			// covering it has landed (chunks land in order, header first).
-			if off+n >= hdrSize+int(getHdr(c.rfpInMR.Bytes()).length) {
-				c.rfpPending = true
-				c.sig.Fire()
-			}
+			// A request lands as one WRITE, whole.
+			c.rfpPending = true
+			c.sig.Fire()
 		})
 	}
 	// Pin accounting from the actual MR lengths so Close can return the

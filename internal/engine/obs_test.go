@@ -209,7 +209,7 @@ func TestObsOffAllocs(t *testing.T) {
 }
 
 // TestObsDoesNotMoveTheClock runs one scenario over every protocol, small
-// and fragmented/chunked, with no registry, with a registry, and with a
+// and fragmented or multi-packet, with no registry, with a registry, and with a
 // registry and a tracer: observing must change neither a response nor the
 // virtual time the run ends at.
 func TestObsDoesNotMoveTheClock(t *testing.T) {
@@ -302,13 +302,11 @@ func TestObsCountersPerProtocol(t *testing.T) {
 	if got := r.Counter("engine.eager_frags").Value(); got == 0 {
 		t.Error("9000-byte eager oneway produced no fragment counts")
 	}
-	// The 100 000-byte Write-RNDV request is one train; each of the two
-	// 100 004-byte Direct-WriteIMM responses is another.
-	train := int64((100_000 + hdrSize + writeChunk - 1) / writeChunk)
-	for proto, want := range map[Protocol]int64{WriteRNDV: train, DirectWriteIMM: 2 * train, EagerSendRecv: 0} {
-		if got := r.Counter("engine.chunk_wrs." + proto.String()).Value(); got != want {
-			t.Errorf("engine.chunk_wrs.%s = %d, want %d", proto, got, want)
-		}
+	// The 100 000-byte Write-RNDV request and the two 100 004-byte
+	// Direct-WriteIMM responses are one work request each, however many
+	// packets carry them.
+	if got := r.Counter("verbs.tx.WRITE_WITH_IMM").Value(); got != 3 {
+		t.Errorf("verbs.tx.WRITE_WITH_IMM = %d, want 3", got)
 	}
 	if h := r.Histogram("engine.cts_wait_ns"); h.Sample().N() != 1 {
 		t.Errorf("cts_wait observations = %d, want 1 (one Write-RNDV)", h.Sample().N())
@@ -330,7 +328,6 @@ func TestObsCountersPerProtocol(t *testing.T) {
 		"oneway." + EagerSendRecv.String(),
 		"serve." + EagerSendRecv.String(),
 		"cts_wait",
-		"train",
 		"register",
 		"wr.READ",
 	} {

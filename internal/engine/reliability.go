@@ -94,10 +94,12 @@ const (
 
 // LossDeadline is the call deadline that leaves retransmission room to
 // finish on a fabric that drops a packet with probability loss, for calls
-// of up to n payload bytes each way. A message crosses the wire in pieces
-// no smaller than an eager slot and one lost piece costs the attempt (RC
-// ordering: what follows a gap is discarded, a chunk train is never
-// delivered torn), so an attempt is answered with probability
+// of up to n payload bytes each way. The fabric loses a message in pieces
+// no smaller than an eager slot — an eager fragment, or a whole
+// WRITE-carried message, which is lost or delivered entire — and one lost
+// piece costs the attempt (RC ordering: what follows a gap is discarded),
+// so counting slots bounds the pieces from above and an attempt is
+// answered with probability at least
 // q = (1-loss)^pieces, request and response counted: 98 % for a 512 B echo
 // at 1 % loss, 7 % for a 512 KB one sent eagerly. Once backed off, attempts
 // leave retryBackoffCapNs apart; the deadline affords as many of them as
@@ -339,8 +341,9 @@ func (c *Conn) waitOver(now, until sim.Time) bool {
 
 // noteFault records a failed send-side completion. It counts as evidence
 // against the attempt in flight only if that attempt posted the work
-// request: failures of earlier attempts' requests (the rest of a chunk
-// train behind the lost chunk, say) arrive late and prove nothing new.
+// request: failures of earlier attempts' requests (whatever was posted
+// behind the lost message before the gap opened, say) arrive late and
+// prove nothing new.
 func (c *Conn) noteFault(wc verbs.WC) {
 	if a := &c.att; a.faultFrom != 0 && wc.Op != verbs.OpRecv && wc.WRID >= a.faultFrom {
 		a.faulted = true
@@ -352,10 +355,11 @@ func (c *Conn) noteFault(wc verbs.WC) {
 // long message is never taken for a lost one.
 
 // departure is how long the NIC takes to put n posted payload bytes on the
-// wire: the DMA fetch, then the serialisation. A chunk train or a run of
-// eager fragments overlaps the two with each other and with the peer's
-// receive side, so the last byte is in the peer's memory about when this
-// says it has left.
+// wire, reckoned store-and-forward: the whole DMA fetch, then the
+// serialisation. A message of one packet is in the peer's memory about
+// then; a longer one earlier, because the NIC overlaps fetch, wire and
+// the peer's receive side packet by packet (verbs.PathMTU). It stays an
+// upper bound on purpose: a wait's timer starts behind it.
 func (c *Conn) departure(n int) sim.Duration {
 	return sim.Duration(c.eng.dev.CostModel().DMATime(n)) + c.eng.node.TX.SerializationTime(n)
 }
@@ -374,8 +378,9 @@ func (c *Conn) grantTime(n int) sim.Duration {
 // delivery is how long an n-byte request may take to be in the peer's
 // memory once this end has posted it. Write-RNDV has waited for its grant
 // by then (waitCTSUntil); Read-RNDV's peer finds its buffer only now, and
-// pulls the payload with one READ, which nothing overlaps: it is fetched,
-// serialised, received and placed strictly in turn.
+// pulls the payload with one READ: its request crosses, then this end's
+// NIC streams the payload back as it fetches it. Two departures bound
+// that with room to spare.
 func (c *Conn) delivery(proto Protocol, n int) sim.Duration {
 	if proto == ReadRNDV {
 		return c.grantTime(n) + 2*c.departure(n)

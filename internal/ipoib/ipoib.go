@@ -126,7 +126,7 @@ func (c *Conn) Send(p *sim.Proc, data []byte) {
 		from, to := c.node.ID(), peer.node.ID()
 		var attempt func(rto sim.Duration)
 		attempt = func(rto sim.Duration) {
-			drop, extra := fp.Outcome(from, to)
+			drop, extra := fp.Outcome(from, to, 1)
 			if drop {
 				c.retrans.Inc()
 				next := rto * 2
@@ -143,7 +143,7 @@ func (c *Conn) Send(p *sim.Proc, data []byte) {
 				env.At(rxDone, func() { peer.in.Push(msg) })
 			})
 		}
-		drop, extra := fp.Outcome(from, to)
+		drop, extra := fp.Outcome(from, to, 1)
 		if drop {
 			c.retrans.Inc()
 			env.After(tcpRTONs, func() { attempt(2 * tcpRTONs) })

@@ -15,7 +15,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 func expoFixture() *Registry {
 	r := NewRegistry()
 	r.Counter("engine.session_redials").Add(3)
-	r.Counter("engine.chunk_wrs.Direct-WriteIMM").Add(34)
+	r.Counter("engine.calls.Direct-WriteIMM").Add(34)
 	r.Counter("cluster.promotions").Inc()
 	r.Counter("node.drained").Add(17)
 	r.Counter("engine.bytes_recvd").Add(4096)

@@ -1,5 +1,5 @@
 // Fault injection for the simulated fabric. A FaultPlan is a
-// deterministic, seeded fault model installed on a Cluster: per-message
+// deterministic, seeded fault model installed on a Cluster: per-packet
 // drop probability, latency jitter, periodic link flaps (a directed link
 // goes dark for a window) and node pauses (a node stops receiving for a
 // window, as under a GC stall, kernel hiccup or failover). Transports
@@ -15,6 +15,8 @@
 package simnet
 
 import (
+	"math"
+
 	"hatrpc/internal/obs"
 	"hatrpc/internal/sim"
 )
@@ -23,8 +25,9 @@ import (
 // nothing (and draws no randomness), so a zero-config plan behaves
 // identically to no plan at all.
 type FaultConfig struct {
-	// DropProb is the per-message probability that a fabric hop silently
-	// loses the message (0..1).
+	// DropProb is the per-packet probability that a fabric hop silently
+	// loses a packet (0..1); a message is lost with any of its packets,
+	// and is drawn for once.
 	DropProb float64
 	// JitterNs adds a uniform extra one-way delay in [0, JitterNs) to
 	// every delivered message.
@@ -65,11 +68,12 @@ type FaultConfig struct {
 	// under asymmetric partitions — e.g. a call whose request arrives
 	// while its reply vanishes.
 	OneWayCuts []LinkCut
-	// DropNth scripts single losses: the N-th message (1-based, counted
-	// from the plan's installation) that crosses the directed link from→to
-	// is dropped. Like OneWayCuts these are explicit test scripts (no RNG
-	// draws); they pin down what a transport does when one particular
-	// packet of a multi-packet transfer is lost.
+	// DropNth scripts single losses: the message carrying the N-th packet
+	// (1-based, counted from the plan's installation) that crosses the
+	// directed link from→to is dropped. Like OneWayCuts these are explicit
+	// test scripts (no RNG draws); they pin down what a transport does when
+	// one particular packet of a multi-packet transfer is lost. (Every
+	// other fault acts on whole messages.)
 	DropNth []NthDrop
 }
 
@@ -81,7 +85,7 @@ type LinkCut struct {
 	EndNs    int64
 }
 
-// NthDrop is one scripted single-message loss (see FaultConfig.DropNth).
+// NthDrop is one scripted single-packet loss (see FaultConfig.DropNth).
 type NthDrop struct {
 	From, To int
 	N        int
@@ -98,7 +102,7 @@ type FaultPlan struct {
 	pausePhase map[int]int64    // node → pause window phase
 	partPhase  int64            // partition window phase (one global clock)
 	partSide   map[int]uint64   // node → per-node side-draw value
-	crossed    map[[2]int]int   // directed link → messages seen (DropNth only)
+	crossed    map[[2]int]int   // directed link → packets seen (DropNth only)
 
 	// Counters are nil-safe; SetObs attaches them.
 	drops          *obs.Counter // messages lost (random + flap + partition)
@@ -256,9 +260,9 @@ func (fp *FaultPlan) pauseRemaining(node int, t sim.Time) sim.Duration {
 	return 0
 }
 
-// nthDrop counts one message on the directed link from→to and reports
-// whether a DropNth script names it.
-func (fp *FaultPlan) nthDrop(from, to int) bool {
+// nthDrop counts a message of packets packets on the directed link
+// from→to and reports whether a DropNth script names one of them.
+func (fp *FaultPlan) nthDrop(from, to, packets int) bool {
 	if len(fp.cfg.DropNth) == 0 {
 		return false
 	}
@@ -266,21 +270,31 @@ func (fp *FaultPlan) nthDrop(from, to int) bool {
 		fp.crossed = make(map[[2]int]int)
 	}
 	link := [2]int{from, to}
-	fp.crossed[link]++
+	seen := fp.crossed[link]
+	fp.crossed[link] = seen + packets
 	for _, d := range fp.cfg.DropNth {
-		if d.From == from && d.To == to && d.N == fp.crossed[link] {
+		if d.From == from && d.To == to && d.N > seen && d.N <= seen+packets {
 			return true
 		}
 	}
 	return false
 }
 
-// Outcome draws the fate of one message on the directed link from→to at
-// the current virtual time: dropped (lost forever at this hop), or
-// delivered with extra one-way delay (jitter plus any destination pause
-// window). RNG draws happen only for the features the config enables, so
-// a zero config perturbs nothing.
-func (fp *FaultPlan) Outcome(from, to int) (drop bool, extra sim.Duration) {
+// lossOf is the probability that a message of packets packets loses one
+// of them when each is lost with probability p.
+func lossOf(p float64, packets int) float64 {
+	if packets == 1 {
+		return p
+	}
+	return 1 - math.Pow(1-p, float64(packets))
+}
+
+// Outcome draws the fate of one message of packets packets on the
+// directed link from→to at the current virtual time: dropped (lost
+// forever at this hop), or delivered with extra one-way delay (jitter
+// plus any destination pause window). RNG draws happen only for the
+// features the config enables, so a zero config perturbs nothing.
+func (fp *FaultPlan) Outcome(from, to, packets int) (drop bool, extra sim.Duration) {
 	now := fp.env.Now()
 	if fp.linkDown(from, to, now) {
 		fp.drops.Inc()
@@ -292,11 +306,11 @@ func (fp *FaultPlan) Outcome(from, to int) (drop bool, extra sim.Duration) {
 		fp.partitionDrops.Inc()
 		return true, 0
 	}
-	if fp.cfg.DropProb > 0 && fp.env.Rand().Float64() < fp.cfg.DropProb {
+	if p := fp.cfg.DropProb; p > 0 && fp.env.Rand().Float64() < lossOf(p, packets) {
 		fp.drops.Inc()
 		return true, 0
 	}
-	if fp.nthDrop(from, to) {
+	if fp.nthDrop(from, to, packets) {
 		fp.drops.Inc()
 		return true, 0
 	}

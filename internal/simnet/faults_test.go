@@ -34,7 +34,7 @@ func TestFaultOutcomeDropRate(t *testing.T) {
 	drops := 0
 	const n = 10_000
 	for i := 0; i < n; i++ {
-		if drop, extra := fp.Outcome(0, 1); drop {
+		if drop, extra := fp.Outcome(0, 1, 1); drop {
 			drops++
 		} else if extra != 0 {
 			t.Fatalf("jitter disabled but extra = %d", extra)
@@ -43,6 +43,17 @@ func TestFaultOutcomeDropRate(t *testing.T) {
 	if drops < n/20 || drops > n/5 {
 		t.Fatalf("drop rate %d/%d far from configured 10%%", drops, n)
 	}
+	// Loss is per packet: a four-packet message is lost about
+	// 1 − 0.9⁴ ≈ 34 % of the time.
+	drops = 0
+	for i := 0; i < n; i++ {
+		if drop, _ := fp.Outcome(0, 1, 4); drop {
+			drops++
+		}
+	}
+	if drops < n*30/100 || drops > n*38/100 {
+		t.Fatalf("four-packet drop rate %d/%d far from 34%%", drops, n)
+	}
 }
 
 func TestFaultOutcomeJitterBounded(t *testing.T) {
@@ -50,7 +61,7 @@ func TestFaultOutcomeJitterBounded(t *testing.T) {
 	fp := cl.InstallFaults(FaultConfig{JitterNs: 500})
 	seen := false
 	for i := 0; i < 1000; i++ {
-		drop, extra := fp.Outcome(0, 1)
+		drop, extra := fp.Outcome(0, 1, 1)
 		if drop {
 			t.Fatal("drop with DropProb 0")
 		}
@@ -248,7 +259,7 @@ func TestPartitionSeversBothDirections(t *testing.T) {
 	checked := false
 	env.At(windowAt, func() {
 		checked = true
-		if drop, _ := fp.Outcome(0, 1); !drop {
+		if drop, _ := fp.Outcome(0, 1, 1); !drop {
 			t.Errorf("Outcome did not drop during a severed window at t=%d", windowAt)
 		}
 		env.Stop()
@@ -300,8 +311,8 @@ func TestPartitionSeedDeterministic(t *testing.T) {
 }
 
 // TestFaultDropNthScriptedSingleLoss: a DropNth script loses exactly the
-// named message of the named directed link, counted from installation,
-// and draws no randomness.
+// message carrying the named packet of the named directed link, counted
+// from installation, and draws no randomness.
 func TestFaultDropNthScriptedSingleLoss(t *testing.T) {
 	env, cl := faultCluster(7)
 	before := env.Rand().Int63()
@@ -315,15 +326,27 @@ func TestFaultDropNthScriptedSingleLoss(t *testing.T) {
 	}
 	var lost []int
 	for i := 1; i <= 8; i++ {
-		if drop, _ := fp.Outcome(0, 1); drop {
+		if drop, _ := fp.Outcome(0, 1, 1); drop {
 			lost = append(lost, i)
 		}
-		if drop, _ := fp.Outcome(1, 0); drop {
+		if drop, _ := fp.Outcome(1, 0, 1); drop {
 			t.Fatalf("reverse link dropped message %d", i)
 		}
 	}
 	if len(lost) != 2 || lost[0] != 3 || lost[1] != 5 {
 		t.Fatalf("lost messages %v, want [3 5]", lost)
+	}
+	// Counting is by packet: of four-packet messages, the one that
+	// carries packet 10 (the third) is lost.
+	fp = cl.InstallFaults(FaultConfig{DropNth: []NthDrop{{From: 0, To: 1, N: 10}}})
+	lost = lost[:0]
+	for i := 1; i <= 4; i++ {
+		if drop, _ := fp.Outcome(0, 1, 4); drop {
+			lost = append(lost, i)
+		}
+	}
+	if len(lost) != 1 || lost[0] != 3 {
+		t.Fatalf("lost four-packet messages %v, want [3]", lost)
 	}
 	if env.Rand().Int63() != env2.Rand().Int63() {
 		t.Fatal("DropNth drew from the seeded RNG")

@@ -5,8 +5,10 @@
 //
 // The fabric is intentionally message-granular: a transfer occupies the
 // sender's TX engine for bytes/bandwidth, propagates for a fixed delay,
-// and occupies the receiver's RX engine for bytes/bandwidth. Contention on
-// either side queues FIFO, which is what makes a many-clients-one-server
+// and occupies the receiver's RX engine for bytes/bandwidth. A transport
+// that cuts its messages into packets streams them through each engine in
+// one reservation (BandwidthGate.Stream), not one per packet. Contention
+// on either side queues FIFO, which is what makes a many-clients-one-server
 // incast saturate at link rate, exactly as on the real cluster.
 package simnet
 
@@ -221,6 +223,11 @@ type BandwidthGate struct {
 	bytesPerNs float64
 	nextFree   sim.Time
 	busyNs     int64 // accumulated occupancy, for utilization accounting
+
+	// The gate's recent past, for transfers booked after their first
+	// packets came through (Stream): it was idle in [idleFrom, busySince)
+	// and has been busy since, and is taken to have been busy before.
+	idleFrom, busySince sim.Time
 }
 
 // NewBandwidthGate returns a gate with the given rate in bytes/ns.
@@ -257,17 +264,42 @@ func (g *BandwidthGate) Transmit(p *sim.Proc, size int) {
 // the virtual time at which the transfer completes. Used by NIC engines
 // that pipeline DMA with transmit.
 func (g *BandwidthGate) Reserve(now sim.Time, size int) sim.Time {
+	_, done := g.Stream(now, size, now)
+	return done
+}
+
+// Stream is Reserve for a transfer that reaches the gate as a run of
+// packets: the first was ready at from, and the last cannot be through
+// before tail (it is still being produced upstream). The gate serves the
+// transfer from its first packet on, so a transfer booked when its last
+// packet arrives — from then lies in the past — is credited with the
+// time the gate stood idle since from: its early packets went through
+// then, and only the rest queues behind what the gate has booked since.
+// Stream returns when the transfer's service starts and when it ends,
+// never before tail; for a transfer booked at from with a tail the
+// gate's own pace meets anyway, it is exactly Reserve.
+func (g *BandwidthGate) Stream(from sim.Time, size int, tail sim.Time) (start, done sim.Time) {
 	if size <= 0 {
-		return now
+		return from, from
 	}
-	start := now
-	if g.nextFree > start {
-		start = g.nextFree
+	work := sim.Time(g.SerializationTime(size))
+	idle := max(from, g.idleFrom) // where the credited idle stretch begins
+	switch {
+	case g.nextFree <= from: // idle when the transfer began
+		start, done = from, max(from+work, tail)
+		g.idleFrom, g.busySince = g.nextFree, from
+	case idle >= g.busySince: // busy all the while
+		start, done = g.nextFree, max(g.nextFree+work, tail)
+	case work <= g.busySince-idle: // served whole in the idle stretch
+		start, done = idle, max(idle+work, tail)
+		g.idleFrom = done
+	default: // fills the idle stretch, then queues
+		start, done = idle, max(g.nextFree+work-(g.busySince-idle), tail)
+		g.idleFrom, g.busySince = idle, idle
 	}
-	ser := g.SerializationTime(size)
-	g.nextFree = start + sim.Time(ser)
-	g.busyNs += int64(ser)
-	return g.nextFree
+	g.nextFree = max(g.nextFree, done)
+	g.busyNs += int64(work)
+	return start, done
 }
 
 // BusyNs returns total accumulated occupancy in nanoseconds, including
@@ -290,7 +322,7 @@ func (g *BandwidthGate) ReservedAheadNs(now sim.Time) int64 {
 // busyNs minus the reserved-ahead tail — so it never exceeds elapsed
 // virtual time.
 func (g *BandwidthGate) CompletedBusyNs(now sim.Time) int64 {
-	return g.busyNs - g.ReservedAheadNs(now)
+	return max(g.busyNs-g.ReservedAheadNs(now), 0)
 }
 
 // Utilization returns completed occupancy as a fraction of elapsed

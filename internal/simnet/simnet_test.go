@@ -65,6 +65,52 @@ func TestBandwidthGateReserve(t *testing.T) {
 	_ = env
 }
 
+// TestBandwidthGateStream: a transfer booked once its last packet has
+// come (Stream from its first packet's time) is served from its first
+// packet on. It is credited the time the gate stood idle meanwhile, so a
+// short transfer booked in that stretch delays it by its own length,
+// not by the whole stretch; it is never done before its tail; and on a
+// busy gate it queues as Reserve would.
+func TestBandwidthGateStream(t *testing.T) {
+	g := NewBandwidthGate(sim.NewEnv(1), 1) // 1 B/ns: sizes read as ns
+	if start, done := g.Stream(100, 1000, 100); start != 100 || done != 1100 {
+		t.Fatalf("idle gate: served [%d, %d], want [100, 1100]", start, done)
+	}
+	if start, done := g.Stream(1500, 200, 1500); start != 1500 || done != 1700 {
+		t.Fatalf("idle again: served [%d, %d], want [1500, 1700]", start, done)
+	}
+	// Streaming since 1200 (while the gate idled until 1500), booked at
+	// its last packet: 300 ns of it went through in the idle stretch, the
+	// other 500 queue behind the 200 booked meanwhile.
+	if start, done := g.Stream(1200, 800, 2000); start != 1200 || done != 2200 {
+		t.Fatalf("credited stretch: served [%d, %d], want [1200, 2200]", start, done)
+	}
+	// A transfer that fits an idle stretch is served inside it, but is
+	// never done before its tail.
+	g = NewBandwidthGate(sim.NewEnv(1), 1)
+	g.Stream(1000, 100, 1000)
+	if start, done := g.Stream(0, 50, 60); start != 0 || done != 60 {
+		t.Fatalf("inside the stretch: served [%d, %d], want [0, 60]", start, done)
+	}
+	if _, done := g.Stream(100, 50, 400); done != 400 {
+		t.Fatalf("tail: done %d, want 400", done)
+	}
+	// What was booked up to a tail is not idle: a later transfer from
+	// before it starts after it, fills the stretch left and queues behind
+	// the first transfer with the rest.
+	if start, done := g.Stream(300, 700, 900); start != 400 || done != 1200 {
+		t.Fatalf("behind the booked stretch: served [%d, %d], want [400, 1200]", start, done)
+	}
+	// Booked at its first packet, a transfer queues exactly as Reserve.
+	a, b := NewBandwidthGate(sim.NewEnv(1), 1), NewBandwidthGate(sim.NewEnv(1), 1)
+	for _, now := range []sim.Time{0, 10, 500, 505, 2000} {
+		_, got := a.Stream(now, 300, now)
+		if want := b.Reserve(now, 300); got != want {
+			t.Fatalf("Stream(%d) done %d, Reserve %d", now, got, want)
+		}
+	}
+}
+
 func TestOOBConnectAndExchange(t *testing.T) {
 	env, cl := cluster(4)
 	var got string

@@ -9,7 +9,8 @@
 // virtual: every doorbell, WQE fetch, DMA, wire serialization, completion
 // and interrupt is charged per the CostModel, so protocol comparisons
 // reproduce the relative behaviour measured on real hardware while
-// remaining deterministic.
+// remaining deterministic. Like an RC NIC, the device moves a message as
+// PathMTU packets and overlaps their fetch, wire and placement.
 package verbs
 
 import (
@@ -207,9 +208,8 @@ func (mr *MR) SetRevoked(b bool) { mr.revoked = b }
 // one-sided WRITE lands in this region, with the offset and length of the
 // bytes it placed. Memory-polling protocols (HERD, RFP) use it as the
 // simulation equivalent of a CPU spin loop observing the write: the
-// *detection cost* is still charged by the poller. A message written as
-// several WRITEs lands in posting order, so a poller that waits for the
-// WRITE covering the message's last byte never sees a partial message.
+// *detection cost* is still charged by the poller. WRITEs land in
+// posting order, each whole.
 func (mr *MR) SetWriteNotify(fn func(off, n int)) { mr.onWrite = fn }
 
 // RegisterMR pins and registers a fresh buffer of the given size,
@@ -702,21 +702,23 @@ func (qp *QP) flushed(id uint64, op Opcode) {
 // releases it; paths that keep one indefinitely (a crash, an exhausted
 // RNR budget) simply leave it to the collector.
 type packet struct {
-	kind       Opcode
-	srcQP      *QP
-	dstQP      *QP
-	payload    []byte // post-time snapshot (nil for a READ request)
-	remote     RKey
-	remoteOff  int
-	imm        uint32
-	wrid       uint64 // initiator's WRID (kept across a READ round trip)
-	inline     bool
-	signaled   bool
-	isReadResp bool
-	readDst    SGE    // READ: where the initiator wants the bytes
-	postTs     int64  // initiator doorbell time, for doorbell→completion tracing
-	gen        uint32 // srcQP.gen at post; stale once the QP has recovered
-	wire       int    // bytes the fabric carries, header included
+	kind        Opcode
+	srcQP       *QP
+	dstQP       *QP
+	payload     []byte // post-time snapshot (nil for a READ request)
+	remote      RKey
+	remoteOff   int
+	imm         uint32
+	wrid        uint64 // initiator's WRID (kept across a READ round trip)
+	inline      bool
+	signaled    bool
+	isReadResp  bool
+	readDst     SGE      // READ: where the initiator wants the bytes
+	postTs      int64    // initiator doorbell time, for doorbell→completion tracing
+	gen         uint32   // srcQP.gen at post; stale once the QP has recovered
+	wire        int      // bytes the fabric carries, every packet's header included
+	lastWire    int      // of which the last packet's
+	firstArrive sim.Time // when the first packet reached the responder's port
 
 	// Completion the packet raises once landed: cq receives wc.
 	cq *CQ
@@ -725,6 +727,23 @@ type packet struct {
 	home                    *Device
 	arriveFn, landFn, cqeFn func()
 }
+
+// PathMTU is the most payload one packet carries: the path MTU of the
+// paper's EDR fabric. Every message crosses the wire as packets(n)
+// packets, each with WireHeaderBytes of its own, and the NIC pipelines
+// them: the wire takes a packet as soon as it is fetched, and the
+// responder places each as it arrives, so of the DMA at either end only
+// one packet's worth — the first fetched, the last placed — is not
+// hidden behind the wire. The schedule is worked out per message from the
+// gates (simnet.BandwidthGate.Stream); no event is spent per packet.
+const PathMTU = 4096
+
+// packets is how many packets carry an n-byte message (a message with no
+// payload is one header-only packet).
+func packets(n int) int { return max(1, (n+PathMTU-1)/PathMTU) }
+
+// lastPacket is the payload of an n-byte message's last packet.
+func lastPacket(n int) int { return n - (packets(n)-1)*PathMTU }
 
 // owner is the QP whose retry timer a loss of this packet runs down: the
 // initiator of a READ for its response, the sender for everything else.
@@ -735,15 +754,18 @@ func (pkt *packet) owner() *QP {
 	return pkt.srcQP
 }
 
-// arrive runs when the packet reaches the responder's port: it queues for
-// the RX gate.
+// arrive runs when the message's last packet reaches the responder's
+// port. The RX gate has been taking the message since its first packet
+// arrived, at firstArrive, as far as it was free to; it is done once the
+// last packet has crossed it too.
 func (pkt *packet) arrive() {
 	remote := pkt.dstQP.dev
-	rxDone := remote.node.RX.Reserve(remote.env.Now(), pkt.wire)
+	rx := remote.node.RX
+	_, rxDone := rx.Stream(pkt.firstArrive, pkt.wire, remote.env.Now()+sim.Time(rx.SerializationTime(pkt.lastWire)))
 	remote.env.At(rxDone, pkt.landFn)
 }
 
-// land runs when the packet's last byte has crossed the RX gate.
+// land runs when the message's last byte has crossed the RX gate.
 func (pkt *packet) land() { pkt.dstQP.dev.receive(pkt) }
 
 // cqe raises the completion recorded in the packet, which is its last
@@ -776,9 +798,9 @@ func (pkt *packet) release() {
 }
 
 // Payload snapshots are recycled by capacity, in classes a quarter of an
-// octave wide (a chunk train's 12 KB chunks and its shorter last chunk
-// must not share a free list, or each would shadow the other at the top
-// of it). A miss allocates exactly the length asked for — rounding a cold
+// octave wide (two message sizes a device alternates between must not
+// share a free list, or the shorter would shadow the longer at the top of
+// it). A miss allocates exactly the length asked for — rounding a cold
 // 540-byte message up to its class would cost more bytes than recycling
 // saves on workloads that never revisit a size.
 const (
@@ -855,15 +877,20 @@ func (d *Device) txEngine(p *sim.Proc) {
 			} else {
 				d.vm.dma.Inc()
 			}
+			// The wire takes the message's first packet as soon as it is
+			// fetched; the DMA engine fetches the rest while packets leave.
 			n := len(pkt.payload)
+			var rest sim.Duration
 			if !pkt.inline {
-				p.Sleep(sim.Duration(cm.DMATime(n)))
+				first := sim.Duration(cm.DMATime(min(n, PathMTU)))
+				p.Sleep(first)
+				rest = sim.Duration(cm.DMATime(n)) - first
 			}
 			// transmit releases a packet the fabric loses, so read what the
 			// send completion needs first.
 			id, op, signaled, postTs := pkt.wrid, pkt.kind, pkt.signaled, pkt.postTs
 			pkt.dstQP = qp.peer
-			txDone, delivered := d.transmit(pkt, n)
+			txDone, delivered := d.transmit(pkt, n, rest)
 			if signaled && delivered {
 				// Local send completion once the message is on the wire.
 				cqeAt := txDone + sim.Time(cm.CQEDmaNs)
@@ -877,21 +904,28 @@ func (d *Device) txEngine(p *sim.Proc) {
 				c.cq, c.wc = qp.sendCQ, WC{WRID: id, Op: op, ByteLen: n, QP: qp}
 				d.env.At(cqeAt, c.cqeFn)
 			}
+			if rest > 0 {
+				p.Sleep(rest)
+			}
 		case OpRead:
 			p.Sleep(sim.Duration(cm.OutboundOneSidedExtraNs))
 			pkt.dstQP = qp.peer
-			d.transmit(pkt, 0) // request packet is header-only
+			d.transmit(pkt, 0, 0) // request packet is header-only
 		default:
 			panic("verbs: bad opcode on send queue")
 		}
 	}
 }
 
-// transmit reserves wire time on the local TX gate (the NIC pipelines
-// serialization with subsequent WQE processing), propagates the packet,
-// and schedules receive-side handling through the remote RX gate. It
-// returns the virtual time the last byte leaves the local NIC, and
-// whether the fabric delivered the message. A packet that is not
+// transmit puts a message of size payload bytes on the wire and hands it
+// to the fabric. It runs once the message's first packet is fetched; rest
+// is how much longer the fetch of the others takes. The message leaves as
+// packets (PathMTU): the TX gate takes them in one reservation that starts
+// with the first and cannot end before the last has been fetched and
+// sent, and once the last has arrived, the responder's RX gate is
+// reserved from the first packet's arrival the same way (arrive).
+// transmit returns the virtual time the last byte leaves the local NIC,
+// and whether the fabric delivered the message. A packet that is not
 // delivered is released here.
 //
 // When a fault plan is installed on the cluster it is consulted per
@@ -905,7 +939,7 @@ func (d *Device) txEngine(p *sim.Proc) {
 // destination-pause delays stretch the propagation leg without letting a
 // QP's packets overtake one another. With no plan installed this path is
 // untouched.
-func (d *Device) transmit(pkt *packet, size int) (txDone sim.Time, delivered bool) {
+func (d *Device) transmit(pkt *packet, size int, rest sim.Duration) (txDone sim.Time, delivered bool) {
 	if d.dead {
 		// The NIC died between scheduling this transfer (e.g. a READ
 		// response being served) and issuing it: nothing reaches the
@@ -914,11 +948,15 @@ func (d *Device) transmit(pkt *packet, size int) (txDone sim.Time, delivered boo
 		pkt.release()
 		return d.env.Now(), false
 	}
-	pkt.wire = size + d.cm.WireHeaderBytes
-	txDone = d.node.TX.Reserve(d.env.Now(), pkt.wire)
+	hdr := d.cm.WireHeaderBytes
+	pkt.wire = size + packets(size)*hdr
+	pkt.lastWire = lastPacket(size) + hdr
+	now, tx := d.env.Now(), d.node.TX
+	start, txDone := tx.Stream(now, pkt.wire, now+sim.Time(rest+tx.SerializationTime(pkt.lastWire)))
 	remote := pkt.dstQP.dev
 	prop := sim.Time(d.node.Cluster().PropDelay())
-	at := txDone + prop
+	first := start + sim.Time(tx.SerializationTime(min(size, PathMTU)+hdr)) + prop
+	last := txDone + prop
 	if remote.dead {
 		if remote.node.Down() {
 			// Target is dark: the message vanishes and transport retries
@@ -929,7 +967,7 @@ func (d *Device) transmit(pkt *packet, size int) (txDone sim.Time, delivered boo
 			// the very first packet — a fast connection-invalid failure.
 			// (delivered=false suppresses the local success completion, so
 			// the error CQE is never a duplicate here.)
-			d.failRemoteInvalid(pkt, at+prop, false)
+			d.failRemoteInvalid(pkt, last+prop, false)
 		}
 		pkt.release()
 		return txDone, false
@@ -941,19 +979,21 @@ func (d *Device) transmit(pkt *packet, size int) (txDone sim.Time, delivered boo
 		return txDone, false
 	}
 	if fp := d.node.Cluster().Faults(); fp != nil {
-		drop, extra := fp.Outcome(d.node.ID(), remote.node.ID())
+		drop, extra := fp.Outcome(d.node.ID(), remote.node.ID(), packets(size))
 		if drop {
 			d.dropInFlight(pkt, txDone)
 			pkt.release()
 			return txDone, false
 		}
-		// RC delivers in order: a delayed packet holds back the ones
-		// behind it.
+		// RC delivers in order: a delayed message holds back the ones
+		// behind it, whose first packet cannot arrive before its last.
 		src := pkt.srcQP
-		at = max(at+sim.Time(extra), src.lastArrive)
-		src.lastArrive = at
+		shift := max(sim.Time(extra), src.lastArrive-first)
+		first, last = first+shift, last+shift
+		src.lastArrive = last
 	}
-	d.env.At(at, pkt.arriveFn)
+	pkt.firstArrive = first
+	d.env.At(last, pkt.arriveFn)
 	return txDone, true
 }
 
@@ -1023,7 +1063,8 @@ func (d *Device) receive(pkt *packet) {
 	}
 	if pkt.isReadResp {
 		// READ response at the initiator: DMA into the destination SGE
-		// and complete.
+		// and complete. Every packet but the last was placed while the
+		// next one crossed the RX gate.
 		n := len(pkt.payload)
 		copy(pkt.readDst.MR.Bytes()[pkt.readDst.Off:], pkt.payload)
 		if !pkt.signaled {
@@ -1031,7 +1072,7 @@ func (d *Device) receive(pkt *packet) {
 			return
 		}
 		qp := pkt.dstQP
-		dly := sim.Duration(cm.DMATime(n) + cm.CQEDmaNs)
+		dly := sim.Duration(cm.DMATime(lastPacket(n)) + cm.CQEDmaNs)
 		if trc := d.trc; trc != nil {
 			trc.Complete("verbs", "wr.READ", d.node.ID(), int(qp.id),
 				pkt.postTs, int64(env.Now())+int64(dly),
@@ -1091,7 +1132,8 @@ func (d *Device) receive(pkt *packet) {
 			return
 		}
 		// Serve the READ entirely in the NIC: fetch from host memory and
-		// stream the response back.
+		// stream the response back, starting once its first packet is
+		// fetched.
 		src := pkt.remote.mr
 		if src.revoked {
 			// Stale rkey: remote access error. The initiator's WR fails
@@ -1108,15 +1150,16 @@ func (d *Device) receive(pkt *packet) {
 		resp.wrid, resp.signaled = pkt.wrid, pkt.signaled
 		resp.readDst, resp.postTs = pkt.readDst, pkt.postTs
 		pkt.release()
-		serve := sim.Duration(cm.InboundServeNs + cm.DMATime(n))
+		first := sim.Duration(cm.DMATime(min(n, PathMTU)))
+		rest := sim.Duration(cm.DMATime(n)) - first
 		// The response takes the same fabric path as any other message
 		// (and is therefore subject to the same fault plan).
-		env.After(serve, func() { d.transmit(resp, n) })
+		env.After(sim.Duration(cm.InboundServeNs)+first, func() { d.transmit(resp, n, rest) })
 	}
 }
 
 // completeRecv lands a two-sided payload in the RECV buffer and raises
-// the receive completion.
+// the receive completion once the last packet is placed.
 func (qp *QP) completeRecv(pkt *packet, wr RecvWR) {
 	cm := qp.dev.cm
 	n := copy(wr.SGE.MR.Bytes()[wr.SGE.Off:wr.SGE.Off+wr.SGE.Len], pkt.payload)
@@ -1125,5 +1168,5 @@ func (qp *QP) completeRecv(pkt *packet, wr RecvWR) {
 	if pkt.kind == OpSendImm {
 		pkt.wc.Imm, pkt.wc.HasImm = pkt.imm, true
 	}
-	qp.dev.env.After(sim.Duration(cm.DMATime(n)+cm.CQEDmaNs), pkt.cqeFn)
+	qp.dev.env.After(sim.Duration(cm.DMATime(lastPacket(n))+cm.CQEDmaNs), pkt.cqeFn)
 }
