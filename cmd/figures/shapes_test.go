@@ -28,7 +28,8 @@ func resultRows(t *testing.T, fig string) [][]string {
 }
 
 // cell finds the row whose leading fields are key and parses its field
-// col: a plain number, or a latency in ns, µs, ms or s (returned in µs).
+// col: a plain number, a ratio ("1.54x"), or a latency in ns, µs, ms or s
+// (returned in µs).
 func cell(t *testing.T, fig string, rows [][]string, col int, key ...string) float64 {
 	t.Helper()
 next:
@@ -42,7 +43,7 @@ next:
 		for _, u := range []struct {
 			suffix string
 			scale  float64
-		}{{"ns", 1e-3}, {"µs", 1}, {"ms", 1e3}, {"s", 1e6}} {
+		}{{"x", 1}, {"ns", 1e-3}, {"µs", 1}, {"ms", 1e3}, {"s", 1e6}} {
 			if v, ok := strings.CutSuffix(s, u.suffix); ok {
 				s, scale = v, u.scale
 				break
@@ -89,6 +90,45 @@ func TestPaperShapes(t *testing.T) {
 		if h > 1.01*d {
 			t.Errorf("fig11 %s: HatRPC %.2f µs is %.1f %% slower than Direct-Write-Send %.2f µs", size, h, 100*(h/d-1), d)
 		}
+	}
+
+	// Figs. 13/14: at every client count, no system beats HatRPC on both
+	// lat-call latency and tput-call rate by more than 0.5 % — the isolation
+	// the mix benchmark exists to show.
+	for _, fig := range []string{"fig13", "fig14"} {
+		rows := resultRows(t, fig)
+		for _, r := range rows {
+			if r[0] == "HatRPC" {
+				continue
+			}
+			lat, tput := cell(t, fig, rows, 2, r[0], r[1]), cell(t, fig, rows, 3, r[0], r[1])
+			hLat, hTput := cell(t, fig, rows, 2, "HatRPC", r[1]), cell(t, fig, rows, 3, "HatRPC", r[1])
+			if lat < 0.995*hLat && tput > 1.005*hTput {
+				t.Errorf("%s %s clients: %s beats HatRPC on both metrics by > 0.5 %%: %.2f µs vs %.2f µs, %.1f vs %.1f Kops/s",
+					fig, r[1], r[0], lat, hLat, tput, hTput)
+			}
+		}
+	}
+
+	// Fig. 17: the bimodal split — the communication-heavy queries gain
+	// at least 1.4× from function-level hints, every other query at most
+	// 1.10× — and the totals order HatRPC-Fn < HatRPC-Svc < IPoIB.
+	fig17 := resultRows(t, "fig17")
+	heavy := map[string]bool{"Q2": true, "Q11": true, "Q13": true, "Q16": true, "Q22": true}
+	for _, r := range fig17 {
+		if r[0] == "TOTAL" {
+			continue
+		}
+		switch fn := cell(t, "fig17", fig17, 5, r[0]); {
+		case heavy[r[0]] && fn < 1.4:
+			t.Errorf("fig17 %s: Fn speedup %.2fx, want ≥ 1.4x (communication-heavy)", r[0], fn)
+		case !heavy[r[0]] && fn > 1.10:
+			t.Errorf("fig17 %s: Fn speedup %.2fx, want ≤ 1.10x (scan-dominated)", r[0], fn)
+		}
+	}
+	ipoib, svc, fn := cell(t, "fig17", fig17, 1, "TOTAL"), cell(t, "fig17", fig17, 2, "TOTAL"), cell(t, "fig17", fig17, 3, "TOTAL")
+	if !(fn < svc && svc < ipoib) {
+		t.Errorf("fig17 TOTAL: Fn %.0f µs, Svc %.0f µs, IPoIB %.0f µs, want Fn < Svc < IPoIB", fn, svc, ipoib)
 	}
 
 	// Deviation 2 (expected to hold): the paper has RFP ahead of

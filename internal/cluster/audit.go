@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+
 	"hatrpc/internal/hatkv"
 )
 
@@ -38,14 +40,21 @@ func ShardAuthority(cfg Config, stores []*hatkv.Store, shard int) int {
 }
 
 // StoreHas reports whether the store durably holds the shard's record
-// for key.
+// for key, in its tree or in its log.
 func StoreHas(store *hatkv.Store, shard int, key string) bool {
+	k := []byte(dataKey(dataPrefix(shard), []byte(key)))
+	logged := store.Logged()
+	for i := 0; i < len(logged); i += 2 {
+		if bytes.Equal(logged[i], k) {
+			return true
+		}
+	}
 	txn, err := store.Env().BeginRead()
 	if err != nil {
 		return false
 	}
 	defer txn.Abort()
-	_, err = txn.Get([]byte(dataPrefix(shard) + key))
+	_, err = txn.Get(k)
 	return err == nil
 }
 

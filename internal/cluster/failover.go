@@ -164,7 +164,7 @@ func (n *Node) resyncSuspects(p *sim.Proc, st *shardState) {
 	if len(targets) == 0 {
 		return
 	}
-	pairs, err := n.snapshotLocked(st)
+	pairs, err := n.snapshotLocked(p, st)
 	if err != nil {
 		return
 	}
@@ -279,7 +279,7 @@ func (n *Node) runCandidacy(p *sim.Proc, st *shardState, ghost bool) {
 		pairs, seq = pp, pseq
 	} else {
 		var err error
-		if pairs, err = n.snapshotLocked(st); err != nil {
+		if pairs, err = n.snapshotLocked(p, st); err != nil {
 			return
 		}
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -13,7 +14,8 @@ import (
 // shardDump renders what store durably holds of shard 0 — what
 // "byte-identical replicas" compares: pos is its durable position
 // (durablePosition), rest the meta record's primary (p-1 without one), a
-// colon and every record with its stamp.
+// colon and every record with its stamp, the tree's overlaid with the
+// log's, as a cold restart would recover them.
 func shardDump(t *testing.T, store *hatkv.Store) (pos, rest string) {
 	t.Helper()
 	m := durablePosition(store, 0, shardMeta{Epoch: 1, Primary: -1})
@@ -22,15 +24,30 @@ func shardDump(t *testing.T, store *hatkv.Store) (pos, rest string) {
 		t.Fatal(err)
 	}
 	defer txn.Abort()
+	prefix := dataPrefix(0)
+	recs := map[string][]byte{}
+	for c := txn.Seek([]byte(prefix)); c.Valid() && strings.HasPrefix(string(c.Key()), prefix); c.Next() {
+		recs[string(c.Key())] = c.Value()
+	}
+	logged := store.Logged()
+	for i := 0; i < len(logged); i += 2 {
+		if strings.HasPrefix(string(logged[i]), prefix) {
+			recs[string(logged[i])] = logged[i+1]
+		}
+	}
+	keys := make([]string, 0, len(recs))
+	for k := range recs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
 	var b strings.Builder
 	fmt.Fprintf(&b, "p%d:", m.Primary)
-	prefix := dataPrefix(0)
-	for c := txn.Seek([]byte(prefix)); c.Valid() && strings.HasPrefix(string(c.Key()), prefix); c.Next() {
-		e, s, v, ok := readStamp(c.Value())
+	for _, k := range keys {
+		e, s, v, ok := readStamp(recs[k])
 		if !ok {
-			t.Fatalf("record %q is %d bytes: no stamp", c.Key(), len(c.Value()))
+			t.Fatalf("record %q is %d bytes: no stamp", k, len(recs[k]))
 		}
-		fmt.Fprintf(&b, " %s=%s@e%d/s%d", c.Key()[len(prefix):], v, e, s)
+		fmt.Fprintf(&b, " %s=%s@e%d/s%d", k[len(prefix):], v, e, s)
 	}
 	return fmt.Sprintf("e%d/s%d", m.Epoch, m.Seq), b.String()
 }
@@ -100,7 +117,7 @@ func TestOldEpochStampsDoNotAdvance(t *testing.T) {
 		}
 		n, st := tc.nodes[old], tc.nodes[old].shards[0]
 		st.mu.Lock(p)
-		err := n.applyWrite(p, st, []byte("orphan"), []byte("x"), st.seq+1)
+		err := n.applyWrite(p, st, []byte("orphan"), []byte("x"), st.seq+1, false)
 		st.mu.Unlock()
 		if err != nil {
 			t.Errorf("orphan write: %v", err)
@@ -278,21 +295,25 @@ func TestLocalApplyFailureAfterShipFences(t *testing.T) {
 
 var syncName = map[lmdb.SyncMode]string{lmdb.SyncFull: "SyncFull", lmdb.SyncMeta: "SyncMeta"}
 
-// crashRun is one schedule of TestPutCrashPointsConverge.
+// crashRun is one schedule of TestPutCrashPointsConverge and
+// TestBackupCrashPointsConverge.
 type crashRun struct {
 	sync   lmdb.SyncMode
 	first  bool  // the interrupted put is the shard's first append: no record yet
-	offset int64 // crash the primary this long after its handler entered; < 0: never
+	offset int64 // crash the victim this long after the put's handler entered; < 0: never
 	late   bool  // restart it after a survivor promoted, not inside the detector window
+	backup bool  // the victim is the ring-first backup, not the primary
 }
 
 // run plays the schedule on a 3-node, 1-shard RF-3 cluster: a writer on
 // the primary's own node (it dies with it, so nothing replays its bytes)
-// puts k=v2 straight through the handler, the primary is crashed offset ns
+// puts k=v2 straight through the handler, the victim is crashed offset ns
 // in and restarted, a client then writes k=v3 until acked, and the cluster
 // is left to settle. Throughout, a sampler reads every store's durable
 // position and k every 2 µs — less than a commit, so it sees every state
-// a replica stays in. It returns how long the uninterrupted put takes.
+// a replica stays in. When the victim is a backup, the put's ack must also
+// find k=v2 at the shard authority the audit picks (ShardAuthority). It
+// returns how long the uninterrupted put takes.
 func (r crashRun) run(t *testing.T) (putNs int64) {
 	tc := newTestCluster(t, 73, 3, Config{NShards: 1, RF: 3})
 	for _, s := range tc.stores {
@@ -301,10 +322,13 @@ func (r crashRun) run(t *testing.T) (putNs int64) {
 		}
 	}
 	reps := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)
-	prim := reps[0]
+	prim, victim := reps[0], reps[0]
+	if r.backup {
+		victim = reps[1]
+	}
 	fail := func(format string, args ...any) {
 		t.Helper()
-		t.Errorf("%s first=%v crash at +%d ns late=%v: %s", syncName[r.sync], r.first, r.offset, r.late, fmt.Sprintf(format, args...))
+		t.Errorf("%s first=%v crash of node %d at +%d ns late=%v: %s", syncName[r.sync], r.first, victim, r.offset, r.late, fmt.Sprintf(format, args...))
 	}
 
 	// No replica ever holds two different contents under one (epoch, seq).
@@ -343,8 +367,14 @@ func (r crashRun) run(t *testing.T) (putNs int64) {
 		}
 		start := p.Now()
 		started.Fire()
-		putAt(p, n, "k", []byte("v2"))
+		resp := putAt(p, n, "k", []byte("v2"))
 		putNs = int64(p.Now() - start)
+		if r.backup && len(resp) == 1 && resp[0] == stOK {
+			auth := ShardAuthority(tc.cfg, tc.stores, 0)
+			if _, rest := shardDump(t, tc.stores[auth]); !StoreHas(tc.stores[auth], 0, "k") || !strings.Contains(rest, " k=v2@") {
+				fail("k=v2 was acked, and the authority, store %d, holds%s", auth, rest)
+			}
+		}
 	})
 	tc.env.Spawn("driver", func(p *sim.Proc) {
 		defer tc.env.Stop()
@@ -354,7 +384,7 @@ func (r crashRun) run(t *testing.T) (putNs int64) {
 			return
 		}
 		p.Sleep(sim.Duration(r.offset))
-		tc.roster[prim].Crash()
+		tc.roster[victim].Crash()
 		if r.late {
 			for tick := 0; tc.totalPromotions() == 0; tick++ {
 				if tick == 40 {
@@ -366,7 +396,7 @@ func (r crashRun) run(t *testing.T) (putNs int64) {
 		} else {
 			p.Sleep(50_000)
 		}
-		tc.roster[prim].Restart()
+		tc.roster[victim].Restart()
 		c := NewClient(tc.cliEng, tc.roster, tc.cfg)
 		acked := false
 		for try := 0; try < 8 && !acked; try++ {
@@ -378,13 +408,18 @@ func (r crashRun) run(t *testing.T) (putNs int64) {
 		}
 		image := func(i int) string {
 			pos, rest := shardDump(t, tc.stores[i])
+			if r.backup {
+				// A resync install leaves a meta record on the backup it
+				// brought back, naming the primary the others name by default.
+				_, rest, _ = strings.Cut(rest, ":")
+			}
 			return pos + " " + rest
 		}
 		for tick := 0; tick < 40 && (image(0) != image(1) || image(1) != image(2)); tick++ {
 			p.Sleep(sim.Duration(tc.cfg.ProbeIntervalNs))
 		}
 		observe()
-		if !strings.Contains(image(0), ": k=v3@") {
+		if !strings.Contains(image(0), " k=v3@") {
 			fail("store 0 holds %q: the acked k=v3 is not there", image(0))
 		}
 		for i := 1; i < 3; i++ {
@@ -426,6 +461,35 @@ func TestPutCrashPointsConverge(t *testing.T) {
 					crashRun{sync: sync, first: first, offset: off, late: late}.run(t)
 					schedules++
 				}
+			}
+		}
+	}
+	t.Logf("%d crash schedules", schedules)
+}
+
+// TestBackupCrashPointsConverge is TestPutCrashPointsConverge with the
+// ring-first backup as the victim, on the same 250 ns grid across one put
+// and on across the backup's applier group after it: before its append
+// arrived, inside the append's log write, after its ack while the pair is
+// only logged, and while its applier puts it into the tree. The put is
+// acked by the quorum the other two make, the authority the audit picks
+// holds it at that moment, and after the restart the replicas converge on
+// the client's acked k=v3, no (epoch, seq) ever naming two contents.
+// SyncMeta may lose the crashed backup's unapplied appends (an unsynced
+// commit's fate); the resync install brings them back.
+func TestBackupCrashPointsConverge(t *testing.T) {
+	costs := hatkv.DefaultBackendCosts()
+	apply := costs.BeginTxnNs + costs.InsertNs + costs.CommitSyncNs
+	schedules := 0
+	for _, sync := range []lmdb.SyncMode{lmdb.SyncFull, lmdb.SyncMeta} {
+		for _, first := range []bool{false, true} {
+			whole := crashRun{sync: sync, first: first, offset: -1, backup: true}.run(t)
+			if whole <= 0 || whole > 60_000 {
+				t.Fatalf("%s first=%v: the uninterrupted put took %d ns: nothing to enumerate", syncName[sync], first, whole)
+			}
+			for off := int64(0); off <= whole+apply+250; off += 250 {
+				crashRun{sync: sync, first: first, offset: off, backup: true}.run(t)
+				schedules++
 			}
 		}
 	}

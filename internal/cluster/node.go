@@ -261,7 +261,8 @@ func (n *Node) recoverMeta(st *shardState) {
 
 // durablePosition reads one shard's durable position from store: its
 // meta record, or def without one, with Seq advanced by every data
-// record's stamp (shardMeta.advance). It reads the backing env directly,
+// record's stamp (shardMeta.advance), in the tree and in the store's log
+// alike — what a cold restart recovers. It reads the backing env directly,
 // outside simulated time: boots and audits call it, never a request.
 func durablePosition(store *hatkv.Store, shard int, def shardMeta) shardMeta {
 	txn, err := store.Env().BeginRead()
@@ -278,6 +279,12 @@ func durablePosition(store *hatkv.Store, shard int, def shardMeta) shardMeta {
 	prefix := []byte(dataPrefix(shard))
 	for c := txn.Seek(prefix); c.Valid() && bytes.HasPrefix(c.Key(), prefix); c.Next() {
 		m.advance(c.Value())
+	}
+	logged := store.Logged()
+	for i := 0; i < len(logged); i += 2 {
+		if bytes.HasPrefix(logged[i], prefix) {
+			m.advance(logged[i+1])
+		}
 	}
 	return m
 }
@@ -337,9 +344,6 @@ func (n *Node) fencedReply() []byte {
 	return []byte{stFenced}
 }
 
-// applyWrite commits one replicated record stamped with its (epoch, seq)
-// in one store write, so durability of the data and of its position are
-// inseparable under every sync mode.
 // Fence trips. These mark a caller trying to move a shard backwards —
 // impossible through the current handlers, which all pre-check — and
 // surface as stErr to the peer if a future path forgets to.
@@ -349,7 +353,12 @@ var (
 	errStalePromise = errors.New("cluster: promise not past the prepare fence")
 )
 
-func (n *Node) applyWrite(p *sim.Proc, st *shardState, key, val []byte, seq uint64) error {
+// applyWrite writes one replicated record stamped with its (epoch, seq)
+// in one store write, so durability of the data and of its position are
+// inseparable under every sync mode. The primary commits it (Put); a
+// backup, logged, appends it (Append), and its applier commits it later
+// (DESIGN.md §15 "The backup's ack path").
+func (n *Node) applyWrite(p *sim.Proc, st *shardState, key, val []byte, seq uint64, logged bool) error {
 	// Content position only advances. Both callers already hand the
 	// next contiguous seq (handlePut computes st.seq+1, handleReplicate
 	// rejects gaps and duplicates), so the fence never trips today.
@@ -357,7 +366,12 @@ func (n *Node) applyWrite(p *sim.Proc, st *shardState, key, val []byte, seq uint
 		return errStaleSeq
 	}
 	st.rec = appendStamped(st.rec[:0], st.epoch, seq, val)
-	err := n.store.Put(p, dataKey(st.prefix, key), st.rec)
+	var err error
+	if logged {
+		n.store.Append(p, dataKey(st.prefix, key), st.rec)
+	} else {
+		err = n.store.Put(p, dataKey(st.prefix, key), st.rec)
+	}
 	if err == nil {
 		// Commit the in-memory position only once the store did: no
 		// transient advance to roll back on failure.
@@ -376,6 +390,11 @@ func (n *Node) applyInstall(p *sim.Proc, st *shardState, q installReq) error {
 	// matter who calls.
 	if q.Epoch < st.epoch {
 		return errStaleInstall
+	}
+	// The install overwrites records: none of its shard's older appends
+	// may land on top of it.
+	if err := n.store.Settle(p); err != nil {
+		return err
 	}
 	prev := *st
 	st.epoch = q.Epoch
@@ -419,8 +438,12 @@ func (n *Node) promise(p *sim.Proc, st *shardState, epoch uint64) error {
 }
 
 // snapshotLocked collects every record of the shard plus its content
-// position. Caller holds st.mu, so the snapshot is a consistent prefix.
-func (n *Node) snapshotLocked(st *shardState) ([]snapPair, error) {
+// position. Caller holds st.mu, so the snapshot is a consistent prefix;
+// it settles the store first, so the prefix holds every append acked.
+func (n *Node) snapshotLocked(p *sim.Proc, st *shardState) ([]snapPair, error) {
+	if err := n.store.Settle(p); err != nil {
+		return nil, err
+	}
 	txn, err := n.store.Env().BeginRead()
 	if err != nil {
 		return nil, err
@@ -538,7 +561,7 @@ func (n *Node) handlePut(p *sim.Proc, req []byte) []byte {
 	seq := st.seq + 1
 	st.app = appendRepl(st.app[:0], q.Shard, st.epoch, int32(n.self), seq, q.Tail)
 	n.ship(st, st.app)
-	err = n.applyWrite(p, st, q.Key, q.Value, seq)
+	err = n.applyWrite(p, st, q.Key, q.Value, seq, false)
 	backs, stale := n.gather(p, st)
 	switch {
 	case err != nil:
@@ -636,7 +659,7 @@ func (n *Node) handleReplicate(p *sim.Proc, req []byte) []byte {
 	if q.Seq != st.seq+1 {
 		return []byte{stNeedSync}
 	}
-	if err := n.applyWrite(p, st, q.Key, q.Value, q.Seq); err != nil {
+	if err := n.applyWrite(p, st, q.Key, q.Value, q.Seq, true); err != nil {
 		return []byte{stErr}
 	}
 	return []byte{stOK}
@@ -706,7 +729,7 @@ func (n *Node) handlePull(p *sim.Proc, req []byte) []byte {
 	}
 	st.mu.Lock(p)
 	defer st.mu.Unlock()
-	pairs, err := n.snapshotLocked(st)
+	pairs, err := n.snapshotLocked(p, st)
 	if err != nil {
 		return []byte{stErr}
 	}

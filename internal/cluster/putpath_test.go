@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hatrpc/internal/engine"
+	"hatrpc/internal/hatkv"
 	"hatrpc/internal/obs"
 	"hatrpc/internal/sim"
 )
@@ -56,8 +57,10 @@ func TestAppendReusesPutTail(t *testing.T) {
 }
 
 // putPathAllocs is what the whole simulation — the primary's handler, its
-// two lanes, both backups' dispatchers and three stores — allocates for
-// one warmed RF-3 128 B put handed to the primary's Handle. The parent of
+// two lanes, both backups' dispatchers, three stores and the backups'
+// appliers — allocates for one warmed RF-3 128 B put handed to the
+// primary's Handle. Backups acking from their log did not move it: the
+// log's copy of a pair is the one the tree keeps. The parent of
 // the overlap change measured 54 by the same count, 38 before a write txn
 // copied each lmdb node once and each pair into one allocation, 23 before
 // lmdb reused the nodes no snapshot reaches and each shard encoded its
@@ -279,7 +282,7 @@ func fanOutNs(t *testing.T, size int) int64 {
 				return
 			}
 			durs = append(durs, int64(p.Now()-start))
-			if err := n.applyWrite(p, st, []byte("k"), val, st.seq+1); err != nil {
+			if err := n.applyWrite(p, st, []byte("k"), val, st.seq+1, false); err != nil {
 				t.Error(err)
 				return
 			}
@@ -307,6 +310,45 @@ func TestPutOverlapsCommitWithReplication(t *testing.T) {
 		if 10*extra > 6*fan {
 			t.Errorf("%d B: RF-3 put costs %d ns over RF-1, %.2f × the replication fan-out (%d ns); want ≤ 0.6 × — "+
 				"does the primary commit before it ships again?", size, extra, float64(extra)/float64(fan), fan)
+		}
+	}
+}
+
+// treeAckExtraNs is what RF 3 added to an unloaded put over RF 1
+// (medianPutSizeNs) when a backup acked only after committing the record
+// into its tree — measured on that path, by value size.
+var treeAckExtraNs = map[int]int64{128: 2304, 16 << 10: 5472}
+
+// TestBackupAcksFromTheLog pins the backup's ack path in closed form
+// (DESIGN.md §15 "The backup's ack path"): an idle backup's FnReplicate
+// handler takes exactly the log append — CopyPerByte × the stamped
+// record's length plus CommitSyncNs — and what RF 3 adds to an unloaded put
+// over RF 1 is BeginTxnNs + InsertNs less than it was on the tree-ack path.
+func TestBackupAcksFromTheLog(t *testing.T) {
+	costs := hatkv.DefaultBackendCosts()
+	tc := newTestCluster(t, 23, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})
+	reps := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)
+	backup := tc.nodes[reps[1]]
+	tc.roster[reps[1]].Spawn("driver", func(p *sim.Proc) {
+		defer tc.env.Stop()
+		for i, size := range []int{128, 16 << 10} {
+			val := make([]byte, size)
+			tail := appendPut(nil, putReq{Key: "k", Value: val})[putHdrLen:]
+			start := p.Now()
+			resp := backup.Handle(p, FnReplicate, appendRepl(nil, 0, 1, int32(reps[0]), uint64(i+1), tail))
+			want := sim.Time(float64(len(appendStamped(nil, 1, 1, val)))*costs.CopyPerByte + float64(costs.CommitSyncNs))
+			if got := p.Now() - start; len(resp) != 1 || resp[0] != stOK || got != want {
+				t.Errorf("%d B append: %v after %d ns, want [stOK] after %d ns", size, resp, got, want)
+			}
+			p.Sleep(100_000) // the applier drains; the next append finds the store idle
+		}
+	})
+	tc.env.Run()
+	for _, size := range []int{128, 16 << 10} {
+		extra := medianPutSizeNs(t, 3, 0, size) - medianPutSizeNs(t, 1, 0, size)
+		if want := treeAckExtraNs[size] - costs.BeginTxnNs - costs.InsertNs; extra != want {
+			t.Errorf("%d B: RF 3 adds %d ns to a put over RF 1, want %d (the tree-ack path's %d less BeginTxnNs + InsertNs)",
+				size, extra, want, treeAckExtraNs[size])
 		}
 	}
 }

@@ -54,12 +54,18 @@ func (n *Node) lane(peer int) *sim.Queue[*replJob] {
 // holding it until gather has returned, so the next append of this shard
 // cannot overtake this one on any lane and each backup still sees
 // contiguous seqs; rr (the shard's st.app) and the job slots are the
-// lanes' until then.
+// lanes' until then. A backup whose node closed its session in an orderly
+// stop (a graceful drain) becomes a suspect here, without a call: the put
+// would otherwise wait out the re-dials of a machine going down.
 func (n *Node) ship(st *shardState, rr []byte) {
 	st.repl = st.repl[:0]
 	for _, b := range st.replicas {
 		if b == n.self || st.suspect[b] {
 			continue // suspects catch up through resync installs
+		}
+		if s := n.sess[b]; s != nil && s.PeerLeft() {
+			st.suspect[b] = true
+			continue
 		}
 		st.repl = append(st.repl, replJob{peer: b, req: rr, done: st.replDone})
 	}

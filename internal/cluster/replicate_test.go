@@ -393,13 +393,14 @@ func TestGetStoreErrorIsNotAbsence(t *testing.T) {
 }
 
 // TestShardsOfOneNodeShareStoreCommits: the shard lock serializes one
-// shard's puts, but puts of different shards — and the backup appends of
-// other nodes' shards — meet in the one SyncFull store of a node and
-// share its write txns (hatkv's write queue). Grouping must not disturb
-// the per-shard order: every replica ends at seq = puts and holds the
-// shard's last value. Twelve shards, not two: a group forms only behind
-// a commit in flight, so it takes three writers in one store at the same
-// moment to make one, and at four shards the appends are too spread out.
+// shard's puts, but puts of different shards — and the applied appends of
+// other nodes' shards, which a backup's applier moves from its log into
+// the tree — meet in the one SyncFull store of a node and share its write
+// txns (hatkv's write queue, and the applier's batches). Grouping must not
+// disturb the per-shard order: once every store has settled, every replica
+// is at seq = puts and its tree holds the shard's last value. Twelve
+// shards, not two: a group forms only behind a commit in flight, so it
+// takes three writers in one store at the same moment to make one.
 func TestShardsOfOneNodeShareStoreCommits(t *testing.T) {
 	const shards, puts = 12, 10
 	tc := newTestCluster(t, 37, 3, Config{NShards: shards, RF: 3, ProbeIntervalNs: quietProbeNs})
@@ -408,6 +409,20 @@ func TestShardsOfOneNodeShareStoreCommits(t *testing.T) {
 		before[i] = s.Env().Stats
 	}
 	done := 0
+	settle := func() {
+		settled := 0
+		for i, store := range tc.stores {
+			store := store
+			tc.roster[i].Spawn("settle", func(p *sim.Proc) {
+				if err := store.Settle(p); err != nil {
+					t.Errorf("settling store %d: %v", i, err)
+				}
+				if settled++; settled == len(tc.stores) {
+					tc.env.Stop()
+				}
+			})
+		}
+	}
 	for s := 0; s < shards; s++ {
 		s := s
 		prim := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, s, 3)[0]
@@ -419,9 +434,8 @@ func TestShardsOfOneNodeShareStoreCommits(t *testing.T) {
 					return
 				}
 			}
-			done++
-			if done == shards {
-				tc.env.Stop()
+			if done++; done == shards {
+				settle()
 			}
 		})
 	}
@@ -430,15 +444,15 @@ func TestShardsOfOneNodeShareStoreCommits(t *testing.T) {
 		t.Fatalf("%d of %d shard writers finished", done, shards)
 	}
 	for i, store := range tc.stores {
-		st := store.Env().Stats
-		writes, commits := st.Puts-before[i].Puts, st.Commits-before[i].Commits
-		if writes != shards*puts {
-			t.Errorf("node %d applied %d writes, want %d (RF 3 on 3 nodes)", i, writes, shards*puts)
+		if n := len(store.Logged()); n != 0 {
+			t.Errorf("node %d: %d pairs still logged after Settle", i, n/2)
 		}
-		t.Logf("node %d: %d writes in %d store commits", i, writes, commits)
-		if commits >= writes || st.SyncedCommits != st.Commits {
+		st := store.Env().Stats
+		commits := st.Commits - before[i].Commits
+		t.Logf("node %d: %d writes in %d store commits", i, shards*puts, commits)
+		if commits >= shards*puts || st.SyncedCommits != st.Commits {
 			t.Errorf("node %d: %d store commits (%d synced of %d) for %d writes, want fewer commits than writes, all synced",
-				i, commits, st.SyncedCommits, st.Commits, writes)
+				i, commits, st.SyncedCommits, st.Commits, shards*puts)
 		}
 		txn, err := store.Env().BeginRead()
 		if err != nil {

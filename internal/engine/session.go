@@ -111,6 +111,12 @@ func (s *Session) Call(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byt
 	}
 }
 
+// PeerLeft reports whether the peer has closed the session's connection
+// in an orderly shutdown (ensureConn's notice) that no call has met yet:
+// a caller may skip a peer that said goodbye instead of paying the
+// re-dial that its next call would make.
+func (s *Session) PeerLeft() bool { return s.conn != nil && !s.down && s.conn.shared.closed }
+
 // Recycle returns a reply a Call on this session delivered to the
 // engine's arena, on the terms of Conn.Recycle. The arena is engine-wide,
 // so it does not matter which connection, or which epoch of the session,

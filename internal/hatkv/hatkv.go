@@ -64,6 +64,20 @@ type Store struct {
 	pairs []groupPair
 	order []int
 
+	// The log (DESIGN.md §12 "The log"): pairs Append made durable that
+	// the applier has not yet moved into the tree — key, value, key,
+	// value, … in append order, each pair one allocation that the tree
+	// then keeps (PutOwned). appended and applied count the pairs of this
+	// boot; kick wakes the applier (nil until the boot's first Append) and
+	// settled tells Settle callers that a batch of the applier ended, with
+	// applyErr its outcome.
+	log      [][]byte
+	appended uint64
+	applied  uint64
+	applyErr error
+	kick     *sim.Signal
+	settled  *sim.Signal
+
 	groupOps  *obs.Histogram // ops per commit; nil until SetObs
 	writeWait *obs.Histogram // enqueue → a leader picks the op up
 	absorbed  *obs.Counter   // pairs a later op of their group overwrote
@@ -120,7 +134,8 @@ func (s *Store) arm() { s.node.OnCrash(s.crash) }
 // crash models what the storage medium experiences at power loss:
 // commits beyond the last fsynced meta root vanish, in-flight
 // transactions die with their processes, and the env reopens from the
-// durable root per the active SyncMode.
+// durable root per the active SyncMode. Then the log's unapplied pairs are
+// replayed into the tree, outside simulated time as the reopen is.
 func (s *Store) crash() {
 	s.LostTxns += s.env.CrashRecover()
 	s.Recoveries++
@@ -130,7 +145,33 @@ func (s *Store) crash() {
 	// next boot: its first writer would queue behind nobody, forever.
 	s.leading = false
 	s.queue = nil
+	s.replay()
 	s.arm()
+}
+
+// replay applies what survives of the log to the tree in one synced
+// commit and empties it. Under SyncFull every appended pair survives: its
+// append was a synced write. Under SyncMeta and NoSync an unapplied pair is
+// an unsynced commit, and is lost as one is. The applier died with the
+// boot; the next boot's first Append starts a new one.
+func (s *Store) replay() {
+	if len(s.log) > 0 && s.env.Sync() == lmdb.SyncFull {
+		txn, err := s.env.BeginWrite()
+		for i := 0; err == nil && i < len(s.log); i += 2 {
+			err = txn.PutOwned(s.log[i], s.log[i+1])
+		}
+		if err == nil {
+			err = txn.Commit()
+		}
+		if err != nil {
+			// The env was reopened a moment ago: only a closed one refuses.
+			panic("hatkv: replaying the log after a crash: " + err.Error())
+		}
+	}
+	clear(s.log)
+	s.log = s.log[:0]
+	s.appended, s.applied, s.applyErr = 0, 0, nil
+	s.kick, s.settled = nil, nil
 }
 
 // SetObs attaches the write-path instruments: hatkv.commit_group_ops (ops
@@ -151,6 +192,10 @@ func (s *Store) Env() *lmdb.Env { return s.env }
 func (s *Store) charge(p *sim.Proc, ns float64) {
 	s.node.CPU.Compute(p, sim.Duration(ns))
 }
+
+// commitNs is what the sync mode's commit costs: a NoSync commit and its
+// sync.
+func (s *Store) commitNs() int64 { return s.costs.CommitNoNs + s.syncNs() }
 
 // syncNs is what the sync mode's commit costs beyond a NoSync one: the
 // sync a leader pays after it has handed the writer on.
@@ -217,14 +262,89 @@ func (s *Store) MultiPut(p *sim.Proc, pairs []*kvgen.KVPair) error {
 	return err
 }
 
+// Append makes key=value durable in the store's log and returns: the
+// caller waits for the log write alone — the value's copy and the sync
+// mode's commit, which under SyncFull is the synced write a Put pays
+// without its BeginTxnNs and InsertNs. The store's applier moves the pair
+// into the tree later, through the write path. Until then Get does not see
+// it; Settle waits for it. A caller that also Puts or MultiPuts a key it
+// appends must Settle in between, or the applier may overwrite the newer
+// pair with the logged one. A crash while the append is being charged
+// leaves nothing; after it, the pair fares as the mode's commit would
+// (replay).
+func (s *Store) Append(p *sim.Proc, key string, value []byte) {
+	s.charge(p, float64(len(value))*s.costs.CopyPerByte+float64(s.commitNs()))
+	k, v := lmdb.CopyPair(key, value)
+	s.log = append(s.log, k, v)
+	s.appended++
+	switch {
+	case s.kick == nil:
+		s.startApplier(p.Env())
+	case s.kick.Waiting() > 0:
+		s.kick.Fire()
+	}
+}
+
+// Settle waits until every pair appended before the call is in the tree,
+// or returns the error of the applier's batch that failed to put it there
+// (the tree refused a write transaction; a later Settle retries).
+func (s *Store) Settle(p *sim.Proc) error {
+	for target := s.appended; s.applied < target; {
+		if s.kick.Waiting() > 0 {
+			s.kick.Fire() // a batch that failed waits for a retry
+		}
+		s.settled.Wait(p)
+		if s.applyErr != nil {
+			return s.applyErr
+		}
+	}
+	return nil
+}
+
+// Logged returns the pairs appended and not yet applied — key, value, key,
+// value, … in append order — for audits, which read the store as a cold
+// restart would recover it: a logged pair supersedes the tree's record of
+// its key and every earlier logged pair of it. The slices are read-only,
+// and valid until the store's next write.
+func (s *Store) Logged() [][]byte { return s.log }
+
+// startApplier spawns the boot's applier: a node-owned process that puts
+// the whole log into the tree as one writer of the write path (group
+// commit, absorption, the log's copies kept as the tree's), drops what it
+// applied, and waits for the next Append when the log is empty. A batch
+// the tree refuses stays logged until the next Append or Settle.
+func (s *Store) startApplier(env *sim.Env) {
+	s.kick, s.settled = sim.NewSignal(env), sim.NewSignal(env)
+	s.node.Spawn("hatkv-applier", func(p *sim.Proc) {
+		for {
+			for len(s.log) > 0 {
+				n := len(s.log)
+				_, s.applyErr = s.write(p, &writeReq{owned: s.log[:n:n], multi: true})
+				if s.applyErr == nil {
+					k := copy(s.log, s.log[n:])
+					clear(s.log[k:])
+					s.log = s.log[:k]
+					s.applied += uint64(n / 2)
+				}
+				s.settled.Broadcast()
+				if s.applyErr != nil {
+					break
+				}
+			}
+			s.kick.Wait(p)
+		}
+	})
+}
+
 // writeReq is a writer's request as the caller passed it: key/value for
-// Put, pairs for MultiPut. Only the writer's own process reads it, so the
-// write path leaks none of it and callers may build keys and pair lists
-// on their stacks.
+// Put, pairs for MultiPut, owned for the applier's batch of the log. Only
+// the writer's own process reads it, so the write path leaks none of it
+// and callers may build keys and pair lists on their stacks.
 type writeReq struct {
 	key   string
 	value []byte
 	pairs []*kvgen.KVPair
+	owned [][]byte // key, value, …: copies the store already owns
 	multi bool
 }
 
@@ -272,7 +392,9 @@ func (s *Store) park(p *sim.Proc, req *writeReq) (uint64, error) {
 		q = &parkedOp{wake: sim.NewSignal(p.Env())}
 	}
 	q.at = p.Now()
-	if req.multi {
+	if req.owned != nil {
+		q.owned = append(q.owned, req.owned...)
+	} else if req.multi {
 		q.owned = slices.Grow(q.owned, 2*len(req.pairs))
 		for _, kv := range req.pairs {
 			k, v := lmdb.CopyPair(kv.Key, kv.Value)
@@ -393,14 +515,17 @@ type groupPair struct {
 // applyGroup puts the group's pairs into txn in arrival order, skipping
 // the superseded ones, and returns how many pairs and value bytes it
 // applied. A solo op is never grouped with queued ones (a writer leads
-// solo only when nobody is queued), so the pairs are one MultiPut's, or
-// the queued ops' copies.
+// solo only when nobody is queued), so the pairs are one MultiPut's, the
+// applier's batch, or the queued ops' copies.
 func (s *Store) applyGroup(txn *lmdb.Txn, solo *writeReq, queued []*parkedOp) (pairs, bytesIn int, err error) {
 	g := s.pairs[:0]
 	if solo != nil {
 		for _, kv := range solo.pairs {
 			k, v := lmdb.CopyPair(kv.Key, kv.Value)
 			g = append(g, groupPair{k: k, v: v})
+		}
+		for i := 0; i < len(solo.owned); i += 2 {
+			g = append(g, groupPair{k: solo.owned[i], v: solo.owned[i+1]})
 		}
 	}
 	for _, q := range queued {
