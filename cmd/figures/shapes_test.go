@@ -146,4 +146,16 @@ func TestPaperShapes(t *testing.T) {
 			}
 		}
 	}
+
+	// Deviation 3 (expected to hold): the paper has HatRPC ahead on
+	// YCSB-B; here AR-gRPC's and Pilaf's totals are at or above
+	// HatRPC-Function's.
+	fig16 := resultRows(t, "fig16")
+	fn16 := cell(t, "fig16", fig16, 1, "HatRPC-Function")
+	for _, sys := range []string{"AR-gRPC", "Pilaf"} {
+		if v := cell(t, "fig16", fig16, 1, sys); v < fn16 {
+			t.Errorf("fig16 total: HatRPC-Function %.1f Kops/s leads %s %.1f — "+
+				"Deviation 3 no longer holds; update EXPERIMENTS.md and this check", fn16, sys, v)
+		}
+	}
 }

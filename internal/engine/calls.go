@@ -390,16 +390,38 @@ func (c *Conn) readRemote(p *sim.Proc, rk verbs.RKey, off, n int, busy bool) ([]
 	return c.directMR.Buf[:n], true
 }
 
-// fetchRFPUntil is the client half of RFP's remote fetching: READ the
-// server's response region until the sequence stamp matches, fetching
-// the tail with a second READ when the response exceeds the first
-// chunk. A non-zero until bounds the polling (zero = forever); a failed
-// READ (loss) recovers the QP and keeps polling until the bound. A
-// kErr/kDrain stamp for the current seq is the server's typed rejection
-// and surfaces as a terminal error. Poll pacing follows the call's polling
-// discipline (fetchPace): busy calls keep the tight spin, event calls
-// back off to the interrupt-wake granularity.
-func (c *Conn) fetchRFPUntil(p *sim.Proc, busy bool, until sim.Time) ([]byte, bool, error) {
+// fetchProbe is how a server-bypass protocol finds its response in the
+// server's published [hdr|payload] region: reads READs of size bytes at
+// offset 0, the first of which must carry the call's seq.
+type fetchProbe struct{ size, reads int }
+
+// probeFor gives RFP one probe of its first response chunk, Pilaf two
+// metadata probes and FaRM one.
+func probeFor(proto Protocol) fetchProbe {
+	switch proto {
+	case Pilaf:
+		return fetchProbe{hdrProbe, 2}
+	case FaRM:
+		return fetchProbe{hdrProbe, 1}
+	}
+	return fetchProbe{rfpChunk, 1}
+}
+
+// wholeHdr reports whether the probe reads the header's credit word.
+func (pr fetchProbe) wholeHdr() bool { return pr.size >= hdrSize }
+
+// fetchUntil is the client half of RFP, Pilaf and FaRM: probe the
+// server's published region until its header carries the call's seq,
+// then READ the payload bytes the probe did not cover (a metadata probe
+// covers none, so its payload READ happens even when empty). A non-zero
+// until bounds the polling (zero = forever); a failed READ (loss)
+// recovers the QP and keeps polling until the bound. A rejection kind at
+// the call's seq is the server's typed refusal and surfaces as a terminal
+// error. Poll pacing follows the call's polling discipline (fetchPace):
+// busy calls keep the tight spin, event calls back off to the
+// interrupt-wake granularity.
+func (c *Conn) fetchUntil(p *sim.Proc, proto Protocol, busy bool, until sim.Time) ([]byte, bool, error) {
+	pr := probeFor(proto)
 	var spun sim.Duration
 	pace := func() {
 		d := c.fetchPace(busy, spun)
@@ -410,34 +432,37 @@ func (c *Conn) fetchRFPUntil(p *sim.Proc, busy bool, until sim.Time) ([]byte, bo
 		if c.waitOver(p.Now(), until) {
 			return nil, false, nil
 		}
-		b, ok := c.readRemote(p, c.peerRfpOut, 0, rfpChunk, busy)
+		b, ok := c.readRemote(p, c.peerRfpOut, 0, pr.size, busy)
 		if !ok {
 			c.recoverQP(p)
 			pace()
 			continue
 		}
-		h := getHdr(b)
-		if h.seq == c.seq && rejection(h.kind) {
-			c.noteCredits(h)
-			return nil, false, rejectErr(h.kind)
-		}
-		if h.seq != c.seq || h.kind != kResp {
+		// A metadata probe holds the header only up to its seq.
+		kind, n, seq := b[0], int(binary.LittleEndian.Uint32(b[8:])), binary.LittleEndian.Uint32(b[12:])
+		if seq != c.seq || kind != kResp && !rejection(kind) {
 			c.noteReadRetry(p)
 			pace()
 			continue
 		}
-		c.noteCredits(h)
-		n := int(h.length)
-		got := rfpChunk - hdrSize
-		if n <= got {
+		if pr.wholeHdr() {
+			c.noteCredits(getHdr(b))
+		}
+		if rejection(kind) {
+			return nil, false, rejectErr(kind)
+		}
+		for i := 1; i < pr.reads; i++ {
+			c.readRemote(p, c.peerRfpOut, 0, pr.size, busy)
+		}
+		if pr.wholeHdr() && n <= pr.size-hdrSize {
 			c.eng.em.bytesRecvd.Add(int64(n))
 			return c.copyPayload(b[hdrSize : hdrSize+n]), true, nil
 		}
-		// Tail fetch for large responses.
 		out := c.eng.payloadGet(n)
-		copy(out, b[hdrSize:])
-		rest, ok := c.readRemote(p, c.peerRfpOut, rfpChunk, n-got, busy)
+		got := copy(out, b[min(hdrSize, len(b)):]) // none from a metadata probe
+		rest, ok := c.readRemote(p, c.peerRfpOut, hdrSize+got, n-got, busy)
 		if !ok {
+			c.Recycle(out)
 			c.recoverQP(p)
 			pace()
 			continue
@@ -454,70 +479,6 @@ func (c *Conn) noteReadRetry(p *sim.Proc) {
 	if trc := c.eng.trc; trc != nil {
 		trc.Instant("fetch", "retry", c.eng.node.ID(), c.id, int64(p.Now()),
 			obs.Arg{K: "seq", V: c.seq})
-	}
-}
-
-// kvShedLen / kvDrainLen / kvBigLen are the length markers a rejected
-// Pilaf/FaRM request's metadata record carries in place of a real response
-// length: shed under admission control, fenced during graceful drain, or
-// answered by a response too large to send. They cannot collide with a
-// genuine response: lengths are bounded by MaxMsgSize.
-const (
-	kvShedLen  = ^uint32(0)
-	kvDrainLen = ^uint32(0) - 1
-	kvBigLen   = ^uint32(0) - 2
-)
-
-// fetchKVUntil is the Pilaf/FaRM client fetch: metaReads metadata READs
-// (two for Pilaf, one for FaRM) followed by one payload READ of the
-// published length. A non-zero until bounds the polling (zero =
-// forever); a failed READ (loss) recovers the QP and keeps polling
-// until the bound. The kvShedLen/kvDrainLen/kvBigLen length markers are
-// the server's typed rejections and surface as terminal errors.
-func (c *Conn) fetchKVUntil(p *sim.Proc, metaReads int, busy bool, until sim.Time) ([]byte, bool, error) {
-	var spun sim.Duration
-	pace := func() {
-		d := c.fetchPace(busy, spun)
-		spun += d
-		p.Sleep(d)
-	}
-	for {
-		if c.waitOver(p.Now(), until) {
-			return nil, false, nil
-		}
-		meta, ok := c.readRemote(p, c.peerKvMeta, 0, 16, busy)
-		if !ok {
-			c.recoverQP(p)
-			pace()
-			continue
-		}
-		seq := binary.LittleEndian.Uint32(meta[0:])
-		rawLen := binary.LittleEndian.Uint32(meta[4:])
-		if seq != c.seq {
-			c.noteReadRetry(p)
-			pace()
-			continue
-		}
-		switch rawLen {
-		case kvShedLen:
-			return nil, false, ErrOverloaded
-		case kvDrainLen:
-			return nil, false, ErrDraining
-		case kvBigLen:
-			return nil, false, ErrResponseTooLarge
-		}
-		n := int(rawLen)
-		for i := 1; i < metaReads; i++ {
-			c.readRemote(p, c.peerKvMeta, 0, 16, busy)
-		}
-		b, ok := c.readRemote(p, c.peerKvPay, 0, n, busy)
-		if !ok {
-			c.recoverQP(p)
-			pace()
-			continue
-		}
-		c.eng.em.bytesRecvd.Add(int64(n))
-		return c.copyPayload(b[:n]), true, nil
 	}
 }
 
@@ -547,10 +508,8 @@ func (c *Conn) sendResponse(p *sim.Proc, a Arrival, resp []byte, busy bool) {
 		until = p.Now() + serverCTSTimeoutNs
 	}
 	switch respProto {
-	case RFP:
-		c.publish(p, c.rfpOutMR, h, resp)
-	case Pilaf, FaRM:
-		c.publishKV(p, h, resp)
+	case RFP, Pilaf, FaRM:
+		c.publish(p, h, resp)
 	case HERD:
 		// HERD responds two-sided.
 		eh := h
@@ -561,13 +520,25 @@ func (c *Conn) sendResponse(p *sim.Proc, a Arrival, resp []byte, busy bool) {
 	}
 }
 
-// publish copies [hdr|payload] into a locally-registered region that the
-// client fetches one-sided. Only local memory work; no network operation.
-func (c *Conn) publish(p *sim.Proc, mr *verbs.MR, h hdr, payload []byte) {
-	c.memcpyCharge(p, len(payload)+hdrSize)
-	buf := mr.Bytes()
-	copy(buf[hdrSize:], payload)
-	c.putHdrC(buf, h) // header (with seq stamp) written last
+// publish copies [hdr|payload] into the region the client fetches
+// one-sided (fetchUntil), charging the payload and the header bytes the
+// client's probe reads. Only local memory work; no network operation.
+func (c *Conn) publish(p *sim.Proc, h hdr, payload []byte) {
+	c.memcpyCharge(p, len(payload)+min(probeFor(h.proto).size, hdrSize))
+	copy(c.rfpOutMR.Bytes()[hdrSize:], payload)
+	c.stampFetched(h) // header (with seq stamp) written last
+}
+
+// stampFetched writes the header a fetching client probes for. A
+// metadata probe stops short of the credit word, so its header carries
+// no grant: one stamped with putHdrC would count a grant the client
+// never reads.
+func (c *Conn) stampFetched(h hdr) {
+	if probeFor(h.proto).wholeHdr() {
+		c.putHdrC(c.rfpOutMR.Bytes(), h)
+	} else {
+		putHdr(c.rfpOutMR.Bytes(), h)
+	}
 }
 
 // respond answers a served request on the response channel the client
@@ -591,33 +562,10 @@ func (c *Conn) sendReject(p *sim.Proc, a Arrival, kind byte) {
 	respProto := hybridSwitch(a.RespProto, 0)
 	h := hdr{kind: kind, proto: respProto, respProto: respProto, fn: a.Fn, seq: a.Seq}
 	switch respProto {
-	case RFP:
-		c.putHdrC(c.rfpOutMR.Bytes(), h) // client's poll sees the marker at its seq
-	case Pilaf, FaRM:
-		mark := kvShedLen
-		switch kind {
-		case kDrain:
-			mark = kvDrainLen
-		case kBig:
-			mark = kvBigLen
-		}
-		meta := c.kvMetaMR.Bytes()
-		binary.LittleEndian.PutUint32(meta[4:], mark)
-		binary.LittleEndian.PutUint32(meta[8:], 0xABCD)
-		binary.LittleEndian.PutUint32(meta[0:], a.Seq) // seq last
+	case RFP, Pilaf, FaRM:
+		c.stampFetched(h) // the client's probe sees the rejection at its seq
 	default:
 		// Two-sided and HERD clients wait on the eager ring.
 		c.postSmall(p, h)
 	}
-}
-
-// publishKV publishes payload + metadata for Pilaf/FaRM-style fetching:
-// value first, then the metadata record carrying (seq, length).
-func (c *Conn) publishKV(p *sim.Proc, h hdr, payload []byte) {
-	c.memcpyCharge(p, len(payload)+16)
-	copy(c.kvPayMR.Bytes(), payload)
-	meta := c.kvMetaMR.Bytes()
-	binary.LittleEndian.PutUint32(meta[4:], h.length)
-	binary.LittleEndian.PutUint32(meta[8:], 0xABCD)
-	binary.LittleEndian.PutUint32(meta[0:], h.seq) // seq last
 }

@@ -9,9 +9,10 @@ import (
 )
 
 // TestDrainFenceTypedAcrossProtocols: once the fence is up, every
-// response protocol rejects new calls with the typed ErrDraining —
-// header-kind kDrain on the send paths, the kvDrainLen meta sentinel on
-// the client-read (Pilaf/FaRM) paths — never a deadline wait.
+// response protocol rejects new calls with the typed ErrDraining — a
+// header-only kDrain, posted on the ring or, on the one-sided paths,
+// stamped at the call's seq in the published region — never a deadline
+// wait.
 func TestDrainFenceTypedAcrossProtocols(t *testing.T) {
 	for _, proto := range dataProtocols {
 		t.Run(proto.String(), func(t *testing.T) {

@@ -19,7 +19,7 @@ type Config struct {
 	// EagerSlots is the ring depth (pre-posted receives per connection).
 	EagerSlots int
 	// NoFetchBufs skips the server-side published regions (RFP/HERD
-	// request slot, Pilaf/FaRM meta+payload). Benchmarks that pin a
+	// requests, RFP/Pilaf/FaRM responses). Benchmarks that pin a
 	// two-sided protocol set this to keep per-connection memory small.
 	NoFetchBufs bool
 	// CallDeadline is the default per-call deadline applied when
@@ -58,11 +58,13 @@ type Config struct {
 }
 
 // eagerSlotSize is the payload capacity of one circular-buffer slot: a
-// message up to the rendezvous threshold fits one. rfpChunk is the
-// first-READ size when fetching an RFP response of unknown length.
+// message up to the rendezvous threshold fits one. rfpChunk is RFP's probe
+// size, its first READ of a response of unknown length; hdrProbe is
+// Pilaf's and FaRM's, a header up to its seq (fetchProbe).
 const (
 	eagerSlotSize = DefaultRndvThreshold
 	rfpChunk      = 4096
+	hdrProbe      = 16
 )
 
 // DefaultRnrRetry is the RNR retransmission budget applied when
@@ -454,8 +456,6 @@ type hello struct {
 	direct verbs.RKey
 	rfpIn  verbs.RKey
 	rfpOut verbs.RKey
-	kvMeta verbs.RKey
-	kvPay  verbs.RKey
 	credit verbs.RKey
 	shared *connShared
 	// busy is the dialer's polling decision, carried to the server so its
@@ -486,15 +486,11 @@ type Conn struct {
 	// Server-side published regions (client reads them one-sided).
 	rfpInMR  *verbs.MR
 	rfpOutMR *verbs.MR
-	kvMetaMR *verbs.MR
-	kvPayMR  *verbs.MR
 
 	// Peer rkeys.
 	peerDirect verbs.RKey
 	peerRfpIn  verbs.RKey
 	peerRfpOut verbs.RKey
-	peerKvMeta verbs.RKey
-	peerKvPay  verbs.RKey
 	peerCredit verbs.RKey
 
 	shared *connShared
@@ -648,8 +644,6 @@ func (e *Engine) newConn(server bool, shared *connShared) *Conn {
 		// their memory is allocated when one first does.
 		c.rfpInMR = e.pd.RegisterMRLazy(e.cfg.MaxMsgSize + hdrSize)
 		c.rfpOutMR = e.pd.RegisterMRLazy(e.cfg.MaxMsgSize + hdrSize)
-		c.kvMetaMR = e.pd.RegisterMRLazy(32)
-		c.kvPayMR = e.pd.RegisterMRLazy(e.cfg.MaxMsgSize + hdrSize)
 		c.rfpInMR.SetWriteNotify(func(off, n int) {
 			// A request lands as one WRITE, whole.
 			c.rfpPending = true
@@ -658,7 +652,7 @@ func (e *Engine) newConn(server bool, shared *connShared) *Conn {
 	}
 	// Pin accounting from the actual MR lengths so Close can return the
 	// exact amount.
-	for _, mr := range []*verbs.MR{c.eagerMR, c.stageMR, c.directMR, c.rfpInMR, c.rfpOutMR, c.kvMetaMR, c.kvPayMR, c.creditMR} {
+	for _, mr := range []*verbs.MR{c.eagerMR, c.stageMR, c.directMR, c.rfpInMR, c.rfpOutMR, c.creditMR} {
 		if mr != nil {
 			c.pinned += int64(mr.Len())
 		}
@@ -726,7 +720,7 @@ func (c *Conn) Close() {
 	c.eng.pinnedBytes -= c.pinned
 	c.pinned = 0
 	c.eagerMR, c.stageMR, c.directMR = nil, nil, nil
-	c.rfpInMR, c.rfpOutMR, c.kvMetaMR, c.kvPayMR = nil, nil, nil, nil
+	c.rfpInMR, c.rfpOutMR = nil, nil
 	c.creditMR = nil
 }
 
@@ -759,8 +753,6 @@ func (c *Conn) helloFor() *hello {
 	if c.server {
 		h.rfpIn = c.rfpInMR.RKey()
 		h.rfpOut = c.rfpOutMR.RKey()
-		h.kvMeta = c.kvMetaMR.RKey()
-		h.kvPay = c.kvPayMR.RKey()
 	}
 	return h
 }
@@ -774,8 +766,6 @@ func (c *Conn) applyHello(h *hello) {
 	c.peerDirect = h.direct
 	c.peerRfpIn = h.rfpIn
 	c.peerRfpOut = h.rfpOut
-	c.peerKvMeta = h.kvMeta
-	c.peerKvPay = h.kvPay
 	c.peerCredit = h.credit
 	c.shared = h.shared
 }

@@ -317,6 +317,48 @@ func TestRFPLargeResponseSecondRead(t *testing.T) {
 	}
 }
 
+// TestFetchReadsPerProtocol counts the READs of a warmed one-sided fetch,
+// less the stale polls: the probes that find the response, plus one READ
+// of the payload bytes they did not cover. RFP's 4 KB probe covers a
+// response up to 4 068 B; Pilaf probes twice and FaRM once, 16 B each,
+// and both always READ the payload apart.
+func TestFetchReadsPerProtocol(t *testing.T) {
+	for _, c := range []struct {
+		proto Protocol
+		size  int
+		reads int64
+	}{
+		{RFP, 60, 1}, {RFP, 8192, 2},
+		{Pilaf, 60, 3}, {Pilaf, 8192, 3},
+		{FaRM, 60, 2}, {FaRM, 8192, 2},
+	} {
+		t.Run(fmt.Sprintf("%s/%d", c.proto, c.size), func(t *testing.T) {
+			env, srvEng, cliEng := testCluster(14)
+			observe(cliEng)
+			resp := make([]byte, c.size)
+			srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte { return resp })
+			env.Spawn("client", func(p *sim.Proc) {
+				defer env.Stop()
+				conn := cliEng.Dial(p, srvEng.Node(), "svc")
+				var reads, retries int64
+				for i := 0; i < 2; i++ { // the first call warms the connection
+					reads, retries = ctr(cliEng, "verbs.tx.READ"), ctr(cliEng, "engine.read_retries")
+					out, err := conn.Call(p, 1, []byte("q"), CallOpts{Proto: c.proto, Busy: true})
+					if err != nil || len(out) != c.size {
+						t.Fatalf("call %d: %d bytes, %v", i, len(out), err)
+					}
+				}
+				reads = ctr(cliEng, "verbs.tx.READ") - reads
+				retries = ctr(cliEng, "engine.read_retries") - retries
+				if reads-retries != c.reads {
+					t.Errorf("warmed fetch: %d READs less %d stale polls = %d, want %d", reads, retries, reads-retries, c.reads)
+				}
+			})
+			env.Run()
+		})
+	}
+}
+
 func TestCallTooLargeRejected(t *testing.T) {
 	env, srvEng, cliEng := testCluster(11)
 	srvEng.Serve("svc", echoHandler)

@@ -301,8 +301,8 @@ func TestAdmitShedNewestRejectsTyped(t *testing.T) {
 }
 
 // TestShedTypedOnEveryResponseProtocol: the kErr/shed marker must reach
-// the client on every response channel — two-sided ring, HERD, RFP
-// polling, and the Pilaf/FaRM metadata record.
+// the client on every response channel — the two-sided ring, HERD's
+// ring, and the header RFP, Pilaf and FaRM probe for at the call's seq.
 func TestShedTypedOnEveryResponseProtocol(t *testing.T) {
 	for _, respProto := range []Protocol{EagerSendRecv, DirectWriteIMM, HERD, RFP, Pilaf, FaRM} {
 		t.Run(respProto.String(), func(t *testing.T) {

@@ -465,9 +465,10 @@ func BenchmarkEagerPathCall(b *testing.B) {
 	}
 }
 
-// TestFetchRegionsAllocatedOnFirstUse: a server connection's RFP/HERD and
-// Pilaf/FaRM regions are registered at the full size, and counted as
-// pinned at it, but hold no host memory until a fetch protocol uses them.
+// TestFetchRegionsAllocatedOnFirstUse: a server connection's two fetch
+// regions, the RFP/HERD request region and the RFP/Pilaf/FaRM response
+// region, are registered at the full size, and counted as pinned at it,
+// but hold no host memory until a fetch protocol uses them.
 func TestFetchRegionsAllocatedOnFirstUse(t *testing.T) {
 	env, srvEng, cliEng := testCluster(24)
 	srv := srvEng.Serve("svc", echoHandler)
@@ -478,13 +479,13 @@ func TestFetchRegionsAllocatedOnFirstUse(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc := srv.Conns()[0]
-		fetch := []*verbs.MR{sc.rfpInMR, sc.rfpOutMR, sc.kvMetaMR, sc.kvPayMR}
+		fetch := []*verbs.MR{sc.rfpInMR, sc.rfpOutMR}
 		for i, mr := range fetch {
 			if mr.Buf != nil {
 				t.Errorf("fetch region %d holds %d bytes after an eager call, want none", i, len(mr.Buf))
 			}
 		}
-		if want := int64(sc.rfpInMR.Len() + sc.rfpOutMR.Len() + sc.kvMetaMR.Len() + sc.kvPayMR.Len()); sc.pinned < want {
+		if want := int64(sc.rfpInMR.Len() + sc.rfpOutMR.Len()); sc.pinned < want {
 			t.Errorf("server connection pins %d bytes, less than its %d bytes of fetch regions", sc.pinned, want)
 		}
 		for _, proto := range []Protocol{RFP, Pilaf} {

@@ -40,10 +40,10 @@ const (
 	// DirectWriteIMM replaces Chained-Write-Send's pair with a single
 	// WRITE_WITH_IMM (Fig. 3f).
 	DirectWriteIMM
-	// Pilaf emulates Pilaf's server-bypass GETs: ~3 READs per request
-	// (two metadata, one payload) (Fig. 3g).
+	// Pilaf emulates Pilaf's server-bypass GETs: 3 READs per response,
+	// two header probes and the payload (Fig. 3g).
 	Pilaf
-	// FaRM emulates FaRM's ≥2 READs per GET (index + value) (Fig. 3h).
+	// FaRM emulates FaRM's GETs: one header probe and the payload (Fig. 3h).
 	FaRM
 	// RFP is the remote-fetching paradigm (Fig. 3i): WRITE the request
 	// into the server, server CPU polls memory, client READs the

@@ -413,12 +413,8 @@ func (c *Conn) callReliable(p *sim.Proc, h hdr, req []byte, respProto Protocol, 
 			var ok bool
 			var err error
 			switch respProto {
-			case RFP:
-				out, ok, err = c.fetchRFPUntil(p, busy, respUntil)
-			case Pilaf:
-				out, ok, err = c.fetchKVUntil(p, 2, busy, respUntil)
-			case FaRM:
-				out, ok, err = c.fetchKVUntil(p, 1, busy, respUntil)
+			case RFP, Pilaf, FaRM:
+				out, ok, err = c.fetchUntil(p, respProto, busy, respUntil)
 			default:
 				out, ok, err = c.awaitResponse(p, h.seq, busy, respUntil)
 			}
