@@ -25,8 +25,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"hatrpc/internal/atb"
 	"hatrpc/internal/obs"
@@ -98,12 +101,38 @@ var atbFigures = []atbFigure{
 // the points behind it.
 func (fig atbFigure) render(tb atb.Testbed) (string, []atb.Point) {
 	fig.sweep.Testbed = tb
-	pts := fig.sweep.Run()
+	pts := measure(fig.sweep)
 	t := stats.NewTable(fig.cols...)
 	for _, p := range pts {
 		t.Row(fig.row(p)...)
 	}
 	return header(fig.title, fig.caption) + t.String(), pts
+}
+
+// measure runs the sweep's points on GOMAXPROCS goroutines and returns
+// them in Run's order. Every point builds its own fabric and Env, so the
+// simulations share nothing and each is as deterministic as alone — but a
+// Testbed.Hook attaches every fabric to one registry and tracer, so a run
+// with one measures its points one at a time, in order.
+func measure(s atb.Sweep) []atb.Point {
+	pts := s.Points()
+	workers := runtime.GOMAXPROCS(0)
+	if s.Testbed.Hook != nil {
+		workers = 1
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, len(pts)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(pts); i = int(next.Add(1)) - 1 {
+				pts[i] = s.Measure(pts[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return pts
 }
 
 func run(args []string) error {

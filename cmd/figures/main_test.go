@@ -61,6 +61,22 @@ func TestCellsMatchResults(t *testing.T) {
 	}
 }
 
+// TestConcurrentPointsMatchRun: measuring a sweep's points at once gives
+// the points, in the order, that measuring them one at a time does — for
+// the raw and the stub dialer, under both loops and the mix. Under -race it
+// also shows that the points' simulations share no state.
+func TestConcurrentPointsMatchRun(t *testing.T) {
+	fig04, fig12, fig13 := atb.Fig04(), atb.Fig12(), atb.Fig13()
+	fig04.Subjects, fig04.Sizes, fig04.Iters = fig04.Subjects[:3], []int{64, 8192}, 5
+	fig12.Subjects, fig12.Sizes, fig12.Clients = fig12.Subjects[:2], []int{512}, []int{1, 4}
+	fig13.Subjects, fig13.Clients = fig13.Subjects[:2], []int{4}
+	for _, sw := range []atb.Sweep{fig04, fig12, fig13} {
+		if got, want := measure(sw), sw.Run(); !slices.Equal(got, want) {
+			t.Errorf("concurrent points differ from Run's:\n  %+v\n  %+v", got, want)
+		}
+	}
+}
+
 // TestResultsWithinLineRate: no checked-in throughput row carries more
 // payload than the server's link (12 500 MB/s at 100 Gbps), with 1 % for
 // the bytes of calls that began crossing before their window opened. Fig. 14

@@ -110,6 +110,50 @@ func TestPaperShapes(t *testing.T) {
 		}
 	}
 
+	// Fig. 5 at 512 B: busy polling peaks by full subscription (28
+	// clients) and degrades at every count past its peak, while event
+	// polling never falls as clients grow; Direct-WriteIMM event is the
+	// best event-polled row at every count. On the plateau it ties
+	// Eager-SendRecv, and the two cells differ in the last digit (8 475.5
+	// vs 8 475.6 Kops/s at 512 clients), so a tie within 0.01 % counts.
+	fig5 := resultRows(t, "fig05")
+	counts := []string{"1", "4", "16", "28", "64", "128", "256", "512"}
+	rate := func(proto, polling, clients string) float64 {
+		return cell(t, "fig05", fig5, 4, proto, polling, "512B", clients)
+	}
+	peak := 0
+	for i, c := range counts {
+		if rate("Direct-WriteIMM", "busy", c) > rate("Direct-WriteIMM", "busy", counts[peak]) {
+			peak = i
+		}
+	}
+	if peak > 3 { // counts[3] is 28
+		t.Errorf("fig05 512B Direct-WriteIMM busy peaks at %s clients, want ≤ 28", counts[peak])
+	}
+	for i := peak + 1; i < len(counts); i++ {
+		if prev, cur := rate("Direct-WriteIMM", "busy", counts[i-1]), rate("Direct-WriteIMM", "busy", counts[i]); cur >= prev {
+			t.Errorf("fig05 512B Direct-WriteIMM busy: %.1f Kops/s at %s clients does not fall from %.1f at %s",
+				cur, counts[i], prev, counts[i-1])
+		}
+	}
+	for _, proto := range []string{"Direct-WriteIMM", "Eager-SendRecv"} {
+		for i := 1; i < len(counts); i++ {
+			if prev, cur := rate(proto, "event", counts[i-1]), rate(proto, "event", counts[i]); cur < prev {
+				t.Errorf("fig05 512B %s event: falls from %.1f Kops/s at %s clients to %.1f at %s",
+					proto, prev, counts[i-1], cur, counts[i])
+			}
+		}
+	}
+	for _, r := range fig5 {
+		if r[1] != "event" || r[2] != "512B" {
+			continue
+		}
+		v, best := cell(t, "fig05", fig5, 4, r[:4]...), rate("Direct-WriteIMM", "event", r[3])
+		if v > best*1.0001 {
+			t.Errorf("fig05 512B event %s clients: %s %.1f Kops/s beats Direct-WriteIMM %.1f", r[3], r[0], v, best)
+		}
+	}
+
 	// Fig. 17: the bimodal split — the communication-heavy queries gain
 	// at least 1.4× from function-level hints, every other query at most
 	// 1.10× — and the totals order HatRPC-Fn < HatRPC-Svc < IPoIB.
@@ -135,7 +179,6 @@ func TestPaperShapes(t *testing.T) {
 	// Direct-WriteIMM for 128 KB messages under over-subscription; here
 	// Direct-WriteIMM keeps the lead from 64 clients up, under either
 	// polling.
-	fig5 := resultRows(t, "fig05")
 	for _, polling := range []string{"busy", "event"} {
 		for _, clients := range []string{"64", "128", "256", "512"} {
 			w := cell(t, "fig05", fig5, 4, "Direct-WriteIMM", polling, "128KB", clients)

@@ -360,8 +360,11 @@ func Fig14() Sweep {
 	}
 }
 
-// Run measures every point, subject-major, then size, then client count.
-func (s Sweep) Run() []Point {
+// Points lists the sweep's points, unmeasured, in Run's order:
+// subject-major, then size, then client count. Every point is measured
+// on a fabric of its own, so a front-end may measure them in any order,
+// or at once, with Measure.
+func (s Sweep) Points() []Point {
 	clients := s.Clients
 	if clients == nil {
 		clients = []int{1}
@@ -370,14 +373,26 @@ func (s Sweep) Run() []Point {
 	for _, sub := range s.Subjects {
 		for _, size := range s.Sizes {
 			for _, nc := range clients {
-				out = append(out, s.point(sub, size, nc))
+				out = append(out, Point{Subject: sub, Size: size, Clients: nc})
 			}
 		}
 	}
 	return out
 }
 
-func (s Sweep) point(sub Subject, size, clients int) Point {
+// Run measures every point, in order.
+func (s Sweep) Run() []Point {
+	out := s.Points()
+	for i := range out {
+		out[i] = s.Measure(out[i])
+	}
+	return out
+}
+
+// Measure measures the point of the sweep that pt names (its Subject,
+// Size and Clients).
+func (s Sweep) Measure(pt Point) Point {
+	sub, size, clients := pt.Subject, pt.Size, pt.Clients
 	window := s.Clients != nil
 	nodes, goal := 2, hints.GoalLatency
 	if window {
@@ -413,7 +428,7 @@ func (s Sweep) point(sub Subject, size, clients int) Point {
 	}
 	f.Env.Run()
 	f.Env.Shutdown()
-	pt := Point{Subject: sub, Size: size, Clients: clients, AvgNs: lat.Mean(), P99Ns: lat.Percentile(99)}
+	pt.AvgNs, pt.P99Ns = lat.Mean(), lat.Percentile(99)
 	if window {
 		pt.OpsPerS = w.Rate(done[fnEcho] + done[fnTput])
 		pt.MBps = pt.OpsPerS * float64(size) / 1e6

@@ -2,9 +2,10 @@ package sim
 
 import "testing"
 
-// The four benchmarks mirror the benchmark ledger's sim.switch_host_ns,
+// Four benchmarks mirror the benchmark ledger's sim.switch_host_ns,
 // sim.timer_host_ns, sim.compute_host_ns and sim.spawn_host_ns rows
 // (bench/layers.go), so a kernel change can be sized without a suite run.
+// BenchmarkSleepInline times the Sleep that needs no switch.
 
 func BenchmarkSwitch(b *testing.B) { // one op = one process switch, two per round trip
 	env := NewEnv(1)
@@ -66,4 +67,20 @@ func BenchmarkSpawn(b *testing.B) { // one op = spawn, first dispatch and exit
 		env.Spawn("p", func(p *Proc) {})
 	}
 	env.Run()
+}
+
+func BenchmarkSleepInline(b *testing.B) { // one op = one Sleep with nothing due before its wake
+	env := NewEnv(1)
+	env.At(1<<40, func() {}) // a sparse queue: the one event is far off
+	env.Spawn("s", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(10)
+		}
+		env.Stop()
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Run()
+	b.StopTimer()
+	env.Shutdown()
 }

@@ -76,10 +76,21 @@ func (c *CPU) RemoveLoad(n int) {
 }
 
 // Compute blocks the process for work nanoseconds of dedicated-core time,
-// stretched by processor sharing while the CPU is over-committed.
+// stretched by processor sharing while the CPU is over-committed. A task
+// that runs alone on a free core and ends before anything else is due
+// goes on without parking (Env.continues): the CPU is left as the
+// completion callback would have left it.
 func (c *CPU) Compute(p *Proc, work Duration) {
 	if work <= 0 {
 		return
+	}
+	if e := c.env; len(c.tasks) == 0 && c.load < c.cores {
+		if at := e.now + Time(work); e.continues(p, at) {
+			e.seq += 2 // the completion callback's and the wake's
+			e.now = at
+			c.lastUpdate, c.rate = at, 1
+			return
+		}
 	}
 	c.advance()
 	c.tasks = append(c.tasks, cpuTask{remaining: float64(work), proc: p})

@@ -211,6 +211,114 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
+// Inline continuation: Sleep and Compute go on without parking only when
+// their wake is the very next event. Each case sets up one reason it is
+// not, and checks that the process parked — or that the clock did not
+// move.
+
+func TestSleepTyingAnEarlierEventParks(t *testing.T) {
+	env := NewEnv(1)
+	var order []string
+	env.At(10, func() { order = append(order, "callback") })
+	env.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(10) // ties the callback, which was queued first
+		order = append(order, "sleeper")
+	})
+	env.Run()
+	if got := strings.Join(order, ","); got != "callback,sleeper" {
+		t.Fatalf("ran %s, want the earlier-queued callback first", got)
+	}
+}
+
+func TestSleepPastTheLimitResumesOnTheNextRun(t *testing.T) {
+	env := NewEnv(1)
+	woke := Time(-1)
+	env.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(100)
+		woke = p.Now()
+	})
+	if end := env.RunUntil(50); end != 50 || woke != -1 {
+		t.Fatalf("RunUntil(50) ended at %d with the sleeper woken at %d: it ran past the limit", end, woke)
+	}
+	if env.RunUntil(200); woke != 100 {
+		t.Fatalf("sleeper woke at %d on the next RunUntil, want 100", woke)
+	}
+}
+
+func TestSleepAfterStopParks(t *testing.T) {
+	env := NewEnv(1)
+	woke := false
+	env.Spawn("sleeper", func(p *Proc) {
+		env.Stop()
+		p.Sleep(10)
+		woke = true
+	})
+	if end := env.Run(); end != 0 || woke {
+		t.Fatalf("stopped run ended at %d, woke=%v: the sleeper went on after Stop", end, woke)
+	}
+}
+
+func TestKilledSleeperDoesNotMoveTheClock(t *testing.T) {
+	env := NewEnv(1)
+	sig := NewSignal(env)
+	victim := func(name string) *Proc {
+		return env.Spawn(name, func(p *Proc) {
+			defer p.Sleep(5) // cleanup that sleeps while being killed
+			sig.Wait(p)
+		})
+	}
+	first, second := victim("killed"), victim("shut down")
+	var after Time
+	env.Spawn("killer", func(p *Proc) {
+		p.Sleep(10)
+		env.Kill(first)
+		after = p.Now()
+	})
+	end := env.Run()
+	if after != 10 {
+		t.Fatalf("clock at %d once Kill returned, want 10: the dying sleeper moved it", after)
+	}
+	env.Shutdown()
+	if env.Now() != end || !second.done {
+		t.Fatalf("clock at %d after Shutdown (victim done=%v), want %d", env.Now(), second.done, end)
+	}
+}
+
+func TestComputeParksUnlessAloneOnAFreeCore(t *testing.T) {
+	// One core, another task running: both progress at half rate, so the
+	// short task ends at 20 and the long one at 110.
+	env := NewEnv(1)
+	cpu := NewCPU(env, 1)
+	var long, short Time
+	env.Spawn("long", func(p *Proc) {
+		cpu.Compute(p, 100)
+		long = p.Now()
+	})
+	env.Spawn("short", func(p *Proc) {
+		cpu.Compute(p, 10)
+		short = p.Now()
+	})
+	env.Run()
+	if short != 20 || long != 110 {
+		t.Fatalf("tasks ended at %d and %d, want 20 and 110", short, long)
+	}
+
+	// One core filled by busy load: the lone task runs at half rate.
+	env = NewEnv(1)
+	cpu = NewCPU(env, 1)
+	cpu.AddLoad(1)
+	var done Time
+	env.Spawn("loaded", func(p *Proc) {
+		cpu.Compute(p, 10)
+		done = p.Now()
+	})
+	env.Run()
+	if done != 20 {
+		t.Fatalf("task beside a busy poller ended at %d, want 20", done)
+	}
+}
+
+// ---------------------------------------------------------------------------
 // FIFO: backing-array reuse.
 
 func TestFifoReusesBackingArray(t *testing.T) {

@@ -83,24 +83,28 @@ func (p *Proc) park() {
 	}
 }
 
-// Sleep suspends the process for d of virtual time.
+// Sleep suspends the process for d of virtual time. When nothing else is
+// due before the wake, the process goes on without parking (Env.continues).
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
 	e := p.env
-	p.wake = e.schedule(e.now+Time(d), p, nil)
+	at := e.now + Time(d)
+	if e.continues(p, at) {
+		e.seq++ // the wake's
+		e.now = at
+		return
+	}
+	p.wake = e.schedule(at, p, nil)
 	p.park()
 	p.wake = Timer{}
 }
 
 // Yield reschedules the process at the current time behind already-queued
-// events, letting same-timestamp work interleave deterministically.
-func (p *Proc) Yield() {
-	e := p.env
-	e.schedule(e.now, p, nil)
-	p.park()
-}
+// events, letting same-timestamp work interleave deterministically. It is
+// Sleep(0): with nothing else due now, the process goes straight on.
+func (p *Proc) Yield() { p.Sleep(0) }
 
 // dispatch resumes process pr and returns when it parks or finishes.
 func (e *Env) dispatch(pr *Proc) {

@@ -1,9 +1,10 @@
 // Package sim implements a deterministic discrete-event simulation (DES)
 // kernel in the style of SimPy: simulation processes are coroutines that
 // execute strictly one at a time under a cooperative scheduler driven by a
-// virtual clock. All blocking operations (Sleep, Wait, resource
-// acquisition) park the calling process and hand control back to the
-// scheduler, which advances virtual time to the next pending event.
+// virtual clock. Blocking operations (Sleep, Wait, resource acquisition)
+// park the calling process and hand control back to the scheduler, which
+// advances virtual time to the next pending event — unless that event
+// would be the process's own wake, which it then takes without parking.
 //
 // Determinism: events are ordered by (time, sequence number), processes
 // never run concurrently, and all randomness flows through the
@@ -73,6 +74,7 @@ type Env struct {
 	rng    *rand.Rand
 
 	current *Proc // the process being dispatched, if any
+	limit   Time  // RunUntil's bound while it runs
 	stopped bool
 	procs   []*Proc // every spawned process, in spawn order (for Shutdown)
 	shut    bool    // Shutdown has run
@@ -182,6 +184,7 @@ func (e *Env) Run() Time { return e.RunUntil(Time(1<<62 - 1)) }
 // beyond it). A panic in a process body surfaces here, on the caller's
 // goroutine, with the process name and virtual time attached.
 func (e *Env) RunUntil(limit Time) Time {
+	e.limit = limit
 	for len(e.events) > 0 && !e.stopped {
 		if top := e.events[0]; !top.dead && top.at > limit {
 			e.now = limit
@@ -200,6 +203,30 @@ func (e *Env) RunUntil(limit Time) Time {
 		}
 	}
 	return e.now
+}
+
+// continues reports whether process p, about to park until at, may keep
+// running instead: its wakeup would be the very next event RunUntil
+// fires, so parking would only switch to the scheduler and straight
+// back. That holds when p is the dispatched process (a process unwinding
+// under Kill or Shutdown never is), the scheduler would go on (not
+// stopped, at within its limit), and at is strictly before every live
+// queued event — a tie parks, since the event queued earlier fires first.
+// Stopped events at the top are discarded on the way, as RunUntil would
+// discard them. The caller then consumes the sequence numbers its events
+// would have taken and moves the clock to at, so (time, seq) order is the
+// same either way.
+func (e *Env) continues(p *Proc, at Time) bool {
+	if p != e.current || e.stopped || at > e.limit {
+		return false
+	}
+	for len(e.events) > 0 {
+		if top := e.events[0]; !top.dead {
+			return at < top.at
+		}
+		e.pop()
+	}
+	return true
 }
 
 // Stop halts the scheduler after the current event completes.

@@ -186,3 +186,98 @@ func TestRKeyEpochTagging(t *testing.T) {
 		t.Errorf("WCRemoteInvalid.String() = %q", WCRemoteInvalid.String())
 	}
 }
+
+// TestTxFIFOAcrossQPs: a device has one send engine, so WRs leave in
+// doorbell order whichever QP they were posted on — the two small sends
+// queued behind a 64 KB one keep their order across QPs. (The receiver
+// may complete a small message before a large one: placing the large
+// one's last packet takes longer. The send completions, raised as each
+// message leaves, show the wire's order.)
+func TestTxFIFOAcrossQPs(t *testing.T) {
+	env := sim.NewEnv(27)
+	_, a, b := crashPair(env)
+	qa := a.dev.CreateQP(a.cq, a.cq)
+	qb := b.dev.CreateQP(b.cq, b.cq)
+	qa.Connect(qb)
+	qb.Connect(qa)
+	const big = 64 << 10
+	rmr := b.pd.RegisterMRNoCost(3 * big)
+	b.qp.PostRecv(RecvWR{WRID: 1, SGE: SGE{MR: rmr, Len: big}})
+	b.qp.PostRecv(RecvWR{WRID: 2, SGE: SGE{MR: rmr, Off: big, Len: big}})
+	qb.PostRecv(RecvWR{WRID: 3, SGE: SGE{MR: rmr, Off: 2 * big, Len: big}})
+	var got []uint64
+	env.Spawn("client", func(p *sim.Proc) {
+		smr := a.pd.RegisterMRNoCost(big)
+		a.qp.PostSend(p, &SendWR{WRID: 1, Op: OpSend, SGE: SGE{MR: smr, Len: big}})
+		a.qp.PostSend(p, &SendWR{WRID: 2, Op: OpSend, SGE: SGE{MR: smr, Len: 64}})
+		qa.PostSend(p, &SendWR{WRID: 3, Op: OpSend, SGE: SGE{MR: smr, Len: 64}})
+		for len(got) < 3 {
+			got = append(got, a.cq.PollBusy(p).WRID)
+		}
+	})
+	env.Run()
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 || b.cq.Depth() != 3 {
+		t.Fatalf("sent %v (%d received), want [1 2 3]: the send engine reordered WRs", got, b.cq.Depth())
+	}
+}
+
+// TestCrashBetweenFetchAndTransmit: a node that crashes after its NIC has
+// fetched a WQE, while the first packet's DMA is still under way, puts
+// nothing on the wire and raises no completion — the send engine dies
+// with the node rather than finishing the WR it holds.
+func TestCrashBetweenFetchAndTransmit(t *testing.T) {
+	env := sim.NewEnv(28)
+	cl, a, b := crashPair(env)
+	cm := DefaultCostModel()
+	fetched := sim.Time(cm.DoorbellNs + cm.WQEProcessNs)
+	env.At(fetched+sim.Time(cm.DMATime(PathMTU))/2, cl.Node(0).Crash)
+	rmr := b.pd.RegisterMRNoCost(64 << 10)
+	b.qp.PostRecv(RecvWR{WRID: 1, SGE: SGE{MR: rmr, Len: 64 << 10}})
+	env.Spawn("client", func(p *sim.Proc) {
+		smr := a.pd.RegisterMRNoCost(64 << 10)
+		a.qp.PostSend(p, &SendWR{WRID: 7, Op: OpSend, SGE: SGE{MR: smr, Len: 64 << 10}})
+	})
+	end := env.Run()
+	if busy := cl.Node(0).TX.BusyNs(); busy != 0 {
+		t.Errorf("crashed NIC kept the wire busy for %d ns", busy)
+	}
+	if a.cq.Depth() != 0 || b.cq.Depth() != 0 {
+		t.Errorf("completions after the crash: sender %d, receiver %d, want none", a.cq.Depth(), b.cq.Depth())
+	}
+	if end > fetched+sim.Time(cm.DMATime(PathMTU)) {
+		t.Errorf("the run went on to %d ns: the dead engine still had work scheduled", end)
+	}
+}
+
+// TestRestartedNodeTransmits: the device a restarted node opens has a
+// send engine of its own, which carries a fresh QP's SEND to the peer.
+func TestRestartedNodeTransmits(t *testing.T) {
+	env := sim.NewEnv(29)
+	cl, _, b := crashPair(env)
+	msg := []byte("from the next boot")
+	rmr := b.pd.RegisterMRNoCost(64)
+	var sent WC
+	cl.Node(0).SetRestart(func(p *sim.Proc) {
+		d := OpenDevice(cl.Node(0), DefaultCostModel())
+		cq := d.CreateCQ()
+		qp := d.CreateQP(cq, cq)
+		peer := b.dev.CreateQP(b.cq, b.cq)
+		qp.Connect(peer)
+		peer.Connect(qp)
+		peer.PostRecv(RecvWR{WRID: 5, SGE: SGE{MR: rmr, Len: 64}})
+		smr := d.AllocPD().RegisterMRNoCost(64)
+		copy(smr.Buf, msg)
+		qp.PostSend(p, &SendWR{WRID: 9, Op: OpSend, SGE: SGE{MR: smr, Len: len(msg)}})
+		sent = cq.PollBusy(p)
+	})
+	env.At(100, cl.Node(0).Crash)
+	env.At(200, cl.Node(0).Restart)
+	env.Run()
+	if sent.WRID != 9 || sent.Status != WCSuccess {
+		t.Fatalf("send from the restarted node: %+v, want wrid 9 WCSuccess", sent)
+	}
+	wc, ok := b.cq.TryPoll()
+	if !ok || wc.WRID != 5 || string(rmr.Buf[:wc.ByteLen]) != string(msg) {
+		t.Fatalf("peer received %+v (ok=%v) %q, want wrid 5 carrying %q", wc, ok, rmr.Buf[:wc.ByteLen], msg)
+	}
+}

@@ -62,7 +62,17 @@ type Device struct {
 	cm   *CostModel
 	env  *sim.Env
 
-	txq    *sim.Queue[*packet]
+	// The send engine (txPoll): a chain of scheduler callbacks, one
+	// pending at a time in txTimer.
+	txq     sim.FIFO[*packet]
+	txIdle  bool         // waiting for a doorbell
+	txRings int          // doorbells rung while it was not waiting
+	txPkt   *packet      // the WR between its fetch and its hand-off
+	txRest  sim.Duration // how much longer txPkt's DMA fetch takes
+	txTimer sim.Timer
+
+	txPollFn, txFetchedFn, txSendFn, txReadFn func() // bound once
+
 	nextMR uint32
 	nextQP uint32
 
@@ -124,8 +134,8 @@ func OpenDevice(node *simnet.Node, cm *CostModel) *Device {
 		cm = DefaultCostModel()
 	}
 	d := &Device{node: node, cm: cm, env: node.Cluster().Env(), epoch: node.Epoch()}
-	d.txq = sim.NewQueue[*packet](d.env)
-	node.Spawn(fmt.Sprintf("nic%d-tx", node.ID()), d.txEngine)
+	d.txPollFn, d.txFetchedFn, d.txSendFn, d.txReadFn = d.txPoll, d.txFetched, d.txSend, d.txRead
+	d.txAt(d.env.Now(), d.txPollFn)
 	node.OnCrash(d.crash)
 	return d
 }
@@ -140,6 +150,8 @@ func (d *Device) crash() {
 		return
 	}
 	d.dead = true
+	d.txTimer.Stop()
+	d.txIdle = false
 	for _, qp := range d.qps {
 		qp.errored = true
 		qp.recvq.Clear()
@@ -681,6 +693,7 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) {
 			pkt.payload = d.snapshot(w.SGE.bytes())
 		}
 		d.txq.Push(pkt)
+		d.ring()
 	}
 }
 
@@ -849,13 +862,33 @@ func (d *Device) recycle(b []byte) {
 	}
 }
 
-// txEngine is the device's send-side NIC pipeline: fetch WQE, DMA the
-// payload from host memory, serialize onto the wire, and hand off to the
-// fabric. One-sided issue overhead is charged here.
-func (d *Device) txEngine(p *sim.Proc) {
-	cm := d.cm
-	for {
-		pkt := d.txq.Pop(p)
+// The send engine is the device's send-side NIC pipeline: fetch WQE, DMA
+// the payload from host memory, serialize onto the wire, and hand off to
+// the fabric. One-sided issue overhead is charged here. It is pure
+// timing, so it runs as scheduler callbacks, not as a process: each
+// callback schedules the next where a process would sleep, at the same
+// (time, seq) place — the first as OpenDevice's spawn would have, the
+// rest through txAt. A doorbell wakes the idle engine at once; one rung
+// while it works is counted, and costs the yield a Signal's pending fire
+// does once the queue is found empty. A crash stops the pending callback.
+
+// txAt schedules the engine's next step.
+func (d *Device) txAt(at sim.Time, fn func()) { d.txTimer = d.env.AtTimer(at, fn) }
+
+// ring is PostSend's doorbell for one queued WR.
+func (d *Device) ring() {
+	if !d.txIdle {
+		d.txRings++
+		return
+	}
+	d.txIdle = false
+	d.txAt(d.env.Now(), d.txPollFn)
+}
+
+// txPoll takes the next WR off the send queue and fetches it.
+func (d *Device) txPoll() {
+	for d.txq.Len() > 0 {
+		pkt := d.txq.Pop()
 		qp := pkt.srcQP
 		if pkt.gen != qp.gen {
 			// Posted before the QP's last recovery: the RESET walk flushed
@@ -866,55 +899,84 @@ func (d *Device) txEngine(p *sim.Proc) {
 			pkt.release()
 			continue
 		}
-		p.Sleep(sim.Duration(cm.WQEProcessNs))
-		if int(pkt.kind) < opRecvBound {
-			d.vm.tx[pkt.kind].Inc()
-		}
-		switch pkt.kind {
-		case OpSend, OpSendImm, OpWrite, OpWriteImm:
-			if pkt.inline {
-				d.vm.inline.Inc()
-			} else {
-				d.vm.dma.Inc()
-			}
-			// The wire takes the message's first packet as soon as it is
-			// fetched; the DMA engine fetches the rest while packets leave.
-			n := len(pkt.payload)
-			var rest sim.Duration
-			if !pkt.inline {
-				first := sim.Duration(cm.DMATime(min(n, PathMTU)))
-				p.Sleep(first)
-				rest = sim.Duration(cm.DMATime(n)) - first
-			}
-			// transmit releases a packet the fabric loses, so read what the
-			// send completion needs first.
-			id, op, signaled, postTs := pkt.wrid, pkt.kind, pkt.signaled, pkt.postTs
-			pkt.dstQP = qp.peer
-			txDone, delivered := d.transmit(pkt, n, rest)
-			if signaled && delivered {
-				// Local send completion once the message is on the wire.
-				cqeAt := txDone + sim.Time(cm.CQEDmaNs)
-				if trc := d.trc; trc != nil {
-					trc.Complete("verbs", "wr."+op.String(), d.node.ID(), int(qp.id),
-						postTs, int64(cqeAt), obs.Arg{K: "wrid", V: id}, obs.Arg{K: "bytes", V: n})
-				}
-				// pkt belongs to the fabric now; a spare packet carries the
-				// completion, so raising it allocates nothing either.
-				c := d.getPacket()
-				c.cq, c.wc = qp.sendCQ, WC{WRID: id, Op: op, ByteLen: n, QP: qp}
-				d.env.At(cqeAt, c.cqeFn)
-			}
-			if rest > 0 {
-				p.Sleep(rest)
-			}
-		case OpRead:
-			p.Sleep(sim.Duration(cm.OutboundOneSidedExtraNs))
-			pkt.dstQP = qp.peer
-			d.transmit(pkt, 0, 0) // request packet is header-only
-		default:
-			panic("verbs: bad opcode on send queue")
-		}
+		d.txPkt = pkt
+		d.txAt(d.env.Now()+sim.Time(d.cm.WQEProcessNs), d.txFetchedFn)
+		return
 	}
+	if d.txRings > 0 {
+		d.txRings--
+		d.txAt(d.env.Now(), d.txPollFn)
+		return
+	}
+	d.txIdle = true
+}
+
+// txFetched runs once the WQE is fetched.
+func (d *Device) txFetched() {
+	pkt := d.txPkt
+	if int(pkt.kind) < opRecvBound {
+		d.vm.tx[pkt.kind].Inc()
+	}
+	switch pkt.kind {
+	case OpSend, OpSendImm, OpWrite, OpWriteImm:
+		if pkt.inline {
+			d.vm.inline.Inc()
+			d.txRest = 0
+			d.txSend()
+			return
+		}
+		d.vm.dma.Inc()
+		// The wire takes the message's first packet as soon as it is
+		// fetched; the DMA engine fetches the rest while packets leave.
+		n := len(pkt.payload)
+		first := sim.Duration(d.cm.DMATime(min(n, PathMTU)))
+		d.txRest = sim.Duration(d.cm.DMATime(n)) - first
+		d.txAt(d.env.Now()+sim.Time(first), d.txSendFn)
+	case OpRead:
+		d.txAt(d.env.Now()+sim.Time(d.cm.OutboundOneSidedExtraNs), d.txReadFn)
+	default:
+		panic("verbs: bad opcode on send queue")
+	}
+}
+
+// txSend transmits a fetched two-sided or WRITE message once its first
+// packet is in the NIC.
+func (d *Device) txSend() {
+	pkt, rest := d.txPkt, d.txRest
+	d.txPkt = nil
+	qp, n := pkt.srcQP, len(pkt.payload)
+	// transmit releases a packet the fabric loses, so read what the send
+	// completion needs first.
+	id, op, signaled, postTs := pkt.wrid, pkt.kind, pkt.signaled, pkt.postTs
+	pkt.dstQP = qp.peer
+	txDone, delivered := d.transmit(pkt, n, rest)
+	if signaled && delivered {
+		// Local send completion once the message is on the wire.
+		cqeAt := txDone + sim.Time(d.cm.CQEDmaNs)
+		if trc := d.trc; trc != nil {
+			trc.Complete("verbs", "wr."+op.String(), d.node.ID(), int(qp.id),
+				postTs, int64(cqeAt), obs.Arg{K: "wrid", V: id}, obs.Arg{K: "bytes", V: n})
+		}
+		// pkt belongs to the fabric now; a spare packet carries the
+		// completion, so raising it allocates nothing either.
+		c := d.getPacket()
+		c.cq, c.wc = qp.sendCQ, WC{WRID: id, Op: op, ByteLen: n, QP: qp}
+		d.env.At(cqeAt, c.cqeFn)
+	}
+	if rest > 0 {
+		d.txAt(d.env.Now()+sim.Time(rest), d.txPollFn)
+		return
+	}
+	d.txPoll()
+}
+
+// txRead issues a READ request once its one-sided overhead is paid.
+func (d *Device) txRead() {
+	pkt := d.txPkt
+	d.txPkt = nil
+	pkt.dstQP = pkt.srcQP.peer
+	d.transmit(pkt, 0, 0) // request packet is header-only
+	d.txPoll()
 }
 
 // transmit puts a message of size payload bytes on the wire and hands it
