@@ -64,8 +64,23 @@ func (o CallOpts) resolve(size int) (req, resp Protocol) {
 
 // Call performs one RPC: ships req to the server with the requested
 // protocol, waits for the response per RespProto, and returns the
-// response payload.
+// response payload, which the caller owns (Recycle).
 func (c *Conn) Call(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte, error) {
+	out, err := c.Invoke(p, fn, req, opts)
+	if c.lent(out) {
+		out = c.copyPayload(out)
+	}
+	c.loan = nil
+	return out, err
+}
+
+// Invoke is Call with the response lent: one in the direct region is
+// returned where it lies (direct). The connection's next call ends the
+// loan and recycles an arena response, so the caller neither keeps the
+// response past then nor Recycles it.
+func (c *Conn) Invoke(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte, error) {
+	c.endLoan(c.loan)
+	c.loan = nil
 	if c.server {
 		return nil, fmt.Errorf("engine: Call on server-side connection")
 	}
@@ -77,6 +92,7 @@ func (c *Conn) Call(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte, 
 	}
 	out, err := c.doCall(p, fn, req, opts)
 	c.breakerObserve(p, err)
+	c.loan = out
 	return out, err
 }
 
@@ -109,6 +125,7 @@ func (c *Conn) doCall(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte
 		fn: fn, length: uint32(len(req)), seq: c.seq,
 	}
 	until := c.deadlineFor(p, opts)
+	h.inPlace = until == 0 && !opts.Oneway
 	if opts.Oneway {
 		eng.em.oneways.Inc()
 		h.respProto = ProtoAuto // marks "no response expected"

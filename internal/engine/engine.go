@@ -362,6 +362,7 @@ type hdr struct {
 	seq       uint32
 	off       uint32 // fragment offset (eager segmentation)
 	credits   uint32 // cumulative RECV-repost grant (flow control; 0 when off)
+	inPlace   bool   // b[3]: the caller waits without a deadline (Conn.direct)
 }
 
 func putHdr(b []byte, h hdr) {
@@ -370,6 +371,9 @@ func putHdr(b []byte, h hdr) {
 	b[1] = byte(h.proto)
 	b[2] = byte(h.respProto)
 	b[3] = 0
+	if h.inPlace {
+		b[3] = 1
+	}
 	binary.LittleEndian.PutUint32(b[4:], h.fn)
 	binary.LittleEndian.PutUint32(b[8:], h.length)
 	binary.LittleEndian.PutUint32(b[12:], h.seq)
@@ -380,12 +384,12 @@ func putHdr(b []byte, h hdr) {
 
 // decodeHdr is the bounds-checked variant of getHdr for buffers whose
 // length is not structurally guaranteed (getHdr's callers all read from
-// fixed-size registered MRs, which are always >= hdrSize). The reserved
-// byte b[3] and the reserved trailing word b[24:28] must be zero — a
-// nonzero value means the bytes are not a header this engine version
+// fixed-size registered MRs, which are always >= hdrSize). The flag
+// byte b[3] must be 0 or 1 and the reserved trailing word b[24:28] zero —
+// anything else means the bytes are not a header this engine version
 // produced.
 func decodeHdr(b []byte) (hdr, bool) {
-	if len(b) < hdrSize || b[3] != 0 || binary.LittleEndian.Uint32(b[24:]) != 0 {
+	if len(b) < hdrSize || b[3] > 1 || binary.LittleEndian.Uint32(b[24:]) != 0 {
 		return hdr{}, false
 	}
 	return getHdr(b), true
@@ -402,6 +406,7 @@ func getHdr(b []byte) hdr {
 		seq:       binary.LittleEndian.Uint32(b[12:]),
 		off:       binary.LittleEndian.Uint32(b[16:]),
 		credits:   binary.LittleEndian.Uint32(b[20:]),
+		inPlace:   b[3] == 1,
 	}
 }
 
@@ -482,6 +487,8 @@ type Conn struct {
 	stageMR  *verbs.MR // outbound staging
 	directMR *verbs.MR // inbound direct-write target
 	creditMR *verbs.MR // credit words: the peer WRITEs its grant updates here (flow.go)
+	win      *byte     // &directMR.Buf[hdrSize], kept past Close: where a window starts (lent)
+	loan     []byte    // the response the last Invoke lent; the next call ends it
 
 	// Server-side published regions (client reads them one-sided).
 	rfpInMR  *verbs.MR
@@ -557,7 +564,7 @@ type Conn struct {
 type dedupEntry struct {
 	served bool
 	resp   []byte
-	req    []byte  // the served request's arena buffer
+	req    []byte  // the arena buffer the entry owns (settle), never a window
 	arr    Arrival // response context (Seq is the dedup key), Payload stripped
 }
 
@@ -565,16 +572,6 @@ type dedupEntry struct {
 // retransmission of it.
 func (c *Conn) isDup(seq uint32) bool {
 	return c.dedup.served && c.dedup.arr.Seq == seq
-}
-
-// dedupRecord caches a served request's response and takes its request
-// buffer over, replacing the previous request's entry and recycling that
-// request's buffer.
-func (c *Conn) dedupRecord(a Arrival, resp []byte) {
-	c.Recycle(c.dedup.req)
-	req := a.Payload
-	a.Payload = nil
-	c.dedup = dedupEntry{served: true, resp: resp, req: req, arr: a}
 }
 
 // ID returns the engine-local connection index (used as the trace tid).
@@ -633,6 +630,7 @@ func (e *Engine) newConn(server bool, shared *connShared) *Conn {
 	// headers so Direct-Write-Send chains never overlap the payload.
 	c.stageMR = e.pd.RegisterMRNoCost(e.cfg.MaxMsgSize + 2*hdrSize)
 	c.directMR = e.pd.RegisterMRNoCost(e.cfg.MaxMsgSize + hdrSize)
+	c.win = &c.directMR.Buf[hdrSize]
 	// Registered with or without flow control, so that arming it changes
 	// nothing — not even the pinned-bytes gauge — until it acts.
 	c.creditMR = e.pd.RegisterMRNoCost(creditWords)
@@ -1137,10 +1135,7 @@ func (c *Conn) handleRecvSlot(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 		return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, Payload: st.buf}, true
 	case kNotify:
 		// Direct-Write-Send: payload already written into directMR.
-		dh := getHdr(c.directMR.Buf)
-		c.noteCredits(dh)
-		payload := c.copyPayload(c.directMR.Buf[hdrSize : hdrSize+int(dh.length)])
-		return Arrival{Kind: dh.kind, Proto: dh.proto, RespProto: dh.respProto, Fn: dh.fn, Seq: dh.seq, Payload: payload}, true
+		return c.direct(), true
 	case kRTS:
 		return c.handleRTS(p, h)
 	case kCTS:
@@ -1227,10 +1222,7 @@ func (c *Conn) handleWriteImm(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 	// The consumed zero-length recv slot is recycled.
 	c.repostSlot(p, wc.WRID)
 	if wc.Imm == immDirect {
-		h := getHdr(c.directMR.Buf)
-		c.noteCredits(h)
-		payload := c.copyPayload(c.directMR.Buf[hdrSize : hdrSize+int(h.length)])
-		return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, Payload: payload}, true
+		return c.direct(), true
 	}
 	seq := wc.Imm
 	buf, ok := c.rndvIn[seq]
@@ -1248,6 +1240,21 @@ func (c *Conn) handleWriteImm(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 	delete(c.shared.rndv, rndvKey(seq, !c.server))
 	c.eng.releaseRndv(buf)
 	return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, Payload: payload}, true
+}
+
+// direct delivers the message in the direct region. A response or an
+// inPlace request stays where it lies, a window lent until the handler
+// returns or the next call. Any other request is copied out: the peer may
+// write the region again first (a retransmission, or its next call).
+func (c *Conn) direct() Arrival {
+	h := getHdr(c.directMR.Buf)
+	c.noteCredits(h)
+	end := hdrSize + int(h.length)
+	payload := c.directMR.Buf[hdrSize:end:end]
+	if h.length == 0 || c.server && !h.inPlace {
+		payload = c.copyPayload(payload) // nil when empty
+	}
+	return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, Payload: payload}
 }
 
 // postSmall sends a header-only control message through the eager ring.

@@ -16,6 +16,9 @@ func FuzzHdrCodec(f *testing.F) {
 	putHdr(valid, hdr{kind: kReq, proto: DirectWriteIMM, respProto: EagerSendRecv,
 		fn: 3, length: 512, seq: 99, off: 0, credits: 16})
 	f.Add(valid)
+	inPlace := make([]byte, hdrSize)
+	putHdr(inPlace, hdr{kind: kReq, proto: DirectWriteIMM, length: 512, seq: 100, inPlace: true})
+	f.Add(inPlace)
 	f.Add([]byte{})
 	f.Add(make([]byte, hdrSize-1))
 	reserved := append([]byte(nil), valid...)
@@ -27,7 +30,7 @@ func FuzzHdrCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, ok := decodeHdr(data)
 		if !ok {
-			if len(data) >= hdrSize && data[3] == 0 && binary.LittleEndian.Uint32(data[hdrSize-4:]) == 0 {
+			if len(data) >= hdrSize && data[3] <= 1 && binary.LittleEndian.Uint32(data[hdrSize-4:]) == 0 {
 				t.Fatalf("rejected a well-formed %d-byte header", len(data))
 			}
 			return

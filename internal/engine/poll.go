@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"hatrpc/internal/hatdebug"
 	"hatrpc/internal/sim"
 	"hatrpc/internal/verbs"
 )
@@ -91,6 +92,7 @@ func (e *Engine) payloadPut(b []byte) {
 	for cls<<1 <= cap(b) {
 		cls <<= 1
 	}
+	hatdebug.Put(e.payloadFree[cls], b)
 	if len(e.payloadFree[cls]) >= payloadClassCap {
 		return
 	}
@@ -111,5 +113,35 @@ func (c *Conn) copyPayload(src []byte) []byte {
 // not be touched: a later delivery reuses it. Server handlers never call
 // it for their request: the dispatcher returns every request on every path,
 // and a served one only once the dedup entry that holds it is replaced by
-// the connection's next served request (see Handler).
-func (c *Conn) Recycle(b []byte) { c.eng.payloadPut(b) }
+// the connection's next served request (see Handler). A window onto the
+// direct region is not the arena's: Recycle skips it; hatdebug panics.
+func (c *Conn) Recycle(b []byte) {
+	if hatdebug.On && c.lent(b) {
+		panic("engine: Recycle of a window onto the direct region")
+	}
+	c.discard(b)
+}
+
+// discard recycles a payload nobody reads any more, unless it is a window.
+func (c *Conn) discard(b []byte) {
+	if !c.lent(b) {
+		c.eng.payloadPut(b)
+	}
+}
+
+// lent reports whether b is a window onto the direct region (direct).
+func (c *Conn) lent(b []byte) bool {
+	if len(b) == 0 {
+		return false
+	}
+	return &b[0] == c.win
+}
+
+// endLoan ends b's loan: a window is poisoned (hatdebug), an arena buffer recycled.
+func (c *Conn) endLoan(b []byte) {
+	if c.lent(b) {
+		hatdebug.Poison(b)
+		return
+	}
+	c.eng.payloadPut(b)
+}

@@ -12,14 +12,15 @@ import (
 // It runs on the per-connection dispatcher process; CPU work must be
 // charged explicitly via the process (e.g. node.CPU.Compute).
 //
-// Payload ownership: req is an engine arena buffer lent for the duration
-// of the call. The dispatcher owns it and returns it to the arena on every
-// path — served, shed, drain-fenced or retransmitted — and a later delivery
-// overwrites it, so a handler that keeps any part of req past its return
-// must copy. Returning req, or any cut of it (req[4:], req[:8],
-// req[0:8:8]), as the response is fine: the connection's dedup entry holds
-// the request buffer for as long as it caches the response, and recycles
-// it only when the connection's next served request replaces the entry. A
+// Payload ownership: req is lent for the duration of the call (an arena
+// buffer, or the direct region itself: Conn.direct). The dispatcher owns
+// it and returns it on every path — served, shed, drain-fenced or
+// retransmitted — and a later delivery overwrites it, so a handler that
+// keeps any part of req past its return must copy. Returning req, or any
+// cut of it (req[4:], req[:8], req[0:8:8]), as the response is fine: the
+// connection's dedup entry holds that buffer for as long as it caches the
+// response, and recycles it only when the next served request replaces the
+// entry. A
 // handler that serializes its response may do so straight into the
 // connection's staging region (ResponseStage) and return that; the engine
 // then sends it from where it lies.
@@ -223,7 +224,7 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 			// without re-executing the handler — at-most-once execution,
 			// idempotent from the application's point of view. The copy
 			// that just arrived is not needed: the entry holds the original.
-			c.Recycle(a.Payload)
+			c.discard(a.Payload)
 			eng.em.dupRequests.Inc()
 			if c.dedup.arr.RespProto != ProtoAuto {
 				c.respond(p, c.dedup.arr, c.dedup.resp, busy)
@@ -247,7 +248,7 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 			// re-routes and later retries here post-restart deserves a
 			// fresh execution.
 			s.Drained++
-			c.Recycle(a.Payload)
+			c.discard(a.Payload)
 			if trc := eng.trc; trc != nil {
 				trc.Instant("rpc", "drained", eng.node.ID(), c.id,
 					int64(p.Now()), obs.Arg{K: "fn", V: a.Fn}, obs.Arg{K: "seq", V: a.Seq})
@@ -268,7 +269,7 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 				// repost bookkeeping happens here — and no dedup entry is
 				// recorded: the handler never ran, and a retransmission of
 				// this seq deserves a fresh admission attempt.
-				c.Recycle(a.Payload)
+				c.discard(a.Payload)
 				if int(a.Proto) < nProtocols {
 					eng.em.shed[a.Proto].Inc()
 				}
@@ -292,7 +293,7 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 			eng.em.oversizeResps.Inc()
 			a.Kind, resp = kBig, nil
 		}
-		resp = c.settle(a, resp)
+		resp, own := c.settle(a, resp)
 		if a.RespProto != ProtoAuto { // ProtoAuto marks a oneway request
 			c.respond(p, a, resp, busy)
 		}
@@ -308,29 +309,39 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 				start, int64(p.Now()),
 				obs.Arg{K: "fn", V: a.Fn}, obs.Arg{K: "size", V: len(a.Payload)})
 		}
-		// The entry takes the request buffer over (the response may be cut
-		// from it) and hands the previous request's back to the arena.
-		c.dedupRecord(a, resp)
+		// The entry takes over the buffer the response may be cut from and
+		// hands the previous one back to the arena.
+		c.Recycle(c.dedup.req)
+		a.Payload = nil
+		c.dedup = dedupEntry{served: true, resp: resp, req: own, arr: a}
 	}
 }
 
-// settle decides where a handler's response lives from here on. The dedup
-// cache keeps it until the connection's next request replaces it, and a
+// settle decides where a handler's response lives from here on, and which
+// arena buffer the dedup entry owns: the request's. The dedup cache keeps
+// the response until the connection's next request replaces it, and a
 // retransmission sends it again — so a response serialized into the
 // staging region (ResponseStage) may stay there only if nothing overwrites
 // the region before then. That holds (the connection's next response is
 // the one that replaces the entry) on every protocol that sends a staged
 // payload in place; an eager response that restages its own fragments
-// moves to an arena buffer.
-func (c *Conn) settle(a Arrival, resp []byte) []byte {
-	if !c.staged(resp) {
-		return resp
+// moves to an arena buffer. A request served in place ends its loan here,
+// and no slice comparison tells a cut of it (req[0:8:8]) from another
+// response, so any unstaged response moves to an arena buffer the entry owns.
+func (c *Conn) settle(a Arrival, resp []byte) ([]byte, []byte) {
+	own := a.Payload
+	if c.lent(own) {
+		own = nil
+		if !c.staged(resp) {
+			resp = c.copyPayload(resp)
+			own = resp
+		}
+		c.endLoan(a.Payload)
 	}
-	proto := hybridSwitch(a.RespProto, len(resp))
-	if c.restages(proto, len(resp)) {
-		return c.copyPayload(resp)
+	if c.staged(resp) && c.restages(hybridSwitch(a.RespProto, len(resp)), len(resp)) {
+		resp = c.copyPayload(resp)
 	}
-	return resp
+	return resp, own
 }
 
 // Conns returns the accepted server-side connections (for inspection).

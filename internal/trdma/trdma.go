@@ -87,7 +87,6 @@ type TRdma struct {
 	plans  map[string]plan
 	// policy is DialOptions.Policy: non-nil overrides plans on every call.
 	policy func(fn string, reqSize int) engine.CallOpts
-	last   []byte // previous engine response, recycled by the next Invoke
 	closed bool
 }
 
@@ -191,13 +190,7 @@ func (t *TRdma) Invoke(p *sim.Proc, fn string, request []byte, oneway bool) ([]b
 		opts = pl.opts
 	}
 	opts.Oneway = oneway
-	// The caller has decoded the previous response by now (generated
-	// clients copy every field out before returning), so its buffer goes
-	// back to the engine's payload arena.
-	t.conn.Recycle(t.last)
-	resp, err := t.conn.Call(p, id, request, opts)
-	t.last = resp
-	return resp, err
+	return t.conn.Invoke(p, id, request, opts)
 }
 
 // Stage lends the engine connection's registered staging region (see

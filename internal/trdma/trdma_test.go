@@ -365,3 +365,55 @@ func TestBulkEchoHandOffIsCopyLean(t *testing.T) {
 		t.Fatalf("%d bytes allocated per %d-byte echo: more than one message-sized buffer", perCall, size)
 	}
 }
+
+// BenchmarkStubBulkEcho reports host ns/op, B/op and allocs/op of a warmed
+// 128 KB Echo through the generated client and processor, under the hints
+// that plan Direct-WriteIMM for it: the server serves the request from its
+// direct region and the client decodes the reply where it landed
+// (engine.Conn.Invoke), which a raw engine.Conn.Call, whose caller owns
+// the reply, does not show.
+func BenchmarkStubBulkEcho(b *testing.B) {
+	const size = 128 << 10
+	sh := *atbgen.ATBenchHints
+	sh.Service = hints.MakeSet(map[hints.Key]string{
+		hints.KeyPerfGoal:    "throughput",
+		hints.KeyConcurrency: "4",
+		hints.KeyPayloadSize: fmt.Sprint(size),
+	}, nil, nil)
+	env, cl := newCluster(5)
+	ecfg := engine.DefaultConfig()
+	srvEng, cliEng := engine.New(cl.Node(0), ecfg), engine.New(cl.Node(1), ecfg)
+	trdma.NewServer(srvEng, &sh, atbgen.NewATBenchProcessor(bulkEcho{}))
+	payload := make([]byte, size)
+	var plan engine.Protocol
+	var failed error
+	b.SetBytes(2 * size)
+	b.ReportAllocs()
+	env.Spawn("client", func(p *sim.Proc) {
+		defer env.Stop()
+		tr := trdma.Dial(p, cliEng, cl.Node(0), &sh, nil)
+		plan = tr.Plan("Echo").Proto
+		c := atbgen.NewATBenchClient(tr)
+		call := func() bool {
+			got, err := c.Echo(p, payload)
+			if err == nil && len(got) != size {
+				err = fmt.Errorf("echo returned %d bytes", len(got))
+			}
+			failed = err
+			return err == nil
+		}
+		for i := 0; i < 4; i++ {
+			if !call() {
+				return
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N && call(); i++ {
+		}
+		b.StopTimer()
+	})
+	env.Run()
+	if failed != nil || plan != engine.DirectWriteIMM {
+		b.Fatalf("Echo planned %s, err %v", plan, failed)
+	}
+}
