@@ -317,44 +317,108 @@ func TestRFPLargeResponseSecondRead(t *testing.T) {
 	}
 }
 
-// TestFetchReadsPerProtocol counts the READs of a warmed one-sided fetch,
-// less the stale polls: the probes that find the response, plus one READ
-// of the payload bytes they did not cover. RFP's 4 KB probe covers a
-// response up to 4 068 B; Pilaf probes twice and FaRM once, 16 B each,
-// and both always READ the payload apart.
-func TestFetchReadsPerProtocol(t *testing.T) {
-	for _, c := range []struct {
-		proto Protocol
-		size  int
-		reads int64
+// opNames are the verbs counters TestOpsPerProtocol reads, in the order
+// of its ops arrays.
+var opNames = [...]string{
+	"verbs.tx.SEND", "verbs.tx.WRITE", "verbs.tx.WRITE_WITH_IMM", "verbs.tx.READ",
+	"verbs.doorbells", "verbs.cqe.RECV", "verbs.tx.inline",
+}
+
+// opsNow reads opNames on e, less the stale polls of a fetch: each one is
+// a READ and a doorbell that found no response yet.
+func opsNow(e *Engine) (ops [len(opNames)]int64) {
+	for i, name := range opNames {
+		ops[i] = ctr(e, name)
+	}
+	stale := ctr(e, "engine.read_retries")
+	ops[3] -= stale
+	ops[4] -= stale
+	return ops
+}
+
+// TestOpsPerProtocol counts the verbs operations of one warmed size-byte
+// echo on each side, by protocol: WRs sent by opcode, doorbells, RECV
+// completions and inline sends (opNames), stale fetch polls left out. A
+// fetch READs its probes and then the payload bytes they did not cover:
+// RFP's 4 KB probe covers a response up to 4 068 B, Pilaf probes twice
+// and FaRM once, 16 B each, and both always READ the payload apart. The
+// counts were recorded before the protocols became rows of one leg table
+// and must not move with how the engine is written.
+func TestOpsPerProtocol(t *testing.T) {
+	type ops = [len(opNames)]int64
+	cases := []struct {
+		proto    Protocol
+		size     int
+		cli, srv ops
 	}{
-		{RFP, 60, 1}, {RFP, 8192, 2},
-		{Pilaf, 60, 3}, {Pilaf, 8192, 3},
-		{FaRM, 60, 2}, {FaRM, 8192, 2},
-	} {
+		{EagerSendRecv, 64, ops{1, 0, 0, 0, 1, 1, 1}, ops{1, 0, 0, 0, 1, 1, 1}},
+		{EagerSendRecv, 8192, ops{2, 0, 0, 0, 2, 2, 0}, ops{2, 0, 0, 0, 2, 2, 0}},
+		{EagerSendRecv, 100000, ops{25, 0, 0, 0, 25, 25, 0}, ops{25, 0, 0, 0, 25, 25, 0}},
+		{DirectWriteSend, 64, ops{1, 1, 0, 0, 2, 1, 1}, ops{1, 1, 0, 0, 2, 1, 1}},
+		{DirectWriteSend, 8192, ops{1, 1, 0, 0, 2, 1, 1}, ops{1, 1, 0, 0, 2, 1, 1}},
+		{DirectWriteSend, 100000, ops{1, 1, 0, 0, 2, 1, 1}, ops{1, 1, 0, 0, 2, 1, 1}},
+		{ChainedWriteSend, 64, ops{1, 1, 0, 0, 1, 1, 1}, ops{1, 1, 0, 0, 1, 1, 1}},
+		{ChainedWriteSend, 8192, ops{1, 1, 0, 0, 1, 1, 1}, ops{1, 1, 0, 0, 1, 1, 1}},
+		{ChainedWriteSend, 100000, ops{1, 1, 0, 0, 1, 1, 1}, ops{1, 1, 0, 0, 1, 1, 1}},
+		{WriteRNDV, 64, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}},
+		{WriteRNDV, 8192, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}},
+		{WriteRNDV, 100000, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}},
+		{ReadRNDV, 64, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}},
+		{ReadRNDV, 8192, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}},
+		{ReadRNDV, 100000, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}},
+		{DirectWriteIMM, 64, ops{0, 0, 1, 0, 1, 1, 1}, ops{0, 0, 1, 0, 1, 1, 1}},
+		{DirectWriteIMM, 8192, ops{0, 0, 1, 0, 1, 1, 0}, ops{0, 0, 1, 0, 1, 1, 0}},
+		{DirectWriteIMM, 100000, ops{0, 0, 1, 0, 1, 1, 0}, ops{0, 0, 1, 0, 1, 1, 0}},
+		{Pilaf, 64, ops{1, 0, 0, 3, 4, 0, 1}, ops{0, 0, 0, 0, 0, 1, 0}},
+		{Pilaf, 8192, ops{2, 0, 0, 3, 5, 0, 0}, ops{0, 0, 0, 0, 0, 2, 0}},
+		{Pilaf, 100000, ops{25, 0, 0, 3, 28, 0, 0}, ops{0, 0, 0, 0, 0, 25, 0}},
+		{FaRM, 64, ops{1, 0, 0, 2, 3, 0, 1}, ops{0, 0, 0, 0, 0, 1, 0}},
+		{FaRM, 8192, ops{2, 0, 0, 2, 4, 0, 0}, ops{0, 0, 0, 0, 0, 2, 0}},
+		{FaRM, 100000, ops{25, 0, 0, 2, 27, 0, 0}, ops{0, 0, 0, 0, 0, 25, 0}},
+		{RFP, 64, ops{0, 1, 0, 1, 2, 0, 0}, ops{0, 0, 0, 0, 0, 0, 0}},
+		{RFP, 8192, ops{0, 1, 0, 2, 3, 0, 0}, ops{0, 0, 0, 0, 0, 0, 0}},
+		{RFP, 100000, ops{0, 1, 0, 2, 3, 0, 0}, ops{0, 0, 0, 0, 0, 0, 0}},
+		{HERD, 64, ops{0, 1, 0, 0, 1, 1, 0}, ops{1, 0, 0, 0, 1, 0, 1}},
+		{HERD, 8192, ops{0, 1, 0, 0, 1, 2, 0}, ops{2, 0, 0, 0, 2, 0, 0}},
+		{HERD, 100000, ops{0, 1, 0, 0, 1, 25, 0}, ops{25, 0, 0, 0, 25, 0, 0}},
+		{HybridEagerRNDV, 64, ops{1, 0, 0, 0, 1, 1, 1}, ops{1, 0, 0, 0, 1, 1, 1}},
+		{HybridEagerRNDV, 8192, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}},
+		{HybridEagerRNDV, 100000, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}},
+		{HybridEagerRead, 64, ops{1, 0, 0, 0, 1, 1, 1}, ops{1, 0, 0, 0, 1, 1, 1}},
+		{HybridEagerRead, 8192, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}},
+		{HybridEagerRead, 100000, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}},
+	}
+	if len(cases) != 3*len(AllProtocols) {
+		t.Fatalf("%d cases, want three sizes of each of %d protocols", len(cases), len(AllProtocols))
+	}
+	for _, c := range cases {
 		t.Run(fmt.Sprintf("%s/%d", c.proto, c.size), func(t *testing.T) {
 			env, srvEng, cliEng := testCluster(14)
-			observe(cliEng)
-			resp := make([]byte, c.size)
-			srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte { return resp })
+			observe(srvEng, cliEng)
+			srvEng.Serve("svc", benchEchoHandler)
+			req := pattern(c.size)
+			var cli, srv ops
 			env.Spawn("client", func(p *sim.Proc) {
 				defer env.Stop()
 				conn := cliEng.Dial(p, srvEng.Node(), "svc")
-				var reads, retries int64
-				for i := 0; i < 2; i++ { // the first call warms the connection
-					reads, retries = ctr(cliEng, "verbs.tx.READ"), ctr(cliEng, "engine.read_retries")
-					out, err := conn.Call(p, 1, []byte("q"), CallOpts{Proto: c.proto, Busy: true})
-					if err != nil || len(out) != c.size {
+				for i := 0; i < 3; i++ { // two calls warm the connection
+					if i == 2 {
+						cli, srv = opsNow(cliEng), opsNow(srvEng)
+					}
+					out, err := conn.Call(p, 1, req, CallOpts{Proto: c.proto, Busy: true})
+					if err != nil || !bytes.Equal(out, req) {
 						t.Fatalf("call %d: %d bytes, %v", i, len(out), err)
 					}
 				}
-				reads = ctr(cliEng, "verbs.tx.READ") - reads
-				retries = ctr(cliEng, "engine.read_retries") - retries
-				if reads-retries != c.reads {
-					t.Errorf("warmed fetch: %d READs less %d stale polls = %d, want %d", reads, retries, reads-retries, c.reads)
+				gotCli, gotSrv := opsNow(cliEng), opsNow(srvEng)
+				for i := range cli {
+					cli[i], srv[i] = gotCli[i]-cli[i], gotSrv[i]-srv[i]
 				}
 			})
 			env.Run()
+			if cli != c.cli || srv != c.srv {
+				t.Errorf("ops per call %v: client %v, server %v; want %v, %v", opNames, cli, srv, c.cli, c.srv)
+			}
 		})
 	}
 }

@@ -96,7 +96,7 @@ func (pr Protocol) String() string {
 // order.
 var AllProtocols = []Protocol{
 	EagerSendRecv, DirectWriteSend, ChainedWriteSend, WriteRNDV, ReadRNDV,
-	DirectWriteIMM, Pilaf, FaRM, RFP, HERD, HybridEagerRNDV,
+	DirectWriteIMM, Pilaf, FaRM, RFP, HERD, HybridEagerRNDV, HybridEagerRead,
 }
 
 // Plan is the engine-level execution plan derived from a resolved hint
