@@ -86,8 +86,8 @@ func (f *Fabric) Engines() []*engine.Engine {
 }
 
 // engineConfigFor sizes per-connection buffers to the benchmark's
-// payload regime. fetch keeps the server-side one-sided regions needed
-// by Pilaf/FaRM/RFP/HERD.
+// payload regime. fetch keeps the server-side one-sided regions
+// (engine.Protocol.NeedsFetchBufs; a planned subject may choose RFP).
 func engineConfigFor(size int, fetch bool) engine.Config {
 	ecfg := engine.DefaultConfig()
 	maxMsg := 4 * size
@@ -98,16 +98,6 @@ func engineConfigFor(size int, fetch bool) engine.Config {
 	ecfg.EagerSlots = 16
 	ecfg.NoFetchBufs = !fetch
 	return ecfg
-}
-
-// needsFetch reports whether a protocol uses the server-published
-// one-sided regions.
-func needsFetch(proto engine.Protocol) bool {
-	switch proto {
-	case engine.Pilaf, engine.FaRM, engine.RFP, engine.HERD, engine.ProtoAuto:
-		return true
-	}
-	return false
 }
 
 // clientEngine spreads client i round-robin across the client nodes.
@@ -398,7 +388,7 @@ func (s Sweep) Measure(pt Point) Point {
 	if window {
 		nodes, goal = 10, hints.GoalThroughput
 	}
-	f := s.Testbed.newFabric(s.Seed, nodes, size, engineConfigFor(size, needsFetch(sub.Proto)))
+	f := s.Testbed.newFabric(s.Seed, nodes, size, engineConfigFor(size, sub.Proto == engine.ProtoAuto || sub.Proto.NeedsFetchBufs()))
 	dial := sub.boot(f, goal, size, clients)
 	var lat stats.Sample // measured calls
 	var done [3]int      // calls completed inside the window, by fn

@@ -38,18 +38,14 @@ func (c *Conn) stagePayload(payload []byte) {
 	}
 }
 
-// restages reports whether sending n payload bytes by proto writes over
+// restages reports whether sending n payload bytes by leg l writes over
 // the staging payload area while it does: an eager message longer than
 // one ring slot stages its fragments there one after another. A payload
 // that was serialized into that area must be moved out first, or a
-// retransmission would find it overwritten; every other protocol sends a
+// retransmission would find it overwritten; every other leg sends a
 // staged payload from where it lies.
-func (c *Conn) restages(proto Protocol, n int) bool {
-	switch proto {
-	case EagerSendRecv, Pilaf, FaRM, HERD:
-		return n > c.slotSize-hdrSize
-	}
-	return false
+func (c *Conn) restages(l leg, n int) bool {
+	return l == legEager && n > c.slotSize-hdrSize
 }
 
 // ResponseStage is Conn.Stage for a request handler: it lends the staging

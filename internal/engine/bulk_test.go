@@ -83,7 +83,7 @@ func TestBulkBoundaries(t *testing.T) {
 	// The reference message: past the rendezvous threshold (so the hybrid
 	// has resolved to Write-RNDV), two packets long.
 	const ref = DefaultRndvThreshold + 1
-	for _, proto := range dataProtocols {
+	for _, proto := range AllProtocols {
 		for _, response := range []bool{false, true} {
 			dir := "request"
 			if response {
@@ -287,14 +287,19 @@ func TestOrphanNotifyNotDelivered(t *testing.T) {
 // TestStagedPayloads: a request serialized into Conn.Stage and a response
 // serialized into ResponseStage travel like any other on every protocol —
 // including the eager ones, whose fragments are staged over the very area
-// the payload lies in, and across a retransmission.
+// the payload lies in, and across a retransmission. Only an eager leg
+// moves a staged payload to an arena buffer first: a HERD request is one
+// WRITE and a Pilaf or FaRM response is published, both from where it
+// lies.
 func TestStagedPayloads(t *testing.T) {
 	const size = 40_000 // ten eager fragments, ten packets
-	for _, proto := range dataProtocols {
+	for _, proto := range AllProtocols {
+		reqCopied := proto == EagerSendRecv || proto == Pilaf || proto == FaRM
+		respCopied := proto == EagerSendRecv || proto == HERD
 		for _, lossy := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/lossy=%v", proto, lossy), func(t *testing.T) {
 				env, cl, srvEng, cliEng := tornCluster()
-				srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte {
+				srv := srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte {
 					if !bytes.Equal(req, pattern(len(req))) {
 						t.Errorf("server got a %d-byte request that is not the pattern", len(req))
 					}
@@ -314,11 +319,22 @@ func TestStagedPayloads(t *testing.T) {
 							{From: srvEng.Node().ID(), To: cliEng.Node().ID(), N: 2},
 						}})
 					}
+					cls := payloadClass(size)
 					for i := 0; i < 3; i++ {
+						// A lossless call recycles nothing of the request's
+						// size class but a copy of the request.
+						cliEng.payloadFree[cls] = nil
 						req := append(c.Stage(), pattern(size)...)
 						got, err := c.Call(p, 1, req, CallOpts{Proto: proto, Busy: true})
 						if err != nil || !bytes.Equal(got, pattern(size+1)) {
 							t.Fatalf("call %d: %d-byte response is not the pattern (err %v)", i, len(got), err)
+						}
+						if copied := len(cliEng.payloadFree[cls]) > 0; !lossy && copied != reqCopied {
+							t.Errorf("call %d: staged request copied to the arena: %v, want %v", i, copied, reqCopied)
+						}
+						sc := srv.Conns()[0]
+						if copied := !sc.staged(sc.dedup.resp); !lossy && copied != respCopied {
+							t.Errorf("call %d: staged response copied to the arena: %v, want %v", i, copied, respCopied)
 						}
 					}
 					p.Sleep(500_000)

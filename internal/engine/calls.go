@@ -37,19 +37,14 @@ type CallOpts struct {
 // (request resolution and sendResponse) share this single definition so
 // they can never diverge.
 func hybridSwitch(proto Protocol, size int) Protocol {
-	switch proto {
-	case HybridEagerRNDV:
-		if size > DefaultRndvThreshold {
-			return WriteRNDV
-		}
-		return EagerSendRecv
-	case HybridEagerRead:
-		if size > DefaultRndvThreshold {
-			return ReadRNDV
-		}
-		return EagerSendRecv
+	large := proto.row().large
+	if large == ProtoAuto {
+		return proto
 	}
-	return proto
+	if size > DefaultRndvThreshold {
+		return large
+	}
+	return EagerSendRecv
 }
 
 // resolve applies the hybrid size switch and the RespProto default
@@ -113,7 +108,7 @@ func (c *Conn) doCall(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte
 	eng := c.eng
 	c.seq++
 	reqProto, respProto := opts.resolve(len(req))
-	if c.staged(req) && c.restages(reqProto, len(req)) {
+	if c.staged(req) && c.restages(reqProto.row().req, len(req)) {
 		req = c.copyPayload(req)
 		defer c.Recycle(req)
 	}
@@ -160,43 +155,35 @@ func (c *Conn) doCall(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte
 	return out, nil
 }
 
-// sendMessage ships [hdr|payload] using the wire protocol in h.proto.
-// It is used for requests (client) and two-sided responses (server).
-func (c *Conn) sendMessage(p *sim.Proc, h hdr, payload []byte, busy bool) {
-	c.sendMessageUntil(p, h, payload, busy, 0)
-}
-
-// sendMessageUntil is sendMessage with a bound on protocol-internal
-// waits (Write-RNDV's CTS, flow-control credit stalls). It reports
-// whether the payload was handed to the fabric; false means a wait
-// timed out or the grant was withdrawn, and the caller's retry loop
-// should try again. until zero waits forever (the lossless fast path).
-func (c *Conn) sendMessageUntil(p *sim.Proc, h hdr, payload []byte, busy bool, until sim.Time) bool {
-	switch h.proto {
-	case EagerSendRecv:
+// send ships [hdr|payload] by one leg: a request's (the row of h.proto)
+// or a response's (the row of the resolved response protocol); for a
+// fetched response, sending is publishing. It reports whether the payload
+// was handed to the fabric; false means a wait (a credit, Write-RNDV's
+// CTS) passed until or the grant was withdrawn, and the caller's retry
+// loop should try again. until zero waits forever (the lossless fast
+// path).
+func (c *Conn) send(p *sim.Proc, l leg, h hdr, payload []byte, busy bool, until sim.Time) bool {
+	switch l {
+	case legEager:
 		return c.sendEager(p, h, payload, busy, until)
-	case DirectWriteSend:
-		return c.sendDirectWrite(p, h, payload, false, busy, until)
-	case ChainedWriteSend:
-		return c.sendDirectWrite(p, h, payload, true, busy, until)
-	case DirectWriteIMM:
+	case legDirectWrite, legChained:
+		return c.sendDirectWrite(p, h, payload, l == legChained, busy, until)
+	case legWriteImm:
 		return c.sendWriteImm(p, h, payload, busy, until)
-	case WriteRNDV:
+	case legWriteRNDV:
 		return c.sendWriteRNDV(p, h, payload, busy, until)
-	case ReadRNDV:
+	case legReadRNDV:
 		return c.sendReadRNDV(p, h, payload, busy, until)
-	case RFP, HERD:
+	case legSlot:
 		// Pure WRITE into the server's polled region: consumes no peer
 		// RECV, so no credit is needed.
 		c.sendRfpWrite(p, h, payload)
 		return true
-	case Pilaf, FaRM:
-		// Pilaf/FaRM requests travel eagerly (SEND); only the response
-		// path is server-bypass.
-		return c.sendEager(p, h, payload, busy, until)
-	default:
-		panic("engine: sendMessage: unresolved protocol " + h.proto.String())
+	case legFetch:
+		c.publish(p, h, payload)
+		return true
 	}
+	panic("engine: send: unresolved protocol " + h.proto.String())
 }
 
 // sendEager copies the payload into staging slots and SENDs it,
@@ -412,18 +399,6 @@ func (c *Conn) readRemote(p *sim.Proc, rk verbs.RKey, off, n int, busy bool) ([]
 // offset 0, the first of which must carry the call's seq.
 type fetchProbe struct{ size, reads int }
 
-// probeFor gives RFP one probe of its first response chunk, Pilaf two
-// metadata probes and FaRM one.
-func probeFor(proto Protocol) fetchProbe {
-	switch proto {
-	case Pilaf:
-		return fetchProbe{hdrProbe, 2}
-	case FaRM:
-		return fetchProbe{hdrProbe, 1}
-	}
-	return fetchProbe{rfpChunk, 1}
-}
-
 // wholeHdr reports whether the probe reads the header's credit word.
 func (pr fetchProbe) wholeHdr() bool { return pr.size >= hdrSize }
 
@@ -438,7 +413,7 @@ func (pr fetchProbe) wholeHdr() bool { return pr.size >= hdrSize }
 // busy calls keep the tight spin, event calls back off to the
 // interrupt-wake granularity.
 func (c *Conn) fetchUntil(p *sim.Proc, proto Protocol, busy bool, until sim.Time) ([]byte, bool, error) {
-	pr := probeFor(proto)
+	pr := proto.row().probe
 	var spun sim.Duration
 	pace := func() {
 		d := c.fetchPace(busy, spun)
@@ -524,24 +499,14 @@ func (c *Conn) sendResponse(p *sim.Proc, a Arrival, resp []byte, busy bool) {
 	if c.faultsActive() {
 		until = p.Now() + serverCTSTimeoutNs
 	}
-	switch respProto {
-	case RFP, Pilaf, FaRM:
-		c.publish(p, h, resp)
-	case HERD:
-		// HERD responds two-sided.
-		eh := h
-		eh.proto = HERD
-		c.sendEager(p, eh, resp, busy, until)
-	default:
-		c.sendMessageUntil(p, h, resp, busy, until)
-	}
+	c.send(p, respProto.row().resp, h, resp, busy, until)
 }
 
 // publish copies [hdr|payload] into the region the client fetches
 // one-sided (fetchUntil), charging the payload and the header bytes the
 // client's probe reads. Only local memory work; no network operation.
 func (c *Conn) publish(p *sim.Proc, h hdr, payload []byte) {
-	c.memcpyCharge(p, len(payload)+min(probeFor(h.proto).size, hdrSize))
+	c.memcpyCharge(p, len(payload)+min(h.proto.row().probe.size, hdrSize))
 	copy(c.rfpOutMR.Bytes()[hdrSize:], payload)
 	c.stampFetched(h) // header (with seq stamp) written last
 }
@@ -551,7 +516,7 @@ func (c *Conn) publish(p *sim.Proc, h hdr, payload []byte) {
 // no grant: one stamped with putHdrC would count a grant the client
 // never reads.
 func (c *Conn) stampFetched(h hdr) {
-	if probeFor(h.proto).wholeHdr() {
+	if h.proto.row().probe.wholeHdr() {
 		c.putHdrC(c.rfpOutMR.Bytes(), h)
 	} else {
 		putHdr(c.rfpOutMR.Bytes(), h)
@@ -578,11 +543,9 @@ func (c *Conn) sendReject(p *sim.Proc, a Arrival, kind byte) {
 	c.recoverQP(p)
 	respProto := hybridSwitch(a.RespProto, 0)
 	h := hdr{kind: kind, proto: respProto, respProto: respProto, fn: a.Fn, seq: a.Seq}
-	switch respProto {
-	case RFP, Pilaf, FaRM:
+	if respProto.row().resp == legFetch {
 		c.stampFetched(h) // the client's probe sees the rejection at its seq
-	default:
-		// Two-sided and HERD clients wait on the eager ring.
-		c.postSmall(p, h)
+	} else {
+		c.postSmall(p, h) // every other client waits on the eager ring
 	}
 }

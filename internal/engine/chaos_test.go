@@ -34,7 +34,7 @@ func chaosCluster(seed int64, fc simnet.FaultConfig, deadline sim.Duration) (*si
 func TestChaosEveryProtocolCompletesUnderLoss(t *testing.T) {
 	const calls = 8
 	for _, loss := range []float64{0.01, 0.05} {
-		for _, proto := range dataProtocols {
+		for _, proto := range AllProtocols {
 			for _, busy := range []bool{true, false} {
 				name := fmt.Sprintf("loss=%v/%s/busy=%v", loss, proto, busy)
 				t.Run(name, func(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 // stamped at the call's seq in the published region — never a deadline
 // wait.
 func TestDrainFenceTypedAcrossProtocols(t *testing.T) {
-	for _, proto := range dataProtocols {
+	for _, proto := range AllProtocols {
 		t.Run(proto.String(), func(t *testing.T) {
 			env, srvEng, cliEng := testCluster(1)
 			srv := srvEng.Serve("svc", echoHandler)

@@ -18,9 +18,10 @@ type Config struct {
 	MaxMsgSize int
 	// EagerSlots is the ring depth (pre-posted receives per connection).
 	EagerSlots int
-	// NoFetchBufs skips the server-side published regions (RFP/HERD
-	// requests, RFP/Pilaf/FaRM responses). Benchmarks that pin a
-	// two-sided protocol set this to keep per-connection memory small.
+	// NoFetchBufs skips the server-side published regions, which only
+	// protocols whose Protocol.NeedsFetchBufs holds use. Benchmarks that
+	// pin a two-sided protocol set this to keep per-connection memory
+	// small.
 	NoFetchBufs bool
 	// CallDeadline is the default per-call deadline applied when
 	// CallOpts.Deadline is zero. Zero (the default) disables deadlines:
@@ -134,10 +135,6 @@ func New(node *simnet.Node, cfg Config) *Engine {
 // PinnedBytes returns the bytes of registered (pinned) memory the engine
 // currently holds across connections and the rendezvous pool.
 func (e *Engine) PinnedBytes() int64 { return e.pinnedBytes }
-
-// nProtocols sizes per-protocol instrument arrays (ProtoAuto included so
-// Protocol values index directly).
-const nProtocols = int(HybridEagerRead) + 1
 
 // engineMetrics caches the engine's obs instruments so the hot path is an
 // array index and a nil-safe call, never a map lookup.
@@ -1162,8 +1159,9 @@ func (c *Conn) handleRecvSlot(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 	return Arrival{}, false
 }
 
-// handleRTS reacts to a rendezvous request-to-send. Retransmitted RTSes
-// (the reliability layer resends with the same seq) are idempotent: an
+// handleRTS reacts to a rendezvous request-to-send, which carries the
+// resolved protocol whose leg sent it. Retransmitted RTSes (the
+// reliability layer resends with the same seq) are idempotent: an
 // existing grant is re-announced rather than re-allocated, an in-flight
 // pull is left alone, and an RTS for an already-served request surfaces
 // a dup arrival so the dispatcher resends the cached response.
@@ -1176,22 +1174,7 @@ func (c *Conn) handleRTS(p *sim.Proc, h hdr) (Arrival, bool) {
 	if c.server && c.isDup(h.seq) {
 		return Arrival{Kind: kReq, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, dup: true}, true
 	}
-	switch h.proto {
-	case WriteRNDV, HybridEagerRNDV:
-		if _, ok := c.rndvIn[h.seq]; ok {
-			// Duplicate RTS: the CTS was lost. The buffer is already
-			// granted — just re-announce it.
-			c.postSmall(p, hdr{kind: kCTS, proto: h.proto, seq: h.seq})
-			return Arrival{}, false
-		}
-		// Expose a pool buffer and grant. The entry is keyed by the
-		// *sender's* side (our peer).
-		buf := c.eng.acquireRndv(p, int(h.length)+hdrSize)
-		c.rndvIn[h.seq] = buf
-		c.shared.rndv[rndvKey(h.seq, !c.server)] = buf.RKey()
-		c.postSmall(p, hdr{kind: kCTS, proto: h.proto, seq: h.seq})
-		return Arrival{}, false
-	case ReadRNDV:
+	if h.proto.row().req == legReadRNDV {
 		if _, ok := c.rndvIn[h.seq]; ok {
 			return Arrival{}, false // duplicate RTS: the pull is in flight
 		}
@@ -1212,6 +1195,18 @@ func (c *Conn) handleRTS(p *sim.Proc, h hdr) (Arrival, bool) {
 		})
 		return Arrival{}, false
 	}
+	if _, ok := c.rndvIn[h.seq]; ok {
+		// Duplicate RTS: the CTS was lost. The buffer is already
+		// granted — just re-announce it.
+		c.postSmall(p, hdr{kind: kCTS, proto: h.proto, seq: h.seq})
+		return Arrival{}, false
+	}
+	// Write-RNDV: expose a pool buffer and grant. The entry is keyed by
+	// the *sender's* side (our peer).
+	buf := c.eng.acquireRndv(p, int(h.length)+hdrSize)
+	c.rndvIn[h.seq] = buf
+	c.shared.rndv[rndvKey(h.seq, !c.server)] = buf.RKey()
+	c.postSmall(p, hdr{kind: kCTS, proto: h.proto, seq: h.seq})
 	return Arrival{}, false
 }
 

@@ -48,6 +48,12 @@ func ctr(e *Engine, name string) (n int64) {
 	return n
 }
 
+// sendMessage sends a request by hand, as a retransmission would: by the
+// request leg of h.proto, waiting forever.
+func (c *Conn) sendMessage(p *sim.Proc, h hdr, payload []byte, busy bool) {
+	c.send(p, h.proto.row().req, h, payload, busy, 0)
+}
+
 // echoHandler returns the request payload with a 4-byte prefix.
 func echoHandler(p *sim.Proc, fn uint32, req []byte) []byte {
 	out := make([]byte, 4+len(req))
@@ -56,15 +62,9 @@ func echoHandler(p *sim.Proc, fn uint32, req []byte) []byte {
 	return out
 }
 
-// dataProtocols are all protocols exercised by the round-trip matrix.
-var dataProtocols = []Protocol{
-	EagerSendRecv, DirectWriteSend, ChainedWriteSend, WriteRNDV, ReadRNDV,
-	DirectWriteIMM, Pilaf, FaRM, RFP, HERD, HybridEagerRNDV,
-}
-
 func TestEveryProtocolRoundTripsEveryPolling(t *testing.T) {
 	sizes := []int{0, 1, 64, 4096, 4097, 131072}
-	for _, proto := range dataProtocols {
+	for _, proto := range AllProtocols {
 		for _, busy := range []bool{true, false} {
 			for _, size := range sizes {
 				name := fmt.Sprintf("%s/busy=%v/size=%d", proto, busy, size)
@@ -105,7 +105,7 @@ func TestSequentialCallsOnOneConn(t *testing.T) {
 		c := cliEng.Dial(p, srvEng.Node(), "svc")
 		for i := 0; i < 20; i++ {
 			req := []byte(fmt.Sprintf("msg-%02d", i))
-			proto := dataProtocols[i%len(dataProtocols)]
+			proto := AllProtocols[i%len(AllProtocols)]
 			resp, err := c.Call(p, uint32(i), req, CallOpts{Proto: proto, Busy: true})
 			if err != nil {
 				t.Errorf("call %d (%s): %v", i, proto, err)
@@ -444,7 +444,7 @@ func TestCallTooLargeRejected(t *testing.T) {
 // is served.
 func TestOversizeResponseIsTyped(t *testing.T) {
 	const big, echo uint32 = 1, 2
-	for _, proto := range dataProtocols {
+	for _, proto := range AllProtocols {
 		t.Run(proto.String(), func(t *testing.T) {
 			env, srvEng, cliEng := testCluster(13)
 			observe(srvEng)
@@ -599,13 +599,30 @@ func TestSelectPlanDefaults(t *testing.T) {
 	}
 }
 
-func TestProtocolStrings(t *testing.T) {
+// TestProtocolRows checks the row table: every protocol has a name; a
+// hybrid has no legs and switches to a protocol that has both; every
+// other protocol has both legs, and a probe exactly when its response is
+// fetched.
+func TestProtocolRows(t *testing.T) {
 	for _, pr := range AllProtocols {
-		if pr.String() == "" || pr.String()[0] == 'P' && pr != Pilaf {
-			t.Errorf("protocol %d has suspicious String %q", pr, pr.String())
+		r := pr.row()
+		if r.name == "" || pr.String() != r.name {
+			t.Errorf("protocol %d has no name (String %q)", pr, pr.String())
+		}
+		if r.large != ProtoAuto {
+			if l := r.large.row(); r.req != legNone || r.resp != legNone || l.req == legNone || l.resp == legNone {
+				t.Errorf("%s: hybrid legs %d/%d, its large %s has %d/%d", pr, r.req, r.resp, r.large, l.req, l.resp)
+			}
+			continue
+		}
+		if r.req == legNone || r.resp == legNone {
+			t.Errorf("%s: request leg %d, response leg %d", pr, r.req, r.resp)
+		}
+		if fetched := r.resp == legFetch; fetched != (r.probe != fetchProbe{}) {
+			t.Errorf("%s: response fetched %v, probe %+v", pr, fetched, r.probe)
 		}
 	}
-	if ProtoAuto.String() != "auto" {
-		t.Error("ProtoAuto string")
+	if ProtoAuto.String() != "auto" || Protocol(nProtocols).String() != fmt.Sprintf("Protocol(%d)", nProtocols) {
+		t.Errorf("ProtoAuto is %q, the first value past the table %q", ProtoAuto, Protocol(nProtocols))
 	}
 }

@@ -14,7 +14,7 @@ import (
 // calls per connection whose responses are handed back to the arena, so
 // delivered buffers are recycled and reused across ops on every protocol.
 func TestHotpathConfigRoundTrips(t *testing.T) {
-	for _, proto := range dataProtocols {
+	for _, proto := range AllProtocols {
 		t.Run(proto.String(), func(t *testing.T) {
 			env, srvEng, cliEng := testCluster(12)
 			srvEng.Serve("svc", echoHandler)
@@ -402,7 +402,7 @@ func TestHotpathDeterministic(t *testing.T) {
 					t.Error(err)
 				}
 			}
-			for i, proto := range dataProtocols {
+			for i, proto := range AllProtocols {
 				req := []byte(fmt.Sprintf("det-%02d", i))
 				resp, err := c.Call(p, uint32(i), req, CallOpts{Proto: proto, Busy: i%2 == 0})
 				if err != nil || string(resp) != "ECHO"+string(req) {
@@ -473,7 +473,7 @@ func benchEchoHandler(p *sim.Proc, fn uint32, req []byte) []byte { return req }
 // BenchmarkEagerPathCall reports ns/op (host) and allocs/op for a small
 // round-trip Call on every protocol.
 func BenchmarkEagerPathCall(b *testing.B) {
-	for _, proto := range dataProtocols {
+	for _, proto := range AllProtocols {
 		b.Run(proto.String(), func(b *testing.B) {
 			benchCall(b, 64, CallOpts{Proto: proto, Busy: true})
 		})

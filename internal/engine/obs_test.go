@@ -116,16 +116,13 @@ func TestCloseReleasesPinnedBytes(t *testing.T) {
 	cliEng.Close()
 }
 
-// onewayProtocols is every request protocol a client can mark oneway.
-var onewayProtocols = append(append([]Protocol(nil), dataProtocols...), HybridEagerRead)
-
 // TestOnewayEveryProtocol sends a fire-and-forget request on each
 // protocol, then a normal call (which also pumps any trailing control
 // traffic, e.g. the Read-RNDV FIN). The server must execute the handler
 // for both, respond only to the second, and leave no per-seq control
 // state behind.
 func TestOnewayEveryProtocol(t *testing.T) {
-	for _, proto := range onewayProtocols {
+	for _, proto := range AllProtocols {
 		for _, size := range []int{64, 100_000} {
 			name := fmt.Sprintf("%s/size=%d", proto, size)
 			t.Run(name, func(t *testing.T) {
@@ -200,8 +197,8 @@ func TestOnewayEveryProtocol(t *testing.T) {
 // observability. The bars are the measured values; one span built for a
 // nil tracer adds at least two.
 func TestObsOffAllocs(t *testing.T) {
-	bars := [...]float64{3, 5, 5, 7, 9, 3, 12, 10, 5, 2, 3} // by dataProtocols
-	for i, proto := range dataProtocols {
+	bars := [...]float64{3, 5, 5, 7, 9, 3, 12, 10, 5, 2, 3, 0} // by AllProtocols
+	for i, proto := range AllProtocols {
 		if got := callAllocs(t, proto, 64); got > bars[i] {
 			t.Errorf("%s: %v allocs per call with obs off, want ≤ %v", proto, got, bars[i])
 		}
@@ -220,7 +217,7 @@ func TestObsDoesNotMoveTheClock(t *testing.T) {
 		srvEng.Serve("svc", echoHandler)
 		env.Spawn("client", func(p *sim.Proc) {
 			c := cliEng.Dial(p, srvEng.Node(), "svc")
-			for i, proto := range dataProtocols {
+			for i, proto := range AllProtocols {
 				for _, size := range []int{64, 40_000} {
 					resp, err := c.Call(p, uint32(i), pattern(size), CallOpts{Proto: proto, Busy: i%2 == 0})
 					if err != nil {

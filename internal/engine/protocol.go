@@ -16,80 +16,97 @@ import (
 // Protocol identifies one of the RDMA communication protocols of Fig. 3.
 type Protocol uint8
 
-// The protocols of Figure 3, plus the Hybrid-EagerRNDV baseline used
-// throughout the paper's evaluation.
+// The protocols of Figure 3, plus the two adaptive hybrids the paper
+// measures against. What each one sends is its row (rows).
 const (
 	// ProtoAuto defers the choice: as a CallOpts.RespProto it means "same
 	// as the request protocol"; in a plan it means "let hints decide".
-	ProtoAuto Protocol = iota
-	// EagerSendRecv copies the payload into a pre-posted circular-buffer
-	// slot and SENDs it (Fig. 3a).
-	EagerSendRecv
-	// DirectWriteSend WRITEs into a pre-known remote buffer and SENDs a
-	// separate notification (Fig. 3b): two doorbells.
-	DirectWriteSend
-	// ChainedWriteSend chains the WRITE and SEND into one work-request
-	// chain (Fig. 3c): one doorbell, less MMIO.
-	ChainedWriteSend
-	// WriteRNDV is the RDMA-WRITE-based rendezvous protocol (Fig. 3d):
-	// RTS → CTS(buffer) → WRITE_WITH_IMM.
-	WriteRNDV
-	// ReadRNDV is the RDMA-READ-based rendezvous protocol (Fig. 3e):
-	// RTS(rkey) → target READs payload.
-	ReadRNDV
-	// DirectWriteIMM replaces Chained-Write-Send's pair with a single
-	// WRITE_WITH_IMM (Fig. 3f).
-	DirectWriteIMM
-	// Pilaf emulates Pilaf's server-bypass GETs: 3 READs per response,
-	// two header probes and the payload (Fig. 3g).
-	Pilaf
-	// FaRM emulates FaRM's GETs: one header probe and the payload (Fig. 3h).
-	FaRM
-	// RFP is the remote-fetching paradigm (Fig. 3i): WRITE the request
-	// into the server, server CPU polls memory, client READs the
-	// response back.
-	RFP
-	// HERD emulates HERD's hybrid: request via WRITE into a polled
-	// server slot, response via SEND. Used by the YCSB comparison.
-	HERD
-	// HybridEagerRNDV is the vanilla adaptive baseline: Eager-SendRecv at
-	// or below the threshold (4 KB), Write-RNDV above it.
-	HybridEagerRNDV
-	// HybridEagerRead emulates AR-gRPC's adaptive pair: Eager-SendRecv at
-	// or below the threshold, Read-RNDV above it.
-	HybridEagerRead
+	ProtoAuto        Protocol = iota
+	EagerSendRecv             // Fig. 3a: copy into a pre-posted ring slot, SEND
+	DirectWriteSend           // Fig. 3b: WRITE a pre-known buffer, notify SEND; two doorbells
+	ChainedWriteSend          // Fig. 3c: the same pair as one chain; one doorbell
+	WriteRNDV                 // Fig. 3d: RTS → CTS(buffer) → WRITE_WITH_IMM
+	ReadRNDV                  // Fig. 3e: RTS(rkey) → the target READs the payload
+	DirectWriteIMM            // Fig. 3f: one WRITE_WITH_IMM instead of the pair
+	Pilaf                     // Fig. 3g: Pilaf's GETs, two header probes and a payload READ
+	FaRM                      // Fig. 3h: FaRM's GETs, one header probe and a payload READ
+	RFP                       // Fig. 3i: WRITE the request; the client READs the response
+	HERD                      // HERD: WRITE the request into a polled slot, SEND the response
+	HybridEagerRNDV           // the vanilla adaptive baseline: eager to 4 KB, Write-RNDV above
+	HybridEagerRead           // AR-gRPC's adaptive pair: eager to 4 KB, Read-RNDV above
 )
 
+// nProtocols sizes the row table and the per-protocol instrument arrays
+// (ProtoAuto included so Protocol values index directly).
+const nProtocols = int(HybridEagerRead) + 1
+
+// A leg is how one direction of a call carries its message: every
+// protocol of Fig. 3 is a request leg and a response leg.
+type leg uint8
+
+const (
+	legNone        leg = iota // no leg of its own: ProtoAuto, a hybrid
+	legEager                  // SEND through the eager ring (Fig. 3a)
+	legDirectWrite            // WRITE into the direct buffer, then a notify SEND (Fig. 3b)
+	legChained                // the same WRITE and SEND as one chain (Fig. 3c)
+	legWriteImm               // one WRITE_WITH_IMM into the direct buffer (Fig. 3f)
+	legWriteRNDV              // RTS, CTS, WRITE_WITH_IMM into the granted buffer (Fig. 3d)
+	legReadRNDV               // RTS, the peer READs the exposed buffer, FIN (Fig. 3e)
+	legSlot                   // WRITE into the server's polled request slot
+	legFetch                  // published for the client to READ (fetchUntil)
+)
+
+// row is what a protocol means to the engine: how its request and its
+// response travel, how a client probes for a fetched response, and, for a
+// hybrid, which has no legs of its own, the protocol it takes above
+// DefaultRndvThreshold (Eager-SendRecv at or below it; hybridSwitch).
+type row struct {
+	name      string
+	req, resp leg
+	probe     fetchProbe // a fetched response's probe; zero otherwise
+	large     Protocol   // a hybrid's large-message protocol; ProtoAuto otherwise
+}
+
+// rows describes every protocol. RFP probes its first response chunk,
+// Pilaf makes two metadata probes and FaRM one.
+var rows = [nProtocols]row{
+	ProtoAuto:        {name: "auto"},
+	EagerSendRecv:    {name: "Eager-SendRecv", req: legEager, resp: legEager},
+	DirectWriteSend:  {name: "Direct-Write-Send", req: legDirectWrite, resp: legDirectWrite},
+	ChainedWriteSend: {name: "Chained-Write-Send", req: legChained, resp: legChained},
+	WriteRNDV:        {name: "Write-RNDV", req: legWriteRNDV, resp: legWriteRNDV},
+	ReadRNDV:         {name: "Read-RNDV", req: legReadRNDV, resp: legReadRNDV},
+	DirectWriteIMM:   {name: "Direct-WriteIMM", req: legWriteImm, resp: legWriteImm},
+	Pilaf:            {name: "Pilaf", req: legEager, resp: legFetch, probe: fetchProbe{hdrProbe, 2}},
+	FaRM:             {name: "FaRM", req: legEager, resp: legFetch, probe: fetchProbe{hdrProbe, 1}},
+	RFP:              {name: "RFP", req: legSlot, resp: legFetch, probe: fetchProbe{rfpChunk, 1}},
+	HERD:             {name: "HERD", req: legSlot, resp: legEager},
+	HybridEagerRNDV:  {name: "Hybrid-EagerRNDV", large: WriteRNDV},
+	HybridEagerRead:  {name: "Hybrid-EagerRead(AR-gRPC)", large: ReadRNDV},
+}
+
+// row returns pr's row; a value outside the table has the zero row, whose
+// legs are legNone.
+func (pr Protocol) row() row {
+	if int(pr) < nProtocols {
+		return rows[pr]
+	}
+	return row{}
+}
+
 func (pr Protocol) String() string {
-	switch pr {
-	case ProtoAuto:
-		return "auto"
-	case EagerSendRecv:
-		return "Eager-SendRecv"
-	case DirectWriteSend:
-		return "Direct-Write-Send"
-	case ChainedWriteSend:
-		return "Chained-Write-Send"
-	case WriteRNDV:
-		return "Write-RNDV"
-	case ReadRNDV:
-		return "Read-RNDV"
-	case DirectWriteIMM:
-		return "Direct-WriteIMM"
-	case Pilaf:
-		return "Pilaf"
-	case FaRM:
-		return "FaRM"
-	case RFP:
-		return "RFP"
-	case HERD:
-		return "HERD"
-	case HybridEagerRNDV:
-		return "Hybrid-EagerRNDV"
-	case HybridEagerRead:
-		return "Hybrid-EagerRead(AR-gRPC)"
+	if name := pr.row().name; name != "" {
+		return name
 	}
 	return fmt.Sprintf("Protocol(%d)", uint8(pr))
+}
+
+// NeedsFetchBufs reports whether calls on pr use the server's published
+// regions (Config.NoFetchBufs): its request is a slot WRITE or its
+// response is fetched.
+func (pr Protocol) NeedsFetchBufs() bool {
+	r := pr.row()
+	return r.req == legSlot || r.resp == legFetch
 }
 
 // AllProtocols lists every protocol the engine implements, in Fig. 3

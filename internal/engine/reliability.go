@@ -375,14 +375,14 @@ func (c *Conn) grantTime(n int) sim.Duration {
 	return sim.Duration(c.eng.dev.CostModel().RegisterTime(sizeClass(n + hdrSize)))
 }
 
-// delivery is how long an n-byte request may take to be in the peer's
-// memory once this end has posted it. Write-RNDV has waited for its grant
-// by then (waitCTSUntil); Read-RNDV's peer finds its buffer only now, and
-// pulls the payload with one READ: its request crosses, then this end's
-// NIC streams the payload back as it fetches it. Two departures bound
-// that with room to spare.
-func (c *Conn) delivery(proto Protocol, n int) sim.Duration {
-	if proto == ReadRNDV {
+// delivery is how long an n-byte request sent by leg l may take to be in
+// the peer's memory once this end has posted it. Write-RNDV has waited
+// for its grant by then (waitCTSUntil); Read-RNDV's peer finds its buffer
+// only now, and pulls the payload with one READ: its request crosses,
+// then this end's NIC streams the payload back as it fetches it. Two
+// departures bound that with room to spare.
+func (c *Conn) delivery(l leg, n int) sim.Duration {
+	if l == legReadRNDV {
 		return c.grantTime(n) + 2*c.departure(n)
 	}
 	return c.departure(n)
@@ -399,23 +399,23 @@ func (c *Conn) delivery(proto Protocol, n int) sim.Duration {
 // on a lossless fabric that is exactly send, then wait for the response.
 func (c *Conn) callReliable(p *sim.Proc, h hdr, req []byte, respProto Protocol, busy bool, until sim.Time) ([]byte, error) {
 	c.att.n = 0
+	reqLeg := h.proto.row().req
 	for {
 		if !c.beginAttempt(p, h.seq, until) {
 			return nil, c.failCall(h.seq)
 		}
-		if c.sendMessageUntil(p, h, req, busy, until) {
+		if c.send(p, reqLeg, h, req, busy, until) {
 			var arrived, respUntil sim.Time
 			if until != 0 {
-				arrived = p.Now() + sim.Time(c.delivery(h.proto, len(req)))
+				arrived = p.Now() + sim.Time(c.delivery(reqLeg, len(req)))
 				respUntil = c.waitUntil(arrived, until)
 			}
 			var out []byte
 			var ok bool
 			var err error
-			switch respProto {
-			case RFP, Pilaf, FaRM:
+			if respProto.row().resp == legFetch {
 				out, ok, err = c.fetchUntil(p, respProto, busy, respUntil)
-			default:
+			} else {
 				out, ok, err = c.awaitResponse(p, h.seq, busy, respUntil)
 			}
 			if err != nil {
@@ -458,7 +458,7 @@ func (c *Conn) sendOnewayReliable(p *sim.Proc, h hdr, req []byte, busy bool, unt
 		if !c.beginAttempt(p, h.seq, until) {
 			return c.failCall(h.seq)
 		}
-		if c.sendMessageUntil(p, h, req, busy, until) {
+		if c.send(p, h.proto.row().req, h, req, busy, until) {
 			return nil
 		}
 		if expired(p.Now(), until) {

@@ -338,7 +338,7 @@ func (c *Conn) settle(a Arrival, resp []byte) ([]byte, []byte) {
 		}
 		c.endLoan(a.Payload)
 	}
-	if c.staged(resp) && c.restages(hybridSwitch(a.RespProto, len(resp)), len(resp)) {
+	if c.staged(resp) && c.restages(hybridSwitch(a.RespProto, len(resp)).row().resp, len(resp)) {
 		resp = c.copyPayload(resp)
 	}
 	return resp, own
