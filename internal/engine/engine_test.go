@@ -342,8 +342,8 @@ func opsNow(e *Engine) (ops [len(opNames)]int64) {
 // fetch READs its probes and then the payload bytes they did not cover:
 // RFP's 4 KB probe covers a response up to 4 068 B, Pilaf probes twice
 // and FaRM once, 16 B each, and both always READ the payload apart. The
-// counts were recorded before the protocols became rows of one leg table
-// and must not move with how the engine is written.
+// counts are what each protocol puts on the wire, so they move only with
+// a change to a protocol, never with how the engine is written.
 func TestOpsPerProtocol(t *testing.T) {
 	type ops = [len(opNames)]int64
 	cases := []struct {
