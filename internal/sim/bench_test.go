@@ -5,7 +5,9 @@ import "testing"
 // Four benchmarks mirror the benchmark ledger's sim.switch_host_ns,
 // sim.timer_host_ns, sim.compute_host_ns and sim.spawn_host_ns rows
 // (bench/layers.go), so a kernel change can be sized without a suite run.
-// BenchmarkSleepInline times the Sleep that needs no switch.
+// BenchmarkSleepInline times the Sleep that needs no switch;
+// BenchmarkTimerStop and BenchmarkComputeOvercommit the shapes that
+// overload_2x's queue and CPUs take.
 
 func BenchmarkSwitch(b *testing.B) { // one op = one process switch, two per round trip
 	env := NewEnv(1)
@@ -83,4 +85,35 @@ func BenchmarkSleepInline(b *testing.B) { // one op = one Sleep with nothing due
 	env.Run()
 	b.StopTimer()
 	env.Shutdown()
+}
+
+func BenchmarkTimerStop(b *testing.B) { // one op = one AtTimer and its Stop, beside ≈ 170 queued events
+	env := NewEnv(1)
+	for i := 0; i < 170; i++ {
+		env.At(1<<40+Time(i*7919%1000), func() {})
+	}
+	never := func() { panic("stopped timer fired") }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env.AtTimer(env.Now()+1+Time(i%64), never).Stop()
+		if i%16 == 15 { // the clock moves on, as a stopped timeout's would
+			env.RunUntil(env.Now() + 1)
+		}
+	}
+}
+
+func BenchmarkComputeOvercommit(b *testing.B) { // one op = one Compute, 32 runnable on 28 cores
+	env := NewEnv(1)
+	cpu := NewCPU(env, 28)
+	for i := 0; i < 32; i++ {
+		env.Spawn("w", func(p *Proc) {
+			for j := 0; j < (b.N+31)/32; j++ {
+				cpu.Compute(p, Duration(900+10*i))
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Run()
 }

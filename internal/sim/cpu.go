@@ -20,6 +20,7 @@ type CPU struct {
 	load  int // persistent runnable load (busy pollers)
 
 	tasks      []cpuTask // running tasks, in admission order
+	minRem     float64   // least remaining work of tasks, +Inf with none
 	lastUpdate Time
 	rate       float64 // current per-task progress rate in (0,1]
 	completion Timer   // pending earliest-completion callback
@@ -36,7 +37,7 @@ func NewCPU(env *Env, cores int) *CPU {
 	if cores < 1 {
 		panic("sim: CPU needs at least one core")
 	}
-	c := &CPU{env: env, cores: cores, rate: 1}
+	c := &CPU{env: env, cores: cores, rate: 1, minRem: math.Inf(1)}
 	c.complete = c.onCompletion
 	return c
 }
@@ -94,12 +95,14 @@ func (c *CPU) Compute(p *Proc, work Duration) {
 	}
 	c.advance()
 	c.tasks = append(c.tasks, cpuTask{remaining: float64(work), proc: p})
+	c.minRem = min(c.minRem, float64(work))
 	c.reschedule()
 	p.park()
 }
 
 // advance applies progress to all running tasks for the time elapsed since
-// the last state change and completes any finished tasks.
+// the last state change, completes any finished tasks and finds the least
+// remaining work of the rest.
 func (c *CPU) advance() {
 	now := c.env.now
 	elapsed := float64(now - c.lastUpdate)
@@ -110,21 +113,28 @@ func (c *CPU) advance() {
 	progress := elapsed * c.rate
 	// Tasks completing at the same instant wake in admission order, which
 	// is the slice's order: survivors are moved down in place.
-	live := c.tasks[:0]
-	for _, t := range c.tasks {
-		t.remaining -= progress
-		if t.remaining <= 1e-6 {
+	live, least := 0, math.Inf(1)
+	for i := range c.tasks {
+		t := &c.tasks[i]
+		if t.remaining -= progress; t.remaining <= 1e-6 {
 			c.env.schedule(now, t.proc, nil)
-		} else {
-			live = append(live, t)
+			continue
 		}
+		if t.remaining < least {
+			least = t.remaining
+		}
+		if live < i {
+			c.tasks[live] = *t
+		}
+		live++
 	}
-	clear(c.tasks[len(live):])
-	c.tasks = live
+	clear(c.tasks[live:])
+	c.tasks, c.minRem = c.tasks[:live], least
 }
 
 // reschedule recomputes the PS rate and re-arms the earliest-completion
-// callback.
+// callback: a pending one moves to its new time in the queue, under the
+// sequence number a fresh scheduling would take.
 func (c *CPU) reschedule() {
 	r := c.Runnable()
 	if r <= c.cores {
@@ -132,22 +142,20 @@ func (c *CPU) reschedule() {
 	} else {
 		c.rate = float64(c.cores) / float64(r)
 	}
-	c.completion.Stop()
-	c.completion = Timer{}
 	if len(c.tasks) == 0 {
+		c.completion.Stop()
+		c.completion = Timer{}
 		return
 	}
-	minRem := math.Inf(1)
-	for _, t := range c.tasks {
-		if t.remaining < minRem {
-			minRem = t.remaining
-		}
-	}
-	eta := Time(math.Ceil(minRem / c.rate))
+	eta := Time(math.Ceil(c.minRem / c.rate))
 	if eta < 1 {
 		eta = 1
 	}
-	c.completion = c.env.schedule(c.env.now+eta, nil, c.complete)
+	if at := c.env.now + eta; c.completion.live() {
+		c.completion = c.env.retime(c.completion, at)
+	} else {
+		c.completion = c.env.schedule(at, nil, c.complete)
+	}
 }
 
 func (c *CPU) onCompletion() {

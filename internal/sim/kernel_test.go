@@ -381,8 +381,8 @@ func TestFifoReusesBackingArray(t *testing.T) {
 
 // ---------------------------------------------------------------------------
 // Steady-state cost: the shapes of the benchmark ledger's sim.*_host_ns rows
-// (bench/layers.go) must not allocate once the event pool, wait queues and
-// task slice are warm. bench_test.go times the same shapes.
+// (bench/layers.go) must not allocate once the event pool, ready FIFO, wait
+// queues and task slice are warm. bench_test.go times the same shapes.
 
 // pingPong returns an environment in which each RunUntil(now+1) performs one
 // round trip between two processes parked on Signals.
@@ -441,6 +441,15 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 		stopped.After(1, rearm)
 	}
 	stopped.After(1, rearm)
+	same := NewEnv(1)
+	noop, never := func() {}, func() { panic("stopped timer fired") }
+	var hop func()
+	hop = func() { // same-instant events: one fires from ready, one is stopped there
+		same.At(same.Now(), noop)
+		same.AtTimer(same.Now(), never).Stop()
+		same.After(1, hop)
+	}
+	same.After(1, hop)
 
 	for _, c := range []struct {
 		name string
@@ -451,6 +460,7 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 		{"Signal ping-pong", pingPong(), 1},
 		{"After", timers, 1},
 		{"AtTimer+Stop", stopped, 1},
+		{"same-instant At+Stop", same, 1},
 		{"Compute", computeLoop(), 2000},
 	} {
 		run := step(c.env, c.d)

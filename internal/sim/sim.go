@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"hatrpc/internal/hatdebug"
 )
 
 // Time is virtual time in nanoseconds since simulation start.
@@ -26,14 +28,15 @@ type Duration = time.Duration
 
 // event is a scheduled wakeup for a parked process or a deferred callback.
 // Events are pooled: the scheduler recycles one as soon as it has fired or
-// been found cancelled, so nothing outside the queue may hold a bare
-// *event — holders keep a Timer, which remembers the sequence number too.
+// been stopped, so nothing outside the queue may hold a bare *event —
+// holders keep a Timer, which remembers the sequence number too.
 type event struct {
 	at   Time
 	seq  uint64 // unique per scheduling; 0 while in the free list
+	idx  int    // slot in the heap, or -1 while in the ready FIFO
+	env  *Env   // the owner, for Timer.Stop; kept through recycling
 	proc *Proc  // non-nil: resume this process
 	fn   func() // non-nil: run this callback inside the scheduler
-	dead bool   // cancelled
 }
 
 func (a *event) before(b *event) bool {
@@ -54,22 +57,41 @@ type Timer struct {
 
 func (t Timer) armed() bool { return t.ev != nil }
 
-// Stop disarms the timer's event if it has not fired yet; stopping a fired,
-// stopped or zero Timer does nothing. The event stays in the queue and is
-// discarded, without moving the clock, when it reaches the top.
+// live reports whether t's event is still queued under t's scheduling.
+func (t Timer) live() bool { return t.ev != nil && t.ev.seq == t.seq }
+
+// Stop takes the timer's event out of the queue if it has not fired yet;
+// stopping a fired, stopped or zero Timer does nothing.
 func (t Timer) Stop() {
-	if t.ev != nil && t.ev.seq == t.seq {
-		t.ev.dead = true
+	if !t.live() {
+		return
 	}
+	ev := t.ev
+	e := ev.env
+	if ev.idx >= 0 {
+		e.remove(ev.idx)
+	} else {
+		for i := 0; ; i++ {
+			if e.ready.At(i) == ev {
+				e.ready.RemoveAt(i)
+				break
+			}
+		}
+	}
+	e.recycle(ev)
 }
 
 // Env is a simulation environment: a virtual clock plus the scheduler
 // state. An Env must be driven from a single OS goroutine via Run or
 // RunUntil.
 type Env struct {
-	now    Time
-	seq    uint64
-	events []*event // binary min-heap on (at, seq)
+	now Time
+	seq uint64
+	// events is a binary min-heap on (at, seq) of the events queued for a
+	// later time than the clock then read; ready holds, in seq order, the
+	// ones queued for the current instant.
+	events []*event
+	ready  FIFO[*event]
 	free   []*event // recycled events
 	rng    *rand.Rand
 
@@ -100,6 +122,10 @@ func NewRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // from simulation processes (never concurrently).
 func (e *Env) Rand() *rand.Rand { return e.rng }
 
+// schedule queues an event. One due now goes to the ready FIFO, behind
+// every event due now: those in the heap were queued before the clock got
+// here and those in ready before this one, so all have smaller seqs. Only
+// a later event pays for the heap.
 func (e *Env) schedule(at Time, proc *Proc, fn func()) Timer {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past: %d < %d", at, e.now))
@@ -108,60 +134,132 @@ func (e *Env) schedule(at Time, proc *Proc, fn func()) Timer {
 	if n := len(e.free); n > 0 {
 		ev, e.free = e.free[n-1], e.free[:n-1]
 	} else {
-		ev = new(event)
+		ev = &event{env: e}
 	}
 	e.seq++
-	*ev = event{at: at, seq: e.seq, proc: proc, fn: fn}
+	ev.at, ev.seq, ev.idx, ev.proc, ev.fn = at, e.seq, -1, proc, fn
+	if at == e.now {
+		e.ready.Push(ev)
+	} else {
+		e.events = append(e.events, ev)
+		i := len(e.events) - 1
+		e.checkPath(i, e.up(ev, i))
+	}
+	return Timer{ev, ev.seq}
+}
 
-	// Sift up. (at, seq) is a strict total order, so the pop order does
-	// not depend on how the heap arranges equal-looking entries.
-	h := append(e.events, ev)
-	i := len(h) - 1
+// retime moves t's queued event to at under a fresh sequence number: the
+// (at, seq) a Stop and a new schedule would give it, without leaving the
+// heap. The event must be in the heap, as one queued for a later time
+// is, and at must be after now.
+func (e *Env) retime(t Timer, at Time) Timer {
+	ev := t.ev
+	e.seq++
+	ev.at, ev.seq = at, e.seq
+	i := ev.idx
+	j := e.down(ev, i)
+	if j == i {
+		j = e.up(ev, i)
+	}
+	e.checkPath(i, j)
+	return Timer{ev, ev.seq}
+}
+
+// up moves ev, which belongs in slot i, toward the root past every parent
+// it precedes, and returns the slot it ends in. (at, seq) is a strict total
+// order, so the pop order does not depend on how the heap arranges
+// equal-looking entries.
+func (e *Env) up(ev *event, i int) int {
+	h := e.events
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !ev.before(h[parent]) {
 			break
 		}
 		h[i] = h[parent]
+		h[i].idx = i
 		i = parent
 	}
 	h[i] = ev
-	e.events = h
-	return Timer{ev, ev.seq}
+	ev.idx = i
+	return i
 }
 
-// pop removes the earliest event from the queue, returns it to the free
-// list and returns its contents.
-func (e *Env) pop() event {
+// down moves ev, which belongs in slot i, toward the leaves past every
+// child that precedes it, and returns the slot it ends in.
+func (e *Env) down(ev *event, i int) int {
 	h := e.events
-	top := h[0]
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(ev) {
+			break
+		}
+		h[i] = h[c]
+		h[i].idx = i
+		i = c
+	}
+	h[i] = ev
+	ev.idx = i
+	return i
+}
+
+// remove deletes the heap's slot i, filling it with the last entry.
+func (e *Env) remove(i int) {
+	h := e.events
 	n := len(h) - 1
 	last := h[n]
 	h[n] = nil
-	h = h[:n]
-	if n > 0 { // sift last down from the root
-		i := 0
-		for {
-			c := 2*i + 1
-			if c >= n {
-				break
-			}
-			if c+1 < n && h[c+1].before(h[c]) {
-				c++
-			}
-			if !h[c].before(last) {
-				break
-			}
-			h[i] = h[c]
-			i = c
-		}
-		h[i] = last
+	e.events = h[:n]
+	if i == n {
+		return
 	}
-	e.events = h
-	ev := *top
-	*top = event{}
-	e.free = append(e.free, top)
-	return ev
+	j := e.down(last, i)
+	if j == i && i > 0 {
+		j = e.up(last, i)
+	}
+	e.checkPath(i, j)
+}
+
+// checkPath has the buffer sanitizer's build (`-tags hatdebug`) vet a sift
+// that moved entries along the path between heap slots a and b, one the
+// other's ancestor: each slot on it must know its index and keep (at, seq)
+// order with its parent and children. Only the moved slots are checked,
+// so the tagged build stays about as fast as the plain one, which
+// compiles the call to nothing.
+func (e *Env) checkPath(a, b int) {
+	if hatdebug.On {
+		e.checkSlots(min(a, b), max(a, b))
+	}
+}
+
+func (e *Env) checkSlots(top, i int) {
+	h := e.events
+	for ; ; i = (i - 1) / 2 {
+		ev := h[i]
+		bad := ev.idx != i || i > 0 && ev.before(h[(i-1)/2])
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			bad = bad || h[c].before(ev)
+		}
+		if bad {
+			panic(fmt.Sprintf("sim: heap slot %d (idx %d, at %d, seq %d) out of order", i, ev.idx, ev.at, ev.seq))
+		}
+		if i <= top {
+			return
+		}
+	}
+}
+
+// recycle returns a fired or stopped event to the free list.
+func (e *Env) recycle(ev *event) {
+	ev.seq, ev.proc, ev.fn = 0, nil, nil
+	e.free = append(e.free, ev)
 }
 
 // At schedules fn to run inside the scheduler loop at absolute time at.
@@ -185,15 +283,38 @@ func (e *Env) Run() Time { return e.RunUntil(Time(1<<62 - 1)) }
 // goroutine, with the process name and virtual time attached.
 func (e *Env) RunUntil(limit Time) Time {
 	e.limit = limit
-	for len(e.events) > 0 && !e.stopped {
-		if top := e.events[0]; !top.dead && top.at > limit {
+	for !e.stopped {
+		// The next event is the heap's top if it is due now (it was queued
+		// before the clock got here, so ahead of all of ready), else
+		// ready's head, else the heap's top.
+		h := e.events
+		fromHeap := len(h) > 0 && (h[0].at == e.now || e.ready.Len() == 0)
+		next := e.now
+		if fromHeap {
+			next = h[0].at
+		} else if e.ready.Len() == 0 {
+			break
+		}
+		if next > limit {
+			// A limit behind the clock turns it back, and what ready
+			// holds is no longer due now: the heap takes it.
+			for e.ready.Len() > 0 {
+				ev := e.ready.Pop()
+				e.events = append(e.events, ev)
+				e.checkPath(len(e.events)-1, e.up(ev, len(e.events)-1))
+			}
 			e.now = limit
 			return e.now
 		}
-		ev := e.pop()
-		if ev.dead {
-			continue
+		var top *event
+		if fromHeap {
+			top = h[0]
+			e.remove(0)
+		} else {
+			top = e.ready.Pop()
 		}
+		ev := *top
+		e.recycle(top)
 		e.now = ev.at
 		switch {
 		case ev.fn != nil:
@@ -210,23 +331,16 @@ func (e *Env) RunUntil(limit Time) Time {
 // fires, so parking would only switch to the scheduler and straight
 // back. That holds when p is the dispatched process (a process unwinding
 // under Kill or Shutdown never is), the scheduler would go on (not
-// stopped, at within its limit), and at is strictly before every live
-// queued event — a tie parks, since the event queued earlier fires first.
-// Stopped events at the top are discarded on the way, as RunUntil would
-// discard them. The caller then consumes the sequence numbers its events
-// would have taken and moves the clock to at, so (time, seq) order is the
-// same either way.
+// stopped, at within its limit), and at is strictly before every queued
+// event — a tie parks, since the event queued earlier fires first, and so
+// does anything in ready, which is due now. The caller then consumes the
+// sequence numbers its events would have taken and moves the clock to at,
+// so (time, seq) order is the same either way.
 func (e *Env) continues(p *Proc, at Time) bool {
-	if p != e.current || e.stopped || at > e.limit {
+	if p != e.current || e.stopped || at > e.limit || e.ready.Len() > 0 {
 		return false
 	}
-	for len(e.events) > 0 {
-		if top := e.events[0]; !top.dead {
-			return at < top.at
-		}
-		e.pop()
-	}
-	return true
+	return len(e.events) == 0 || at < e.events[0].at
 }
 
 // Stop halts the scheduler after the current event completes.
