@@ -1,10 +1,10 @@
 // Package arenaalias machine-checks the arena payload lifecycle from
-// DESIGN.md §9/§13: a slice handed back to the arena — via
-// engine.Conn.Recycle or thrift.PutBuffer — is re-owned by the pool the
-// moment the call returns, so reading it, writing it, storing it into a
-// field, or recycling it a second time on ANY path after the release is
-// a data race against the next borrower (the documented offset-subslice
-// caveat from the PR 6 hot path, previously enforced only by comments).
+// DESIGN.md §9/§13: a slice handed back to the arena by the engine's
+// Recycle is re-owned by the pool the moment the call returns, so
+// reading it, writing it, storing it into a field, or recycling it a
+// second time on ANY path after the release is a data race against the
+// next borrower (the documented offset-subslice caveat of the engine's
+// hot path, previously enforced only by comments).
 //
 // The check is intraprocedural and flow-sensitive: it runs the
 // framework's must-not-follow query (TrackReleases) over the function's
@@ -31,7 +31,7 @@ import (
 var Analyzer = &framework.Analyzer{
 	Name: "arenaalias",
 	Doc: "flag any use of a payload slice on a path after it was released to the " +
-		"arena (Conn.Recycle / thrift.PutBuffer), including double releases",
+		"arena (Conn.Recycle), including double releases",
 	Run: run,
 }
 
@@ -47,16 +47,10 @@ func run(pass *framework.Pass) (any, error) {
 }
 
 // releaseArg returns the released object and its argument identifier if
-// call is Conn.Recycle(b) or thrift.PutBuffer(b) with an ident arg.
+// call is an engine Recycle(b) (Conn's or Session's) with an ident arg.
 func releaseArg(pass *framework.Pass, call *ast.CallExpr) (types.Object, *ast.Ident) {
 	fn := lintutil.CalleeFunc(pass.TypesInfo, call)
-	if fn == nil || len(call.Args) != 1 {
-		return nil, nil
-	}
-	switch {
-	case fn.Name() == "Recycle" && lintutil.RecvPkgIs(fn, "engine"):
-	case fn.Name() == "PutBuffer" && fn.Pkg() != nil && lintutil.IsPkg(fn.Pkg(), "thrift"):
-	default:
+	if fn == nil || len(call.Args) != 1 || fn.Name() != "Recycle" || !lintutil.RecvPkgIs(fn, "engine") {
 		return nil, nil
 	}
 	id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
@@ -124,7 +118,7 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 		if _, isCall := v.Use.(*ast.CallExpr); isCall {
 			pass.Reportf(v.Use.Pos(),
 				"%s released to the arena again after the release on line %d: "+
-					"a double Recycle/PutBuffer hands the same payload to two borrowers",
+					"a double Recycle hands the same payload to two borrowers",
 				v.Obj.Name(), relLine)
 			continue
 		}

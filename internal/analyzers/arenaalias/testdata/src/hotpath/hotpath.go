@@ -1,13 +1,10 @@
-// Fixture: arena payload lifecycle around Conn.Recycle / PutBuffer.
+// Fixture: arena payload lifecycle around Conn.Recycle.
 // The "reverted guard" cases below mirror real hot-path sites
 // (engine.handleRecvSlot, atb.hotpath) with the lifecycle discipline
 // deliberately broken.
 package hotpath
 
-import (
-	"engine"
-	"thrift"
-)
+import "engine"
 
 func recv(c *engine.Conn) []byte { return nil }
 func sink(b []byte)              {}
@@ -92,17 +89,4 @@ func rebindClean(c *engine.Conn, b []byte) byte {
 	c.Recycle(b)
 	b = recv(c)
 	return b[0]
-}
-
-// putBufferUse: the thrift arena release is tracked the same way.
-func putBufferUse(b []byte) {
-	thrift.PutBuffer(b)
-	sink(b) // want `b used after being released to the arena`
-}
-
-// putBufferClean releases last. No diagnostic.
-func putBufferClean(n int) {
-	b := thrift.GetBuffer(n)
-	sink(b)
-	thrift.PutBuffer(b)
 }

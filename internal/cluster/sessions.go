@@ -94,7 +94,7 @@ func (ps *peerSessions) callPeerDL(p *sim.Proc, peer int, fn uint32, req []byte,
 }
 
 // recycle hands a reply callPeerDL returned from peer back to the
-// engine's arena (engine.Session.Recycle), once the caller has decoded
+// node's arena (engine.Session.Recycle), once the caller has decoded
 // what it needs from it. A reply whose bytes the caller keeps is never
 // recycled. A graceful stop may have closed the sessions while the call
 // ran; the reply is then left to the collector.

@@ -290,7 +290,10 @@ func TestOrphanNotifyNotDelivered(t *testing.T) {
 // the payload lies in, and across a retransmission. Only an eager leg
 // moves a staged payload to an arena buffer first: a HERD request is one
 // WRITE and a Pilaf or FaRM response is published, both from where it
-// lies.
+// lies. The copy of a request is seen in the client's arena: a fresh
+// buffer of the request's length put on top of its class is what the copy
+// takes (a NIC snapshot of the message is longer), so the arena lacks it
+// while the handler runs exactly when the request was copied.
 func TestStagedPayloads(t *testing.T) {
 	const size = 40_000 // ten eager fragments, ten packets
 	for _, proto := range AllProtocols {
@@ -299,10 +302,13 @@ func TestStagedPayloads(t *testing.T) {
 		for _, lossy := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/lossy=%v", proto, lossy), func(t *testing.T) {
 				env, cl, srvEng, cliEng := tornCluster()
+				var marker []byte // the buffer a copy of the request takes
+				copied := false   // the handler found marker out of the arena
 				srv := srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte {
 					if !bytes.Equal(req, pattern(len(req))) {
 						t.Errorf("server got a %d-byte request that is not the pattern", len(req))
 					}
+					copied = !cliEng.dev.Holds(marker)
 					out := ResponseStage(p)
 					if out == nil {
 						t.Fatal("no response stage on a dispatcher process")
@@ -319,17 +325,15 @@ func TestStagedPayloads(t *testing.T) {
 							{From: srvEng.Node().ID(), To: cliEng.Node().ID(), N: 2},
 						}})
 					}
-					cls := payloadClass(size)
 					for i := 0; i < 3; i++ {
-						// A lossless call recycles nothing of the request's
-						// size class but a copy of the request.
-						cliEng.payloadFree[cls] = nil
+						marker = make([]byte, size)
+						cliEng.dev.Put(marker)
 						req := append(c.Stage(), pattern(size)...)
 						got, err := c.Call(p, 1, req, CallOpts{Proto: proto, Busy: true})
 						if err != nil || !bytes.Equal(got, pattern(size+1)) {
 							t.Fatalf("call %d: %d-byte response is not the pattern (err %v)", i, len(got), err)
 						}
-						if copied := len(cliEng.payloadFree[cls]) > 0; !lossy && copied != reqCopied {
+						if !lossy && copied != reqCopied {
 							t.Errorf("call %d: staged request copied to the arena: %v, want %v", i, copied, reqCopied)
 						}
 						sc := srv.Conns()[0]

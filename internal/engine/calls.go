@@ -450,7 +450,7 @@ func (c *Conn) fetchUntil(p *sim.Proc, proto Protocol, busy bool, until sim.Time
 			c.eng.em.bytesRecvd.Add(int64(n))
 			return c.copyPayload(b[hdrSize : hdrSize+n]), true, nil
 		}
-		out := c.eng.payloadGet(n)
+		out := c.eng.dev.Get(n)
 		got := copy(out, b[min(hdrSize, len(b)):]) // none from a metadata probe
 		rest, ok := c.readRemote(p, c.peerRfpOut, hdrSize+got, n-got, busy)
 		if !ok {

@@ -99,8 +99,7 @@ type Engine struct {
 	cfg  Config
 	env  *sim.Env
 
-	rndvFree    map[int][]*verbs.MR // size-class → free registered buffers
-	payloadFree map[int][][]byte    // size-class → recycled payload buffers
+	rndvFree map[int][]*verbs.MR // size-class → free registered buffers
 
 	pinnedBytes int64 // registered (pinned) memory held by conns and the rndv pool
 
@@ -122,13 +121,12 @@ func New(node *simnet.Node, cfg Config) *Engine {
 	}
 	dev := verbs.OpenDevice(node, nil)
 	return &Engine{
-		node:        node,
-		dev:         dev,
-		pd:          dev.AllocPD(),
-		cfg:         cfg,
-		env:         node.Cluster().Env(),
-		rndvFree:    make(map[int][]*verbs.MR),
-		payloadFree: make(map[int][][]byte),
+		node:     node,
+		dev:      dev,
+		pd:       dev.AllocPD(),
+		cfg:      cfg,
+		env:      node.Cluster().Env(),
+		rndvFree: make(map[int][]*verbs.MR),
 	}
 }
 
@@ -1114,7 +1112,7 @@ func (c *Conn) handleRecvSlot(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 		// Segmented message: accumulate until complete.
 		st, ok := c.frags[h.seq]
 		if !ok {
-			st = &fragState{h: h, buf: c.eng.payloadGet(int(h.length)), seen: make(map[uint32]bool)}
+			st = &fragState{h: h, buf: c.eng.dev.Get(int(h.length)), seen: make(map[uint32]bool)}
 			c.frags[h.seq] = st
 		}
 		if st.seen[h.off] {

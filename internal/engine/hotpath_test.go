@@ -116,8 +116,8 @@ func TestDoorbellBatchSegmentedNoOp(t *testing.T) {
 	}
 }
 
-// TestArenaPayloadsRecycleReuse verifies the payload arena actually
-// cycles buffers: after a Recycle the class has stock, and a subsequent
+// TestArenaPayloadsRecycleReuse verifies the node's arena actually
+// cycles payloads: after a Recycle it holds the buffer, and a subsequent
 // same-shape call draws from it without corrupting the delivered bytes.
 func TestArenaPayloadsRecycleReuse(t *testing.T) {
 	env, srvEng, cliEng := testCluster(15)
@@ -133,9 +133,8 @@ func TestArenaPayloadsRecycleReuse(t *testing.T) {
 		}
 		saved := append([]byte(nil), resp1...)
 		c.Recycle(resp1)
-		cls := payloadClass(len(resp1))
-		if len(cliEng.payloadFree[cls]) == 0 {
-			t.Errorf("class %d empty after Recycle", cls)
+		if !cliEng.dev.Holds(resp1) {
+			t.Error("the arena does not hold a recycled response")
 		}
 		resp2, err := c.Call(p, 1, req, CallOpts{Proto: EagerSendRecv, Busy: true})
 		if err != nil {
@@ -198,12 +197,9 @@ func TestOffsetSubsliceResponseSurvivesRecycle(t *testing.T) {
 				if _, err := conn.Call(p, 1, bytes.Repeat([]byte("C"), 100), opts); err != nil {
 					t.Fatal(err)
 				}
-				for _, b := range srvEng.payloadFree[payloadClass(len(first))] {
-					if &b[0] == &served[0] {
-						return
-					}
+				if !srvEng.dev.Holds(served) {
+					t.Error("the next served request did not return the first one's buffer to the arena")
 				}
-				t.Error("the next served request did not return the first one's buffer to the arena")
 			})
 			env.Run()
 		})
@@ -438,7 +434,7 @@ func benchCall(b *testing.B, size int, opts CallOpts) {
 	var failed error
 	env.Spawn("client", func(p *sim.Proc) {
 		c := cliEng.Dial(p, srvEng.Node(), "svc")
-		// Warm connection state and the payload arena outside the timer.
+		// Warm connection state and the arena outside the timer.
 		for i := 0; i < 3; i++ {
 			if resp, err := c.Call(p, 1, req, opts); err != nil {
 				failed = err

@@ -85,10 +85,8 @@ func TestDirectDeliveriesServedInPlace(t *testing.T) {
 				check("Invoke", out, err, true)
 				if !hatdebug.On {
 					c.Recycle(out)
-					for _, b := range cliEng.payloadFree[payloadClass(len(req))] {
-						if &b[0] == c.win {
-							t.Error("Recycle took a window onto the direct region into the arena")
-						}
+					if cliEng.dev.Holds(out) {
+						t.Error("Recycle took a window onto the direct region into the arena")
 					}
 				}
 				out, err = c.Call(p, 1, req, opts)

@@ -44,71 +44,18 @@ func (c *Conn) fetchPace(busy bool, spun sim.Duration) sim.Duration {
 }
 
 // ---------------------------------------------------------------------------
-// Payload arena
+// Payloads
 
-// Size-classed free lists for delivered-payload buffers. Classes are
-// powers of two; oversize payloads bypass the arena. The arena is pure
-// host-memory reuse — no simulated cost attaches to it.
-const (
-	payloadMinClass = 64
-	payloadMaxClass = 1 << 20
-	payloadClassCap = 64 // free buffers retained per class
-)
-
-func payloadClass(n int) int {
-	c := payloadMinClass
-	for c < n {
-		c <<= 1
-	}
-	return c
-}
-
-// payloadGet returns a length-n buffer, reusing a recycled one when the
-// class has stock. Contents beyond what the caller writes are stale.
-func (e *Engine) payloadGet(n int) []byte {
-	if n <= 0 {
-		return nil
-	}
-	if n > payloadMaxClass {
-		return make([]byte, n)
-	}
-	cls := payloadClass(n)
-	if free := e.payloadFree[cls]; len(free) > 0 {
-		b := free[len(free)-1]
-		free[len(free)-1] = nil
-		e.payloadFree[cls] = free[:len(free)-1]
-		return b[:n]
-	}
-	return make([]byte, n, cls)
-}
-
-// payloadPut recycles a buffer into its size class (dropping it when the
-// class is full or the capacity fits no class).
-func (e *Engine) payloadPut(b []byte) {
-	if cap(b) < payloadMinClass || cap(b) > payloadMaxClass {
-		return
-	}
-	cls := payloadMinClass
-	for cls<<1 <= cap(b) {
-		cls <<= 1
-	}
-	hatdebug.Put(e.payloadFree[cls], b)
-	if len(e.payloadFree[cls]) >= payloadClassCap {
-		return
-	}
-	e.payloadFree[cls] = append(e.payloadFree[cls], b[:cls])
-}
-
-// copyPayload copies delivered bytes out of a registered region into an
-// arena buffer the receiver owns.
+// copyPayload copies delivered bytes out of a registered region into a
+// buffer of the node's arena (verbs.Device.Get) that the receiver owns.
 func (c *Conn) copyPayload(src []byte) []byte {
-	b := c.eng.payloadGet(len(src))
+	b := c.eng.dev.Get(len(src))
 	copy(b, src)
 	return b
 }
 
 // Recycle returns a payload buffer previously delivered by this
-// connection (a Call result) to the engine's arena. It is optional — an
+// connection (a Call result) to the node's arena. It is optional — an
 // unrecycled buffer is ordinary garbage — but after Recycle the buffer must
 // not be touched: a later delivery reuses it. Server handlers never call
 // it for their request: the dispatcher returns every request on every path,
@@ -125,7 +72,7 @@ func (c *Conn) Recycle(b []byte) {
 // discard recycles a payload nobody reads any more, unless it is a window.
 func (c *Conn) discard(b []byte) {
 	if !c.lent(b) {
-		c.eng.payloadPut(b)
+		c.eng.dev.Put(b)
 	}
 }
 
@@ -143,5 +90,5 @@ func (c *Conn) endLoan(b []byte) {
 		hatdebug.Poison(b)
 		return
 	}
-	c.eng.payloadPut(b)
+	c.eng.dev.Put(b)
 }

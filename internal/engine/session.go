@@ -118,10 +118,10 @@ func (s *Session) Call(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byt
 func (s *Session) PeerLeft() bool { return s.conn != nil && !s.down && s.conn.shared.closed }
 
 // Recycle returns a reply a Call on this session delivered to the
-// engine's arena, on the terms of Conn.Recycle. The arena is engine-wide,
+// node's arena, on the terms of Conn.Recycle. The arena is node-wide,
 // so it does not matter which connection, or which epoch of the session,
 // delivered the buffer.
-func (s *Session) Recycle(b []byte) { s.eng.payloadPut(b) }
+func (s *Session) Recycle(b []byte) { s.eng.dev.Put(b) }
 
 // ensureConn re-establishes the connection if it is down: sessionDials
 // attempts, sessionDialGap apart. Called with s.mu held.

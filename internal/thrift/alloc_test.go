@@ -8,8 +8,8 @@ import (
 // codecRoundTrip writes a representative eager-path message body (every
 // fixed-width primitive plus a binary field) into the memory buffer the
 // generated code and trdma serialize through and reads it back, returning
-// an error message on mismatch. It allocates nothing once the buffer and
-// the arena are warm — the property TestEagerPathZeroAllocs gates.
+// an error message on mismatch. It allocates nothing once the buffer is
+// warm — the property TestEagerPathZeroAllocs gates.
 func codecRoundTrip(mem *TMemoryBuffer, w, r TProtocol, blob []byte) string {
 	mem.Reset()
 	w.WriteStructBegin("S")
@@ -74,7 +74,6 @@ func codecRoundTrip(mem *TMemoryBuffer, w, r TProtocol, blob []byte) string {
 			if err != nil || !bytes.Equal(v, blob) {
 				return "binary mismatch"
 			}
-			PutBuffer(v) // recycle — the eager path's ownership contract
 		}
 	}
 	if err := r.ReadStructEnd(); err != nil {
@@ -84,9 +83,11 @@ func codecRoundTrip(mem *TMemoryBuffer, w, r TProtocol, blob []byte) string {
 }
 
 // codecPair builds a binary or compact codec over one memory buffer:
-// distinct writer/reader protocol instances, as on a real connection.
+// distinct writer/reader protocol instances, as on a real connection, the
+// reader lending its binary fields as Codec.DecodeRequest does for a
+// generated server.
 func codecPair(compact bool) (*TMemoryBuffer, TProtocol, TProtocol) {
-	mem := NewTMemoryBuffer()
+	mem := &TMemoryBuffer{own: ownLent}
 	if compact {
 		return mem, NewTCompactProtocol(mem), NewTCompactProtocol(mem)
 	}
@@ -94,9 +95,9 @@ func codecPair(compact bool) (*TMemoryBuffer, TProtocol, TProtocol) {
 }
 
 // TestEagerPathZeroAllocs is the allocs/op regression gate for the
-// serialization hot path (CI runs it by name): once the buffer and the
-// arena are warm, a full write+read round trip of every
-// fixed-width primitive plus a binary field performs ZERO heap
+// serialization hot path (CI runs it by name): once the buffer is warm, a
+// full write+read round trip of every fixed-width primitive plus a binary
+// field, read as a generated server reads it, performs ZERO heap
 // allocations per op, for both wire protocols. String reads are excluded
 // by design: a decoded string is a copy its reader keeps, one allocation
 // per ReadString and one per whole list for ReadStrings
@@ -110,7 +111,7 @@ func TestEagerPathZeroAllocs(t *testing.T) {
 	}{{"binary", false}, {"compact", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			mem, w, r := codecPair(tc.compact)
-			// Warm: grows the buffer once and stocks the arena class.
+			// Warm: grows the buffer once.
 			for i := 0; i < 3; i++ {
 				if msg := codecRoundTrip(mem, w, r, blob); msg != "" {
 					t.Fatal(msg)

@@ -306,9 +306,9 @@ func (p *TBinaryProtocol) ReadStrings(dst []string) error {
 }
 
 // ReadBinary parses a length-prefixed byte slice, owned as the buffer
-// says: a copy (NewTMemoryBufferWith), a window onto the buffer
-// (Codec.DecodeRequest), or a share of the message's one allocation
-// (Codec.DecodeReply).
+// says: a window onto the buffer (Codec.DecodeRequest), or else a copy
+// cut from the one allocation the message's fields share
+// (Codec.DecodeReply, NewTMemoryBuffer[With]).
 func (p *TBinaryProtocol) ReadBinary() ([]byte, error) {
 	n, err := p.ReadI32()
 	if err != nil {

@@ -11,15 +11,12 @@ import (
 type ownership uint8
 
 const (
-	// ownEach: every field is a copy in an arena buffer of its own
-	// (GetBuffer), which a caller that is done with it may PutBuffer.
-	ownEach ownership = iota
+	// ownShared: the fields of one message are copies cut, with capped
+	// capacity, from one allocation the caller owns.
+	ownShared ownership = iota
 	// ownLent: every field is a window onto the buffer, valid for as long
 	// as the buffer's bytes are.
 	ownLent
-	// ownShared: the fields of one message are copies cut, with capped
-	// capacity, from one allocation the caller owns.
-	ownShared
 )
 
 // TMemoryBuffer is an in-memory transport: writes append, reads consume.
@@ -41,7 +38,8 @@ func NewTMemoryBuffer() *TMemoryBuffer { return &TMemoryBuffer{} }
 // reading. Writes append behind data, into its spare capacity while that
 // lasts: handing in an empty slice of a caller-owned buffer (a registered
 // staging region) serializes a message straight into that buffer, and
-// Bytes still aliases it afterwards unless the message outgrew it.
+// Bytes still aliases it afterwards unless the message outgrew it. Binary
+// fields read from it are copies the caller owns (ownShared).
 func NewTMemoryBufferWith(data []byte) *TMemoryBuffer {
 	return &TMemoryBuffer{buf: data}
 }
@@ -75,11 +73,6 @@ func (m *TMemoryBuffer) binaryField(n int) ([]byte, error) {
 	w, err := m.next(n)
 	if err != nil || m.own == ownLent {
 		return w, err
-	}
-	if m.own == ownEach {
-		b := GetBuffer(n)
-		copy(b, w)
-		return b, nil
 	}
 	if m.shared == nil || n > cap(m.shared)-len(m.shared) {
 		// The message's first binary field. Every later one lies in the

@@ -351,7 +351,7 @@ func (rawEcho) ProcessBytes(p *sim.Proc, fnID uint32, req []byte) []byte { retur
 
 // TestReplyOutlivesOtherTransportsCalls: the bytes Invoke returns are the
 // caller's until that transport's next Invoke — not until the engine's next
-// delivery. Two transports of one client engine share its payload arena, so
+// delivery. Two transports of one client engine share its node's arena, so
 // a reply recycled as soon as it is returned is the buffer the other
 // transport's reply lands in: A's reply must still read as A's bytes after
 // B's call, of the same size and other content, has been delivered.

@@ -175,19 +175,18 @@ func TestWriteRoundAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestSnapshotColdMissIsExact: a payload size the device has not seen is
-// captured into a buffer of exactly that size — never rounded up to its
-// recycling class — and the buffer serves the same size again.
+// TestSnapshotColdMissIsExact: a size the arena has not seen is served
+// by a buffer of exactly that size — never rounded up to its recycling
+// class — and the buffer serves the same size again.
 func TestSnapshotColdMissIsExact(t *testing.T) {
 	env := sim.NewEnv(1)
 	a, _ := testPair(env)
-	src := make([]byte, 540)
-	first := a.dev.snapshot(src)
+	first := a.dev.Get(540)
 	if cap(first) != 540 {
-		t.Fatalf("cold 540-byte snapshot has capacity %d", cap(first))
+		t.Fatalf("cold 540-byte Get has capacity %d", cap(first))
 	}
-	a.dev.recycle(first)
-	if again := a.dev.snapshot(src); &again[0] != &first[0] {
-		t.Fatal("a recycled snapshot buffer did not serve the same size again")
+	a.dev.Put(first)
+	if again := a.dev.Get(540); &again[0] != &first[0] {
+		t.Fatal("a recycled buffer did not serve the same size again")
 	}
 }

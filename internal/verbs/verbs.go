@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"hatrpc/internal/hatdebug"
 	"hatrpc/internal/obs"
 	"hatrpc/internal/sim"
 	"hatrpc/internal/simnet"
@@ -76,8 +77,8 @@ type Device struct {
 	nextMR uint32
 	nextQP uint32
 
-	// Recycled work requests and payload snapshots (see packet): in flight
-	// they belong to their packet, at rest to the device that posted them.
+	// Recycled work requests (see packet) and the node's byte arena (Get,
+	// Put).
 	freePkts []*packet
 	freeBufs [payloadClasses][][]byte
 
@@ -805,19 +806,23 @@ func (d *Device) getPacket() *packet {
 // minted them. Nothing may hold the packet afterwards.
 func (pkt *packet) release() {
 	d := pkt.home
-	d.recycle(pkt.payload)
+	d.Put(pkt.payload)
 	*pkt = packet{home: d, arriveFn: pkt.arriveFn, landFn: pkt.landFn, cqeFn: pkt.cqeFn}
 	d.freePkts = append(d.freePkts, pkt)
 }
 
-// Payload snapshots are recycled by capacity, in classes a quarter of an
-// octave wide (two message sizes a device alternates between must not
-// share a free list, or the shorter would shadow the longer at the top of
-// it). A miss allocates exactly the length asked for — rounding a cold
-// 540-byte message up to its class would cost more bytes than recycling
-// saves on workloads that never revisit a size.
+// The device's free lists are its node's one byte arena: the payload
+// snapshots its packets carry and the payloads the engine above it
+// delivers are drawn from them (Get) and handed back (Put). Buffers are
+// recycled by capacity, in classes a quarter of an octave wide (two
+// message sizes a node alternates between must not share a free list, or
+// the shorter would shadow the longer at the top of it). A miss allocates
+// exactly the length asked for — rounding a cold 540-byte message up to
+// its class would cost more bytes than recycling saves on workloads that
+// never revisit a size. The arena is host memory only: no simulated cost
+// attaches to it.
 const (
-	payloadClasses   = 4*32 + 1 // snapshot looks one class past the largest
+	payloadClasses   = 4*32 + 1 // Get looks one class past the largest
 	payloadClassByte = 4 << 20  // bytes a class may keep at rest…
 	payloadClassMin  = 8        // …but never fewer buffers than this
 	payloadClassMax  = 512      // nor more than this
@@ -833,33 +838,57 @@ func payloadClass(n int) int {
 	return 4*k + n>>(k-2)&3
 }
 
-// snapshot copies src into a recycled buffer: the last one returned to
-// src's own class if it is long enough, else any of the next class up.
-func (d *Device) snapshot(src []byte) []byte {
-	n := len(src)
+// Get returns an n-byte buffer (nil for n ≤ 0): the last one returned to
+// n's own class if it is long enough, else any of the next class up. Its
+// contents are stale.
+func (d *Device) Get(n int) []byte {
+	if n <= 0 {
+		return nil
+	}
 	c := payloadClass(n)
 	if s := d.freeBufs[c]; len(s) == 0 || cap(s[len(s)-1]) < n {
 		c++
 	}
-	var b []byte
 	if s := d.freeBufs[c]; len(s) > 0 {
-		b, s[len(s)-1] = s[len(s)-1][:n], nil
-		d.freeBufs[c] = s[:len(s)-1]
-	} else {
-		b = make([]byte, n)
+		b := s[len(s)-1][:n]
+		s[len(s)-1], d.freeBufs[c] = nil, s[:len(s)-1]
+		return b
 	}
-	copy(b, src)
-	return b
+	return make([]byte, n)
 }
 
-func (d *Device) recycle(b []byte) {
+// Put hands b back to the arena, which keeps it unless its class is at
+// its budget. Nothing may touch b afterwards: a hatdebug build poisons it,
+// and panics if the arena holds it already (hatdebug.Put).
+func (d *Device) Put(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
 	c := payloadClass(cap(b))
+	hatdebug.Put(d.freeBufs[c], b)
 	if len(d.freeBufs[c]) < min(max(payloadClassByte/cap(b), payloadClassMin), payloadClassMax) {
 		d.freeBufs[c] = append(d.freeBufs[c], b)
 	}
+}
+
+// Holds reports whether b is at rest in the arena.
+func (d *Device) Holds(b []byte) bool {
+	if cap(b) == 0 {
+		return false
+	}
+	for _, f := range d.freeBufs[payloadClass(cap(b))] {
+		if &f[:1][0] == &b[:1][0] {
+			return true
+		}
+	}
+	return false
+}
+
+// snapshot copies src into a buffer of the arena.
+func (d *Device) snapshot(src []byte) []byte {
+	b := d.Get(len(src))
+	copy(b, src)
+	return b
 }
 
 // The send engine is the device's send-side NIC pipeline: fetch WQE, DMA
