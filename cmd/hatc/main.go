@@ -1,10 +1,11 @@
 // Command hatc is the HatRPC compiler: it parses a hint-annotated Thrift
 // IDL file (Figure 7 grammar) and emits Go code — structs, typed clients,
-// processors and hint tables — against the hatrpc runtime.
+// processors and hint tables — against the hatrpc runtime, in the package
+// the file's "namespace go" names.
 //
 // Usage:
 //
-//	hatc -in service.hrpc -out gen.go [-pkg name]
+//	hatc -in service.hrpc [-out gen.go]
 package main
 
 import (
@@ -18,9 +19,8 @@ import (
 )
 
 func main() {
-	in := flag.String("in", "", "input IDL file (.hrpc/.thrift)")
+	in := flag.String("in", "", "input IDL file (.hrpc)")
 	out := flag.String("out", "", "output Go file (default stdout)")
-	pkg := flag.String("pkg", "", "output package name (default: IDL namespace)")
 	flag.Parse()
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "hatc: -in is required")
@@ -30,32 +30,34 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	doc, warns, err := idl.Parse(*in, string(src))
-	if err != nil {
-		fatal(err)
-	}
+	code, warns, err := compile(*in, string(src))
 	for _, w := range warns {
 		fmt.Fprintln(os.Stderr, "hatc: warning:", w)
 	}
-	code, err := codegen.Generate(doc, codegen.Options{Package: *pkg})
 	if err != nil {
 		fatal(err)
-	}
-	formatted, err := format.Source([]byte(code))
-	if err != nil {
-		// Emit unformatted output for debugging, but fail.
-		if *out != "" {
-			os.WriteFile(*out, []byte(code), 0o644)
-		}
-		fatal(fmt.Errorf("generated code does not parse: %v", err))
 	}
 	if *out == "" {
-		os.Stdout.Write(formatted)
+		os.Stdout.Write(code)
 		return
 	}
-	if err := os.WriteFile(*out, formatted, 0o644); err != nil {
+	if err := os.WriteFile(*out, code, 0o644); err != nil {
 		fatal(err)
 	}
+}
+
+// compile parses the IDL source named file, generates its Go code and
+// formats it; the warnings name the hints it dropped.
+func compile(file, src string) ([]byte, []string, error) {
+	doc, warns, err := idl.Parse(file, src)
+	if err != nil {
+		return nil, warns, err
+	}
+	code, err := format.Source([]byte(codegen.Generate(doc)))
+	if err != nil {
+		return nil, warns, fmt.Errorf("generated code does not parse: %v", err)
+	}
+	return code, warns, nil
 }
 
 func fatal(err error) {

@@ -24,7 +24,7 @@ var soakPartitions = simnet.FaultConfig{
 func clusterSoakConfig(seed int64, horizonNs int64) RollingConfig {
 	nc := node.DefaultConfig()
 	nc.Protocol.Seed = seed
-	nc.Protocol.Crash = node.CrashSpec{
+	nc.Protocol.Crash = simnet.CrashConfig{
 		MeanUptimeNs:    4_000_000,
 		MinUptimeNs:     2_500_000,
 		RestartDelayNs:  400_000,

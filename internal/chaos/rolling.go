@@ -177,11 +177,8 @@ func RollingSoak(rc RollingConfig) (*RollingResult, error) {
 		}
 		sn.OnCrash(logCrash)
 	}
-	cl.InstallCrashes(simnet.CrashConfig{
-		Nodes: ccfg.NodeIDs, MeanUptimeNs: crash.MeanUptimeNs, MinUptimeNs: crash.MinUptimeNs,
-		RestartDelayNs: crash.RestartDelayNs, RestartJitterNs: crash.RestartJitterNs,
-		HorizonNs: crash.HorizonNs,
-	})
+	crash.Nodes = ccfg.NodeIDs
+	cl.InstallCrashes(crash)
 	cl.InstallFaults(rc.Faults)
 
 	cliEng := engine.New(cl.Node(servers), node.EngineConfig())

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hatrpc/internal/node"
+	"hatrpc/internal/simnet"
 )
 
 // TestRollingSoakSLO is the release gate: a 5-node cluster restarted
@@ -104,7 +105,7 @@ func TestRollingGracefulBeatsHardKill(t *testing.T) {
 // writes may be lost and every worker must finish.
 func TestRollingSoakUnderCrashPlan(t *testing.T) {
 	cfg := node.DefaultConfig()
-	cfg.Protocol.Crash = node.CrashSpec{
+	cfg.Protocol.Crash = simnet.CrashConfig{
 		MeanUptimeNs: 2_000_000, MinUptimeNs: 200_000,
 		RestartDelayNs: 400_000, RestartJitterNs: 200_000, HorizonNs: 12_000_000,
 	}

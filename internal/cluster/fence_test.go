@@ -432,10 +432,10 @@ func (r crashRun) run(t *testing.T) (putNs int64) {
 	return putNs
 }
 
-// TestPutCrashPointsConverge enumerates the first window of ROADMAP item
-// 2(c): the primary of a put dies at every 250 ns between its handler's
-// entry and its reply — before the append left, after it left and before
-// the primary's own commit, between the commit and the last backup's
+// TestPutCrashPointsConverge enumerates the first window of
+// ROADMAP item 14: the primary of a put dies at every 250 ns between its
+// handler's entry and its reply — before the append left, after it left and
+// before the primary's own commit, between the commit and the last backup's
 // answer, after the reply — and comes back either before the failure
 // detector fired or after a survivor took over. A different value is then
 // written to the same key. Whatever the point: the acked write is on all

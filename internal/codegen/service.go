@@ -9,10 +9,7 @@ import (
 
 // genService emits the handler interface, typed client, processor, and
 // hint table for one service.
-func (g *gen) genService(svc *idl.Service) error {
-	if svc.Extends != "" {
-		return fmt.Errorf("codegen: service inheritance (%s extends %s) is not supported", svc.Name, svc.Extends)
-	}
+func (g *gen) genService(svc *idl.Service) {
 	for _, fn := range svc.Functions {
 		g.genArgsStruct(svc, fn)
 		if !fn.Oneway {
@@ -23,7 +20,6 @@ func (g *gen) genService(svc *idl.Service) error {
 	g.genClient(svc)
 	g.genProcessor(svc)
 	g.genHintTable(svc)
-	return nil
 }
 
 func argsStructName(svc *idl.Service, fn *idl.Function) string {
@@ -55,12 +51,12 @@ func (g *gen) genResultStruct(svc *idl.Service, fn *idl.Function) {
 	g.pf("type %s struct {\n", s.Name)
 	if fn.Returns != nil {
 		s.Fields = append(s.Fields, &idl.Field{ID: 0, Name: "success", Type: fn.Returns})
-		g.pf("\tSuccess %s\n", g.goType(fn.Returns))
+		g.pf("\tSuccess %s\n", goType(fn.Returns))
 		g.pf("\tSuccessSet bool\n")
 	}
 	for _, th := range fn.Throws {
 		s.Fields = append(s.Fields, th)
-		g.pf("\t%s %s\n", goName(th.Name), g.goType(th.Type))
+		g.pf("\t%s %s\n", goName(th.Name), goType(th.Type))
 	}
 	g.pf("}\n\n")
 	g.genStructWrite(s, true)
@@ -72,7 +68,7 @@ func (g *gen) genResultStruct(svc *idl.Service, fn *idl.Function) {
 func (g *gen) genPlainStruct(s *idl.Struct) {
 	g.pf("type %s struct {\n", s.Name)
 	for _, f := range s.Fields {
-		g.pf("\t%s %s\n", goName(f.Name), g.goType(f.Type))
+		g.pf("\t%s %s\n", goName(f.Name), goType(f.Type))
 	}
 	g.pf("}\n\n")
 	g.genStructWrite(s, false)
@@ -84,19 +80,16 @@ func (g *gen) genPlainStruct(s *idl.Struct) {
 func (g *gen) fnParams(fn *idl.Function) string {
 	parts := []string{"p *sim.Proc"}
 	for _, a := range fn.Args {
-		parts = append(parts, fmt.Sprintf("%s %s", lowerFirst(a.Name)+"_", g.goType(a.Type)))
+		parts = append(parts, fmt.Sprintf("%s %s", lowerFirst(a.Name)+"_", goType(a.Type)))
 	}
 	return strings.Join(parts, ", ")
 }
 
 func (g *gen) fnReturns(fn *idl.Function) string {
-	if fn.Oneway {
+	if fn.Returns == nil { // void or oneway
 		return "error"
 	}
-	if fn.Returns == nil {
-		return "error"
-	}
-	return fmt.Sprintf("(%s, error)", g.goType(fn.Returns))
+	return fmt.Sprintf("(%s, error)", goType(fn.Returns))
 }
 
 func (g *gen) genHandlerInterface(svc *idl.Service) {
@@ -133,7 +126,7 @@ func (g *gen) genClient(svc *idl.Service) {
 			return fmt.Sprintf("return %s, %s", zero, errExpr)
 		}
 		if fn.Returns != nil {
-			g.pf("\tvar zero %s\n", g.goType(fn.Returns))
+			g.pf("\tvar zero %s\n", goType(fn.Returns))
 			zero = "zero"
 		}
 		msgType := "thrift.CALL"
@@ -257,7 +250,7 @@ func (g *gen) genHandlerStub(svc *idl.Service, fn *idl.Function) {
 	} else {
 		g.pf("\t\tswitch e := err.(type) {\n")
 		for _, th := range fn.Throws {
-			g.pf("\t\tcase %s:\n\t\t\tresult.%s = e\n", g.goType(th.Type), goName(th.Name))
+			g.pf("\t\tcase %s:\n\t\t\tresult.%s = e\n", goType(th.Type), goName(th.Name))
 		}
 		g.pf("\t\tdefault:\n\t\t\treturn %sEncodeException(%q, seq, thrift.ExcInternalError, err.Error())\n", lowerFirst(svc.Name), fn.Name)
 		g.pf("\t\t}\n")

@@ -1,9 +1,6 @@
 package idl
 
 import (
-	"fmt"
-	"strings"
-
 	"hatrpc/internal/hints"
 )
 
@@ -11,29 +8,8 @@ import (
 type Document struct {
 	File      string
 	Namespace string // go namespace (package name) if declared
-	Typedefs  []*Typedef
-	Enums     []*Enum
 	Structs   []*Struct
-	Consts    []*Const
 	Services  []*Service
-}
-
-// Typedef aliases a type.
-type Typedef struct {
-	Name string
-	Type *Type
-}
-
-// Enum is a named integer enumeration.
-type Enum struct {
-	Name   string
-	Values []EnumValue
-}
-
-// EnumValue is one enum member.
-type EnumValue struct {
-	Name  string
-	Value int
 }
 
 // Struct is a user-defined record (struct or exception).
@@ -43,25 +19,16 @@ type Struct struct {
 	Fields      []*Field
 }
 
-// Const is a named constant.
-type Const struct {
-	Name  string
-	Type  *Type
-	Value string // literal text; typed interpretation is the generator's job
-}
-
 // Field is a struct member or function argument.
 type Field struct {
-	ID       int
-	Name     string
-	Type     *Type
-	Optional bool
+	ID   int
+	Name string
+	Type *Type
 }
 
 // Service is an RPC service with hierarchical hints.
 type Service struct {
 	Name      string
-	Extends   string
 	Hints     *hints.Set // service-level hints (may be empty, never nil)
 	Functions []*Function
 }
@@ -82,98 +49,20 @@ type TypeKind int
 // Type kinds.
 const (
 	TypeBool TypeKind = iota
-	TypeByte
-	TypeI16
 	TypeI32
 	TypeI64
-	TypeDouble
 	TypeString
 	TypeBinary
 	TypeList
-	TypeSet
-	TypeMap
-	TypeNamed // struct/enum/typedef reference
+	TypeNamed // a struct or exception declared in the same file
 )
 
 // Type is an IDL type expression.
 type Type struct {
-	Kind  TypeKind
-	Name  string // for TypeNamed
-	Elem  *Type  // list/set element, map value
-	KeyTy *Type  // map key
-}
-
-// String renders the type in IDL syntax.
-func (t *Type) String() string {
-	switch t.Kind {
-	case TypeBool:
-		return "bool"
-	case TypeByte:
-		return "byte"
-	case TypeI16:
-		return "i16"
-	case TypeI32:
-		return "i32"
-	case TypeI64:
-		return "i64"
-	case TypeDouble:
-		return "double"
-	case TypeString:
-		return "string"
-	case TypeBinary:
-		return "binary"
-	case TypeList:
-		return "list<" + t.Elem.String() + ">"
-	case TypeSet:
-		return "set<" + t.Elem.String() + ">"
-	case TypeMap:
-		return "map<" + t.KeyTy.String() + "," + t.Elem.String() + ">"
-	case TypeNamed:
-		return t.Name
-	}
-	return fmt.Sprintf("Type(%d)", int(t.Kind))
-}
-
-// Signature renders a readable function signature for diagnostics.
-func (f *Function) Signature() string {
-	var b strings.Builder
-	if f.Oneway {
-		b.WriteString("oneway ")
-	}
-	if f.Returns == nil {
-		b.WriteString("void")
-	} else {
-		b.WriteString(f.Returns.String())
-	}
-	b.WriteString(" " + f.Name + "(")
-	for i, a := range f.Args {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%d:%s %s", a.ID, a.Type, a.Name)
-	}
-	b.WriteString(")")
-	return b.String()
-}
-
-// FindService returns the named service, or nil.
-func (d *Document) FindService(name string) *Service {
-	for _, s := range d.Services {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
-}
-
-// FindStruct returns the named struct, or nil.
-func (d *Document) FindStruct(name string) *Struct {
-	for _, s := range d.Structs {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
+	Kind TypeKind
+	Name string // for TypeNamed
+	Elem *Type  // list element
+	at   Token  // where the type is written, for errors
 }
 
 // FindFunction returns the named function in the service, or nil.

@@ -52,13 +52,10 @@ func TestParseKVService(t *testing.T) {
 	if len(doc.Structs) != 2 {
 		t.Fatalf("structs = %d, want 2", len(doc.Structs))
 	}
-	if !doc.FindStruct("KVError").IsException {
+	if !doc.Structs[1].IsException {
 		t.Error("KVError should be an exception")
 	}
-	svc := doc.FindService("KVStore")
-	if svc == nil {
-		t.Fatal("KVStore service not found")
-	}
+	svc := doc.Services[0]
 	if len(svc.Functions) != 4 {
 		t.Fatalf("functions = %d, want 4", len(svc.Functions))
 	}
@@ -94,7 +91,7 @@ func TestParseKVService(t *testing.T) {
 	// Types.
 	mg := svc.FindFunction("MultiGet")
 	if mg.Returns.Kind != TypeList || mg.Returns.Elem.Kind != TypeBinary {
-		t.Errorf("MultiGet returns %s", mg.Returns)
+		t.Errorf("MultiGet returns %+v", mg.Returns)
 	}
 }
 
@@ -110,13 +107,13 @@ service Echo {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := doc.FindService("Echo")
+	svc := doc.Services[0]
 	if svc.Hints.Shared[hints.KeyPerfGoal] != "latency" {
 		t.Error("service hint missing")
 	}
 	fire := svc.FindFunction("Fire")
 	if !fire.Oneway || fire.Returns != nil {
-		t.Errorf("Fire = %s", fire.Signature())
+		t.Errorf("Fire = %+v", fire)
 	}
 	if !svc.FindFunction("Ping").Hints.Empty() {
 		t.Error("Ping should have no function hints")
@@ -137,7 +134,7 @@ service S {
 	if len(warns) != 1 || !strings.Contains(warns[0], "perf_goal") {
 		t.Fatalf("warnings = %v, want one about perf_goal", warns)
 	}
-	svc := doc.FindService("S")
+	svc := doc.Services[0]
 	if _, ok := svc.Hints.Shared[hints.KeyPerfGoal]; ok {
 		t.Error("invalid hint was kept")
 	}
@@ -157,63 +154,6 @@ func TestUnknownHintKeyDropped(t *testing.T) {
 	}
 	if !doc.Services[0].Hints.Empty() {
 		t.Error("unknown hint kept")
-	}
-}
-
-func TestParseEnumAndConstAndTypedef(t *testing.T) {
-	src := `
-typedef i64 Timestamp
-const i32 MAX_BATCH = 10
-const string VERSION = "1.0"
-enum Status {
-  OK = 0,
-  NOT_FOUND = 5,
-  ERROR
-}
-`
-	doc, _, err := Parse("misc.hrpc", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Typedefs) != 1 || doc.Typedefs[0].Type.Kind != TypeI64 {
-		t.Errorf("typedef = %+v", doc.Typedefs)
-	}
-	if len(doc.Consts) != 2 || doc.Consts[0].Value != "10" {
-		t.Errorf("consts = %+v", doc.Consts)
-	}
-	e := doc.Enums[0]
-	if len(e.Values) != 3 {
-		t.Fatalf("enum values = %+v", e.Values)
-	}
-	if e.Values[1].Value != 5 || e.Values[2].Value != 6 {
-		t.Errorf("enum auto-increment wrong: %+v", e.Values)
-	}
-}
-
-func TestParseMapSetTypes(t *testing.T) {
-	src := `
-struct Complex {
-  1: map<string, list<i32>> index,
-  2: set<i64> ids,
-  3: optional binary blob,
-}
-`
-	doc, _, err := Parse("c.hrpc", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := doc.Structs[0]
-	if s.Fields[0].Type.Kind != TypeMap || s.Fields[0].Type.Elem.Kind != TypeList {
-		t.Errorf("field 0 = %s", s.Fields[0].Type)
-	}
-	if s.Fields[1].Type.Kind != TypeSet {
-		t.Errorf("field 1 = %s", s.Fields[1].Type)
-	}
-	if !s.Fields[2].Optional {
-		t.Error("field 3 should be optional")
-	}
-	if s.Fields[0].Type.String() != "map<string,list<i32>>" {
-		t.Errorf("type string = %s", s.Fields[0].Type)
 	}
 }
 
@@ -243,6 +183,46 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestRejectsWhatHatcDoesNotCompile: each Thrift construct outside the
+// HatRPC subset, and each type name no struct or exception of the file
+// declares, fails the parse at its file:line:col with an error naming it.
+func TestRejectsWhatHatcDoesNotCompile(t *testing.T) {
+	field := func(decl string) string { return "struct X {\n  1: " + decl + "\n}" }
+	cases := []struct{ name, src, at, want string }{
+		{"typedef", "typedef i64 Timestamp", "1:1", `"typedef"`},
+		{"enum", "enum Status { OK }", "1:1", `"enum"`},
+		{"const", "const i32 N = 10", "1:1", `"const"`},
+		{"include", `include "base.thrift"`, "1:1", `"include"`},
+		{"namespace other than go", "namespace cpp kv", "1:11", "namespace cpp"},
+		{"set", field("set<i64> ids"), "2:6", `"set"`},
+		{"map", field("map<string, i32> m"), "2:6", `"map"`},
+		{"double", field("double d"), "2:6", `"double"`},
+		{"i16", field("i16 n"), "2:6", `"i16"`},
+		{"byte", field("byte b"), "2:6", `"byte"`},
+		{"i8", field("i8 b"), "2:6", `"i8"`},
+		{"required", field("required i32 n"), "2:6", "required"},
+		{"optional", field("optional i32 n"), "2:6", "optional"},
+		{"field default", field("i32 n = 5"), "2:12", "default"},
+		{"extends", "service Child extends Base {\n  void F()\n}", "1:15", `"extends"`},
+		{"undeclared field type", field("Missing m"), "2:6", `undeclared type "Missing"`},
+		{"undeclared argument type", "service S {\n  void F(1: list<Missing> m)\n}", "2:18", `undeclared type "Missing"`},
+		{"undeclared result type", "service S {\n  Missing F()\n}", "2:3", `undeclared type "Missing"`},
+		{"undeclared throws type", "service S {\n  void F() throws (1: Missing e)\n}", "2:23", `undeclared type "Missing"`},
+		{"throws a non-exception", "struct E {}\nservice S {\n  void F() throws (1: E e)\n}", "3:23", `throws "E"`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, _, err := Parse("t.hrpc", c.src)
+			if err == nil {
+				t.Fatalf("no error for %q", c.src)
+			}
+			if msg := err.Error(); !strings.HasPrefix(msg, "t.hrpc:"+c.at+": ") || !strings.Contains(msg, c.want) {
+				t.Fatalf("error %q, want one at t.hrpc:%s naming %s", msg, c.at, c.want)
+			}
+		})
+	}
+}
+
 func TestCommentStyles(t *testing.T) {
 	src := `
 // line comment
@@ -260,17 +240,6 @@ service S { void F() }
 	}
 }
 
-func TestServiceExtends(t *testing.T) {
-	src := `service Child extends Base { void F() }`
-	doc, _, err := Parse("x.hrpc", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Services[0].Extends != "Base" {
-		t.Errorf("extends = %q", doc.Services[0].Extends)
-	}
-}
-
 func TestErrorPosition(t *testing.T) {
 	src := "service S {\n  hint: turbo=\n}"
 	_, _, err := Parse("pos.hrpc", src)
@@ -279,15 +248,6 @@ func TestErrorPosition(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "pos.hrpc:3:") {
 		t.Fatalf("error lacks position: %v", err)
-	}
-}
-
-func TestFunctionSignatureRendering(t *testing.T) {
-	src := `service S { i32 Add(1: i32 a, 2: i32 b) }`
-	doc := MustParse("s.hrpc", src)
-	sig := doc.Services[0].Functions[0].Signature()
-	if sig != "i32 Add(1:i32 a, 2:i32 b)" {
-		t.Errorf("Signature() = %q", sig)
 	}
 }
 
@@ -311,12 +271,12 @@ service S {
 }
 
 func TestLexerTokenKinds(t *testing.T) {
-	toks, err := Tokenize("t", `ident 42 4.5 "str" { } ( ) [ ] < > , ; : = -7`)
+	toks, err := Tokenize("t", `ident 42 "str" { } ( ) [ ] < > , ; : = -7`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []TokKind{
-		TokIdent, TokIntLit, TokDoubleLit, TokStringLit,
+		TokIdent, TokIntLit, TokStringLit,
 		TokLBrace, TokRBrace, TokLParen, TokRParen,
 		TokLBracket, TokRBracket, TokLAngle, TokRAngle,
 		TokComma, TokSemi, TokColon, TokEquals, TokIntLit, TokEOF,

@@ -1,6 +1,10 @@
 // Package idl implements the HatRPC interface-definition language: the
-// Apache Thrift IDL extended with the hierarchical hint grammar of the
-// paper's Figure 7. The original Thrift compiler uses flex and Bison; this
+// subset of the Apache Thrift IDL that HatRPC compiles, extended with the
+// hierarchical hint grammar of the paper's Figure 7. It accepts
+// "namespace go", struct, exception, and service with hint groups,
+// oneway, void and throws, over bool, i32, i64, string, binary, list<T>
+// and declared structs; any other Thrift construct is an error at its
+// file:line:col. The original Thrift compiler uses flex and Bison; this
 // package plays that role with a hand-written lexer and recursive-descent
 // parser producing an AST the code generator consumes.
 package idl
@@ -19,7 +23,6 @@ const (
 	TokEOF TokKind = iota
 	TokIdent
 	TokIntLit
-	TokDoubleLit
 	TokStringLit
 	TokLBrace   // {
 	TokRBrace   // }
@@ -43,8 +46,6 @@ func (k TokKind) String() string {
 		return "identifier"
 	case TokIntLit:
 		return "integer"
-	case TokDoubleLit:
-		return "double"
 	case TokStringLit:
 		return "string"
 	case TokLBrace:
@@ -217,20 +218,8 @@ func (l *Lexer) Next() (Token, error) {
 		if r == '-' || r == '+' {
 			b.WriteRune(l.advance())
 		}
-		isDouble := false
-		for l.pos < len(l.src) {
-			c := l.peek()
-			if unicode.IsDigit(c) {
-				b.WriteRune(l.advance())
-			} else if c == '.' && !isDouble {
-				isDouble = true
-				b.WriteRune(l.advance())
-			} else {
-				break
-			}
-		}
-		if isDouble {
-			return mk(TokDoubleLit, b.String()), nil
+		for l.pos < len(l.src) && unicode.IsDigit(l.peek()) {
+			b.WriteRune(l.advance())
 		}
 		return mk(TokIntLit, b.String()), nil
 	case r == '"' || r == '\'':

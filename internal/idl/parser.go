@@ -14,7 +14,14 @@ type Parser struct {
 	file     string
 	toks     []Token
 	pos      int
+	refs     []typeRef // checked against the declarations by resolve
 	Warnings []string
+}
+
+// typeRef is a named type, or the type of a throws entry.
+type typeRef struct {
+	ty     *Type
+	throws bool
 }
 
 // NewParser returns a parser over pre-lexed tokens.
@@ -76,6 +83,9 @@ func (p *Parser) ParseDocument() (*Document, error) {
 	for {
 		t := p.cur()
 		if t.Kind == TokEOF {
+			if err := p.resolve(doc); err != nil {
+				return nil, err
+			}
 			return doc, nil
 		}
 		if t.Kind != TokIdent {
@@ -88,42 +98,20 @@ func (p *Parser) ParseDocument() (*Document, error) {
 			if err != nil {
 				return nil, err
 			}
+			if scope.Text != "go" {
+				return nil, p.errf(scope, "namespace %s is not supported (only namespace go)", scope.Text)
+			}
 			name, err := p.expect(TokIdent)
 			if err != nil {
 				return nil, err
 			}
-			if scope.Text == "go" || scope.Text == "*" {
-				doc.Namespace = name.Text
-			}
-		case "include":
-			p.pos++
-			if _, err := p.expect(TokStringLit); err != nil {
-				return nil, err
-			}
-		case "typedef":
-			td, err := p.parseTypedef()
-			if err != nil {
-				return nil, err
-			}
-			doc.Typedefs = append(doc.Typedefs, td)
-		case "enum":
-			e, err := p.parseEnum()
-			if err != nil {
-				return nil, err
-			}
-			doc.Enums = append(doc.Enums, e)
+			doc.Namespace = name.Text
 		case "struct", "exception":
 			s, err := p.parseStruct(t.Text == "exception")
 			if err != nil {
 				return nil, err
 			}
 			doc.Structs = append(doc.Structs, s)
-		case "const":
-			c, err := p.parseConst()
-			if err != nil {
-				return nil, err
-			}
-			doc.Consts = append(doc.Consts, c)
 		case "service":
 			s, err := p.parseService()
 			if err != nil {
@@ -136,54 +124,23 @@ func (p *Parser) ParseDocument() (*Document, error) {
 	}
 }
 
-func (p *Parser) parseTypedef() (*Typedef, error) {
-	p.pos++ // typedef
-	ty, err := p.parseType()
-	if err != nil {
-		return nil, err
+// resolve checks that every named type is a struct or exception declared
+// in the document, and that every throws entry is an exception.
+func (p *Parser) resolve(doc *Document) error {
+	isExc := map[string]bool{}
+	for _, s := range doc.Structs {
+		isExc[s.Name] = s.IsException
 	}
-	name, err := p.expect(TokIdent)
-	if err != nil {
-		return nil, err
-	}
-	p.skipListSep()
-	return &Typedef{Name: name.Text, Type: ty}, nil
-}
-
-func (p *Parser) parseEnum() (*Enum, error) {
-	p.pos++ // enum
-	name, err := p.expect(TokIdent)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokLBrace); err != nil {
-		return nil, err
-	}
-	e := &Enum{Name: name.Text}
-	nextVal := 0
-	for p.cur().Kind != TokRBrace {
-		vn, err := p.expect(TokIdent)
-		if err != nil {
-			return nil, err
+	for _, r := range p.refs {
+		exc, ok := isExc[r.ty.Name]
+		switch {
+		case r.ty.Kind == TypeNamed && !ok:
+			return p.errf(r.ty.at, "undeclared type %q", r.ty.Name)
+		case r.throws && !exc:
+			return p.errf(r.ty.at, "throws %q, which is not an exception", r.ty.at.Text)
 		}
-		val := nextVal
-		if p.cur().Kind == TokEquals {
-			p.pos++
-			iv, err := p.expect(TokIntLit)
-			if err != nil {
-				return nil, err
-			}
-			val, err = strconv.Atoi(iv.Text)
-			if err != nil {
-				return nil, p.errf(iv, "bad enum value %q", iv.Text)
-			}
-		}
-		nextVal = val + 1
-		e.Values = append(e.Values, EnumValue{Name: vn.Text, Value: val})
-		p.skipListSep()
 	}
-	p.pos++ // }
-	return e, nil
+	return nil
 }
 
 func (p *Parser) parseStruct(isExc bool) (*Struct, error) {
@@ -207,7 +164,7 @@ func (p *Parser) parseStruct(isExc bool) (*Struct, error) {
 	return s, nil
 }
 
-// parseField parses "ID ':' ('required'|'optional')? Type name (= default)? sep?".
+// parseField parses "ID ':' Type name sep?".
 func (p *Parser) parseField() (*Field, error) {
 	idTok, err := p.expect(TokIntLit)
 	if err != nil {
@@ -220,12 +177,8 @@ func (p *Parser) parseField() (*Field, error) {
 	if _, err := p.expect(TokColon); err != nil {
 		return nil, err
 	}
-	optional := false
-	if p.atKeyword("required") {
-		p.pos++
-	} else if p.atKeyword("optional") {
-		optional = true
-		p.pos++
+	if p.atKeyword("required") || p.atKeyword("optional") {
+		return nil, p.errf(p.cur(), "%s fields are not supported", p.cur().Text)
 	}
 	ty, err := p.parseType()
 	if err != nil {
@@ -235,47 +188,15 @@ func (p *Parser) parseField() (*Field, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.cur().Kind == TokEquals { // default value: parsed and discarded
-		p.pos++
-		switch p.cur().Kind {
-		case TokIntLit, TokDoubleLit, TokStringLit, TokIdent:
-			p.pos++
-		default:
-			return nil, p.errf(p.cur(), "bad default value %s", p.cur())
-		}
+	if p.cur().Kind == TokEquals {
+		return nil, p.errf(p.cur(), "field defaults are not supported")
 	}
 	p.skipListSep()
-	return &Field{ID: id, Name: name.Text, Type: ty, Optional: optional}, nil
-}
-
-func (p *Parser) parseConst() (*Const, error) {
-	p.pos++ // const
-	ty, err := p.parseType()
-	if err != nil {
-		return nil, err
-	}
-	name, err := p.expect(TokIdent)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokEquals); err != nil {
-		return nil, err
-	}
-	v := p.cur()
-	switch v.Kind {
-	case TokIntLit, TokDoubleLit, TokStringLit, TokIdent:
-		p.pos++
-	default:
-		return nil, p.errf(v, "bad const value %s", v)
-	}
-	p.skipListSep()
-	return &Const{Name: name.Text, Type: ty, Value: v.Text}, nil
+	return &Field{ID: id, Name: name.Text, Type: ty}, nil
 }
 
 var baseTypes = map[string]TypeKind{
-	"bool": TypeBool, "byte": TypeByte, "i8": TypeByte,
-	"i16": TypeI16, "i32": TypeI32, "i64": TypeI64,
-	"double": TypeDouble, "string": TypeString, "binary": TypeBinary,
+	"bool": TypeBool, "i32": TypeI32, "i64": TypeI64, "string": TypeString, "binary": TypeBinary,
 }
 
 func (p *Parser) parseType() (*Type, error) {
@@ -284,10 +205,10 @@ func (p *Parser) parseType() (*Type, error) {
 		return nil, err
 	}
 	if k, ok := baseTypes[t.Text]; ok {
-		return &Type{Kind: k}, nil
+		return &Type{Kind: k, at: t}, nil
 	}
 	switch t.Text {
-	case "list", "set":
+	case "list":
 		if _, err := p.expect(TokLAngle); err != nil {
 			return nil, err
 		}
@@ -298,34 +219,16 @@ func (p *Parser) parseType() (*Type, error) {
 		if _, err := p.expect(TokRAngle); err != nil {
 			return nil, err
 		}
-		kind := TypeList
-		if t.Text == "set" {
-			kind = TypeSet
-		}
-		return &Type{Kind: kind, Elem: elem}, nil
-	case "map":
-		if _, err := p.expect(TokLAngle); err != nil {
-			return nil, err
-		}
-		key, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokComma); err != nil {
-			return nil, err
-		}
-		val, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokRAngle); err != nil {
-			return nil, err
-		}
-		return &Type{Kind: TypeMap, KeyTy: key, Elem: val}, nil
+		return &Type{Kind: TypeList, Elem: elem, at: t}, nil
 	case "void":
 		return nil, p.errf(t, "void is only valid as a return type")
 	}
-	return &Type{Kind: TypeNamed, Name: t.Text}, nil
+	if p.cur().Kind == TokLAngle {
+		return nil, p.errf(t, "unknown container type %q (only list)", t.Text)
+	}
+	ty := &Type{Kind: TypeNamed, Name: t.Text, at: t}
+	p.refs = append(p.refs, typeRef{ty: ty})
+	return ty, nil
 }
 
 // atHintGroup reports whether the cursor sits on a hint/s_hint/c_hint
@@ -391,14 +294,6 @@ func (p *Parser) parseService() (*Service, error) {
 		return nil, err
 	}
 	svc := &Service{Name: name.Text, Hints: hints.NewSet()}
-	if p.atKeyword("extends") {
-		p.pos++
-		ext, err := p.expect(TokIdent)
-		if err != nil {
-			return nil, err
-		}
-		svc.Extends = ext.Text
-	}
 	if _, err := p.expect(TokLBrace); err != nil {
 		return nil, err
 	}
@@ -467,6 +362,7 @@ func (p *Parser) parseFunction() (*Function, error) {
 				return nil, err
 			}
 			fn.Throws = append(fn.Throws, f)
+			p.refs = append(p.refs, typeRef{ty: f.Type, throws: true})
 		}
 		p.pos++ // )
 	}

@@ -10,6 +10,7 @@ import (
 	"hatrpc/internal/engine"
 	"hatrpc/internal/hints"
 	"hatrpc/internal/lmdb"
+	"hatrpc/internal/simnet"
 )
 
 // Typed config failures. Every rejected config names the offending key;
@@ -100,17 +101,8 @@ type ProtoConfig struct {
 	// Boot acts on.
 	Hints hints.Group
 	// Crash is the seeded crash-plan policy for chaos runs (all zero =
-	// no crash plan).
-	Crash CrashSpec
-}
-
-// CrashSpec mirrors simnet.CrashConfig's timing policy.
-type CrashSpec struct {
-	MeanUptimeNs    int64
-	MinUptimeNs     int64
-	RestartDelayNs  int64
-	RestartJitterNs int64
-	HorizonNs       int64
+	// no crash plan); the run that installs it fills in Nodes.
+	Crash simnet.CrashConfig
 }
 
 // DefaultConfig returns the runnable defaults: a 5-node RF-3 SyncFull
@@ -131,7 +123,7 @@ func DefaultConfig() *Config {
 			RF:       3,
 			SyncMode: lmdb.SyncFull,
 			Hints:    hints.Group{},
-			Crash:    CrashSpec{RestartDelayNs: 400_000, RestartJitterNs: 200_000},
+			Crash:    simnet.CrashConfig{RestartDelayNs: 400_000, RestartJitterNs: 200_000},
 		},
 	}
 }
@@ -311,7 +303,7 @@ func decodeHints(path string, sec *yamlNode) (hints.Group, error) {
 	return g, nil
 }
 
-func decodeCrash(cs *CrashSpec, sec *yamlNode) error {
+func decodeCrash(cs *simnet.CrashConfig, sec *yamlNode) error {
 	if err := wantMap("protocol.crash", sec); err != nil {
 		return err
 	}

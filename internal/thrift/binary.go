@@ -67,17 +67,6 @@ func (p *TBinaryProtocol) WriteFieldEnd() error { return nil }
 // WriteFieldStop emits the STOP sentinel.
 func (p *TBinaryProtocol) WriteFieldStop() error { return p.WriteI8(int8(STOP)) }
 
-// WriteMapBegin emits key type, value type and size.
-func (p *TBinaryProtocol) WriteMapBegin(kt, vt TType, size int) error {
-	b := p.m.extend(6)
-	b[0], b[1] = byte(kt), byte(vt)
-	binary.BigEndian.PutUint32(b[2:], uint32(size))
-	return nil
-}
-
-// WriteMapEnd is a no-op.
-func (p *TBinaryProtocol) WriteMapEnd() error { return nil }
-
 // WriteListBegin emits element type and size.
 func (p *TBinaryProtocol) WriteListBegin(et TType, size int) error {
 	b := p.m.extend(5)
@@ -88,14 +77,6 @@ func (p *TBinaryProtocol) WriteListBegin(et TType, size int) error {
 
 // WriteListEnd is a no-op.
 func (p *TBinaryProtocol) WriteListEnd() error { return nil }
-
-// WriteSetBegin emits element type and size.
-func (p *TBinaryProtocol) WriteSetBegin(et TType, size int) error {
-	return p.WriteListBegin(et, size)
-}
-
-// WriteSetEnd is a no-op.
-func (p *TBinaryProtocol) WriteSetEnd() error { return nil }
 
 // WriteBool emits one byte.
 func (p *TBinaryProtocol) WriteBool(v bool) error {
@@ -111,12 +92,6 @@ func (p *TBinaryProtocol) WriteI8(v int8) error {
 	return nil
 }
 
-// WriteI16 emits a big-endian int16.
-func (p *TBinaryProtocol) WriteI16(v int16) error {
-	binary.BigEndian.PutUint16(p.m.extend(2), uint16(v))
-	return nil
-}
-
 // WriteI32 emits a big-endian int32.
 func (p *TBinaryProtocol) WriteI32(v int32) error {
 	binary.BigEndian.PutUint32(p.m.extend(4), uint32(v))
@@ -127,11 +102,6 @@ func (p *TBinaryProtocol) WriteI32(v int32) error {
 func (p *TBinaryProtocol) WriteI64(v int64) error {
 	binary.BigEndian.PutUint64(p.m.extend(8), uint64(v))
 	return nil
-}
-
-// WriteDouble emits an IEEE-754 double, big-endian.
-func (p *TBinaryProtocol) WriteDouble(v float64) error {
-	return p.WriteI64(int64(math.Float64bits(v)))
 }
 
 // WriteString emits a length-prefixed string.

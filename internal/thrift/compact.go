@@ -180,18 +180,6 @@ func (p *TCompactProtocol) WriteFieldEnd() error { return nil }
 // WriteFieldStop emits the stop byte.
 func (p *TCompactProtocol) WriteFieldStop() error { return p.writeByteRaw(ctStop) }
 
-// WriteMapBegin emits the compact map header.
-func (p *TCompactProtocol) WriteMapBegin(kt, vt TType, size int) error {
-	if size == 0 {
-		return p.writeByteRaw(0)
-	}
-	p.writeVarint(uint64(size))
-	return p.writeByteRaw(toCompactType(kt)<<4 | toCompactType(vt))
-}
-
-// WriteMapEnd is a no-op.
-func (p *TCompactProtocol) WriteMapEnd() error { return nil }
-
 // WriteListBegin emits the compact list header.
 func (p *TCompactProtocol) WriteListBegin(et TType, size int) error {
 	if size < 15 {
@@ -203,14 +191,6 @@ func (p *TCompactProtocol) WriteListBegin(et TType, size int) error {
 
 // WriteListEnd is a no-op.
 func (p *TCompactProtocol) WriteListEnd() error { return nil }
-
-// WriteSetBegin emits the compact set header.
-func (p *TCompactProtocol) WriteSetBegin(et TType, size int) error {
-	return p.WriteListBegin(et, size)
-}
-
-// WriteSetEnd is a no-op.
-func (p *TCompactProtocol) WriteSetEnd() error { return nil }
 
 // WriteBool emits a bool, folding it into a pending field header when one
 // is deferred.
@@ -229,20 +209,11 @@ func (p *TCompactProtocol) WriteBool(v bool) error {
 // WriteI8 emits one byte.
 func (p *TCompactProtocol) WriteI8(v int8) error { return p.writeByteRaw(byte(v)) }
 
-// WriteI16 emits a zigzag varint.
-func (p *TCompactProtocol) WriteI16(v int16) error { return p.writeVarint(zigzag32(int32(v))) }
-
 // WriteI32 emits a zigzag varint.
 func (p *TCompactProtocol) WriteI32(v int32) error { return p.writeVarint(zigzag32(v)) }
 
 // WriteI64 emits a zigzag varint.
 func (p *TCompactProtocol) WriteI64(v int64) error { return p.writeVarint(zigzag64(v)) }
-
-// WriteDouble emits a little-endian IEEE-754 double.
-func (p *TCompactProtocol) WriteDouble(v float64) error {
-	binary.LittleEndian.PutUint64(p.m.extend(8), math.Float64bits(v))
-	return nil
-}
 
 // WriteString emits a varint-length-prefixed string.
 func (p *TCompactProtocol) WriteString(v string) error {

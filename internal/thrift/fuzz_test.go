@@ -6,7 +6,8 @@ import (
 
 // buildMessage serializes one RPC call through proto's write path: the
 // message header plus a struct carrying a string, an i32, a nested
-// struct and a map — the field shapes HatRPC's generated code emits.
+// struct and a map<string, i64> {"k": -1}. The protocols write no map
+// header, so its bytes are spelled out.
 func buildMessage(proto func(TTransport) TProtocol, name string, payload string) []byte {
 	mb := NewTMemoryBuffer()
 	p := proto(mb)
@@ -27,10 +28,13 @@ func buildMessage(proto func(TTransport) TProtocol, name string, payload string)
 	p.WriteStructEnd()
 	p.WriteFieldEnd()
 	p.WriteFieldBegin("tags", MAP, 4)
-	p.WriteMapBegin(STRING, I64, 1)
+	if _, compact := p.(*TCompactProtocol); compact {
+		mb.Write([]byte{0x01, ctBinary<<4 | ctI64}) // size 1, key/value types
+	} else {
+		mb.Write([]byte{byte(STRING), byte(I64), 0, 0, 0, 1})
+	}
 	p.WriteString("k")
 	p.WriteI64(-1)
-	p.WriteMapEnd()
 	p.WriteFieldEnd()
 	p.WriteFieldStop()
 	p.WriteStructEnd()

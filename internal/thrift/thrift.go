@@ -71,7 +71,9 @@ type TTransport interface {
 // ErrTransportClosed is returned by operations on a closed transport.
 var ErrTransportClosed = errors.New("thrift: transport closed")
 
-// TProtocol is the serialization abstraction over a TTransport.
+// TProtocol is the serialization abstraction over a TTransport. It
+// writes only the wire types generated code writes, but reads every wire
+// type, so that Skip can step over any field a peer sends.
 type TProtocol interface {
 	WriteMessageBegin(name string, typeID TMessageType, seqid int32) error
 	WriteMessageEnd() error
@@ -80,18 +82,12 @@ type TProtocol interface {
 	WriteFieldBegin(name string, typeID TType, id int16) error
 	WriteFieldEnd() error
 	WriteFieldStop() error
-	WriteMapBegin(keyType, valueType TType, size int) error
-	WriteMapEnd() error
 	WriteListBegin(elemType TType, size int) error
 	WriteListEnd() error
-	WriteSetBegin(elemType TType, size int) error
-	WriteSetEnd() error
 	WriteBool(v bool) error
 	WriteI8(v int8) error
-	WriteI16(v int16) error
 	WriteI32(v int32) error
 	WriteI64(v int64) error
-	WriteDouble(v float64) error
 	WriteString(v string) error
 	WriteBinary(v []byte) error
 
