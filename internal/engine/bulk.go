@@ -8,12 +8,14 @@ import "hatrpc/internal/sim"
 // result to the next Call on this connection, or returns it as the
 // handler's response, saves that send its staging copy. The loan ends with that call: the region is the
 // connection's one outbound buffer, and whatever it sends next overwrites
-// it. A closed connection lends nothing.
+// it. Lending claims the area (verbs.MR.Claim), so a packet still reading
+// an earlier message from it keeps that message. A closed connection
+// lends nothing.
 func (c *Conn) Stage() []byte {
 	if c.closed {
 		return nil
 	}
-	return c.stageMR.Buf[hdrSize:hdrSize:c.stageNotifyOff()]
+	return c.stageMR.Claim(hdrSize, c.stageNotifyOff()-hdrSize)[:0]
 }
 
 // staged reports whether payload was serialized into the staging region.
@@ -21,12 +23,12 @@ func (c *Conn) staged(payload []byte) bool {
 	if len(payload) == 0 {
 		return false
 	}
-	return &payload[0] == &c.stageMR.Buf[hdrSize]
+	return &payload[0] == &c.stageMR.Bytes()[hdrSize]
 }
 
 // stage lays [hdr|payload] out at the head of the staging region.
 func (c *Conn) stage(h hdr, payload []byte) {
-	c.putHdrC(c.stageMR.Buf, h)
+	c.putHdrC(c.stageMR.Claim(0, hdrSize), h)
 	c.stagePayload(payload)
 }
 
@@ -34,7 +36,7 @@ func (c *Conn) stage(h hdr, payload []byte) {
 // already (see Stage).
 func (c *Conn) stagePayload(payload []byte) {
 	if !c.staged(payload) {
-		copy(c.stageMR.Buf[hdrSize:], payload)
+		copy(c.stageMR.Claim(hdrSize, len(payload)), payload)
 	}
 }
 

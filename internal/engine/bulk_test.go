@@ -292,7 +292,8 @@ func TestOrphanNotifyNotDelivered(t *testing.T) {
 // WRITE and a Pilaf or FaRM response is published, both from where it
 // lies. The copy of a request is seen in the client's arena: a fresh
 // buffer of the request's length put on top of its class is what the copy
-// takes (a NIC snapshot of the message is longer), so the arena lacks it
+// takes (the copy the NIC keeps of a fragment still on the wire when the
+// next is staged over it is of another class), so the arena lacks it
 // while the handler runs exactly when the request was copied.
 func TestStagedPayloads(t *testing.T) {
 	const size = 40_000 // ten eager fragments, ten packets
@@ -348,6 +349,43 @@ func TestStagedPayloads(t *testing.T) {
 				assertNoLeaks(t, srvEng, cliEng)
 			})
 		}
+	}
+}
+
+// TestStageClaimsWhatTheNICStillReads: a oneway call returns as soon as
+// its request is posted, so the next Stage lends the staging region while
+// the NIC has not yet read that request from it. Lending claims the area:
+// the request in flight takes a copy (exactly one) and the server gets
+// the bytes it was sent with, not the next message's.
+func TestStageClaimsWhatTheNICStillReads(t *testing.T) {
+	env, srvEng, cliEng := testCluster(3)
+	observe(cliEng)
+	var got [][]byte
+	srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte {
+		got = append(got, bytes.Clone(req))
+		return nil
+	})
+	first, second := pattern(1000), pattern(1001)
+	env.Spawn("client", func(p *sim.Proc) {
+		defer env.Stop()
+		c := cliEng.Dial(p, srvEng.Node(), "svc")
+		opts := CallOpts{Proto: EagerSendRecv, Oneway: true, Busy: true}
+		if _, err := c.Call(p, 1, append(c.Stage(), first...), opts); err != nil {
+			t.Fatal(err)
+		}
+		before := ctr(cliEng, "verbs.payload_copies")
+		next := append(c.Stage(), second...)
+		if n := ctr(cliEng, "verbs.payload_copies") - before; n != 1 {
+			t.Errorf("lending the staging region made %d NIC copies, want 1", n)
+		}
+		if _, err := c.Call(p, 1, next, opts); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(100_000)
+	})
+	env.Run()
+	if len(got) != 2 || !bytes.Equal(got[0], first) || !bytes.Equal(got[1], second) {
+		t.Fatalf("server got %d requests; the first matches what was sent: %v", len(got), len(got) > 0 && bytes.Equal(got[0], first))
 	}
 }
 

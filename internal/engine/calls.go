@@ -244,7 +244,7 @@ func (c *Conn) sendDirectWrite(p *sim.Proc, h hdr, payload []byte, chained bool,
 	c.spend()
 	c.stage(h, payload)
 	nh := hdr{kind: kNotify, proto: h.proto, seq: h.seq}
-	c.putHdrC(c.stageMR.Buf[c.stageNotifyOff():], nh)
+	c.putHdrC(c.stageMR.Claim(c.stageNotifyOff(), hdrSize), nh)
 	write := verbs.SendWR{
 		WRID: c.wrid(), Op: verbs.OpWrite,
 		SGE:        verbs.SGE{MR: c.stageMR, Off: 0, Len: hdrSize + len(payload)},
@@ -357,8 +357,9 @@ func (c *Conn) sendReadRNDV(p *sim.Proc, h hdr, payload []byte, busy bool, until
 	// serialized into the exposed buffer); the host moves it there, since
 	// the exposure must outlive the staging region's next message.
 	buf := c.eng.acquireRndv(p, len(payload)+hdrSize)
-	putHdr(buf.Buf, h)
-	copy(buf.Buf[hdrSize:], payload)
+	b := buf.Claim(0, hdrSize+len(payload))
+	putHdr(b, h)
+	copy(b[hdrSize:], payload)
 	c.rndvOut[h.seq] = buf
 	c.shared.rndv[rndvKey(h.seq, c.server)] = buf.RKey()
 	c.postSmall(p, rts)
@@ -368,7 +369,7 @@ func (c *Conn) sendReadRNDV(p *sim.Proc, h hdr, payload []byte, busy bool, until
 // sendRfpWrite WRITEs [hdr|payload] into the server's polled request
 // region (RFP and HERD request path).
 func (c *Conn) sendRfpWrite(p *sim.Proc, h hdr, payload []byte) {
-	putHdr(c.stageMR.Buf, h)
+	putHdr(c.stageMR.Claim(0, hdrSize), h)
 	c.stagePayload(payload)
 	c.qp.PostSend(p, &verbs.SendWR{
 		WRID: c.wrid(), Op: verbs.OpWrite,
@@ -391,7 +392,7 @@ func (c *Conn) readRemote(p *sim.Proc, rk verbs.RKey, off, n int, busy bool) ([]
 	if !c.waitRead(p, id, busy) {
 		return nil, false
 	}
-	return c.directMR.Buf[:n], true
+	return c.directMR.Bytes()[:n], true
 }
 
 // fetchProbe is how a server-bypass protocol finds its response in the
@@ -507,7 +508,7 @@ func (c *Conn) sendResponse(p *sim.Proc, a Arrival, resp []byte, busy bool) {
 // client's probe reads. Only local memory work; no network operation.
 func (c *Conn) publish(p *sim.Proc, h hdr, payload []byte) {
 	c.memcpyCharge(p, len(payload)+min(h.proto.row().probe.size, hdrSize))
-	copy(c.rfpOutMR.Bytes()[hdrSize:], payload)
+	copy(c.rfpOutMR.Claim(hdrSize, len(payload)), payload)
 	c.stampFetched(h) // header (with seq stamp) written last
 }
 
@@ -517,9 +518,9 @@ func (c *Conn) publish(p *sim.Proc, h hdr, payload []byte) {
 // never reads.
 func (c *Conn) stampFetched(h hdr) {
 	if h.proto.row().probe.wholeHdr() {
-		c.putHdrC(c.rfpOutMR.Bytes(), h)
+		c.putHdrC(c.rfpOutMR.Claim(0, hdrSize), h)
 	} else {
-		putHdr(c.rfpOutMR.Bytes(), h)
+		putHdr(c.rfpOutMR.Claim(0, hdrSize), h)
 	}
 }
 

@@ -313,6 +313,7 @@ func (e *Engine) releaseRndv(mr *verbs.MR) {
 	cls := sizeClass(mr.Len())
 	free := e.rndvFree[cls]
 	if len(free) >= DefaultRndvPoolCap {
+		mr.Deregister()
 		e.pinnedBytes -= int64(cls)
 		e.em.poolDrop.Inc()
 		return
@@ -482,7 +483,7 @@ type Conn struct {
 	stageMR  *verbs.MR // outbound staging
 	directMR *verbs.MR // inbound direct-write target
 	creditMR *verbs.MR // credit words: the peer WRITEs its grant updates here (flow.go)
-	win      *byte     // &directMR.Buf[hdrSize], kept past Close: where a window starts (lent)
+	win      *byte     // &directMR.Bytes()[hdrSize], kept past Close: where a window starts (lent)
 	loan     []byte    // the response the last Invoke lent; the next call ends it
 
 	// Server-side published regions (client reads them one-sided).
@@ -531,6 +532,7 @@ type Conn struct {
 	ctsReady  map[uint32]bool       // CTS seen for seq
 	frags     map[uint32]*fragState // eager reassembly by seq
 	respQueue sim.FIFO[Arrival]     // completed arrivals not yet consumed
+	ctlTail   bool                  // the last control message was staged in the notify slot (postSmall)
 
 	// Overload-protection state (nil when the knob is disabled).
 	fc  *flowState // receiver-driven credit flow control
@@ -625,7 +627,7 @@ func (e *Engine) newConn(server bool, shared *connShared) *Conn {
 	// headers so Direct-Write-Send chains never overlap the payload.
 	c.stageMR = e.pd.RegisterMRNoCost(e.cfg.MaxMsgSize + 2*hdrSize)
 	c.directMR = e.pd.RegisterMRNoCost(e.cfg.MaxMsgSize + hdrSize)
-	c.win = &c.directMR.Buf[hdrSize]
+	c.win = &c.directMR.Bytes()[hdrSize]
 	// Registered with or without flow control, so that arming it changes
 	// nothing — not even the pinned-bytes gauge — until it acts.
 	c.creditMR = e.pd.RegisterMRNoCost(creditWords)
@@ -645,7 +647,7 @@ func (e *Engine) newConn(server bool, shared *connShared) *Conn {
 	}
 	// Pin accounting from the actual MR lengths so Close can return the
 	// exact amount.
-	for _, mr := range []*verbs.MR{c.eagerMR, c.stageMR, c.directMR, c.rfpInMR, c.rfpOutMR, c.creditMR} {
+	for _, mr := range c.regions() {
 		if mr != nil {
 			c.pinned += int64(mr.Len())
 		}
@@ -659,6 +661,12 @@ func (e *Engine) newConn(server bool, shared *connShared) *Conn {
 		})
 	}
 	return c
+}
+
+// regions lists the connection's registered regions; the fetch regions
+// are nil without fetch buffers (NoFetchBufs, or a client).
+func (c *Conn) regions() [6]*verbs.MR {
+	return [6]*verbs.MR{c.eagerMR, c.stageMR, c.directMR, c.creditMR, c.rfpInMR, c.rfpOutMR}
 }
 
 // sortedSeqs returns m's keys ascending, so map drains never depend on
@@ -712,6 +720,11 @@ func (c *Conn) Close() {
 	c.exitWait()
 	c.eng.pinnedBytes -= c.pinned
 	c.pinned = 0
+	for _, mr := range c.regions() {
+		if mr != nil {
+			mr.Deregister()
+		}
+	}
 	c.eagerMR, c.stageMR, c.directMR = nil, nil, nil
 	c.rfpInMR, c.rfpOutMR = nil, nil
 	c.creditMR = nil
@@ -736,6 +749,9 @@ func (e *Engine) Close() {
 	}
 	sort.Ints(classes)
 	for _, cls := range classes {
+		for _, mr := range e.rndvFree[cls] {
+			mr.Deregister()
+		}
 		e.pinnedBytes -= int64(cls) * int64(len(e.rndvFree[cls]))
 	}
 	e.rndvFree = make(map[int][]*verbs.MR)
@@ -1040,9 +1056,10 @@ func (c *Conn) handleWC(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 			// Read-RNDV pull completed: the pulled buffer carries the
 			// original [hdr|payload] (the RTS only announced it).
 			delete(c.rndvIn, rts.seq)
-			h := getHdr(buf.Buf)
+			b := buf.Bytes()
+			h := getHdr(b)
 			c.noteCredits(h)
-			payload := c.copyPayload(buf.Buf[hdrSize : hdrSize+int(h.length)])
+			payload := c.copyPayload(b[hdrSize : hdrSize+int(h.length)])
 			c.eng.releaseRndv(buf)
 			c.postSmall(p, hdr{kind: kFin, proto: h.proto, seq: h.seq})
 			return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, Payload: payload}, true
@@ -1076,7 +1093,7 @@ func (c *Conn) repostSlot(p *sim.Proc, wrid uint64) {
 // handleRecvSlot processes a two-sided SEND landing in an eager ring slot.
 func (c *Conn) handleRecvSlot(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 	base := int(wc.WRID) * c.slotSize
-	buf := c.eagerMR.Buf[base : base+c.slotSize]
+	buf := c.eagerMR.Bytes()[base : base+c.slotSize]
 	h := getHdr(buf)
 	c.noteCredits(h)
 	// Recycle the ring slot after extracting the fragment. This is the
@@ -1227,9 +1244,10 @@ func (c *Conn) handleWriteImm(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 		return Arrival{}, false
 	}
 	delete(c.rndvIn, seq)
-	h := getHdr(buf.Buf)
+	b := buf.Bytes()
+	h := getHdr(b)
 	c.noteCredits(h)
-	payload := c.copyPayload(buf.Buf[hdrSize : hdrSize+int(h.length)])
+	payload := c.copyPayload(b[hdrSize : hdrSize+int(h.length)])
 	delete(c.shared.rndv, rndvKey(seq, !c.server))
 	c.eng.releaseRndv(buf)
 	return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, Payload: payload}, true
@@ -1240,10 +1258,11 @@ func (c *Conn) handleWriteImm(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 // returns or the next call. Any other request is copied out: the peer may
 // write the region again first (a retransmission, or its next call).
 func (c *Conn) direct() Arrival {
-	h := getHdr(c.directMR.Buf)
+	b := c.directMR.Bytes()
+	h := getHdr(b)
 	c.noteCredits(h)
 	end := hdrSize + int(h.length)
-	payload := c.directMR.Buf[hdrSize:end:end]
+	payload := b[hdrSize:end:end]
 	if h.length == 0 || c.server && !h.inPlace {
 		payload = c.copyPayload(payload) // nil when empty
 	}
@@ -1253,13 +1272,20 @@ func (c *Conn) direct() Arrival {
 // postSmall sends a header-only control message through the eager ring.
 // Control traffic spends a credit without blocking: it is issued from
 // pump context where blocking would deadlock, and the per-connection
-// reserve (see flowState) absorbs the overdraft.
+// reserve (see flowState) absorbs the overdraft. Consecutive control
+// messages take turns at the staging region's two header slots, so one
+// still on the wire (a Read-RNDV FIN, then the next call's RTS) is not
+// written over and costs the NIC no copy (verbs.MR.Claim).
 func (c *Conn) postSmall(p *sim.Proc, h hdr) {
 	c.spend()
-	c.putHdrC(c.stageMR.Buf, h)
+	off := 0
+	if c.ctlTail = !c.ctlTail; c.ctlTail {
+		off = c.stageNotifyOff()
+	}
+	c.putHdrC(c.stageMR.Claim(off, hdrSize), h)
 	c.qp.PostSend(p, &verbs.SendWR{
 		WRID: c.wrid(), Op: verbs.OpSend,
-		SGE:        verbs.SGE{MR: c.stageMR, Off: 0, Len: hdrSize},
+		SGE:        verbs.SGE{MR: c.stageMR, Off: off, Len: hdrSize},
 		Inline:     true,
 		Unsignaled: true,
 	})

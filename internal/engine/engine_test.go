@@ -344,49 +344,59 @@ func opsNow(e *Engine) (ops [len(opNames)]int64) {
 // and FaRM once, 16 B each, and both always READ the payload apart. The
 // counts are what each protocol puts on the wire, so they move only with
 // a change to a protocol, never with how the engine is written.
+//
+// copies are the NIC's payload copies on each side (verbs.payload_copies):
+// a packet takes one when the host writes its range before it lands. A
+// warmed call sends in place, so there are none, but for the two races
+// the copy-on-write rule exists for: an eager message longer than a ring
+// slot stages each fragment over the last while that one is still on the
+// wire, and RFP's server publishes a response while a stale probe's READ
+// response is still in flight.
 func TestOpsPerProtocol(t *testing.T) {
 	type ops = [len(opNames)]int64
+	type copies = [2]int64
 	cases := []struct {
 		proto    Protocol
 		size     int
 		cli, srv ops
+		copies   copies
 	}{
-		{EagerSendRecv, 64, ops{1, 0, 0, 0, 1, 1, 1}, ops{1, 0, 0, 0, 1, 1, 1}},
-		{EagerSendRecv, 8192, ops{2, 0, 0, 0, 2, 2, 0}, ops{2, 0, 0, 0, 2, 2, 0}},
-		{EagerSendRecv, 100000, ops{25, 0, 0, 0, 25, 25, 0}, ops{25, 0, 0, 0, 25, 25, 0}},
-		{DirectWriteSend, 64, ops{1, 1, 0, 0, 2, 1, 1}, ops{1, 1, 0, 0, 2, 1, 1}},
-		{DirectWriteSend, 8192, ops{1, 1, 0, 0, 2, 1, 1}, ops{1, 1, 0, 0, 2, 1, 1}},
-		{DirectWriteSend, 100000, ops{1, 1, 0, 0, 2, 1, 1}, ops{1, 1, 0, 0, 2, 1, 1}},
-		{ChainedWriteSend, 64, ops{1, 1, 0, 0, 1, 1, 1}, ops{1, 1, 0, 0, 1, 1, 1}},
-		{ChainedWriteSend, 8192, ops{1, 1, 0, 0, 1, 1, 1}, ops{1, 1, 0, 0, 1, 1, 1}},
-		{ChainedWriteSend, 100000, ops{1, 1, 0, 0, 1, 1, 1}, ops{1, 1, 0, 0, 1, 1, 1}},
-		{WriteRNDV, 64, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}},
-		{WriteRNDV, 8192, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}},
-		{WriteRNDV, 100000, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}},
-		{ReadRNDV, 64, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}},
-		{ReadRNDV, 8192, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}},
-		{ReadRNDV, 100000, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}},
-		{DirectWriteIMM, 64, ops{0, 0, 1, 0, 1, 1, 1}, ops{0, 0, 1, 0, 1, 1, 1}},
-		{DirectWriteIMM, 8192, ops{0, 0, 1, 0, 1, 1, 0}, ops{0, 0, 1, 0, 1, 1, 0}},
-		{DirectWriteIMM, 100000, ops{0, 0, 1, 0, 1, 1, 0}, ops{0, 0, 1, 0, 1, 1, 0}},
-		{Pilaf, 64, ops{1, 0, 0, 3, 4, 0, 1}, ops{0, 0, 0, 0, 0, 1, 0}},
-		{Pilaf, 8192, ops{2, 0, 0, 3, 5, 0, 0}, ops{0, 0, 0, 0, 0, 2, 0}},
-		{Pilaf, 100000, ops{25, 0, 0, 3, 28, 0, 0}, ops{0, 0, 0, 0, 0, 25, 0}},
-		{FaRM, 64, ops{1, 0, 0, 2, 3, 0, 1}, ops{0, 0, 0, 0, 0, 1, 0}},
-		{FaRM, 8192, ops{2, 0, 0, 2, 4, 0, 0}, ops{0, 0, 0, 0, 0, 2, 0}},
-		{FaRM, 100000, ops{25, 0, 0, 2, 27, 0, 0}, ops{0, 0, 0, 0, 0, 25, 0}},
-		{RFP, 64, ops{0, 1, 0, 1, 2, 0, 0}, ops{0, 0, 0, 0, 0, 0, 0}},
-		{RFP, 8192, ops{0, 1, 0, 2, 3, 0, 0}, ops{0, 0, 0, 0, 0, 0, 0}},
-		{RFP, 100000, ops{0, 1, 0, 2, 3, 0, 0}, ops{0, 0, 0, 0, 0, 0, 0}},
-		{HERD, 64, ops{0, 1, 0, 0, 1, 1, 0}, ops{1, 0, 0, 0, 1, 0, 1}},
-		{HERD, 8192, ops{0, 1, 0, 0, 1, 2, 0}, ops{2, 0, 0, 0, 2, 0, 0}},
-		{HERD, 100000, ops{0, 1, 0, 0, 1, 25, 0}, ops{25, 0, 0, 0, 25, 0, 0}},
-		{HybridEagerRNDV, 64, ops{1, 0, 0, 0, 1, 1, 1}, ops{1, 0, 0, 0, 1, 1, 1}},
-		{HybridEagerRNDV, 8192, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}},
-		{HybridEagerRNDV, 100000, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}},
-		{HybridEagerRead, 64, ops{1, 0, 0, 0, 1, 1, 1}, ops{1, 0, 0, 0, 1, 1, 1}},
-		{HybridEagerRead, 8192, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}},
-		{HybridEagerRead, 100000, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}},
+		{EagerSendRecv, 64, ops{1, 0, 0, 0, 1, 1, 1}, ops{1, 0, 0, 0, 1, 1, 1}, copies{0, 0}},
+		{EagerSendRecv, 8192, ops{2, 0, 0, 0, 2, 2, 0}, ops{2, 0, 0, 0, 2, 2, 0}, copies{1, 1}},
+		{EagerSendRecv, 100000, ops{25, 0, 0, 0, 25, 25, 0}, ops{25, 0, 0, 0, 25, 25, 0}, copies{24, 24}},
+		{DirectWriteSend, 64, ops{1, 1, 0, 0, 2, 1, 1}, ops{1, 1, 0, 0, 2, 1, 1}, copies{0, 0}},
+		{DirectWriteSend, 8192, ops{1, 1, 0, 0, 2, 1, 1}, ops{1, 1, 0, 0, 2, 1, 1}, copies{0, 0}},
+		{DirectWriteSend, 100000, ops{1, 1, 0, 0, 2, 1, 1}, ops{1, 1, 0, 0, 2, 1, 1}, copies{0, 0}},
+		{ChainedWriteSend, 64, ops{1, 1, 0, 0, 1, 1, 1}, ops{1, 1, 0, 0, 1, 1, 1}, copies{0, 0}},
+		{ChainedWriteSend, 8192, ops{1, 1, 0, 0, 1, 1, 1}, ops{1, 1, 0, 0, 1, 1, 1}, copies{0, 0}},
+		{ChainedWriteSend, 100000, ops{1, 1, 0, 0, 1, 1, 1}, ops{1, 1, 0, 0, 1, 1, 1}, copies{0, 0}},
+		{WriteRNDV, 64, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}},
+		{WriteRNDV, 8192, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}},
+		{WriteRNDV, 100000, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}},
+		{ReadRNDV, 64, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}},
+		{ReadRNDV, 8192, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}},
+		{ReadRNDV, 100000, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}},
+		{DirectWriteIMM, 64, ops{0, 0, 1, 0, 1, 1, 1}, ops{0, 0, 1, 0, 1, 1, 1}, copies{0, 0}},
+		{DirectWriteIMM, 8192, ops{0, 0, 1, 0, 1, 1, 0}, ops{0, 0, 1, 0, 1, 1, 0}, copies{0, 0}},
+		{DirectWriteIMM, 100000, ops{0, 0, 1, 0, 1, 1, 0}, ops{0, 0, 1, 0, 1, 1, 0}, copies{0, 0}},
+		{Pilaf, 64, ops{1, 0, 0, 3, 4, 0, 1}, ops{0, 0, 0, 0, 0, 1, 0}, copies{0, 0}},
+		{Pilaf, 8192, ops{2, 0, 0, 3, 5, 0, 0}, ops{0, 0, 0, 0, 0, 2, 0}, copies{1, 0}},
+		{Pilaf, 100000, ops{25, 0, 0, 3, 28, 0, 0}, ops{0, 0, 0, 0, 0, 25, 0}, copies{24, 0}},
+		{FaRM, 64, ops{1, 0, 0, 2, 3, 0, 1}, ops{0, 0, 0, 0, 0, 1, 0}, copies{0, 0}},
+		{FaRM, 8192, ops{2, 0, 0, 2, 4, 0, 0}, ops{0, 0, 0, 0, 0, 2, 0}, copies{1, 0}},
+		{FaRM, 100000, ops{25, 0, 0, 2, 27, 0, 0}, ops{0, 0, 0, 0, 0, 25, 0}, copies{24, 0}},
+		{RFP, 64, ops{0, 1, 0, 1, 2, 0, 0}, ops{0, 0, 0, 0, 0, 0, 0}, copies{0, 0}},
+		{RFP, 8192, ops{0, 1, 0, 2, 3, 0, 0}, ops{0, 0, 0, 0, 0, 0, 0}, copies{0, 1}},
+		{RFP, 100000, ops{0, 1, 0, 2, 3, 0, 0}, ops{0, 0, 0, 0, 0, 0, 0}, copies{0, 1}},
+		{HERD, 64, ops{0, 1, 0, 0, 1, 1, 0}, ops{1, 0, 0, 0, 1, 0, 1}, copies{0, 0}},
+		{HERD, 8192, ops{0, 1, 0, 0, 1, 2, 0}, ops{2, 0, 0, 0, 2, 0, 0}, copies{0, 1}},
+		{HERD, 100000, ops{0, 1, 0, 0, 1, 25, 0}, ops{25, 0, 0, 0, 25, 0, 0}, copies{0, 24}},
+		{HybridEagerRNDV, 64, ops{1, 0, 0, 0, 1, 1, 1}, ops{1, 0, 0, 0, 1, 1, 1}, copies{0, 0}},
+		{HybridEagerRNDV, 8192, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}},
+		{HybridEagerRNDV, 100000, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}},
+		{HybridEagerRead, 64, ops{1, 0, 0, 0, 1, 1, 1}, ops{1, 0, 0, 0, 1, 1, 1}, copies{0, 0}},
+		{HybridEagerRead, 8192, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}},
+		{HybridEagerRead, 100000, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}},
 	}
 	if len(cases) != 3*len(AllProtocols) {
 		t.Fatalf("%d cases, want three sizes of each of %d protocols", len(cases), len(AllProtocols))
@@ -398,26 +408,34 @@ func TestOpsPerProtocol(t *testing.T) {
 			srvEng.Serve("svc", benchEchoHandler)
 			req := pattern(c.size)
 			var cli, srv ops
+			var cp copies
+			copiesNow := func() copies {
+				return copies{ctr(cliEng, "verbs.payload_copies"), ctr(srvEng, "verbs.payload_copies")}
+			}
 			env.Spawn("client", func(p *sim.Proc) {
 				defer env.Stop()
 				conn := cliEng.Dial(p, srvEng.Node(), "svc")
 				for i := 0; i < 3; i++ { // two calls warm the connection
 					if i == 2 {
-						cli, srv = opsNow(cliEng), opsNow(srvEng)
+						cli, srv, cp = opsNow(cliEng), opsNow(srvEng), copiesNow()
 					}
 					out, err := conn.Call(p, 1, req, CallOpts{Proto: c.proto, Busy: true})
 					if err != nil || !bytes.Equal(out, req) {
 						t.Fatalf("call %d: %d bytes, %v", i, len(out), err)
 					}
 				}
-				gotCli, gotSrv := opsNow(cliEng), opsNow(srvEng)
+				gotCli, gotSrv, gotCp := opsNow(cliEng), opsNow(srvEng), copiesNow()
 				for i := range cli {
 					cli[i], srv[i] = gotCli[i]-cli[i], gotSrv[i]-srv[i]
 				}
+				cp = copies{gotCp[0] - cp[0], gotCp[1] - cp[1]}
 			})
 			env.Run()
 			if cli != c.cli || srv != c.srv {
 				t.Errorf("ops per call %v: client %v, server %v; want %v, %v", opNames, cli, srv, c.cli, c.srv)
+			}
+			if cp != c.copies {
+				t.Errorf("NIC payload copies per call (client, server) %v, want %v", cp, c.copies)
 			}
 		})
 	}

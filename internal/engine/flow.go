@@ -116,7 +116,7 @@ const (
 func (c *Conn) onCreditWrite(off, n int) {
 	fc := c.fc
 	starved := fc.avail <= 0
-	fc.noteGrant(binary.LittleEndian.Uint32(c.creditMR.Buf[creditWordIn:]))
+	fc.noteGrant(binary.LittleEndian.Uint32(c.creditMR.Bytes()[creditWordIn:]))
 	if starved && fc.avail > 0 {
 		c.sig.Fire()
 	}
@@ -127,7 +127,7 @@ func (c *Conn) onCreditWrite(off, n int) {
 func (c *Conn) postGrant(p *sim.Proc) {
 	fc := c.fc
 	fc.sentGrant = fc.grantTotal
-	binary.LittleEndian.PutUint32(c.creditMR.Buf[creditWordOut:], fc.grantTotal)
+	binary.LittleEndian.PutUint32(c.creditMR.Claim(creditWordOut, 4), fc.grantTotal)
 	c.qp.PostSend(p, &verbs.SendWR{
 		WRID: c.wrid(), Op: verbs.OpWrite,
 		SGE:        verbs.SGE{MR: c.creditMR, Off: creditWordOut, Len: 4},

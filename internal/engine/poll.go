@@ -84,9 +84,14 @@ func (c *Conn) lent(b []byte) bool {
 	return &b[0] == c.win
 }
 
-// endLoan ends b's loan: a window is poisoned (hatdebug), an arena buffer recycled.
+// endLoan ends b's loan: a window is poisoned (hatdebug), an arena buffer
+// recycled. The poison writes the direct region, so it claims what it
+// writes while the region is registered.
 func (c *Conn) endLoan(b []byte) {
 	if c.lent(b) {
+		if hatdebug.On && c.directMR != nil {
+			b = c.directMR.Claim(hdrSize, len(b))
+		}
 		hatdebug.Poison(b)
 		return
 	}

@@ -1,13 +1,16 @@
 // Package hatdebug is the payload buffer sanitizer. A build with
 // `-tags hatdebug` turns it on: a buffer handed back to a node's byte
-// arena (verbs.Device.Put: the engine's payloads, the NIC's snapshots) is
-// poisoned, and handing back one that the arena still holds panics (one
-// the arena dropped, its class being full, is no longer on record, so a
-// second put of it goes unnoticed); a window onto an engine connection's
-// direct region is poisoned when its loan ends (DESIGN.md §18). Code
-// that keeps bytes past their owner's say-so then reads the poison
-// instead of plausible stale data. A plain build compiles every call here
-// to nothing.
+// arena (verbs.Device.Put: the engine's payloads, the copies packets take
+// of a range the host claims before they land) is poisoned, and handing
+// back one that the arena still holds panics (one the arena dropped, its
+// class being full, is no longer on record, so a second put of it goes
+// unnoticed); a window onto an engine connection's direct region is
+// poisoned when its loan ends (DESIGN.md §18). Code that keeps bytes past
+// their owner's say-so then reads the poison instead of plausible stale
+// data. The NIC, which reads a posted payload where it lies, also keeps a
+// copy of it at post and panics if the bytes it reads at landing differ:
+// something wrote the range without verbs.MR.Claim. A plain build
+// compiles every call here to nothing.
 package hatdebug
 
 // Poisoned is the byte a poisoned buffer is filled with.

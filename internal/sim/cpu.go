@@ -89,6 +89,7 @@ func (c *CPU) Compute(p *Proc, work Duration) {
 		if at := e.now + Time(work); e.continues(p, at) {
 			e.seq += 2 // the completion callback's and the wake's
 			e.now = at
+			e.counts.Inline++
 			c.lastUpdate, c.rate = at, 1
 			return
 		}

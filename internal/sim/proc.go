@@ -94,6 +94,7 @@ func (p *Proc) Sleep(d Duration) {
 	if e.continues(p, at) {
 		e.seq++ // the wake's
 		e.now = at
+		e.counts.Inline++
 		return
 	}
 	p.wake = e.schedule(at, p, nil)

@@ -100,7 +100,24 @@ type Env struct {
 	stopped bool
 	procs   []*Proc // every spawned process, in spawn order (for Shutdown)
 	shut    bool    // Shutdown has run
+
+	counts Counts
+	last   *Proc // the process RunUntil dispatched last
 }
+
+// Counts are the kernel's running totals since NewEnv.
+type Counts struct {
+	Fired      int // events fired: callbacks run and process wakes popped
+	Dispatches int // processes resumed: a coroutine switch there and back
+	Inline     int // Sleeps, Yields and Computes that went on without parking (Env.continues)
+	// CallbackGaps counts the dispatches of a process that no other
+	// process ran while it was parked: only callbacks fired between its
+	// park and its wake.
+	CallbackGaps int
+}
+
+// Counts returns the kernel's running totals.
+func (e *Env) Counts() Counts { return e.counts }
 
 // NewEnv returns a fresh environment whose RNG is seeded with seed.
 func NewEnv(seed int64) *Env {
@@ -316,10 +333,18 @@ func (e *Env) RunUntil(limit Time) Time {
 		ev := *top
 		e.recycle(top)
 		e.now = ev.at
+		e.counts.Fired++
 		switch {
 		case ev.fn != nil:
 			ev.fn()
 		case ev.proc != nil && !ev.proc.done:
+			// Dispatching the process dispatched last ends a gap in which
+			// only callbacks ran.
+			e.counts.Dispatches++
+			if ev.proc == e.last {
+				e.counts.CallbackGaps++
+			}
+			e.last = ev.proc
 			e.dispatch(ev.proc)
 		}
 	}

@@ -266,7 +266,7 @@ func TestRestartedNodeTransmits(t *testing.T) {
 		peer.Connect(qp)
 		peer.PostRecv(RecvWR{WRID: 5, SGE: SGE{MR: rmr, Len: 64}})
 		smr := d.AllocPD().RegisterMRNoCost(64)
-		copy(smr.Buf, msg)
+		copy(smr.Claim(0, len(msg)), msg)
 		qp.PostSend(p, &SendWR{WRID: 9, Op: OpSend, SGE: SGE{MR: smr, Len: len(msg)}})
 		sent = cq.PollBusy(p)
 	})
@@ -277,7 +277,7 @@ func TestRestartedNodeTransmits(t *testing.T) {
 		t.Fatalf("send from the restarted node: %+v, want wrid 9 WCSuccess", sent)
 	}
 	wc, ok := b.cq.TryPoll()
-	if !ok || wc.WRID != 5 || string(rmr.Buf[:wc.ByteLen]) != string(msg) {
-		t.Fatalf("peer received %+v (ok=%v) %q, want wrid 5 carrying %q", wc, ok, rmr.Buf[:wc.ByteLen], msg)
+	if !ok || wc.WRID != 5 || string(rmr.Bytes()[:wc.ByteLen]) != string(msg) {
+		t.Fatalf("peer received %+v (ok=%v) %q, want wrid 5 carrying %q", wc, ok, rmr.Bytes()[:wc.ByteLen], msg)
 	}
 }

@@ -10,7 +10,7 @@ import (
 // writeStamp posts an unsignaled one-byte WRITE of value v to offset off
 // of the target region.
 func writeStamp(p *sim.Proc, a side, src *MR, dst RKey, off int, v byte) {
-	src.Buf[0] = v
+	src.Claim(0, 1)[0] = v
 	a.qp.PostSend(p, &SendWR{Op: OpWrite, SGE: SGE{MR: src, Len: 1}, Remote: dst, RemoteOff: off, Unsignaled: true})
 }
 

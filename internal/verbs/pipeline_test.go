@@ -48,8 +48,9 @@ func TestPacketPipelineTiming(t *testing.T) {
 				if op == OpRead {
 					data, peer = dst, src
 				}
-				for i := range data.Buf {
-					data.Buf[i] = byte(i*7 + 3)
+				fill := data.Claim(0, n)
+				for i := range fill {
+					fill[i] = byte(i*7 + 3)
 				}
 				b.qp.PostRecv(RecvWR{WRID: 1, SGE: SGE{MR: dst, Len: n}})
 				var posted, done sim.Time
@@ -65,7 +66,7 @@ func TestPacketPipelineTiming(t *testing.T) {
 					env.Stop()
 				})
 				env.Run()
-				if !bytes.Equal(peer.Buf, data.Buf) {
+				if !bytes.Equal(peer.Bytes(), data.Bytes()) {
 					t.Fatal("payload did not arrive intact")
 				}
 
@@ -159,8 +160,9 @@ func TestPacketPipelineTiming(t *testing.T) {
 			t.Fatalf("a packet's fetch (%d ns) does not outrun its wire time (%d ns)", fetch, ser(PathMTU))
 		}
 		src, dst := a.pd.RegisterMRNoCost(msgs*n), b.pd.RegisterMRNoCost(msgs*n)
-		for i := range src.Buf {
-			src.Buf[i] = byte(i*5 + 1)
+		fill := src.Claim(0, src.Len())
+		for i := range fill {
+			fill[i] = byte(i*5 + 1)
 		}
 		wrs := make([]SendWR, msgs)
 		for i := range wrs {
@@ -178,7 +180,7 @@ func TestPacketPipelineTiming(t *testing.T) {
 			env.Stop()
 		})
 		env.Run()
-		if !bytes.Equal(dst.Buf, src.Buf) {
+		if !bytes.Equal(dst.Bytes(), src.Bytes()) {
 			t.Fatal("payload did not arrive intact")
 		}
 		// The signaled last WRITE completes once its last byte is on the wire.

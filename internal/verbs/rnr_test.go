@@ -139,7 +139,7 @@ func TestRNRWriteImmAlsoNaks(t *testing.T) {
 	rmr := b.pd.RegisterMRNoCost(4096)
 	env.Spawn("client", func(p *sim.Proc) {
 		smr := a.pd.RegisterMRNoCost(4096)
-		copy(smr.Buf, "imm payload")
+		copy(smr.Claim(0, len("imm payload")), "imm payload")
 		a.qp.PostSend(p, &SendWR{
 			WRID: 3, Op: OpWriteImm,
 			SGE:    SGE{MR: smr, Len: 11},
@@ -153,8 +153,8 @@ func TestRNRWriteImmAlsoNaks(t *testing.T) {
 		if wc.Status != WCSuccess || !wc.HasImm || wc.Imm != 42 {
 			t.Errorf("wc = %+v, want imm 42 delivered after RNR backoff", wc)
 		}
-		if string(rmr.Buf[:11]) != "imm payload" {
-			t.Errorf("payload = %q", rmr.Buf[:11])
+		if string(rmr.Bytes()[:11]) != "imm payload" {
+			t.Errorf("payload = %q", rmr.Bytes()[:11])
 		}
 	})
 	env.Run()

@@ -14,9 +14,11 @@
 package verbs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
 
 	"hatrpc/internal/hatdebug"
 	"hatrpc/internal/obs"
@@ -100,8 +102,9 @@ type Device struct {
 type verbsMetrics struct {
 	tx        [opRecvBound]*obs.Counter // WQEs processed, by opcode
 	cqe       [opRecvBound]*obs.Counter // completions delivered, by opcode
-	inline    *obs.Counter              // inline sends (payload captured at post)
+	inline    *obs.Counter              // inline sends (no host-DMA fetch)
 	dma       *obs.Counter              // sends paying the host-DMA fetch
+	copies    *obs.Counter              // payloads copied because the host wrote their range before they landed (MR.Claim)
 	rnrNaks   *obs.Counter              // RNR NAKs generated as a receiver
 	doorbells *obs.Counter              // PostSend doorbells: one per chain, however many WRs it links
 }
@@ -119,6 +122,7 @@ func (d *Device) SetObs(r *obs.Registry) {
 		dma:       r.Counter("verbs.tx.dma"),
 		rnrNaks:   r.Counter("verbs.rnr_naks"),
 		doorbells: r.Counter("verbs.doorbells"),
+		copies:    r.Counter("verbs.payload_copies"),
 	}
 	for op := 0; op < opRecvBound; op++ {
 		m.tx[op] = r.Counter("verbs.tx." + Opcode(op).String())   //hatlint:allow obsnames -- suffix bounded by the Opcode enum
@@ -145,7 +149,8 @@ func OpenDevice(node *simnet.Node, cm *CostModel) *Device {
 // state. Every QP enters the error state with its receive side cleared,
 // every CQ drops undelivered completions, and the device is dead for
 // good — packets addressed to it (or rkeys minted by it) fail at the
-// surviving peer. Registered via Node.OnCrash in OpenDevice.
+// surviving peer. The packets it still held, unsent or unmatched, are
+// released. Registered via Node.OnCrash in OpenDevice.
 func (d *Device) crash() {
 	if d.dead {
 		return
@@ -153,10 +158,19 @@ func (d *Device) crash() {
 	d.dead = true
 	d.txTimer.Stop()
 	d.txIdle = false
+	if d.txPkt != nil {
+		d.txPkt.release()
+		d.txPkt = nil
+	}
+	for d.txq.Len() > 0 {
+		d.txq.Pop().release()
+	}
 	for _, qp := range d.qps {
 		qp.errored = true
 		qp.recvq.Clear()
-		qp.pending.Clear()
+		for qp.pending.Len() > 0 {
+			qp.pending.Pop().release()
+		}
 	}
 	for _, cq := range d.cqs {
 		cq.done, cq.head = nil, 0
@@ -188,25 +202,59 @@ type PD struct {
 // Device returns the owning device.
 func (pd *PD) Device() *Device { return pd.dev }
 
-// MR is a registered memory region. Buf is the actual backing store:
-// one-sided operations read and write it directly. A region registered
-// with RegisterMRLazy has none until it is first touched; use Bytes.
+// MR is a registered memory region. A region registered with
+// RegisterMRLazy has no memory until it is first touched.
+//
+// The NIC reads a posted payload where it lies: a packet in flight holds a
+// window onto its source range and reads it when it lands (DESIGN.md §18).
+// Whoever writes the region — the host, or the NIC placing an inbound
+// payload — therefore writes through Claim, which first gives every packet
+// holding an overlapping range a copy of its bytes.
 type MR struct {
 	pd      *PD
-	Buf     []byte
+	buf     []byte
 	size    int
 	lkey    uint32
 	onWrite func(off, n int)
 	revoked bool
+	held    *packet // the packets in flight with a window onto buf, linked by heldNext
 }
 
-// Bytes returns the region's backing store, allocating it the first time a
-// lazily registered region is touched.
+// Bytes returns the region's memory for reading, allocating it the first
+// time a lazily registered region is touched. Writes go through Claim.
 func (mr *MR) Bytes() []byte {
-	if mr.Buf == nil {
-		mr.Buf = make([]byte, mr.size)
+	if mr.buf == nil {
+		mr.buf = make([]byte, mr.size)
 	}
-	return mr.Buf
+	return mr.buf
+}
+
+// Allocated reports whether the region's memory exists yet (see
+// RegisterMRLazy).
+func (mr *MR) Allocated() bool { return mr.buf != nil }
+
+// Claim returns the n bytes at off for writing. A packet in flight that
+// holds any of them is first given an arena copy of its whole payload, so
+// it still delivers exactly the bytes it was posted with.
+func (mr *MR) Claim(off, n int) []byte {
+	b := mr.Bytes()[off : off+n]
+	for pkt := mr.held; pkt != nil; {
+		next := pkt.heldNext
+		if pkt.srcOff < off+n && off < pkt.srcOff+pkt.size {
+			pkt.own()
+		}
+		pkt = next
+	}
+	return b
+}
+
+// Deregister ends the host's registration of the region: its memory may
+// be reused from now on, so every packet still holding a window onto it
+// is given a copy (Claim). Remote access is left as it is (SetRevoked).
+func (mr *MR) Deregister() {
+	if mr.held != nil {
+		mr.Claim(0, mr.size)
+	}
 }
 
 // SetRevoked marks the region's remote access as withdrawn (or restores
@@ -464,8 +512,6 @@ type SGE struct {
 	Len int
 }
 
-func (s SGE) bytes() []byte { return s.MR.Bytes()[s.Off : s.Off+s.Len] }
-
 // SendWR is a send-queue work request. Chained requests (Next) are posted
 // with a single doorbell.
 type SendWR struct {
@@ -592,7 +638,7 @@ func (qp *QP) deliver(pkt *packet, wr RecvWR) {
 	if pkt.kind == OpWriteImm {
 		cm := qp.dev.cm
 		pkt.cq = qp.recvCQ
-		pkt.wc = WC{WRID: wr.WRID, Op: OpRecv, ByteLen: len(pkt.payload), Imm: pkt.imm, HasImm: true, QP: qp}
+		pkt.wc = WC{WRID: wr.WRID, Op: OpRecv, ByteLen: pkt.size, Imm: pkt.imm, HasImm: true, QP: qp}
 		qp.dev.env.After(sim.Duration(cm.InboundServeNs+cm.CQEDmaNs), pkt.cqeFn)
 		return
 	}
@@ -622,6 +668,7 @@ func (d *Device) rnrNak(pkt *packet, attempt int) {
 	if attempt >= qp.rnrRetry {
 		src := pkt.srcQP
 		id, op := pkt.wrid, pkt.kind
+		pkt.release()
 		d.env.After(wait, func() {
 			src.errored = true
 			src.sendCQ.push(WC{WRID: id, Op: op, Status: WCRNRRetryExceeded, QP: src})
@@ -658,10 +705,12 @@ func (qp *QP) Recover(p *sim.Proc) {
 }
 
 // PostSend posts a work-request chain with one doorbell, charging the
-// caller's CPU for the MMIO write. Payloads are captured at post time, so
-// the caller may reuse the buffers behind wr — and wr itself — as soon as
-// PostSend returns. On an errored QP nothing reaches the wire: each
-// signaled request in the chain completes with WCFlushed.
+// caller's CPU for the MMIO write. Each payload is read where it lies when
+// its packet lands; a caller that writes its range before then through
+// MR.Claim leaves the packet a copy of the post-time bytes, so it may
+// reuse the buffers behind wr — and wr itself — as soon as PostSend
+// returns. On an errored QP nothing reaches the wire: each signaled
+// request in the chain completes with WCFlushed.
 func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) {
 	if qp.peer == nil {
 		panic("verbs: PostSend on unconnected QP")
@@ -679,19 +728,23 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) {
 		return
 	}
 	doorbell := int64(d.env.Now())
+	var site uintptr // the poster, named by the sanitizer (checkLanding)
+	if hatdebug.On {
+		var pc [1]uintptr
+		runtime.Callers(2, pc[:])
+		site = pc[0]
+	}
 	for w := wr; w != nil; w = w.Next {
 		pkt := d.getPacket()
 		pkt.kind, pkt.srcQP, pkt.gen = w.Op, qp, qp.gen
 		pkt.remote, pkt.remoteOff = w.Remote, w.RemoteOff
 		pkt.imm, pkt.wrid = w.Imm, w.WRID
 		pkt.inline, pkt.signaled = w.Inline, !w.Unsignaled
-		pkt.postTs = doorbell
+		pkt.postTs, pkt.site = doorbell, site
 		if w.Op == OpRead {
 			pkt.readDst = w.SGE
 		} else if w.SGE.Len > 0 {
-			// Capture the payload now; the simulated DMA cost is still
-			// charged in the engine, but the bytes must be stable.
-			pkt.payload = d.snapshot(w.SGE.bytes())
+			pkt.borrow(w.SGE.MR, w.SGE.Off, w.SGE.Len)
 		}
 		d.txq.Push(pkt)
 		d.ring()
@@ -709,30 +762,40 @@ func (qp *QP) flushed(id uint64, op Opcode) {
 // packet is one work request from doorbell to landing: PostSend fills it,
 // the send engine fetches and transmits it, the fabric carries it and the
 // responder's NIC lands it (a READ response is a second packet, minted by
-// the responder). Packets and their payload snapshots are recycled
-// through the free lists of the device that minted them, with the fabric
-// and completion callbacks bound once per packet, so a steady stream of
-// work requests allocates nothing. Whoever finishes with a packet
-// releases it; paths that keep one indefinitely (a crash, an exhausted
-// RNR budget) simply leave it to the collector.
+// the responder). Packets and the payload copies some of them come to own
+// are recycled through the free lists of the device that minted them,
+// with the fabric and completion callbacks bound once per packet, so a
+// steady stream of work requests allocates nothing. Whoever finishes with
+// a packet releases it, lost and crashed ones included: a window it still
+// held would make every later write of its range pay a copy.
 type packet struct {
-	kind        Opcode
-	srcQP       *QP
-	dstQP       *QP
-	payload     []byte // post-time snapshot (nil for a READ request)
-	remote      RKey
-	remoteOff   int
-	imm         uint32
-	wrid        uint64 // initiator's WRID (kept across a READ round trip)
-	inline      bool
-	signaled    bool
-	isReadResp  bool
-	readDst     SGE      // READ: where the initiator wants the bytes
-	postTs      int64    // initiator doorbell time, for doorbell→completion tracing
-	gen         uint32   // srcQP.gen at post; stale once the QP has recovered
-	wire        int      // bytes the fabric carries, every packet's header included
-	lastWire    int      // of which the last packet's
-	firstArrive sim.Time // when the first packet reached the responder's port
+	kind  Opcode
+	srcQP *QP
+	dstQP *QP
+	// payload is the message: a window onto src at srcOff (borrow) until
+	// the packet lands or the host claims the range first, then a copy the
+	// packet owns (own); nil for a READ request and once placed. size is
+	// its length, kept after placement.
+	payload            []byte
+	src                *MR
+	srcOff             int
+	size               int
+	heldPrev, heldNext *packet // src's other holders (MR.held)
+	remote             RKey
+	remoteOff          int
+	imm                uint32
+	wrid               uint64 // initiator's WRID (kept across a READ round trip)
+	inline             bool
+	signaled           bool
+	isReadResp         bool
+	readDst            SGE      // READ: where the initiator wants the bytes
+	postTs             int64    // initiator doorbell time, for doorbell→completion tracing
+	site               uintptr  // initiator's PostSend caller (hatdebug)
+	shadow             []byte   // the payload as posted (hatdebug); kept across recycling
+	gen                uint32   // srcQP.gen at post; stale once the QP has recovered
+	wire               int      // bytes the fabric carries, every packet's header included
+	lastWire           int      // of which the last packet's
+	firstArrive        sim.Time // when the first packet reached the responder's port
 
 	// Completion the packet raises once landed: cq receives wc.
 	cq *CQ
@@ -802,25 +865,105 @@ func (d *Device) getPacket() *packet {
 	return pkt
 }
 
-// release returns the packet and its payload snapshot to the device that
-// minted them. Nothing may hold the packet afterwards.
+// release returns the packet, and the payload copy it owns, to the device
+// that minted them. Nothing may hold the packet afterwards.
 func (pkt *packet) release() {
+	pkt.placed()
 	d := pkt.home
-	d.Put(pkt.payload)
-	*pkt = packet{home: d, arriveFn: pkt.arriveFn, landFn: pkt.landFn, cqeFn: pkt.cqeFn}
+	*pkt = packet{home: d, arriveFn: pkt.arriveFn, landFn: pkt.landFn, cqeFn: pkt.cqeFn, shadow: pkt.shadow}
 	d.freePkts = append(d.freePkts, pkt)
 }
 
+// borrow makes the packet's payload the n bytes of mr at off, held where
+// they lie until the packet lands. The sanitizer keeps what they read now.
+func (pkt *packet) borrow(mr *MR, off, n int) {
+	pkt.payload = mr.Bytes()[off : off+n]
+	pkt.src, pkt.srcOff, pkt.size = mr, off, n
+	if pkt.heldNext = mr.held; mr.held != nil {
+		mr.held.heldPrev = pkt
+	}
+	mr.held = pkt
+	if hatdebug.On {
+		pkt.shadow = append(pkt.shadow[:0], pkt.payload...)
+	}
+}
+
+// unhold takes the packet off its source region's holders.
+func (pkt *packet) unhold() {
+	if pkt.heldPrev != nil {
+		pkt.heldPrev.heldNext = pkt.heldNext
+	} else {
+		pkt.src.held = pkt.heldNext
+	}
+	if pkt.heldNext != nil {
+		pkt.heldNext.heldPrev = pkt.heldPrev
+	}
+	pkt.src, pkt.heldPrev, pkt.heldNext = nil, nil, nil
+}
+
+// own replaces the packet's window with an arena copy of the same bytes,
+// before the host writes over them (MR.Claim).
+func (pkt *packet) own() {
+	pkt.unhold()
+	d := pkt.home
+	b := d.Get(pkt.size)
+	copy(b, pkt.payload)
+	pkt.payload = b
+	d.vm.copies.Inc()
+}
+
+// place is the NIC reading the payload where it lies and writing its
+// first n bytes into dst at off; the packet lets go of it then.
+func (pkt *packet) place(dst *MR, off, n int) {
+	pkt.checkLanding()
+	if n > 0 {
+		copy(dst.Claim(off, n), pkt.payload)
+	}
+	pkt.placed()
+}
+
+// placed ends the packet's hold on its payload once the NIC has read it:
+// a window lets go of its region, an owned copy goes back to the arena.
+func (pkt *packet) placed() {
+	if pkt.src != nil {
+		pkt.unhold()
+	} else {
+		pkt.home.Put(pkt.payload)
+	}
+	pkt.payload = nil
+}
+
+// checkLanding is the sanitizer's check, as the NIC reads the payload:
+// its bytes must be the ones posted. A mismatch means something wrote the
+// range without MR.Claim.
+func (pkt *packet) checkLanding() {
+	if !hatdebug.On || pkt.payload == nil || bytes.Equal(pkt.payload, pkt.shadow) {
+		return
+	}
+	site := "unknown"
+	if f, _ := runtime.CallersFrames([]uintptr{pkt.site}).Next(); f.File != "" {
+		site = fmt.Sprintf("%s (%s:%d)", f.Function, f.File, f.Line)
+	}
+	op, mr := pkt.kind.String(), "an owned copy"
+	if pkt.isReadResp {
+		op = "READ response"
+	}
+	if pkt.src != nil {
+		mr = fmt.Sprintf("MR %d [%d, %d)", pkt.src.lkey, pkt.srcOff, pkt.srcOff+pkt.size)
+	}
+	panic(fmt.Sprintf("verbs: %s payload in %s changed between post and landing without MR.Claim; posted by %s", op, mr, site))
+}
+
 // The device's free lists are its node's one byte arena: the payload
-// snapshots its packets carry and the payloads the engine above it
-// delivers are drawn from them (Get) and handed back (Put). Buffers are
-// recycled by capacity, in classes a quarter of an octave wide (two
-// message sizes a node alternates between must not share a free list, or
-// the shorter would shadow the longer at the top of it). A miss allocates
-// exactly the length asked for — rounding a cold 540-byte message up to
-// its class would cost more bytes than recycling saves on workloads that
-// never revisit a size. The arena is host memory only: no simulated cost
-// attaches to it.
+// copies its packets come to own (MR.Claim) and the payloads the engine
+// above it delivers are drawn from them (Get) and handed back (Put).
+// Buffers are recycled by capacity, in classes a quarter of an octave
+// wide (two message sizes a node alternates between must not share a free
+// list, or the shorter would shadow the longer at the top of it). A miss
+// allocates exactly the length asked for — rounding a cold 540-byte
+// message up to its class would cost more bytes than recycling saves on
+// workloads that never revisit a size. The arena is host memory only: no
+// simulated cost attaches to it.
 const (
 	payloadClasses   = 4*32 + 1 // Get looks one class past the largest
 	payloadClassByte = 4 << 20  // bytes a class may keep at rest…
@@ -882,13 +1025,6 @@ func (d *Device) Holds(b []byte) bool {
 		}
 	}
 	return false
-}
-
-// snapshot copies src into a buffer of the arena.
-func (d *Device) snapshot(src []byte) []byte {
-	b := d.Get(len(src))
-	copy(b, src)
-	return b
 }
 
 // The send engine is the device's send-side NIC pipeline: fetch WQE, DMA
@@ -957,7 +1093,7 @@ func (d *Device) txFetched() {
 		d.vm.dma.Inc()
 		// The wire takes the message's first packet as soon as it is
 		// fetched; the DMA engine fetches the rest while packets leave.
-		n := len(pkt.payload)
+		n := pkt.size
 		first := sim.Duration(d.cm.DMATime(min(n, PathMTU)))
 		d.txRest = sim.Duration(d.cm.DMATime(n)) - first
 		d.txAt(d.env.Now()+sim.Time(first), d.txSendFn)
@@ -973,7 +1109,7 @@ func (d *Device) txFetched() {
 func (d *Device) txSend() {
 	pkt, rest := d.txPkt, d.txRest
 	d.txPkt = nil
-	qp, n := pkt.srcQP, len(pkt.payload)
+	qp, n := pkt.srcQP, pkt.size
 	// transmit releases a packet the fabric loses, so read what the send
 	// completion needs first.
 	id, op, signaled, postTs := pkt.wrid, pkt.kind, pkt.signaled, pkt.postTs
@@ -1146,18 +1282,20 @@ func (d *Device) receive(pkt *packet) {
 	if d.dead || pkt.srcQP.dev.dead {
 		if pkt.kind == OpRead || pkt.isReadResp {
 			d.dropInFlight(pkt, env.Now())
-			return
+		} else {
+			src := pkt.srcQP
+			env.After(sim.Duration(cm.RetryTimeoutNs), func() { src.errored = true })
 		}
-		src := pkt.srcQP
-		env.After(sim.Duration(cm.RetryTimeoutNs), func() { src.errored = true })
+		pkt.release()
 		return
 	}
 	if pkt.isReadResp {
 		// READ response at the initiator: DMA into the destination SGE
 		// and complete. Every packet but the last was placed while the
 		// next one crossed the RX gate.
-		n := len(pkt.payload)
-		copy(pkt.readDst.MR.Bytes()[pkt.readDst.Off:], pkt.payload)
+		n := pkt.size
+		dst := pkt.readDst
+		pkt.place(dst.MR, dst.Off, min(n, dst.MR.Len()-dst.Off))
 		if !pkt.signaled {
 			pkt.release()
 			return
@@ -1195,10 +1333,10 @@ func (d *Device) receive(pkt *packet) {
 			pkt.release() // stale rkey: access withdrawn, WRITE discarded
 			return
 		}
-		copy(dst.Bytes()[pkt.remoteOff:], pkt.payload)
+		pkt.place(dst, pkt.remoteOff, min(pkt.size, dst.Len()-pkt.remoteOff))
 		if pkt.kind == OpWrite {
 			// Inbound WRITE: NIC DMA only, no CPU, no target completion.
-			off, n := pkt.remoteOff, len(pkt.payload)
+			off, n := pkt.remoteOff, pkt.size
 			pkt.release()
 			if dst.onWrite != nil {
 				dst.onWrite(off, n)
@@ -1237,9 +1375,11 @@ func (d *Device) receive(pkt *packet) {
 		resp := d.getPacket()
 		resp.kind, resp.isReadResp = OpRead, true
 		resp.srcQP, resp.dstQP = pkt.dstQP, pkt.srcQP
-		resp.payload = d.snapshot(src.Bytes()[pkt.remoteOff : pkt.remoteOff+n])
+		if n > 0 {
+			resp.borrow(src, pkt.remoteOff, n)
+		}
 		resp.wrid, resp.signaled = pkt.wrid, pkt.signaled
-		resp.readDst, resp.postTs = pkt.readDst, pkt.postTs
+		resp.readDst, resp.postTs, resp.site = pkt.readDst, pkt.postTs, pkt.site
 		pkt.release()
 		first := sim.Duration(cm.DMATime(min(n, PathMTU)))
 		rest := sim.Duration(cm.DMATime(n)) - first
@@ -1253,7 +1393,8 @@ func (d *Device) receive(pkt *packet) {
 // the receive completion once the last packet is placed.
 func (qp *QP) completeRecv(pkt *packet, wr RecvWR) {
 	cm := qp.dev.cm
-	n := copy(wr.SGE.MR.Bytes()[wr.SGE.Off:wr.SGE.Off+wr.SGE.Len], pkt.payload)
+	n := min(pkt.size, wr.SGE.Len)
+	pkt.place(wr.SGE.MR, wr.SGE.Off, n)
 	pkt.cq = qp.recvCQ
 	pkt.wc = WC{WRID: wr.WRID, Op: OpRecv, ByteLen: n, QP: qp}
 	if pkt.kind == OpSendImm {

@@ -57,11 +57,11 @@ func TestSendRecvDeliversPayload(t *testing.T) {
 		if wc.WRID != 9 || wc.Op != OpRecv {
 			t.Errorf("wc = %+v, want RECV wrid 9", wc)
 		}
-		got = append([]byte(nil), rmr.Buf[:wc.ByteLen]...)
+		got = append([]byte(nil), rmr.Bytes()[:wc.ByteLen]...)
 	})
 	env.Spawn("client", func(p *sim.Proc) {
 		smr := a.pd.RegisterMRNoCost(4096)
-		copy(smr.Buf, msg)
+		copy(smr.Claim(0, len(msg)), msg)
 		a.qp.PostSend(p, &SendWR{WRID: 1, Op: OpSend, SGE: SGE{MR: smr, Len: len(msg)}})
 		wc := a.cq.PollBusy(p)
 		if wc.WRID != 1 {
@@ -102,7 +102,7 @@ func TestWriteModifiesRemoteMemory(t *testing.T) {
 	rk := rmr.RKey()
 	env.Spawn("client", func(p *sim.Proc) {
 		smr := a.pd.RegisterMRNoCost(1024)
-		copy(smr.Buf, "one-sided write payload")
+		copy(smr.Claim(0, len("one-sided write payload")), "one-sided write payload")
 		a.qp.PostSend(p, &SendWR{
 			WRID: 5, Op: OpWrite,
 			SGE:    SGE{MR: smr, Len: 23},
@@ -114,8 +114,8 @@ func TestWriteModifiesRemoteMemory(t *testing.T) {
 		}
 	})
 	env.Run()
-	if string(rmr.Buf[100:123]) != "one-sided write payload" {
-		t.Fatalf("remote memory = %q", rmr.Buf[100:123])
+	if string(rmr.Bytes()[100:123]) != "one-sided write payload" {
+		t.Fatalf("remote memory = %q", rmr.Bytes()[100:123])
 	}
 }
 
@@ -132,7 +132,7 @@ func TestWriteImmConsumesRecvAndCarriesImm(t *testing.T) {
 	})
 	env.Spawn("client", func(p *sim.Proc) {
 		smr := a.pd.RegisterMRNoCost(4096)
-		copy(smr.Buf, "imm data")
+		copy(smr.Claim(0, len("imm data")), "imm data")
 		a.qp.PostSend(p, &SendWR{
 			WRID: 6, Op: OpWriteImm,
 			SGE:    SGE{MR: smr, Len: 8},
@@ -146,8 +146,8 @@ func TestWriteImmConsumesRecvAndCarriesImm(t *testing.T) {
 	if wc.WRID != 77 {
 		t.Fatalf("consumed recv wrid = %d, want 77", wc.WRID)
 	}
-	if string(rmr.Buf[:8]) != "imm data" {
-		t.Fatalf("remote buf = %q", rmr.Buf[:8])
+	if string(rmr.Bytes()[:8]) != "imm data" {
+		t.Fatalf("remote buf = %q", rmr.Bytes()[:8])
 	}
 }
 
@@ -155,7 +155,7 @@ func TestReadFetchesRemoteMemory(t *testing.T) {
 	env := sim.NewEnv(1)
 	a, b := testPair(env)
 	rmr := b.pd.RegisterMRNoCost(1024)
-	copy(rmr.Buf[200:], "remote secret")
+	copy(rmr.Claim(200, len("remote secret")), "remote secret")
 	rk := rmr.RKey()
 	var got string
 	env.Spawn("client", func(p *sim.Proc) {
@@ -169,7 +169,7 @@ func TestReadFetchesRemoteMemory(t *testing.T) {
 		if wc.Op != OpRead || wc.ByteLen != 13 {
 			t.Errorf("wc = %+v, want READ 13 bytes", wc)
 		}
-		got = string(lmr.Buf[:13])
+		got = string(lmr.Bytes()[:13])
 	})
 	env.Run()
 	if got != "remote secret" {
