@@ -20,6 +20,7 @@ package lmdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -27,6 +28,10 @@ import (
 
 // order is the B+tree fan-out.
 const order = 32
+
+// preWidth is how much of a node's shared key prefix the node holds
+// itself; a longer prefix is read from its first key.
+const preWidth = 32
 
 // Errors returned by the store.
 var (
@@ -183,12 +188,122 @@ func (e *Env) Close() { e.closed = true }
 // node, the only txn that may still edit it in place. Its slices are
 // made with room for a split's worth of entries and hold nil past their
 // length, so a reused node never regrows and never pins a stale pair.
+//
+// A node also holds what a search of it needs, so that a search reads
+// no key outside it unless two keys agree past their heads (prefix
+// truncation with fixed-width heads): pfx is the length of a prefix all
+// its keys share — any shared prefix, so a delete keeps it — and pre its
+// first preWidth bytes; heads[i] is keys[i]'s head after that prefix.
+// Only the first len(keys) heads are current.
 type node struct {
 	leaf     bool
 	txn      uint64
 	keys     [][]byte
 	vals     [][]byte // leaf only
 	children []*node  // internal only
+
+	pfx   int
+	pre   [preWidth]byte
+	heads [order + 1]uint64
+}
+
+// head returns the head of key k after a p-byte prefix: the next 7
+// bytes, big-endian and zero-padded, over a low byte that holds how many
+// bytes follow the prefix, capped at 8. Heads order their keys, except
+// that equal heads with a low byte of 8 leave keys that both run past
+// the head bytes to be ordered by the rest.
+func head(k []byte, p int) uint64 {
+	switch s := len(k) - p; {
+	case s >= 8:
+		return binary.BigEndian.Uint64(k[p:])&^0xff | 8
+	case len(k) >= 8:
+		// k's last 8 bytes end with the s after the prefix; the shift
+		// drops the rest.
+		return binary.BigEndian.Uint64(k[len(k)-8:])<<(64-8*s) | uint64(s)
+	default:
+		h := uint64(s)
+		for i, c := range k[p:] {
+			h |= uint64(c) << (56 - 8*i)
+		}
+		return h
+	}
+}
+
+// prefix returns the bytes all of n's keys share. n must hold a key when
+// pfx exceeds preWidth.
+func (n *node) prefix() []byte {
+	if n.pfx <= preWidth {
+		return n.pre[:n.pfx]
+	}
+	return n.keys[0][:n.pfx]
+}
+
+// find returns the index of the first key >= k, and whether that key
+// equals k. It compares k with the node's prefix once, then
+// binary-searches the heads.
+func (n *node) find(k []byte) (int, bool) {
+	m := len(n.keys)
+	if m == 0 {
+		return 0, false
+	}
+	p := n.pfx
+	if !bytes.HasPrefix(k, n.prefix()) {
+		if bytes.Compare(k, n.prefix()) < 0 {
+			return 0, false
+		}
+		return m, false
+	}
+	h := head(k, p)
+	long := h&0xff == 8 // a tie on h leaves the bytes past the head to compare
+	lo, hi := 0, m
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if hm := n.heads[mid]; hm < h || hm == h && long && bytes.Compare(n.keys[mid][p+7:], k[p+7:]) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < m && n.heads[lo] == h && (!long || bytes.Equal(n.keys[lo][p+7:], k[p+7:]))
+}
+
+// refit recomputes the prefix of n, which holds a key, as the longest
+// one its keys share, and every head.
+func (n *node) refit() {
+	first, last := n.keys[0], n.keys[len(n.keys)-1]
+	p := 0
+	for p < len(first) && p < len(last) && first[p] == last[p] {
+		p++
+	}
+	n.pfx = p
+	copy(n.pre[:], first[:min(p, preWidth)])
+	for i, k := range n.keys {
+		n.heads[i] = head(k, p)
+	}
+}
+
+// insertKey puts k into n's keys at i, shifting the keys from i on one
+// slot up. A key between two others has their prefix; one at an end may
+// not, and then every head is recomputed. Otherwise only the shifted
+// heads move.
+func (n *node) insertKey(i int, k []byte) {
+	m := len(n.keys)
+	keep := i > 0 && i < m || m > 0 && bytes.HasPrefix(k, n.prefix())
+	n.keys = append(n.keys, nil)
+	copy(n.keys[i+1:], n.keys[i:])
+	n.keys[i] = k
+	if !keep {
+		n.refit()
+		return
+	}
+	copy(n.heads[i+1:m+1], n.heads[i:m])
+	n.heads[i] = head(k, n.pfx)
+}
+
+// deleteKey takes the key at i out of n's keys. The rest keep the prefix.
+func (n *node) deleteKey(i int) {
+	n.keys = slices.Delete(n.keys, i, i+1)
+	copy(n.heads[i:], n.heads[i+1:len(n.keys)+1])
 }
 
 // own returns n if this txn created it, otherwise a copy stamped as this
@@ -206,6 +321,9 @@ func (t *Txn) own(n *node) *node {
 	e.retired = append(e.retired, retiree{n, t.id})
 	c := t.fresh(n.leaf)
 	c.keys = append(c.keys, n.keys...)
+	m := len(n.keys)
+	c.pfx, c.pre = n.pfx, n.pre
+	copy(c.heads[:m], n.heads[:m])
 	if n.leaf {
 		c.vals = append(c.vals, n.vals...)
 	} else {
@@ -233,20 +351,6 @@ func (t *Txn) fresh(leaf bool) *node {
 		n.children = make([]*node, 0, order+2)
 	}
 	return n
-}
-
-// search returns the index of the first key >= k.
-func searchKeys(keys [][]byte, k []byte) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(keys[mid], k) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // Txn is a transaction: a snapshot root plus, for writers, COW state.
@@ -307,14 +411,14 @@ func (t *Txn) Get(key []byte) ([]byte, error) {
 	t.env.Stats.Gets++
 	n := t.root
 	for n != nil {
-		i := searchKeys(n.keys, key)
+		i, exact := n.find(key)
 		if n.leaf {
-			if i < len(n.keys) && bytes.Equal(n.keys[i], key) {
+			if exact {
 				return n.vals[i], nil
 			}
 			return nil, ErrNotFound
 		}
-		if i < len(n.keys) && bytes.Compare(key, n.keys[i]) >= 0 {
+		if exact {
 			i++
 		}
 		n = n.children[i]
@@ -351,7 +455,7 @@ func (t *Txn) PutOwned(k, v []byte) error {
 	t.env.Stats.Puts++
 	if t.root == nil {
 		r := t.fresh(true)
-		r.keys = append(r.keys, k)
+		r.insertKey(0, k)
 		r.vals = append(r.vals, v)
 		t.root = r
 		t.size++
@@ -364,7 +468,7 @@ func (t *Txn) PutOwned(k, v []byte) error {
 	t.root = root
 	if split != nil {
 		t.root = t.fresh(false)
-		t.root.keys = append(t.root.keys, sepKey)
+		t.root.insertKey(0, sepKey)
 		t.root.children = append(t.root.children, root, split)
 	}
 	return nil
@@ -375,22 +479,18 @@ func (t *Txn) PutOwned(k, v []byte) error {
 // entry was added.
 func (t *Txn) insert(n *node, key, val []byte) (*node, *node, []byte, bool) {
 	c := t.own(n)
-	i := searchKeys(c.keys, key)
+	i, exact := c.find(key)
 	if c.leaf {
-		added := true
-		if i < len(c.keys) && bytes.Equal(c.keys[i], key) {
+		if exact {
 			c.keys[i], c.vals[i] = key, val
-			added = false
 		} else {
-			c.keys = append(c.keys, nil)
-			copy(c.keys[i+1:], c.keys[i:])
-			c.keys[i] = key
+			c.insertKey(i, key)
 			c.vals = append(c.vals, nil)
 			copy(c.vals[i+1:], c.vals[i:])
 			c.vals[i] = val
 		}
 		if len(c.keys) <= order {
-			return c, nil, nil, added
+			return c, nil, nil, !exact
 		}
 		mid := len(c.keys) / 2
 		right := t.fresh(true)
@@ -400,19 +500,19 @@ func (t *Txn) insert(n *node, key, val []byte) (*node, *node, []byte, bool) {
 		clear(c.vals[mid:])
 		c.keys = c.keys[:mid]
 		c.vals = c.vals[:mid]
+		c.refit()
+		right.refit()
 		// The separator gets its own bytes: the leaf key may share an
 		// allocation with a value that a later overwrite supersedes.
-		return c, right, append([]byte(nil), right.keys[0]...), added
+		return c, right, append([]byte(nil), right.keys[0]...), !exact
 	}
-	if i < len(c.keys) && bytes.Compare(key, c.keys[i]) >= 0 {
+	if exact {
 		i++
 	}
 	child, split, sepKey, added := t.insert(c.children[i], key, val)
 	c.children[i] = child
 	if split != nil {
-		c.keys = append(c.keys, nil)
-		copy(c.keys[i+1:], c.keys[i:])
-		c.keys[i] = sepKey
+		c.insertKey(i, sepKey)
 		c.children = append(c.children, nil)
 		copy(c.children[i+2:], c.children[i+1:])
 		c.children[i+1] = split
@@ -429,6 +529,8 @@ func (t *Txn) insert(n *node, key, val []byte) (*node, *node, []byte, bool) {
 	clear(c.children[mid+1:])
 	c.keys = c.keys[:mid]
 	c.children = c.children[:mid+1]
+	c.refit()
+	right.refit()
 	return c, right, sep, added
 }
 
@@ -458,17 +560,17 @@ func (t *Txn) remove(n *node, key []byte) (*node, bool) {
 	if n == nil {
 		return nil, false
 	}
-	i := searchKeys(n.keys, key)
+	i, exact := n.find(key)
 	if n.leaf {
-		if i >= len(n.keys) || !bytes.Equal(n.keys[i], key) {
+		if !exact {
 			return n, false
 		}
 		c := t.own(n)
-		c.keys = slices.Delete(c.keys, i, i+1)
+		c.deleteKey(i)
 		c.vals = slices.Delete(c.vals, i, i+1)
 		return c, true
 	}
-	if i < len(n.keys) && bytes.Compare(key, n.keys[i]) >= 0 {
+	if exact {
 		i++
 	}
 	child, found := t.remove(n.children[i], key)
@@ -663,7 +765,7 @@ func (t *Txn) Seek(key []byte) *Cursor {
 	}
 	n := t.root
 	for n != nil {
-		i := searchKeys(n.keys, key)
+		i, exact := n.find(key)
 		if n.leaf {
 			c.stack = append(c.stack, cursorFrame{n, i})
 			c.valid = i < len(n.keys)
@@ -672,7 +774,7 @@ func (t *Txn) Seek(key []byte) *Cursor {
 			}
 			return c
 		}
-		if i < len(n.keys) && bytes.Compare(key, n.keys[i]) >= 0 {
+		if exact {
 			i++
 		}
 		c.stack = append(c.stack, cursorFrame{n, i})

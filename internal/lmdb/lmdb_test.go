@@ -447,8 +447,8 @@ func pathNodes(n *node, key []byte) []*node {
 		if n.leaf {
 			break
 		}
-		i := searchKeys(n.keys, key)
-		if i < len(n.keys) && bytes.Compare(key, n.keys[i]) >= 0 {
+		i, exact := n.find(key)
+		if exact {
 			i++
 		}
 		n = n.children[i]

@@ -108,16 +108,16 @@ func (w Workload) ChooseOp(rng *rand.Rand) Op {
 // Zipfian draws zipf-distributed items in [0, n).
 type Zipfian struct {
 	n     int64
-	theta float64
 	alpha float64
 	zetan float64
 	zeta2 float64
 	eta   float64
+	rank1 float64 // 1 + 0.5^θ: a scaled draw below it is rank 1
 }
 
 // NewZipfian precomputes the zeta constants for n items.
 func NewZipfian(n int64, theta float64) *Zipfian {
-	z := &Zipfian{n: n, theta: theta}
+	z := &Zipfian{n: n, rank1: 1 + math.Pow(0.5, theta)}
 	z.zetan = zeta(n, theta)
 	z.zeta2 = zeta(2, theta)
 	z.alpha = 1 / (1 - theta)
@@ -140,7 +140,7 @@ func (z *Zipfian) Next(rng *rand.Rand) int64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.rank1 {
 		return 1
 	}
 	return int64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

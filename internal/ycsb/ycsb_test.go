@@ -173,3 +173,29 @@ func TestRunDeterministic(t *testing.T) {
 		t.Fatalf("nondeterministic: %v vs %v", a, b)
 	}
 }
+
+// TestZipfianDrawsUnchanged: Next, which takes 1 + 0.5^θ from
+// NewZipfian, draws bit for bit what it drew when it computed that bound
+// on every call.
+func TestZipfianDrawsUnchanged(t *testing.T) {
+	for _, theta := range []float64{0, 0.5, 0.99} {
+		z := NewZipfian(10_000, theta)
+		old := func(rng *rand.Rand) int64 {
+			u := rng.Float64()
+			uz := u * z.zetan
+			if uz < 1 {
+				return 0
+			}
+			if uz < 1+math.Pow(0.5, theta) {
+				return 1
+			}
+			return int64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+		}
+		got, want := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+		for i := 0; i < 100_000; i++ {
+			if g, w := z.Next(got), old(want); g != w {
+				t.Fatalf("θ=%v draw %d: %d, want %d", theta, i, g, w)
+			}
+		}
+	}
+}
