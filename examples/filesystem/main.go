@@ -27,13 +27,13 @@ type memFS struct {
 
 var _ fsgen.HatFSHandler = (*memFS)(nil)
 
-func (f *memFS) Stat(p *sim.Proc, path string) (*fsgen.FileInfo, error) {
+func (f *memFS) Stat(p *sim.Proc, path string) (fsgen.FileInfo, error) {
 	data, ok := f.files[path]
 	if !ok {
-		return nil, &fsgen.FSError{Message: "no such file: " + path}
+		return fsgen.FileInfo{}, &fsgen.FSError{Message: "no such file: " + path}
 	}
 	f.node.CPU.Compute(p, 300) // inode lookup
-	return &fsgen.FileInfo{Path: path, Size: int64(len(data)), Mtime: 1_720_000_000, IsDir: false}, nil
+	return fsgen.FileInfo{Path: path, Size: int64(len(data)), Mtime: 1_720_000_000, IsDir: false}, nil
 }
 
 func (f *memFS) ListDir(p *sim.Proc, path string) ([]string, error) {

@@ -1,6 +1,6 @@
 // Fixture: bounds-checked wire decoding. The flagged cases are the
 // codec read shapes with their length guards reverted — the pattern
-// FuzzShardMapDecode's truncated corpus entries catch dynamically.
+// fuzz targets' truncated corpus entries catch dynamically.
 package thrift
 
 // decodeGuarded checks the buffer length before fixed-width reads.

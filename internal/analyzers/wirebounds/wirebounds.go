@@ -12,7 +12,7 @@
 //   - the stdlib bounds-hint `_ = b[k]`, which panics early and lets
 //     the compiler elide the later checks (the getHdr/putHdr shape).
 //
-// This is the static face of what FuzzShardMapDecode's truncated /
+// This is the static face of what the fuzz targets' truncated /
 // overcount corpus entries probe dynamically: a fixed-width read the
 // fuzzer has to get lucky to catch becomes a deterministic diagnostic.
 // Only parameters are monitored — struct-field buffers (transport ring

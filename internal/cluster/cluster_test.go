@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	gen "hatrpc/internal/cluster/gen"
 	"hatrpc/internal/engine"
 	"hatrpc/internal/hatkv"
 	"hatrpc/internal/lmdb"
@@ -175,29 +176,79 @@ func newTestClusterWith(t *testing.T, seed int64, nservers int, cfg Config, ecfg
 	return tc
 }
 
-// TestGetRetriesMalformedReply: an OK read reply whose found flag is
-// missing or out of range says nothing about the key — the client retries
-// instead of reporting the key missing (or present).
+// direct is a transport that hands each request to a node's Handle on
+// the calling process: a test drives the generated processor and the
+// node's verbs without an engine in between.
+type direct struct{ n *Node }
+
+func (d direct) Invoke(p *sim.Proc, fn string, req []byte, _ bool) ([]byte, error) {
+	return d.n.Handle(p, gen.ClusterHints.FnIDs[fn], req), nil
+}
+func (direct) Stage() []byte { return nil }
+func (direct) Close() error  { return nil }
+
+// at returns a client whose calls node n serves on the caller's process.
+// Like every generated client it carries one call at a time.
+func at(n *Node) *gen.ClusterClient { return gen.NewClusterClient(direct{n}) }
+
+// outcome names how a verb ended: "ok", its declared exception, or
+// "error" for any other failure.
+func outcome(err error) string {
+	switch err.(type) {
+	case nil:
+		return "ok"
+	case *gen.Stale:
+		return "stale"
+	case *gen.Fenced:
+		return "fenced"
+	case *gen.NotQuorum:
+		return "notquorum"
+	case *gen.NeedSync:
+		return "needsync"
+	case *gen.NotFound:
+		return "notfound"
+	}
+	return "error"
+}
+
+// TestGetRetriesMalformedReply: a read reply that does not decode — cut
+// short, or carrying no result — says nothing about the key: the client
+// retries instead of reporting the key missing (or present).
 func TestGetRetriesMalformedReply(t *testing.T) {
 	env := sim.NewEnv(43)
 	cl := simnet.NewCluster(env, simnet.Config{
 		Nodes: 2, Cores: 28, Sockets: 2, LinkGbps: 100, PropDelayNs: 600, NUMAPenalty: 1.25,
 	})
-	replies := [][]byte{{stOK}, {stOK, 2}, appendGetResp(nil, []byte("v"), true)}
-	engine.New(cl.Node(0), engine.DefaultConfig()).Serve(Port, func(p *sim.Proc, fn uint32, req []byte) []byte {
-		r := replies[0]
-		replies = replies[1:]
-		return r
+	cfg := Config{Seed: 43, NodeIDs: []int{0}, NShards: 1, RF: 1}
+	store, err := hatkv.NewStore(cl.Node(0), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(cl.Node(0), engine.DefaultConfig())
+	n := NewUnservedNode(eng, store, []*simnet.Node{cl.Node(0)}, 0, cfg)
+	spoil := []func([]byte) []byte{
+		func(b []byte) []byte { return b[:len(b)/2] },                               // cut short
+		func(b []byte) []byte { return append(b[:12+len("Get"):12+len("Get")], 0) }, // the header, then no field
+	}
+	eng.Serve(Port, func(p *sim.Proc, fn uint32, req []byte) []byte {
+		resp := n.Handle(p, fn, req)
+		if fn == FnClusterGet && len(spoil) > 0 {
+			resp = spoil[0](resp)
+			spoil = spoil[1:]
+		}
+		return resp
 	})
 	env.Spawn("client", func(p *sim.Proc) {
 		defer env.Stop()
-		c := NewClient(engine.New(cl.Node(1), engine.DefaultConfig()), []*simnet.Node{cl.Node(0)},
-			Config{Seed: 43, NodeIDs: []int{0}, NShards: 1, RF: 1})
+		c := NewClient(engine.New(cl.Node(1), engine.DefaultConfig()), []*simnet.Node{cl.Node(0)}, cfg)
+		if err := c.Put(p, "k", []byte("v")); err != nil {
+			t.Fatalf("put: %v", err)
+		}
 		if v, err := c.Get(p, "k"); err != nil || string(v) != "v" {
 			t.Errorf("get behind two malformed replies: %q, %v; want the third reply's value", v, err)
 		}
-		if st := c.Stats(); st.Gets != 1 || st.Failures != 0 {
-			t.Errorf("client stats: %+v, want one read and no failure", st)
+		if st := c.Stats(); st.Gets != 1 || st.Failures != 0 || len(spoil) != 0 {
+			t.Errorf("client stats: %+v, %d replies unspoiled; want one read, no failure and both spoiled", st, len(spoil))
 		}
 	})
 	env.Run()
@@ -408,7 +459,7 @@ func TestDeposedPrimaryRead(t *testing.T) {
 
 // TestClusterDeposedPrimaryCannotAck pins the fencing property directly:
 // a client still routing at the old epoch to a restarted old primary
-// gets stStale (surfaced as engine.ErrStaleShardEpoch through the retry
+// gets Stale (surfaced as engine.ErrStaleShardEpoch through the retry
 // loop's last error) and its write lands only via the new primary.
 func TestClusterDeposedPrimaryCannotAck(t *testing.T) {
 	tc := newTestCluster(t, 17, 3, Config{NShards: 4, RF: 3})
@@ -430,14 +481,14 @@ func TestClusterDeposedPrimaryCannotAck(t *testing.T) {
 		tc.roster[prim].Restart()
 		p.Sleep(500_000) // old primary is back up, content one epoch behind
 		// A fresh client starts from the static epoch-1 view: its first
-		// write goes to the deposed primary, which must answer stStale and
+		// write goes to the deposed primary, which must answer Stale and
 		// never ack; the client reroutes on the reply's fresher epoch.
 		c2 := NewClient(tc.cliEng, tc.roster, tc.cfg)
 		if err := c2.Put(p, key, []byte("after")); err != nil {
 			t.Fatalf("stale-view put: %v", err)
 		}
 		if c2.Stats().StaleRetries == 0 {
-			t.Errorf("fresh client was never told stStale by the deposed primary")
+			t.Errorf("fresh client was never told Stale by the deposed primary")
 		}
 		v, err := c2.Get(p, key)
 		if err != nil || string(v) != "after" {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	gen "hatrpc/internal/cluster/gen"
 	"hatrpc/internal/sim"
 )
 
@@ -99,18 +100,13 @@ func (n *Node) census(p *sim.Proc, st *shardState, prim int, trust bool) bool {
 		if r == n.self {
 			continue
 		}
-		resp, err := n.callPeerDL(p, r, FnShardStatus, st.probe, probeDeadlineNs)
-		if err != nil || len(resp) < 1 {
+		sr, err := n.peer(r).Census(p, int32(st.id))
+		if err != nil {
 			continue
 		}
-		sr, derr := decodeStatusResp(resp[1:])
-		n.recycle(r, resp)
-		if derr != nil {
-			continue
-		}
-		if r == prim && trust && sr.Flags&flagLeads != 0 {
+		if r == prim && trust && sr.Leads {
 			st.mu.Lock(p)
-			st.adoptLearned(sr.LearnedEpoch, int(sr.LearnedPrimary))
+			st.adoptLearned(uint64(sr.LearnedEpoch), int(sr.LearnedPrimary))
 			st.lastHeard, st.silent = p.Now(), false
 			st.mu.Unlock()
 			return true
@@ -131,14 +127,14 @@ func (n *Node) preVote(st *shardState, prim int, ghost bool) bool {
 	unheard := 1
 	me := slices.Index(st.replicas, n.self)
 	for _, a := range st.answers {
-		if a.sr.LearnedEpoch > st.learnedEpoch {
-			st.adoptLearned(a.sr.LearnedEpoch, int(a.sr.LearnedPrimary))
+		if uint64(a.sr.LearnedEpoch) > st.learnedEpoch {
+			st.adoptLearned(uint64(a.sr.LearnedEpoch), int(a.sr.LearnedPrimary))
 			return false
 		}
 		if !ghost && a.id != prim && slices.Index(st.replicas, a.id) < me {
 			return false
 		}
-		if a.sr.Flags == 0 {
+		if !a.sr.Leads && !a.sr.Heard {
 			unheard++
 		}
 	}
@@ -168,29 +164,17 @@ func (n *Node) resyncSuspects(p *sim.Proc, st *shardState) {
 	if err != nil {
 		return
 	}
-	ir := encodeInstall(installReq{
-		Shard: uint16(st.id), Epoch: st.epoch, Primary: int32(n.self),
-		Seq: st.seq, Pairs: pairs,
-	})
 	for _, r := range targets {
-		resp, err := n.callPeerDL(p, r, FnInstall, ir, callDeadlineNs)
-		if err != nil || len(resp) < 1 {
-			continue // still unreachable; retry next tick
-		}
-		code := resp[0]
-		e, pr, deposed := decodeStale(resp)
-		n.recycle(r, resp)
-		switch code {
-		case stOK:
+		switch e := n.peer(r).Install(p, int32(st.id), int64(st.epoch), int32(n.self), int64(st.seq), pairs).(type) {
+		case nil:
 			delete(st.suspect, r)
 			n.stats.Resyncs++
 			n.resyncs.Inc()
-		case stStale:
-			if deposed {
-				st.adoptLearned(e, int(pr)) // we were deposed; stop resyncing
-			}
+		case *gen.Stale:
+			st.adoptLearned(uint64(e.Epoch), int(e.Primary)) // we were deposed; stop resyncing
 			return
 		}
+		// Still unreachable, or refused: retry next tick.
 	}
 }
 
@@ -215,12 +199,12 @@ func (n *Node) runCandidacy(p *sim.Proc, st *shardState, ghost bool) {
 		return
 	}
 	n.stats.Candidacies++
-	shard := uint16(st.id)
+	shard := int32(st.id)
 
 	// The proposal must clear every epoch any answer has seen or promised.
 	maxE := max(st.epoch, st.learnedEpoch, st.promised)
 	for _, a := range st.answers {
-		maxE = max(maxE, a.sr.Epoch, a.sr.LearnedEpoch, a.sr.Promised)
+		maxE = max(maxE, uint64(a.sr.Epoch), uint64(a.sr.LearnedEpoch), uint64(a.sr.Promised))
 	}
 	newEpoch := maxE + 1
 
@@ -228,24 +212,17 @@ func (n *Node) runCandidacy(p *sim.Proc, st *shardState, ghost bool) {
 	if err := n.promise(p, st, newEpoch); err != nil {
 		return
 	}
-	acc := []peerStat{{n.self, statusResp{Epoch: st.epoch, Seq: st.seq}}}
-	prep := encodeStatus(statusReq{Shard: shard, Prepare: true, Reelect: ghost, NewEpoch: newEpoch})
+	acc := []peerStat{{n.self, gen.ShardStatus{Epoch: int64(st.epoch), Seq: int64(st.seq)}}}
 	for _, ps := range st.answers {
-		resp, err := n.callPeerDL(p, ps.id, FnShardStatus, prep, callDeadlineNs)
-		if err != nil || len(resp) < 1 {
-			continue
-		}
-		code := resp[0]
-		sr, derr := decodeStatusResp(resp[1:])
-		n.recycle(ps.id, resp)
-		if derr != nil {
-			continue
-		}
-		if code != stOK {
+		sr, err := n.peer(ps.id).Prepare(p, shard, int64(newEpoch), ghost)
+		if e, ok := err.(*gen.Stale); ok {
 			// Outbid, or refused by a replica that hears its primary.
 			// Abort; our own promise only inflates the next proposal.
-			st.adoptLearned(sr.LearnedEpoch, int(sr.LearnedPrimary))
+			st.adoptLearned(uint64(e.Epoch), int(e.Primary))
 			return
+		}
+		if err != nil {
+			continue
 		}
 		acc = append(acc, peerStat{ps.id, sr})
 	}
@@ -263,20 +240,14 @@ func (n *Node) runCandidacy(p *sim.Proc, st *shardState, ghost bool) {
 			best = a
 		}
 	}
-	var pairs []snapPair
+	var pairs []*gen.Pair
 	seq := st.seq
 	if best.id != n.self {
-		resp, err := n.callPeerDL(p, best.id, FnShardPull, putU16(nil, shard), callDeadlineNs)
-		if err != nil || len(resp) < 1 || resp[0] != stOK {
-			n.recycle(best.id, resp)
+		snap, err := n.peer(best.id).Pull(p, shard)
+		if err != nil {
 			return // freshest vanished mid-candidacy; retry next tick
 		}
-		_, pseq, pp, derr := decodePullResp(resp[1:]) // copies every record out
-		n.recycle(best.id, resp)
-		if derr != nil {
-			return
-		}
-		pairs, seq = pp, pseq
+		pairs, seq = snap.Pairs, uint64(snap.Seq)
 	} else {
 		var err error
 		if pairs, err = n.snapshotLocked(p, st); err != nil {
@@ -286,18 +257,13 @@ func (n *Node) runCandidacy(p *sim.Proc, st *shardState, ghost bool) {
 
 	// Phase 3 — install on the prepared peers; promote locally only
 	// once a majority (self included) holds the new view durably.
-	inst := installReq{Shard: shard, Epoch: newEpoch, Primary: int32(n.self), Seq: seq, Pairs: pairs}
-	ir := encodeInstall(inst)
 	acks := 1 // self, applied below
 	okPeer := make(map[int]bool)
 	for _, a := range acc {
 		if a.id == n.self {
 			continue
 		}
-		resp, err := n.callPeerDL(p, a.id, FnInstall, ir, callDeadlineNs)
-		installed := err == nil && len(resp) >= 1 && resp[0] == stOK
-		n.recycle(a.id, resp)
-		if installed {
+		if n.peer(a.id).Install(p, shard, int64(newEpoch), int32(n.self), int64(seq), pairs) == nil {
 			acks++
 			okPeer[a.id] = true
 		}
@@ -305,7 +271,7 @@ func (n *Node) runCandidacy(p *sim.Proc, st *shardState, ghost bool) {
 	if acks < quorum(len(st.replicas)) {
 		return // promises stand; the next candidacy proposes higher
 	}
-	if err := n.applyInstall(p, st, inst); err != nil {
+	if err := n.applyInstall(p, st, newEpoch, n.self, seq, pairs); err != nil {
 		return
 	}
 	st.suspect = make(map[int]bool)

@@ -117,8 +117,8 @@ func TestPreVote(t *testing.T) {
 	prim, deaf, other := reps[0], tc.nodes[reps[1]], tc.nodes[reps[2]]
 	tc.env.Spawn("driver", func(p *sim.Proc) { // off the primary's node, which reboots
 		defer tc.env.Stop()
-		if resp := putAt(p, tc.nodes[prim], "k", []byte("v0")); len(resp) != 1 || resp[0] != stOK {
-			t.Errorf("warm-up put: %v", resp)
+		if err := putAt(p, tc.nodes[prim], "k", []byte("v0")); err != nil {
+			t.Errorf("warm-up put: %v", err)
 			return
 		}
 		tc.cl.InstallFaults(simnet.FaultConfig{OneWayCuts: []simnet.LinkCut{
@@ -126,8 +126,8 @@ func TestPreVote(t *testing.T) {
 		}})
 		end := p.Now() + sim.Time(40*tc.cfg.ProbeIntervalNs)
 		for i := 1; p.Now() < end; i++ {
-			if resp := putAt(p, tc.nodes[prim], "k", []byte(fmt.Sprintf("v%d", i))); len(resp) != 1 || resp[0] != stOK {
-				t.Errorf("put %d with the ring-first backup cut off: %v, want stOK", i, resp)
+			if err := putAt(p, tc.nodes[prim], "k", []byte(fmt.Sprintf("v%d", i))); err != nil {
+				t.Errorf("put %d with the ring-first backup cut off: %v, want an ack", i, err)
 				return
 			}
 			p.Sleep(20_000)
@@ -136,9 +136,8 @@ func TestPreVote(t *testing.T) {
 			t.Errorf("the cut-off backup finds the primary silent: %v, the other hears it: %v; want both",
 				deaf.shards[0].silent, other.shards[0].hears(other.self))
 		}
-		resp := other.Handle(p, FnShardStatus, encodeStatus(statusReq{Shard: 0, Prepare: true, NewEpoch: 9}))
-		if len(resp) < 1 || resp[0] != stStale {
-			t.Errorf("the backup that hears the primary answered a PREPARE with %v, want stStale", resp)
+		if _, err := at(other).Prepare(p, 0, 9, false); outcome(err) != "stale" {
+			t.Errorf("the backup that hears the primary answered a PREPARE with %v, want Stale", err)
 		}
 		for _, n := range tc.nodes {
 			if s := n.stats; n.shards[0].promised != 0 || s.Candidacies != 0 || s.FencedWrites != 0 {
@@ -208,10 +207,9 @@ func TestStandingPromiseIsLifted(t *testing.T) {
 			t.Errorf("put: %v", err)
 			return
 		}
-		prep := encodeStatus(statusReq{Shard: 0, Prepare: true, Reelect: true, NewEpoch: 5})
 		for _, b := range reps[1:] {
-			if resp := tc.nodes[b].Handle(p, FnShardStatus, prep); len(resp) < 1 || resp[0] != stOK {
-				t.Errorf("stray prepare at node %d: %v", b, resp)
+			if _, err := at(tc.nodes[b]).Prepare(p, 0, 5, true); err != nil {
+				t.Errorf("stray prepare at node %d: %v", b, err)
 				return
 			}
 		}

@@ -86,8 +86,8 @@ func TestBackupRestartResumesFromStamps(t *testing.T) {
 						st.epoch, st.seq, hasMeta(t, tc.stores[backup]), puts)
 				}
 			}
-			if resp := putAt(p, n, "k", []byte{byte('0' + i)}); len(resp) != 1 || resp[0] != stOK {
-				t.Errorf("put %d: %v", i, resp)
+			if err := putAt(p, n, "k", []byte{byte('0' + i)}); err != nil {
+				t.Errorf("put %d: %v", i, err)
 				return
 			}
 		}
@@ -171,7 +171,7 @@ func (tc *testCluster) totalPromotions() (n int64) {
 
 // TestRestartedPrimaryReelects: a primary of a replicated shard that
 // reboots before anyone noticed it was gone does not resume. It answers
-// stFenced, wins a candidacy at its monitor's first tick (one promotion,
+// Fenced, wins a candidacy at its monitor's first tick (one promotion,
 // its own), and serves at epoch 2 from then on.
 func TestRestartedPrimaryReelects(t *testing.T) {
 	tc := newTestCluster(t, 61, 3, Config{NShards: 1, RF: 3})
@@ -187,10 +187,11 @@ func TestRestartedPrimaryReelects(t *testing.T) {
 		tc.roster[prim].Restart()
 		p.Sleep(1_000) // booted
 		n := tc.nodes[prim]
-		for _, fn := range []uint32{FnClusterPut, FnClusterGet} {
-			if resp := n.Handle(p, fn, appendGet(nil, getReq{Epoch: 1, Key: "k"})); len(resp) != 1 || resp[0] != stFenced {
-				t.Errorf("fn %#x at the rebooted primary answered %v, want [stFenced]", fn, resp)
-			}
+		if err := at(n).Put(p, 0, 1, []byte("k"), nil); outcome(err) != "fenced" {
+			t.Errorf("a put at the rebooted primary answered %v, want Fenced", err)
+		}
+		if _, err := at(n).Get(p, 0, 1, []byte("k")); outcome(err) != "fenced" {
+			t.Errorf("a get at the rebooted primary answered %v, want Fenced", err)
 		}
 		if err := c.Put(p, "k", []byte("v2")); err != nil {
 			t.Errorf("put after the restart: %v", err)
@@ -217,14 +218,14 @@ func TestRF1RestartResumesAtOnce(t *testing.T) {
 	tc := newTestCluster(t, 67, 1, Config{NShards: 1, RF: 1})
 	tc.env.Spawn("driver", func(p *sim.Proc) {
 		defer tc.env.Stop()
-		if resp := putAt(p, tc.nodes[0], "k", []byte("v1")); len(resp) != 1 || resp[0] != stOK {
-			t.Errorf("put before the restart: %v", resp)
+		if err := putAt(p, tc.nodes[0], "k", []byte("v1")); err != nil {
+			t.Errorf("put before the restart: %v", err)
 		}
 		tc.roster[0].Crash()
 		tc.roster[0].Restart()
 		p.Sleep(1_000)
-		if resp := putAt(p, tc.nodes[0], "k", []byte("v2")); len(resp) != 1 || resp[0] != stOK {
-			t.Errorf("first put after the restart: %v, want stOK at once", resp)
+		if err := putAt(p, tc.nodes[0], "k", []byte("v2")); err != nil {
+			t.Errorf("first put after the restart: %v, want an ack at once", err)
 		}
 		// Nor does a failed commit fence it: nothing was shipped, so the seq
 		// was seen by nobody and is named again.
@@ -235,8 +236,8 @@ func TestRF1RestartResumesAtOnce(t *testing.T) {
 		}
 		failed := putAt(p, tc.nodes[0], "k", []byte("v3"))
 		held.Abort()
-		if resp := putAt(p, tc.nodes[0], "k", []byte("v3")); len(failed) != 1 || failed[0] != stErr || len(resp) != 1 || resp[0] != stOK {
-			t.Errorf("put with a failing commit, then the next: %v, %v — want [stErr], [stOK]", failed, resp)
+		if err := putAt(p, tc.nodes[0], "k", []byte("v3")); outcome(failed) != "error" || err != nil {
+			t.Errorf("put with a failing commit, then the next: %v, %v — want an error, then an ack", failed, err)
 		}
 		p.Sleep(sim.Duration(4 * tc.cfg.ProbeIntervalNs))
 		if st, s := tc.nodes[0].shards[0], tc.nodes[0].stats; st.epoch != 1 || st.seq != 3 || s.Candidacies != 0 || s.FencedWrites != 0 {
@@ -258,8 +259,8 @@ func TestLocalApplyFailureAfterShipFences(t *testing.T) {
 	tc.roster[prim].Spawn("driver", func(p *sim.Proc) {
 		defer tc.env.Stop()
 		n := tc.nodes[prim]
-		if resp := putAt(p, n, "k", []byte("v1")); len(resp) != 1 || resp[0] != stOK {
-			t.Errorf("warm-up put: %v", resp)
+		if err := putAt(p, n, "k", []byte("v1")); err != nil {
+			t.Errorf("warm-up put: %v", err)
 			return
 		}
 		held, err := tc.stores[prim].Env().BeginWrite()
@@ -267,22 +268,21 @@ func TestLocalApplyFailureAfterShipFences(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		resp := putAt(p, n, "k", []byte("v2"))
+		err = putAt(p, n, "k", []byte("v2"))
 		held.Abort()
 		st := n.shards[0]
-		if len(resp) != 1 || resp[0] != stErr || st.seq != 1 || st.leads(prim) {
-			t.Errorf("put with a failing local commit: %v, primary at seq %d, leads %v — want [stErr], seq 1, fenced", resp, st.seq, st.leads(prim))
+		if outcome(err) != "error" || st.seq != 1 || st.leads(prim) {
+			t.Errorf("put with a failing local commit: %v, primary at seq %d, leads %v — want an error, seq 1, fenced", err, st.seq, st.leads(prim))
 		}
-		if resp := putAt(p, n, "k", []byte("v3")); len(resp) != 1 || resp[0] != stFenced {
-			t.Errorf("next put: %v, want [stFenced]: seq 2 is on the backups and must not be named again", resp)
+		if err := putAt(p, n, "k", []byte("v3")); outcome(err) != "fenced" {
+			t.Errorf("next put: %v, want Fenced: seq 2 is on the backups and must not be named again", err)
 		}
 		p.Sleep(sim.Duration(3 * tc.cfg.ProbeIntervalNs))
 		if n.stats.Promotions != 1 || !st.leads(prim) || st.epoch != 2 {
 			t.Errorf("after the monitor ran: %d promotions, epoch %d, leads %v — want a won candidacy at epoch 2", n.stats.Promotions, st.epoch, st.leads(prim))
 		}
-		resp = n.Handle(p, FnClusterGet, appendGet(nil, getReq{Epoch: 2, Key: "k"}))
-		if string(resp) != string([]byte{stOK, 1})+"v2" {
-			t.Errorf("get at the re-elected primary: %q, want v2 (the shipped append, adopted from a backup)", resp)
+		if v, err := at(n).Get(p, 0, 2, []byte("k")); err != nil || string(v) != "v2" {
+			t.Errorf("get at the re-elected primary: %q, %v, want v2 (the shipped append, adopted from a backup)", v, err)
 		}
 		for i, store := range tc.stores {
 			if pos, rest := shardDump(t, store); pos != "e2/s2" || rest != fmt.Sprintf("p%d: k=v2@e1/s2", prim) {
@@ -356,20 +356,20 @@ func (r crashRun) run(t *testing.T) (putNs int64) {
 	tc.roster[prim].Spawn("writer", func(p *sim.Proc) {
 		n := tc.nodes[prim]
 		for _, b := range reps[1:] { // dial the sessions the lanes will use
-			if _, err := n.callPeer(p, b, FnShardStatus, encodeStatus(statusReq{})); err != nil {
+			if _, err := n.client(b, peerDeadline).Census(p, 0); err != nil {
 				fail("dialing backup %d: %v", b, err)
 			}
 		}
 		for i := 0; !r.first && i < 3; i++ {
-			if resp := putAt(p, n, "k", []byte("v1")); len(resp) != 1 || resp[0] != stOK {
-				fail("warm-up put: %v", resp)
+			if err := putAt(p, n, "k", []byte("v1")); err != nil {
+				fail("warm-up put: %v", err)
 			}
 		}
 		start := p.Now()
 		started.Fire()
-		resp := putAt(p, n, "k", []byte("v2"))
+		err := putAt(p, n, "k", []byte("v2"))
 		putNs = int64(p.Now() - start)
-		if r.backup && len(resp) == 1 && resp[0] == stOK {
+		if r.backup && err == nil {
 			auth := ShardAuthority(tc.cfg, tc.stores, 0)
 			if _, rest := shardDump(t, tc.stores[auth]); !StoreHas(tc.stores[auth], 0, "k") || !strings.Contains(rest, " k=v2@") {
 				fail("k=v2 was acked, and the authority, store %d, holds%s", auth, rest)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	gen "hatrpc/internal/cluster/gen"
 	"hatrpc/internal/lmdb"
 	"hatrpc/internal/sim"
 )
@@ -100,8 +101,8 @@ func TestInstallNotOvertakenByAppend(t *testing.T) {
 	tc.roster[prim].Spawn("driver", func(p *sim.Proc) {
 		defer tc.env.Stop()
 		release := holdWriters(t, tc.stores[b].Env())
-		if resp := putAt(p, tc.nodes[prim], "k", []byte("v1")); len(resp) != 1 || resp[0] != stOK {
-			t.Errorf("put: %v", resp)
+		if err := putAt(p, tc.nodes[prim], "k", []byte("v1")); err != nil {
+			t.Errorf("put: %v", err)
 			return
 		}
 		release()
@@ -109,12 +110,9 @@ func TestInstallNotOvertakenByAppend(t *testing.T) {
 			t.Errorf("backup holds %d appends unapplied, want 1", n)
 			return
 		}
-		install := encodeInstall(installReq{
-			Shard: 0, Epoch: 1, Primary: int32(prim), Seq: 2,
-			Pairs: []snapPair{{Key: dataKey(dataPrefix(0), []byte("k")), Value: appendStamped(nil, 1, 2, []byte("v2"))}},
-		})
-		if resp := tc.nodes[b].Handle(p, FnInstall, install); len(resp) != 1 || resp[0] != stOK {
-			t.Errorf("install: %v", resp)
+		rec := &gen.Pair{Key: []byte(dataKey(dataPrefix(0), []byte("k"))), Value: appendStamped(nil, 1, 2, []byte("v2"))}
+		if err := at(tc.nodes[b]).Install(p, 0, 1, int32(prim), 2, []*gen.Pair{rec}); err != nil {
+			t.Errorf("install: %v", err)
 			return
 		}
 		if err := tc.stores[b].Settle(p); err != nil {
@@ -141,8 +139,8 @@ func TestAuditReadsTheLog(t *testing.T) {
 		release := holdWriters(t, b.Env())
 		defer release()
 		for _, k := range []string{"a", "b"} {
-			if resp := putAt(p, tc.nodes[prim], k, []byte("v")); len(resp) != 1 || resp[0] != stOK {
-				t.Errorf("put %s: %v", k, resp)
+			if err := putAt(p, tc.nodes[prim], k, []byte("v")); err != nil {
+				t.Errorf("put %s: %v", k, err)
 				return
 			}
 		}

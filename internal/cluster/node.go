@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
+	gen "hatrpc/internal/cluster/gen"
 	"hatrpc/internal/engine"
 	"hatrpc/internal/hatkv"
 	kvgen "hatrpc/internal/hatkv/gen"
+	"hatrpc/internal/lmdb"
 	"hatrpc/internal/obs"
 	"hatrpc/internal/sim"
 	"hatrpc/internal/simnet"
@@ -72,7 +75,6 @@ type shardState struct {
 	replicas []int  // configured replica set, ring order
 	prefix   string // store key prefix of the shard's records (dataPrefix)
 	metaKey  string // store key of the shard's durable meta record
-	probe    []byte // the encoded status request, sent as is by every census call of the shard
 
 	epoch   uint64 // content epoch
 	primary int    // content primary
@@ -82,7 +84,7 @@ type shardState struct {
 	// epoch whose primacy this replica gave up — it rebooted as that
 	// epoch's primary, or shipped an append it then failed to commit — and
 	// with it the right to name a seq. While it equals epoch the shard
-	// answers stFenced and the monitor runs a candidacy; any install of a
+	// answers Fenced and the monitor runs a candidacy; any install of a
 	// higher epoch moves epoch past it, so there is nothing to clear.
 	lostEpoch uint64
 
@@ -106,14 +108,13 @@ type shardState struct {
 	// Primary-side replication bookkeeping.
 	suspect  map[int]bool // backup → needs a resync install (direct index only)
 	repl     []replJob    // fan-out slots, one per backup, reused by every put (under mu)
-	app      []byte       // the encoded append in flight, reused like repl
 	replDone *sim.Signal  // fired by a lane per finished slot
 }
 
 // peerStat is one census answer: a replica and the status it reported.
 type peerStat struct {
 	id int
-	sr statusResp
+	sr gen.ShardStatus
 }
 
 // NodeStats counts a cluster node's lifecycle events (deterministic
@@ -122,7 +123,7 @@ type NodeStats struct {
 	Promotions   int64 // candidacies won (view installs reaching quorum)
 	Candidacies  int64 // candidacies that passed the pre-vote
 	Resyncs      int64 // same-epoch snapshot installs pushed to lagging backups
-	StaleWrites  int64 // stStale replies sent
+	StaleWrites  int64 // Stale answers to writes and reads
 	FencedWrites int64 // writes refused under an outstanding promise
 }
 
@@ -142,6 +143,8 @@ func (s *NodeStats) Add(o NodeStats) {
 // node's crash, while the store underneath survives into the next boot.
 type Node struct {
 	peerSessions // replication and failover calls to the other nodes
+	proc         *gen.ClusterProcessor
+	mon          []*gen.ClusterClient // the monitor's clients, by peer index (Node.peer)
 
 	cfg   Config
 	self  int // index into cfg.NodeIDs == position in roster
@@ -173,6 +176,7 @@ func NewUnservedNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.No
 	env := eng.Node().Cluster().Env()
 	n := &Node{
 		peerSessions: newPeerSessions(eng, roster),
+		mon:          make([]*gen.ClusterClient, len(roster)),
 		cfg:          cfg,
 		self:         self,
 		env:          env,
@@ -199,7 +203,6 @@ func NewUnservedNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.No
 			replicas:       reps,
 			prefix:         dataPrefix(s),
 			metaKey:        metaKey(s),
-			probe:          encodeStatus(statusReq{Shard: uint16(s)}),
 			epoch:          1,
 			primary:        reps[0],
 			learnedEpoch:   1,
@@ -221,6 +224,7 @@ func NewUnservedNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.No
 		n.shardIDs = append(n.shardIDs, s)
 	}
 	// shardIDs is built in ascending shard order already (the loop above).
+	n.proc = gen.NewClusterProcessor(service{n})
 	n.startMonitor()
 	return n
 }
@@ -272,7 +276,7 @@ func durablePosition(store *hatkv.Store, shard int, def shardMeta) shardMeta {
 	defer txn.Abort()
 	m := def
 	if raw, err := txn.Get([]byte(metaKey(shard))); err == nil {
-		if d, err := decodeShardMeta(raw); err == nil {
+		if d, ok := decodeShardMeta(raw); ok {
 			m = d
 		}
 	}
@@ -329,24 +333,46 @@ func (st *shardState) leads(self int) bool {
 	return st.primary == self && st.learnedEpoch == st.epoch && st.promised <= st.epoch && !st.lost()
 }
 
-// staleReply answers with the freshest routing this replica knows.
-func (n *Node) staleReply(st *shardState) []byte {
-	n.stats.StaleWrites++
-	n.staleRej.Inc()
-	return encodeStale(st.learnedEpoch, int32(st.learnedPrimary))
+// learned is the Stale exception carrying the freshest routing this
+// replica knows.
+func learned(st *shardState) *gen.Stale {
+	return &gen.Stale{Epoch: int64(st.learnedEpoch), Primary: int32(st.learnedPrimary)}
 }
 
-// fencedReply refuses a request under a candidacy's promise or the boot
-// fence.
-func (n *Node) fencedReply() []byte {
+// stale refuses a write or a read from a view behind this replica's.
+func (n *Node) stale(st *shardState) error {
+	n.stats.StaleWrites++
+	n.staleRej.Inc()
+	return learned(st)
+}
+
+// fenced refuses a request under a candidacy's promise or the boot fence.
+func (n *Node) fenced() error {
 	n.stats.FencedWrites++
 	n.fencedRej.Inc()
-	return []byte{stFenced}
+	return errFenced
 }
+
+// The declared exceptions without a payload, shared by every answer.
+var (
+	errFenced    = &gen.Fenced{}
+	errNotQuorum = &gen.NotQuorum{}
+	errNeedSync  = &gen.NeedSync{}
+	errNotFound  = &gen.NotFound{}
+)
+
+// Failures that are no declared outcome: the processor answers them with
+// an application exception, which callers treat as a refusal to retry.
+var (
+	errNotReplica  = errors.New("cluster: not a replica of the shard")
+	errBackupAhead = errors.New("cluster: position below the backup's own")
+	errShortRecord = errors.New("cluster: record too short for its stamp")
+)
 
 // Fence trips. These mark a caller trying to move a shard backwards —
 // impossible through the current handlers, which all pre-check — and
-// surface as stErr to the peer if a future path forgets to.
+// surface as an application exception to the peer if a future path
+// forgets to.
 var (
 	errStaleSeq     = errors.New("cluster: write seq not past the shard position")
 	errStaleInstall = errors.New("cluster: install below the shard epoch")
@@ -380,15 +406,16 @@ func (n *Node) applyWrite(p *sim.Proc, st *shardState, key, val []byte, seq uint
 	return err
 }
 
-// applyInstall replaces the shard's state wholesale: every snapshot
-// record plus the new meta in one commit. Records never deleted under
-// this protocol can only be overwritten, so replacement == overwrite.
-func (n *Node) applyInstall(p *sim.Proc, st *shardState, q installReq) error {
+// applyInstall replaces the shard's state wholesale with a snapshot at
+// (epoch, seq) of primary's view: every record plus the new meta in one
+// commit. Records never deleted under this protocol can only be
+// overwritten, so replacement == overwrite.
+func (n *Node) applyInstall(p *sim.Proc, st *shardState, epoch uint64, primary int, seq uint64, recs []*gen.Pair) error {
 	// Installs move the content view forward. Callers bounce stale
-	// pushes before getting here (handleInstall's fence, the candidate's
+	// pushes before getting here (Install's fence, the candidate's
 	// own promised epoch); this local fence makes the invariant hold no
 	// matter who calls.
-	if q.Epoch < st.epoch {
+	if epoch < st.epoch {
 		return errStaleInstall
 	}
 	// The install overwrites records: none of its shard's older appends
@@ -397,18 +424,18 @@ func (n *Node) applyInstall(p *sim.Proc, st *shardState, q installReq) error {
 		return err
 	}
 	prev := *st
-	st.epoch = q.Epoch
-	st.primary = int(q.Primary)
+	st.epoch = epoch
+	st.primary = primary
 	// The content seq is epoch-scoped: a view-change install legally
 	// resets it to the snapshot's position, lower or not.
-	st.seq = q.Seq //hatlint:allow epochfence -- seq is epoch-scoped; an install adopts the snapshot position wholesale
-	if q.Epoch > st.promised {
-		st.promised = q.Epoch
+	st.seq = seq //hatlint:allow epochfence -- seq is epoch-scoped; an install adopts the snapshot position wholesale
+	if epoch > st.promised {
+		st.promised = epoch
 	}
-	st.adoptLearned(q.Epoch, int(q.Primary))
-	pairs := make([]*kvgen.KVPair, 0, len(q.Pairs)+1)
-	for i := range q.Pairs {
-		pairs = append(pairs, &kvgen.KVPair{Key: q.Pairs[i].Key, Value: q.Pairs[i].Value})
+	st.adoptLearned(epoch, primary)
+	pairs := make([]*kvgen.KVPair, 0, len(recs)+1)
+	for _, r := range recs {
+		pairs = append(pairs, &kvgen.KVPair{Key: string(r.Key), Value: r.Value})
 	}
 	pairs = append(pairs, &kvgen.KVPair{Key: st.metaKey, Value: st.record()})
 	if err := n.store.MultiPut(p, pairs); err != nil {
@@ -422,7 +449,7 @@ func (n *Node) applyInstall(p *sim.Proc, st *shardState, q installReq) error {
 // candidacy): from this commit on — across crashes — the replica
 // refuses writes and view-change installs below the promised epoch.
 func (n *Node) promise(p *sim.Proc, st *shardState, epoch uint64) error {
-	// The prepare fence only ratchets up. handleStatus and runCandidacy
+	// The prepare fence only ratchets up. Prepare and runCandidacy
 	// both check before calling; the local fence keeps promise() safe to
 	// call bare.
 	if epoch <= st.promised {
@@ -437,10 +464,10 @@ func (n *Node) promise(p *sim.Proc, st *shardState, epoch uint64) error {
 	return nil
 }
 
-// snapshotLocked collects every record of the shard plus its content
-// position. Caller holds st.mu, so the snapshot is a consistent prefix;
-// it settles the store first, so the prefix holds every append acked.
-func (n *Node) snapshotLocked(p *sim.Proc, st *shardState) ([]snapPair, error) {
+// snapshotLocked copies out every record of the shard. Caller holds st.mu,
+// so the snapshot is a consistent prefix of its content position; it
+// settles the store first, so the prefix holds every append acked.
+func (n *Node) snapshotLocked(p *sim.Proc, st *shardState) ([]*gen.Pair, error) {
 	if err := n.store.Settle(p); err != nil {
 		return nil, err
 	}
@@ -450,24 +477,34 @@ func (n *Node) snapshotLocked(p *sim.Proc, st *shardState) ([]snapPair, error) {
 	}
 	defer txn.Abort()
 	prefix := st.prefix
-	var out []snapPair
+	var out []*gen.Pair
 	for c := txn.Seek([]byte(prefix)); c.Valid(); c.Next() {
 		k := c.Key()
 		if len(k) < len(prefix) || string(k[:len(prefix)]) != prefix {
 			break
 		}
-		out = append(out, snapPair{
-			Key:   string(k),
-			Value: append([]byte(nil), c.Value()...),
-		})
+		k, v := lmdb.CopyPair(k, c.Value())
+		out = append(out, &gen.Pair{Key: k, Value: v})
 	}
 	return out, nil
 }
 
-// callPeer is callPeerDL under the replication deadline; a census uses
-// a tighter one, so a dead primary is detected within a few ticks.
-func (n *Node) callPeer(p *sim.Proc, peer int, fn uint32, req []byte) ([]byte, error) {
-	return n.callPeerDL(p, peer, fn, req, callDeadlineNs)
+// peer returns the monitor's client of peer (the monitor is one process:
+// it calls one peer at a time).
+func (n *Node) peer(r int) *gen.ClusterClient {
+	if n.mon[r] == nil {
+		n.mon[r] = n.client(r, peerDeadline)
+	}
+	return n.mon[r]
+}
+
+// peerDeadline bounds one call of a node to a peer: a census is tighter
+// than the rest, so a dead primary is detected within a few ticks.
+func peerDeadline(fn string) sim.Duration {
+	if fn == "Census" {
+		return sim.Duration(probeDeadlineNs)
+	}
+	return sim.Duration(callDeadlineNs)
 }
 
 // CloseSessions closes the node's cached replication sessions in
@@ -475,286 +512,241 @@ func (n *Node) callPeer(p *sim.Proc, peer int, fn uint32, req []byte) ([]byte, e
 // node's QPs are released before the engine closes.
 func (n *Node) CloseSessions() { n.closeSessions() }
 
-// Handle dispatches the cluster wire protocol: the handler the caller of
-// NewUnservedNode serves on cluster.Port.
+// Handle serves the cluster service (cluster.hrpc) through its generated
+// processor: the handler the caller of NewUnservedNode serves on
+// cluster.Port. fn is the verb's wire id.
 func (n *Node) Handle(p *sim.Proc, fn uint32, req []byte) []byte {
-	switch fn {
-	case FnShardMap:
-		return n.handleShardMap()
-	case FnClusterPut:
-		return n.handlePut(p, req)
-	case FnClusterGet:
-		return n.handleGet(p, req)
-	case FnReplicate:
-		return n.handleReplicate(p, req)
-	case FnShardStatus:
-		return n.handleStatus(p, req)
-	case FnShardPull:
-		return n.handlePull(p, req)
-	case FnInstall:
-		return n.handleInstall(p, req)
-	}
-	return []byte{stErr}
+	return n.proc.ProcessBytes(p, fn, req)
 }
 
-// replyBuf is where a handler serializes an n-byte reply: the staging
-// region of the connection whose dispatcher p is (engine.ResponseStage),
-// which the engine sends from where it lies, or one fresh buffer when p is
-// no dispatcher or the reply does not fit.
-func replyBuf(p *sim.Proc, n int) []byte {
-	if b := engine.ResponseStage(p); cap(b) >= n {
-		return b
-	}
-	return make([]byte, 0, n)
+// service is the node as the generated processor's handler: one method
+// per verb. Arguments are lent for the call, like the request they lie in.
+type service struct{ *Node }
+
+// notOwned answers a data verb for a shard this node is no replica of
+// with the static view, so a confused client re-routes.
+func (n service) notOwned(shard int32) error {
+	e := n.initial.Shards[int(uint32(shard))%len(n.initial.Shards)]
+	return &gen.Stale{Epoch: int64(e.Epoch), Primary: e.Primary}
 }
 
-// handleShardMap serves this node's routing view: its own shards'
-// learned (epoch, primary), the static epoch-1 map for the rest.
-// Clients merge views across nodes, so each shard's replicas — which
-// always know the freshest epoch — win.
-func (n *Node) handleShardMap() []byte {
-	m := &ShardMap{Shards: make([]ShardInfo, len(n.initial.Shards))}
-	copy(m.Shards, n.initial.Shards)
+// ShardMap serves this node's routing view: its own shards' learned
+// (epoch, primary), the static epoch-1 map for the rest. Clients merge
+// views across nodes, so each shard's replicas — which always know the
+// freshest epoch — win.
+func (n service) ShardMap(p *sim.Proc) (gen.Routes, error) {
+	m := &ShardMap{Shards: slices.Clone(n.initial.Shards)}
 	for _, id := range n.shardIDs {
 		st := n.shards[id]
 		m.Shards[id].Epoch = st.learnedEpoch
 		m.Shards[id].Primary = int32(st.learnedPrimary)
 	}
-	out := []byte{stOK}
-	return append(out, m.Encode()...)
+	return m.routes(), nil
 }
 
-// handlePut executes a client write as the shard primary: fence and
-// epoch checks, then the append — the request's own key and value bytes
-// under the next seq — goes onto the backups' lanes (replicate.go) and
-// the primary commits locally on this process while they run: the put
-// costs max(commit, hop + commit), not their sum. The ack requires the
-// local commit and a majority of the replica set (self included).
-// Split-brain safety lives here: a deposed or minority-side primary
-// cannot assemble a quorum, so it can never acknowledge. A local commit
-// that fails was already shipped: its seq may be durable on a backup, so
-// the shard is fenced until a candidacy has adopted the freshest replica
-// — a seq is never named twice.
-func (n *Node) handlePut(p *sim.Proc, req []byte) []byte {
-	q, err := decodeKV(req, false)
-	if err != nil {
-		return []byte{stErr}
-	}
-	st := n.shards[int(q.Shard)]
+// Put executes a client write as the shard primary: fence and epoch
+// checks, then the append — the request's own key and value under the
+// next seq — goes onto the backups' lanes (replicate.go) and the primary
+// commits locally on this process while they run: the put costs
+// max(commit, hop + commit), not their sum. The ack requires the local
+// commit and a majority of the replica set (self included). Split-brain
+// safety lives here: a deposed or minority-side primary cannot assemble a
+// quorum, so it can never acknowledge. A local commit that fails was
+// already shipped: its seq may be durable on a backup, so the shard is
+// fenced until a candidacy has adopted the freshest replica — a seq is
+// never named twice.
+func (n service) Put(p *sim.Proc, shard int32, epoch int64, key, value []byte) error {
+	st := n.shards[int(shard)]
 	if st == nil {
-		// Not a replica of this shard: answer with the static view so a
-		// confused client re-routes.
-		e := n.initial.Shards[int(q.Shard)%len(n.initial.Shards)]
-		return encodeStale(e.Epoch, e.Primary)
+		return n.notOwned(shard)
 	}
 	st.mu.Lock(p)
 	defer st.mu.Unlock()
 	if st.promised > st.epoch {
-		return n.fencedReply() // a candidacy holds our durable promise
+		return n.fenced() // a candidacy holds our durable promise
 	}
-	if st.primary != n.self || q.Epoch != st.epoch || st.learnedEpoch != st.epoch {
-		return n.staleReply(st)
+	if st.primary != n.self || uint64(epoch) != st.epoch || st.learnedEpoch != st.epoch {
+		return n.stale(st)
 	}
 	if st.lost() {
-		return n.fencedReply() // primary by content, but it lost track of the epoch
+		return n.fenced() // primary by content, but it lost track of the epoch
 	}
 	seq := st.seq + 1
-	st.app = appendRepl(st.app[:0], q.Shard, st.epoch, int32(n.self), seq, q.Tail)
-	n.ship(st, st.app)
-	err = n.applyWrite(p, st, q.Key, q.Value, seq, false)
+	n.ship(st, seq, key, value)
+	err := n.applyWrite(p, st, key, value, seq, false)
 	backs, stale := n.gather(p, st)
 	switch {
 	case err != nil:
 		if len(st.repl) > 0 { // it was shipped: the seq is burnt
 			st.fence()
 		}
-		return []byte{stErr}
+		return err
 	case stale:
-		return n.staleReply(st) // deposed mid-write; never ack
+		return n.stale(st) // deposed mid-write; never ack
 	case 1+backs < quorum(len(st.replicas)):
-		return []byte{stNotQuorum}
+		return errNotQuorum
 	}
-	return []byte{stOK}
+	return nil
 }
 
-// handleGet serves a read from the primary's local store. Reads carry
-// the same epoch check as writes, so a client routing at a stale epoch
-// refreshes instead of reading from a deposed primary.
-func (n *Node) handleGet(p *sim.Proc, req []byte) []byte {
-	q, err := decodeKV(req, false)
-	if err != nil || len(q.Value) != 0 {
-		return []byte{stErr}
-	}
-	st := n.shards[int(q.Shard)]
+// Get serves a read from the primary's local store. Reads carry the same
+// epoch check as writes, so a client routing at a stale epoch refreshes
+// instead of reading from a deposed primary.
+func (n service) Get(p *sim.Proc, shard int32, epoch int64, key []byte) ([]byte, error) {
+	st := n.shards[int(shard)]
 	if st == nil {
-		e := n.initial.Shards[int(q.Shard)%len(n.initial.Shards)]
-		return encodeStale(e.Epoch, e.Primary)
+		return nil, n.notOwned(shard)
 	}
 	st.mu.Lock(p)
 	defer st.mu.Unlock()
-	if st.primary != n.self || q.Epoch != st.epoch || st.learnedEpoch != st.epoch {
-		return n.staleReply(st)
+	if st.primary != n.self || uint64(epoch) != st.epoch || st.learnedEpoch != st.epoch {
+		return nil, n.stale(st)
 	}
 	if st.lost() {
-		return n.fencedReply()
+		return nil, n.fenced()
 	}
-	rec, err := n.store.Get(p, dataKey(st.prefix, q.Key))
+	rec, err := n.store.Get(p, dataKey(st.prefix, key))
 	if errors.Is(err, hatkv.ErrNotFound) {
-		return appendGetResp(replyBuf(p, 2), nil, false)
+		return nil, errNotFound
+	}
+	// A failing store, or a record too short for its stamp, is not an
+	// absent key: the client must retry, not report acknowledged data as
+	// deleted.
+	if err != nil {
+		return nil, err
 	}
 	_, _, v, ok := readStamp(rec)
-	if err != nil || !ok {
-		// A failing store, or a record too short for its stamp, is not an
-		// absent key: the client must retry, not report acknowledged data
-		// as deleted.
-		return []byte{stErr}
+	if !ok {
+		return nil, errShortRecord
 	}
-	return appendGetResp(replyBuf(p, 2+len(v)), v, true)
+	return v, nil
 }
 
-// handleReplicate accepts one ordered log append from the shard
-// primary. Acceptance demands the exact content view (epoch AND
-// primary), no fresher hearsay, no outstanding higher promise, and a
-// contiguous seq. A replay of the last append (a session re-sending it
-// after a reconnect) acks idempotently; gaps demand a snapshot install —
-// a replica's content is therefore always a prefix of its primary's write
-// sequence, which is what lets candidacy pick "freshest replica" by
-// (epoch, seq) alone. The replay is recognised by its seq, not its
-// content: the backup keeps no copy of what it applied under a seq, so
-// seq == st.seq with other bytes would be acked unapplied. What rules
-// that out is the primary's side — a primary that may have lost track of
-// a shipped seq is fenced and re-elects (shardState.lostEpoch) — not this
-// check. A seq below the backup's position is no replay (the lanes send
-// one append at a time): the primary is behind its backup, which the
-// fence makes impossible, so it is counted and refused, never acked.
-func (n *Node) handleReplicate(p *sim.Proc, req []byte) []byte {
-	q, err := decodeKV(req, true)
-	if err != nil {
-		return []byte{stErr}
-	}
-	st := n.shards[int(q.Shard)]
+// Replicate accepts one ordered log append from the shard primary.
+// Acceptance demands the exact content view (epoch AND primary), no
+// fresher hearsay, no outstanding higher promise, and a contiguous seq. A
+// replay of the last append (a session re-sending it after a reconnect)
+// acks idempotently; gaps demand a snapshot install — a replica's content
+// is therefore always a prefix of its primary's write sequence, which is
+// what lets candidacy pick "freshest replica" by (epoch, seq) alone. The
+// replay is recognised by its seq, not its content: the backup keeps no
+// copy of what it applied under a seq, so seq == st.seq with other bytes
+// would be acked unapplied. What rules that out is the primary's side — a
+// primary that may have lost track of a shipped seq is fenced and
+// re-elects (shardState.lostEpoch) — not this check. A seq below the
+// backup's position is no replay (the lanes send one append at a time):
+// the primary is behind its backup, which the fence makes impossible, so
+// it is counted and refused, never acked.
+func (n service) Replicate(p *sim.Proc, shard int32, epoch int64, primary int32, seq int64, key, value []byte) error {
+	st := n.shards[int(shard)]
 	if st == nil {
-		return []byte{stErr} // replicate to a non-replica: config bug
+		return errNotReplica // replicate to a non-replica: config bug
 	}
 	st.mu.Lock(p)
 	defer st.mu.Unlock()
-	if q.Epoch < st.epoch || (q.Epoch == st.epoch && int(q.Primary) != st.primary) ||
-		q.Epoch < st.learnedEpoch {
-		return n.staleReply(st)
+	e, s := uint64(epoch), uint64(seq)
+	if e < st.epoch || (e == st.epoch && int(primary) != st.primary) || e < st.learnedEpoch {
+		return n.stale(st)
 	}
-	if q.Epoch < st.promised {
-		return n.fencedReply()
+	if e < st.promised {
+		return n.fenced()
 	}
 	st.lastHeard, st.silent = p.Now(), false // word from a primary this replica follows
-	if q.Epoch > st.epoch {
-		return []byte{stNeedSync} // only installs advance content epochs
-	}
-	if q.Seq < st.seq {
+	switch {
+	case e > st.epoch:
+		return errNeedSync // only installs advance content epochs
+	case s < st.seq:
 		n.backupAhead.Inc()
-		return []byte{stErr}
+		return errBackupAhead
+	case s == st.seq:
+		return nil // replay of the append applied last
+	case s != st.seq+1:
+		return errNeedSync
 	}
-	if q.Seq == st.seq {
-		return []byte{stOK} // replay of the append applied last
-	}
-	if q.Seq != st.seq+1 {
-		return []byte{stNeedSync}
-	}
-	if err := n.applyWrite(p, st, q.Key, q.Value, q.Seq, true); err != nil {
-		return []byte{stErr}
-	}
-	return []byte{stOK}
+	return n.applyWrite(p, st, key, value, s, true)
 }
 
-// handleStatus answers a census with the shard's state, lock-free: a put
-// holding the shard mutex does not delay a primary's answer, and as each
-// writer runs until it blocks, the answer is the shard at one instant.
-// With the prepare flag it first durably promises the candidate's epoch,
-// under the mutex. The promise is the fence: from its commit on — across
-// this replica's own crashes — every write below the promised epoch is
-// refused, so an old primary can never assemble an ack quorum behind a
-// candidacy's back. A replica that hears its primary promises no one but
-// that primary re-electing itself (stickiness).
-func (n *Node) handleStatus(p *sim.Proc, req []byte) []byte {
-	q, err := decodeStatus(req)
-	if err != nil {
-		return []byte{stErr}
-	}
-	st := n.shards[int(q.Shard)]
-	if st == nil {
-		return []byte{stErr}
-	}
-	status := stOK
-	if q.Prepare {
-		st.mu.Lock(p)
-		defer st.mu.Unlock()
-		switch {
-		case q.NewEpoch <= st.promised || q.NewEpoch <= st.epoch:
-			status = stStale // candidate must re-propose above what we reply
-		case !q.Reelect && st.hears(n.self):
-			status = stStale
-		default:
-			if err := n.promise(p, st, q.NewEpoch); err != nil {
-				return []byte{stErr}
-			}
-			st.lastHeard = p.Now() // the candidate gets a window to finish
-		}
-	}
-	var flags uint8
-	if st.leads(n.self) {
-		flags |= flagLeads
-	}
-	if st.hears(n.self) {
-		flags |= flagHeard
-	}
-	return appendStatusResp(append(replyBuf(p, 1+statusRespLen), status), statusResp{
-		Epoch:          st.epoch,
-		Seq:            st.seq,
-		LearnedEpoch:   st.learnedEpoch,
+// status is the shard's state as a census or a prepare reports it.
+func (n service) status(st *shardState) gen.ShardStatus {
+	return gen.ShardStatus{
+		Epoch:          int64(st.epoch),
+		Seq:            int64(st.seq),
+		LearnedEpoch:   int64(st.learnedEpoch),
 		LearnedPrimary: int32(st.learnedPrimary),
-		Promised:       st.promised,
-		Flags:          flags,
-	})
+		Promised:       int64(st.promised),
+		Leads:          st.leads(n.self),
+		Heard:          st.hears(n.self),
+	}
 }
 
-// handlePull serves a consistent snapshot of the shard to a candidate.
-func (n *Node) handlePull(p *sim.Proc, req []byte) []byte {
-	r := &rbuf{b: req}
-	shard := int(r.u16())
-	if !r.done() {
-		return []byte{stErr}
-	}
-	st := n.shards[shard]
+// Census answers with the shard's state, lock-free: a put holding the
+// shard mutex does not delay a primary's answer, and as each writer runs
+// until it blocks, the answer is the shard at one instant.
+func (n service) Census(p *sim.Proc, shard int32) (gen.ShardStatus, error) {
+	st := n.shards[int(shard)]
 	if st == nil {
-		return []byte{stErr}
+		return gen.ShardStatus{}, errNotReplica
+	}
+	return n.status(st), nil
+}
+
+// Prepare durably promises the candidate's epoch, under the mutex, and
+// answers with the shard's state. The promise is the fence: from its
+// commit on — across this replica's own crashes — every write below the
+// promised epoch is refused, so an old primary can never assemble an ack
+// quorum behind a candidacy's back. A replica that hears its primary
+// promises no one but that primary re-electing itself (stickiness).
+func (n service) Prepare(p *sim.Proc, shard int32, epoch int64, reelect bool) (gen.ShardStatus, error) {
+	st := n.shards[int(shard)]
+	if st == nil {
+		return gen.ShardStatus{}, errNotReplica
+	}
+	st.mu.Lock(p)
+	defer st.mu.Unlock()
+	e := uint64(epoch)
+	switch {
+	case e <= st.promised || e <= st.epoch:
+		return gen.ShardStatus{}, learned(st) // the candidate must re-propose above what we know
+	case !reelect && st.hears(n.self):
+		return gen.ShardStatus{}, learned(st)
+	}
+	if err := n.promise(p, st, e); err != nil {
+		return gen.ShardStatus{}, err
+	}
+	st.lastHeard = p.Now() // the candidate gets a window to finish
+	return n.status(st), nil
+}
+
+// Pull serves a consistent snapshot of the shard to a candidate.
+func (n service) Pull(p *sim.Proc, shard int32) (gen.Snapshot, error) {
+	st := n.shards[int(shard)]
+	if st == nil {
+		return gen.Snapshot{}, errNotReplica
 	}
 	st.mu.Lock(p)
 	defer st.mu.Unlock()
 	pairs, err := n.snapshotLocked(p, st)
 	if err != nil {
-		return []byte{stErr}
+		return gen.Snapshot{}, err
 	}
-	out := []byte{stOK}
-	return append(out, encodePullResp(st.epoch, st.seq, pairs)...)
+	return gen.Snapshot{Epoch: int64(st.epoch), Seq: int64(st.seq), Pairs: pairs}, nil
 }
 
-// handleInstall applies a wholesale shard state push. Two legal shapes:
-// a view-change install, which must clear this replica's durable
-// promise (an expired candidacy's install bounces off a newer one); and
-// a same-epoch resync from the current primary, which fast-forwards a
+// Install applies a wholesale shard state push. Two legal shapes: a
+// view-change install, which must clear this replica's durable promise
+// (an expired candidacy's install bounces off a newer one); and a
+// same-epoch resync from the current primary, which fast-forwards a
 // lagging backup. Both replace records and meta in one commit.
-func (n *Node) handleInstall(p *sim.Proc, req []byte) []byte {
-	q, err := decodeInstall(req)
-	if err != nil {
-		return []byte{stErr}
-	}
-	st := n.shards[int(q.Shard)]
+func (n service) Install(p *sim.Proc, shard int32, epoch int64, primary int32, seq int64, pairs []*gen.Pair) error {
+	st := n.shards[int(shard)]
 	if st == nil {
-		return []byte{stErr}
+		return errNotReplica
 	}
 	st.mu.Lock(p)
 	defer st.mu.Unlock()
+	e, s := uint64(epoch), uint64(seq)
 	switch {
-	case q.Epoch > st.epoch:
+	case e > st.epoch:
 		// View change. Installs below our outstanding promise are an
 		// expired candidacy's stragglers and bounce off the fence. At or
 		// above the promise they are accepted even if we never promised
@@ -765,34 +757,31 @@ func (n *Node) handleInstall(p *sim.Proc, req []byte) []byte {
 		// as our new promise floor — so accepting doubles as the promise
 		// we missed, and crashed-through-failover replicas can rejoin via
 		// plain resync instead of waiting for the next view change.
-		if q.Epoch < st.promised {
-			return n.fencedReply()
+		if e < st.promised {
+			return n.fenced()
 		}
-		if err := n.applyInstall(p, st, q); err != nil {
-			return []byte{stErr}
+		if err := n.applyInstall(p, st, e, int(primary), s, pairs); err != nil {
+			return err
 		}
 		st.lastHeard, st.silent = p.Now(), false
-		return []byte{stOK}
-	case q.Epoch == st.epoch && int(q.Primary) == st.primary:
+		return nil
+	case e == st.epoch && int(primary) == st.primary:
 		// Resync from the current primary. Refuse while a candidacy holds
 		// a higher promise — prepare froze this replica's reported state.
 		if st.promised > st.epoch {
-			return n.fencedReply()
+			return n.fenced()
 		}
 		st.lastHeard, st.silent = p.Now(), false
-		if q.Seq < st.seq {
-			n.backupAhead.Inc() // as in handleReplicate: never OK
-			return []byte{stErr}
+		switch {
+		case s < st.seq:
+			n.backupAhead.Inc() // as in Replicate: never acked
+			return errBackupAhead
+		case s == st.seq:
+			return nil // no-op catch-up
 		}
-		if q.Seq == st.seq {
-			return []byte{stOK} // no-op catch-up
-		}
-		if err := n.applyInstall(p, st, q); err != nil {
-			return []byte{stErr}
-		}
-		return []byte{stOK}
+		return n.applyInstall(p, st, e, int(primary), s, pairs)
 	default:
-		return n.staleReply(st)
+		return n.stale(st)
 	}
 }
 

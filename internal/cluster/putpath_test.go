@@ -6,7 +6,7 @@ import (
 	"sort"
 	"testing"
 
-	"hatrpc/internal/engine"
+	gen "hatrpc/internal/cluster/gen"
 	"hatrpc/internal/hatkv"
 	"hatrpc/internal/obs"
 	"hatrpc/internal/sim"
@@ -29,56 +29,32 @@ func TestStoreKeyForms(t *testing.T) {
 	}
 }
 
-// TestAppendReusesPutTail: the append a primary ships is the replicate
-// header in front of the put's own key and value bytes, it decodes to the
-// same key and value, and a buffer that has carried a longer append is
-// reused for a shorter one without allocating.
-func TestAppendReusesPutTail(t *testing.T) {
-	put := appendPut(nil, putReq{Shard: 3, Epoch: 9, Key: "some-key", Value: []byte("a value")})
-	q, err := decodeKV(put, false)
-	if err != nil || string(q.Key) != "some-key" || string(q.Value) != "a value" || !bytes.Equal(q.Tail, put[putHdrLen:]) {
-		t.Fatalf("decoded put %+v, %v", q, err)
-	}
-	buf := make([]byte, 0, 64)
-	app := appendRepl(buf, q.Shard, q.Epoch, 2, 41, q.Tail)
-	if len(app) != replHdrLen+len(q.Tail) || &app[0] != &buf[:1][0] {
-		t.Errorf("append is %d bytes (want %d) or left the 64-byte buffer it was given", len(app), replHdrLen+len(q.Tail))
-	}
-	r, err := decodeKV(app, true)
-	if err != nil || r.Shard != 3 || r.Epoch != 9 || r.Primary != 2 || r.Seq != 41 ||
-		!bytes.Equal(r.Key, q.Key) || !bytes.Equal(r.Value, q.Value) {
-		t.Errorf("append decoded to %+v, %v", r, err)
-	}
-	for cut := 0; cut < replHdrLen+2+len(q.Key); cut++ {
-		if _, err := decodeKV(app[:cut], true); err == nil {
-			t.Errorf("append truncated to %d bytes decoded", cut)
-		}
-	}
-}
-
-// putPathAllocs is what the whole simulation — the primary's handler, its
-// two lanes, both backups' dispatchers, three stores and the backups'
-// appliers — allocates for one warmed RF-3 128 B put handed to the
-// primary's Handle. Backups acking from their log did not move it: the
-// log's copy of a pair is the one the tree keeps. The parent of
+// putPathAllocs is what the whole simulation — the client's transport, the
+// primary's dispatcher and handler, its two lanes, both backups'
+// dispatchers, three stores and the backups' appliers — allocates for one
+// warmed RF-3 128 B Client.Put. Backups acking from their log did not move
+// it: the log's copy of a pair is the one the tree keeps. The parent of
 // the overlap change measured 54 by the same count, 38 before a write txn
 // copied each lmdb node once and each pair into one allocation, 23 before
 // lmdb reused the nodes no snapshot reaches and each shard encoded its
 // meta record into one buffer, 11 before the dispatcher recycled every
-// request and the primary handed its backups' acks back, and 9 before an
-// append became one stamped store write instead of a data and a meta pair.
-const putPathAllocs = 6
+// request and the primary handed its backups' acks back, 9 before an
+// append became one stamped store write instead of a data and a meta pair,
+// and 6 before the verbs were generated from cluster.hrpc: the primary's
+// answer and each backup's, one fresh byte slice apiece then, are
+// serialized into the dispatchers' staging regions now.
+const putPathAllocs = 3
 
 func TestPutPathAllocs(t *testing.T) {
 	tc := newTestCluster(t, 53, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})
-	prim := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)[0]
 	var got float64
-	tc.roster[prim].Spawn("driver", func(p *sim.Proc) {
+	tc.env.Spawn("client", func(p *sim.Proc) {
 		defer tc.env.Stop()
-		req := appendPut(nil, putReq{Shard: 0, Epoch: 1, Key: "key-007", Value: make([]byte, 128)})
+		c := NewClient(tc.cliEng, tc.roster, tc.cfg)
+		val := make([]byte, 128)
 		put := func() {
-			if resp := tc.nodes[prim].Handle(p, FnClusterPut, req); len(resp) != 1 || resp[0] != stOK {
-				t.Fatalf("put: %v", resp)
+			if err := c.Put(p, "key-007", val); err != nil {
+				t.Fatalf("put: %v", err)
 			}
 		}
 		for i := 0; i < 8; i++ {
@@ -93,63 +69,62 @@ func TestPutPathAllocs(t *testing.T) {
 	t.Logf("warmed RF-3 put: %.0f allocations", got)
 }
 
-// encodeStatusResp renders a status reply's body alone, as decodeStatusResp
-// reads it: a reply is the status byte, then this.
-func encodeStatusResp(s statusResp) []byte { return appendStatusResp(nil, s) }
+var statusSink gen.ShardStatus
 
-var statusSink []byte
-
-// TestStatusMessagesAllocateOnce: a census request is one allocation,
-// sized once. Its answer, the status byte followed by the shard's state,
-// is serialized into the connection's staging region on a dispatcher and
-// allocates nothing there; off a dispatcher it is one allocation.
+// TestStatusMessagesAllocateOnce: a census costs one allocation, and only
+// off a dispatcher. The request is serialized into its client's own
+// buffer, reused by every call; the answer into the staging region of the
+// connection when a dispatcher serves it, and into one fresh buffer
+// otherwise.
 func TestStatusMessagesAllocateOnce(t *testing.T) {
 	tc := newTestCluster(t, 61, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})
 	prim := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)[0]
 	n := tc.nodes[prim]
-	req := encodeStatus(statusReq{Shard: 0})
 	st := n.shards[0]
-	want := append([]byte{stOK}, encodeStatusResp(statusResp{
-		Epoch: st.epoch, Seq: st.seq, LearnedEpoch: st.learnedEpoch, LearnedPrimary: int32(st.learnedPrimary),
-		Promised: st.promised, Flags: flagLeads,
-	})...)
-	// The dispatcher-side case runs inside a handler served next to the
-	// node's own, so the process it measures on is a real dispatcher.
-	staged := -1.0
-	tc.engs[prim].Serve("probe", func(p *sim.Proc, fn uint32, _ []byte) []byte {
-		staged = testing.AllocsPerRun(20, func() { statusSink = n.Handle(p, FnShardStatus, req) })
-		if !bytes.Equal(statusSink, want) || &statusSink[0] != &engine.ResponseStage(p)[:1][0] {
-			t.Errorf("staged probe answer %x, want %x in the staging region", statusSink, want)
-		}
-		return nil
-	})
+	want := gen.ShardStatus{
+		Epoch: int64(st.epoch), Seq: int64(st.seq), LearnedEpoch: int64(st.learnedEpoch),
+		LearnedPrimary: int32(st.learnedPrimary), Promised: int64(st.promised), Leads: true,
+	}
 	tc.env.Spawn("driver", func(p *sim.Proc) {
 		defer tc.env.Stop()
-		if a := testing.AllocsPerRun(20, func() { statusSink = encodeStatus(statusReq{Shard: 0}) }); a != 1 {
-			t.Errorf("encodeStatus allocates %.0f objects, want 1", a)
-		}
-		if a := testing.AllocsPerRun(20, func() { statusSink = n.Handle(p, FnShardStatus, req) }); a != 1 {
-			t.Errorf("answering a probe off a dispatcher allocates %.0f objects, want 1", a)
-		}
-		if !bytes.Equal(statusSink, want) || len(want) != 1+statusRespLen {
-			t.Errorf("probe answered %x, want %x", statusSink, want)
-		}
-		c := tc.cliEng.Dial(p, tc.roster[prim], "probe")
-		if _, err := c.Call(p, FnShardStatus, nil, engine.CallOpts{Proto: engine.EagerSendRecv}); err != nil {
+		req := &capture{}
+		if _, err := gen.NewClusterClient(req).Census(p, 0); err != errCaptured {
 			t.Fatal(err)
+		}
+		c := at(n)
+		census := func() {
+			var err error
+			if statusSink, err = c.Census(p, 0); err != nil || statusSink != want {
+				t.Errorf("census answered %+v, %v; want %+v", statusSink, err, want)
+			}
+		}
+		census()
+		if a := testing.AllocsPerRun(20, func() { n.Handle(p, gen.ClusterHints.FnIDs["Census"], req.req) }); a != 1 {
+			t.Errorf("answering a census off a dispatcher allocates %.0f objects, want 1", a)
+		}
+		// Across the cluster, on a dispatcher, from the client's own buffer.
+		ps := newPeerSessions(tc.cliEng, tc.roster)
+		cc := ps.client(prim, clientDeadline)
+		served := func() {
+			var err error
+			if statusSink, err = cc.Census(p, 0); err != nil || statusSink != want {
+				t.Errorf("census answered %+v, %v; want %+v", statusSink, err, want)
+			}
+		}
+		served()
+		if a := testing.AllocsPerRun(20, served); a != 0 {
+			t.Errorf("a census served by a dispatcher allocates %.0f objects, want 0", a)
 		}
 	})
 	tc.env.Run()
-	if staged != 0 {
-		t.Errorf("answering a probe on a dispatcher allocates %.0f objects, want 0", staged)
-	}
 }
 
 // TestWarmedProbeAllocatesNothing: a backup's census of a live primary is
-// one call — the shard's one encoded status request, answered "I lead" —
-// the primary stages its answer on the dispatcher, the backup hands the
-// reply back to the arena it came from, and the answer slice is the
-// shard's own: a warmed census allocates nothing across the cluster.
+// one call — the monitor's client encodes it into its own buffer, answered
+// "I lead" — the primary stages its answer on the dispatcher, the backup's
+// transport hands the reply back to the arena it came from at its next
+// call, and the answer decodes into the caller's frame: a warmed census
+// allocates nothing across the cluster.
 func TestWarmedProbeAllocatesNothing(t *testing.T) {
 	tc := newTestCluster(t, 71, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})
 	reps := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)
@@ -178,10 +153,10 @@ func TestWarmedProbeAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestGetValueSurvivesLaterCalls: the value Client.Get returns lies in the
-// reply buffer, which Get hands to its caller instead of the arena — 100
-// more puts and gets on the same client, whose replies are the same size,
-// leave it as it was.
+// TestGetValueSurvivesLaterCalls: the value Client.Get returns is the
+// caller's, not a window onto a reply the transport recycles — 100 more
+// puts and gets on the same client, whose replies are the same size, leave
+// it as it was.
 func TestGetValueSurvivesLaterCalls(t *testing.T) {
 	tc := newTestCluster(t, 67, 3, Config{NShards: 4, RF: 3, ProbeIntervalNs: quietProbeNs})
 	tc.env.Spawn("client", func(p *sim.Proc) {
@@ -214,7 +189,7 @@ func TestGetValueSurvivesLaterCalls(t *testing.T) {
 // TestBackupAheadIsNeverOK: an append or a resync install that names a
 // seq below the backup's own position is not a replay — the primary is
 // behind its backup. It is counted and refused; the replay of the last
-// append stays the idempotent stOK it was, and neither moves the backup.
+// append stays the idempotent ack it was, and neither moves the backup.
 func TestBackupAheadIsNeverOK(t *testing.T) {
 	tc := newTestCluster(t, 59, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})
 	reps := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)
@@ -225,30 +200,28 @@ func TestBackupAheadIsNeverOK(t *testing.T) {
 	tc.roster[prim].Spawn("driver", func(p *sim.Proc) {
 		defer tc.env.Stop()
 		for i := 1; i <= 3; i++ {
-			if resp := putAt(p, tc.nodes[prim], "k", []byte{byte(i)}); len(resp) != 1 || resp[0] != stOK {
-				t.Errorf("put %d: %v", i, resp)
+			if err := putAt(p, tc.nodes[prim], "k", []byte{byte(i)}); err != nil {
+				t.Errorf("put %d: %v", i, err)
 				return
 			}
 		}
-		tail := appendPut(nil, putReq{Key: "k", Value: []byte("other bytes")})[putHdrLen:]
-		for _, c := range []struct {
+		c, k, v := at(backup), []byte("k"), []byte("other bytes")
+		for _, tcase := range []struct {
 			what string
-			fn   uint32
-			req  []byte
-			want uint8
+			call func() error
+			want string
 			cnt  int64
 		}{
-			{"replay of the last append", FnReplicate, appendRepl(nil, 0, 1, int32(prim), 3, tail), stOK, 0},
-			{"append below the backup's seq", FnReplicate, appendRepl(nil, 0, 1, int32(prim), 2, tail), stErr, 1},
-			{"resync install at the backup's seq", FnInstall, encodeInstall(installReq{Epoch: 1, Primary: int32(prim), Seq: 3}), stOK, 1},
-			{"resync install below the backup's seq", FnInstall, encodeInstall(installReq{Epoch: 1, Primary: int32(prim), Seq: 1}), stErr, 2},
+			{"replay of the last append", func() error { return c.Replicate(p, 0, 1, int32(prim), 3, k, v) }, "ok", 0},
+			{"append below the backup's seq", func() error { return c.Replicate(p, 0, 1, int32(prim), 2, k, v) }, "error", 1},
+			{"resync install at the backup's seq", func() error { return c.Install(p, 0, 1, int32(prim), 3, nil) }, "ok", 1},
+			{"resync install below the backup's seq", func() error { return c.Install(p, 0, 1, int32(prim), 1, nil) }, "error", 2},
 		} {
-			resp := backup.Handle(p, c.fn, c.req)
-			if len(resp) != 1 || resp[0] != c.want || ahead.Value() != c.cnt {
-				t.Errorf("%s answered %v with cluster.backup_ahead at %d, want [%d] and %d", c.what, resp, ahead.Value(), c.want, c.cnt)
+			if err := tcase.call(); outcome(err) != tcase.want || ahead.Value() != tcase.cnt {
+				t.Errorf("%s answered %v with cluster.backup_ahead at %d, want %s and %d", tcase.what, err, ahead.Value(), tcase.want, tcase.cnt)
 			}
 			if got := backup.shards[0].seq; got != 3 {
-				t.Errorf("%s moved the backup to seq %d", c.what, got)
+				t.Errorf("%s moved the backup to seq %d", tcase.what, got)
 			}
 		}
 	})
@@ -258,7 +231,7 @@ func TestBackupAheadIsNeverOK(t *testing.T) {
 // fanOutNs is the median duration of the replication fan-out on its own —
 // one append shipped to both backups and both answers gathered: the hop,
 // the backup's commit and the reply of the slower of two concurrent
-// FnReplicate calls — on the cluster medianPutSizeNs measures.
+// Replicate calls — on the cluster medianPutSizeNs measures.
 func fanOutNs(t *testing.T, size int) int64 {
 	t.Helper()
 	tc := newTestCluster(t, 23, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})
@@ -273,10 +246,9 @@ func fanOutNs(t *testing.T, size int) int64 {
 		st := n.shards[0]
 		st.mu.Lock(p)
 		defer st.mu.Unlock()
-		tail := appendPut(nil, putReq{Key: "k", Value: val})[putHdrLen:]
 		for i := 0; i < 9; i++ {
 			start := p.Now()
-			n.ship(st, appendRepl(nil, 0, st.epoch, int32(n.self), st.seq+1, tail))
+			n.ship(st, st.seq+1, []byte("k"), val)
 			if acks, stale := n.gather(p, st); acks != 2 || stale {
 				t.Errorf("fan-out %d: %d acks, stale %v", i, acks, stale)
 				return
@@ -316,11 +288,16 @@ func TestPutOverlapsCommitWithReplication(t *testing.T) {
 
 // treeAckExtraNs is what RF 3 added to an unloaded put over RF 1
 // (medianPutSizeNs) when a backup acked only after committing the record
-// into its tree — measured on that path, by value size.
+// into its tree — measured on that path, by value size, with the cluster's
+// hand-rolled wire encoding. cluster.hrpc's thrift framing makes a
+// Replicate call and its reply longer by more than a Put's: framingExtraNs
+// more, at either size, measured when the encoding alone changed.
 var treeAckExtraNs = map[int]int64{128: 2304, 16 << 10: 5472}
 
+const framingExtraNs = 12
+
 // TestBackupAcksFromTheLog pins the backup's ack path in closed form
-// (DESIGN.md §15 "The backup's ack path"): an idle backup's FnReplicate
+// (DESIGN.md §15 "The backup's ack path"): an idle backup's Replicate
 // handler takes exactly the log append — CopyPerByte × the stamped
 // record's length plus CommitSyncNs — and what RF 3 adds to an unloaded put
 // over RF 1 is BeginTxnNs + InsertNs less than it was on the tree-ack path.
@@ -333,12 +310,11 @@ func TestBackupAcksFromTheLog(t *testing.T) {
 		defer tc.env.Stop()
 		for i, size := range []int{128, 16 << 10} {
 			val := make([]byte, size)
-			tail := appendPut(nil, putReq{Key: "k", Value: val})[putHdrLen:]
 			start := p.Now()
-			resp := backup.Handle(p, FnReplicate, appendRepl(nil, 0, 1, int32(reps[0]), uint64(i+1), tail))
+			err := at(backup).Replicate(p, 0, 1, int32(reps[0]), int64(i+1), []byte("k"), val)
 			want := sim.Time(float64(len(appendStamped(nil, 1, 1, val)))*costs.CopyPerByte + float64(costs.CommitSyncNs))
-			if got := p.Now() - start; len(resp) != 1 || resp[0] != stOK || got != want {
-				t.Errorf("%d B append: %v after %d ns, want [stOK] after %d ns", size, resp, got, want)
+			if got := p.Now() - start; err != nil || got != want {
+				t.Errorf("%d B append: %v after %d ns, want an ack after %d ns", size, err, got, want)
 			}
 			p.Sleep(100_000) // the applier drains; the next append finds the store idle
 		}
@@ -346,9 +322,9 @@ func TestBackupAcksFromTheLog(t *testing.T) {
 	tc.env.Run()
 	for _, size := range []int{128, 16 << 10} {
 		extra := medianPutSizeNs(t, 3, 0, size) - medianPutSizeNs(t, 1, 0, size)
-		if want := treeAckExtraNs[size] - costs.BeginTxnNs - costs.InsertNs; extra != want {
-			t.Errorf("%d B: RF 3 adds %d ns to a put over RF 1, want %d (the tree-ack path's %d less BeginTxnNs + InsertNs)",
-				size, extra, want, treeAckExtraNs[size])
+		if want := treeAckExtraNs[size] + framingExtraNs - costs.BeginTxnNs - costs.InsertNs; extra != want {
+			t.Errorf("%d B: RF 3 adds %d ns to a put over RF 1, want %d (the tree-ack path's %d and the framing's %d less BeginTxnNs + InsertNs)",
+				size, extra, want, treeAckExtraNs[size], framingExtraNs)
 		}
 	}
 }

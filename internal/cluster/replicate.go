@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 
+	gen "hatrpc/internal/cluster/gen"
 	"hatrpc/internal/sim"
 )
 
@@ -18,21 +19,25 @@ import (
 // spawning per write would grow the env's and the node's process tables
 // by one entry per write, neither of which is ever trimmed.
 
-// replJob is one append in flight to one backup. The slots live in the
-// shard (shardState.repl) and are reused by every put: the shard mutex is
-// held across the fan-out, so a shard has at most one in flight.
+// replJob is one append in flight to one backup: the Replicate call's
+// arguments, key and value lent from the put's request. The slots live in
+// the shard (shardState.repl) and are reused by every put: the shard mutex
+// is held across the fan-out, so a shard has at most one in flight.
 type replJob struct {
-	peer int
-	req  []byte
-	done *sim.Signal // the issuing shard's replDone
+	peer       int
+	shard      int32
+	epoch, seq int64
+	primary    int32
+	key, value []byte
+	done       *sim.Signal // the issuing shard's replDone
 
-	resp []byte
-	err  error
+	err error
 }
 
-// lane returns the replication lane to peer, starting its process on
-// first use. The process dies with this boot of the node, like the
-// handlers that feed it; the next boot builds fresh lanes.
+// lane returns the replication lane to peer, starting its process — with
+// its own client of the peer — on first use. The process dies with this
+// boot of the node, like the handlers that feed it; the next boot builds
+// fresh lanes.
 func (n *Node) lane(peer int) *sim.Queue[*replJob] {
 	if q := n.lanes[peer]; q != nil {
 		return q
@@ -40,24 +45,25 @@ func (n *Node) lane(peer int) *sim.Queue[*replJob] {
 	q := sim.NewQueue[*replJob](n.env)
 	n.lanes[peer] = q
 	n.eng.Node().Spawn(fmt.Sprintf("cluster-repl-%d-%d", n.self, peer), func(p *sim.Proc) {
+		c := n.client(peer, peerDeadline)
 		for {
 			j := q.Pop(p)
-			j.resp, j.err = n.callPeer(p, j.peer, FnReplicate, j.req)
+			j.err = c.Replicate(p, j.shard, j.epoch, j.primary, j.seq, j.key, j.value)
 			j.done.Fire()
 		}
 	})
 	return q
 }
 
-// ship pushes one encoded append onto the lane of every non-suspect
-// backup of st and returns at once. Caller holds st.mu — and keeps
-// holding it until gather has returned, so the next append of this shard
-// cannot overtake this one on any lane and each backup still sees
-// contiguous seqs; rr (the shard's st.app) and the job slots are the
-// lanes' until then. A backup whose node closed its session in an orderly
+// ship pushes the append of key and value under seq onto the lane of
+// every non-suspect backup of st and returns at once. Caller holds st.mu —
+// and keeps holding it until gather has returned, so the next append of
+// this shard cannot overtake this one on any lane and each backup still
+// sees contiguous seqs; key, value and the job slots are the lanes' until
+// then. A backup whose node closed its session in an orderly
 // stop (a graceful drain) becomes a suspect here, without a call: the put
 // would otherwise wait out the re-dials of a machine going down.
-func (n *Node) ship(st *shardState, rr []byte) {
+func (n *Node) ship(st *shardState, seq uint64, key, value []byte) {
 	st.repl = st.repl[:0]
 	for _, b := range st.replicas {
 		if b == n.self || st.suspect[b] {
@@ -67,7 +73,10 @@ func (n *Node) ship(st *shardState, rr []byte) {
 			st.suspect[b] = true
 			continue
 		}
-		st.repl = append(st.repl, replJob{peer: b, req: rr, done: st.replDone})
+		st.repl = append(st.repl, replJob{
+			peer: b, shard: int32(st.id), epoch: int64(st.epoch), seq: int64(seq), primary: int32(n.self),
+			key: key, value: value, done: st.replDone,
+		})
 	}
 	for i := range st.repl {
 		n.lane(st.repl[i].peer).Push(&st.repl[i])
@@ -85,23 +94,16 @@ func (n *Node) gather(p *sim.Proc, st *shardState) (acks int, stale bool) {
 	}
 	for i := range st.repl {
 		j := &st.repl[i]
-		if j.err != nil || len(j.resp) == 0 {
-			st.suspect[j.peer] = true
-			continue
-		}
-		switch j.resp[0] {
-		case stOK:
+		switch e := j.err.(type) {
+		case nil:
 			acks++
-		case stStale:
-			if e, pr, ok := decodeStale(j.resp); ok {
-				st.adoptLearned(e, int(pr))
-			}
+		case *gen.Stale:
+			st.adoptLearned(uint64(e.Epoch), int(e.Primary))
 			stale = true // deposed mid-write
-		default: // stNeedSync, stFenced, stErr
+		default: // unreachable, NeedSync, Fenced, or refused
 			st.suspect[j.peer] = true
 		}
-		n.recycle(j.peer, j.resp)
-		j.resp = nil
+		j.key, j.value = nil, nil // the request they lie in is the handler's
 	}
 	return acks, stale
 }

@@ -6,10 +6,12 @@ import (
 	"sort"
 	"testing"
 
+	gen "hatrpc/internal/cluster/gen"
 	"hatrpc/internal/engine"
 	"hatrpc/internal/lmdb"
 	"hatrpc/internal/obs"
 	"hatrpc/internal/sim"
+	"hatrpc/internal/trdma"
 )
 
 // quietProbeNs parks the failover monitors past the end of a test, so a
@@ -71,9 +73,10 @@ func TestReplicationFanOutIsParallel(t *testing.T) {
 	}
 }
 
-// putAt runs one client-style put straight through node n's handler.
-func putAt(p *sim.Proc, n *Node, key string, val []byte) []byte {
-	return n.Handle(p, FnClusterPut, appendPut(nil, putReq{Shard: 0, Epoch: 1, Key: key, Value: val}))
+// putAt runs one client-style epoch-1 put of shard 0 straight through
+// node n's Handle.
+func putAt(p *sim.Proc, n *Node, key string, val []byte) error {
+	return at(n).Put(p, 0, 1, []byte(key), val)
 }
 
 // TestPutWithCrashedBackup: the ring-first backup is dead. The put still
@@ -87,8 +90,8 @@ func TestPutWithCrashedBackup(t *testing.T) {
 	tc.env.Spawn("driver", func(p *sim.Proc) {
 		defer tc.env.Stop()
 		n := tc.nodes[prim]
-		if resp := putAt(p, n, "k", []byte("v1")); len(resp) != 1 || resp[0] != stOK {
-			t.Errorf("warm-up put: %v", resp)
+		if err := putAt(p, n, "k", []byte("v1")); err != nil {
+			t.Errorf("warm-up put: %v", err)
 			return
 		}
 		tc.roster[dead].Crash()
@@ -99,10 +102,10 @@ func TestPutWithCrashedBackup(t *testing.T) {
 			sp.Sleep(100_000)
 			healthySeqEarly = tc.nodes[healthy].shards[0].seq
 		})
-		resp := putAt(p, n, "k", []byte("v2"))
+		err := putAt(p, n, "k", []byte("v2"))
 		took := int64(p.Now() - start)
-		if len(resp) != 1 || resp[0] != stOK {
-			t.Errorf("put with one dead backup of three: %v, want stOK at quorum", resp)
+		if err != nil {
+			t.Errorf("put with one dead backup of three: %v, want an ack at quorum", err)
 		}
 		// One deadline, then the session's two failed re-dials (2 × 90 µs
 		// connect timeout + 50 µs backoff).
@@ -117,9 +120,9 @@ func TestPutWithCrashedBackup(t *testing.T) {
 		}
 
 		start = p.Now()
-		resp = putAt(p, n, "k", []byte("v3"))
-		if took := int64(p.Now() - start); len(resp) != 1 || resp[0] != stOK || took > 100_000 {
-			t.Errorf("next put: %v in %d ns, want stOK without waiting on the suspect backup", resp, took)
+		err = putAt(p, n, "k", []byte("v3"))
+		if took := int64(p.Now() - start); err != nil || took > 100_000 {
+			t.Errorf("next put: %v in %d ns, want an ack without waiting on the suspect backup", err, took)
 		}
 		if got := tc.nodes[healthy].shards[0].seq; got != 3 {
 			t.Errorf("healthy backup at seq %d after three puts, want 3", got)
@@ -129,9 +132,9 @@ func TestPutWithCrashedBackup(t *testing.T) {
 }
 
 // TestPutNeverAcksPastStaleBackup: one backup has learned of a fresher
-// view and answers stStale, the other answers stOK. Whichever reply lands
-// first (the slower backup is held on its shard lock for 40 µs), the put
-// is answered stStale, never stOK, and the primary adopts the view.
+// view and answers Stale, the other acks. Whichever reply lands first (the
+// slower backup is held on its shard lock for 40 µs), the put is answered
+// Stale, never acked, and the primary adopts the view.
 func TestPutNeverAcksPastStaleBackup(t *testing.T) {
 	for _, tcase := range []struct{ stalePos, slowPos int }{{1, 1}, {1, 2}, {2, 1}, {2, 2}} {
 		t.Run(fmt.Sprintf("stale=ring%d/slow=ring%d", tcase.stalePos, tcase.slowPos), func(t *testing.T) {
@@ -140,8 +143,8 @@ func TestPutNeverAcksPastStaleBackup(t *testing.T) {
 			prim, stale, slow := tc.nodes[reps[0]], tc.nodes[reps[tcase.stalePos]], tc.nodes[reps[tcase.slowPos]]
 			tc.env.Spawn("driver", func(p *sim.Proc) {
 				defer tc.env.Stop()
-				if resp := putAt(p, prim, "k", []byte("v1")); len(resp) != 1 || resp[0] != stOK {
-					t.Errorf("warm-up put: %v", resp)
+				if err := putAt(p, prim, "k", []byte("v1")); err != nil {
+					t.Errorf("warm-up put: %v", err)
 					return
 				}
 				stale.shards[0].adoptLearned(2, stale.self)
@@ -152,9 +155,8 @@ func TestPutNeverAcksPastStaleBackup(t *testing.T) {
 					st.mu.Unlock()
 				})
 				p.Sleep(1_000) // the holder has the lock
-				resp := putAt(p, prim, "k", []byte("v2"))
-				if len(resp) == 0 || resp[0] != stStale {
-					t.Errorf("put answered %v, want stStale: a backup on a fresher view must veto the ack", resp)
+				if err := putAt(p, prim, "k", []byte("v2")); outcome(err) != "stale" {
+					t.Errorf("put answered %v, want Stale: a backup on a fresher view must veto the ack", err)
 				}
 				if got := prim.shards[0].learnedEpoch; got != 2 {
 					t.Errorf("primary learned epoch %d, want 2 (adopted from the stale reply)", got)
@@ -165,52 +167,59 @@ func TestPutNeverAcksPastStaleBackup(t *testing.T) {
 	}
 }
 
-// TestClusterHintPlanTable pins what the hint table resolves to, verb by
-// verb, and that no wire function is missing from it. A revert to one
-// pinned protocol for the whole tier fails here by name.
+// TestClusterHintPlanTable pins what the hints of cluster.hrpc resolve
+// to, verb by verb, with each caller's deadline, and that no verb of the
+// IDL is missing here. A revert
+// to one pinned protocol for the whole tier fails here by name.
 func TestClusterHintPlanTable(t *testing.T) {
-	want := map[uint32]struct {
-		name  string
+	want := map[string]struct {
 		proto engine.Protocol
 		busy  bool
 	}{
-		FnShardMap:    {"FnShardMap", engine.EagerSendRecv, false},
-		FnClusterPut:  {"FnClusterPut", engine.DirectWriteIMM, true},
-		FnClusterGet:  {"FnClusterGet", engine.DirectWriteIMM, true},
-		FnReplicate:   {"FnReplicate", engine.DirectWriteIMM, true},
-		FnShardStatus: {"FnShardStatus", engine.EagerSendRecv, false},
-		FnShardPull:   {"FnShardPull", engine.HybridEagerRNDV, false},
-		FnInstall:     {"FnInstall", engine.HybridEagerRNDV, false},
+		"ShardMap":  {engine.EagerSendRecv, false},
+		"Put":       {engine.DirectWriteIMM, true},
+		"Get":       {engine.DirectWriteIMM, true},
+		"Replicate": {engine.DirectWriteIMM, true},
+		"Census":    {engine.EagerSendRecv, false},
+		"Prepare":   {engine.EagerSendRecv, false},
+		"Pull":      {engine.HybridEagerRNDV, false},
+		"Install":   {engine.HybridEagerRNDV, false},
 	}
 	tc := newTestCluster(t, 37, 1, Config{NShards: 1, RF: 1})
-	ps := newPeerSessions(tc.cliEng, tc.roster)
-	for fn := uint32(fnBase); fn < fnEnd; fn++ {
+	client := trdma.NewSessionTransport(nil, gen.ClusterHints, tc.cliEng.Cores(), clientDeadline)
+	peer := trdma.NewSessionTransport(nil, gen.ClusterHints, tc.cliEng.Cores(), peerDeadline)
+	for fn := range gen.ClusterHints.FnIDs {
 		w, ok := want[fn]
 		if !ok {
-			t.Errorf("wire function %#x has no row here: give it a hint set in sessions.go and pin its plan in this table", fn)
+			t.Errorf("verb %s has no row here: pin its plan in this table", fn)
 			continue
 		}
-		if fnHints[fn-fnBase] == nil {
-			t.Errorf("%s has no function-level hint set in the cluster hint table", w.name)
-		}
-		got := ps.plans[fn-fnBase]
+		got := client.Plan(fn)
 		if got.Proto != w.proto || got.Busy != w.busy {
-			t.Errorf("%s plans %v busy=%v, want %v busy=%v — cluster hint table (sessions.go) changed or bypassed",
-				w.name, got.Proto, got.Busy, w.proto, w.busy)
+			t.Errorf("%s plans %v busy=%v, want %v busy=%v — cluster.hrpc's hints changed or bypassed",
+				fn, got.Proto, got.Busy, w.proto, w.busy)
+		}
+		// A census is bounded tighter than any other call, so a dead
+		// primary is found within a few monitor ticks.
+		wantPeer := sim.Duration(callDeadlineNs)
+		if fn == "Census" {
+			wantPeer = sim.Duration(probeDeadlineNs)
+		}
+		if got.Deadline != sim.Duration(clientDeadlineNs) || peer.Plan(fn).Deadline != wantPeer {
+			t.Errorf("%s is bounded by %d ns from a client and %d ns from a peer, want %d and %d",
+				fn, got.Deadline, peer.Plan(fn).Deadline, clientDeadlineNs, wantPeer)
 		}
 	}
 	// The server side follows: the sessions declare busy polling, and a
 	// server that does not poll busily itself grants the connection a busy
 	// dispatcher.
-	if !ps.busy {
-		t.Error("peerSessions declares event polling, though its latency verbs plan busy waits")
-	}
 	reg := obs.NewRegistry()
 	tc.engs[0].SetObs(reg)
 	tc.env.Spawn("client", func(p *sim.Proc) {
 		defer tc.env.Stop()
-		if _, err := ps.callPeerDL(p, 0, FnShardStatus, encodeStatus(statusReq{}), 1_000_000); err != nil {
-			t.Errorf("status call: %v", err)
+		ps := newPeerSessions(tc.cliEng, tc.roster)
+		if _, err := ps.client(0, clientDeadline).Census(p, 0); err != nil {
+			t.Errorf("census call: %v", err)
 		}
 	})
 	tc.env.Run()
@@ -315,9 +324,10 @@ func TestDeadPeerDialDoesNotBlockHealthyPeer(t *testing.T) {
 	tc.env.Spawn("driver", func(p *sim.Proc) {
 		defer tc.env.Stop()
 		ps := newPeerSessions(tc.cliEng, tc.roster)
+		clients := []*gen.ClusterClient{ps.client(dead, clientDeadline), ps.client(healthy, clientDeadline)}
 		call := func(cp *sim.Proc, peer int) (int64, error) {
 			start := cp.Now()
-			_, err := ps.callPeerDL(cp, peer, FnShardMap, nil, clientDeadlineNs)
+			_, err := clients[peer].ShardMap(cp)
 			return int64(cp.Now() - start), err
 		}
 		warm, err := call(p, healthy) // dials
@@ -372,9 +382,8 @@ func TestGetStoreErrorIsNotAbsence(t *testing.T) {
 			}
 			pinned = append(pinned, txn)
 		}
-		resp := tc.nodes[0].Handle(p, FnClusterGet, appendGet(nil, getReq{Shard: 0, Epoch: 1, Key: "k"}))
-		if len(resp) != 1 || resp[0] != stErr {
-			t.Errorf("handler reply with a failing store: %v, want [stErr]", resp)
+		if _, err := at(tc.nodes[0]).Get(p, 0, 1, []byte("k")); outcome(err) != "error" {
+			t.Errorf("handler reply with a failing store: %v, want an error", err)
 		}
 		if v, err := c.Get(p, "k"); err == nil || errors.Is(err, ErrNotFound) {
 			t.Errorf("get with a failing store: %q, %v — an acked key must not read as absent", v, err)
@@ -427,10 +436,10 @@ func TestShardsOfOneNodeShareStoreCommits(t *testing.T) {
 		s := s
 		prim := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, s, 3)[0]
 		tc.roster[prim].Spawn(fmt.Sprintf("shard-%d", s), func(p *sim.Proc) {
+			c := at(tc.nodes[prim])
 			for i := 1; i <= puts; i++ {
-				req := appendPut(nil, putReq{Shard: uint16(s), Epoch: 1, Key: "k", Value: []byte(fmt.Sprintf("v%d-%d", s, i))})
-				if resp := tc.nodes[prim].Handle(p, FnClusterPut, req); len(resp) != 1 || resp[0] != stOK {
-					t.Errorf("shard %d put %d: %v", s, i, resp)
+				if err := c.Put(p, int32(s), 1, []byte("k"), []byte(fmt.Sprintf("v%d-%d", s, i))); err != nil {
+					t.Errorf("shard %d put %d: %v", s, i, err)
 					return
 				}
 			}
@@ -479,7 +488,7 @@ func TestShardsOfOneNodeShareStoreCommits(t *testing.T) {
 // ring order — so in the first case the epoch-3 hearsay arrives after the
 // epoch-5 one and must leave it alone. Everything goes through Handle:
 // the installs in, the put in, the routing view out (the stale reply and
-// FnShardMap), so an adoptLearned that assigns unconditionally shows here
+// ShardMap), so an adoptLearned that assigns unconditionally shows here
 // as a primary serving epoch 3.
 func TestLowerEpochHearsayLeavesRoutingAlone(t *testing.T) {
 	for _, epochs := range [][2]uint64{{5, 3}, {3, 5}} { // ring-first backup's view, ring-second's
@@ -495,23 +504,19 @@ func TestLowerEpochHearsayLeavesRoutingAlone(t *testing.T) {
 				defer tc.env.Stop()
 				for i, e := range epochs {
 					b := reps[i+1]
-					resp := tc.nodes[b].Handle(p, FnInstall, encodeInstall(installReq{Epoch: e, Primary: int32(b)}))
-					if len(resp) != 1 || resp[0] != stOK {
-						t.Fatalf("install of epoch %d on node %d: %v", e, b, resp)
+					if err := at(tc.nodes[b]).Install(p, 0, int64(e), int32(b), 0, nil); err != nil {
+						t.Fatalf("install of epoch %d on node %d: %v", e, b, err)
 					}
 				}
-				e, pr, ok := decodeStale(putAt(p, prim, "k", []byte("v")))
-				if !ok || e != 5 || pr != wantPrimary {
-					t.Errorf("put answered stale=%v (epoch %d, primary %d), want the epoch-5 view of node %d", ok, e, pr, wantPrimary)
+				err := putAt(p, prim, "k", []byte("v"))
+				if s, ok := err.(*gen.Stale); !ok || s.Epoch != 5 || s.Primary != wantPrimary {
+					t.Errorf("put answered %v, want the epoch-5 view of node %d", err, wantPrimary)
 				}
-				resp := prim.Handle(p, FnShardMap, nil)
-				if len(resp) < 1 || resp[0] != stOK {
-					t.Fatalf("shard map: %v", resp)
-				}
-				m, err := DecodeShardMap(resp[1:])
+				rs, err := at(prim).ShardMap(p)
 				if err != nil {
 					t.Fatal(err)
 				}
+				m := shardMapOf(rs)
 				if got := m.Shards[0]; got.Epoch != 5 || got.Primary != wantPrimary {
 					t.Errorf("primary now routes to (epoch %d, node %d), want (5, %d): lower-epoch hearsay overwrote a higher one", got.Epoch, got.Primary, wantPrimary)
 				}

@@ -51,7 +51,7 @@ func (g *gen) genResultStruct(svc *idl.Service, fn *idl.Function) {
 	g.pf("type %s struct {\n", s.Name)
 	if fn.Returns != nil {
 		s.Fields = append(s.Fields, &idl.Field{ID: 0, Name: "success", Type: fn.Returns})
-		g.pf("\tSuccess %s\n", goType(fn.Returns))
+		g.pf("\tSuccess %s\n", retType(fn.Returns))
 		g.pf("\tSuccessSet bool\n")
 	}
 	for _, th := range fn.Throws {
@@ -89,7 +89,7 @@ func (g *gen) fnReturns(fn *idl.Function) string {
 	if fn.Returns == nil { // void or oneway
 		return "error"
 	}
-	return fmt.Sprintf("(%s, error)", goType(fn.Returns))
+	return fmt.Sprintf("(%s, error)", retType(fn.Returns))
 }
 
 func (g *gen) genHandlerInterface(svc *idl.Service) {
@@ -126,7 +126,7 @@ func (g *gen) genClient(svc *idl.Service) {
 			return fmt.Sprintf("return %s, %s", zero, errExpr)
 		}
 		if fn.Returns != nil {
-			g.pf("\tvar zero %s\n", goType(fn.Returns))
+			g.pf("\tvar zero %s\n", retType(fn.Returns))
 			zero = "zero"
 		}
 		msgType := "thrift.CALL"

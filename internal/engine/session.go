@@ -82,8 +82,23 @@ func (s *Session) Close() {
 // outcomes (success, ErrOverloaded, ErrCircuitOpen, ErrDeadline,
 // validation errors) pass through unchanged — in particular a breaker
 // half-open probe that fails with ErrPeerDown is what converts the
-// breaker's recovery attempt into a session reconnect attempt.
+// breaker's recovery attempt into a session reconnect attempt. The
+// response is the caller's, as Conn.Call's is.
 func (s *Session) Call(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte, error) {
+	return s.call(p, fn, req, opts, (*Conn).Call)
+}
+
+// Invoke is Call with the response lent, as Conn.Invoke lends it: the
+// session's next call, whoever makes it, ends the loan. A caller that
+// shares the session reads the response before it next yields.
+func (s *Session) Invoke(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte, error) {
+	return s.call(p, fn, req, opts, (*Conn).Invoke)
+}
+
+// call runs one RPC through do, Conn.Call or Conn.Invoke, replaying it
+// on a fresh connection for as long as the peer is found down.
+func (s *Session) call(p *sim.Proc, fn uint32, req []byte, opts CallOpts,
+	do func(*Conn, *sim.Proc, uint32, []byte, CallOpts) ([]byte, error)) ([]byte, error) {
 	if s.shut {
 		return nil, fmt.Errorf("engine: session to node %d: closed", s.target.ID())
 	}
@@ -98,7 +113,7 @@ func (s *Session) Call(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byt
 		if err := s.ensureConn(p); err != nil {
 			return nil, err
 		}
-		out, err := s.conn.Call(p, fn, req, opts)
+		out, err := do(s.conn, p, fn, req, opts)
 		if err == nil || !errors.Is(err, ErrPeerDown) {
 			return out, err
 		}
@@ -116,12 +131,6 @@ func (s *Session) Call(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byt
 // a caller may skip a peer that said goodbye instead of paying the
 // re-dial that its next call would make.
 func (s *Session) PeerLeft() bool { return s.conn != nil && !s.down && s.conn.shared.closed }
-
-// Recycle returns a reply a Call on this session delivered to the
-// node's arena, on the terms of Conn.Recycle. The arena is node-wide,
-// so it does not matter which connection, or which epoch of the session,
-// delivered the buffer.
-func (s *Session) Recycle(b []byte) { s.eng.dev.Put(b) }
 
 // ensureConn re-establishes the connection if it is down: sessionDials
 // attempts, sessionDialGap apart. Called with s.mu held.

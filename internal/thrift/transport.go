@@ -112,6 +112,10 @@ func (m *TMemoryBuffer) readStrings(dst []string, field func() ([]byte, error)) 
 	return nil
 }
 
+// minBuf is the room a message begun in no buffer (not a staging region)
+// starts with: a small message fits its first allocation.
+const minBuf = 128
+
 // extend lengthens the buffer by n bytes and returns them for the caller
 // to fill. When it has to grow, the capacity at least doubles, so a run of
 // small fields stays amortized, and is rounded up to the allocator's size
@@ -119,7 +123,10 @@ func (m *TMemoryBuffer) readStrings(dst []string, field func() ([]byte, error)) 
 // large field land in without moving it again.
 func (m *TMemoryBuffer) extend(n int) []byte {
 	end := len(m.buf) + n
-	if end > cap(m.buf) {
+	switch {
+	case cap(m.buf) == 0:
+		m.buf = make([]byte, 0, max(n, minBuf))
+	case end > cap(m.buf):
 		m.buf = slices.Grow(m.buf, max(n, 2*cap(m.buf)-len(m.buf)))
 	}
 	m.buf = m.buf[:end]

@@ -58,6 +58,7 @@ func (sh *ServiceHints) Resolve(fn string, side hints.Side) hints.Resolved {
 
 // plan is the cached per-function execution plan.
 type plan struct {
+	id     uint32 // the function's wire id
 	opts   engine.CallOpts
 	useTCP bool
 }
@@ -65,11 +66,13 @@ type plan struct {
 // Transport is the message-level RPC channel generated clients call.
 type Transport interface {
 	// Invoke performs one RPC for the named function. The response bytes
-	// stay valid until the next Invoke on the same transport.
+	// stay valid until the next Invoke on the same transport — or on any
+	// transport sharing its session (SessionTransport).
 	Invoke(p *sim.Proc, fn string, request []byte, oneway bool) ([]byte, error)
-	// Stage lends the buffer the channel sends from, empty, for the next
-	// request to be serialized into: an Invoke handed a request that lies
-	// there sends it without copying it. Nil when the channel has no such
+	// Stage lends a buffer, empty, for the next request to be serialized
+	// into: the one the channel sends from, so that an Invoke handed a
+	// request that lies there sends it without copying it, or one the
+	// transport reuses for every request. Nil when the channel has no such
 	// buffer; a request serialized anywhere else is always accepted.
 	Stage() []byte
 	// Close releases the channel.
@@ -80,11 +83,9 @@ type Transport interface {
 // engine, with optional per-function TCP (IPoIB) fallback for hybrid
 // transport hints (§3.3, §5.5).
 type TRdma struct {
-	conn   *engine.Conn
-	tcp    *ipoib.Conn
-	hintsT *ServiceHints
-	cores  int
-	plans  map[string]plan
+	conn  *engine.Conn
+	tcp   *ipoib.Conn
+	plans plans
 	// policy is DialOptions.Policy: non-nil overrides plans on every call.
 	policy func(fn string, reqSize int) engine.CallOpts
 	closed bool
@@ -105,11 +106,7 @@ type DialOptions struct {
 // on the target node. Static hints drive the connection-time setup;
 // per-function plans are derived lazily and cached.
 func Dial(p *sim.Proc, eng *engine.Engine, target *simnet.Node, sh *ServiceHints, opt *DialOptions) *TRdma {
-	t := &TRdma{
-		hintsT: sh,
-		cores:  eng.Cores(),
-		plans:  make(map[string]plan),
-	}
+	t := &TRdma{plans: newPlans(sh, eng.Cores())}
 	needTCP := false
 	for fn := range sh.FnIDs {
 		if sh.Resolve(fn, hints.SideClient).UseTCP {
@@ -141,28 +138,48 @@ func anyRdmaFunction(sh *ServiceHints) bool {
 	return false
 }
 
-// planFor resolves (once) the client-side plan for a function.
-func (t *TRdma) planFor(fn string) plan {
-	if pl, ok := t.plans[fn]; ok {
-		return pl
+// plans is a service's client-side plans, each resolved from the hints on
+// its function's first call and cached, with the call's deadline when
+// deadline is set.
+type plans struct {
+	sh       *ServiceHints
+	cores    int
+	deadline func(fn string) sim.Duration
+	m        map[string]plan
+}
+
+func newPlans(sh *ServiceHints, cores int) plans {
+	return plans{sh: sh, cores: cores, m: make(map[string]plan)}
+}
+
+// of resolves (once) the client-side plan for a function; ok is false for
+// a function the service does not have.
+func (ps plans) of(fn string) (pl plan, ok bool) {
+	if pl, ok := ps.m[fn]; ok {
+		return pl, true
 	}
-	r := t.hintsT.Resolve(fn, hints.SideClient)
-	var pl plan
+	if pl.id, ok = ps.sh.FnIDs[fn]; !ok {
+		return plan{}, false
+	}
+	r := ps.sh.Resolve(fn, hints.SideClient)
 	if r.UseTCP {
 		pl.useTCP = true
 	} else {
-		ep := engine.SelectPlan(r, t.cores, r.PayloadSize, engine.DefaultRndvThreshold)
+		ep := engine.SelectPlan(r, ps.cores, r.PayloadSize, engine.DefaultRndvThreshold)
 		pl.opts = engine.CallOpts{Proto: ep.Proto, Busy: ep.Busy}
 		// An asymmetric response regime (server payload hint differing
 		// from the client's) re-plans the response protocol.
-		rs := t.hintsT.Resolve(fn, hints.SideServer)
+		rs := ps.sh.Resolve(fn, hints.SideServer)
 		if rs.PayloadSize != 0 && rs.PayloadSize != r.PayloadSize {
-			rp := engine.SelectPlan(r, t.cores, rs.PayloadSize, engine.DefaultRndvThreshold)
+			rp := engine.SelectPlan(r, ps.cores, rs.PayloadSize, engine.DefaultRndvThreshold)
 			pl.opts.RespProto = rp.Proto
 		}
 	}
-	t.plans[fn] = pl
-	return pl
+	if ps.deadline != nil {
+		pl.opts.Deadline = ps.deadline(fn)
+	}
+	ps.m[fn] = pl
+	return pl, true
 }
 
 // Invoke performs one RPC using the function's cached plan, or what the
@@ -171,7 +188,7 @@ func (t *TRdma) Invoke(p *sim.Proc, fn string, request []byte, oneway bool) ([]b
 	if t.closed {
 		return nil, fmt.Errorf("trdma: transport closed")
 	}
-	id, ok := t.hintsT.FnIDs[fn]
+	pl, ok := t.plans.of(fn)
 	if !ok {
 		return nil, fmt.Errorf("trdma: unknown function %q", fn)
 	}
@@ -179,7 +196,6 @@ func (t *TRdma) Invoke(p *sim.Proc, fn string, request []byte, oneway bool) ([]b
 	if t.policy != nil {
 		opts = t.policy(fn, len(request))
 	} else {
-		pl := t.planFor(fn)
 		if pl.useTCP {
 			if oneway {
 				t.tcp.Send(p, request)
@@ -190,7 +206,7 @@ func (t *TRdma) Invoke(p *sim.Proc, fn string, request []byte, oneway bool) ([]b
 		opts = pl.opts
 	}
 	opts.Oneway = oneway
-	return t.conn.Invoke(p, id, request, opts)
+	return t.conn.Invoke(p, pl.id, request, opts)
 }
 
 // Stage lends the engine connection's registered staging region (see
@@ -204,13 +220,92 @@ func (t *TRdma) Stage() []byte {
 
 // Plan exposes the hint-resolved client plan for a function (for tests and
 // introspection).
-func (t *TRdma) Plan(fn string) engine.CallOpts { return t.planFor(fn).opts }
+func (t *TRdma) Plan(fn string) engine.CallOpts {
+	pl, _ := t.plans.of(fn)
+	return pl.opts
+}
 
 // Close marks the transport closed.
 func (t *TRdma) Close() error {
 	t.closed = true
 	return nil
 }
+
+// ---------------------------------------------------------------------------
+// Session channel
+
+// OpenSession opens an engine.Session to a service served under port at
+// target (without dialing, as engine.OpenSession does). Every dial declares
+// the polling the service's client plans want: busy when any function's
+// plan waits busily — NewServer's rule, from the dialer's side — so the
+// peer busy-dispatches the connection too.
+func OpenSession(eng *engine.Engine, target *simnet.Node, port string, sh *ServiceHints) *engine.Session {
+	ps := newPlans(sh, eng.Cores())
+	busy := false
+	for fn := range sh.FnIDs {
+		pl, _ := ps.of(fn)
+		busy = busy || pl.opts.Busy
+	}
+	return eng.OpenSession(target, port, busy)
+}
+
+// SessionTransport is the Transport over an engine.Session, for a service
+// whose calls are all safe to replay: where a TRdma connection dies with
+// its peer, the session re-dials a restarted peer and replays the call.
+// Each function's plan comes from the hints, as TRdma's do, and its
+// deadline from the function the transport was built with. Transports
+// sharing a session, one per calling process, each serialize requests into
+// a buffer of their own: the session's staging region belongs to whichever
+// call holds the session. A reply is lent until the session's next call
+// (engine.Session.Invoke), whichever transport makes it, so it is read
+// before its caller yields, as a generated client reads it.
+type SessionTransport struct {
+	s     *engine.Session
+	plans plans
+	req   []byte // what Stage lends
+}
+
+var _ Transport = (*SessionTransport)(nil)
+
+// NewSessionTransport returns a transport calling the service sh describes
+// over s, each call of fn bounded by deadline(fn). cores is the calling
+// node's, as the plans are.
+func NewSessionTransport(s *engine.Session, sh *ServiceHints, cores int, deadline func(fn string) sim.Duration) *SessionTransport {
+	ps := newPlans(sh, cores)
+	ps.deadline = deadline
+	return &SessionTransport{s: s, plans: ps}
+}
+
+// Invoke performs one RPC over the session under the function's plan and
+// deadline.
+func (t *SessionTransport) Invoke(p *sim.Proc, fn string, request []byte, oneway bool) ([]byte, error) {
+	pl, ok := t.plans.of(fn)
+	if !ok {
+		return nil, fmt.Errorf("trdma: unknown function %q", fn)
+	}
+	opts := pl.opts
+	opts.Oneway = oneway
+	out, err := t.s.Invoke(p, pl.id, request, opts)
+	if cap(request) > cap(t.req) {
+		// The request outgrew the buffer: the next one of its size fits.
+		t.req = make([]byte, 0, cap(request))
+	}
+	return out, err
+}
+
+// Stage lends the transport's own request buffer: the session copies what
+// it sends, so the buffer is free again once Invoke returns.
+func (t *SessionTransport) Stage() []byte { return t.req[:0] }
+
+// Plan exposes the hint-resolved plan of a function (for tests and
+// introspection).
+func (t *SessionTransport) Plan(fn string) engine.CallOpts {
+	pl, _ := t.plans.of(fn)
+	return pl.opts
+}
+
+// Close does nothing: the session is its opener's to close.
+func (t *SessionTransport) Close() error { return nil }
 
 // ---------------------------------------------------------------------------
 // Server side
