@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	gen "hatrpc/internal/cluster/gen"
 	"hatrpc/internal/engine"
@@ -74,6 +75,10 @@ func (c *Client) peer(i int) *gen.ClusterClient {
 // clientDeadline bounds every call of a Client.
 func clientDeadline(string) sim.Duration { return sim.Duration(clientDeadlineNs) }
 
+// routable reports whether primary names a node of the roster: a reply
+// routing a shard anywhere else is malformed, and adopted not at all.
+func (c *Client) routable(primary int32) bool { return primary >= 0 && int(primary) < len(c.roster) }
+
 // adopt folds a stale-reply's fresher routing into the cached view.
 func (c *Client) adopt(shard int, epoch uint64, primary int32) {
 	if epoch > c.view.Shards[shard].Epoch {
@@ -85,11 +90,13 @@ func (c *Client) adopt(shard int, epoch uint64, primary int32) {
 // Refresh sweeps the roster for shard maps and merges them into the
 // cached view (per shard, the highest epoch wins — a shard's replicas
 // always know its freshest view, so merging across nodes converges on
-// truth even when most of the roster is down or partitioned away).
+// truth even when most of the roster is down or partitioned away). A map
+// routing outside the roster counts as a failed call.
 func (c *Client) Refresh(p *sim.Proc) {
 	c.stats.Refreshes++
 	for i := range c.roster {
-		if rs, err := c.peer(i).ShardMap(p); err == nil {
+		rs, err := c.peer(i).ShardMap(p)
+		if err == nil && !slices.ContainsFunc(rs.Shards, func(r *gen.Route) bool { return !c.routable(r.Primary) }) {
 			c.view.Merge(shardMapOf(rs))
 		}
 	}
@@ -148,9 +155,11 @@ func (c *Client) retry(p *sim.Proc, shard int, err error) error {
 	switch e := err.(type) {
 	case *gen.Stale:
 		// The replica told us exactly where to go: adopt and replay now.
-		c.adopt(shard, uint64(e.Epoch), e.Primary)
-		c.stats.StaleRetries++
-		return engine.ErrStaleShardEpoch
+		if c.routable(e.Primary) {
+			c.adopt(shard, uint64(e.Epoch), e.Primary)
+			c.stats.StaleRetries++
+			return engine.ErrStaleShardEpoch
+		}
 	case *gen.Fenced, *gen.NotQuorum:
 		// Failover in progress (fenced) or the replica set can't reach
 		// majority: wait for the view change, refreshing as we go.
@@ -163,9 +172,9 @@ func (c *Client) retry(p *sim.Proc, shard int, err error) error {
 		p.Sleep(sim.Duration(clientBackoffNs))
 		return err
 	}
-	// Transport-level, or a reply that would not decode: the primary (or
-	// the path to it) is gone. A fresher view may exist anywhere in the
-	// roster — sweep for it.
+	// Transport-level, or a reply that would not decode or route: the
+	// primary (or the path to it) is gone. A fresher view may exist
+	// anywhere in the roster — sweep for it.
 	c.Refresh(p)
 	p.Sleep(sim.Duration(clientBackoffNs))
 	return err

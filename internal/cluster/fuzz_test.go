@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	gen "hatrpc/internal/cluster/gen"
+	"hatrpc/internal/engine"
 	"hatrpc/internal/sim"
+	"hatrpc/internal/simnet"
 )
 
 // errCaptured ends a call once capture has the request.
@@ -94,7 +96,7 @@ func checkStamp(t *testing.T, b []byte) bool {
 // record and leaves a position as it was; the stamp alone, or with user
 // bytes behind it, reads whole.
 func TestStampedRecordCuts(t *testing.T) {
-	rec := appendStamped(nil, 3, 9, []byte("value"))
+	_, rec := dataPair("", nil, 3, 9, []byte("value"))
 	for cut := 0; cut <= len(rec); cut++ {
 		if ok := checkStamp(t, rec[:cut:cut]); ok != (cut >= stampLen) {
 			t.Errorf("a record cut to %d of %d bytes read ok=%v", cut, len(rec), ok)
@@ -132,7 +134,8 @@ func FuzzClusterDecoders(f *testing.F) {
 	f.Add([]byte{0x0f, 0x00, 0x01, 0x0c, 0x7f, 0xff, 0xff, 0xff, 0x00, 0x00}, uint8(1))
 	f.Add([]byte("\x80\x01\x00\x01\x00\x00\x00\x07Install\x00\x00\x00\x01\x0f\x00\x05\x0c\x7f\xff\xff\xff\x00"), uint8(8))
 	f.Add([]byte{}, uint8(0))
-	f.Add(appendStamped(nil, 3, 9, nil), uint8(0))
+	_, stamp := dataPair("", nil, 3, 9, nil)
+	f.Add(stamp, uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, fnID uint8) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -216,4 +219,68 @@ func TestRepliesRejectEveryCut(t *testing.T) {
 			}
 		})
 	}
+}
+
+// router is a cluster node that routes every data call elsewhere: a put or
+// a get is answered Stale at (staleEpoch, stalePrimary), or Fenced when
+// fenced is set, which sends the client to refresh its map; every route of
+// the map it serves is at (mapEpoch, mapPrimary).
+type router struct {
+	sample
+	staleEpoch, mapEpoch     int64
+	stalePrimary, mapPrimary int32
+	fenced                   bool
+}
+
+func (r router) refusal() error {
+	if r.fenced {
+		return &gen.Fenced{}
+	}
+	return &gen.Stale{Epoch: r.staleEpoch, Primary: r.stalePrimary}
+}
+func (r router) Put(*sim.Proc, int32, int64, []byte, []byte) error { return r.refusal() }
+func (r router) Get(*sim.Proc, int32, int64, []byte) ([]byte, error) {
+	return nil, r.refusal()
+}
+func (r router) ShardMap(*sim.Proc) (gen.Routes, error) {
+	rs := NewShardMap(7, []int{0, 1, 2}, 4, 3).routes()
+	for _, route := range rs.Shards {
+		route.Epoch, route.Primary = r.mapEpoch, r.mapPrimary
+	}
+	return rs, nil
+}
+
+// FuzzClientRouting serves a Client from three nodes that answer its puts
+// and gets with arbitrary Stale routing, or fence them and serve arbitrary
+// shard maps. Whatever a reply names, the client must exhaust its attempt
+// budget with an error rather than panic: a primary outside the roster is a
+// malformed reply, not an index into it.
+func FuzzClientRouting(f *testing.F) {
+	f.Add(int64(2), int32(1), int64(2), int32(2), false) // well-formed: rerouted within the roster
+	f.Add(int64(2), int32(1), int64(2), int32(2), true)
+	f.Add(int64(2), int32(3), int64(1), int32(0), false) // Stale past the roster's end
+	f.Add(int64(9), int32(-1), int64(1), int32(0), false)
+	f.Add(int64(1), int32(0), int64(5), int32(3), true) // a map routing past the roster's end
+	f.Add(int64(1), int32(0), int64(-1), int32(-7), true)
+	f.Fuzz(func(t *testing.T, staleEpoch int64, stalePrimary int32, mapEpoch int64, mapPrimary int32, fenced bool) {
+		env := sim.NewEnv(1)
+		cl := simnet.NewCluster(env, simnet.Config{Nodes: 4, Cores: 4, Sockets: 1, LinkGbps: 100, PropDelayNs: 600})
+		stub := router{staleEpoch: staleEpoch, stalePrimary: stalePrimary, mapEpoch: mapEpoch, mapPrimary: mapPrimary, fenced: fenced}
+		var roster []*simnet.Node
+		for i := 0; i < 3; i++ {
+			roster = append(roster, cl.Node(i))
+			engine.New(cl.Node(i), engine.DefaultConfig()).Serve(Port, gen.NewClusterProcessor(stub).ProcessBytes)
+		}
+		c := NewClient(engine.New(cl.Node(3), engine.DefaultConfig()), roster, Config{Seed: 7, NodeIDs: []int{0, 1, 2}, NShards: 4, RF: 3})
+		env.Spawn("client", func(p *sim.Proc) {
+			defer env.Stop()
+			if err := c.Put(p, "key", []byte("value")); err == nil {
+				t.Error("a put every replica refuses succeeded")
+			}
+			if _, err := c.Get(p, "key"); err == nil {
+				t.Error("a get every replica refuses succeeded")
+			}
+		})
+		env.Run()
+	})
 }

@@ -110,7 +110,8 @@ func TestInstallNotOvertakenByAppend(t *testing.T) {
 			t.Errorf("backup holds %d appends unapplied, want 1", n)
 			return
 		}
-		rec := &gen.Pair{Key: []byte(dataKey(dataPrefix(0), []byte("k"))), Value: appendStamped(nil, 1, 2, []byte("v2"))}
+		k, v := dataPair(dataPrefix(0), []byte("k"), 1, 2, []byte("v2"))
+		rec := &gen.Pair{Key: k, Value: v}
 		if err := at(tc.nodes[b]).Install(p, 0, 1, int32(prim), 2, []*gen.Pair{rec}); err != nil {
 			t.Errorf("install: %v", err)
 			return

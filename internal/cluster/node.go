@@ -92,7 +92,7 @@ type shardState struct {
 	learnedPrimary int
 
 	promised uint64 // durable candidacy promise (mirrors meta)
-	rec      []byte // the store record in flight: a meta record (record) or a stamped data record (applyWrite)
+	rec      []byte // the meta record in flight (record)
 
 	// Failure detection (failover.go): the last word that the primary leads
 	// (or a granted prepare), whether a census has since found it silent,
@@ -381,9 +381,9 @@ var (
 
 // applyWrite writes one replicated record stamped with its (epoch, seq)
 // in one store write, so durability of the data and of its position are
-// inseparable under every sync mode. The primary commits it (Put); a
+// inseparable under every sync mode. The primary commits it (PutOwned); a
 // backup, logged, appends it (Append), and its applier commits it later
-// (DESIGN.md §15 "The backup's ack path").
+// (DESIGN.md §15 "The backup's ack path"), keeping the pair dataPair builds.
 func (n *Node) applyWrite(p *sim.Proc, st *shardState, key, val []byte, seq uint64, logged bool) error {
 	// Content position only advances. Both callers already hand the
 	// next contiguous seq (handlePut computes st.seq+1, handleReplicate
@@ -391,12 +391,12 @@ func (n *Node) applyWrite(p *sim.Proc, st *shardState, key, val []byte, seq uint
 	if seq <= st.seq {
 		return errStaleSeq
 	}
-	st.rec = appendStamped(st.rec[:0], st.epoch, seq, val)
+	k, v := dataPair(st.prefix, key, st.epoch, seq, val)
 	var err error
 	if logged {
-		n.store.Append(p, dataKey(st.prefix, key), st.rec)
+		n.store.Append(p, k, v)
 	} else {
-		err = n.store.Put(p, dataKey(st.prefix, key), st.rec)
+		_, err = n.store.PutOwned(p, k, v)
 	}
 	if err == nil {
 		// Commit the in-memory position only once the store did: no

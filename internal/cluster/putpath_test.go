@@ -69,6 +69,52 @@ func TestPutPathAllocs(t *testing.T) {
 	t.Logf("warmed RF-3 put: %.0f allocations", got)
 }
 
+// TestWarmedBulkPutCopiesOnlyOnce: a warmed RF-3 put of a 16 KB value
+// copies it on the host only where a copy is the work itself. The client
+// and both of the primary's lanes serialize their calls straight into
+// their sessions' staging regions, which the NIC sends from; the primary
+// and both backups serve each request where it landed, so no region moves
+// away from one; and each replica's store keeps the one record it builds.
+// No staging copy and no copy-out is left — nine copies of the value in
+// all, three serializations, three landings and three records — and the
+// put allocates no more than a small one does.
+func TestWarmedBulkPutCopiesOnlyOnce(t *testing.T) {
+	tc := newTestCluster(t, 53, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})
+	reg := obs.NewRegistry()
+	for _, e := range append(tc.engs, tc.cliEng) {
+		e.SetObs(reg)
+	}
+	counters := []string{"engine.stage_copy_bytes", "engine.copy_out_bytes", "verbs.region_moves"}
+	var allocs float64
+	tc.env.Spawn("client", func(p *sim.Proc) {
+		defer tc.env.Stop()
+		c := NewClient(tc.cliEng, tc.roster, tc.cfg)
+		val := make([]byte, 16<<10)
+		put := func() {
+			if err := c.Put(p, "key-007", val); err != nil {
+				t.Fatalf("put: %v", err)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			put()
+		}
+		before := make([]int64, len(counters))
+		for i, name := range counters {
+			before[i] = reg.Counter(name).Value()
+		}
+		allocs = testing.AllocsPerRun(20, put)
+		for i, name := range counters {
+			if d := reg.Counter(name).Value() - before[i]; d != 0 {
+				t.Errorf("21 warmed 16 KB puts moved %s by %d, want 0", name, d)
+			}
+		}
+	})
+	tc.env.Run()
+	if allocs > putPathAllocs {
+		t.Errorf("a warmed RF-3 16 KB put allocates %.0f objects across the cluster, want ≤ %d", allocs, putPathAllocs)
+	}
+}
+
 var statusSink gen.ShardStatus
 
 // TestStatusMessagesAllocateOnce: a census costs one allocation, and only
@@ -312,7 +358,7 @@ func TestBackupAcksFromTheLog(t *testing.T) {
 			val := make([]byte, size)
 			start := p.Now()
 			err := at(backup).Replicate(p, 0, 1, int32(reps[0]), int64(i+1), []byte("k"), val)
-			want := sim.Time(float64(len(appendStamped(nil, 1, 1, val)))*costs.CopyPerByte + float64(costs.CommitSyncNs))
+			want := sim.Time(float64(stampLen+len(val))*costs.CopyPerByte + float64(costs.CommitSyncNs))
 			if got := p.Now() - start; err != nil || got != want {
 				t.Errorf("%d B append: %v after %d ns, want an ack after %d ns", size, err, got, want)
 			}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	gen "hatrpc/internal/cluster/gen"
 	"hatrpc/internal/thrift"
@@ -125,12 +124,6 @@ type shardMeta struct {
 	Promised uint64 // highest epoch durably promised to a candidate
 }
 
-// appendStamped renders a data record onto b: the stamp, then val.
-func appendStamped(b []byte, epoch, seq uint64, val []byte) []byte {
-	b = slices.Grow(b, stampLen+len(val))
-	return append(binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(b, epoch), seq), val...)
-}
-
 // readStamp splits a data record into its stamp and user bytes; ok is
 // false for a record too short to carry a stamp.
 func readStamp(rec []byte) (epoch, seq uint64, val []byte, ok bool) {
@@ -181,3 +174,13 @@ func dataPrefix(shard int) string { return fmt.Sprintf("u:%04x:", shard) }
 func metaKey(shard int) string { return fmt.Sprintf("m:%04x", shard) }
 
 func dataKey(prefix string, key []byte) string { return prefix + string(key) }
+
+// dataPair renders a data record's store pair in one allocation, as
+// lmdb.CopyPair lays one out: the data key is its capacity-capped head,
+// the record — the stamp, then val — its tail.
+func dataPair(prefix string, key []byte, epoch, seq uint64, val []byte) (k, v []byte) {
+	n := len(prefix) + len(key)
+	b := append(append(make([]byte, 0, n+stampLen+len(val)), prefix...), key...)
+	b = append(binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(b, epoch), seq), val...)
+	return b[:n:n], b[n:]
+}

@@ -37,6 +37,7 @@ func (c *Conn) stage(h hdr, payload []byte) {
 func (c *Conn) stagePayload(payload []byte) {
 	if !c.staged(payload) {
 		copy(c.stageMR.Claim(hdrSize, len(payload)), payload)
+		c.eng.em.stageCopy.Add(int64(len(payload)))
 	}
 }
 

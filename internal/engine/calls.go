@@ -63,6 +63,7 @@ func (o CallOpts) resolve(size int) (req, resp Protocol) {
 func (c *Conn) Call(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte, error) {
 	out, err := c.Invoke(p, fn, req, opts)
 	if c.lent(out) {
+		defer c.endLoan(out)
 		out = c.copyPayload(out)
 	}
 	c.loan = nil
@@ -120,7 +121,6 @@ func (c *Conn) doCall(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte
 		fn: fn, length: uint32(len(req)), seq: c.seq,
 	}
 	until := c.deadlineFor(p, opts)
-	h.inPlace = until == 0 && !opts.Oneway
 	if opts.Oneway {
 		eng.em.oneways.Inc()
 		h.respProto = ProtoAuto // marks "no response expected"

@@ -144,6 +144,8 @@ type engineMetrics struct {
 
 	oneways     *obs.Counter
 	bytesRecvd  *obs.Counter // payload bytes delivered to the application
+	stageCopy   *obs.Counter // payload bytes copied into the staging region (stagePayload)
+	copyOut     *obs.Counter // payload bytes copied into arena buffers (copyPayload)
 	readRetries *obs.Counter // one-sided fetch polls that found stale data
 	eagerFrags  *obs.Counter
 	poolHit     *obs.Counter
@@ -186,6 +188,8 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 	m := engineMetrics{
 		oneways:     r.Counter("engine.oneways"),
 		bytesRecvd:  r.Counter("engine.bytes_recvd"),
+		stageCopy:   r.Counter("engine.stage_copy_bytes"),
+		copyOut:     r.Counter("engine.copy_out_bytes"),
 		readRetries: r.Counter("engine.read_retries"),
 		eagerFrags:  r.Counter("engine.eager_frags"),
 		poolHit:     r.Counter("engine.rndv_pool.hit"),
@@ -358,7 +362,6 @@ type hdr struct {
 	seq       uint32
 	off       uint32 // fragment offset (eager segmentation)
 	credits   uint32 // cumulative RECV-repost grant (flow control; 0 when off)
-	inPlace   bool   // b[3]: the caller waits without a deadline (Conn.direct)
 }
 
 func putHdr(b []byte, h hdr) {
@@ -366,10 +369,7 @@ func putHdr(b []byte, h hdr) {
 	b[0] = h.kind
 	b[1] = byte(h.proto)
 	b[2] = byte(h.respProto)
-	b[3] = 0
-	if h.inPlace {
-		b[3] = 1
-	}
+	b[3] = 0 // reserved byte
 	binary.LittleEndian.PutUint32(b[4:], h.fn)
 	binary.LittleEndian.PutUint32(b[8:], h.length)
 	binary.LittleEndian.PutUint32(b[12:], h.seq)
@@ -380,12 +380,12 @@ func putHdr(b []byte, h hdr) {
 
 // decodeHdr is the bounds-checked variant of getHdr for buffers whose
 // length is not structurally guaranteed (getHdr's callers all read from
-// fixed-size registered MRs, which are always >= hdrSize). The flag
-// byte b[3] must be 0 or 1 and the reserved trailing word b[24:28] zero —
+// fixed-size registered MRs, which are always >= hdrSize). The reserved
+// byte b[3] and the reserved trailing word b[24:28] must be zero —
 // anything else means the bytes are not a header this engine version
 // produced.
 func decodeHdr(b []byte) (hdr, bool) {
-	if len(b) < hdrSize || b[3] > 1 || binary.LittleEndian.Uint32(b[24:]) != 0 {
+	if len(b) < hdrSize || b[3] != 0 || binary.LittleEndian.Uint32(b[24:]) != 0 {
 		return hdr{}, false
 	}
 	return getHdr(b), true
@@ -402,7 +402,6 @@ func getHdr(b []byte) hdr {
 		seq:       binary.LittleEndian.Uint32(b[12:]),
 		off:       binary.LittleEndian.Uint32(b[16:]),
 		credits:   binary.LittleEndian.Uint32(b[20:]),
-		inPlace:   b[3] == 1,
 	}
 }
 
@@ -483,7 +482,7 @@ type Conn struct {
 	stageMR  *verbs.MR // outbound staging
 	directMR *verbs.MR // inbound direct-write target
 	creditMR *verbs.MR // credit words: the peer WRITEs its grant updates here (flow.go)
-	win      *byte     // &directMR.Bytes()[hdrSize], kept past Close: where a window starts (lent)
+	win      *byte     // where the last window onto directMR starts, kept past Close (lent)
 	loan     []byte    // the response the last Invoke lent; the next call ends it
 
 	// Server-side published regions (client reads them one-sided).
@@ -627,7 +626,6 @@ func (e *Engine) newConn(server bool, shared *connShared) *Conn {
 	// headers so Direct-Write-Send chains never overlap the payload.
 	c.stageMR = e.pd.RegisterMRNoCost(e.cfg.MaxMsgSize + 2*hdrSize)
 	c.directMR = e.pd.RegisterMRNoCost(e.cfg.MaxMsgSize + hdrSize)
-	c.win = &c.directMR.Bytes()[hdrSize]
 	// Registered with or without flow control, so that arming it changes
 	// nothing — not even the pinned-bytes gauge — until it acts.
 	c.creditMR = e.pd.RegisterMRNoCost(creditWords)
@@ -1253,18 +1251,20 @@ func (c *Conn) handleWriteImm(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 	return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, Payload: payload}, true
 }
 
-// direct delivers the message in the direct region. A response or an
-// inPlace request stays where it lies, a window lent until the handler
-// returns or the next call. Any other request is copied out: the peer may
-// write the region again first (a retransmission, or its next call).
+// direct delivers the message in the direct region. A response or a
+// two-way request is lent where it lies (verbs.MR.Lend) until the next
+// call or the handler returns; a oneway request is copied out, since its
+// caller's next call may land at any time.
 func (c *Conn) direct() Arrival {
-	b := c.directMR.Bytes()
-	h := getHdr(b)
+	h := getHdr(c.directMR.Bytes())
 	c.noteCredits(h)
-	end := hdrSize + int(h.length)
-	payload := b[hdrSize:end:end]
-	if h.length == 0 || c.server && !h.inPlace {
-		payload = c.copyPayload(payload) // nil when empty
+	n := int(h.length)
+	var payload []byte
+	if n == 0 || c.server && h.respProto == ProtoAuto {
+		payload = c.copyPayload(c.directMR.Bytes()[hdrSize : hdrSize+n]) // nil when empty
+	} else {
+		payload = c.directMR.Lend(hdrSize, n)
+		c.win = &payload[0]
 	}
 	return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, Payload: payload}
 }

@@ -16,21 +16,23 @@ func FuzzHdrCodec(f *testing.F) {
 	putHdr(valid, hdr{kind: kReq, proto: DirectWriteIMM, respProto: EagerSendRecv,
 		fn: 3, length: 512, seq: 99, off: 0, credits: 16})
 	f.Add(valid)
-	inPlace := make([]byte, hdrSize)
-	putHdr(inPlace, hdr{kind: kReq, proto: DirectWriteIMM, length: 512, seq: 100, inPlace: true})
-	f.Add(inPlace)
 	f.Add([]byte{})
 	f.Add(make([]byte, hdrSize-1))
+	// b[3] and the trailing word are reserved: written zero, rejected otherwise.
+	flagged := append([]byte(nil), valid...)
+	flagged[3] = 1
 	reserved := append([]byte(nil), valid...)
-	reserved[hdrSize-4] = 7 // the trailing word is reserved: written zero, rejected otherwise
-	if _, ok := decodeHdr(reserved); ok {
-		f.Fatal("accepted a header with a non-zero reserved word")
+	reserved[hdrSize-4] = 7
+	for _, b := range [][]byte{flagged, reserved} {
+		if _, ok := decodeHdr(b); ok {
+			f.Fatalf("accepted a header with a non-zero reserved byte: %x", b)
+		}
+		f.Add(b)
 	}
-	f.Add(reserved)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, ok := decodeHdr(data)
 		if !ok {
-			if len(data) >= hdrSize && data[3] <= 1 && binary.LittleEndian.Uint32(data[hdrSize-4:]) == 0 {
+			if len(data) >= hdrSize && data[3] == 0 && binary.LittleEndian.Uint32(data[hdrSize-4:]) == 0 {
 				t.Fatalf("rejected a well-formed %d-byte header", len(data))
 			}
 			return

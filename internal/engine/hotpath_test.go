@@ -253,9 +253,9 @@ func TestThreeIndexCutResponseSurvivesRecycle(t *testing.T) {
 // retransmission of a request already served is answered from the dedup
 // entry. Once warm, none of the three rounds allocates anything — on the
 // server or, with each reply recycled, on the client. Every round runs
-// twice: without a deadline, so the request is served where it lies in
-// the direct region (a window, which no exit recycles), and with one, so
-// it is copied into an arena buffer that each exit must hand back.
+// twice, without a deadline and with one; either way the request is served
+// where it lies in the direct region, and each exit must end the window's
+// loan, or the next request to land would move the region.
 func TestEveryDispatchExitRecycles(t *testing.T) {
 	const hold, echo uint32 = 1, 2
 	env, srvEng, cliEng := testCluster(23)
@@ -328,7 +328,9 @@ func TestEveryDispatchExitRecycles(t *testing.T) {
 					t.Fatalf("dedup resend: kind %d, %q", a.Kind, a.Payload)
 				}
 				// In either variant the reply is a window onto the client's
-				// direct region, not an arena buffer: nothing to recycle.
+				// direct region, not an arena buffer: its loan ends here, as
+				// the next call would end a call's.
+				c.endLoan(a.Payload)
 			}},
 		}
 		for _, v := range variants {

@@ -35,17 +35,23 @@ func poisoned(b []byte) bool {
 // sanitizer panics at the second put.
 func TestSeededDoubleRecyclePanics(t *testing.T) {
 	env, srvEng, cliEng := testCluster(33)
-	srv := srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte { return nil })
+	srv := srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte {
+		if fn == 1 {
+			return req
+		}
+		return nil
+	})
 	env.Spawn("client", func(p *sim.Proc) {
 		c := cliEng.Dial(p, srvEng.Node(), "svc")
-		// A deadline: the request is copied into an arena buffer the entry keeps.
-		if _, err := c.Call(p, 1, pattern(100), CallOpts{Proto: DirectWriteIMM, Busy: true, Deadline: 1_000_000}); err != nil {
+		// An echo of a request served in place: the response is copied into
+		// an arena buffer the entry keeps.
+		if _, err := c.Call(p, 1, pattern(100), CallOpts{Proto: DirectWriteIMM, Busy: true}); err != nil {
 			t.Error(err)
 		}
 		s := srv.Conns()[0]
 		s.Recycle(s.dedup.req) // the seeded bug
-		// Served in place, so no arena buffer is taken before the entry is replaced.
-		c.Call(p, 1, pattern(100), CallOpts{Proto: DirectWriteIMM, Busy: true})
+		// No response, so no arena buffer is taken before the entry is replaced.
+		c.Call(p, 2, pattern(100), CallOpts{Proto: DirectWriteIMM, Busy: true})
 		t.Error("the entry was replaced without a panic")
 		env.Stop()
 	})

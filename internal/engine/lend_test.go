@@ -15,9 +15,10 @@ var directProtocols = []Protocol{DirectWriteIMM, ChainedWriteSend}
 
 // TestLentRequestSurvivesAbandonment: a client whose call has a deadline
 // gives up on it while its handler still runs, and issues its next call,
-// which lands in the server's direct region. The abandoned request was
-// copied out of the region on arrival, because its caller had a deadline,
-// so its handler's argument is unchanged when the handler returns.
+// which lands in the server's direct region. The abandoned request is
+// served where it landed, and the landing moves the region away from it
+// (verbs.MR.Lend), so its handler's argument is unchanged when the
+// handler returns.
 func TestLentRequestSurvivesAbandonment(t *testing.T) {
 	for _, proto := range directProtocols {
 		t.Run(proto.String(), func(t *testing.T) {
@@ -54,11 +55,10 @@ func TestLentRequestSurvivesAbandonment(t *testing.T) {
 	}
 }
 
-// TestDirectDeliveriesServedInPlace: a request whose caller waits without
-// a deadline is served from the server's direct region, and the response
-// Invoke returns is the client's; a deadlined or oneway request is copied
-// out, and Call hands its caller a copy. A window handed to Recycle never
-// enters the arena.
+// TestDirectDeliveriesServedInPlace: a two-way request, deadlined or not,
+// is served from the server's direct region, and the response Invoke
+// returns is the client's; a oneway request is copied out, and Call hands
+// its caller a copy. A window handed to Recycle never enters the arena.
 func TestDirectDeliveriesServedInPlace(t *testing.T) {
 	for _, proto := range directProtocols {
 		t.Run(proto.String(), func(t *testing.T) {
@@ -100,7 +100,7 @@ func TestDirectDeliveriesServedInPlace(t *testing.T) {
 				p.Sleep(100_000)
 			})
 			env.Run()
-			if want := []bool{true, true, false, false}; fmt.Sprint(inPlace) != fmt.Sprint(want) {
+			if want := []bool{true, true, true, false}; fmt.Sprint(inPlace) != fmt.Sprint(want) {
 				t.Errorf("requests served in place: %v, want %v (Invoke, Call, deadlined, oneway)", inPlace, want)
 			}
 		})

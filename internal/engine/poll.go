@@ -51,6 +51,7 @@ func (c *Conn) fetchPace(busy bool, spun sim.Duration) sim.Duration {
 func (c *Conn) copyPayload(src []byte) []byte {
 	b := c.eng.dev.Get(len(src))
 	copy(b, src)
+	c.eng.em.copyOut.Add(int64(len(src)))
 	return b
 }
 
@@ -66,17 +67,13 @@ func (c *Conn) Recycle(b []byte) {
 	if hatdebug.On && c.lent(b) {
 		panic("engine: Recycle of a window onto the direct region")
 	}
-	c.discard(b)
-}
-
-// discard recycles a payload nobody reads any more, unless it is a window.
-func (c *Conn) discard(b []byte) {
 	if !c.lent(b) {
 		c.eng.dev.Put(b)
 	}
 }
 
-// lent reports whether b is a window onto the direct region (direct).
+// lent reports whether b is a window onto the direct region (direct),
+// whether or not the region has since moved away from it.
 func (c *Conn) lent(b []byte) bool {
 	if len(b) == 0 {
 		return false
@@ -84,16 +81,15 @@ func (c *Conn) lent(b []byte) bool {
 	return &b[0] == c.win
 }
 
-// endLoan ends b's loan: a window is poisoned (hatdebug), an arena buffer
-// recycled. The poison writes the direct region, so it claims what it
-// writes while the region is registered.
+// endLoan ends b's loan: a window's through the region (verbs.MR.EndLend,
+// which poisons it under hatdebug), an arena buffer's by recycling it.
 func (c *Conn) endLoan(b []byte) {
-	if c.lent(b) {
-		if hatdebug.On && c.directMR != nil {
-			b = c.directMR.Claim(hdrSize, len(b))
-		}
-		hatdebug.Poison(b)
-		return
+	switch {
+	case !c.lent(b):
+		c.eng.dev.Put(b)
+	case c.directMR != nil:
+		c.directMR.EndLend()
+	default:
+		hatdebug.Poison(b) // past Close
 	}
-	c.eng.dev.Put(b)
 }

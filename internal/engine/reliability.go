@@ -517,7 +517,7 @@ func (c *Conn) awaitResponse(p *sim.Proc, seq uint32, busy bool, until sim.Time)
 		for c.respQueue.Len() > 0 {
 			a := c.respQueue.Pop()
 			if a.Seq != seq {
-				c.discard(a.Payload) // a stale duplicate: nobody will read it
+				c.endLoan(a.Payload) // a stale duplicate: nobody will read it
 				continue
 			}
 			if a.Kind == kResp {

@@ -15,15 +15,14 @@ import (
 // Payload ownership: req is lent for the duration of the call (an arena
 // buffer, or the direct region itself: Conn.direct). The dispatcher owns
 // it and returns it on every path — served, shed, drain-fenced or
-// retransmitted — and a later delivery overwrites it, so a handler that
-// keeps any part of req past its return must copy. Returning req, or any
-// cut of it (req[4:], req[:8], req[0:8:8]), as the response is fine: the
-// connection's dedup entry holds that buffer for as long as it caches the
-// response, and recycles it only when the next served request replaces the
-// entry. A
-// handler that serializes its response may do so straight into the
-// connection's staging region (ResponseStage) and return that; the engine
-// then sends it from where it lies.
+// retransmitted — and a later delivery may then overwrite it, so a
+// handler that keeps any part of req past its return must copy. Returning
+// req, or any cut of it (req[4:], req[:8], req[0:8:8]), as the response is
+// fine: the connection's dedup entry holds that buffer for as long as it
+// caches the response, and recycles it only when the next served request
+// replaces the entry. A handler that serializes its response may do so
+// straight into the connection's staging region (ResponseStage) and
+// return that; the engine then sends it from where it lies.
 type Handler func(p *sim.Proc, fn uint32, req []byte) []byte
 
 // ErrOverloaded is the typed failure a client receives when the server's
@@ -224,7 +223,7 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 			// without re-executing the handler — at-most-once execution,
 			// idempotent from the application's point of view. The copy
 			// that just arrived is not needed: the entry holds the original.
-			c.discard(a.Payload)
+			c.endLoan(a.Payload)
 			eng.em.dupRequests.Inc()
 			if c.dedup.arr.RespProto != ProtoAuto {
 				c.respond(p, c.dedup.arr, c.dedup.resp, busy)
@@ -248,7 +247,7 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 			// re-routes and later retries here post-restart deserves a
 			// fresh execution.
 			s.Drained++
-			c.discard(a.Payload)
+			c.endLoan(a.Payload)
 			if trc := eng.trc; trc != nil {
 				trc.Instant("rpc", "drained", eng.node.ID(), c.id,
 					int64(p.Now()), obs.Arg{K: "fn", V: a.Fn}, obs.Arg{K: "seq", V: a.Seq})
@@ -269,7 +268,7 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 				// repost bookkeeping happens here — and no dedup entry is
 				// recorded: the handler never ran, and a retransmission of
 				// this seq deserves a fresh admission attempt.
-				c.discard(a.Payload)
+				c.endLoan(a.Payload)
 				if int(a.Proto) < nProtocols {
 					eng.em.shed[a.Proto].Inc()
 				}

@@ -95,6 +95,17 @@ func (s *Session) Invoke(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]b
 	return s.call(p, fn, req, opts, (*Conn).Invoke)
 }
 
+// Stage is Conn.Stage for the session's connection, or nil while a call
+// holds the session (its request may lie there) or the connection is down
+// (the next call dials a fresh one, which copies a staged request as it
+// copies any other). The loan lasts until the caller next yields.
+func (s *Session) Stage() []byte {
+	if s.mu.Locked() || s.down || s.conn.shared.closed {
+		return nil
+	}
+	return s.conn.Stage()
+}
+
 // call runs one RPC through do, Conn.Call or Conn.Invoke, replaying it
 // on a fresh connection for as long as the peer is found down.
 func (s *Session) call(p *sim.Proc, fn uint32, req []byte, opts CallOpts,

@@ -250,7 +250,15 @@ func (s *Store) Put(p *sim.Proc, key string, value []byte) error {
 // write is lost exactly when a later crash rolls back past its txn id).
 // Writers that shared a commit group share its id.
 func (s *Store) PutTxn(p *sim.Proc, key string, value []byte) (uint64, error) {
-	return s.write(p, &writeReq{key: key, value: value})
+	k, v := lmdb.CopyPair(key, value)
+	return s.PutOwned(p, k, v)
+}
+
+// PutOwned is PutTxn for a pair handed over as lmdb.PutOwned takes one:
+// the store keeps k and v, never to be modified again, charging as Put.
+func (s *Store) PutOwned(p *sim.Proc, k, v []byte) (uint64, error) {
+	pair := [2][]byte{k, v}
+	return s.write(p, &writeReq{owned: pair[:]})
 }
 
 // MultiPut implements HatKV.MultiPut: one write transaction for the
@@ -258,23 +266,23 @@ func (s *Store) PutTxn(p *sim.Proc, key string, value []byte) (uint64, error) {
 // "commit strategy" of §4.4). The write queue extends the same
 // amortization across RPCs.
 func (s *Store) MultiPut(p *sim.Proc, pairs []*kvgen.KVPair) error {
-	_, err := s.write(p, &writeReq{pairs: pairs, multi: true})
+	_, err := s.write(p, &writeReq{pairs: pairs})
 	return err
 }
 
-// Append makes key=value durable in the store's log and returns: the
-// caller waits for the log write alone — the value's copy and the sync
-// mode's commit, which under SyncFull is the synced write a Put pays
-// without its BeginTxnNs and InsertNs. The store's applier moves the pair
-// into the tree later, through the write path. Until then Get does not see
-// it; Settle waits for it. A caller that also Puts or MultiPuts a key it
+// Append makes k=v durable in the store's log and returns: the caller
+// waits for the log write alone — the value's copy and the sync mode's
+// commit, which under SyncFull is the synced write a Put pays without its
+// BeginTxnNs and InsertNs. The log, then the tree, keep k and v themselves
+// (lmdb.PutOwned's contract). The store's applier moves the pair into the
+// tree later, through the write path. Until then Get does not see it;
+// Settle waits for it. A caller that also Puts or MultiPuts a key it
 // appends must Settle in between, or the applier may overwrite the newer
 // pair with the logged one. A crash while the append is being charged
 // leaves nothing; after it, the pair fares as the mode's commit would
 // (replay).
-func (s *Store) Append(p *sim.Proc, key string, value []byte) {
-	s.charge(p, float64(len(value))*s.costs.CopyPerByte+float64(s.commitNs()))
-	k, v := lmdb.CopyPair(key, value)
+func (s *Store) Append(p *sim.Proc, k, v []byte) {
+	s.charge(p, float64(len(v))*s.costs.CopyPerByte+float64(s.commitNs()))
 	s.log = append(s.log, k, v)
 	s.appended++
 	switch {
@@ -319,7 +327,7 @@ func (s *Store) startApplier(env *sim.Env) {
 		for {
 			for len(s.log) > 0 {
 				n := len(s.log)
-				_, s.applyErr = s.write(p, &writeReq{owned: s.log[:n:n], multi: true})
+				_, s.applyErr = s.write(p, &writeReq{owned: s.log[:n:n]})
 				if s.applyErr == nil {
 					k := copy(s.log, s.log[n:])
 					clear(s.log[k:])
@@ -336,16 +344,13 @@ func (s *Store) startApplier(env *sim.Env) {
 	})
 }
 
-// writeReq is a writer's request as the caller passed it: key/value for
-// Put, pairs for MultiPut, owned for the applier's batch of the log. Only
-// the writer's own process reads it, so the write path leaks none of it
-// and callers may build keys and pair lists on their stacks.
+// writeReq is a writer's request as the caller passed it: pairs for
+// MultiPut, owned for a Put's pair or the applier's batch of the log.
+// Only the writer's own process reads it, so the write path leaks none of
+// it and callers may build pair lists on their stacks.
 type writeReq struct {
-	key   string
-	value []byte
 	pairs []*kvgen.KVPair
 	owned [][]byte // key, value, …: copies the store already owns
-	multi bool
 }
 
 // parkedOp is a queued writer: its request and, once done, its result.
@@ -392,16 +397,10 @@ func (s *Store) park(p *sim.Proc, req *writeReq) (uint64, error) {
 		q = &parkedOp{wake: sim.NewSignal(p.Env())}
 	}
 	q.at = p.Now()
-	if req.owned != nil {
-		q.owned = append(q.owned, req.owned...)
-	} else if req.multi {
-		q.owned = slices.Grow(q.owned, 2*len(req.pairs))
-		for _, kv := range req.pairs {
-			k, v := lmdb.CopyPair(kv.Key, kv.Value)
-			q.owned = append(q.owned, k, v)
-		}
-	} else {
-		k, v := lmdb.CopyPair(req.key, req.value)
+	q.owned = append(q.owned, req.owned...)
+	q.owned = slices.Grow(q.owned, 2*len(req.pairs))
+	for _, kv := range req.pairs {
+		k, v := lmdb.CopyPair(kv.Key, kv.Value)
 		q.owned = append(q.owned, k, v)
 	}
 	s.queue = append(s.queue, q)
@@ -487,13 +486,7 @@ func (s *Store) commit(p *sim.Proc, solo *writeReq, queued []*parkedOp) (uint64,
 	// A no-op once committed; releases lmdb's writer slot when an apply
 	// fails or the leader is killed in one of the charges below.
 	defer txn.Abort()
-	var pairs, bytesIn int
-	if solo != nil && !solo.multi {
-		// A lone Put: nothing to absorb, and nothing of the caller's kept.
-		pairs, bytesIn, err = 1, len(solo.value), txn.Put([]byte(solo.key), solo.value)
-	} else {
-		pairs, bytesIn, err = s.applyGroup(txn, solo, queued)
-	}
+	pairs, bytesIn, err := s.applyGroup(txn, solo, queued)
 	if err != nil {
 		return 0, kvError(err)
 	}
@@ -515,8 +508,8 @@ type groupPair struct {
 // applyGroup puts the group's pairs into txn in arrival order, skipping
 // the superseded ones, and returns how many pairs and value bytes it
 // applied. A solo op is never grouped with queued ones (a writer leads
-// solo only when nobody is queued), so the pairs are one MultiPut's, the
-// applier's batch, or the queued ops' copies.
+// solo only when nobody is queued), so the pairs are one Put's or
+// MultiPut's, the applier's batch, or the queued ops' copies.
 func (s *Store) applyGroup(txn *lmdb.Txn, solo *writeReq, queued []*parkedOp) (pairs, bytesIn int, err error) {
 	g := s.pairs[:0]
 	if solo != nil {

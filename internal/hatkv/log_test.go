@@ -58,7 +58,7 @@ func TestAppendTiming(t *testing.T) {
 			t.Fatal(err)
 		}
 		cl.Node(0).Spawn("writer", func(p *sim.Proc) {
-			store.Append(p, "k", val)
+			store.Append(p, []byte("k"), val)
 			logged := p.Now()
 			if got, want := logged, appendNs(c, m.mode, len(val)); got != want {
 				t.Errorf("%s: Append returned at %d ns, want %d", m.name, got, want)
@@ -109,7 +109,7 @@ func TestAppendSurvivesCrash(t *testing.T) {
 			}
 			returned := false
 			node.Spawn("writer", func(p *sim.Proc) {
-				store.Append(p, "k", val)
+				store.Append(p, []byte("k"), val)
 				returned = true
 			})
 			at := appendNs(c, m.mode, len(val)) - 1
@@ -131,7 +131,7 @@ func TestAppendSurvivesCrash(t *testing.T) {
 				if got := treeHas(t, store, "k"); got != want || len(store.Logged()) != 0 {
 					t.Errorf("%s: after the crash the tree holds %q and the log %d pairs, want %q and none", name, got, len(store.Logged())/2, want)
 				}
-				store.Append(p, "next", val)
+				store.Append(p, []byte("next"), val)
 				if err := store.Settle(p); err != nil || treeHas(t, store, "next") != string(val) {
 					t.Errorf("%s: the next boot's append was not applied: %v", name, err)
 				}
@@ -160,9 +160,9 @@ func TestSettleRetriesARefusedBatch(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		store.Append(p, "k", []byte("v1"))
-		store.Append(p, "k", []byte("v2"))
-		store.Append(p, "j", []byte("w"))
+		store.Append(p, []byte("k"), []byte("v1"))
+		store.Append(p, []byte("k"), []byte("v2"))
+		store.Append(p, []byte("j"), []byte("w"))
 		if err := store.Settle(p); err == nil || !strings.Contains(err.Error(), lmdb.ErrWriterActive.Error()) {
 			t.Errorf("Settle with the writer slot held: %v, want the refusal", err)
 		}
@@ -182,4 +182,65 @@ func TestSettleRetriesARefusedBatch(t *testing.T) {
 		}
 	})
 	env.Run()
+}
+
+// TestPutOwnedKeepsThePair: PutOwned charges what Put does, alone and
+// behind a commit in flight, and the tree keeps the pair it was handed —
+// the value Get returns is the caller's own slice — where Put keeps a
+// copy. So does Append, once applied.
+func TestPutOwnedKeepsThePair(t *testing.T) {
+	env, cl := setup(53)
+	store, err := hatkv.NewStore(cl.Node(0), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished := false
+	kept := func(p *sim.Proc, key string, v []byte) bool {
+		got, err := store.Get(p, key)
+		return err == nil && len(got) > 0 && &got[0] == &v[0]
+	}
+	cl.Node(0).Spawn("writer", func(p *sim.Proc) {
+		defer env.Stop()
+		val := []byte("a value of some bytes")
+		start := p.Now()
+		if err := store.Put(p, "copied", val); err != nil {
+			t.Fatal(err)
+		}
+		put := p.Now() - start
+		owned := []byte("a value of some bytes")
+		start = p.Now()
+		if _, err := store.PutOwned(p, []byte("owned"), owned); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Now() - start; got != put {
+			t.Errorf("PutOwned took %d ns, Put %d ns", got, put)
+		}
+		if kept(p, "copied", val) || !kept(p, "owned", owned) {
+			t.Error("Put kept the caller's slice, or PutOwned did not")
+		}
+		// Two writers at once: the second parks behind the first's commit.
+		parked := []byte("parked")
+		cl.Node(0).Spawn("first", func(p *sim.Proc) { store.Put(p, "first", val) })
+		p.Sleep(1)
+		start = p.Now()
+		if _, err := store.PutOwned(p, []byte("parked"), parked); err != nil {
+			t.Fatal(err)
+		}
+		if p.Now()-start <= put {
+			t.Errorf("the second writer took %d ns, no longer than a lone Put: it did not park", p.Now()-start)
+		}
+		appended := []byte("appended")
+		store.Append(p, []byte("appended"), appended)
+		if err := store.Settle(p); err != nil {
+			t.Fatal(err)
+		}
+		if !kept(p, "parked", parked) || !kept(p, "appended", appended) {
+			t.Error("a parked PutOwned or an applied Append did not keep the caller's slice")
+		}
+		finished = true
+	})
+	env.Run()
+	if !finished {
+		t.Error("the writer never finished")
+	}
 }

@@ -621,6 +621,9 @@ func (m *Mutex) Unlock() {
 	m.sig.Fire()
 }
 
+// Locked reports whether a process holds the mutex.
+func (m *Mutex) Locked() bool { return m.locked }
+
 // TryLock acquires the mutex if free.
 func (m *Mutex) TryLock() bool {
 	if m.locked {

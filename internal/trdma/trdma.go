@@ -254,15 +254,16 @@ func OpenSession(eng *engine.Engine, target *simnet.Node, port string, sh *Servi
 // its peer, the session re-dials a restarted peer and replays the call.
 // Each function's plan comes from the hints, as TRdma's do, and its
 // deadline from the function the transport was built with. Transports
-// sharing a session, one per calling process, each serialize requests into
-// a buffer of their own: the session's staging region belongs to whichever
-// call holds the session. A reply is lent until the session's next call
+// sharing a session, one per calling process, serialize a request into the
+// session's staging region (engine.Session.Stage: generated code does not
+// yield before it Invokes), or into their own buffer while another call
+// holds the session. A reply is lent until the session's next call
 // (engine.Session.Invoke), whichever transport makes it, so it is read
 // before its caller yields, as a generated client reads it.
 type SessionTransport struct {
 	s     *engine.Session
 	plans plans
-	req   []byte // what Stage lends
+	req   []byte // what Stage lends when the session lends nothing
 }
 
 var _ Transport = (*SessionTransport)(nil)
@@ -286,16 +287,21 @@ func (t *SessionTransport) Invoke(p *sim.Proc, fn string, request []byte, oneway
 	opts := pl.opts
 	opts.Oneway = oneway
 	out, err := t.s.Invoke(p, pl.id, request, opts)
-	if cap(request) > cap(t.req) {
-		// The request outgrew the buffer: the next one of its size fits.
-		t.req = make([]byte, 0, cap(request))
+	if len(request) > cap(t.req) {
+		// By length: a staged request's capacity is the whole staging region.
+		t.req = make([]byte, 0, len(request))
 	}
 	return out, err
 }
 
-// Stage lends the transport's own request buffer: the session copies what
-// it sends, so the buffer is free again once Invoke returns.
-func (t *SessionTransport) Stage() []byte { return t.req[:0] }
+// Stage lends the session's staging region, or the transport's own buffer
+// when the session lends nothing: the session copies a request from there.
+func (t *SessionTransport) Stage() []byte {
+	if b := t.s.Stage(); b != nil {
+		return b
+	}
+	return t.req[:0]
+}
 
 // Plan exposes the hint-resolved plan of a function (for tests and
 // introspection).

@@ -71,3 +71,31 @@ func TestBypassedClaimPanics(t *testing.T) {
 		})
 	}
 }
+
+// TestEndedLoanIsPoisoned: a window the host was lent is poisoned when its
+// loan ends — in the region when nothing claimed it, and in the array the
+// region moved away from when a claim did.
+func TestEndedLoanIsPoisoned(t *testing.T) {
+	for _, moved := range []bool{false, true} {
+		t.Run(fmt.Sprintf("moved=%v", moved), func(t *testing.T) {
+			env := sim.NewEnv(1)
+			a, _ := testPair(env)
+			mr := a.pd.RegisterMRNoCost(64)
+			copy(mr.Claim(0, 64), bytes.Repeat([]byte("lent"), 16))
+			w := mr.Lend(16, 32)
+			if moved {
+				copy(mr.Claim(0, 20), bytes.Repeat([]byte{'x'}, 20))
+			}
+			if a.dev.vm.moves.Value() != map[bool]int64{false: 0, true: 1}[moved] {
+				t.Fatalf("%d region moves, want one exactly when a claim overlapped the window", a.dev.vm.moves.Value())
+			}
+			mr.EndLend()
+			if bytes.Count(w, []byte{hatdebug.Poisoned}) != len(w) {
+				t.Errorf("the window is not poisoned at its loan's end: %q", w)
+			}
+			if moved && !bytes.Equal(mr.Bytes()[:20], bytes.Repeat([]byte{'x'}, 20)) {
+				t.Errorf("the poison reached the moved region: %q", mr.Bytes()[:20])
+			}
+		})
+	}
+}

@@ -157,3 +157,77 @@ func TestLostPacketsLetGo(t *testing.T) {
 		})
 	}
 }
+
+// TestClaimMovesALentRegion is the host's read loan (MR.Lend): a claim
+// that does not overlap the lent window writes the region where it is; one
+// that does — the host's, or an inbound WRITE landing — first moves the
+// region to a fresh array, carrying over every byte outside the claim
+// (the tail nothing ever wrote stays zero), so the window keeps the bytes
+// it was lent with. A packet holding a range of the region outside the
+// claim reads it from the fresh array and still delivers its posted
+// bytes, at no copy. Once the loan has ended, claims move nothing.
+func TestClaimMovesALentRegion(t *testing.T) {
+	const n = 64
+	orig := bytes.Repeat([]byte("0123456789abcdef"), n/16)
+	for _, claimer := range []string{"host", "inbound WRITE"} {
+		t.Run(claimer, func(t *testing.T) {
+			env := sim.NewEnv(1)
+			a, b := testPair(env)
+			mr := a.pd.RegisterMRNoCost(n + 32) // a tail nothing writes
+			copy(mr.Claim(0, n), orig)
+			// A SEND of [48, 64) in flight: its packet holds that range.
+			dst := b.pd.RegisterMRNoCost(16)
+			b.qp.PostRecv(RecvWR{WRID: 2, SGE: SGE{MR: dst, Len: 16}})
+			env.Spawn("poster", func(p *sim.Proc) {
+				a.qp.PostSend(p, &SendWR{WRID: 7, Op: OpSend, SGE: SGE{MR: mr, Off: 48, Len: 16}})
+			})
+			for mr.held == nil {
+				env.RunUntil(env.Now() + 10)
+			}
+			w, lentArr := mr.Lend(8, 16), mr.Bytes()
+			copy(mr.Claim(24, 8), "XXXXXXXX") // beside the window
+			if &mr.Bytes()[0] != &lentArr[0] || a.dev.vm.moves.Value() != 0 {
+				t.Fatal("a claim beside the lent window moved the region")
+			}
+			want := append(append([]byte(nil), orig[:24]...), "XXXXXXXX"...)
+			want = append(want, orig[32:]...)
+			want = append(want, make([]byte, 32)...)
+			switch claimer {
+			case "host":
+				copy(mr.Claim(0, 12), "YYYYYYYYYYYY")
+				copy(want, "YYYYYYYYYYYY")
+			case "inbound WRITE":
+				src := b.pd.RegisterMRNoCost(12)
+				copy(src.Claim(0, 12), "ZZZZZZZZZZZZ")
+				env.Spawn("writer", func(p *sim.Proc) {
+					b.qp.PostSend(p, &SendWR{WRID: 8, Op: OpWrite, SGE: SGE{MR: src, Len: 12}, Remote: mr.RKey(), RemoteOff: 4})
+				})
+				for i := 0; mr.Bytes()[4] != 'Z'; i++ {
+					if i == 100_000 {
+						t.Fatal("the WRITE never landed")
+					}
+					env.RunUntil(env.Now() + 10)
+				}
+				copy(want[4:], "ZZZZZZZZZZZZ")
+			}
+			if &mr.Bytes()[0] == &lentArr[0] || a.dev.vm.moves.Value() != 1 {
+				t.Fatal("a claim over the lent window did not move the region")
+			}
+			if !bytes.Equal(w, orig[8:24]) {
+				t.Errorf("the lent window reads %q after the move, want %q", w, orig[8:24])
+			}
+			if !bytes.Equal(mr.Bytes(), want) {
+				t.Errorf("the moved region holds %q, want %q", mr.Bytes(), want)
+			}
+			env.Run()
+			if !bytes.Equal(dst.Bytes(), orig[48:]) || a.dev.vm.copies.Value() != 0 {
+				t.Errorf("the SEND in flight delivered %q at %d copies, want %q at none", dst.Bytes(), a.dev.vm.copies.Value(), orig[48:])
+			}
+			mr.EndLend()
+			copy(mr.Claim(0, n), orig)
+			if a.dev.vm.moves.Value() != 1 {
+				t.Error("a claim after the loan's end moved the region")
+			}
+		})
+	}
+}

@@ -105,6 +105,7 @@ type verbsMetrics struct {
 	inline    *obs.Counter              // inline sends (no host-DMA fetch)
 	dma       *obs.Counter              // sends paying the host-DMA fetch
 	copies    *obs.Counter              // payloads copied because the host wrote their range before they landed (MR.Claim)
+	moves     *obs.Counter              // regions moved away from a lent window (MR.Claim)
 	rnrNaks   *obs.Counter              // RNR NAKs generated as a receiver
 	doorbells *obs.Counter              // PostSend doorbells: one per chain, however many WRs it links
 }
@@ -123,6 +124,7 @@ func (d *Device) SetObs(r *obs.Registry) {
 		rnrNaks:   r.Counter("verbs.rnr_naks"),
 		doorbells: r.Counter("verbs.doorbells"),
 		copies:    r.Counter("verbs.payload_copies"),
+		moves:     r.Counter("verbs.region_moves"),
 	}
 	for op := 0; op < opRecvBound; op++ {
 		m.tx[op] = r.Counter("verbs.tx." + Opcode(op).String())   //hatlint:allow obsnames -- suffix bounded by the Opcode enum
@@ -209,7 +211,8 @@ func (pd *PD) Device() *Device { return pd.dev }
 // window onto its source range and reads it when it lands (DESIGN.md §18).
 // Whoever writes the region — the host, or the NIC placing an inbound
 // payload — therefore writes through Claim, which first gives every packet
-// holding an overlapping range a copy of its bytes.
+// holding an overlapping range a copy of its bytes. A window lent to the
+// host to read where it lies (Lend) is kept the same way.
 type MR struct {
 	pd      *PD
 	buf     []byte
@@ -218,6 +221,10 @@ type MR struct {
 	onWrite func(off, n int)
 	revoked bool
 	held    *packet // the packets in flight with a window onto buf, linked by heldNext
+	hi      int     // no byte at or past hi was ever claimed: all are zero
+	lent    []byte  // the window lent to the host (Lend); nil when none
+	lentOff int     // where lent lies in the region, unless moved
+	moved   bool    // the region has moved away from lent's array
 }
 
 // Bytes returns the region's memory for reading, allocating it the first
@@ -235,9 +242,10 @@ func (mr *MR) Allocated() bool { return mr.buf != nil }
 
 // Claim returns the n bytes at off for writing. A packet in flight that
 // holds any of them is first given an arena copy of its whole payload, so
-// it still delivers exactly the bytes it was posted with.
+// it still delivers exactly the bytes it was posted with. A claim over the
+// lent window moves the region first (Lend); its claimer writes all n.
 func (mr *MR) Claim(off, n int) []byte {
-	b := mr.Bytes()[off : off+n]
+	mr.Bytes()
 	for pkt := mr.held; pkt != nil; {
 		next := pkt.heldNext
 		if pkt.srcOff < off+n && off < pkt.srcOff+pkt.size {
@@ -245,15 +253,57 @@ func (mr *MR) Claim(off, n int) []byte {
 		}
 		pkt = next
 	}
-	return b
+	if mr.lent != nil && !mr.moved && off < mr.lentOff+len(mr.lent) && mr.lentOff < off+n {
+		mr.move(off, n)
+	}
+	mr.hi = max(mr.hi, off+n)
+	return mr.buf[off : off+n]
+}
+
+// move gives the region a fresh array, leaving the lent window in the old
+// one. Every byte outside the n at off is carried over — copied below hi,
+// zero in both arrays past it, so a move costs what the region holds, not
+// its size — and the packets still holding a range (none of those n bytes,
+// which Claim released) read it from the fresh array.
+func (mr *MR) move(off, n int) {
+	old, b := mr.buf, make([]byte, mr.size)
+	copy(b[:min(off, mr.hi)], old)
+	copy(b[off+n:max(off+n, mr.hi)], old[off+n:])
+	for pkt := mr.held; pkt != nil; pkt = pkt.heldNext {
+		pkt.payload = b[pkt.srcOff : pkt.srcOff+pkt.size]
+	}
+	mr.buf, mr.moved = b, true
+	mr.pd.dev.vm.moves.Inc()
+}
+
+// Lend lends the host the n bytes at off to read where they lie, until
+// EndLend: a Claim that overlaps them moves the region first, so the
+// window keeps its bytes. A region lends one window at a time; a Lend
+// while one is lent lends the new one instead.
+func (mr *MR) Lend(off, n int) []byte {
+	mr.lent, mr.lentOff, mr.moved = mr.Bytes()[off:off+n:off+n], off, false
+	return mr.lent
+}
+
+// EndLend ends the loan, if any: a hatdebug build poisons the window, in
+// the region or in the array the region moved away from, which is left to
+// the garbage collector.
+func (mr *MR) EndLend() {
+	w, moved := mr.lent, mr.moved
+	mr.lent, mr.moved = nil, false
+	if hatdebug.On && w != nil && !moved {
+		w = mr.Claim(mr.lentOff, len(w))
+	}
+	hatdebug.Poison(w)
 }
 
 // Deregister ends the host's registration of the region: its memory may
 // be reused from now on, so every packet still holding a window onto it
-// is given a copy (Claim). Remote access is left as it is (SetRevoked).
+// is given a copy, as Claim gives one; a window still lent keeps its
+// bytes. Remote access is left as it is (SetRevoked).
 func (mr *MR) Deregister() {
-	if mr.held != nil {
-		mr.Claim(0, mr.size)
+	for mr.held != nil {
+		mr.held.own() // unholds it
 	}
 }
 
