@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	gen "hatrpc/internal/cluster/gen"
+	"hatrpc/internal/engine"
+	"hatrpc/internal/hatdebug"
 	"hatrpc/internal/hatkv"
 	"hatrpc/internal/obs"
 	"hatrpc/internal/sim"
@@ -72,19 +74,21 @@ func TestPutPathAllocs(t *testing.T) {
 // TestWarmedBulkPutCopiesOnlyOnce: a warmed RF-3 put of a 16 KB value
 // copies it on the host only where a copy is the work itself. The client
 // and both of the primary's lanes serialize their calls straight into
-// their sessions' staging regions, which the NIC sends from; the primary
-// and both backups serve each request where it landed, so no region moves
-// away from one; and each replica's store keeps the one record it builds.
-// No staging copy and no copy-out is left — nine copies of the value in
-// all, three serializations, three landings and three records — and the
-// put allocates no more than a small one does.
+// their sessions' staging regions, which the NIC sends from; each request
+// lands by reference, and the primary and both backups serve it where it
+// landed — in the sender's staging region — so no region moves away from
+// one and no landing is copied in; and each replica's store keeps the one
+// record it builds. No staging copy, copy-out or landing copy is left —
+// six copies of the value in all, three serializations and three records
+// — and the put allocates no more than a small one does.
 func TestWarmedBulkPutCopiesOnlyOnce(t *testing.T) {
 	tc := newTestCluster(t, 53, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})
 	reg := obs.NewRegistry()
 	for _, e := range append(tc.engs, tc.cliEng) {
 		e.SetObs(reg)
 	}
-	counters := []string{"engine.stage_copy_bytes", "engine.copy_out_bytes", "verbs.region_moves"}
+	counters := []string{"engine.stage_copy_bytes", "engine.copy_out_bytes", "verbs.region_moves",
+		"verbs.landing_copies.write", "verbs.landing_copies.read", "verbs.landing_copies.deregister"}
 	var allocs float64
 	tc.env.Spawn("client", func(p *sim.Proc) {
 		defer tc.env.Stop()
@@ -372,5 +376,63 @@ func TestBackupAcksFromTheLog(t *testing.T) {
 			t.Errorf("%d B: RF 3 adds %d ns to a put over RF 1, want %d (the tree-ack path's %d and the framing's %d less BeginTxnNs + InsertNs)",
 				size, extra, want, treeAckExtraNs[size], framingExtraNs)
 		}
+	}
+}
+
+// TestFirstPutsRegionMoves is cluster_rf3's set-up: one client's first
+// put to each of five primaries (8 shards, RF 3), whose handler dials its
+// two backup sessions for longer than the client's first retransmission
+// timer, so each request lands twice while its handler still reads the
+// first landing in place. The NIC lands by reference, so the second
+// landing writes nothing and no primary's direct region moves (each did,
+// once, while landings copied). The moves that are left are the
+// client's, two per duplicated request: the retransmission restages its
+// header over the staging region the primary's loan still reads, which
+// moves that region instead; and the first answer, whose packet took a
+// copy when the primary restaged its header to answer the duplicate, is
+// lent from the client's own direct region when the duplicate's answer
+// lands over it. A hatdebug build lends every landing from the region's
+// own bytes, so there each primary's direct region moves as it did.
+func TestFirstPutsRegionMoves(t *testing.T) {
+	ecfg := engine.DefaultConfig()
+	ecfg.BreakerThreshold, ecfg.BreakerCooldown = 4, 500_000
+	tc := newTestClusterWith(t, 1, 5, Config{Seed: 1, NShards: 8, RF: 3}, ecfg)
+	srvReg, cliReg := obs.NewRegistry(), obs.NewRegistry()
+	for _, e := range tc.engs {
+		e.SetObs(srvReg)
+	}
+	tc.cliEng.SetObs(cliReg)
+	view := NewShardMap(tc.cfg.Seed, tc.cfg.NodeIDs, tc.cfg.NShards, tc.cfg.RF)
+	var keys []string
+	for j, led := 0, map[int]bool{}; len(keys) < 5 && j < 4096; j++ {
+		k := fmt.Sprintf("probe-%d", j)
+		if pr := int(view.Shards[ShardOf(k, tc.cfg.NShards)].Primary); !led[pr] {
+			led[pr] = true
+			keys = append(keys, k)
+		}
+	}
+	tc.env.Spawn("client", func(p *sim.Proc) {
+		defer tc.env.Stop()
+		c := NewClient(tc.cliEng, tc.roster, tc.cfg)
+		for _, k := range keys {
+			if err := c.Put(p, k, make([]byte, 128)); err != nil {
+				t.Fatalf("put %s: %v", k, err)
+			}
+		}
+	})
+	tc.env.Run()
+	dups := srvReg.Counter("engine.dup_requests").Value()
+	if len(keys) != 5 || dups == 0 {
+		t.Fatalf("%d primaries put to, %d requests delivered twice: the test no longer reproduces the set-up", len(keys), dups)
+	}
+	srvMoves, cliMoves := int64(0), 2*dups
+	if hatdebug.On {
+		srvMoves, cliMoves = dups, dups
+	}
+	if n := srvReg.Counter("verbs.region_moves").Value(); n != srvMoves {
+		t.Errorf("the primaries moved %d regions over %d duplicated requests, want %d", n, dups, srvMoves)
+	}
+	if n := cliReg.Counter("verbs.region_moves").Value(); n != cliMoves {
+		t.Errorf("the client moved %d regions over %d duplicated requests, want %d", n, dups, cliMoves)
 	}
 }

@@ -392,7 +392,7 @@ func (c *Conn) readRemote(p *sim.Proc, rk verbs.RKey, off, n int, busy bool) ([]
 	if !c.waitRead(p, id, busy) {
 		return nil, false
 	}
-	return c.directMR.Bytes()[:n], true
+	return c.directMR.View(0, n), true
 }
 
 // fetchProbe is how a server-bypass protocol finds its response in the

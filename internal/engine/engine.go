@@ -933,10 +933,9 @@ func (c *Conn) nextArrival(p *sim.Proc, busy bool) Arrival {
 		}
 		if c.rfpPending {
 			c.rfpPending = false
-			in := c.rfpInMR.Bytes()
-			h := getHdr(in)
+			h := getHdr(c.rfpInMR.View(0, hdrSize))
 			c.noteCredits(h)
-			payload := c.copyPayload(in[hdrSize : hdrSize+int(h.length)])
+			payload := c.copyPayload(c.rfpInMR.View(hdrSize, int(h.length)))
 			c.chargeDetect(p, busy)
 			c.eng.em.bytesRecvd.Add(int64(len(payload)))
 			return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, Payload: payload}
@@ -1054,10 +1053,9 @@ func (c *Conn) handleWC(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 			// Read-RNDV pull completed: the pulled buffer carries the
 			// original [hdr|payload] (the RTS only announced it).
 			delete(c.rndvIn, rts.seq)
-			b := buf.Bytes()
-			h := getHdr(b)
+			h := getHdr(buf.View(0, hdrSize))
 			c.noteCredits(h)
-			payload := c.copyPayload(b[hdrSize : hdrSize+int(h.length)])
+			payload := c.copyPayload(buf.View(hdrSize, int(h.length)))
 			c.eng.releaseRndv(buf)
 			c.postSmall(p, hdr{kind: kFin, proto: h.proto, seq: h.seq})
 			return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, Payload: payload}, true
@@ -1090,8 +1088,7 @@ func (c *Conn) repostSlot(p *sim.Proc, wrid uint64) {
 
 // handleRecvSlot processes a two-sided SEND landing in an eager ring slot.
 func (c *Conn) handleRecvSlot(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
-	base := int(wc.WRID) * c.slotSize
-	buf := c.eagerMR.Bytes()[base : base+c.slotSize]
+	buf := c.eagerMR.View(int(wc.WRID)*c.slotSize, wc.ByteLen)
 	h := getHdr(buf)
 	c.noteCredits(h)
 	// Recycle the ring slot after extracting the fragment. This is the
@@ -1099,7 +1096,7 @@ func (c *Conn) handleRecvSlot(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 	// to be (data, control, duplicate, or a request later shed by
 	// admission control) — the repost happens before the message is
 	// interpreted, so shedding can neither skip nor double it.
-	frag := c.copyPayload(buf[hdrSize:wc.ByteLen])
+	frag := c.copyPayload(buf[hdrSize:])
 	c.repostSlot(p, wc.WRID)
 	switch h.kind {
 	case kReq, kResp:
@@ -1242,28 +1239,27 @@ func (c *Conn) handleWriteImm(p *sim.Proc, wc verbs.WC) (Arrival, bool) {
 		return Arrival{}, false
 	}
 	delete(c.rndvIn, seq)
-	b := buf.Bytes()
-	h := getHdr(b)
+	h := getHdr(buf.View(0, hdrSize))
 	c.noteCredits(h)
-	payload := c.copyPayload(b[hdrSize : hdrSize+int(h.length)])
+	payload := c.copyPayload(buf.View(hdrSize, int(h.length)))
 	delete(c.shared.rndv, rndvKey(seq, !c.server))
 	c.eng.releaseRndv(buf)
 	return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, Payload: payload}, true
 }
 
 // direct delivers the message in the direct region. A response or a
-// two-way request is lent where it lies (verbs.MR.Lend) until the next
-// call or the handler returns; a oneway request is copied out, since its
-// caller's next call may land at any time.
+// two-way request is lent where it lies (verbs.MR.Lend), header and all,
+// until the next call or the handler returns; a oneway request is copied
+// out, since its caller's next call may land at any time.
 func (c *Conn) direct() Arrival {
-	h := getHdr(c.directMR.Bytes())
+	h := getHdr(c.directMR.View(0, hdrSize))
 	c.noteCredits(h)
 	n := int(h.length)
 	var payload []byte
 	if n == 0 || c.server && h.respProto == ProtoAuto {
-		payload = c.copyPayload(c.directMR.Bytes()[hdrSize : hdrSize+n]) // nil when empty
+		payload = c.copyPayload(c.directMR.View(hdrSize, n)) // nil when empty
 	} else {
-		payload = c.directMR.Lend(hdrSize, n)
+		payload = c.directMR.Lend(0, hdrSize+n)[hdrSize:]
 		c.win = &payload[0]
 	}
 	return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, Payload: payload}

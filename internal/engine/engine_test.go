@@ -35,6 +35,12 @@ func observe(engs ...*Engine) {
 	}
 }
 
+// landingCopies sums the NIC's copies of ranges landed by reference
+// (verbs.landing_copies), over every cause.
+func landingCopies(e *Engine) int64 {
+	return ctr(e, "verbs.landing_copies.write") + ctr(e, "verbs.landing_copies.read") + ctr(e, "verbs.landing_copies.deregister")
+}
+
 func ctr(e *Engine, name string) (n int64) {
 	if e.obs == nil {
 		panic("ctr: no registry attached (observe)")
@@ -352,6 +358,16 @@ func opsNow(e *Engine) (ops [len(opNames)]int64) {
 // slot stages each fragment over the last while that one is still on the
 // wire, and RFP's server publishes a response while a stale probe's READ
 // response is still in flight.
+//
+// landed are the copies of payloads the NIC landed by reference
+// (verbs.landing_copies, counted on the side they landed at): a landing
+// is copied in only when its source is written, or its bytes read other
+// than through one landed range, before it is dropped. A message read in
+// place (Direct-WriteIMM and the two direct-write protocols, whose loan
+// ends the landing) or from a RECV slot (reposting drops it) costs none;
+// a rendezvous buffer or a fetched response read by View keeps its
+// landing until the sender's next message overwrites the source, which
+// copies it in.
 func TestOpsPerProtocol(t *testing.T) {
 	type ops = [len(opNames)]int64
 	type copies = [2]int64
@@ -360,43 +376,44 @@ func TestOpsPerProtocol(t *testing.T) {
 		size     int
 		cli, srv ops
 		copies   copies
+		landed   copies
 	}{
-		{EagerSendRecv, 64, ops{1, 0, 0, 0, 1, 1, 1}, ops{1, 0, 0, 0, 1, 1, 1}, copies{0, 0}},
-		{EagerSendRecv, 8192, ops{2, 0, 0, 0, 2, 2, 0}, ops{2, 0, 0, 0, 2, 2, 0}, copies{1, 1}},
-		{EagerSendRecv, 100000, ops{25, 0, 0, 0, 25, 25, 0}, ops{25, 0, 0, 0, 25, 25, 0}, copies{24, 24}},
-		{DirectWriteSend, 64, ops{1, 1, 0, 0, 2, 1, 1}, ops{1, 1, 0, 0, 2, 1, 1}, copies{0, 0}},
-		{DirectWriteSend, 8192, ops{1, 1, 0, 0, 2, 1, 1}, ops{1, 1, 0, 0, 2, 1, 1}, copies{0, 0}},
-		{DirectWriteSend, 100000, ops{1, 1, 0, 0, 2, 1, 1}, ops{1, 1, 0, 0, 2, 1, 1}, copies{0, 0}},
-		{ChainedWriteSend, 64, ops{1, 1, 0, 0, 1, 1, 1}, ops{1, 1, 0, 0, 1, 1, 1}, copies{0, 0}},
-		{ChainedWriteSend, 8192, ops{1, 1, 0, 0, 1, 1, 1}, ops{1, 1, 0, 0, 1, 1, 1}, copies{0, 0}},
-		{ChainedWriteSend, 100000, ops{1, 1, 0, 0, 1, 1, 1}, ops{1, 1, 0, 0, 1, 1, 1}, copies{0, 0}},
-		{WriteRNDV, 64, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}},
-		{WriteRNDV, 8192, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}},
-		{WriteRNDV, 100000, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}},
-		{ReadRNDV, 64, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}},
-		{ReadRNDV, 8192, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}},
-		{ReadRNDV, 100000, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}},
-		{DirectWriteIMM, 64, ops{0, 0, 1, 0, 1, 1, 1}, ops{0, 0, 1, 0, 1, 1, 1}, copies{0, 0}},
-		{DirectWriteIMM, 8192, ops{0, 0, 1, 0, 1, 1, 0}, ops{0, 0, 1, 0, 1, 1, 0}, copies{0, 0}},
-		{DirectWriteIMM, 100000, ops{0, 0, 1, 0, 1, 1, 0}, ops{0, 0, 1, 0, 1, 1, 0}, copies{0, 0}},
-		{Pilaf, 64, ops{1, 0, 0, 3, 4, 0, 1}, ops{0, 0, 0, 0, 0, 1, 0}, copies{0, 0}},
-		{Pilaf, 8192, ops{2, 0, 0, 3, 5, 0, 0}, ops{0, 0, 0, 0, 0, 2, 0}, copies{1, 0}},
-		{Pilaf, 100000, ops{25, 0, 0, 3, 28, 0, 0}, ops{0, 0, 0, 0, 0, 25, 0}, copies{24, 0}},
-		{FaRM, 64, ops{1, 0, 0, 2, 3, 0, 1}, ops{0, 0, 0, 0, 0, 1, 0}, copies{0, 0}},
-		{FaRM, 8192, ops{2, 0, 0, 2, 4, 0, 0}, ops{0, 0, 0, 0, 0, 2, 0}, copies{1, 0}},
-		{FaRM, 100000, ops{25, 0, 0, 2, 27, 0, 0}, ops{0, 0, 0, 0, 0, 25, 0}, copies{24, 0}},
-		{RFP, 64, ops{0, 1, 0, 1, 2, 0, 0}, ops{0, 0, 0, 0, 0, 0, 0}, copies{0, 0}},
-		{RFP, 8192, ops{0, 1, 0, 2, 3, 0, 0}, ops{0, 0, 0, 0, 0, 0, 0}, copies{0, 1}},
-		{RFP, 100000, ops{0, 1, 0, 2, 3, 0, 0}, ops{0, 0, 0, 0, 0, 0, 0}, copies{0, 1}},
-		{HERD, 64, ops{0, 1, 0, 0, 1, 1, 0}, ops{1, 0, 0, 0, 1, 0, 1}, copies{0, 0}},
-		{HERD, 8192, ops{0, 1, 0, 0, 1, 2, 0}, ops{2, 0, 0, 0, 2, 0, 0}, copies{0, 1}},
-		{HERD, 100000, ops{0, 1, 0, 0, 1, 25, 0}, ops{25, 0, 0, 0, 25, 0, 0}, copies{0, 24}},
-		{HybridEagerRNDV, 64, ops{1, 0, 0, 0, 1, 1, 1}, ops{1, 0, 0, 0, 1, 1, 1}, copies{0, 0}},
-		{HybridEagerRNDV, 8192, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}},
-		{HybridEagerRNDV, 100000, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}},
-		{HybridEagerRead, 64, ops{1, 0, 0, 0, 1, 1, 1}, ops{1, 0, 0, 0, 1, 1, 1}, copies{0, 0}},
-		{HybridEagerRead, 8192, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}},
-		{HybridEagerRead, 100000, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}},
+		{EagerSendRecv, 64, ops{1, 0, 0, 0, 1, 1, 1}, ops{1, 0, 0, 0, 1, 1, 1}, copies{0, 0}, copies{0, 0}},
+		{EagerSendRecv, 8192, ops{2, 0, 0, 0, 2, 2, 0}, ops{2, 0, 0, 0, 2, 2, 0}, copies{1, 1}, copies{0, 0}},
+		{EagerSendRecv, 100000, ops{25, 0, 0, 0, 25, 25, 0}, ops{25, 0, 0, 0, 25, 25, 0}, copies{24, 24}, copies{0, 0}},
+		{DirectWriteSend, 64, ops{1, 1, 0, 0, 2, 1, 1}, ops{1, 1, 0, 0, 2, 1, 1}, copies{0, 0}, copies{0, 0}},
+		{DirectWriteSend, 8192, ops{1, 1, 0, 0, 2, 1, 1}, ops{1, 1, 0, 0, 2, 1, 1}, copies{0, 0}, copies{0, 0}},
+		{DirectWriteSend, 100000, ops{1, 1, 0, 0, 2, 1, 1}, ops{1, 1, 0, 0, 2, 1, 1}, copies{0, 0}, copies{0, 0}},
+		{ChainedWriteSend, 64, ops{1, 1, 0, 0, 1, 1, 1}, ops{1, 1, 0, 0, 1, 1, 1}, copies{0, 0}, copies{0, 0}},
+		{ChainedWriteSend, 8192, ops{1, 1, 0, 0, 1, 1, 1}, ops{1, 1, 0, 0, 1, 1, 1}, copies{0, 0}, copies{0, 0}},
+		{ChainedWriteSend, 100000, ops{1, 1, 0, 0, 1, 1, 1}, ops{1, 1, 0, 0, 1, 1, 1}, copies{0, 0}, copies{0, 0}},
+		{WriteRNDV, 64, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}, copies{1, 1}},
+		{WriteRNDV, 8192, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}, copies{1, 1}},
+		{WriteRNDV, 100000, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}, copies{1, 1}},
+		{ReadRNDV, 64, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}, copies{0, 0}},
+		{ReadRNDV, 8192, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}, copies{0, 0}},
+		{ReadRNDV, 100000, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}, copies{0, 0}},
+		{DirectWriteIMM, 64, ops{0, 0, 1, 0, 1, 1, 1}, ops{0, 0, 1, 0, 1, 1, 1}, copies{0, 0}, copies{0, 0}},
+		{DirectWriteIMM, 8192, ops{0, 0, 1, 0, 1, 1, 0}, ops{0, 0, 1, 0, 1, 1, 0}, copies{0, 0}, copies{0, 0}},
+		{DirectWriteIMM, 100000, ops{0, 0, 1, 0, 1, 1, 0}, ops{0, 0, 1, 0, 1, 1, 0}, copies{0, 0}, copies{0, 0}},
+		{Pilaf, 64, ops{1, 0, 0, 3, 4, 0, 1}, ops{0, 0, 0, 0, 0, 1, 0}, copies{0, 0}, copies{2, 0}},
+		{Pilaf, 8192, ops{2, 0, 0, 3, 5, 0, 0}, ops{0, 0, 0, 0, 0, 2, 0}, copies{1, 0}, copies{2, 0}},
+		{Pilaf, 100000, ops{25, 0, 0, 3, 28, 0, 0}, ops{0, 0, 0, 0, 0, 25, 0}, copies{24, 0}, copies{2, 0}},
+		{FaRM, 64, ops{1, 0, 0, 2, 3, 0, 1}, ops{0, 0, 0, 0, 0, 1, 0}, copies{0, 0}, copies{2, 0}},
+		{FaRM, 8192, ops{2, 0, 0, 2, 4, 0, 0}, ops{0, 0, 0, 0, 0, 2, 0}, copies{1, 0}, copies{2, 0}},
+		{FaRM, 100000, ops{25, 0, 0, 2, 27, 0, 0}, ops{0, 0, 0, 0, 0, 25, 0}, copies{24, 0}, copies{2, 0}},
+		{RFP, 64, ops{0, 1, 0, 1, 2, 0, 0}, ops{0, 0, 0, 0, 0, 0, 0}, copies{0, 0}, copies{1, 1}},
+		{RFP, 8192, ops{0, 1, 0, 2, 3, 0, 0}, ops{0, 0, 0, 0, 0, 0, 0}, copies{0, 1}, copies{2, 1}},
+		{RFP, 100000, ops{0, 1, 0, 2, 3, 0, 0}, ops{0, 0, 0, 0, 0, 0, 0}, copies{0, 1}, copies{2, 1}},
+		{HERD, 64, ops{0, 1, 0, 0, 1, 1, 0}, ops{1, 0, 0, 0, 1, 0, 1}, copies{0, 0}, copies{0, 1}},
+		{HERD, 8192, ops{0, 1, 0, 0, 1, 2, 0}, ops{2, 0, 0, 0, 2, 0, 0}, copies{0, 1}, copies{0, 1}},
+		{HERD, 100000, ops{0, 1, 0, 0, 1, 25, 0}, ops{25, 0, 0, 0, 25, 0, 0}, copies{0, 24}, copies{0, 1}},
+		{HybridEagerRNDV, 64, ops{1, 0, 0, 0, 1, 1, 1}, ops{1, 0, 0, 0, 1, 1, 1}, copies{0, 0}, copies{0, 0}},
+		{HybridEagerRNDV, 8192, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}, copies{1, 1}},
+		{HybridEagerRNDV, 100000, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}, copies{1, 1}},
+		{HybridEagerRead, 64, ops{1, 0, 0, 0, 1, 1, 1}, ops{1, 0, 0, 0, 1, 1, 1}, copies{0, 0}, copies{0, 0}},
+		{HybridEagerRead, 8192, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}, copies{0, 0}},
+		{HybridEagerRead, 100000, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}, copies{0, 0}},
 	}
 	if len(cases) != 3*len(AllProtocols) {
 		t.Fatalf("%d cases, want three sizes of each of %d protocols", len(cases), len(AllProtocols))
@@ -412,12 +429,14 @@ func TestOpsPerProtocol(t *testing.T) {
 			copiesNow := func() copies {
 				return copies{ctr(cliEng, "verbs.payload_copies"), ctr(srvEng, "verbs.payload_copies")}
 			}
+			landedNow := func() copies { return copies{landingCopies(cliEng), landingCopies(srvEng)} }
+			var ld copies
 			env.Spawn("client", func(p *sim.Proc) {
 				defer env.Stop()
 				conn := cliEng.Dial(p, srvEng.Node(), "svc")
 				for i := 0; i < 3; i++ { // two calls warm the connection
 					if i == 2 {
-						cli, srv, cp = opsNow(cliEng), opsNow(srvEng), copiesNow()
+						cli, srv, cp, ld = opsNow(cliEng), opsNow(srvEng), copiesNow(), landedNow()
 					}
 					out, err := conn.Call(p, 1, req, CallOpts{Proto: c.proto, Busy: true})
 					if err != nil || !bytes.Equal(out, req) {
@@ -429,6 +448,8 @@ func TestOpsPerProtocol(t *testing.T) {
 					cli[i], srv[i] = gotCli[i]-cli[i], gotSrv[i]-srv[i]
 				}
 				cp = copies{gotCp[0] - cp[0], gotCp[1] - cp[1]}
+				gotLd := landedNow()
+				ld = copies{gotLd[0] - ld[0], gotLd[1] - ld[1]}
 			})
 			env.Run()
 			if cli != c.cli || srv != c.srv {
@@ -436,6 +457,9 @@ func TestOpsPerProtocol(t *testing.T) {
 			}
 			if cp != c.copies {
 				t.Errorf("NIC payload copies per call (client, server) %v, want %v", cp, c.copies)
+			}
+			if ld != c.landed {
+				t.Errorf("landing copies per call (client, server) %v, want %v", ld, c.landed)
 			}
 		})
 	}

@@ -116,7 +116,7 @@ const (
 func (c *Conn) onCreditWrite(off, n int) {
 	fc := c.fc
 	starved := fc.avail <= 0
-	fc.noteGrant(binary.LittleEndian.Uint32(c.creditMR.Bytes()[creditWordIn:]))
+	fc.noteGrant(binary.LittleEndian.Uint32(c.creditMR.View(creditWordIn, 4)))
 	if starved && fc.avail > 0 {
 		c.sig.Fire()
 	}

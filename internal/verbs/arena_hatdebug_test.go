@@ -23,7 +23,7 @@ func TestSnapshotDoublePutPanics(t *testing.T) {
 	src, dst := a.pd.RegisterMRNoCost(len(msg)), b.pd.RegisterMRNoCost(len(msg))
 	copy(src.Claim(0, len(msg)), msg)
 	inFlight(t, env, a, b, OpWrite, src, dst)
-	pkt := src.held
+	pkt := src.held.pkt
 	src.Claim(0, len(msg))
 	own := pkt.payload
 	env.Run()
@@ -38,37 +38,49 @@ func TestSnapshotDoublePutPanics(t *testing.T) {
 	a.dev.Put(own)
 }
 
-// TestBypassedClaimPanics: a payload written over between post and
-// landing without MR.Claim no longer holds the bytes it was posted with.
-// The sanitizer's copy taken at post catches it as the NIC reads the
-// payload, naming the opcode, the region and the poster.
+// TestBypassedClaimPanics: a payload written over without MR.Claim no
+// longer holds the bytes it was posted with. The sanitizer's copy taken at
+// post catches it when the bytes are next read — by the NIC landing them,
+// or, once they landed by reference, by the claim on the source that
+// copies them in — naming the opcode, the region and the poster.
 func TestBypassedClaimPanics(t *testing.T) {
 	for _, op := range []Opcode{OpSend, OpWrite, OpRead} {
-		t.Run(op.String(), func(t *testing.T) {
-			env := sim.NewEnv(1)
-			a, b := testPair(env)
-			msg := []byte("posted bytes")
-			src, dst := a.pd.RegisterMRNoCost(len(msg)), b.pd.RegisterMRNoCost(len(msg))
-			if op == OpRead {
-				src, dst = b.pd.RegisterMRNoCost(len(msg)), a.pd.RegisterMRNoCost(len(msg))
-			}
-			copy(src.Claim(0, len(msg)), msg)
-			inFlight(t, env, a, b, op, src, dst)
-			src.Bytes()[0] = 'X' // the bypass
-			want := []string{op.String(), fmt.Sprintf("MR %d [0, %d)", src.lkey, len(msg)), "verbs.inFlight"}
-			if op == OpRead {
-				want[0] = "READ response"
-			}
-			defer func() {
-				r := fmt.Sprint(recover())
-				for _, w := range want {
-					if !strings.Contains(r, w) {
-						t.Errorf("panic %q does not name %q", r, w)
+		for _, landed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/landed=%v", op, landed), func(t *testing.T) {
+				env := sim.NewEnv(1)
+				a, b := testPair(env)
+				msg := []byte("posted bytes")
+				src, dst := a.pd.RegisterMRNoCost(len(msg)), b.pd.RegisterMRNoCost(len(msg))
+				if op == OpRead {
+					src, dst = b.pd.RegisterMRNoCost(len(msg)), a.pd.RegisterMRNoCost(len(msg))
+				}
+				copy(src.Claim(0, len(msg)), msg)
+				inFlight(t, env, a, b, op, src, dst)
+				if landed {
+					env.Run()
+					if dst.landed == nil {
+						t.Fatal("the payload did not land by reference")
 					}
 				}
-			}()
-			env.Run()
-		})
+				src.Bytes()[0] = 'X' // the bypass
+				want := []string{op.String(), fmt.Sprintf("MR %d [0, %d)", src.lkey, len(msg)), "verbs.inFlight"}
+				if op == OpRead {
+					want[0] = "READ response"
+				}
+				defer func() {
+					r := fmt.Sprint(recover())
+					for _, w := range want {
+						if !strings.Contains(r, w) {
+							t.Errorf("panic %q does not name %q", r, w)
+						}
+					}
+				}()
+				if landed {
+					src.Claim(0, len(msg))
+				}
+				env.Run()
+			})
+		}
 	}
 }
 
@@ -97,5 +109,30 @@ func TestEndedLoanIsPoisoned(t *testing.T) {
 				t.Errorf("the poison reached the moved region: %q", mr.Bytes()[:20])
 			}
 		})
+	}
+}
+
+// TestEndedLoanOfALandingSparesItsSource: a hatdebug build lends a range
+// that landed by reference from the region's own bytes, copied in first,
+// so the poison at the loan's end lands there and never in the source a
+// retransmission or a dedup entry may still read.
+func TestEndedLoanOfALandingSparesItsSource(t *testing.T) {
+	env := sim.NewEnv(1)
+	a, b := testPair(env)
+	msg := []byte("the source keeps these")
+	src, dst := a.pd.RegisterMRNoCost(len(msg)), b.pd.RegisterMRNoCost(len(msg))
+	copy(src.Claim(0, len(msg)), msg)
+	inFlight(t, env, a, b, OpWrite, src, dst)
+	env.Run()
+	w := dst.Lend(0, len(msg))
+	if &w[0] != &dst.mem()[0] {
+		t.Fatal("a hatdebug Lend lent the source window")
+	}
+	dst.EndLend()
+	if !bytes.Equal(src.Bytes(), msg) {
+		t.Errorf("the source reads %q after the loan ended, want %q", src.Bytes(), msg)
+	}
+	if bytes.Count(dst.Bytes(), []byte{hatdebug.Poisoned}) != len(msg) {
+		t.Errorf("the ended loan is not poisoned in the region: %q", dst.Bytes())
 	}
 }

@@ -53,9 +53,9 @@ func TestHostWriteBeforeLandingKeepsPostBytes(t *testing.T) {
 				inFlight(t, env, a, b, op, src, dst)
 				var held []byte
 				if rewrite {
-					pkt := src.held
+					pkt := src.held.pkt
 					copy(src.Claim(0, n), bytes.Repeat([]byte{'x'}, n))
-					if src.held != nil || pkt.src != nil {
+					if src.held != nil || pkt.h != nil {
 						t.Fatal("the packet still holds the region after Claim")
 					}
 					held = pkt.payload
@@ -129,7 +129,7 @@ func TestLostPacketsLetGo(t *testing.T) {
 				post(&SendWR{Op: OpSend, SGE: SGE{MR: src, Len: n}})
 			case "deregistered":
 				inFlight(t, env, a, b, OpWrite, src, dst)
-				pkt := src.held
+				pkt := src.held.pkt
 				src.Deregister()
 				copied = pkt.payload
 				copy(src.Bytes(), bytes.Repeat([]byte{'x'}, n)) // reused memory
@@ -230,4 +230,35 @@ func TestClaimMovesALentRegion(t *testing.T) {
 			}
 		})
 	}
+}
+
+// BenchmarkLandDirect is echo_bulk's delivery without the engine: one
+// 128 KB WRITE_WITH_IMM lands in the peer's region, whose host polls the
+// completion and reads the payload under a loan (Lend, EndLend).
+func BenchmarkLandDirect(b *testing.B) {
+	const n = 128 << 10
+	env := sim.NewEnv(1)
+	x, y := testPair(env)
+	src, dst := x.pd.RegisterMRNoCost(n), y.pd.RegisterMRNoCost(n)
+	copy(src.Claim(0, n), bytes.Repeat([]byte("payload!"), n/8))
+	wr := &SendWR{Op: OpWriteImm, SGE: SGE{MR: src, Len: n}, Remote: dst.RKey(), Unsignaled: true}
+	env.Spawn("lander", func(p *sim.Proc) {
+		defer env.Stop()
+		round := func() {
+			y.qp.PostRecv(RecvWR{SGE: SGE{MR: dst}})
+			x.qp.PostSend(p, wr)
+			wc := y.cq.PollBusy(p)
+			if w := dst.Lend(0, wc.ByteLen); len(w) != n || w[n-1] != '!' {
+				b.Fatalf("lent %d bytes ending %q", len(w), w[len(w)-1])
+			}
+			dst.EndLend()
+		}
+		round()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round()
+		}
+	})
+	env.Run()
 }

@@ -135,9 +135,10 @@ func TestJitterKeepsQPOrder(t *testing.T) {
 }
 
 // TestWriteRoundAllocatesNothing is the per-WR cost gate: once the packet
-// and snapshot free lists are warm, posting a WRITE and landing it at the
-// responder allocates nothing — and neither does a signaled WRITE's
-// completion, pushed onto the CQ and polled off it again.
+// and hold free lists are warm, posting a WRITE and landing it at the
+// responder — by reference, each landing dropping the one before —
+// allocates nothing, and neither does a signaled WRITE's completion,
+// pushed onto the CQ and polled off it again.
 func TestWriteRoundAllocatesNothing(t *testing.T) {
 	for _, signaled := range []bool{false, true} {
 		name := "unsignaled"

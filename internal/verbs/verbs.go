@@ -4,13 +4,16 @@
 // polling, two-sided SEND/RECV and one-sided WRITE / READ /
 // WRITE_WITH_IMM, inline sends, and chained work requests.
 //
-// Data really moves: a WRITE copies bytes into the remote memory region,
-// a SEND lands in the buffer named by the consumed RECV WQE. Time is
-// virtual: every doorbell, WQE fetch, DMA, wire serialization, completion
-// and interrupt is charged per the CostModel, so protocol comparisons
-// reproduce the relative behaviour measured on real hardware while
-// remaining deterministic. Like an RC NIC, the device moves a message as
-// PathMTU packets and overlaps their fetch, wire and placement.
+// Data really moves, by reference: a WRITE lands its bytes in the remote
+// memory region, and a SEND in the buffer named by the consumed RECV WQE,
+// as a record of where they lie in the sender's region; reading the
+// destination reads them there, and they are copied in only if the
+// sender writes them over first (MR). Time is virtual: every doorbell,
+// WQE fetch, DMA, wire serialization, completion and interrupt is charged
+// per the CostModel, so protocol comparisons reproduce the relative
+// behaviour measured on real hardware while remaining deterministic. Like
+// an RC NIC, the device moves a message as PathMTU packets and overlaps
+// their fetch, wire and placement.
 package verbs
 
 import (
@@ -81,8 +84,9 @@ type Device struct {
 
 	// Recycled work requests (see packet) and the node's byte arena (Get,
 	// Put).
-	freePkts []*packet
-	freeBufs [payloadClasses][][]byte
+	freePkts  []*packet
+	freeHolds []*hold
+	freeBufs  [payloadClasses][][]byte
 
 	// Crash lifecycle: a device belongs to one boot of its node. epoch is
 	// the node epoch it was opened in (stamped into every RKey it mints);
@@ -100,14 +104,15 @@ type Device struct {
 // verbsMetrics caches the device's instrument pointers so hot paths pay
 // an array index instead of a registry lookup.
 type verbsMetrics struct {
-	tx        [opRecvBound]*obs.Counter // WQEs processed, by opcode
-	cqe       [opRecvBound]*obs.Counter // completions delivered, by opcode
-	inline    *obs.Counter              // inline sends (no host-DMA fetch)
-	dma       *obs.Counter              // sends paying the host-DMA fetch
-	copies    *obs.Counter              // payloads copied because the host wrote their range before they landed (MR.Claim)
-	moves     *obs.Counter              // regions moved away from a lent window (MR.Claim)
-	rnrNaks   *obs.Counter              // RNR NAKs generated as a receiver
-	doorbells *obs.Counter              // PostSend doorbells: one per chain, however many WRs it links
+	tx         [opRecvBound]*obs.Counter // WQEs processed, by opcode
+	cqe        [opRecvBound]*obs.Counter // completions delivered, by opcode
+	inline     *obs.Counter              // inline sends (no host-DMA fetch)
+	dma        *obs.Counter              // sends paying the host-DMA fetch
+	copies     *obs.Counter              // payloads copied because the host wrote their range before they landed (MR.Claim)
+	landCopies [landCounted]*obs.Counter // ranges landed by reference and copied in after all, by cause
+	moves      *obs.Counter              // regions moved away from a lent window (MR.Claim)
+	rnrNaks    *obs.Counter              // RNR NAKs generated as a receiver
+	doorbells  *obs.Counter              // PostSend doorbells: one per chain, however many WRs it links
 }
 
 const opRecvBound = int(OpRecv) + 1
@@ -125,6 +130,11 @@ func (d *Device) SetObs(r *obs.Registry) {
 		doorbells: r.Counter("verbs.doorbells"),
 		copies:    r.Counter("verbs.payload_copies"),
 		moves:     r.Counter("verbs.region_moves"),
+		landCopies: [landCounted]*obs.Counter{
+			landWrite:      r.Counter("verbs.landing_copies.write"),
+			landRead:       r.Counter("verbs.landing_copies.read"),
+			landDeregister: r.Counter("verbs.landing_copies.deregister"),
+		},
 	}
 	for op := 0; op < opRecvBound; op++ {
 		m.tx[op] = r.Counter("verbs.tx." + Opcode(op).String())   //hatlint:allow obsnames -- suffix bounded by the Opcode enum
@@ -207,12 +217,17 @@ func (pd *PD) Device() *Device { return pd.dev }
 // MR is a registered memory region. A region registered with
 // RegisterMRLazy has no memory until it is first touched.
 //
-// The NIC reads a posted payload where it lies: a packet in flight holds a
-// window onto its source range and reads it when it lands (DESIGN.md §18).
-// Whoever writes the region — the host, or the NIC placing an inbound
-// payload — therefore writes through Claim, which first gives every packet
-// holding an overlapping range a copy of its bytes. A window lent to the
-// host to read where it lies (Lend) is kept the same way.
+// The NIC moves bytes by reference (DESIGN.md §18). A posted payload is a
+// window onto its source range, read where it lies; when it lands, the
+// destination records the range as landed from that window instead of
+// copying it, and a read of the destination reads the source. Both are
+// holds on the source region (hold). Whoever writes a region — the host,
+// or the NIC landing a payload in it — therefore writes through Claim,
+// which first lets go of every hold on the range: a packet in flight
+// takes a copy of its bytes, a landed range is copied into its
+// destination, and a range landed here is dropped, since its bytes are
+// being replaced. A window lent to the host to read where it lies (Lend)
+// is kept by moving the region it lies in away from a claim.
 type MR struct {
 	pd      *PD
 	buf     []byte
@@ -220,75 +235,208 @@ type MR struct {
 	lkey    uint32
 	onWrite func(off, n int)
 	revoked bool
-	held    *packet // the packets in flight with a window onto buf, linked by heldNext
-	hi      int     // no byte at or past hi was ever claimed: all are zero
-	lent    []byte  // the window lent to the host (Lend); nil when none
-	lentOff int     // where lent lies in the region, unless moved
-	moved   bool    // the region has moved away from lent's array
+	held    *hold  // the holds on buf: packets in flight and ranges landed elsewhere (hold.src)
+	landed  *hold  // the ranges landed here by reference (hold.dst)
+	hi      int    // no byte at or past hi was ever claimed: all are zero
+	lent    []byte // the window lent to the host (Lend); nil when none
+	lentOff int    // where lent lies in the region, unless moved
+	lentRef *hold  // the landed range lent, when lent is its source window
+	moved   bool   // the region has moved away from lent's array
 }
 
-// Bytes returns the region's memory for reading, allocating it the first
-// time a lazily registered region is touched. Writes go through Claim.
-func (mr *MR) Bytes() []byte {
+// mem returns the region's memory, allocating it the first time a lazily
+// registered region is touched.
+func (mr *MR) mem() []byte {
 	if mr.buf == nil {
 		mr.buf = make([]byte, mr.size)
 	}
 	return mr.buf
 }
 
+// Bytes returns the region's memory for reading, once every range landed
+// in it by reference has been copied in. Read a part with View, which
+// copies nothing a reference holds whole; write through Claim.
+func (mr *MR) Bytes() []byte {
+	if mr.landed != nil {
+		mr.cut(0, mr.size, landRead)
+	}
+	return mr.mem()
+}
+
+// View returns the n bytes at off for reading: the source window of the
+// one landed range that holds them all, else the region's own bytes once
+// the landed ranges among them are copied in. Read it before the caller
+// yields: a window is valid only until either region is next written.
+func (mr *MR) View(off, n int) []byte {
+	if h := mr.cover(off, n); h != nil {
+		h.check()
+		i := off - h.dstOff
+		return h.b[i : i+n : i+n]
+	}
+	mr.cut(off, n, landRead)
+	return mr.mem()[off : off+n]
+}
+
 // Allocated reports whether the region's memory exists yet (see
 // RegisterMRLazy).
 func (mr *MR) Allocated() bool { return mr.buf != nil }
 
-// Claim returns the n bytes at off for writing. A packet in flight that
-// holds any of them is first given an arena copy of its whole payload, so
-// it still delivers exactly the bytes it was posted with. A claim over the
-// lent window moves the region first (Lend); its claimer writes all n.
+// Claim returns the n bytes at off for writing, once the holds on them
+// have let go: a packet in flight that reads any of them is given an
+// arena copy of its whole payload, a range landed elsewhere from them is
+// copied into its destination, and the ranges landed among them are
+// dropped, since the claimer writes all n. A claim that would write a
+// lent window moves the region first (Lend).
 func (mr *MR) Claim(off, n int) []byte {
-	mr.Bytes()
-	for pkt := mr.held; pkt != nil; {
-		next := pkt.heldNext
-		if pkt.srcOff < off+n && off < pkt.srcOff+pkt.size {
-			pkt.own()
-		}
-		pkt = next
+	mr.mem()
+	lentHit := mr.held != nil && mr.release(off, n, landWrite)
+	if mr.landed != nil {
+		mr.cut(off, n, landDrop)
 	}
-	if mr.lent != nil && !mr.moved && off < mr.lentOff+len(mr.lent) && mr.lentOff < off+n {
+	if lentHit || mr.lent != nil && mr.lentRef == nil && !mr.moved && off < mr.lentOff+len(mr.lent) && mr.lentOff < off+n {
 		mr.move(off, n)
 	}
 	mr.hi = max(mr.hi, off+n)
 	return mr.buf[off : off+n]
 }
 
-// move gives the region a fresh array, leaving the lent window in the old
-// one. Every byte outside the n at off is carried over — copied below hi,
-// zero in both arrays past it, so a move costs what the region holds, not
-// its size — and the packets still holding a range (none of those n bytes,
-// which Claim released) read it from the fresh array.
+// release lets go of the holds on the n bytes at off before they are
+// written, and reports whether a lent one reads any of them: only a move
+// keeps that one's bytes.
+func (mr *MR) release(off, n int, cause landCause) (lentHit bool) {
+	for h := mr.held; h != nil; {
+		next := h.next
+		if h.srcOff < off+n && off < h.srcOff+len(h.b) {
+			switch {
+			case h.pkt != nil:
+				h.pkt.own()
+			case h.lent:
+				lentHit = true
+			default:
+				h.copyIn(cause, 0, 0)
+				h.free()
+			}
+		}
+		h = next
+	}
+	return lentHit
+}
+
+// cut takes the ranges landed here out of the n bytes at off: copied in
+// first, unless the cause is a claim, whose claimer writes all n. A lent
+// range leaves the region to its loan, copied in but for the bytes a
+// claim writes.
+func (mr *MR) cut(off, n int, cause landCause) {
+	for h := mr.landed; h != nil; {
+		next := h.dnext
+		if lo, hi := h.dstOff, h.dstOff+len(h.b); lo < off+n && off < hi {
+			if h.lent {
+				if cause != landDrop {
+					h.copyIn(cause, 0, 0)
+				} else if lo < off || off+n < hi {
+					h.copyIn(landWrite, off-lo, n) // of the region, around the loan
+				}
+				h.unlinkDst()
+			} else {
+				if lo < off {
+					h = h.split(off)
+				}
+				if off+n < hi {
+					h.split(off + n)
+				}
+				if cause != landDrop {
+					h.copyIn(cause, 0, 0)
+				}
+				h.free()
+			}
+		}
+		h = next
+	}
+}
+
+// cover returns the landed range that holds all n bytes at off, if one
+// does.
+func (mr *MR) cover(off, n int) *hold {
+	for h := mr.landed; h != nil; h = h.dnext {
+		if h.dstOff <= off && off+n <= h.dstOff+len(h.b) {
+			return h
+		}
+	}
+	return nil
+}
+
+// move gives the region a fresh array, leaving the lent windows in the
+// old one. Every byte outside the n at off is carried over — copied below
+// hi, zero in both arrays past it, so a move costs what the region holds,
+// not its size. The holds that read none of those n bytes (Claim let go
+// of the others) read the fresh array, but for a lent one, which keeps the
+// old array and leaves the region's holds.
 func (mr *MR) move(off, n int) {
 	old, b := mr.buf, make([]byte, mr.size)
 	copy(b[:min(off, mr.hi)], old)
 	copy(b[off+n:max(off+n, mr.hi)], old[off+n:])
-	for pkt := mr.held; pkt != nil; pkt = pkt.heldNext {
-		pkt.payload = b[pkt.srcOff : pkt.srcOff+pkt.size]
+	for h := mr.held; h != nil; {
+		next := h.next
+		if h.lent {
+			h.unlinkSrc()
+		} else {
+			h.b = b[h.srcOff : h.srcOff+len(h.b)]
+			if h.pkt != nil {
+				h.pkt.payload = h.b
+			}
+		}
+		h = next
 	}
 	mr.buf, mr.moved = b, true
 	mr.pd.dev.vm.moves.Inc()
 }
 
 // Lend lends the host the n bytes at off to read where they lie, until
-// EndLend: a Claim that overlaps them moves the region first, so the
-// window keeps its bytes. A region lends one window at a time; a Lend
-// while one is lent lends the new one instead.
+// EndLend: the source window itself when one landed range holds them all,
+// else the region's own bytes, once the landed ranges among them are
+// copied in (always, in a hatdebug build, whose EndLend poisons the
+// window). A claim that would write the window moves the region it lies
+// in first, so the window keeps its bytes. A region lends one window at a
+// time; a Lend while one is lent lends the new one instead.
 func (mr *MR) Lend(off, n int) []byte {
-	mr.lent, mr.lentOff, mr.moved = mr.Bytes()[off:off+n:off+n], off, false
+	// A loan this one replaces ends: an ordinary landing again, or gone
+	// if only the loan kept it.
+	if h := mr.lentRef; h != nil {
+		mr.lentRef, h.lent = nil, false
+		if h.dst == nil {
+			h.free()
+		}
+	}
+	mr.lentOff, mr.moved = off, false
+	if h := mr.cover(off, n); h != nil && !hatdebug.On {
+		if h.dstOff < off {
+			h = h.split(off)
+		}
+		if off+n < h.dstOff+len(h.b) {
+			h.split(off + n)
+		}
+		h.lent, mr.lentRef, mr.lent = true, h, h.b[:n:n]
+		return mr.lent
+	}
+	cause := landRead
+	if hatdebug.On && mr.cover(off, n) != nil {
+		cause = landSanitizer
+	}
+	mr.cut(off, n, cause)
+	mr.lent = mr.mem()[off : off+n : off+n]
 	return mr.lent
 }
 
-// EndLend ends the loan, if any: a hatdebug build poisons the window, in
-// the region or in the array the region moved away from, which is left to
-// the garbage collector.
+// EndLend ends the loan, if any. A lent landed range is dropped: what was
+// lent is not read again. A hatdebug build poisons a window of the
+// region's own bytes, in the region or in the array the region moved away
+// from, which is left to the garbage collector.
 func (mr *MR) EndLend() {
+	if h := mr.lentRef; h != nil {
+		mr.lent, mr.lentRef = nil, nil
+		h.free()
+		return
+	}
 	w, moved := mr.lent, mr.moved
 	mr.lent, mr.moved = nil, false
 	if hatdebug.On && w != nil && !moved {
@@ -298,13 +446,16 @@ func (mr *MR) EndLend() {
 }
 
 // Deregister ends the host's registration of the region: its memory may
-// be reused from now on, so every packet still holding a window onto it
-// is given a copy, as Claim gives one; a window still lent keeps its
-// bytes. Remote access is left as it is (SetRevoked).
+// be reused from now on, so every hold on it lets go as Claim makes it —
+// a packet in flight takes its copy, a range landed elsewhere is copied
+// into its destination — and a lent window keeps its bytes in the array
+// the region moves away from. Ranges landed here are copied in. Remote
+// access is left as it is (SetRevoked).
 func (mr *MR) Deregister() {
-	for mr.held != nil {
-		mr.held.own() // unholds it
+	if mr.release(0, mr.size, landDeregister) {
+		mr.move(0, 0)
 	}
+	mr.cut(0, mr.size, landDeregister)
 }
 
 // SetRevoked marks the region's remote access as withdrawn (or restores
@@ -334,7 +485,7 @@ func (pd *PD) RegisterMR(p *sim.Proc, size int) *MR {
 // RegisterMRNoCost registers without charging time; for test fixtures.
 func (pd *PD) RegisterMRNoCost(size int) *MR {
 	mr := pd.RegisterMRLazy(size)
-	mr.Bytes()
+	mr.mem()
 	return mr
 }
 
@@ -647,11 +798,16 @@ func (qp *QP) Peer() *QP { return qp.peer }
 func (qp *QP) Device() *Device { return qp.dev }
 
 // PostRecv posts a receive WQE. If a two-sided packet is already pending
-// (arrived before the buffer), it is matched immediately.
+// (arrived before the buffer), it is matched immediately. A posted buffer
+// is the NIC's until its completion, so what landed in it by reference
+// before is dropped: its bytes are not the host's to read any more.
 func (qp *QP) PostRecv(wr RecvWR) {
 	if qp.pending.Len() > 0 {
 		qp.deliver(qp.pending.Pop(), wr)
 		return
+	}
+	if mr := wr.SGE.MR; mr != nil && mr.landed != nil {
+		mr.cut(wr.SGE.Off, wr.SGE.Len, landDrop)
 	}
 	qp.recvq.Push(wr)
 }
@@ -822,30 +978,27 @@ type packet struct {
 	kind  Opcode
 	srcQP *QP
 	dstQP *QP
-	// payload is the message: a window onto src at srcOff (borrow) until
-	// the packet lands or the host claims the range first, then a copy the
-	// packet owns (own); nil for a READ request and once placed. size is
-	// its length, kept after placement.
-	payload            []byte
-	src                *MR
-	srcOff             int
-	size               int
-	heldPrev, heldNext *packet // src's other holders (MR.held)
-	remote             RKey
-	remoteOff          int
-	imm                uint32
-	wrid               uint64 // initiator's WRID (kept across a READ round trip)
-	inline             bool
-	signaled           bool
-	isReadResp         bool
-	readDst            SGE      // READ: where the initiator wants the bytes
-	postTs             int64    // initiator doorbell time, for doorbell→completion tracing
-	site               uintptr  // initiator's PostSend caller (hatdebug)
-	shadow             []byte   // the payload as posted (hatdebug); kept across recycling
-	gen                uint32   // srcQP.gen at post; stale once the QP has recovered
-	wire               int      // bytes the fabric carries, every packet's header included
-	lastWire           int      // of which the last packet's
-	firstArrive        sim.Time // when the first packet reached the responder's port
+	// payload is the message: the window h holds onto its source range
+	// (borrow) until the packet lands or the host claims the range first,
+	// then a copy the packet owns (own); nil for a READ request and once
+	// placed. size is its length, kept after placement.
+	payload     []byte
+	h           *hold
+	size        int
+	remote      RKey
+	remoteOff   int
+	imm         uint32
+	wrid        uint64 // initiator's WRID (kept across a READ round trip)
+	inline      bool
+	signaled    bool
+	isReadResp  bool
+	readDst     SGE      // READ: where the initiator wants the bytes
+	postTs      int64    // initiator doorbell time, for doorbell→completion tracing
+	site        uintptr  // initiator's PostSend caller (hatdebug)
+	gen         uint32   // srcQP.gen at post; stale once the QP has recovered
+	wire        int      // bytes the fabric carries, every packet's header included
+	lastWire    int      // of which the last packet's
+	firstArrive sim.Time // when the first packet reached the responder's port
 
 	// Completion the packet raises once landed: cq receives wc.
 	cq *CQ
@@ -853,6 +1006,185 @@ type packet struct {
 
 	home                    *Device
 	arriveFn, landFn, cqeFn func()
+}
+
+// hold is a range of a region read where it lies from outside the region
+// (MR): by a packet in flight, which reads it when it lands, or by the
+// range it landed in, which reads as those bytes until it is copied in or
+// dropped. One list on the source region (MR.held) keeps both kinds: a
+// write of the range first lets go of every hold on it (MR.Claim). Holds
+// are recycled through the free list of the device whose packet minted
+// them, so landing by reference allocates nothing.
+type hold struct {
+	src          *MR     // the source region; nil once it moved away from a lent hold
+	srcOff       int     // where b lies in src
+	b            []byte  // the bytes, where they lie
+	prev, next   *hold   // src's other holds
+	pkt          *packet // the packet in flight; nil once landed
+	dst          *MR     // where it landed; nil in flight, and once only its loan keeps it
+	dstOff       int
+	dprev, dnext *hold // dst's other landed ranges
+	lent         bool  // lent to dst's host (MR.Lend)
+	home         *Device
+
+	// The sanitizer's record: b as posted, and who posted it.
+	shadow []byte
+	op     string
+	site   uintptr
+}
+
+// landCause is why a range landed by reference was copied in after all,
+// or dropped. The causes below landCounted are counted
+// (verbs.landing_copies.*).
+type landCause int
+
+const (
+	landWrite      landCause = iota // its source was written (Claim), or its destination around a loan
+	landRead                        // read other than through one landed range (Bytes, View, Lend, a post)
+	landDeregister                  // either region was deregistered
+	landDrop                        // its destination was claimed over it, or posted to receive: dropped
+	landSanitizer                   // a hatdebug Lend copies in what a plain build lends in place
+
+	landCounted = landDrop
+)
+
+// getHold returns a recycled hold of the device, or a new one.
+func (d *Device) getHold() *hold {
+	if n := len(d.freeHolds); n > 0 {
+		h := d.freeHolds[n-1]
+		d.freeHolds[n-1] = nil
+		d.freeHolds = d.freeHolds[:n-1]
+		return h
+	}
+	return &hold{home: d}
+}
+
+func (h *hold) linkSrc() {
+	if h.next = h.src.held; h.next != nil {
+		h.next.prev = h
+	}
+	h.src.held = h
+}
+
+func (h *hold) linkDst() {
+	if h.dnext = h.dst.landed; h.dnext != nil {
+		h.dnext.dprev = h
+	}
+	h.dst.landed = h
+}
+
+// unlinkSrc takes the hold off its source region's holds.
+func (h *hold) unlinkSrc() {
+	if h.src == nil {
+		return
+	}
+	if h.prev != nil {
+		h.prev.next = h.next
+	} else {
+		h.src.held = h.next
+	}
+	if h.next != nil {
+		h.next.prev = h.prev
+	}
+	h.src, h.prev, h.next = nil, nil, nil
+}
+
+// unlinkDst takes the hold off its destination's landed ranges.
+func (h *hold) unlinkDst() {
+	if h.dst == nil {
+		return
+	}
+	if h.dprev != nil {
+		h.dprev.dnext = h.dnext
+	} else {
+		h.dst.landed = h.dnext
+	}
+	if h.dnext != nil {
+		h.dnext.dprev = h.dprev
+	}
+	h.dst, h.dprev, h.dnext = nil, nil, nil
+}
+
+// free unlinks the hold and returns it to its device. Nothing may use it
+// afterwards; the next borrow sets what this leaves.
+func (h *hold) free() {
+	h.unlinkSrc()
+	h.unlinkDst()
+	h.b, h.pkt, h.lent = nil, nil, false
+	h.home.freeHolds = append(h.home.freeHolds, h)
+}
+
+// land makes the hold the first n bytes' landing at off in dst.
+func (h *hold) land(dst *MR, off, n int) {
+	h.trim(0, n)
+	h.pkt, h.dst, h.dstOff = nil, dst, off
+	h.linkDst()
+}
+
+// trim keeps the hold's bytes [i, j).
+func (h *hold) trim(i, j int) {
+	h.b = h.b[i:j]
+	h.srcOff += i
+	h.dstOff += i
+	if hatdebug.On {
+		h.shadow = h.shadow[i:j]
+	}
+}
+
+// split cuts a landed hold at k in its destination: it keeps the bytes
+// before k and returns a new hold of the rest, landed and held alike.
+func (h *hold) split(k int) *hold {
+	i := k - h.dstOff
+	r := h.home.getHold()
+	r.src, r.srcOff, r.b = h.src, h.srcOff, h.b
+	r.dst, r.dstOff, r.op, r.site = h.dst, h.dstOff, h.op, h.site
+	if hatdebug.On {
+		r.shadow = append(r.shadow[:0], h.shadow...)
+	}
+	r.trim(i, len(h.b))
+	h.trim(0, i)
+	if r.src != nil {
+		r.linkSrc()
+	}
+	r.linkDst()
+	return r
+}
+
+// copyIn copies a landed hold's bytes into its destination, where they
+// were meant to land, but for those of its bytes [i, i+n) a claimer is
+// about to write (i may be negative).
+func (h *hold) copyIn(cause landCause, i, n int) {
+	h.check()
+	j := min(i+n, len(h.b))
+	i = max(0, i)
+	copy(h.dst.buf[h.dstOff:h.dstOff+i], h.b)
+	if j < len(h.b) {
+		copy(h.dst.buf[h.dstOff+j:], h.b[j:])
+	}
+	if cause < landCounted {
+		h.dst.pd.dev.vm.landCopies[cause].Inc()
+	}
+}
+
+// check is the sanitizer's check, whenever the bytes a hold reads are
+// read: they must be the ones posted. A mismatch means something wrote
+// the range without MR.Claim.
+func (h *hold) check() {
+	if !hatdebug.On || bytes.Equal(h.b, h.shadow) {
+		return
+	}
+	site := "unknown"
+	if f, _ := runtime.CallersFrames([]uintptr{h.site}).Next(); f.File != "" {
+		site = fmt.Sprintf("%s (%s:%d)", f.Function, f.File, f.Line)
+	}
+	mr, when := "an array its region moved away from", "between post and landing"
+	if h.src != nil {
+		mr = fmt.Sprintf("MR %d [%d, %d)", h.src.lkey, h.srcOff, h.srcOff+len(h.b))
+	}
+	if h.pkt == nil {
+		when = "after landing by reference"
+	}
+	panic(fmt.Sprintf("verbs: %s payload in %s changed %s without MR.Claim; posted by %s", h.op, mr, when, site))
 }
 
 // PathMTU is the most payload one packet carries: the path MTU of the
@@ -920,88 +1252,73 @@ func (d *Device) getPacket() *packet {
 func (pkt *packet) release() {
 	pkt.placed()
 	d := pkt.home
-	*pkt = packet{home: d, arriveFn: pkt.arriveFn, landFn: pkt.landFn, cqeFn: pkt.cqeFn, shadow: pkt.shadow}
+	*pkt = packet{home: d, arriveFn: pkt.arriveFn, landFn: pkt.landFn, cqeFn: pkt.cqeFn}
 	d.freePkts = append(d.freePkts, pkt)
 }
 
 // borrow makes the packet's payload the n bytes of mr at off, held where
-// they lie until the packet lands. The sanitizer keeps what they read now.
+// they lie until the packet lands — once the ranges landed among them by
+// reference are copied in. The sanitizer keeps what they read now.
 func (pkt *packet) borrow(mr *MR, off, n int) {
-	pkt.payload = mr.Bytes()[off : off+n]
-	pkt.src, pkt.srcOff, pkt.size = mr, off, n
-	if pkt.heldNext = mr.held; mr.held != nil {
-		mr.held.heldPrev = pkt
+	if mr.landed != nil {
+		mr.cut(off, n, landRead)
 	}
-	mr.held = pkt
+	h := pkt.home.getHold()
+	h.src, h.srcOff, h.b, h.pkt = mr, off, mr.mem()[off:off+n], pkt
+	h.linkSrc()
+	pkt.h, pkt.payload, pkt.size = h, h.b, n
 	if hatdebug.On {
-		pkt.shadow = append(pkt.shadow[:0], pkt.payload...)
+		h.shadow, h.site, h.op = append(h.shadow[:0], h.b...), pkt.site, pkt.kind.String()
+		if pkt.isReadResp {
+			h.op = "READ response"
+		}
 	}
-}
-
-// unhold takes the packet off its source region's holders.
-func (pkt *packet) unhold() {
-	if pkt.heldPrev != nil {
-		pkt.heldPrev.heldNext = pkt.heldNext
-	} else {
-		pkt.src.held = pkt.heldNext
-	}
-	if pkt.heldNext != nil {
-		pkt.heldNext.heldPrev = pkt.heldPrev
-	}
-	pkt.src, pkt.heldPrev, pkt.heldNext = nil, nil, nil
 }
 
 // own replaces the packet's window with an arena copy of the same bytes,
 // before the host writes over them (MR.Claim).
 func (pkt *packet) own() {
-	pkt.unhold()
-	d := pkt.home
-	b := d.Get(pkt.size)
-	copy(b, pkt.payload)
-	pkt.payload = b
-	d.vm.copies.Inc()
+	h := pkt.h
+	h.check()
+	b := pkt.home.Get(pkt.size)
+	copy(b, h.b)
+	h.free()
+	pkt.payload, pkt.h = b, nil
+	pkt.home.vm.copies.Inc()
 }
 
-// place is the NIC reading the payload where it lies and writing its
-// first n bytes into dst at off; the packet lets go of it then.
+// place is the NIC landing the payload's first n bytes in dst at off. A
+// window lands by reference: dst records the range as landed from it
+// (hold), and nothing is copied until something needs the bytes where
+// they were meant to land. An owned copy is copied in; the packet lets go
+// of it then.
 func (pkt *packet) place(dst *MR, off, n int) {
-	pkt.checkLanding()
-	if n > 0 {
-		copy(dst.Claim(off, n), pkt.payload)
+	if h := pkt.h; h != nil {
+		h.check()
+		if n > 0 && h.src != dst {
+			dst.Claim(off, n)
+			h.land(dst, off, n)
+			pkt.h, pkt.payload = nil, nil
+		}
+	}
+	if n > 0 && pkt.payload != nil {
+		b := dst.Claim(off, n) // which may give the packet its copy first
+		copy(b, pkt.payload)
 	}
 	pkt.placed()
 }
 
-// placed ends the packet's hold on its payload once the NIC has read it:
-// a window lets go of its region, an owned copy goes back to the arena.
+// placed ends the packet's hold on its payload once the NIC has landed
+// it: a window still held lets go of its region, an owned copy goes back
+// to the arena.
 func (pkt *packet) placed() {
-	if pkt.src != nil {
-		pkt.unhold()
+	if pkt.h != nil {
+		pkt.h.free()
+		pkt.h = nil
 	} else {
 		pkt.home.Put(pkt.payload)
 	}
 	pkt.payload = nil
-}
-
-// checkLanding is the sanitizer's check, as the NIC reads the payload:
-// its bytes must be the ones posted. A mismatch means something wrote the
-// range without MR.Claim.
-func (pkt *packet) checkLanding() {
-	if !hatdebug.On || pkt.payload == nil || bytes.Equal(pkt.payload, pkt.shadow) {
-		return
-	}
-	site := "unknown"
-	if f, _ := runtime.CallersFrames([]uintptr{pkt.site}).Next(); f.File != "" {
-		site = fmt.Sprintf("%s (%s:%d)", f.Function, f.File, f.Line)
-	}
-	op, mr := pkt.kind.String(), "an owned copy"
-	if pkt.isReadResp {
-		op = "READ response"
-	}
-	if pkt.src != nil {
-		mr = fmt.Sprintf("MR %d [%d, %d)", pkt.src.lkey, pkt.srcOff, pkt.srcOff+pkt.size)
-	}
-	panic(fmt.Sprintf("verbs: %s payload in %s changed between post and landing without MR.Claim; posted by %s", op, mr, site))
 }
 
 // The device's free lists are its node's one byte arena: the payload
@@ -1425,11 +1742,11 @@ func (d *Device) receive(pkt *packet) {
 		resp := d.getPacket()
 		resp.kind, resp.isReadResp = OpRead, true
 		resp.srcQP, resp.dstQP = pkt.dstQP, pkt.srcQP
+		resp.wrid, resp.signaled = pkt.wrid, pkt.signaled
+		resp.readDst, resp.postTs, resp.site = pkt.readDst, pkt.postTs, pkt.site
 		if n > 0 {
 			resp.borrow(src, pkt.remoteOff, n)
 		}
-		resp.wrid, resp.signaled = pkt.wrid, pkt.signaled
-		resp.readDst, resp.postTs, resp.site = pkt.readDst, pkt.postTs, pkt.site
 		pkt.release()
 		first := sim.Duration(cm.DMATime(min(n, PathMTU)))
 		rest := sim.Duration(cm.DMATime(n)) - first
