@@ -412,8 +412,10 @@ func (pr fetchProbe) wholeHdr() bool { return pr.size >= hdrSize }
 // the call's seq is the server's typed refusal and surfaces as a terminal
 // error. Poll pacing follows the call's polling discipline (fetchPace):
 // busy calls keep the tight spin, event calls back off to the
-// interrupt-wake granularity.
+// interrupt-wake granularity. What the READs landed is dropped once read
+// (verbs.MR.Drop), before the server's next publish would copy it in.
 func (c *Conn) fetchUntil(p *sim.Proc, proto Protocol, busy bool, until sim.Time) ([]byte, bool, error) {
+	defer c.directMR.Drop(0, c.directMR.Len())
 	pr := proto.row().probe
 	var spun sim.Duration
 	pace := func() {
@@ -434,6 +436,7 @@ func (c *Conn) fetchUntil(p *sim.Proc, proto Protocol, busy bool, until sim.Time
 		// A metadata probe holds the header only up to its seq.
 		kind, n, seq := b[0], int(binary.LittleEndian.Uint32(b[8:])), binary.LittleEndian.Uint32(b[12:])
 		if seq != c.seq || kind != kResp && !rejection(kind) {
+			c.directMR.Drop(0, pr.size)
 			c.noteReadRetry(p)
 			pace()
 			continue

@@ -312,8 +312,9 @@ func (e *Engine) acquireRndv(p *sim.Proc, size int) *verbs.MR {
 func (e *Engine) releaseRndv(mr *verbs.MR) {
 	// Withdraw remote access first: an in-flight one-sided transfer still
 	// holding this rkey (a retransmission race) must not touch the buffer
-	// once it can be recycled.
+	// once it can be recycled. Nothing it holds is read again.
 	mr.SetRevoked(true)
+	mr.Drop(0, mr.Len())
 	cls := sizeClass(mr.Len())
 	free := e.rndvFree[cls]
 	if len(free) >= DefaultRndvPoolCap {
@@ -936,6 +937,7 @@ func (c *Conn) nextArrival(p *sim.Proc, busy bool) Arrival {
 			h := getHdr(c.rfpInMR.View(0, hdrSize))
 			c.noteCredits(h)
 			payload := c.copyPayload(c.rfpInMR.View(hdrSize, int(h.length)))
+			c.rfpInMR.Drop(0, hdrSize+int(h.length))
 			c.chargeDetect(p, busy)
 			c.eng.em.bytesRecvd.Add(int64(len(payload)))
 			return Arrival{Kind: h.kind, Proto: h.proto, RespProto: h.respProto, Fn: h.fn, Seq: h.seq, Payload: payload}

@@ -359,15 +359,15 @@ func opsNow(e *Engine) (ops [len(opNames)]int64) {
 // wire, and RFP's server publishes a response while a stale probe's READ
 // response is still in flight.
 //
-// landed are the copies of payloads the NIC landed by reference
+// No protocol copies in a payload the NIC landed by reference
 // (verbs.landing_copies, counted on the side they landed at): a landing
 // is copied in only when its source is written, or its bytes read other
 // than through one landed range, before it is dropped. A message read in
 // place (Direct-WriteIMM and the two direct-write protocols, whose loan
-// ends the landing) or from a RECV slot (reposting drops it) costs none;
-// a rendezvous buffer or a fetched response read by View keeps its
-// landing until the sender's next message overwrites the source, which
-// copies it in.
+// ends the landing) or from a RECV slot (reposting drops it) costs none,
+// and so does one copied out of a rendezvous buffer, the request slot or
+// a fetch's READs, each dropped once read (verbs.MR.Drop) before the
+// sender's next message overwrites its source.
 func TestOpsPerProtocol(t *testing.T) {
 	type ops = [len(opNames)]int64
 	type copies = [2]int64
@@ -376,44 +376,43 @@ func TestOpsPerProtocol(t *testing.T) {
 		size     int
 		cli, srv ops
 		copies   copies
-		landed   copies
 	}{
-		{EagerSendRecv, 64, ops{1, 0, 0, 0, 1, 1, 1}, ops{1, 0, 0, 0, 1, 1, 1}, copies{0, 0}, copies{0, 0}},
-		{EagerSendRecv, 8192, ops{2, 0, 0, 0, 2, 2, 0}, ops{2, 0, 0, 0, 2, 2, 0}, copies{1, 1}, copies{0, 0}},
-		{EagerSendRecv, 100000, ops{25, 0, 0, 0, 25, 25, 0}, ops{25, 0, 0, 0, 25, 25, 0}, copies{24, 24}, copies{0, 0}},
-		{DirectWriteSend, 64, ops{1, 1, 0, 0, 2, 1, 1}, ops{1, 1, 0, 0, 2, 1, 1}, copies{0, 0}, copies{0, 0}},
-		{DirectWriteSend, 8192, ops{1, 1, 0, 0, 2, 1, 1}, ops{1, 1, 0, 0, 2, 1, 1}, copies{0, 0}, copies{0, 0}},
-		{DirectWriteSend, 100000, ops{1, 1, 0, 0, 2, 1, 1}, ops{1, 1, 0, 0, 2, 1, 1}, copies{0, 0}, copies{0, 0}},
-		{ChainedWriteSend, 64, ops{1, 1, 0, 0, 1, 1, 1}, ops{1, 1, 0, 0, 1, 1, 1}, copies{0, 0}, copies{0, 0}},
-		{ChainedWriteSend, 8192, ops{1, 1, 0, 0, 1, 1, 1}, ops{1, 1, 0, 0, 1, 1, 1}, copies{0, 0}, copies{0, 0}},
-		{ChainedWriteSend, 100000, ops{1, 1, 0, 0, 1, 1, 1}, ops{1, 1, 0, 0, 1, 1, 1}, copies{0, 0}, copies{0, 0}},
-		{WriteRNDV, 64, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}, copies{1, 1}},
-		{WriteRNDV, 8192, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}, copies{1, 1}},
-		{WriteRNDV, 100000, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}, copies{1, 1}},
-		{ReadRNDV, 64, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}, copies{0, 0}},
-		{ReadRNDV, 8192, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}, copies{0, 0}},
-		{ReadRNDV, 100000, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}, copies{0, 0}},
-		{DirectWriteIMM, 64, ops{0, 0, 1, 0, 1, 1, 1}, ops{0, 0, 1, 0, 1, 1, 1}, copies{0, 0}, copies{0, 0}},
-		{DirectWriteIMM, 8192, ops{0, 0, 1, 0, 1, 1, 0}, ops{0, 0, 1, 0, 1, 1, 0}, copies{0, 0}, copies{0, 0}},
-		{DirectWriteIMM, 100000, ops{0, 0, 1, 0, 1, 1, 0}, ops{0, 0, 1, 0, 1, 1, 0}, copies{0, 0}, copies{0, 0}},
-		{Pilaf, 64, ops{1, 0, 0, 3, 4, 0, 1}, ops{0, 0, 0, 0, 0, 1, 0}, copies{0, 0}, copies{2, 0}},
-		{Pilaf, 8192, ops{2, 0, 0, 3, 5, 0, 0}, ops{0, 0, 0, 0, 0, 2, 0}, copies{1, 0}, copies{2, 0}},
-		{Pilaf, 100000, ops{25, 0, 0, 3, 28, 0, 0}, ops{0, 0, 0, 0, 0, 25, 0}, copies{24, 0}, copies{2, 0}},
-		{FaRM, 64, ops{1, 0, 0, 2, 3, 0, 1}, ops{0, 0, 0, 0, 0, 1, 0}, copies{0, 0}, copies{2, 0}},
-		{FaRM, 8192, ops{2, 0, 0, 2, 4, 0, 0}, ops{0, 0, 0, 0, 0, 2, 0}, copies{1, 0}, copies{2, 0}},
-		{FaRM, 100000, ops{25, 0, 0, 2, 27, 0, 0}, ops{0, 0, 0, 0, 0, 25, 0}, copies{24, 0}, copies{2, 0}},
-		{RFP, 64, ops{0, 1, 0, 1, 2, 0, 0}, ops{0, 0, 0, 0, 0, 0, 0}, copies{0, 0}, copies{1, 1}},
-		{RFP, 8192, ops{0, 1, 0, 2, 3, 0, 0}, ops{0, 0, 0, 0, 0, 0, 0}, copies{0, 1}, copies{2, 1}},
-		{RFP, 100000, ops{0, 1, 0, 2, 3, 0, 0}, ops{0, 0, 0, 0, 0, 0, 0}, copies{0, 1}, copies{2, 1}},
-		{HERD, 64, ops{0, 1, 0, 0, 1, 1, 0}, ops{1, 0, 0, 0, 1, 0, 1}, copies{0, 0}, copies{0, 1}},
-		{HERD, 8192, ops{0, 1, 0, 0, 1, 2, 0}, ops{2, 0, 0, 0, 2, 0, 0}, copies{0, 1}, copies{0, 1}},
-		{HERD, 100000, ops{0, 1, 0, 0, 1, 25, 0}, ops{25, 0, 0, 0, 25, 0, 0}, copies{0, 24}, copies{0, 1}},
-		{HybridEagerRNDV, 64, ops{1, 0, 0, 0, 1, 1, 1}, ops{1, 0, 0, 0, 1, 1, 1}, copies{0, 0}, copies{0, 0}},
-		{HybridEagerRNDV, 8192, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}, copies{1, 1}},
-		{HybridEagerRNDV, 100000, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}, copies{1, 1}},
-		{HybridEagerRead, 64, ops{1, 0, 0, 0, 1, 1, 1}, ops{1, 0, 0, 0, 1, 1, 1}, copies{0, 0}, copies{0, 0}},
-		{HybridEagerRead, 8192, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}, copies{0, 0}},
-		{HybridEagerRead, 100000, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}, copies{0, 0}},
+		{EagerSendRecv, 64, ops{1, 0, 0, 0, 1, 1, 1}, ops{1, 0, 0, 0, 1, 1, 1}, copies{0, 0}},
+		{EagerSendRecv, 8192, ops{2, 0, 0, 0, 2, 2, 0}, ops{2, 0, 0, 0, 2, 2, 0}, copies{1, 1}},
+		{EagerSendRecv, 100000, ops{25, 0, 0, 0, 25, 25, 0}, ops{25, 0, 0, 0, 25, 25, 0}, copies{24, 24}},
+		{DirectWriteSend, 64, ops{1, 1, 0, 0, 2, 1, 1}, ops{1, 1, 0, 0, 2, 1, 1}, copies{0, 0}},
+		{DirectWriteSend, 8192, ops{1, 1, 0, 0, 2, 1, 1}, ops{1, 1, 0, 0, 2, 1, 1}, copies{0, 0}},
+		{DirectWriteSend, 100000, ops{1, 1, 0, 0, 2, 1, 1}, ops{1, 1, 0, 0, 2, 1, 1}, copies{0, 0}},
+		{ChainedWriteSend, 64, ops{1, 1, 0, 0, 1, 1, 1}, ops{1, 1, 0, 0, 1, 1, 1}, copies{0, 0}},
+		{ChainedWriteSend, 8192, ops{1, 1, 0, 0, 1, 1, 1}, ops{1, 1, 0, 0, 1, 1, 1}, copies{0, 0}},
+		{ChainedWriteSend, 100000, ops{1, 1, 0, 0, 1, 1, 1}, ops{1, 1, 0, 0, 1, 1, 1}, copies{0, 0}},
+		{WriteRNDV, 64, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}},
+		{WriteRNDV, 8192, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}},
+		{WriteRNDV, 100000, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}},
+		{ReadRNDV, 64, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}},
+		{ReadRNDV, 8192, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}},
+		{ReadRNDV, 100000, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}},
+		{DirectWriteIMM, 64, ops{0, 0, 1, 0, 1, 1, 1}, ops{0, 0, 1, 0, 1, 1, 1}, copies{0, 0}},
+		{DirectWriteIMM, 8192, ops{0, 0, 1, 0, 1, 1, 0}, ops{0, 0, 1, 0, 1, 1, 0}, copies{0, 0}},
+		{DirectWriteIMM, 100000, ops{0, 0, 1, 0, 1, 1, 0}, ops{0, 0, 1, 0, 1, 1, 0}, copies{0, 0}},
+		{Pilaf, 64, ops{1, 0, 0, 3, 4, 0, 1}, ops{0, 0, 0, 0, 0, 1, 0}, copies{0, 0}},
+		{Pilaf, 8192, ops{2, 0, 0, 3, 5, 0, 0}, ops{0, 0, 0, 0, 0, 2, 0}, copies{1, 0}},
+		{Pilaf, 100000, ops{25, 0, 0, 3, 28, 0, 0}, ops{0, 0, 0, 0, 0, 25, 0}, copies{24, 0}},
+		{FaRM, 64, ops{1, 0, 0, 2, 3, 0, 1}, ops{0, 0, 0, 0, 0, 1, 0}, copies{0, 0}},
+		{FaRM, 8192, ops{2, 0, 0, 2, 4, 0, 0}, ops{0, 0, 0, 0, 0, 2, 0}, copies{1, 0}},
+		{FaRM, 100000, ops{25, 0, 0, 2, 27, 0, 0}, ops{0, 0, 0, 0, 0, 25, 0}, copies{24, 0}},
+		{RFP, 64, ops{0, 1, 0, 1, 2, 0, 0}, ops{0, 0, 0, 0, 0, 0, 0}, copies{0, 0}},
+		{RFP, 8192, ops{0, 1, 0, 2, 3, 0, 0}, ops{0, 0, 0, 0, 0, 0, 0}, copies{0, 1}},
+		{RFP, 100000, ops{0, 1, 0, 2, 3, 0, 0}, ops{0, 0, 0, 0, 0, 0, 0}, copies{0, 1}},
+		{HERD, 64, ops{0, 1, 0, 0, 1, 1, 0}, ops{1, 0, 0, 0, 1, 0, 1}, copies{0, 0}},
+		{HERD, 8192, ops{0, 1, 0, 0, 1, 2, 0}, ops{2, 0, 0, 0, 2, 0, 0}, copies{0, 1}},
+		{HERD, 100000, ops{0, 1, 0, 0, 1, 25, 0}, ops{25, 0, 0, 0, 25, 0, 0}, copies{0, 24}},
+		{HybridEagerRNDV, 64, ops{1, 0, 0, 0, 1, 1, 1}, ops{1, 0, 0, 0, 1, 1, 1}, copies{0, 0}},
+		{HybridEagerRNDV, 8192, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}},
+		{HybridEagerRNDV, 100000, ops{2, 0, 1, 0, 3, 3, 2}, ops{2, 0, 1, 0, 3, 3, 2}, copies{0, 0}},
+		{HybridEagerRead, 64, ops{1, 0, 0, 0, 1, 1, 1}, ops{1, 0, 0, 0, 1, 1, 1}, copies{0, 0}},
+		{HybridEagerRead, 8192, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}},
+		{HybridEagerRead, 100000, ops{2, 0, 0, 1, 3, 2, 2}, ops{2, 0, 0, 1, 3, 2, 2}, copies{0, 0}},
 	}
 	if len(cases) != 3*len(AllProtocols) {
 		t.Fatalf("%d cases, want three sizes of each of %d protocols", len(cases), len(AllProtocols))
@@ -458,8 +457,8 @@ func TestOpsPerProtocol(t *testing.T) {
 			if cp != c.copies {
 				t.Errorf("NIC payload copies per call (client, server) %v, want %v", cp, c.copies)
 			}
-			if ld != c.landed {
-				t.Errorf("landing copies per call (client, server) %v, want %v", ld, c.landed)
+			if ld != (copies{}) {
+				t.Errorf("landing copies per call (client, server) %v, want none", ld)
 			}
 		})
 	}

@@ -6,8 +6,8 @@ import "testing"
 // sim.timer_host_ns, sim.compute_host_ns and sim.spawn_host_ns rows
 // (bench/layers.go), so a kernel change can be sized without a suite run.
 // BenchmarkSleepInline times the Sleep that needs no switch;
-// BenchmarkTimerStop and BenchmarkComputeOvercommit the shapes that
-// overload_2x's queue and CPUs take.
+// BenchmarkTimerStop, BenchmarkNearAmongFar and BenchmarkComputeOvercommit
+// the shapes that overload_2x's queue and CPUs take.
 
 func BenchmarkSwitch(b *testing.B) { // one op = one process switch, two per round trip
 	env := NewEnv(1)
@@ -101,6 +101,27 @@ func BenchmarkTimerStop(b *testing.B) { // one op = one AtTimer and its Stop, be
 			env.RunUntil(env.Now() + 1)
 		}
 	}
+}
+
+func BenchmarkNearAmongFar(b *testing.B) { // one op = one near After, with 128 far sleepers queued
+	env := NewEnv(1)
+	for i := 0; i < 128; i++ {
+		env.Spawn("far", func(p *Proc) { p.Sleep(Duration(1<<40 + i*7919%1000)) })
+	}
+	env.RunUntil(0) // the sleepers park
+	left := b.N
+	var tick func()
+	tick = func() {
+		if left--; left > 0 {
+			env.After(10, tick)
+		}
+	}
+	env.After(10, tick)
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.RunUntil(1 << 39)
+	b.StopTimer()
+	env.Shutdown()
 }
 
 func BenchmarkComputeOvercommit(b *testing.B) { // one op = one Compute, 32 runnable on 28 cores

@@ -450,22 +450,44 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 		same.After(1, hop)
 	}
 	same.After(1, hop)
+	// The far heap's shapes: a wake and a timeout due past the horizon.
+	farSleeper := NewEnv(1)
+	farSleeper.Spawn("s", func(p *Proc) {
+		for {
+			p.Sleep(3 * horizon)
+		}
+	})
+	farStopped := NewEnv(1)
+	var farGuard Timer
+	var farRearm func()
+	farRearm = func() {
+		farGuard.Stop()
+		farGuard = farStopped.AtTimer(farStopped.Now()+3*horizon, func() { panic("stopped timer fired") })
+		farStopped.After(1, farRearm)
+	}
+	farStopped.After(1, farRearm)
 
 	for _, c := range []struct {
 		name string
 		env  *Env
 		d    Time
+		far  bool // it keeps an event in the far heap
 	}{
-		{"Sleep", sleeper, 1},
-		{"Signal ping-pong", pingPong(), 1},
-		{"After", timers, 1},
-		{"AtTimer+Stop", stopped, 1},
-		{"same-instant At+Stop", same, 1},
-		{"Compute", computeLoop(), 2000},
+		{"Sleep", sleeper, 1, false},
+		{"Signal ping-pong", pingPong(), 1, false},
+		{"After", timers, 1, false},
+		{"AtTimer+Stop", stopped, 1, false},
+		{"same-instant At+Stop", same, 1, false},
+		{"Compute", computeLoop(), 2000, false},
+		{"far Sleep", farSleeper, 3 * horizon, true},
+		{"far AtTimer+Stop", farStopped, 1, true},
 	} {
 		run := step(c.env, c.d)
 		for i := 0; i < 10; i++ {
 			run() // warm up: event pool, wait queues, task slice
+		}
+		if far := len(c.env.later) > 0; far != c.far {
+			t.Errorf("%s: %d events in the far heap", c.name, len(c.env.later))
 		}
 		if n := testing.AllocsPerRun(100, run); n != 0 {
 			t.Errorf("%s: %v allocs per step in steady state, want 0", c.name, n)

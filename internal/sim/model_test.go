@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"slices"
@@ -15,13 +16,16 @@ import (
 // entry, and the kernel's sequence counter must match the one the
 // reference keeps: one per scheduling, including a Sleep or Yield that
 // goes on inline; two for an inline Compute; none for a Stop; one per CPU
-// completion re-time.
+// completion re-time. Delays, compute work and RunUntil limits straddle
+// the horizon that splits the kernel's two heaps, so events are queued,
+// stopped and re-timed on both sides of it and across it.
 
 // refEntry is one queued event as the reference sees it.
 type refEntry struct {
 	at  Time
 	seq uint64
 	who string
+	far bool // due more than the horizon after the clock when queued
 }
 
 type queueModel struct {
@@ -42,14 +46,26 @@ type queueModel struct {
 	tasks          []*Proc // the CPU's tasks in admission order
 	adding         *Proc   // a parked Compute's task, not yet in tasks
 	cpuSeq         uint64  // the completion event's seq in ref, 0 if none
+	cpuEv          *event  // the completion's event at the last sync
+	synced         Time    // the clock at the last sync
 	names          map[*Proc]string
 	spawned        int
 	fired          int
+	stats          modelStats
 }
 
-// offset draws a delay that often ties: now, or one of a few small steps.
+// modelStats counts the horizon's cases a schedule reached.
+type modelStats struct {
+	farStops   int    // live far timers stopped
+	retimes    [2]int // CPU completions re-timed across the horizon: far but in the near heap, near but in the far one
+	turnBacks  int    // RunUntil limits behind the clock
+	farFirings int    // events fired from the far heap's top
+}
+
+// offset draws a delay that often ties: now, one of a few small steps, or
+// one around the horizon.
 func (m *queueModel) offset() Time {
-	return []Time{0, 0, 0, 1, 1, 2, 3, 5, 8, 13, 40, 200}[m.rng.Intn(12)]
+	return []Time{0, 0, 0, 1, 1, 2, 3, 5, 8, 13, 40, 200, horizon - 1, horizon, horizon + 1, 3 * horizon}[m.rng.Intn(16)]
 }
 
 func (m *queueModel) add(at Time, seq uint64, who string) {
@@ -59,7 +75,7 @@ func (m *queueModel) add(at Time, seq uint64, who string) {
 		}
 		return int(int64(a.seq) - int64(b.seq))
 	})
-	m.ref = slices.Insert(m.ref, i, refEntry{at, seq, who})
+	m.ref = slices.Insert(m.ref, i, refEntry{at, seq, who, at-m.env.now > horizon})
 }
 
 func (m *queueModel) drop(seq uint64) {
@@ -69,7 +85,7 @@ func (m *queueModel) drop(seq uint64) {
 }
 
 // queued is the number of events the kernel holds.
-func (m *queueModel) queued() int { return len(m.env.events) + m.env.ready.Len() }
+func (m *queueModel) queued() int { return len(m.env.events) + len(m.env.later) + m.env.ready.Len() }
 
 // sync brings the reference up to date with the CPU's last call: the tasks
 // its advance woke (at now, in admission order, one seq each) and its
@@ -95,6 +111,7 @@ func (m *queueModel) sync() {
 		m.t.Fatalf("CPU holds %d tasks, the reference %d, or in another order", len(c.tasks), len(live))
 	}
 	if t := c.completion; t.seq != m.cpuSeq {
+		queued := slices.ContainsFunc(m.ref, func(r refEntry) bool { return r.seq == m.cpuSeq && r.who == "cpu" })
 		m.drop(m.cpuSeq)
 		m.cpuSeq = 0
 		if t.armed() {
@@ -104,12 +121,24 @@ func (m *queueModel) sync() {
 			at := m.env.now // already taken off the queue: it fires now
 			if t.live() {
 				at = t.ev.at
+				// At most one CPU call ran since the last sync, at some
+				// time from then to now. A re-timed completion stays in
+				// its heap, even when its new time is across the horizon.
+				if queued && t.ev == m.cpuEv {
+					switch far := m.env.holder(t.ev) == &m.env.later; {
+					case !far && at-m.env.now > horizon:
+						m.stats.retimes[0]++
+					case far && at-m.synced <= horizon:
+						m.stats.retimes[1]++
+					}
+				}
+				m.cpuEv = t.ev
 			}
 			m.add(at, s, "cpu")
 			m.cpuSeq = s
 		}
 	}
-	m.seq = s
+	m.seq, m.synced = s, m.env.now
 	if m.env.seq != s {
 		m.t.Fatalf("t=%d: kernel at seq %d, reference at %d", m.env.now, m.env.seq, s)
 	}
@@ -127,6 +156,9 @@ func (m *queueModel) fire(who string) {
 	}
 	if r := m.ref[0]; r.who != who || r.at != m.env.now {
 		m.t.Fatalf("t=%d: %s fired, want %s at %d (seq %d)", m.env.now, who, r.who, r.at, r.seq)
+	}
+	if m.ref[0].far {
+		m.stats.farFirings++
 	}
 	m.ref = m.ref[1:]
 	m.fired++
@@ -165,6 +197,9 @@ func (m *queueModel) act() {
 		t := m.timers[len(m.timers)-1] // often still in ready
 		if m.rng.Intn(2) == 0 {
 			t = m.timers[m.rng.Intn(len(m.timers))]
+		}
+		if t.live() && t.ev.idx >= 0 && m.env.holder(t.ev) == &m.env.later {
+			m.stats.farStops++
 		}
 		t.Stop()
 		m.drop(t.seq)
@@ -216,7 +251,7 @@ func (m *queueModel) step(p *Proc, name string) {
 		}
 		m.fire(name)
 	case r < 6:
-		w := []Time{1, 2, 5, 10, 30, 100}[m.rng.Intn(6)]
+		w := []Time{1, 2, 5, 10, 30, 100, horizon / 2, horizon - 20, horizon + 20}[m.rng.Intn(9)]
 		at, c := m.env.now+w, m.cpu
 		// The reference's reading of Env.continues: alone on a free core,
 		// and strictly before everything queued.
@@ -235,8 +270,10 @@ func (m *queueModel) step(p *Proc, name string) {
 	}
 }
 
-func runQueueModel(t *testing.T, seed int64, budget int, stop bool) {
-	m := &queueModel{t: t, env: NewEnv(seed), rng: NewRand(seed), budget: budget, names: map[*Proc]string{}}
+// runQueueModel runs budget operations drawn from rng against the
+// reference, with a callback calling Env.Stop near the end if stop is set.
+func runQueueModel(t *testing.T, rng *rand.Rand, budget int, stop bool) *queueModel {
+	m := &queueModel{t: t, env: NewEnv(1), rng: rng, budget: budget, names: map[*Proc]string{}}
 	m.cpu = NewCPU(m.env, 1+m.rng.Intn(4))
 	m.cpu.complete = func() {
 		m.fire("cpu")
@@ -257,8 +294,12 @@ func runQueueModel(t *testing.T, seed int64, budget int, stop bool) {
 			m.act()
 		}
 		m.limit = m.env.now + Time(m.rng.Intn(300))
-		if m.rng.Intn(40) == 0 && m.env.now > 10 {
+		switch r := m.rng.Intn(40); {
+		case r == 0 && m.env.now > 10:
 			m.limit = m.env.now - Time(1+m.rng.Intn(10)) // turns the clock back
+			m.stats.turnBacks++
+		case r < 6:
+			m.limit = m.env.now + Time(m.rng.Intn(3*horizon))
 		}
 		end := m.env.RunUntil(m.limit)
 		m.sync()
@@ -272,10 +313,7 @@ func runQueueModel(t *testing.T, seed int64, budget int, stop bool) {
 			t.Fatalf("RunUntil(%d) ended at %d with %s at %d still queued", m.limit, end, m.ref[0].who, m.ref[0].at)
 		}
 	}
-	if m.ops < budget && !m.stopped {
-		t.Fatalf("queue drained after %d of %d operations", m.ops, budget)
-	}
-	if stop {
+	if stop && m.stopped {
 		now, n := m.env.now, m.queued()
 		m.afterStop = true
 		if end := m.env.RunUntil(now + 1000); end != now || m.queued() != n {
@@ -285,18 +323,65 @@ func runQueueModel(t *testing.T, seed int64, budget int, stop bool) {
 		t.Fatalf("kernel drained with %d events left in the reference", len(m.ref))
 	}
 	m.env.Shutdown()
-	if m.fired < budget/2 {
-		t.Fatalf("only %d events fired over %d operations", m.fired, budget)
-	}
+	return m
 }
 
 func TestQueueModel(t *testing.T) {
+	var sum modelStats
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
-			runQueueModel(t, seed, 12000, seed%2 == 0)
+			const budget = 12000
+			m := runQueueModel(t, NewRand(seed), budget, seed%2 == 0)
+			if m.ops < budget && !m.stopped {
+				t.Fatalf("queue drained after %d of %d operations", m.ops, budget)
+			}
+			if m.fired < budget/2 {
+				t.Fatalf("only %d events fired over %d operations", m.fired, budget)
+			}
+			t.Logf("%+v", m.stats)
+			sum.farStops += m.stats.farStops
+			sum.retimes[0] += m.stats.retimes[0]
+			sum.retimes[1] += m.stats.retimes[1]
+			sum.turnBacks += m.stats.turnBacks
+			sum.farFirings += m.stats.farFirings
 		})
 	}
+	if sum.farStops == 0 || sum.retimes[0] == 0 || sum.retimes[1] == 0 || sum.turnBacks == 0 || sum.farFirings == 0 {
+		t.Errorf("the schedules missed a case of the horizon: %+v", sum)
+	}
 }
+
+// FuzzEventQueue runs the queue model on operations the fuzzer draws: the
+// first 64 bytes are the model's first random draws, one a draw, and a
+// generator seeded by a hash of them draws the rest. A longer input would
+// make each minimizing step quadratic in its length for no new schedules.
+func FuzzEventQueue(f *testing.F) {
+	f.Fuzz(func(t *testing.T, stop bool, data []byte) {
+		data = data[:min(len(data), 64)]
+		h := fnv.New64a()
+		h.Write(data)
+		rng := rand.New(&byteSource{data, rand.NewSource(int64(h.Sum64()))})
+		runQueueModel(t, rng, 500, stop)
+	})
+}
+
+// byteSource is a rand.Source that plays data back, then rest's draws.
+// A played-back byte b reads as Int31() == b, so Intn(n) draws b mod n.
+type byteSource struct {
+	data []byte
+	rest rand.Source
+}
+
+func (s *byteSource) Int63() int64 {
+	if len(s.data) == 0 {
+		return s.rest.Int63()
+	}
+	b := s.data[0]
+	s.data = s.data[1:]
+	return int64(b) << 32
+}
+
+func (s *byteSource) Seed(int64) {}
 
 // ---------------------------------------------------------------------------
 // CPU differential: the tracked least remaining work against a fresh scan,

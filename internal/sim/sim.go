@@ -33,7 +33,7 @@ type Duration = time.Duration
 type event struct {
 	at   Time
 	seq  uint64 // unique per scheduling; 0 while in the free list
-	idx  int    // slot in the heap, or -1 while in the ready FIFO
+	idx  int    // slot in its heap, or -1 while in the ready FIFO
 	env  *Env   // the owner, for Timer.Stop; kept through recycling
 	proc *Proc  // non-nil: resume this process
 	fn   func() // non-nil: run this callback inside the scheduler
@@ -69,7 +69,7 @@ func (t Timer) Stop() {
 	ev := t.ev
 	e := ev.env
 	if ev.idx >= 0 {
-		e.remove(ev.idx)
+		e.holder(ev).remove(ev.idx)
 	} else {
 		for i := 0; ; i++ {
 			if e.ready.At(i) == ev {
@@ -81,16 +81,24 @@ func (t Timer) Stop() {
 	e.recycle(ev)
 }
 
+// horizon splits the queued events by distance: one due more than this
+// after the clock when it is queued waits in Env.later, so the heap that
+// most pops and pushes sift stays as deep as the near-term events alone
+// (EXPERIMENTS.md, "DES kernel", has the sweep).
+const horizon = 10_000
+
 // Env is a simulation environment: a virtual clock plus the scheduler
 // state. An Env must be driven from a single OS goroutine via Run or
 // RunUntil.
 type Env struct {
 	now Time
 	seq uint64
-	// events is a binary min-heap on (at, seq) of the events queued for a
-	// later time than the clock then read; ready holds, in seq order, the
+	// events and later hold the events queued for a later time than the
+	// clock then read, later those due more than horizon after it; the
+	// next is whichever top comes first. ready holds, in seq order, the
 	// ones queued for the current instant.
-	events []*event
+	events heap
+	later  heap
 	ready  FIFO[*event]
 	free   []*event // recycled events
 	rng    *rand.Rand
@@ -140,9 +148,9 @@ func NewRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 func (e *Env) Rand() *rand.Rand { return e.rng }
 
 // schedule queues an event. One due now goes to the ready FIFO, behind
-// every event due now: those in the heap were queued before the clock got
+// every event due now: those in the heaps were queued before the clock got
 // here and those in ready before this one, so all have smaller seqs. Only
-// a later event pays for the heap.
+// a later event pays for a heap.
 func (e *Env) schedule(at Time, proc *Proc, fn func()) Timer {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past: %d < %d", at, e.now))
@@ -158,36 +166,74 @@ func (e *Env) schedule(at Time, proc *Proc, fn func()) Timer {
 	if at == e.now {
 		e.ready.Push(ev)
 	} else {
-		e.events = append(e.events, ev)
-		i := len(e.events) - 1
-		e.checkPath(i, e.up(ev, i))
+		h := e.tier(at) // push, inlined by hand on the hottest path
+		*h = append(*h, ev)
+		i := len(*h) - 1
+		h.checkPath(i, h.up(ev, i))
 	}
 	return Timer{ev, ev.seq}
 }
 
+// tier returns the heap an event due at joins.
+func (e *Env) tier(at Time) *heap {
+	if at-e.now > horizon {
+		return &e.later
+	}
+	return &e.events
+}
+
+// holder returns the heap that holds ev.
+func (e *Env) holder(ev *event) *heap {
+	if i := ev.idx; i < len(e.later) && e.later[i] == ev {
+		return &e.later
+	}
+	return &e.events
+}
+
+// first returns the heap whose top fires first, or nil if both are empty.
+func (e *Env) first() *heap {
+	if len(e.later) > 0 && (len(e.events) == 0 || e.later[0].before(e.events[0])) {
+		return &e.later
+	}
+	if len(e.events) > 0 {
+		return &e.events
+	}
+	return nil
+}
+
 // retime moves t's queued event to at under a fresh sequence number: the
-// (at, seq) a Stop and a new schedule would give it, without leaving the
-// heap. The event must be in the heap, as one queued for a later time
-// is, and at must be after now.
+// (at, seq) a Stop and a new schedule would give it, sifted in place. It
+// stays in its heap even when at is on the other side of the horizon:
+// the order holds either way, and moving it cost more than it saved
+// (EXPERIMENTS.md, "DES kernel"). The event must be in a heap, as one
+// queued for a later time is, and at must be after now.
 func (e *Env) retime(t Timer, at Time) Timer {
 	ev := t.ev
 	e.seq++
 	ev.at, ev.seq = at, e.seq
-	i := ev.idx
-	j := e.down(ev, i)
+	h, i := e.holder(ev), ev.idx
+	j := h.down(ev, i)
 	if j == i {
-		j = e.up(ev, i)
+		j = h.up(ev, i)
 	}
-	e.checkPath(i, j)
+	h.checkPath(i, j)
 	return Timer{ev, ev.seq}
 }
 
+// heap is a binary min-heap of events on (at, seq), each event's idx its
+// slot. (at, seq) is a strict total order, so the pop order does not
+// depend on how the heap arranges equal-looking entries.
+type heap []*event
+
+func (h *heap) push(ev *event) {
+	*h = append(*h, ev)
+	i := len(*h) - 1
+	h.checkPath(i, h.up(ev, i))
+}
+
 // up moves ev, which belongs in slot i, toward the root past every parent
-// it precedes, and returns the slot it ends in. (at, seq) is a strict total
-// order, so the pop order does not depend on how the heap arranges
-// equal-looking entries.
-func (e *Env) up(ev *event, i int) int {
-	h := e.events
+// it precedes, and returns the slot it ends in.
+func (h heap) up(ev *event, i int) int {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !ev.before(h[parent]) {
@@ -204,8 +250,7 @@ func (e *Env) up(ev *event, i int) int {
 
 // down moves ev, which belongs in slot i, toward the leaves past every
 // child that precedes it, and returns the slot it ends in.
-func (e *Env) down(ev *event, i int) int {
-	h := e.events
+func (h heap) down(ev *event, i int) int {
 	n := len(h)
 	for {
 		c := 2*i + 1
@@ -227,37 +272,37 @@ func (e *Env) down(ev *event, i int) int {
 	return i
 }
 
-// remove deletes the heap's slot i, filling it with the last entry.
-func (e *Env) remove(i int) {
-	h := e.events
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	e.events = h[:n]
+// remove deletes slot i, filling it with the last entry.
+func (h *heap) remove(i int) {
+	s := *h
+	n := len(s) - 1
+	last := s[n]
+	s[n] = nil
+	s = s[:n]
+	*h = s
 	if i == n {
 		return
 	}
-	j := e.down(last, i)
+	j := s.down(last, i)
 	if j == i && i > 0 {
-		j = e.up(last, i)
+		j = s.up(last, i)
 	}
-	e.checkPath(i, j)
+	s.checkPath(i, j)
 }
 
 // checkPath has the buffer sanitizer's build (`-tags hatdebug`) vet a sift
-// that moved entries along the path between heap slots a and b, one the
+// that moved entries along the path between slots a and b, one the
 // other's ancestor: each slot on it must know its index and keep (at, seq)
 // order with its parent and children. Only the moved slots are checked,
 // so the tagged build stays about as fast as the plain one, which
 // compiles the call to nothing.
-func (e *Env) checkPath(a, b int) {
+func (h heap) checkPath(a, b int) {
 	if hatdebug.On {
-		e.checkSlots(min(a, b), max(a, b))
+		h.checkSlots(min(a, b), max(a, b))
 	}
 }
 
-func (e *Env) checkSlots(top, i int) {
-	h := e.events
+func (h heap) checkSlots(top, i int) {
 	for ; ; i = (i - 1) / 2 {
 		ev := h[i]
 		bad := ev.idx != i || i > 0 && ev.before(h[(i-1)/2])
@@ -301,32 +346,30 @@ func (e *Env) Run() Time { return e.RunUntil(Time(1<<62 - 1)) }
 func (e *Env) RunUntil(limit Time) Time {
 	e.limit = limit
 	for !e.stopped {
-		// The next event is the heap's top if it is due now (it was queued
-		// before the clock got here, so ahead of all of ready), else
-		// ready's head, else the heap's top.
-		h := e.events
-		fromHeap := len(h) > 0 && (h[0].at == e.now || e.ready.Len() == 0)
+		// The next event is the heaps' first top if it is due now (it was
+		// queued before the clock got here, so ahead of all of ready), else
+		// ready's head, else that top.
+		h := e.first()
+		var top *event
 		next := e.now
-		if fromHeap {
-			next = h[0].at
+		if h != nil && ((*h)[0].at == e.now || e.ready.Len() == 0) {
+			top = (*h)[0]
+			next = top.at
 		} else if e.ready.Len() == 0 {
 			break
 		}
 		if next > limit {
 			// A limit behind the clock turns it back, and what ready
-			// holds is no longer due now: the heap takes it.
+			// holds is no longer due now: a heap takes it.
+			e.now = limit
 			for e.ready.Len() > 0 {
 				ev := e.ready.Pop()
-				e.events = append(e.events, ev)
-				e.checkPath(len(e.events)-1, e.up(ev, len(e.events)-1))
+				e.tier(ev.at).push(ev)
 			}
-			e.now = limit
 			return e.now
 		}
-		var top *event
-		if fromHeap {
-			top = h[0]
-			e.remove(0)
+		if top != nil {
+			h.remove(0)
 		} else {
 			top = e.ready.Pop()
 		}
@@ -365,7 +408,7 @@ func (e *Env) continues(p *Proc, at Time) bool {
 	if p != e.current || e.stopped || at > e.limit || e.ready.Len() > 0 {
 		return false
 	}
-	return len(e.events) == 0 || at < e.events[0].at
+	return (len(e.events) == 0 || at < e.events[0].at) && (len(e.later) == 0 || at < e.later[0].at)
 }
 
 // Stop halts the scheduler after the current event completes.

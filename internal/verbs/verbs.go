@@ -277,6 +277,16 @@ func (mr *MR) View(off, n int) []byte {
 	return mr.mem()[off : off+n]
 }
 
+// Drop lets go of the ranges landed by reference among the n bytes at
+// off without copying them in: the host has copied out what it needed
+// and reads none of the n bytes again before they are next written, so
+// a write of their source no longer has to copy them here first.
+func (mr *MR) Drop(off, n int) {
+	if mr.landed != nil {
+		mr.cut(off, n, landDrop)
+	}
+}
+
 // Allocated reports whether the region's memory exists yet (see
 // RegisterMRLazy).
 func (mr *MR) Allocated() bool { return mr.buf != nil }
@@ -290,9 +300,7 @@ func (mr *MR) Allocated() bool { return mr.buf != nil }
 func (mr *MR) Claim(off, n int) []byte {
 	mr.mem()
 	lentHit := mr.held != nil && mr.release(off, n, landWrite)
-	if mr.landed != nil {
-		mr.cut(off, n, landDrop)
-	}
+	mr.Drop(off, n)
 	if lentHit || mr.lent != nil && mr.lentRef == nil && !mr.moved && off < mr.lentOff+len(mr.lent) && mr.lentOff < off+n {
 		mr.move(off, n)
 	}
@@ -806,8 +814,8 @@ func (qp *QP) PostRecv(wr RecvWR) {
 		qp.deliver(qp.pending.Pop(), wr)
 		return
 	}
-	if mr := wr.SGE.MR; mr != nil && mr.landed != nil {
-		mr.cut(wr.SGE.Off, wr.SGE.Len, landDrop)
+	if mr := wr.SGE.MR; mr != nil {
+		mr.Drop(wr.SGE.Off, wr.SGE.Len)
 	}
 	qp.recvq.Push(wr)
 }
@@ -1042,7 +1050,7 @@ const (
 	landWrite      landCause = iota // its source was written (Claim), or its destination around a loan
 	landRead                        // read other than through one landed range (Bytes, View, Lend, a post)
 	landDeregister                  // either region was deregistered
-	landDrop                        // its destination was claimed over it, or posted to receive: dropped
+	landDrop                        // its destination was claimed over it, posted to receive, or read out (Drop): dropped
 	landSanitizer                   // a hatdebug Lend copies in what a plain build lends in place
 
 	landCounted = landDrop
