@@ -3,8 +3,10 @@ package trdma_test
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"testing"
 
+	echogen "hatrpc/examples/quickstart/gen"
 	atbgen "hatrpc/internal/atb/gen"
 	"hatrpc/internal/engine"
 	"hatrpc/internal/hatkv"
@@ -17,15 +19,21 @@ import (
 )
 
 // loopback is a Transport that hands each request straight to a processor
-// and keeps a copy of both messages.
+// and keeps a copy of both messages, and whether the call was oneway. One
+// without a processor answers every request with reply.
 type loopback struct {
 	proc      trdma.Processor
 	ids       map[string]uint32
 	req, resp []byte
+	reply     []byte
+	oneway    bool
 }
 
 func (l *loopback) Invoke(p *sim.Proc, fn string, request []byte, oneway bool) ([]byte, error) {
-	l.req = append(l.req[:0], request...)
+	l.req, l.oneway = append(l.req[:0], request...), oneway
+	if l.proc == nil {
+		return l.reply, nil
+	}
 	l.resp = append(l.resp[:0], l.proc.ProcessBytes(p, l.ids[fn], request)...)
 	return l.resp, nil
 }
@@ -41,7 +49,12 @@ func (goldenKV) Get(p *sim.Proc, key string) ([]byte, error) {
 	}
 	return []byte("value-of-" + key), nil
 }
-func (goldenKV) Put(p *sim.Proc, key string, value []byte) error { return nil }
+func (goldenKV) Put(p *sim.Proc, key string, value []byte) error {
+	if key == "fail" {
+		return errors.New("disk on fire") // declared by no throws clause
+	}
+	return nil
+}
 func (goldenKV) MultiGet(p *sim.Proc, keys []string) ([][]byte, error) {
 	out := make([][]byte, len(keys))
 	for i, k := range keys {
@@ -53,16 +66,29 @@ func (goldenKV) MultiGet(p *sim.Proc, keys []string) ([][]byte, error) {
 }
 func (goldenKV) MultiPut(p *sim.Proc, pairs []*kvgen.KVPair) error { return nil }
 
+// appException checks that err is a TApplicationException of type want.
+func appException(t *testing.T, what string, err error, want thrift.ApplicationExceptionType) {
+	t.Helper()
+	var ex *thrift.TApplicationException
+	if !errors.As(err, &ex) || ex.Type != want {
+		t.Errorf("%s: got error %v, want an application exception of type %d", what, err, want)
+	}
+}
+
 // TestWireGolden pins the bytes the generated stubs put on the wire: the
-// request and the reply of every function of kv.hrpc and atb.hrpc, and a
-// KVPair under both protocols, against hex captured before the protocols
-// wrote directly into the memory buffer and the stubs reused their codec
-// state.
+// request and the reply of every function of kv.hrpc and atb.hrpc, a
+// oneway request of echo.hrpc, and a KVPair under both protocols, against
+// hex captured before the protocols wrote directly into the memory buffer
+// and the stubs reused their codec state. It also pins how a client reads
+// a reply it cannot use, and what a handler's undeclared error becomes.
 func TestWireGolden(t *testing.T) {
 	kvLoop := &loopback{proc: kvgen.NewHatKVProcessor(goldenKV{}), ids: kvgen.HatKVHints.FnIDs}
 	kv := kvgen.NewHatKVClient(kvLoop)
 	atbLoop := &loopback{proc: atbgen.NewATBenchProcessor(bulkEcho{}), ids: atbgen.ATBenchHints.FnIDs}
 	atb := atbgen.NewATBenchClient(atbLoop)
+	echo := &echoImpl{}
+	echoLoop := &loopback{proc: echogen.NewEchoProcessor(echo), ids: echogen.EchoHints.FnIDs}
+	echoCli := echogen.NewEchoClient(echoLoop)
 	pairs := []*kvgen.KVPair{{Key: "k1", Value: []byte("v1")}, {Key: "k2", Value: []byte{}}}
 	payload := []byte{0xde, 0xad, 0xbe, 0xef}
 
@@ -76,8 +102,9 @@ func TestWireGolden(t *testing.T) {
 			"8001000100000003476574000000010b000100000005757365723100",
 			"8001000200000003476574000000010b00000000000e76616c75652d6f662d757365723100"},
 		{"GetAbsent", kvLoop, func(p *sim.Proc) error {
-			if _, err := kv.Get(p, "absent"); err == nil {
-				t.Error("Get(absent) returned no error")
+			var kvErr *kvgen.KVError
+			if _, err := kv.Get(p, "absent"); !errors.As(err, &kvErr) {
+				t.Errorf("Get(absent) returned %v, want a *kvgen.KVError", err)
 			}
 			return nil
 		},
@@ -92,6 +119,20 @@ func TestWireGolden(t *testing.T) {
 		{"MultiPut", kvLoop, func(p *sim.Proc) error { return kv.MultiPut(p, pairs) },
 			"80010001000000084d756c7469507574000000050f00010c000000020b0001000000026b310b0002000000027631000b0001000000026b320b0002000000000000",
 			"80010002000000084d756c74695075740000000500"},
+		{"PutUndeclaredError", kvLoop, func(p *sim.Proc) error {
+			appException(t, "Put(fail)", kv.Put(p, "fail", nil), thrift.ExcInternalError)
+			return nil
+		},
+			"8001000100000003507574000000060b0001000000046661696c0b00020000000000",
+			"8001000300000003507574000000060b00010000000c6469736b206f6e20666972650800020000000600"},
+		{"Notify", echoLoop, func(p *sim.Proc) error {
+			if err := echoCli.Notify(p, "bell"); err != nil || !echoLoop.oneway || echo.notifies != 1 {
+				t.Errorf("Notify: err %v, invoked oneway %v, handler called %d times", err, echoLoop.oneway, echo.notifies)
+			}
+			return nil
+		},
+			"80010004000000064e6f74696679000000010b00010000000462656c6c00",
+			""},
 		{"Echo", atbLoop, func(p *sim.Proc) error { _, err := atb.Echo(p, payload); return err },
 			"80010001000000044563686f000000010b000100000004deadbeef00",
 			"80010002000000044563686f000000010b000000000004deadbeef00"},
@@ -137,6 +178,21 @@ func TestWireGolden(t *testing.T) {
 			if got := hex.EncodeToString(kvLoop.proc.ProcessBytes(p, tc.id, req)); got != tc.resp {
 				t.Errorf("%s reply\n got %s\nwant %s", tc.name, got, tc.resp)
 			}
+		}
+		// A client given a reply it cannot use: one of another call, an
+		// application exception, or a result with nothing in it. Each
+		// client is fresh, so its first call has seq 1.
+		for _, tc := range []struct {
+			name, reply string
+			want        thrift.ApplicationExceptionType
+		}{
+			{"reply out of sequence", "800100020000000347657400000002" + "0b00000000000e76616c75652d6f662d757365723100", thrift.ExcBadSequenceID},
+			{"exception reply", "8001000300000003476574000000010b000100000004626f6f6d0800020000000600", thrift.ExcInternalError},
+			{"empty result", "800100020000000347657400000001" + "00", thrift.ExcMissingResult},
+		} {
+			reply, _ := hex.DecodeString(tc.reply)
+			_, err := kvgen.NewHatKVClient(&loopback{reply: reply}).Get(p, "user1")
+			appException(t, tc.name, err, tc.want)
 		}
 	})
 	env.Run()
