@@ -309,6 +309,14 @@ func (x *hatFSStatResult) Read(p thrift.TProtocol) error {
 	return p.ReadStructEnd()
 }
 
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *hatFSStatResult) Outcome() (set bool, exc error) {
+	if x.Err != nil {
+		return false, x.Err
+	}
+	return x.SuccessSet, nil
+}
+
 type hatFSListDirArgs struct {
 	Path string
 }
@@ -457,6 +465,14 @@ func (x *hatFSListDirResult) Read(p thrift.TProtocol) error {
 		}
 	}
 	return p.ReadStructEnd()
+}
+
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *hatFSListDirResult) Outcome() (set bool, exc error) {
+	if x.Err != nil {
+		return false, x.Err
+	}
+	return x.SuccessSet, nil
 }
 
 type hatFSReadChunkArgs struct {
@@ -624,6 +640,14 @@ func (x *hatFSReadChunkResult) Read(p thrift.TProtocol) error {
 	return p.ReadStructEnd()
 }
 
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *hatFSReadChunkResult) Outcome() (set bool, exc error) {
+	if x.Err != nil {
+		return false, x.Err
+	}
+	return x.SuccessSet, nil
+}
+
 type hatFSWriteChunkArgs struct {
 	Path   string
 	Offset int64
@@ -789,6 +813,14 @@ func (x *hatFSWriteChunkResult) Read(p thrift.TProtocol) error {
 	return p.ReadStructEnd()
 }
 
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *hatFSWriteChunkResult) Outcome() (set bool, exc error) {
+	if x.Err != nil {
+		return false, x.Err
+	}
+	return x.SuccessSet, nil
+}
+
 type hatFSHeartbeatArgs struct {
 	NodeId string
 }
@@ -854,407 +886,154 @@ type HatFSHandler interface {
 	Heartbeat(p *sim.Proc, nodeId_ string) error
 }
 
-// HatFSClient is the generated typed client for service HatFS. It carries one
-// call at a time: a request is serialized into the transport's one staging
-// buffer and every call re-arms the same codec state, so calls on one
-// client must not overlap — give each calling process its own client.
-// Arguments are lent for the call; binary results are the caller's, the
-// values of one reply sharing one allocation.
+// HatFSClient is the generated typed client for service HatFS. Like the
+// trdma.Client it calls through, it carries one call at a time: give each
+// calling process its own client. Arguments are lent for the call;
+// binary results are the caller's, the values of one reply sharing one
+// allocation.
 type HatFSClient struct {
-	T   trdma.Transport
-	seq int32
-	cd  *thrift.Codec
+	trdma.Client
+	statArgs         hatFSStatArgs
+	statResult       hatFSStatResult
+	listDirArgs      hatFSListDirArgs
+	listDirResult    hatFSListDirResult
+	readChunkArgs    hatFSReadChunkArgs
+	readChunkResult  hatFSReadChunkResult
+	writeChunkArgs   hatFSWriteChunkArgs
+	writeChunkResult hatFSWriteChunkResult
+	heartbeatArgs    hatFSHeartbeatArgs
 }
 
 // NewHatFSClient wraps a transport in the typed client.
 func NewHatFSClient(t trdma.Transport) *HatFSClient {
-	return &HatFSClient{T: t, cd: thrift.NewCodec()}
+	return &HatFSClient{Client: trdma.NewClient(t)}
 }
 
 // Stat invokes HatFS.Stat.
 func (c *HatFSClient) Stat(p *sim.Proc, path_ string) (FileInfo, error) {
-	var zero FileInfo
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("Stat", thrift.CALL, c.seq); err != nil {
-		return zero, err
+	c.statArgs, c.statResult = hatFSStatArgs{Path: path_}, hatFSStatResult{}
+	if err := c.Client.Call(p, "Stat", &c.statArgs, &c.statResult); err != nil {
+		return FileInfo{}, err
 	}
-	args := hatFSStatArgs{Path: path_}
-	if err := args.Write(w); err != nil {
-		return zero, err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return zero, err
-	}
-	respBytes, err := c.T.Invoke(p, "Stat", c.cd.Encoded(), false)
-	if err != nil {
-		return zero, err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return zero, err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return zero, err
-		}
-		return zero, &ex
-	}
-	if seq != c.seq {
-		return zero, thrift.NewApplicationException(thrift.ExcBadSequenceID, "Stat reply out of sequence")
-	}
-	var result hatFSStatResult
-	if err := result.Read(r); err != nil {
-		return zero, err
-	}
-	if result.Err != nil {
-		return zero, result.Err
-	}
-	if !result.SuccessSet {
-		return zero, thrift.NewApplicationException(thrift.ExcMissingResult, "Stat returned no result")
-	}
-	return result.Success, nil
+	return c.statResult.Success, nil
 }
 
 // ListDir invokes HatFS.ListDir.
 func (c *HatFSClient) ListDir(p *sim.Proc, path_ string) ([]string, error) {
-	var zero []string
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("ListDir", thrift.CALL, c.seq); err != nil {
-		return zero, err
+	c.listDirArgs, c.listDirResult = hatFSListDirArgs{Path: path_}, hatFSListDirResult{}
+	if err := c.Client.Call(p, "ListDir", &c.listDirArgs, &c.listDirResult); err != nil {
+		return nil, err
 	}
-	args := hatFSListDirArgs{Path: path_}
-	if err := args.Write(w); err != nil {
-		return zero, err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return zero, err
-	}
-	respBytes, err := c.T.Invoke(p, "ListDir", c.cd.Encoded(), false)
-	if err != nil {
-		return zero, err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return zero, err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return zero, err
-		}
-		return zero, &ex
-	}
-	if seq != c.seq {
-		return zero, thrift.NewApplicationException(thrift.ExcBadSequenceID, "ListDir reply out of sequence")
-	}
-	var result hatFSListDirResult
-	if err := result.Read(r); err != nil {
-		return zero, err
-	}
-	if result.Err != nil {
-		return zero, result.Err
-	}
-	if !result.SuccessSet {
-		return zero, thrift.NewApplicationException(thrift.ExcMissingResult, "ListDir returned no result")
-	}
-	return result.Success, nil
+	return c.listDirResult.Success, nil
 }
 
 // ReadChunk invokes HatFS.ReadChunk.
 func (c *HatFSClient) ReadChunk(p *sim.Proc, path_ string, offset_ int64, length_ int32) ([]byte, error) {
-	var zero []byte
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("ReadChunk", thrift.CALL, c.seq); err != nil {
-		return zero, err
+	c.readChunkArgs, c.readChunkResult = hatFSReadChunkArgs{Path: path_, Offset: offset_, Length: length_}, hatFSReadChunkResult{}
+	if err := c.Client.Call(p, "ReadChunk", &c.readChunkArgs, &c.readChunkResult); err != nil {
+		return nil, err
 	}
-	args := hatFSReadChunkArgs{Path: path_, Offset: offset_, Length: length_}
-	if err := args.Write(w); err != nil {
-		return zero, err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return zero, err
-	}
-	respBytes, err := c.T.Invoke(p, "ReadChunk", c.cd.Encoded(), false)
-	if err != nil {
-		return zero, err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return zero, err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return zero, err
-		}
-		return zero, &ex
-	}
-	if seq != c.seq {
-		return zero, thrift.NewApplicationException(thrift.ExcBadSequenceID, "ReadChunk reply out of sequence")
-	}
-	var result hatFSReadChunkResult
-	if err := result.Read(r); err != nil {
-		return zero, err
-	}
-	if result.Err != nil {
-		return zero, result.Err
-	}
-	if !result.SuccessSet {
-		return zero, thrift.NewApplicationException(thrift.ExcMissingResult, "ReadChunk returned no result")
-	}
-	return result.Success, nil
+	return c.readChunkResult.Success, nil
 }
 
 // WriteChunk invokes HatFS.WriteChunk.
 func (c *HatFSClient) WriteChunk(p *sim.Proc, path_ string, offset_ int64, data_ []byte) (int32, error) {
-	var zero int32
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("WriteChunk", thrift.CALL, c.seq); err != nil {
-		return zero, err
+	c.writeChunkArgs, c.writeChunkResult = hatFSWriteChunkArgs{Path: path_, Offset: offset_, Data: data_}, hatFSWriteChunkResult{}
+	if err := c.Client.Call(p, "WriteChunk", &c.writeChunkArgs, &c.writeChunkResult); err != nil {
+		return 0, err
 	}
-	args := hatFSWriteChunkArgs{Path: path_, Offset: offset_, Data: data_}
-	if err := args.Write(w); err != nil {
-		return zero, err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return zero, err
-	}
-	respBytes, err := c.T.Invoke(p, "WriteChunk", c.cd.Encoded(), false)
-	if err != nil {
-		return zero, err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return zero, err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return zero, err
-		}
-		return zero, &ex
-	}
-	if seq != c.seq {
-		return zero, thrift.NewApplicationException(thrift.ExcBadSequenceID, "WriteChunk reply out of sequence")
-	}
-	var result hatFSWriteChunkResult
-	if err := result.Read(r); err != nil {
-		return zero, err
-	}
-	if result.Err != nil {
-		return zero, result.Err
-	}
-	if !result.SuccessSet {
-		return zero, thrift.NewApplicationException(thrift.ExcMissingResult, "WriteChunk returned no result")
-	}
-	return result.Success, nil
+	return c.writeChunkResult.Success, nil
 }
 
 // Heartbeat invokes HatFS.Heartbeat.
 func (c *HatFSClient) Heartbeat(p *sim.Proc, nodeId_ string) error {
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("Heartbeat", thrift.ONEWAY, c.seq); err != nil {
-		return err
-	}
-	args := hatFSHeartbeatArgs{NodeId: nodeId_}
-	if err := args.Write(w); err != nil {
-		return err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return err
-	}
-	_, err := c.T.Invoke(p, "Heartbeat", c.cd.Encoded(), true)
-	return err
+	c.heartbeatArgs = hatFSHeartbeatArgs{NodeId: nodeId_}
+	return c.Client.Call(p, "Heartbeat", &c.heartbeatArgs, nil)
 }
 
-// HatFSProcessor dispatches framed requests to a handler. Handlers yield, so
-// several requests may be in flight: each takes its codec state from a
-// free list for as long as it runs.
+// hatFSState is what a request of HatFSProcessor in flight keeps: its result.
+type hatFSState struct {
+	statResult       hatFSStatResult
+	listDirResult    hatFSListDirResult
+	readChunkResult  hatFSReadChunkResult
+	writeChunkResult hatFSWriteChunkResult
+}
+
+// HatFSProcessor serves its handler through a trdma.Table, one row per
+// function.
 type HatFSProcessor struct {
-	h      HatFSHandler
-	codecs thrift.CodecPool
+	t trdma.Table[hatFSState]
 }
 
 // NewHatFSProcessor wraps a handler.
 func NewHatFSProcessor(h HatFSHandler) *HatFSProcessor {
-	return &HatFSProcessor{h: h}
+	return &HatFSProcessor{trdma.NewTable([]trdma.Fn[hatFSState]{
+		{Name: "Stat", Invoke: func(p *sim.Proc, s *hatFSState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a hatFSStatArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			ret, err := h.Stat(p, a.Path)
+			s.statResult = hatFSStatResult{Success: ret, SuccessSet: err == nil}
+			switch e := err.(type) {
+			case *FSError:
+				s.statResult.Err, err = e, nil
+			}
+			return &s.statResult, err
+		}},
+		{Name: "ListDir", Invoke: func(p *sim.Proc, s *hatFSState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a hatFSListDirArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			ret, err := h.ListDir(p, a.Path)
+			s.listDirResult = hatFSListDirResult{Success: ret, SuccessSet: err == nil}
+			switch e := err.(type) {
+			case *FSError:
+				s.listDirResult.Err, err = e, nil
+			}
+			return &s.listDirResult, err
+		}},
+		{Name: "ReadChunk", Invoke: func(p *sim.Proc, s *hatFSState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a hatFSReadChunkArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			ret, err := h.ReadChunk(p, a.Path, a.Offset, a.Length)
+			s.readChunkResult = hatFSReadChunkResult{Success: ret, SuccessSet: err == nil}
+			switch e := err.(type) {
+			case *FSError:
+				s.readChunkResult.Err, err = e, nil
+			}
+			return &s.readChunkResult, err
+		}},
+		{Name: "WriteChunk", Invoke: func(p *sim.Proc, s *hatFSState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a hatFSWriteChunkArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			ret, err := h.WriteChunk(p, a.Path, a.Offset, a.Data)
+			s.writeChunkResult = hatFSWriteChunkResult{Success: ret, SuccessSet: err == nil}
+			switch e := err.(type) {
+			case *FSError:
+				s.writeChunkResult.Err, err = e, nil
+			}
+			return &s.writeChunkResult, err
+		}},
+		{Name: "Heartbeat", Invoke: func(p *sim.Proc, s *hatFSState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a hatFSHeartbeatArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			_ = h.Heartbeat(p, a.NodeId) // no reply carries a oneway call's error
+			return nil, nil
+		}},
+	})}
 }
 
-// ProcessBytes decodes one request, invokes the handler, and returns
-// the framed response (nil for oneway). It dispatches on fnID; a request
-// that came without one (id 0: IPoIB) is matched by the name it carries,
-// compared where it lies in the request.
+// ProcessBytes serves one request (trdma.Table.Serve).
 func (pr *HatFSProcessor) ProcessBytes(p *sim.Proc, fnID uint32, req []byte) []byte {
-	cd := pr.codecs.Get()
-	defer pr.codecs.Put(cd)
-	r := cd.DecodeRequest(req)
-	name, _, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return hatFSEncodeException(string(name), seq, thrift.ExcProtocolError, err.Error())
-	}
-	if fnID == 0 {
-		switch string(name) {
-		case "Stat":
-			fnID = 1
-		case "ListDir":
-			fnID = 2
-		case "ReadChunk":
-			fnID = 3
-		case "WriteChunk":
-			fnID = 4
-		case "Heartbeat":
-			fnID = 5
-		}
-	}
-	switch fnID {
-	case 1:
-		return pr.handleStat(p, cd, r, seq)
-	case 2:
-		return pr.handleListDir(p, cd, r, seq)
-	case 3:
-		return pr.handleReadChunk(p, cd, r, seq)
-	case 4:
-		return pr.handleWriteChunk(p, cd, r, seq)
-	case 5:
-		return pr.handleHeartbeat(p, cd, r, seq)
-	}
-	return hatFSEncodeException(string(name), seq, thrift.ExcUnknownMethod, "unknown method "+string(name))
-}
-
-func hatFSEncodeException(name string, seq int32, code thrift.ApplicationExceptionType, msg string) []byte {
-	buf := thrift.NewTMemoryBuffer()
-	w := thrift.NewTBinaryProtocol(buf)
-	w.WriteMessageBegin(name, thrift.EXCEPTION, seq)
-	thrift.NewApplicationException(code, msg).Write(w)
-	w.WriteMessageEnd()
-	return buf.Bytes()
-}
-
-func (pr *HatFSProcessor) handleStat(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args hatFSStatArgs
-	if err := args.Read(r); err != nil {
-		return hatFSEncodeException("Stat", seq, thrift.ExcProtocolError, err.Error())
-	}
-	ret, err := pr.h.Stat(p, args.Path)
-	var result hatFSStatResult
-	if err != nil {
-		switch e := err.(type) {
-		case *FSError:
-			result.Err = e
-		default:
-			return hatFSEncodeException("Stat", seq, thrift.ExcInternalError, err.Error())
-		}
-	} else {
-		result.Success = ret
-		result.SuccessSet = true
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("Stat", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return hatFSEncodeException("Stat", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
-}
-
-func (pr *HatFSProcessor) handleListDir(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args hatFSListDirArgs
-	if err := args.Read(r); err != nil {
-		return hatFSEncodeException("ListDir", seq, thrift.ExcProtocolError, err.Error())
-	}
-	ret, err := pr.h.ListDir(p, args.Path)
-	var result hatFSListDirResult
-	if err != nil {
-		switch e := err.(type) {
-		case *FSError:
-			result.Err = e
-		default:
-			return hatFSEncodeException("ListDir", seq, thrift.ExcInternalError, err.Error())
-		}
-	} else {
-		result.Success = ret
-		result.SuccessSet = true
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("ListDir", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return hatFSEncodeException("ListDir", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
-}
-
-func (pr *HatFSProcessor) handleReadChunk(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args hatFSReadChunkArgs
-	if err := args.Read(r); err != nil {
-		return hatFSEncodeException("ReadChunk", seq, thrift.ExcProtocolError, err.Error())
-	}
-	ret, err := pr.h.ReadChunk(p, args.Path, args.Offset, args.Length)
-	var result hatFSReadChunkResult
-	if err != nil {
-		switch e := err.(type) {
-		case *FSError:
-			result.Err = e
-		default:
-			return hatFSEncodeException("ReadChunk", seq, thrift.ExcInternalError, err.Error())
-		}
-	} else {
-		result.Success = ret
-		result.SuccessSet = true
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("ReadChunk", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return hatFSEncodeException("ReadChunk", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
-}
-
-func (pr *HatFSProcessor) handleWriteChunk(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args hatFSWriteChunkArgs
-	if err := args.Read(r); err != nil {
-		return hatFSEncodeException("WriteChunk", seq, thrift.ExcProtocolError, err.Error())
-	}
-	ret, err := pr.h.WriteChunk(p, args.Path, args.Offset, args.Data)
-	var result hatFSWriteChunkResult
-	if err != nil {
-		switch e := err.(type) {
-		case *FSError:
-			result.Err = e
-		default:
-			return hatFSEncodeException("WriteChunk", seq, thrift.ExcInternalError, err.Error())
-		}
-	} else {
-		result.Success = ret
-		result.SuccessSet = true
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("WriteChunk", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return hatFSEncodeException("WriteChunk", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
-}
-
-func (pr *HatFSProcessor) handleHeartbeat(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args hatFSHeartbeatArgs
-	if err := args.Read(r); err != nil {
-		return hatFSEncodeException("Heartbeat", seq, thrift.ExcProtocolError, err.Error())
-	}
-	pr.h.Heartbeat(p, args.NodeId)
-	return nil
+	return pr.t.Serve(p, fnID, req)
 }
 
 // HatFSHints is the hierarchical hint table for service HatFS (Fig. 1).

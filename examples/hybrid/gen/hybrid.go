@@ -129,6 +129,11 @@ func (x *telemetryGetConfigResult) Read(p thrift.TProtocol) error {
 	return p.ReadStructEnd()
 }
 
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *telemetryGetConfigResult) Outcome() (set bool, exc error) {
+	return x.SuccessSet, nil
+}
+
 type telemetryReportStatusArgs struct {
 	Status string
 }
@@ -282,6 +287,11 @@ func (x *telemetryPushSamplesResult) Read(p thrift.TProtocol) error {
 	return p.ReadStructEnd()
 }
 
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *telemetryPushSamplesResult) Outcome() (set bool, exc error) {
+	return true, nil
+}
+
 type telemetryPullWindowArgs struct {
 	FromTs int64
 	ToTs   int64
@@ -414,6 +424,11 @@ func (x *telemetryPullWindowResult) Read(p thrift.TProtocol) error {
 	return p.ReadStructEnd()
 }
 
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *telemetryPullWindowResult) Outcome() (set bool, exc error) {
+	return x.SuccessSet, nil
+}
+
 // TelemetryHandler is the application-side interface for service Telemetry.
 type TelemetryHandler interface {
 	GetConfig(p *sim.Proc, key_ string) (string, error)
@@ -422,298 +437,114 @@ type TelemetryHandler interface {
 	PullWindow(p *sim.Proc, fromTs_ int64, toTs_ int64) ([]byte, error)
 }
 
-// TelemetryClient is the generated typed client for service Telemetry. It carries one
-// call at a time: a request is serialized into the transport's one staging
-// buffer and every call re-arms the same codec state, so calls on one
-// client must not overlap — give each calling process its own client.
-// Arguments are lent for the call; binary results are the caller's, the
-// values of one reply sharing one allocation.
+// TelemetryClient is the generated typed client for service Telemetry. Like the
+// trdma.Client it calls through, it carries one call at a time: give each
+// calling process its own client. Arguments are lent for the call;
+// binary results are the caller's, the values of one reply sharing one
+// allocation.
 type TelemetryClient struct {
-	T   trdma.Transport
-	seq int32
-	cd  *thrift.Codec
+	trdma.Client
+	getConfigArgs     telemetryGetConfigArgs
+	getConfigResult   telemetryGetConfigResult
+	reportStatusArgs  telemetryReportStatusArgs
+	pushSamplesArgs   telemetryPushSamplesArgs
+	pushSamplesResult telemetryPushSamplesResult
+	pullWindowArgs    telemetryPullWindowArgs
+	pullWindowResult  telemetryPullWindowResult
 }
 
 // NewTelemetryClient wraps a transport in the typed client.
 func NewTelemetryClient(t trdma.Transport) *TelemetryClient {
-	return &TelemetryClient{T: t, cd: thrift.NewCodec()}
+	return &TelemetryClient{Client: trdma.NewClient(t)}
 }
 
 // GetConfig invokes Telemetry.GetConfig.
 func (c *TelemetryClient) GetConfig(p *sim.Proc, key_ string) (string, error) {
-	var zero string
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("GetConfig", thrift.CALL, c.seq); err != nil {
-		return zero, err
+	c.getConfigArgs, c.getConfigResult = telemetryGetConfigArgs{Key: key_}, telemetryGetConfigResult{}
+	if err := c.Client.Call(p, "GetConfig", &c.getConfigArgs, &c.getConfigResult); err != nil {
+		return "", err
 	}
-	args := telemetryGetConfigArgs{Key: key_}
-	if err := args.Write(w); err != nil {
-		return zero, err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return zero, err
-	}
-	respBytes, err := c.T.Invoke(p, "GetConfig", c.cd.Encoded(), false)
-	if err != nil {
-		return zero, err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return zero, err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return zero, err
-		}
-		return zero, &ex
-	}
-	if seq != c.seq {
-		return zero, thrift.NewApplicationException(thrift.ExcBadSequenceID, "GetConfig reply out of sequence")
-	}
-	var result telemetryGetConfigResult
-	if err := result.Read(r); err != nil {
-		return zero, err
-	}
-	if !result.SuccessSet {
-		return zero, thrift.NewApplicationException(thrift.ExcMissingResult, "GetConfig returned no result")
-	}
-	return result.Success, nil
+	return c.getConfigResult.Success, nil
 }
 
 // ReportStatus invokes Telemetry.ReportStatus.
 func (c *TelemetryClient) ReportStatus(p *sim.Proc, status_ string) error {
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("ReportStatus", thrift.ONEWAY, c.seq); err != nil {
-		return err
-	}
-	args := telemetryReportStatusArgs{Status: status_}
-	if err := args.Write(w); err != nil {
-		return err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return err
-	}
-	_, err := c.T.Invoke(p, "ReportStatus", c.cd.Encoded(), true)
-	return err
+	c.reportStatusArgs = telemetryReportStatusArgs{Status: status_}
+	return c.Client.Call(p, "ReportStatus", &c.reportStatusArgs, nil)
 }
 
 // PushSamples invokes Telemetry.PushSamples.
 func (c *TelemetryClient) PushSamples(p *sim.Proc, samples_ []byte) error {
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("PushSamples", thrift.CALL, c.seq); err != nil {
-		return err
-	}
-	args := telemetryPushSamplesArgs{Samples: samples_}
-	if err := args.Write(w); err != nil {
-		return err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return err
-	}
-	respBytes, err := c.T.Invoke(p, "PushSamples", c.cd.Encoded(), false)
-	if err != nil {
-		return err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return err
-		}
-		return &ex
-	}
-	if seq != c.seq {
-		return thrift.NewApplicationException(thrift.ExcBadSequenceID, "PushSamples reply out of sequence")
-	}
-	var result telemetryPushSamplesResult
-	if err := result.Read(r); err != nil {
-		return err
-	}
-	return nil
+	c.pushSamplesArgs, c.pushSamplesResult = telemetryPushSamplesArgs{Samples: samples_}, telemetryPushSamplesResult{}
+	return c.Client.Call(p, "PushSamples", &c.pushSamplesArgs, &c.pushSamplesResult)
 }
 
 // PullWindow invokes Telemetry.PullWindow.
 func (c *TelemetryClient) PullWindow(p *sim.Proc, fromTs_ int64, toTs_ int64) ([]byte, error) {
-	var zero []byte
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("PullWindow", thrift.CALL, c.seq); err != nil {
-		return zero, err
+	c.pullWindowArgs, c.pullWindowResult = telemetryPullWindowArgs{FromTs: fromTs_, ToTs: toTs_}, telemetryPullWindowResult{}
+	if err := c.Client.Call(p, "PullWindow", &c.pullWindowArgs, &c.pullWindowResult); err != nil {
+		return nil, err
 	}
-	args := telemetryPullWindowArgs{FromTs: fromTs_, ToTs: toTs_}
-	if err := args.Write(w); err != nil {
-		return zero, err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return zero, err
-	}
-	respBytes, err := c.T.Invoke(p, "PullWindow", c.cd.Encoded(), false)
-	if err != nil {
-		return zero, err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return zero, err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return zero, err
-		}
-		return zero, &ex
-	}
-	if seq != c.seq {
-		return zero, thrift.NewApplicationException(thrift.ExcBadSequenceID, "PullWindow reply out of sequence")
-	}
-	var result telemetryPullWindowResult
-	if err := result.Read(r); err != nil {
-		return zero, err
-	}
-	if !result.SuccessSet {
-		return zero, thrift.NewApplicationException(thrift.ExcMissingResult, "PullWindow returned no result")
-	}
-	return result.Success, nil
+	return c.pullWindowResult.Success, nil
 }
 
-// TelemetryProcessor dispatches framed requests to a handler. Handlers yield, so
-// several requests may be in flight: each takes its codec state from a
-// free list for as long as it runs.
+// telemetryState is what a request of TelemetryProcessor in flight keeps: its result.
+type telemetryState struct {
+	getConfigResult   telemetryGetConfigResult
+	pushSamplesResult telemetryPushSamplesResult
+	pullWindowResult  telemetryPullWindowResult
+}
+
+// TelemetryProcessor serves its handler through a trdma.Table, one row per
+// function.
 type TelemetryProcessor struct {
-	h      TelemetryHandler
-	codecs thrift.CodecPool
+	t trdma.Table[telemetryState]
 }
 
 // NewTelemetryProcessor wraps a handler.
 func NewTelemetryProcessor(h TelemetryHandler) *TelemetryProcessor {
-	return &TelemetryProcessor{h: h}
+	return &TelemetryProcessor{trdma.NewTable([]trdma.Fn[telemetryState]{
+		{Name: "GetConfig", Invoke: func(p *sim.Proc, s *telemetryState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a telemetryGetConfigArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			ret, err := h.GetConfig(p, a.Key)
+			s.getConfigResult = telemetryGetConfigResult{Success: ret, SuccessSet: err == nil}
+			return &s.getConfigResult, err
+		}},
+		{Name: "ReportStatus", Invoke: func(p *sim.Proc, s *telemetryState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a telemetryReportStatusArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			_ = h.ReportStatus(p, a.Status) // no reply carries a oneway call's error
+			return nil, nil
+		}},
+		{Name: "PushSamples", Invoke: func(p *sim.Proc, s *telemetryState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a telemetryPushSamplesArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			err := h.PushSamples(p, a.Samples)
+			s.pushSamplesResult = telemetryPushSamplesResult{}
+			return &s.pushSamplesResult, err
+		}},
+		{Name: "PullWindow", Invoke: func(p *sim.Proc, s *telemetryState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a telemetryPullWindowArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			ret, err := h.PullWindow(p, a.FromTs, a.ToTs)
+			s.pullWindowResult = telemetryPullWindowResult{Success: ret, SuccessSet: err == nil}
+			return &s.pullWindowResult, err
+		}},
+	})}
 }
 
-// ProcessBytes decodes one request, invokes the handler, and returns
-// the framed response (nil for oneway). It dispatches on fnID; a request
-// that came without one (id 0: IPoIB) is matched by the name it carries,
-// compared where it lies in the request.
+// ProcessBytes serves one request (trdma.Table.Serve).
 func (pr *TelemetryProcessor) ProcessBytes(p *sim.Proc, fnID uint32, req []byte) []byte {
-	cd := pr.codecs.Get()
-	defer pr.codecs.Put(cd)
-	r := cd.DecodeRequest(req)
-	name, _, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return telemetryEncodeException(string(name), seq, thrift.ExcProtocolError, err.Error())
-	}
-	if fnID == 0 {
-		switch string(name) {
-		case "GetConfig":
-			fnID = 1
-		case "ReportStatus":
-			fnID = 2
-		case "PushSamples":
-			fnID = 3
-		case "PullWindow":
-			fnID = 4
-		}
-	}
-	switch fnID {
-	case 1:
-		return pr.handleGetConfig(p, cd, r, seq)
-	case 2:
-		return pr.handleReportStatus(p, cd, r, seq)
-	case 3:
-		return pr.handlePushSamples(p, cd, r, seq)
-	case 4:
-		return pr.handlePullWindow(p, cd, r, seq)
-	}
-	return telemetryEncodeException(string(name), seq, thrift.ExcUnknownMethod, "unknown method "+string(name))
-}
-
-func telemetryEncodeException(name string, seq int32, code thrift.ApplicationExceptionType, msg string) []byte {
-	buf := thrift.NewTMemoryBuffer()
-	w := thrift.NewTBinaryProtocol(buf)
-	w.WriteMessageBegin(name, thrift.EXCEPTION, seq)
-	thrift.NewApplicationException(code, msg).Write(w)
-	w.WriteMessageEnd()
-	return buf.Bytes()
-}
-
-func (pr *TelemetryProcessor) handleGetConfig(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args telemetryGetConfigArgs
-	if err := args.Read(r); err != nil {
-		return telemetryEncodeException("GetConfig", seq, thrift.ExcProtocolError, err.Error())
-	}
-	ret, err := pr.h.GetConfig(p, args.Key)
-	var result telemetryGetConfigResult
-	if err != nil {
-		return telemetryEncodeException("GetConfig", seq, thrift.ExcInternalError, err.Error())
-	} else {
-		result.Success = ret
-		result.SuccessSet = true
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("GetConfig", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return telemetryEncodeException("GetConfig", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
-}
-
-func (pr *TelemetryProcessor) handleReportStatus(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args telemetryReportStatusArgs
-	if err := args.Read(r); err != nil {
-		return telemetryEncodeException("ReportStatus", seq, thrift.ExcProtocolError, err.Error())
-	}
-	pr.h.ReportStatus(p, args.Status)
-	return nil
-}
-
-func (pr *TelemetryProcessor) handlePushSamples(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args telemetryPushSamplesArgs
-	if err := args.Read(r); err != nil {
-		return telemetryEncodeException("PushSamples", seq, thrift.ExcProtocolError, err.Error())
-	}
-	err := pr.h.PushSamples(p, args.Samples)
-	var result telemetryPushSamplesResult
-	if err != nil {
-		return telemetryEncodeException("PushSamples", seq, thrift.ExcInternalError, err.Error())
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("PushSamples", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return telemetryEncodeException("PushSamples", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
-}
-
-func (pr *TelemetryProcessor) handlePullWindow(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args telemetryPullWindowArgs
-	if err := args.Read(r); err != nil {
-		return telemetryEncodeException("PullWindow", seq, thrift.ExcProtocolError, err.Error())
-	}
-	ret, err := pr.h.PullWindow(p, args.FromTs, args.ToTs)
-	var result telemetryPullWindowResult
-	if err != nil {
-		return telemetryEncodeException("PullWindow", seq, thrift.ExcInternalError, err.Error())
-	} else {
-		result.Success = ret
-		result.SuccessSet = true
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("PullWindow", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return telemetryEncodeException("PullWindow", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
+	return pr.t.Serve(p, fnID, req)
 }
 
 // TelemetryHints is the hierarchical hint table for service Telemetry (Fig. 1).

@@ -129,6 +129,11 @@ func (x *echoPingResult) Read(p thrift.TProtocol) error {
 	return p.ReadStructEnd()
 }
 
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *echoPingResult) Outcome() (set bool, exc error) {
+	return x.SuccessSet, nil
+}
+
 type echoReverseArgs struct {
 	Msg string
 }
@@ -245,6 +250,11 @@ func (x *echoReverseResult) Read(p thrift.TProtocol) error {
 	return p.ReadStructEnd()
 }
 
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *echoReverseResult) Outcome() (set bool, exc error) {
+	return x.SuccessSet, nil
+}
+
 type echoNotifyArgs struct {
 	Event string
 }
@@ -308,235 +318,96 @@ type EchoHandler interface {
 	Notify(p *sim.Proc, event_ string) error
 }
 
-// EchoClient is the generated typed client for service Echo. It carries one
-// call at a time: a request is serialized into the transport's one staging
-// buffer and every call re-arms the same codec state, so calls on one
-// client must not overlap — give each calling process its own client.
-// Arguments are lent for the call; binary results are the caller's, the
-// values of one reply sharing one allocation.
+// EchoClient is the generated typed client for service Echo. Like the
+// trdma.Client it calls through, it carries one call at a time: give each
+// calling process its own client. Arguments are lent for the call;
+// binary results are the caller's, the values of one reply sharing one
+// allocation.
 type EchoClient struct {
-	T   trdma.Transport
-	seq int32
-	cd  *thrift.Codec
+	trdma.Client
+	pingArgs      echoPingArgs
+	pingResult    echoPingResult
+	reverseArgs   echoReverseArgs
+	reverseResult echoReverseResult
+	notifyArgs    echoNotifyArgs
 }
 
 // NewEchoClient wraps a transport in the typed client.
 func NewEchoClient(t trdma.Transport) *EchoClient {
-	return &EchoClient{T: t, cd: thrift.NewCodec()}
+	return &EchoClient{Client: trdma.NewClient(t)}
 }
 
 // Ping invokes Echo.Ping.
 func (c *EchoClient) Ping(p *sim.Proc, msg_ string) (string, error) {
-	var zero string
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("Ping", thrift.CALL, c.seq); err != nil {
-		return zero, err
+	c.pingArgs, c.pingResult = echoPingArgs{Msg: msg_}, echoPingResult{}
+	if err := c.Client.Call(p, "Ping", &c.pingArgs, &c.pingResult); err != nil {
+		return "", err
 	}
-	args := echoPingArgs{Msg: msg_}
-	if err := args.Write(w); err != nil {
-		return zero, err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return zero, err
-	}
-	respBytes, err := c.T.Invoke(p, "Ping", c.cd.Encoded(), false)
-	if err != nil {
-		return zero, err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return zero, err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return zero, err
-		}
-		return zero, &ex
-	}
-	if seq != c.seq {
-		return zero, thrift.NewApplicationException(thrift.ExcBadSequenceID, "Ping reply out of sequence")
-	}
-	var result echoPingResult
-	if err := result.Read(r); err != nil {
-		return zero, err
-	}
-	if !result.SuccessSet {
-		return zero, thrift.NewApplicationException(thrift.ExcMissingResult, "Ping returned no result")
-	}
-	return result.Success, nil
+	return c.pingResult.Success, nil
 }
 
 // Reverse invokes Echo.Reverse.
 func (c *EchoClient) Reverse(p *sim.Proc, msg_ string) (string, error) {
-	var zero string
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("Reverse", thrift.CALL, c.seq); err != nil {
-		return zero, err
+	c.reverseArgs, c.reverseResult = echoReverseArgs{Msg: msg_}, echoReverseResult{}
+	if err := c.Client.Call(p, "Reverse", &c.reverseArgs, &c.reverseResult); err != nil {
+		return "", err
 	}
-	args := echoReverseArgs{Msg: msg_}
-	if err := args.Write(w); err != nil {
-		return zero, err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return zero, err
-	}
-	respBytes, err := c.T.Invoke(p, "Reverse", c.cd.Encoded(), false)
-	if err != nil {
-		return zero, err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return zero, err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return zero, err
-		}
-		return zero, &ex
-	}
-	if seq != c.seq {
-		return zero, thrift.NewApplicationException(thrift.ExcBadSequenceID, "Reverse reply out of sequence")
-	}
-	var result echoReverseResult
-	if err := result.Read(r); err != nil {
-		return zero, err
-	}
-	if !result.SuccessSet {
-		return zero, thrift.NewApplicationException(thrift.ExcMissingResult, "Reverse returned no result")
-	}
-	return result.Success, nil
+	return c.reverseResult.Success, nil
 }
 
 // Notify invokes Echo.Notify.
 func (c *EchoClient) Notify(p *sim.Proc, event_ string) error {
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("Notify", thrift.ONEWAY, c.seq); err != nil {
-		return err
-	}
-	args := echoNotifyArgs{Event: event_}
-	if err := args.Write(w); err != nil {
-		return err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return err
-	}
-	_, err := c.T.Invoke(p, "Notify", c.cd.Encoded(), true)
-	return err
+	c.notifyArgs = echoNotifyArgs{Event: event_}
+	return c.Client.Call(p, "Notify", &c.notifyArgs, nil)
 }
 
-// EchoProcessor dispatches framed requests to a handler. Handlers yield, so
-// several requests may be in flight: each takes its codec state from a
-// free list for as long as it runs.
+// echoState is what a request of EchoProcessor in flight keeps: its result.
+type echoState struct {
+	pingResult    echoPingResult
+	reverseResult echoReverseResult
+}
+
+// EchoProcessor serves its handler through a trdma.Table, one row per
+// function.
 type EchoProcessor struct {
-	h      EchoHandler
-	codecs thrift.CodecPool
+	t trdma.Table[echoState]
 }
 
 // NewEchoProcessor wraps a handler.
 func NewEchoProcessor(h EchoHandler) *EchoProcessor {
-	return &EchoProcessor{h: h}
+	return &EchoProcessor{trdma.NewTable([]trdma.Fn[echoState]{
+		{Name: "Ping", Invoke: func(p *sim.Proc, s *echoState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a echoPingArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			ret, err := h.Ping(p, a.Msg)
+			s.pingResult = echoPingResult{Success: ret, SuccessSet: err == nil}
+			return &s.pingResult, err
+		}},
+		{Name: "Reverse", Invoke: func(p *sim.Proc, s *echoState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a echoReverseArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			ret, err := h.Reverse(p, a.Msg)
+			s.reverseResult = echoReverseResult{Success: ret, SuccessSet: err == nil}
+			return &s.reverseResult, err
+		}},
+		{Name: "Notify", Invoke: func(p *sim.Proc, s *echoState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a echoNotifyArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			_ = h.Notify(p, a.Event) // no reply carries a oneway call's error
+			return nil, nil
+		}},
+	})}
 }
 
-// ProcessBytes decodes one request, invokes the handler, and returns
-// the framed response (nil for oneway). It dispatches on fnID; a request
-// that came without one (id 0: IPoIB) is matched by the name it carries,
-// compared where it lies in the request.
+// ProcessBytes serves one request (trdma.Table.Serve).
 func (pr *EchoProcessor) ProcessBytes(p *sim.Proc, fnID uint32, req []byte) []byte {
-	cd := pr.codecs.Get()
-	defer pr.codecs.Put(cd)
-	r := cd.DecodeRequest(req)
-	name, _, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return echoEncodeException(string(name), seq, thrift.ExcProtocolError, err.Error())
-	}
-	if fnID == 0 {
-		switch string(name) {
-		case "Ping":
-			fnID = 1
-		case "Reverse":
-			fnID = 2
-		case "Notify":
-			fnID = 3
-		}
-	}
-	switch fnID {
-	case 1:
-		return pr.handlePing(p, cd, r, seq)
-	case 2:
-		return pr.handleReverse(p, cd, r, seq)
-	case 3:
-		return pr.handleNotify(p, cd, r, seq)
-	}
-	return echoEncodeException(string(name), seq, thrift.ExcUnknownMethod, "unknown method "+string(name))
-}
-
-func echoEncodeException(name string, seq int32, code thrift.ApplicationExceptionType, msg string) []byte {
-	buf := thrift.NewTMemoryBuffer()
-	w := thrift.NewTBinaryProtocol(buf)
-	w.WriteMessageBegin(name, thrift.EXCEPTION, seq)
-	thrift.NewApplicationException(code, msg).Write(w)
-	w.WriteMessageEnd()
-	return buf.Bytes()
-}
-
-func (pr *EchoProcessor) handlePing(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args echoPingArgs
-	if err := args.Read(r); err != nil {
-		return echoEncodeException("Ping", seq, thrift.ExcProtocolError, err.Error())
-	}
-	ret, err := pr.h.Ping(p, args.Msg)
-	var result echoPingResult
-	if err != nil {
-		return echoEncodeException("Ping", seq, thrift.ExcInternalError, err.Error())
-	} else {
-		result.Success = ret
-		result.SuccessSet = true
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("Ping", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return echoEncodeException("Ping", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
-}
-
-func (pr *EchoProcessor) handleReverse(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args echoReverseArgs
-	if err := args.Read(r); err != nil {
-		return echoEncodeException("Reverse", seq, thrift.ExcProtocolError, err.Error())
-	}
-	ret, err := pr.h.Reverse(p, args.Msg)
-	var result echoReverseResult
-	if err != nil {
-		return echoEncodeException("Reverse", seq, thrift.ExcInternalError, err.Error())
-	} else {
-		result.Success = ret
-		result.SuccessSet = true
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("Reverse", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return echoEncodeException("Reverse", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
-}
-
-func (pr *EchoProcessor) handleNotify(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args echoNotifyArgs
-	if err := args.Read(r); err != nil {
-		return echoEncodeException("Notify", seq, thrift.ExcProtocolError, err.Error())
-	}
-	pr.h.Notify(p, args.Event)
-	return nil
+	return pr.t.Serve(p, fnID, req)
 }
 
 // EchoHints is the hierarchical hint table for service Echo (Fig. 1).

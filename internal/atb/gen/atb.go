@@ -129,6 +129,11 @@ func (x *aTBenchEchoResult) Read(p thrift.TProtocol) error {
 	return p.ReadStructEnd()
 }
 
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *aTBenchEchoResult) Outcome() (set bool, exc error) {
+	return x.SuccessSet, nil
+}
+
 type aTBenchLatCallArgs struct {
 	Payload []byte
 }
@@ -243,6 +248,11 @@ func (x *aTBenchLatCallResult) Read(p thrift.TProtocol) error {
 		}
 	}
 	return p.ReadStructEnd()
+}
+
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *aTBenchLatCallResult) Outcome() (set bool, exc error) {
+	return x.SuccessSet, nil
 }
 
 type aTBenchTputCallArgs struct {
@@ -361,6 +371,11 @@ func (x *aTBenchTputCallResult) Read(p thrift.TProtocol) error {
 	return p.ReadStructEnd()
 }
 
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *aTBenchTputCallResult) Outcome() (set bool, exc error) {
+	return x.SuccessSet, nil
+}
+
 // ATBenchHandler is the application-side interface for service ATBench.
 type ATBenchHandler interface {
 	Echo(p *sim.Proc, payload_ []byte) ([]byte, error)
@@ -368,274 +383,102 @@ type ATBenchHandler interface {
 	TputCall(p *sim.Proc, payload_ []byte) ([]byte, error)
 }
 
-// ATBenchClient is the generated typed client for service ATBench. It carries one
-// call at a time: a request is serialized into the transport's one staging
-// buffer and every call re-arms the same codec state, so calls on one
-// client must not overlap — give each calling process its own client.
-// Arguments are lent for the call; binary results are the caller's, the
-// values of one reply sharing one allocation.
+// ATBenchClient is the generated typed client for service ATBench. Like the
+// trdma.Client it calls through, it carries one call at a time: give each
+// calling process its own client. Arguments are lent for the call;
+// binary results are the caller's, the values of one reply sharing one
+// allocation.
 type ATBenchClient struct {
-	T   trdma.Transport
-	seq int32
-	cd  *thrift.Codec
+	trdma.Client
+	echoArgs       aTBenchEchoArgs
+	echoResult     aTBenchEchoResult
+	latCallArgs    aTBenchLatCallArgs
+	latCallResult  aTBenchLatCallResult
+	tputCallArgs   aTBenchTputCallArgs
+	tputCallResult aTBenchTputCallResult
 }
 
 // NewATBenchClient wraps a transport in the typed client.
 func NewATBenchClient(t trdma.Transport) *ATBenchClient {
-	return &ATBenchClient{T: t, cd: thrift.NewCodec()}
+	return &ATBenchClient{Client: trdma.NewClient(t)}
 }
 
 // Echo invokes ATBench.Echo.
 func (c *ATBenchClient) Echo(p *sim.Proc, payload_ []byte) ([]byte, error) {
-	var zero []byte
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("Echo", thrift.CALL, c.seq); err != nil {
-		return zero, err
+	c.echoArgs, c.echoResult = aTBenchEchoArgs{Payload: payload_}, aTBenchEchoResult{}
+	if err := c.Client.Call(p, "Echo", &c.echoArgs, &c.echoResult); err != nil {
+		return nil, err
 	}
-	args := aTBenchEchoArgs{Payload: payload_}
-	if err := args.Write(w); err != nil {
-		return zero, err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return zero, err
-	}
-	respBytes, err := c.T.Invoke(p, "Echo", c.cd.Encoded(), false)
-	if err != nil {
-		return zero, err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return zero, err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return zero, err
-		}
-		return zero, &ex
-	}
-	if seq != c.seq {
-		return zero, thrift.NewApplicationException(thrift.ExcBadSequenceID, "Echo reply out of sequence")
-	}
-	var result aTBenchEchoResult
-	if err := result.Read(r); err != nil {
-		return zero, err
-	}
-	if !result.SuccessSet {
-		return zero, thrift.NewApplicationException(thrift.ExcMissingResult, "Echo returned no result")
-	}
-	return result.Success, nil
+	return c.echoResult.Success, nil
 }
 
 // LatCall invokes ATBench.LatCall.
 func (c *ATBenchClient) LatCall(p *sim.Proc, payload_ []byte) ([]byte, error) {
-	var zero []byte
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("LatCall", thrift.CALL, c.seq); err != nil {
-		return zero, err
+	c.latCallArgs, c.latCallResult = aTBenchLatCallArgs{Payload: payload_}, aTBenchLatCallResult{}
+	if err := c.Client.Call(p, "LatCall", &c.latCallArgs, &c.latCallResult); err != nil {
+		return nil, err
 	}
-	args := aTBenchLatCallArgs{Payload: payload_}
-	if err := args.Write(w); err != nil {
-		return zero, err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return zero, err
-	}
-	respBytes, err := c.T.Invoke(p, "LatCall", c.cd.Encoded(), false)
-	if err != nil {
-		return zero, err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return zero, err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return zero, err
-		}
-		return zero, &ex
-	}
-	if seq != c.seq {
-		return zero, thrift.NewApplicationException(thrift.ExcBadSequenceID, "LatCall reply out of sequence")
-	}
-	var result aTBenchLatCallResult
-	if err := result.Read(r); err != nil {
-		return zero, err
-	}
-	if !result.SuccessSet {
-		return zero, thrift.NewApplicationException(thrift.ExcMissingResult, "LatCall returned no result")
-	}
-	return result.Success, nil
+	return c.latCallResult.Success, nil
 }
 
 // TputCall invokes ATBench.TputCall.
 func (c *ATBenchClient) TputCall(p *sim.Proc, payload_ []byte) ([]byte, error) {
-	var zero []byte
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("TputCall", thrift.CALL, c.seq); err != nil {
-		return zero, err
+	c.tputCallArgs, c.tputCallResult = aTBenchTputCallArgs{Payload: payload_}, aTBenchTputCallResult{}
+	if err := c.Client.Call(p, "TputCall", &c.tputCallArgs, &c.tputCallResult); err != nil {
+		return nil, err
 	}
-	args := aTBenchTputCallArgs{Payload: payload_}
-	if err := args.Write(w); err != nil {
-		return zero, err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return zero, err
-	}
-	respBytes, err := c.T.Invoke(p, "TputCall", c.cd.Encoded(), false)
-	if err != nil {
-		return zero, err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return zero, err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return zero, err
-		}
-		return zero, &ex
-	}
-	if seq != c.seq {
-		return zero, thrift.NewApplicationException(thrift.ExcBadSequenceID, "TputCall reply out of sequence")
-	}
-	var result aTBenchTputCallResult
-	if err := result.Read(r); err != nil {
-		return zero, err
-	}
-	if !result.SuccessSet {
-		return zero, thrift.NewApplicationException(thrift.ExcMissingResult, "TputCall returned no result")
-	}
-	return result.Success, nil
+	return c.tputCallResult.Success, nil
 }
 
-// ATBenchProcessor dispatches framed requests to a handler. Handlers yield, so
-// several requests may be in flight: each takes its codec state from a
-// free list for as long as it runs.
+// aTBenchState is what a request of ATBenchProcessor in flight keeps: its result.
+type aTBenchState struct {
+	echoResult     aTBenchEchoResult
+	latCallResult  aTBenchLatCallResult
+	tputCallResult aTBenchTputCallResult
+}
+
+// ATBenchProcessor serves its handler through a trdma.Table, one row per
+// function.
 type ATBenchProcessor struct {
-	h      ATBenchHandler
-	codecs thrift.CodecPool
+	t trdma.Table[aTBenchState]
 }
 
 // NewATBenchProcessor wraps a handler.
 func NewATBenchProcessor(h ATBenchHandler) *ATBenchProcessor {
-	return &ATBenchProcessor{h: h}
+	return &ATBenchProcessor{trdma.NewTable([]trdma.Fn[aTBenchState]{
+		{Name: "Echo", Invoke: func(p *sim.Proc, s *aTBenchState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a aTBenchEchoArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			ret, err := h.Echo(p, a.Payload)
+			s.echoResult = aTBenchEchoResult{Success: ret, SuccessSet: err == nil}
+			return &s.echoResult, err
+		}},
+		{Name: "LatCall", Invoke: func(p *sim.Proc, s *aTBenchState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a aTBenchLatCallArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			ret, err := h.LatCall(p, a.Payload)
+			s.latCallResult = aTBenchLatCallResult{Success: ret, SuccessSet: err == nil}
+			return &s.latCallResult, err
+		}},
+		{Name: "TputCall", Invoke: func(p *sim.Proc, s *aTBenchState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a aTBenchTputCallArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			ret, err := h.TputCall(p, a.Payload)
+			s.tputCallResult = aTBenchTputCallResult{Success: ret, SuccessSet: err == nil}
+			return &s.tputCallResult, err
+		}},
+	})}
 }
 
-// ProcessBytes decodes one request, invokes the handler, and returns
-// the framed response (nil for oneway). It dispatches on fnID; a request
-// that came without one (id 0: IPoIB) is matched by the name it carries,
-// compared where it lies in the request.
+// ProcessBytes serves one request (trdma.Table.Serve).
 func (pr *ATBenchProcessor) ProcessBytes(p *sim.Proc, fnID uint32, req []byte) []byte {
-	cd := pr.codecs.Get()
-	defer pr.codecs.Put(cd)
-	r := cd.DecodeRequest(req)
-	name, _, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return aTBenchEncodeException(string(name), seq, thrift.ExcProtocolError, err.Error())
-	}
-	if fnID == 0 {
-		switch string(name) {
-		case "Echo":
-			fnID = 1
-		case "LatCall":
-			fnID = 2
-		case "TputCall":
-			fnID = 3
-		}
-	}
-	switch fnID {
-	case 1:
-		return pr.handleEcho(p, cd, r, seq)
-	case 2:
-		return pr.handleLatCall(p, cd, r, seq)
-	case 3:
-		return pr.handleTputCall(p, cd, r, seq)
-	}
-	return aTBenchEncodeException(string(name), seq, thrift.ExcUnknownMethod, "unknown method "+string(name))
-}
-
-func aTBenchEncodeException(name string, seq int32, code thrift.ApplicationExceptionType, msg string) []byte {
-	buf := thrift.NewTMemoryBuffer()
-	w := thrift.NewTBinaryProtocol(buf)
-	w.WriteMessageBegin(name, thrift.EXCEPTION, seq)
-	thrift.NewApplicationException(code, msg).Write(w)
-	w.WriteMessageEnd()
-	return buf.Bytes()
-}
-
-func (pr *ATBenchProcessor) handleEcho(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args aTBenchEchoArgs
-	if err := args.Read(r); err != nil {
-		return aTBenchEncodeException("Echo", seq, thrift.ExcProtocolError, err.Error())
-	}
-	ret, err := pr.h.Echo(p, args.Payload)
-	var result aTBenchEchoResult
-	if err != nil {
-		return aTBenchEncodeException("Echo", seq, thrift.ExcInternalError, err.Error())
-	} else {
-		result.Success = ret
-		result.SuccessSet = true
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("Echo", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return aTBenchEncodeException("Echo", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
-}
-
-func (pr *ATBenchProcessor) handleLatCall(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args aTBenchLatCallArgs
-	if err := args.Read(r); err != nil {
-		return aTBenchEncodeException("LatCall", seq, thrift.ExcProtocolError, err.Error())
-	}
-	ret, err := pr.h.LatCall(p, args.Payload)
-	var result aTBenchLatCallResult
-	if err != nil {
-		return aTBenchEncodeException("LatCall", seq, thrift.ExcInternalError, err.Error())
-	} else {
-		result.Success = ret
-		result.SuccessSet = true
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("LatCall", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return aTBenchEncodeException("LatCall", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
-}
-
-func (pr *ATBenchProcessor) handleTputCall(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args aTBenchTputCallArgs
-	if err := args.Read(r); err != nil {
-		return aTBenchEncodeException("TputCall", seq, thrift.ExcProtocolError, err.Error())
-	}
-	ret, err := pr.h.TputCall(p, args.Payload)
-	var result aTBenchTputCallResult
-	if err != nil {
-		return aTBenchEncodeException("TputCall", seq, thrift.ExcInternalError, err.Error())
-	} else {
-		result.Success = ret
-		result.SuccessSet = true
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("TputCall", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return aTBenchEncodeException("TputCall", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
+	return pr.t.Serve(p, fnID, req)
 }
 
 // ATBenchHints is the hierarchical hint table for service ATBench (Fig. 1).

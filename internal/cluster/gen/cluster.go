@@ -898,6 +898,11 @@ func (x *clusterShardMapResult) Read(p thrift.TProtocol) error {
 	return p.ReadStructEnd()
 }
 
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *clusterShardMapResult) Outcome() (set bool, exc error) {
+	return x.SuccessSet, nil
+}
+
 type clusterPutArgs struct {
 	Shard int32
 	Epoch int64
@@ -1091,6 +1096,20 @@ func (x *clusterPutResult) Read(p thrift.TProtocol) error {
 		}
 	}
 	return p.ReadStructEnd()
+}
+
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *clusterPutResult) Outcome() (set bool, exc error) {
+	if x.Stale != nil {
+		return false, x.Stale
+	}
+	if x.Fenced != nil {
+		return false, x.Fenced
+	}
+	if x.NotQuorum != nil {
+		return false, x.NotQuorum
+	}
+	return true, nil
 }
 
 type clusterGetArgs struct {
@@ -1290,6 +1309,20 @@ func (x *clusterGetResult) Read(p thrift.TProtocol) error {
 		}
 	}
 	return p.ReadStructEnd()
+}
+
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *clusterGetResult) Outcome() (set bool, exc error) {
+	if x.Stale != nil {
+		return false, x.Stale
+	}
+	if x.Fenced != nil {
+		return false, x.Fenced
+	}
+	if x.NotFound != nil {
+		return false, x.NotFound
+	}
+	return x.SuccessSet, nil
 }
 
 type clusterReplicateArgs struct {
@@ -1519,6 +1552,20 @@ func (x *clusterReplicateResult) Read(p thrift.TProtocol) error {
 	return p.ReadStructEnd()
 }
 
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *clusterReplicateResult) Outcome() (set bool, exc error) {
+	if x.Stale != nil {
+		return false, x.Stale
+	}
+	if x.Fenced != nil {
+		return false, x.Fenced
+	}
+	if x.NeedSync != nil {
+		return false, x.NeedSync
+	}
+	return true, nil
+}
+
 type clusterCensusArgs struct {
 	Shard int32
 }
@@ -1631,6 +1678,11 @@ func (x *clusterCensusResult) Read(p thrift.TProtocol) error {
 		}
 	}
 	return p.ReadStructEnd()
+}
+
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *clusterCensusResult) Outcome() (set bool, exc error) {
+	return x.SuccessSet, nil
 }
 
 type clusterPrepareArgs struct {
@@ -1796,6 +1848,14 @@ func (x *clusterPrepareResult) Read(p thrift.TProtocol) error {
 	return p.ReadStructEnd()
 }
 
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *clusterPrepareResult) Outcome() (set bool, exc error) {
+	if x.Stale != nil {
+		return false, x.Stale
+	}
+	return x.SuccessSet, nil
+}
+
 type clusterPullArgs struct {
 	Shard int32
 }
@@ -1908,6 +1968,11 @@ func (x *clusterPullResult) Read(p thrift.TProtocol) error {
 		}
 	}
 	return p.ReadStructEnd()
+}
+
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *clusterPullResult) Outcome() (set bool, exc error) {
+	return x.SuccessSet, nil
 }
 
 type clusterInstallArgs struct {
@@ -2128,6 +2193,17 @@ func (x *clusterInstallResult) Read(p thrift.TProtocol) error {
 	return p.ReadStructEnd()
 }
 
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *clusterInstallResult) Outcome() (set bool, exc error) {
+	if x.Stale != nil {
+		return false, x.Stale
+	}
+	if x.Fenced != nil {
+		return false, x.Fenced
+	}
+	return true, nil
+}
+
 // ClusterHandler is the application-side interface for service Cluster.
 type ClusterHandler interface {
 	ShardMap(p *sim.Proc) (Routes, error)
@@ -2140,678 +2216,232 @@ type ClusterHandler interface {
 	Install(p *sim.Proc, shard_ int32, epoch_ int64, primary_ int32, seq_ int64, pairs_ []*Pair) error
 }
 
-// ClusterClient is the generated typed client for service Cluster. It carries one
-// call at a time: a request is serialized into the transport's one staging
-// buffer and every call re-arms the same codec state, so calls on one
-// client must not overlap — give each calling process its own client.
-// Arguments are lent for the call; binary results are the caller's, the
-// values of one reply sharing one allocation.
+// ClusterClient is the generated typed client for service Cluster. Like the
+// trdma.Client it calls through, it carries one call at a time: give each
+// calling process its own client. Arguments are lent for the call;
+// binary results are the caller's, the values of one reply sharing one
+// allocation.
 type ClusterClient struct {
-	T   trdma.Transport
-	seq int32
-	cd  *thrift.Codec
+	trdma.Client
+	shardMapArgs    clusterShardMapArgs
+	shardMapResult  clusterShardMapResult
+	putArgs         clusterPutArgs
+	putResult       clusterPutResult
+	getArgs         clusterGetArgs
+	getResult       clusterGetResult
+	replicateArgs   clusterReplicateArgs
+	replicateResult clusterReplicateResult
+	censusArgs      clusterCensusArgs
+	censusResult    clusterCensusResult
+	prepareArgs     clusterPrepareArgs
+	prepareResult   clusterPrepareResult
+	pullArgs        clusterPullArgs
+	pullResult      clusterPullResult
+	installArgs     clusterInstallArgs
+	installResult   clusterInstallResult
 }
 
 // NewClusterClient wraps a transport in the typed client.
 func NewClusterClient(t trdma.Transport) *ClusterClient {
-	return &ClusterClient{T: t, cd: thrift.NewCodec()}
+	return &ClusterClient{Client: trdma.NewClient(t)}
 }
 
 // ShardMap invokes Cluster.ShardMap.
 func (c *ClusterClient) ShardMap(p *sim.Proc) (Routes, error) {
-	var zero Routes
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("ShardMap", thrift.CALL, c.seq); err != nil {
-		return zero, err
+	c.shardMapArgs, c.shardMapResult = clusterShardMapArgs{}, clusterShardMapResult{}
+	if err := c.Client.Call(p, "ShardMap", &c.shardMapArgs, &c.shardMapResult); err != nil {
+		return Routes{}, err
 	}
-	args := clusterShardMapArgs{}
-	if err := args.Write(w); err != nil {
-		return zero, err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return zero, err
-	}
-	respBytes, err := c.T.Invoke(p, "ShardMap", c.cd.Encoded(), false)
-	if err != nil {
-		return zero, err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return zero, err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return zero, err
-		}
-		return zero, &ex
-	}
-	if seq != c.seq {
-		return zero, thrift.NewApplicationException(thrift.ExcBadSequenceID, "ShardMap reply out of sequence")
-	}
-	var result clusterShardMapResult
-	if err := result.Read(r); err != nil {
-		return zero, err
-	}
-	if !result.SuccessSet {
-		return zero, thrift.NewApplicationException(thrift.ExcMissingResult, "ShardMap returned no result")
-	}
-	return result.Success, nil
+	return c.shardMapResult.Success, nil
 }
 
 // Put invokes Cluster.Put.
 func (c *ClusterClient) Put(p *sim.Proc, shard_ int32, epoch_ int64, key_ []byte, value_ []byte) error {
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("Put", thrift.CALL, c.seq); err != nil {
-		return err
-	}
-	args := clusterPutArgs{Shard: shard_, Epoch: epoch_, Key: key_, Value: value_}
-	if err := args.Write(w); err != nil {
-		return err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return err
-	}
-	respBytes, err := c.T.Invoke(p, "Put", c.cd.Encoded(), false)
-	if err != nil {
-		return err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return err
-		}
-		return &ex
-	}
-	if seq != c.seq {
-		return thrift.NewApplicationException(thrift.ExcBadSequenceID, "Put reply out of sequence")
-	}
-	var result clusterPutResult
-	if err := result.Read(r); err != nil {
-		return err
-	}
-	if result.Stale != nil {
-		return result.Stale
-	}
-	if result.Fenced != nil {
-		return result.Fenced
-	}
-	if result.NotQuorum != nil {
-		return result.NotQuorum
-	}
-	return nil
+	c.putArgs, c.putResult = clusterPutArgs{Shard: shard_, Epoch: epoch_, Key: key_, Value: value_}, clusterPutResult{}
+	return c.Client.Call(p, "Put", &c.putArgs, &c.putResult)
 }
 
 // Get invokes Cluster.Get.
 func (c *ClusterClient) Get(p *sim.Proc, shard_ int32, epoch_ int64, key_ []byte) ([]byte, error) {
-	var zero []byte
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("Get", thrift.CALL, c.seq); err != nil {
-		return zero, err
+	c.getArgs, c.getResult = clusterGetArgs{Shard: shard_, Epoch: epoch_, Key: key_}, clusterGetResult{}
+	if err := c.Client.Call(p, "Get", &c.getArgs, &c.getResult); err != nil {
+		return nil, err
 	}
-	args := clusterGetArgs{Shard: shard_, Epoch: epoch_, Key: key_}
-	if err := args.Write(w); err != nil {
-		return zero, err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return zero, err
-	}
-	respBytes, err := c.T.Invoke(p, "Get", c.cd.Encoded(), false)
-	if err != nil {
-		return zero, err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return zero, err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return zero, err
-		}
-		return zero, &ex
-	}
-	if seq != c.seq {
-		return zero, thrift.NewApplicationException(thrift.ExcBadSequenceID, "Get reply out of sequence")
-	}
-	var result clusterGetResult
-	if err := result.Read(r); err != nil {
-		return zero, err
-	}
-	if result.Stale != nil {
-		return zero, result.Stale
-	}
-	if result.Fenced != nil {
-		return zero, result.Fenced
-	}
-	if result.NotFound != nil {
-		return zero, result.NotFound
-	}
-	if !result.SuccessSet {
-		return zero, thrift.NewApplicationException(thrift.ExcMissingResult, "Get returned no result")
-	}
-	return result.Success, nil
+	return c.getResult.Success, nil
 }
 
 // Replicate invokes Cluster.Replicate.
 func (c *ClusterClient) Replicate(p *sim.Proc, shard_ int32, epoch_ int64, primary_ int32, seq_ int64, key_ []byte, value_ []byte) error {
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("Replicate", thrift.CALL, c.seq); err != nil {
-		return err
-	}
-	args := clusterReplicateArgs{Shard: shard_, Epoch: epoch_, Primary: primary_, Seq: seq_, Key: key_, Value: value_}
-	if err := args.Write(w); err != nil {
-		return err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return err
-	}
-	respBytes, err := c.T.Invoke(p, "Replicate", c.cd.Encoded(), false)
-	if err != nil {
-		return err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return err
-		}
-		return &ex
-	}
-	if seq != c.seq {
-		return thrift.NewApplicationException(thrift.ExcBadSequenceID, "Replicate reply out of sequence")
-	}
-	var result clusterReplicateResult
-	if err := result.Read(r); err != nil {
-		return err
-	}
-	if result.Stale != nil {
-		return result.Stale
-	}
-	if result.Fenced != nil {
-		return result.Fenced
-	}
-	if result.NeedSync != nil {
-		return result.NeedSync
-	}
-	return nil
+	c.replicateArgs, c.replicateResult = clusterReplicateArgs{Shard: shard_, Epoch: epoch_, Primary: primary_, Seq: seq_, Key: key_, Value: value_}, clusterReplicateResult{}
+	return c.Client.Call(p, "Replicate", &c.replicateArgs, &c.replicateResult)
 }
 
 // Census invokes Cluster.Census.
 func (c *ClusterClient) Census(p *sim.Proc, shard_ int32) (ShardStatus, error) {
-	var zero ShardStatus
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("Census", thrift.CALL, c.seq); err != nil {
-		return zero, err
+	c.censusArgs, c.censusResult = clusterCensusArgs{Shard: shard_}, clusterCensusResult{}
+	if err := c.Client.Call(p, "Census", &c.censusArgs, &c.censusResult); err != nil {
+		return ShardStatus{}, err
 	}
-	args := clusterCensusArgs{Shard: shard_}
-	if err := args.Write(w); err != nil {
-		return zero, err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return zero, err
-	}
-	respBytes, err := c.T.Invoke(p, "Census", c.cd.Encoded(), false)
-	if err != nil {
-		return zero, err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return zero, err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return zero, err
-		}
-		return zero, &ex
-	}
-	if seq != c.seq {
-		return zero, thrift.NewApplicationException(thrift.ExcBadSequenceID, "Census reply out of sequence")
-	}
-	var result clusterCensusResult
-	if err := result.Read(r); err != nil {
-		return zero, err
-	}
-	if !result.SuccessSet {
-		return zero, thrift.NewApplicationException(thrift.ExcMissingResult, "Census returned no result")
-	}
-	return result.Success, nil
+	return c.censusResult.Success, nil
 }
 
 // Prepare invokes Cluster.Prepare.
 func (c *ClusterClient) Prepare(p *sim.Proc, shard_ int32, epoch_ int64, reelect_ bool) (ShardStatus, error) {
-	var zero ShardStatus
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("Prepare", thrift.CALL, c.seq); err != nil {
-		return zero, err
+	c.prepareArgs, c.prepareResult = clusterPrepareArgs{Shard: shard_, Epoch: epoch_, Reelect: reelect_}, clusterPrepareResult{}
+	if err := c.Client.Call(p, "Prepare", &c.prepareArgs, &c.prepareResult); err != nil {
+		return ShardStatus{}, err
 	}
-	args := clusterPrepareArgs{Shard: shard_, Epoch: epoch_, Reelect: reelect_}
-	if err := args.Write(w); err != nil {
-		return zero, err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return zero, err
-	}
-	respBytes, err := c.T.Invoke(p, "Prepare", c.cd.Encoded(), false)
-	if err != nil {
-		return zero, err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return zero, err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return zero, err
-		}
-		return zero, &ex
-	}
-	if seq != c.seq {
-		return zero, thrift.NewApplicationException(thrift.ExcBadSequenceID, "Prepare reply out of sequence")
-	}
-	var result clusterPrepareResult
-	if err := result.Read(r); err != nil {
-		return zero, err
-	}
-	if result.Stale != nil {
-		return zero, result.Stale
-	}
-	if !result.SuccessSet {
-		return zero, thrift.NewApplicationException(thrift.ExcMissingResult, "Prepare returned no result")
-	}
-	return result.Success, nil
+	return c.prepareResult.Success, nil
 }
 
 // Pull invokes Cluster.Pull.
 func (c *ClusterClient) Pull(p *sim.Proc, shard_ int32) (Snapshot, error) {
-	var zero Snapshot
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("Pull", thrift.CALL, c.seq); err != nil {
-		return zero, err
+	c.pullArgs, c.pullResult = clusterPullArgs{Shard: shard_}, clusterPullResult{}
+	if err := c.Client.Call(p, "Pull", &c.pullArgs, &c.pullResult); err != nil {
+		return Snapshot{}, err
 	}
-	args := clusterPullArgs{Shard: shard_}
-	if err := args.Write(w); err != nil {
-		return zero, err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return zero, err
-	}
-	respBytes, err := c.T.Invoke(p, "Pull", c.cd.Encoded(), false)
-	if err != nil {
-		return zero, err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return zero, err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return zero, err
-		}
-		return zero, &ex
-	}
-	if seq != c.seq {
-		return zero, thrift.NewApplicationException(thrift.ExcBadSequenceID, "Pull reply out of sequence")
-	}
-	var result clusterPullResult
-	if err := result.Read(r); err != nil {
-		return zero, err
-	}
-	if !result.SuccessSet {
-		return zero, thrift.NewApplicationException(thrift.ExcMissingResult, "Pull returned no result")
-	}
-	return result.Success, nil
+	return c.pullResult.Success, nil
 }
 
 // Install invokes Cluster.Install.
 func (c *ClusterClient) Install(p *sim.Proc, shard_ int32, epoch_ int64, primary_ int32, seq_ int64, pairs_ []*Pair) error {
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("Install", thrift.CALL, c.seq); err != nil {
-		return err
-	}
-	args := clusterInstallArgs{Shard: shard_, Epoch: epoch_, Primary: primary_, Seq: seq_, Pairs: pairs_}
-	if err := args.Write(w); err != nil {
-		return err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return err
-	}
-	respBytes, err := c.T.Invoke(p, "Install", c.cd.Encoded(), false)
-	if err != nil {
-		return err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return err
-		}
-		return &ex
-	}
-	if seq != c.seq {
-		return thrift.NewApplicationException(thrift.ExcBadSequenceID, "Install reply out of sequence")
-	}
-	var result clusterInstallResult
-	if err := result.Read(r); err != nil {
-		return err
-	}
-	if result.Stale != nil {
-		return result.Stale
-	}
-	if result.Fenced != nil {
-		return result.Fenced
-	}
-	return nil
+	c.installArgs, c.installResult = clusterInstallArgs{Shard: shard_, Epoch: epoch_, Primary: primary_, Seq: seq_, Pairs: pairs_}, clusterInstallResult{}
+	return c.Client.Call(p, "Install", &c.installArgs, &c.installResult)
 }
 
-// ClusterProcessor dispatches framed requests to a handler. Handlers yield, so
-// several requests may be in flight: each takes its codec state from a
-// free list for as long as it runs.
+// clusterState is what a request of ClusterProcessor in flight keeps: its result.
+type clusterState struct {
+	shardMapResult  clusterShardMapResult
+	putResult       clusterPutResult
+	getResult       clusterGetResult
+	replicateResult clusterReplicateResult
+	censusResult    clusterCensusResult
+	prepareResult   clusterPrepareResult
+	pullResult      clusterPullResult
+	installResult   clusterInstallResult
+}
+
+// ClusterProcessor serves its handler through a trdma.Table, one row per
+// function.
 type ClusterProcessor struct {
-	h      ClusterHandler
-	codecs thrift.CodecPool
+	t trdma.Table[clusterState]
 }
 
 // NewClusterProcessor wraps a handler.
 func NewClusterProcessor(h ClusterHandler) *ClusterProcessor {
-	return &ClusterProcessor{h: h}
+	return &ClusterProcessor{trdma.NewTable([]trdma.Fn[clusterState]{
+		{Name: "ShardMap", Invoke: func(p *sim.Proc, s *clusterState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a clusterShardMapArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			ret, err := h.ShardMap(p)
+			s.shardMapResult = clusterShardMapResult{Success: ret, SuccessSet: err == nil}
+			return &s.shardMapResult, err
+		}},
+		{Name: "Put", Invoke: func(p *sim.Proc, s *clusterState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a clusterPutArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			err := h.Put(p, a.Shard, a.Epoch, a.Key, a.Value)
+			s.putResult = clusterPutResult{}
+			switch e := err.(type) {
+			case *Stale:
+				s.putResult.Stale, err = e, nil
+			case *Fenced:
+				s.putResult.Fenced, err = e, nil
+			case *NotQuorum:
+				s.putResult.NotQuorum, err = e, nil
+			}
+			return &s.putResult, err
+		}},
+		{Name: "Get", Invoke: func(p *sim.Proc, s *clusterState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a clusterGetArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			ret, err := h.Get(p, a.Shard, a.Epoch, a.Key)
+			s.getResult = clusterGetResult{Success: ret, SuccessSet: err == nil}
+			switch e := err.(type) {
+			case *Stale:
+				s.getResult.Stale, err = e, nil
+			case *Fenced:
+				s.getResult.Fenced, err = e, nil
+			case *NotFound:
+				s.getResult.NotFound, err = e, nil
+			}
+			return &s.getResult, err
+		}},
+		{Name: "Replicate", Invoke: func(p *sim.Proc, s *clusterState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a clusterReplicateArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			err := h.Replicate(p, a.Shard, a.Epoch, a.Primary, a.Seq, a.Key, a.Value)
+			s.replicateResult = clusterReplicateResult{}
+			switch e := err.(type) {
+			case *Stale:
+				s.replicateResult.Stale, err = e, nil
+			case *Fenced:
+				s.replicateResult.Fenced, err = e, nil
+			case *NeedSync:
+				s.replicateResult.NeedSync, err = e, nil
+			}
+			return &s.replicateResult, err
+		}},
+		{Name: "Census", Invoke: func(p *sim.Proc, s *clusterState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a clusterCensusArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			ret, err := h.Census(p, a.Shard)
+			s.censusResult = clusterCensusResult{Success: ret, SuccessSet: err == nil}
+			return &s.censusResult, err
+		}},
+		{Name: "Prepare", Invoke: func(p *sim.Proc, s *clusterState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a clusterPrepareArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			ret, err := h.Prepare(p, a.Shard, a.Epoch, a.Reelect)
+			s.prepareResult = clusterPrepareResult{Success: ret, SuccessSet: err == nil}
+			switch e := err.(type) {
+			case *Stale:
+				s.prepareResult.Stale, err = e, nil
+			}
+			return &s.prepareResult, err
+		}},
+		{Name: "Pull", Invoke: func(p *sim.Proc, s *clusterState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a clusterPullArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			ret, err := h.Pull(p, a.Shard)
+			s.pullResult = clusterPullResult{Success: ret, SuccessSet: err == nil}
+			return &s.pullResult, err
+		}},
+		{Name: "Install", Invoke: func(p *sim.Proc, s *clusterState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a clusterInstallArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			err := h.Install(p, a.Shard, a.Epoch, a.Primary, a.Seq, a.Pairs)
+			s.installResult = clusterInstallResult{}
+			switch e := err.(type) {
+			case *Stale:
+				s.installResult.Stale, err = e, nil
+			case *Fenced:
+				s.installResult.Fenced, err = e, nil
+			}
+			return &s.installResult, err
+		}},
+	})}
 }
 
-// ProcessBytes decodes one request, invokes the handler, and returns
-// the framed response (nil for oneway). It dispatches on fnID; a request
-// that came without one (id 0: IPoIB) is matched by the name it carries,
-// compared where it lies in the request.
+// ProcessBytes serves one request (trdma.Table.Serve).
 func (pr *ClusterProcessor) ProcessBytes(p *sim.Proc, fnID uint32, req []byte) []byte {
-	cd := pr.codecs.Get()
-	defer pr.codecs.Put(cd)
-	r := cd.DecodeRequest(req)
-	name, _, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return clusterEncodeException(string(name), seq, thrift.ExcProtocolError, err.Error())
-	}
-	if fnID == 0 {
-		switch string(name) {
-		case "ShardMap":
-			fnID = 1
-		case "Put":
-			fnID = 2
-		case "Get":
-			fnID = 3
-		case "Replicate":
-			fnID = 4
-		case "Census":
-			fnID = 5
-		case "Prepare":
-			fnID = 6
-		case "Pull":
-			fnID = 7
-		case "Install":
-			fnID = 8
-		}
-	}
-	switch fnID {
-	case 1:
-		return pr.handleShardMap(p, cd, r, seq)
-	case 2:
-		return pr.handlePut(p, cd, r, seq)
-	case 3:
-		return pr.handleGet(p, cd, r, seq)
-	case 4:
-		return pr.handleReplicate(p, cd, r, seq)
-	case 5:
-		return pr.handleCensus(p, cd, r, seq)
-	case 6:
-		return pr.handlePrepare(p, cd, r, seq)
-	case 7:
-		return pr.handlePull(p, cd, r, seq)
-	case 8:
-		return pr.handleInstall(p, cd, r, seq)
-	}
-	return clusterEncodeException(string(name), seq, thrift.ExcUnknownMethod, "unknown method "+string(name))
-}
-
-func clusterEncodeException(name string, seq int32, code thrift.ApplicationExceptionType, msg string) []byte {
-	buf := thrift.NewTMemoryBuffer()
-	w := thrift.NewTBinaryProtocol(buf)
-	w.WriteMessageBegin(name, thrift.EXCEPTION, seq)
-	thrift.NewApplicationException(code, msg).Write(w)
-	w.WriteMessageEnd()
-	return buf.Bytes()
-}
-
-func (pr *ClusterProcessor) handleShardMap(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args clusterShardMapArgs
-	if err := args.Read(r); err != nil {
-		return clusterEncodeException("ShardMap", seq, thrift.ExcProtocolError, err.Error())
-	}
-	ret, err := pr.h.ShardMap(p)
-	var result clusterShardMapResult
-	if err != nil {
-		return clusterEncodeException("ShardMap", seq, thrift.ExcInternalError, err.Error())
-	} else {
-		result.Success = ret
-		result.SuccessSet = true
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("ShardMap", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return clusterEncodeException("ShardMap", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
-}
-
-func (pr *ClusterProcessor) handlePut(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args clusterPutArgs
-	if err := args.Read(r); err != nil {
-		return clusterEncodeException("Put", seq, thrift.ExcProtocolError, err.Error())
-	}
-	err := pr.h.Put(p, args.Shard, args.Epoch, args.Key, args.Value)
-	var result clusterPutResult
-	if err != nil {
-		switch e := err.(type) {
-		case *Stale:
-			result.Stale = e
-		case *Fenced:
-			result.Fenced = e
-		case *NotQuorum:
-			result.NotQuorum = e
-		default:
-			return clusterEncodeException("Put", seq, thrift.ExcInternalError, err.Error())
-		}
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("Put", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return clusterEncodeException("Put", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
-}
-
-func (pr *ClusterProcessor) handleGet(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args clusterGetArgs
-	if err := args.Read(r); err != nil {
-		return clusterEncodeException("Get", seq, thrift.ExcProtocolError, err.Error())
-	}
-	ret, err := pr.h.Get(p, args.Shard, args.Epoch, args.Key)
-	var result clusterGetResult
-	if err != nil {
-		switch e := err.(type) {
-		case *Stale:
-			result.Stale = e
-		case *Fenced:
-			result.Fenced = e
-		case *NotFound:
-			result.NotFound = e
-		default:
-			return clusterEncodeException("Get", seq, thrift.ExcInternalError, err.Error())
-		}
-	} else {
-		result.Success = ret
-		result.SuccessSet = true
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("Get", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return clusterEncodeException("Get", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
-}
-
-func (pr *ClusterProcessor) handleReplicate(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args clusterReplicateArgs
-	if err := args.Read(r); err != nil {
-		return clusterEncodeException("Replicate", seq, thrift.ExcProtocolError, err.Error())
-	}
-	err := pr.h.Replicate(p, args.Shard, args.Epoch, args.Primary, args.Seq, args.Key, args.Value)
-	var result clusterReplicateResult
-	if err != nil {
-		switch e := err.(type) {
-		case *Stale:
-			result.Stale = e
-		case *Fenced:
-			result.Fenced = e
-		case *NeedSync:
-			result.NeedSync = e
-		default:
-			return clusterEncodeException("Replicate", seq, thrift.ExcInternalError, err.Error())
-		}
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("Replicate", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return clusterEncodeException("Replicate", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
-}
-
-func (pr *ClusterProcessor) handleCensus(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args clusterCensusArgs
-	if err := args.Read(r); err != nil {
-		return clusterEncodeException("Census", seq, thrift.ExcProtocolError, err.Error())
-	}
-	ret, err := pr.h.Census(p, args.Shard)
-	var result clusterCensusResult
-	if err != nil {
-		return clusterEncodeException("Census", seq, thrift.ExcInternalError, err.Error())
-	} else {
-		result.Success = ret
-		result.SuccessSet = true
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("Census", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return clusterEncodeException("Census", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
-}
-
-func (pr *ClusterProcessor) handlePrepare(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args clusterPrepareArgs
-	if err := args.Read(r); err != nil {
-		return clusterEncodeException("Prepare", seq, thrift.ExcProtocolError, err.Error())
-	}
-	ret, err := pr.h.Prepare(p, args.Shard, args.Epoch, args.Reelect)
-	var result clusterPrepareResult
-	if err != nil {
-		switch e := err.(type) {
-		case *Stale:
-			result.Stale = e
-		default:
-			return clusterEncodeException("Prepare", seq, thrift.ExcInternalError, err.Error())
-		}
-	} else {
-		result.Success = ret
-		result.SuccessSet = true
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("Prepare", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return clusterEncodeException("Prepare", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
-}
-
-func (pr *ClusterProcessor) handlePull(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args clusterPullArgs
-	if err := args.Read(r); err != nil {
-		return clusterEncodeException("Pull", seq, thrift.ExcProtocolError, err.Error())
-	}
-	ret, err := pr.h.Pull(p, args.Shard)
-	var result clusterPullResult
-	if err != nil {
-		return clusterEncodeException("Pull", seq, thrift.ExcInternalError, err.Error())
-	} else {
-		result.Success = ret
-		result.SuccessSet = true
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("Pull", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return clusterEncodeException("Pull", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
-}
-
-func (pr *ClusterProcessor) handleInstall(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args clusterInstallArgs
-	if err := args.Read(r); err != nil {
-		return clusterEncodeException("Install", seq, thrift.ExcProtocolError, err.Error())
-	}
-	err := pr.h.Install(p, args.Shard, args.Epoch, args.Primary, args.Seq, args.Pairs)
-	var result clusterInstallResult
-	if err != nil {
-		switch e := err.(type) {
-		case *Stale:
-			result.Stale = e
-		case *Fenced:
-			result.Fenced = e
-		default:
-			return clusterEncodeException("Install", seq, thrift.ExcInternalError, err.Error())
-		}
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("Install", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return clusterEncodeException("Install", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
+	return pr.t.Serve(p, fnID, req)
 }
 
 // ClusterHints is the hierarchical hint table for service Cluster (Fig. 1).

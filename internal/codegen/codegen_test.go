@@ -93,6 +93,19 @@ func TestGeneratedSymbols(t *testing.T) {
 	}
 }
 
+// TestFramingLivesOnce: the message framing, the seq check and the
+// application exceptions live in trdma's Call and Serve, so no generated
+// stub writes a message header, reads one, checks a seq or encodes an
+// exception of its own.
+func TestFramingLivesOnce(t *testing.T) {
+	code := generate(t)
+	for _, sym := range []string{"WriteMessageBegin", "ReadMessageHeader", "ExcBadSequenceID", "EncodeException", "TApplicationException"} {
+		if strings.Contains(code, sym) {
+			t.Errorf("generated code contains %q", sym)
+		}
+	}
+}
+
 func TestGeneratedHintTableStructure(t *testing.T) {
 	code := generate(t)
 	// Function-level hints must live in the Functions map, not the

@@ -45,14 +45,17 @@ func (g *gen) genArgsStruct(svc *idl.Service, fn *idl.Function) {
 }
 
 // genResultStruct emits the internal result carrier: field 0 success (if
-// non-void) plus the declared throws fields, each written only when set.
+// non-void) plus the declared throws fields, each written only when set,
+// and its Outcome (trdma.Result).
 func (g *gen) genResultStruct(svc *idl.Service, fn *idl.Function) {
 	s := &idl.Struct{Name: resultStructName(svc, fn)}
 	g.pf("type %s struct {\n", s.Name)
+	set := "true"
 	if fn.Returns != nil {
 		s.Fields = append(s.Fields, &idl.Field{ID: 0, Name: "success", Type: fn.Returns})
 		g.pf("\tSuccess %s\n", retType(fn.Returns))
 		g.pf("\tSuccessSet bool\n")
+		set = "x.SuccessSet"
 	}
 	for _, th := range fn.Throws {
 		s.Fields = append(s.Fields, th)
@@ -61,6 +64,12 @@ func (g *gen) genResultStruct(svc *idl.Service, fn *idl.Function) {
 	g.pf("}\n\n")
 	g.genStructWrite(s, true)
 	g.genStructRead(s, true)
+	g.pf("// Outcome reports what the decoded reply carried (trdma.Result).\n")
+	g.pf("func (x *%s) Outcome() (set bool, exc error) {\n", s.Name)
+	for _, th := range fn.Throws {
+		g.pf("\tif x.%s != nil {\n\t\treturn false, x.%s\n\t}\n", goName(th.Name), goName(th.Name))
+	}
+	g.pf("\treturn %s, nil\n}\n\n", set)
 }
 
 // genPlainStruct emits a non-exported struct with Write/Read (args
@@ -101,170 +110,127 @@ func (g *gen) genHandlerInterface(svc *idl.Service) {
 	g.pf("}\n\n")
 }
 
+// zeroValue is the Go literal of a function result's zero value.
+func zeroValue(t *idl.Type) string {
+	switch t.Kind {
+	case idl.TypeBool:
+		return "false"
+	case idl.TypeI32, idl.TypeI64:
+		return "0"
+	case idl.TypeString:
+		return `""`
+	case idl.TypeNamed:
+		return t.Name + "{}"
+	}
+	return "nil"
+}
+
+// genClient emits the typed client: each method fills the args and result
+// structs the client keeps for its function and makes the call through
+// trdma.Client.Call.
 func (g *gen) genClient(svc *idl.Service) {
 	cn := svc.Name + "Client"
-	g.pf("// %s is the generated typed client for service %s. It carries one\n", cn, svc.Name)
-	g.pf("// call at a time: a request is serialized into the transport's one staging\n")
-	g.pf("// buffer and every call re-arms the same codec state, so calls on one\n")
-	g.pf("// client must not overlap — give each calling process its own client.\n")
-	g.pf("// Arguments are lent for the call; binary results are the caller's, the\n")
-	g.pf("// values of one reply sharing one allocation.\n")
-	g.pf("type %s struct {\n\tT trdma.Transport\n\tseq int32\n\tcd *thrift.Codec\n}\n\n", cn)
+	g.pf("// %s is the generated typed client for service %s. Like the\n", cn, svc.Name)
+	g.pf("// trdma.Client it calls through, it carries one call at a time: give each\n")
+	g.pf("// calling process its own client. Arguments are lent for the call;\n")
+	g.pf("// binary results are the caller's, the values of one reply sharing one\n")
+	g.pf("// allocation.\n")
+	g.pf("type %s struct {\n\ttrdma.Client\n", cn)
+	for _, fn := range svc.Functions {
+		g.pf("\t%sArgs %s\n", lowerFirst(fn.Name), argsStructName(svc, fn))
+		if !fn.Oneway {
+			g.pf("\t%sResult %s\n", lowerFirst(fn.Name), resultStructName(svc, fn))
+		}
+	}
+	g.pf("}\n\n")
 	g.pf("// New%s wraps a transport in the typed client.\n", cn)
-	g.pf("func New%s(t trdma.Transport) *%s {\n\treturn &%s{T: t, cd: thrift.NewCodec()}\n}\n\n", cn, cn, cn)
+	g.pf("func New%s(t trdma.Transport) *%s {\n\treturn &%s{Client: trdma.NewClient(t)}\n}\n\n", cn, cn, cn)
 
 	for _, fn := range svc.Functions {
-		gn := goName(fn.Name)
+		gn, f := goName(fn.Name), lowerFirst(fn.Name)
 		g.pf("// %s invokes %s.%s.\n", gn, svc.Name, fn.Name)
 		g.pf("func (c *%s) %s(%s) %s {\n", cn, gn, g.fnParams(fn), g.fnReturns(fn))
-
-		zero := ""
-		retErr := func(errExpr string) string {
-			if fn.Oneway || fn.Returns == nil {
-				return "return " + errExpr
-			}
-			return fmt.Sprintf("return %s, %s", zero, errExpr)
-		}
-		if fn.Returns != nil {
-			g.pf("\tvar zero %s\n", retType(fn.Returns))
-			zero = "zero"
-		}
-		msgType := "thrift.CALL"
-		if fn.Oneway {
-			msgType = "thrift.ONEWAY"
-		}
-		g.pf("\tc.seq++\n")
-		g.pf("\tw := c.cd.Encode(c.T.Stage())\n")
-		g.pf("\tif err := w.WriteMessageBegin(%q, %s, c.seq); err != nil {\n\t\t%s\n\t}\n", fn.Name, msgType, retErr("err"))
-		g.pf("\targs := %s{", argsStructName(svc, fn))
+		args := make([]string, len(fn.Args))
 		for i, a := range fn.Args {
-			if i > 0 {
-				g.pf(", ")
-			}
-			g.pf("%s: %s", goName(a.Name), lowerFirst(a.Name)+"_")
+			args[i] = fmt.Sprintf("%s: %s", goName(a.Name), lowerFirst(a.Name)+"_")
 		}
-		g.pf("}\n")
-		g.pf("\tif err := args.Write(w); err != nil {\n\t\t%s\n\t}\n", retErr("err"))
-		g.pf("\tif err := w.WriteMessageEnd(); err != nil {\n\t\t%s\n\t}\n", retErr("err"))
+		lit := fmt.Sprintf("%s{%s}", argsStructName(svc, fn), strings.Join(args, ", "))
+		result := "nil"
 		if fn.Oneway {
-			g.pf("\t_, err := c.T.Invoke(p, %q, c.cd.Encoded(), true)\n", fn.Name)
-			g.pf("\treturn err\n}\n\n")
+			g.pf("\tc.%sArgs = %s\n", f, lit)
+		} else {
+			g.pf("\tc.%sArgs, c.%sResult = %s, %s{}\n", f, f, lit, resultStructName(svc, fn))
+			result = "&c." + f + "Result"
+		}
+		call := fmt.Sprintf("c.Client.Call(p, %q, &c.%sArgs, %s)", fn.Name, f, result)
+		if fn.Returns == nil {
+			g.pf("\treturn %s\n}\n\n", call)
 			continue
 		}
-		g.pf("\trespBytes, err := c.T.Invoke(p, %q, c.cd.Encoded(), false)\n", fn.Name)
-		g.pf("\tif err != nil {\n\t\t%s\n\t}\n", retErr("err"))
-		g.pf("\tr := c.cd.DecodeReply(respBytes)\n")
-		g.pf("\t_, mt, seq, err := r.ReadMessageHeader()\n")
-		g.pf("\tif err != nil {\n\t\t%s\n\t}\n", retErr("err"))
-		g.pf("\tif mt == thrift.EXCEPTION {\n")
-		g.pf("\t\tvar ex thrift.TApplicationException\n")
-		g.pf("\t\tif err := ex.Read(r); err != nil {\n\t\t\t%s\n\t\t}\n", retErr("err"))
-		g.pf("\t\t%s\n\t}\n", retErr("&ex"))
-		g.pf("\tif seq != c.seq {\n\t\t%s\n\t}\n",
-			retErr(fmt.Sprintf("thrift.NewApplicationException(thrift.ExcBadSequenceID, %q)", fn.Name+" reply out of sequence")))
-		g.pf("\tvar result %s\n", resultStructName(svc, fn))
-		g.pf("\tif err := result.Read(r); err != nil {\n\t\t%s\n\t}\n", retErr("err"))
-		for _, th := range fn.Throws {
-			g.pf("\tif result.%s != nil {\n\t\t%s\n\t}\n", goName(th.Name), retErr("result."+goName(th.Name)))
-		}
-		if fn.Returns != nil {
-			g.pf("\tif !result.SuccessSet {\n\t\treturn zero, thrift.NewApplicationException(thrift.ExcMissingResult, %q)\n\t}\n", fn.Name+" returned no result")
-			g.pf("\treturn result.Success, nil\n}\n\n")
-		} else {
-			g.pf("\treturn nil\n}\n\n")
-		}
+		g.pf("\tif err := %s; err != nil {\n\t\treturn %s, err\n\t}\n", call, zeroValue(fn.Returns))
+		g.pf("\treturn c.%sResult.Success, nil\n}\n\n", f)
 	}
 }
 
+// genProcessor emits the processor: a trdma.Table with one row per
+// function, and the state a request in flight keeps, a result for every
+// function. Args stay in the invoker's frame: nothing boxes them.
 func (g *gen) genProcessor(svc *idl.Service) {
-	pn := svc.Name + "Processor"
-	exc := lowerFirst(svc.Name) + "EncodeException"
-	g.pf("// %s dispatches framed requests to a handler. Handlers yield, so\n", pn)
-	g.pf("// several requests may be in flight: each takes its codec state from a\n")
-	g.pf("// free list for as long as it runs.\n")
-	g.pf("type %s struct {\n\th %sHandler\n\tcodecs thrift.CodecPool\n}\n\n", pn, svc.Name)
-	g.pf("// New%s wraps a handler.\nfunc New%s(h %sHandler) *%s {\n\treturn &%s{h: h}\n}\n\n", pn, pn, svc.Name, pn, pn)
-
-	g.pf("// ProcessBytes decodes one request, invokes the handler, and returns\n")
-	g.pf("// the framed response (nil for oneway). It dispatches on fnID; a request\n")
-	g.pf("// that came without one (id 0: IPoIB) is matched by the name it carries,\n")
-	g.pf("// compared where it lies in the request.\n")
-	g.pf("func (pr *%s) ProcessBytes(p *sim.Proc, fnID uint32, req []byte) []byte {\n", pn)
-	g.pf("\tcd := pr.codecs.Get()\n")
-	g.pf("\tdefer pr.codecs.Put(cd)\n")
-	g.pf("\tr := cd.DecodeRequest(req)\n")
-	g.pf("\tname, _, seq, err := r.ReadMessageHeader()\n")
-	g.pf("\tif err != nil {\n\t\treturn %s(string(name), seq, thrift.ExcProtocolError, err.Error())\n\t}\n", exc)
-	g.pf("\tif fnID == 0 {\n")
-	g.pf("\t\tswitch string(name) {\n")
-	for i, fn := range svc.Functions {
-		g.pf("\t\tcase %q:\n\t\t\tfnID = %d\n", fn.Name, i+1)
-	}
-	g.pf("\t\t}\n\t}\n")
-	g.pf("\tswitch fnID {\n")
-	for i, fn := range svc.Functions {
-		g.pf("\tcase %d:\n", i+1)
-		g.pf("\t\treturn pr.handle%s(p, cd, r, seq)\n", goName(fn.Name))
-	}
-	g.pf("\t}\n")
-	g.pf("\treturn %s(string(name), seq, thrift.ExcUnknownMethod, \"unknown method \"+string(name))\n", exc)
-	g.pf("}\n\n")
-
-	// Shared exception encoder.
-	g.pf("func %s(name string, seq int32, code thrift.ApplicationExceptionType, msg string) []byte {\n", exc)
-	g.pf("\tbuf := thrift.NewTMemoryBuffer()\n")
-	g.pf("\tw := thrift.NewTBinaryProtocol(buf)\n")
-	g.pf("\tw.WriteMessageBegin(name, thrift.EXCEPTION, seq)\n")
-	g.pf("\tthrift.NewApplicationException(code, msg).Write(w)\n")
-	g.pf("\tw.WriteMessageEnd()\n")
-	g.pf("\treturn buf.Bytes()\n}\n\n")
-
+	pn, st := svc.Name+"Processor", lowerFirst(svc.Name)+"State"
+	g.pf("// %s is what a request of %s in flight keeps: its result.\n", st, pn)
+	g.pf("type %s struct {\n", st)
 	for _, fn := range svc.Functions {
-		g.genHandlerStub(svc, fn)
+		if !fn.Oneway {
+			g.pf("\t%sResult %s\n", lowerFirst(fn.Name), resultStructName(svc, fn))
+		}
 	}
+	g.pf("}\n\n")
+	g.pf("// %s serves its handler through a trdma.Table, one row per\n// function.\n", pn)
+	g.pf("type %s struct {\n\tt trdma.Table[%s]\n}\n\n", pn, st)
+	g.pf("// New%s wraps a handler.\n", pn)
+	g.pf("func New%s(h %sHandler) *%s {\n", pn, svc.Name, pn)
+	g.pf("\treturn &%s{trdma.NewTable([]trdma.Fn[%s]{\n", pn, st)
+	for _, fn := range svc.Functions {
+		g.genInvoker(svc, fn, st)
+	}
+	g.pf("\t})}\n}\n\n")
+	g.pf("// ProcessBytes serves one request (trdma.Table.Serve).\n")
+	g.pf("func (pr *%s) ProcessBytes(p *sim.Proc, fnID uint32, req []byte) []byte {\n", pn)
+	g.pf("\treturn pr.t.Serve(p, fnID, req)\n}\n\n")
 }
 
-func (g *gen) genHandlerStub(svc *idl.Service, fn *idl.Function) {
-	pn := svc.Name + "Processor"
-	g.pf("func (pr *%s) handle%s(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {\n", pn, goName(fn.Name))
-	g.pf("\tvar args %s\n", argsStructName(svc, fn))
-	g.pf("\tif err := args.Read(r); err != nil {\n\t\treturn %sEncodeException(%q, seq, thrift.ExcProtocolError, err.Error())\n\t}\n", lowerFirst(svc.Name), fn.Name)
-	callArgs := "p"
+// genInvoker emits a function's row: its invoker reads the args, calls the
+// handler and maps its error onto the result kept in the request's state,
+// which it sets whole.
+func (g *gen) genInvoker(svc *idl.Service, fn *idl.Function, st string) {
+	res := "s." + lowerFirst(fn.Name) + "Result"
+	g.pf("\t\t{Name: %q, Invoke: func(p *sim.Proc, s *%s, r thrift.TProtocol) (trdma.Msg, error) {\n", fn.Name, st)
+	g.pf("\t\t\tvar a %s\n", argsStructName(svc, fn))
+	g.pf("\t\t\tif err := a.Read(r); err != nil {\n\t\t\t\treturn nil, err\n\t\t\t}\n")
+	call := "h." + goName(fn.Name) + "(p"
 	for _, a := range fn.Args {
-		callArgs += ", args." + goName(a.Name)
+		call += ", a." + goName(a.Name)
 	}
-	if fn.Oneway {
-		g.pf("\tpr.h.%s(%s)\n", goName(fn.Name), callArgs)
-		g.pf("\treturn nil\n}\n\n")
+	call += ")"
+	switch {
+	case fn.Oneway:
+		g.pf("\t\t\t_ = %s // no reply carries a oneway call's error\n\t\t\treturn nil, nil\n\t\t}},\n", call)
 		return
+	case fn.Returns != nil:
+		g.pf("\t\t\tret, err := %s\n", call)
+		g.pf("\t\t\t%s = %s{Success: ret, SuccessSet: err == nil}\n", res, resultStructName(svc, fn))
+	default:
+		g.pf("\t\t\terr := %s\n", call)
+		g.pf("\t\t\t%s = %s{}\n", res, resultStructName(svc, fn))
 	}
-	if fn.Returns != nil {
-		g.pf("\tret, err := pr.h.%s(%s)\n", goName(fn.Name), callArgs)
-	} else {
-		g.pf("\terr := pr.h.%s(%s)\n", goName(fn.Name), callArgs)
-	}
-	g.pf("\tvar result %s\n", resultStructName(svc, fn))
-	g.pf("\tif err != nil {\n")
-	if len(fn.Throws) == 0 {
-		g.pf("\t\treturn %sEncodeException(%q, seq, thrift.ExcInternalError, err.Error())\n", lowerFirst(svc.Name), fn.Name)
-	} else {
-		g.pf("\t\tswitch e := err.(type) {\n")
+	if len(fn.Throws) > 0 {
+		g.pf("\t\t\tswitch e := err.(type) {\n")
 		for _, th := range fn.Throws {
-			g.pf("\t\tcase %s:\n\t\t\tresult.%s = e\n", goType(th.Type), goName(th.Name))
+			g.pf("\t\t\tcase %s:\n\t\t\t\t%s.%s, err = e, nil\n", goType(th.Type), res, goName(th.Name))
 		}
-		g.pf("\t\tdefault:\n\t\t\treturn %sEncodeException(%q, seq, thrift.ExcInternalError, err.Error())\n", lowerFirst(svc.Name), fn.Name)
-		g.pf("\t\t}\n")
+		g.pf("\t\t\t}\n")
 	}
-	if fn.Returns != nil {
-		g.pf("\t} else {\n\t\tresult.Success = ret\n\t\tresult.SuccessSet = true\n\t}\n")
-	} else {
-		g.pf("\t}\n")
-	}
-	g.pf("\tw := cd.Encode(trdma.ResponseStage(p))\n")
-	g.pf("\tw.WriteMessageBegin(%q, thrift.REPLY, seq)\n", fn.Name)
-	g.pf("\tif err := result.Write(w); err != nil {\n\t\treturn %sEncodeException(%q, seq, thrift.ExcInternalError, err.Error())\n\t}\n", lowerFirst(svc.Name), fn.Name)
-	g.pf("\tw.WriteMessageEnd()\n")
-	g.pf("\treturn cd.Encoded()\n}\n\n")
+	g.pf("\t\t\treturn &%s, err\n\t\t}},\n", res)
 }
 
 func (g *gen) genHintTable(svc *idl.Service) {

@@ -279,6 +279,14 @@ func (x *hatKVGetResult) Read(p thrift.TProtocol) error {
 	return p.ReadStructEnd()
 }
 
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *hatKVGetResult) Outcome() (set bool, exc error) {
+	if x.Err != nil {
+		return false, x.Err
+	}
+	return x.SuccessSet, nil
+}
+
 type hatKVPutArgs struct {
 	Key   string
 	Value []byte
@@ -390,6 +398,11 @@ func (x *hatKVPutResult) Read(p thrift.TProtocol) error {
 		}
 	}
 	return p.ReadStructEnd()
+}
+
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *hatKVPutResult) Outcome() (set bool, exc error) {
+	return true, nil
 }
 
 type hatKVMultiGetArgs struct {
@@ -546,6 +559,11 @@ func (x *hatKVMultiGetResult) Read(p thrift.TProtocol) error {
 	return p.ReadStructEnd()
 }
 
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *hatKVMultiGetResult) Outcome() (set bool, exc error) {
+	return x.SuccessSet, nil
+}
+
 type hatKVMultiPutArgs struct {
 	Pairs []*KVPair
 }
@@ -667,6 +685,11 @@ func (x *hatKVMultiPutResult) Read(p thrift.TProtocol) error {
 	return p.ReadStructEnd()
 }
 
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *hatKVMultiPutResult) Outcome() (set bool, exc error) {
+	return true, nil
+}
+
 // HatKVHandler is the application-side interface for service HatKV.
 type HatKVHandler interface {
 	Get(p *sim.Proc, key_ string) ([]byte, error)
@@ -675,338 +698,121 @@ type HatKVHandler interface {
 	MultiPut(p *sim.Proc, pairs_ []*KVPair) error
 }
 
-// HatKVClient is the generated typed client for service HatKV. It carries one
-// call at a time: a request is serialized into the transport's one staging
-// buffer and every call re-arms the same codec state, so calls on one
-// client must not overlap — give each calling process its own client.
-// Arguments are lent for the call; binary results are the caller's, the
-// values of one reply sharing one allocation.
+// HatKVClient is the generated typed client for service HatKV. Like the
+// trdma.Client it calls through, it carries one call at a time: give each
+// calling process its own client. Arguments are lent for the call;
+// binary results are the caller's, the values of one reply sharing one
+// allocation.
 type HatKVClient struct {
-	T   trdma.Transport
-	seq int32
-	cd  *thrift.Codec
+	trdma.Client
+	getArgs        hatKVGetArgs
+	getResult      hatKVGetResult
+	putArgs        hatKVPutArgs
+	putResult      hatKVPutResult
+	multiGetArgs   hatKVMultiGetArgs
+	multiGetResult hatKVMultiGetResult
+	multiPutArgs   hatKVMultiPutArgs
+	multiPutResult hatKVMultiPutResult
 }
 
 // NewHatKVClient wraps a transport in the typed client.
 func NewHatKVClient(t trdma.Transport) *HatKVClient {
-	return &HatKVClient{T: t, cd: thrift.NewCodec()}
+	return &HatKVClient{Client: trdma.NewClient(t)}
 }
 
 // Get invokes HatKV.Get.
 func (c *HatKVClient) Get(p *sim.Proc, key_ string) ([]byte, error) {
-	var zero []byte
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("Get", thrift.CALL, c.seq); err != nil {
-		return zero, err
+	c.getArgs, c.getResult = hatKVGetArgs{Key: key_}, hatKVGetResult{}
+	if err := c.Client.Call(p, "Get", &c.getArgs, &c.getResult); err != nil {
+		return nil, err
 	}
-	args := hatKVGetArgs{Key: key_}
-	if err := args.Write(w); err != nil {
-		return zero, err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return zero, err
-	}
-	respBytes, err := c.T.Invoke(p, "Get", c.cd.Encoded(), false)
-	if err != nil {
-		return zero, err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return zero, err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return zero, err
-		}
-		return zero, &ex
-	}
-	if seq != c.seq {
-		return zero, thrift.NewApplicationException(thrift.ExcBadSequenceID, "Get reply out of sequence")
-	}
-	var result hatKVGetResult
-	if err := result.Read(r); err != nil {
-		return zero, err
-	}
-	if result.Err != nil {
-		return zero, result.Err
-	}
-	if !result.SuccessSet {
-		return zero, thrift.NewApplicationException(thrift.ExcMissingResult, "Get returned no result")
-	}
-	return result.Success, nil
+	return c.getResult.Success, nil
 }
 
 // Put invokes HatKV.Put.
 func (c *HatKVClient) Put(p *sim.Proc, key_ string, value_ []byte) error {
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("Put", thrift.CALL, c.seq); err != nil {
-		return err
-	}
-	args := hatKVPutArgs{Key: key_, Value: value_}
-	if err := args.Write(w); err != nil {
-		return err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return err
-	}
-	respBytes, err := c.T.Invoke(p, "Put", c.cd.Encoded(), false)
-	if err != nil {
-		return err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return err
-		}
-		return &ex
-	}
-	if seq != c.seq {
-		return thrift.NewApplicationException(thrift.ExcBadSequenceID, "Put reply out of sequence")
-	}
-	var result hatKVPutResult
-	if err := result.Read(r); err != nil {
-		return err
-	}
-	return nil
+	c.putArgs, c.putResult = hatKVPutArgs{Key: key_, Value: value_}, hatKVPutResult{}
+	return c.Client.Call(p, "Put", &c.putArgs, &c.putResult)
 }
 
 // MultiGet invokes HatKV.MultiGet.
 func (c *HatKVClient) MultiGet(p *sim.Proc, keys_ []string) ([][]byte, error) {
-	var zero [][]byte
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("MultiGet", thrift.CALL, c.seq); err != nil {
-		return zero, err
+	c.multiGetArgs, c.multiGetResult = hatKVMultiGetArgs{Keys: keys_}, hatKVMultiGetResult{}
+	if err := c.Client.Call(p, "MultiGet", &c.multiGetArgs, &c.multiGetResult); err != nil {
+		return nil, err
 	}
-	args := hatKVMultiGetArgs{Keys: keys_}
-	if err := args.Write(w); err != nil {
-		return zero, err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return zero, err
-	}
-	respBytes, err := c.T.Invoke(p, "MultiGet", c.cd.Encoded(), false)
-	if err != nil {
-		return zero, err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return zero, err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return zero, err
-		}
-		return zero, &ex
-	}
-	if seq != c.seq {
-		return zero, thrift.NewApplicationException(thrift.ExcBadSequenceID, "MultiGet reply out of sequence")
-	}
-	var result hatKVMultiGetResult
-	if err := result.Read(r); err != nil {
-		return zero, err
-	}
-	if !result.SuccessSet {
-		return zero, thrift.NewApplicationException(thrift.ExcMissingResult, "MultiGet returned no result")
-	}
-	return result.Success, nil
+	return c.multiGetResult.Success, nil
 }
 
 // MultiPut invokes HatKV.MultiPut.
 func (c *HatKVClient) MultiPut(p *sim.Proc, pairs_ []*KVPair) error {
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("MultiPut", thrift.CALL, c.seq); err != nil {
-		return err
-	}
-	args := hatKVMultiPutArgs{Pairs: pairs_}
-	if err := args.Write(w); err != nil {
-		return err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return err
-	}
-	respBytes, err := c.T.Invoke(p, "MultiPut", c.cd.Encoded(), false)
-	if err != nil {
-		return err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return err
-		}
-		return &ex
-	}
-	if seq != c.seq {
-		return thrift.NewApplicationException(thrift.ExcBadSequenceID, "MultiPut reply out of sequence")
-	}
-	var result hatKVMultiPutResult
-	if err := result.Read(r); err != nil {
-		return err
-	}
-	return nil
+	c.multiPutArgs, c.multiPutResult = hatKVMultiPutArgs{Pairs: pairs_}, hatKVMultiPutResult{}
+	return c.Client.Call(p, "MultiPut", &c.multiPutArgs, &c.multiPutResult)
 }
 
-// HatKVProcessor dispatches framed requests to a handler. Handlers yield, so
-// several requests may be in flight: each takes its codec state from a
-// free list for as long as it runs.
+// hatKVState is what a request of HatKVProcessor in flight keeps: its result.
+type hatKVState struct {
+	getResult      hatKVGetResult
+	putResult      hatKVPutResult
+	multiGetResult hatKVMultiGetResult
+	multiPutResult hatKVMultiPutResult
+}
+
+// HatKVProcessor serves its handler through a trdma.Table, one row per
+// function.
 type HatKVProcessor struct {
-	h      HatKVHandler
-	codecs thrift.CodecPool
+	t trdma.Table[hatKVState]
 }
 
 // NewHatKVProcessor wraps a handler.
 func NewHatKVProcessor(h HatKVHandler) *HatKVProcessor {
-	return &HatKVProcessor{h: h}
+	return &HatKVProcessor{trdma.NewTable([]trdma.Fn[hatKVState]{
+		{Name: "Get", Invoke: func(p *sim.Proc, s *hatKVState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a hatKVGetArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			ret, err := h.Get(p, a.Key)
+			s.getResult = hatKVGetResult{Success: ret, SuccessSet: err == nil}
+			switch e := err.(type) {
+			case *KVError:
+				s.getResult.Err, err = e, nil
+			}
+			return &s.getResult, err
+		}},
+		{Name: "Put", Invoke: func(p *sim.Proc, s *hatKVState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a hatKVPutArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			err := h.Put(p, a.Key, a.Value)
+			s.putResult = hatKVPutResult{}
+			return &s.putResult, err
+		}},
+		{Name: "MultiGet", Invoke: func(p *sim.Proc, s *hatKVState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a hatKVMultiGetArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			ret, err := h.MultiGet(p, a.Keys)
+			s.multiGetResult = hatKVMultiGetResult{Success: ret, SuccessSet: err == nil}
+			return &s.multiGetResult, err
+		}},
+		{Name: "MultiPut", Invoke: func(p *sim.Proc, s *hatKVState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a hatKVMultiPutArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			err := h.MultiPut(p, a.Pairs)
+			s.multiPutResult = hatKVMultiPutResult{}
+			return &s.multiPutResult, err
+		}},
+	})}
 }
 
-// ProcessBytes decodes one request, invokes the handler, and returns
-// the framed response (nil for oneway). It dispatches on fnID; a request
-// that came without one (id 0: IPoIB) is matched by the name it carries,
-// compared where it lies in the request.
+// ProcessBytes serves one request (trdma.Table.Serve).
 func (pr *HatKVProcessor) ProcessBytes(p *sim.Proc, fnID uint32, req []byte) []byte {
-	cd := pr.codecs.Get()
-	defer pr.codecs.Put(cd)
-	r := cd.DecodeRequest(req)
-	name, _, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return hatKVEncodeException(string(name), seq, thrift.ExcProtocolError, err.Error())
-	}
-	if fnID == 0 {
-		switch string(name) {
-		case "Get":
-			fnID = 1
-		case "Put":
-			fnID = 2
-		case "MultiGet":
-			fnID = 3
-		case "MultiPut":
-			fnID = 4
-		}
-	}
-	switch fnID {
-	case 1:
-		return pr.handleGet(p, cd, r, seq)
-	case 2:
-		return pr.handlePut(p, cd, r, seq)
-	case 3:
-		return pr.handleMultiGet(p, cd, r, seq)
-	case 4:
-		return pr.handleMultiPut(p, cd, r, seq)
-	}
-	return hatKVEncodeException(string(name), seq, thrift.ExcUnknownMethod, "unknown method "+string(name))
-}
-
-func hatKVEncodeException(name string, seq int32, code thrift.ApplicationExceptionType, msg string) []byte {
-	buf := thrift.NewTMemoryBuffer()
-	w := thrift.NewTBinaryProtocol(buf)
-	w.WriteMessageBegin(name, thrift.EXCEPTION, seq)
-	thrift.NewApplicationException(code, msg).Write(w)
-	w.WriteMessageEnd()
-	return buf.Bytes()
-}
-
-func (pr *HatKVProcessor) handleGet(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args hatKVGetArgs
-	if err := args.Read(r); err != nil {
-		return hatKVEncodeException("Get", seq, thrift.ExcProtocolError, err.Error())
-	}
-	ret, err := pr.h.Get(p, args.Key)
-	var result hatKVGetResult
-	if err != nil {
-		switch e := err.(type) {
-		case *KVError:
-			result.Err = e
-		default:
-			return hatKVEncodeException("Get", seq, thrift.ExcInternalError, err.Error())
-		}
-	} else {
-		result.Success = ret
-		result.SuccessSet = true
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("Get", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return hatKVEncodeException("Get", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
-}
-
-func (pr *HatKVProcessor) handlePut(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args hatKVPutArgs
-	if err := args.Read(r); err != nil {
-		return hatKVEncodeException("Put", seq, thrift.ExcProtocolError, err.Error())
-	}
-	err := pr.h.Put(p, args.Key, args.Value)
-	var result hatKVPutResult
-	if err != nil {
-		return hatKVEncodeException("Put", seq, thrift.ExcInternalError, err.Error())
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("Put", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return hatKVEncodeException("Put", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
-}
-
-func (pr *HatKVProcessor) handleMultiGet(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args hatKVMultiGetArgs
-	if err := args.Read(r); err != nil {
-		return hatKVEncodeException("MultiGet", seq, thrift.ExcProtocolError, err.Error())
-	}
-	ret, err := pr.h.MultiGet(p, args.Keys)
-	var result hatKVMultiGetResult
-	if err != nil {
-		return hatKVEncodeException("MultiGet", seq, thrift.ExcInternalError, err.Error())
-	} else {
-		result.Success = ret
-		result.SuccessSet = true
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("MultiGet", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return hatKVEncodeException("MultiGet", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
-}
-
-func (pr *HatKVProcessor) handleMultiPut(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args hatKVMultiPutArgs
-	if err := args.Read(r); err != nil {
-		return hatKVEncodeException("MultiPut", seq, thrift.ExcProtocolError, err.Error())
-	}
-	err := pr.h.MultiPut(p, args.Pairs)
-	var result hatKVMultiPutResult
-	if err != nil {
-		return hatKVEncodeException("MultiPut", seq, thrift.ExcInternalError, err.Error())
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("MultiPut", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return hatKVEncodeException("MultiPut", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
+	return pr.t.Serve(p, fnID, req)
 }
 
 // HatKVHints is the hierarchical hint table for service HatKV (Fig. 1).

@@ -4,7 +4,7 @@ package thrift
 // encode another: a reader and a writer, each a binary protocol over its
 // own memory buffer, made once and re-armed per message. A client, which
 // carries one call at a time, owns one; a processor, whose handlers
-// yield, takes one per request in flight from a CodecPool. Which Decode a
+// yield, takes one per request in flight (trdma.Table). Which Decode a
 // stub calls is the ownership rule for what it decodes (DESIGN.md §18).
 type Codec struct {
 	r, w       TBinaryProtocol
@@ -46,20 +46,3 @@ func (c *Codec) DecodeReply(msg []byte) *TBinaryProtocol {
 	c.rbuf = TMemoryBuffer{buf: msg, own: ownShared}
 	return &c.r
 }
-
-// CodecPool is a processor's free list of codecs. Like the processor it
-// serves one simulation's processes, which run one at a time.
-type CodecPool struct{ free []*Codec }
-
-// Get takes a codec off the list, or makes one.
-func (cp *CodecPool) Get() *Codec {
-	if n := len(cp.free); n > 0 {
-		c := cp.free[n-1]
-		cp.free = cp.free[:n-1]
-		return c
-	}
-	return NewCodec()
-}
-
-// Put returns a codec whose request has been answered.
-func (cp *CodecPool) Put(c *Codec) { cp.free = append(cp.free, c) }

@@ -129,6 +129,11 @@ func (x *tPCHWorkerRunSmallResult) Read(p thrift.TProtocol) error {
 	return p.ReadStructEnd()
 }
 
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *tPCHWorkerRunSmallResult) Outcome() (set bool, exc error) {
+	return x.SuccessSet, nil
+}
+
 type tPCHWorkerRunLargeArgs struct {
 	Query int32
 }
@@ -245,6 +250,11 @@ func (x *tPCHWorkerRunLargeResult) Read(p thrift.TProtocol) error {
 	return p.ReadStructEnd()
 }
 
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *tPCHWorkerRunLargeResult) Outcome() (set bool, exc error) {
+	return x.SuccessSet, nil
+}
+
 type tPCHWorkerPingArgs struct {
 }
 
@@ -346,6 +356,11 @@ func (x *tPCHWorkerPingResult) Read(p thrift.TProtocol) error {
 	return p.ReadStructEnd()
 }
 
+// Outcome reports what the decoded reply carried (trdma.Result).
+func (x *tPCHWorkerPingResult) Outcome() (set bool, exc error) {
+	return x.SuccessSet, nil
+}
+
 // TPCHWorkerHandler is the application-side interface for service TPCHWorker.
 type TPCHWorkerHandler interface {
 	RunSmall(p *sim.Proc, query_ int32) ([]byte, error)
@@ -353,274 +368,102 @@ type TPCHWorkerHandler interface {
 	Ping(p *sim.Proc) (string, error)
 }
 
-// TPCHWorkerClient is the generated typed client for service TPCHWorker. It carries one
-// call at a time: a request is serialized into the transport's one staging
-// buffer and every call re-arms the same codec state, so calls on one
-// client must not overlap — give each calling process its own client.
-// Arguments are lent for the call; binary results are the caller's, the
-// values of one reply sharing one allocation.
+// TPCHWorkerClient is the generated typed client for service TPCHWorker. Like the
+// trdma.Client it calls through, it carries one call at a time: give each
+// calling process its own client. Arguments are lent for the call;
+// binary results are the caller's, the values of one reply sharing one
+// allocation.
 type TPCHWorkerClient struct {
-	T   trdma.Transport
-	seq int32
-	cd  *thrift.Codec
+	trdma.Client
+	runSmallArgs   tPCHWorkerRunSmallArgs
+	runSmallResult tPCHWorkerRunSmallResult
+	runLargeArgs   tPCHWorkerRunLargeArgs
+	runLargeResult tPCHWorkerRunLargeResult
+	pingArgs       tPCHWorkerPingArgs
+	pingResult     tPCHWorkerPingResult
 }
 
 // NewTPCHWorkerClient wraps a transport in the typed client.
 func NewTPCHWorkerClient(t trdma.Transport) *TPCHWorkerClient {
-	return &TPCHWorkerClient{T: t, cd: thrift.NewCodec()}
+	return &TPCHWorkerClient{Client: trdma.NewClient(t)}
 }
 
 // RunSmall invokes TPCHWorker.RunSmall.
 func (c *TPCHWorkerClient) RunSmall(p *sim.Proc, query_ int32) ([]byte, error) {
-	var zero []byte
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("RunSmall", thrift.CALL, c.seq); err != nil {
-		return zero, err
+	c.runSmallArgs, c.runSmallResult = tPCHWorkerRunSmallArgs{Query: query_}, tPCHWorkerRunSmallResult{}
+	if err := c.Client.Call(p, "RunSmall", &c.runSmallArgs, &c.runSmallResult); err != nil {
+		return nil, err
 	}
-	args := tPCHWorkerRunSmallArgs{Query: query_}
-	if err := args.Write(w); err != nil {
-		return zero, err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return zero, err
-	}
-	respBytes, err := c.T.Invoke(p, "RunSmall", c.cd.Encoded(), false)
-	if err != nil {
-		return zero, err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return zero, err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return zero, err
-		}
-		return zero, &ex
-	}
-	if seq != c.seq {
-		return zero, thrift.NewApplicationException(thrift.ExcBadSequenceID, "RunSmall reply out of sequence")
-	}
-	var result tPCHWorkerRunSmallResult
-	if err := result.Read(r); err != nil {
-		return zero, err
-	}
-	if !result.SuccessSet {
-		return zero, thrift.NewApplicationException(thrift.ExcMissingResult, "RunSmall returned no result")
-	}
-	return result.Success, nil
+	return c.runSmallResult.Success, nil
 }
 
 // RunLarge invokes TPCHWorker.RunLarge.
 func (c *TPCHWorkerClient) RunLarge(p *sim.Proc, query_ int32) ([]byte, error) {
-	var zero []byte
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("RunLarge", thrift.CALL, c.seq); err != nil {
-		return zero, err
+	c.runLargeArgs, c.runLargeResult = tPCHWorkerRunLargeArgs{Query: query_}, tPCHWorkerRunLargeResult{}
+	if err := c.Client.Call(p, "RunLarge", &c.runLargeArgs, &c.runLargeResult); err != nil {
+		return nil, err
 	}
-	args := tPCHWorkerRunLargeArgs{Query: query_}
-	if err := args.Write(w); err != nil {
-		return zero, err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return zero, err
-	}
-	respBytes, err := c.T.Invoke(p, "RunLarge", c.cd.Encoded(), false)
-	if err != nil {
-		return zero, err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return zero, err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return zero, err
-		}
-		return zero, &ex
-	}
-	if seq != c.seq {
-		return zero, thrift.NewApplicationException(thrift.ExcBadSequenceID, "RunLarge reply out of sequence")
-	}
-	var result tPCHWorkerRunLargeResult
-	if err := result.Read(r); err != nil {
-		return zero, err
-	}
-	if !result.SuccessSet {
-		return zero, thrift.NewApplicationException(thrift.ExcMissingResult, "RunLarge returned no result")
-	}
-	return result.Success, nil
+	return c.runLargeResult.Success, nil
 }
 
 // Ping invokes TPCHWorker.Ping.
 func (c *TPCHWorkerClient) Ping(p *sim.Proc) (string, error) {
-	var zero string
-	c.seq++
-	w := c.cd.Encode(c.T.Stage())
-	if err := w.WriteMessageBegin("Ping", thrift.CALL, c.seq); err != nil {
-		return zero, err
+	c.pingArgs, c.pingResult = tPCHWorkerPingArgs{}, tPCHWorkerPingResult{}
+	if err := c.Client.Call(p, "Ping", &c.pingArgs, &c.pingResult); err != nil {
+		return "", err
 	}
-	args := tPCHWorkerPingArgs{}
-	if err := args.Write(w); err != nil {
-		return zero, err
-	}
-	if err := w.WriteMessageEnd(); err != nil {
-		return zero, err
-	}
-	respBytes, err := c.T.Invoke(p, "Ping", c.cd.Encoded(), false)
-	if err != nil {
-		return zero, err
-	}
-	r := c.cd.DecodeReply(respBytes)
-	_, mt, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return zero, err
-	}
-	if mt == thrift.EXCEPTION {
-		var ex thrift.TApplicationException
-		if err := ex.Read(r); err != nil {
-			return zero, err
-		}
-		return zero, &ex
-	}
-	if seq != c.seq {
-		return zero, thrift.NewApplicationException(thrift.ExcBadSequenceID, "Ping reply out of sequence")
-	}
-	var result tPCHWorkerPingResult
-	if err := result.Read(r); err != nil {
-		return zero, err
-	}
-	if !result.SuccessSet {
-		return zero, thrift.NewApplicationException(thrift.ExcMissingResult, "Ping returned no result")
-	}
-	return result.Success, nil
+	return c.pingResult.Success, nil
 }
 
-// TPCHWorkerProcessor dispatches framed requests to a handler. Handlers yield, so
-// several requests may be in flight: each takes its codec state from a
-// free list for as long as it runs.
+// tPCHWorkerState is what a request of TPCHWorkerProcessor in flight keeps: its result.
+type tPCHWorkerState struct {
+	runSmallResult tPCHWorkerRunSmallResult
+	runLargeResult tPCHWorkerRunLargeResult
+	pingResult     tPCHWorkerPingResult
+}
+
+// TPCHWorkerProcessor serves its handler through a trdma.Table, one row per
+// function.
 type TPCHWorkerProcessor struct {
-	h      TPCHWorkerHandler
-	codecs thrift.CodecPool
+	t trdma.Table[tPCHWorkerState]
 }
 
 // NewTPCHWorkerProcessor wraps a handler.
 func NewTPCHWorkerProcessor(h TPCHWorkerHandler) *TPCHWorkerProcessor {
-	return &TPCHWorkerProcessor{h: h}
+	return &TPCHWorkerProcessor{trdma.NewTable([]trdma.Fn[tPCHWorkerState]{
+		{Name: "RunSmall", Invoke: func(p *sim.Proc, s *tPCHWorkerState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a tPCHWorkerRunSmallArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			ret, err := h.RunSmall(p, a.Query)
+			s.runSmallResult = tPCHWorkerRunSmallResult{Success: ret, SuccessSet: err == nil}
+			return &s.runSmallResult, err
+		}},
+		{Name: "RunLarge", Invoke: func(p *sim.Proc, s *tPCHWorkerState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a tPCHWorkerRunLargeArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			ret, err := h.RunLarge(p, a.Query)
+			s.runLargeResult = tPCHWorkerRunLargeResult{Success: ret, SuccessSet: err == nil}
+			return &s.runLargeResult, err
+		}},
+		{Name: "Ping", Invoke: func(p *sim.Proc, s *tPCHWorkerState, r thrift.TProtocol) (trdma.Msg, error) {
+			var a tPCHWorkerPingArgs
+			if err := a.Read(r); err != nil {
+				return nil, err
+			}
+			ret, err := h.Ping(p)
+			s.pingResult = tPCHWorkerPingResult{Success: ret, SuccessSet: err == nil}
+			return &s.pingResult, err
+		}},
+	})}
 }
 
-// ProcessBytes decodes one request, invokes the handler, and returns
-// the framed response (nil for oneway). It dispatches on fnID; a request
-// that came without one (id 0: IPoIB) is matched by the name it carries,
-// compared where it lies in the request.
+// ProcessBytes serves one request (trdma.Table.Serve).
 func (pr *TPCHWorkerProcessor) ProcessBytes(p *sim.Proc, fnID uint32, req []byte) []byte {
-	cd := pr.codecs.Get()
-	defer pr.codecs.Put(cd)
-	r := cd.DecodeRequest(req)
-	name, _, seq, err := r.ReadMessageHeader()
-	if err != nil {
-		return tPCHWorkerEncodeException(string(name), seq, thrift.ExcProtocolError, err.Error())
-	}
-	if fnID == 0 {
-		switch string(name) {
-		case "RunSmall":
-			fnID = 1
-		case "RunLarge":
-			fnID = 2
-		case "Ping":
-			fnID = 3
-		}
-	}
-	switch fnID {
-	case 1:
-		return pr.handleRunSmall(p, cd, r, seq)
-	case 2:
-		return pr.handleRunLarge(p, cd, r, seq)
-	case 3:
-		return pr.handlePing(p, cd, r, seq)
-	}
-	return tPCHWorkerEncodeException(string(name), seq, thrift.ExcUnknownMethod, "unknown method "+string(name))
-}
-
-func tPCHWorkerEncodeException(name string, seq int32, code thrift.ApplicationExceptionType, msg string) []byte {
-	buf := thrift.NewTMemoryBuffer()
-	w := thrift.NewTBinaryProtocol(buf)
-	w.WriteMessageBegin(name, thrift.EXCEPTION, seq)
-	thrift.NewApplicationException(code, msg).Write(w)
-	w.WriteMessageEnd()
-	return buf.Bytes()
-}
-
-func (pr *TPCHWorkerProcessor) handleRunSmall(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args tPCHWorkerRunSmallArgs
-	if err := args.Read(r); err != nil {
-		return tPCHWorkerEncodeException("RunSmall", seq, thrift.ExcProtocolError, err.Error())
-	}
-	ret, err := pr.h.RunSmall(p, args.Query)
-	var result tPCHWorkerRunSmallResult
-	if err != nil {
-		return tPCHWorkerEncodeException("RunSmall", seq, thrift.ExcInternalError, err.Error())
-	} else {
-		result.Success = ret
-		result.SuccessSet = true
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("RunSmall", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return tPCHWorkerEncodeException("RunSmall", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
-}
-
-func (pr *TPCHWorkerProcessor) handleRunLarge(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args tPCHWorkerRunLargeArgs
-	if err := args.Read(r); err != nil {
-		return tPCHWorkerEncodeException("RunLarge", seq, thrift.ExcProtocolError, err.Error())
-	}
-	ret, err := pr.h.RunLarge(p, args.Query)
-	var result tPCHWorkerRunLargeResult
-	if err != nil {
-		return tPCHWorkerEncodeException("RunLarge", seq, thrift.ExcInternalError, err.Error())
-	} else {
-		result.Success = ret
-		result.SuccessSet = true
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("RunLarge", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return tPCHWorkerEncodeException("RunLarge", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
-}
-
-func (pr *TPCHWorkerProcessor) handlePing(p *sim.Proc, cd *thrift.Codec, r thrift.TProtocol, seq int32) []byte {
-	var args tPCHWorkerPingArgs
-	if err := args.Read(r); err != nil {
-		return tPCHWorkerEncodeException("Ping", seq, thrift.ExcProtocolError, err.Error())
-	}
-	ret, err := pr.h.Ping(p)
-	var result tPCHWorkerPingResult
-	if err != nil {
-		return tPCHWorkerEncodeException("Ping", seq, thrift.ExcInternalError, err.Error())
-	} else {
-		result.Success = ret
-		result.SuccessSet = true
-	}
-	w := cd.Encode(trdma.ResponseStage(p))
-	w.WriteMessageBegin("Ping", thrift.REPLY, seq)
-	if err := result.Write(w); err != nil {
-		return tPCHWorkerEncodeException("Ping", seq, thrift.ExcInternalError, err.Error())
-	}
-	w.WriteMessageEnd()
-	return cd.Encoded()
+	return pr.t.Serve(p, fnID, req)
 }
 
 // TPCHWorkerHints is the hierarchical hint table for service TPCHWorker (Fig. 1).

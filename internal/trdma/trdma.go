@@ -316,11 +316,6 @@ func (t *SessionTransport) Close() error { return nil }
 // ---------------------------------------------------------------------------
 // Server side
 
-// ResponseStage lends a generated processor the buffer its response is
-// sent from: the staging region of the engine connection whose dispatcher
-// p is (engine.ResponseStage), nil when the request came over IPoIB.
-func ResponseStage(p *sim.Proc) []byte { return engine.ResponseStage(p) }
-
 // Processor is the generated server-side dispatcher: it consumes a framed
 // Thrift request and produces the framed response bytes (empty for
 // oneway). The request is lent for the call, and with it every binary
