@@ -140,3 +140,59 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 		})
 	}
 }
+
+// replyMessage serializes a REPLY whose result is n binary values of size
+// bytes each: one binary field when n is 1 (an echo's reply), else a
+// list<binary> (a MultiGet's).
+func replyMessage(n, size int) []byte {
+	mem := NewTMemoryBuffer()
+	w := NewTBinaryProtocol(mem)
+	w.WriteMessageBegin("Call", REPLY, 1)
+	value := bytes.Repeat([]byte{0x5A}, size)
+	if n == 1 {
+		w.WriteFieldBegin("success", STRING, 0)
+		w.WriteBinary(value)
+	} else {
+		w.WriteFieldBegin("success", LIST, 0)
+		w.WriteListBegin(STRING, n)
+		for range n {
+			w.WriteBinary(value)
+		}
+	}
+	w.WriteFieldStop()
+	return mem.Bytes()
+}
+
+var decodedSink []byte
+
+// BenchmarkDecodeReply times a client's decode of a reply's binary values
+// (Codec.DecodeReply): echo_bulk's one 128 KB field, and kv_read's
+// MultiGet shape, a list of ten 1 000-byte values.
+func BenchmarkDecodeReply(b *testing.B) {
+	for _, tc := range []struct {
+		name    string
+		n, size int
+	}{{"128KB", 1, 128 << 10}, {"MultiGet10x1000", 10, 1000}} {
+		b.Run(tc.name, func(b *testing.B) {
+			msg, c := replyMessage(tc.n, tc.size), NewCodec()
+			b.SetBytes(int64(tc.n * tc.size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := c.DecodeReply(msg)
+				r.ReadMessageBegin()
+				r.ReadFieldBegin()
+				if tc.n > 1 {
+					r.ReadListBegin()
+				}
+				for range tc.n {
+					v, err := r.ReadBinary()
+					if err != nil || len(v) != tc.size {
+						b.Fatalf("value of %d bytes, %v", len(v), err)
+					}
+					decodedSink = v
+				}
+			}
+		})
+	}
+}

@@ -1,6 +1,8 @@
 package thrift
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -108,5 +110,37 @@ func FuzzSkip(f *testing.F) {
 			p = NewTBinaryProtocol(NewTMemoryBufferWith(data))
 		}
 		_ = Skip(p, TType(typ&0x0f))
+	})
+}
+
+// FuzzReplyOwnership decodes arbitrary bytes as a run of binary fields
+// twice: lent (Codec.DecodeRequest) and owned (Codec.DecodeReply). Both
+// must fail at the same field with the same error and agree on every
+// field before it. Every owned field must be non-nil with its capacity
+// capped, and keep its bytes once the message is overwritten.
+func FuzzReplyOwnership(f *testing.F) {
+	f.Fuzz(func(t *testing.T, msg []byte) {
+		lent, owned := NewCodec().DecodeRequest(msg), NewCodec().DecodeReply(msg)
+		var want, got [][]byte
+		for {
+			l, lerr := lent.ReadBinary()
+			o, oerr := owned.ReadBinary()
+			if fmt.Sprint(lerr) != fmt.Sprint(oerr) {
+				t.Fatalf("field %d: lent read fails with %v, owned with %v", len(got), lerr, oerr)
+			}
+			if lerr != nil {
+				break
+			}
+			if !bytes.Equal(l, o) || o == nil || cap(o) != len(o) {
+				t.Fatalf("field %d: owned %q (cap %d, nil %t), lent %q", len(got), o, cap(o), o == nil, l)
+			}
+			want, got = append(want, bytes.Clone(l)), append(got, o)
+		}
+		clear(msg)
+		for i := range got {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("owned field %d = %q once the message was overwritten, want %q", i, got[i], want[i])
+			}
+		}
 	})
 }

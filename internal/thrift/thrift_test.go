@@ -552,6 +552,75 @@ func TestReplyFieldsShareOneAllocation(t *testing.T) {
 	}
 }
 
+// TestReplyEmptyLastField: an empty binary field that is a reply's last
+// bytes is a non-nil empty slice, as an empty field anywhere else is: the
+// copy of nothing still yields a slice.
+func TestReplyEmptyLastField(t *testing.T) {
+	mem := NewTMemoryBuffer()
+	w := NewTBinaryProtocol(mem)
+	w.WriteBinary([]byte("head"))
+	w.WriteBinary(nil)
+	for name, msg := range map[string][]byte{"alone": mem.Bytes()[8:], "after a field": mem.Bytes()} {
+		r := NewCodec().DecodeReply(msg)
+		var got []byte
+		var err error
+		for err == nil && r.m.Len() > 0 {
+			got, err = r.ReadBinary()
+		}
+		if err != nil || got == nil || len(got) != 0 {
+			t.Errorf("%s: last field = %#v, %v; want a non-nil empty slice", name, got, err)
+		}
+	}
+}
+
+// TestReplyLargeFieldsShareOneCopy: two large binary fields of one reply
+// are windows into one allocation, each capacity capped, so appending to
+// the first cannot reach the second, and both keep their bytes once the
+// message is overwritten.
+func TestReplyLargeFieldsShareOneCopy(t *testing.T) {
+	a, b := bytes.Repeat([]byte{0xA1}, 64<<10), bytes.Repeat([]byte{0xB2}, 64<<10)
+	mem := NewTMemoryBuffer()
+	w := NewTBinaryProtocol(mem)
+	w.WriteBinary(a)
+	w.WriteBinary(b)
+	msg := mem.Bytes()
+	c := NewCodec()
+	var got [2][]byte
+	allocs := testing.AllocsPerRun(10, func() {
+		r := c.DecodeReply(msg)
+		got[0], _ = r.ReadBinary()
+		got[1], _ = r.ReadBinary()
+	})
+	if allocs != 1 {
+		t.Errorf("%v allocations for a reply's two large fields, want 1", allocs)
+	}
+	if cap(got[0]) != len(a) || cap(got[1]) != len(b) {
+		t.Errorf("capacities %d and %d, want each capped at %d", cap(got[0]), cap(got[1]), len(a))
+	}
+	_ = append(got[0], 0xFF)
+	clear(msg)
+	if !bytes.Equal(got[0], a) || !bytes.Equal(got[1], b) {
+		t.Error("a large reply field lost its bytes to an append on its neighbour or to the message being overwritten")
+	}
+}
+
+// TestReplyCopyFollowsTheBuffer: an owned buffer that grows or is reset
+// between reads decodes what it holds at each read: a field behind the
+// bytes copied so far takes a fresh copy, and Reset drops the old one.
+func TestReplyCopyFollowsTheBuffer(t *testing.T) {
+	mem := NewTMemoryBuffer()
+	p := NewTBinaryProtocol(mem)
+	for i, want := range []string{"first", "reset", "grown behind it"} {
+		if i == 1 { // the same offsets as the copy taken at "first"
+			mem.Reset()
+		}
+		p.WriteBinary([]byte(want))
+		if got, err := p.ReadBinary(); err != nil || string(got) != want {
+			t.Errorf("read %d = %q, %v; want %q", i, got, err, want)
+		}
+	}
+}
+
 // stringList serializes a list<string> header that claims count elements,
 // then elems.
 func stringList(mk func(TTransport) TProtocol, count int, elems ...string) []byte {

@@ -11,8 +11,8 @@ import (
 type ownership uint8
 
 const (
-	// ownShared: the fields of one message are copies cut, with capped
-	// capacity, from one allocation the caller owns.
+	// ownShared: the fields of one message are windows, each with capped
+	// capacity, onto one copy of the message the caller owns.
 	ownShared ownership = iota
 	// ownLent: every field is a window onto the buffer, valid for as long
 	// as the buffer's bytes are.
@@ -28,7 +28,8 @@ type TMemoryBuffer struct {
 	rpos   int
 	closed bool
 	own    ownership
-	shared []byte // ownShared: the current message's allocation
+	shared []byte // ownShared: a copy of buf[base:] as it stood at the message's first binary field
+	base   int
 }
 
 // NewTMemoryBuffer returns an empty memory transport.
@@ -74,14 +75,20 @@ func (m *TMemoryBuffer) binaryField(n int) ([]byte, error) {
 	if err != nil || m.own == ownLent {
 		return w, err
 	}
-	if m.shared == nil || n > cap(m.shared)-len(m.shared) {
-		// The message's first binary field. Every later one lies in the
-		// bytes still unread, so this one allocation holds them all.
-		m.shared = make([]byte, 0, n+m.Len())
+	off := m.rpos - n - m.base
+	if m.shared == nil || off < 0 || off+n > len(m.shared) {
+		// The message's first binary field, or one behind the bytes the
+		// copy holds (the buffer grew since). Every later field lies in
+		// the bytes still unread, so one copy of them all holds each at
+		// its own offset. make and copy of locals fuse into one
+		// allocation that is written once, never zero-filled first.
+		m.base, off = m.rpos-n, 0
+		rest := m.buf[m.base:]
+		cp := make([]byte, len(rest))
+		copy(cp, rest)
+		m.shared = cp
 	}
-	off := len(m.shared)
-	m.shared = append(m.shared, w...)
-	return m.shared[off:len(m.shared):len(m.shared)], nil
+	return m.shared[off : off+n : off+n], nil
 }
 
 // readStrings fills dst with the next len(dst) fields, each parsed by field
@@ -168,4 +175,4 @@ func (m *TMemoryBuffer) Bytes() []byte { return m.buf[m.rpos:] }
 func (m *TMemoryBuffer) Len() int { return len(m.buf) - m.rpos }
 
 // Reset discards all contents.
-func (m *TMemoryBuffer) Reset() { m.buf = m.buf[:0]; m.rpos = 0 }
+func (m *TMemoryBuffer) Reset() { m.buf, m.rpos, m.shared = m.buf[:0], 0, nil }
