@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestOrderIsABBA: pairs run A B, B A, B A, A B, and so on, so over ten
@@ -97,5 +98,29 @@ end-to-end metrics (5 repeats, 5319 primary-op samples, tail = p99, sim_digest f
 		if _, err := parseRun([]byte(bad)); err == nil {
 			t.Errorf("%s: parsed without error", what)
 		}
+	}
+}
+
+// TestReportVerdicts: a clear gain reads as an interval excluding 0 with
+// the gain rule met, and one run whose digest differs makes the digests
+// disagree.
+func TestReportVerdicts(t *testing.T) {
+	a, b := &side{name: "a"}, &side{name: "b"}
+	for i := 0; i < 10; i++ {
+		a.runs = append(a.runs, run{opsPerS: 100 + float64(i%3), allocs: 1, digest: "d1"})
+		b.runs = append(b.runs, run{opsPerS: 120 + float64(i%4), allocs: 1, digest: "d1"})
+	}
+	var out strings.Builder
+	report(&out, [2]*side{a, b}, time.Second)
+	for _, want := range []string{"excludes 0", "b ahead in 10 of 10 pairs", "rule (≥ 9/10 pairs, median gap > a's IQR): met", ": agree"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, out.String())
+		}
+	}
+	b.runs[3].digest = "d2"
+	out.Reset()
+	report(&out, [2]*side{a, b}, time.Second)
+	if !strings.Contains(out.String(), ": disagree") {
+		t.Errorf("a differing digest still agrees:\n%s", out.String())
 	}
 }

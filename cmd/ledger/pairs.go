@@ -65,7 +65,7 @@ func pairs(args []string) error {
 	began := time.Now()
 	for i := 0; i < *n; i++ {
 		for _, s := range order(i, sides) {
-			r, err := s.run(benchArgs)
+			r, err := s.run(filepath.Join(root, "hatbench"), benchArgs)
 			if err != nil {
 				return fmt.Errorf("pair %d, side %s (%s): %w", i+1, s.name, s.rev, err)
 			}
@@ -90,9 +90,12 @@ func order(i int, s [2]*side) [2]*side {
 
 // prepare exports the side's revision into root/name and builds its
 // benchmark there with bench/run.sh's offline settings (no network, no
-// workspace, the local toolchain). The Go build cache is the caller's:
+// workspace, the local toolchain; -modcacherw so that a later run can
+// remove the tree). The Go build cache is the caller's:
 // it is content-addressed, so the two builds cannot mix, and a fresh one
-// would rebuild the standard library for each side.
+// would rebuild the standard library for each side. -trimpath keeps the
+// tree's path out of the binary, so both sides of an A/A comparison run
+// the same bytes.
 func (s *side) prepare(root string) error {
 	out, err := exec.Command("git", "rev-parse", "--verify", s.rev+"^{commit}").Output()
 	if err != nil {
@@ -108,7 +111,7 @@ func (s *side) prepare(root string) error {
 	}
 	build := filepath.Join(s.dir, ".bench_build")
 	s.bin = filepath.Join(build, "hatbench")
-	cmd := exec.Command("go", "build", "-o", s.bin, ".")
+	cmd := exec.Command("go", "build", "-trimpath", "-o", s.bin, ".")
 	cmd.Dir = filepath.Join(s.dir, "bench")
 	cmd.Env = append(os.Environ(), "GOPATH="+filepath.Join(build, "gopath"),
 		"XDG_CONFIG_HOME="+filepath.Join(build, "config"),
@@ -183,9 +186,24 @@ func writeFile(path string, r io.Reader, mode os.FileMode) error {
 }
 
 // run runs the side's benchmark once, from the root of its tree as
-// bench/run.sh does, and reads its report.
-func (s *side) run(args []string) (run, error) {
-	cmd := exec.Command(s.bin, args...)
+// bench/run.sh does, and reads its report. It executes a fresh copy of
+// the binary at exe, one path for both sides: run in place, a binary
+// keeps the physical pages it was first cached in, and in an A/A run on
+// a 2-vCPU host that favoured one of two identical builds in 9 of 10
+// echo_bulk pairs, by 1 %. A copy per run makes that placement vary
+// with the run.
+func (s *side) run(exe string, args []string) (run, error) {
+	bin, err := os.ReadFile(s.bin)
+	if err != nil {
+		return run{}, err
+	}
+	if err := os.Remove(exe); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return run{}, err
+	}
+	if err := os.WriteFile(exe, bin, 0o755); err != nil {
+		return run{}, err
+	}
+	cmd := exec.Command(exe, args...)
 	cmd.Dir = s.dir
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
@@ -247,12 +265,8 @@ func report(w io.Writer, s [2]*side, elapsed time.Duration) {
 	ops := func(sd *side) []float64 { return field(sd.runs, func(r run) float64 { return r.opsPerS }) }
 	qa, qb := quartilesOf(ops(a)), quartilesOf(ops(b))
 	fmt.Fprintf(w, "host_ops_per_s %12s %12s %12s %12s\n", "median", "q1", "q3", "IQR")
-	for _, r := range []struct {
-		name string
-		q    [3]float64
-	}{{"a", qa}, {"b", qb}} {
-		fmt.Fprintf(w, "  %-12s %12.1f %12.1f %12.1f %12.1f\n", r.name, r.q[1], r.q[0], r.q[2], r.q[2]-r.q[0])
-	}
+	fmt.Fprintf(w, "  a            %12.1f %12.1f %12.1f %12.1f\n", qa[1], qa[0], qa[2], qa[2]-qa[0])
+	fmt.Fprintf(w, "  b            %12.1f %12.1f %12.1f %12.1f\n", qb[1], qb[0], qb[2], qb[2]-qb[0])
 	est, lo, hi, conf, ok := shift(ops(a), ops(b), 0.05)
 	fmt.Fprintf(w, "shift b − a (Hodges–Lehmann): %+.1f ops/s (%+.2f %% of a's median)\n", est, 100*est/qa[1])
 	if ok {
@@ -269,12 +283,11 @@ func report(w io.Writer, s [2]*side, elapsed time.Duration) {
 		rule = "met"
 	}
 	fmt.Fprintf(w, "b ahead in %d of %d pairs; gain rule (≥ 9/10 pairs, median gap > a's IQR): %s\n", wins, len(a.runs), rule)
-	for _, m := range []struct {
-		name string
-		get  func(run) float64
-	}{{"host_allocs_per_op", func(r run) float64 { return r.allocs }}, {"host_alloc_bytes_per_op", func(r run) float64 { return r.allocBytes }}} {
-		fmt.Fprintf(w, "%-24s a %.6g   b %.6g (medians)\n", m.name, quartilesOf(field(a.runs, m.get))[1], quartilesOf(field(b.runs, m.get))[1])
-	}
+	median := func(sd *side, get func(run) float64) float64 { return quartilesOf(field(sd.runs, get))[1] }
+	allocs := func(r run) float64 { return r.allocs }
+	bytes := func(r run) float64 { return r.allocBytes }
+	fmt.Fprintf(w, "host_allocs_per_op       a %.6g   b %.6g (medians)\n", median(a, allocs), median(b, allocs))
+	fmt.Fprintf(w, "host_alloc_bytes_per_op  a %.6g   b %.6g (medians)\n", median(a, bytes), median(b, bytes))
 	da, db := digests(a.runs), digests(b.runs)
 	agree := "disagree"
 	if len(da) == 1 && da[0] == strings.Join(db, " ") {

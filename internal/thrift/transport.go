@@ -77,7 +77,7 @@ func (m *TMemoryBuffer) binaryField(n int) ([]byte, error) {
 	}
 	off := m.rpos - n - m.base
 	if m.shared == nil || off < 0 || off+n > len(m.shared) {
-		// The message's first binary field, or one behind the bytes the
+		// The message's first binary field, or one outside the bytes the
 		// copy holds (the buffer grew since). Every later field lies in
 		// the bytes still unread, so one copy of them all holds each at
 		// its own offset. make and copy of locals fuse into one
