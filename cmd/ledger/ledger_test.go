@@ -23,35 +23,35 @@ func TestOrderIsABBA(t *testing.T) {
 	}
 }
 
-// TestUCriticalMatchesTables: the interval's rank is one above the
-// two-sided 5 % critical U of the published tables (2 at 5 × 5, 23 at
-// 10 × 10, 8 at 10 × 5), and three runs a side are too few.
-func TestUCriticalMatchesTables(t *testing.T) {
-	for _, c := range []struct{ m, n, k int }{{5, 5, 3}, {10, 10, 24}, {10, 5, 9}, {3, 3, 0}} {
-		k, conf := uCritical(c.m, c.n, 0.05)
+// TestCriticalMatchesTables: the interval's rank is one above the
+// two-sided 5 % critical T of the published signed-rank tables (0 at 6
+// pairs, 3 at 8, 8 at 10, 25 at 15), and five pairs are too few.
+func TestCriticalMatchesTables(t *testing.T) {
+	for _, c := range []struct{ n, k int }{{6, 1}, {8, 4}, {10, 9}, {15, 26}, {5, 0}} {
+		k, conf := critical(signedRankCounts(c.n), 0.05)
 		if k != c.k || (k > 0 && conf < 0.95) {
-			t.Errorf("%d × %d: k = %d at confidence %.4f, want k = %d at ≥ 0.95", c.m, c.n, k, conf, c.k)
+			t.Errorf("%d pairs: k = %d at confidence %.4f, want k = %d at ≥ 0.95", c.n, k, conf, c.k)
 		}
 	}
 	var total float64
-	for _, c := range uCounts(10, 10) {
+	for _, c := range signedRankCounts(10) {
 		total += c
 	}
-	if total != 184756 { // C(20, 10)
-		t.Errorf("uCounts(10, 10) sums to %v, want C(20, 10)", total)
+	if total != 1024 {
+		t.Errorf("signedRankCounts(10) sums to %v, want 2^10", total)
 	}
 }
 
 // TestShift: a pure shift is estimated exactly with a zero-width
-// interval; identical samples give an interval around 0; and a shift
-// within the noise does not exclude 0.
+// interval; identical samples give an interval around 0; a shift within
+// the noise does not exclude 0; and five pairs are too few.
 func TestShift(t *testing.T) {
 	a := []float64{100, 103, 98, 101, 99, 104, 97, 102, 100.5, 99.5}
 	b := make([]float64, len(a))
 	for i, x := range a {
 		b[i] = x + 5
 	}
-	if est, lo, hi, _, ok := shift(a, b, 0.05); !ok || est != 5 || lo > 5 || hi < 5 || lo <= 0 {
+	if est, lo, hi, _, ok := shift(a, b, 0.05); !ok || est != 5 || lo != 5 || hi != 5 {
 		t.Errorf("shift by 5: %v in [%v, %v], ok %v", est, lo, hi, ok)
 	}
 	if est, lo, hi, _, _ := shift(a, a, 0.05); est != 0 || lo > 0 || hi < 0 {
@@ -61,8 +61,23 @@ func TestShift(t *testing.T) {
 	if _, lo, hi, _, _ := shift(a, noisy, 0.05); lo > 0 || hi < 0 {
 		t.Errorf("a shift within the noise excluded 0: [%v, %v]", lo, hi)
 	}
-	if _, lo, hi, _, ok := shift(a[:2], b[:2], 0.05); ok || !math.IsInf(lo, -1) || !math.IsInf(hi, 1) {
-		t.Errorf("two runs a side gave an interval [%v, %v]", lo, hi)
+	if _, lo, hi, _, ok := shift(a[:5], b[:5], 0.05); ok || !math.IsInf(lo, -1) || !math.IsInf(hi, 1) {
+		t.Errorf("five pairs gave an interval [%v, %v]", lo, hi)
+	}
+}
+
+// TestShiftIsPaired: when the host drifts far more between pairs than b
+// differs from a within one, the interval follows the per-pair gap, not
+// the spread of either side.
+func TestShiftIsPaired(t *testing.T) {
+	var a, b []float64
+	for i := 0; i < 10; i++ {
+		drift := 100 * float64(i%5)
+		a = append(a, 1000+drift)
+		b = append(b, 1000+drift+1+0.1*float64(i%3))
+	}
+	if est, lo, hi, _, ok := shift(a, b, 0.05); !ok || lo < 1 || hi > 1.2 || est < lo || est > hi {
+		t.Errorf("drifting pairs b = a + 1..1.2: %v in [%v, %v], ok %v", est, lo, hi, ok)
 	}
 }
 
@@ -102,8 +117,9 @@ end-to-end metrics (5 repeats, 5319 primary-op samples, tail = p99, sim_digest f
 }
 
 // TestReportVerdicts: a clear gain reads as an interval excluding 0 with
-// the gain rule met, and one run whose digest differs makes the digests
-// disagree.
+// the gain rule met, one run whose digest differs makes the digests
+// disagree, and a shift as small as A/A runs read is unresolved even
+// when its interval excludes 0.
 func TestReportVerdicts(t *testing.T) {
 	a, b := &side{name: "a"}, &side{name: "b"}
 	for i := 0; i < 10; i++ {
@@ -122,5 +138,13 @@ func TestReportVerdicts(t *testing.T) {
 	report(&out, [2]*side{a, b}, time.Second)
 	if !strings.Contains(out.String(), ": disagree") {
 		t.Errorf("a differing digest still agrees:\n%s", out.String())
+	}
+	for i := range b.runs {
+		b.runs[i].opsPerS = a.runs[i].opsPerS + 1 // 1 %
+	}
+	out.Reset()
+	report(&out, [2]*side{a, b}, time.Second)
+	if !strings.Contains(out.String(), "excludes 0, but the shift is under 1.5 %") {
+		t.Errorf("a 1 %% shift is not unresolved:\n%s", out.String())
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -37,7 +38,6 @@ func pairs(args []string) error {
 	workload := fs.String("workload", "", "benchmark workload (required)")
 	n := fs.Int("n", 10, "pairs to run")
 	seed := fs.Int("seed", 1, "workload seed")
-	seconds := fs.Float64("seconds", 4, "wall seconds per run (the benchmark's --seconds)")
 	dir := fs.String("dir", "", "directory for the exported trees (default: a temporary one, removed afterwards)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -60,12 +60,11 @@ func pairs(args []string) error {
 			return err
 		}
 	}
-	benchArgs := []string{"--workload", *workload, "--seed", strconv.Itoa(*seed),
-		"--seconds", strconv.FormatFloat(*seconds, 'g', -1, 64), "--trace", "0"}
+	benchArgs := []string{"--workload", *workload, "--seed", strconv.Itoa(*seed), "--seconds", "4", "--trace", "0"}
 	began := time.Now()
 	for i := 0; i < *n; i++ {
 		for _, s := range order(i, sides) {
-			r, err := s.run(filepath.Join(root, "hatbench"), benchArgs)
+			r, err := s.run(benchArgs)
 			if err != nil {
 				return fmt.Errorf("pair %d, side %s (%s): %w", i+1, s.name, s.rev, err)
 			}
@@ -73,7 +72,7 @@ func pairs(args []string) error {
 			fmt.Fprintf(os.Stderr, "pair %d/%d %s: %.1f ops/s\n", i+1, *n, s.name, r.opsPerS)
 		}
 	}
-	fmt.Printf("ledger pairs: %s, seed %d, %g s per run, %d pairs in ABBA order\n", *workload, *seed, *seconds, *n)
+	fmt.Printf("ledger pairs: %s, seed %d, 4 s per run, %d pairs in ABBA order\n", *workload, *seed, *n)
 	report(os.Stdout, sides, time.Since(began))
 	return nil
 }
@@ -89,13 +88,11 @@ func order(i int, s [2]*side) [2]*side {
 }
 
 // prepare exports the side's revision into root/name and builds its
-// benchmark there with bench/run.sh's offline settings (no network, no
-// workspace, the local toolchain; -modcacherw so that a later run can
-// remove the tree). The Go build cache is the caller's:
-// it is content-addressed, so the two builds cannot mix, and a fresh one
-// would rebuild the standard library for each side. -trimpath keeps the
-// tree's path out of the binary, so both sides of an A/A comparison run
-// the same bytes.
+// benchmark there as bench/run.sh does (no network, no workspace, the
+// local toolchain), adding only -modcacherw so that a later run can
+// remove the tree. The Go build cache is the caller's: it is
+// content-addressed, so the two builds cannot mix, and a fresh one would
+// rebuild the standard library for each side.
 func (s *side) prepare(root string) error {
 	out, err := exec.Command("git", "rev-parse", "--verify", s.rev+"^{commit}").Output()
 	if err != nil {
@@ -111,7 +108,7 @@ func (s *side) prepare(root string) error {
 	}
 	build := filepath.Join(s.dir, ".bench_build")
 	s.bin = filepath.Join(build, "hatbench")
-	cmd := exec.Command("go", "build", "-trimpath", "-o", s.bin, ".")
+	cmd := exec.Command("go", "build", "-o", s.bin, ".")
 	cmd.Dir = filepath.Join(s.dir, "bench")
 	cmd.Env = append(os.Environ(), "GOPATH="+filepath.Join(build, "gopath"),
 		"XDG_CONFIG_HOME="+filepath.Join(build, "config"),
@@ -186,24 +183,9 @@ func writeFile(path string, r io.Reader, mode os.FileMode) error {
 }
 
 // run runs the side's benchmark once, from the root of its tree as
-// bench/run.sh does, and reads its report. It executes a fresh copy of
-// the binary at exe, one path for both sides: run in place, a binary
-// keeps the physical pages it was first cached in, and in an A/A run on
-// a 2-vCPU host that favoured one of two identical builds in 9 of 10
-// echo_bulk pairs, by 1 %. A copy per run makes that placement vary
-// with the run.
-func (s *side) run(exe string, args []string) (run, error) {
-	bin, err := os.ReadFile(s.bin)
-	if err != nil {
-		return run{}, err
-	}
-	if err := os.Remove(exe); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return run{}, err
-	}
-	if err := os.WriteFile(exe, bin, 0o755); err != nil {
-		return run{}, err
-	}
-	cmd := exec.Command(exe, args...)
+// bench/run.sh does, and reads its report.
+func (s *side) run(args []string) (run, error) {
+	cmd := exec.Command(s.bin, args...)
 	cmd.Dir = s.dir
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
@@ -249,6 +231,12 @@ func parseRun(out []byte) (run, error) {
 	return r, nil
 }
 
+// aaShift is the shift, as a share of a's median, below which an
+// interval that excludes 0 is not taken as a difference: A/A runs (one
+// commit on both sides) have read shifts of up to 1.26 %, three of 31
+// with intervals that excluded 0 (EXPERIMENTS.md, "One copy per reply").
+const aaShift = 0.015
+
 // report prints the runs pair by pair, then the comparison.
 func report(w io.Writer, s [2]*side, elapsed time.Duration) {
 	a, b := s[0], s[1]
@@ -273,8 +261,11 @@ func report(w io.Writer, s [2]*side, elapsed time.Duration) {
 		verdict := "contains 0"
 		if lo > 0 || hi < 0 {
 			verdict = "excludes 0"
+			if math.Abs(est) < aaShift*qa[1] {
+				verdict = fmt.Sprintf("excludes 0, but the shift is under %.1f %% of a's median, which A/A runs have read: unresolved", 100*aaShift)
+			}
 		}
-		fmt.Fprintf(w, "  %.1f %% interval (Mann–Whitney): [%+.1f, %+.1f], %s\n", 100*conf, lo, hi, verdict)
+		fmt.Fprintf(w, "  %.1f %% interval (Wilcoxon signed-rank over the pairs): [%+.1f, %+.1f], %s\n", 100*conf, lo, hi, verdict)
 	} else {
 		fmt.Fprintf(w, "  too few runs for a 95 %% interval\n")
 	}

@@ -21,67 +21,58 @@ func quartilesOf(xs []float64) [3]float64 {
 	return [3]float64{at(0.25), at(0.5), at(0.75)}
 }
 
-// shift returns the Hodges–Lehmann estimate of how far b sits above a,
-// the median of every difference b_j − a_i, and the interval
-// [D(k), D(mn+1−k)] of the sorted differences that the exact Mann–Whitney
-// U distribution gives at two-sided level alpha, with the confidence it
-// reaches. ok is false when the samples are too few for any such k.
+// shift returns the Hodges–Lehmann estimate of how far b sits above a
+// over paired runs, the median of the Walsh averages (d_i + d_j)/2,
+// i ≤ j, of the per-pair differences d_i = b_i − a_i, and the interval
+// [W(k), W(N+1−k)] of the N = n(n+1)/2 sorted averages that the exact
+// Wilcoxon signed-rank distribution gives at two-sided level alpha, with
+// the confidence it reaches. A pair's two runs sit next to each other, so
+// drift on the host moves both and cancels in d_i. ok is false when the
+// pairs are too few for any such k.
 func shift(a, b []float64, alpha float64) (est, lo, hi, conf float64, ok bool) {
-	d := make([]float64, 0, len(a)*len(b))
-	for _, x := range a {
-		for _, y := range b {
-			d = append(d, y-x)
+	w := make([]float64, 0, len(a)*(len(a)+1)/2)
+	for i := range a {
+		for j := i; j < len(a); j++ {
+			w = append(w, (b[i]-a[i]+b[j]-a[j])/2)
 		}
 	}
-	est = quartilesOf(d)[1]
-	k, conf := uCritical(len(a), len(b), alpha)
+	est = quartilesOf(w)[1]
+	k, conf := critical(signedRankCounts(len(a)), alpha)
 	if k == 0 {
 		return est, math.Inf(-1), math.Inf(1), 1, false
 	}
-	slices.Sort(d)
-	return est, d[k-1], d[len(d)-k], conf, true
+	slices.Sort(w)
+	return est, w[k-1], w[len(w)-k], conf, true
 }
 
-// uCritical returns the largest k with P(U ≤ k−1) ≤ alpha/2 for samples
-// of m and n with no ties under the null hypothesis, and the two-sided
-// confidence 1 − 2·P(U ≤ k−1) of the interval it cuts.
-func uCritical(m, n int, alpha float64) (k int, conf float64) {
-	counts := uCounts(m, n)
+// critical returns the largest k with P(T ≤ k−1) ≤ alpha/2, where
+// counts[t] is how many equally likely outcomes give the statistic T = t
+// under the null hypothesis, and the two-sided confidence
+// 1 − 2·P(T ≤ k−1) of the interval it cuts.
+func critical(counts []float64, alpha float64) (k int, conf float64) {
 	var total, below float64
 	for _, c := range counts {
 		total += c
 	}
-	for u, c := range counts {
+	for t, c := range counts {
 		if (below+c)/total > alpha/2 {
 			break
 		}
-		below, k = below+c, u+1
+		below, k = below+c, t+1
 	}
 	return k, 1 - 2*below/total
 }
 
-// uCounts returns, for each u in 0..mn, how many of the C(m+n, m)
-// orderings of m a's among n b's have U = u, where U counts the pairs
-// with the a above the b: the coefficients of the Gaussian binomial
-// [m+n choose m]. The greatest of i a's and j b's is an a, above all j
-// b's, or a b, above none, so c(i, j) = q^j·c(i−1, j) + c(i, j−1).
-func uCounts(m, n int) []float64 {
-	row := make([][]float64, n+1) // row[j] = c(i, j) for the current i
-	for j := range row {
-		row[j] = []float64{1}
-	}
-	for i := 1; i <= m; i++ {
-		row[0] = []float64{1}
-		for j := 1; j <= n; j++ {
-			next := make([]float64, i*j+1)
-			for u, c := range row[j] { // c(i−1, j), shifted by j
-				next[u+j] += c
-			}
-			for u, c := range row[j-1] { // c(i, j−1)
-				next[u] += c
-			}
-			row[j] = next
+// signedRankCounts returns, for each t in 0..n(n+1)/2, how many of the
+// 2^n ways to sign the ranks 1..n give positive ranks that sum to t: the
+// coefficients of (1 + q)(1 + q²)…(1 + qⁿ).
+func signedRankCounts(n int) []float64 {
+	c := make([]float64, n*(n+1)/2+1)
+	c[0] = 1
+	for r := 1; r <= n; r++ {
+		for t := r * (r + 1) / 2; t >= r; t-- {
+			c[t] += c[t-r]
 		}
 	}
-	return row[n]
+	return c
 }
