@@ -96,16 +96,17 @@ func TestParseRun(t *testing.T) {
 	out := `workload echo_bulk seed 1 GOMAXPROCS 2 (closed loop, 4 clients, primary op Echo)
 end-to-end metrics (5 repeats, 5319 primary-op samples, tail = p99, sim_digest f30c4fdc3e37188b)
   host_ops_per_s                                            29693 ops/s
-{"correct":true,"attempted":5319,"failed":0,"metrics":{"host_alloc_bytes_per_op":{"value":131205.9,"unit":"B/op"},"host_allocs_per_op":{"value":1.0073,"unit":"allocs/op"},"host_ops_per_s":{"value":29692.96,"unit":"ops/s"}}}
+{"correct":true,"attempted":5319,"failed":0,"metrics":{"host_alloc_bytes_per_op":{"value":131205.9,"unit":"B/op"},"host_allocs_per_op":{"value":1.0073,"unit":"allocs/op"},"host_ops_per_s":{"value":29692.96,"unit":"ops/s"},"setup_s":{"value":0.0094,"unit":"s"}}}
 `
 	r, err := parseRun([]byte(out))
-	if err != nil || r != (run{opsPerS: 29692.96, allocs: 1.0073, allocBytes: 131205.9, digest: "f30c4fdc3e37188b"}) {
+	if err != nil || r != (run{opsPerS: 29692.96, setup: 0.0094, allocs: 1.0073, allocBytes: 131205.9, digest: "f30c4fdc3e37188b"}) {
 		t.Fatalf("parseRun = %+v, %v", r, err)
 	}
 	for what, bad := range map[string]string{
 		"incorrect":      strings.Replace(out, `"correct":true`, `"correct":false`, 1),
 		"no digest":      strings.Replace(out, "sim_digest", "digest", 1),
 		"no ops":         strings.Replace(out, `"host_ops_per_s"`, `"ops"`, 1),
+		"no setup":       strings.Replace(out, `"setup_s"`, `"setup"`, 1),
 		"no JSON line":   out + "trailing\n",
 		"empty output":   "",
 		"truncated JSON": out[:len(out)-10],
@@ -146,5 +147,41 @@ func TestReportVerdicts(t *testing.T) {
 	report(&out, [2]*side{a, b}, time.Second)
 	if !strings.Contains(out.String(), "excludes 0, but the shift is under 1.5 %") {
 		t.Errorf("a 1 %% shift is not unresolved:\n%s", out.String())
+	}
+}
+
+// TestReportTable: the report lists every pair in running order with its
+// difference, each side's median and quartiles of host_ops_per_s, the
+// setup_s medians with their shift, and the allocation medians.
+func TestReportTable(t *testing.T) {
+	a, b := &side{name: "a", rev: "base"}, &side{name: "b", rev: "change"}
+	for i := 0; i < 4; i++ {
+		a.runs = append(a.runs, run{opsPerS: 1000 + 10*float64(i), setup: 0.040 + 0.001*float64(i), allocs: 2, allocBytes: 100, digest: "d1"})
+		b.runs = append(b.runs, run{opsPerS: 1100 + 10*float64(i), setup: 0.020 + 0.001*float64(i), allocs: 2, allocBytes: 90, digest: "d1"})
+	}
+	var out strings.Builder
+	report(&out, [2]*side{a, b}, 8*time.Second)
+	want := []string{
+		"  a = base (",
+		" pair  first          a ops/s          b ops/s        b − a",
+		"    1      a           1000.0           1100.0       +100.0",
+		"    2      b           1010.0           1110.0       +100.0",
+		"    3      b           1020.0           1120.0       +100.0",
+		"    4      a           1030.0           1130.0       +100.0",
+		"  a                  1015.0       1007.5       1022.5         15.0",
+		"  b                  1115.0       1107.5       1122.5         15.0",
+		"shift b − a (Hodges–Lehmann): +100.0 ops/s (+9.85 % of a's median)",
+		"  too few runs for a 95 % interval",
+		"b ahead in 4 of 4 pairs",
+		"setup_s                  a 0.0415   b 0.0215 (medians), shift b − a -0.02 s (-48.2 % of a's median)",
+		"host_allocs_per_op       a 2   b 2 (medians)",
+		"host_alloc_bytes_per_op  a 100   b 90 (medians)",
+		"sim_digest a d1   b d1: agree",
+		"wall time 8.0 s, 2.0 s per pair",
+	}
+	for _, line := range want {
+		if !strings.Contains(out.String(), line) {
+			t.Errorf("report lacks %q:\n%s", line, out.String())
+		}
 	}
 }

@@ -7,11 +7,12 @@
 // two binaries at --seconds 4 in ABBA order: pair i runs A first when
 // i mod 4 is 0 or 3, so over every four pairs each side runs first, and
 // runs second, twice. From each run's output it reads host_ops_per_s,
-// the two allocation figures and the sim_digest, and prints each side's
-// median and quartiles, the Hodges–Lehmann shift of B against A over the
-// per-pair differences with its distribution-free 95 % interval (from
-// the exact Wilcoxon signed-rank distribution), the pairs B wins, and
-// whether every run's digest agrees.
+// setup_s, the two allocation figures and the sim_digest, and prints
+// each side's median and quartiles, the Hodges–Lehmann shift of B
+// against A over the per-pair differences with its distribution-free
+// 95 % interval (from the exact Wilcoxon signed-rank distribution), the
+// pairs B wins, each side's setup_s median and its shift, the allocation
+// medians, and whether every run's digest agrees.
 package main
 
 import (

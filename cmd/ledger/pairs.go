@@ -27,8 +27,8 @@ type side struct {
 
 // run is what one benchmark run reports that pairs compares.
 type run struct {
-	opsPerS, allocs, allocBytes float64
-	digest                      string
+	opsPerS, setup, allocs, allocBytes float64
+	digest                             string
 }
 
 func pairs(args []string) error {
@@ -220,7 +220,8 @@ func parseRun(out []byte) (run, error) {
 	}
 	r := run{digest: m[1]}
 	for name, dst := range map[string]*float64{
-		"host_ops_per_s": &r.opsPerS, "host_allocs_per_op": &r.allocs, "host_alloc_bytes_per_op": &r.allocBytes,
+		"host_ops_per_s": &r.opsPerS, "setup_s": &r.setup,
+		"host_allocs_per_op": &r.allocs, "host_alloc_bytes_per_op": &r.allocBytes,
 	} {
 		v, ok := last.Metrics[name]
 		if !ok {
@@ -275,6 +276,10 @@ func report(w io.Writer, s [2]*side, elapsed time.Duration) {
 	}
 	fmt.Fprintf(w, "b ahead in %d of %d pairs; gain rule (≥ 9/10 pairs, median gap > a's IQR): %s\n", wins, len(a.runs), rule)
 	median := func(sd *side, get func(run) float64) float64 { return quartilesOf(field(sd.runs, get))[1] }
+	setup := func(r run) float64 { return r.setup }
+	sa := median(a, setup)
+	ds, _, _, _, _ := shift(field(a.runs, setup), field(b.runs, setup), 0.05)
+	fmt.Fprintf(w, "setup_s                  a %.4g   b %.4g (medians), shift b − a %+.4g s (%+.1f %% of a's median)\n", sa, median(b, setup), ds, 100*ds/sa)
 	allocs := func(r run) float64 { return r.allocs }
 	bytes := func(r run) float64 { return r.allocBytes }
 	fmt.Fprintf(w, "host_allocs_per_op       a %.6g   b %.6g (medians)\n", median(a, allocs), median(b, allocs))

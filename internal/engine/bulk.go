@@ -2,33 +2,45 @@ package engine
 
 import "hatrpc/internal/sim"
 
-// Stage lends the payload area of the connection's staging region, empty
-// and with room for MaxMsgSize bytes. A caller that serializes a message
-// straight into it (appending; never past the capacity) and hands the
-// result to the next Call on this connection, or returns it as the
-// handler's response, saves that send its staging copy. The loan ends with that call: the region is the
-// connection's one outbound buffer, and whatever it sends next overwrites
-// it. Lending claims the area (verbs.MR.Claim), so a packet still reading
-// an earlier message from it keeps that message. A closed connection
-// lends nothing.
+// The staging region lays out [notify|hdr|payload]: a message's header
+// and payload go out as one [hdr|payload] range at stageMsgOff, and the
+// header slot in front of it carries the notify SEND of a Direct-Write
+// chain, and every other control header (postSmall), without touching the
+// message.
+const (
+	stageNotifyOff  = 0
+	stageMsgOff     = hdrSize
+	stagePayloadOff = stageMsgOff + hdrSize
+)
+
+// Stage lends the payload area of the connection's staging region, empty,
+// with the capacity the region holds so far: its memory grows with the
+// messages staged in it (verbs.MR), up to MaxMsgSize. A caller that
+// serializes a message straight into it (appending) and hands the result
+// to the next Call on this connection, or returns it as the handler's
+// response, saves that send its staging copy; a message that outgrows
+// the capacity is appended elsewhere, and its send copies it in, growing
+// the region for the next. The loan ends with that call: the region is
+// the connection's one outbound buffer, and whatever it sends next
+// overwrites it. Lending claims the area (verbs.MR.Claim), so a packet
+// still reading an earlier message from it keeps that message. A closed
+// connection lends nothing.
 func (c *Conn) Stage() []byte {
 	if c.closed {
 		return nil
 	}
-	return c.stageMR.Claim(hdrSize, c.stageNotifyOff()-hdrSize)[:0]
+	n := max(0, c.stageMR.Allocated()-stagePayloadOff)
+	return c.stageMR.Claim(stagePayloadOff, n)[:0]
 }
 
 // staged reports whether payload was serialized into the staging region.
 func (c *Conn) staged(payload []byte) bool {
-	if len(payload) == 0 {
-		return false
-	}
-	return &payload[0] == &c.stageMR.Bytes()[hdrSize]
+	return c.stageMR.IsAt(stagePayloadOff, payload)
 }
 
-// stage lays [hdr|payload] out at the head of the staging region.
+// stage lays [hdr|payload] out in the staging region.
 func (c *Conn) stage(h hdr, payload []byte) {
-	c.putHdrC(c.stageMR.Claim(0, hdrSize), h)
+	c.putHdrC(c.stageMR.Claim(stageMsgOff, hdrSize), h)
 	c.stagePayload(payload)
 }
 
@@ -36,7 +48,7 @@ func (c *Conn) stage(h hdr, payload []byte) {
 // already (see Stage).
 func (c *Conn) stagePayload(payload []byte) {
 	if !c.staged(payload) {
-		copy(c.stageMR.Claim(hdrSize, len(payload)), payload)
+		copy(c.stageMR.Claim(stagePayloadOff, len(payload)), payload)
 		c.eng.em.stageCopy.Add(int64(len(payload)))
 	}
 }

@@ -214,7 +214,7 @@ func (c *Conn) sendEager(p *sim.Proc, h hdr, payload []byte, busy bool, until si
 		c.stage(fh, payload[off:off+n])
 		c.qp.PostSend(p, &verbs.SendWR{
 			WRID: c.wrid(), Op: verbs.OpSend,
-			SGE:        verbs.SGE{MR: c.stageMR, Off: 0, Len: hdrSize + n},
+			SGE:        verbs.SGE{MR: c.stageMR, Off: stageMsgOff, Len: hdrSize + n},
 			Inline:     hdrSize+n <= 256,
 			Unsignaled: true,
 		})
@@ -244,16 +244,16 @@ func (c *Conn) sendDirectWrite(p *sim.Proc, h hdr, payload []byte, chained bool,
 	c.spend()
 	c.stage(h, payload)
 	nh := hdr{kind: kNotify, proto: h.proto, seq: h.seq}
-	c.putHdrC(c.stageMR.Claim(c.stageNotifyOff(), hdrSize), nh)
+	c.putHdrC(c.stageMR.Claim(stageNotifyOff, hdrSize), nh)
 	write := verbs.SendWR{
 		WRID: c.wrid(), Op: verbs.OpWrite,
-		SGE:        verbs.SGE{MR: c.stageMR, Off: 0, Len: hdrSize + len(payload)},
+		SGE:        verbs.SGE{MR: c.stageMR, Off: stageMsgOff, Len: hdrSize + len(payload)},
 		Remote:     c.peerDirect,
 		Unsignaled: true,
 	}
 	send := verbs.SendWR{
 		WRID: c.wrid(), Op: verbs.OpSend,
-		SGE:        verbs.SGE{MR: c.stageMR, Off: c.stageNotifyOff(), Len: hdrSize},
+		SGE:        verbs.SGE{MR: c.stageMR, Off: stageNotifyOff, Len: hdrSize},
 		Inline:     true,
 		Unsignaled: true,
 	}
@@ -267,10 +267,6 @@ func (c *Conn) sendDirectWrite(p *sim.Proc, h hdr, payload []byte, chained bool,
 	return true
 }
 
-// stageNotifyOff is the staging offset reserved for notify headers — the
-// last hdrSize bytes of the staging region.
-func (c *Conn) stageNotifyOff() int { return c.stageMR.Len() - hdrSize }
-
 // sendWriteImm WRITEs [hdr|payload] into the peer's direct buffer with an
 // immediate, completing delivery in a single work request (Fig. 3f).
 // The immediate consumes a zero-length peer RECV, so it costs a credit.
@@ -282,7 +278,7 @@ func (c *Conn) sendWriteImm(p *sim.Proc, h hdr, payload []byte, busy bool, until
 	c.stage(h, payload)
 	c.qp.PostSend(p, &verbs.SendWR{
 		WRID: c.wrid(), Op: verbs.OpWriteImm,
-		SGE:        verbs.SGE{MR: c.stageMR, Off: 0, Len: hdrSize + len(payload)},
+		SGE:        verbs.SGE{MR: c.stageMR, Off: stageMsgOff, Len: hdrSize + len(payload)},
 		Remote:     c.peerDirect,
 		Imm:        immDirect,
 		Inline:     hdrSize+len(payload) <= 256,
@@ -330,7 +326,7 @@ func (c *Conn) sendWriteRNDV(p *sim.Proc, h hdr, payload []byte, busy bool, unti
 	c.stage(h, payload)
 	c.qp.PostSend(p, &verbs.SendWR{
 		WRID: c.wrid(), Op: verbs.OpWriteImm,
-		SGE:        verbs.SGE{MR: c.stageMR, Off: 0, Len: hdrSize + len(payload)},
+		SGE:        verbs.SGE{MR: c.stageMR, Off: stageMsgOff, Len: hdrSize + len(payload)},
 		Remote:     rk,
 		Imm:        h.seq,
 		Unsignaled: true,
@@ -369,11 +365,11 @@ func (c *Conn) sendReadRNDV(p *sim.Proc, h hdr, payload []byte, busy bool, until
 // sendRfpWrite WRITEs [hdr|payload] into the server's polled request
 // region (RFP and HERD request path).
 func (c *Conn) sendRfpWrite(p *sim.Proc, h hdr, payload []byte) {
-	putHdr(c.stageMR.Claim(0, hdrSize), h)
+	putHdr(c.stageMR.Claim(stageMsgOff, hdrSize), h)
 	c.stagePayload(payload)
 	c.qp.PostSend(p, &verbs.SendWR{
 		WRID: c.wrid(), Op: verbs.OpWrite,
-		SGE:        verbs.SGE{MR: c.stageMR, Off: 0, Len: hdrSize + len(payload)},
+		SGE:        verbs.SGE{MR: c.stageMR, Off: stageMsgOff, Len: hdrSize + len(payload)},
 		Remote:     c.peerRfpIn,
 		Unsignaled: true,
 	})

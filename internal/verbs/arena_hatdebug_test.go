@@ -125,7 +125,7 @@ func TestEndedLoanOfALandingSparesItsSource(t *testing.T) {
 	inFlight(t, env, a, b, OpWrite, src, dst)
 	env.Run()
 	w := dst.Lend(0, len(msg))
-	if &w[0] != &dst.mem()[0] {
+	if &w[0] != &dst.buf[0] {
 		t.Fatal("a hatdebug Lend lent the source window")
 	}
 	dst.EndLend()

@@ -184,6 +184,7 @@ func TestClaimMovesALentRegion(t *testing.T) {
 			for mr.held == nil {
 				env.RunUntil(env.Now() + 10)
 			}
+			mr.Bytes() // the region's whole memory, so that reading it whole moves nothing
 			w, lentArr := mr.Lend(8, 16), mr.Bytes()
 			copy(mr.Claim(24, 8), "XXXXXXXX") // beside the window
 			if &mr.Bytes()[0] != &lentArr[0] || a.dev.vm.moves.Value() != 0 {

@@ -19,7 +19,10 @@ import (
 // landings. A byte the contract leaves undefined — a lent range after its
 // loan ended, a buffer posted to receive — is not compared. Every lent
 // window must keep the bytes it was lent with, and once every loan has
-// ended and every region been read whole, no hold may be left.
+// ended and every region been read whole, no hold may be left. The
+// regions start with no memory and grow as the script touches them: after
+// every step no byte a region holds at or past its high-water mark may be
+// other than zero, and every hold must read the region's current memory.
 func FuzzLandingByReference(f *testing.F) {
 	for _, seed := range [][]byte{
 		{0, 0, 3, 5, 20, 5, 0, 2, 30, 7, 12, 6, 1, 0, 8, 8, 1, 4, 8, 7, 1},
@@ -27,6 +30,10 @@ func FuzzLandingByReference(f *testing.F) {
 		{3, 0, 0, 10, 4, 16, 11, 40, 5, 1, 12, 8, 7, 12, 8, 1, 0, 30, 9, 1, 10, 1},
 		{1, 1, 1, 4, 0, 32, 4, 0, 2, 0, 1, 12, 6, 2, 0, 32, 5, 0, 0, 64, 1, 10, 0, 12},
 		{0, 0, 0, 0, 60, 11, 3, 6, 1, 2, 20, 5, 1, 0, 64, 2, 12, 7, 1, 10, 1, 9, 1},
+		// R0 grows under a loan and a SEND in flight, both of its first bytes.
+		{5, 0, 0, 7, 97, 6, 0, 2, 3, 0, 2, 0, 0, 5, 0, 5, 0, 40, 9, 98, 4, 1, 0, 10, 0, 12, 0, 0, 0, 0, 7, 0, 0, 0, 0, 8, 1, 0, 5, 0},
+		// A WRITE lands past R0's memory, which a View across it grows.
+		{5, 1, 0, 7, 99, 0, 1, 0, 7, 50, 12, 0, 0, 0, 0, 8, 0, 48, 9, 0, 5, 1, 0, 7, 100, 9, 0, 0, 0, 0},
 	} {
 		f.Add(seed)
 	}
@@ -84,6 +91,11 @@ func newLandingHarness(t *testing.T) *landingHarness {
 	a, b := testPair(env)
 	h := &landingHarness{t: t, env: env, a: a, b: b, ops: map[uint64]*modelOp{}}
 	h.regions = [3]*MR{a.pd.RegisterMRNoCost(fuzzRegion), b.pd.RegisterMRNoCost(fuzzRegion), a.pd.RegisterMRNoCost(fuzzRegion)}
+	for r, mr := range h.regions {
+		if mr.Allocated() != 0 {
+			t.Fatalf("R%d holds %d bytes before anything touched it", r, mr.Allocated())
+		}
+	}
 	for i := range h.model {
 		for j := range h.model[i].defined {
 			h.model[i].defined[j] = true
@@ -330,10 +342,25 @@ func (h *landingHarness) unlend(r int, ended bool) {
 }
 
 // check compares every region, read without copying anything in, and
-// every lent window with the model.
+// every lent window with the model, and checks what a growth relies on:
+// the region's memory is zero at and past its high-water mark, and every
+// hold on it reads that memory, not an array it grew or moved away from.
 func (h *landingHarness) check() {
 	h.t.Helper()
 	for r, mr := range h.regions {
+		if len(mr.buf) > mr.size {
+			h.t.Fatalf("R%d holds %d bytes, more than its %d", r, len(mr.buf), mr.size)
+		}
+		for i := mr.hi; i < len(mr.buf); i++ {
+			if mr.buf[i] != 0 {
+				h.t.Fatalf("R%d: byte %d, at or past the high-water mark %d, is %d", r, i, mr.hi, mr.buf[i])
+			}
+		}
+		for x := mr.held; x != nil; x = x.next {
+			if len(x.b) > 0 && &x.b[0] != &mr.buf[x.srcOff] {
+				h.t.Fatalf("R%d: a hold of [%d, %d) reads an array the region left", r, x.srcOff, x.srcOff+len(x.b))
+			}
+		}
 		h.compare(fmt.Sprintf("R%d", r), peek(mr), h.model[r].b[:], h.model[r].defined[:])
 		if l := h.loans[r]; l != nil {
 			h.compare(fmt.Sprintf("the window lent by R%d", r), l.w, l.want, l.ok)
@@ -356,7 +383,8 @@ func (h *landingHarness) compare(what string, got, want []byte, ok []bool) {
 // peek reads a region as its host would, landed ranges included, without
 // copying them in.
 func peek(mr *MR) []byte {
-	out := append([]byte(nil), mr.buf...)
+	out := make([]byte, mr.size)
+	copy(out, mr.buf)
 	for h := mr.landed; h != nil; h = h.dnext {
 		copy(out[h.dstOff:], h.b)
 	}
