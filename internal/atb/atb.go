@@ -50,9 +50,7 @@ type Testbed struct {
 }
 
 // newFabric builds the testbed (the paper's 10 nodes, or nodes if >0)
-// for a run of size-byte payloads with an explicit engine sizing —
-// benchmarks shrink MaxMsgSize to the run's payload regime so hundreds
-// of connections fit in host memory.
+// for a run of size-byte payloads with an explicit engine config.
 func (tb Testbed) newFabric(seed int64, nodes, size int, ecfg engine.Config) *Fabric {
 	cfg := simnet.DefaultConfig()
 	if nodes > 0 {
@@ -85,16 +83,11 @@ func (f *Fabric) Engines() []*engine.Engine {
 	return append([]*engine.Engine{f.Server}, f.Clients...)
 }
 
-// engineConfigFor sizes per-connection buffers to the benchmark's
-// payload regime. fetch keeps the server-side one-sided regions
-// (engine.Protocol.NeedsFetchBufs; a planned subject may choose RFP).
-func engineConfigFor(size int, fetch bool) engine.Config {
+// engineConfigFor is a sweep's engine config: a 16-slot ring, and the
+// server-side one-sided regions only when fetch says a subject may use
+// them (engine.Protocol.NeedsFetchBufs; a planned subject may choose RFP).
+func engineConfigFor(fetch bool) engine.Config {
 	ecfg := engine.DefaultConfig()
-	maxMsg := 4 * size
-	if maxMsg < 16384 {
-		maxMsg = 16384
-	}
-	ecfg.MaxMsgSize = maxMsg
 	ecfg.EagerSlots = 16
 	ecfg.NoFetchBufs = !fetch
 	return ecfg
@@ -388,7 +381,7 @@ func (s Sweep) Measure(pt Point) Point {
 	if window {
 		nodes, goal = 10, hints.GoalThroughput
 	}
-	f := s.Testbed.newFabric(s.Seed, nodes, size, engineConfigFor(size, sub.Proto == engine.ProtoAuto || sub.Proto.NeedsFetchBufs()))
+	f := s.Testbed.newFabric(s.Seed, nodes, size, engineConfigFor(sub.Proto == engine.ProtoAuto || sub.Proto.NeedsFetchBufs()))
 	dial := sub.boot(f, goal, size, clients)
 	var lat stats.Sample // measured calls
 	var done [3]int      // calls completed inside the window, by fn

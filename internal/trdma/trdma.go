@@ -288,7 +288,7 @@ func (t *SessionTransport) Invoke(p *sim.Proc, fn string, request []byte, oneway
 	opts.Oneway = oneway
 	out, err := t.s.Invoke(p, pl.id, request, opts)
 	if len(request) > cap(t.req) {
-		// By length: a staged request's capacity is the whole staging region.
+		// By length: a staged request's capacity is the staging region's.
 		t.req = make([]byte, 0, len(request))
 	}
 	return out, err
