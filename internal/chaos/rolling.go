@@ -104,8 +104,8 @@ type RollingResult struct {
 	DrainedRequests int64 // requests fenced with the typed draining reply
 
 	// Per-shard final durable position at the authority replica.
-	ShardEpochs []uint64
-	ShardSeqs   []uint64
+	ShardEpochs []int64
+	ShardSeqs   []int64
 }
 
 // Availability is acked puts over all put outcomes (acked + failed).
@@ -276,8 +276,8 @@ func RollingSoak(rc RollingConfig) (*RollingResult, error) {
 func auditCluster(res *RollingResult, ccfg cluster.Config, stores []*hatkv.Store) {
 	nshards := cluster.NumShards(ccfg)
 	auth := make([]int, nshards)
-	res.ShardEpochs = make([]uint64, nshards)
-	res.ShardSeqs = make([]uint64, nshards)
+	res.ShardEpochs = make([]int64, nshards)
+	res.ShardSeqs = make([]int64, nshards)
 	for s := 0; s < nshards; s++ {
 		auth[s] = cluster.ShardAuthority(ccfg, stores, s)
 		res.ShardEpochs[s], res.ShardSeqs[s] = cluster.ShardPosition(stores[auth[s]], s)

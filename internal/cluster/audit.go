@@ -14,7 +14,7 @@ import (
 // ShardPosition returns the durable (content epoch, seq) of one shard
 // at one store: (1, 0), where every replica starts, when the store never
 // held the shard.
-func ShardPosition(store *hatkv.Store, shard int) (epoch, seq uint64) {
+func ShardPosition(store *hatkv.Store, shard int) (epoch, seq int64) {
 	m := durablePosition(store, shard, shardMeta{Epoch: 1})
 	return m.Epoch, m.Seq
 }
@@ -29,7 +29,7 @@ func ShardPosition(store *hatkv.Store, shard int) (epoch, seq uint64) {
 func ShardAuthority(cfg Config, stores []*hatkv.Store, shard int) int {
 	cfg = cfg.withDefaults()
 	reps := Replicas(cfg.Seed, cfg.NodeIDs, shard, cfg.RF)
-	best, bestE, bestS := reps[0], uint64(0), uint64(0)
+	best, bestE, bestS := reps[0], int64(0), int64(0)
 	for _, r := range reps {
 		e, s := ShardPosition(stores[r], shard)
 		if e > bestE || (e == bestE && s > bestS) {

@@ -38,7 +38,6 @@ type Client struct {
 
 	view  *ShardMap
 	stats ClientStats
-	peers []*gen.ClusterClient // by roster index, each made on first use
 	// key is the key of the call in flight as the verbs take it. A call is
 	// done with its arguments when it returns: the transport copies what
 	// it sends, retransmissions and session replays included.
@@ -50,10 +49,9 @@ type Client struct {
 func NewClient(eng *engine.Engine, roster []*simnet.Node, cfg Config) *Client {
 	cfg = cfg.withDefaults()
 	return &Client{
-		peerSessions: newPeerSessions(eng, roster),
+		peerSessions: newPeerSessions(eng, roster, clientDeadline),
 		cfg:          cfg,
 		view:         NewShardMap(cfg.Seed, cfg.NodeIDs, cfg.NShards, cfg.RF),
-		peers:        make([]*gen.ClusterClient, len(roster)),
 	}
 }
 
@@ -63,15 +61,6 @@ func (c *Client) Stats() ClientStats { return c.stats }
 // View returns the client's current routing view (read-only use).
 func (c *Client) View() *ShardMap { return c.view }
 
-// peer returns the client's generated client of a cluster node, every
-// call under the client's per-attempt deadline.
-func (c *Client) peer(i int) *gen.ClusterClient {
-	if c.peers[i] == nil {
-		c.peers[i] = c.client(i, clientDeadline)
-	}
-	return c.peers[i]
-}
-
 // clientDeadline bounds every call of a Client.
 func clientDeadline(string) sim.Duration { return sim.Duration(clientDeadlineNs) }
 
@@ -80,10 +69,9 @@ func clientDeadline(string) sim.Duration { return sim.Duration(clientDeadlineNs)
 func (c *Client) routable(primary int32) bool { return primary >= 0 && int(primary) < len(c.roster) }
 
 // adopt folds a stale-reply's fresher routing into the cached view.
-func (c *Client) adopt(shard int, epoch uint64, primary int32) {
-	if epoch > c.view.Shards[shard].Epoch {
-		c.view.Shards[shard].Epoch = epoch
-		c.view.Shards[shard].Primary = primary
+func (c *Client) adopt(shard int, epoch int64, primary int32) {
+	if r := c.view.Shards[shard]; epoch > r.Epoch {
+		r.Epoch, r.Primary = epoch, primary
 	}
 }
 
@@ -97,7 +85,7 @@ func (c *Client) Refresh(p *sim.Proc) {
 	for i := range c.roster {
 		rs, err := c.peer(i).ShardMap(p)
 		if err == nil && !slices.ContainsFunc(rs.Shards, func(r *gen.Route) bool { return !c.routable(r.Primary) }) {
-			c.view.Merge(shardMapOf(rs))
+			c.view.Merge((*ShardMap)(&rs))
 		}
 	}
 }
@@ -113,8 +101,8 @@ func (c *Client) Put(p *sim.Proc, key string, value []byte) error {
 	var lastErr error
 	c.key = append(c.key[:0], key...)
 	for attempt := 0; attempt < clientAttempts; attempt++ {
-		info := c.view.Shards[shard]
-		err := c.peer(int(info.Primary)).Put(p, int32(shard), int64(info.Epoch), c.key, value)
+		r := c.view.Shards[shard]
+		err := c.peer(int(r.Primary)).Put(p, int32(shard), r.Epoch, c.key, value)
 		if err == nil {
 			c.stats.Puts++
 			return nil
@@ -133,8 +121,8 @@ func (c *Client) Get(p *sim.Proc, key string) ([]byte, error) {
 	var lastErr error
 	c.key = append(c.key[:0], key...)
 	for attempt := 0; attempt < clientAttempts; attempt++ {
-		info := c.view.Shards[shard]
-		v, err := c.peer(int(info.Primary)).Get(p, int32(shard), int64(info.Epoch), c.key)
+		r := c.view.Shards[shard]
+		v, err := c.peer(int(r.Primary)).Get(p, int32(shard), r.Epoch, c.key)
 		if _, missing := err.(*gen.NotFound); err == nil || missing {
 			c.stats.Gets++
 			if missing {
@@ -156,7 +144,7 @@ func (c *Client) retry(p *sim.Proc, shard int, err error) error {
 	case *gen.Stale:
 		// The replica told us exactly where to go: adopt and replay now.
 		if c.routable(e.Primary) {
-			c.adopt(shard, uint64(e.Epoch), e.Primary)
+			c.adopt(shard, e.Epoch, e.Primary)
 			c.stats.StaleRetries++
 			return engine.ErrStaleShardEpoch
 		}

@@ -95,6 +95,27 @@ func TestShardMapCodecRoundTrip(t *testing.T) {
 	if _, err := DecodeShardMap(append(append([]byte(nil), enc...), 0xFF)); err == nil {
 		t.Fatal("trailing garbage decoded")
 	}
+	// The codec's cost is pinned: the map is the generated value, encoded
+	// and decoded as it is, with no copy converted on either side.
+	if a := testing.AllocsPerRun(50, func() { DecodeShardMap(m.Encode()) }); a != 18 && !raceBuild {
+		t.Errorf("an Encode and DecodeShardMap of the 8-shard map allocate %.0f objects, want 18", a)
+	}
+}
+
+// raceBuild is set under the race detector (race_test.go), whose
+// allocation counts differ.
+var raceBuild bool
+
+// BenchmarkShardMapCodec times one Encode and DecodeShardMap of the map
+// the benchmark's cluster.shardmap_codec_host_ns row times.
+func BenchmarkShardMapCodec(b *testing.B) {
+	sm := NewShardMap(1, []int{0, 1, 2, 3, 4}, 8, 3)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeShardMap(sm.Encode()); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func TestShardMapMergeHigherEpochWins(t *testing.T) {
@@ -391,7 +412,7 @@ func TestClusterFailover(t *testing.T) {
 	}
 	// The restarted old primary rejoined via resync: its content epoch
 	// caught up to the survivors'.
-	newEpoch := uint64(0)
+	newEpoch := int64(0)
 	for i, n := range tc.nodes {
 		if i != prim {
 			if e := n.shards[shard].epoch; e > newEpoch {

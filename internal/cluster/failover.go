@@ -106,7 +106,7 @@ func (n *Node) census(p *sim.Proc, st *shardState, prim int, trust bool) bool {
 		}
 		if r == prim && trust && sr.Leads {
 			st.mu.Lock(p)
-			st.adoptLearned(uint64(sr.LearnedEpoch), int(sr.LearnedPrimary))
+			st.adoptLearned(sr.LearnedEpoch, int(sr.LearnedPrimary))
 			st.lastHeard, st.silent = p.Now(), false
 			st.mu.Unlock()
 			return true
@@ -127,8 +127,8 @@ func (n *Node) preVote(st *shardState, prim int, ghost bool) bool {
 	unheard := 1
 	me := slices.Index(st.replicas, n.self)
 	for _, a := range st.answers {
-		if uint64(a.sr.LearnedEpoch) > st.learnedEpoch {
-			st.adoptLearned(uint64(a.sr.LearnedEpoch), int(a.sr.LearnedPrimary))
+		if a.sr.LearnedEpoch > st.learnedEpoch {
+			st.adoptLearned(a.sr.LearnedEpoch, int(a.sr.LearnedPrimary))
 			return false
 		}
 		if !ghost && a.id != prim && slices.Index(st.replicas, a.id) < me {
@@ -165,13 +165,13 @@ func (n *Node) resyncSuspects(p *sim.Proc, st *shardState) {
 		return
 	}
 	for _, r := range targets {
-		switch e := n.peer(r).Install(p, int32(st.id), int64(st.epoch), int32(n.self), int64(st.seq), pairs).(type) {
+		switch e := n.peer(r).Install(p, int32(st.id), st.epoch, int32(n.self), st.seq, pairs).(type) {
 		case nil:
 			delete(st.suspect, r)
 			n.stats.Resyncs++
 			n.resyncs.Inc()
 		case *gen.Stale:
-			st.adoptLearned(uint64(e.Epoch), int(e.Primary)) // we were deposed; stop resyncing
+			st.adoptLearned(e.Epoch, int(e.Primary)) // we were deposed; stop resyncing
 			return
 		}
 		// Still unreachable, or refused: retry next tick.
@@ -204,7 +204,7 @@ func (n *Node) runCandidacy(p *sim.Proc, st *shardState, ghost bool) {
 	// The proposal must clear every epoch any answer has seen or promised.
 	maxE := max(st.epoch, st.learnedEpoch, st.promised)
 	for _, a := range st.answers {
-		maxE = max(maxE, uint64(a.sr.Epoch), uint64(a.sr.LearnedEpoch), uint64(a.sr.Promised))
+		maxE = max(maxE, a.sr.Epoch, a.sr.LearnedEpoch, a.sr.Promised)
 	}
 	newEpoch := maxE + 1
 
@@ -212,13 +212,13 @@ func (n *Node) runCandidacy(p *sim.Proc, st *shardState, ghost bool) {
 	if err := n.promise(p, st, newEpoch); err != nil {
 		return
 	}
-	acc := []peerStat{{n.self, gen.ShardStatus{Epoch: int64(st.epoch), Seq: int64(st.seq)}}}
+	acc := []peerStat{{n.self, gen.ShardStatus{Epoch: st.epoch, Seq: st.seq}}}
 	for _, ps := range st.answers {
-		sr, err := n.peer(ps.id).Prepare(p, shard, int64(newEpoch), ghost)
+		sr, err := n.peer(ps.id).Prepare(p, shard, newEpoch, ghost)
 		if e, ok := err.(*gen.Stale); ok {
 			// Outbid, or refused by a replica that hears its primary.
 			// Abort; our own promise only inflates the next proposal.
-			st.adoptLearned(uint64(e.Epoch), int(e.Primary))
+			st.adoptLearned(e.Epoch, int(e.Primary))
 			return
 		}
 		if err != nil {
@@ -247,7 +247,7 @@ func (n *Node) runCandidacy(p *sim.Proc, st *shardState, ghost bool) {
 		if err != nil {
 			return // freshest vanished mid-candidacy; retry next tick
 		}
-		pairs, seq = snap.Pairs, uint64(snap.Seq)
+		pairs, seq = snap.Pairs, snap.Seq
 	} else {
 		var err error
 		if pairs, err = n.snapshotLocked(p, st); err != nil {
@@ -263,7 +263,7 @@ func (n *Node) runCandidacy(p *sim.Proc, st *shardState, ghost bool) {
 		if a.id == n.self {
 			continue
 		}
-		if n.peer(a.id).Install(p, shard, int64(newEpoch), int32(n.self), int64(seq), pairs) == nil {
+		if n.peer(a.id).Install(p, shard, newEpoch, int32(n.self), seq, pairs) == nil {
 			acks++
 			okPeer[a.id] = true
 		}

@@ -196,30 +196,46 @@ func TestCensusAnswersBehindPuts(t *testing.T) {
 // the live primary can no longer replicate, yet it still answers every
 // census that it leads. A replica under a promise takes no word of that
 // primary, so a backup runs for the shard and the next put is acked in
-// the new view.
+// the new view. A stray prepare below every epoch the backups know,
+// negative included, is answered Stale and leaves their promises as they
+// were: the next put is acked in the first view, on every replica.
 func TestStandingPromiseIsLifted(t *testing.T) {
-	tc := newTestCluster(t, 103, 3, Config{NShards: 1, RF: 3})
-	reps := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)
-	tc.env.Spawn("driver", func(p *sim.Proc) {
-		defer tc.env.Stop()
-		c := NewClient(tc.cliEng, tc.roster, tc.cfg)
-		if err := c.Put(p, "k", []byte("v1")); err != nil {
-			t.Errorf("put: %v", err)
-			return
-		}
-		for _, b := range reps[1:] {
-			if _, err := at(tc.nodes[b]).Prepare(p, 0, 5, true); err != nil {
-				t.Errorf("stray prepare at node %d: %v", b, err)
-				return
-			}
-		}
-		if err := c.Put(p, "k", []byte("v2")); err != nil {
-			t.Errorf("put under the stray promises: %v", err)
-			return
-		}
-		if v, err := c.Get(p, "k"); err != nil || string(v) != "v2" || c.View().Shards[0].Epoch <= 5 {
-			t.Errorf("get: %q, %v at epoch %d; want v2 in a view above the promise", v, err, c.View().Shards[0].Epoch)
-		}
-	})
-	tc.env.Run()
+	for _, promise := range []int64{5, -1} {
+		t.Run(fmt.Sprint("promise=", promise), func(t *testing.T) {
+			tc := newTestCluster(t, 103, 3, Config{NShards: 1, RF: 3})
+			reps := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)
+			granted := promise > 1
+			tc.env.Spawn("driver", func(p *sim.Proc) {
+				defer tc.env.Stop()
+				c := NewClient(tc.cliEng, tc.roster, tc.cfg)
+				if err := c.Put(p, "k", []byte("v1")); err != nil {
+					t.Errorf("put: %v", err)
+					return
+				}
+				for _, b := range reps[1:] {
+					st := tc.nodes[b].shards[0]
+					was := st.promised
+					_, err := at(tc.nodes[b]).Prepare(p, 0, promise, true)
+					if granted && err != nil || !granted && (outcome(err) != "stale" || st.promised != was) {
+						t.Errorf("stray prepare at node %d: %v, promise %d → %d", b, err, was, st.promised)
+						return
+					}
+				}
+				if err := c.Put(p, "k", []byte("v2")); err != nil {
+					t.Errorf("put under the stray promises: %v", err)
+					return
+				}
+				v, err := c.Get(p, "k")
+				if e := c.View().Shards[0].Epoch; err != nil || string(v) != "v2" || granted && e <= promise || !granted && e != 1 {
+					t.Errorf("get: %q, %v at epoch %d; want v2 in a view above the promise if it was granted, else at 1", v, err, e)
+				}
+				for _, r := range reps {
+					if st := tc.nodes[r].shards[0]; !granted && (st.epoch != 1 || st.seq != 2) {
+						t.Errorf("node %d at e%d/s%d, want e1/s2", r, st.epoch, st.seq)
+					}
+				}
+			})
+			tc.env.Run()
+		})
+	}
 }

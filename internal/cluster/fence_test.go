@@ -356,7 +356,7 @@ func (r crashRun) run(t *testing.T) (putNs int64) {
 	tc.roster[prim].Spawn("writer", func(p *sim.Proc) {
 		n := tc.nodes[prim]
 		for _, b := range reps[1:] { // dial the sessions the lanes will use
-			if _, err := n.client(b, peerDeadline).Census(p, 0); err != nil {
+			if _, err := n.client(b).Census(p, 0); err != nil {
 				fail("dialing backup %d: %v", b, err)
 			}
 		}

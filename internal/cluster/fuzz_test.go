@@ -35,7 +35,7 @@ func (c *capture) Close() error  { return nil }
 type sample struct{}
 
 func (sample) ShardMap(*sim.Proc) (gen.Routes, error) {
-	return NewShardMap(7, []int{0, 1, 2, 3, 4}, 8, 3).routes(), nil
+	return gen.Routes(*NewShardMap(7, []int{0, 1, 2, 3, 4}, 8, 3)), nil
 }
 func (sample) Put(*sim.Proc, int32, int64, []byte, []byte) error   { return nil }
 func (sample) Get(*sim.Proc, int32, int64, []byte) ([]byte, error) { return []byte("value"), nil }
@@ -82,7 +82,7 @@ func checkStamp(t *testing.T, b []byte) bool {
 	e, s, v, ok := readStamp(b)
 	m := shardMeta{Epoch: 3, Seq: 5}
 	m.advance(b)
-	want := uint64(5)
+	want := int64(5)
 	if ok && e == 3 && s > 5 {
 		want = s
 	}
@@ -147,8 +147,8 @@ func FuzzClusterDecoders(f *testing.F) {
 		checkStamp(t, data)
 		runtime.ReadMemStats(&after)
 		// A decoded element costs at most a few words per wire byte — a
-		// route of the shard map is a pointer, its struct and its ShardInfo,
-		// each sized by a count of at most one per byte left; the constant
+		// route of the shard map is a pointer, its struct and its replica
+		// list, each sized by a count of at most one per byte left; the constant
 		// covers the replies and the fuzzing engine's own goroutines.
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(128*len(data)+(1<<20)); got > limit {
 			t.Fatalf("%d bytes allocated decoding %d bytes as verb %d", got, len(data), fnID)
@@ -243,7 +243,7 @@ func (r router) Get(*sim.Proc, int32, int64, []byte) ([]byte, error) {
 	return nil, r.refusal()
 }
 func (r router) ShardMap(*sim.Proc) (gen.Routes, error) {
-	rs := NewShardMap(7, []int{0, 1, 2}, 4, 3).routes()
+	rs := gen.Routes(*NewShardMap(7, []int{0, 1, 2}, 4, 3))
 	for _, route := range rs.Shards {
 		route.Epoch, route.Primary = r.mapEpoch, r.mapPrimary
 	}
@@ -254,7 +254,10 @@ func (r router) ShardMap(*sim.Proc) (gen.Routes, error) {
 // and gets with arbitrary Stale routing, or fence them and serve arbitrary
 // shard maps. Whatever a reply names, the client must exhaust its attempt
 // budget with an error rather than panic: a primary outside the roster is a
-// malformed reply, not an index into it.
+// malformed reply, not an index into it. Nor may a reply move the view out
+// of the epochs it knows: each stays between the bootstrap's 1 and the
+// largest epoch a node named, so an epoch below the view's own, negative
+// ones included, is refused.
 func FuzzClientRouting(f *testing.F) {
 	f.Add(int64(2), int32(1), int64(2), int32(2), false) // well-formed: rerouted within the roster
 	f.Add(int64(2), int32(1), int64(2), int32(2), true)
@@ -262,6 +265,8 @@ func FuzzClientRouting(f *testing.F) {
 	f.Add(int64(9), int32(-1), int64(1), int32(0), false)
 	f.Add(int64(1), int32(0), int64(5), int32(3), true) // a map routing past the roster's end
 	f.Add(int64(1), int32(0), int64(-1), int32(-7), true)
+	f.Add(int64(-1), int32(1), int64(1), int32(0), false) // a negative epoch to a roster primary: Stale
+	f.Add(int64(1), int32(0), int64(-1), int32(2), true)  // and in a map
 	f.Fuzz(func(t *testing.T, staleEpoch int64, stalePrimary int32, mapEpoch int64, mapPrimary int32, fenced bool) {
 		env := sim.NewEnv(1)
 		cl := simnet.NewCluster(env, simnet.Config{Nodes: 4, Cores: 4, Sockets: 1, LinkGbps: 100, PropDelayNs: 600})
@@ -279,6 +284,11 @@ func FuzzClientRouting(f *testing.F) {
 			}
 			if _, err := c.Get(p, "key"); err == nil {
 				t.Error("a get every replica refuses succeeded")
+			}
+			for i, r := range c.View().Shards {
+				if top := max(1, staleEpoch, mapEpoch); r.Epoch < 1 || r.Epoch > top {
+					t.Errorf("shard %d routed at epoch %d, outside [1, %d]", i, r.Epoch, top)
+				}
 			}
 		})
 		env.Run()

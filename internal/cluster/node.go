@@ -76,9 +76,9 @@ type shardState struct {
 	prefix   string // store key prefix of the shard's records (dataPrefix)
 	metaKey  string // store key of the shard's durable meta record
 
-	epoch   uint64 // content epoch
-	primary int    // content primary
-	seq     uint64 // last applied replication seq in the content epoch
+	epoch   int64 // content epoch
+	primary int   // content primary
+	seq     int64 // last applied replication seq in the content epoch
 
 	// lostEpoch is the boot fence (DESIGN.md §15 rule 1): the content
 	// epoch whose primacy this replica gave up — it rebooted as that
@@ -86,12 +86,12 @@ type shardState struct {
 	// with it the right to name a seq. While it equals epoch the shard
 	// answers Fenced and the monitor runs a candidacy; any install of a
 	// higher epoch moves epoch past it, so there is nothing to clear.
-	lostEpoch uint64
+	lostEpoch int64
 
-	learnedEpoch   uint64
+	learnedEpoch   int64
 	learnedPrimary int
 
-	promised uint64 // durable candidacy promise (mirrors meta)
+	promised int64  // durable candidacy promise (mirrors meta)
 	rec      []byte // the meta record in flight (record)
 
 	// Failure detection (failover.go): the last word that the primary leads
@@ -142,9 +142,8 @@ func (s *NodeStats) Add(o NodeStats) {
 // Build one per boot with NewUnservedNode — it dies with the simnet
 // node's crash, while the store underneath survives into the next boot.
 type Node struct {
-	peerSessions // replication and failover calls to the other nodes
+	peerSessions // replication and failover calls to the other nodes (peer: the monitor's)
 	proc         *gen.ClusterProcessor
-	mon          []*gen.ClusterClient // the monitor's clients, by peer index (Node.peer)
 
 	cfg   Config
 	self  int // index into cfg.NodeIDs == position in roster
@@ -175,8 +174,7 @@ func NewUnservedNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.No
 	cfg = cfg.withDefaults()
 	env := eng.Node().Cluster().Env()
 	n := &Node{
-		peerSessions: newPeerSessions(eng, roster),
-		mon:          make([]*gen.ClusterClient, len(roster)),
+		peerSessions: newPeerSessions(eng, roster, peerDeadline),
 		cfg:          cfg,
 		self:         self,
 		env:          env,
@@ -185,17 +183,10 @@ func NewUnservedNode(eng *engine.Engine, store *hatkv.Store, roster []*simnet.No
 		lanes:        make(map[int]*sim.Queue[*replJob]),
 		initial:      NewShardMap(cfg.Seed, cfg.NodeIDs, cfg.NShards, cfg.RF),
 	}
+	ring := buildRing(cfg.Seed, cfg.NodeIDs)
 	for s := 0; s < cfg.NShards; s++ {
-		reps32 := n.initial.Shards[s].Replicas
-		mine := false
-		reps := make([]int, len(reps32))
-		for i, r := range reps32 {
-			reps[i] = int(r)
-			if int(r) == self {
-				mine = true
-			}
-		}
-		if !mine {
+		reps := ring.replicas(s, cfg.RF)
+		if !slices.Contains(reps, self) {
 			continue
 		}
 		st := &shardState{
@@ -309,7 +300,7 @@ func (st *shardState) record() []byte {
 
 // adoptLearned folds fresher routing hearsay into the shard (monotone
 // in epoch). It never touches content state — only installs do.
-func (st *shardState) adoptLearned(epoch uint64, primary int) {
+func (st *shardState) adoptLearned(epoch int64, primary int) {
 	if epoch > st.learnedEpoch {
 		st.learnedEpoch = epoch
 		st.learnedPrimary = primary
@@ -336,7 +327,7 @@ func (st *shardState) leads(self int) bool {
 // learned is the Stale exception carrying the freshest routing this
 // replica knows.
 func learned(st *shardState) *gen.Stale {
-	return &gen.Stale{Epoch: int64(st.learnedEpoch), Primary: int32(st.learnedPrimary)}
+	return &gen.Stale{Epoch: st.learnedEpoch, Primary: int32(st.learnedPrimary)}
 }
 
 // stale refuses a write or a read from a view behind this replica's.
@@ -384,7 +375,7 @@ var (
 // inseparable under every sync mode. The primary commits it (PutOwned); a
 // backup, logged, appends it (Append), and its applier commits it later
 // (DESIGN.md §15 "The backup's ack path"), keeping the pair dataPair builds.
-func (n *Node) applyWrite(p *sim.Proc, st *shardState, key, val []byte, seq uint64, logged bool) error {
+func (n *Node) applyWrite(p *sim.Proc, st *shardState, key, val []byte, seq int64, logged bool) error {
 	// Content position only advances. Both callers already hand the
 	// next contiguous seq (handlePut computes st.seq+1, handleReplicate
 	// rejects gaps and duplicates), so the fence never trips today.
@@ -410,7 +401,7 @@ func (n *Node) applyWrite(p *sim.Proc, st *shardState, key, val []byte, seq uint
 // (epoch, seq) of primary's view: every record plus the new meta in one
 // commit. Records never deleted under this protocol can only be
 // overwritten, so replacement == overwrite.
-func (n *Node) applyInstall(p *sim.Proc, st *shardState, epoch uint64, primary int, seq uint64, recs []*gen.Pair) error {
+func (n *Node) applyInstall(p *sim.Proc, st *shardState, epoch int64, primary int, seq int64, recs []*gen.Pair) error {
 	// Installs move the content view forward. Callers bounce stale
 	// pushes before getting here (Install's fence, the candidate's
 	// own promised epoch); this local fence makes the invariant hold no
@@ -448,7 +439,7 @@ func (n *Node) applyInstall(p *sim.Proc, st *shardState, epoch uint64, primary i
 // promise durably records an epoch promise (the prepare half of
 // candidacy): from this commit on — across crashes — the replica
 // refuses writes and view-change installs below the promised epoch.
-func (n *Node) promise(p *sim.Proc, st *shardState, epoch uint64) error {
+func (n *Node) promise(p *sim.Proc, st *shardState, epoch int64) error {
 	// The prepare fence only ratchets up. Prepare and runCandidacy
 	// both check before calling; the local fence keeps promise() safe to
 	// call bare.
@@ -489,15 +480,6 @@ func (n *Node) snapshotLocked(p *sim.Proc, st *shardState) ([]*gen.Pair, error) 
 	return out, nil
 }
 
-// peer returns the monitor's client of peer (the monitor is one process:
-// it calls one peer at a time).
-func (n *Node) peer(r int) *gen.ClusterClient {
-	if n.mon[r] == nil {
-		n.mon[r] = n.client(r, peerDeadline)
-	}
-	return n.mon[r]
-}
-
 // peerDeadline bounds one call of a node to a peer: a census is tighter
 // than the rest, so a dead primary is detected within a few ticks.
 func peerDeadline(fn string) sim.Duration {
@@ -507,9 +489,9 @@ func peerDeadline(fn string) sim.Duration {
 	return sim.Duration(callDeadlineNs)
 }
 
-// CloseSessions closes the node's cached replication sessions in
-// deterministic (sorted-peer) order — part of graceful shutdown, so this
-// node's QPs are released before the engine closes.
+// CloseSessions closes the node's cached replication sessions in roster
+// order — part of graceful shutdown, so this node's QPs are released
+// before the engine closes.
 func (n *Node) CloseSessions() { n.closeSessions() }
 
 // Handle serves the cluster service (cluster.hrpc) through its generated
@@ -527,21 +509,21 @@ type service struct{ *Node }
 // with the static view, so a confused client re-routes.
 func (n service) notOwned(shard int32) error {
 	e := n.initial.Shards[int(uint32(shard))%len(n.initial.Shards)]
-	return &gen.Stale{Epoch: int64(e.Epoch), Primary: e.Primary}
+	return &gen.Stale{Epoch: e.Epoch, Primary: e.Primary}
 }
 
 // ShardMap serves this node's routing view: its own shards' learned
 // (epoch, primary), the static epoch-1 map for the rest. Clients merge
 // views across nodes, so each shard's replicas — which always know the
-// freshest epoch — win.
+// freshest epoch — win. The static routes are shared, not copied: a
+// served map is encoded, never changed.
 func (n service) ShardMap(p *sim.Proc) (gen.Routes, error) {
-	m := &ShardMap{Shards: slices.Clone(n.initial.Shards)}
+	rs := gen.Routes{Shards: slices.Clone(n.initial.Shards)}
 	for _, id := range n.shardIDs {
 		st := n.shards[id]
-		m.Shards[id].Epoch = st.learnedEpoch
-		m.Shards[id].Primary = int32(st.learnedPrimary)
+		rs.Shards[id] = &gen.Route{Epoch: st.learnedEpoch, Primary: int32(st.learnedPrimary), Replicas: rs.Shards[id].Replicas}
 	}
-	return m.routes(), nil
+	return rs, nil
 }
 
 // Put executes a client write as the shard primary: fence and epoch
@@ -565,7 +547,7 @@ func (n service) Put(p *sim.Proc, shard int32, epoch int64, key, value []byte) e
 	if st.promised > st.epoch {
 		return n.fenced() // a candidacy holds our durable promise
 	}
-	if st.primary != n.self || uint64(epoch) != st.epoch || st.learnedEpoch != st.epoch {
+	if st.primary != n.self || epoch != st.epoch || st.learnedEpoch != st.epoch {
 		return n.stale(st)
 	}
 	if st.lost() {
@@ -599,7 +581,7 @@ func (n service) Get(p *sim.Proc, shard int32, epoch int64, key []byte) ([]byte,
 	}
 	st.mu.Lock(p)
 	defer st.mu.Unlock()
-	if st.primary != n.self || uint64(epoch) != st.epoch || st.learnedEpoch != st.epoch {
+	if st.primary != n.self || epoch != st.epoch || st.learnedEpoch != st.epoch {
 		return nil, n.stale(st)
 	}
 	if st.lost() {
@@ -644,36 +626,35 @@ func (n service) Replicate(p *sim.Proc, shard int32, epoch int64, primary int32,
 	}
 	st.mu.Lock(p)
 	defer st.mu.Unlock()
-	e, s := uint64(epoch), uint64(seq)
-	if e < st.epoch || (e == st.epoch && int(primary) != st.primary) || e < st.learnedEpoch {
+	if epoch < st.epoch || (epoch == st.epoch && int(primary) != st.primary) || epoch < st.learnedEpoch {
 		return n.stale(st)
 	}
-	if e < st.promised {
+	if epoch < st.promised {
 		return n.fenced()
 	}
 	st.lastHeard, st.silent = p.Now(), false // word from a primary this replica follows
 	switch {
-	case e > st.epoch:
+	case epoch > st.epoch:
 		return errNeedSync // only installs advance content epochs
-	case s < st.seq:
+	case seq < st.seq:
 		n.backupAhead.Inc()
 		return errBackupAhead
-	case s == st.seq:
+	case seq == st.seq:
 		return nil // replay of the append applied last
-	case s != st.seq+1:
+	case seq != st.seq+1:
 		return errNeedSync
 	}
-	return n.applyWrite(p, st, key, value, s, true)
+	return n.applyWrite(p, st, key, value, seq, true)
 }
 
 // status is the shard's state as a census or a prepare reports it.
 func (n service) status(st *shardState) gen.ShardStatus {
 	return gen.ShardStatus{
-		Epoch:          int64(st.epoch),
-		Seq:            int64(st.seq),
-		LearnedEpoch:   int64(st.learnedEpoch),
+		Epoch:          st.epoch,
+		Seq:            st.seq,
+		LearnedEpoch:   st.learnedEpoch,
 		LearnedPrimary: int32(st.learnedPrimary),
-		Promised:       int64(st.promised),
+		Promised:       st.promised,
 		Leads:          st.leads(n.self),
 		Heard:          st.hears(n.self),
 	}
@@ -703,14 +684,13 @@ func (n service) Prepare(p *sim.Proc, shard int32, epoch int64, reelect bool) (g
 	}
 	st.mu.Lock(p)
 	defer st.mu.Unlock()
-	e := uint64(epoch)
 	switch {
-	case e <= st.promised || e <= st.epoch:
+	case epoch <= st.promised || epoch <= st.epoch:
 		return gen.ShardStatus{}, learned(st) // the candidate must re-propose above what we know
 	case !reelect && st.hears(n.self):
 		return gen.ShardStatus{}, learned(st)
 	}
-	if err := n.promise(p, st, e); err != nil {
+	if err := n.promise(p, st, epoch); err != nil {
 		return gen.ShardStatus{}, err
 	}
 	st.lastHeard = p.Now() // the candidate gets a window to finish
@@ -729,7 +709,7 @@ func (n service) Pull(p *sim.Proc, shard int32) (gen.Snapshot, error) {
 	if err != nil {
 		return gen.Snapshot{}, err
 	}
-	return gen.Snapshot{Epoch: int64(st.epoch), Seq: int64(st.seq), Pairs: pairs}, nil
+	return gen.Snapshot{Epoch: st.epoch, Seq: st.seq, Pairs: pairs}, nil
 }
 
 // Install applies a wholesale shard state push. Two legal shapes: a
@@ -744,9 +724,8 @@ func (n service) Install(p *sim.Proc, shard int32, epoch int64, primary int32, s
 	}
 	st.mu.Lock(p)
 	defer st.mu.Unlock()
-	e, s := uint64(epoch), uint64(seq)
 	switch {
-	case e > st.epoch:
+	case epoch > st.epoch:
 		// View change. Installs below our outstanding promise are an
 		// expired candidacy's stragglers and bounce off the fence. At or
 		// above the promise they are accepted even if we never promised
@@ -757,15 +736,15 @@ func (n service) Install(p *sim.Proc, shard int32, epoch int64, primary int32, s
 		// as our new promise floor — so accepting doubles as the promise
 		// we missed, and crashed-through-failover replicas can rejoin via
 		// plain resync instead of waiting for the next view change.
-		if e < st.promised {
+		if epoch < st.promised {
 			return n.fenced()
 		}
-		if err := n.applyInstall(p, st, e, int(primary), s, pairs); err != nil {
+		if err := n.applyInstall(p, st, epoch, int(primary), seq, pairs); err != nil {
 			return err
 		}
 		st.lastHeard, st.silent = p.Now(), false
 		return nil
-	case e == st.epoch && int(primary) == st.primary:
+	case epoch == st.epoch && int(primary) == st.primary:
 		// Resync from the current primary. Refuse while a candidacy holds
 		// a higher promise — prepare froze this replica's reported state.
 		if st.promised > st.epoch {
@@ -773,13 +752,13 @@ func (n service) Install(p *sim.Proc, shard int32, epoch int64, primary int32, s
 		}
 		st.lastHeard, st.silent = p.Now(), false
 		switch {
-		case s < st.seq:
+		case seq < st.seq:
 			n.backupAhead.Inc() // as in Replicate: never acked
 			return errBackupAhead
-		case s == st.seq:
+		case seq == st.seq:
 			return nil // no-op catch-up
 		}
-		return n.applyInstall(p, st, e, int(primary), s, pairs)
+		return n.applyInstall(p, st, epoch, int(primary), seq, pairs)
 	default:
 		return n.stale(st)
 	}

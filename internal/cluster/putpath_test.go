@@ -153,8 +153,8 @@ func TestStatusMessagesAllocateOnce(t *testing.T) {
 			t.Errorf("answering a census off a dispatcher allocates %.0f objects, want 1", a)
 		}
 		// Across the cluster, on a dispatcher, from the client's own buffer.
-		ps := newPeerSessions(tc.cliEng, tc.roster)
-		cc := ps.client(prim, clientDeadline)
+		ps := newPeerSessions(tc.cliEng, tc.roster, clientDeadline)
+		cc := ps.client(prim)
 		served := func() {
 			var err error
 			if statusSink, err = cc.Census(p, 0); err != nil || statusSink != want {

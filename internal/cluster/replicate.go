@@ -45,7 +45,7 @@ func (n *Node) lane(peer int) *sim.Queue[*replJob] {
 	q := sim.NewQueue[*replJob](n.env)
 	n.lanes[peer] = q
 	n.eng.Node().Spawn(fmt.Sprintf("cluster-repl-%d-%d", n.self, peer), func(p *sim.Proc) {
-		c := n.client(peer, peerDeadline)
+		c := n.client(peer)
 		for {
 			j := q.Pop(p)
 			j.err = c.Replicate(p, j.shard, j.epoch, j.primary, j.seq, j.key, j.value)
@@ -63,7 +63,7 @@ func (n *Node) lane(peer int) *sim.Queue[*replJob] {
 // then. A backup whose node closed its session in an orderly
 // stop (a graceful drain) becomes a suspect here, without a call: the put
 // would otherwise wait out the re-dials of a machine going down.
-func (n *Node) ship(st *shardState, seq uint64, key, value []byte) {
+func (n *Node) ship(st *shardState, seq int64, key, value []byte) {
 	st.repl = st.repl[:0]
 	for _, b := range st.replicas {
 		if b == n.self || st.suspect[b] {
@@ -74,7 +74,7 @@ func (n *Node) ship(st *shardState, seq uint64, key, value []byte) {
 			continue
 		}
 		st.repl = append(st.repl, replJob{
-			peer: b, shard: int32(st.id), epoch: int64(st.epoch), seq: int64(seq), primary: int32(n.self),
+			peer: b, shard: int32(st.id), epoch: st.epoch, seq: seq, primary: int32(n.self),
 			key: key, value: value, done: st.replDone,
 		})
 	}
@@ -98,7 +98,7 @@ func (n *Node) gather(p *sim.Proc, st *shardState) (acks int, stale bool) {
 		case nil:
 			acks++
 		case *gen.Stale:
-			st.adoptLearned(uint64(e.Epoch), int(e.Primary))
+			st.adoptLearned(e.Epoch, int(e.Primary))
 			stale = true // deposed mid-write
 		default: // unreachable, NeedSync, Fenced, or refused
 			st.suspect[j.peer] = true

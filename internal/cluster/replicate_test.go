@@ -97,7 +97,7 @@ func TestPutWithCrashedBackup(t *testing.T) {
 		tc.roster[dead].Crash()
 
 		start := p.Now()
-		var healthySeqEarly uint64
+		var healthySeqEarly int64
 		tc.env.Spawn("sampler", func(sp *sim.Proc) {
 			sp.Sleep(100_000)
 			healthySeqEarly = tc.nodes[healthy].shards[0].seq
@@ -217,8 +217,8 @@ func TestClusterHintPlanTable(t *testing.T) {
 	tc.engs[0].SetObs(reg)
 	tc.env.Spawn("client", func(p *sim.Proc) {
 		defer tc.env.Stop()
-		ps := newPeerSessions(tc.cliEng, tc.roster)
-		if _, err := ps.client(0, clientDeadline).Census(p, 0); err != nil {
+		ps := newPeerSessions(tc.cliEng, tc.roster, clientDeadline)
+		if _, err := ps.client(0).Census(p, 0); err != nil {
 			t.Errorf("census call: %v", err)
 		}
 	})
@@ -323,8 +323,8 @@ func TestDeadPeerDialDoesNotBlockHealthyPeer(t *testing.T) {
 	const dead, healthy = 0, 1
 	tc.env.Spawn("driver", func(p *sim.Proc) {
 		defer tc.env.Stop()
-		ps := newPeerSessions(tc.cliEng, tc.roster)
-		clients := []*gen.ClusterClient{ps.client(dead, clientDeadline), ps.client(healthy, clientDeadline)}
+		ps := newPeerSessions(tc.cliEng, tc.roster, clientDeadline)
+		clients := []*gen.ClusterClient{ps.client(dead), ps.client(healthy)}
 		call := func(cp *sim.Proc, peer int) (int64, error) {
 			start := cp.Now()
 			_, err := clients[peer].ShardMap(cp)
@@ -491,7 +491,7 @@ func TestShardsOfOneNodeShareStoreCommits(t *testing.T) {
 // ShardMap), so an adoptLearned that assigns unconditionally shows here
 // as a primary serving epoch 3.
 func TestLowerEpochHearsayLeavesRoutingAlone(t *testing.T) {
-	for _, epochs := range [][2]uint64{{5, 3}, {3, 5}} { // ring-first backup's view, ring-second's
+	for _, epochs := range [][2]int64{{5, 3}, {3, 5}} { // ring-first backup's view, ring-second's
 		t.Run(fmt.Sprintf("ring1=e%d/ring2=e%d", epochs[0], epochs[1]), func(t *testing.T) {
 			tc := newTestCluster(t, 37, 3, Config{NShards: 1, RF: 3, ProbeIntervalNs: quietProbeNs})
 			reps := Replicas(tc.cfg.Seed, tc.cfg.NodeIDs, 0, 3)
@@ -504,7 +504,7 @@ func TestLowerEpochHearsayLeavesRoutingAlone(t *testing.T) {
 				defer tc.env.Stop()
 				for i, e := range epochs {
 					b := reps[i+1]
-					if err := at(tc.nodes[b]).Install(p, 0, int64(e), int32(b), 0, nil); err != nil {
+					if err := at(tc.nodes[b]).Install(p, 0, e, int32(b), 0, nil); err != nil {
 						t.Fatalf("install of epoch %d on node %d: %v", e, b, err)
 					}
 				}
@@ -516,8 +516,7 @@ func TestLowerEpochHearsayLeavesRoutingAlone(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				m := shardMapOf(rs)
-				if got := m.Shards[0]; got.Epoch != 5 || got.Primary != wantPrimary {
+				if got := rs.Shards[0]; got.Epoch != 5 || got.Primary != wantPrimary {
 					t.Errorf("primary now routes to (epoch %d, node %d), want (5, %d): lower-epoch hearsay overwrote a higher one", got.Epoch, got.Primary, wantPrimary)
 				}
 			})

@@ -14,7 +14,11 @@
 // tier replays byte-identically under one sim seed.
 package cluster
 
-import "hash/fnv"
+import (
+	"hash/fnv"
+
+	gen "hatrpc/internal/cluster/gen"
+)
 
 // vnodesPerNode is the virtual-point count per node on the ring. 16
 // points smooth placement enough that 5 nodes × 8 shards spread within
@@ -66,27 +70,34 @@ type ringPoint struct {
 	node int
 }
 
-// buildRing returns the sorted virtual-point ring for the node set.
-// Points are hashes of (seed, node, replica-index): deterministic,
-// seeded placement with no runtime draws.
-func buildRing(seed int64, nodes []int) []ringPoint {
-	ring := make([]ringPoint, 0, len(nodes)*vnodesPerNode)
+// hashRing is the sorted virtual-point ring of a node set under a seed.
+type hashRing struct {
+	seed   int64
+	nodes  int // distinct nodes on it
+	points []ringPoint
+}
+
+// buildRing returns the ring for the node set. Points are hashes of
+// (seed, node, replica-index): deterministic, seeded placement with no
+// runtime draws.
+func buildRing(seed int64, nodes []int) hashRing {
+	pts := make([]ringPoint, 0, len(nodes)*vnodesPerNode)
 	for _, n := range nodes {
 		for v := 0; v < vnodesPerNode; v++ {
-			ring = append(ring, ringPoint{hash: hashU64(uint64(seed), uint64(n), uint64(v)), node: n})
+			pts = append(pts, ringPoint{hash: hashU64(uint64(seed), uint64(n), uint64(v)), node: n})
 		}
 	}
 	// Insertion sort by (hash, node): the ring is tiny and built once.
-	for i := 1; i < len(ring); i++ {
+	for i := 1; i < len(pts); i++ {
 		for j := i; j > 0; j-- {
-			a, b := ring[j-1], ring[j]
+			a, b := pts[j-1], pts[j]
 			if a.hash < b.hash || (a.hash == b.hash && a.node <= b.node) {
 				break
 			}
-			ring[j-1], ring[j] = b, a
+			pts[j-1], pts[j] = b, a
 		}
 	}
-	return ring
+	return hashRing{seed: seed, nodes: len(nodes), points: pts}
 }
 
 // Replicas returns shard s's configured replica set in ring order:
@@ -94,24 +105,24 @@ func buildRing(seed int64, nodes []int) []ringPoint {
 // first rf distinct nodes. Replicas[0] is the seed primary. rf is
 // clamped to the node count.
 func Replicas(seed int64, nodes []int, shard, rf int) []int {
-	if rf > len(nodes) {
-		rf = len(nodes)
-	}
-	if rf < 1 {
-		rf = 1
-	}
-	ring := buildRing(seed, nodes)
-	loc := hashU64(uint64(seed), 0x5348415244, uint64(shard)) // "SHARD" tag
+	return buildRing(seed, nodes).replicas(shard, rf)
+}
+
+// replicas is Replicas on a built ring: a caller that wants every shard's
+// set builds the ring once.
+func (r hashRing) replicas(shard, rf int) []int {
+	rf = max(min(rf, r.nodes), 1)
+	loc := hashU64(uint64(r.seed), 0x5348415244, uint64(shard)) // "SHARD" tag
 	start := 0
-	for i, pt := range ring {
+	for i, pt := range r.points {
 		if pt.hash >= loc {
 			start = i
 			break
 		}
 	}
 	out := make([]int, 0, rf)
-	for i := 0; len(out) < rf && i < len(ring); i++ {
-		n := ring[(start+i)%len(ring)].node
+	for i := 0; len(out) < rf && i < len(r.points); i++ {
+		n := r.points[(start+i)%len(r.points)].node
 		dup := false
 		for _, m := range out {
 			if m == n {
@@ -131,14 +142,15 @@ func Replicas(seed int64, nodes []int, shard, rf int) []int {
 // replica as primary. All nodes and clients derive the identical map
 // from the shared (seed, nodes, nshards, rf) configuration.
 func NewShardMap(seed int64, nodes []int, nshards, rf int) *ShardMap {
-	m := &ShardMap{Shards: make([]ShardInfo, nshards)}
-	for s := 0; s < nshards; s++ {
-		reps := Replicas(seed, nodes, s, rf)
+	m := &ShardMap{Shards: make([]*gen.Route, nshards)}
+	ring := buildRing(seed, nodes)
+	for s := range m.Shards {
+		reps := ring.replicas(s, rf)
 		r32 := make([]int32, len(reps))
 		for i, r := range reps {
 			r32[i] = int32(r)
 		}
-		m.Shards[s] = ShardInfo{Epoch: 1, Primary: r32[0], Replicas: r32}
+		m.Shards[s] = &gen.Route{Epoch: 1, Primary: r32[0], Replicas: r32}
 	}
 	return m
 }

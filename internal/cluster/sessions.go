@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"sort"
-
 	gen "hatrpc/internal/cluster/gen"
 	"hatrpc/internal/engine"
 	"hatrpc/internal/sim"
@@ -15,17 +13,25 @@ import (
 // dials lazily and survives peer restarts by re-dialing and replaying),
 // which every process calling that peer shares through a generated client
 // of its own. Each verb's plan, and the polling every session declares to
-// its peer, come from the hints of cluster.hrpc through trdma. Client and
-// Node both embed it.
+// its peer, come from the hints of cluster.hrpc through trdma; every call
+// is bounded by the embedder's deadline. Client and Node both embed it.
 type peerSessions struct {
-	eng    *engine.Engine
-	roster []*simnet.Node // cluster server nodes, by index
+	eng      *engine.Engine
+	roster   []*simnet.Node               // cluster server nodes, by index
+	deadline func(fn string) sim.Duration // bounds each call, by verb
 
-	sess map[int]*engine.Session // peer index → session
+	sess    []*engine.Session    // by roster index
+	clients []*gen.ClusterClient // the embedder's calling process's, by roster index (peer)
 }
 
-func newPeerSessions(eng *engine.Engine, roster []*simnet.Node) peerSessions {
-	return peerSessions{eng: eng, roster: roster, sess: make(map[int]*engine.Session)}
+func newPeerSessions(eng *engine.Engine, roster []*simnet.Node, deadline func(fn string) sim.Duration) peerSessions {
+	return peerSessions{
+		eng:      eng,
+		roster:   roster,
+		deadline: deadline,
+		sess:     make([]*engine.Session, len(roster)),
+		clients:  make([]*gen.ClusterClient, len(roster)),
+	}
 }
 
 // session returns the session to peer, opening it on first use. The cache
@@ -41,23 +47,28 @@ func (ps *peerSessions) session(peer int) *engine.Session {
 	return s
 }
 
-// client returns a generated client over the session to peer, each call
-// bounded by deadline(fn). A client carries one call at a time, so every
-// process that calls a peer holds a client of its own.
-func (ps *peerSessions) client(peer int, deadline func(fn string) sim.Duration) *gen.ClusterClient {
-	return gen.NewClusterClient(trdma.NewSessionTransport(ps.session(peer), gen.ClusterHints, ps.eng.Cores(), deadline))
+// client returns a new generated client over the session to peer. A client
+// carries one call at a time, so every process that calls a peer holds a
+// client of its own.
+func (ps *peerSessions) client(peer int) *gen.ClusterClient {
+	return gen.NewClusterClient(trdma.NewSessionTransport(ps.session(peer), gen.ClusterHints, ps.eng.Cores(), ps.deadline))
 }
 
-// closeSessions closes the cached sessions in deterministic
-// (sorted-peer) order.
+// peer returns the client of peer that the embedder's one calling process
+// uses (a Client's caller, a Node's monitor), made on first use.
+func (ps *peerSessions) peer(i int) *gen.ClusterClient {
+	if ps.clients[i] == nil {
+		ps.clients[i] = ps.client(i)
+	}
+	return ps.clients[i]
+}
+
+// closeSessions closes the open sessions in roster order.
 func (ps *peerSessions) closeSessions() {
-	peers := make([]int, 0, len(ps.sess))
-	for peer := range ps.sess {
-		peers = append(peers, peer)
+	for i, s := range ps.sess {
+		if s != nil {
+			s.Close()
+			ps.sess[i] = nil
+		}
 	}
-	sort.Ints(peers)
-	for _, peer := range peers {
-		ps.sess[peer].Close()
-	}
-	ps.sess = make(map[int]*engine.Session)
 }

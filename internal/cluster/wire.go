@@ -27,45 +27,18 @@ var (
 // ---------------------------------------------------------------------------
 // Shard map.
 
-// ShardInfo is one shard's routing entry: its current epoch, the node
-// serving as primary, and the configured replica set in ring order.
-type ShardInfo struct {
-	Epoch    uint64
-	Primary  int32
-	Replicas []int32
-}
-
-// ShardMap is the routing table the ShardMap verb serves. Clients
+// ShardMap is the routing table the ShardMap verb serves, as it carries
+// it (Routes, cluster.hrpc): per shard, its epoch, the node serving as
+// primary, and the configured replica set in ring order. Clients
 // bootstrap from it and refresh it whenever a call fails with a stale
 // epoch or an unreachable primary.
-type ShardMap struct {
-	Shards []ShardInfo
-}
-
-// routes is the map as the ShardMap verb carries it.
-func (m *ShardMap) routes() gen.Routes {
-	rs := gen.Routes{Shards: make([]*gen.Route, len(m.Shards))}
-	for i, s := range m.Shards {
-		rs.Shards[i] = &gen.Route{Epoch: int64(s.Epoch), Primary: s.Primary, Replicas: s.Replicas}
-	}
-	return rs
-}
-
-// shardMapOf is the map a ShardMap reply carries.
-func shardMapOf(rs gen.Routes) *ShardMap {
-	m := &ShardMap{Shards: make([]ShardInfo, len(rs.Shards))}
-	for i, r := range rs.Shards {
-		m.Shards[i] = ShardInfo{Epoch: uint64(r.Epoch), Primary: r.Primary, Replicas: r.Replicas}
-	}
-	return m
-}
+type ShardMap gen.Routes
 
 // Encode renders the map in the ShardMap verb's encoding (Routes,
 // cluster.hrpc).
 func (m *ShardMap) Encode() []byte {
 	buf := thrift.NewTMemoryBuffer()
-	rs := m.routes()
-	rs.Write(thrift.NewTBinaryProtocol(buf)) // writes to memory cannot fail
+	(*gen.Routes)(m).Write(thrift.NewTBinaryProtocol(buf)) // writes to memory cannot fail
 	return buf.Bytes()
 }
 
@@ -73,14 +46,14 @@ func (m *ShardMap) Encode() []byte {
 // trailing garbage.
 func DecodeShardMap(b []byte) (*ShardMap, error) {
 	buf := thrift.NewTMemoryBufferWith(b)
-	var rs gen.Routes
-	if err := rs.Read(thrift.NewTBinaryProtocol(buf)); err != nil {
+	m := new(ShardMap)
+	if err := (*gen.Routes)(m).Read(thrift.NewTBinaryProtocol(buf)); err != nil {
 		return nil, fmt.Errorf("cluster: shard map: %w", err)
 	}
 	if buf.Len() != 0 {
 		return nil, fmt.Errorf("cluster: shard map: %d bytes past its end", buf.Len())
 	}
-	return shardMapOf(rs), nil
+	return m, nil
 }
 
 // Merge folds fresher routing into the map: per shard, the higher epoch
@@ -88,10 +61,9 @@ func DecodeShardMap(b []byte) (*ShardMap, error) {
 // is the client's refresh rule, so a node with a stale view can never
 // roll a client's routing backwards.
 func (m *ShardMap) Merge(o *ShardMap) {
-	for i := range m.Shards {
-		if i < len(o.Shards) && o.Shards[i].Epoch > m.Shards[i].Epoch {
-			m.Shards[i].Epoch = o.Shards[i].Epoch
-			m.Shards[i].Primary = o.Shards[i].Primary
+	for i, r := range m.Shards {
+		if i < len(o.Shards) && o.Shards[i].Epoch > r.Epoch {
+			r.Epoch, r.Primary = o.Shards[i].Epoch, o.Shards[i].Primary
 		}
 	}
 }
@@ -118,19 +90,19 @@ const (
 )
 
 type shardMeta struct {
-	Epoch    uint64 // content epoch: the view this replica's data belongs to
-	Primary  int32  // that view's primary
-	Seq      uint64 // seq when the record was written; later appends of the epoch are stamped on their data records
-	Promised uint64 // highest epoch durably promised to a candidate
+	Epoch    int64 // content epoch: the view this replica's data belongs to
+	Primary  int32 // that view's primary
+	Seq      int64 // seq when the record was written; later appends of the epoch are stamped on their data records
+	Promised int64 // highest epoch durably promised to a candidate
 }
 
 // readStamp splits a data record into its stamp and user bytes; ok is
 // false for a record too short to carry a stamp.
-func readStamp(rec []byte) (epoch, seq uint64, val []byte, ok bool) {
+func readStamp(rec []byte) (epoch, seq int64, val []byte, ok bool) {
 	if len(rec) < stampLen {
 		return 0, 0, nil, false
 	}
-	return binary.BigEndian.Uint64(rec), binary.BigEndian.Uint64(rec[8:]), rec[stampLen:], true
+	return int64(binary.BigEndian.Uint64(rec)), int64(binary.BigEndian.Uint64(rec[8:])), rec[stampLen:], true
 }
 
 // advance folds one data record into the position: a stamp of its epoch
@@ -144,10 +116,10 @@ func (m *shardMeta) advance(rec []byte) {
 
 // appendTo renders the record onto b.
 func (m shardMeta) appendTo(b []byte) []byte {
-	b = binary.BigEndian.AppendUint64(b, m.Epoch)
+	b = binary.BigEndian.AppendUint64(b, uint64(m.Epoch))
 	b = binary.BigEndian.AppendUint32(b, uint32(m.Primary))
-	b = binary.BigEndian.AppendUint64(b, m.Seq)
-	return binary.BigEndian.AppendUint64(b, m.Promised)
+	b = binary.BigEndian.AppendUint64(b, uint64(m.Seq))
+	return binary.BigEndian.AppendUint64(b, uint64(m.Promised))
 }
 
 // decodeShardMeta reads a meta record; ok is false for one of another
@@ -157,10 +129,10 @@ func decodeShardMeta(b []byte) (m shardMeta, ok bool) {
 		return shardMeta{}, false
 	}
 	return shardMeta{
-		Epoch:    binary.BigEndian.Uint64(b),
+		Epoch:    int64(binary.BigEndian.Uint64(b)),
 		Primary:  int32(binary.BigEndian.Uint32(b[8:])),
-		Seq:      binary.BigEndian.Uint64(b[12:]),
-		Promised: binary.BigEndian.Uint64(b[20:]),
+		Seq:      int64(binary.BigEndian.Uint64(b[12:])),
+		Promised: int64(binary.BigEndian.Uint64(b[20:])),
 	}, true
 }
 
@@ -178,9 +150,9 @@ func dataKey(prefix string, key []byte) string { return prefix + string(key) }
 // dataPair renders a data record's store pair in one allocation, as
 // lmdb.CopyPair lays one out: the data key is its capacity-capped head,
 // the record — the stamp, then val — its tail.
-func dataPair(prefix string, key []byte, epoch, seq uint64, val []byte) (k, v []byte) {
+func dataPair(prefix string, key []byte, epoch, seq int64, val []byte) (k, v []byte) {
 	n := len(prefix) + len(key)
 	b := append(append(make([]byte, 0, n+stampLen+len(val)), prefix...), key...)
-	b = append(binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(b, epoch), seq), val...)
+	b = append(binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(b, uint64(epoch)), uint64(seq)), val...)
 	return b[:n:n], b[n:]
 }
