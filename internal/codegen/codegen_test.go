@@ -96,10 +96,13 @@ func TestGeneratedSymbols(t *testing.T) {
 // TestFramingLivesOnce: the message framing, the seq check and the
 // application exceptions live in trdma's Call and Serve, so no generated
 // stub writes a message header, reads one, checks a seq or encodes an
-// exception of its own.
+// exception of its own. And a protocol write grows a memory buffer, so it
+// cannot fail, and no end but a struct's is on the wire: no stub checks a
+// write's error or marks a field, list or message end.
 func TestFramingLivesOnce(t *testing.T) {
 	code := generate(t)
-	for _, sym := range []string{"WriteMessageBegin", "ReadMessageHeader", "ExcBadSequenceID", "EncodeException", "TApplicationException"} {
+	for _, sym := range []string{"WriteMessageBegin", "ReadMessageHeader", "ExcBadSequenceID", "EncodeException", "TApplicationException",
+		"if err := p.Write", "FieldEnd(", "ListEnd(", "MessageEnd("} {
 		if strings.Contains(code, sym) {
 			t.Errorf("generated code contains %q", sym)
 		}

@@ -309,7 +309,13 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 				obs.Arg{K: "fn", V: a.Fn}, obs.Arg{K: "size", V: len(a.Payload)})
 		}
 		// The entry takes over the buffer the response may be cut from and
-		// hands the previous one back to the arena.
+		// hands the previous one back to the arena. A oneway served after
+		// the request behind it (its rendezvous outlasted that call) leaves
+		// that request's entry in place, for its retransmission to find.
+		if a.RespProto == ProtoAuto && c.dedup.served && int32(a.Seq-c.dedup.arr.Seq) < 0 {
+			c.Recycle(own)
+			continue
+		}
 		c.Recycle(c.dedup.req)
 		a.Payload = nil
 		c.dedup = dedupEntry{served: true, resp: resp, req: own, arr: a}

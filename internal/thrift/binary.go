@@ -25,99 +25,71 @@ type TBinaryProtocol struct {
 
 var _ TProtocol = (*TBinaryProtocol)(nil)
 
-// NewTBinaryProtocol returns a strict binary protocol over trans, which
-// must be a *TMemoryBuffer (the only transport there is).
+// NewTBinaryProtocol returns a strict binary protocol over trans.
 func NewTBinaryProtocol(trans TTransport) *TBinaryProtocol {
-	return &TBinaryProtocol{m: trans.(*TMemoryBuffer)}
+	return &TBinaryProtocol{m: trans}
 }
-
-// Transport returns the underlying transport.
-func (p *TBinaryProtocol) Transport() TTransport { return p.m }
-
-// Flush flushes the underlying transport.
-func (p *TBinaryProtocol) Flush() error { return p.m.Flush() }
 
 // WriteMessageBegin emits the strict-mode message header.
-func (p *TBinaryProtocol) WriteMessageBegin(name string, typeID TMessageType, seqid int32) error {
+func (p *TBinaryProtocol) WriteMessageBegin(name string, typeID TMessageType, seqid int32) {
 	p.WriteI32(int32(binaryVersion1 | uint32(typeID)))
 	p.WriteString(name)
-	return p.WriteI32(seqid)
+	p.WriteI32(seqid)
 }
 
-// WriteMessageEnd is a no-op.
-func (p *TBinaryProtocol) WriteMessageEnd() error { return nil }
-
 // WriteStructBegin is a no-op in the binary protocol.
-func (p *TBinaryProtocol) WriteStructBegin(string) error { return nil }
+func (p *TBinaryProtocol) WriteStructBegin() {}
 
 // WriteStructEnd is a no-op.
-func (p *TBinaryProtocol) WriteStructEnd() error { return nil }
+func (p *TBinaryProtocol) WriteStructEnd() {}
 
 // WriteFieldBegin emits the field type and id.
-func (p *TBinaryProtocol) WriteFieldBegin(_ string, typeID TType, id int16) error {
+func (p *TBinaryProtocol) WriteFieldBegin(typeID TType, id int16) {
 	b := p.m.extend(3)
 	b[0] = byte(typeID)
 	binary.BigEndian.PutUint16(b[1:], uint16(id))
-	return nil
 }
 
-// WriteFieldEnd is a no-op.
-func (p *TBinaryProtocol) WriteFieldEnd() error { return nil }
-
 // WriteFieldStop emits the STOP sentinel.
-func (p *TBinaryProtocol) WriteFieldStop() error { return p.WriteI8(int8(STOP)) }
+func (p *TBinaryProtocol) WriteFieldStop() { p.WriteI8(int8(STOP)) }
 
 // WriteListBegin emits element type and size.
-func (p *TBinaryProtocol) WriteListBegin(et TType, size int) error {
+func (p *TBinaryProtocol) WriteListBegin(et TType, size int) {
 	b := p.m.extend(5)
 	b[0] = byte(et)
 	binary.BigEndian.PutUint32(b[1:], uint32(size))
-	return nil
 }
 
-// WriteListEnd is a no-op.
-func (p *TBinaryProtocol) WriteListEnd() error { return nil }
-
 // WriteBool emits one byte.
-func (p *TBinaryProtocol) WriteBool(v bool) error {
+func (p *TBinaryProtocol) WriteBool(v bool) {
 	if v {
-		return p.WriteI8(1)
+		p.WriteI8(1)
+	} else {
+		p.WriteI8(0)
 	}
-	return p.WriteI8(0)
 }
 
 // WriteI8 emits one byte.
-func (p *TBinaryProtocol) WriteI8(v int8) error {
-	p.m.extend(1)[0] = byte(v)
-	return nil
-}
+func (p *TBinaryProtocol) WriteI8(v int8) { p.m.extend(1)[0] = byte(v) }
 
 // WriteI32 emits a big-endian int32.
-func (p *TBinaryProtocol) WriteI32(v int32) error {
-	binary.BigEndian.PutUint32(p.m.extend(4), uint32(v))
-	return nil
-}
+func (p *TBinaryProtocol) WriteI32(v int32) { binary.BigEndian.PutUint32(p.m.extend(4), uint32(v)) }
 
 // WriteI64 emits a big-endian int64.
-func (p *TBinaryProtocol) WriteI64(v int64) error {
-	binary.BigEndian.PutUint64(p.m.extend(8), uint64(v))
-	return nil
-}
+func (p *TBinaryProtocol) WriteI64(v int64) { binary.BigEndian.PutUint64(p.m.extend(8), uint64(v)) }
 
 // WriteString emits a length-prefixed string.
-func (p *TBinaryProtocol) WriteString(v string) error {
+func (p *TBinaryProtocol) WriteString(v string) {
 	b := p.m.extend(4 + len(v))
 	binary.BigEndian.PutUint32(b, uint32(len(v)))
 	copy(b[4:], v)
-	return nil
 }
 
 // WriteBinary emits a length-prefixed byte slice.
-func (p *TBinaryProtocol) WriteBinary(v []byte) error {
+func (p *TBinaryProtocol) WriteBinary(v []byte) {
 	b := p.m.extend(4 + len(v))
 	binary.BigEndian.PutUint32(b, uint32(len(v)))
 	copy(b[4:], v)
-	return nil
 }
 
 // ReadMessageBegin parses the strict-mode header.
@@ -145,30 +117,24 @@ func (p *TBinaryProtocol) ReadMessageHeader() (name []byte, typeID TMessageType,
 	return name, typeID, seqid, err
 }
 
-// ReadMessageEnd is a no-op.
-func (p *TBinaryProtocol) ReadMessageEnd() error { return nil }
-
 // ReadStructBegin is a no-op.
-func (p *TBinaryProtocol) ReadStructBegin() (string, error) { return "", nil }
+func (p *TBinaryProtocol) ReadStructBegin() {}
 
 // ReadStructEnd is a no-op.
-func (p *TBinaryProtocol) ReadStructEnd() error { return nil }
+func (p *TBinaryProtocol) ReadStructEnd() {}
 
 // ReadFieldBegin parses field type and id (id omitted for STOP).
-func (p *TBinaryProtocol) ReadFieldBegin() (string, TType, int16, error) {
+func (p *TBinaryProtocol) ReadFieldBegin() (TType, int16, error) {
 	t, err := p.ReadI8()
 	if err != nil {
-		return "", 0, 0, err
+		return 0, 0, err
 	}
 	if TType(t) == STOP {
-		return "", STOP, 0, nil
+		return STOP, 0, nil
 	}
 	id, err := p.ReadI16()
-	return "", TType(t), id, err
+	return TType(t), id, err
 }
-
-// ReadFieldEnd is a no-op.
-func (p *TBinaryProtocol) ReadFieldEnd() error { return nil }
 
 // ReadMapBegin parses key/value types and size.
 func (p *TBinaryProtocol) ReadMapBegin() (TType, TType, int, error) {
@@ -183,9 +149,6 @@ func (p *TBinaryProtocol) ReadMapBegin() (TType, TType, int, error) {
 	size, err := p.readCount()
 	return TType(kt), TType(vt), size, err
 }
-
-// ReadMapEnd is a no-op.
-func (p *TBinaryProtocol) ReadMapEnd() error { return nil }
 
 // ReadListBegin parses element type and size.
 func (p *TBinaryProtocol) ReadListBegin() (TType, int, error) {
@@ -206,14 +169,8 @@ func (p *TBinaryProtocol) readCount() (int, error) {
 	return p.m.count(uint64(uint32(n))) // a negative count is a huge one
 }
 
-// ReadListEnd is a no-op.
-func (p *TBinaryProtocol) ReadListEnd() error { return nil }
-
 // ReadSetBegin parses element type and size.
 func (p *TBinaryProtocol) ReadSetBegin() (TType, int, error) { return p.ReadListBegin() }
-
-// ReadSetEnd is a no-op.
-func (p *TBinaryProtocol) ReadSetEnd() error { return nil }
 
 // ReadBool parses one byte as bool.
 func (p *TBinaryProtocol) ReadBool() (bool, error) {

@@ -80,30 +80,17 @@ type TCompactProtocol struct {
 
 var _ TProtocol = (*TCompactProtocol)(nil)
 
-// NewTCompactProtocol returns a compact protocol over trans, which must
-// be a *TMemoryBuffer (the only transport there is).
+// NewTCompactProtocol returns a compact protocol over trans.
 func NewTCompactProtocol(trans TTransport) *TCompactProtocol {
-	return &TCompactProtocol{m: trans.(*TMemoryBuffer)}
+	return &TCompactProtocol{m: trans}
 }
 
-// Transport returns the underlying transport.
-func (p *TCompactProtocol) Transport() TTransport { return p.m }
+func (p *TCompactProtocol) writeByteRaw(b byte) { p.m.extend(1)[0] = b }
 
-// Flush flushes the underlying transport.
-func (p *TCompactProtocol) Flush() error { return p.m.Flush() }
-
-// writeByteRaw and writeVarint cannot fail — the buffer grows — and
-// return nil so that the Write methods can end in them.
-func (p *TCompactProtocol) writeByteRaw(b byte) error {
-	p.m.extend(1)[0] = b
-	return nil
-}
-
-func (p *TCompactProtocol) writeVarint(v uint64) error {
+func (p *TCompactProtocol) writeVarint(v uint64) {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(tmp[:], v)
 	copy(p.m.extend(n), tmp[:n])
-	return nil
 }
 
 func (p *TCompactProtocol) readVarint() (uint64, error) {
@@ -124,35 +111,34 @@ func unzig32(v uint64) int32  { u := uint32(v); return int32(u>>1) ^ -int32(u&1)
 func unzig64(v uint64) int64  { return int64(v>>1) ^ -int64(v&1) }
 
 // WriteMessageBegin emits the compact message header.
-func (p *TCompactProtocol) WriteMessageBegin(name string, typeID TMessageType, seqid int32) error {
+func (p *TCompactProtocol) WriteMessageBegin(name string, typeID TMessageType, seqid int32) {
 	p.writeByteRaw(compactProtocolID)
 	p.writeByteRaw((compactVersion & compactVersionMask) | byte(typeID)<<compactTypeShift)
 	p.writeVarint(uint64(uint32(seqid)))
-	return p.WriteString(name)
+	p.WriteString(name)
 }
 
-// WriteMessageEnd is a no-op.
-func (p *TCompactProtocol) WriteMessageEnd() error { return nil }
-
-// WriteStructBegin pushes the field-id delta context.
-func (p *TCompactProtocol) WriteStructBegin(string) error {
+// pushStruct opens a struct's field-id delta context.
+func (p *TCompactProtocol) pushStruct() {
 	p.fieldStack = append(p.fieldStack, p.lastFieldID)
 	p.lastFieldID = 0
-	return nil
 }
+
+// popStruct closes the innermost struct's context. Generated code and
+// Skip pair every end with a begin, so an unbalanced end is a programming
+// error, and it panics on the empty stack.
+func (p *TCompactProtocol) popStruct() {
+	n := len(p.fieldStack) - 1
+	p.lastFieldID, p.fieldStack = p.fieldStack[n], p.fieldStack[:n]
+}
+
+// WriteStructBegin pushes the field-id delta context.
+func (p *TCompactProtocol) WriteStructBegin() { p.pushStruct() }
 
 // WriteStructEnd pops the field-id delta context.
-func (p *TCompactProtocol) WriteStructEnd() error {
-	n := len(p.fieldStack)
-	if n == 0 {
-		return fmt.Errorf("thrift: WriteStructEnd without begin")
-	}
-	p.lastFieldID = p.fieldStack[n-1]
-	p.fieldStack = p.fieldStack[:n-1]
-	return nil
-}
+func (p *TCompactProtocol) WriteStructEnd() { p.popStruct() }
 
-func (p *TCompactProtocol) writeFieldHeader(ctype byte, id int16) error {
+func (p *TCompactProtocol) writeFieldHeader(ctype byte, id int16) {
 	if delta := id - p.lastFieldID; delta > 0 && delta <= 15 {
 		p.writeByteRaw(byte(delta)<<4 | ctype)
 	} else {
@@ -160,73 +146,66 @@ func (p *TCompactProtocol) writeFieldHeader(ctype byte, id int16) error {
 		p.writeVarint(zigzag32(int32(id)))
 	}
 	p.lastFieldID = id
-	return nil
 }
 
 // WriteFieldBegin emits the delta-encoded field header. Bool fields defer
 // emission to WriteBool, which folds the value into the type nibble.
-func (p *TCompactProtocol) WriteFieldBegin(_ string, typeID TType, id int16) error {
+func (p *TCompactProtocol) WriteFieldBegin(typeID TType, id int16) {
 	if typeID == BOOL {
 		p.pendingBoolField = true
 		p.pendingBoolID = id
-		return nil
+		return
 	}
-	return p.writeFieldHeader(toCompactType(typeID), id)
+	p.writeFieldHeader(toCompactType(typeID), id)
 }
-
-// WriteFieldEnd is a no-op.
-func (p *TCompactProtocol) WriteFieldEnd() error { return nil }
 
 // WriteFieldStop emits the stop byte.
-func (p *TCompactProtocol) WriteFieldStop() error { return p.writeByteRaw(ctStop) }
+func (p *TCompactProtocol) WriteFieldStop() { p.writeByteRaw(ctStop) }
 
 // WriteListBegin emits the compact list header.
-func (p *TCompactProtocol) WriteListBegin(et TType, size int) error {
+func (p *TCompactProtocol) WriteListBegin(et TType, size int) {
 	if size < 15 {
-		return p.writeByteRaw(byte(size)<<4 | toCompactType(et))
+		p.writeByteRaw(byte(size)<<4 | toCompactType(et))
+		return
 	}
 	p.writeByteRaw(0xf0 | toCompactType(et))
-	return p.writeVarint(uint64(size))
+	p.writeVarint(uint64(size))
 }
-
-// WriteListEnd is a no-op.
-func (p *TCompactProtocol) WriteListEnd() error { return nil }
 
 // WriteBool emits a bool, folding it into a pending field header when one
 // is deferred.
-func (p *TCompactProtocol) WriteBool(v bool) error {
+func (p *TCompactProtocol) WriteBool(v bool) {
 	ct := ctBoolFalse
 	if v {
 		ct = ctBoolTrue
 	}
 	if p.pendingBoolField {
 		p.pendingBoolField = false
-		return p.writeFieldHeader(ct, p.pendingBoolID)
+		p.writeFieldHeader(ct, p.pendingBoolID)
+		return
 	}
-	return p.writeByteRaw(ct)
+	p.writeByteRaw(ct)
 }
 
 // WriteI8 emits one byte.
-func (p *TCompactProtocol) WriteI8(v int8) error { return p.writeByteRaw(byte(v)) }
+func (p *TCompactProtocol) WriteI8(v int8) { p.writeByteRaw(byte(v)) }
 
 // WriteI32 emits a zigzag varint.
-func (p *TCompactProtocol) WriteI32(v int32) error { return p.writeVarint(zigzag32(v)) }
+func (p *TCompactProtocol) WriteI32(v int32) { p.writeVarint(zigzag32(v)) }
 
 // WriteI64 emits a zigzag varint.
-func (p *TCompactProtocol) WriteI64(v int64) error { return p.writeVarint(zigzag64(v)) }
+func (p *TCompactProtocol) WriteI64(v int64) { p.writeVarint(zigzag64(v)) }
 
 // WriteString emits a varint-length-prefixed string.
-func (p *TCompactProtocol) WriteString(v string) error {
+func (p *TCompactProtocol) WriteString(v string) {
 	p.writeVarint(uint64(len(v)))
 	copy(p.m.extend(len(v)), v)
-	return nil
 }
 
 // WriteBinary emits a varint-length-prefixed byte slice.
-func (p *TCompactProtocol) WriteBinary(v []byte) error {
+func (p *TCompactProtocol) WriteBinary(v []byte) {
 	p.writeVarint(uint64(len(v)))
 	copy(p.m.extend(len(v)), v)
-	return nil
 }
 
 // ReadMessageBegin parses the compact message header.
@@ -254,9 +233,6 @@ func (p *TCompactProtocol) ReadMessageBegin() (string, TMessageType, int32, erro
 	return name, typeID, int32(uint32(seq)), err
 }
 
-// ReadMessageEnd is a no-op.
-func (p *TCompactProtocol) ReadMessageEnd() error { return nil }
-
 func (p *TCompactProtocol) readByteRaw() (byte, error) {
 	b, err := p.m.next(1)
 	if err != nil {
@@ -266,32 +242,20 @@ func (p *TCompactProtocol) readByteRaw() (byte, error) {
 }
 
 // ReadStructBegin pushes the field-id delta context.
-func (p *TCompactProtocol) ReadStructBegin() (string, error) {
-	p.fieldStack = append(p.fieldStack, p.lastFieldID)
-	p.lastFieldID = 0
-	return "", nil
-}
+func (p *TCompactProtocol) ReadStructBegin() { p.pushStruct() }
 
 // ReadStructEnd pops the field-id delta context.
-func (p *TCompactProtocol) ReadStructEnd() error {
-	n := len(p.fieldStack)
-	if n == 0 {
-		return fmt.Errorf("thrift: ReadStructEnd without begin")
-	}
-	p.lastFieldID = p.fieldStack[n-1]
-	p.fieldStack = p.fieldStack[:n-1]
-	return nil
-}
+func (p *TCompactProtocol) ReadStructEnd() { p.popStruct() }
 
 // ReadFieldBegin parses the delta-encoded field header; bool values are
 // captured for the following ReadBool.
-func (p *TCompactProtocol) ReadFieldBegin() (string, TType, int16, error) {
+func (p *TCompactProtocol) ReadFieldBegin() (TType, int16, error) {
 	b, err := p.readByteRaw()
 	if err != nil {
-		return "", 0, 0, err
+		return 0, 0, err
 	}
 	if b == ctStop {
-		return "", STOP, 0, nil
+		return STOP, 0, nil
 	}
 	ctype := b & 0x0f
 	delta := int16(b >> 4)
@@ -299,7 +263,7 @@ func (p *TCompactProtocol) ReadFieldBegin() (string, TType, int16, error) {
 	if delta == 0 {
 		v, err := p.readVarint()
 		if err != nil {
-			return "", 0, 0, err
+			return 0, 0, err
 		}
 		id = int16(unzig32(v))
 	} else {
@@ -308,17 +272,14 @@ func (p *TCompactProtocol) ReadFieldBegin() (string, TType, int16, error) {
 	p.lastFieldID = id
 	tt, err := fromCompactType(ctype)
 	if err != nil {
-		return "", 0, 0, err
+		return 0, 0, err
 	}
 	if tt == BOOL {
 		p.havePendingBool = true
 		p.pendingBoolValue = ctype == ctBoolTrue
 	}
-	return "", tt, id, nil
+	return tt, id, nil
 }
-
-// ReadFieldEnd is a no-op.
-func (p *TCompactProtocol) ReadFieldEnd() error { return nil }
 
 // ReadMapBegin parses the compact map header.
 func (p *TCompactProtocol) ReadMapBegin() (TType, TType, int, error) {
@@ -345,9 +306,6 @@ func (p *TCompactProtocol) ReadMapBegin() (TType, TType, int, error) {
 	return kt, vt, size, nil
 }
 
-// ReadMapEnd is a no-op.
-func (p *TCompactProtocol) ReadMapEnd() error { return nil }
-
 // ReadListBegin parses the compact list header.
 func (p *TCompactProtocol) ReadListBegin() (TType, int, error) {
 	b, err := p.readByteRaw()
@@ -368,14 +326,8 @@ func (p *TCompactProtocol) ReadListBegin() (TType, int, error) {
 	return et, n, err
 }
 
-// ReadListEnd is a no-op.
-func (p *TCompactProtocol) ReadListEnd() error { return nil }
-
 // ReadSetBegin parses the compact set header.
 func (p *TCompactProtocol) ReadSetBegin() (TType, int, error) { return p.ReadListBegin() }
-
-// ReadSetEnd is a no-op.
-func (p *TCompactProtocol) ReadSetEnd() error { return nil }
 
 // ReadBool returns a pending field-header bool or reads a value byte.
 func (p *TCompactProtocol) ReadBool() (bool, error) {

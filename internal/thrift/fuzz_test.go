@@ -14,34 +14,27 @@ func buildMessage(proto func(TTransport) TProtocol, name string, payload string)
 	mb := NewTMemoryBuffer()
 	p := proto(mb)
 	p.WriteMessageBegin(name, CALL, 7)
-	p.WriteStructBegin("args")
-	p.WriteFieldBegin("payload", STRING, 1)
+	p.WriteStructBegin()
+	p.WriteFieldBegin(STRING, 1)
 	p.WriteString(payload)
-	p.WriteFieldEnd()
-	p.WriteFieldBegin("n", I32, 2)
+	p.WriteFieldBegin(I32, 2)
 	p.WriteI32(42)
-	p.WriteFieldEnd()
-	p.WriteFieldBegin("opts", STRUCT, 3)
-	p.WriteStructBegin("opts")
-	p.WriteFieldBegin("flag", BOOL, 1)
+	p.WriteFieldBegin(STRUCT, 3)
+	p.WriteStructBegin()
+	p.WriteFieldBegin(BOOL, 1)
 	p.WriteBool(true)
-	p.WriteFieldEnd()
 	p.WriteFieldStop()
 	p.WriteStructEnd()
-	p.WriteFieldEnd()
-	p.WriteFieldBegin("tags", MAP, 4)
+	p.WriteFieldBegin(MAP, 4)
 	if _, compact := p.(*TCompactProtocol); compact {
-		mb.Write([]byte{0x01, ctBinary<<4 | ctI64}) // size 1, key/value types
+		mb.buf = append(mb.buf, 0x01, ctBinary<<4|ctI64) // size 1, key/value types
 	} else {
-		mb.Write([]byte{byte(STRING), byte(I64), 0, 0, 0, 1})
+		mb.buf = append(mb.buf, byte(STRING), byte(I64), 0, 0, 0, 1)
 	}
 	p.WriteString("k")
 	p.WriteI64(-1)
-	p.WriteFieldEnd()
 	p.WriteFieldStop()
 	p.WriteStructEnd()
-	p.WriteMessageEnd()
-	p.Flush()
 	return mb.Bytes()
 }
 
@@ -59,7 +52,6 @@ func drain(t *testing.T, p TProtocol, input []byte) {
 		t.Fatalf("parsed name of %d bytes from %d input bytes", len(name), len(input))
 	}
 	_ = Skip(p, STRUCT)
-	_ = p.ReadMessageEnd()
 }
 
 // FuzzBinaryDecode throws arbitrary bytes at the strict binary

@@ -11,10 +11,7 @@
 // pays.
 package thrift
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // TType is a Thrift wire type identifier.
 type TType byte
@@ -59,50 +56,40 @@ const (
 	ONEWAY    TMessageType = 4
 )
 
-// TTransport is the byte-level transport abstraction. Writers accumulate
-// until Flush, which delivers one message/frame.
-type TTransport interface {
-	Read(p []byte) (int, error)
-	Write(p []byte) (int, error)
-	Flush() error
-	Close() error
-}
-
-// ErrTransportClosed is returned by operations on a closed transport.
-var ErrTransportClosed = errors.New("thrift: transport closed")
+// TTransport is the one transport there is, the memory buffer a message
+// is serialized into or decoded from: generated code and trdma are
+// message-level, and the engine frames.
+type TTransport = *TMemoryBuffer
 
 // TProtocol is the serialization abstraction over a TTransport. It
 // writes only the wire types generated code writes, but reads every wire
-// type, so that Skip can step over any field a peer sends.
+// type, so that Skip can step over any field a peer sends. A write grows
+// the memory buffer and so cannot fail; a read can, on any byte a peer
+// sends. Neither wire protocol writes a field's name, so none is asked
+// for or returned, and no end of a message, field or container is marked
+// on the wire, so only a struct's end is a call (compact's field ids are
+// deltas within a struct).
 type TProtocol interface {
-	WriteMessageBegin(name string, typeID TMessageType, seqid int32) error
-	WriteMessageEnd() error
-	WriteStructBegin(name string) error
-	WriteStructEnd() error
-	WriteFieldBegin(name string, typeID TType, id int16) error
-	WriteFieldEnd() error
-	WriteFieldStop() error
-	WriteListBegin(elemType TType, size int) error
-	WriteListEnd() error
-	WriteBool(v bool) error
-	WriteI8(v int8) error
-	WriteI32(v int32) error
-	WriteI64(v int64) error
-	WriteString(v string) error
-	WriteBinary(v []byte) error
+	WriteMessageBegin(name string, typeID TMessageType, seqid int32)
+	WriteStructBegin()
+	WriteStructEnd()
+	WriteFieldBegin(typeID TType, id int16)
+	WriteFieldStop()
+	WriteListBegin(elemType TType, size int)
+	WriteBool(v bool)
+	WriteI8(v int8)
+	WriteI32(v int32)
+	WriteI64(v int64)
+	WriteString(v string)
+	WriteBinary(v []byte)
 
 	ReadMessageBegin() (name string, typeID TMessageType, seqid int32, err error)
-	ReadMessageEnd() error
-	ReadStructBegin() (name string, err error)
-	ReadStructEnd() error
-	ReadFieldBegin() (name string, typeID TType, id int16, err error)
-	ReadFieldEnd() error
+	ReadStructBegin()
+	ReadStructEnd()
+	ReadFieldBegin() (typeID TType, id int16, err error)
 	ReadMapBegin() (keyType, valueType TType, size int, err error)
-	ReadMapEnd() error
 	ReadListBegin() (elemType TType, size int, err error)
-	ReadListEnd() error
 	ReadSetBegin() (elemType TType, size int, err error)
-	ReadSetEnd() error
 	ReadBool() (bool, error)
 	ReadI8() (int8, error)
 	ReadI16() (int16, error)
@@ -115,9 +102,6 @@ type TProtocol interface {
 	// of a list<string> whose header counted len(dst) — and makes one
 	// allocation for all of them.
 	ReadStrings(dst []string) error
-
-	Flush() error
-	Transport() TTransport
 }
 
 // maxSkipDepth bounds the nesting Skip will follow. Legitimate HatRPC
@@ -158,11 +142,9 @@ func skip(p TProtocol, t TType, depth int) error {
 		_, err := p.ReadBinary()
 		return err
 	case STRUCT:
-		if _, err := p.ReadStructBegin(); err != nil {
-			return err
-		}
+		p.ReadStructBegin()
 		for {
-			_, ft, _, err := p.ReadFieldBegin()
+			ft, _, err := p.ReadFieldBegin()
 			if err != nil {
 				return err
 			}
@@ -172,11 +154,9 @@ func skip(p TProtocol, t TType, depth int) error {
 			if err := skip(p, ft, depth+1); err != nil {
 				return err
 			}
-			if err := p.ReadFieldEnd(); err != nil {
-				return err
-			}
 		}
-		return p.ReadStructEnd()
+		p.ReadStructEnd()
+		return nil
 	case MAP:
 		kt, vt, size, err := p.ReadMapBegin()
 		if err != nil {
@@ -190,7 +170,7 @@ func skip(p TProtocol, t TType, depth int) error {
 				return err
 			}
 		}
-		return p.ReadMapEnd()
+		return nil
 	case SET:
 		et, size, err := p.ReadSetBegin()
 		if err != nil {
@@ -201,7 +181,7 @@ func skip(p TProtocol, t TType, depth int) error {
 				return err
 			}
 		}
-		return p.ReadSetEnd()
+		return nil
 	case LIST:
 		et, size, err := p.ReadListBegin()
 		if err != nil {
@@ -212,7 +192,7 @@ func skip(p TProtocol, t TType, depth int) error {
 				return err
 			}
 		}
-		return p.ReadListEnd()
+		return nil
 	default:
 		return fmt.Errorf("thrift: cannot skip type %v", t)
 	}
@@ -247,43 +227,23 @@ func (e *TApplicationException) Error() string {
 }
 
 // Write serializes the exception in the standard layout.
-func (e *TApplicationException) Write(p TProtocol) error {
-	if err := p.WriteStructBegin("TApplicationException"); err != nil {
-		return err
-	}
+func (e *TApplicationException) Write(p TProtocol) {
+	p.WriteStructBegin()
 	if e.Message != "" {
-		if err := p.WriteFieldBegin("message", STRING, 1); err != nil {
-			return err
-		}
-		if err := p.WriteString(e.Message); err != nil {
-			return err
-		}
-		if err := p.WriteFieldEnd(); err != nil {
-			return err
-		}
+		p.WriteFieldBegin(STRING, 1)
+		p.WriteString(e.Message)
 	}
-	if err := p.WriteFieldBegin("type", I32, 2); err != nil {
-		return err
-	}
-	if err := p.WriteI32(int32(e.Type)); err != nil {
-		return err
-	}
-	if err := p.WriteFieldEnd(); err != nil {
-		return err
-	}
-	if err := p.WriteFieldStop(); err != nil {
-		return err
-	}
-	return p.WriteStructEnd()
+	p.WriteFieldBegin(I32, 2)
+	p.WriteI32(int32(e.Type))
+	p.WriteFieldStop()
+	p.WriteStructEnd()
 }
 
 // Read deserializes the exception.
 func (e *TApplicationException) Read(p TProtocol) error {
-	if _, err := p.ReadStructBegin(); err != nil {
-		return err
-	}
+	p.ReadStructBegin()
 	for {
-		_, ft, id, err := p.ReadFieldBegin()
+		ft, id, err := p.ReadFieldBegin()
 		if err != nil {
 			return err
 		}
@@ -306,9 +266,7 @@ func (e *TApplicationException) Read(p TProtocol) error {
 				return err
 			}
 		}
-		if err := p.ReadFieldEnd(); err != nil {
-			return err
-		}
 	}
-	return p.ReadStructEnd()
+	p.ReadStructEnd()
+	return nil
 }

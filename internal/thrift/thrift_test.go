@@ -22,13 +22,13 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			buf := NewTMemoryBuffer()
 			w := mk(buf)
-			check(t, w.WriteBool(true))
-			check(t, w.WriteBool(false))
-			check(t, w.WriteI8(-7))
-			check(t, w.WriteI32(2_000_000_000))
-			check(t, w.WriteI64(-9e15))
-			check(t, w.WriteString("héllo wörld"))
-			check(t, w.WriteBinary([]byte{0, 1, 2, 255}))
+			w.WriteBool(true)
+			w.WriteBool(false)
+			w.WriteI8(-7)
+			w.WriteI32(2_000_000_000)
+			w.WriteI64(-9e15)
+			w.WriteString("héllo wörld")
+			w.WriteBinary([]byte{0, 1, 2, 255})
 
 			r := mk(buf)
 			if v, _ := r.ReadBool(); !v {
@@ -61,8 +61,7 @@ func TestMessageHeaderRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			buf := NewTMemoryBuffer()
 			w := mk(buf)
-			check(t, w.WriteMessageBegin("Echo.Ping", CALL, 42))
-			check(t, w.WriteMessageEnd())
+			w.WriteMessageBegin("Echo.Ping", CALL, 42)
 			r := mk(buf)
 			name2, typ, seq, err := r.ReadMessageBegin()
 			check(t, err)
@@ -78,23 +77,19 @@ func TestStructWithFieldsRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			buf := NewTMemoryBuffer()
 			w := mk(buf)
-			check(t, w.WriteStructBegin("S"))
-			check(t, w.WriteFieldBegin("flag", BOOL, 1))
-			check(t, w.WriteBool(true))
-			check(t, w.WriteFieldEnd())
-			check(t, w.WriteFieldBegin("n", I32, 2))
-			check(t, w.WriteI32(99))
-			check(t, w.WriteFieldEnd())
-			check(t, w.WriteFieldBegin("far", I64, 500)) // long-form field id
-			check(t, w.WriteI64(1))
-			check(t, w.WriteFieldEnd())
-			check(t, w.WriteFieldStop())
-			check(t, w.WriteStructEnd())
+			w.WriteStructBegin()
+			w.WriteFieldBegin(BOOL, 1)
+			w.WriteBool(true)
+			w.WriteFieldBegin(I32, 2)
+			w.WriteI32(99)
+			w.WriteFieldBegin(I64, 500) // long-form field id
+			w.WriteI64(1)
+			w.WriteFieldStop()
+			w.WriteStructEnd()
 
 			r := mk(buf)
-			_, err := r.ReadStructBegin()
-			check(t, err)
-			_, ft, id, err := r.ReadFieldBegin()
+			r.ReadStructBegin()
+			ft, id, err := r.ReadFieldBegin()
 			check(t, err)
 			if ft != BOOL || id != 1 {
 				t.Fatalf("field1 = %v %d", ft, id)
@@ -102,8 +97,7 @@ func TestStructWithFieldsRoundTrip(t *testing.T) {
 			if v, _ := r.ReadBool(); !v {
 				t.Error("bool field value")
 			}
-			check(t, r.ReadFieldEnd())
-			_, ft, id, err = r.ReadFieldBegin()
+			ft, id, err = r.ReadFieldBegin()
 			check(t, err)
 			if ft != I32 || id != 2 {
 				t.Fatalf("field2 = %v %d", ft, id)
@@ -111,8 +105,7 @@ func TestStructWithFieldsRoundTrip(t *testing.T) {
 			if v, _ := r.ReadI32(); v != 99 {
 				t.Error("i32 field value")
 			}
-			check(t, r.ReadFieldEnd())
-			_, ft, id, err = r.ReadFieldBegin()
+			ft, id, err = r.ReadFieldBegin()
 			check(t, err)
 			if ft != I64 || id != 500 {
 				t.Fatalf("field3 = %v %d", ft, id)
@@ -120,13 +113,12 @@ func TestStructWithFieldsRoundTrip(t *testing.T) {
 			if v, _ := r.ReadI64(); v != 1 {
 				t.Error("i64 field value")
 			}
-			check(t, r.ReadFieldEnd())
-			_, ft, _, err = r.ReadFieldBegin()
+			ft, _, err = r.ReadFieldBegin()
 			check(t, err)
 			if ft != STOP {
 				t.Fatal("missing stop")
 			}
-			check(t, r.ReadStructEnd())
+			r.ReadStructEnd()
 		})
 	}
 }
@@ -136,13 +128,11 @@ func TestContainersRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			buf := NewTMemoryBuffer()
 			w := mk(buf)
-			check(t, w.WriteListBegin(I32, 20)) // >14 exercises compact long form
+			w.WriteListBegin(I32, 20) // >14 exercises compact long form
 			for i := 0; i < 20; i++ {
-				check(t, w.WriteI32(int32(i)))
+				w.WriteI32(int32(i))
 			}
-			check(t, w.WriteListEnd())
-			check(t, w.WriteListBegin(STRING, 0))
-			check(t, w.WriteListEnd())
+			w.WriteListBegin(STRING, 0)
 
 			r := mk(buf)
 			et, n, err := r.ReadListBegin()
@@ -155,7 +145,6 @@ func TestContainersRoundTrip(t *testing.T) {
 					t.Fatalf("list[%d] = %d", i, v)
 				}
 			}
-			check(t, r.ReadListEnd())
 			et, n, err = r.ReadListBegin()
 			check(t, err)
 			if et != STRING || n != 0 {
@@ -171,21 +160,17 @@ func TestSkipComplexValue(t *testing.T) {
 			buf := NewTMemoryBuffer()
 			w := mk(buf)
 			// struct { 1: list<list<i32>>; 2: bool } followed by i32 sentinel
-			check(t, w.WriteStructBegin("X"))
-			check(t, w.WriteFieldBegin("l", LIST, 1))
-			check(t, w.WriteListBegin(LIST, 1))
-			check(t, w.WriteListBegin(I32, 2))
-			check(t, w.WriteI32(1))
-			check(t, w.WriteI32(2))
-			check(t, w.WriteListEnd())
-			check(t, w.WriteListEnd())
-			check(t, w.WriteFieldEnd())
-			check(t, w.WriteFieldBegin("b", BOOL, 2))
-			check(t, w.WriteBool(true))
-			check(t, w.WriteFieldEnd())
-			check(t, w.WriteFieldStop())
-			check(t, w.WriteStructEnd())
-			check(t, w.WriteI32(777))
+			w.WriteStructBegin()
+			w.WriteFieldBegin(LIST, 1)
+			w.WriteListBegin(LIST, 1)
+			w.WriteListBegin(I32, 2)
+			w.WriteI32(1)
+			w.WriteI32(2)
+			w.WriteFieldBegin(BOOL, 2)
+			w.WriteBool(true)
+			w.WriteFieldStop()
+			w.WriteStructEnd()
+			w.WriteI32(777)
 
 			r := mk(buf)
 			check(t, Skip(r, STRUCT))
@@ -263,7 +248,7 @@ func TestApplicationExceptionRoundTrip(t *testing.T) {
 			buf := NewTMemoryBuffer()
 			w := mk(buf)
 			exc := NewApplicationException(ExcUnknownMethod, "no such method")
-			check(t, exc.Write(w))
+			exc.Write(w)
 			r := mk(buf)
 			var got TApplicationException
 			check(t, got.Read(r))
@@ -276,11 +261,10 @@ func TestApplicationExceptionRoundTrip(t *testing.T) {
 
 func TestCompactSmallerThanBinary(t *testing.T) {
 	write := func(p TProtocol) {
-		p.WriteStructBegin("S")
+		p.WriteStructBegin()
 		for i := int16(1); i <= 10; i++ {
-			p.WriteFieldBegin("f", I32, i)
+			p.WriteFieldBegin(I32, i)
 			p.WriteI32(int32(i))
-			p.WriteFieldEnd()
 		}
 		p.WriteFieldStop()
 		p.WriteStructEnd()
@@ -310,17 +294,6 @@ func TestCompactRejectsBadProtocolID(t *testing.T) {
 	}
 }
 
-func TestMemoryBufferClose(t *testing.T) {
-	m := NewTMemoryBuffer()
-	m.Close()
-	if _, err := m.Write([]byte("x")); err != ErrTransportClosed {
-		t.Fatalf("write after close = %v", err)
-	}
-	if _, err := m.Read(make([]byte, 1)); err != ErrTransportClosed {
-		t.Fatalf("read after close = %v", err)
-	}
-}
-
 // Property: every int64 round-trips through both protocols.
 func TestPropertyI64RoundTrip(t *testing.T) {
 	for name, mk := range protoFactories {
@@ -328,9 +301,7 @@ func TestPropertyI64RoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			f := func(v int64) bool {
 				buf := NewTMemoryBuffer()
-				if err := mk(buf).WriteI64(v); err != nil {
-					return false
-				}
+				mk(buf).WriteI64(v)
 				got, err := mk(buf).ReadI64()
 				return err == nil && got == v
 			}
@@ -348,9 +319,7 @@ func TestPropertyBinaryRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			f := func(v []byte) bool {
 				buf := NewTMemoryBuffer()
-				if err := mk(buf).WriteBinary(v); err != nil {
-					return false
-				}
+				mk(buf).WriteBinary(v)
 				got, err := mk(buf).ReadBinary()
 				if err != nil || len(got) != len(v) {
 					return false
@@ -400,18 +369,17 @@ func TestPropertyCompactFieldIDs(t *testing.T) {
 		}
 		buf := NewTMemoryBuffer()
 		w := NewTCompactProtocol(buf)
-		w.WriteStructBegin("S")
+		w.WriteStructBegin()
 		for _, id := range ids {
-			w.WriteFieldBegin("f", I32, id)
+			w.WriteFieldBegin(I32, id)
 			w.WriteI32(int32(id))
-			w.WriteFieldEnd()
 		}
 		w.WriteFieldStop()
 		w.WriteStructEnd()
 		r := NewTCompactProtocol(buf)
 		r.ReadStructBegin()
 		for _, want := range ids {
-			_, ft, id, err := r.ReadFieldBegin()
+			ft, id, err := r.ReadFieldBegin()
 			if err != nil || ft != I32 || id != want {
 				return false
 			}
@@ -419,7 +387,7 @@ func TestPropertyCompactFieldIDs(t *testing.T) {
 				return false
 			}
 		}
-		_, ft, _, err := r.ReadFieldBegin()
+		ft, _, err := r.ReadFieldBegin()
 		return err == nil && ft == STOP
 	}
 	if err := quick.Check(f, nil); err != nil {

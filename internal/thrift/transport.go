@@ -20,13 +20,12 @@ const (
 )
 
 // TMemoryBuffer is an in-memory transport: writes append, reads consume.
-// It is the only transport in the tree — generated code and trdma are
-// message-level, the engine frames — so the protocols read and write its
-// buffer directly (next, extend) instead of through TTransport.
+// It is the only transport in the tree (TTransport), and the protocols
+// read and write its buffer directly (next, extend). A write grows the
+// buffer, so no write can fail.
 type TMemoryBuffer struct {
 	buf    []byte
 	rpos   int
-	closed bool
 	own    ownership
 	shared []byte // ownShared: a copy of buf[base:] as it stood at the message's first binary field
 	base   int
@@ -139,34 +138,6 @@ func (m *TMemoryBuffer) extend(n int) []byte {
 	m.buf = m.buf[:end]
 	return m.buf[end-n:]
 }
-
-// Read consumes buffered bytes.
-func (m *TMemoryBuffer) Read(p []byte) (int, error) {
-	if m.closed {
-		return 0, ErrTransportClosed
-	}
-	if m.rpos >= len(m.buf) {
-		return 0, io.EOF
-	}
-	n := copy(p, m.buf[m.rpos:])
-	m.rpos += n
-	return n, nil
-}
-
-// Write appends to the buffer.
-func (m *TMemoryBuffer) Write(p []byte) (int, error) {
-	if m.closed {
-		return 0, ErrTransportClosed
-	}
-	return copy(m.extend(len(p)), p), nil
-}
-
-// Flush is a no-op for memory buffers.
-func (m *TMemoryBuffer) Flush() error { return nil }
-
-// Close marks the buffer closed to Read and Write. The protocols, which
-// bypass both, have nothing to close.
-func (m *TMemoryBuffer) Close() error { m.closed = true; return nil }
 
 // Bytes returns the unread portion of the buffer.
 func (m *TMemoryBuffer) Bytes() []byte { return m.buf[m.rpos:] }

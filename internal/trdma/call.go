@@ -12,7 +12,8 @@ import (
 // and result structs, and a table of invokers.
 
 // Msg is a generated args or result struct, as a request or a reply
-// writes it.
+// writes it. A write into memory cannot fail: Write's error is a nil
+// struct field, which has no encoding.
 type Msg interface {
 	Write(thrift.TProtocol) error
 }
@@ -51,11 +52,10 @@ func (c *Client) Call(p *sim.Proc, fn string, args Msg, result Result) error {
 		mt = thrift.ONEWAY
 	}
 	w := c.cd.Encode(c.T.Stage())
-	w.WriteMessageBegin(fn, mt, c.seq) // into memory: cannot fail
+	w.WriteMessageBegin(fn, mt, c.seq)
 	if err := args.Write(w); err != nil {
 		return err
 	}
-	w.WriteMessageEnd()
 	resp, err := c.T.Invoke(p, fn, c.cd.Encoded(), result == nil)
 	if err != nil || result == nil {
 		return err
@@ -154,7 +154,6 @@ func (t *Table[S]) Serve(p *sim.Proc, fnID uint32, req []byte) []byte {
 	if err := res.Write(w); err != nil {
 		return exception(fn.Name, seq, thrift.ExcInternalError, err.Error())
 	}
-	w.WriteMessageEnd()
 	return rq.cd.Encoded()
 }
 
@@ -180,6 +179,5 @@ func exception(name string, seq int32, code thrift.ApplicationExceptionType, msg
 	w := thrift.NewTBinaryProtocol(buf)
 	w.WriteMessageBegin(name, thrift.EXCEPTION, seq)
 	thrift.NewApplicationException(code, msg).Write(w)
-	w.WriteMessageEnd()
 	return buf.Bytes()
 }
