@@ -69,7 +69,6 @@ func main() {
 		}
 		fmt.Printf("hint-selected plan for Ping: %s + %s polling\n", pl.Proto, mode)
 
-		p.Sleep(1_000_000) // let the oneway land before we stop
 		env.Stop()
 	})
 	env.Run()

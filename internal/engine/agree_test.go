@@ -14,7 +14,9 @@ import (
 // of the eager slot (the rendezvous threshold), 64 KB and 100 KB.
 var agreeSizes = [...]int{64, 4096, 4097, 64 << 10, 100_000}
 
-// agreeCall is one call of a script.
+// agreeCall is one call of a script. A oneway's handler replies with
+// nothing, as a generated processor answers a oneway function
+// (trdma.Table.Serve): to the engine it is a call with an empty reply.
 type agreeCall struct {
 	caller, size int
 	oneway       bool
@@ -22,13 +24,11 @@ type agreeCall struct {
 
 // agreeScript is what FuzzProtocolsAgree runs on every protocol: calls
 // spread over one to three callers, each caller with a connection of its
-// own, and one fault installed once every caller has dialed. lossless
-// says the fault only delays.
+// own, and one fault installed once every caller has dialed.
 type agreeScript struct {
-	callers  int
-	calls    []agreeCall
-	fault    func(now int64, srv, cli int) simnet.FaultConfig
-	lossless bool
+	callers int
+	calls   []agreeCall
+	fault   func(now int64, srv, cli int) simnet.FaultConfig
 }
 
 // maxAgreeCalls bounds a script, so that one input stays a few
@@ -45,7 +45,6 @@ func decodeScript(data []byte) (agreeScript, bool) {
 	s := agreeScript{callers: 1 + int(data[0])%3}
 	kind, toClient := data[1]%4, data[1]&4 != 0
 	a, b := int64(data[2]), int64(data[3])
-	s.lossless = kind == 0 || kind == 3
 	s.fault = func(now int64, srv, cli int) simnet.FaultConfig {
 		from, to := cli, srv
 		if toClient {
@@ -78,11 +77,10 @@ func agreeRequest(i, size int) []byte {
 	return b
 }
 
-// agreeRun is what one protocol did with a script. A two-way call is
-// acked when Call returns its reply. A oneway is never acked: no response
-// confirms its delivery (sendOnewayReliable), so it may be lost.
+// agreeRun is what one protocol did with a script: a call is acked when
+// Call returns its reply.
 type agreeRun struct {
-	acked []bool // per call: a two-way call that returned no error
+	acked []bool // per call: returned no error
 	runs  []int  // per call: how often its handler ran
 }
 
@@ -119,6 +117,9 @@ func runScript(t *testing.T, s agreeScript, proto Protocol, busy bool) agreeRun 
 		} else if !bytes.Equal(req, want) {
 			t.Errorf("call %d: the handler read %d bytes that are not the %d sent", i, len(req), len(want))
 		}
+		if s.calls[i].oneway {
+			return nil
+		}
 		out := make([]byte, len(req))
 		for j, v := range req {
 			out[j] = v + 1
@@ -141,8 +142,8 @@ func runScript(t *testing.T, s agreeScript, proto Protocol, busy bool) agreeRun 
 					if c.caller != k {
 						continue
 					}
-					resp, err := conns[k].Call(p, uint32(i+1), agreeRequest(i, c.size), CallOpts{Proto: proto, Busy: busy, Oneway: c.oneway})
-					r.acked[i] = err == nil && !c.oneway
+					resp, err := conns[k].Call(p, uint32(i+1), agreeRequest(i, c.size), CallOpts{Proto: proto, Busy: busy})
+					r.acked[i] = err == nil
 					switch {
 					case !r.acked[i]:
 					case hatdebug.On && bytes.IndexByte(resp, hatdebug.Poisoned) >= 0:
@@ -152,7 +153,7 @@ func runScript(t *testing.T, s agreeScript, proto Protocol, busy bool) agreeRun 
 					}
 				}
 				if left--; left == 0 {
-					p.Sleep(2 * cfg.CallDeadline) // every retransmission and oneway lands
+					p.Sleep(2 * cfg.CallDeadline) // every retransmission lands
 					env.Stop()
 				}
 			})
@@ -164,48 +165,14 @@ func runScript(t *testing.T, s agreeScript, proto Protocol, busy bool) agreeRun 
 	return r
 }
 
-// regionProtocol reports whether proto writes a request into the
-// server's one region for requests, which the next request overwrites.
-func regionProtocol(proto Protocol) bool {
-	switch proto.row().req {
-	case legDirectWrite, legChained, legWriteImm, legSlot:
-		return true
-	}
-	return false
-}
-
-// onewayThenMore reports whether a caller of s follows a oneway with
-// another call on its connection: on a region protocol that is the known
-// defect TestOnewayOverwrittenInTheRegion pins (nothing tells the caller
-// the server has read the oneway before the next request lands over it),
-// so such a run is not made.
-func onewayThenMore(s agreeScript) bool {
-	pending := make([]bool, s.callers)
-	for _, c := range s.calls {
-		if pending[c.caller] {
-			return true
-		}
-		pending[c.caller] = c.oneway
-	}
-	return false
-}
-
 // checkProtocolsAgree runs a script on every protocol under both pollings
 // and checks each run: no handler ran twice, and an acked call's once.
-// Then it checks the runs against each other: every run whose two-way
-// calls were all acked ran the same handlers as often, oneways included,
-// unless the fault loses packets, when whether a oneway ran depends on
-// which of its protocol's packets was lost.
+// So every run whose calls were all acked ran each handler once: the
+// protocols agree, under every fault.
 func checkProtocolsAgree(t *testing.T, s agreeScript) {
 	t.Helper()
-	var first *agreeRun
-	var firstName string
 	for _, proto := range AllProtocols {
-		if regionProtocol(proto) && onewayThenMore(s) {
-			continue
-		}
 		for _, busy := range []bool{true, false} {
-			name := fmt.Sprintf("%s/busy=%v", proto, busy)
 			r := runScript(t, s, proto, busy)
 			for i, n := range r.runs {
 				switch {
@@ -216,18 +183,7 @@ func checkProtocolsAgree(t *testing.T, s agreeScript) {
 				}
 			}
 			if t.Failed() {
-				t.Fatalf("%s failed the script %+v", name, s.calls)
-			}
-			all := true
-			for i, a := range r.acked {
-				all = all && (a || s.calls[i].oneway)
-			}
-			switch {
-			case !all || !s.lossless:
-			case first == nil:
-				first, firstName = &r, name
-			case fmt.Sprint(r.runs) != fmt.Sprint(first.runs):
-				t.Fatalf("every call acked, but handler runs per call are %v on %s and %v on %s", r.runs, name, first.runs, firstName)
+				t.Fatalf("%s/busy=%v failed the script %+v", proto, busy, s.calls)
 			}
 		}
 	}
@@ -236,56 +192,14 @@ func checkProtocolsAgree(t *testing.T, s agreeScript) {
 // FuzzProtocolsAgree runs a script of calls under one fault on every
 // protocol and both pollings (ROADMAP item 27(a)): an acked call's handler
 // ran once and its reply is the handler's, no call runs twice, rings and
-// pinned bytes come back, no poisoned byte arrives (under hatdebug), and,
-// under a fault that only delays, protocols whose calls were all acked
-// ran the same handlers. The corpus
-// (testdata/fuzz/FuzzProtocolsAgree) holds one script per chaos test.
+// pinned bytes come back and no poisoned byte arrives (under hatdebug).
+// The corpus (testdata/fuzz/FuzzProtocolsAgree) holds one script per
+// chaos test, a late rendezvous, and two oneways and a call on one
+// connection.
 func FuzzProtocolsAgree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if s, ok := decodeScript(data); ok {
 			checkProtocolsAgree(t, s)
 		}
 	})
-}
-
-// TestOnewayOverwrittenInTheRegion pins a defect FuzzProtocolsAgree
-// found, as an expected failure: it passes while the defect stands and
-// fails, naming it, once it is mended. A protocol that writes a request
-// into the server's region (regionProtocol) learns that the server has
-// read a two-way request from its reply, but nothing tells it that of a
-// oneway, so the next request can land over a oneway the server has not
-// read. On a fault-free fabric, two oneways and a call in a row lose the
-// second oneway on every region protocol under event polling, where the
-// server reads the region only when its interrupt wakes it. Busy polling
-// reads in time; a ring or a rendezvous keeps each message apart. (Under
-// loss a notify can also be read after the region has moved on: the
-// sanitizer then finds the region poisoned, and the length read from it
-// panics the dispatcher.)
-func TestOnewayOverwrittenInTheRegion(t *testing.T) {
-	s := agreeScript{
-		callers: 1,
-		calls:   []agreeCall{{size: 64, oneway: true}, {size: 64, oneway: true}, {size: 64}},
-		fault:   func(int64, int, int) simnet.FaultConfig { return simnet.FaultConfig{} },
-	}
-	for _, proto := range AllProtocols {
-		for _, busy := range []bool{true, false} {
-			want := "[1 1 1]"
-			if regionProtocol(proto) && !busy {
-				want = "[1 0 1]"
-			}
-			if got := fmt.Sprint(runScript(t, s, proto, busy).runs); got != want {
-				t.Errorf("%s/busy=%v: handler runs %s, want %s: the defect moved", proto, busy, got, want)
-			}
-		}
-	}
-}
-
-// TestLateOnewayKeepsTheCallsEntry: a 100 KB oneway, then a call, on one
-// connection, under a 50 µs cut of the client's link. On Read-RNDV under
-// event polling the oneway's READ outlasts the call, so the server serves
-// the call first. The oneway, served second, replaced the call's dedup
-// entry, and the call's retransmission ran it a second time.
-func TestLateOnewayKeepsTheCallsEntry(t *testing.T) {
-	s, _ := decodeScript([]byte("22\x04 0, 000"))
-	checkProtocolsAgree(t, s)
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -374,11 +375,12 @@ func TestStagedPayloads(t *testing.T) {
 	}
 }
 
-// TestStageClaimsWhatTheNICStillReads: a oneway call returns as soon as
-// its request is posted, so the next Stage lends the staging region while
-// the NIC has not yet read that request from it. Lending claims the area:
-// the request in flight takes a copy (exactly one) and the server gets
-// the bytes it was sent with, not the next message's.
+// TestStageClaimsWhatTheNICStillReads: a call whose deadline passes
+// before its request lands returns while the NIC still reads that request
+// from the staging region, so the next Stage lends the region under it.
+// Lending claims the area: the request in flight takes a copy (exactly
+// one) and the server gets the bytes it was sent with, not the next
+// message's.
 func TestStageClaimsWhatTheNICStillReads(t *testing.T) {
 	env, srvEng, cliEng := testCluster(3)
 	observe(cliEng)
@@ -391,9 +393,11 @@ func TestStageClaimsWhatTheNICStillReads(t *testing.T) {
 	env.Spawn("client", func(p *sim.Proc) {
 		defer env.Stop()
 		c := cliEng.Dial(p, srvEng.Node(), "svc")
-		opts := CallOpts{Proto: EagerSendRecv, Oneway: true, Busy: true}
-		if _, err := c.Call(p, 1, append(c.Stage(), first...), opts); err != nil {
-			t.Fatal(err)
+		opts := CallOpts{Proto: EagerSendRecv, Busy: true}
+		late := opts
+		late.Deadline = 300 // shorter than the wire
+		if _, err := c.Call(p, 1, append(c.Stage(), first...), late); !errors.Is(err, ErrDeadline) {
+			t.Fatalf("a call past its deadline: %v, want ErrDeadline", err)
 		}
 		before := ctr(cliEng, "verbs.payload_copies")
 		next := append(c.Stage(), second...)

@@ -20,8 +20,6 @@ type CallOpts struct {
 	// Busy selects busy polling on the client side (event-driven
 	// otherwise).
 	Busy bool
-	// Oneway sends the request without waiting for any response.
-	Oneway bool
 	// Deadline bounds the whole call — including retransmissions — in
 	// virtual time from its start. Zero falls back to
 	// Config.CallDeadline; if both are zero the call is one unbounded
@@ -120,24 +118,10 @@ func (c *Conn) doCall(p *sim.Proc, fn uint32, req []byte, opts CallOpts) ([]byte
 		kind: kReq, proto: reqProto, respProto: respProto,
 		fn: fn, length: uint32(len(req)), seq: c.seq,
 	}
-	until := c.deadlineFor(p, opts)
-	if opts.Oneway {
-		eng.em.oneways.Inc()
-		h.respProto = ProtoAuto // marks "no response expected"
-		if err := c.sendOnewayReliable(p, h, req, opts.Busy, until); err != nil {
-			return nil, err
-		}
-		if trc := eng.trc; trc != nil {
-			trc.Complete("rpc", "oneway."+reqProto.String(), eng.node.ID(), c.id,
-				start, int64(p.Now()),
-				obs.Arg{K: "fn", V: fn}, obs.Arg{K: "size", V: len(req)})
-		}
-		return nil, nil
-	}
 	// One state machine for every call (reliability.go): seq-tagged
 	// retransmission with capped exponential backoff under a deadline, a
 	// single unbounded attempt without one.
-	out, err := c.callReliable(p, h, req, respProto, opts.Busy, until)
+	out, err := c.callReliable(p, h, req, respProto, opts.Busy, c.deadlineFor(p, opts))
 	if err != nil {
 		if trc := eng.trc; trc != nil {
 			trc.Instant("rpc", "call_failed."+reqProto.String(), eng.node.ID(), c.id,

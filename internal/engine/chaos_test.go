@@ -97,28 +97,43 @@ func TestChaosLargePayloadsUnderLoss(t *testing.T) {
 	}
 }
 
-// TestChaosOnewayCompletes covers the fire-and-forget path under loss:
-// sendOnewayReliable must return without error and without leaking
-// rendezvous state.
+// TestChaosOnewayCompletes: five oneways — calls whose handler replies
+// with nothing, as a generated processor answers a oneway function — and
+// a call, with the second packet from client to server lost. Each handler
+// runs once: a oneway is resent and deduplicated like any call, so the
+// loss takes none of the calls behind it.
 func TestChaosOnewayCompletes(t *testing.T) {
-	env, srvEng, cliEng := chaosCluster(53, simnet.FaultConfig{DropProb: 0.03}, 20_000_000)
-	srvEng.Serve("svc", echoHandler)
-	var cli *Conn
+	env, srvEng, cliEng := chaosCluster(53, simnet.FaultConfig{}, 20_000_000)
+	runs := make([]int, 6)
+	srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte {
+		runs[fn]++
+		if fn < 5 {
+			return nil
+		}
+		return echoHandler(p, fn, req)
+	})
 	env.Spawn("client", func(p *sim.Proc) {
-		cli = cliEng.Dial(p, srvEng.Node(), "svc")
-		for i := 0; i < 6; i++ {
-			if _, err := cli.Call(p, 1, []byte("oneway"), CallOpts{Proto: DirectWriteIMM, Oneway: true, Busy: true}); err != nil {
-				t.Errorf("oneway %d: %v", i, err)
+		cli := cliEng.Dial(p, srvEng.Node(), "svc")
+		cl := srvEng.Node().Cluster()
+		cl.InstallFaults(simnet.FaultConfig{DropNth: []simnet.NthDrop{{From: cliEng.Node().ID(), To: srvEng.Node().ID(), N: 2}}})
+		for i := uint32(0); i < 5; i++ {
+			if resp, err := cli.Call(p, i, []byte("oneway"), CallOpts{Proto: EagerSendRecv, Busy: true}); err != nil || len(resp) != 0 {
+				t.Errorf("oneway %d: %d reply bytes, %v", i, len(resp), err)
 			}
 		}
-		// A request/response call after the oneways proves the connection
-		// state survived.
-		if resp, err := cli.Call(p, 2, []byte("after"), CallOpts{Proto: EagerSendRecv, Busy: true}); err != nil || string(resp) != "ECHOafter" {
+		if resp, err := cli.Call(p, 5, []byte("after"), CallOpts{Proto: EagerSendRecv, Busy: true}); err != nil || string(resp) != "ECHOafter" {
 			t.Errorf("follow-up call: %q %v", resp, err)
 		}
 		env.Stop()
 	})
 	env.Run()
+	if fmt.Sprint(runs) != "[1 1 1 1 1 1]" {
+		t.Errorf("handler runs per call %v, want each once", runs)
+	}
+	if ctr(cliEng, "engine.retries") == 0 {
+		t.Error("no call was resent: the dropped packet missed the calls")
+	}
+	assertNoLeaks(t, srvEng, cliEng)
 }
 
 // TestChaosLinkFlapsAndPauses drives the remaining fault features: every

@@ -140,9 +140,9 @@ func (c *Conn) postGrant(p *sim.Proc) {
 // noteRepost records that one RECV was reposted to the ring (one more
 // message the peer may now send). If the grant backlog that has not yet
 // ridden an outbound header reaches the low-water mark, an update of its
-// own carries it (postGrant) — this keeps one-directional flows (oneway
-// floods, long request bursts with no response traffic) from starving the
-// peer.
+// own carries it (postGrant) — this keeps a one-directional flow (a
+// request of more fragments than the peer's credits, with no response
+// traffic until it has landed whole) from starving the peer.
 func (c *Conn) noteRepost(p *sim.Proc) {
 	fc := c.fc
 	if fc == nil {

@@ -45,27 +45,31 @@ func assertNoLeaks(t *testing.T, engines ...*Engine) {
 	}
 }
 
-// overrunWorkload floods a 4-slot ring with back-to-back oneways while
-// the dispatcher is stuck in a slow handler (the only window in which
-// the ring can overrun — the pump otherwise drains in ~zero virtual
-// time), then validates liveness with a normal call.
+// overrunWorkload sends one 60 KB eager request, 15 ring-slot fragments,
+// through a 4-slot ring to a server whose cores are over-committed 20
+// times, so its dispatcher reposts each slot later than the next fragment
+// lands, then validates liveness with a normal call. A connection carries
+// one call at a time, and without the extra load that call was not seen
+// to overrun the ring.
 func overrunWorkload(t *testing.T, cfg Config) (srvEng, cliEng *Engine) {
 	t.Helper()
 	cfg.EagerSlots = 4
 	cfg.ModelRNR = true
 	env, srvEng, cliEng := flowCluster(11, cfg)
-	srvEng.Serve("svc", slowEchoHandler(srvEng.Node(), 100_000))
+	srvEng.Serve("svc", echoHandler)
+	cpu := srvEng.Node().CPU
 	env.Spawn("client", func(p *sim.Proc) {
 		c := cliEng.Dial(p, srvEng.Node(), "svc")
-		for i := 0; i < 12; i++ {
-			if _, err := c.Call(p, 1, []byte("flood"), CallOpts{Proto: EagerSendRecv, Oneway: true, Busy: true}); err != nil {
-				t.Fatalf("oneway %d: %v", i, err)
-			}
+		req := pattern(60_000)
+		cpu.AddLoad(20 * cpu.Cores())
+		resp, err := c.Call(p, 1, req, CallOpts{Proto: EagerSendRecv, Busy: true})
+		cpu.RemoveLoad(20 * cpu.Cores())
+		if want := echoHandler(nil, 1, req); err != nil || !bytes.Equal(resp, want) {
+			t.Fatalf("60 KB call: %d bytes, %v", len(resp), err)
 		}
-		p.Sleep(3_000_000) // let the dispatcher drain the backlog
-		resp, err := c.Call(p, 2, []byte("after"), CallOpts{Proto: EagerSendRecv, Busy: true})
+		resp, err = c.Call(p, 2, []byte("after"), CallOpts{Proto: EagerSendRecv, Busy: true})
 		if err != nil || string(resp) != "ECHOafter" {
-			t.Errorf("post-flood call: %q, %v", resp, err)
+			t.Errorf("post-overrun call: %q, %v", resp, err)
 		}
 		env.Stop()
 	})
@@ -73,10 +77,9 @@ func overrunWorkload(t *testing.T, cfg Config) (srvEng, cliEng *Engine) {
 	return srvEng, cliEng
 }
 
-// TestCreditsPreventRNR: the overrun flood with flow control on. Credits
-// make the client block instead of overrunning, so the flood completes
-// with zero RNR NAKs — the tentpole guarantee that a credit-respecting
-// client never triggers RNR.
+// TestCreditsPreventRNR: the overrun with flow control on. Credits make
+// the client block instead of overrunning, so the request completes with
+// zero RNR NAKs — a credit-respecting client never triggers RNR.
 func TestCreditsPreventRNR(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FlowCredits = 4
@@ -88,12 +91,12 @@ func TestCreditsPreventRNR(t *testing.T) {
 		t.Errorf("engine.rnr_failures = %d, want 0", ctr(cliEng, "engine.rnr_failures"))
 	}
 	if ctr(cliEng, "engine.credit_stalls.") == 0 {
-		t.Error("no credit stalls recorded — the flood never waited, so the test exercised nothing")
+		t.Error("no credit stalls recorded — the request never waited, so the test exercised nothing")
 	}
 	assertNoLeaks(t, srvEng, cliEng)
 }
 
-// TestNoCreditsDrawsRNR is the control experiment: the same flood with
+// TestNoCreditsDrawsRNR is the control experiment: the same request with
 // flow control off drives SENDs into the exhausted ring and draws RNR
 // NAKs (recovered by the RNR-timer retransmissions, given a generous
 // retry budget).
@@ -144,25 +147,24 @@ func TestCreditsFragmentedEagerCompletes(t *testing.T) {
 	assertNoLeaks(t, srvEng, cliEng)
 }
 
-// TestCreditUpdateKeepsOnewayFlowAlive: a one-directional flow (oneways
-// only — no responses to piggyback grants on) must be kept live by the
-// async kCredit updates. Blocking sends through a tiny budget would
-// deadlock without them.
-func TestCreditUpdateKeepsOnewayFlowAlive(t *testing.T) {
+// TestCreditUpdatesKeepALongRequestAlive: a request of more fragments
+// than the credit budget is a one-directional flow — no response to
+// piggyback grants on until it has landed whole — so the kCredit updates
+// alone keep it live. Blocking sends through a tiny budget would deadlock
+// without them.
+func TestCreditUpdatesKeepALongRequestAlive(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EagerSlots = 4
 	cfg.FlowCredits = 4
 	env, srvEng, cliEng := flowCluster(17, cfg)
-	reg := obs.NewRegistry()
-	srvEng.SetObs(reg)
-	cliEng.SetObs(reg)
 	srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte { return nil })
 	done := false
 	env.Spawn("client", func(p *sim.Proc) {
 		c := cliEng.Dial(p, srvEng.Node(), "svc")
-		for i := 0; i < 40; i++ { // 40 sends through 4 credits: ~10 refill cycles
-			if _, err := c.Call(p, 1, []byte("oneway"), CallOpts{Proto: EagerSendRecv, Oneway: true, Busy: true}); err != nil {
-				t.Fatalf("oneway %d: %v", i, err)
+		// 15 fragments through 4 credits, three times over.
+		for i := 0; i < 3; i++ {
+			if _, err := c.Call(p, 1, pattern(60_000), CallOpts{Proto: EagerSendRecv, Busy: true}); err != nil {
+				t.Fatalf("call %d: %v", i, err)
 			}
 		}
 		done = true
@@ -170,10 +172,10 @@ func TestCreditUpdateKeepsOnewayFlowAlive(t *testing.T) {
 	})
 	env.Run()
 	if !done {
-		t.Fatal("oneway flood deadlocked (credit updates never arrived)")
+		t.Fatal("the long requests deadlocked (credit updates never arrived)")
 	}
-	if got := reg.Counter("engine.credit_updates").Value(); got == 0 {
-		t.Error("oneway flood completed without any kCredit updates — what replenished the budget?")
+	if got := ctr(srvEng, "engine.credit_updates"); got == 0 {
+		t.Error("the long requests completed without any kCredit updates — what replenished the budget?")
 	}
 }
 

@@ -383,7 +383,7 @@ func TestFetchPaceDisciplines(t *testing.T) {
 	env.Run()
 }
 
-// TestHotpathDeterministic runs the same mixed workload (a run of oneways,
+// TestHotpathDeterministic runs the same mixed workload (a run of eager calls,
 // then every protocol with recycled responses, alternating busy and event
 // client waits against a busy server) twice on one seed and requires
 // identical virtual end times: arena reuse, batched draining and the busy
@@ -396,7 +396,7 @@ func TestHotpathDeterministic(t *testing.T) {
 			c := cliEng.Dial(p, srvEng.Node(), "svc")
 			for i := 0; i < 6; i++ {
 				req := []byte(fmt.Sprintf("b%d", i))
-				if _, err := c.Call(p, 2, req, CallOpts{Proto: EagerSendRecv, Oneway: true}); err != nil {
+				if _, err := c.Call(p, 2, req, CallOpts{Proto: EagerSendRecv}); err != nil {
 					t.Error(err)
 				}
 			}

@@ -116,11 +116,11 @@ func TestCloseReleasesPinnedBytes(t *testing.T) {
 	cliEng.Close()
 }
 
-// TestOnewayEveryProtocol sends a fire-and-forget request on each
-// protocol, then a normal call (which also pumps any trailing control
-// traffic, e.g. the Read-RNDV FIN). The server must execute the handler
-// for both, respond only to the second, and leave no per-seq control
-// state behind.
+// TestOnewayEveryProtocol sends a oneway on each protocol — a call whose
+// handler replies with nothing, as a generated processor answers a
+// oneway function — then a normal call. The server must execute the
+// handler once for each, answer the first with an empty reply, and leave
+// no per-seq control state behind.
 func TestOnewayEveryProtocol(t *testing.T) {
 	for _, proto := range AllProtocols {
 		for _, size := range []int{64, 100_000} {
@@ -131,23 +131,22 @@ func TestOnewayEveryProtocol(t *testing.T) {
 				var handled int
 				srv := srvEng.Serve("svc", func(p *sim.Proc, fn uint32, req []byte) []byte {
 					handled++
+					if fn == 7 {
+						return nil
+					}
 					return echoHandler(p, fn, req)
 				})
 				var conn *Conn
 				env.Spawn("client", func(p *sim.Proc) {
 					c := cliEng.Dial(p, srvEng.Node(), "svc")
 					conn = c
-					resp, err := c.Call(p, 7, make([]byte, size), CallOpts{Proto: proto, Oneway: true, Busy: true})
+					resp, err := c.Call(p, 7, make([]byte, size), CallOpts{Proto: proto, Busy: true})
 					if err != nil {
 						t.Errorf("oneway call: %v", err)
 					}
-					if resp != nil {
+					if len(resp) != 0 {
 						t.Errorf("oneway call returned %d response bytes", len(resp))
 					}
-					// Let the oneway finish server-side (for Read-RNDV the
-					// server still has to READ the payload and FIN) so the
-					// follow-up call's CQ pump consumes its control traffic.
-					p.Sleep(5_000_000)
 					out, err := c.Call(p, 8, []byte("ping"), CallOpts{Proto: EagerSendRecv, Busy: true})
 					if err != nil || string(out) != "ECHOping" {
 						t.Errorf("follow-up call: resp=%q err=%v", out, err)
@@ -162,8 +161,8 @@ func TestOnewayEveryProtocol(t *testing.T) {
 				if served := ctr(srvEng, "engine.served."); served != 2 {
 					t.Fatalf("served = %d, want 2 (oneway must count exactly once)", served)
 				}
-				if calls, oneways := ctr(cliEng, "engine.calls."), ctr(cliEng, "engine.oneways"); calls != 2 || oneways != 1 {
-					t.Fatalf("client counted calls=%d oneways=%d, want 2 and 1", calls, oneways)
+				if calls := ctr(cliEng, "engine.calls."); calls != 2 {
+					t.Fatalf("client counted %d calls, want 2", calls)
 				}
 				// No per-seq residue on either endpoint.
 				conns := append([]*Conn{conn}, srv.Conns()...)
@@ -263,7 +262,7 @@ func runObservedWorkload(t *testing.T, seed int64) (string, []byte, *obs.Registr
 		c.Call(p, 2, make([]byte, 100_000), CallOpts{Proto: WriteRNDV, RespProto: DirectWriteIMM, Busy: true})
 		c.Call(p, 3, make([]byte, 100_000), CallOpts{Proto: ReadRNDV, RespProto: DirectWriteIMM, Busy: true})
 		c.Call(p, 4, []byte("q"), CallOpts{Proto: RFP, Busy: true})
-		c.Call(p, 5, make([]byte, 9000), CallOpts{Proto: EagerSendRecv, Oneway: true, Busy: true})
+		c.Call(p, 5, make([]byte, 9000), CallOpts{Proto: EagerSendRecv, Busy: true})
 		c.Call(p, 6, []byte("ping"), CallOpts{Proto: EagerSendRecv, Busy: true})
 		env.Stop()
 	})
@@ -280,7 +279,7 @@ func runObservedWorkload(t *testing.T, seed int64) (string, []byte, *obs.Registr
 func TestObsCountersPerProtocol(t *testing.T) {
 	_, trace, r := runObservedWorkload(t, 44)
 	wantCalls := map[Protocol]int64{
-		EagerSendRecv: 3, // incl. the oneway
+		EagerSendRecv: 3,
 		WriteRNDV:     1,
 		ReadRNDV:      1,
 		RFP:           1,
@@ -293,11 +292,8 @@ func TestObsCountersPerProtocol(t *testing.T) {
 			t.Errorf("engine.served.%s = %d, want %d", proto, got, want)
 		}
 	}
-	if got := r.Counter("engine.oneways").Value(); got != 1 {
-		t.Errorf("engine.oneways = %d, want 1", got)
-	}
 	if got := r.Counter("engine.eager_frags").Value(); got == 0 {
-		t.Error("9000-byte eager oneway produced no fragment counts")
+		t.Error("9000-byte eager call produced no fragment counts")
 	}
 	// The 100 000-byte Write-RNDV request and the two 100 004-byte
 	// Direct-WriteIMM responses are one work request each, however many
@@ -322,7 +318,6 @@ func TestObsCountersPerProtocol(t *testing.T) {
 	for _, want := range []string{
 		"call." + EagerSendRecv.String(),
 		"call." + WriteRNDV.String(),
-		"oneway." + EagerSendRecv.String(),
 		"serve." + EagerSendRecv.String(),
 		"cts_wait",
 		"register",

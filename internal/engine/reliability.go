@@ -448,25 +448,6 @@ func (c *Conn) callReliable(p *sim.Proc, h hdr, req []byte, respProto Protocol, 
 	}
 }
 
-// sendOnewayReliable is the oneway variant: there is no response to
-// confirm delivery, but protocols with a handshake (Write-RNDV's
-// RTS/CTS) still need bounded waits and retransmission to get the
-// payload off the node.
-func (c *Conn) sendOnewayReliable(p *sim.Proc, h hdr, req []byte, busy bool, until sim.Time) error {
-	c.att.n = 0
-	for {
-		if !c.beginAttempt(p, h.seq, until) {
-			return c.failCall(h.seq)
-		}
-		if c.send(p, h.proto.row().req, h, req, busy, until) {
-			return nil
-		}
-		if expired(p.Now(), until) {
-			return c.failCall(h.seq)
-		}
-	}
-}
-
 // failCall records a deadline expiry, reclaims the call's per-seq
 // control state, and maps the failure to its typed error.
 func (c *Conn) failCall(seq uint32) error {

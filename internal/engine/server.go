@@ -225,9 +225,7 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 			// that just arrived is not needed: the entry holds the original.
 			c.endLoan(a.Payload)
 			eng.em.dupRequests.Inc()
-			if c.dedup.arr.RespProto != ProtoAuto {
-				c.respond(p, c.dedup.arr, c.dedup.resp, busy)
-			}
+			c.respond(p, c.dedup.arr, c.dedup.resp, busy)
 			continue
 		}
 		if a.dup {
@@ -252,9 +250,7 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 				trc.Instant("rpc", "drained", eng.node.ID(), c.id,
 					int64(p.Now()), obs.Arg{K: "fn", V: a.Fn}, obs.Arg{K: "seq", V: a.Seq})
 			}
-			if a.RespProto != ProtoAuto {
-				c.sendReject(p, a, kDrain)
-			}
+			c.sendReject(p, a, kDrain)
 			continue
 		}
 		acquired := false
@@ -276,9 +272,7 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 					trc.Instant("rpc", "shed."+a.Proto.String(), eng.node.ID(), c.id,
 						int64(p.Now()), obs.Arg{K: "seq", V: a.Seq})
 				}
-				if a.RespProto != ProtoAuto {
-					c.sendReject(p, a, kErr)
-				}
+				c.sendReject(p, a, kErr)
 				continue
 			}
 			acquired = true
@@ -293,9 +287,7 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 			a.Kind, resp = kBig, nil
 		}
 		resp, own := c.settle(a, resp)
-		if a.RespProto != ProtoAuto { // ProtoAuto marks a oneway request
-			c.respond(p, a, resp, busy)
-		}
+		c.respond(p, a, resp, busy)
 		s.active--
 		if acquired {
 			s.adm.release()
@@ -309,13 +301,7 @@ func (s *Server) dispatch(p *sim.Proc, c *Conn) {
 				obs.Arg{K: "fn", V: a.Fn}, obs.Arg{K: "size", V: len(a.Payload)})
 		}
 		// The entry takes over the buffer the response may be cut from and
-		// hands the previous one back to the arena. A oneway served after
-		// the request behind it (its rendezvous outlasted that call) leaves
-		// that request's entry in place, for its retransmission to find.
-		if a.RespProto == ProtoAuto && c.dedup.served && int32(a.Seq-c.dedup.arr.Seq) < 0 {
-			c.Recycle(own)
-			continue
-		}
+		// hands the previous one back to the arena.
 		c.Recycle(c.dedup.req)
 		a.Payload = nil
 		c.dedup = dedupEntry{served: true, resp: resp, req: own, arr: a}

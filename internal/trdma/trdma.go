@@ -31,7 +31,7 @@ type ServiceHints struct {
 	// FnIDs maps function names to wire ids (stable, 1-based in
 	// declaration order).
 	FnIDs map[string]uint32
-	// Oneway marks fire-and-forget functions.
+	// Oneway marks the functions declared oneway, which have no reply.
 	Oneway map[string]bool
 }
 
@@ -67,7 +67,11 @@ type plan struct {
 type Transport interface {
 	// Invoke performs one RPC for the named function. The response bytes
 	// stay valid until the next Invoke on the same transport — or on any
-	// transport sharing its session (SessionTransport).
+	// transport sharing its session (SessionTransport). oneway marks a
+	// function without a reply: over IPoIB its request is sent and not
+	// waited on, since TCP delivers it; over RDMA it is a call like any
+	// other, answered with the empty reply Table.Serve returns for it, so
+	// that it is resent, deduplicated and refused typed as a call is.
 	Invoke(p *sim.Proc, fn string, request []byte, oneway bool) ([]byte, error)
 	// Stage lends a buffer, empty, for the next request to be serialized
 	// into: the one the channel sends from, so that an Invoke handed a
@@ -192,20 +196,16 @@ func (t *TRdma) Invoke(p *sim.Proc, fn string, request []byte, oneway bool) ([]b
 	if !ok {
 		return nil, fmt.Errorf("trdma: unknown function %q", fn)
 	}
-	var opts engine.CallOpts
+	opts := pl.opts
 	if t.policy != nil {
 		opts = t.policy(fn, len(request))
-	} else {
-		if pl.useTCP {
-			if oneway {
-				t.tcp.Send(p, request)
-				return nil, nil
-			}
-			return t.tcp.Call(p, request), nil
+	} else if pl.useTCP {
+		if oneway {
+			t.tcp.Send(p, request)
+			return nil, nil
 		}
-		opts = pl.opts
+		return t.tcp.Call(p, request), nil
 	}
-	opts.Oneway = oneway
 	return t.conn.Invoke(p, pl.id, request, opts)
 }
 
@@ -284,9 +284,7 @@ func (t *SessionTransport) Invoke(p *sim.Proc, fn string, request []byte, oneway
 	if !ok {
 		return nil, fmt.Errorf("trdma: unknown function %q", fn)
 	}
-	opts := pl.opts
-	opts.Oneway = oneway
-	out, err := t.s.Invoke(p, pl.id, request, opts)
+	out, err := t.s.Invoke(p, pl.id, request, pl.opts)
 	if len(request) > cap(t.req) {
 		// By length: a staged request's capacity is the staging region's.
 		t.req = make([]byte, 0, len(request))
